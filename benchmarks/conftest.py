@@ -28,3 +28,11 @@ def show(capsys):
                 print(line)
 
     return _show
+
+
+@pytest.fixture(scope="session")
+def bench_out(tmp_path_factory):
+    """Where the serving sweeps write ``BENCH_serving.json``: a session tmp
+    dir, so running the suite never dirties the checked-in file
+    (``benchmarks/regen.py`` runs the sweeps and copies this into place)."""
+    return tmp_path_factory.mktemp("bench", numbered=False) / "BENCH_serving.json"

@@ -90,6 +90,21 @@ NPROBE = 4
 K = 10
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 
+
+def update_bench(bench_out: Path, sections: dict) -> None:
+    """Write a sweep's sections into the session's copy of the sweep file
+    (``bench_out`` fixture), seeded from the checked-in one so a sweep run
+    on its own keeps the rest.
+
+    Tests never write ``BENCH_PATH``: ``benchmarks/regen.py`` copies the
+    session copy into place.
+    """
+    source = bench_out if bench_out.exists() else BENCH_PATH
+    payload = json.loads(source.read_text())
+    payload.update(sections)
+    bench_out.write_text(json.dumps(payload, indent=2) + "\n")
+
+
 # The optimizer ablation needs an embedding region with more pages than
 # planes, so that query-major service order actually evicts latched pages.
 SCHED_N, SCHED_DIM, SCHED_BATCH = 3200, 256, 32
@@ -393,7 +408,7 @@ def run_arrival_sweep():
 
 
 @pytest.mark.figure("serving")
-def test_serving_throughput(benchmark, show):
+def test_serving_throughput(benchmark, show, bench_out):
     points, ablation = benchmark.pedantic(
         lambda: (run_serving_sweep(), run_optimizer_ablation()),
         rounds=1, iterations=1,
@@ -421,7 +436,7 @@ def test_serving_throughput(benchmark, show):
     # The optimizer only reorders page service: results are bit-identical.
     assert ablation["on"]["ids"] == ablation["off"]["ids"]
 
-    payload = {
+    update_bench(bench_out, {
         "workload": {
             "n_entries": N_ENTRIES,
             "dim": DIM,
@@ -447,9 +462,8 @@ def test_serving_throughput(benchmark, show):
             "on": {k: v for k, v in ablation["on"].items() if k != "ids"},
             "off": {k: v for k, v in ablation["off"].items() if k != "ids"},
         },
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    show(f"  wrote {BENCH_PATH.name}")
+    })
+    show(f"  wrote {bench_out}")
 
     by_size = {p["batch_size"]: p for p in points}
     for point in points:
@@ -473,7 +487,7 @@ def test_serving_throughput(benchmark, show):
 
 
 @pytest.mark.figure("serving")
-def test_host_scaling_serving(benchmark, show):
+def test_host_scaling_serving(benchmark, show, bench_out):
     """Corpus-size sweep with per-phase host wall-clock decomposition."""
     points = benchmark.pedantic(run_host_scaling, rounds=1, iterations=1)
 
@@ -491,8 +505,7 @@ def test_host_scaling_serving(benchmark, show):
             f"{phases['host_documents'] * 1e3:6.1f}ms"
         )
 
-    payload = json.loads(BENCH_PATH.read_text())
-    payload["host_scaling"] = {
+    update_bench(bench_out, {"host_scaling": {
         "workload": {
             "n_entries": [p[0] for p in HOST_SCALE_POINTS],
             "dim": DIM,
@@ -503,9 +516,8 @@ def test_host_scaling_serving(benchmark, show):
             "environment": environment_block(),
         },
         "points": points,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    show(f"  updated {BENCH_PATH.name} (host_scaling)")
+    }})
+    show(f"  updated {bench_out.name} (host_scaling)")
 
     # The packed document region lifts the sweep to 10^6 entries.
     assert max(p["n_entries"] for p in points) >= 1_000_000
@@ -572,7 +584,7 @@ def run_shard_scaling():
 
 
 @pytest.mark.figure("serving")
-def test_shard_scaling(benchmark, show):
+def test_shard_scaling(benchmark, show, bench_out):
     """Multi-device scaling: QPS vs shard count, merge phase accounted."""
     points = benchmark.pedantic(run_shard_scaling, rounds=1, iterations=1)
 
@@ -587,8 +599,7 @@ def test_shard_scaling(benchmark, show):
             f"{point['host_wall_seconds'] * 1e3:8.1f}ms"
         )
 
-    payload = json.loads(BENCH_PATH.read_text())
-    payload["shard_scaling"] = {
+    update_bench(bench_out, {"shard_scaling": {
         "workload": {
             "n_entries": SHARD_SCALE_N,
             "dim": SHARD_SCALE_DIM,
@@ -601,9 +612,8 @@ def test_shard_scaling(benchmark, show):
             "environment": environment_block(),
         },
         "points": points,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    show(f"  updated {BENCH_PATH.name} (shard_scaling)")
+    }})
+    show(f"  updated {bench_out.name} (shard_scaling)")
 
     by_shards = {p["shards"]: p for p in points}
     for point in points:
@@ -621,7 +631,7 @@ def test_shard_scaling(benchmark, show):
 
 
 @pytest.mark.figure("serving")
-def test_arrival_rate_serving(benchmark, show):
+def test_arrival_rate_serving(benchmark, show, bench_out):
     """Async queue serving of Poisson arrivals vs batch-size-1 FIFO."""
     sweep = benchmark.pedantic(run_arrival_sweep, rounds=1, iterations=1)
 
@@ -641,10 +651,8 @@ def test_arrival_rate_serving(benchmark, show):
             f"{b1['deadline_miss_fraction'] * 100:7.1f}"
         )
 
-    payload = json.loads(BENCH_PATH.read_text())
-    payload["arrival_serving"] = sweep
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    show(f"  updated {BENCH_PATH.name} (arrival_serving)")
+    update_bench(bench_out, {"arrival_serving": sweep})
+    show(f"  updated {bench_out.name} (arrival_serving)")
 
     by_load = {p["load"]: p for p in sweep["points"]}
     for point in sweep["points"]:
@@ -808,7 +816,7 @@ def run_ingest_serving():
 
 
 @pytest.mark.figure("serving")
-def test_ingest_serving(benchmark, show):
+def test_ingest_serving(benchmark, show, bench_out):
     """Streaming ingest: write-tenant mix sweep + maintenance recall drift."""
     sweep = benchmark.pedantic(run_ingest_serving, rounds=1, iterations=1)
 
@@ -825,10 +833,8 @@ def test_ingest_serving(benchmark, show):
             f"{point['maintenance']['seconds'] * 1e3:6.1f}ms"
         )
 
-    payload = json.loads(BENCH_PATH.read_text())
-    payload["ingest_serving"] = sweep
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    show(f"  updated {BENCH_PATH.name} (ingest_serving)")
+    update_bench(bench_out, {"ingest_serving": sweep})
+    show(f"  updated {bench_out.name} (ingest_serving)")
 
     by_mix = {p["write_fraction"]: p for p in sweep["points"]}
     for point in sweep["points"]:
@@ -938,7 +944,7 @@ def run_failover_serving():
 
 
 @pytest.mark.figure("serving")
-def test_failover_serving(benchmark, show):
+def test_failover_serving(benchmark, show, bench_out):
     """QPS/p99 through a mid-stream shard kill: R=2 serves, R=1 degrades."""
     points = benchmark.pedantic(run_failover_serving, rounds=1, iterations=1)
 
@@ -955,8 +961,7 @@ def test_failover_serving(benchmark, show):
             f"{point['failover_seconds_total'] * 1e6:7.1f}us"
         )
 
-    payload = json.loads(BENCH_PATH.read_text())
-    payload["failover_serving"] = {
+    update_bench(bench_out, {"failover_serving": {
         "workload": {
             "n_entries": FAILOVER_N,
             "dim": FAILOVER_DIM,
@@ -976,9 +981,8 @@ def test_failover_serving(benchmark, show):
             "environment": environment_block(),
         },
         "points": points,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    show(f"  updated {BENCH_PATH.name} (failover_serving)")
+    }})
+    show(f"  updated {bench_out.name} (failover_serving)")
 
     by_r = {p["replication_factor"]: p for p in points}
     # R=2 serves the whole stream through the kill, every result
@@ -1135,7 +1139,7 @@ def run_cache_smoke(repeats=5):
 
 
 @pytest.mark.figure("serving")
-def test_cache_serving(benchmark, show):
+def test_cache_serving(benchmark, show, bench_out):
     """Zipf x budget sweep: hit rate grows with budget, hot skew pays."""
     sweeps = benchmark.pedantic(run_cache_serving, rounds=1, iterations=1)
 
@@ -1153,8 +1157,7 @@ def test_cache_serving(benchmark, show):
                 f"{point['host_wall_seconds'] * 1e3:8.1f}ms"
             )
 
-    payload = json.loads(BENCH_PATH.read_text())
-    payload["cache_serving"] = {
+    update_bench(bench_out, {"cache_serving": {
         "workload": {
             "n_entries": CACHE_N,
             "dim": DIM,
@@ -1174,9 +1177,8 @@ def test_cache_serving(benchmark, show):
             "environment": environment_block(),
         },
         "sweeps": sweeps,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    show(f"  updated {BENCH_PATH.name} (cache_serving)")
+    }})
+    show(f"  updated {bench_out.name} (cache_serving)")
 
     for sweep in sweeps:
         rates = [p["hit_rate"] for p in sweep["points"]]

@@ -68,6 +68,7 @@ from repro.core.plan import (
     RerankStage,
     build_page_schedule,
     build_query_plan,
+    validate_queries,
 )
 from repro.core.queue import (
     BatchFormer,
@@ -97,6 +98,7 @@ from repro.core.shard import (
     plan_placement,
     shard_ivf_model,
 )
+from repro.nand.ecc import UncorrectableReadError
 from repro.sim.latency import SimClock
 from repro.core.layout import (
     CapacityError,
@@ -143,6 +145,7 @@ __all__ = [
     "RerankStage",
     "build_page_schedule",
     "build_query_plan",
+    "validate_queries",
     "DatabaseDeployer",
     "DefragResult",
     "DefragmentationError",
@@ -186,6 +189,7 @@ __all__ = [
     "TimePartitionedStore",
     "TimeWindow",
     "TtlEntry",
+    "UncorrectableReadError",
     "brute_force_workload",
     "ivf_workload",
     "tiny_config",

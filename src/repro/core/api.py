@@ -42,6 +42,7 @@ from repro.core.layout import (
     DeploymentCodecs,
     fit_deployment_codecs,
 )
+from repro.core.plan import validate_queries
 from repro.core.queue import QueuePolicy, SubmissionQueue
 from repro.core.shard import (
     MergeCostModel,
@@ -403,6 +404,7 @@ class ReisDevice:
     ) -> BatchSearchResult:
         """``Search(Q, Qid, Did, k)``: brute-force top-k for a query batch."""
         db = self.database(db_id)
+        queries = validate_queries(db, queries, k)
         execution = self.engine.search_batch(
             db, queries, k,
             nprobe=None if not db.is_ivf else db.n_clusters,
@@ -438,6 +440,7 @@ class ReisDevice:
         db = self.database(db_id)
         if not db.is_ivf:
             raise ValueError(f"database {db_id} was deployed without IVF")
+        queries = validate_queries(db, queries, k)
         if nprobe is None and recall_target is not None:
             nprobe = self.resolve_nprobe(db_id, recall_target)
         execution = self.engine.search_batch(
@@ -874,6 +877,7 @@ class ShardedReisDevice:
     ) -> BatchSearchResult:
         """Brute-force top-k across all shards, distance-merged."""
         sdb = self.database(db_id)
+        queries = validate_queries(sdb, queries, k)
         execution = self.router.execute(
             sdb, queries, k,
             nprobe=None if not sdb.is_ivf else sdb.n_clusters,
@@ -896,6 +900,7 @@ class ShardedReisDevice:
         sdb = self.database(db_id)
         if not sdb.is_ivf:
             raise ValueError(f"database {db_id} was deployed without IVF")
+        queries = validate_queries(sdb, queries, k)
         if nprobe is None and recall_target is not None:
             nprobe = self.resolve_nprobe(db_id, recall_target)
         execution = self.router.execute(

@@ -9,25 +9,23 @@ same story: the paper's "one sense, N distance extractions".
 :class:`BatchExecutor` works phase by phase:
 
 * **Scan phases (coarse, fine)** are driven by a columnar task table
-  (:class:`_ScanTasks`): the union of pages the batch touches, each mapped
-  to every (query, slot-window, threshold, filter) scan that wants it, as
-  parallel arrays scheduled with :func:`~repro.core.plan.schedule_order` /
-  :func:`~repro.core.plan.schedule_senses`.  The device senses each
-  scheduled page once and the array kernel
-  (:meth:`~repro.core.engine.InStorageAnnsEngine.scan_page_run`) drains
-  all interested queries against the latched data.  With
-  ``OptFlags.schedule_optimization`` the schedule groups every
-  request for a page into one run (maximum collisions); without it,
-  requests stay in query order and only accidental adjacency shares a
-  sense.
-* **Order-preserving TTL replay** keeps results bit-identical to the
-  sequential path: the kernel only *extracts* -- per-query TTL appends,
-  channel billing and the per-page quickselect are replayed afterwards in
-  each query's original slot order
-  (:meth:`~repro.core.engine.InStorageAnnsEngine.absorb_scan_hit`), so a
-  query's TTL goes through exactly the states it would solo.  Reordering
-  page service across queries changes *when* a page is sensed, never
-  *what* any query computes from it.
+  (:class:`ScanTasks`): the union of pages the batch touches, each mapped
+  to every (query, slot-window) scan that wants it, as parallel arrays.
+  The engine's phase kernel
+  (:meth:`~repro.core.engine.InStorageAnnsEngine.scan_page_run`)
+  schedules them (:func:`~repro.core.plan.schedule_order` /
+  :func:`~repro.core.plan.schedule_senses`), senses each scheduled page
+  once and extracts every interested query's distances from the latched
+  data.  With ``OptFlags.schedule_optimization`` the schedule groups
+  every request for a page into one run (maximum collisions); without
+  it, requests stay in query order and only accidental adjacency shares
+  a sense.
+* **Arrival-order TTLs** keep results bit-identical to the sequential
+  path: the kernel hands every query its surviving rows in the query's
+  own scan order and bills it the visits, channel transfers and
+  per-page quickselects of that order, so reordering page service
+  across queries changes *when* a page is sensed, never *what* any
+  query computes from it or pays for it.
 * **Rerank and document phases** stay query-major (their page reads go
   through the controller's ECC path, not the in-die scan kernel); the
   joint cost model still amortizes their page identities.
@@ -60,15 +58,12 @@ from repro.core.plan import (
     RerankStage,
     build_query_plan,
     finalize_query_result,
-    schedule_order,
-    schedule_senses,
-    schedule_senses_cached,
 )
 from repro.core.registry import TemporalTopList
 from repro.sim.latency import LatencyReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.core.engine import InStorageAnnsEngine, PageScanHit
+    from repro.core.engine import InStorageAnnsEngine
     from repro.host.profile import HostProfile
 
 # Shared no-op context for profiling-disabled runs: entering it reads no
@@ -192,17 +187,16 @@ class BatchExecution:
 
 
 @dataclass
-class _ScanTasks:
+class ScanTasks:
     """A batch phase's scan demands in columnar (array-structured) form.
 
     Row ``t`` is one (query, page, slot-window) demand; ``queries[t]``
     indexes the batch's contexts.  ``threshold`` is phase-uniform and
     ``filters`` is per *query* (indexed through ``queries``), matching how
-    the phase drivers parameterize their sweeps.  Rows are appended
-    query-major in sequential scan order, so replaying them by ascending
-    index reproduces the solo path exactly -- the same contract the
-    per-task object list used to carry, without materializing an object
-    per (query, page) pair.
+    the phase drivers parameterize their sweeps.  Rows are query-major
+    (``queries`` ascending) and, within a query, in its sequential scan
+    order: ascending row index is each query's arrival order, which is
+    what the phase kernel's TTL feeding relies on.
     """
 
     queries: np.ndarray  # (T,) int64 -- context index of each demand
@@ -228,7 +222,6 @@ class _FineScanState:
     threshold: Optional[int]
     fine_stages: Sequence[object]  # FineStage per query
     shortlist_sizes: List[int]
-    entry_bytes: int
     costs: List[PhaseCost]
     ttls: List[TemporalTopList]
     ranges_per_query: List[List[Tuple[int, int]]]
@@ -239,23 +232,23 @@ class _FineScanState:
         return len(self.ttls[qi])
 
 
-def _tasks_from_ranges(
+def tasks_from_ranges(
     region: RegionInfo,
     query_of_range: np.ndarray,
     firsts: np.ndarray,
     lasts: np.ndarray,
     threshold: Optional[int],
     filters: Sequence[Optional[int]],
-) -> _ScanTasks:
+) -> ScanTasks:
     """Vectorized page/window expansion of many (query, slot-range) demands.
 
-    Replicates :func:`~repro.core.engine.iter_page_windows` arithmetic over
-    every range at once: range ``r`` covering slots ``[firsts[r],
-    lasts[r]]`` expands to its pages ``firsts[r]//spp .. lasts[r]//spp``
-    with unclamped window bounds relative to each page (empty ranges are
-    skipped, as the solo loop skips them).  Row order is the ranges' order,
-    pages ascending within a range -- callers supply ranges query-major in
-    scan order, so the rows replay sequentially.
+    The single source of the slot-to-page arithmetic (the solo scan and
+    the batch drivers both build their demands here): range ``r`` covering
+    slots ``[firsts[r], lasts[r]]`` expands to its pages ``firsts[r]//spp
+    .. lasts[r]//spp`` with unclamped window bounds relative to each page
+    (the kernel clamps to the page's valid slots; empty ranges are
+    skipped).  Row order is the ranges' order, pages ascending within a
+    range -- callers supply ranges query-major in scan order.
     """
     spp = region.slots_per_page
     keep = lasts >= firsts
@@ -270,7 +263,7 @@ def _tasks_from_ranges(
     within = np.arange(reps.size) - np.repeat(np.cumsum(n_pages) - n_pages, n_pages)
     pages = first_page[reps] + within
     page_first = pages * spp
-    return _ScanTasks(
+    return ScanTasks(
         queries=q[reps],
         pages=pages,
         lo=f[reps] - page_first,
@@ -297,134 +290,26 @@ class BatchExecutor:
 
     def _serve_scan_phase(
         self,
-        region: RegionInfo,
-        tasks: _ScanTasks,
-        coarse: bool,
-        code_bytes: int,
-        oob_record_bytes: int,
-        code_rows: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, List["PageScanHit"]]:
-        """Schedule a phase's page demands and drain them page-major.
-
-        The schedule is computed directly on the task arrays (the same
-        :func:`~repro.core.plan.schedule_order` /
-        :func:`~repro.core.plan.schedule_senses` primitives that
-        ``build_page_schedule`` wraps for object-holding callers); each
-        maximal same-page run senses at most once and the array kernel
-        extracts every interested query's window from the latched data.
-        ``code_rows`` is the batch's stacked query-code matrix, so a run's
-        codes are one row gather.  Returns ``(sensed, planes, hits)`` with
-        ``hits`` indexed like ``tasks``, ready for per-query replay.
-        """
-        engine = self.engine
-        n_tasks = len(tasks)
-        if n_tasks == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return np.empty(0, dtype=bool), empty, []
-        pages = tasks.pages
-        order = schedule_order(pages, engine.flags.schedule_optimization)
-        if order is None:
-            order = np.arange(n_tasks)
-        pages_o = pages[order]
-
-        def locate_plane(page_offset: int) -> int:
-            return engine._locate(region, page_offset)[1]
-
-        cache = engine.page_cache
-        entry_of: Dict[int, object] = {}
-        if cache is not None:
-            # One residency snapshot per unique page: pages admitted while
-            # this phase drains don't retroactively serve it (the schedule
-            # partition is fixed, like the sense/latch plan itself).
-            def is_cached(page_offset: int) -> bool:
-                entry = cache.lookup(region, page_offset)
-                if entry is None:
-                    return False
-                entry_of[page_offset] = entry
-                return True
-
-            sensed, planes, _cached = schedule_senses_cached(
-                pages_o, locate_plane, is_cached
-            )
-        else:
-            sensed, planes = schedule_senses(pages_o, locate_plane)
-
-        starts = np.flatnonzero(np.r_[True, pages_o[1:] != pages_o[:-1]])
-        ends = np.r_[starts[1:], n_tasks]
-        q_of = tasks.queries
-        filters = tasks.filters
-        hits: List[Optional["PageScanHit"]] = [None] * n_tasks
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            rows = order[s:e]
-            qrows = q_of[rows]
-            page_offset = int(pages_o[s])
-            entry = entry_of.get(page_offset)
-            if entry is not None:
-                # Mirror-served run: the scan kernel math runs on the golden
-                # DRAM bytes; no sense, no latch occupancy.
-                run_hits = engine.scan_page_cached(
-                    region,
-                    page_offset,
-                    entry,
-                    code_rows[qrows],
-                    tasks.lo[rows],
-                    tasks.hi[rows],
-                    [tasks.threshold] * (e - s),
-                    [filters[qi] for qi in qrows],
-                    coarse,
-                    code_bytes,
-                    oob_record_bytes,
-                )
-            else:
-                run_hits = engine.scan_page_run(
-                    region,
-                    page_offset,
-                    code_rows[qrows],
-                    tasks.lo[rows],
-                    tasks.hi[rows],
-                    [tasks.threshold] * (e - s),
-                    [filters[qi] for qi in qrows],
-                    coarse,
-                    code_bytes,
-                    oob_record_bytes,
-                    sense=bool(sensed[s]),
-                )
-            for row, hit in zip(rows.tolist(), run_hits):
-                hits[row] = hit
-        if cache is not None:
-            kind = "centroid" if coarse else "cluster"
-            for page_offset in np.unique(pages_o).tolist():
-                if int(page_offset) not in entry_of:
-                    engine._admit_page(region, int(page_offset), kind)
-        return sensed, planes, hits
-
-    @staticmethod
-    def _replay(
-        engine: "InStorageAnnsEngine",
-        tasks: _ScanTasks,
-        hits: Sequence["PageScanHit"],
+        db: DeployedDatabase,
+        tasks: ScanTasks,
+        phase: str,
+        ctxs: Sequence[PlanContext],
         ttls: Sequence[TemporalTopList],
         costs: Sequence[PhaseCost],
-        ctxs: Sequence[PlanContext],
-        entry_bytes: int,
         select_k: Sequence[int],
+        stats: BatchStats,
+        scheduled_senses: Dict[str, Dict[int, int]],
     ) -> None:
-        """Replay extracted hits per query, in each query's original order.
-
-        Task rows were appended query by query in sequential scan order, so
-        walking them by ascending index within each query reproduces the
-        exact TTL append / compact interleaving of the solo path -- the
-        order-preserving replay that keeps batching bit-identical.
-        """
-        for index, qi in enumerate(tasks.queries.tolist()):
-            engine.absorb_scan_hit(
-                hits[index],
-                ttls[qi],
-                costs[qi],
-                ctxs[qi].stats,
-                entry_bytes,
-                select_k[qi],
-            )
+        """Drain one scan phase through the engine's phase kernel and
+        record the schedule it executed for the cost model."""
+        sensed, planes = self.engine.scan_page_run(
+            db, tasks, phase == "coarse",
+            np.stack([ctx.query_code for ctx in ctxs]),
+            ttls, costs, [ctx.stats for ctx in ctxs], select_k,
+        )
+        self._record_schedule(
+            len(tasks), sensed, planes, phase, stats, scheduled_senses
+        )
 
     # --------------------------------------------------------- phase drivers
 
@@ -456,7 +341,7 @@ class BatchExecutor:
             for _ in plans
         ]
         n_queries = len(ctxs)
-        tasks = _tasks_from_ranges(
+        tasks = tasks_from_ranges(
             region,
             np.arange(n_queries, dtype=np.int64),
             np.zeros(n_queries, dtype=np.int64),
@@ -464,16 +349,10 @@ class BatchExecutor:
             threshold=None,
             filters=[None] * n_queries,
         )
-        sensed, planes, hits = self._serve_scan_phase(
-            region, tasks, coarse=True,
-            code_bytes=db.code_bytes,
-            oob_record_bytes=engine.params.tag_bytes,
-            code_rows=np.stack([ctx.query_code for ctx in ctxs]),
+        self._serve_scan_phase(
+            db, tasks, "coarse", ctxs, ttls, costs, nprobes,
+            stats, scheduled_senses,
         )
-        self._record_schedule(
-            len(tasks), sensed, planes, "coarse", stats, scheduled_senses
-        )
-        self._replay(engine, tasks, hits, ttls, costs, ctxs, entry_bytes, nprobes)
         for ctx, cost in zip(ctxs, costs):
             ctx.phase_costs["coarse"] = cost
         return ttls
@@ -547,7 +426,7 @@ class BatchExecutor:
                 query_of_range.append(qi)
                 firsts.append(first)
                 lasts.append(last)
-        tasks = _tasks_from_ranges(
+        tasks = tasks_from_ranges(
             region,
             np.asarray(query_of_range, dtype=np.int64),
             np.asarray(firsts, dtype=np.int64),
@@ -555,23 +434,14 @@ class BatchExecutor:
             threshold=threshold,
             filters=[stage.metadata_filter for stage in fine_stages],
         )
-        sensed, planes, hits = self._serve_scan_phase(
-            region, tasks, coarse=False,
-            code_bytes=db.code_bytes,
-            oob_record_bytes=db.oob_record_bytes,
-            code_rows=np.stack([ctx.query_code for ctx in ctxs]),
-        )
-        self._record_schedule(
-            len(tasks), sensed, planes, "fine", stats, scheduled_senses
-        )
-        self._replay(
-            engine, tasks, hits, ttls, costs, ctxs, entry_bytes, shortlist_sizes
+        self._serve_scan_phase(
+            db, tasks, "fine", ctxs, ttls, costs, shortlist_sizes,
+            stats, scheduled_senses,
         )
         return _FineScanState(
             threshold=threshold,
             fine_stages=fine_stages,
             shortlist_sizes=shortlist_sizes,
-            entry_bytes=entry_bytes,
             costs=costs,
             ttls=ttls,
             ranges_per_query=ranges_per_query,
@@ -589,7 +459,6 @@ class BatchExecutor:
         """Unfiltered rescan for the given queries, as one shared schedule."""
         if not retries:
             return
-        engine = self.engine
         region = db.embedding_region
         query_of_range: List[int] = []
         firsts: List[int] = []
@@ -601,7 +470,7 @@ class BatchExecutor:
                 query_of_range.append(qi)
                 firsts.append(first)
                 lasts.append(last)
-        retry_tasks = _tasks_from_ranges(
+        retry_tasks = tasks_from_ranges(
             region,
             np.asarray(query_of_range, dtype=np.int64),
             np.asarray(firsts, dtype=np.int64),
@@ -609,18 +478,9 @@ class BatchExecutor:
             threshold=None,
             filters=[stage.metadata_filter for stage in state.fine_stages],
         )
-        sensed, planes, retry_hits = self._serve_scan_phase(
-            region, retry_tasks, coarse=False,
-            code_bytes=db.code_bytes,
-            oob_record_bytes=db.oob_record_bytes,
-            code_rows=np.stack([ctx.query_code for ctx in ctxs]),
-        )
-        self._record_schedule(
-            len(retry_tasks), sensed, planes, "fine", stats, scheduled_senses
-        )
-        self._replay(
-            engine, retry_tasks, retry_hits, state.ttls, state.costs, ctxs,
-            state.entry_bytes, state.shortlist_sizes,
+        self._serve_scan_phase(
+            db, retry_tasks, "fine", ctxs, state.ttls, state.costs,
+            state.shortlist_sizes, stats, scheduled_senses,
         )
 
     def _fine_finish(

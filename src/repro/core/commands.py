@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.nand.die import Die
-from repro.core.registry import TtlBlock
 
 
 class FlashOp(Enum):
@@ -105,76 +104,16 @@ class DieCommandInterface:
             plane, query_codes, code_bytes, n_segments
         )
 
-    def pass_fail_mask(
-        self, plane: int, distances: Sequence[int], threshold: int
-    ) -> np.ndarray:
-        """Distance filtering returning the comparator's pass mask."""
-        self.trace.record(FlashOp.PASS_FAIL)
-        return self.die.planes[plane].filter_distances_mask(distances, threshold)
+    def record_extraction(self, plane: int, n_sweeps: int, n_moved: int) -> None:
+        """PASS_FAIL sweeps and RD_TTL moves of one plane, for a whole phase.
 
-    def rd_ttl_batch(
-        self,
-        plane: int,
-        slots: np.ndarray,
-        code_bytes: int,
-        dists: np.ndarray,
-        oob_record_bytes: int,
-        coarse: bool,
-        eadr_base: int,
-        metadata_filter: Optional[int] = None,
-    ) -> Tuple[Optional[TtlBlock], int]:
-        """Batched RD_TTL: assemble a columnar TTL block in one sweep.
-
-        Embedding codes are gathered from the sensing latch and OOB linkage
-        records are decoded vectorized; with ``metadata_filter`` the Sec. 7.1
-        tag comparison runs *in the die* (the pass/fail comparator) before
-        any entry moves, so mismatching entries are dropped without an
-        RD_TTL command and never cross the channel.  Returns the surviving
-        rows in ascending slot order (``None`` when nothing survives) plus
-        the in-die-filtered count.
+        The scan kernel evaluates the comparator masks (distance threshold,
+        Sec. 7.1 metadata tag) and counts the surviving entries for a whole
+        phase at once; the command stream still carries one PASS_FAIL per
+        comparator sweep and one RD_TTL per entry that crossed the channel.
+        Entries a comparator dropped never get an RD_TTL.
         """
-        slots = np.asarray(slots, dtype=np.intp)
-        if slots.size == 0:
-            return None, 0
-        oob = self.die.planes[plane].buffer.oob
-        n_filtered = 0
-        if coarse:
-            tags = oob[slots * oob_record_bytes].astype(np.int64)
-            self.trace.record_many(FlashOp.RD_TTL, slots.size)
-            embs = self.die.ttl_codes(plane, slots, code_bytes)
-            block = TtlBlock(
-                dists=dists,
-                embs=embs,
-                eadrs=eadr_base + slots.astype(np.int64),
-                tags=tags,
-            )
-            return block, 0
-        rows = oob.size // oob_record_bytes
-        records = oob[: rows * oob_record_bytes].reshape(rows, oob_record_bytes)
-        words = np.ascontiguousarray(records[slots]).view("<u4")
-        if words.shape[1] >= 3:
-            metas = words[:, 2].astype(np.int64)
-        else:
-            metas = np.full(slots.size, -1, dtype=np.int64)
-        if metadata_filter is not None:
-            # The tag sweep reuses the pass/fail comparator (Sec. 7.1), so
-            # it costs one PASS_FAIL command per window like the distance
-            # filter -- mismatches are dropped before any RD_TTL moves.
-            self.trace.record(FlashOp.PASS_FAIL)
-            keep = self.die.planes[plane].filter_tags_mask(metas, metadata_filter)
-            n_filtered = int(slots.size - keep.sum())
-            slots, dists = slots[keep], dists[keep]
-            words, metas = words[keep], metas[keep]
-            if slots.size == 0:
-                return None, n_filtered
-        self.trace.record_many(FlashOp.RD_TTL, slots.size)
-        embs = self.die.ttl_codes(plane, slots, code_bytes)
-        block = TtlBlock(
-            dists=dists,
-            embs=embs,
-            eadrs=eadr_base + slots.astype(np.int64),
-            dadrs=words[:, 0].astype(np.int64),
-            radrs=words[:, 1].astype(np.int64),
-            metas=metas,
-        )
-        return block, n_filtered
+        self.trace.record_many(FlashOp.PASS_FAIL, n_sweeps)
+        self.trace.record_many(FlashOp.RD_TTL, n_moved)
+        if n_sweeps:
+            self.die.planes[plane].note_pass_fail_sweeps(n_sweeps)

@@ -34,12 +34,16 @@ and :mod:`repro.core.batch` (a concurrent batch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchExecution, BatchExecutor
+from repro.core.batch import (
+    BatchExecution,
+    BatchExecutor,
+    ScanTasks,
+    tasks_from_ranges,
+)
 from repro.core.cache import CacheEntry, PageCache
 from repro.core.commands import DieCommandInterface
 from repro.core.config import OptFlags, ReisConfig
@@ -50,93 +54,75 @@ from repro.core.plan import (
     ReisQueryResult,
     SearchStats,
     build_query_plan,
+    schedule_order,
+    schedule_senses,
+    schedule_senses_cached,
 )
-from repro.core.registry import TemporalTopList, TtlBlock, TtlEntry
+from repro.core.registry import TemporalTopList, TtlBlock, TtlRefs
+from repro.nand.ecc import UncorrectableReadError
 from repro.nand.geometry import PhysicalPageAddress
-from repro.nand.latches import _POPCOUNT_TABLE
+from repro.nand.latches import xor_popcount_segments
 from repro.rag.documents import DocumentChunk
 from repro.ssd.device import SimulatedSSD
 
 __all__ = [
     "InStorageAnnsEngine",
     "ReisQueryResult",
-    "ScanWindow",
-    "PageScanHit",
     "SearchStats",
-    "iter_page_windows",
 ]
 
 
-@dataclass(frozen=True)
-class ScanWindow:
-    """One query's demand on one latched page: its code plus a slot window.
+class _LatchedPages:
+    """Code + OOB bytes of the pages one scan phase latched, by page rank.
 
-    ``lo``/``hi`` are slot indices within the page (inclusive).  The
-    threshold and metadata filter travel with the window because the
-    page-major executor services windows of many queries against one sense.
+    The phase kernel snapshots each page once, while it sits in the sensing
+    latch (or from the DRAM mirror), so that TTL rows can stay ``(page,
+    slot)`` references: :meth:`decode` assembles the RD_TTL payload -- the
+    embedding code and the OOB linkage words -- only for the rows a
+    selection asks for.
     """
 
-    code: np.ndarray
-    lo: int
-    hi: int
-    threshold: Optional[int] = None
-    metadata_filter: Optional[int] = None
+    def __init__(
+        self,
+        page_offsets: np.ndarray,
+        slots_per_page: int,
+        code_bytes: int,
+        record_bytes: int,
+        coarse: bool,
+    ) -> None:
+        self.page_offsets = page_offsets
+        self.slots_per_page = slots_per_page
+        self.coarse = coarse
+        n_pages = page_offsets.size
+        self.codes = np.empty(
+            (n_pages, slots_per_page, code_bytes), dtype=np.uint8
+        )
+        self.records = np.empty(
+            (n_pages, slots_per_page, record_bytes), dtype=np.uint8
+        )
 
+    def snapshot(self, rank: int, data: np.ndarray, oob: np.ndarray) -> None:
+        codes, records = self.codes[rank], self.records[rank]
+        codes[:] = data[: codes.size].reshape(codes.shape)
+        records[:] = oob[: records.size].reshape(records.shape)
 
-@dataclass
-class PageScanHit:
-    """What one window extracted from one page (steps 3-6 for one query).
+    def words(self, ranks: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """The little-endian 32-bit OOB linkage words of the given rows."""
+        return self.records[ranks, slots].view("<u4")
 
-    Surviving rows stay columnar (one :class:`TtlBlock` per hit) all the
-    way into the TTL; ``entries`` materializes them only for tests and
-    introspection.
-    """
-
-    plane_index: int
-    channel: int
-    page_id: int
-    n_valid: int
-    n_filtered: int  # dropped in-die: distance threshold + metadata tag
-    block: Optional[TtlBlock] = None
-    # Served from the DRAM cache mirror: no sense, no latch work, no
-    # channel crossing -- the visit bills ``cache_bytes`` of DRAM instead.
-    from_cache: bool = False
-    cache_bytes: int = 0
-
-    @property
-    def entries(self) -> List[TtlEntry]:
-        if self.block is None:
-            return []
-        return [self.block.entry(i) for i in range(len(self.block))]
-
-
-def iter_page_windows(
-    region: RegionInfo,
-    query_code: np.ndarray,
-    first_slot: int,
-    last_slot: int,
-    threshold: Optional[int] = None,
-    metadata_filter: Optional[int] = None,
-):
-    """Yield ``(page_offset, ScanWindow)`` for each page of a slot range.
-
-    The single source of the slot-to-page arithmetic: the solo scan loop
-    and the batch executor's task builder both enumerate their demands
-    through here, so the two paths cannot drift apart.  Window bounds are
-    left unclamped (the kernel clamps to the page's valid slots).
-    """
-    if last_slot < first_slot:
-        return
-    first_page = first_slot // region.slots_per_page
-    last_page = last_slot // region.slots_per_page
-    for page_offset in range(first_page, last_page + 1):
-        page_first = page_offset * region.slots_per_page
-        yield page_offset, ScanWindow(
-            code=query_code,
-            lo=first_slot - page_first,
-            hi=last_slot - page_first,
-            threshold=threshold,
-            metadata_filter=metadata_filter,
+    def decode(
+        self, dists: np.ndarray, ranks: np.ndarray, slots: np.ndarray
+    ) -> TtlBlock:
+        embs = self.codes[ranks, slots]
+        eadrs = self.page_offsets[ranks] * self.slots_per_page + slots
+        if self.coarse:
+            return TtlBlock(
+                dists, embs, eadrs=eadrs, tags=self.records[ranks, slots, 0]
+            )
+        words = self.words(ranks, slots)
+        return TtlBlock(
+            dists, embs, eadrs=eadrs, dadrs=words[:, 0], radrs=words[:, 1],
+            metas=words[:, 2] if words.shape[1] >= 3 else None,
         )
 
 
@@ -268,318 +254,240 @@ class InStorageAnnsEngine:
 
     # ------------------------------------------------------------ scan core
 
-    def scan_page_windows(
-        self,
-        region: RegionInfo,
-        page_offset: int,
-        windows: Sequence[ScanWindow],
-        coarse: bool,
-        code_bytes: int,
-        oob_record_bytes: int,
-        sense: bool = True,
-    ) -> List[PageScanHit]:
-        """Steps 2-6 on ONE page for MANY queries: the vectorized scan kernel.
-
-        Senses the page (unless it is already latched in its plane's
-        buffer), then for every window runs the in-plane extraction chain --
-        cache-latch reload + XOR + GEN_DIST, the pass/fail distance
-        threshold, the in-die metadata-tag comparison -- and assembles the
-        surviving TTL entries in one vectorized sweep per window.  The
-        command trace carries one XOR/GEN_DIST (and PASS_FAIL where
-        thresholded) per window, exactly the per-visit latch work the cost
-        model bills, but READ_PAGE only when ``sense`` is true: one sense,
-        N distance extractions.
-
-        This is the single scan primitive: the solo path calls it with one
-        window per page, the page-major batch executor with every
-        interested query's window at once (via the array-native
-        :meth:`scan_page_run`, which this method wraps for callers holding
-        :class:`ScanWindow` objects).
-        """
-        return self.scan_page_run(
-            region,
-            page_offset,
-            np.stack([window.code for window in windows]),
-            [window.lo for window in windows],
-            [window.hi for window in windows],
-            [window.threshold for window in windows],
-            [window.metadata_filter for window in windows],
-            coarse,
-            code_bytes,
-            oob_record_bytes,
-            sense=sense,
-        )
-
     def scan_page_run(
         self,
-        region: RegionInfo,
-        page_offset: int,
-        codes: np.ndarray,
-        los: Sequence[int],
-        his: Sequence[int],
-        thresholds: Sequence[Optional[int]],
-        metadata_filters: Sequence[Optional[int]],
+        db: DeployedDatabase,
+        tasks: ScanTasks,
         coarse: bool,
-        code_bytes: int,
-        oob_record_bytes: int,
-        sense: bool = True,
-    ) -> List[PageScanHit]:
-        """Array-native scan kernel: one latched page, N window demands.
+        code_rows: np.ndarray,
+        ttls: Sequence[TemporalTopList],
+        costs: Sequence[PhaseCost],
+        stats_list: Sequence[SearchStats],
+        select_k: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Steps 2-7 for one scan phase: the columnar phase kernel.
 
-        ``codes`` is a ``(N, code_bytes)`` matrix; the window bounds,
-        thresholds and metadata filters are parallel sequences.  Semantics
-        (and the command trace) are exactly :meth:`scan_page_windows` --
-        the batch executor calls this directly from its columnar task
-        arrays so no per-task window objects are materialized.
+        ``tasks`` holds every (query, page, slot window) demand of the
+        phase, query-major in each query's scan order; ``code_rows`` is the
+        stacked query-code matrix and ``ttls`` / ``costs`` / ``stats_list``
+        / ``select_k`` are indexed by ``tasks.queries``.  The solo path
+        calls this with one query, the batch executor with all of them.
+
+        **Per scheduled page** the NAND work happens, through the die
+        command interface: the demands are ordered into page runs
+        (:func:`~repro.core.plan.schedule_order`), a run senses its page
+        unless the plane still has it latched, and one ``GEN_DIST`` sweep
+        extracts the distances of every interested query ("one sense, N
+        distance extractions").  A page the DRAM cache mirrors is neither
+        sensed nor latched: the same XOR + popcount runs on the mirror
+        bytes and the visit bills DRAM.  Either way the page's code + OOB
+        bytes are snapshotted while they are at hand.
+
+        **Per phase**, once: the slot-window + threshold mask over the
+        ``(tasks, slots)`` distance matrix, the in-die metadata-tag
+        comparison, ``np.nonzero`` for the surviving rows (which come out
+        in each query's arrival order, because tasks are query-major),
+        commands / counters / :class:`PhaseCost` / :class:`SearchStats` by
+        ``bincount``, and each query's TTL fed its survivors as
+        :class:`~repro.core.registry.TtlRefs` with the per-iteration
+        quickselect accounted arithmetically
+        (:meth:`TemporalTopList.stream`).  Every query is billed exactly
+        the visits, transfers and quickselects it would pay solo.
+
+        Returns ``(sensed, planes)`` per request in service order, for the
+        cost model's schedule feedback.
         """
-        ppa, plane_index, channel, page_id = self._locate(region, page_offset)
-        plane_in_die = ppa.plane
-        interface = self.die_interface_of_plane(plane_index)
-        if sense:
-            interface.read_page(plane_in_die, ppa.block, ppa.page)
-        n_segments = region.slots_in_page(page_offset)
-        page_first = page_offset * region.slots_per_page
-
-        distances = interface.gen_dist_multi(
-            plane_in_die, codes, code_bytes, n_segments
+        n_tasks = len(tasks)
+        if n_tasks == 0:
+            return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
+        region = db.centroid_region if coarse else db.embedding_region
+        assert region is not None
+        code_bytes = db.code_bytes
+        params = self.params
+        record_bytes = params.tag_bytes if coarse else db.oob_record_bytes
+        entry_bytes = (
+            params.coarse_entry_bytes(code_bytes)
+            if coarse
+            else params.fine_entry_bytes(code_bytes)
         )
+        spp = region.slots_per_page
+        q_of = tasks.queries
+        threshold = tasks.threshold
 
-        hits: List[PageScanHit] = []
-        for row in range(len(codes)):
-            lo = max(int(los[row]), 0)
-            hi = min(int(his[row]), n_segments - 1)
-            n_valid = hi - lo + 1
-            if n_valid <= 0:
-                hits.append(
-                    PageScanHit(plane_index, channel, page_id, 0, 0)
-                )
-                continue
-            window_dists = distances[row, lo : hi + 1]
-            threshold = thresholds[row]
-            if threshold is not None:
-                mask = interface.pass_fail_mask(
-                    plane_in_die, window_dists, threshold
-                )
-                kept = np.arange(lo, hi + 1, dtype=np.intp)[mask]
-                kept_dists = window_dists[mask]
-                n_dist_filtered = n_valid - kept.size
-            else:
-                kept = np.arange(lo, hi + 1, dtype=np.intp)
-                kept_dists = window_dists
-                n_dist_filtered = 0
-            block, n_meta_filtered = interface.rd_ttl_batch(
-                plane_in_die,
-                kept,
-                code_bytes,
-                kept_dists,
-                oob_record_bytes,
-                coarse=coarse,
-                eadr_base=page_first,
-                metadata_filter=metadata_filters[row],
+        # ---- the schedule: service order, fresh senses, mirror-served pages
+        order = schedule_order(tasks.pages, self.flags.schedule_optimization)
+        if order is None:
+            order = np.arange(n_tasks)
+        pages_o = tasks.pages[order]
+
+        def locate_plane(page_offset: int) -> int:
+            return self._locate(region, page_offset)[1]
+
+        cache = self.page_cache
+        entry_of: Dict[int, CacheEntry] = {}
+        if cache is not None:
+            # One residency snapshot per unique page: pages admitted while
+            # this phase drains don't retroactively serve it (the schedule
+            # partition is fixed, like the sense/latch plan itself).
+            def is_cached(page_offset: int) -> bool:
+                entry = cache.lookup(region, page_offset)
+                if entry is None:
+                    return False
+                entry_of[page_offset] = entry
+                return True
+
+            sensed, planes, _cached = schedule_senses_cached(
+                pages_o, locate_plane, is_cached
             )
-            hits.append(
-                PageScanHit(
-                    plane_index=plane_index,
-                    channel=channel,
-                    page_id=page_id,
-                    n_valid=n_valid,
-                    n_filtered=n_dist_filtered + n_meta_filtered,
-                    block=block,
-                )
-            )
-        return hits
-
-    def scan_page_cached(
-        self,
-        region: RegionInfo,
-        page_offset: int,
-        entry: CacheEntry,
-        codes: np.ndarray,
-        los: Sequence[int],
-        his: Sequence[int],
-        thresholds: Sequence[Optional[int]],
-        metadata_filters: Sequence[Optional[int]],
-        coarse: bool,
-        code_bytes: int,
-        oob_record_bytes: int,
-    ) -> List[PageScanHit]:
-        """The DRAM-mirror twin of :meth:`scan_page_run`: zero NAND work.
-
-        Runs the identical extraction math -- XOR + popcount distances, the
-        strict-below threshold mask, the OOB linkage decode with the
-        before-RD_TTL metadata drop -- against the cached golden
-        ``(data, oob)`` bytes on the *controller*.  Scan regions are
-        ESP-SLC, whose senses latch the golden bytes verbatim, so the
-        results are bit-identical to a fresh sense; but no READ_PAGE /
-        XOR / GEN_DIST / PASS_FAIL / RD_TTL command is issued and no latch
-        or sense counter advances (the billing difference *is* the cache).
-        """
-        _ppa, plane_index, channel, page_id = self._locate(region, page_offset)
-        n_segments = region.slots_in_page(page_offset)
-        page_first = page_offset * region.slots_per_page
-        data = entry.data
-        patterns = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
-        view = data[: code_bytes * n_segments].reshape(1, n_segments, code_bytes)
-        diff = np.bitwise_xor(view, patterns[:, None, :])
-        distances = _POPCOUNT_TABLE[diff].sum(axis=2, dtype=np.int64)
-
-        hits: List[PageScanHit] = []
-        for row in range(len(patterns)):
-            lo = max(int(los[row]), 0)
-            hi = min(int(his[row]), n_segments - 1)
-            n_valid = hi - lo + 1
-            if n_valid <= 0:
-                hits.append(
-                    PageScanHit(
-                        plane_index, channel, page_id, 0, 0,
-                        from_cache=True, cache_bytes=entry.nbytes,
-                    )
-                )
-                continue
-            window_dists = distances[row, lo : hi + 1]
-            threshold = thresholds[row]
-            if threshold is not None:
-                mask = window_dists < threshold
-                kept = np.arange(lo, hi + 1, dtype=np.intp)[mask]
-                kept_dists = window_dists[mask]
-                n_dist_filtered = n_valid - kept.size
-            else:
-                kept = np.arange(lo, hi + 1, dtype=np.intp)
-                kept_dists = window_dists
-                n_dist_filtered = 0
-            block, n_meta_filtered = self._rd_ttl_cached(
-                entry,
-                kept,
-                kept_dists,
-                code_bytes,
-                oob_record_bytes,
-                coarse,
-                page_first,
-                metadata_filters[row],
-            )
-            hits.append(
-                PageScanHit(
-                    plane_index=plane_index,
-                    channel=channel,
-                    page_id=page_id,
-                    n_valid=n_valid,
-                    n_filtered=n_dist_filtered + n_meta_filtered,
-                    block=block,
-                    from_cache=True,
-                    cache_bytes=entry.nbytes,
-                )
-            )
-        return hits
-
-    @staticmethod
-    def _rd_ttl_cached(
-        entry: CacheEntry,
-        slots: np.ndarray,
-        dists: np.ndarray,
-        code_bytes: int,
-        oob_record_bytes: int,
-        coarse: bool,
-        eadr_base: int,
-        metadata_filter: Optional[int],
-    ) -> Tuple[Optional[TtlBlock], int]:
-        """The mirror twin of ``rd_ttl_batch``: same decode, no commands.
-
-        Gathers embedding codes and OOB linkage records from the cached
-        bytes with the exact slot arithmetic the die performs; the fancy
-        gathers materialize fresh arrays, so TTL blocks never alias the
-        mirror.  The metadata equality drop runs before any row is
-        assembled, as the in-die comparator does.
-        """
-        slots = np.asarray(slots, dtype=np.intp)
-        if slots.size == 0:
-            return None, 0
-        data, oob = entry.data, entry.oob
-        n_fit = data.size // code_bytes
-        codes_view = data[: n_fit * code_bytes].reshape(n_fit, code_bytes)
-        if coarse:
-            tags = oob[slots * oob_record_bytes].astype(np.int64)
-            block = TtlBlock(
-                dists=dists,
-                embs=codes_view[slots],
-                eadrs=eadr_base + slots.astype(np.int64),
-                tags=tags,
-            )
-            return block, 0
-        rows = oob.size // oob_record_bytes
-        records = oob[: rows * oob_record_bytes].reshape(rows, oob_record_bytes)
-        words = np.ascontiguousarray(records[slots]).view("<u4")
-        if words.shape[1] >= 3:
-            metas = words[:, 2].astype(np.int64)
         else:
-            metas = np.full(slots.size, -1, dtype=np.int64)
-        n_filtered = 0
-        if metadata_filter is not None:
-            keep = metas == metadata_filter
-            n_filtered = int(slots.size - keep.sum())
-            slots, dists = slots[keep], dists[keep]
-            words, metas = words[keep], metas[keep]
-            if slots.size == 0:
-                return None, n_filtered
-        block = TtlBlock(
-            dists=dists,
-            embs=codes_view[slots],
-            eadrs=eadr_base + slots.astype(np.int64),
-            dadrs=words[:, 0].astype(np.int64),
-            radrs=words[:, 1].astype(np.int64),
-            metas=metas,
+            sensed, planes = schedule_senses(pages_o, locate_plane)
+
+        # ---- per page run: sense, GEN_DIST for the run's queries, snapshot
+        uniq, rank_of = np.unique(tasks.pages, return_inverse=True)
+        pages_u = uniq.tolist()
+        located = [self._locate(region, page) for page in pages_u]
+        latched = _LatchedPages(uniq, spp, code_bytes, record_bytes, coarse)
+        snapshotted = np.zeros(uniq.size, dtype=bool)
+        dist = np.empty((n_tasks, spp), dtype=np.min_scalar_type(8 * code_bytes))
+        starts = np.flatnonzero(np.r_[True, pages_o[1:] != pages_o[:-1]])
+        ends = np.r_[starts[1:], n_tasks]
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            rows = order[s:e]
+            rank = rank_of[rows[0]]
+            page_offset = pages_u[rank]
+            n_segments = region.slots_in_page(page_offset)
+            entry = entry_of.get(page_offset)
+            if entry is not None:
+                data, oob = entry.data, entry.oob
+                dist[rows, :n_segments] = xor_popcount_segments(
+                    data, code_rows[q_of[rows]], code_bytes, n_segments
+                )
+            else:
+                ppa, plane_index = located[rank][:2]
+                interface = self.die_interface_of_plane(plane_index)
+                if sensed[s]:
+                    interface.read_page(ppa.plane, ppa.block, ppa.page)
+                dist[rows, :n_segments] = interface.gen_dist_multi(
+                    ppa.plane, code_rows[q_of[rows]], code_bytes, n_segments
+                )
+                buffer = interface.die.planes[ppa.plane].buffer
+                data, oob = buffer.sensing, buffer.oob
+            if not snapshotted[rank]:
+                snapshotted[rank] = True
+                latched.snapshot(rank, data, oob)
+        if cache is not None:
+            kind = "centroid" if coarse else "cluster"
+            for page_offset in pages_u:
+                if page_offset not in entry_of:
+                    self._admit_page(region, page_offset, kind)
+
+        # ---- per phase: window + threshold mask, metadata tag, survivors
+        plane_t = np.array([loc[1] for loc in located])[rank_of]
+        channel_t = np.array([loc[2] for loc in located])[rank_of]
+        from_nand = np.array([page not in entry_of for page in pages_u])[rank_of]
+        in_page = np.clip(region.n_slots - tasks.pages * spp, 0, spp)
+        lo = np.maximum(tasks.lo, 0)
+        hi = np.minimum(tasks.hi, in_page - 1)
+        n_valid = np.maximum(hi - lo + 1, 0)
+        slot = np.arange(spp)
+        mask = (slot >= lo[:, None]) & (slot <= hi[:, None])
+        # Comparator sweeps (PASS_FAIL): one per sensed window the distance
+        # threshold inspects, plus one per window whose threshold survivors
+        # face the in-die metadata-tag comparison (Sec. 7.1) -- mismatches
+        # are dropped before any RD_TTL moves.
+        sweeps = np.zeros(n_tasks, dtype=np.int64)
+        if threshold is not None:
+            mask &= dist < threshold
+            sweeps += from_nand & (n_valid > 0)
+        t_idx, s_idx = np.nonzero(mask)
+        has_filter = np.array([f is not None for f in tasks.filters])
+        if has_filter.any():
+            wanted = np.array(
+                [0 if f is None else f for f in tasks.filters], dtype=np.int64
+            )
+            tagged = has_filter[q_of]
+            sweeps += (
+                from_nand & tagged & (np.bincount(t_idx, minlength=n_tasks) > 0)
+            )
+            check = tagged[t_idx]
+            metas = latched.words(rank_of[t_idx[check]], s_idx[check])[:, 2]
+            keep = np.ones(t_idx.size, dtype=bool)
+            keep[check] = metas == wanted[q_of[t_idx[check]]]
+            t_idx, s_idx = t_idx[keep], s_idx[keep]
+        n_kept = np.bincount(t_idx, minlength=n_tasks)
+        # Only NAND-served rows are RD_TTL moves over a flash channel.
+        moved = np.where(from_nand, n_kept, 0)
+
+        # ---- commands and counters, per plane
+        n_planes = self.geometry.total_planes
+        sweeps_of = np.bincount(plane_t, weights=sweeps, minlength=n_planes)
+        moved_of = np.bincount(plane_t, weights=moved, minlength=n_planes)
+        for plane_index in np.flatnonzero(sweeps_of + moved_of).tolist():
+            self.die_interface_of_plane(plane_index).record_extraction(
+                plane_index % self.geometry.planes_per_die,
+                int(sweeps_of[plane_index]),
+                int(moved_of[plane_index]),
+            )
+        if moved.any():
+            self.ssd.counters.add("channel_bytes", int(moved.sum()) * entry_bytes)
+
+        # ---- per query: page visits, stats, channel bytes, TTL.  Tasks
+        # and survivors are query-major, so a query owns one slice of each.
+        page_id_u = [loc[3] for loc in located]
+        hit_bytes_u = [
+            entry_of[page].nbytes if page in entry_of else 0 for page in pages_u
+        ]
+        for qi, rank, plane_index, sensed_visit in zip(
+            q_of.tolist(), rank_of.tolist(), plane_t.tolist(), from_nand.tolist()
+        ):
+            if sensed_visit:
+                costs[qi].add_page(plane_index, page_id=page_id_u[rank])
+            else:
+                self._bill_dram_hit(
+                    costs[qi], stats_list[qi], hit_bytes_u[rank],
+                    key=page_id_u[rank],
+                )
+        n_queries = len(ttls)
+        n_channels = self.geometry.channels
+        bytes_of = np.bincount(
+            q_of * n_channels + channel_t, weights=moved * entry_bytes,
+            minlength=n_queries * n_channels,
+        ).reshape(n_queries, n_channels)
+        for qi, channel in zip(*(axis.tolist() for axis in np.nonzero(bytes_of))):
+            costs[qi].add_channel_bytes(channel, float(bytes_of[qi, channel]))
+        scanned, kept, visits = (
+            np.bincount(q_of, weights=w, minlength=n_queries)
+            .astype(np.int64).tolist()
+            for w in (n_valid, n_kept, from_nand)
         )
-        return block, n_filtered
-
-    def absorb_scan_hit(
-        self,
-        hit: PageScanHit,
-        ttl: TemporalTopList,
-        cost: PhaseCost,
-        stats: SearchStats,
-        entry_bytes: int,
-        select_k: int,
-    ) -> None:
-        """Account one window's page visit to a query's cost/stats/TTL.
-
-        This is the per-query half of the scan: the kernel may have served
-        the window from a sense shared with other queries, but the query
-        still pays its visit (latch compute), its channel transfers, and
-        its per-iteration quickselect exactly as it would solo -- which is
-        what keeps solo latency reports identical under batching.
-
-        A cache-served visit replaces the sense/channel charges with its
-        DRAM bill; the TTL mechanics (extend + per-iteration quickselect)
-        are identical either way, which is what keeps cached serving
-        bit-identical to sensing.
-        """
-        if hit.from_cache:
-            self._bill_dram_hit(cost, stats, hit.cache_bytes, key=hit.page_id)
-        else:
-            cost.add_page(hit.plane_index, page_id=hit.page_id)
-            stats.pages_read += 1
-        stats.entries_scanned += hit.n_valid
-        stats.entries_filtered += hit.n_filtered
-        if hit.block is not None and len(hit.block):
-            ttl.extend(hit.block)
-            n = len(hit.block)
-            if not hit.from_cache:
-                cost.add_channel_bytes(hit.channel, n * entry_bytes)
-                self.ssd.counters.add("channel_bytes", n * entry_bytes)
-            stats.entries_transferred += n
-        # Per-iteration quickselect (Sec. 4.3.1): after each page the
-        # embedded core trims the TTL back to the running top list,
-        # bounding its DRAM footprint.  With pipelining this overlaps
-        # the next page read (handled by compose_phase).
-        if len(ttl) > 2 * select_k:
-            processed = ttl.compact(select_k)
-            cost.core_seconds += self.ssd.cores.reis_core.quickselect(
-                processed, select_k
-            )
+        survivors = TtlRefs(dist[t_idx, s_idx], rank_of[t_idx], s_idx, latched)
+        task_bounds = np.searchsorted(q_of, np.arange(n_queries + 1)).tolist()
+        row_bounds = np.searchsorted(t_idx, task_bounds).tolist()
+        kept_counts = n_kept.tolist()
+        core = self.ssd.cores.reis_core
+        for qi, (stats, cost, k) in enumerate(zip(stats_list, costs, select_k)):
+            first, last = task_bounds[qi], task_bounds[qi + 1]
+            if first == last:
+                continue
+            stats.pages_read += visits[qi]
+            stats.entries_scanned += scanned[qi]
+            stats.entries_filtered += scanned[qi] - kept[qi]
+            stats.entries_transferred += kept[qi]
+            # Per-iteration quickselect (Sec. 4.3.1): after each page the
+            # embedded core trims the TTL back to the running top list,
+            # bounding its DRAM footprint.  With pipelining this overlaps
+            # the next page read (handled by compose_phase).
+            for processed in ttls[qi].stream(
+                survivors[row_bounds[qi]:row_bounds[qi + 1]],
+                kept_counts[first:last],
+                k,
+            ):
+                cost.core_seconds += core.quickselect(processed, k)
+        return sensed, planes
 
     def _scan_range(
         self,
         db: DeployedDatabase,
-        region: RegionInfo,
         query_code: np.ndarray,
         first_slot: int,
         last_slot: int,
@@ -591,45 +499,21 @@ class InStorageAnnsEngine:
         select_k: int,
         metadata_filter: Optional[int] = None,
     ) -> None:
-        """Steps 2-6 over the slots ``[first_slot, last_slot]`` of a region.
-
-        Reads each page the range touches, XORs it against the query code,
-        extracts per-embedding distances with the fail-bit counter,
-        optionally filters (by distance, and by the Sec. 7.1 metadata tag
-        when ``metadata_filter`` is given -- applied in-die, before any
-        entry crosses the channel), and moves surviving entries into
-        ``ttl``.  One :meth:`scan_page_windows` call per page; the batch
-        executor replaces this loop with a page-major schedule.
-        """
-        code_bytes = db.code_bytes
-        oob_record = self.params.tag_bytes if coarse else db.oob_record_bytes
-        entry_bytes = (
-            self.params.coarse_entry_bytes(code_bytes)
-            if coarse
-            else self.params.fine_entry_bytes(code_bytes)
+        """Steps 2-7 over the slots ``[first_slot, last_slot]`` of a region:
+        a one-query phase of :meth:`scan_page_run`."""
+        region = db.centroid_region if coarse else db.embedding_region
+        tasks = tasks_from_ranges(
+            region,
+            np.zeros(1, dtype=np.int64),
+            np.array([first_slot], dtype=np.int64),
+            np.array([last_slot], dtype=np.int64),
+            threshold,
+            [metadata_filter],
         )
-        cache = self.page_cache
-        kind = "centroid" if coarse else "cluster"
-        for page_offset, window in iter_page_windows(
-            region, query_code, first_slot, last_slot, threshold, metadata_filter
-        ):
-            entry = (
-                cache.lookup(region, page_offset) if cache is not None else None
-            )
-            if entry is not None:
-                (hit,) = self.scan_page_cached(
-                    region, page_offset, entry,
-                    window.code[None, :],
-                    [window.lo], [window.hi],
-                    [window.threshold], [window.metadata_filter],
-                    coarse, code_bytes, oob_record,
-                )
-            else:
-                (hit,) = self.scan_page_windows(
-                    region, page_offset, [window], coarse, code_bytes, oob_record
-                )
-                self._admit_page(region, page_offset, kind)
-            self.absorb_scan_hit(hit, ttl, cost, stats, entry_bytes, select_k)
+        self.scan_page_run(
+            db, tasks, coarse, query_code[None, :],
+            [ttl], [cost], [stats], [select_k],
+        )
 
     # --------------------------------------------------------- search steps
 
@@ -650,7 +534,6 @@ class InStorageAnnsEngine:
         )
         self._scan_range(
             db,
-            db.centroid_region,
             query_code,
             0,
             db.centroid_region.n_slots - 1,
@@ -664,52 +547,19 @@ class InStorageAnnsEngine:
         clusters = self.select_clusters(db, ttl_c, nprobe, cost, stats)
         return clusters, cost
 
-    def select_cluster_entries(
-        self,
-        ttl_c: TemporalTopList,
-        nprobe: int,
-        cost: PhaseCost,
-    ) -> List[TtlEntry]:
-        """Quickselect the nprobe nearest centroid entries (nearest first).
-
-        The entries still carry their Hamming distances, which is what the
-        shard router merges across devices before any cluster id is
-        resolved; the single-device path resolves ids immediately via
-        :meth:`resolve_cluster_ids`.
-        """
-        cost.core_seconds += self.ssd.cores.reis_core.quickselect(
-            len(ttl_c), nprobe
-        )
-        return ttl_c.select_smallest(nprobe)
-
-    def resolve_cluster_ids(
-        self,
-        db: DeployedDatabase,
-        entries: Sequence[TtlEntry],
-        stats: SearchStats,
-    ) -> List[int]:
-        """Map selected centroid entries to cluster ids (tag cross-check)."""
-        assert db.r_ivf is not None
-        clusters: List[int] = []
-        for entry in entries:
-            # EADR is the centroid's mini-page address == the cluster id; the
-            # 8-bit tag (which aliases for nlist > 256) is cross-checked.
-            cluster_id = entry.eadr
-            if db.r_ivf[cluster_id].tag != entry.tag:
-                raise RuntimeError(
-                    f"cluster tag mismatch for centroid {cluster_id}"
-                )
-            clusters.append(cluster_id)
-        stats.clusters_probed = len(clusters)
-        return clusters
-
     def select_cluster_block(
         self,
         ttl_c: TemporalTopList,
         nprobe: int,
         cost: PhaseCost,
     ) -> TtlBlock:
-        """Columnar :meth:`select_cluster_entries`: same charge, same rows."""
+        """Quickselect the nprobe nearest centroid rows (nearest first).
+
+        The rows still carry their Hamming distances, which is what the
+        shard router merges across devices before any cluster id is
+        resolved; the single-device path resolves ids immediately via
+        :meth:`resolve_cluster_block`.
+        """
         cost.core_seconds += self.ssd.cores.reis_core.quickselect(
             len(ttl_c), nprobe
         )
@@ -722,7 +572,11 @@ class InStorageAnnsEngine:
         block: TtlBlock,
         stats: SearchStats,
     ) -> np.ndarray:
-        """Vectorized :meth:`resolve_cluster_ids` over a selected block."""
+        """Map selected centroid rows to cluster ids (tag cross-check).
+
+        EADR is the centroid's mini-page address == the cluster id; the
+        8-bit tag (which aliases for nlist > 256) is cross-checked.
+        """
         assert db.r_ivf is not None
         cluster_ids = block.eadrs
         mismatch = db.r_ivf.tags[cluster_ids] != block.tags
@@ -770,7 +624,6 @@ class InStorageAnnsEngine:
             stats.candidates += last - first + 1
             self._scan_range(
                 db,
-                db.embedding_region,
                 query_code,
                 first,
                 last,
@@ -793,7 +646,6 @@ class InStorageAnnsEngine:
             for first, last in ranges:
                 self._scan_range(
                     db,
-                    db.embedding_region,
                     query_code,
                     first,
                     last,
@@ -1019,10 +871,29 @@ class InStorageAnnsEngine:
                 cost.add_channel_bytes(channel, moved)
                 cost.ecc_bytes += moved
                 self.ssd.counters.add("channel_bytes", moved)
+        return self._correct_page(region, page_offset, plane, ppa, raw)
+
+    def _correct_page(
+        self,
+        region: RegionInfo,
+        page_offset: int,
+        plane,
+        ppa: PhysicalPageAddress,
+        raw: np.ndarray,
+    ) -> np.ndarray:
+        """ECC-correct one freshly sensed TLC page on the controller.
+
+        A codeword past the correction capability raises
+        :class:`UncorrectableReadError`: the page is never returned (nor,
+        by the callers, admitted to the cache) with wrong bytes in it.
+        """
+        ecc = self.ssd.ecc
+        uncorrectable = ecc.uncorrectable_codewords
         golden, _ = plane.golden_view(ppa.block, ppa.page)
-        return self.ssd.ecc.correct(
-            raw, golden, candidate_bytes=plane.last_flipped_bytes
-        )
+        page = ecc.correct(raw, golden, candidate_bytes=plane.last_flipped_bytes)
+        if ecc.uncorrectable_codewords != uncorrectable:
+            raise UncorrectableReadError(region.name, page_offset)
+        return page
 
     def _fetch_documents(
         self,
@@ -1080,9 +951,8 @@ class InStorageAnnsEngine:
             else:
                 plane = self.ssd.array.plane(ppa)
                 raw, _ = plane.read_page(ppa.block, ppa.page)
-                golden, _ = plane.golden_view(ppa.block, ppa.page)
-                pages[page_offset] = self.ssd.ecc.correct(
-                    raw, golden, candidate_bytes=plane.last_flipped_bytes
+                pages[page_offset] = self._correct_page(
+                    region, page_offset, plane, ppa, raw
                 )
                 self._admit_page(region, page_offset, "document")
             plane_of_page[rank] = plane_index
@@ -1140,47 +1010,6 @@ class InStorageAnnsEngine:
 
     # ------------------------------------------------- batched TLC kernels
 
-    def _sense_corrected_batch(
-        self,
-        region: RegionInfo,
-        unique_pages: np.ndarray,
-        touch_order: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Materialize a set of TLC pages once each, ECC-corrected in bulk.
-
-        Pages are physically sensed in ``touch_order`` (global first-touch
-        order, which pins each plane's error-injection RNG stream), then the
-        whole stack routes through :meth:`EccEngine.correct_batch` as one
-        call.  Returns ``(corrected, planes, channels, page_ids)``, all
-        aligned with ``unique_pages``.  Billing is the *caller's* job: this
-        helper only performs the shared functional work.
-        """
-        n_pages = unique_pages.size
-        raws: Optional[np.ndarray] = None
-        goldens: Optional[np.ndarray] = None
-        candidates: List[Optional[np.ndarray]] = [None] * n_pages
-        planes = np.empty(n_pages, dtype=np.int64)
-        channels = np.empty(n_pages, dtype=np.int64)
-        page_ids = np.empty(n_pages, dtype=np.int64)
-        for rank in touch_order:
-            page_offset = int(unique_pages[rank])
-            ppa, plane_index, channel, page_id = self._locate(region, page_offset)
-            plane = self.ssd.array.plane(ppa)
-            raw, _ = plane.read_page(ppa.block, ppa.page)
-            golden, _ = plane.golden_view(ppa.block, ppa.page)
-            if raws is None:
-                raws = np.empty((n_pages, raw.size), dtype=np.uint8)
-                goldens = np.empty((n_pages, raw.size), dtype=np.uint8)
-            raws[rank] = raw
-            goldens[rank] = golden
-            candidates[rank] = plane.last_flipped_bytes
-            planes[rank] = plane_index
-            channels[rank] = channel
-            page_ids[rank] = page_id
-        assert raws is not None and goldens is not None
-        corrected = self.ssd.ecc.correct_batch(raws, goldens, candidates)
-        return corrected, planes, channels, page_ids
-
     def _materialize_tlc_batch(
         self,
         region: RegionInfo,
@@ -1189,42 +1018,44 @@ class InStorageAnnsEngine:
         kind: str,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                np.ndarray]:
-        """Cache-aware :meth:`_sense_corrected_batch`.
+        """Materialize a set of TLC pages once each, ECC-corrected in bulk.
 
         Each batch-unique page is looked up in the DRAM mirror once (the
         scheduling snapshot); hits fill their ``corrected`` row from the
-        golden mirror bytes while the remaining pages sense in first-touch
-        order and ECC-correct in one batch call, then admit into the cache.
-        Returns ``(corrected, planes, channels, page_ids, cached, nbytes)``
-        aligned with ``unique_pages``: ``cached`` marks mirror-served rows
-        and ``nbytes`` carries each hit's entry size for DRAM billing
-        (0 for sensed rows).  Billing remains the caller's job.
+        golden mirror bytes while the remaining pages are physically sensed
+        in ``touch_order`` (global first-touch order, which pins each
+        plane's error-injection RNG stream), routed through
+        :meth:`EccEngine.correct_batch` as one call, and admitted into the
+        cache.  A page with a codeword past the correction capability
+        raises :class:`UncorrectableReadError` before anything is admitted
+        or returned.  Returns ``(corrected, planes, channels, page_ids,
+        cached, nbytes)`` aligned with ``unique_pages``: ``cached`` marks
+        mirror-served rows and ``nbytes`` carries each hit's entry size
+        for DRAM billing (0 for sensed rows).  Billing is the *caller's*
+        job: this helper only performs the shared functional work.
         """
         n_pages = unique_pages.size
         cache = self.page_cache
-        cached = np.zeros(n_pages, dtype=bool)
-        entry_nbytes = np.zeros(n_pages, dtype=np.int64)
-        if cache is None:
-            corrected, planes, channels, page_ids = (
-                self._sense_corrected_batch(region, unique_pages, touch_order)
-            )
-            return corrected, planes, channels, page_ids, cached, entry_nbytes
-
         entries: List[Optional[CacheEntry]] = [None] * n_pages
-        for rank in range(n_pages):
-            entry = cache.lookup(region, int(unique_pages[rank]))
-            if entry is not None:
-                entries[rank] = entry
-                cached[rank] = True
-                entry_nbytes[rank] = entry.nbytes
+        if cache is not None:
+            entries = [
+                cache.lookup(region, int(page)) for page in unique_pages
+            ]
+        cached = np.array([entry is not None for entry in entries], dtype=bool)
+        entry_nbytes = np.array(
+            [0 if entry is None else entry.nbytes for entry in entries],
+            dtype=np.int64,
+        )
+        # Row of each to-sense page in the raw/golden stacks.
+        stack_row = np.cumsum(~cached) - 1
+        n_sensed = n_pages - int(cached.sum())
+        page_bytes = self.geometry.page_bytes
+        raws = np.empty((n_sensed, page_bytes), dtype=np.uint8)
+        goldens = np.empty((n_sensed, page_bytes), dtype=np.uint8)
+        hints: List[Optional[np.ndarray]] = [None] * n_sensed
         planes = np.empty(n_pages, dtype=np.int64)
         channels = np.empty(n_pages, dtype=np.int64)
         page_ids = np.empty(n_pages, dtype=np.int64)
-        corrected: Optional[np.ndarray] = None
-        raws: Optional[np.ndarray] = None
-        goldens: Optional[np.ndarray] = None
-        candidates: List[Optional[np.ndarray]] = [None] * n_pages
-        sensed_ranks: List[int] = []
         for rank in touch_order:
             page_offset = int(unique_pages[rank])
             ppa, plane_index, channel, page_id = self._locate(region, page_offset)
@@ -1234,35 +1065,28 @@ class InStorageAnnsEngine:
             if cached[rank]:
                 continue
             plane = self.ssd.array.plane(ppa)
-            raw, _ = plane.read_page(ppa.block, ppa.page)
-            golden, _ = plane.golden_view(ppa.block, ppa.page)
-            if raws is None:
-                raws = np.empty((n_pages, raw.size), dtype=np.uint8)
-                goldens = np.empty((n_pages, raw.size), dtype=np.uint8)
-            raws[rank] = raw
-            goldens[rank] = golden
-            candidates[rank] = plane.last_flipped_bytes
-            sensed_ranks.append(int(rank))
-        if sensed_ranks:
-            assert raws is not None and goldens is not None
-            rows = np.array(sensed_ranks, dtype=np.int64)
-            corrected = np.empty_like(raws)
-            corrected[rows] = self.ssd.ecc.correct_batch(
-                raws[rows], goldens[rows], [candidates[r] for r in rows]
+            row = stack_row[rank]
+            raws[row], _ = plane.read_page(ppa.block, ppa.page)
+            goldens[row], _ = plane.golden_view(ppa.block, ppa.page)
+            hints[row] = plane.last_flipped_bytes
+        ecc = self.ssd.ecc
+        uncorrectable = ecc.uncorrectable_codewords
+        corrected = ecc.correct_batch(raws, goldens, hints)
+        if ecc.uncorrectable_codewords != uncorrectable:
+            bad = int(np.argmax((corrected != goldens).any(axis=1)))
+            raise UncorrectableReadError(
+                region.name, int(unique_pages[np.flatnonzero(~cached)[bad]])
             )
-        for rank in range(n_pages):
-            entry = entries[rank]
-            if entry is None:
-                continue
-            if corrected is None:
-                corrected = np.empty(
-                    (n_pages, entry.data.size), dtype=np.uint8
-                )
-            corrected[rank] = entry.data
-        assert corrected is not None
+        if n_sensed < n_pages:
+            sensed_rows = corrected
+            corrected = np.empty((n_pages, page_bytes), dtype=np.uint8)
+            corrected[~cached] = sensed_rows
+            for rank in np.flatnonzero(cached):
+                corrected[rank] = entries[rank].data
         # Freshly-sensed pages are now golden (ECC-corrected): mirror them.
-        for rank in sensed_ranks:
-            self._admit_page(region, int(unique_pages[rank]), kind)
+        for rank in touch_order:
+            if not cached[rank]:
+                self._admit_page(region, int(unique_pages[rank]), kind)
         return corrected, planes, channels, page_ids, cached, entry_nbytes
 
     def _bill_shared_tlc_senses(self, n_query_unique: int, n_physical: int,
@@ -1293,7 +1117,7 @@ class InStorageAnnsEngine:
 
         Every query's shortlist RADRs are resolved to (page, codeword) in
         one columnar pass, each batch-unique page is sensed and
-        ECC-corrected once (:meth:`_sense_corrected_batch`), the INT8 codes
+        ECC-corrected once (:meth:`_materialize_tlc_batch`), the INT8 codes
         gather into one ``(n_total_short, dim)`` matrix refined by a single
         einsum, and each query takes its top-k from its own segment.
         Billing stays per query and bit-identical to :meth:`_rerank`: each
@@ -1352,8 +1176,11 @@ class InStorageAnnsEngine:
             )
         )
         page_rank = np.searchsorted(unique_pages, page_offsets)
-        codes_all = corrected[
-            page_rank[:, None], starts[:, None] + np.arange(dim)
+        # Row gather: each page is a (slots_per_page, dim) table of INT8
+        # codes, so a shortlist entry is one row of the stacked view.
+        spp = region.slots_per_page
+        codes_all = corrected[:, : spp * dim].reshape(-1, spp, dim)[
+            page_rank, radrs_all % spp
         ].view(np.int8)
         q_i8 = db.int8_quantizer.encode(queries).astype(np.int32)
         seg_of_row = np.repeat(np.arange(n_queries), counts)

@@ -488,6 +488,27 @@ class QueryPlan:
         return [stage.name for stage in self.stages]
 
 
+def validate_queries(db, queries: np.ndarray, k: int) -> np.ndarray:
+    """API-boundary check of a query batch; returns it as ``(n, dim)`` float32.
+
+    ``db`` is the deployed (or sharded) database the batch targets.  A bad
+    argument fails here with a :class:`ValueError` naming it -- ``k < 1``,
+    a dimension other than the database's, NaN/inf components -- instead
+    of deep inside a kernel or, for NaN (which binary-quantizes to a valid
+    code), not at all.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    if queries.ndim != 2 or queries.shape[1] != db.dim:
+        raise ValueError(
+            f"queries must have shape (n, {db.dim}), got {queries.shape}"
+        )
+    if not np.isfinite(queries).all():
+        raise ValueError("queries contain NaN or inf components")
+    return queries
+
+
 def build_query_plan(
     engine: "InStorageAnnsEngine",
     db: DeployedDatabase,

@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.core.batch import BatchExecution, BatchExecutor, BatchStats
 from repro.core.layout import DeployedDatabase, RegionInfo
-from repro.core.plan import PageRequest, build_page_schedule
+from repro.core.plan import PageRequest, build_page_schedule, validate_queries
 from repro.sim.latency import LatencyReport, SimClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -597,8 +597,9 @@ class SubmissionQueue:
                 f"tenant {tenant!r} already has {bound} pending submissions"
             )
         query = np.asarray(query, dtype=np.float32)
-        if query.ndim != 1 or query.size != self.db.dim:
-            raise ValueError(f"query must be a flat vector of dim {self.db.dim}")
+        if query.ndim != 1:
+            raise ValueError("submit takes one flat query vector")
+        query = validate_queries(self.db, query, self.k)[0]
         submission = Submission(
             sub_id=self._next_sub_id,
             tenant=tenant,

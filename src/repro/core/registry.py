@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -218,14 +218,13 @@ class TtlEntry:
 
 
 class TtlBlock:
-    """A columnar batch of TTL rows: one page window's extractions.
+    """A columnar batch of materialized TTL rows.
 
-    The batched RD_TTL sweep produces many rows at once; keeping them as
-    parallel columns (distance, packed code matrix, linkage words) lets the
-    TTL absorb a whole page visit with a handful of array appends instead
-    of materializing one :class:`TtlEntry` object per surviving embedding.
-    Rows are ordered by ascending slot -- the arrival order the stable
-    top-k selection ties break on.
+    Parallel columns (distance, packed code matrix, linkage words) instead
+    of one :class:`TtlEntry` object per row: this is what a selection
+    returns (a shortlist, the probed centroids) and what the rerank and
+    the shard barriers consume.  Rows keep the order they were given in --
+    arrival order in a TTL chunk, nearest first out of a selection.
     """
 
     __slots__ = ("dists", "embs", "eadrs", "tags", "radrs", "dadrs", "metas")
@@ -319,14 +318,54 @@ class TtlBlock:
         )
 
 
+class TtlRefs:
+    """Deferred TTL rows: distances plus ``(page, slot)`` references.
+
+    The scan kernel knows every surviving row's distance but a query only
+    ever reads the linkage words and embedding codes of the rows it
+    selects, so the TTL holds references and ``source.decode(dists, pages,
+    slots)`` assembles the :class:`TtlBlock` of the selected rows from the
+    phase's latched-page snapshots.  Rows are in arrival order.
+    """
+
+    __slots__ = ("dists", "pages", "slots", "source")
+
+    def __init__(
+        self, dists: np.ndarray, pages: np.ndarray, slots: np.ndarray, source
+    ) -> None:
+        self.dists = dists
+        self.pages = pages
+        self.slots = slots
+        self.source = source
+
+    def __len__(self) -> int:
+        return int(self.dists.size)
+
+    def __getitem__(self, rows: slice) -> "TtlRefs":
+        return TtlRefs(
+            self.dists[rows], self.pages[rows], self.slots[rows], self.source
+        )
+
+    def take(self, rows: np.ndarray) -> TtlBlock:
+        return self.source.decode(
+            self.dists[rows], self.pages[rows], self.slots[rows]
+        )
+
+
 class TemporalTopList:
     """An append + select-k staging list in controller DRAM.
 
-    Rows live in columnar :class:`TtlBlock` chunks (one per absorbed page
-    visit) and only the final selection materializes :class:`TtlEntry`
-    objects -- the batch-serving hot path streams thousands of candidates
-    through here per query, so per-row Python objects are reserved for the
-    k survivors the rest of the pipeline actually touches.
+    Rows arrive in chunks (:class:`TtlBlock`, or :class:`TtlRefs` from the
+    scan kernel) and selection is one stable sort under the (distance,
+    arrival) total order.  The per-iteration quickselect of Sec. 4.3.1 is
+    *accounted* -- :meth:`compact` / :meth:`stream` keep ``len`` and
+    ``peak_entries`` exactly as a TTL that trims after every page would --
+    but not performed: keeping the k nearest of a prefix and later
+    selecting k' <= k of prefix + suffix equals selecting k' of everything,
+    so a pending compaction is one ``(rows, k)`` mark ("of the first
+    ``rows`` rows only the k nearest are live") that later compactions with
+    k' <= k simply move.  The mark is applied for real only when a wider
+    selection than k needs the live set.
     """
 
     def __init__(
@@ -338,8 +377,10 @@ class TemporalTopList:
         self.name = name
         self.entry_bytes = entry_bytes
         self._dram = dram
-        self._blocks: List[TtlBlock] = []
-        self._n = 0
+        self._chunks: list = []  # TtlBlock | TtlRefs, arrival order
+        self._rows = 0  # rows held in the chunks
+        self._n = 0  # rows a TTL trimmed at every compaction would hold
+        self._mark: Optional[tuple] = None
         self.peak_entries = 0
 
     def __len__(self) -> int:
@@ -347,83 +388,68 @@ class TemporalTopList:
 
     @property
     def entries(self) -> List[TtlEntry]:
-        """All rows materialized as entries, in arrival order (tests /
+        """The live rows materialized as entries, in arrival order (tests /
         introspection; the hot path never calls this)."""
-        block = self._consolidate()
-        if block is None:
+        if not self._rows:
             return []
+        block = self._take(self._live_rows())
         return [block.entry(i) for i in range(len(block))]
-
-    def _consolidate(self) -> Optional[TtlBlock]:
-        """Collapse the chunk list to one block (arrival order kept)."""
-        if not self._blocks:
-            return None
-        if len(self._blocks) > 1:
-            self._blocks = [TtlBlock.concatenate(self._blocks)]
-        return self._blocks[0]
 
     def append(self, entry: TtlEntry) -> None:
         self.extend(TtlBlock.from_entries([entry]))
 
-    def _grow_region(self) -> None:
-        """Raise the shared TTL arena to this list's high-water mark.
+    def _raise_peak(self, peak: int) -> None:
+        """Record a new high-water mark and grow the shared TTL arena.
 
         Every query's TTL-C/TTL-E lives in one named DRAM arena sized for
-        the worst query seen so far (replay absorbs queries one at a time,
-        and the single embedded core serializes their quickselects, so the
-        arena is reused rather than duplicated per in-flight query).  The
-        region only grows: a later query with a smaller peak must not
-        shrink the recorded footprint.
+        the worst query seen so far (the single embedded core serializes
+        the queries' quickselects, so the arena is reused rather than
+        duplicated per in-flight query).  The region only grows: a later
+        query with a smaller peak must not shrink the recorded footprint.
         """
-        footprint = self.peak_entries * self.entry_bytes
-        region = f"ttl-{self.name}"
-        if footprint > self._dram.region_size(region):
-            self._dram.allocate(region, footprint)
+        if peak <= self.peak_entries:
+            return
+        self.peak_entries = peak
+        if self._dram is not None:
+            region = f"ttl-{self.name}"
+            if peak * self.entry_bytes > self._dram.region_size(region):
+                self._dram.allocate(region, peak * self.entry_bytes)
 
     def extend(self, entries) -> None:
-        """Bulk append: one chunk append + one DRAM high-water update.
-
-        Accepts a :class:`TtlBlock` (the hot path absorbing a page's
-        extractions columnar) or any iterable of :class:`TtlEntry`.
-        Equivalent to appending each row in order -- same final state and
-        the same peak -- without the per-entry allocator round trip.
-        """
-        if not isinstance(entries, TtlBlock):
+        """Bulk append of a :class:`TtlBlock`, :class:`TtlRefs` or any
+        iterable of :class:`TtlEntry`: one chunk, one high-water update."""
+        if not isinstance(entries, (TtlBlock, TtlRefs)):
             entries = TtlBlock.from_entries(list(entries))
-        if len(entries) == 0:
-            return
-        self._blocks.append(entries)
-        self._n += len(entries)
-        if self._n > self.peak_entries:
-            self.peak_entries = self._n
-            if self._dram is not None:
-                self._grow_region()
+        self.stream(entries, [len(entries)], None)
 
-    def select_block(self, k: int) -> Optional[TtlBlock]:
-        """The k nearest rows as a columnar block, nearest first.
+    def stream(self, rows, counts: Sequence[int], k: Optional[int]) -> List[int]:
+        """Absorb ``rows`` as consecutive page visits of ``counts[i]`` rows.
 
-        Distance ties break by arrival order, so the selection is a pure
-        function of (distances, insertion order) -- a deterministic total
-        order.  That determinism is what makes the selection reproducible
-        across *any* partitioning of the scan: per-shard shortlists merged
-        by the same (distance, scan-order) key reconstruct exactly the
-        list a single device would have selected (see
-        :mod:`repro.core.shard`), and the streaming :meth:`compact` keeps
-        the same top-k the full candidate stream would yield.
+        After each visit that leaves more than ``2 * k`` entries the TTL
+        compacts to ``k`` (``k=None``: never) -- as integer arithmetic on
+        the length, see the class docstring.  Returns the number of
+        entries each compaction processed, in order, so the caller can
+        charge the embedded core.
         """
-        block = self._consolidate()
-        if k <= 0 or block is None:
-            return None
-        idx = np.argsort(block.dists, kind="stable")[: min(k, len(block))]
-        return block.take(idx)
-
-    def select_smallest(self, k: int) -> List[TtlEntry]:
-        """Quickselect: the k nearest entries, nearest first (see
-        :meth:`select_block` for the ordering contract)."""
-        block = self.select_block(k)
-        if block is None:
-            return []
-        return [block.entry(i) for i in range(len(block))]
+        if self._mark is not None and k is not None and k > self._mark[1]:
+            self._apply_mark()
+        arrived = self._rows
+        if len(rows):
+            self._chunks.append(rows)
+            self._rows += len(rows)
+        n, peak, processed = self._n, self.peak_entries, []
+        for count in counts:
+            arrived += count
+            n += count
+            if n > peak:
+                peak = n
+            if k is not None and n > 2 * k:
+                processed.append(n)
+                n = k
+                self._mark = (arrived, k)
+        self._n = n
+        self._raise_peak(peak)
+        return processed
 
     def compact(self, k: int) -> int:
         """Keep only the k nearest entries (the per-iteration quickselect
@@ -434,14 +460,77 @@ class TemporalTopList:
         """
         processed = self._n
         if processed > k:
-            block = self.select_block(k)
-            self._blocks = [block] if block is not None else []
-            self._n = len(block) if block is not None else 0
+            if self._mark is not None and k > self._mark[1]:
+                self._apply_mark()
+            self._mark = (self._rows, k)
+            self._n = k
         return processed
 
+    def _dists(self) -> np.ndarray:
+        if len(self._chunks) == 1:
+            return self._chunks[0].dists
+        return np.concatenate([chunk.dists for chunk in self._chunks])
+
+    def _live_rows(self) -> np.ndarray:
+        """Row indices a TTL trimmed at every compaction would hold."""
+        if self._mark is None:
+            return np.arange(self._rows)
+        arrived, k = self._mark
+        head = np.argsort(self._dists()[:arrived], kind="stable")[:k]
+        return np.concatenate([np.sort(head), np.arange(arrived, self._rows)])
+
+    def _apply_mark(self) -> None:
+        block = self._take(self._live_rows())
+        self._chunks, self._rows, self._mark = [block], len(block), None
+
+    def _take(self, rows: np.ndarray) -> TtlBlock:
+        """Materialize the given rows, in the given order."""
+        if len(self._chunks) == 1 or not len(rows):
+            return self._chunks[0].take(rows)
+        ends = np.cumsum([len(chunk) for chunk in self._chunks])
+        chunk_of = np.searchsorted(ends, rows, side="right")
+        parts, positions = [], []
+        for index in np.unique(chunk_of):
+            mine = np.flatnonzero(chunk_of == index)
+            start = ends[index] - len(self._chunks[index])
+            parts.append(self._chunks[index].take(rows[mine] - start))
+            positions.append(mine)
+        back = np.empty(len(rows), dtype=np.intp)
+        back[np.concatenate(positions)] = np.arange(len(rows))
+        return TtlBlock.concatenate(parts).take(back)
+
+    def select_block(self, k: int) -> Optional[TtlBlock]:
+        """The k nearest rows as a columnar block, nearest first.
+
+        Distance ties break by arrival order, so the selection is a pure
+        function of (distances, insertion order) -- a deterministic total
+        order.  That determinism is what makes the selection reproducible
+        across *any* partitioning of the scan: per-shard shortlists merged
+        by the same (distance, scan-order) key reconstruct exactly the
+        list a single device would have selected (see
+        :mod:`repro.core.shard`), and it is why the accounted compactions
+        never have to run.
+        """
+        if k <= 0 or not self._rows:
+            return None
+        dists = self._dists()
+        if self._mark is None or k <= self._mark[1]:
+            return self._take(np.argsort(dists, kind="stable")[:k])
+        live = self._live_rows()
+        return self._take(live[np.argsort(dists[live], kind="stable")[:k]])
+
+    def select_smallest(self, k: int) -> List[TtlEntry]:
+        """Quickselect: the k nearest entries, nearest first (see
+        :meth:`select_block` for the ordering contract)."""
+        block = self.select_block(k)
+        if block is None:
+            return []
+        return [block.entry(i) for i in range(len(block))]
+
     def clear(self) -> None:
-        self._blocks.clear()
-        self._n = 0
+        self._chunks = []
+        self._rows = self._n = 0
+        self._mark = None
 
     @property
     def footprint_bytes(self) -> int:

@@ -5,7 +5,7 @@ from repro.nand.cell import CellMode, reliability
 from repro.nand.channel import Channel
 from repro.nand.chip import FlashChip
 from repro.nand.die import Die
-from repro.nand.ecc import EccConfig, EccEngine
+from repro.nand.ecc import EccConfig, EccEngine, UncorrectableReadError
 from repro.nand.errors import BitErrorModel
 from repro.nand.geometry import FlashGeometry, PhysicalPageAddress, ppa_from_linear
 from repro.nand.latches import FailBitCounter, PageBuffer, PassFailChecker, popcount_u8
@@ -24,6 +24,7 @@ __all__ = [
     "BitErrorModel",
     "EccEngine",
     "EccConfig",
+    "UncorrectableReadError",
     "FlashPage",
     "FlashBlock",
     "PageState",

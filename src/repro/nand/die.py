@@ -116,10 +116,6 @@ class Die:
             query_codes, segment_bytes, n_segments
         )
 
-    def ttl_codes(self, plane: int, slots: np.ndarray, code_bytes: int) -> np.ndarray:
-        """Batched RD_TTL data movement from one plane's sensing latch."""
-        return self.planes[plane].ttl_codes(slots, code_bytes)
-
     def cache_read_begin(self, plane: int) -> None:
         """Read-Page-Cache-Sequential: move DL->CL so the next sense can start.
 

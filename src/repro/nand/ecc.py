@@ -14,9 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Correction only needs the popcount of the sparse raw/golden difference,
-# never a full-page bit expansion; the byte table is the counter's own.
-from repro.nand.latches import _POPCOUNT_TABLE
+
+class UncorrectableReadError(RuntimeError):
+    """A TLC page came back with a codeword past the correction capability.
+
+    Raised by the engine's read path instead of serving (or caching) bytes
+    that are not the programmed ones.
+    """
+
+    def __init__(self, region: str, page_offset: int) -> None:
+        super().__init__(
+            f"uncorrectable ECC codeword in region {region!r}, "
+            f"page {page_offset}"
+        )
+        self.region = region
+        self.page_offset = page_offset
 
 
 def _diff_bytes(raw: np.ndarray, golden: np.ndarray) -> np.ndarray:
@@ -105,9 +117,9 @@ class EccEngine:
             flipped = candidates[raw[candidates] != golden[candidates]]
         if flipped.size == 0:
             return raw.copy()
-        flips_per_byte = _POPCOUNT_TABLE[
+        flips_per_byte = np.bitwise_count(
             np.bitwise_xor(raw[flipped], golden[flipped])
-        ]
+        )
         errors_per_codeword = np.bincount(flipped // cw, weights=flips_per_byte)
         if errors_per_codeword.max() <= self.config.correctable_bits_per_codeword:
             # Every affected codeword is within capability: the corrected
@@ -184,9 +196,9 @@ class EccEngine:
             flipped = candidates[flat_raw[candidates] != flat_golden[candidates]]
         if flipped.size == 0:
             return raws.copy()
-        flips_per_byte = _POPCOUNT_TABLE[
+        flips_per_byte = np.bitwise_count(
             np.bitwise_xor(flat_raw[flipped], flat_golden[flipped])
-        ]
+        )
         errors_per_codeword = np.bincount(flipped // cw, weights=flips_per_byte)
         if errors_per_codeword.max() <= self.config.correctable_bits_per_codeword:
             self.corrected_bits += int(flips_per_byte.sum())

@@ -24,14 +24,32 @@ from typing import List, Sequence
 
 import numpy as np
 
-_POPCOUNT_TABLE = np.array(
-    [bin(i).count("1") for i in range(256)], dtype=np.uint32
-)
-
 
 def popcount_u8(data: np.ndarray) -> int:
     """Total number of set bits in a ``uint8`` array."""
-    return int(_POPCOUNT_TABLE[data].sum())
+    return int(np.bitwise_count(data).sum())
+
+
+def xor_popcount_segments(
+    data: np.ndarray, patterns: np.ndarray, segment_bytes: int, n_segments: int
+) -> np.ndarray:
+    """Hamming distance of each ``segment_bytes`` slice of ``data`` to each
+    pattern: a ``(len(patterns), n_segments)`` int64 matrix.
+
+    The XOR + popcount runs on 64-bit words when the segment width allows
+    it (a popcount is indifferent to how the bits are grouped).  This is
+    the arithmetic of the latch circuits with no counter attached: the
+    fail-bit counter applies it to a latched page, the controller to the
+    DRAM mirror of one.
+    """
+    window = data[: segment_bytes * n_segments]
+    patterns = np.ascontiguousarray(patterns, dtype=np.uint8)
+    if segment_bytes % 8 == 0:
+        window, patterns = window.view(np.uint64), patterns.view(np.uint64)
+    diff = np.bitwise_xor(
+        window.reshape(1, n_segments, -1), patterns[:, None, :]
+    )
+    return np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
 
 
 class PageBuffer:
@@ -99,7 +117,7 @@ class FailBitCounter:
         self.invocations += 1
         data = self._buffer._latch(latch)
         view = data[: segment_bytes * n_segments].reshape(n_segments, segment_bytes)
-        return _POPCOUNT_TABLE[view].sum(axis=1, dtype=np.int64)
+        return np.bitwise_count(view).sum(axis=1, dtype=np.int64)
 
     def count_segments(self, segment_bytes: int, n_segments: int, latch: str = "data") -> List[int]:
         """Popcount per consecutive ``segment_bytes`` slice of ``latch``."""
@@ -130,12 +148,9 @@ class FailBitCounter:
         if segment_bytes * n_segments > self._buffer.page_bytes:
             raise ValueError("segments exceed page size")
         self.invocations += len(patterns)
-        data = self._buffer._latch(latch)
-        view = data[: segment_bytes * n_segments].reshape(
-            1, n_segments, segment_bytes
+        return xor_popcount_segments(
+            self._buffer._latch(latch), patterns, segment_bytes, n_segments
         )
-        diff = np.bitwise_xor(view, patterns[:, None, :])
-        return _POPCOUNT_TABLE[diff].sum(axis=2, dtype=np.int64)
 
     def count_all(self, latch: str = "data") -> int:
         """Popcount of the entire latch (the counter's native operation)."""
@@ -162,22 +177,3 @@ class PassFailChecker:
         if values.size == 0:
             return []
         return np.flatnonzero(values < threshold).tolist()
-
-    def mask_below(self, values: Sequence[int], threshold: int) -> np.ndarray:
-        """Boolean pass mask (``value < threshold``), one comparator sweep.
-
-        Same comparison as :meth:`filter_below`, returned as a mask so
-        vectorized callers can combine it with other per-slot masks without
-        materializing index lists.
-        """
-        self.invocations += 1
-        return np.asarray(values) < threshold
-
-    def mask_equal(self, values: Sequence[int], target: int) -> np.ndarray:
-        """Boolean equality mask, one comparator sweep.
-
-        The Sec. 7.1 metadata-tag comparison reuses the same comparator
-        hardware as the distance filter, so it is instrumented identically.
-        """
-        self.invocations += 1
-        return np.asarray(values) == target

@@ -125,15 +125,16 @@ class Plane:
         self.counters.add("bit_counts")
         return self.fail_bit_counter.count_segments_array(segment_bytes, n_segments)
 
-    def filter_distances_mask(self, distances, threshold: int) -> np.ndarray:
-        """Pass/fail check returning the boolean pass mask."""
-        self.counters.add("pass_fail_checks")
-        return self.pass_fail_checker.mask_below(distances, threshold)
+    def note_pass_fail_sweeps(self, n_sweeps: int) -> None:
+        """Account ``n_sweeps`` pass/fail comparator sweeps over this plane.
 
-    def filter_tags_mask(self, tags, tag: int) -> np.ndarray:
-        """Metadata-tag equality sweep on the pass/fail comparator."""
-        self.counters.add("pass_fail_checks")
-        return self.pass_fail_checker.mask_equal(tags, tag)
+        One sweep per page window, for the distance threshold and again for
+        the Sec. 7.1 metadata tag.  The scan kernel evaluates the
+        comparisons for a whole phase at once, so only the count arrives
+        here.
+        """
+        self.counters.add("pass_fail_checks", n_sweeps)
+        self.pass_fail_checker.invocations += n_sweeps
 
     def multi_query_distances(
         self, query_codes: np.ndarray, segment_bytes: int, n_segments: int
@@ -153,14 +154,3 @@ class Plane:
         return self.fail_bit_counter.count_xor_segments(
             query_codes, segment_bytes, n_segments, latch="sensing"
         )
-
-    def ttl_codes(self, slots: np.ndarray, code_bytes: int) -> np.ndarray:
-        """Extract the latched embedding codes of many slots in one sweep.
-
-        Returns an ``(len(slots), code_bytes)`` uint8 matrix gathered from
-        the sensing latch -- the data-movement half of a batched RD_TTL.
-        """
-        slots = np.asarray(slots, dtype=np.intp)
-        n_fit = self.page_bytes // code_bytes
-        view = self.buffer.sensing[: n_fit * code_bytes].reshape(n_fit, code_bytes)
-        return view[slots]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.api import ReisDevice, ReisRetriever
+from repro.core.api import ReisDevice, ReisRetriever, ShardedReisDevice
 from repro.core.config import tiny_config
 from repro.ssd.nvme import NvmeCommand, NvmeOpcode
 
@@ -78,6 +78,54 @@ class TestSearchApi:
         device, db_id = deployed_device
         batch = device.ivf_search(db_id, small_queries[0], k=5, nprobe=2)
         assert len(batch) == 1
+
+
+class TestQueryValidation:
+    """Bad queries fail at the API boundary with a message naming the
+    argument (``validate_queries``), on every entry point."""
+
+    BAD = (
+        ("nan", lambda q: np.where(np.arange(q.shape[1]) == 3, np.nan, q), 5, "NaN"),
+        ("inf", lambda q: np.where(np.arange(q.shape[1]) == 0, np.inf, q), 5, "NaN or inf"),
+        ("dim", lambda q: q[:, :-8], 5, "shape"),
+        ("k", lambda q: q, 0, "k must be at least 1"),
+    )
+
+    @pytest.mark.parametrize("name,corrupt,k,message", BAD)
+    def test_device_entry_points(
+        self, deployed_device, deployed_flat_device, small_queries,
+        name, corrupt, k, message,
+    ):
+        queries = corrupt(small_queries[:3])
+        device, db_id = deployed_device
+        with pytest.raises(ValueError, match=message):
+            device.ivf_search(db_id, queries, k=k, nprobe=2)
+        flat, flat_id = deployed_flat_device
+        with pytest.raises(ValueError, match=message):
+            flat.search(flat_id, queries, k=k)
+
+    @pytest.mark.parametrize("name,corrupt,k,message", BAD)
+    def test_sharded_entry_points(
+        self, small_vectors, small_queries, name, corrupt, k, message
+    ):
+        vectors, _ = small_vectors
+        device = ShardedReisDevice(2, tiny_config("VAL"))
+        db_id = device.ivf_deploy("v", vectors, nlist=4, seed=0)
+        queries = corrupt(small_queries[:3])
+        with pytest.raises(ValueError, match=message):
+            device.ivf_search(db_id, queries, k=k, nprobe=2)
+        with pytest.raises(ValueError, match=message):
+            device.search(db_id, queries, k=k)
+
+    @pytest.mark.parametrize("name,corrupt,k,message", BAD)
+    def test_queue_submit(
+        self, deployed_device, small_queries, name, corrupt, k, message
+    ):
+        device, db_id = deployed_device
+        queue = device.submission_queue(db_id, k=k, nprobe=2)
+        with pytest.raises(ValueError, match=message):
+            queue.submit(corrupt(small_queries[:1])[0])
+        assert queue.pending_count == 0
 
 
 class TestNvmePath:

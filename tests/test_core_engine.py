@@ -52,6 +52,78 @@ class TestEngineMatchesHostReference:
             assert np.array_equal(result.distances, ref_dist)
 
 
+class TestPhaseKernelAgainstBruteForce:
+    """``scan_page_run`` on hand-built demands == brute force over the host
+    mirror: distance threshold, in-die metadata filter, and slot windows
+    that start mid-page, run past the page and hit the short last page."""
+
+    N, DIM = 500, 64  # 8-byte codes, 184 slots/page with metadata: 3 pages
+
+    def test_threshold_filter_and_clamped_windows(self):
+        from repro.core.batch import tasks_from_ranges
+        from repro.core.costing import PhaseCost
+        from repro.core.plan import SearchStats
+        from repro.core.registry import TemporalTopList
+        from repro.rag.embeddings import make_clustered_embeddings, make_queries
+
+        vectors, _ = make_clustered_embeddings(self.N, self.DIM, 4, seed="pk")
+        tags = (np.arange(self.N) % 3).astype(np.uint32)
+        device = ReisDevice(tiny_config("PK"))
+        db_id = device.ivf_deploy("pk", vectors, nlist=4, seed=0, metadata_tags=tags)
+        db = device.database(db_id)
+        region = db.embedding_region
+        assert region.n_pages == 3 and region.slots_in_page(2) < region.slots_per_page
+
+        # Host mirror, in slot order.
+        slot_codes = db.binary_quantizer.encode(vectors)[db.slot_to_original]
+        slot_tags = tags[db.slot_to_original].astype(np.int64)
+        queries = make_queries(vectors, 3, seed="pk-q")
+        codes = db.binary_quantizer.encode(queries)
+        dists = np.unpackbits(
+            slot_codes[None, :, :] ^ codes[:, None, :], axis=2
+        ).sum(axis=2)
+
+        # query -> slot ranges (two ranges for query 1), threshold, filters.
+        ranges = [(0, 50, 400), (1, 0, self.N - 1), (1, 10, 20), (2, self.N - 30, self.N - 1)]
+        filters = [None, 2, 0]
+        threshold = int(np.median(dists))
+        tasks = tasks_from_ranges(
+            region,
+            np.array([r[0] for r in ranges]),
+            np.array([r[1] for r in ranges]),
+            np.array([r[2] for r in ranges]),
+            threshold,
+            filters,
+        )
+        entry_bytes = device.engine.params.fine_entry_bytes(db.code_bytes)
+        ttls = [TemporalTopList("e", entry_bytes) for _ in queries]
+        costs = [PhaseCost(name="fine") for _ in queries]
+        stats = [SearchStats() for _ in queries]
+        device.engine.scan_page_run(
+            db, tasks, False, codes, ttls, costs, stats, [1000] * 3
+        )
+
+        for qi in range(3):
+            slots = np.concatenate(
+                [np.arange(lo, hi + 1) for q, lo, hi in ranges if q == qi]
+            )
+            keep = dists[qi, slots] < threshold
+            if filters[qi] is not None:
+                keep &= slot_tags[slots] == filters[qi]
+            kept = slots[keep]
+            assert stats[qi].entries_scanned == slots.size
+            assert stats[qi].entries_transferred == kept.size == len(ttls[qi])
+            assert stats[qi].entries_filtered == slots.size - kept.size
+            expected = kept[np.argsort(dists[qi, kept], kind="stable")][:40]
+            block = ttls[qi].select_block(40)
+            assert block.eadrs.tolist() == expected.tolist()
+            assert block.dists.tolist() == dists[qi, expected].tolist()
+            assert block.metas.tolist() == slot_tags[expected].tolist()
+            assert np.array_equal(block.embs, slot_codes[expected])
+            # A fresh deploy links every slot to its own INT8/document twin.
+            assert block.radrs.tolist() == block.dadrs.tolist() == expected.tolist()
+
+
 class TestEngineBehaviour:
     def test_documents_match_returned_ids(self, deployed_device, small_queries):
         device, db_id = deployed_device

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import EngineParams, tiny_config
 from repro.core.layout import CapacityError, DatabaseDeployer
@@ -12,6 +13,7 @@ from repro.core.registry import (
     RIvfEntry,
     TemporalTopList,
     TombstoneRegistry,
+    TtlBlock,
     TtlEntry,
     R_IVF_ENTRY_BYTES,
 )
@@ -195,6 +197,101 @@ class TestTemporalTopList:
         ttl.compact(2)
         assert ttl.peak_entries == 8
         assert ttl.footprint_bytes == 80
+
+
+def _streaming_ttl(blocks, ks, final_k):
+    """Pure-Python reference: a TTL that really trims at every compaction.
+
+    Rows are ``(dist, arrival)``; compaction sorts them (a total order) and
+    keeps the k nearest, still in arrival order.  Returns the compact()
+    return values, the length after every step, the peak, and the final
+    selection.
+    """
+    rows, processed, lengths, peak, arrival = [], [], [], 0, 0
+    for dists, k in zip(blocks, ks):
+        rows += [(d, arrival + i) for i, d in enumerate(dists)]
+        arrival += len(dists)
+        peak = max(peak, len(rows))
+        if k is not None:
+            processed.append(len(rows))
+            if len(rows) > k:
+                rows = sorted(sorted(rows)[:k], key=lambda row: row[1])
+        lengths.append(len(rows))
+    return processed, lengths, peak, sorted(rows)[:final_k]
+
+
+class TestTtlArithmeticCompaction:
+    """The TTL accounts compactions instead of running them; for any
+    stream it must be indistinguishable from one that trims for real."""
+
+    @staticmethod
+    def _block(dists, first_arrival):
+        n = len(dists)
+        return TtlBlock(
+            dists=np.array(dists, dtype=np.int64),
+            embs=np.zeros((n, 2), dtype=np.uint8),
+            eadrs=first_arrival + np.arange(n, dtype=np.int64),
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 6), max_size=12),  # heavy ties
+                st.one_of(st.none(), st.integers(0, 8)),  # compact(k) or not
+            ),
+            min_size=1, max_size=10,
+        ),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_streaming_reference(self, steps, final_k):
+        blocks = [dists for dists, _ in steps]
+        ks = [k for _, k in steps]
+        ttl = TemporalTopList("t", entry_bytes=4)
+        processed, lengths, arrival = [], [], 0
+        for dists, k in steps:
+            ttl.extend(self._block(dists, arrival))
+            arrival += len(dists)
+            if k is not None:
+                processed.append(ttl.compact(k))
+            lengths.append(len(ttl))
+        expected = _streaming_ttl(blocks, ks, final_k)
+        block = ttl.select_block(final_k)
+        selected = (
+            [] if block is None
+            else list(zip(block.dists.tolist(), block.eadrs.tolist()))
+        )
+        assert (processed, lengths, ttl.peak_entries, selected) == expected
+        assert len(ttl.entries) == len(ttl)
+
+    @given(
+        st.lists(st.lists(st.integers(0, 6), max_size=12), min_size=1, max_size=10),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stream_is_extend_plus_compact_above_2k(self, blocks, k):
+        """``stream`` (the scan kernel's bulk feed: one chunk, per-visit
+        counts) == extending visit by visit and compacting above 2k."""
+        flat = [d for dists in blocks for d in dists]
+        bulk = TemporalTopList("bulk", entry_bytes=4)
+        bulk_processed = bulk.stream(
+            self._block(flat, 0), [len(dists) for dists in blocks], k
+        )
+        stepwise = TemporalTopList("step", entry_bytes=4)
+        step_processed, arrival = [], 0
+        for dists in blocks:
+            stepwise.extend(self._block(dists, arrival))
+            arrival += len(dists)
+            if len(stepwise) > 2 * k:
+                step_processed.append(stepwise.compact(k))
+        assert bulk_processed == step_processed
+        assert len(bulk) == len(stepwise)
+        assert bulk.peak_entries == stepwise.peak_entries
+        for final_k in (k, 2 * k + 1):
+            a, b = bulk.select_block(final_k), stepwise.select_block(final_k)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.eadrs.tolist() == b.eadrs.tolist()
 
 
 class TestDatabaseDeployer:

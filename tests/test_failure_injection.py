@@ -10,9 +10,10 @@ import pytest
 
 from repro.core.api import ReisDevice
 from repro.core.config import tiny_config
+from repro.core.plan import SearchStats
 from repro.nand.cell import CellMode, RELIABILITY, ReliabilityProfile
-from repro.nand.ecc import EccConfig, EccEngine
-from repro.rag.embeddings import make_clustered_embeddings
+from repro.nand.ecc import EccConfig, EccEngine, UncorrectableReadError
+from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
 
 class TestEccBeyondCapability:
@@ -38,6 +39,49 @@ class TestEccBeyondCapability:
         for _ in range(5):
             assert np.array_equal(ssd.host_read(0), data)
         assert ssd.ecc.decoded_bytes > 0
+
+
+class TestUncorrectableTlcRead:
+    """A TLC page past the correction capability ends in a named error:
+    it is neither served as a result nor admitted to the cache as golden."""
+
+    def _worn_out_device(self, monkeypatch, small_vectors):
+        vectors, _ = small_vectors
+        device = ReisDevice(tiny_config("UNC"))
+        db_id = device.ivf_deploy("worn", vectors, nlist=8, seed=0)
+        device.enable_page_cache(2 * (16384 + 2208))
+        # ~330 raw flips per 2KB codeword against a capability of 72.
+        monkeypatch.setitem(
+            RELIABILITY, CellMode.TLC, ReliabilityProfile(2e-2, 3_000, True)
+        )
+        return device, db_id, make_queries(vectors, 4, seed="worn-q")
+
+    def test_batch_rerank_raises_and_caches_nothing(
+        self, monkeypatch, small_vectors
+    ):
+        device, db_id, queries = self._worn_out_device(monkeypatch, small_vectors)
+        with pytest.raises(UncorrectableReadError) as excinfo:
+            device.ivf_search(db_id, queries, k=5, nprobe=3)
+        assert device.ssd.ecc.uncorrectable_codewords > 0
+        region = device.database(db_id).int8_region
+        assert excinfo.value.region == region.name
+        for page_offset in range(region.n_pages):
+            assert device.page_cache.peek(region, page_offset) is None
+
+    def test_solo_rerank_raises(self, monkeypatch, small_vectors):
+        device, db_id, queries = self._worn_out_device(monkeypatch, small_vectors)
+        with pytest.raises(UncorrectableReadError):
+            device.engine.search(device.database(db_id), queries[0], k=5, nprobe=3)
+
+    def test_document_page_raises(self, monkeypatch, small_vectors):
+        device, db_id, _ = self._worn_out_device(monkeypatch, small_vectors)
+        db = device.database(db_id)
+        with pytest.raises(UncorrectableReadError) as excinfo:
+            device.engine._fetch_documents_batch(
+                db, [np.arange(3)], [SearchStats()]
+            )
+        assert excinfo.value.region == db.document_region.name
+        assert excinfo.value.page_offset == 0
 
 
 class TestCapacityExhaustion:
