@@ -8,10 +8,12 @@ absorbs CI machine speed variance; a vectorization regression on the
 serving hot path (a reintroduced per-query Python loop) costs well over
 2x and trips the gate.
 
-A second, machine-speed-independent gate watches the *share* of host
-wall spent in the TLC phases (``host_rerank`` + ``host_documents``):
-the page-major batch kernels hold it low, and a reintroduced per-query
-TLC walk inflates the share regardless of how fast the CI machine is.
+A second, machine-speed-independent gate caps the *share* of host wall
+spent in the TLC phases (``host_rerank`` + ``host_documents``) at that
+point: the phase kernels (sense in place, in-place ECC, one columnar
+billing pass) hold it near 0.44 (it was 0.60 while every page was copied
+six times and billed through per-query loops), so a reintroduced
+per-query TLC walk trips it regardless of how fast the CI machine is.
 
 A third, also machine-independent, caps the share of host wall the fine
 scan may take at that point: the columnar phase kernel holds it under
@@ -44,12 +46,8 @@ from test_serving_throughput import (  # noqa: E402
 GATE_N_ENTRIES = 10_000
 REGRESSION_FACTOR = 2.0
 REPEATS = 5
-# TLC share: measured (host_rerank + host_documents) / host_wall may grow
-# at most 1.5x over the checked-in share, with an absolute floor (noise
-# on a fast baseline must not trip the gate) and a hard ceiling.
-TLC_SHARE_FACTOR = 1.5
-TLC_SHARE_FLOOR = 0.15
-TLC_SHARE_CEILING = 0.95
+# Measured (host_rerank + host_documents) / host_wall is 0.41-0.44; +0.10 margin.
+TLC_SHARE_CEILING = 0.54
 FINE_SHARE_CEILING = 0.40
 
 
@@ -91,18 +89,12 @@ def main() -> int:
         )
         return 1
 
-    baseline_share = tlc_share(baseline)
     measured_share = tlc_share(measured)
-    share_budget = min(
-        TLC_SHARE_CEILING,
-        max(TLC_SHARE_FLOOR, baseline_share * TLC_SHARE_FACTOR),
-    )
     print(
         f"perf-smoke: TLC share of host wall: measured "
-        f"{measured_share:.1%}, checked-in {baseline_share:.1%}, "
-        f"budget {share_budget:.1%}"
+        f"{measured_share:.1%}, ceiling {TLC_SHARE_CEILING:.0%}"
     )
-    if measured_share > share_budget:
+    if measured_share > TLC_SHARE_CEILING:
         print(
             "perf-smoke: FAIL -- rerank+documents host share regressed "
             "(per-query TLC walk reintroduced?)"

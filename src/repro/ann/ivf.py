@@ -173,8 +173,9 @@ class BqIvfIndex:
         nprobe = min(nprobe, model.nlist)
         query_code = self.binary.encode_one(np.asarray(query, dtype=np.float32))
         distances = hamming_packed(query_code, self._centroid_codes)
-        top = np.argpartition(distances, nprobe - 1)[:nprobe]
-        return top[np.argsort(distances[top], kind="stable")]
+        # Hamming distances tie often; the stable (distance, cluster id)
+        # order is the device's documented tie-break at the nprobe boundary.
+        return np.argsort(distances, kind="stable")[:nprobe]
 
     def search(
         self, query: np.ndarray, k: int, nprobe: int = 1
@@ -193,7 +194,7 @@ class BqIvfIndex:
         query_code = self.binary.encode_one(query)
         hamming = hamming_packed(query_code, self._codes[candidate_ids])
         shortlist_size = min(self.rerank_factor * k, candidate_ids.size)
-        shortlist = np.argpartition(hamming, shortlist_size - 1)[:shortlist_size]
+        shortlist = np.argsort(hamming, kind="stable")[:shortlist_size]
         shortlist_ids = candidate_ids[shortlist]
         query_i8 = self.int8.encode_one(query).astype(np.int32)
         refined = self._int8_distances(query_i8, shortlist_ids)

@@ -440,7 +440,7 @@ class ReisDevice:
         db = self.database(db_id)
         if not db.is_ivf:
             raise ValueError(f"database {db_id} was deployed without IVF")
-        queries = validate_queries(db, queries, k)
+        queries = validate_queries(db, queries, k, nprobe)
         if nprobe is None and recall_target is not None:
             nprobe = self.resolve_nprobe(db_id, recall_target)
         execution = self.engine.search_batch(
@@ -900,7 +900,7 @@ class ShardedReisDevice:
         sdb = self.database(db_id)
         if not sdb.is_ivf:
             raise ValueError(f"database {db_id} was deployed without IVF")
-        queries = validate_queries(sdb, queries, k)
+        queries = validate_queries(sdb, queries, k, nprobe)
         if nprobe is None and recall_target is not None:
             nprobe = self.resolve_nprobe(db_id, recall_target)
         execution = self.router.execute(

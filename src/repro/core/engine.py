@@ -34,7 +34,7 @@ and :mod:`repro.core.batch` (a concurrent batch).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,6 +126,18 @@ class _LatchedPages:
         )
 
 
+class _TlcPages(NamedTuple):
+    """The pages one TLC phase materialized: the corrected page stack plus
+    the per-page billing columns, all indexed by stack row."""
+
+    stack: np.ndarray  # (n_pages, page_bytes) golden bytes
+    plane_of: np.ndarray
+    channel_of: np.ndarray
+    page_id_of: np.ndarray
+    cached: np.ndarray  # served from the DRAM mirror (never sensed)
+    hit_nbytes: np.ndarray  # mirror entry size of a cached row, else 0
+
+
 class InStorageAnnsEngine:
     """Executes ``Search`` / ``IVF_Search`` inside the simulated SSD."""
 
@@ -149,6 +161,7 @@ class InStorageAnnsEngine:
                 self._die_interfaces[die_index] = DieCommandInterface(
                     ssd.array.die_of_plane(plane_index)
                 )
+        self._planes = [plane for _index, plane in ssd.array.iter_planes()]
         # Page-translation memo: translate() is a pure function of the
         # (frozen, value-hashable) CoarseRegion, the page offset, and this
         # engine's fixed geometry, so the arithmetic runs once per page.
@@ -180,8 +193,7 @@ class InStorageAnnsEngine:
         return getattr(self.ssd, "page_cache", None)
 
     def _bill_dram_hit(
-        self, cost: PhaseCost, stats: SearchStats, nbytes: int,
-        key: object = None,
+        self, cost: PhaseCost, stats: SearchStats, nbytes: int, key: object
     ) -> None:
         """Account one cache-served page visit.
 
@@ -189,16 +201,12 @@ class InStorageAnnsEngine:
         controller streams the mirrored bytes out of the internal DRAM, so
         the visit bills :meth:`InternalDram.access_time` and advances the
         ``dram_cache_*`` counters -- the energy invariant becomes: billed
-        work = unique NAND senses + DRAM hit bytes.  Batch kernels pass the
-        page identity as ``key`` so compose_batch_phase can share the
-        stream across the queries that drain it (each query still bills
-        the full visit solo, mirroring per-query sense billing).
+        work = unique NAND senses + DRAM hit bytes.  ``key`` is the page
+        identity, so compose_batch_phase can share the stream across the
+        queries that drain it (each query still bills the full visit solo,
+        mirroring per-query sense billing).
         """
-        seconds = self.ssd.dram.access_time(nbytes)
-        if key is not None:
-            cost.add_dram_stream(key, seconds)
-        else:
-            cost.dram_seconds += seconds
+        cost.add_dram_stream(key, self.ssd.dram.access_time(nbytes))
         cost.dram_bytes += nbytes
         self.ssd.counters.add("dram_cache_hits", 1)
         self.ssd.counters.add("dram_cache_bytes", nbytes)
@@ -445,7 +453,7 @@ class InStorageAnnsEngine:
             else:
                 self._bill_dram_hit(
                     costs[qi], stats_list[qi], hit_bytes_u[rank],
-                    key=page_id_u[rank],
+                    page_id_u[rank],
                 )
         n_queries = len(ttls)
         n_channels = self.geometry.channels
@@ -730,521 +738,235 @@ class InStorageAnnsEngine:
                 ranges.append((entry.first_embedding, entry.last_embedding))
         return ranges
 
-    def _rerank(
-        self,
-        db: DeployedDatabase,
-        query: np.ndarray,
-        shortlist,
-        k: int,
-        stats: SearchStats,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, PhaseCost]:
-        """Steps 7-8: INT8 rerank + quicksort on the embedded core.
-
-        INT8 twins live in the TLC partition, so each fetched page routes
-        through the controller's ECC engine before the distance kernel runs.
-        Returns (top distances, top DADRs, top slots, phase cost).
-        """
-        cost = PhaseCost(name="rerank", read_mode="tlc", with_compute=False)
-        if isinstance(shortlist, TtlBlock):
-            n_short = len(shortlist)
-            radrs = shortlist.radrs
-            all_dadrs = shortlist.dadrs
-        else:
-            n_short = len(shortlist)
-            radrs = np.array([entry.radr for entry in shortlist], dtype=np.int64)
-            all_dadrs = np.array([entry.dadr for entry in shortlist], dtype=np.int64)
-        if n_short == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, cost
-        dim = db.dim
-        region = db.int8_region
-        query_i8 = db.int8_quantizer.encode_one(query).astype(np.int32)
-        core = self.ssd.cores.reis_core
-
-        # Slot -> (page, byte offset) resolved for the whole shortlist at
-        # once; pages are then fetched in first-touch order (the order the
-        # scalar walk would sense them, which pins the RNG stream).
-        if radrs.min() < 0 or radrs.max() >= region.n_slots:
-            raise IndexError(f"shortlist RADR outside region {region.name!r}")
-        page_offsets = radrs // region.slots_per_page
-        starts = (radrs % region.slots_per_page) * dim
-        unique_pages, first_rows = np.unique(page_offsets, return_index=True)
-        touch_order = np.argsort(first_rows, kind="stable")
-        codes = np.empty((n_short, dim), dtype=np.int8)
-        cw = self.ssd.ecc.config.codeword_bytes
-        cache = self.page_cache
-        cached_u = np.zeros(unique_pages.size, dtype=bool)
-        channel_of_page: Dict[int, int] = {}
-        for rank in touch_order:
-            page_offset = int(unique_pages[rank])
-            entry = (
-                cache.lookup(region, page_offset) if cache is not None else None
-            )
-            if entry is not None:
-                # A hit serves the golden bytes straight from the mirror:
-                # no sense, no ECC -- the visit bills DRAM instead.
-                cached_u[rank] = True
-                page = entry.data
-                self._bill_dram_hit(cost, stats, entry.nbytes)
-            else:
-                first_start = int(starts[first_rows[rank]])
-                # The sense; channel/ECC charges are per codeword below.
-                page = self._read_corrected(
-                    region, page_offset, cost, stats, first_start, dim,
-                    charge_transfer=False,
-                )
-                self._admit_page(region, page_offset, "cluster")
-            channel_of_page[page_offset] = self._locate(region, page_offset)[2]
-            rows = np.flatnonzero(page_offsets == page_offset)
-            gathered = page[starts[rows, None] + np.arange(dim)]
-            codes[rows] = gathered.view(np.int8)
-        page_channels = np.array(
-            [channel_of_page[int(p)] for p in unique_pages], dtype=np.int64
-        )
-        # Charge each distinct ECC codeword the shortlist touches once:
-        # expand every row's [first_cw, last_cw] range, then dedupe the
-        # (page, codeword) pairs in one unique() pass.  Codewords on
-        # cache-served pages never cross the channel or the ECC engine.
-        first_cw = starts // cw
-        last_cw = (starts + dim - 1) // cw
-        counts = (last_cw - first_cw + 1).astype(np.int64)
-        within = np.arange(counts.sum()) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        cw_rows = np.repeat(np.arange(n_short), counts)
-        cw_index = np.repeat(first_cw, counts) + within
-        cw_per_page = int(last_cw.max()) + 1
-        keys = page_offsets[cw_rows] * cw_per_page + cw_index
-        unique_keys = np.unique(keys)
-        key_ranks = np.searchsorted(unique_pages, unique_keys // cw_per_page)
-        sensed_keys = ~cached_u[key_ranks]
-        unique_keys = unique_keys[sensed_keys]
-        key_channels = page_channels[key_ranks[sensed_keys]]
-        for channel in np.unique(key_channels):
-            moved = int((key_channels == channel).sum()) * cw
-            cost.add_channel_bytes(int(channel), moved)
-        cost.ecc_bytes += unique_keys.size * cw
-        self.ssd.counters.add("channel_bytes", unique_keys.size * cw)
-
-        diff = codes.astype(np.int32) - query_i8[None, :]
-        refined = np.einsum("ij,ij->i", diff, diff).astype(np.int64)
-        cost.core_seconds += core.int8_distances(n_short, dim)
-        k = min(k, n_short)
-        top = np.argsort(refined, kind="stable")[:k]
-        cost.core_seconds += core.quicksort(n_short)
-        return refined[top], all_dadrs[top], radrs[top], cost
-
-    def _read_corrected(
-        self,
-        region: RegionInfo,
-        page_offset: int,
-        cost: PhaseCost,
-        stats: SearchStats,
-        byte_start: int = 0,
-        byte_len: Optional[int] = None,
-        charge_transfer: bool = True,
-    ) -> np.ndarray:
-        """Read a TLC page and ECC-correct it on the controller.
-
-        Only the ECC codewords covering ``[byte_start, byte_start+byte_len)``
-        cross the channel and get decoded; the rest of the sensed page stays
-        in the plane buffer.  The full corrected page is returned for
-        functional convenience (the simulator knows the golden data).
-        Callers that account codewords themselves (the rerank path, which
-        deduplicates across shortlist entries) pass ``charge_transfer=False``.
-        """
-        ppa, plane_index, channel, page_id = self._locate(region, page_offset)
-        plane = self.ssd.array.plane(ppa)
-        raw, _ = plane.read_page(ppa.block, ppa.page)
-        cost.add_page(plane_index, page_id=page_id)
-        stats.pages_read += 1
-        if charge_transfer:
-            if byte_len is None:
-                byte_len = raw.size - byte_start
-            if byte_len > 0:
-                # A zero-length read moves nothing: no codeword crosses
-                # the channel and nothing is ECC-decoded.
-                cw = self.ssd.ecc.config.codeword_bytes
-                first_cw = byte_start // cw
-                last_cw = (byte_start + byte_len - 1) // cw
-                moved = (last_cw - first_cw + 1) * cw
-                cost.add_channel_bytes(channel, moved)
-                cost.ecc_bytes += moved
-                self.ssd.counters.add("channel_bytes", moved)
-        return self._correct_page(region, page_offset, plane, ppa, raw)
-
-    def _correct_page(
-        self,
-        region: RegionInfo,
-        page_offset: int,
-        plane,
-        ppa: PhysicalPageAddress,
-        raw: np.ndarray,
-    ) -> np.ndarray:
-        """ECC-correct one freshly sensed TLC page on the controller.
-
-        A codeword past the correction capability raises
-        :class:`UncorrectableReadError`: the page is never returned (nor,
-        by the callers, admitted to the cache) with wrong bytes in it.
-        """
-        ecc = self.ssd.ecc
-        uncorrectable = ecc.uncorrectable_codewords
-        golden, _ = plane.golden_view(ppa.block, ppa.page)
-        page = ecc.correct(raw, golden, candidate_bytes=plane.last_flipped_bytes)
-        if ecc.uncorrectable_codewords != uncorrectable:
-            raise UncorrectableReadError(region.name, page_offset)
-        return page
-
-    def _fetch_documents(
-        self,
-        db: DeployedDatabase,
-        dadrs: np.ndarray,
-        stats: SearchStats,
-    ) -> Tuple[List[DocumentChunk], PhaseCost, float]:
-        """Step 9: document identification + transfer to the host.
-
-        Charges are per-query-unique, exactly as the rerank phase treats
-        its shortlist: one sense per distinct page (the latch serves every
-        chunk of a page from a single sense) and one channel/ECC codeword
-        per distinct (page, codeword) pair.  With packed document slots
-        several results routinely share a page; the query pays for the
-        page once.  Cross-query charges are never deduplicated (the
-        energy-counter invariant).  Pages are sensed in first-touch order,
-        pinning each plane's error-injection RNG stream.
-        """
-        cost = PhaseCost(name="documents", read_mode="tlc", with_compute=False)
-        region = db.document_region
-        documents: List[DocumentChunk] = []
-        n = len(dadrs)
-        if n == 0:
-            return documents, cost, 0.0
-        dadr_arr = np.asarray(dadrs, dtype=np.int64)
-        out_of_range = (dadr_arr < 0) | (dadr_arr >= region.n_slots)
-        if out_of_range.any():
-            bad = int(dadr_arr[np.argmax(out_of_range)])
-            raise IndexError(f"slot {bad} outside region {region.name!r}")
-        item_bytes = region.item_bytes
-        page_offsets = dadr_arr // region.slots_per_page
-        starts = (dadr_arr % region.slots_per_page) * item_bytes
-        cw = self.ssd.ecc.config.codeword_bytes
-        first_cw = starts // cw
-        last_cw = (starts + max(item_bytes, 1) - 1) // cw
-
-        unique_pages, first_rows = np.unique(page_offsets, return_index=True)
-        touch_order = np.argsort(first_rows, kind="stable")
-        cache = self.page_cache
-        cached_u = np.zeros(unique_pages.size, dtype=bool)
-        pages: Dict[int, np.ndarray] = {}
-        plane_of_page = np.empty(unique_pages.size, dtype=np.int64)
-        channel_of_page = np.empty(unique_pages.size, dtype=np.int64)
-        page_id_of_page = np.empty(unique_pages.size, dtype=np.int64)
-        for rank in touch_order:
-            page_offset = int(unique_pages[rank])
-            ppa, plane_index, channel, page_id = self._locate(region, page_offset)
-            entry = (
-                cache.lookup(region, page_offset) if cache is not None else None
-            )
-            if entry is not None:
-                cached_u[rank] = True
-                pages[page_offset] = entry.data
-                self._bill_dram_hit(cost, stats, entry.nbytes)
-            else:
-                plane = self.ssd.array.plane(ppa)
-                raw, _ = plane.read_page(ppa.block, ppa.page)
-                pages[page_offset] = self._correct_page(
-                    region, page_offset, plane, ppa, raw
-                )
-                self._admit_page(region, page_offset, "document")
-            plane_of_page[rank] = plane_index
-            channel_of_page[rank] = channel
-            page_id_of_page[rank] = page_id
-
-        # One sense charge per distinct uncached page, in first-touch order;
-        # cache hits already billed their DRAM access above.
-        for rank in touch_order:
-            if cached_u[rank]:
-                continue
-            cost.add_page(
-                int(plane_of_page[rank]), page_id=int(page_id_of_page[rank])
-            )
-        stats.pages_read += int((~cached_u).sum())
-        # One channel/ECC codeword per distinct (page, codeword) pair the
-        # results touch, deduplicated in a single unique() pass.  Codewords
-        # on cache-served pages never cross the channel or the ECC engine.
-        counts = (last_cw - first_cw + 1).astype(np.int64)
-        within = np.arange(counts.sum()) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        cw_rows = np.repeat(np.arange(n), counts)
-        cw_index = np.repeat(first_cw, counts) + within
-        cw_per_page = int(last_cw.max()) + 1
-        keys = page_offsets[cw_rows] * cw_per_page + cw_index
-        unique_keys = np.unique(keys)
-        key_ranks = np.searchsorted(unique_pages, unique_keys // cw_per_page)
-        sensed_keys = ~cached_u[key_ranks]
-        unique_keys = unique_keys[sensed_keys]
-        key_channels = channel_of_page[key_ranks[sensed_keys]]
-        for channel in np.unique(key_channels):
-            moved = int((key_channels == channel).sum()) * cw
-            cost.add_channel_bytes(int(channel), moved)
-        cost.ecc_bytes += unique_keys.size * cw
-        self.ssd.counters.add("channel_bytes", unique_keys.size * cw)
-
-        for i in range(n):
-            original_id = db.original_of_dadr(int(dadr_arr[i]))
-            if db.corpus is not None:
-                documents.append(db.corpus[original_id])
-            else:
-                page = pages[int(page_offsets[i])]
-                start = int(starts[i])
-                payload = page[start : start + item_bytes]
-                documents.append(
-                    DocumentChunk(
-                        chunk_id=original_id,
-                        text=DocumentChunk.decode_bytes(payload),
-                    )
-                )
-        host_bytes = float(n * item_bytes)
-        host_transfer_s = host_bytes / self.ssd.spec.host_link_bandwidth_bps
-        return documents, cost, host_transfer_s
-
-    # ------------------------------------------------- batched TLC kernels
+    # ------------------------------------------------------ TLC phase kernels
 
     def _materialize_tlc_batch(
-        self,
-        region: RegionInfo,
-        unique_pages: np.ndarray,
-        touch_order: np.ndarray,
-        kind: str,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-               np.ndarray]:
-        """Materialize a set of TLC pages once each, ECC-corrected in bulk.
+        self, region: RegionInfo, page_offsets: np.ndarray, kind: str
+    ) -> Tuple["_TlcPages", np.ndarray]:
+        """Materialize the TLC pages a phase's rows touch, once each.
 
-        Each batch-unique page is looked up in the DRAM mirror once (the
-        scheduling snapshot); hits fill their ``corrected`` row from the
-        golden mirror bytes while the remaining pages are physically sensed
-        in ``touch_order`` (global first-touch order, which pins each
-        plane's error-injection RNG stream), routed through
-        :meth:`EccEngine.correct_batch` as one call, and admitted into the
-        cache.  A page with a codeword past the correction capability
-        raises :class:`UncorrectableReadError` before anything is admitted
-        or returned.  Returns ``(corrected, planes, channels, page_ids,
-        cached, nbytes)`` aligned with ``unique_pages``: ``cached`` marks
-        mirror-served rows and ``nbytes`` carries each hit's entry size
-        for DRAM billing (0 for sensed rows).  Billing is the *caller's*
-        job: this helper only performs the shared functional work.
+        ``page_offsets`` is the page of every row of the phase (query-major).
+        Each distinct page is looked up in the DRAM mirror once (the
+        scheduling snapshot, in ascending page order); misses are sensed in
+        global first-touch order (which pins each plane's error-injection
+        RNG stream) *straight into their row of the page stack*,
+        ECC-corrected there by one :meth:`EccEngine.correct_batch` call and
+        admitted into the cache, and hits copy the mirror's golden bytes
+        into the rows after them.  A page with a codeword past the
+        correction capability raises :class:`UncorrectableReadError` before
+        anything is admitted or returned.  Returns the stack with its
+        per-row billing columns, and the stack row of every input row.
+        Billing is the *caller's* job (:meth:`_bill_tlc_phase`).
         """
-        n_pages = unique_pages.size
+        uniq, first_rows, inverse = np.unique(
+            page_offsets, return_index=True, return_inverse=True
+        )
+        n_pages = uniq.size
         cache = self.page_cache
         entries: List[Optional[CacheEntry]] = [None] * n_pages
         if cache is not None:
-            entries = [
-                cache.lookup(region, int(page)) for page in unique_pages
-            ]
+            entries = [cache.lookup(region, page) for page in uniq.tolist()]
         cached = np.array([entry is not None for entry in entries], dtype=bool)
-        entry_nbytes = np.array(
-            [0 if entry is None else entry.nbytes for entry in entries],
-            dtype=np.int64,
-        )
-        # Row of each to-sense page in the raw/golden stacks.
-        stack_row = np.cumsum(~cached) - 1
+        # Stack order: sensed pages by first touch, then mirror-served ones.
+        order = np.lexsort((first_rows, cached))
         n_sensed = n_pages - int(cached.sum())
-        page_bytes = self.geometry.page_bytes
-        raws = np.empty((n_sensed, page_bytes), dtype=np.uint8)
-        goldens = np.empty((n_sensed, page_bytes), dtype=np.uint8)
-        hints: List[Optional[np.ndarray]] = [None] * n_sensed
-        planes = np.empty(n_pages, dtype=np.int64)
-        channels = np.empty(n_pages, dtype=np.int64)
-        page_ids = np.empty(n_pages, dtype=np.int64)
-        for rank in touch_order:
-            page_offset = int(unique_pages[rank])
-            ppa, plane_index, channel, page_id = self._locate(region, page_offset)
-            planes[rank] = plane_index
-            channels[rank] = channel
-            page_ids[rank] = page_id
-            if cached[rank]:
-                continue
-            plane = self.ssd.array.plane(ppa)
-            row = stack_row[rank]
-            raws[row], _ = plane.read_page(ppa.block, ppa.page)
-            goldens[row], _ = plane.golden_view(ppa.block, ppa.page)
-            hints[row] = plane.last_flipped_bytes
+        offsets = uniq[order]
+        plane_of, block_of, page_of, channel_of, page_id_of = (
+            region.region.translate_columns(offsets, self.geometry)
+        )
+        stack = np.empty((n_pages, self.geometry.page_bytes), dtype=np.uint8)
+        planes = self._planes
+        goldens: List[np.ndarray] = []
+        oobs: List[np.ndarray] = []
+        hints: List[np.ndarray] = []
+        for row, plane_index, block, page in zip(
+            range(n_sensed), plane_of.tolist(), block_of.tolist(), page_of.tolist()
+        ):
+            plane = planes[plane_index]
+            plane.read_page(block, page, out=stack[row])
+            golden, oob = plane.golden_view(block, page)
+            goldens.append(golden)
+            oobs.append(oob)
+            hints.append(plane.last_flipped_bytes)
         ecc = self.ssd.ecc
         uncorrectable = ecc.uncorrectable_codewords
-        corrected = ecc.correct_batch(raws, goldens, hints)
+        ecc.correct_batch(stack[:n_sensed], goldens, hints)
         if ecc.uncorrectable_codewords != uncorrectable:
-            bad = int(np.argmax((corrected != goldens).any(axis=1)))
-            raise UncorrectableReadError(
-                region.name, int(unique_pages[np.flatnonzero(~cached)[bad]])
+            bad = next(
+                row for row, golden in enumerate(goldens)
+                if not np.array_equal(stack[row], golden)
             )
-        if n_sensed < n_pages:
-            sensed_rows = corrected
-            corrected = np.empty((n_pages, page_bytes), dtype=np.uint8)
-            corrected[~cached] = sensed_rows
-            for rank in np.flatnonzero(cached):
-                corrected[rank] = entries[rank].data
-        # Freshly-sensed pages are now golden (ECC-corrected): mirror them.
-        for rank in touch_order:
-            if not cached[rank]:
-                self._admit_page(region, int(unique_pages[rank]), kind)
-        return corrected, planes, channels, page_ids, cached, entry_nbytes
+            raise UncorrectableReadError(region.name, int(offsets[bad]))
+        hit_nbytes = np.zeros(n_pages, dtype=np.int64)
+        for row, rank in enumerate(order[n_sensed:].tolist(), start=n_sensed):
+            stack[row] = entries[rank].data
+            hit_nbytes[row] = entries[rank].nbytes
+        if cache is not None:
+            # Freshly-sensed pages are now golden (ECC-corrected): mirror them.
+            for page_offset, golden, oob in zip(
+                offsets[:n_sensed].tolist(), goldens, oobs
+            ):
+                cache.admit(region, page_offset, kind, golden, oob)
+        row_of = np.empty(n_pages, dtype=np.int64)
+        row_of[order] = np.arange(n_pages)
+        pages = _TlcPages(
+            stack, plane_of, channel_of, page_id_of, cached[order], hit_nbytes
+        )
+        return pages, row_of[inverse]
 
-    def _bill_shared_tlc_senses(self, n_query_unique: int, n_physical: int,
-                                page_bytes: int) -> None:
-        """Charge the senses the batch kernels served from shared data.
+    def _bill_tlc_phase(
+        self,
+        name: str,
+        seg_of_row: np.ndarray,
+        page_row: np.ndarray,
+        first_cw: np.ndarray,
+        last_cw: np.ndarray,
+        pages: _TlcPages,
+        stats_list: Sequence[SearchStats],
+    ) -> List[PhaseCost]:
+        """Every query's TLC charges for one phase, in one columnar pass.
 
-        The energy-counter invariant bills unique senses *per query*: a page
-        two queries touch costs two senses and two full-page ECC decodes,
-        exactly as the scalar walk performs them.  The batch kernels sense
-        each batch-unique page once functionally, so the per-query remainder
-        is charged here -- shared host work, unshared energy.
+        Row ``i`` of the phase belongs to query ``seg_of_row[i]``
+        (query-major) and reads ECC codewords ``first_cw[i]..last_cw[i]``
+        (none when ``last_cw < first_cw``: a zero-length read) of the page
+        in row ``page_row[i]`` of ``pages``.  A query pays what it would pay
+        alone: one sense per distinct uncached page, in its own first-touch
+        order (``pages_per_plane`` / ``sensed_page_ids`` / ``pages_read``),
+        one DRAM stream per distinct cached page, and one channel + ECC
+        codeword per distinct (page, codeword) on uncached pages --
+        codewords of mirror-served pages never cross the channel or the ECC
+        engine.  The device counters advance per query too: the phase
+        sensed each page once, so the cross-query remainder of
+        ``page_reads`` / ``decoded_bytes`` is charged here -- shared host
+        work, unshared energy.
         """
-        extra = n_query_unique - n_physical
+        costs = [
+            PhaseCost(name=name, read_mode="tlc", with_compute=False)
+            for _ in stats_list
+        ]
+        _stack, plane_of, channel_of, page_id_of, cached, hit_nbytes = pages
+        n_pages = plane_of.size
+        visit_of_row = seg_of_row * n_pages + page_row
+        # (query, page) visits, query-major in each query's first-touch order.
+        visits, first = np.unique(visit_of_row, return_index=True)
+        visits = visits[np.argsort(first, kind="stable")]
+        visit_q, visit_row = np.divmod(visits, n_pages)
+        visit_hit = cached[visit_row]
+        planes, page_ids = plane_of.tolist(), page_id_of.tolist()
+        for qi, row, hit in zip(
+            visit_q.tolist(), visit_row.tolist(), visit_hit.tolist()
+        ):
+            if hit:
+                self._bill_dram_hit(
+                    costs[qi], stats_list[qi], int(hit_nbytes[row]),
+                    page_ids[row],
+                )
+            else:
+                costs[qi].add_page(planes[row], page_id=page_ids[row])
+        n_queries = len(costs)
+        sensed_visits = np.bincount(visit_q[~visit_hit], minlength=n_queries)
+        # (query, page, codeword) dedupe over each row's codeword range.
+        cw = self.ssd.ecc.config.codeword_bytes
+        page_bytes = self.geometry.page_bytes
+        cw_per_page = -(-page_bytes // cw)
+        counts = last_cw - first_cw + 1
+        within = np.arange(counts.max(initial=0))
+        keys = (visit_of_row * cw_per_page + first_cw)[:, None] + within
+        keys = np.unique(keys[within < counts[:, None]])
+        key_q, key_row = np.divmod(keys // cw_per_page, n_pages)
+        moved = ~cached[key_row]
+        n_channels = self.geometry.channels
+        codewords_of = np.bincount(
+            key_q[moved] * n_channels + channel_of[key_row[moved]],
+            minlength=n_queries * n_channels,
+        ).reshape(n_queries, n_channels)
+        for qi, channel in zip(*(a.tolist() for a in np.nonzero(codewords_of))):
+            costs[qi].add_channel_bytes(channel, int(codewords_of[qi, channel]) * cw)
+        codewords = codewords_of.sum(axis=1).tolist()
+        for qi, n_sensed in enumerate(sensed_visits.tolist()):
+            stats_list[qi].pages_read += n_sensed
+            costs[qi].ecc_bytes += codewords[qi] * cw
+        self.ssd.counters.add("channel_bytes", int(moved.sum()) * cw)
+        extra = int(sensed_visits.sum()) - int(n_pages - cached.sum())
         if extra > 0:
             self.ssd.counters.add("page_reads", extra)
             self.ssd.counters.add("page_reads_tlc", extra)
             self.ssd.ecc.decoded_bytes += extra * page_bytes
+        return costs
 
     def _rerank_batch(
         self,
         db: DeployedDatabase,
         queries: np.ndarray,
-        shortlists: Sequence[object],
+        shortlists: Sequence[TtlBlock],
         ks: Sequence[int],
         stats_list: Sequence[SearchStats],
     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, PhaseCost]]:
-        """Step 8 for a whole batch: page-major INT8 rerank.
+        """Steps 7-8 for a phase of queries: page-major INT8 rerank.
 
-        Every query's shortlist RADRs are resolved to (page, codeword) in
-        one columnar pass, each batch-unique page is sensed and
-        ECC-corrected once (:meth:`_materialize_tlc_batch`), the INT8 codes
-        gather into one ``(n_total_short, dim)`` matrix refined by a single
-        einsum, and each query takes its top-k from its own segment.
-        Billing stays per query and bit-identical to :meth:`_rerank`: each
-        query is charged its own unique pages, deduped channel codewords,
-        ECC bytes and core time, and the energy counters advance per query
-        (:meth:`_bill_shared_tlc_senses`).  Returns one
-        ``(distances, dadrs, slots, cost)`` tuple per query.
+        INT8 twins live in the TLC partition, so each page routes through
+        the controller's ECC engine before the distance kernel runs.  Every
+        query's shortlist RADRs resolve to (page, codeword) in one columnar
+        pass, each phase-unique page is materialized once
+        (:meth:`_materialize_tlc_batch`), the INT8 codes gather into one
+        ``(n_total_short, dim)`` matrix refined by a single einsum, and each
+        query quicksorts its own segment on the embedded core.  Billing is
+        per query (:meth:`_bill_tlc_phase`).  Returns one ``(distances,
+        dadrs, slots, cost)`` tuple per query; the solo path is a phase of
+        one.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        n_queries = len(shortlists)
         region = db.int8_region
         dim = db.dim
-        core = self.ssd.cores.reis_core
-        cw = self.ssd.ecc.config.codeword_bytes
-
-        per_query: List[Tuple[np.ndarray, np.ndarray]] = []
-        for shortlist in shortlists:
-            if isinstance(shortlist, TtlBlock):
-                radrs = shortlist.radrs
-                dadrs = shortlist.dadrs
-            else:
-                radrs = np.array(
-                    [entry.radr for entry in shortlist], dtype=np.int64
-                )
-                dadrs = np.array(
-                    [entry.dadr for entry in shortlist], dtype=np.int64
-                )
-            if radrs.size and (
-                radrs.min() < 0 or radrs.max() >= region.n_slots
-            ):
-                raise IndexError(
-                    f"shortlist RADR outside region {region.name!r}"
-                )
-            per_query.append((radrs, dadrs))
-        counts = np.array([r.size for r, _ in per_query], dtype=np.int64)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
+        spp = region.slots_per_page
+        counts = np.array([len(block) for block in shortlists], dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
-        outs: List[Tuple[np.ndarray, np.ndarray, np.ndarray, PhaseCost]] = [
-            (
-                empty, empty, empty,
-                PhaseCost(name="rerank", read_mode="tlc", with_compute=False),
-            )
-            for _ in range(n_queries)
-        ]
         if int(counts.sum()) == 0:
-            return outs
-
-        radrs_all = np.concatenate([r for r, _ in per_query])
-        page_offsets = radrs_all // region.slots_per_page
-        starts = (radrs_all % region.slots_per_page) * dim
-        unique_pages, first_rows = np.unique(page_offsets, return_index=True)
-        touch_order = np.argsort(first_rows, kind="stable")
-        corrected, plane_of, channel_of, page_id_of, cached_u, hit_nbytes = (
-            self._materialize_tlc_batch(
-                region, unique_pages, touch_order, "cluster"
-            )
+            return [
+                (empty, empty, empty, PhaseCost(
+                    name="rerank", read_mode="tlc", with_compute=False
+                ))
+                for _ in shortlists
+            ]
+        live = [block for block in shortlists if len(block)]
+        radrs = np.concatenate([block.radrs for block in live])
+        dadrs = np.concatenate([block.dadrs for block in live])
+        if radrs.min() < 0 or radrs.max() >= region.n_slots:
+            raise IndexError(f"shortlist RADR outside region {region.name!r}")
+        page_offsets, slot_in_page = np.divmod(radrs, spp)
+        pages, page_row = self._materialize_tlc_batch(
+            region, page_offsets, "cluster"
         )
-        page_rank = np.searchsorted(unique_pages, page_offsets)
+        seg_of_row = np.repeat(np.arange(len(shortlists)), counts)
+        cw = self.ssd.ecc.config.codeword_bytes
+        starts = slot_in_page * dim
+        costs = self._bill_tlc_phase(
+            "rerank", seg_of_row, page_row,
+            starts // cw, (starts + dim - 1) // cw, pages, stats_list,
+        )
         # Row gather: each page is a (slots_per_page, dim) table of INT8
         # codes, so a shortlist entry is one row of the stacked view.
-        spp = region.slots_per_page
-        codes_all = corrected[:, : spp * dim].reshape(-1, spp, dim)[
-            page_rank, radrs_all % spp
+        codes = pages.stack[:, : spp * dim].reshape(-1, spp, dim)[
+            page_row, slot_in_page
         ].view(np.int8)
-        q_i8 = db.int8_quantizer.encode(queries).astype(np.int32)
-        seg_of_row = np.repeat(np.arange(n_queries), counts)
-        diff = codes_all.astype(np.int32) - q_i8[seg_of_row]
-        refined_all = np.einsum("ij,ij->i", diff, diff).astype(np.int64)
-
-        n_query_unique = 0
-        for qi in range(n_queries):
-            lo, hi = int(bounds[qi]), int(bounds[qi + 1])
-            n_short = hi - lo
-            if n_short == 0:
-                continue
-            cost = PhaseCost(name="rerank", read_mode="tlc", with_compute=False)
-            seg_pages = page_offsets[lo:hi]
-            seg_starts = starts[lo:hi]
-            seg_rank = page_rank[lo:hi]
-            u_first = np.unique(seg_pages, return_index=True)[1]
-            u_order = np.argsort(u_first, kind="stable")
-            for rank in u_order:
-                row = int(seg_rank[u_first[rank]])
-                if cached_u[row]:
-                    self._bill_dram_hit(
-                        cost, stats_list[qi], int(hit_nbytes[row]),
-                        key=int(page_id_of[row]),
-                    )
-                else:
-                    n_query_unique += 1
-                    cost.add_page(
-                        int(plane_of[row]), page_id=int(page_id_of[row])
-                    )
-                    stats_list[qi].pages_read += 1
-            # Same (page, codeword) dedupe the scalar walk performs; mirror
-            # hits never cross the channel or the ECC engine.
-            first_cw = seg_starts // cw
-            last_cw = (seg_starts + dim - 1) // cw
-            cw_counts = (last_cw - first_cw + 1).astype(np.int64)
-            within = np.arange(cw_counts.sum()) - np.repeat(
-                np.cumsum(cw_counts) - cw_counts, cw_counts
-            )
-            cw_rows = np.repeat(np.arange(n_short), cw_counts)
-            cw_index = np.repeat(first_cw, cw_counts) + within
-            cw_per_page = int(last_cw.max()) + 1
-            keys = seg_pages[cw_rows] * cw_per_page + cw_index
-            unique_keys = np.unique(keys)
-            key_ranks = np.searchsorted(unique_pages, unique_keys // cw_per_page)
-            sensed_keys = ~cached_u[key_ranks]
-            unique_keys = unique_keys[sensed_keys]
-            key_channels = channel_of[key_ranks[sensed_keys]]
-            for channel in np.unique(key_channels):
-                moved = int((key_channels == channel).sum()) * cw
-                cost.add_channel_bytes(int(channel), moved)
-            cost.ecc_bytes += unique_keys.size * cw
-            self.ssd.counters.add("channel_bytes", unique_keys.size * cw)
-
-            refined = refined_all[lo:hi]
-            cost.core_seconds += core.int8_distances(n_short, dim)
-            k = min(int(ks[qi]), n_short)
-            top = np.argsort(refined, kind="stable")[:k]
-            cost.core_seconds += core.quicksort(n_short)
-            radrs, all_dadrs = per_query[qi]
-            outs[qi] = (refined[top], all_dadrs[top], radrs[top], cost)
-        self._bill_shared_tlc_senses(
-            n_query_unique, int((~cached_u).sum()), corrected.shape[1]
+        # int32 holds dim * 255**2 for any dim below 33,000.
+        diff = np.subtract(
+            codes, db.int8_quantizer.encode(queries)[seg_of_row], dtype=np.int32
         )
+        refined = np.einsum("ij,ij->i", diff, diff).astype(np.int64)
+
+        core = self.ssd.cores.reis_core
+        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        outs = []
+        for qi, cost in enumerate(costs):
+            lo, hi = bounds[qi], bounds[qi + 1]
+            if lo == hi:
+                outs.append((empty, empty, empty, cost))
+                continue
+            cost.core_seconds += core.int8_distances(hi - lo, dim)
+            top = lo + np.argsort(refined[lo:hi], kind="stable")[: int(ks[qi])]
+            cost.core_seconds += core.quicksort(hi - lo)
+            outs.append((refined[top], dadrs[top], radrs[top], cost))
         return outs
 
     def _fetch_documents_batch(
@@ -1253,123 +975,71 @@ class InStorageAnnsEngine:
         dadrs_list: Sequence[np.ndarray],
         stats_list: Sequence[SearchStats],
     ) -> List[Tuple[List[DocumentChunk], PhaseCost, float]]:
-        """Step 9 for a whole batch: page-major document identification.
+        """Step 9 for a phase of queries: document identification + transfer.
 
-        Every query's result DADRs are resolved in one columnar pass and
-        each batch-unique page materializes once (sense + one
-        :meth:`EccEngine.correct_batch` call); the per-query charges are
-        exactly :meth:`_fetch_documents`'s -- query-unique page senses and
-        query-unique channel/ECC codewords -- with the per-query unique
-        senses billed to the energy counters
-        (:meth:`_bill_shared_tlc_senses`).  Returns one
-        ``(documents, cost, host_transfer_seconds)`` tuple per query.
+        Every query's result DADRs resolve in one columnar pass and each
+        phase-unique page materializes once
+        (:meth:`_materialize_tlc_batch`).  Charges are per-query-unique,
+        exactly as the rerank phase treats its shortlist
+        (:meth:`_bill_tlc_phase`): with packed document slots several
+        results routinely share a page and the query pays for it once;
+        cross-query charges are never deduplicated (the energy-counter
+        invariant).  Returns one ``(documents, cost,
+        host_transfer_seconds)`` tuple per query.
         """
         region = db.document_region
         item_bytes = region.item_bytes
-        cw = self.ssd.ecc.config.codeword_bytes
-        arrs = [np.asarray(d, dtype=np.int64) for d in dadrs_list]
-        for arr in arrs:
-            out_of_range = (arr < 0) | (arr >= region.n_slots)
-            if out_of_range.any():
-                bad = int(arr[np.argmax(out_of_range)])
-                raise IndexError(f"slot {bad} outside region {region.name!r}")
-        outs: List[Tuple[List[DocumentChunk], PhaseCost, float]] = [
-            (
-                [],
-                PhaseCost(name="documents", read_mode="tlc", with_compute=False),
-                0.0,
-            )
-            for _ in arrs
-        ]
-        counts = np.array([a.size for a in arrs], dtype=np.int64)
+        counts = np.array([len(d) for d in dadrs_list], dtype=np.int64)
         if int(counts.sum()) == 0:
-            return outs
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        dadr_all = np.concatenate(arrs)
-        page_offsets = dadr_all // region.slots_per_page
-        starts = (dadr_all % region.slots_per_page) * item_bytes
-        first_cw = starts // cw
-        last_cw = (starts + max(item_bytes, 1) - 1) // cw
-        cw_per_page = int(last_cw.max()) + 1
-
-        unique_pages, first_rows = np.unique(page_offsets, return_index=True)
-        touch_order = np.argsort(first_rows, kind="stable")
-        corrected, plane_of, channel_of, page_id_of, cached_u, hit_nbytes = (
-            self._materialize_tlc_batch(
-                region, unique_pages, touch_order, "document"
-            )
+            return [
+                ([], PhaseCost(
+                    name="documents", read_mode="tlc", with_compute=False
+                ), 0.0)
+                for _ in dadrs_list
+            ]
+        dadrs = np.concatenate(
+            [np.asarray(d, dtype=np.int64) for d in dadrs_list]
         )
-        page_rank = np.searchsorted(unique_pages, page_offsets)
-
-        n_query_unique = 0
-        for qi, arr in enumerate(arrs):
-            n = int(counts[qi])
-            if n == 0:
-                continue
-            lo, hi = int(bounds[qi]), int(bounds[qi + 1])
-            cost = PhaseCost(
-                name="documents", read_mode="tlc", with_compute=False
-            )
-            seg_rank = page_rank[lo:hi]
-            # One sense per query-distinct uncached page, in this query's
-            # first-touch order -- identical to the scalar walk's charges;
-            # mirror hits bill their DRAM access instead.
-            seg_unique, seg_first = np.unique(seg_rank, return_index=True)
-            for rank in seg_unique[np.argsort(seg_first, kind="stable")]:
-                if cached_u[rank]:
-                    self._bill_dram_hit(
-                        cost, stats_list[qi], int(hit_nbytes[rank]),
-                        key=int(page_id_of[rank]),
-                    )
-                else:
-                    n_query_unique += 1
-                    cost.add_page(
-                        int(plane_of[rank]), page_id=int(page_id_of[rank])
-                    )
-                    stats_list[qi].pages_read += 1
-            # One channel/ECC codeword per query-distinct (page, codeword)
-            # on uncached pages only.
-            seg_first_cw = first_cw[lo:hi]
-            seg_counts = (last_cw[lo:hi] - seg_first_cw + 1).astype(np.int64)
-            within = np.arange(seg_counts.sum()) - np.repeat(
-                np.cumsum(seg_counts) - seg_counts, seg_counts
-            )
-            cw_rows = np.repeat(np.arange(n), seg_counts)
-            cw_index = np.repeat(seg_first_cw, seg_counts) + within
-            keys = page_offsets[lo:hi][cw_rows] * cw_per_page + cw_index
-            unique_keys = np.unique(keys)
-            key_ranks = np.searchsorted(unique_pages, unique_keys // cw_per_page)
-            sensed_keys = ~cached_u[key_ranks]
-            unique_keys = unique_keys[sensed_keys]
-            key_channels = channel_of[key_ranks[sensed_keys]]
-            for channel in np.unique(key_channels):
-                moved = int((key_channels == channel).sum()) * cw
-                cost.add_channel_bytes(int(channel), moved)
-            cost.ecc_bytes += unique_keys.size * cw
-            self.ssd.counters.add("channel_bytes", unique_keys.size * cw)
-
-            documents: List[DocumentChunk] = []
-            for i in range(lo, hi):
-                original_id = db.original_of_dadr(int(dadr_all[i]))
-                if db.corpus is not None:
-                    documents.append(db.corpus[original_id])
-                else:
-                    page = corrected[int(page_rank[i])]
-                    start = int(starts[i])
-                    payload = page[start : start + item_bytes]
-                    documents.append(
-                        DocumentChunk(
-                            chunk_id=original_id,
-                            text=DocumentChunk.decode_bytes(payload),
-                        )
-                    )
-            host_bytes = float(n * item_bytes)
-            host_s = host_bytes / self.ssd.spec.host_link_bandwidth_bps
-            outs[qi] = (documents, cost, host_s)
-        self._bill_shared_tlc_senses(
-            n_query_unique, int((~cached_u).sum()), corrected.shape[1]
+        out_of_range = (dadrs < 0) | (dadrs >= region.n_slots)
+        if out_of_range.any():
+            bad = int(dadrs[np.argmax(out_of_range)])
+            raise IndexError(f"slot {bad} outside region {region.name!r}")
+        page_offsets, slot_in_page = np.divmod(dadrs, region.slots_per_page)
+        pages, page_row = self._materialize_tlc_batch(
+            region, page_offsets, "document"
         )
-        return outs
+        cw = self.ssd.ecc.config.codeword_bytes
+        starts = slot_in_page * item_bytes
+        costs = self._bill_tlc_phase(
+            "documents", np.repeat(np.arange(len(dadrs_list)), counts), page_row,
+            starts // cw, (starts + max(item_bytes, 1) - 1) // cw,
+            pages, stats_list,
+        )
+        if db.corpus is not None:
+            documents = [
+                db.corpus[db.original_of_dadr(dadr)] for dadr in dadrs.tolist()
+            ]
+        else:
+            payloads = pages.stack[
+                page_row[:, None], starts[:, None] + np.arange(item_bytes)
+            ]
+            documents = [
+                DocumentChunk(
+                    chunk_id=db.original_of_dadr(dadr),
+                    text=DocumentChunk.decode_bytes(payload),
+                )
+                for dadr, payload in zip(dadrs.tolist(), payloads)
+            ]
+        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        host_bandwidth = self.ssd.spec.host_link_bandwidth_bps
+        return [
+            (
+                documents[bounds[qi] : bounds[qi + 1]],
+                cost,
+                float((bounds[qi + 1] - bounds[qi]) * item_bytes) / host_bandwidth,
+            )
+            for qi, cost in enumerate(costs)
+        ]
 
     # -------------------------------------------------------------- search
 

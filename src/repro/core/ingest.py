@@ -388,7 +388,14 @@ class IngestManager:
                     result.ids.append(ack.entry_id)
                 result.n_updates += 1
             result.acks.append(ack)
-        result.seconds, result.pages_programmed = self._program_staged(staged)
+        result.seconds, result.pages_programmed = self._program_staged({
+            key: (
+                np.stack([payload for payload, _record in items]),
+                None if items[0][1] is None
+                else np.stack([record for _payload, record in items]),
+            )
+            for key, items in staged.items() if items
+        })
         # Registry bookkeeping rides the controller DRAM.
         result.seconds += self.ssd.dram.access_time(
             max(1, len(requests)) * R_IVF_ENTRY_BYTES
@@ -492,32 +499,36 @@ class IngestManager:
         return MutationAck(op="insert", entry_id=entry_id, applied=True)
 
     def _program_staged(
-        self, staged: Dict[str, List[Tuple[np.ndarray, Optional[np.ndarray]]]]
+        self, staged: Dict[str, Tuple[np.ndarray, Optional[np.ndarray]]]
     ) -> Tuple[float, Dict[str, int]]:
-        """Seal the staged slots into whole tail pages, region by region."""
+        """Seal the staged slots into whole tail pages, region by region.
+
+        ``staged[key]`` is ``(payloads, records)``: one payload row per slot
+        (at most ``item_bytes`` wide) and, for regions that carry OOB
+        records, one record row per slot.
+        """
         seconds = 0.0
         pages_programmed: Dict[str, int] = {}
         g = self.geometry
         for key, region in self._regions.items():
-            items = staged[key]
-            if not items:
+            if key not in staged:
                 pages_programmed[key] = 0
                 continue
+            payloads, records = staged[key]
             spp = region.slots_per_page
             cursor = self._cursor[key]
-            n_pages = math.ceil(len(items) / spp)
+            n_pages = math.ceil(len(payloads) / spp)
             for j in range(n_pages):
-                chunk = items[j * spp : (j + 1) * spp]
+                rows = payloads[j * spp : (j + 1) * spp]
                 data = np.zeros(g.page_bytes, dtype=np.uint8)
+                data[: spp * region.item_bytes].reshape(spp, region.item_bytes)[
+                    : len(rows), : rows.shape[1]
+                ] = rows
                 oob: Optional[np.ndarray] = None
-                for i, (payload, record) in enumerate(chunk):
-                    offset = i * region.item_bytes
-                    data[offset : offset + payload.size] = payload
-                if chunk[0][1] is not None:
-                    record_bytes = chunk[0][1].size
+                if records is not None:
+                    packed = records[j * spp : (j + 1) * spp].ravel()
                     oob = np.zeros(g.oob_bytes, dtype=np.uint8)
-                    for i, (_payload, record) in enumerate(chunk):
-                        oob[i * record_bytes : i * record_bytes + record.size] = record
+                    oob[: packed.size] = packed
                 ppa = self._allocators[key].allocate()
                 expected = region.region.translate(cursor // spp + j, g)
                 if ppa.to_linear(g) != expected.to_linear(g):
@@ -585,27 +596,29 @@ class IngestManager:
             for key, region in self._regions.items()
         )
 
-        payloads: Dict[str, List[np.ndarray]] = {key: [] for key in self._regions}
+        # Read back one region at a time: every golden page holding a live
+        # slot once, then one gather of the live payload rows.
+        payloads: Dict[str, np.ndarray] = {}
         slot_of = {"embeddings": "eadr", "int8": "radr", "documents": "dadr"}
         for key, region in self._regions.items():
-            page_cache: Dict[int, np.ndarray] = {}
-            width = (
-                db.code_bytes if key == "embeddings" else region.item_bytes
+            width = db.code_bytes if key == "embeddings" else region.item_bytes
+            slots = np.fromiter(
+                (getattr(info, slot_of[key]) for _entry_id, info in order),
+                dtype=np.int64, count=len(order),
             )
-            for _entry_id, info in order:
-                slot = getattr(info, slot_of[key])
-                page_offset, slot_in_page = divmod(slot, region.slots_per_page)
-                if page_offset not in page_cache:
-                    ppa = region.region.translate(page_offset, g)
-                    plane = self.ssd.array.plane(ppa)
-                    page_cache[page_offset], _ = plane.golden_page(
-                        ppa.block, ppa.page
-                    )
-                    result.seconds += self.timing.read_time(region.mode.timing_key)
-                start = slot_in_page * region.item_bytes
-                payloads[key].append(
-                    page_cache[page_offset][start : start + width].copy()
+            page_offsets, slot_in_page = np.divmod(slots, region.slots_per_page)
+            touched, row_of = np.unique(page_offsets, return_inverse=True)
+            pages = np.empty((touched.size, g.page_bytes), dtype=np.uint8)
+            for row, page_offset in enumerate(touched.tolist()):
+                ppa = region.region.translate(page_offset, g)
+                pages[row], _ = self.ssd.array.plane(ppa).golden_view(
+                    ppa.block, ppa.page
                 )
+                result.seconds += self.timing.read_time(region.mode.timing_key)
+            items = pages[:, : region.slots_per_page * region.item_bytes].reshape(
+                touched.size, region.slots_per_page, region.item_bytes
+            )
+            payloads[key] = items[row_of, slot_in_page, :width]
 
         for key, region in self._regions.items():
             window = region.region
@@ -621,19 +634,18 @@ class IngestManager:
         # Reprogram packed from slot 0 in canonical order and rebuild the
         # registry structures to the fresh-deploy state.
         metas = [info.meta for _entry_id, info in order]
-        staged: Dict[str, List[Tuple[np.ndarray, Optional[np.ndarray]]]] = {
-            key: [] for key in self._regions
+        # Same OOB wire format the deployer writes (DADR + RADR words, plus
+        # the metadata tag word); after packing both equal the slot.
+        slot_words = np.arange(len(order), dtype="<u4")
+        words = [slot_words, slot_words]
+        if db.has_metadata:
+            words.append(np.array(metas, dtype="<u4"))
+        records = np.stack(words, axis=1).view(np.uint8)
+        staged = {
+            "embeddings": (payloads["embeddings"], records),
+            "int8": (payloads["int8"], None),
+            "documents": (payloads["documents"], None),
         }
-        for slot, ((_entry_id, _info), meta) in enumerate(zip(order, metas)):
-            words = [slot, slot]
-            if db.has_metadata:
-                words.append(meta)
-            oob = np.frombuffer(
-                np.array(words, dtype="<u4").tobytes(), dtype=np.uint8
-            ).copy()
-            staged["embeddings"].append((payloads["embeddings"][slot], oob))
-            staged["int8"].append((payloads["int8"][slot], None))
-            staged["documents"].append((payloads["documents"][slot], None))
         self._reset_tails(0)
         program_seconds, pages = self._program_staged(staged)
         result.seconds += program_seconds

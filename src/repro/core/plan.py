@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.core.costing import PhaseCost, compose_phase, merge_phase_totals
 from repro.core.layout import DeployedDatabase
-from repro.core.registry import TtlEntry
 from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport
 
@@ -95,9 +94,7 @@ class PlanContext:
     query_code: Optional[np.ndarray] = None
     clusters: Optional[List[int]] = None
     # The fine phase's rescoring shortlist: a columnar
-    # :class:`~repro.core.registry.TtlBlock` once the fine search ran
-    # (``_rerank`` also accepts a list of ``TtlEntry`` for callers that
-    # assemble shortlists by hand).
+    # :class:`~repro.core.registry.TtlBlock` once the fine search ran.
     shortlist: object = field(default_factory=list)
     distances: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     dadrs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -169,10 +166,7 @@ class RerankStage(PlanStage):
     name: str = "rerank"
 
     def run(self, engine: "InStorageAnnsEngine", ctx: PlanContext) -> None:
-        ctx.distances, ctx.dadrs, ctx.slots, cost = engine._rerank(
-            ctx.db, ctx.query, ctx.shortlist, self.k, ctx.stats
-        )
-        ctx.phase_costs[self.name] = cost
+        self.run_batch(engine, ctx.db, [self], [ctx])
 
     @staticmethod
     def run_batch(
@@ -181,12 +175,12 @@ class RerankStage(PlanStage):
         stages: "List[RerankStage]",
         ctxs: "List[PlanContext]",
     ) -> None:
-        """Page-major batch kernel: every query's shortlist in one pass.
+        """Page-major phase kernel: every query's shortlist in one pass.
 
-        Bit-identical to calling :meth:`run` per context (the per-query
-        billing and top-k math are unchanged); only the page
-        materialization, the ECC decode and the distance einsum are shared
+        Per-query billing and top-k math; the page materialization, the
+        ECC decode and the distance einsum are shared
         (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`).
+        :meth:`run` is a phase of one.
         """
         outs = engine._rerank_batch(
             db,
@@ -207,12 +201,7 @@ class DocumentStage(PlanStage):
     name: str = "documents"
 
     def run(self, engine: "InStorageAnnsEngine", ctx: PlanContext) -> None:
-        if not ctx.dadrs.size:
-            return
-        ctx.documents, cost, ctx.host_seconds = engine._fetch_documents(
-            ctx.db, ctx.dadrs, ctx.stats
-        )
-        ctx.phase_costs[self.name] = cost
+        self.run_batch(engine, ctx.db, [ctx])
 
     @staticmethod
     def run_batch(
@@ -220,12 +209,13 @@ class DocumentStage(PlanStage):
         db: DeployedDatabase,
         ctxs: "List[PlanContext]",
     ) -> None:
-        """Page-major batch kernel: every query's winner DADRs in one pass.
+        """Page-major phase kernel: every query's winner DADRs in one pass.
 
-        Queries with no winners are skipped exactly as :meth:`run` skips
-        them (no ``documents`` phase cost is recorded for them); the rest
-        share one functional page pass while keeping per-query charges
+        Queries with no winners are skipped (no ``documents`` phase cost is
+        recorded for them); the rest share one functional page pass while
+        keeping per-query charges
         (:meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`).
+        :meth:`run` is a phase of one.
         """
         active = [i for i, ctx in enumerate(ctxs) if ctx.dadrs.size]
         if not active:
@@ -488,17 +478,23 @@ class QueryPlan:
         return [stage.name for stage in self.stages]
 
 
-def validate_queries(db, queries: np.ndarray, k: int) -> np.ndarray:
+def validate_queries(
+    db, queries: np.ndarray, k: int, nprobe: Optional[int] = None
+) -> np.ndarray:
     """API-boundary check of a query batch; returns it as ``(n, dim)`` float32.
 
     ``db`` is the deployed (or sharded) database the batch targets.  A bad
     argument fails here with a :class:`ValueError` naming it -- ``k < 1``,
-    a dimension other than the database's, NaN/inf components -- instead
-    of deep inside a kernel or, for NaN (which binary-quantizes to a valid
-    code), not at all.
+    ``nprobe < 1``, a dimension other than the database's, NaN/inf
+    components -- instead of deep inside a kernel or, for NaN (which
+    binary-quantizes to a valid code) and ``nprobe == 0`` (which probes
+    nothing), not at all.  ``nprobe`` above the cluster count is not an
+    error: it clamps to every cluster (:func:`build_query_plan`).
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if nprobe is not None and nprobe < 1:
+        raise ValueError(f"nprobe must be at least 1, got {nprobe}")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
     if queries.ndim != 2 or queries.shape[1] != db.dim:
         raise ValueError(

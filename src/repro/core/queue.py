@@ -599,7 +599,7 @@ class SubmissionQueue:
         query = np.asarray(query, dtype=np.float32)
         if query.ndim != 1:
             raise ValueError("submit takes one flat query vector")
-        query = validate_queries(self.db, query, self.k)[0]
+        query = validate_queries(self.db, query, self.k, self.nprobe)[0]
         submission = Submission(
             sub_id=self._next_sub_id,
             tenant=tenant,

@@ -11,6 +11,7 @@ by the timing layer (and by the REIS-ASIC comparison point of Sec. 6.3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -141,79 +142,76 @@ class EccEngine:
     def correct_batch(
         self,
         raws: np.ndarray,
-        goldens: np.ndarray,
-        candidate_bytes: "list[np.ndarray | None] | None" = None,
+        goldens: "Sequence[np.ndarray]",
+        candidate_bytes: "Sequence[np.ndarray | None] | None" = None,
     ) -> np.ndarray:
-        """Correct a stack of pages in one vectorized pass.
+        """Correct a stack of pages in place, in one vectorized pass.
 
-        ``raws`` and ``goldens`` are ``(n_pages, page_bytes)`` ``uint8``
-        stacks; ``candidate_bytes`` optionally carries one per-page hint
+        ``raws`` is an ``(n_pages, page_bytes)`` ``uint8`` stack and
+        ``goldens`` one golden page per row (views of the stored pages, or
+        a stack); ``candidate_bytes`` optionally carries one per-page hint
         array (the error injector's flipped-byte superset, see
         :meth:`correct`), with ``None`` entries falling back to the full
-        compare for that page.  The result and every counter
-        (``decoded_bytes`` / ``corrected_bits`` / ``uncorrectable_codewords``)
-        are identical to calling :meth:`correct` page by page; the batch
-        form exists so a whole phase's TLC reads decode as one sparse
-        diff + one bincount instead of a Python loop.
+        compare for that page.  Every candidate byte is compared and every
+        codeword's flip count checked exactly as :meth:`correct` does page
+        by page -- same outputs, same ``decoded_bytes`` /
+        ``corrected_bits`` / ``uncorrectable_codewords`` -- but the golden
+        bytes are restored *inside* ``raws`` (only flipped bytes differ
+        from golden, so restoring them restores the codeword); an
+        uncorrectable codeword stays corrupt.  Returns ``raws``.
         """
-        if raws.shape != goldens.shape:
-            raise ValueError("raw/golden shape mismatch")
         if raws.ndim != 2:
             raise ValueError("correct_batch expects (n_pages, page_bytes)")
         n_pages, page_bytes = raws.shape
-        if n_pages == 0:
-            return raws.copy()
-        cw = self.config.codeword_bytes
-        if page_bytes % cw != 0:
-            # Codewords would straddle page boundaries in the flattened
-            # view; fall back to the per-page path (counters identical).
-            hints = candidate_bytes or [None] * n_pages
-            return np.stack(
-                [
-                    self.correct(raws[i], goldens[i], candidate_bytes=hints[i])
-                    for i in range(n_pages)
-                ]
-            )
+        if len(goldens) != n_pages or any(
+            golden.shape != (page_bytes,) for golden in goldens
+        ):
+            raise ValueError("raw/golden shape mismatch")
         self.decoded_bytes += int(raws.size)
-        flat_raw = np.ascontiguousarray(raws).reshape(-1)
-        flat_golden = np.ascontiguousarray(goldens).reshape(-1)
-        if candidate_bytes is None:
-            flipped = _diff_bytes(flat_raw, flat_golden)
-        else:
-            parts = []
-            for i, hint in enumerate(candidate_bytes):
-                if hint is None:
-                    part = _diff_bytes(raws[i], goldens[i])
-                elif hint.size == 0:
-                    continue
-                else:
-                    part = hint
-                if part.size:
-                    parts.append(part.astype(np.int64) + i * page_bytes)
-            if not parts:
-                return raws.copy()
-            candidates = np.unique(np.concatenate(parts))
-            flipped = candidates[flat_raw[candidates] != flat_golden[candidates]]
-        if flipped.size == 0:
-            return raws.copy()
-        flips_per_byte = np.bitwise_count(
-            np.bitwise_xor(flat_raw[flipped], flat_golden[flipped])
+        # Candidate (page, byte) pairs and the golden byte at each one.
+        rows, cols, wanted = [], [], []
+        for i, golden in enumerate(goldens):
+            hint = None if candidate_bytes is None else candidate_bytes[i]
+            if hint is None:
+                hint = _diff_bytes(raws[i], golden)
+            if hint.size:
+                rows.append(i)
+                cols.append(hint)
+                wanted.append(golden[hint])
+        if not rows:
+            return raws
+        sizes = [hint.size for hint in cols]
+        # A byte the injector hit twice is one candidate: dedupe on the
+        # flat (page, byte) position, golden bytes following along.
+        flat, first = np.unique(
+            np.repeat(np.asarray(rows) * page_bytes, sizes) + np.concatenate(cols),
+            return_index=True,
         )
-        errors_per_codeword = np.bincount(flipped // cw, weights=flips_per_byte)
-        if errors_per_codeword.max() <= self.config.correctable_bits_per_codeword:
-            self.corrected_bits += int(flips_per_byte.sum())
-            return goldens.copy()
-        out = flat_raw.copy()
-        for codeword in np.flatnonzero(errors_per_codeword):
-            n_errors = int(errors_per_codeword[codeword])
-            start = int(codeword) * cw
-            stop = start + cw
-            if n_errors <= self.config.correctable_bits_per_codeword:
-                out[start:stop] = flat_golden[start:stop]
-                self.corrected_bits += n_errors
-            else:
-                self.uncorrectable_codewords += 1
-        return out.reshape(n_pages, page_bytes)
+        row, col = np.divmod(flat, page_bytes)
+        golden_bytes = np.concatenate(wanted)[first]
+        diff = np.bitwise_xor(raws[row, col], golden_bytes)
+        flipped = np.flatnonzero(diff)
+        if flipped.size == 0:
+            return raws
+        row, col, golden_bytes = row[flipped], col[flipped], golden_bytes[flipped]
+        cw = self.config.codeword_bytes
+        # Codewords never straddle pages: a page narrower than a codeword
+        # multiple ends on a short one.
+        codeword = row * -(-page_bytes // cw) + col // cw
+        errors_per_codeword = np.bincount(
+            codeword, weights=np.bitwise_count(diff[flipped])
+        )
+        correctable = (
+            errors_per_codeword <= self.config.correctable_bits_per_codeword
+        )
+        self.corrected_bits += int(errors_per_codeword[correctable].sum())
+        if correctable.all():
+            raws[row, col] = golden_bytes
+        else:
+            self.uncorrectable_codewords += int((~correctable).sum())
+            keep = correctable[codeword]
+            raws[row[keep], col[keep]] = golden_bytes[keep]
+        return raws
 
     def decode_time(self, n_bytes: int) -> float:
         """Controller time to ECC-decode ``n_bytes``."""

@@ -9,7 +9,7 @@ functional simulator really does flip bits unless ECC runs.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,23 +38,30 @@ class BitErrorModel:
         return self.corrupt_traced(data, mode)[0]
 
     def corrupt_traced(
-        self, data: np.ndarray, mode: CellMode
+        self, data: np.ndarray, mode: CellMode, out: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`corrupt` plus the byte indices where flips were injected.
 
         The returned index array is a superset of the bytes that actually
         differ from ``data`` (two draws landing on the same bit cancel), so
         it can seed a sparse ECC pass without a full-page comparison.  An
-        empty array guarantees the returned page equals ``data``.
+        empty array guarantees the returned page equals ``data``.  The
+        noisy page is written into ``out`` when one is given (the caller's
+        destination row; same draws either way) and freshly allocated
+        otherwise.
         """
+        if out is None:
+            corrupted = data.copy()
+        else:
+            corrupted = out
+            np.copyto(corrupted, data)
         profile = reliability(mode)
         if not self.enabled or profile.raw_ber <= 0.0:
-            return data.copy(), _NO_FLIPS
+            return corrupted, _NO_FLIPS
         n_bits = data.size * 8
         n_errors = self._rng.binomial(n_bits, profile.raw_ber)
         if n_errors == 0:
-            return data.copy(), _NO_FLIPS
-        corrupted = data.copy()
+            return corrupted, _NO_FLIPS
         positions = self._rng.integers(0, n_bits, size=n_errors)
         byte_idx = positions >> 3
         np.bitwise_xor.at(corrupted, byte_idx, _BIT_MASKS[positions & 7])

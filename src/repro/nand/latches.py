@@ -72,10 +72,10 @@ class PageBuffer:
 
     def load_sensing(self, data: np.ndarray, oob: np.ndarray) -> None:
         """Model a page sense: page data + OOB land in the sensing latch."""
-        self.sensing[:] = 0
         self.sensing[: data.size] = data
-        self.oob[:] = 0
+        self.sensing[data.size :] = 0
         self.oob[: oob.size] = oob
+        self.oob[oob.size :] = 0
 
     def load_cache(self, data: np.ndarray) -> None:
         """Load externally-supplied data (e.g. an IBC broadcast) into CL."""

@@ -52,19 +52,23 @@ class Plane:
 
     # ------------------------------------------------------------------ I/O
 
-    def read_page(self, block: int, page: int) -> Tuple[np.ndarray, np.ndarray]:
+    def read_page(
+        self, block: int, page: int, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Sense a page into the sensing latch and return (data, oob).
 
         The returned data carries raw bit errors for non-ESP modes; callers
         that need reliability must route it through the controller's ECC.
         The OOB area is modeled error-free for simplicity (on real chips the
-        OOB carries its own ECC parity).
+        OOB carries its own ECC parity).  ``out`` is a destination: a
+        page-wide ``uint8`` row the sensed data is written into (and
+        returned as) instead of a fresh array -- error draws, latch contents
+        and counters are the same either way.
         """
         flash_block = self.blocks[block]
-        flash_page = flash_block.pages[page]
-        golden_data, golden_oob = flash_page.raw_view()
+        golden_data, golden_oob = flash_block.pages[page].raw_view()
         data, self.last_flipped_bytes = self._errors.corrupt_traced(
-            golden_data, flash_block.mode
+            golden_data, flash_block.mode, out=out
         )
         self.buffer.load_sensing(data, golden_oob)
         self.counters.add("page_reads")

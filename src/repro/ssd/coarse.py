@@ -12,6 +12,9 @@ page read.  Page-level FTL metadata is retained on flash for maintenance
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
 
 from repro.nand.geometry import FlashGeometry, PhysicalPageAddress
 
@@ -63,6 +66,28 @@ class CoarseRegion:
         chip, die = divmod(die_of_channel, geometry.dies_per_chip)
         block, page = divmod(page_in_plane, geometry.pages_per_block)
         return PhysicalPageAddress(channel, chip, die, plane_of_die, block, page)
+
+    def translate_columns(
+        self, offsets: np.ndarray, geometry: FlashGeometry
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`translate` for an array of offsets, as columns:
+        ``(global plane index, block, page, channel, linear page index)``."""
+        if offsets.size and not (
+            0 <= offsets.min() and offsets.max() < self.total_pages(geometry)
+        ):
+            raise IndexError("offset outside the coarse region")
+        stripe, lane = np.divmod(offsets, geometry.total_planes)
+        plane_of_die, rest = np.divmod(
+            lane, geometry.channels * geometry.dies_per_channel
+        )
+        die_of_channel, channel = np.divmod(rest, geometry.channels)
+        plane_index = (
+            channel * geometry.dies_per_channel + die_of_channel
+        ) * geometry.planes_per_die + plane_of_die
+        page_in_plane = self.start_page_in_plane + stripe
+        block, page = np.divmod(page_in_plane, geometry.pages_per_block)
+        linear = plane_index * geometry.pages_per_plane + page_in_plane
+        return plane_index, block, page, channel, linear
 
     def plane_index_of_offset(self, offset: int, geometry: FlashGeometry) -> int:
         """Global plane index holding page ``offset``."""

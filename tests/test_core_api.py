@@ -128,6 +128,33 @@ class TestQueryValidation:
         assert queue.pending_count == 0
 
 
+    @pytest.mark.parametrize("nprobe", [0, -3])
+    def test_nprobe_below_one_is_rejected(
+        self, deployed_device, small_vectors, small_queries, nprobe
+    ):
+        message = f"nprobe must be at least 1, got {nprobe}"
+        device, db_id = deployed_device
+        with pytest.raises(ValueError, match=message):
+            device.ivf_search(db_id, small_queries[:2], k=5, nprobe=nprobe)
+        queue = device.submission_queue(db_id, k=5, nprobe=nprobe)
+        with pytest.raises(ValueError, match=message):
+            queue.submit(small_queries[0])
+        assert queue.pending_count == 0
+        vectors, _ = small_vectors
+        sharded = ShardedReisDevice(2, tiny_config("VAL-NPROBE"))
+        sharded_id = sharded.ivf_deploy("v", vectors, nlist=4, seed=0)
+        with pytest.raises(ValueError, match=message):
+            sharded.ivf_search(sharded_id, small_queries[:2], k=5, nprobe=nprobe)
+
+    def test_nprobe_above_nlist_clamps(self, deployed_device, small_queries):
+        device, db_id = deployed_device
+        nlist = device.database(db_id).n_clusters
+        clamped = device.ivf_search(db_id, small_queries[:2], k=5, nprobe=10 * nlist)
+        full = device.ivf_search(db_id, small_queries[:2], k=5, nprobe=nlist)
+        for a, b in zip(clamped, full):
+            assert a.ids.tolist() == b.ids.tolist()
+
+
 class TestNvmePath:
     def test_search_via_nvme(self, deployed_device, small_queries):
         device, db_id = deployed_device

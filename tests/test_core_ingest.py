@@ -340,6 +340,74 @@ class TestCapacity:
         assert manager.free_slots == free_before
 
 
+class TestCompactionLayout:
+    """``compact()`` promises exactly the pages a fresh deployment of the
+    live snapshot programs; pinned byte for byte (payload and OOB)."""
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_compacted_pages_equal_fresh_snapshot_pages(self, tagged):
+        vectors, model, _ = _base(60, seed=("layout", tagged))
+        tags = np.arange(60, dtype=np.uint32) % 3 if tagged else None
+        device = ReisDevice(tiny_config("INGL"))
+        db_id = device.ivf_deploy(
+            "db", vectors, ivf_model=model, metadata_tags=tags,
+            growth_entries=2048,
+        )
+        manager = device.ingest_manager(db_id)
+        tag = dict(metadata_tag=1) if tagged else {}
+        fresh = (vectors[:6] * 0.9).astype(np.float32)
+        manager.apply(
+            [MutationRequest(op="insert", vector=v, **tag) for v in fresh[:4]]
+            + [MutationRequest(op="delete", entry_id=i) for i in (3, 17, 41)]
+        )
+        manager.apply([
+            MutationRequest(op="update", entry_id=8, vector=fresh[4], **tag),
+            MutationRequest(op="insert", vector=fresh[5], **tag),
+        ])
+        by_id = {i: vectors[i] for i in range(60)}
+        by_id.update({60 + i: fresh[i] for i in range(6)})
+        members = [
+            [g for _slot, g in manager.index.members[c]] for c in range(NLIST)
+        ]
+        order = [g for cluster in members for g in cluster]
+        assert 8 not in order and 64 in order and len(order) == 62
+        manager.compact()
+
+        db = device.database(db_id)
+        lists, start = [], 0
+        for cluster in members:
+            lists.append(np.arange(start, start + len(cluster), dtype=np.int64))
+            start += len(cluster)
+        snap_tags = None
+        if tagged:
+            snap_tags = np.array(
+                [tags[g] if g < 60 else 1 for g in order], dtype=np.uint32
+            )
+        snapshot = ReisDevice(tiny_config("INGL-SNAP"))
+        snap_id = snapshot.ivf_deploy(
+            "snapshot",
+            np.stack([by_id[g] for g in order]).astype(np.float32),
+            ivf_model=IvfModel(centroids=model.centroids, lists=lists),
+            codecs=DeploymentCodecs(
+                binary=db.binary_quantizer, int8=db.int8_quantizer,
+                filter_threshold=db.filter_threshold,
+            ),
+            metadata_tags=snap_tags,
+        )
+        snap_db = snapshot.database(snap_id)
+        g = device.ssd.spec.geometry
+        for name in ("embedding_region", "int8_region"):
+            mine, ref = getattr(db, name), getattr(snap_db, name)
+            assert ref.n_pages > 0
+            for offset in range(ref.n_pages):
+                a = mine.region.translate(offset, g)
+                b = ref.region.translate(offset, g)
+                got = device.ssd.array.plane(a).golden_page(a.block, a.page)
+                want = snapshot.ssd.array.plane(b).golden_page(b.block, b.page)
+                assert np.array_equal(got[0], want[0]), (name, offset)
+                assert np.array_equal(got[1], want[1]), (name, offset)
+
+
 class TestMutableIndex:
     @pytest.fixture()
     def manager(self):

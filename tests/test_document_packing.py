@@ -107,8 +107,8 @@ class TestPackedRoundtrip:
         # Decode through the flash payloads, not the corpus shortcut.
         db.corpus = None
         dadrs = np.arange(n, dtype=np.int64)
-        documents, _cost, _host_s = device.engine._fetch_documents(
-            db, dadrs, SearchStats()
+        [(documents, _cost, _host_s)] = device.engine._fetch_documents_batch(
+            db, [dadrs], [SearchStats()]
         )
         by_id = {doc.chunk_id: doc.text for doc in documents}
         for chunk in corpus:
@@ -121,8 +121,8 @@ class TestPackedRoundtrip:
         db = device.database(db_id)
         # 32-byte synthetic blobs pack at the 64B floor.
         assert db.document_region.item_bytes == 64
-        documents, _cost, _host_s = device.engine._fetch_documents(
-            db, np.arange(30, dtype=np.int64), SearchStats()
+        [(documents, _cost, _host_s)] = device.engine._fetch_documents_batch(
+            db, [np.arange(30, dtype=np.int64)], [SearchStats()]
         )
         assert sorted(doc.text for doc in documents) == sorted(
             f"chunk-{i}" for i in range(30)

@@ -184,6 +184,21 @@ class TestCoarseRegion:
             in_plane = ppa.block * GEOMETRY.pages_per_block + ppa.page
             assert region.start_page_in_plane <= in_plane < region.end_page_in_plane
 
+    def test_translate_columns_matches_translate(self):
+        region = CoarseRegion(1, 6)
+        offsets = np.arange(region.total_pages(GEOMETRY))[::-1]
+        plane, block, page, channel, linear = region.translate_columns(
+            offsets, GEOMETRY
+        )
+        for i, offset in enumerate(offsets.tolist()):
+            ppa = region.translate(offset, GEOMETRY)
+            assert (plane[i], block[i], page[i], channel[i], linear[i]) == (
+                ppa.plane_linear(GEOMETRY), ppa.block, ppa.page, ppa.channel,
+                ppa.to_linear(GEOMETRY),
+            )
+        with pytest.raises(IndexError):
+            region.translate_columns(offsets + 1, GEOMETRY)
+
     def test_consecutive_offsets_hit_consecutive_planes(self):
         region = CoarseRegion(0, 2)
         ppa0 = region.translate(0, GEOMETRY)

@@ -1,24 +1,25 @@
-"""Tests for the page-major TLC phases (batch rerank/document kernels).
+"""Tests for the page-major TLC phases (rerank / document kernels).
 
-PR 3 made the SLC scan phases page-major at batch level; this file pins
-the same treatment for the two TLC phases:
+The two TLC phases run as phase kernels -- the solo path is a phase of one
+-- and this file pins each layer of them against an independent reference:
 
-* **Bit identity** -- the batch kernels (`_rerank_batch`,
-  `_fetch_documents_batch`) reproduce the scalar walk exactly: ids,
-  distances AND decoded document text (property-tested over random
-  databases, corpus and corpus-free);
-* **Energy invariant** -- batching shares host work, never charges:
-  the TLC sense counters (``page_reads_tlc``) and the ECC decode
-  counter equal the sequential walk's, even when queries share pages
-  (:meth:`_bill_shared_tlc_senses` compensates the physical senses);
+* **Kernels vs brute force** -- `_rerank_batch` against INT8 distances
+  over the host mirror and `_fetch_documents_batch` against the deployed
+  corpus, one-query and 64-query phases, cold and with a partially filled
+  page cache;
+* **Billing vs a pure-Python reference** -- `_bill_tlc_phase` charges each
+  query its own unique pages and (page, codeword) pairs, straddling
+  codewords, cached pages and zero-length reads included;
+* **Sense in place** -- `Plane.read_page(out=row)` draws the same errors,
+  leaves the same latch contents and counters as the allocating read;
+* **In-place ECC** -- :meth:`EccEngine.correct_batch` equals the per-page
+  :meth:`EccEngine.correct` loop, outputs and counters, hinted and
+  unhinted, cancelling double flips and uncorrectable codewords included;
+* **Phase of N == N phases of one** -- ids, distances, decoded document
+  text and the per-query energy counters (``page_reads_tlc``, ECC decoded
+  bytes) do not depend on how queries are grouped;
 * **One call per batch** -- the host profiler sees exactly one
-  rerank/documents phase entry per batch;
-* **Vectorized ECC** -- :meth:`EccEngine.correct_batch` equals the
-  per-page :meth:`EccEngine.correct` loop, outputs and counters,
-  hinted and unhinted, correctable and uncorrectable;
-* **Zero-length reads bill zero codewords** -- the `_read_corrected`
-  regression (``max(byte_len, 1)`` used to charge one codeword for a
-  read that moves nothing).
+  rerank/documents phase entry per batch.
 """
 
 import numpy as np
@@ -28,10 +29,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.api import ReisDevice
 from repro.core.batch import BatchExecutor
 from repro.core.config import tiny_config
-from repro.core.costing import PhaseCost
+from repro.core.engine import _TlcPages
 from repro.core.plan import SearchStats
+from repro.core.registry import TtlBlock
 from repro.host.profile import HostProfile
+from repro.nand.cell import CellMode
 from repro.nand.ecc import EccEngine
+from repro.nand.errors import BitErrorModel
+from repro.nand.plane import Plane
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
@@ -52,7 +57,7 @@ def _chunk_corpus(n, seed):
 
 
 class TestTlcBatchBitIdentity:
-    """Batched TLC phases == the scalar walk, including document text."""
+    """A phase of N queries == N phases of one, including document text."""
 
     @given(
         st.tuples(
@@ -101,7 +106,7 @@ class TestTlcBatchBitIdentity:
         self, small_vectors, small_corpus, small_queries
     ):
         """Cross-query page sharing shares work, never charges: the TLC
-        sense and ECC decode counters equal the sequential walk's."""
+        sense and ECC decode counters equal one-query-at-a-time serving."""
         vectors, _ = small_vectors
 
         def run(batched):
@@ -204,6 +209,50 @@ class TestCorrectBatchEquivalence:
         assert batch.corrected_bits == solo.corrected_bits
         assert batch.uncorrectable_codewords == solo.uncorrectable_codewords
 
+    @given(
+        st.lists(  # per page: bit positions the injector hits (may repeat)
+            st.tuples(
+                st.lists(st.integers(0, 8 * 3000 - 1), max_size=12),
+                st.sampled_from([0, 0, 80, 200]),  # extra flips in codeword 0
+            ),
+            max_size=4,
+        ),
+        st.sampled_from([3000, 4096]),
+        st.integers(0, 10**6),
+    )
+    @SETTINGS
+    def test_in_place_restore_matches_per_page(self, flip_sets, page_bytes, seed):
+        """Injector-shaped flip sets: a bit hit twice cancels (its byte is
+        still hinted), >72 flips in one codeword stay corrupt and are
+        counted, and an empty page list is a no-op."""
+        rng = np.random.default_rng(seed)
+        n_pages = len(flip_sets)
+        goldens = rng.integers(0, 256, size=(n_pages, page_bytes)).astype(np.uint8)
+        raws = goldens.copy()
+        hints = []
+        for i, (bits, burst) in enumerate(flip_sets):
+            positions = np.concatenate(
+                [np.array(bits, dtype=np.int64), rng.integers(0, 8 * 2048, burst)]
+            )
+            np.bitwise_xor.at(
+                raws[i], positions >> 3,
+                (np.uint8(1) << (positions & 7).astype(np.uint8)),
+            )
+            hints.append(positions >> 3)
+
+        solo, batch = EccEngine(), EccEngine()
+        expected = [
+            solo.correct(raws[i], goldens[i], candidate_bytes=hints[i])
+            for i in range(n_pages)
+        ]
+        got = batch.correct_batch(raws, list(goldens), hints)
+        assert got is raws  # corrected in place
+        for i in range(n_pages):
+            assert np.array_equal(raws[i], expected[i])
+        assert batch.decoded_bytes == solo.decoded_bytes
+        assert batch.corrected_bits == solo.corrected_bits
+        assert batch.uncorrectable_codewords == solo.uncorrectable_codewords
+
     def test_empty_stack_is_a_noop(self):
         ecc = EccEngine()
         out = ecc.correct_batch(
@@ -214,8 +263,8 @@ class TestCorrectBatchEquivalence:
         assert ecc.decoded_bytes == 0
 
     def test_odd_page_width_falls_back_per_page(self):
-        # 3000 bytes is not a codeword multiple: the fallback loop must
-        # still match the per-page path exactly.
+        # 3000 bytes is not a codeword multiple: each page ends on a short
+        # codeword, exactly as on the per-page path.
         raws, goldens, hints = self._page_stack(3, 3000, [0, 5, 90], seed=7)
         solo, batch = EccEngine(), EccEngine()
         expected = np.stack(
@@ -228,35 +277,248 @@ class TestCorrectBatchEquivalence:
         assert batch.uncorrectable_codewords == solo.uncorrectable_codewords
 
 
+def _pages(plane_of, channel_of, page_id_of, cached, hit_nbytes=None):
+    """Hand-built billing columns (the page bytes are not billing's business)."""
+    n = len(plane_of)
+    if hit_nbytes is None:
+        hit_nbytes = np.where(cached, 16384 + 2208, 0)
+    return _TlcPages(
+        np.empty((n, 0), dtype=np.uint8),
+        np.asarray(plane_of), np.asarray(channel_of), np.asarray(page_id_of),
+        np.asarray(cached, dtype=bool), np.asarray(hit_nbytes),
+    )
+
+
+def _bill(engine, rows, pages, n_queries):
+    """Run `_bill_tlc_phase` over (query, page row, first cw, last cw) rows."""
+    seg, page_row, first_cw, last_cw = (
+        np.array(col, dtype=np.int64) for col in zip(*rows)
+    )
+    stats = [SearchStats() for _ in range(n_queries)]
+    costs = engine._bill_tlc_phase(
+        "probe", seg, page_row, first_cw, last_cw, pages, stats
+    )
+    return costs, stats
+
+
 class TestZeroLengthReadBilling:
-    """A zero-length `_read_corrected` moves nothing across the channel."""
+    """A zero-length read senses its page but moves nothing over the channel."""
 
-    def test_zero_length_read_bills_no_codewords(self, deployed_device):
-        device, db_id = deployed_device
-        engine = device.engine
-        db = device.database(db_id)
-        region = db.int8_region
-        base_channel = engine.ssd.counters["channel_bytes"]
-
-        cost = PhaseCost(name="probe", read_mode="tlc", with_compute=False)
-        stats = SearchStats()
-        engine._read_corrected(region, 0, cost, stats, byte_start=0, byte_len=0)
-        # The sense itself is still billed...
-        assert stats.pages_read == 1
-        assert sum(cost.pages_per_plane.values()) == 1
-        # ...but no codeword crosses the channel and nothing is decoded.
-        assert cost.ecc_bytes == 0
-        assert cost.channel_bytes == {}
-        assert engine.ssd.counters["channel_bytes"] == base_channel
-
-    def test_one_byte_read_still_bills_one_codeword(self, deployed_device):
-        device, db_id = deployed_device
-        engine = device.engine
-        db = device.database(db_id)
-        cw = engine.ssd.ecc.config.codeword_bytes
-        cost = PhaseCost(name="probe", read_mode="tlc", with_compute=False)
-        engine._read_corrected(
-            db.int8_region, 0, cost, SearchStats(), byte_start=0, byte_len=1
+    def test_zero_length_read_bills_no_codewords(self):
+        engine = ReisDevice(tiny_config("ZERO")).engine
+        costs, stats = _bill(
+            engine, [(0, 0, 0, -1)], _pages([3], [1], [77], [False]), 1
         )
-        assert cost.ecc_bytes == cw
-        assert sum(cost.channel_bytes.values()) == cw
+        # The sense itself is still billed...
+        assert stats[0].pages_read == 1
+        assert costs[0].pages_per_plane == {3: 1}
+        # ...but no codeword crosses the channel and nothing is decoded.
+        assert costs[0].ecc_bytes == 0
+        assert costs[0].channel_bytes == {}
+        assert engine.ssd.counters["channel_bytes"] == 0
+
+    def test_one_byte_read_still_bills_one_codeword(self):
+        engine = ReisDevice(tiny_config("ONE-BYTE")).engine
+        cw = engine.ssd.ecc.config.codeword_bytes
+        costs, _stats = _bill(
+            engine, [(0, 0, 0, 0)], _pages([3], [1], [77], [False]), 1
+        )
+        assert costs[0].ecc_bytes == cw
+        assert costs[0].channel_bytes == {1: cw}
+        assert engine.ssd.counters["channel_bytes"] == cw
+
+
+class TestBillTlcPhaseAgainstReference:
+    """`_bill_tlc_phase` == a per-query pure-Python walk of the same rows."""
+
+    @given(
+        st.lists(  # rows: (query, page, first codeword, codewords read)
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 4),
+                st.integers(0, 7), st.integers(0, 3),
+            ),
+            min_size=1, max_size=30,
+        ),
+        st.lists(st.booleans(), min_size=5, max_size=5),  # page cached?
+        st.integers(0, 10**6),
+    )
+    @SETTINGS
+    def test_matches_per_query_walk(self, raw_rows, cached_of_label, seed):
+        engine = ReisDevice(tiny_config("BILL")).engine
+        geometry = engine.geometry
+        cw = engine.ssd.ecc.config.codeword_bytes
+        rng = np.random.default_rng(seed)
+        # Query-major rows over the pages they actually touch; a read of n
+        # codewords starting near the page end is clipped to the page.
+        raw_rows = sorted(raw_rows, key=lambda row: row[0])
+        labels = sorted({row[1] for row in raw_rows})
+        rows = [
+            (q, labels.index(page), first, min(first + n, 8) - 1)
+            for q, page, first, n in raw_rows
+        ]
+        n_pages = len(labels)
+        plane_of = rng.integers(0, geometry.total_planes, n_pages)
+        channel_of = rng.integers(0, geometry.channels, n_pages)
+        page_id_of = 1000 + rng.permutation(n_pages)
+        cached = np.array([cached_of_label[label] for label in labels])
+        pages = _pages(plane_of, channel_of, page_id_of, cached)
+        before = engine.ssd.counters.as_dict()
+        decoded_before = engine.ssd.ecc.decoded_bytes
+        costs, stats = _bill(engine, rows, pages, 4)
+
+        sensed_visits = 0
+        for qi in range(4):
+            mine = [row for row in rows if row[0] == qi]
+            touched = list(dict.fromkeys(row[1] for row in mine))
+            per_plane, ids, hits = {}, {}, 0
+            for page in touched:
+                if cached[page]:
+                    hits += 1
+                    continue
+                plane = int(plane_of[page])
+                per_plane[plane] = per_plane.get(plane, 0) + 1
+                ids.setdefault(plane, []).append(int(page_id_of[page]))
+            codewords = {
+                (page, c)
+                for _q, page, first, last in mine if not cached[page]
+                for c in range(first, last + 1)
+            }
+            channel_bytes = {}
+            for page, _c in codewords:
+                channel = int(channel_of[page])
+                channel_bytes[channel] = channel_bytes.get(channel, 0) + cw
+            sensed_visits += len(touched) - hits
+            assert costs[qi].pages_per_plane == per_plane
+            assert costs[qi].sensed_page_ids == ids
+            assert costs[qi].channel_bytes == channel_bytes
+            assert costs[qi].ecc_bytes == len(codewords) * cw
+            assert stats[qi].pages_read == len(touched) - hits
+            assert stats[qi].cache_hits == hits
+            assert costs[qi].dram_bytes == hits * (16384 + 2208)
+            assert sum(v for v, _s in costs[qi].dram_streams.values()) == hits
+        # Device counters: every query pays its own senses; the phase
+        # itself sensed each uncached page once (outside this helper).
+        after = engine.ssd.counters.as_dict()
+        shared = sensed_visits - int((~cached).sum())
+        assert after.get("page_reads_tlc", 0) - before.get("page_reads_tlc", 0) == shared
+        assert engine.ssd.ecc.decoded_bytes - decoded_before == shared * geometry.page_bytes
+        assert after.get("channel_bytes", 0) - before.get("channel_bytes", 0) == sum(
+            cost.ecc_bytes for cost in costs
+        )
+
+
+class TestSenseInPlace:
+    """`read_page(out=row)` is the allocating read written somewhere else:
+    the per-plane error stream, latch contents and counters are pinned."""
+
+    def test_same_stream_latches_and_counters(self):
+        page_bytes, oob_bytes = 16384, 64
+
+        def make_plane():
+            plane = Plane(
+                0, blocks_per_plane=2, pages_per_block=3,
+                page_bytes=page_bytes, oob_bytes=oob_bytes,
+                error_model=BitErrorModel(seed="in-place"),
+            )
+            plane.blocks[0].set_mode(CellMode.SLC_ESP)
+            rng = np.random.default_rng(3)
+            for block in range(2):
+                for page in range(3):
+                    plane.program_page(
+                        block, page,
+                        rng.integers(0, 256, page_bytes - 100 * page).astype(np.uint8),
+                        rng.integers(0, 256, oob_bytes // 2).astype(np.uint8),
+                    )
+            return plane
+
+        plain, in_place = make_plane(), make_plane()
+        stack = np.full((8, page_bytes), 0xAB, dtype=np.uint8)
+        sequence = [(1, 0), (0, 0), (1, 1), (1, 0), (0, 2), (1, 2), (0, 1), (1, 1)]
+        n_flipped = 0
+        for row, (block, page) in enumerate(sequence):
+            data, oob = plain.read_page(block, page)
+            got, got_oob = in_place.read_page(block, page, out=stack[row])
+            assert got is not data and np.shares_memory(got, stack[row])
+            assert np.array_equal(stack[row], data)
+            assert np.array_equal(got_oob, oob)
+            assert np.array_equal(
+                in_place.last_flipped_bytes, plain.last_flipped_bytes
+            )
+            assert np.array_equal(in_place.buffer.sensing, plain.buffer.sensing)
+            assert np.array_equal(in_place.buffer.oob, plain.buffer.oob)
+            golden = plain.golden_view(block, page)[0]
+            if block == 0:  # ESP-SLC reads are error-free
+                assert np.array_equal(data, golden)
+            n_flipped += int((data != golden).sum())
+        assert n_flipped > 0  # the TLC reads really were noisy
+        assert in_place.counters.as_dict() == plain.counters.as_dict()
+
+
+class TestTlcKernelsAgainstBruteForce:
+    """The rerank kernel == brute-force INT8 distances over the host mirror
+    and the document kernel == the deployed corpus, for one-query and
+    64-query phases, cold and with a partially filled page cache."""
+
+    N, DIM, K = 600, 64, 7
+
+    @pytest.mark.parametrize("n_queries", [1, 64])
+    @pytest.mark.parametrize("warm_cache", [False, True])
+    def test_rerank_and_documents(self, n_queries, warm_cache):
+        vectors, _ = make_clustered_embeddings(self.N, self.DIM, 6, seed="tlc-bf")
+        corpus = _chunk_corpus(self.N, 5)
+        device = ReisDevice(tiny_config(f"TLC-BF-{n_queries}-{warm_cache}"))
+        db_id = device.ivf_deploy("bf", vectors, nlist=6, corpus=corpus, seed=0)
+        db = device.database(db_id)
+        engine = device.engine
+        queries = make_queries(vectors, n_queries, seed="tlc-bf-q")
+        assert db.int8_region.n_pages >= 3 and db.document_region.n_pages >= 2
+
+        def mirror_page_zero(region, kind):
+            """Leave only page 0 of `region` resident: the rest will miss."""
+            if warm_cache:
+                device.enable_page_cache(2 * (16384 + 2208))
+                engine._materialize_tlc_batch(region, np.zeros(1, np.int64), kind)
+                assert len(device.page_cache) == 1
+
+        # Host mirror in slot order (a fresh deploy has RADR == DADR == slot).
+        slot_codes = db.int8_quantizer.encode(vectors)[db.slot_to_original]
+        query_codes = db.int8_quantizer.encode(queries).astype(np.int64)
+        rng = np.random.default_rng(n_queries)
+        sizes = rng.integers(0, 50, n_queries)
+        sizes[0] = 50
+        slots = [rng.choice(self.N, size, replace=False) for size in sizes]
+        shortlists = [
+            TtlBlock(
+                np.zeros(len(s), dtype=np.int64),
+                np.zeros((len(s), db.code_bytes), dtype=np.uint8),
+                radrs=s, dadrs=s,
+            )
+            for s in slots
+        ]
+        mirror_page_zero(db.int8_region, "cluster")
+        rerank_stats = [SearchStats() for _ in range(n_queries)]
+        outs = engine._rerank_batch(
+            db, queries, shortlists, [self.K] * n_queries, rerank_stats
+        )
+        winners = []
+        for qi, (distances, dadrs, radrs, _cost) in enumerate(outs):
+            diff = slot_codes[slots[qi]].astype(np.int64) - query_codes[qi]
+            exact = (diff * diff).sum(axis=1)
+            top = np.argsort(exact, kind="stable")[: self.K]
+            assert distances.tolist() == exact[top].tolist()
+            assert radrs.tolist() == dadrs.tolist() == slots[qi][top].tolist()
+            winners.append(dadrs)
+
+        # Decode through the flash payloads, not the corpus shortcut.
+        db.corpus = None
+        mirror_page_zero(db.document_region, "document")
+        document_stats = [SearchStats() for _ in range(n_queries)]
+        fetched = engine._fetch_documents_batch(db, winners, document_stats)
+        for dadrs, (documents, _cost, host_s) in zip(winners, fetched):
+            ids = db.slot_to_original[dadrs].tolist()
+            assert [doc.chunk_id for doc in documents] == ids
+            assert [doc.text for doc in documents] == [corpus[i].text for i in ids]
+            assert (host_s > 0) == bool(len(dadrs))
+        for stats in (rerank_stats, document_stats):
+            assert sum(s.pages_read for s in stats) > 0
+            assert (sum(s.cache_hits for s in stats) > 0) == warm_cache
