@@ -1,10 +1,11 @@
 """Serving throughput: page-major batched execution vs the sequential loop.
 
 The batch executor keeps a resident batch on the device and serves the scan
-phases page-major: a :class:`~repro.core.plan.PageSchedule` maps each page
-the batch touches to every query scan that wants it, the device senses each
-scheduled page once, and the vectorized kernel drains all interested
-queries against the latched data.  This benchmark sweeps the batch size
+phases page-major: the page schedule (:func:`~repro.core.plan.schedule_order`
+/ :func:`~repro.core.plan.schedule_senses`) maps each page the batch touches
+to every query scan that wants it, the device senses each scheduled page
+once, and the vectorized kernel drains all interested queries against the
+latched data.  This benchmark sweeps the batch size
 over {1, 4, 16, 64} and records, for each point, the sequential serving
 time (sum of solo latencies), the batched wall clock, both throughputs,
 the schedule's sense counts, and the **host wall-clock** of the simulator
@@ -26,7 +27,8 @@ Invariants asserted:
 * batched QPS is never below sequential QPS at any batch size;
 * at batch 16 the speedup is a measurable margin; at batch 64 it holds the
   PR-2 level (>= 4.9x, no regression);
-* batched results remain bit-identical to the sequential path;
+* a query's result does not depend on its batch (batch of N == N batches
+  of one, bit for bit);
 * the schedule optimizer never performs more senses, and never yields a
   slower modeled batch, than the unoptimized query-major order;
 * under overload, queue-formed batches beat batch-size-1 QPS while the
@@ -270,7 +272,7 @@ def run_serving_sweep():
         wall_start = time.perf_counter()
         batch = device.ivf_search(db_id, queries[:batch_size], k=K, nprobe=NPROBE)
         host_wall = time.perf_counter() - wall_start
-        # Bit-identity with the sequential path, per query (not timed).
+        # A query's result does not depend on its batch (not timed).
         for query, result in zip(queries[:batch_size], batch):
             solo = device.engine.search(db, query, k=K, nprobe=NPROBE)
             assert np.array_equal(solo.ids, result.ids)

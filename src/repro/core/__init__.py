@@ -12,10 +12,11 @@ retrieval system of Sec. 4:
 * :mod:`repro.core.registry` -- R-DB, R-IVF and the Temporal Top Lists.
 * :mod:`repro.core.commands` -- the NAND command-set extensions (Table 2).
 * :mod:`repro.core.engine` -- the in-storage ANNS engine (Sec. 4.3).
-* :mod:`repro.core.plan` -- composable query plans (the five-phase
-  schedule as data) and the sequential executor.
-* :mod:`repro.core.batch` -- the batched multi-query executor with
-  die/channel-occupancy costing.
+* :mod:`repro.core.plan` -- the query plan (one batch's resolved search
+  parameters, the five-phase schedule as data) and the array page
+  schedule.
+* :mod:`repro.core.batch` -- the batch executor, the only execution path
+  (a solo query is a batch of one), with die/channel-occupancy costing.
 * :mod:`repro.core.queue` -- the async host submission queue:
   deadline/occupancy batch forming with per-tenant fairness on a
   simulated clock.
@@ -54,22 +55,7 @@ from repro.core.config import (
 )
 from repro.core.defrag import DefragmentationError, Defragmenter, DefragResult
 from repro.core.engine import InStorageAnnsEngine, ReisQueryResult, SearchStats
-from repro.core.plan import (
-    BroadcastStage,
-    CoarseStage,
-    DocumentStage,
-    FineStage,
-    MergeStage,
-    PageRequest,
-    PageSchedule,
-    PlanExecutor,
-    PlanStage,
-    QueryPlan,
-    RerankStage,
-    build_page_schedule,
-    build_query_plan,
-    validate_queries,
-)
+from repro.core.plan import QueryPlan, build_query_plan, validate_queries
 from repro.core.queue import (
     BatchFormer,
     FormingEstimate,
@@ -91,7 +77,6 @@ from repro.core.shard import (
     MergeCostModel,
     ShardAssignment,
     ShardedBatchExecutor,
-    ShardedBatchFormer,
     ShardedDatabase,
     ShardRouter,
     ShardUnavailableError,
@@ -123,7 +108,6 @@ __all__ = [
     "BatchFormer",
     "BatchSearchResult",
     "BatchStats",
-    "BroadcastStage",
     "FormingEstimate",
     "QueueAdmissionError",
     "QueuePolicy",
@@ -134,16 +118,7 @@ __all__ = [
     "Submission",
     "SubmissionQueue",
     "CapacityError",
-    "CoarseStage",
-    "DocumentStage",
-    "FineStage",
-    "PageRequest",
-    "PageSchedule",
-    "PlanExecutor",
-    "PlanStage",
     "QueryPlan",
-    "RerankStage",
-    "build_page_schedule",
     "build_query_plan",
     "validate_queries",
     "DatabaseDeployer",
@@ -156,14 +131,12 @@ __all__ = [
     "EngineParams",
     "KILL_BARRIERS",
     "MergeCostModel",
-    "MergeStage",
     "MigrationResult",
     "ScheduleAccounting",
     "ShardAssignment",
     "ShardRouter",
     "ShardUnavailableError",
     "ShardedBatchExecutor",
-    "ShardedBatchFormer",
     "ShardedDatabase",
     "ShardedReisDevice",
     "ShardedScheduler",

@@ -25,6 +25,7 @@ scale through the analytic model, which is how the end-to-end comparisons
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -43,11 +44,10 @@ from repro.core.layout import (
     fit_deployment_codecs,
 )
 from repro.core.plan import validate_queries
-from repro.core.queue import QueuePolicy, SubmissionQueue
+from repro.core.queue import BatchFormer, QueuePolicy, SubmissionQueue
 from repro.core.shard import (
     MergeCostModel,
     ShardedBatchExecutor,
-    ShardedBatchFormer,
     ShardedDatabase,
     ShardRouter,
     ShardUnavailableError,
@@ -923,11 +923,10 @@ class ShardedReisDevice:
         """An async submission queue draining into the shard router.
 
         Batch forming (deadlines, occupancy, per-tenant fairness) is the
-        same host-side machinery as on one device -- the occupancy
-        estimate anchors on the first active shard's layout, admission
-        only -- and each formed batch executes across every shard with
-        distance-merged results, so fairness and deadlines work
-        cluster-wide.
+        same host-side machinery as on one device, its occupancy estimate
+        taken over every live shard's layout (:meth:`_former`), and each
+        formed batch executes across every shard with distance-merged
+        results, so fairness and deadlines work cluster-wide.
         """
         sdb = self.database(db_id)
         if nprobe is not None and not sdb.is_ivf:
@@ -941,7 +940,15 @@ class ShardedReisDevice:
             metadata_filter=metadata_filter,
             policy=queue_policy, clock=clock,
             executor=ShardedBatchExecutor(self.router, sdb),
-            former=ShardedBatchFormer(self.router, sdb, nprobe, queue_policy),
+            former=self._former(sdb, nprobe, queue_policy),
+        )
+
+    def _former(
+        self, sdb: ShardedDatabase, nprobe: Optional[int], policy: QueuePolicy
+    ) -> BatchFormer:
+        """Occupancy forming over the router's live view of ``sdb``."""
+        return BatchFormer(
+            partial(self.router.forming_views, sdb), sdb.n_clusters, nprobe, policy
         )
 
     def ingest_coordinator(self, db_id: int) -> ShardedIngestCoordinator:
@@ -985,7 +992,7 @@ class ShardedReisDevice:
             policy=queue_policy, clock=clock,
             executor=ShardedBatchExecutor(self.router, sdb),
             manager=self.ingest_coordinator(db_id),
-            former=ShardedBatchFormer(self.router, sdb, nprobe, queue_policy),
+            former=self._former(sdb, nprobe, queue_policy),
         )
 
     def resolve_nprobe(self, db_id: int, recall_target: float) -> int:

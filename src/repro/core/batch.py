@@ -1,12 +1,12 @@
 """Batched multi-query serving: one device, many concurrent queries.
 
-The seed served batches as a sequential loop and charged each query as if
-the device were idle between them.  PR 2 added the joint cost model; this
-module now executes batches **page-major** so the functional simulator,
-the command traces, the energy counters and the cost model all tell the
-same story: the paper's "one sense, N distance extractions".
+A batch is the only unit of execution: a solo ``search`` is a batch of
+one.  Batches execute **page-major** so the functional simulator, the
+command traces, the energy counters and the cost model all tell the same
+story: the paper's "one sense, N distance extractions".
 
-:class:`BatchExecutor` works phase by phase:
+:class:`BatchExecutor` runs the one :class:`~repro.core.plan.QueryPlan`
+of a batch phase by phase:
 
 * **Scan phases (coarse, fine)** are driven by a columnar task table
   (:class:`ScanTasks`): the union of pages the batch touches, each mapped
@@ -20,15 +20,18 @@ same story: the paper's "one sense, N distance extractions".
   every request for a page into one run (maximum collisions); without
   it, requests stay in query order and only accidental adjacency shares
   a sense.
-* **Arrival-order TTLs** keep results bit-identical to the sequential
-  path: the kernel hands every query its surviving rows in the query's
-  own scan order and bills it the visits, channel transfers and
-  per-page quickselects of that order, so reordering page service
-  across queries changes *when* a page is sensed, never *what* any
-  query computes from it or pays for it.
-* **Rerank and document phases** stay query-major (their page reads go
-  through the controller's ECC path, not the in-die scan kernel); the
-  joint cost model still amortizes their page identities.
+* **Arrival-order TTLs** make a query's result independent of its batch:
+  the kernel hands every query its surviving rows in the query's own
+  scan order and bills it the visits, channel transfers and per-page
+  quickselects of that order, so reordering page service across queries
+  changes *when* a page is sensed, never *what* any query computes from
+  it or pays for it.
+* **Rerank and document phases** are page-major too: every query's
+  shortlist (or winner DADRs) goes through one shared functional pass --
+  each batch-unique TLC page sensed and ECC-corrected once, one distance
+  einsum -- while charges stay per query
+  (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch` /
+  :meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`).
 
 Cost composition is joint: per-query :class:`PhaseCost` records are merged
 by :func:`~repro.core.costing.compose_batch_phase` into per-plane /
@@ -51,11 +54,9 @@ import numpy as np
 from repro.core.costing import BatchPhaseBreakdown, PhaseCost, compose_batch_phase
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
-    DocumentStage,
     PlanContext,
     QueryPlan,
     ReisQueryResult,
-    RerankStage,
     build_query_plan,
     finalize_query_result,
 )
@@ -220,8 +221,7 @@ class _FineScanState:
     """
 
     threshold: Optional[int]
-    fine_stages: Sequence[object]  # FineStage per query
-    shortlist_sizes: List[int]
+    plan: QueryPlan
     costs: List[PhaseCost]
     ttls: List[TemporalTopList]
     ranges_per_query: List[List[Tuple[int, int]]]
@@ -242,8 +242,7 @@ def tasks_from_ranges(
 ) -> ScanTasks:
     """Vectorized page/window expansion of many (query, slot-range) demands.
 
-    The single source of the slot-to-page arithmetic (the solo scan and
-    the batch drivers both build their demands here): range ``r`` covering
+    The single source of the slot-to-page arithmetic: range ``r`` covering
     slots ``[firsts[r], lasts[r]]`` expands to its pages ``firsts[r]//spp
     .. lasts[r]//spp`` with unclamped window bounds relative to each page
     (the kernel clamps to the page's valid slots; empty ranges are
@@ -275,13 +274,6 @@ def tasks_from_ranges(
 
 class BatchExecutor:
     """Serves a batch of queries concurrently against one device."""
-
-    # The page-major driver dispatches on these stage names; a plan
-    # carrying anything else must be executed sequentially (PlanExecutor),
-    # never silently dropped.
-    SERVICEABLE_STAGES = frozenset(
-        ("ibc", "coarse", "fine", "rerank", "documents")
-    )
 
     def __init__(self, engine: "InStorageAnnsEngine") -> None:
         self.engine = engine
@@ -316,7 +308,7 @@ class BatchExecutor:
     def _coarse_scan(
         self,
         db: DeployedDatabase,
-        plans: Sequence[QueryPlan],
+        plan: QueryPlan,
         ctxs: Sequence[PlanContext],
         stats: BatchStats,
         scheduled_senses: Dict[str, Dict[int, int]],
@@ -330,17 +322,13 @@ class BatchExecutor:
         engine = self.engine
         region = db.centroid_region
         assert region is not None
-        nprobes = [
-            next(s.nprobe for s in plan.stages if s.name == "coarse")
-            for plan in plans
-        ]
+        n_queries = len(ctxs)
         entry_bytes = engine.params.coarse_entry_bytes(db.code_bytes)
-        costs = [PhaseCost(name="coarse", with_compute=True) for _ in plans]
+        costs = [PhaseCost(name="coarse", with_compute=True) for _ in ctxs]
         ttls = [
             TemporalTopList("c", entry_bytes, dram=engine.ssd.dram)
-            for _ in plans
+            for _ in ctxs
         ]
-        n_queries = len(ctxs)
         tasks = tasks_from_ranges(
             region,
             np.arange(n_queries, dtype=np.int64),
@@ -350,7 +338,7 @@ class BatchExecutor:
             filters=[None] * n_queries,
         )
         self._serve_scan_phase(
-            db, tasks, "coarse", ctxs, ttls, costs, nprobes,
+            db, tasks, "coarse", ctxs, ttls, costs, [plan.nprobe] * n_queries,
             stats, scheduled_senses,
         )
         for ctx, cost in zip(ctxs, costs):
@@ -360,27 +348,56 @@ class BatchExecutor:
     def _run_coarse_phase(
         self,
         db: DeployedDatabase,
-        plans: Sequence[QueryPlan],
+        plan: QueryPlan,
         ctxs: Sequence[PlanContext],
         stats: BatchStats,
         scheduled_senses: Dict[str, Dict[int, int]],
     ) -> None:
         """Page-major coarse search: all queries sweep the centroid region."""
         engine = self.engine
-        nprobes = [
-            next(s.nprobe for s in plan.stages if s.name == "coarse")
-            for plan in plans
-        ]
-        ttls = self._coarse_scan(db, plans, ctxs, stats, scheduled_senses)
-        for qi, ctx in enumerate(ctxs):
+        ttls = self._coarse_scan(db, plan, ctxs, stats, scheduled_senses)
+        for ctx, ttl in zip(ctxs, ttls):
             ctx.clusters = engine.select_clusters(
-                db, ttls[qi], nprobes[qi], ctx.phase_costs["coarse"], ctx.stats
+                db, ttl, plan.nprobe, ctx.phase_costs["coarse"], ctx.stats
             )
+
+    def _serve_fine_ranges(
+        self,
+        db: DeployedDatabase,
+        state: "_FineScanState",
+        queries: Sequence[int],
+        threshold: Optional[int],
+        ctxs: Sequence[PlanContext],
+        stats: BatchStats,
+        scheduled_senses: Dict[str, Dict[int, int]],
+    ) -> None:
+        """One shared fine schedule over the slot ranges of ``queries``."""
+        n_queries = len(ctxs)
+        query_of_range: List[int] = []
+        firsts: List[int] = []
+        lasts: List[int] = []
+        for qi in queries:
+            for first, last in state.ranges_per_query[qi]:
+                query_of_range.append(qi)
+                firsts.append(first)
+                lasts.append(last)
+        tasks = tasks_from_ranges(
+            db.embedding_region,
+            np.asarray(query_of_range, dtype=np.int64),
+            np.asarray(firsts, dtype=np.int64),
+            np.asarray(lasts, dtype=np.int64),
+            threshold=threshold,
+            filters=[state.plan.metadata_filter] * n_queries,
+        )
+        self._serve_scan_phase(
+            db, tasks, "fine", ctxs, state.ttls, state.costs,
+            [state.plan.shortlist_size] * n_queries, stats, scheduled_senses,
+        )
 
     def _fine_scan(
         self,
         db: DeployedDatabase,
-        plans: Sequence[QueryPlan],
+        plan: QueryPlan,
         ctxs: Sequence[PlanContext],
         stats: BatchStats,
         scheduled_senses: Dict[str, Dict[int, int]],
@@ -393,59 +410,36 @@ class BatchExecutor:
         as one device scanning everything would).
         """
         engine = self.engine
-        region = db.embedding_region
-        fine_stages = [
-            next(s for s in plan.stages if s.name == "fine") for plan in plans
-        ]
-        shortlist_sizes = [stage.shortlist_size for stage in fine_stages]
         entry_bytes = engine.params.fine_entry_bytes(db.code_bytes)
-        threshold = (
-            db.filter_threshold if engine.flags.distance_filtering else None
+        state = _FineScanState(
+            threshold=(
+                db.filter_threshold if engine.flags.distance_filtering else None
+            ),
+            plan=plan,
+            costs=[
+                PhaseCost(
+                    name="fine",
+                    with_compute=True,
+                    with_filter=engine.flags.distance_filtering,
+                )
+                for _ in ctxs
+            ],
+            ttls=[
+                TemporalTopList("e", entry_bytes, dram=engine.ssd.dram)
+                for _ in ctxs
+            ],
+            ranges_per_query=[
+                engine._slot_ranges(db, ctx.clusters) for ctx in ctxs
+            ],
         )
-        costs = [
-            PhaseCost(
-                name="fine",
-                with_compute=True,
-                with_filter=engine.flags.distance_filtering,
-            )
-            for _ in plans
-        ]
-        ttls = [
-            TemporalTopList("e", entry_bytes, dram=engine.ssd.dram)
-            for _ in plans
-        ]
-        ranges_per_query = [
-            engine._slot_ranges(db, ctx.clusters) for ctx in ctxs
-        ]
-        query_of_range: List[int] = []
-        firsts: List[int] = []
-        lasts: List[int] = []
-        for qi, ctx in enumerate(ctxs):
-            for first, last in ranges_per_query[qi]:
+        for ctx, ranges in zip(ctxs, state.ranges_per_query):
+            for first, last in ranges:
                 ctx.stats.candidates += last - first + 1
-                query_of_range.append(qi)
-                firsts.append(first)
-                lasts.append(last)
-        tasks = tasks_from_ranges(
-            region,
-            np.asarray(query_of_range, dtype=np.int64),
-            np.asarray(firsts, dtype=np.int64),
-            np.asarray(lasts, dtype=np.int64),
-            threshold=threshold,
-            filters=[stage.metadata_filter for stage in fine_stages],
+        self._serve_fine_ranges(
+            db, state, range(len(ctxs)), state.threshold,
+            ctxs, stats, scheduled_senses,
         )
-        self._serve_scan_phase(
-            db, tasks, "fine", ctxs, ttls, costs, shortlist_sizes,
-            stats, scheduled_senses,
-        )
-        return _FineScanState(
-            threshold=threshold,
-            fine_stages=fine_stages,
-            shortlist_sizes=shortlist_sizes,
-            costs=costs,
-            ttls=ttls,
-            ranges_per_query=ranges_per_query,
-        )
+        return state
 
     def _fine_retry(
         self,
@@ -456,31 +450,21 @@ class BatchExecutor:
         scheduled_senses: Dict[str, Dict[int, int]],
         retries: Sequence[int],
     ) -> None:
-        """Unfiltered rescan for the given queries, as one shared schedule."""
+        """Unfiltered rescan for the given queries, as one shared schedule.
+
+        The calibrated threshold filtered too aggressively for these
+        queries to return k results; rescanning without it means
+        correctness never depends on the filter (the paper calibrates
+        thresholds so this is rare -- the retry counter lets tests assert
+        exactly that).
+        """
         if not retries:
             return
-        region = db.embedding_region
-        query_of_range: List[int] = []
-        firsts: List[int] = []
-        lasts: List[int] = []
         for qi in retries:
             ctxs[qi].stats.filter_retries += 1
             state.ttls[qi].clear()
-            for first, last in state.ranges_per_query[qi]:
-                query_of_range.append(qi)
-                firsts.append(first)
-                lasts.append(last)
-        retry_tasks = tasks_from_ranges(
-            region,
-            np.asarray(query_of_range, dtype=np.int64),
-            np.asarray(firsts, dtype=np.int64),
-            np.asarray(lasts, dtype=np.int64),
-            threshold=None,
-            filters=[stage.metadata_filter for stage in state.fine_stages],
-        )
-        self._serve_scan_phase(
-            db, retry_tasks, "fine", ctxs, state.ttls, state.costs,
-            state.shortlist_sizes, stats, scheduled_senses,
+        self._serve_fine_ranges(
+            db, state, retries, None, ctxs, stats, scheduled_senses
         )
 
     def _fine_finish(
@@ -490,35 +474,77 @@ class BatchExecutor:
     ) -> None:
         """Final quickselect of every query's TTL-E into its shortlist."""
         engine = self.engine
-        for qi, ctx in enumerate(ctxs):
-            ctx.shortlist = engine.finish_fine_search(
-                state.ttls[qi], state.shortlist_sizes[qi], state.costs[qi]
+        for ctx, ttl, cost in zip(ctxs, state.ttls, state.costs):
+            ctx.shortlist = engine.select_shortlist(
+                ttl, state.plan.shortlist_size, cost
             )
-            ctx.phase_costs["fine"] = state.costs[qi]
+            ctx.phase_costs["fine"] = cost
 
     def _run_fine_phase(
         self,
         db: DeployedDatabase,
-        plans: Sequence[QueryPlan],
+        plan: QueryPlan,
         ctxs: Sequence[PlanContext],
         stats: BatchStats,
         scheduled_senses: Dict[str, Dict[int, int]],
     ) -> None:
         """Page-major fine search, including the per-query filter retry."""
         engine = self.engine
-        state = self._fine_scan(db, plans, ctxs, stats, scheduled_senses)
+        state = self._fine_scan(db, plan, ctxs, stats, scheduled_senses)
         # Queries the calibrated threshold starved below k rescan without
         # filtering -- still as one shared page-major schedule.
         retries = [
             qi
             for qi, ctx in enumerate(ctxs)
             if engine.fine_needs_retry(
-                state.ttls[qi], state.threshold,
-                state.shortlist_sizes[qi], ctx.stats,
+                state.ttls[qi], state.threshold, plan.shortlist_size, ctx.stats
             )
         ]
         self._fine_retry(db, state, ctxs, stats, scheduled_senses, retries)
         self._fine_finish(state, ctxs)
+
+    def _run_rerank_phase(
+        self, db: DeployedDatabase, plan: QueryPlan, ctxs: Sequence[PlanContext]
+    ) -> None:
+        """Page-major rerank: every query's shortlist in one pass.
+
+        Per-query billing and top-k math; the page materialization, the
+        ECC decode and the distance einsum are shared
+        (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`).
+        """
+        outs = self.engine._rerank_batch(
+            db,
+            np.stack([ctx.query for ctx in ctxs]),
+            [ctx.shortlist for ctx in ctxs],
+            [plan.k] * len(ctxs),
+            [ctx.stats for ctx in ctxs],
+        )
+        for ctx, (distances, dadrs, slots, cost) in zip(ctxs, outs):
+            ctx.distances, ctx.dadrs, ctx.slots = distances, dadrs, slots
+            ctx.phase_costs["rerank"] = cost
+
+    def _run_document_phase(
+        self, db: DeployedDatabase, ctxs: Sequence[PlanContext]
+    ) -> None:
+        """Page-major document fetch: every query's winner DADRs in one pass.
+
+        Queries with no winners are skipped (no ``documents`` phase cost is
+        recorded for them); the rest share one functional page pass while
+        keeping per-query charges
+        (:meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`).
+        """
+        active = [ctx for ctx in ctxs if ctx.dadrs.size]
+        if not active:
+            return
+        outs = self.engine._fetch_documents_batch(
+            db,
+            [ctx.dadrs for ctx in active],
+            [ctx.stats for ctx in active],
+        )
+        for ctx, (documents, cost, host_s) in zip(active, outs):
+            ctx.documents = documents
+            ctx.host_seconds = host_s
+            ctx.phase_costs["documents"] = cost
 
     @staticmethod
     def _record_schedule(
@@ -549,52 +575,29 @@ class BatchExecutor:
         nprobe: Optional[int] = None,
         fetch_documents: bool = True,
         metadata_filter: Optional[int] = None,
-    ) -> Tuple[List[QueryPlan], List[PlanContext]]:
-        """Build and validate one serviceable plan + context per query."""
-        engine = self.engine
+    ) -> Tuple[QueryPlan, List[PlanContext]]:
+        """Build the batch's one plan and a context per query."""
+        plan = build_query_plan(
+            self.engine, db, k, nprobe, fetch_documents, metadata_filter
+        )
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        plans = [
-            build_query_plan(
-                engine, db, query, k, nprobe, fetch_documents, metadata_filter
-            )
-            for query in queries
-        ]
-        for plan in plans:
-            unknown = [
-                s.name for s in plan.stages
-                if s.name not in self.SERVICEABLE_STAGES
-            ]
-            if unknown or not {"ibc", "fine"} <= set(plan.stage_names()):
-                raise ValueError(
-                    "page-major batch execution cannot service this plan "
-                    f"(stages {plan.stage_names()}); run it through "
-                    "PlanExecutor instead"
-                )
-        ctxs = [PlanContext(db=plan.db, query=plan.query) for plan in plans]
-        return plans, ctxs
+        return plan, [PlanContext(db=db, query=query) for query in queries]
 
-    def run_ibc(
-        self, plans: Sequence[QueryPlan], ctxs: Sequence[PlanContext]
-    ) -> None:
+    def run_ibc(self, ctxs: Sequence[PlanContext]) -> None:
         """Step 1, batched: encode every query at once, broadcast back to back.
 
-        Bit-identical to running each plan's IBC stage in turn: the binary
-        quantizers encode row-wise (``encode_one(v) == encode(v[None])[0]``)
-        and cache latches are overwrite-only, so only the last broadcast's
-        latch state is ever observable.  Commands, counters and per-query
-        transfer stats account the full sequence.
+        The binary quantizers encode row-wise and cache latches are
+        overwrite-only, so only the last broadcast's latch state is ever
+        observable; commands, counters and per-query transfer stats
+        account the full sequence.
         """
         if not ctxs:
             return
-        for plan in plans:
-            # Preserve the per-stage dispatch's failure mode for plans
-            # without an IBC stage (prepare() normally rejects these).
-            next(s for s in plan.stages if s.name == "ibc")
         db = ctxs[0].db
         codes = db.binary_quantizer.encode(
             np.stack([ctx.query for ctx in ctxs])
         )
-        ibc_seconds = self.engine._input_broadcast_batch(
+        ibc_seconds = self.engine._broadcast_batch(
             codes, [ctx.stats for ctx in ctxs]
         )
         for ctx, code in zip(ctxs, codes):
@@ -611,7 +614,7 @@ class BatchExecutor:
         metadata_filter: Optional[int] = None,
         host_profile: Optional["HostProfile"] = None,
     ) -> BatchExecution:
-        """Serve a batch: plan per query, scan page-major, cost jointly.
+        """Serve a batch: one plan, every phase page-major, cost jointly.
 
         ``host_profile`` opts into host wall-clock accounting per phase
         (:class:`~repro.host.profile.HostProfile`); the default ``None``
@@ -619,43 +622,28 @@ class BatchExecutor:
         """
         engine = self.engine
         with _phase_timer(host_profile, "prepare"):
-            plans, ctxs = self.prepare(
+            plan, ctxs = self.prepare(
                 db, queries, k, nprobe, fetch_documents, metadata_filter
             )
-        stats = BatchStats(n_queries=len(plans), host_profile=host_profile)
+        stats = BatchStats(n_queries=len(ctxs), host_profile=host_profile)
         scheduled_senses: Dict[str, Dict[int, int]] = {}
 
         with _phase_timer(host_profile, "ibc"):
-            self.run_ibc(plans, ctxs)
-
-        # Scan phases run page-major across the whole batch.
-        if plans and any(s.name == "coarse" for s in plans[0].stages):
-            with _phase_timer(host_profile, "coarse"):
-                self._run_coarse_phase(db, plans, ctxs, stats, scheduled_senses)
-        if plans:
+            self.run_ibc(ctxs)
+        if ctxs:
+            if plan.nprobe is not None:
+                with _phase_timer(host_profile, "coarse"):
+                    self._run_coarse_phase(db, plan, ctxs, stats, scheduled_senses)
             with _phase_timer(host_profile, "fine"):
-                self._run_fine_phase(db, plans, ctxs, stats, scheduled_senses)
-
-        # TLC phases run page-major across the whole batch too: one shared
-        # functional pass per phase (each batch-unique page sensed and
-        # ECC-corrected once, one distance einsum), per-query billing --
-        # see RerankStage.run_batch / DocumentStage.run_batch.
-        if plans and any(s.name == "rerank" for s in plans[0].stages):
-            rerank_stages = [
-                next(s for s in plan.stages if s.name == "rerank")
-                for plan in plans
-            ]
+                self._run_fine_phase(db, plan, ctxs, stats, scheduled_senses)
             with _phase_timer(host_profile, "rerank"):
-                RerankStage.run_batch(engine, db, rerank_stages, ctxs)
-        if plans and any(s.name == "documents" for s in plans[0].stages):
-            with _phase_timer(host_profile, "documents"):
-                DocumentStage.run_batch(engine, db, ctxs)
+                self._run_rerank_phase(db, plan, ctxs)
+            if plan.fetch_documents:
+                with _phase_timer(host_profile, "documents"):
+                    self._run_document_phase(db, ctxs)
 
         with _phase_timer(host_profile, "finalize"):
-            results = [
-                finalize_query_result(engine, plan, ctx)
-                for plan, ctx in zip(plans, ctxs)
-            ]
+            results = [finalize_query_result(engine, ctx) for ctx in ctxs]
         report = compose_batch_report(engine, ctxs, stats, scheduled_senses)
         return BatchExecution(results=results, report=report, stats=stats)
 

@@ -64,16 +64,12 @@ class DieCommandInterface:
 
     # Each method implements one Table-2 command.
 
-    def ibc(self, query_code: np.ndarray, multi_plane: bool) -> int:
-        """IBC Q_EMB: broadcast the query into every plane's cache latch."""
-        self.trace.record(FlashOp.IBC)
-        return self.die.broadcast_query(query_code, multi_plane)
-
     def ibc_many(self, query_codes: np.ndarray, multi_plane: bool) -> int:
-        """IBC Q_EMB for a back-to-back batch of queries (one per row).
+        """IBC Q_EMB, once per row of a back-to-back batch of queries:
+        broadcast the query into every plane's cache latch.
 
-        Command trace and counters match issuing :meth:`ibc` once per row;
-        the latch end state is the last row's broadcast, as it would be.
+        The command trace and counters carry one IBC per row; the latch
+        end state is the last row's broadcast.
         """
         self.trace.record_many(FlashOp.IBC, len(query_codes))
         return self.die.broadcast_queries(query_codes, multi_plane)

@@ -231,8 +231,8 @@ def compose_batch_phase(
     batch's page iterations.  All costs must belong to the same phase (same
     name, read mode and compute/filter settings).
 
-    ``scheduled_senses`` is the page-major execution feedback path: when the
-    batch was actually served by a :class:`~repro.core.plan.PageSchedule`,
+    ``scheduled_senses`` is the page-major execution feedback path: for a
+    phase served by a page schedule (:func:`~repro.core.plan.schedule_senses`)
     the caller passes the per-plane count of senses the schedule *really
     performed* and the model bills exactly those, instead of re-deriving
     sharing from page identities.  (The derived count assumes query-major

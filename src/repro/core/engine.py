@@ -27,9 +27,10 @@ latency/energy report.  The same :mod:`repro.core.costing` composition is
 used by the paper-scale analytic model, letting tests cross-validate the
 two layers.
 
-The phase methods here are the hardware-level primitives; the schedule
-that strings them together lives in :mod:`repro.core.plan` (one query)
-and :mod:`repro.core.batch` (a concurrent batch).
+The phase methods here are the hardware-level primitives; what a batch
+runs is a :class:`~repro.core.plan.QueryPlan` and the executor that
+strings the phases together lives in :mod:`repro.core.batch` (a solo
+query is a batch of one).
 """
 
 from __future__ import annotations
@@ -38,29 +39,21 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import (
-    BatchExecution,
-    BatchExecutor,
-    ScanTasks,
-    tasks_from_ranges,
-)
+from repro.core.batch import BatchExecution, BatchExecutor, ScanTasks
 from repro.core.cache import CacheEntry, PageCache
 from repro.core.commands import DieCommandInterface
 from repro.core.config import OptFlags, ReisConfig
 from repro.core.costing import PhaseCost, ibc_time
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
-    PlanExecutor,
     ReisQueryResult,
     SearchStats,
-    build_query_plan,
     schedule_order,
     schedule_senses,
-    schedule_senses_cached,
+    validate_queries,
 )
 from repro.core.registry import TemporalTopList, TtlBlock, TtlRefs
 from repro.nand.ecc import UncorrectableReadError
-from repro.nand.geometry import PhysicalPageAddress
 from repro.nand.latches import xor_popcount_segments
 from repro.rag.documents import DocumentChunk
 from repro.ssd.device import SimulatedSSD
@@ -162,28 +155,11 @@ class InStorageAnnsEngine:
                     ssd.array.die_of_plane(plane_index)
                 )
         self._planes = [plane for _index, plane in ssd.array.iter_planes()]
-        # Page-translation memo: translate() is a pure function of the
-        # (frozen, value-hashable) CoarseRegion, the page offset, and this
-        # engine's fixed geometry, so the arithmetic runs once per page.
-        self._locate_cache: Dict[Tuple, Tuple[PhysicalPageAddress, int, int, int]] = {}
 
     # ------------------------------------------------------------ utilities
 
     def die_interface_of_plane(self, plane_index: int) -> DieCommandInterface:
         return self._die_interfaces[plane_index // self.geometry.planes_per_die]
-
-    def _locate(
-        self, region: RegionInfo, page_offset: int
-    ) -> Tuple[PhysicalPageAddress, int, int, int]:
-        """(physical address, global plane index, channel, linear page id)."""
-        key = (region.region, page_offset)
-        cached = self._locate_cache.get(key)
-        if cached is None:
-            ppa = region.region.translate(page_offset, self.geometry)
-            plane_index = ppa.plane_linear(self.geometry)
-            cached = (ppa, plane_index, ppa.channel, ppa.to_linear(self.geometry))
-            self._locate_cache[key] = cached
-        return cached
 
     # ------------------------------------------------------ DRAM page cache
 
@@ -212,37 +188,17 @@ class InStorageAnnsEngine:
         self.ssd.counters.add("dram_cache_bytes", nbytes)
         stats.cache_hits += 1
 
-    def _admit_page(
-        self, region: RegionInfo, page_offset: int, kind: str
-    ) -> None:
-        """Mirror a page's golden bytes after a fresh sense (copied)."""
-        cache = self.page_cache
-        if cache is None:
-            return
-        ppa = self._locate(region, page_offset)[0]
-        plane = self.ssd.array.plane(ppa)
-        data, oob = plane.golden_view(ppa.block, ppa.page)
-        cache.admit(region, page_offset, kind, data, oob)
-
     # ----------------------------------------------------------------- IBC
 
-    def _input_broadcast(self, query_code: np.ndarray, stats: SearchStats) -> float:
-        """Step 1: broadcast the query into every die's cache latches."""
-        for interface in self._die_interfaces.values():
-            stats.ibc_transfers += interface.ibc(
-                query_code, multi_plane=self.flags.multi_plane_ibc
-            )
-        return ibc_time(self.geometry, self.timing, query_code.size, self.flags)
-
-    def _input_broadcast_batch(
+    def _broadcast_batch(
         self, query_codes: np.ndarray, stats_list: Sequence[SearchStats]
     ) -> float:
-        """Batched step 1: broadcast every query's code back to back.
+        """Step 1: broadcast every query's code into every die's cache
+        latches, back to back.
 
-        Cache latches are overwrite-only, so only the last row survives --
-        exactly the end state of running :meth:`_input_broadcast` per query
-        -- while commands, counters and per-query transfer stats reflect
-        the full broadcast sequence.  Returns the per-query IBC time (all
+        Cache latches are overwrite-only, so only the last row survives,
+        while commands, counters and per-query transfer stats reflect the
+        full broadcast sequence.  Returns the per-query IBC time (all
         codes in a batch share one width).
         """
         n = len(query_codes)
@@ -278,8 +234,7 @@ class InStorageAnnsEngine:
         ``tasks`` holds every (query, page, slot window) demand of the
         phase, query-major in each query's scan order; ``code_rows`` is the
         stacked query-code matrix and ``ttls`` / ``costs`` / ``stats_list``
-        / ``select_k`` are indexed by ``tasks.queries``.  The solo path
-        calls this with one query, the batch executor with all of them.
+        / ``select_k`` are indexed by ``tasks.queries``.
 
         **Per scheduled page** the NAND work happens, through the die
         command interface: the demands are ordered into page runs
@@ -323,37 +278,32 @@ class InStorageAnnsEngine:
         threshold = tasks.threshold
 
         # ---- the schedule: service order, fresh senses, mirror-served pages
-        order = schedule_order(tasks.pages, self.flags.schedule_optimization)
-        if order is None:
-            order = np.arange(n_tasks)
-        pages_o = tasks.pages[order]
-
-        def locate_plane(page_offset: int) -> int:
-            return self._locate(region, page_offset)[1]
-
+        uniq, rank_of = np.unique(tasks.pages, return_inverse=True)
+        pages_u = uniq.tolist()
+        plane_u, block_u, page_u, channel_u, page_id_u = (
+            region.region.translate_columns(uniq, self.geometry)
+        )
         cache = self.page_cache
-        entry_of: Dict[int, CacheEntry] = {}
+        entries: List[Optional[CacheEntry]] = [None] * uniq.size
         if cache is not None:
             # One residency snapshot per unique page: pages admitted while
             # this phase drains don't retroactively serve it (the schedule
             # partition is fixed, like the sense/latch plan itself).
-            def is_cached(page_offset: int) -> bool:
-                entry = cache.lookup(region, page_offset)
-                if entry is None:
-                    return False
-                entry_of[page_offset] = entry
-                return True
-
-            sensed, planes, _cached = schedule_senses_cached(
-                pages_o, locate_plane, is_cached
-            )
-        else:
-            sensed, planes = schedule_senses(pages_o, locate_plane)
+            entries = [cache.lookup(region, page) for page in pages_u]
+        cached_u = np.array([entry is not None for entry in entries], dtype=bool)
+        order = schedule_order(tasks.pages, self.flags.schedule_optimization)
+        if order is None:
+            order = np.arange(n_tasks)
+        pages_o = tasks.pages[order]
+        rank_o = rank_of[order]
+        planes = plane_u[rank_o]
+        sensed = schedule_senses(
+            pages_o, planes, None if cache is None else cached_u[rank_o]
+        )
 
         # ---- per page run: sense, GEN_DIST for the run's queries, snapshot
-        uniq, rank_of = np.unique(tasks.pages, return_inverse=True)
-        pages_u = uniq.tolist()
-        located = [self._locate(region, page) for page in pages_u]
+        planes_per_die = self.geometry.planes_per_die
+        located = list(zip(plane_u.tolist(), block_u.tolist(), page_u.tolist()))
         latched = _LatchedPages(uniq, spp, code_bytes, record_bytes, coarse)
         snapshotted = np.zeros(uniq.size, dtype=bool)
         dist = np.empty((n_tasks, spp), dtype=np.min_scalar_type(8 * code_bytes))
@@ -361,38 +311,42 @@ class InStorageAnnsEngine:
         ends = np.r_[starts[1:], n_tasks]
         for s, e in zip(starts.tolist(), ends.tolist()):
             rows = order[s:e]
-            rank = rank_of[rows[0]]
-            page_offset = pages_u[rank]
-            n_segments = region.slots_in_page(page_offset)
-            entry = entry_of.get(page_offset)
+            rank = rank_o[s]
+            n_segments = region.slots_in_page(pages_u[rank])
+            entry = entries[rank]
             if entry is not None:
                 data, oob = entry.data, entry.oob
                 dist[rows, :n_segments] = xor_popcount_segments(
                     data, code_rows[q_of[rows]], code_bytes, n_segments
                 )
             else:
-                ppa, plane_index = located[rank][:2]
+                plane_index, block, page = located[rank]
+                die_plane = plane_index % planes_per_die
                 interface = self.die_interface_of_plane(plane_index)
                 if sensed[s]:
-                    interface.read_page(ppa.plane, ppa.block, ppa.page)
+                    interface.read_page(die_plane, block, page)
                 dist[rows, :n_segments] = interface.gen_dist_multi(
-                    ppa.plane, code_rows[q_of[rows]], code_bytes, n_segments
+                    die_plane, code_rows[q_of[rows]], code_bytes, n_segments
                 )
-                buffer = interface.die.planes[ppa.plane].buffer
+                buffer = interface.die.planes[die_plane].buffer
                 data, oob = buffer.sensing, buffer.oob
             if not snapshotted[rank]:
                 snapshotted[rank] = True
                 latched.snapshot(rank, data, oob)
         if cache is not None:
+            # Mirror the golden bytes of every freshly-sensed page (copied).
             kind = "centroid" if coarse else "cluster"
-            for page_offset in pages_u:
-                if page_offset not in entry_of:
-                    self._admit_page(region, page_offset, kind)
+            for page_offset, entry, (plane_index, block, page) in zip(
+                pages_u, entries, located
+            ):
+                if entry is None:
+                    data, oob = self._planes[plane_index].golden_view(block, page)
+                    cache.admit(region, page_offset, kind, data, oob)
 
         # ---- per phase: window + threshold mask, metadata tag, survivors
-        plane_t = np.array([loc[1] for loc in located])[rank_of]
-        channel_t = np.array([loc[2] for loc in located])[rank_of]
-        from_nand = np.array([page not in entry_of for page in pages_u])[rank_of]
+        plane_t = plane_u[rank_of]
+        channel_t = channel_u[rank_of]
+        from_nand = ~cached_u[rank_of]
         in_page = np.clip(region.n_slots - tasks.pages * spp, 0, spp)
         lo = np.maximum(tasks.lo, 0)
         hi = np.minimum(tasks.hi, in_page - 1)
@@ -441,19 +395,16 @@ class InStorageAnnsEngine:
 
         # ---- per query: page visits, stats, channel bytes, TTL.  Tasks
         # and survivors are query-major, so a query owns one slice of each.
-        page_id_u = [loc[3] for loc in located]
-        hit_bytes_u = [
-            entry_of[page].nbytes if page in entry_of else 0 for page in pages_u
-        ]
-        for qi, rank, plane_index, sensed_visit in zip(
-            q_of.tolist(), rank_of.tolist(), plane_t.tolist(), from_nand.tolist()
+        page_ids = page_id_u.tolist()
+        for qi, rank, plane_index in zip(
+            q_of.tolist(), rank_of.tolist(), plane_t.tolist()
         ):
-            if sensed_visit:
-                costs[qi].add_page(plane_index, page_id=page_id_u[rank])
+            entry = entries[rank]
+            if entry is None:
+                costs[qi].add_page(plane_index, page_id=page_ids[rank])
             else:
                 self._bill_dram_hit(
-                    costs[qi], stats_list[qi], hit_bytes_u[rank],
-                    page_id_u[rank],
+                    costs[qi], stats_list[qi], entry.nbytes, page_ids[rank]
                 )
         n_queries = len(ttls)
         n_channels = self.geometry.channels
@@ -493,67 +444,7 @@ class InStorageAnnsEngine:
                 cost.core_seconds += core.quickselect(processed, k)
         return sensed, planes
 
-    def _scan_range(
-        self,
-        db: DeployedDatabase,
-        query_code: np.ndarray,
-        first_slot: int,
-        last_slot: int,
-        ttl: TemporalTopList,
-        cost: PhaseCost,
-        stats: SearchStats,
-        coarse: bool,
-        threshold: Optional[int],
-        select_k: int,
-        metadata_filter: Optional[int] = None,
-    ) -> None:
-        """Steps 2-7 over the slots ``[first_slot, last_slot]`` of a region:
-        a one-query phase of :meth:`scan_page_run`."""
-        region = db.centroid_region if coarse else db.embedding_region
-        tasks = tasks_from_ranges(
-            region,
-            np.zeros(1, dtype=np.int64),
-            np.array([first_slot], dtype=np.int64),
-            np.array([last_slot], dtype=np.int64),
-            threshold,
-            [metadata_filter],
-        )
-        self.scan_page_run(
-            db, tasks, coarse, query_code[None, :],
-            [ttl], [cost], [stats], [select_k],
-        )
-
     # --------------------------------------------------------- search steps
-
-    def _coarse_search(
-        self,
-        db: DeployedDatabase,
-        query_code: np.ndarray,
-        nprobe: int,
-        stats: SearchStats,
-    ) -> Tuple[List[int], PhaseCost]:
-        """Coarse-grained search over the centroid region (Sec. 4.3.1)."""
-        assert db.centroid_region is not None and db.r_ivf is not None
-        cost = PhaseCost(name="coarse", with_compute=True)
-        ttl_c = TemporalTopList(
-            "c",
-            self.params.coarse_entry_bytes(db.code_bytes),
-            dram=self.ssd.dram,
-        )
-        self._scan_range(
-            db,
-            query_code,
-            0,
-            db.centroid_region.n_slots - 1,
-            ttl_c,
-            cost,
-            stats,
-            coarse=True,
-            threshold=None,
-            select_k=nprobe,
-        )
-        clusters = self.select_clusters(db, ttl_c, nprobe, cost, stats)
-        return clusters, cost
 
     def select_cluster_block(
         self,
@@ -606,67 +497,6 @@ class InStorageAnnsEngine:
         block = self.select_cluster_block(ttl_c, nprobe, cost)
         return [int(c) for c in self.resolve_cluster_block(db, block, stats)]
 
-    def _fine_search(
-        self,
-        db: DeployedDatabase,
-        query_code: np.ndarray,
-        clusters: Optional[Sequence[int]],
-        shortlist_size: int,
-        stats: SearchStats,
-        metadata_filter: Optional[int] = None,
-    ) -> Tuple[TtlBlock, PhaseCost]:
-        """Fine-grained search over embedding slots (whole region for BF)."""
-        cost = PhaseCost(
-            name="fine",
-            with_compute=True,
-            with_filter=self.flags.distance_filtering,
-        )
-        ttl_e = TemporalTopList(
-            "e",
-            self.params.fine_entry_bytes(db.code_bytes),
-            dram=self.ssd.dram,
-        )
-        threshold = db.filter_threshold if self.flags.distance_filtering else None
-        ranges = self._slot_ranges(db, clusters)
-        for first, last in ranges:
-            stats.candidates += last - first + 1
-            self._scan_range(
-                db,
-                query_code,
-                first,
-                last,
-                ttl_e,
-                cost,
-                stats,
-                coarse=False,
-                threshold=threshold,
-                select_k=shortlist_size,
-                metadata_filter=metadata_filter,
-            )
-        if self.fine_needs_retry(ttl_e, threshold, shortlist_size, stats):
-            # The calibrated threshold filtered too aggressively for this
-            # query to return k results; rescan without filtering so
-            # correctness never depends on the filter (the paper calibrates
-            # thresholds so this is rare -- the retry counter lets tests
-            # assert exactly that).
-            stats.filter_retries += 1
-            ttl_e.clear()
-            for first, last in ranges:
-                self._scan_range(
-                    db,
-                    query_code,
-                    first,
-                    last,
-                    ttl_e,
-                    cost,
-                    stats,
-                    coarse=False,
-                    threshold=None,
-                    select_k=shortlist_size,
-                    metadata_filter=metadata_filter,
-                )
-        return self.finish_fine_search(ttl_e, shortlist_size, cost), cost
-
     def fine_retry_needed(
         self,
         n_entries: int,
@@ -697,7 +527,7 @@ class InStorageAnnsEngine:
             len(ttl_e), threshold, shortlist_size, stats.candidates
         )
 
-    def finish_fine_search(
+    def select_shortlist(
         self,
         ttl_e: TemporalTopList,
         shortlist_size: int,
@@ -722,8 +552,7 @@ class InStorageAnnsEngine:
         (:mod:`repro.core.ingest`): streamed appends extend a cluster past
         its deployed range and tombstoned entries drop out of the ranges,
         so the scan/rerank/filter phases skip dead slots without any
-        re-layout.  Both the solo path and the batch executor's schedule
-        builder resolve their ranges here, so the two stay in lockstep.
+        re-layout.
         """
         index = getattr(db, "mutable_index", None)
         if index is not None:
@@ -912,8 +741,7 @@ class InStorageAnnsEngine:
         ``(n_total_short, dim)`` matrix refined by a single einsum, and each
         query quicksorts its own segment on the embedded core.  Billing is
         per query (:meth:`_bill_tlc_phase`).  Returns one ``(distances,
-        dadrs, slots, cost)`` tuple per query; the solo path is a phase of
-        one.
+        dadrs, slots, cost)`` tuple per query.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         region = db.int8_region
@@ -1054,18 +882,24 @@ class InStorageAnnsEngine:
     ) -> ReisQueryResult:
         """Run one query through the full in-storage pipeline.
 
-        Builds a :class:`~repro.core.plan.QueryPlan` and executes it with
-        the sequential :class:`~repro.core.plan.PlanExecutor`.  For IVF
-        databases ``nprobe`` selects how many clusters the fine search
-        visits (default: enough for ~sqrt(nlist)).  For flat databases the
-        fine search scans the whole embedding region (brute force, the
-        "BF" rows of Figs. 7/8/10).  With ``metadata_filter`` only
-        embeddings deployed with that tag can be returned (Sec. 7.1).
+        A solo query is a batch of one (:meth:`search_batch`); its
+        :class:`~repro.sim.latency.LatencyReport` is the solo composition
+        of its phase costs, i.e. the latency on an otherwise-idle device.
+        For IVF databases ``nprobe`` selects how many clusters the fine
+        search visits (default: enough for ~sqrt(nlist)).  For flat
+        databases the fine search scans the whole embedding region (brute
+        force, the "BF" rows of Figs. 7/8/10).  With ``metadata_filter``
+        only embeddings deployed with that tag can be returned (Sec. 7.1).
         """
-        plan = build_query_plan(
-            self, db, query, k, nprobe, fetch_documents, metadata_filter
+        queries = validate_queries(
+            db, np.asarray(query, dtype=np.float32)[None], k, nprobe
         )
-        return PlanExecutor(self).run(plan)
+        return self.search_batch(
+            db, queries, k,
+            nprobe=nprobe,
+            fetch_documents=fetch_documents,
+            metadata_filter=metadata_filter,
+        ).results[0]
 
     def search_batch(
         self,
@@ -1079,10 +913,9 @@ class InStorageAnnsEngine:
     ) -> BatchExecution:
         """Serve a batch of queries concurrently against this device.
 
-        Functional execution is per query (bit-identical to calling
-        :meth:`search` in a loop); the latency model charges the batch
-        jointly, amortizing page senses across queries and overlapping
-        independent queries across dies and channels (see
+        A query's result does not depend on its batch; the latency model
+        charges the batch jointly, amortizing page senses across queries
+        and overlapping independent queries across dies and channels (see
         :class:`~repro.core.batch.BatchExecutor`).  ``host_profile``
         opts into host wall-clock accounting
         (:class:`~repro.host.profile.HostProfile`).

@@ -58,7 +58,7 @@ from repro.core.batch import BatchExecution, BatchStats
 from repro.core.defrag import Defragmenter
 from repro.core.layout import CapacityError, DeployedDatabase, RegionInfo
 from repro.core.plan import SearchStats
-from repro.core.queue import QueuedBatch, ServedQuery, Submission, SubmissionQueue
+from repro.core.queue import Submission, SubmissionQueue
 from repro.core.registry import R_IVF_ENTRY_BYTES, RIvf, RIvfEntry, TombstoneRegistry
 from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport
@@ -775,28 +775,31 @@ class IngestQueue(SubmissionQueue):
 
     # ------------------------------------------------------------- serving
 
-    def _serve_batch(self, members: List[Submission], reason: str) -> QueuedBatch:
-        start_s = self.clock.now_s
-        mutation_members = [
+    def _execute(self, members: Sequence[Submission]) -> BatchExecution:
+        """Commit the batch's mutations, then run its reads against the
+        mutated database; acks and results come back in member order."""
+        writes = [
             (i, s) for i, s in enumerate(members) if s.sub_id in self._mutations
         ]
-        read_members = [
+        reads = [
             (i, s) for i, s in enumerate(members) if s.sub_id not in self._mutations
         ]
+        results: List[object] = [None] * len(members)
         commit: Optional[CommitResult] = None
-        if mutation_members:
-            requests = [self._mutations.pop(s.sub_id) for _i, s in mutation_members]
-            commit = self.manager.apply(requests)
-        if read_members:
-            queries = np.stack([s.query for _i, s in read_members])
-            execution = self.executor.execute(
-                self.db,
-                queries,
-                k=self.k,
-                nprobe=self.nprobe,
-                fetch_documents=self.fetch_documents,
-                metadata_filter=self.metadata_filter,
+        if writes:
+            # A refused group (CapacityError) changes nothing: its requests
+            # stay registered, so the re-queued members are still mutations.
+            commit = self.manager.apply(
+                [self._mutations[s.sub_id] for _i, s in writes]
             )
+            for (i, submission), ack in zip(writes, commit.acks):
+                del self._mutations[submission.sub_id]
+                ack.latency.add_phase("ingest", commit.seconds)
+                ack.latency.total_s = commit.seconds
+                self.mutation_acks[submission.sub_id] = ack
+                results[i] = ack
+        if reads:
+            execution = super()._execute([s for _i, s in reads])
         else:
             execution = BatchExecution(
                 results=[], report=LatencyReport(), stats=BatchStats()
@@ -805,49 +808,17 @@ class IngestQueue(SubmissionQueue):
             execution.report.add_phase("ingest", commit.seconds)
             execution.report.add_component("ingest_commit", commit.seconds)
             execution.report.total_s += commit.seconds
-        service_seconds = execution.batch_seconds
-        self.clock.advance(service_seconds)
-        finish_s = self.clock.now_s
-        forming = start_s - min(s.submit_s for s in members)
-        execution.stats.queue_seconds = forming
-        if forming > 0:
-            execution.report.add_phase("queue", forming)
-            execution.report.add_component("queue_wait", forming)
-            execution.report.total_s += forming
-        results: List[object] = [None] * len(members)
-        if commit is not None:
-            for (i, submission), ack in zip(mutation_members, commit.acks):
-                ack.latency.add_phase("ingest", commit.seconds)
-                ack.latency.total_s = commit.seconds
-                self.mutation_acks[submission.sub_id] = ack
-                results[i] = ack
-        for (i, _submission), result in zip(read_members, execution.results):
+        for (i, _submission), result in zip(reads, execution.results):
             results[i] = result
         execution.results = results
-        batch = QueuedBatch(
-            index=len(self.batches),
-            submissions=members,
-            execution=execution,
-            close_reason=reason,
-            start_s=start_s,
-            finish_s=finish_s,
-            service_seconds=service_seconds,
+        return execution
+
+    def _requeue(self, members: Sequence[Submission]) -> None:
+        # Mutations that committed before the batch failed keep their acks
+        # and must not be applied twice: only the rest goes back.
+        super()._requeue(
+            [s for s in members if s.sub_id not in self.mutation_acks]
         )
-        misses = 0
-        for submission, result in zip(members, execution.results):
-            query = ServedQuery(
-                submission=submission,
-                result=result,
-                batch_index=batch.index,
-                start_s=start_s,
-                finish_s=finish_s,
-            )
-            if query.deadline_missed:
-                misses += 1
-            self.served[submission.sub_id] = query
-        execution.deadline_misses = misses
-        self.batches.append(batch)
-        return batch
 
 
 # -------------------------------------------------------------- sharding

@@ -17,9 +17,9 @@ behavior is deterministic and tier-1 stays flake-free):
   ``full``       the pending set reaches ``max_batch``;
   ``occupancy``  the estimated scan footprint covers enough of the
                  device (plane coverage and sense-collision targets,
-                 estimated with :func:`~repro.core.plan.
-                 build_page_schedule` over the layout's real page->plane
-                 map);
+                 estimated with :func:`~repro.core.plan.schedule_order` /
+                 :func:`~repro.core.plan.schedule_senses` over the
+                 layout's real page->plane map);
   ``timeout``    the oldest pending submission has waited
                  ``batching_timeout_s``;
   ``deadline``   some pending submission's deadline is within
@@ -36,14 +36,17 @@ behavior is deterministic and tier-1 stays flake-free):
   the fairness invariant the starvation tests pin down.  The rotation
   offset advances every batch so no tenant is permanently first.
 
-Deadline-missed queries are **never dropped**: they are served, returned,
-and counted (:attr:`~repro.core.batch.BatchExecution.deadline_misses`,
-:class:`QueueServeReport`), because retrieval results are still useful
-late and silent drops would corrupt the bit-identity contract.  The union
-of results produced through the queue is bit-identical per query to the
-direct :meth:`~repro.core.engine.InStorageAnnsEngine.search` path -- the
-queue only *partitions* submissions into batches, and batching itself is
-bit-identical by the PR 3 order-preserving replay.
+Submissions are **never dropped**.  Deadline-missed queries are served,
+returned, and counted (:attr:`~repro.core.batch.BatchExecution.
+deadline_misses`, :class:`QueueServeReport`), because retrieval results
+are still useful late; and when a batch's execution raises (a shard with
+no live replica, an uncorrectable read, a refused ingest commit) its
+unserved members go back to the head of their tenant FIFOs before the
+error propagates, so a later :meth:`SubmissionQueue.drain` serves them.
+The union of results produced through the queue is bit-identical per
+query to the direct :meth:`~repro.core.engine.InStorageAnnsEngine.search`
+path -- the queue only *partitions* submissions into batches, and a
+query's result does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Deque,
     Dict,
     List,
@@ -67,7 +71,14 @@ import numpy as np
 
 from repro.core.batch import BatchExecution, BatchExecutor, BatchStats
 from repro.core.layout import DeployedDatabase, RegionInfo
-from repro.core.plan import PageRequest, build_page_schedule, validate_queries
+from repro.core.plan import (
+    build_query_plan,
+    resolve_nprobe,
+    schedule_order,
+    schedule_senses,
+    validate_queries,
+    validate_search_params,
+)
 from repro.sim.latency import LatencyReport, SimClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -179,148 +190,159 @@ class FormingEstimate:
         return 1.0 - self.n_senses / self.n_requests
 
 
+# ``views(clusters)``: every device that would serve a batch right now, as
+# ``(shard, engine, deployed piece, local ids of the given global clusters
+# the device is expected to scan)``.
+FormingViews = Callable[
+    [Sequence[int]],
+    List[Tuple[int, "InStorageAnnsEngine", DeployedDatabase, Sequence[int]]],
+]
+
+
 class BatchFormer:
     """Estimates batch occupancy and decides when the pending set closes.
 
     The former runs on the host, *before* any query executes, so it can
     only use layout data.  What is exact pre-execution: every query scans
-    the whole centroid region (IVF) or the whole embedding region (flat).
-    What is not knowable: which clusters an IVF query's coarse phase will
-    pick.  The former substitutes a deterministic uniform-popularity
-    surrogate -- submission ``i`` is assumed to probe ``nprobe`` clusters
-    striding the cluster list from offset ``i`` -- and feeds the union of
-    those footprints through :func:`~repro.core.plan.build_page_schedule`
-    with the layout's real page->plane map.  The resulting collision and
-    plane-coverage statistics are an *expectation model* of the schedule
-    the executor will really build; they steer admission, never results.
+    the whole centroid region (IVF) or the whole embedding region (flat)
+    of every device serving it.  What is not knowable: which clusters an
+    IVF query's coarse phase will pick.  The former substitutes a
+    deterministic uniform-popularity surrogate -- submission ``i`` is
+    assumed to probe ``nprobe`` clusters striding the cluster list from
+    offset ``i`` -- and feeds the union of those footprints through
+    :func:`~repro.core.plan.schedule_order` /
+    :func:`~repro.core.plan.schedule_senses` with the layout's real
+    page->plane map.  The resulting collision and plane-coverage
+    statistics are an *expectation model* of the schedules the executors
+    will really build; they steer admission, never results.
+
+    The layout comes in as ``views`` (:data:`FormingViews`), asked afresh
+    per footprint so it reflects the deployment as it stands.  A single
+    device is the one-view case; a sharded deployment
+    (:meth:`~repro.core.shard.ShardRouter.forming_views`) yields one view
+    per live shard, each expected to scan the guessed clusters the router
+    would have it *serve*, and planes count as ``(shard, plane)`` pairs --
+    the anchor shard's planes alone saturate long before (balanced
+    splits) or after (skewed splits) the cluster's do.
     """
 
     def __init__(
         self,
-        engine: "InStorageAnnsEngine",
-        db: DeployedDatabase,
+        views: FormingViews,
+        n_clusters: int,
         nprobe: Optional[int],
         policy: QueuePolicy,
     ) -> None:
-        self.engine = engine
-        self.db = db
+        self.views = views
+        self.n_clusters = n_clusters
+        self.nprobe = resolve_nprobe(n_clusters, nprobe)
         self.policy = policy
-        if db.is_ivf:
-            if nprobe is None:
-                nprobe = max(1, int(round(db.n_clusters**0.5)))
-            nprobe = min(nprobe, db.n_clusters)
-        self.nprobe = nprobe
-        self._plane_cache: Dict[Tuple[str, int], int] = {}
-        self._footprints: Dict[int, List[Tuple[RegionInfo, int]]] = {}
+        self._footprints: Dict[int, List[Tuple]] = {}
         self._estimates: Dict[Tuple[int, ...], FormingEstimate] = {}
         # Computed on first estimate(): counting the planes the database
-        # spans walks every region page, which synchronous callers (whose
-        # batches close on the ``full`` trigger) never need.
+        # spans translates every region page, which synchronous callers
+        # (whose batches close on the ``full`` trigger) never need.
         self._n_planes: Optional[int] = None
 
     def _count_planes(self) -> int:
         if self._n_planes is None:
             self._n_planes = len(
                 {
-                    self._plane_of(region, page)
-                    for region in self._scan_regions()
-                    for page in range(region.n_pages)
+                    (shard, plane)
+                    for shard, engine, db, _clusters in self.views(())
+                    for region in (db.centroid_region, db.embedding_region)
+                    if region is not None
+                    for plane in np.unique(
+                        region.region.translate_columns(
+                            np.arange(region.n_pages), engine.geometry
+                        )[0]
+                    ).tolist()
                 }
             )
         return self._n_planes
 
     # ------------------------------------------------------------ footprint
 
-    def _scan_regions(self) -> List[RegionInfo]:
-        regions: List[RegionInfo] = []
-        if self.db.is_ivf and self.db.centroid_region is not None:
-            regions.append(self.db.centroid_region)
-        regions.append(self.db.embedding_region)
-        return regions
-
-    def _plane_of(self, region: RegionInfo, page_offset: int) -> int:
-        key = (region.name, page_offset)
-        plane = self._plane_cache.get(key)
-        if plane is None:
-            plane = self.engine._locate(region, page_offset)[1]
-            self._plane_cache[key] = plane
-        return plane
-
     def _guessed_clusters(self, sub_id: int) -> List[int]:
         """Uniform-popularity surrogate for a submission's probed clusters."""
-        assert self.nprobe is not None
-        nlist = self.db.n_clusters
-        stride = max(1, nlist // self.nprobe)
-        return [(sub_id + j * stride) % nlist for j in range(self.nprobe)]
+        if self.nprobe is None:
+            return []
+        stride = max(1, self.n_clusters // self.nprobe)
+        return [
+            (sub_id + j * stride) % self.n_clusters for j in range(self.nprobe)
+        ]
 
-    def footprint(self, submission: Submission) -> List[Tuple[RegionInfo, int]]:
-        """(region, page_offset) pairs the submission is expected to scan."""
+    def footprint(
+        self, submission: Submission
+    ) -> List[Tuple[int, "InStorageAnnsEngine", RegionInfo, np.ndarray]]:
+        """``(shard, engine, region, page offsets)`` scans the submission
+        is expected to cause, pages in demand order."""
         cached = self._footprints.get(submission.sub_id)
         if cached is not None:
             return cached
-        pages: List[Tuple[RegionInfo, int]] = []
-        db = self.db
-        if db.is_ivf and db.centroid_region is not None:
-            region = db.centroid_region
-            pages.extend((region, page) for page in range(region.n_pages))
-            assert db.r_ivf is not None
+        scans: List[Tuple] = []
+        guessed = self._guessed_clusters(submission.sub_id)
+        for shard, engine, db, clusters in self.views(guessed):
             embedding = db.embedding_region
-            seen = set()
-            for cluster in self._guessed_clusters(submission.sub_id):
-                entry = db.r_ivf[cluster]
-                if entry.size <= 0:
-                    continue
-                first = entry.first_embedding // embedding.slots_per_page
-                last = entry.last_embedding // embedding.slots_per_page
-                for page in range(first, last + 1):
-                    if page not in seen:
-                        seen.add(page)
-                        pages.append((embedding, page))
-        else:
-            region = db.embedding_region
-            pages.extend((region, page) for page in range(region.n_pages))
-        self._footprints[submission.sub_id] = pages
-        return pages
+            if db.is_ivf:
+                centroid = db.centroid_region
+                scans.append((shard, engine, centroid, np.arange(centroid.n_pages)))
+                spp = embedding.slots_per_page
+                ranges = [
+                    np.arange(
+                        entry.first_embedding // spp,
+                        entry.last_embedding // spp + 1,
+                    )
+                    for entry in (db.r_ivf[cluster] for cluster in clusters)
+                    if entry.size > 0
+                ]
+                pages = np.concatenate(ranges or [np.empty(0, dtype=np.int64)])
+                # A page two guessed clusters share is one demand.
+                _, first = np.unique(pages, return_index=True)
+                pages = pages[np.sort(first)]
+            else:
+                pages = np.arange(embedding.n_pages)
+            scans.append((shard, engine, embedding, pages))
+        self._footprints[submission.sub_id] = scans
+        return scans
 
     def estimate(self, candidates: Sequence[Submission]) -> FormingEstimate:
-        """Occupancy statistics of the candidate batch's expected schedule.
+        """Occupancy statistics of the candidate batch's expected schedules.
 
-        One schedule per scanned region (coarse and fine execute as
-        separate page-major schedules), built with the same
-        ``schedule_optimization`` flag the executor will use, so the
+        One schedule per scanned (shard, region) -- coarse and fine execute
+        as separate page-major schedules on every device -- built with the
+        same ``schedule_optimization`` flag the executor will use, so the
         estimate and the execution share one collision model.
         """
         key = tuple(s.sub_id for s in candidates)
         cached = self._estimates.get(key)
         if cached is not None:
             return cached
-        per_region: Dict[str, List[Tuple[RegionInfo, int]]] = {}
+        demands: Dict[Tuple[int, str], Tuple] = {}
         for submission in candidates:
-            for region, page in self.footprint(submission):
-                per_region.setdefault(region.name, []).append((region, page))
+            for shard, engine, region, pages in self.footprint(submission):
+                demands.setdefault(
+                    (shard, region.name), (engine, region, [])
+                )[2].append(pages)
         n_requests = 0
         n_senses = 0
-        planes: set = set()
-        for demands in per_region.values():
-            region = demands[0][0]
-            requests = [
-                PageRequest(task=index, page_offset=page)
-                for index, (_region, page) in enumerate(demands)
-            ]
-            schedule = build_page_schedule(
-                requests,
-                lambda page_offset, region=region: self._plane_of(
-                    region, page_offset
-                ),
-                optimize=self.engine.flags.schedule_optimization,
+        covered: set = set()
+        for (shard, _name), (engine, region, parts) in demands.items():
+            pages = np.concatenate(parts)
+            planes = region.region.translate_columns(pages, engine.geometry)[0]
+            order = schedule_order(pages, engine.flags.schedule_optimization)
+            if order is not None:
+                pages, planes = pages[order], planes[order]
+            sensed = schedule_senses(pages, planes)
+            n_requests += pages.size
+            n_senses += int(sensed.sum())
+            covered.update(
+                (shard, plane) for plane in np.unique(planes[sensed]).tolist()
             )
-            n_requests += schedule.n_requests
-            n_senses += schedule.n_senses
-            planes.update(schedule.senses_per_plane())
         estimate = FormingEstimate(
             n_requests=n_requests,
             n_senses=n_senses,
-            planes_covered=len(planes),
+            planes_covered=len(covered),
             n_planes=self._count_planes(),
         )
         self._estimates = {key: estimate}  # keep only the latest pending set
@@ -519,7 +541,9 @@ class SubmissionQueue:
     clock by the batch's modeled wall clock.  One queue serves one
     deployed database with fixed search parameters (k, nprobe, filters):
     that is what makes every pending submission batchable with every
-    other.  The database may be a *logical* one spanning many drives:
+    other, and why bad parameters fail when the queue is built
+    (:attr:`plan`), not at the first submission or mid-drain.  The
+    database may be a *logical* one spanning many drives:
     :meth:`repro.core.api.ShardedReisDevice.submission_queue` injects a
     shard-routing executor, so the same forming and fairness machinery
     feeds a whole cluster.
@@ -539,22 +563,29 @@ class SubmissionQueue:
         executor: Optional[object] = None,
         former: Optional[BatchFormer] = None,
     ) -> None:
+        validate_search_params(k, nprobe)
         self.engine = engine
         self.db = db
         self.k = k
         self.nprobe = nprobe
         self.fetch_documents = fetch_documents
         self.metadata_filter = metadata_filter
+        # What every batch of this queue executes, resolved against ``db``.
+        self.plan = build_query_plan(
+            engine, db, k, nprobe, fetch_documents, metadata_filter
+        )
         self.policy = policy if policy is not None else QueuePolicy()
         self.clock = clock if clock is not None else SimClock()
-        # Occupancy forming defaults to this device's layout; a sharded
-        # deployment injects a cluster-wide former
-        # (:class:`~repro.core.shard.ShardedBatchFormer`) so the trigger
-        # sees every shard's planes instead of one anchor shard's.
+        # Occupancy forming defaults to this device's layout (one view); a
+        # sharded deployment injects a former over the router's views so
+        # the trigger sees every shard's planes instead of the anchor's.
         self.former = (
             former
             if former is not None
-            else BatchFormer(engine, db, nprobe, self.policy)
+            else BatchFormer(
+                lambda clusters: [(0, engine, db, clusters)],
+                db.n_clusters, nprobe, self.policy,
+            )
         )
         # The back end formed batches drain into.  Default: this device's
         # page-major executor.  A sharded deployment injects a
@@ -697,17 +728,20 @@ class SubmissionQueue:
 
     # ------------------------------------------------------------- serving
 
-    def _serve_batch(self, members: List[Submission], reason: str) -> QueuedBatch:
-        start_s = self.clock.now_s
-        queries = np.stack([s.query for s in members])
-        execution = self.executor.execute(
+    def _execute(self, members: Sequence[Submission]) -> BatchExecution:
+        """Run one formed batch: one result per member, in member order."""
+        return self.executor.execute(
             self.db,
-            queries,
+            np.stack([s.query for s in members]),
             k=self.k,
             nprobe=self.nprobe,
             fetch_documents=self.fetch_documents,
             metadata_filter=self.metadata_filter,
         )
+
+    def _serve_batch(self, members: List[Submission], reason: str) -> QueuedBatch:
+        start_s = self.clock.now_s
+        execution = self._execute(members)
         service_seconds = execution.batch_seconds
         self.clock.advance(service_seconds)
         finish_s = self.clock.now_s
@@ -744,16 +778,33 @@ class SubmissionQueue:
         self.batches.append(batch)
         return batch
 
+    def _requeue(self, members: Sequence[Submission]) -> None:
+        """Put a failed batch's members back at the head of their tenant
+        FIFOs, in their original order."""
+        for submission in reversed(members):
+            self._tenants[submission.tenant].appendleft(submission)
+
     def step(self) -> Optional[QueuedBatch]:
         """Advance the event loop until one batch is served (or nothing is
-        left to do); returns the served batch, or None when idle."""
+        left to do); returns the served batch, or None when idle.
+
+        When the batch's execution raises, the error propagates with the
+        queue as it was before the batch formed: nothing is dropped.
+        """
         while self._arrivals or self.pending_count:
             self._admit_due()
             pending = self._pending_snapshot()
             flushing = not self._arrivals
             reason = self.former.should_close(pending, self.clock.now_s, flushing)
             if reason is not None:
-                return self._serve_batch(self._form_batch(), reason)
+                rr_offset = self._rr_offset
+                members = self._form_batch()
+                try:
+                    return self._serve_batch(members, reason)
+                except Exception:
+                    self._rr_offset = rr_offset
+                    self._requeue(members)
+                    raise
             instants = []
             if self._arrivals:
                 instants.append(self._arrivals[0][0])

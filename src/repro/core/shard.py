@@ -3,7 +3,7 @@
 One REIS drive tops out at its own channels and dies; serving production
 traffic needs horizontal scale-out.  This module shards one logical
 database across N :class:`~repro.core.engine.InStorageAnnsEngine` devices
-and serves one logical query as N per-shard
+and serves one logical batch as N per-shard
 :class:`~repro.core.plan.QueryPlan` executions plus host-side **distance
 merges** -- the shard-and-merge design of SPANN/DiskANN-class distributed
 ANN systems, specialized to the in-storage engine:
@@ -52,7 +52,7 @@ it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,16 +68,14 @@ from repro.core.batch import (
 from repro.core.costing import BatchPhaseBreakdown
 from repro.core.layout import DeployedDatabase, deployment_order
 from repro.core.plan import (
-    MergeStage,
-    PageRequest,
     PlanContext,
     QueryPlan,
     ReisQueryResult,
     SearchStats,
-    build_page_schedule,
+    build_query_plan,
     compose_solo_report,
+    resolve_nprobe,
 )
-from repro.core.queue import BatchFormer, FormingEstimate
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.sim.latency import LatencyReport
 
@@ -434,7 +432,7 @@ class _ShardRun:
     shard: int
     executor: BatchExecutor
     db: DeployedDatabase
-    plans: List[QueryPlan]
+    plan: QueryPlan  # this shard's: nprobe trimmed to the centroids it owns
     ctxs: List[PlanContext]
     stats: BatchStats
     senses: Dict[str, Dict[int, int]] = field(default_factory=dict)
@@ -610,11 +608,44 @@ class ShardRouter:
 
     def resolve_nprobe(self, sdb: ShardedDatabase, nprobe: Optional[int]) -> Optional[int]:
         """The *global* nprobe (per-shard plans trim it to owned centroids)."""
-        if not sdb.is_ivf:
-            return None
-        if nprobe is None:
-            nprobe = max(1, int(round(sdb.n_clusters**0.5)))
-        return min(nprobe, sdb.n_clusters)
+        return resolve_nprobe(sdb.n_clusters, nprobe) if sdb.is_ivf else None
+
+    def forming_views(
+        self, sdb: ShardedDatabase, clusters: Sequence[int]
+    ) -> List[Tuple[int, "InStorageAnnsEngine", DeployedDatabase, List[int]]]:
+        """The deployment as a :class:`~repro.core.queue.BatchFormer` sees it.
+
+        One ``(shard, engine, local db, local cluster ids)`` view per live
+        shard holding a piece.  Of the given global ``clusters`` a shard is
+        expected to scan the ones the router would have it *serve*: the
+        first live owner under cluster-affinity placement, every shard's
+        local slice under striping.
+        """
+        assignment = sdb.assignment
+        serving: Optional[Dict[int, int]] = None
+        if sdb.is_ivf and assignment.policy == "cluster":
+            serving = {}
+            for cluster in clusters:
+                owners = self._live_owners(sdb, cluster)
+                if owners:
+                    serving[cluster] = owners[0]
+        views = []
+        for shard in sdb.active_shards:
+            if shard in self.failed_shards:
+                continue
+            position = {
+                int(c): i for i, c in enumerate(assignment.shard_clusters[shard])
+            }
+            local = [
+                position[cluster]
+                for cluster in clusters
+                if cluster in position
+                and (serving is None or serving.get(cluster) == shard)
+            ]
+            views.append(
+                (shard, self.engines[shard], sdb.shard_dbs[shard], local)
+            )
+        return views
 
     def logical_plan(
         self,
@@ -627,29 +658,21 @@ class ShardRouter:
     ) -> QueryPlan:
         """The sharded schedule as plan data: per-shard stages + the merge.
 
-        Built against the first active shard (every shard runs the same
-        stage list) with a :class:`~repro.core.plan.MergeStage` spliced in
+        Built against the first live shard (every shard runs the same
+        stage list) with ``merge_fan_in`` set, which puts a ``merge`` stage
         between the fine search and the rerank -- where the router really
         merges shortlists.  Introspection only; execution goes through
         :meth:`execute`.
         """
-        from repro.core.plan import build_query_plan
-
         active = sdb.active_shards
         if not active:
             raise ValueError("database has no deployed shards")
         anchor = self.resolve_anchor(sdb)
         plan = build_query_plan(
-            self.engines[anchor], sdb.shard_dbs[anchor], query, k,
+            self.engines[anchor], sdb.shard_dbs[anchor], k,
             self.resolve_nprobe(sdb, nprobe), fetch_documents, metadata_filter,
         )
-        merged = []
-        for stage in plan.stages:
-            merged.append(stage)
-            if stage.name == "fine":
-                merged.append(MergeStage(fan_in=len(active)))
-        plan.stages = merged
-        return plan
+        return replace(plan, merge_fan_in=len(active))
 
     # ------------------------------------------------------------- execute
 
@@ -675,6 +698,10 @@ class ShardRouter:
         n_queries = queries.shape[0]
         if not sdb.active_shards:
             raise ValueError("database has no deployed shards")
+        if n_queries == 0:
+            return BatchExecution(
+                results=[], report=LatencyReport(), stats=BatchStats()
+            )
         live = [s for s in sdb.active_shards if s not in self.failed_shards]
         if not live:
             raise ShardUnavailableError(
@@ -704,7 +731,7 @@ class ShardRouter:
         for shard in live:
             state.runs.append(self._make_run(state, shard))
         for run in state.runs:
-            run.executor.run_ibc(run.plans, run.ctxs)
+            run.executor.run_ibc(run.ctxs)
 
         if sdb.is_ivf:
             self._coarse_barrier(state)
@@ -726,14 +753,14 @@ class ShardRouter:
     ) -> _ShardRun:
         executor = self.executors[shard]
         db = state.sdb.shard_dbs[shard]
-        plans, ctxs = executor.prepare(
+        plan, ctxs = executor.prepare(
             db, state.queries, state.k,
             state.nprobe if db.is_ivf else None,
             state.fetch_documents, state.metadata_filter,
         )
         return _ShardRun(
             shard=shard, executor=executor, db=db,
-            plans=plans, ctxs=ctxs,
+            plan=plan, ctxs=ctxs,
             stats=BatchStats(n_queries=state.n_queries),
             failover=failover,
         )
@@ -808,7 +835,7 @@ class ShardRouter:
         for shard in sorted(by_shard):
             mine = set(by_shard[shard])
             run = self._make_run(state, shard, failover=True)
-            run.executor.run_ibc(run.plans, run.ctxs)
+            run.executor.run_ibc(run.ctxs)
             position = {
                 int(c): i
                 for i, c in enumerate(sdb.assignment.shard_clusters[shard])
@@ -821,7 +848,7 @@ class ShardRouter:
                 run.ctxs[qi].clusters = local
                 run.ctxs[qi].stats.clusters_probed = len(local)
             run.fine = run.executor._fine_scan(
-                run.db, run.plans, run.ctxs, run.stats, run.senses
+                run.db, run.plan, run.ctxs, run.stats, run.senses
             )
             if through == "finish":
                 run.executor._fine_retry(
@@ -859,12 +886,12 @@ class ShardRouter:
         for run in state.live_runs():
             engine = run.executor.engine
             ttls = run.executor._coarse_scan(
-                run.db, run.plans, run.ctxs, run.stats, run.senses
+                run.db, run.plan, run.ctxs, run.stats, run.senses
             )
             per_query = []
             for qi, ctx in enumerate(run.ctxs):
                 block = engine.select_cluster_block(
-                    ttls[qi], run.plans[qi].nprobe, ctx.phase_costs["coarse"]
+                    ttls[qi], run.plan.nprobe, ctx.phase_costs["coarse"]
                 )
                 # Same tag cross-check the single device performs.
                 engine.resolve_cluster_block(run.db, block, ctx.stats)
@@ -1003,7 +1030,7 @@ class ShardRouter:
         """
         for run in state.live_runs():
             run.fine = run.executor._fine_scan(
-                run.db, run.plans, run.ctxs, run.stats, run.senses
+                run.db, run.plan, run.ctxs, run.stats, run.senses
             )
         dead = self._pop_scheduled_kill("fine")
         if dead is not None and self._mark_dead(state, dead):
@@ -1021,7 +1048,7 @@ class ShardRouter:
             retried.append(
                 runs[0].executor.engine.fine_retry_needed(
                     survivors, anchor.threshold,
-                    anchor.shortlist_sizes[qi], candidates,
+                    anchor.plan.shortlist_size, candidates,
                 )
             )
         state.retried = retried
@@ -1051,15 +1078,10 @@ class ShardRouter:
         """
         sdb = state.sdb
         assignment = sdb.assignment
-        live = state.live_runs()
+        # Every shard plans the same unclamped shortlist_factor * k.
+        shortlist_size = state.live_runs()[0].plan.shortlist_size
         shortlists: List[_MergedShortlist] = []
         for qi in range(state.n_queries):
-            # Every shard plans the same unclamped shortlist_factor * k.
-            shortlist_size = next(
-                s.shortlist_size
-                for s in live[0].plans[qi].stages
-                if s.name == "fine"
-            )
             dists_parts, gid_parts, run_parts, row_parts = [], [], [], []
             for run_idx, run in enumerate(state.runs):
                 if run.dead:
@@ -1233,10 +1255,8 @@ class ShardRouter:
                 ctx.distances, ctx.dadrs, ctx.slots = distances, dadrs, slots
 
         # Phase 2: host-side merge, unchanged from the per-query walk.
-        live = state.live_runs()
         ranked: List[List[Tuple[int, int, int, int]]] = []
         for qi, shortlist in enumerate(shortlists):
-            k = live[0].plans[qi].k
             dist_parts, pos_parts, gid_parts, shard_parts, dadr_parts = (
                 [], [], [], [], [],
             )
@@ -1271,7 +1291,7 @@ class ShardRouter:
             gids = np.concatenate(gid_parts)
             shards = np.concatenate(shard_parts)
             dadrs_all = np.concatenate(dadr_parts)
-            order = merge_order(dists, positions)[:k]
+            order = merge_order(dists, positions)[:state.k]
             ranked.append(
                 [
                     (
@@ -1635,193 +1655,3 @@ class ShardedBatchExecutor:
             self.sdb, queries, k=k, nprobe=nprobe,
             fetch_documents=fetch_documents, metadata_filter=metadata_filter,
         )
-
-
-class ShardedBatchFormer(BatchFormer):
-    """Cluster-wide occupancy forming over the sharded placement.
-
-    The base :class:`~repro.core.queue.BatchFormer` estimates plane
-    coverage from a single :class:`~repro.core.layout.DeployedDatabase`
-    -- one shard's layout.  On a sharded deployment that misreads the
-    device: the anchor shard's planes saturate long before (balanced
-    splits) or after (skewed splits) the *cluster's* planes do, so the
-    occupancy trigger fires early or late.  This former spans every live
-    shard: footprints are (shard, region, page) triples, schedules build
-    per (shard, region) with the owning shard's real page->plane map,
-    planes are counted as (shard, plane) pairs, and the expected fine
-    footprint lands on the shard the router would pick to *serve* each
-    guessed cluster (first live owner under cluster-affinity placement;
-    every shard's local slice under striping).  Estimates steer admission
-    only; results never depend on them.
-    """
-
-    def __init__(
-        self,
-        router: ShardRouter,
-        sdb: ShardedDatabase,
-        nprobe: Optional[int],
-        policy: "QueuePolicy",
-    ) -> None:
-        anchor = router.resolve_anchor(sdb)
-        super().__init__(
-            router.engines[anchor], sdb.shard_dbs[anchor], nprobe, policy
-        )
-        self.router = router
-        self.sdb = sdb
-        # Re-clamp to the *global* cluster count: the base clamped to the
-        # anchor shard's local nlist.
-        if sdb.is_ivf:
-            if nprobe is None:
-                nprobe = max(1, int(round(sdb.n_clusters**0.5)))
-            self.nprobe = min(nprobe, sdb.n_clusters)
-
-    # ------------------------------------------------------- sharded layout
-
-    def _shard_views(self) -> List[Tuple[int, object, DeployedDatabase]]:
-        """(shard, engine, local db) for every live shard with a piece."""
-        return [
-            (shard, self.router.engines[shard], self.sdb.shard_dbs[shard])
-            for shard in self.sdb.active_shards
-            if shard not in self.router.failed_shards
-        ]
-
-    def _plane_on(
-        self, shard: int, engine: object, region: object, page_offset: int
-    ) -> int:
-        key = (shard, region.name, page_offset)
-        plane = self._plane_cache.get(key)
-        if plane is None:
-            plane = engine._locate(region, page_offset)[1]
-            self._plane_cache[key] = plane
-        return plane
-
-    def _count_planes(self) -> int:
-        if self._n_planes is None:
-            planes = set()
-            for shard, engine, db in self._shard_views():
-                regions = []
-                if db.is_ivf and db.centroid_region is not None:
-                    regions.append(db.centroid_region)
-                regions.append(db.embedding_region)
-                for region in regions:
-                    for page in range(region.n_pages):
-                        planes.add(
-                            (shard, self._plane_on(shard, engine, region, page))
-                        )
-            self._n_planes = len(planes)
-        return self._n_planes
-
-    def _guessed_clusters(self, sub_id: int) -> List[int]:
-        """The surrogate strides the *global* cluster list."""
-        assert self.nprobe is not None
-        nlist = self.sdb.n_clusters
-        stride = max(1, nlist // self.nprobe)
-        return [(sub_id + j * stride) % nlist for j in range(self.nprobe)]
-
-    def _expected_serving(
-        self, clusters: Sequence[int]
-    ) -> Optional[Dict[int, int]]:
-        """Cluster -> shard the router is expected to serve it on, or None
-        when every shard serves its own slice (striped placement)."""
-        sdb = self.sdb
-        if not (sdb.is_ivf and sdb.assignment.policy == "cluster"):
-            return None
-        serving: Dict[int, int] = {}
-        for cluster in clusters:
-            owners = self.router._live_owners(sdb, cluster)
-            if owners:
-                serving[cluster] = owners[0]
-        return serving
-
-    def footprint(self, submission: "Submission") -> List[Tuple]:
-        """(shard, engine, region, page_offset) the cluster will scan."""
-        cached = self._footprints.get(submission.sub_id)
-        if cached is not None:
-            return cached
-        pages: List[Tuple] = []
-        sdb = self.sdb
-        if sdb.is_ivf:
-            guessed = self._guessed_clusters(submission.sub_id)
-            serving = self._expected_serving(guessed)
-            for shard, engine, db in self._shard_views():
-                if db.centroid_region is not None:
-                    region = db.centroid_region
-                    pages.extend(
-                        (shard, engine, region, page)
-                        for page in range(region.n_pages)
-                    )
-                position = {
-                    int(c): i
-                    for i, c in enumerate(
-                        sdb.assignment.shard_clusters[shard]
-                    )
-                }
-                embedding = db.embedding_region
-                assert db.r_ivf is not None
-                seen = set()
-                for cluster in guessed:
-                    if serving is not None and serving.get(cluster) != shard:
-                        continue
-                    local = position.get(cluster)
-                    if local is None:
-                        continue
-                    entry = db.r_ivf[local]
-                    if entry.size <= 0:
-                        continue
-                    first = entry.first_embedding // embedding.slots_per_page
-                    last = entry.last_embedding // embedding.slots_per_page
-                    for page in range(first, last + 1):
-                        if page not in seen:
-                            seen.add(page)
-                            pages.append((shard, engine, embedding, page))
-        else:
-            for shard, engine, db in self._shard_views():
-                region = db.embedding_region
-                pages.extend(
-                    (shard, engine, region, page)
-                    for page in range(region.n_pages)
-                )
-        self._footprints[submission.sub_id] = pages
-        return pages
-
-    def estimate(self, candidates: Sequence["Submission"]) -> "FormingEstimate":
-        """Occupancy statistics over every shard's expected schedule."""
-        key = tuple(s.sub_id for s in candidates)
-        cached = self._estimates.get(key)
-        if cached is not None:
-            return cached
-        per_region: Dict[Tuple[int, str], List[Tuple]] = {}
-        for submission in candidates:
-            for shard, engine, region, page in self.footprint(submission):
-                per_region.setdefault((shard, region.name), []).append(
-                    (engine, region, page)
-                )
-        n_requests = 0
-        n_senses = 0
-        planes: set = set()
-        for (shard, _name), demands in per_region.items():
-            engine, region = demands[0][0], demands[0][1]
-            requests = [
-                PageRequest(task=index, page_offset=page)
-                for index, (_engine, _region, page) in enumerate(demands)
-            ]
-            schedule = build_page_schedule(
-                requests,
-                lambda page_offset, shard=shard, engine=engine, region=region: (
-                    self._plane_on(shard, engine, region, page_offset)
-                ),
-                optimize=self.engine.flags.schedule_optimization,
-            )
-            n_requests += schedule.n_requests
-            n_senses += schedule.n_senses
-            planes.update(
-                (shard, plane) for plane in schedule.senses_per_plane()
-            )
-        estimate = FormingEstimate(
-            n_requests=n_requests,
-            n_senses=n_senses,
-            planes_covered=len(planes),
-            n_planes=self._count_planes(),
-        )
-        self._estimates = {key: estimate}  # keep only the latest pending set
-        return estimate

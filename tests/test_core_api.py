@@ -122,10 +122,13 @@ class TestQueryValidation:
         self, deployed_device, small_queries, name, corrupt, k, message
     ):
         device, db_id = deployed_device
-        queue = device.submission_queue(db_id, k=k, nprobe=2)
+        good = device.submission_queue(db_id, k=5, nprobe=2)
         with pytest.raises(ValueError, match=message):
-            queue.submit(corrupt(small_queries[:1])[0])
-        assert queue.pending_count == 0
+            # ``k`` is the queue's, so it fails when the queue is built;
+            # a bad query fails when it is submitted.
+            device.submission_queue(db_id, k=k, nprobe=2)
+            good.submit(corrupt(small_queries[:1])[0])
+        assert good.pending_count == 0
 
 
     @pytest.mark.parametrize("nprobe", [0, -3])
@@ -136,15 +139,64 @@ class TestQueryValidation:
         device, db_id = deployed_device
         with pytest.raises(ValueError, match=message):
             device.ivf_search(db_id, small_queries[:2], k=5, nprobe=nprobe)
-        queue = device.submission_queue(db_id, k=5, nprobe=nprobe)
         with pytest.raises(ValueError, match=message):
-            queue.submit(small_queries[0])
-        assert queue.pending_count == 0
+            device.submission_queue(db_id, k=5, nprobe=nprobe)
         vectors, _ = small_vectors
         sharded = ShardedReisDevice(2, tiny_config("VAL-NPROBE"))
         sharded_id = sharded.ivf_deploy("v", vectors, nlist=4, seed=0)
         with pytest.raises(ValueError, match=message):
             sharded.ivf_search(sharded_id, small_queries[:2], k=5, nprobe=nprobe)
+
+    @pytest.fixture(scope="class", params=["single", "sharded"])
+    def either_device(self, request, small_vectors):
+        """An untagged IVF database behind either device API."""
+        vectors, _ = small_vectors
+        if request.param == "single":
+            device = ReisDevice(tiny_config("VAL-1"))
+        else:
+            device = ShardedReisDevice(2, tiny_config("VAL-2"))
+        return device, device.ivf_deploy("v", vectors, nlist=4, seed=0)
+
+    @pytest.mark.parametrize(
+        "name,value", [("k", 2.5), ("k", 5.0), ("k", "3"), ("nprobe", 2.5)]
+    )
+    def test_non_integral_parameters_are_rejected(
+        self, either_device, small_queries, name, value
+    ):
+        """A float ``k`` would otherwise die as a slice index inside the
+        rerank, a float ``nprobe`` inside the cluster selection."""
+        device, db_id = either_device
+        params = {"k": 5, "nprobe": 2, name: value}
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=message):
+            device.ivf_search(db_id, small_queries[:2], **params)
+        with pytest.raises(ValueError, match=message):
+            device.submission_queue(db_id, **params)
+        if name == "k":
+            with pytest.raises(ValueError, match=message):
+                device.search(db_id, small_queries[:2], k=value)
+
+    def test_queue_parameters_fail_at_construction(self, either_device):
+        device, db_id = either_device
+        with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+            device.submission_queue(db_id, k=0)
+        with pytest.raises(ValueError, match="without metadata tags"):
+            device.submission_queue(db_id, k=5, metadata_filter=1)
+        # What raised is the queue's one plan, built up front.
+        plan = device.submission_queue(db_id, k=5, fetch_documents=False).plan
+        assert plan.k == 5
+        assert plan.stage_names() == ["ibc", "coarse", "fine", "rerank"]
+
+    def test_empty_batch_returns_an_empty_result(self, either_device, small_queries):
+        device, db_id = either_device
+        empty = small_queries[:0]
+        for batch in (
+            device.ivf_search(db_id, empty, k=5, nprobe=2),
+            device.search(db_id, empty, k=5),
+        ):
+            assert len(batch) == 0 and batch.results == []
+            assert batch.wall_seconds == 0.0
+            assert batch.batch_stats.n_queries == 0
 
     def test_nprobe_above_nlist_clamps(self, deployed_device, small_queries):
         device, db_id = deployed_device

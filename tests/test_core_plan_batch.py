@@ -3,11 +3,13 @@
 The central contracts:
 
 * a :class:`~repro.core.plan.QueryPlan` is an explicit, inspectable
-  schedule -- the five paper phases as data;
-* executing a batch through the :class:`~repro.core.batch.BatchExecutor`
-  returns **bit-identical** ids and distances to the sequential path
-  (property-tested over random database shapes), because batching only
-  changes the cost composition, never the functional command stream;
+  schedule -- the five paper phases as data, one record per batch;
+* a query's result does not depend on its batch: executing a batch
+  through the :class:`~repro.core.batch.BatchExecutor` returns
+  **bit-identical** ids and distances to serving its queries one at a
+  time (property-tested over random database shapes), because batching
+  only changes page-service order and the cost composition, never what a
+  query computes;
 * the batched wall clock is never worse than the sequential serving time,
   and improves measurably once queries can share senses and overlap
   across dies and channels.
@@ -18,20 +20,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.api import ReisDevice
-from repro.core.batch import BatchExecutor
+from repro.core.batch import BatchExecutor, BatchStats
 from repro.core.commands import FlashOp
 from repro.core.config import NO_OPT, OptFlags, tiny_config
 from repro.core.costing import PhaseCost, compose_batch_phase, compose_phase
 from repro.core.plan import (
-    BroadcastStage,
-    CoarseStage,
-    DocumentStage,
-    FineStage,
-    PageRequest,
-    PlanExecutor,
-    RerankStage,
-    build_page_schedule,
     build_query_plan,
+    schedule_order,
+    schedule_senses,
+    validate_queries,
 )
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
@@ -50,61 +47,43 @@ class TestPlanConstruction:
     def test_ivf_plan_has_all_five_phases(self, deployed_device, small_queries):
         device, db_id = deployed_device
         db = device.database(db_id)
-        plan = build_query_plan(device.engine, db, small_queries[0], k=5, nprobe=3)
+        plan = build_query_plan(device.engine, db, k=5, nprobe=3)
         assert plan.stage_names() == ["ibc", "coarse", "fine", "rerank", "documents"]
-        assert isinstance(plan.stages[0], BroadcastStage)
-        assert isinstance(plan.stages[1], CoarseStage)
-        assert plan.stages[1].nprobe == 3
-        assert isinstance(plan.stages[2], FineStage)
-        assert plan.stages[2].shortlist_size == device.engine.params.shortlist_factor * 5
-        assert isinstance(plan.stages[3], RerankStage)
-        assert isinstance(plan.stages[4], DocumentStage)
+        assert (plan.k, plan.nprobe) == (5, 3)
+        assert plan.shortlist_size == device.engine.params.shortlist_factor * 5
+        assert plan.metadata_filter is None and plan.fetch_documents
 
     def test_flat_plan_skips_coarse(self, deployed_flat_device, small_queries):
         device, db_id = deployed_flat_device
         db = device.database(db_id)
-        plan = build_query_plan(device.engine, db, small_queries[0], k=5)
+        plan = build_query_plan(device.engine, db, k=5)
         assert plan.stage_names() == ["ibc", "fine", "rerank", "documents"]
+        assert plan.nprobe is None
 
     def test_fetch_documents_false_drops_document_stage(
         self, deployed_device, small_queries
     ):
         device, db_id = deployed_device
         db = device.database(db_id)
-        plan = build_query_plan(
-            device.engine, db, small_queries[0], k=5, fetch_documents=False
-        )
+        plan = build_query_plan(device.engine, db, k=5, fetch_documents=False)
         assert "documents" not in plan.stage_names()
 
     def test_nprobe_clamped_to_nlist(self, deployed_device, small_queries):
         device, db_id = deployed_device
         db = device.database(db_id)
-        plan = build_query_plan(
-            device.engine, db, small_queries[0], k=5, nprobe=10_000
-        )
+        plan = build_query_plan(device.engine, db, k=5, nprobe=10_000)
         assert plan.nprobe == SMALL_NLIST
 
     def test_validation_happens_at_build_time(self, deployed_device, small_queries):
         device, db_id = deployed_device
         db = device.database(db_id)
         with pytest.raises(ValueError):
-            build_query_plan(device.engine, db, small_queries[0], k=0)
+            build_query_plan(device.engine, db, k=0)
         with pytest.raises(ValueError):
-            build_query_plan(device.engine, db, small_queries[0][:-8], k=5)
+            build_query_plan(device.engine, db, k=5, metadata_filter=3)
+        # The queries are checked once, at the API, not per plan.
         with pytest.raises(ValueError):
-            build_query_plan(
-                device.engine, db, small_queries[0], k=5, metadata_filter=3
-            )
-
-    def test_executed_plan_matches_search(self, deployed_device, small_queries):
-        device, db_id = deployed_device
-        db = device.database(db_id)
-        plan = build_query_plan(device.engine, db, small_queries[1], k=7, nprobe=3)
-        from_plan = PlanExecutor(device.engine).run(plan)
-        from_search = device.engine.search(db, small_queries[1], k=7, nprobe=3)
-        assert np.array_equal(from_plan.ids, from_search.ids)
-        assert np.array_equal(from_plan.distances, from_search.distances)
-        assert from_plan.latency.total_s == from_search.latency.total_s
+            validate_queries(db, small_queries[0][:-8], k=5)
 
 
 class TestBatchBitIdentity:
@@ -215,48 +194,78 @@ class TestBatchThroughput:
 
 
 class TestPageSchedule:
-    """Unit tests of the page-service schedule (plan-level data)."""
+    """Unit tests of the array page-service schedule
+    (``schedule_order`` + ``schedule_senses``)."""
 
-    REQUESTS = [
-        PageRequest(task=i, page_offset=p)
-        for i, p in enumerate([0, 1, 0, 2, 1, 0])
-    ]
+    PAGES = np.array([0, 1, 0, 2, 1, 0])
 
     @staticmethod
-    def _plane(page_offset):
-        return page_offset % 2  # pages 0 and 2 share plane 0, page 1 is alone
+    def _planes(pages):
+        return pages % 2  # pages 0 and 2 share plane 0, page 1 is alone
+
+    def _schedule(self, demands, optimize, cached_pages=None):
+        """``(task order, pages, planes, sensed)`` in service order."""
+        demands = np.asarray(demands)
+        order = schedule_order(demands, optimize)
+        if order is None:
+            order = np.arange(demands.size)
+        pages = demands[order]
+        planes = self._planes(pages)
+        cached = None
+        if cached_pages is not None:
+            cached = np.isin(pages, sorted(cached_pages))
+        return order, pages, planes, schedule_senses(pages, planes, cached)
 
     def test_optimized_schedule_senses_each_page_once(self):
-        schedule = build_page_schedule(self.REQUESTS, self._plane, optimize=True)
-        assert schedule.n_requests == 6
-        assert schedule.n_senses == 3  # three unique pages
+        order, pages, _planes, sensed = self._schedule(self.PAGES, True)
+        assert sensed.size == 6
+        assert sensed.sum() == 3  # three unique pages
         # Requests are stably grouped by page, pages in first-demand order.
-        assert [r.page_offset for r in schedule.requests] == [0, 0, 0, 1, 1, 2]
-        assert [r.task for r in schedule.requests] == [0, 2, 5, 1, 4, 3]
+        assert pages.tolist() == [0, 0, 0, 1, 1, 2]
+        assert order.tolist() == [0, 2, 5, 1, 4, 3]
 
     def test_unoptimized_shares_only_while_latched(self):
-        schedule = build_page_schedule(self.REQUESTS, self._plane, optimize=False)
+        order, _pages, _planes, sensed = self._schedule(self.PAGES, False)
         # Caller order is preserved; page 0's second visit rides the latch,
         # but its third comes after page 2 evicted plane 0.
-        assert [r.task for r in schedule.requests] == [0, 1, 2, 3, 4, 5]
-        assert schedule.sensed == [True, True, False, True, False, True]
-        assert schedule.n_senses == 4
+        assert order.tolist() == [0, 1, 2, 3, 4, 5]
+        assert sensed.tolist() == [True, True, False, True, False, True]
 
     def test_senses_per_plane_sums_to_n_senses(self):
+        """The per-plane sense counts the cost model is billed
+        (``_record_schedule``) add up to the schedule's senses."""
         for optimize in (True, False):
-            schedule = build_page_schedule(
-                self.REQUESTS, self._plane, optimize=optimize
+            _order, pages, planes, sensed = self._schedule(self.PAGES, optimize)
+            stats, billed = BatchStats(), {}
+            BatchExecutor._record_schedule(
+                pages.size, sensed, planes, "fine", stats, billed
             )
-            assert sum(schedule.senses_per_plane().values()) == schedule.n_senses
+            assert stats.scan_requests == 6
+            assert sum(billed["fine"].values()) == stats.scan_senses == sensed.sum()
+            assert billed["fine"] == {
+                plane: int(sensed[planes == plane].sum())
+                for plane in np.unique(planes[sensed]).tolist()
+            }
 
     def test_service_groups_cover_requests_in_order(self):
-        schedule = build_page_schedule(self.REQUESTS, self._plane, optimize=True)
-        drained = []
-        for page_offset, plane, sense, run in schedule.service_groups():
-            assert all(r.page_offset == page_offset for r in run)
-            assert plane == self._plane(page_offset)
-            drained.extend(run)
-        assert drained == schedule.requests
+        """The optimized order is one run per page: the run's first
+        request senses, the rest drain the latched page."""
+        _order, pages, planes, sensed = self._schedule(self.PAGES, True)
+        starts = np.flatnonzero(np.r_[True, pages[1:] != pages[:-1]])
+        assert pages[starts].tolist() == [0, 1, 2]  # each page exactly once
+        assert np.flatnonzero(sensed).tolist() == starts.tolist()
+        for start, end in zip(starts, np.r_[starts[1:], pages.size]):
+            assert len(set(planes[start:end].tolist())) == 1
+
+    def test_cached_request_neither_senses_nor_evicts_the_latch(self):
+        """A mirror-served request between two same-plane requests for one
+        page: the controller streams it from DRAM, so the plane's latch
+        still holds the page when the second request arrives."""
+        demands = [0, 2, 0]  # both on plane 0
+        *_, uncached = self._schedule(demands, False)
+        assert uncached.tolist() == [True, True, True]  # page 2 evicts page 0
+        *_, sensed = self._schedule(demands, False, cached_pages={2})
+        assert sensed.tolist() == [True, False, False]
 
 
 class TestPageMajorExecution:
@@ -292,25 +301,33 @@ class TestPageMajorExecution:
 
     def test_energy_scales_with_unique_not_total_senses(self):
         """The page_reads counter (and hence sense energy) advances once
-        per unique sense under batching; latch work stays per visit."""
+        per unique sense: one batch of 16 performs exactly the scan senses
+        fewer than 16 batches of one that sharing pages across queries
+        saves; latch work stays per visit."""
         w = self.WORKLOAD
         dev_seq, db_seq, queries = self._deploy("seq")
         dev_bat, db_bat, _ = self._deploy("bat")
 
         reads_before_seq = dev_seq.ssd.counters["page_reads"]
-        db = dev_seq.database(db_seq)
-        for query in queries:
-            dev_seq.engine.search(db, query, k=w["k"], nprobe=w["nprobe"])
+        solos = [
+            dev_seq.ivf_search(db_seq, query, k=w["k"], nprobe=w["nprobe"])
+            for query in queries
+        ]
         reads_seq = dev_seq.ssd.counters["page_reads"] - reads_before_seq
 
         reads_before_bat = dev_bat.ssd.counters["page_reads"]
         batch = dev_bat.ivf_search(db_bat, queries, k=w["k"], nprobe=w["nprobe"])
         reads_bat = dev_bat.ssd.counters["page_reads"] - reads_before_bat
 
-        stats = batch.batch_stats
-        saved = stats.scan_requests - stats.scan_senses
+        for solo, batched in zip(solos, batch):
+            assert np.array_equal(solo[0].ids, batched.ids)
+        saved = (
+            sum(solo.batch_stats.scan_senses for solo in solos)
+            - batch.batch_stats.scan_senses
+        )
         assert saved > 0
-        # The batch performs exactly the scan senses it amortized fewer.
+        # TLC reads are billed per query on both sides; the scan senses
+        # the batch amortized are the whole difference.
         assert reads_seq - reads_bat == saved
         # Energy: the sense component shrinks by exactly the saved senses;
         # the in-plane latch work is identical (it runs per visit).

@@ -29,14 +29,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (
     BatchExecutor,
+    CapacityError,
     DeviceScheduler,
+    OptFlags,
     QueueAdmissionError,
     QueuePolicy,
     ReisDevice,
+    ShardedReisDevice,
+    ShardUnavailableError,
     SubmissionQueue,
     tiny_config,
 )
-from repro.core.queue import BatchFormer, Submission
+from repro.core.queue import Submission
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 from repro.sim.latency import SimClock
 
@@ -139,7 +143,7 @@ class TestBatchFormer:
     def _former(self, deployed, **policy_kwargs):
         device, db_id, _ = deployed
         policy = QueuePolicy(**policy_kwargs)
-        return BatchFormer(device.engine, device.database(db_id), 3, policy)
+        return device.submission_queue(db_id, nprobe=3, policy=policy).former
 
     def _subs(self, deployed, n, submit_s=0.0, deadline_s=math.inf):
         _, _, queries = deployed
@@ -211,6 +215,159 @@ class TestBatchFormer:
         assert former.should_close(subs, now_s=0.0, flushing=False) is None
 
 
+class TestFormerEstimateAgainstLatchWalk:
+    """``BatchFormer.estimate`` pinned, count for count, to a pure-Python
+    reference: per-(shard, region, page) demands walked against a
+    ``latched[plane]`` dict, the plane of a page taken from the scalar
+    address translation."""
+
+    N, DIM, NLIST, NPROBE, SUBS = 8000, 256, 16, 5, 9
+
+    @staticmethod
+    def _flags(optimize):
+        return OptFlags(schedule_optimization=optimize)
+
+    def _vectors(self):
+        return make_clustered_embeddings(self.N, self.DIM, self.NLIST, seed="pin")[0]
+
+    def _single(self, optimize, ivf):
+        device = ReisDevice(tiny_config(f"PIN-1-{ivf}"), flags=self._flags(optimize))
+        if ivf:
+            db_id = device.ivf_deploy("p", self._vectors(), nlist=self.NLIST, seed=0)
+        else:
+            db_id = device.db_deploy("p", self._vectors(), seed=0)
+        db = device.database(db_id)
+        queue = device.submission_queue(db_id, nprobe=self.NPROBE if ivf else None)
+        return queue, [(0, device.engine, db, None)], db.n_clusters, None
+
+    def _sharded(self, optimize, n_shards, placement, replicas, dead):
+        device = ShardedReisDevice(
+            n_shards, tiny_config(f"PIN-{n_shards}"), flags=self._flags(optimize),
+            placement=placement, replication_factor=replicas,
+        )
+        db_id = device.ivf_deploy("p", self._vectors(), nlist=self.NLIST, seed=0)
+        sdb = device.database(db_id)
+        queue = device.submission_queue(db_id, nprobe=self.NPROBE)
+        # The former sees liveness when it estimates, not when it was built.
+        for shard in dead:
+            device.kill_shard(shard)
+        assignment = sdb.assignment
+        views = [
+            (shard, device.shards[shard].engine, sdb.shard_dbs[shard],
+             [int(c) for c in assignment.shard_clusters[shard]])
+            for shard in sdb.active_shards if shard not in dead
+        ]
+        serving = None
+        if placement == "cluster":
+            serving = {}
+            for cluster in range(self.NLIST):
+                live = [s for s in assignment.owners_of(cluster) if s not in dead]
+                if live:
+                    serving[cluster] = live[0]
+        return queue, views, sdb.n_clusters, serving
+
+    def _reference(self, views, n_clusters, serving, optimize, sub_ids):
+        """(n_requests, n_senses, planes_covered, n_planes) by the walk."""
+
+        def plane_of(engine, region, page):
+            geometry = engine.geometry
+            return region.region.translate(page, geometry).plane_linear(geometry)
+
+        demands = {}  # (shard, region name) -> [(plane, page)] in demand order
+        for sub_id in sub_ids:
+            guessed = []
+            if n_clusters:
+                stride = max(1, n_clusters // self.NPROBE)
+                guessed = [
+                    (sub_id + j * stride) % n_clusters for j in range(self.NPROBE)
+                ]
+            for shard, engine, db, owned in views:
+                embedding = db.embedding_region
+                if not db.is_ivf:
+                    pages = [(embedding, p) for p in range(embedding.n_pages)]
+                else:
+                    centroid = db.centroid_region
+                    pages = [(centroid, p) for p in range(centroid.n_pages)]
+                    seen = set()
+                    for cluster in guessed:
+                        if serving is not None and serving.get(cluster) != shard:
+                            continue
+                        if owned is None:
+                            local = cluster
+                        elif cluster in owned:
+                            local = owned.index(cluster)
+                        else:
+                            continue
+                        entry = db.r_ivf[local]
+                        if entry.size <= 0:
+                            continue
+                        spp = embedding.slots_per_page
+                        for page in range(
+                            entry.first_embedding // spp,
+                            entry.last_embedding // spp + 1,
+                        ):
+                            if page not in seen:
+                                seen.add(page)
+                                pages.append((embedding, page))
+                for region, page in pages:
+                    demands.setdefault((shard, region.name), []).append(
+                        (plane_of(engine, region, page), page)
+                    )
+        n_requests = n_senses = 0
+        covered = set()
+        for (shard, _name), requests in demands.items():
+            if optimize:
+                # Stably grouped by page, pages in first-demand order.
+                rank = {}
+                for _plane, page in requests:
+                    rank.setdefault(page, len(rank))
+                requests = sorted(requests, key=lambda r: rank[r[1]])
+            latched = {}
+            for plane, page in requests:
+                n_requests += 1
+                if latched.get(plane) != page:
+                    latched[plane] = page
+                    n_senses += 1
+                    covered.add((shard, plane))
+        spanned = {
+            (shard, plane_of(engine, region, page))
+            for shard, engine, db, _owned in views
+            for region in (db.centroid_region, db.embedding_region)
+            if region is not None
+            for page in range(region.n_pages)
+        }
+        return n_requests, n_senses, len(covered), len(spanned)
+
+    DEPLOYMENTS = {
+        "single-ivf": lambda self, opt: self._single(opt, ivf=True),
+        "single-flat": lambda self, opt: self._single(opt, ivf=False),
+        "striped-3": lambda self, opt: self._sharded(opt, 3, "round_robin", 1, ()),
+        "replicated-4x2-one-dead": lambda self, opt: self._sharded(
+            opt, 4, "cluster", 2, (1,)
+        ),
+    }
+
+    @pytest.mark.parametrize("optimize", [True, False], ids=["optimized", "query-order"])
+    @pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
+    def test_estimate_matches_the_reference_walk(self, deployment, optimize):
+        queue, views, n_clusters, serving = self.DEPLOYMENTS[deployment](self, optimize)
+        query = np.zeros(self.DIM, dtype=np.float32)  # forming never reads it
+        subs = [
+            Submission(sub_id=i, tenant="t", query=query, submit_s=0.0)
+            for i in range(self.SUBS)
+        ]
+        for pending in (subs[:1], subs[2:5], subs):
+            estimate = queue.former.estimate(pending)
+            expected = self._reference(
+                views, n_clusters, serving, optimize, [s.sub_id for s in pending]
+            )
+            assert (
+                estimate.n_requests, estimate.n_senses,
+                estimate.planes_covered, estimate.n_planes,
+            ) == expected
+        assert 0 < estimate.n_senses <= estimate.n_requests
+
+
 class TestSubmissionAdmission:
     @pytest.fixture(scope="class")
     def deployed(self):
@@ -265,6 +422,86 @@ class TestSubmissionAdmission:
         assert tenants.count("slow") == 2
         assert tenants.count("flood") == 6
         assert tenants[:4] == ["flood", "slow", "flood", "slow"]
+
+
+class TestFailedBatchIsRequeued:
+    """A batch whose execution raises loses nothing: its unserved members
+    go back to the head of their tenant FIFOs, in their original order."""
+
+    K, NLIST = 5, 12
+
+    def _sharded(self, tag, **deploy):
+        vectors, _ = make_clustered_embeddings(360, 64, self.NLIST, seed="requeue")
+        queries = make_queries(vectors, 6, seed="requeue-q")
+        device = ShardedReisDevice(3, tiny_config(f"REQUEUE-{tag}"), placement="cluster")
+        db_id = device.ivf_deploy("r", vectors, nlist=self.NLIST, seed=0, **deploy)
+        return device, db_id, vectors, queries
+
+    def _queue(self, device, db_id, queries):
+        # Probing every cluster: any dead shard makes the batch unservable.
+        queue = device.submission_queue(
+            db_id, k=self.K, nprobe=self.NLIST,
+            policy=QueuePolicy(tenant_weights={"a": 2, "b": 1}),
+        )
+        for i, query in enumerate(queries):
+            queue.submit(query, tenant="ab"[i % 2])
+        return queue
+
+    def test_unavailable_shard_does_not_drop_the_batch(self):
+        device, db_id, _vectors, queries = self._sharded("read")
+        healthy = self._queue(device, db_id, queries).drain()
+        queue = self._queue(device, db_id, queries)
+        device.kill_shard(1)
+        with pytest.raises(ShardUnavailableError):
+            queue.drain()
+        assert queue.pending_count == len(queries)
+        assert queue.served == {} and queue.batches == []
+        device.revive_shard(1)
+        report = queue.drain()
+        assert report.n_queries == len(queries)
+        # The retried batch is the one the failure interrupted: same
+        # members, same weighted-round-robin order, same results.
+        assert [
+            [s.sub_id for s in batch.submissions] for batch in report.batches
+        ] == [[s.sub_id for s in batch.submissions] for batch in healthy.batches]
+        for expect, got in zip(healthy.served, report.served):
+            assert np.array_equal(expect.result.ids, got.result.ids)
+            assert np.array_equal(expect.result.distances, got.result.distances)
+
+    def test_committed_mutations_keep_their_acks_and_are_not_requeued(self):
+        device, db_id, vectors, queries = self._sharded("ingest", growth_entries=2048)
+        queue = device.ingest_queue(db_id, k=self.K, nprobe=self.NLIST)
+        insert = queue.submit_insert(vectors[0] + 0.01, tenant="writer")
+        reads = [queue.submit(query, tenant="reader") for query in queries[:3]]
+        device.kill_shard(1)
+        with pytest.raises(ShardUnavailableError):
+            queue.drain()
+        # The insert committed before the reads failed: it is acknowledged
+        # and must never be applied a second time; the reads wait.
+        assert queue.mutation_acks[insert].applied
+        assert queue.pending_count == len(reads)
+        device.revive_shard(1)
+        report = queue.drain()
+        assert sorted(q.submission.sub_id for q in report.served) == reads
+        assert len(queue.manager.commits) == 1
+        assert all(q.result.ids.size == self.K for q in report.served)
+
+    def test_refused_commit_requeues_the_mutations_unapplied(self):
+        vectors, _ = make_clustered_embeddings(360, 64, self.NLIST, seed="requeue")
+        device = ReisDevice(tiny_config("REQUEUE-FULL"))
+        db_id = device.ivf_deploy("r", vectors, nlist=self.NLIST, seed=0)  # no growth
+        queue = device.ingest_queue(db_id, k=self.K, nprobe=2)
+        insert = queue.submit_insert(vectors[0] + 0.01)
+        read = queue.submit(vectors[1])
+        with pytest.raises(CapacityError):
+            queue.drain()
+        assert queue.pending_count == 2
+        assert queue.mutation_acks == {} and queue.manager.commits == []
+        # Re-formed, the batch is the same one: the insert is still a
+        # mutation (refused again), never served as a query.
+        with pytest.raises(CapacityError):
+            queue.drain()
+        assert queue.pending_count == 2 and queue.served == {}
 
 
 class TestQueueBitIdentity:

@@ -23,8 +23,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.ann.ivf import build_ivf_model
 from repro.core import (
     KILL_BARRIERS,
-    BatchExecutor,
-    MergeStage,
     QueuePolicy,
     ReisDevice,
     ReisRetriever,
@@ -32,6 +30,7 @@ from repro.core import (
     ShardedReisDevice,
     ShardedScheduler,
     ShardUnavailableError,
+    build_query_plan,
     plan_placement,
     shard_ivf_model,
     tiny_config,
@@ -328,19 +327,15 @@ class TestLogicalPlan:
         )
         names = plan.stage_names()
         assert names == ["ibc", "coarse", "fine", "merge", "rerank", "documents"]
-        merge = next(s for s in plan.stages if s.name == "merge")
-        assert merge.fan_in == 4
+        assert plan.merge_fan_in == 4
 
-    def test_single_device_executor_whitelist_excludes_merge(self):
-        # The merge stage is host-side plan data: the page-major executor's
-        # stage whitelist must never admit it.
-        assert "merge" not in BatchExecutor.SERVICEABLE_STAGES
-        assert MergeStage().name == "merge"
-
-    def test_merge_stage_never_runs_on_a_device(self, sharded_pair):
-        single, sid, _, _, queries = sharded_pair
-        with pytest.raises(RuntimeError, match="host"):
-            MergeStage().run(single.engine, None)
+    def test_single_device_plan_has_no_merge(self, sharded_pair):
+        # The merge is host-side plan data: only the router's logical
+        # plan carries it, never a plan a device executes.
+        single, sid, _, _, _ = sharded_pair
+        plan = build_query_plan(single.engine, single.database(sid), k=5, nprobe=4)
+        assert plan.merge_fan_in is None
+        assert "merge" not in plan.stage_names()
 
 
 class TestShardedQueue:

@@ -26,7 +26,6 @@ from repro.core import (
     KILL_BARRIERS,
     MigrationResult,
     ReisDevice,
-    ShardedBatchFormer,
     ShardedReisDevice,
     ShardedScheduler,
     ShardUnavailableError,
@@ -352,7 +351,8 @@ class TestShardedBatchForming:
     def test_queue_uses_cluster_wide_former(self, replicated_pair):
         sharded, did, queries, reference = replicated_pair
         queue = sharded.submission_queue(did, k=K, nprobe=NPROBE)
-        assert isinstance(queue.former, ShardedBatchFormer)
+        shards = {view[0] for view in queue.former.views(())}
+        assert shards == set(sharded.database(did).active_shards)
         for i, query in enumerate(queries):
             queue.submit(query, tenant=f"t{i % 2}")
         report = queue.drain()
@@ -370,18 +370,14 @@ class TestShardedBatchForming:
         queue = sharded.submission_queue(did, k=K, nprobe=NPROBE)
         former = queue.former
         total_planes = former._count_planes()
-        # The anchor-only base former sees one shard's regions -- the bug
-        # this subclass fixes.  The cluster-wide count must exceed it.
-        from repro.core.queue import BatchFormer
-
+        # A former over the anchor shard alone sees one shard's regions --
+        # the misreading the cluster-wide views fix.  The count over every
+        # shard must exceed it.
         sdb = sharded.database(did)
         anchor = sharded.router.resolve_anchor(sdb)
-        base = BatchFormer(
-            sharded.router.engines[anchor],
-            sdb.shard_dbs[anchor],
-            NPROBE,
-            queue.policy,
-        )
+        base = sharded.shards[anchor].submission_queue(
+            sdb.shard_db_ids[anchor], k=K, policy=queue.policy
+        ).former
         assert total_planes > base._count_planes()
         from repro.core.queue import Submission
 
