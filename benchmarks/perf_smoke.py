@@ -10,17 +10,28 @@ serving hot path (a reintroduced per-query Python loop) costs well over
 
 A second, machine-speed-independent gate caps the *share* of host wall
 spent in the TLC phases (``host_rerank`` + ``host_documents``) at that
-point: the phase kernels (sense in place, in-place ECC, one columnar
-billing pass) hold it near 0.44 (it was 0.60 while every page was copied
-six times and billed through per-query loops), so a reintroduced
-per-query TLC walk trips it regardless of how fast the CI machine is.
+point: the phase kernels (one sense run per plane into the page stack,
+in-place ECC, one columnar billing pass) hold it near 0.45 (it was 0.60
+while every page was copied six times and billed through per-query
+loops), so a reintroduced per-query TLC walk trips it regardless of how
+fast the CI machine is.
 
 A third, also machine-independent, caps the share of host wall the fine
-scan may take at that point: the columnar phase kernel holds it under
-0.40 (it was 0.59-0.75 while every (query, page) demand ran its own
-extraction chain), so a per-task numpy chain creeping back trips it.
+scan may take at that point: the per-plane phase kernel holds it near
+0.24 (0.27 while every page run had its own READ_PAGE -> GEN_DIST chain,
+0.59-0.75 while every (query, page) demand did), so a per-task numpy
+chain creeping back trips it.
 
-A fourth gate covers the DRAM page cache: the hot-Zipf (s=1.2) stream
+A fourth is noise-free: the Python ``call`` + ``c_call`` events
+(``sys.setprofile``) of the first batch-64 search on a fresh device,
+against a constant measured when the gate was set, x1.10.  The count is
+exact for a given interpreter and numpy, and host time tracks it at about
+0.5 us per event, so a per-page Python loop creeping back into a phase
+kernel trips it on any machine.  It is taken at the 10^5-entry point,
+where pages outnumber planes by enough to show one: the per-page-run
+chains this gate was set after cost +43% there and +7% at 10^4.
+
+A fifth gate covers the DRAM page cache: the hot-Zipf (s=1.2) stream
 served with a working-set-sized cost-aware cache must beat the same
 stream uncached in host wall (best-of-5 each, same process).  Cache
 hits skip the sense simulation, the ECC decode and the latch kernels,
@@ -39,6 +50,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_serving_throughput import (  # noqa: E402
     BENCH_PATH,
     HOST_SCALE_POINTS,
+    K,
+    NPROBE,
+    deploy_host_scaling_point,
     run_cache_smoke,
     run_host_scaling_point,
 )
@@ -46,9 +60,15 @@ from test_serving_throughput import (  # noqa: E402
 GATE_N_ENTRIES = 10_000
 REGRESSION_FACTOR = 2.0
 REPEATS = 5
-# Measured (host_rerank + host_documents) / host_wall is 0.41-0.44; +0.10 margin.
+# Measured (host_rerank + host_documents) / host_wall is 0.45-0.46; the
+# +0.10 margin would be looser than the ceiling already held, so it stays.
 TLC_SHARE_CEILING = 0.54
-FINE_SHARE_CEILING = 0.40
+# Measured host_fine / host_wall is 0.23-0.24; +0.10 margin.
+FINE_SHARE_CEILING = 0.34
+# Measured call + c_call events of the first batch-64 search at 10^5
+# entries: 60,223 (python 3.11, numpy 2.4); x1.10.
+EVENTS_N_ENTRIES = 100_000
+SEARCH_EVENTS_CEILING = 66_245
 
 
 def tlc_share(point) -> float:
@@ -56,6 +76,26 @@ def tlc_share(point) -> float:
     phases = point["host_phase_seconds"]
     tlc = phases.get("host_rerank", 0.0) + phases.get("host_documents", 0.0)
     return tlc / max(point["host_wall_seconds"], 1e-12)
+
+
+def count_search_events() -> int:
+    """Python ``call`` + ``c_call`` events of the first batch-64 search on
+    a fresh device at the :data:`EVENTS_N_ENTRIES` host-scaling point."""
+    device, db_id, queries, _deploy_seconds = deploy_host_scaling_point(
+        *next(p for p in HOST_SCALE_POINTS if p[0] == EVENTS_N_ENTRIES)
+    )
+    events = 0
+
+    def count(_frame, event, _arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        device.ivf_search(db_id, queries, k=K, nprobe=NPROBE)
+    finally:
+        sys.setprofile(None)
+    return events
 
 
 def main() -> int:
@@ -113,6 +153,18 @@ def main() -> int:
         print(
             "perf-smoke: FAIL -- fine-scan host share regressed "
             "(per-task extraction chain reintroduced?)"
+        )
+        return 1
+
+    events = count_search_events()
+    print(
+        f"perf-smoke: batch-64 search at {EVENTS_N_ENTRIES:,} entries: "
+        f"{events:,} call + c_call events, ceiling {SEARCH_EVENTS_CEILING:,}"
+    )
+    if events > SEARCH_EVENTS_CEILING:
+        print(
+            "perf-smoke: FAIL -- Python call count regressed "
+            "(per-page loop back in a phase kernel?)"
         )
         return 1
 

@@ -203,6 +203,17 @@ def host_scale_config(name, blocks_per_plane):
     )
 
 
+def deploy_host_scaling_point(n_entries, nlist, blocks_per_plane):
+    """A fresh device holding the ``n_entries`` corpus of a host-scaling
+    point: ``(device, db_id, the batch-64 queries, deploy wall seconds)``."""
+    vectors, _ = make_clustered_embeddings(n_entries, DIM, nlist, seed="host-scale")
+    queries = make_queries(vectors, HOST_SCALE_BATCH, seed="host-scale-q")
+    device = ReisDevice(host_scale_config(f"HOST-{n_entries}", blocks_per_plane))
+    deploy_start = time.perf_counter()
+    db_id = device.ivf_deploy("host-scale", vectors, nlist=nlist, seed=0)
+    return device, db_id, queries, time.perf_counter() - deploy_start
+
+
 def run_host_scaling_point(n_entries, nlist, blocks_per_plane,
                            repeats=HOST_SCALE_REPEATS):
     """Deploy ``n_entries`` and serve the batch-64 workload ``repeats`` times.
@@ -211,12 +222,9 @@ def run_host_scaling_point(n_entries, nlist, blocks_per_plane,
     the numbers are comparable across points) with its per-phase HostProfile
     decomposition, asserting every repeat returns bit-identical results.
     """
-    vectors, _ = make_clustered_embeddings(n_entries, DIM, nlist, seed="host-scale")
-    queries = make_queries(vectors, HOST_SCALE_BATCH, seed="host-scale-q")
-    device = ReisDevice(host_scale_config(f"HOST-{n_entries}", blocks_per_plane))
-    deploy_start = time.perf_counter()
-    db_id = device.ivf_deploy("host-scale", vectors, nlist=nlist, seed=0)
-    deploy_seconds = time.perf_counter() - deploy_start
+    device, db_id, queries, deploy_seconds = deploy_host_scaling_point(
+        n_entries, nlist, blocks_per_plane
+    )
 
     best = None
     reference = None

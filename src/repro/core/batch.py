@@ -294,14 +294,12 @@ class BatchExecutor:
     ) -> None:
         """Drain one scan phase through the engine's phase kernel and
         record the schedule it executed for the cost model."""
-        sensed, planes = self.engine.scan_page_run(
+        senses_of = self.engine.scan_page_run(
             db, tasks, phase == "coarse",
             np.stack([ctx.query_code for ctx in ctxs]),
             ttls, costs, [ctx.stats for ctx in ctxs], select_k,
         )
-        self._record_schedule(
-            len(tasks), sensed, planes, phase, stats, scheduled_senses
-        )
+        self._record_schedule(len(tasks), senses_of, phase, stats, scheduled_senses)
 
     # --------------------------------------------------------- phase drivers
 
@@ -549,21 +547,18 @@ class BatchExecutor:
     @staticmethod
     def _record_schedule(
         n_requests: int,
-        sensed: np.ndarray,
-        planes: np.ndarray,
+        senses_of: np.ndarray,
         phase: str,
         stats: BatchStats,
         scheduled_senses: Dict[str, Dict[int, int]],
     ) -> None:
-        """Accumulate an executed schedule's sense counts for the cost model."""
+        """Accumulate an executed schedule's sense counts for the cost model
+        (``senses_of[plane]`` = the senses the kernel ran on that plane)."""
         stats.scan_requests += int(n_requests)
-        stats.scan_senses += int(sensed.sum())
-        if not sensed.any():
-            return
+        stats.scan_senses += int(senses_of.sum())
         acc = scheduled_senses.setdefault(phase, {})
-        uniq, counts = np.unique(planes[sensed], return_counts=True)
-        for plane, senses in zip(uniq.tolist(), counts.tolist()):
-            acc[plane] = acc.get(plane, 0) + senses
+        for plane in senses_of.nonzero()[0].tolist():
+            acc[plane] = acc.get(plane, 0) + int(senses_of[plane])
 
     # -------------------------------------------------------------- execute
 

@@ -16,13 +16,18 @@ RD_TTL    EADR           Move a TTL entry (DIST/EMB/links) to the SSD DRAM
 ``READ_PAGE`` (the standard sense command) and ``PASS_FAIL`` (the standard
 program-verify comparator, reused for distance filtering) complete the set
 the engine needs.
+
+The engine drives a die once per *plane* per scan phase -- a sense run, a
+stack of extractions, the comparator sweeps and channel moves -- and the
+trace advances by counts: it holds the command stream a per-page walk
+would have issued.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -43,9 +48,6 @@ class CommandTrace:
     """Issued-command log (used by tests and the energy model)."""
 
     counts: Dict[FlashOp, int]
-
-    def record(self, op: FlashOp) -> None:
-        self.counts[op] = self.counts.get(op, 0) + 1
 
     def record_many(self, op: FlashOp, n: int) -> None:
         if n > 0:
@@ -74,30 +76,35 @@ class DieCommandInterface:
         self.trace.record_many(FlashOp.IBC, len(query_codes))
         return self.die.broadcast_queries(query_codes, multi_plane)
 
-    def read_page(self, plane: int, block: int, page: int) -> Tuple[np.ndarray, np.ndarray]:
-        self.trace.record(FlashOp.READ_PAGE)
-        return self.die.planes[plane].read_page(block, page)
+    def sense_run(self, plane: int, blocks: List[int], pages: List[int]) -> None:
+        """READ_PAGE for each page of one plane's senses of a phase, in
+        service order (:meth:`~repro.nand.plane.Plane.read_pages`)."""
+        self.trace.record_many(FlashOp.READ_PAGE, len(pages))
+        self.die.planes[plane].read_pages(blocks, pages)
 
-    def gen_dist_multi(
+    def gen_dist_run(
         self,
         plane: int,
         query_codes: np.ndarray,
         code_bytes: int,
         n_segments: int,
+        pages: np.ndarray,
+        page_of: np.ndarray,
     ) -> np.ndarray:
-        """GEN_DIST for several queries against the one latched page.
+        """XOR + GEN_DIST for every extraction one plane owes in a phase.
 
-        The page is sensed once; for each query the cache latch is reloaded
-        and the XOR + fail-bit-count pair runs again ("one sense, N distance
-        extractions"), so the command stream carries one XOR and one
-        GEN_DIST per query exactly as if each query had visited the page
-        itself.  Returns a ``(n_queries, n_segments)`` distance matrix.
+        A page is sensed once; for each query that wants it the cache latch
+        is reloaded and the XOR + fail-bit-count pair runs again ("one
+        sense, N distance extractions"): one XOR and one GEN_DIST per
+        (page, query) extraction.  Extraction ``i`` pairs ``query_codes[i]``
+        with row ``page_of[i]`` of ``pages``, the bytes of the pages the
+        plane latched.  Returns a ``(len(query_codes), n_segments)`` matrix.
         """
-        n_queries = len(query_codes)
-        self.trace.record_many(FlashOp.XOR, n_queries)
-        self.trace.record_many(FlashOp.GEN_DIST, n_queries)
-        return self.die.multi_query_distances(
-            plane, query_codes, code_bytes, n_segments
+        n_extractions = len(query_codes)
+        self.trace.record_many(FlashOp.XOR, n_extractions)
+        self.trace.record_many(FlashOp.GEN_DIST, n_extractions)
+        return self.die.planes[plane].multi_query_distances(
+            query_codes, code_bytes, n_segments, pages, page_of
         )
 
     def record_extraction(self, plane: int, n_sweeps: int, n_moved: int) -> None:

@@ -27,6 +27,13 @@ latency/energy report.  The same :mod:`repro.core.costing` composition is
 used by the paper-scale analytic model, letting tests cross-validate the
 two layers.
 
+The list is what the hardware does per (query, page); the simulator runs
+it at the coarsest grain that leaves results, traces, counters, latch
+contents and error streams as that walk would: steps 2-4 per *plane* (one
+sense run, one stacked XOR + popcount -- ESP-SLC's raw BER of 0 makes a
+sensed page its stored bytes), steps 5-9 per *phase*, and only the TLC
+error draws per page, because they pin each plane's RNG stream.
+
 The phase methods here are the hardware-level primitives; what a batch
 runs is a :class:`~repro.core.plan.QueryPlan` and the executor that
 strings the phases together lives in :mod:`repro.core.batch` (a solo
@@ -53,6 +60,7 @@ from repro.core.plan import (
     validate_queries,
 )
 from repro.core.registry import TemporalTopList, TtlBlock, TtlRefs
+from repro.nand.cell import reliability
 from repro.nand.ecc import UncorrectableReadError
 from repro.nand.latches import xor_popcount_segments
 from repro.rag.documents import DocumentChunk
@@ -68,16 +76,17 @@ __all__ = [
 class _LatchedPages:
     """Code + OOB bytes of the pages one scan phase latched, by page rank.
 
-    The phase kernel snapshots each page once, while it sits in the sensing
-    latch (or from the DRAM mirror), so that TTL rows can stay ``(page,
-    slot)`` references: :meth:`decode` assembles the RD_TTL payload -- the
-    embedding code and the OOB linkage words -- only for the rows a
-    selection asks for.
+    The phase kernel snapshots each unique page once, from its stored bytes
+    (what a raw-BER-0 sense returns) or the DRAM mirror, so that the stacked
+    distance pass reads one table and TTL rows stay ``(page, slot)`` references:
+    :meth:`decode` assembles the RD_TTL payload -- the embedding code and
+    the OOB linkage words -- only for the rows a selection asks for.
     """
 
     def __init__(
         self,
         page_offsets: np.ndarray,
+        views: Sequence[Tuple[np.ndarray, np.ndarray]],
         slots_per_page: int,
         code_bytes: int,
         record_bytes: int,
@@ -86,18 +95,14 @@ class _LatchedPages:
         self.page_offsets = page_offsets
         self.slots_per_page = slots_per_page
         self.coarse = coarse
-        n_pages = page_offsets.size
-        self.codes = np.empty(
-            (n_pages, slots_per_page, code_bytes), dtype=np.uint8
-        )
-        self.records = np.empty(
-            (n_pages, slots_per_page, record_bytes), dtype=np.uint8
-        )
-
-    def snapshot(self, rank: int, data: np.ndarray, oob: np.ndarray) -> None:
-        codes, records = self.codes[rank], self.records[rank]
-        codes[:] = data[: codes.size].reshape(codes.shape)
-        records[:] = oob[: records.size].reshape(records.shape)
+        shape = (page_offsets.size, slots_per_page)
+        n_code, n_record = slots_per_page * code_bytes, slots_per_page * record_bytes
+        self.codes = np.concatenate(
+            [data[:n_code] for data, _oob in views]
+        ).reshape(*shape, code_bytes)
+        self.records = np.concatenate(
+            [oob[:n_record] for _data, oob in views]
+        ).reshape(*shape, record_bytes)
 
     def words(self, ranks: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """The little-endian 32-bit OOB linkage words of the given rows."""
@@ -147,19 +152,11 @@ class InStorageAnnsEngine:
         self.timing = ssd.spec.timing
         self.params = config.engine
         # One command FSM per die, indexed by global die index.
-        self._die_interfaces: Dict[int, DieCommandInterface] = {}
-        for plane_index in range(self.geometry.total_planes):
-            die_index = plane_index // self.geometry.planes_per_die
-            if die_index not in self._die_interfaces:
-                self._die_interfaces[die_index] = DieCommandInterface(
-                    ssd.array.die_of_plane(plane_index)
-                )
-        self._planes = [plane for _index, plane in ssd.array.iter_planes()]
-
-    # ------------------------------------------------------------ utilities
-
-    def die_interface_of_plane(self, plane_index: int) -> DieCommandInterface:
-        return self._die_interfaces[plane_index // self.geometry.planes_per_die]
+        planes_per_die = self.geometry.planes_per_die
+        self._die_interfaces: Dict[int, DieCommandInterface] = {
+            first // planes_per_die: DieCommandInterface(ssd.array.die_of_plane(first))
+            for first in range(0, self.geometry.total_planes, planes_per_die)
+        }
 
     # ------------------------------------------------------ DRAM page cache
 
@@ -228,43 +225,55 @@ class InStorageAnnsEngine:
         costs: Sequence[PhaseCost],
         stats_list: Sequence[SearchStats],
         select_k: Sequence[int],
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """Steps 2-7 for one scan phase: the columnar phase kernel.
 
         ``tasks`` holds every (query, page, slot window) demand of the
         phase, query-major in each query's scan order; ``code_rows`` is the
         stacked query-code matrix and ``ttls`` / ``costs`` / ``stats_list``
-        / ``select_k`` are indexed by ``tasks.queries``.
+        / ``select_k`` are indexed by ``tasks.queries``.  The region must be
+        in a raw-BER-0 cell mode (:class:`ValueError` otherwise): in-plane
+        distances are only defined on ECC-free data (Sec. 4.1.2).
 
-        **Per scheduled page** the NAND work happens, through the die
-        command interface: the demands are ordered into page runs
-        (:func:`~repro.core.plan.schedule_order`), a run senses its page
-        unless the plane still has it latched, and one ``GEN_DIST`` sweep
-        extracts the distances of every interested query ("one sense, N
-        distance extractions").  A page the DRAM cache mirrors is neither
-        sensed nor latched: the same XOR + popcount runs on the mirror
-        bytes and the visit bills DRAM.  Either way the page's code + OOB
-        bytes are snapshotted while they are at hand.
+        **Per unique page**: one cache residency lookup, one admission if
+        freshly sensed, one code + OOB snapshot (:class:`_LatchedPages`).
+
+        **Per plane** the NAND work happens, through the die command
+        interface: the demands are put in service order
+        (:func:`~repro.core.plan.schedule_order`), the requests whose page
+        is not latched are marked (:func:`~repro.core.plan.schedule_senses`)
+        and each plane gets *one sense run* over its marked requests plus
+        *one stacked* ``XOR`` + ``GEN_DIST`` pass over every (page, query)
+        extraction it owes ("one sense, N distance extractions").  A page
+        the DRAM cache mirrors is neither sensed nor latched: the controller
+        runs the same arithmetic on the mirror's bytes and the visit bills
+        DRAM.
 
         **Per phase**, once: the slot-window + threshold mask over the
         ``(tasks, slots)`` distance matrix, the in-die metadata-tag
-        comparison, ``np.nonzero`` for the surviving rows (which come out
-        in each query's arrival order, because tasks are query-major),
-        commands / counters / :class:`PhaseCost` / :class:`SearchStats` by
-        ``bincount``, and each query's TTL fed its survivors as
+        comparison, ``np.nonzero`` for the surviving rows (in each query's
+        arrival order, because tasks are query-major), commands / counters
+        / :class:`PhaseCost` / :class:`SearchStats` by ``bincount``, and
+        each query's TTL fed its survivors as
         :class:`~repro.core.registry.TtlRefs` with the per-iteration
         quickselect accounted arithmetically
         (:meth:`TemporalTopList.stream`).  Every query is billed exactly
         the visits, transfers and quickselects it would pay solo.
 
-        Returns ``(sensed, planes)`` per request in service order, for the
-        cost model's schedule feedback.
+        Returns the senses the schedule ran on each plane (indexed by
+        global plane), for the cost model's schedule feedback.
         """
         n_tasks = len(tasks)
+        n_planes = self.geometry.total_planes
         if n_tasks == 0:
-            return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
+            return np.zeros(n_planes, dtype=np.int64)
         region = db.centroid_region if coarse else db.embedding_region
         assert region is not None
+        if reliability(region.mode).requires_ecc:
+            raise ValueError(
+                f"region {region.name!r} is in cell mode {region.mode.value!r}: "
+                "in-plane distances are only defined on ECC-free data"
+            )
         code_bytes = db.code_bytes
         params = self.params
         record_bytes = params.tag_bytes if coarse else db.oob_record_bytes
@@ -278,7 +287,9 @@ class InStorageAnnsEngine:
         threshold = tasks.threshold
 
         # ---- the schedule: service order, fresh senses, mirror-served pages
-        uniq, rank_of = np.unique(tasks.pages, return_inverse=True)
+        uniq, first_index, rank_of = np.unique(
+            tasks.pages, return_index=True, return_inverse=True
+        )
         pages_u = uniq.tolist()
         plane_u, block_u, page_u, channel_u, page_id_u = (
             region.region.translate_columns(uniq, self.geometry)
@@ -291,57 +302,52 @@ class InStorageAnnsEngine:
             # partition is fixed, like the sense/latch plan itself).
             entries = [cache.lookup(region, page) for page in pages_u]
         cached_u = np.array([entry is not None for entry in entries], dtype=bool)
-        order = schedule_order(tasks.pages, self.flags.schedule_optimization)
-        if order is None:
-            order = np.arange(n_tasks)
-        pages_o = tasks.pages[order]
-        rank_o = rank_of[order]
-        planes = plane_u[rank_o]
-        sensed = schedule_senses(
-            pages_o, planes, None if cache is None else cached_u[rank_o]
+        order = schedule_order(
+            tasks.pages, self.flags.schedule_optimization, (first_index, rank_of)
         )
+        rank_o = rank_of[order]
+        plane_o = plane_u[rank_o]
+        cached_o = cached_u[rank_o]
+        sensed = schedule_senses(tasks.pages[order], plane_o, cached_o)
 
-        # ---- per page run: sense, GEN_DIST for the run's queries, snapshot
-        planes_per_die = self.geometry.planes_per_die
-        located = list(zip(plane_u.tolist(), block_u.tolist(), page_u.tolist()))
-        latched = _LatchedPages(uniq, spp, code_bytes, record_bytes, coarse)
-        snapshotted = np.zeros(uniq.size, dtype=bool)
-        dist = np.empty((n_tasks, spp), dtype=np.min_scalar_type(8 * code_bytes))
-        starts = np.flatnonzero(np.r_[True, pages_o[1:] != pages_o[:-1]])
-        ends = np.r_[starts[1:], n_tasks]
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            rows = order[s:e]
-            rank = rank_o[s]
-            n_segments = region.slots_in_page(pages_u[rank])
-            entry = entries[rank]
-            if entry is not None:
-                data, oob = entry.data, entry.oob
-                dist[rows, :n_segments] = xor_popcount_segments(
-                    data, code_rows[q_of[rows]], code_bytes, n_segments
-                )
-            else:
-                plane_index, block, page = located[rank]
-                die_plane = plane_index % planes_per_die
-                interface = self.die_interface_of_plane(plane_index)
-                if sensed[s]:
-                    interface.read_page(die_plane, block, page)
-                dist[rows, :n_segments] = interface.gen_dist_multi(
-                    die_plane, code_rows[q_of[rows]], code_bytes, n_segments
-                )
-                buffer = interface.die.planes[die_plane].buffer
-                data, oob = buffer.sensing, buffer.oob
-            if not snapshotted[rank]:
-                snapshotted[rank] = True
-                latched.snapshot(rank, data, oob)
+        # ---- per unique page: the bytes the phase computes on -- the
+        # mirror's, or the stored ones (raw BER 0: what any sense returns)
+        located = zip(plane_u.tolist(), block_u.tolist(), page_u.tolist())
+        views = [
+            self.ssd.array.planes[plane_index].golden_view(block, page)
+            if entry is None else (entry.data, entry.oob)
+            for entry, (plane_index, block, page) in zip(entries, located)
+        ]
+        latched = _LatchedPages(uniq, views, spp, code_bytes, record_bytes, coarse)
         if cache is not None:
             # Mirror the golden bytes of every freshly-sensed page (copied).
             kind = "centroid" if coarse else "cluster"
-            for page_offset, entry, (plane_index, block, page) in zip(
-                pages_u, entries, located
-            ):
+            for page_offset, entry, view in zip(pages_u, entries, views):
                 if entry is None:
-                    data, oob = self._planes[plane_index].golden_view(block, page)
-                    cache.admit(region, page_offset, kind, data, oob)
+                    cache.admit(region, page_offset, kind, *view)
+
+        # ---- per plane: one sense run over its fresh senses (service order)
+        # and one stacked XOR + popcount over every (page, query) extraction
+        # it owes; owner ``n_planes`` is the controller, over mirror bytes.
+        owner = np.where(cached_o, n_planes, plane_o)
+        table = latched.codes.reshape(uniq.size, -1)
+        planes_per_die = self.geometry.planes_per_die
+        dist = np.empty((n_tasks, spp), dtype=np.min_scalar_type(8 * code_bytes))
+        for index in np.bincount(owner).nonzero()[0].tolist():
+            served = (owner == index).nonzero()[0]
+            rows = order[served]
+            codes, ranks = code_rows[q_of[rows]], rank_of[rows]
+            if index == n_planes:
+                dist[rows] = xor_popcount_segments(table, codes, code_bytes, spp, ranks)
+                continue
+            interface = self._die_interfaces[index // planes_per_die]
+            fresh = ranks[sensed[served]]
+            interface.sense_run(
+                index % planes_per_die, block_u[fresh].tolist(), page_u[fresh].tolist()
+            )
+            dist[rows] = interface.gen_dist_run(
+                index % planes_per_die, codes, code_bytes, spp, table, ranks
+            )
 
         # ---- per phase: window + threshold mask, metadata tag, survivors
         plane_t = plane_u[rank_of]
@@ -381,12 +387,11 @@ class InStorageAnnsEngine:
         moved = np.where(from_nand, n_kept, 0)
 
         # ---- commands and counters, per plane
-        n_planes = self.geometry.total_planes
         sweeps_of = np.bincount(plane_t, weights=sweeps, minlength=n_planes)
         moved_of = np.bincount(plane_t, weights=moved, minlength=n_planes)
         for plane_index in np.flatnonzero(sweeps_of + moved_of).tolist():
-            self.die_interface_of_plane(plane_index).record_extraction(
-                plane_index % self.geometry.planes_per_die,
+            self._die_interfaces[plane_index // planes_per_die].record_extraction(
+                plane_index % planes_per_die,
                 int(sweeps_of[plane_index]),
                 int(moved_of[plane_index]),
             )
@@ -442,7 +447,7 @@ class InStorageAnnsEngine:
                 k,
             ):
                 cost.core_seconds += core.quickselect(processed, k)
-        return sensed, planes
+        return np.bincount(plane_o[sensed], minlength=n_planes)
 
     # --------------------------------------------------------- search steps
 
@@ -576,16 +581,17 @@ class InStorageAnnsEngine:
 
         ``page_offsets`` is the page of every row of the phase (query-major).
         Each distinct page is looked up in the DRAM mirror once (the
-        scheduling snapshot, in ascending page order); misses are sensed in
-        global first-touch order (which pins each plane's error-injection
-        RNG stream) *straight into their row of the page stack*,
-        ECC-corrected there by one :meth:`EccEngine.correct_batch` call and
-        admitted into the cache, and hits copy the mirror's golden bytes
-        into the rows after them.  A page with a codeword past the
-        correction capability raises :class:`UncorrectableReadError` before
-        anything is admitted or returned.  Returns the stack with its
-        per-row billing columns, and the stack row of every input row.
-        Billing is the *caller's* job (:meth:`_bill_tlc_phase`).
+        scheduling snapshot, in ascending page order); misses are sensed
+        *straight into their rows of the page stack* in global first-touch
+        order (one run per plane: the order pins each plane's
+        error-injection RNG stream), ECC-corrected there by one
+        :meth:`EccEngine.correct_batch` call and admitted into the cache,
+        and hits copy the mirror's golden bytes into the rows after them.
+        A page with a codeword past the correction capability raises
+        :class:`UncorrectableReadError` before anything is admitted or
+        returned.  Returns the stack with its per-row billing columns, and
+        the stack row of every input row.  Billing is the *caller's* job
+        (:meth:`_bill_tlc_phase`).
         """
         uniq, first_rows, inverse = np.unique(
             page_offsets, return_index=True, return_inverse=True
@@ -604,25 +610,16 @@ class InStorageAnnsEngine:
             region.region.translate_columns(offsets, self.geometry)
         )
         stack = np.empty((n_pages, self.geometry.page_bytes), dtype=np.uint8)
-        planes = self._planes
-        goldens: List[np.ndarray] = []
-        oobs: List[np.ndarray] = []
-        hints: List[np.ndarray] = []
-        for row, plane_index, block, page in zip(
-            range(n_sensed), plane_of.tolist(), block_of.tolist(), page_of.tolist()
-        ):
-            plane = planes[plane_index]
-            plane.read_page(block, page, out=stack[row])
-            golden, oob = plane.golden_view(block, page)
-            goldens.append(golden)
-            oobs.append(oob)
-            hints.append(plane.last_flipped_bytes)
+        sensed = self.ssd.array.read_pages(
+            plane_of[:n_sensed].tolist(), block_of[:n_sensed].tolist(),
+            page_of[:n_sensed].tolist(), out=stack[:n_sensed],
+        )
         ecc = self.ssd.ecc
         uncorrectable = ecc.uncorrectable_codewords
-        ecc.correct_batch(stack[:n_sensed], goldens, hints)
+        ecc.correct_batch(stack[:n_sensed], sensed.golden, sensed.flipped)
         if ecc.uncorrectable_codewords != uncorrectable:
             bad = next(
-                row for row, golden in enumerate(goldens)
+                row for row, golden in enumerate(sensed.golden)
                 if not np.array_equal(stack[row], golden)
             )
             raise UncorrectableReadError(region.name, int(offsets[bad]))
@@ -633,7 +630,7 @@ class InStorageAnnsEngine:
         if cache is not None:
             # Freshly-sensed pages are now golden (ECC-corrected): mirror them.
             for page_offset, golden, oob in zip(
-                offsets[:n_sensed].tolist(), goldens, oobs
+                offsets[:n_sensed].tolist(), sensed.golden, sensed.oob
             ):
                 cache.admit(region, page_offset, kind, golden, oob)
         row_of = np.empty(n_pages, dtype=np.int64)

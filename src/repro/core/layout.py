@@ -58,11 +58,6 @@ class RegionInfo:
             raise IndexError(f"slot {slot} outside region {self.name!r}")
         return divmod(slot, self.slots_per_page)[0], slot % self.slots_per_page
 
-    def slots_in_page(self, page_offset: int) -> int:
-        """Valid (non-padding) slots stored in a page."""
-        start = page_offset * self.slots_per_page
-        return max(0, min(self.slots_per_page, self.n_slots - start))
-
 
 @dataclass
 class DeployedDatabase:

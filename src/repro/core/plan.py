@@ -97,20 +97,26 @@ class PlanContext:
     phase_costs: Dict[str, PhaseCost] = field(default_factory=dict)
 
 
-def schedule_order(pages: np.ndarray, optimize: bool) -> Optional[np.ndarray]:
-    """Service order for a page-demand array (``None`` = caller's order).
+def schedule_order(
+    pages: np.ndarray,
+    optimize: bool,
+    first_demand: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
+    """Service order for a page-demand array (the caller's, unoptimized).
 
     The optimized order groups requests stably by page, pages in
     first-demand order -- identical to sorting by a first-seen dict rank,
-    computed here with one ``unique`` + two stable argsorts.
+    computed here with one ``unique`` + two stable argsorts
+    (``first_demand`` = that ``unique``'s ``(first_index, inverse)``, from
+    a caller that already has it).
     """
     if not optimize or pages.size == 0:
-        return None
-    uniq, first_index, inverse = np.unique(
-        pages, return_index=True, return_inverse=True
-    )
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[np.argsort(first_index, kind="stable")] = np.arange(uniq.size)
+        return np.arange(pages.size)
+    if first_demand is None:
+        first_demand = np.unique(pages, return_index=True, return_inverse=True)[1:]
+    first_index, inverse = first_demand
+    rank = np.empty(first_index.size, dtype=np.int64)
+    rank[np.argsort(first_index, kind="stable")] = np.arange(first_index.size)
     return np.argsort(rank[inverse], kind="stable")
 
 

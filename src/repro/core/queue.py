@@ -331,8 +331,7 @@ class BatchFormer:
             pages = np.concatenate(parts)
             planes = region.region.translate_columns(pages, engine.geometry)[0]
             order = schedule_order(pages, engine.flags.schedule_optimization)
-            if order is not None:
-                pages, planes = pages[order], planes[order]
+            pages, planes = pages[order], planes[order]
             sensed = schedule_senses(pages, planes)
             n_requests += pages.size
             n_senses += int(sensed.sum())

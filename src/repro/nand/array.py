@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nand.channel import Channel
 from repro.nand.geometry import FlashGeometry, PhysicalPageAddress
-from repro.nand.plane import Plane
+from repro.nand.plane import Plane, SenseRun
 from repro.nand.timing import NandTiming
 from repro.sim.stats import CounterSet
 
@@ -30,6 +30,9 @@ class FlashArray:
         self.channels: List[Channel] = [
             Channel(cid, geometry, self.timing, counters=self.counters)
             for cid in range(geometry.channels)
+        ]
+        self.planes: List[Plane] = [
+            self.plane_by_index(index) for index in range(geometry.total_planes)
         ]
 
     # ----------------------------------------------------------- accessors
@@ -64,14 +67,48 @@ class FlashArray:
         return self.channels[die_index // g.dies_per_channel]
 
     def iter_planes(self) -> Iterator[Tuple[int, Plane]]:
-        for index in range(self.geometry.total_planes):
-            yield index, self.plane_by_index(index)
+        yield from enumerate(self.planes)
 
     # ----------------------------------------------------------------- I/O
 
     def read(self, address: PhysicalPageAddress) -> Tuple[np.ndarray, np.ndarray]:
         """Raw page read (data may contain bit errors for non-ESP modes)."""
         return self.plane(address).read_page(address.block, address.page)
+
+    def read_pages(
+        self,
+        planes: Sequence[int],
+        blocks: Sequence[int],
+        pages: Sequence[int],
+        out: Optional[Sequence[np.ndarray]] = None,
+    ) -> SenseRun:
+        """Sense pages anywhere in the array: one :meth:`Plane.read_pages`
+        run per plane, over that plane's pages in the order given (the
+        order that pins its error stream).  ``planes`` are global plane
+        indices; the result lists, like the ``out`` rows, follow the order
+        given."""
+        # plane -> (positions, blocks, pages, out rows) of its run.  Lists
+        # grow by ``+=``: this loop runs per page and makes no call.
+        runs: Dict[int, Tuple[list, list, list, list]] = {}
+        for i, plane_index in enumerate(planes):
+            if plane_index not in runs:
+                runs[plane_index] = ([], [], [], [])
+            at, run_blocks, run_pages, rows = runs[plane_index]
+            at += [i]
+            run_blocks += [blocks[i]]
+            run_pages += [pages[i]]
+            if out is not None:
+                rows += [out[i]]
+        n = len(planes)
+        merged = SenseRun([None] * n, [None] * n, [None] * n, [None] * n)
+        for plane_index, (at, run_blocks, run_pages, rows) in runs.items():
+            run = self.planes[plane_index].read_pages(
+                run_blocks, run_pages, None if out is None else rows
+            )
+            for merged_field, field in zip(merged, run):
+                for i, item in zip(at, field):
+                    merged_field[i] = item
+        return merged
 
     def program(
         self,

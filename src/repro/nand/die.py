@@ -102,20 +102,6 @@ class Die:
         self.counters.add("ibc_page_transfers", transfers)
         return transfers
 
-    def multi_query_distances(
-        self, plane: int, query_codes: np.ndarray, segment_bytes: int, n_segments: int
-    ) -> np.ndarray:
-        """Batched GEN_DIST against the page latched in one plane.
-
-        The physical constraint is the same as for any latch operation: the
-        extraction targets whatever page the addressed plane's sensing latch
-        currently holds, so callers must fully drain a page's extractions
-        before sensing the next page on that plane.
-        """
-        return self.planes[plane].multi_query_distances(
-            query_codes, segment_bytes, n_segments
-        )
-
     def cache_read_begin(self, plane: int) -> None:
         """Read-Page-Cache-Sequential: move DL->CL so the next sense can start.
 

@@ -16,8 +16,8 @@ import numpy as np
 from repro.nand.cell import CellMode, reliability
 from repro.sim.rng import make_rng
 
-_NO_FLIPS = np.empty(0, dtype=np.int64)
-_NO_FLIPS.setflags(write=False)
+NO_FLIPS = np.empty(0, dtype=np.int64)
+NO_FLIPS.setflags(write=False)
 
 _BIT_MASKS = (np.uint8(1) << np.arange(8, dtype=np.uint8)).astype(np.uint8)
 _BIT_MASKS.setflags(write=False)
@@ -57,11 +57,11 @@ class BitErrorModel:
             np.copyto(corrupted, data)
         profile = reliability(mode)
         if not self.enabled or profile.raw_ber <= 0.0:
-            return corrupted, _NO_FLIPS
+            return corrupted, NO_FLIPS
         n_bits = data.size * 8
         n_errors = self._rng.binomial(n_bits, profile.raw_ber)
         if n_errors == 0:
-            return corrupted, _NO_FLIPS
+            return corrupted, NO_FLIPS
         positions = self._rng.integers(0, n_bits, size=n_errors)
         byte_idx = positions >> 3
         np.bitwise_xor.at(corrupted, byte_idx, _BIT_MASKS[positions & 7])

@@ -20,7 +20,7 @@ paper's "no hardware modification" constraint, enforced by construction.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,26 +30,54 @@ def popcount_u8(data: np.ndarray) -> int:
     return int(np.bitwise_count(data).sum())
 
 
-def xor_popcount_segments(
-    data: np.ndarray, patterns: np.ndarray, segment_bytes: int, n_segments: int
-) -> np.ndarray:
-    """Hamming distance of each ``segment_bytes`` slice of ``data`` to each
-    pattern: a ``(len(patterns), n_segments)`` int64 matrix.
+# Bytes of XOR temporary one block of a stacked extraction may hold: the
+# pass walks its rows in blocks of this size so the intermediate stays
+# cache-resident however many extractions a phase stacks.
+XOR_BLOCK_BYTES = 1 << 20
 
-    The XOR + popcount runs on 64-bit words when the segment width allows
-    it (a popcount is indifferent to how the bits are grouped).  This is
-    the arithmetic of the latch circuits with no counter attached: the
-    fail-bit counter applies it to a latched page, the controller to the
-    DRAM mirror of one.
+
+def xor_popcount_segments(
+    pages: np.ndarray,
+    patterns: np.ndarray,
+    segment_bytes: int,
+    n_segments: int,
+    page_of: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Hamming distance of each ``segment_bytes`` slice of a page to a
+    pattern, for a stack of (page, pattern) extractions: a
+    ``(len(patterns), n_segments)`` matrix in the smallest unsigned dtype
+    that holds ``8 * segment_bytes``.
+
+    ``pages`` is one page (every pattern is extracted from it) or a 2-D
+    table of pages with ``page_of[i]`` naming the row pattern ``i`` is
+    extracted from.  The XOR + popcount runs on 64-bit words when the
+    segment width allows it (a popcount is indifferent to how the bits are
+    grouped) and in row blocks of :data:`XOR_BLOCK_BYTES`.  This is the
+    arithmetic of the latch circuits with no counter attached: the
+    fail-bit counter applies it to the pages a plane latched, the
+    controller to the DRAM mirror of some.
     """
-    window = data[: segment_bytes * n_segments]
+    width = segment_bytes * n_segments
+    pages = np.atleast_2d(pages)[:, :width]
     patterns = np.ascontiguousarray(patterns, dtype=np.uint8)
     if segment_bytes % 8 == 0:
-        window, patterns = window.view(np.uint64), patterns.view(np.uint64)
-    diff = np.bitwise_xor(
-        window.reshape(1, n_segments, -1), patterns[:, None, :]
+        pages, patterns = pages.view(np.uint64), patterns.view(np.uint64)
+    pages = pages.reshape(pages.shape[0], n_segments, -1)
+    patterns = patterns[:, None, :]
+    n_patterns = patterns.shape[0]
+    out = np.empty(
+        (n_patterns, n_segments), dtype=np.min_scalar_type(8 * segment_bytes)
     )
-    return np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+    step = max(1, XOR_BLOCK_BYTES // width)
+    for lo in range(0, n_patterns, step):
+        block = slice(lo, lo + step)
+        if page_of is None:
+            diff = np.bitwise_xor(pages, patterns[block])
+        else:
+            diff = pages[page_of[block]]  # the gather is the temporary
+            np.bitwise_xor(diff, patterns[block], out=diff)
+        np.bitwise_count(diff).sum(axis=2, dtype=out.dtype, out=out[block])
+    return out
 
 
 class PageBuffer:
@@ -128,17 +156,26 @@ class FailBitCounter:
         patterns: np.ndarray,
         segment_bytes: int,
         n_segments: int,
-        latch: str = "sensing",
+        pages: Optional[np.ndarray] = None,
+        page_of: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Popcount of ``latch XOR pattern`` per segment, for many patterns.
+        """Popcount of ``page XOR pattern`` per segment, for many patterns.
 
-        This is the "one sense, N distance extractions" primitive: the page
+        This is the "one sense, N distance extractions" primitive: a page
         stays in the sensing latch while the cache latch is reloaded with
         each query code in turn (CL reload -> XOR -> count).  ``patterns``
         is a ``(Q, segment_bytes)`` uint8 array; the result is a
-        ``(Q, n_segments)`` int64 matrix, row ``q`` being exactly what
-        :meth:`count_segments_array` would return after broadcasting
-        pattern ``q`` and XOR-ing it against the latched page.
+        ``(Q, n_segments)`` matrix (:func:`xor_popcount_segments`), row
+        ``q`` being exactly what :meth:`count_segments_array` would return
+        after broadcasting pattern ``q`` and XOR-ing it against the latched
+        page.
+
+        By default that page is the one the sensing latch holds now.  A
+        plane that latched several pages over a phase passes them as the
+        rows of ``pages`` with ``page_of[q]`` naming the one pattern ``q``
+        was extracted from: the whole phase's extractions in one stacked
+        pass, which is only sound where a latched page is its stored bytes
+        (raw BER 0, i.e. ECC-free data).
         """
         patterns = np.atleast_2d(np.asarray(patterns, dtype=np.uint8))
         if patterns.shape[1] != segment_bytes:
@@ -148,8 +185,10 @@ class FailBitCounter:
         if segment_bytes * n_segments > self._buffer.page_bytes:
             raise ValueError("segments exceed page size")
         self.invocations += len(patterns)
+        if pages is None:
+            pages = self._buffer.sensing
         return xor_popcount_segments(
-            self._buffer._latch(latch), patterns, segment_bytes, n_segments
+            pages, patterns, segment_bytes, n_segments, page_of
         )
 
     def count_all(self, latch: str = "data") -> int:

@@ -54,12 +54,14 @@ class FlashPage:
             raise ValueError(f"data ({data.size}B) exceeds page size ({self.page_bytes}B)")
         padded = np.zeros(self.page_bytes, dtype=np.uint8)
         padded[: data.size] = data
+        padded.setflags(write=False)  # raw_view() hands this array out
         self._data = padded
         oob_arr = np.zeros(self.oob_bytes, dtype=np.uint8)
         if oob is not None:
             if oob.size > self.oob_bytes:
                 raise ValueError("OOB data exceeds the OOB area")
             oob_arr[: oob.size] = oob.astype(np.uint8)
+        oob_arr.setflags(write=False)
         self._oob = oob_arr
         self.state = PageState.PROGRAMMED
 
@@ -76,9 +78,9 @@ class FlashPage:
     def raw_view(self) -> Tuple[np.ndarray, np.ndarray]:
         """Golden contents without defensive copies.
 
-        Callers must treat the returned arrays as read-only; the read path
-        copies before injecting errors or loading latches, so handing out
-        the stored arrays directly keeps page senses allocation-free.
+        The returned arrays are read-only; the read path copies before
+        injecting errors or loading latches, so handing out the stored
+        arrays directly keeps page senses allocation-free.
         """
         if self.state is PageState.ERASED or self._data is None or self._oob is None:
             return _erased_view(self.page_bytes), _erased_view(self.oob_bytes)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nand.cell import CellMode, reliability
-from repro.nand.errors import BitErrorModel
+from repro.nand.errors import NO_FLIPS, BitErrorModel
 from repro.nand.latches import FailBitCounter, PageBuffer, PassFailChecker
 from repro.nand.page import FlashBlock, PageState
 from repro.sim.stats import CounterSet
@@ -15,6 +15,20 @@ from repro.sim.stats import CounterSet
 # Per-mode counter keys precomputed once: the read hot path increments one
 # of these for every sense and should not rebuild the string each time.
 _READ_COUNTER_KEYS = {mode: f"page_reads_{mode.timing_key}" for mode in CellMode}
+# Modes whose sensed bytes are the stored bytes (raw BER 0).  A tuple: its
+# ``in`` compares by identity, where hashing an Enum member calls Python.
+_ERROR_FREE_MODES = tuple(
+    mode for mode in CellMode if reliability(mode).raw_ber <= 0.0
+)
+
+
+class SenseRun(NamedTuple):
+    """What one :meth:`Plane.read_pages` run sensed, one item per page."""
+
+    data: List[np.ndarray]  # sensed bytes (raw bit errors included)
+    oob: List[np.ndarray]
+    golden: List[np.ndarray]  # stored bytes: the simulated ECC's reference
+    flipped: List[np.ndarray]  # byte indices the error model touched
 
 
 class Plane:
@@ -52,28 +66,62 @@ class Plane:
 
     # ------------------------------------------------------------------ I/O
 
+    def read_pages(
+        self,
+        blocks: Sequence[int],
+        pages: Sequence[int],
+        out: Optional[Sequence[np.ndarray]] = None,
+    ) -> SenseRun:
+        """Sense a run of pages, in order: a plane's senses of one phase.
+
+        Every page draws its raw bit errors exactly as a sense of its own
+        would -- one ``binomial`` -> ``integers`` pair per noisy page, in
+        run order, which is what pins this plane's error stream -- while
+        everything a later sense overwrites happens once: the sensing
+        latch, the OOB latch and ``last_flipped_bytes`` are loaded with the
+        run's last page and the read counters advance by the run's counts.
+        The sensed data carries raw bit errors for non-ESP modes; callers
+        that need reliability must route it through the controller's ECC
+        (``golden`` is that ECC model's reference).  The OOB area is
+        modeled error-free for simplicity (on real chips the OOB carries
+        its own ECC parity).
+
+        ``out`` is a destination: page-wide ``uint8`` rows, one per page,
+        the sensed data is written into (and returned as).  Without it a
+        noisy page is a fresh array and a page in a raw-BER-0 mode is the
+        stored array itself, read-only -- sensed bytes *are* the stored
+        bytes there.
+        """
+        n = len(blocks)
+        datas, oobs, goldens = [None] * n, [None] * n, [None] * n
+        flipped, modes = [NO_FLIPS] * n, [None] * n
+        for i, (block, page) in enumerate(zip(blocks, pages)):
+            flash_block = self.blocks[block]
+            mode = modes[i] = flash_block.mode
+            data, oobs[i] = flash_block.pages[page].raw_view()
+            goldens[i] = data
+            if out is not None or mode not in _ERROR_FREE_MODES:
+                data, flipped[i] = self._errors.corrupt_traced(
+                    data, mode, out=None if out is None else out[i]
+                )
+            datas[i] = data
+        if n:
+            self.buffer.load_sensing(datas[-1], oobs[-1])
+            self.last_flipped_bytes = flipped[-1]
+            self.counters.add("page_reads", n)
+            while modes:  # one count per distinct mode of the run
+                mode = modes[0]
+                self.counters.add(_READ_COUNTER_KEYS[mode], modes.count(mode))
+                modes = [other for other in modes if other is not mode]
+        return SenseRun(datas, oobs, goldens, flipped)
+
     def read_page(
         self, block: int, page: int, out: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sense a page into the sensing latch and return (data, oob).
-
-        The returned data carries raw bit errors for non-ESP modes; callers
-        that need reliability must route it through the controller's ECC.
-        The OOB area is modeled error-free for simplicity (on real chips the
-        OOB carries its own ECC parity).  ``out`` is a destination: a
-        page-wide ``uint8`` row the sensed data is written into (and
-        returned as) instead of a fresh array -- error draws, latch contents
-        and counters are the same either way.
-        """
-        flash_block = self.blocks[block]
-        golden_data, golden_oob = flash_block.pages[page].raw_view()
-        data, self.last_flipped_bytes = self._errors.corrupt_traced(
-            golden_data, flash_block.mode, out=out
-        )
-        self.buffer.load_sensing(data, golden_oob)
-        self.counters.add("page_reads")
-        self.counters.add(_READ_COUNTER_KEYS[flash_block.mode])
-        return data, golden_oob
+        """Sense one page into the sensing latch and return (data, oob):
+        :meth:`read_pages` for a run of one (``out`` is its one row)."""
+        run = self.read_pages([block], [page], None if out is None else [out])
+        return run.data[0], run.oob[0]
 
     def golden_page(self, block: int, page: int) -> Tuple[np.ndarray, np.ndarray]:
         """Error-free page contents (for ECC reference and tests)."""
@@ -141,20 +189,29 @@ class Plane:
         self.pass_fail_checker.invocations += n_sweeps
 
     def multi_query_distances(
-        self, query_codes: np.ndarray, segment_bytes: int, n_segments: int
+        self,
+        query_codes: np.ndarray,
+        segment_bytes: int,
+        n_segments: int,
+        pages: Optional[np.ndarray] = None,
+        page_of: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Per-embedding Hamming distances for several queries from ONE sense.
+        """Per-embedding Hamming distances of a stack of extractions.
 
-        The page stays latched in SL; for each of the ``Q`` query codes the
+        A page stays latched in SL; for each of the ``Q`` query codes the
         cache latch is reloaded, XOR-ed against SL and swept by the fail-bit
-        counter, so one physical sense yields a ``(Q, n_segments)`` distance
-        matrix.  Row ``q`` is bit-identical to what :meth:`segment_distances`
-        returns after broadcasting query ``q`` alone.
+        counter, so one physical sense yields several rows of the
+        ``(Q, n_segments)`` distance matrix.  Row ``q`` is bit-identical to
+        what :meth:`segment_distances` returns after broadcasting query
+        ``q`` alone.  By default every row is extracted from the page SL
+        holds now; ``pages`` / ``page_of`` stack the extractions of all the
+        pages this plane latched over a phase
+        (:meth:`FailBitCounter.count_xor_segments`).
         """
         query_codes = np.atleast_2d(np.asarray(query_codes, dtype=np.uint8))
         n_queries = len(query_codes)
         self.counters.add("latch_xors", n_queries)
         self.counters.add("bit_counts", n_queries)
         return self.fail_bit_counter.count_xor_segments(
-            query_codes, segment_bytes, n_segments, latch="sensing"
+            query_codes, segment_bytes, n_segments, pages, page_of
         )

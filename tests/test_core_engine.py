@@ -72,7 +72,7 @@ class TestPhaseKernelAgainstBruteForce:
         db_id = device.ivf_deploy("pk", vectors, nlist=4, seed=0, metadata_tags=tags)
         db = device.database(db_id)
         region = db.embedding_region
-        assert region.n_pages == 3 and region.slots_in_page(2) < region.slots_per_page
+        assert region.n_pages == 3 and region.n_slots % region.slots_per_page
 
         # Host mirror, in slot order.
         slot_codes = db.binary_quantizer.encode(vectors)[db.slot_to_original]
@@ -122,6 +122,206 @@ class TestPhaseKernelAgainstBruteForce:
             assert np.array_equal(block.embs, slot_codes[expected])
             # A fresh deploy links every slot to its own INT8/document twin.
             assert block.radrs.tolist() == block.dadrs.tolist() == expected.tolist()
+
+
+class TestPhaseKernelAgainstLatchWalk:
+    """``scan_page_run`` == a pure-Python walk of the schedule, one request
+    at a time, over each plane's latch: the distances every query receives,
+    the commands every die sees, the NAND counters, and the state each
+    plane's page buffer is left in."""
+
+    N = 2600  # 276 slots/page: 10 pages on 8 planes, 116 slots in the last
+
+    @staticmethod
+    def _walk(device, db, rows, codes, threshold, optimize, cached):
+        """Serve ``rows`` = (query, page, lo, hi) demands page by page."""
+        geometry = device.engine.geometry
+        region = db.embedding_region
+        spp, cb = region.slots_per_page, db.code_bytes
+        order = list(range(len(rows)))
+        if optimize:  # stably by page, pages in first-demand order
+            first = {}
+            for _q, page, _lo, _hi in rows:
+                first.setdefault(page, len(first))
+            order.sort(key=lambda t: first[rows[t][1]])
+        trace = {}  # (die, op) -> count
+        counters = dict.fromkeys(
+            ("page_reads", "page_reads_slc_esp", "latch_xors", "bit_counts"), 0
+        )
+        extractions = [0] * geometry.total_planes
+        latched = {}  # plane -> (page offset, data, oob)
+        survivors = {}  # task -> [(eadr, dist)] in slot order
+
+        def tick(die, op, n=1):
+            trace[die, op] = trace.get((die, op), 0) + n
+
+        for t in order:
+            query, page, lo, hi = rows[t]
+            ppa = region.region.translate(page, geometry)
+            plane = ppa.plane_linear(geometry)
+            die = plane // geometry.planes_per_die
+            data, oob = device.ssd.array.plane_by_index(plane).golden_page(
+                ppa.block, ppa.page
+            )
+            on_nand = page not in cached
+            if on_nand:
+                if plane not in latched or latched[plane][0] != page:
+                    tick(die, "read_page")
+                    counters["page_reads"] += 1
+                    counters["page_reads_slc_esp"] += 1
+                    latched[plane] = (page, data, oob)
+                tick(die, "xor")
+                tick(die, "gen_dist")
+                counters["latch_xors"] += 1
+                counters["bit_counts"] += 1
+                extractions[plane] += 1
+            window = range(max(lo, 0), min(hi, spp - 1, region.n_slots - page * spp - 1) + 1)
+            want = int.from_bytes(codes[query].tobytes(), "little")
+            kept = []
+            for slot in window:
+                have = int.from_bytes(data[slot * cb:(slot + 1) * cb].tobytes(), "little")
+                dist = bin(have ^ want).count("1")
+                if threshold is None or dist < threshold:
+                    kept.append((page * spp + slot, dist))
+            if on_nand:
+                if threshold is not None and len(window):
+                    tick(die, "pass_fail")
+                tick(die, "rd_ttl", len(kept))
+            survivors[t] = kept
+        return trace, counters, extractions, latched, survivors
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("dim", [64, 40])  # 8-byte and 5-byte codes
+    @pytest.mark.parametrize("partly_cached", [False, True])
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_distances_commands_counters_and_latches(
+        self, optimize, partly_cached, dim, filtered
+    ):
+        from repro.core.batch import tasks_from_ranges
+        from repro.core.commands import FlashOp
+        from repro.core.costing import PhaseCost
+        from repro.core.plan import SearchStats
+        from repro.core.registry import TemporalTopList
+        from repro.rag.embeddings import make_clustered_embeddings, make_queries
+
+        vectors, _ = make_clustered_embeddings(self.N, dim, 4, seed="lw")
+        device = ReisDevice(
+            tiny_config("LW"), flags=OptFlags(schedule_optimization=optimize)
+        )
+        db = device.database(device.ivf_deploy("lw", vectors, nlist=4, seed=0))
+        region = db.embedding_region
+        spp = region.slots_per_page
+        assert db.code_bytes == dim // 8 and region.n_pages == 10
+        assert 0 < region.n_slots - 9 * spp < spp
+        codes = db.binary_quantizer.encode(make_queries(vectors, 3, seed="lw-q"))
+        threshold = 4 * db.code_bytes if filtered else None
+
+        # Pages 0 and 8 share a plane, as do 1 and 9; queries 0 and 2 sweep
+        # the region, query 1 takes two windows that start and end mid-page.
+        ranges = [
+            (0, 0, self.N - 1), (1, 100, 700), (1, 8 * spp + 40, self.N - 1),
+            (2, 0, self.N - 1),
+        ]
+        tasks = tasks_from_ranges(
+            region, *(np.array(column) for column in zip(*ranges)),
+            threshold, [None] * 3,
+        )
+        rows = list(zip(*(
+            column.tolist()
+            for column in (tasks.queries, tasks.pages, tasks.lo, tasks.hi)
+        )))
+        cached = set()
+        if partly_cached:
+            # Page 3 is its plane's only page; page 8 sits between the two
+            # sweeps' visits to page 0 on their shared plane.
+            cache = device.enable_page_cache(2 * (16384 + 2208))
+            cached = {3, 8}
+            for page in sorted(cached):
+                ppa = region.region.translate(page, device.engine.geometry)
+                cache.admit(
+                    region, page, "cluster",
+                    *device.ssd.array.plane(ppa).golden_page(ppa.block, ppa.page),
+                )
+        planes = [plane for _i, plane in device.ssd.array.iter_planes()]
+        before = [
+            (plane.buffer.sensing.copy(), plane.buffer.oob.copy(),
+             plane.last_flipped_bytes)
+            for plane in planes
+        ]
+        counters_before = device.ssd.counters.as_dict()
+        trace, counters, extractions, latched, survivors = self._walk(
+            device, db, rows, codes, threshold, optimize, cached
+        )
+
+        entry_bytes = device.engine.params.fine_entry_bytes(db.code_bytes)
+        ttls = [TemporalTopList("e", entry_bytes) for _ in codes]
+        device.engine.scan_page_run(
+            db, tasks, False, codes, ttls,
+            [PhaseCost(name="fine") for _ in codes],
+            [SearchStats() for _ in codes], [10**6] * 3,
+        )
+
+        # Every query received its in-window survivors, nearest first with
+        # ties in its own scan order (= task order), at the walk's distances.
+        for qi, ttl in enumerate(ttls):
+            arrived = [
+                row for t, task in enumerate(rows) if task[0] == qi
+                for row in survivors[t]
+            ]
+            expected = sorted(arrived, key=lambda row: row[1])
+            block = ttl.select_block(10**6)
+            got = [] if block is None else list(
+                zip(block.eadrs.tolist(), block.dists.tolist())
+            )
+            assert got == expected and len(expected) > 0
+        # The commands each die saw.
+        for die, interface in device.engine._die_interfaces.items():
+            for op in FlashOp:
+                assert interface.trace[op] == trace.get((die, op.value), 0), (die, op)
+        # The NAND counters.
+        after = device.ssd.counters.as_dict()
+        for name, expected in counters.items():
+            assert after.get(name, 0) - counters_before.get(name, 0) == expected, name
+        # Each plane: one fail-bit-counter invocation per extraction, and
+        # the page buffer holds the last page the plane sensed, zero-padded
+        # -- or what it held before, where the mirror served every request.
+        for index, plane in enumerate(planes):
+            assert plane.fail_bit_counter.invocations == extractions[index]
+            sensing, oob, flipped = before[index]
+            if index in latched:
+                _page, data, page_oob = latched[index]
+                sensing = np.zeros_like(sensing)
+                sensing[: data.size] = data
+                oob = np.zeros_like(oob)
+                oob[: page_oob.size] = page_oob
+                assert plane.last_flipped_bytes.size == 0  # ESP-SLC: no flips
+            else:
+                assert plane.last_flipped_bytes is flipped
+            assert np.array_equal(plane.buffer.sensing, sensing)
+            assert np.array_equal(plane.buffer.oob, oob)
+        if partly_cached:
+            assert sorted(latched) != list(range(len(planes)))  # page 3's plane
+
+
+class TestScanNeedsEccFreeData:
+    """In-plane distances are only defined on raw-BER-0 data (Sec. 4.1.2):
+    a scan of a region in a noisy cell mode is refused by name, never
+    served from bytes the ECC engine has not seen."""
+
+    def test_noisy_mode_region_is_refused(self, small_vectors, small_queries):
+        from dataclasses import replace
+
+        from repro.nand.cell import CellMode
+
+        vectors, _ = small_vectors
+        device = ReisDevice(tiny_config("NOISY"))
+        db = device.database(
+            device.ivf_deploy("noisy", vectors, nlist=SMALL_NLIST, seed=0)
+        )
+        device.engine.search(db, small_queries[0], k=5, nprobe=2)  # ESP-SLC: fine
+        db.embedding_region = replace(db.embedding_region, mode=CellMode.TLC)
+        with pytest.raises(ValueError, match=r"noisy/embeddings.*'tlc'.*ECC-free"):
+            device.engine.search(db, small_queries[0], k=5, nprobe=2)
 
 
 class TestEngineBehaviour:

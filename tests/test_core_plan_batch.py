@@ -207,8 +207,6 @@ class TestPageSchedule:
         """``(task order, pages, planes, sensed)`` in service order."""
         demands = np.asarray(demands)
         order = schedule_order(demands, optimize)
-        if order is None:
-            order = np.arange(demands.size)
         pages = demands[order]
         planes = self._planes(pages)
         cached = None
@@ -238,7 +236,8 @@ class TestPageSchedule:
             _order, pages, planes, sensed = self._schedule(self.PAGES, optimize)
             stats, billed = BatchStats(), {}
             BatchExecutor._record_schedule(
-                pages.size, sensed, planes, "fine", stats, billed
+                pages.size, np.bincount(planes[sensed], minlength=4), "fine",
+                stats, billed,
             )
             assert stats.scan_requests == 6
             assert sum(billed["fine"].values()) == stats.scan_senses == sensed.sum()

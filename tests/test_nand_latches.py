@@ -191,6 +191,38 @@ class TestCountXorSegments:
         counter.count_xor_segments(np.zeros((3, 8), dtype=np.uint8), 8, 2)
         assert counter.invocations == 3
 
+    @pytest.mark.parametrize("seg_bytes", [3, 8, 40])  # bytewise, uint64, uint16 sums
+    @pytest.mark.parametrize("block_bytes", [1, 700, 1 << 20])
+    def test_stacked_extractions_match_one_page_at_a_time(
+        self, buffer, monkeypatch, seg_bytes, block_bytes
+    ):
+        """A stack of (page, pattern) extractions over a page table, in
+        blocks of any size, == latching each page and extracting alone."""
+        import repro.nand.latches as latches
+
+        monkeypatch.setattr(latches, "XOR_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(seg_bytes)
+        n_segments = PAGE // seg_bytes - 1
+        table = rng.integers(0, 256, (4, PAGE), dtype=np.uint8)
+        page_of = np.array([2, 0, 0, 3, 2, 1, 3])
+        patterns = rng.integers(0, 256, (page_of.size, seg_bytes), dtype=np.uint8)
+        counter = FailBitCounter(buffer)
+        stacked = counter.count_xor_segments(
+            patterns, seg_bytes, n_segments, pages=table, page_of=page_of
+        )
+        assert stacked.shape == (page_of.size, n_segments)
+        assert counter.invocations == page_of.size
+        for i, page in enumerate(page_of.tolist()):
+            buffer.load_sensing(table[page], np.zeros(OOB, dtype=np.uint8))
+            alone = counter.count_xor_segments(patterns[i], seg_bytes, n_segments)
+            assert stacked[i].tolist() == alone[0].tolist()
+            bits = np.unpackbits(
+                table[page, : seg_bytes * n_segments].reshape(n_segments, seg_bytes)
+                ^ patterns[i],
+                axis=1,
+            ).sum(axis=1)
+            assert stacked[i].tolist() == bits.tolist()
+
 
 class TestPassFailChecker:
     def test_keeps_strictly_below_threshold(self):

@@ -157,6 +157,47 @@ class TestFlashArray:
         array.program(b, np.zeros(8, dtype=np.uint8))
         assert array.counters["page_programs"] == 2
 
+    def test_read_pages_is_one_run_per_plane_in_the_order_given(self):
+        """Pages anywhere in the array, interleaved across planes, == a
+        single read per page in the same order on a same-seed array: noisy
+        bytes, hints, latches, counters and every plane's error stream."""
+
+        def make_array():
+            array = FlashArray(GEOMETRY)
+            rng = np.random.default_rng(7)
+            for plane_index in (0, 3, 5):
+                for page in range(3):  # TLC (the default mode): noisy reads
+                    array.plane_by_index(plane_index).program_page(
+                        0, page,
+                        rng.integers(0, 256, GEOMETRY.page_bytes).astype(np.uint8),
+                    )
+            return array
+
+        planes = [3, 0, 3, 5, 0, 3, 5, 0]
+        pages = [0, 1, 2, 0, 0, 0, 2, 1]
+        blocks = [0] * len(planes)
+        single, grouped = make_array(), make_array()
+        stack = np.zeros((len(planes), GEOMETRY.page_bytes), dtype=np.uint8)
+        run = grouped.read_pages(planes, blocks, pages, out=stack)
+        for row, (plane_index, page) in enumerate(zip(planes, pages)):
+            plane = single.plane_by_index(plane_index)
+            data, oob = plane.read_page(0, page)
+            assert np.array_equal(stack[row], data)
+            assert np.shares_memory(run.data[row], stack[row])
+            assert np.array_equal(run.oob[row], oob)
+            assert np.array_equal(run.flipped[row], plane.last_flipped_bytes)
+            assert np.array_equal(run.golden[row], plane.golden_view(0, page)[0])
+        assert any(hint.size for hint in run.flipped)
+        assert grouped.read_pages([], [], []) == ([], [], [], [])  # nothing to sense
+        assert grouped.counters.as_dict() == single.counters.as_dict()
+        for (_i, a), (_j, b) in zip(single.iter_planes(), grouped.iter_planes()):
+            assert np.array_equal(a.buffer.sensing, b.buffer.sensing)
+            assert np.array_equal(a.last_flipped_bytes, b.last_flipped_bytes)
+            assert (
+                a._errors._rng.bit_generator.state
+                == b._errors._rng.bit_generator.state
+            )
+
     def test_channel_transfer_time(self):
         array = FlashArray(GEOMETRY, NandTiming(channel_bandwidth_bps=1e9))
         assert array.channels[0].transfer(1e9) == pytest.approx(1.0)

@@ -408,34 +408,36 @@ class TestBillTlcPhaseAgainstReference:
 
 
 class TestSenseInPlace:
-    """`read_page(out=row)` is the allocating read written somewhere else:
-    the per-plane error stream, latch contents and counters are pinned."""
+    """`read_page(out=row)` is the allocating read written somewhere else,
+    and `read_pages` is a run of them with the latch loaded once: the
+    per-plane error stream, latch contents and counters are pinned."""
+
+    PAGE_BYTES, OOB_BYTES = 16384, 64
+    # Interleaved ESP-SLC (block 0) and TLC (block 1) pages, with repeats.
+    SEQUENCE = [(1, 0), (0, 0), (1, 1), (1, 0), (0, 2), (1, 2), (0, 1), (1, 1)]
+
+    def _make_plane(self):
+        plane = Plane(
+            0, blocks_per_plane=2, pages_per_block=3,
+            page_bytes=self.PAGE_BYTES, oob_bytes=self.OOB_BYTES,
+            error_model=BitErrorModel(seed="in-place"),
+        )
+        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        rng = np.random.default_rng(3)
+        for block in range(2):
+            for page in range(3):
+                plane.program_page(
+                    block, page,
+                    rng.integers(0, 256, self.PAGE_BYTES - 100 * page).astype(np.uint8),
+                    rng.integers(0, 256, self.OOB_BYTES // 2).astype(np.uint8),
+                )
+        return plane
 
     def test_same_stream_latches_and_counters(self):
-        page_bytes, oob_bytes = 16384, 64
-
-        def make_plane():
-            plane = Plane(
-                0, blocks_per_plane=2, pages_per_block=3,
-                page_bytes=page_bytes, oob_bytes=oob_bytes,
-                error_model=BitErrorModel(seed="in-place"),
-            )
-            plane.blocks[0].set_mode(CellMode.SLC_ESP)
-            rng = np.random.default_rng(3)
-            for block in range(2):
-                for page in range(3):
-                    plane.program_page(
-                        block, page,
-                        rng.integers(0, 256, page_bytes - 100 * page).astype(np.uint8),
-                        rng.integers(0, 256, oob_bytes // 2).astype(np.uint8),
-                    )
-            return plane
-
-        plain, in_place = make_plane(), make_plane()
-        stack = np.full((8, page_bytes), 0xAB, dtype=np.uint8)
-        sequence = [(1, 0), (0, 0), (1, 1), (1, 0), (0, 2), (1, 2), (0, 1), (1, 1)]
+        plain, in_place = self._make_plane(), self._make_plane()
+        stack = np.full((8, self.PAGE_BYTES), 0xAB, dtype=np.uint8)
         n_flipped = 0
-        for row, (block, page) in enumerate(sequence):
+        for row, (block, page) in enumerate(self.SEQUENCE):
             data, oob = plain.read_page(block, page)
             got, got_oob = in_place.read_page(block, page, out=stack[row])
             assert got is not data and np.shares_memory(got, stack[row])
@@ -452,6 +454,59 @@ class TestSenseInPlace:
             n_flipped += int((data != golden).sum())
         assert n_flipped > 0  # the TLC reads really were noisy
         assert in_place.counters.as_dict() == plain.counters.as_dict()
+
+    @pytest.mark.parametrize("into_rows", [True, False])
+    def test_one_run_is_n_single_reads(self, into_rows):
+        """One `read_pages` over the sequence == a `read_page` per page on
+        a same-seed plane: bytes including flips, OOB, per-page
+        flipped-byte hints, the latch (the run's last page), counters and
+        the error RNG's state afterwards."""
+        single, run_plane = self._make_plane(), self._make_plane()
+        reads = [single.read_page(block, page) for block, page in self.SEQUENCE]
+        hints = []
+        replay = self._make_plane()  # per-page hints need their own walk
+        for block, page in self.SEQUENCE:
+            replay.read_page(block, page)
+            hints.append(replay.last_flipped_bytes)
+
+        stack = np.full((8, self.PAGE_BYTES), 0xAB, dtype=np.uint8)
+        blocks, pages = zip(*self.SEQUENCE)
+        run = run_plane.read_pages(
+            blocks, pages, out=list(stack) if into_rows else None
+        )
+        n_flipped = 0
+        for row, ((block, page), (data, oob)) in enumerate(zip(self.SEQUENCE, reads)):
+            golden = single.golden_view(block, page)[0]
+            assert np.array_equal(run.data[row], data)
+            assert np.array_equal(run.oob[row], oob)
+            assert run.golden[row] is run_plane.golden_view(block, page)[0]
+            assert np.array_equal(run.golden[row], golden)
+            assert np.array_equal(run.flipped[row], hints[row])
+            if into_rows:
+                assert np.shares_memory(run.data[row], stack[row])
+                assert np.array_equal(stack[row], data)
+            elif block == 0:  # raw BER 0: the stored bytes, not a copy
+                assert run.data[row] is run.golden[row]
+                assert not run.data[row].flags.writeable
+            n_flipped += int((data != golden).sum())
+        assert n_flipped > 0
+        assert np.array_equal(run_plane.buffer.sensing, single.buffer.sensing)
+        assert np.array_equal(run_plane.buffer.oob, single.buffer.oob)
+        assert np.array_equal(run_plane.last_flipped_bytes, single.last_flipped_bytes)
+        assert run_plane.counters.as_dict() == single.counters.as_dict()
+        assert (
+            run_plane._errors._rng.bit_generator.state
+            == single._errors._rng.bit_generator.state
+        )
+
+    def test_an_empty_run_touches_nothing(self):
+        plane = self._make_plane()
+        plane.read_page(1, 0)
+        latch, counters = plane.buffer.sensing.copy(), plane.counters.as_dict()
+        run = plane.read_pages([], [])
+        assert run.data == run.oob == run.golden == run.flipped == []
+        assert np.array_equal(plane.buffer.sensing, latch)
+        assert plane.counters.as_dict() == counters
 
 
 class TestTlcKernelsAgainstBruteForce:
