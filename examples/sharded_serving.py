@@ -56,7 +56,7 @@ def main() -> None:
           f"{[len(c) for c in sdb.assignment.shard_clusters]} clusters/shard")
 
     # --- the logical plan: per-shard stages + the host-side merge --------
-    plan = cluster.router.logical_plan(sdb, queries[0], k=K, nprobe=NPROBE)
+    plan = cluster.router.plan(sdb, k=K, nprobe=NPROBE)
     print(f"  logical plan: {' -> '.join(plan.stage_names())}")
 
     # --- queue -> router -> merged results ------------------------------

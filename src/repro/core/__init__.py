@@ -76,7 +76,6 @@ from repro.core.shard import (
     KILL_BARRIERS,
     MergeCostModel,
     ShardAssignment,
-    ShardedBatchExecutor,
     ShardedDatabase,
     ShardRouter,
     ShardUnavailableError,
@@ -136,7 +135,6 @@ __all__ = [
     "ShardAssignment",
     "ShardRouter",
     "ShardUnavailableError",
-    "ShardedBatchExecutor",
     "ShardedDatabase",
     "ShardedReisDevice",
     "ShardedScheduler",

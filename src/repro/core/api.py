@@ -1,7 +1,8 @@
 """The REIS device API (Table 1, Sec. 4.4.1).
 
 :class:`ReisDevice` is the top of the stack: one simulated SSD running the
-REIS firmware.  The host-facing surface mirrors the paper's API:
+REIS firmware; :class:`ShardedReisDevice` is N of them behind the same
+calls.  The host-facing surface mirrors the paper's API:
 
 =================  =========================================================
 ``db_deploy``      Write an N-entry database to storage (flat layout).
@@ -11,9 +12,16 @@ REIS firmware.  The host-facing surface mirrors the paper's API:
                    resolved to an nprobe operating point.
 =================  =========================================================
 
-Each command is also wired to a vendor-specific NVMe opcode (80h-FFh), so
-examples can exercise the exact host<->device command path the paper
-extends the NVM command set with.
+The deploy half differs per device (one drive's deployer vs partitioning
+a corpus across shards) and lives on each class; the serving half --
+``search``, ``ivf_search``, the submission and ingest queues -- is written
+once (:class:`_HostSurface`) over the device's *executor*: a
+:class:`~repro.core.batch.BatchExecutor` for one drive, the
+:class:`~repro.core.shard.ShardRouter` for a cluster, both answering
+``plan`` / ``forming_views`` / ``execute`` with the database first.  On a
+single drive each command is also wired to a vendor-specific NVMe opcode
+(80h-FFh), so examples can exercise the exact host<->device command path
+the paper extends the NVM command set with.
 
 :class:`ReisRetriever` adapts a deployed database to the
 :class:`repro.rag.pipeline.Retriever` protocol: retrieved ids come from the
@@ -25,14 +33,13 @@ scale through the analytic model, which is how the end-to-end comparisons
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ann.ivf import IvfModel, build_ivf_model
 from repro.core.analytic import AnalyticWorkload, ReisAnalyticModel
-from repro.core.batch import BatchExecution, BatchStats
+from repro.core.batch import BatchExecution, BatchExecutor, BatchStats
 from repro.core.cache import DEFAULT_CACHE_KINDS, EvictionPolicy, PageCache
 from repro.core.config import OptFlags, ReisConfig, REIS_SSD1
 from repro.core.engine import InStorageAnnsEngine, ReisQueryResult
@@ -44,13 +51,13 @@ from repro.core.layout import (
     fit_deployment_codecs,
 )
 from repro.core.plan import validate_queries
-from repro.core.queue import BatchFormer, QueuePolicy, SubmissionQueue
+from repro.core.queue import QueuePolicy, SubmissionQueue
 from repro.core.shard import (
     MergeCostModel,
-    ShardedBatchExecutor,
     ShardedDatabase,
     ShardRouter,
     ShardUnavailableError,
+    check_cluster_shape,
     plan_placement,
     shard_ivf_model,
 )
@@ -87,16 +94,18 @@ class BatchSearchResult:
     * ``total_seconds`` -- the sum of the per-query solo latencies, i.e.
       the time a device serving one query at a time would need.  This is
       what the analytic model cross-validates against.
-    * ``wall_seconds`` -- the batch wall clock under the
-      :class:`~repro.core.batch.BatchExecutor` occupancy model (shared
-      senses, die/channel overlap).  ``qps`` is defined on this one; for
-      a batch served without the executor it falls back to
-      ``total_seconds``.
+    * ``wall_seconds`` -- the batch wall clock under the executor's
+      occupancy model (shared senses, die/channel overlap, shard
+      barriers).  ``qps`` is defined on this one.
+
+    Every result comes from an executed batch (:meth:`from_execution`, or
+    a queue's :meth:`~repro.core.queue.QueueServeReport.as_batch_result`),
+    so the batch-level report and stats are always present.
     """
 
     results: List[ReisQueryResult]
-    batch_report: Optional[LatencyReport] = None
-    batch_stats: Optional[BatchStats] = None
+    batch_report: LatencyReport
+    batch_stats: BatchStats
     # Queries completed past their submission deadline (queue-served
     # batches only; they are still served and returned, never dropped).
     deadline_misses: int = 0
@@ -122,17 +131,13 @@ class BatchSearchResult:
     @property
     def wall_seconds(self) -> float:
         """Wall-clock time to drain the batch on the device."""
-        if self.batch_report is not None:
-            return self.batch_report.total_s
-        return self.total_seconds
+        return self.batch_report.total_s
 
     @property
     def queue_seconds(self) -> float:
         """Host-side batch-forming wait included in ``wall_seconds``
         (non-zero only for queue-served batches)."""
-        if self.batch_stats is not None:
-            return self.batch_stats.queue_seconds
-        return 0.0
+        return self.batch_stats.queue_seconds
 
     @property
     def qps(self) -> float:
@@ -153,9 +158,7 @@ class BatchSearchResult:
         batches with a non-zero forming window; and ``merge`` -- the
         host-side distance merge -- for batches served by a
         :class:`ShardedReisDevice`); values sum to ``wall_seconds``, so
-        the submission-to-completion wall clock decomposes fully.  Uses
-        the batched composition when available, otherwise aggregates the
-        per-query solo reports.
+        the submission-to-completion wall clock decomposes fully.
 
         Batches served under an opt-in host profile
         (:class:`~repro.host.profile.HostProfile`) additionally carry
@@ -164,14 +167,8 @@ class BatchSearchResult:
         time, and are excluded from the sums-to-``wall_seconds`` contract;
         profiling-disabled runs (the default) add no keys at all.
         """
-        if self.batch_report is not None:
-            totals = dict(self.batch_report.phases)
-        else:
-            totals = {}
-            for result in self.results:
-                for name, seconds in result.latency.phases.items():
-                    totals[name] = totals.get(name, 0.0) + seconds
-        if self.batch_stats is not None and self.batch_stats.host_profile:
+        totals = dict(self.batch_report.phases)
+        if self.batch_stats.host_profile:
             totals.update(self.batch_stats.host_profile.report())
         return totals
 
@@ -185,31 +182,28 @@ class BatchSearchResult:
         return self.results[index]
 
 
-class ReisDevice:
-    """A simulated SSD running REIS: deploy databases, search in storage."""
+class _HostSurface:
+    """The serving half of the host API, written once for both devices.
 
-    def __init__(
-        self,
-        config: ReisConfig = REIS_SSD1,
-        flags: Optional[OptFlags] = None,
-    ) -> None:
-        self.config = config
-        self.flags = flags if flags is not None else OptFlags()
-        self.ssd = config.make_ssd()
-        self.deployer = DatabaseDeployer(self.ssd, config.engine)
-        self.engine = InStorageAnnsEngine(self.ssd, config, self.flags)
-        self._databases: Dict[int, DeployedDatabase] = {}
-        self._ingest_managers: Dict[int, IngestManager] = {}
+    A device is its deployed databases plus the executor serving them (see
+    the module docstring); everything here is the same code over either
+    executor.  A subclass supplies ``executor``, deployment, and
+    ``_mutation_target`` (who commits a database's streamed mutations).
+    """
+
+    executor: Union[BatchExecutor, ShardRouter]
+
+    def __init__(self) -> None:
+        self._databases: Dict[int, Union[DeployedDatabase, ShardedDatabase]] = {}
         self._next_db_id = 0
-        self._register_nvme_handlers()
 
     # ----------------------------------------------------------- inventory
 
     @property
-    def databases(self) -> Dict[int, DeployedDatabase]:
+    def databases(self) -> Dict[int, Union[DeployedDatabase, ShardedDatabase]]:
         return dict(self._databases)
 
-    def database(self, db_id: int) -> DeployedDatabase:
+    def database(self, db_id: int) -> Union[DeployedDatabase, ShardedDatabase]:
         try:
             return self._databases[db_id]
         except KeyError:
@@ -222,6 +216,149 @@ class ReisDevice:
             raise ValueError(f"database id {db_id} already deployed")
         self._next_db_id = max(self._next_db_id, db_id + 1)
         return db_id
+
+    # -------------------------------------------------------------- search
+
+    def search(
+        self,
+        db_id: int,
+        queries: np.ndarray,
+        k: int = 10,
+        fetch_documents: bool = True,
+        metadata_filter: Optional[int] = None,
+    ) -> BatchSearchResult:
+        """``Search(Q, Qid, Did, k)``: brute-force top-k for a query batch
+        (on a cluster: across all shards, distance-merged)."""
+        db = self.database(db_id)
+        queries = validate_queries(db, queries, k)
+        execution = self.executor.execute(
+            db, queries, k,
+            nprobe=None if not db.is_ivf else db.n_clusters,
+            fetch_documents=fetch_documents,
+            metadata_filter=metadata_filter,
+        )
+        return BatchSearchResult.from_execution(execution)
+
+    def ivf_search(
+        self,
+        db_id: int,
+        queries: np.ndarray,
+        k: int = 10,
+        nprobe: Optional[int] = None,
+        recall_target: Optional[float] = None,
+        fetch_documents: bool = True,
+        metadata_filter: Optional[int] = None,
+        host_profile=None,
+    ) -> BatchSearchResult:
+        """``IVF_Search(Q, Qid, Did, k, R)``: IVF top-k for a query batch
+        (on a cluster: across all shards, distance-merged).
+
+        The paper's ``R`` (target accuracy) argument maps to
+        ``recall_target``: the device resolves it to the cheapest nprobe
+        whose expected cluster coverage reaches the target (a device-side
+        heuristic; :mod:`repro.experiments.operating_points` measures exact
+        recall-calibrated operating points for the evaluation figures).
+
+        ``host_profile`` opts into host wall-clock accounting per phase
+        (:class:`~repro.host.profile.HostProfile`); its ``host_<phase>``
+        diagnostics then ride along in
+        :meth:`BatchSearchResult.phase_seconds`.
+        """
+        db = self.database(db_id)
+        if not db.is_ivf:
+            raise ValueError(f"database {db_id} was deployed without IVF")
+        queries = validate_queries(db, queries, k, nprobe)
+        if nprobe is None and recall_target is not None:
+            nprobe = self.resolve_nprobe(db_id, recall_target)
+        execution = self.executor.execute(
+            db, queries, k, nprobe=nprobe,
+            fetch_documents=fetch_documents,
+            metadata_filter=metadata_filter,
+            host_profile=host_profile,
+        )
+        return BatchSearchResult.from_execution(execution)
+
+    def submission_queue(
+        self,
+        db_id: int,
+        k: int = 10,
+        nprobe: Optional[int] = None,
+        fetch_documents: bool = True,
+        metadata_filter: Optional[int] = None,
+        policy: Optional[QueuePolicy] = None,
+        clock: Optional[SimClock] = None,
+    ) -> SubmissionQueue:
+        """An async host submission queue serving one deployed database.
+
+        The queue accepts per-tenant submissions with deadlines on a
+        simulated clock and forms batches by the deadline/occupancy policy
+        (:class:`~repro.core.queue.QueuePolicy`); see
+        :class:`~repro.core.queue.SubmissionQueue`.  On a cluster the
+        occupancy estimate spans every live shard's layout and each formed
+        batch executes across the shards, so fairness and deadlines work
+        cluster-wide.  ``search`` / ``ivf_search`` remain the synchronous
+        whole-batch API.
+        """
+        db = self.database(db_id)
+        if nprobe is not None and not db.is_ivf:
+            raise ValueError(f"database {db_id} was deployed without IVF")
+        return SubmissionQueue(
+            self.executor, db, k=k, nprobe=nprobe,
+            fetch_documents=fetch_documents,
+            metadata_filter=metadata_filter,
+            policy=policy, clock=clock,
+        )
+
+    def ingest_queue(
+        self,
+        db_id: int,
+        k: int = 10,
+        nprobe: Optional[int] = None,
+        fetch_documents: bool = True,
+        metadata_filter: Optional[int] = None,
+        policy: Optional[QueuePolicy] = None,
+        clock: Optional[SimClock] = None,
+    ) -> IngestQueue:
+        """A submission queue that also accepts inserts/deletes/updates.
+
+        Mutations batch with queries under the same forming policy and
+        commit on the same simulated clock (on a cluster: each routed to
+        its owning shards); see :class:`~repro.core.ingest.IngestQueue`.
+        """
+        db = self.database(db_id)
+        if not db.is_ivf:
+            raise ValueError("streaming ingest requires an IVF deployment")
+        return IngestQueue(
+            self.executor, db, self._mutation_target(db_id),
+            k=k, nprobe=nprobe,
+            fetch_documents=fetch_documents,
+            metadata_filter=metadata_filter,
+            policy=policy, clock=clock,
+        )
+
+    def resolve_nprobe(self, db_id: int, recall_target: float) -> int:
+        """Heuristic nprobe for a recall target (see :func:`nprobe_for_recall`),
+        on the database's whole cluster count."""
+        return nprobe_for_recall(self.database(db_id).n_clusters, recall_target)
+
+
+class ReisDevice(_HostSurface):
+    """A simulated SSD running REIS: deploy databases, search in storage."""
+
+    def __init__(
+        self,
+        config: ReisConfig = REIS_SSD1,
+        flags: Optional[OptFlags] = None,
+    ) -> None:
+        super().__init__()
+        self.config = config
+        self.flags = flags if flags is not None else OptFlags()
+        self.ssd = config.make_ssd()
+        self.deployer = DatabaseDeployer(self.ssd, config.engine)
+        self.engine = InStorageAnnsEngine(self.ssd, config, self.flags)
+        self.executor = BatchExecutor(self.engine)
+        self._ingest_managers: Dict[int, IngestManager] = {}
+        self._register_nvme_handlers()
 
     # --------------------------------------------------------- deployment
 
@@ -392,92 +529,7 @@ class ReisDevice:
                     plane.erase_block(block_index)
         self.deployer._next_page_in_plane = start
 
-    # -------------------------------------------------------------- search
-
-    def search(
-        self,
-        db_id: int,
-        queries: np.ndarray,
-        k: int = 10,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-    ) -> BatchSearchResult:
-        """``Search(Q, Qid, Did, k)``: brute-force top-k for a query batch."""
-        db = self.database(db_id)
-        queries = validate_queries(db, queries, k)
-        execution = self.engine.search_batch(
-            db, queries, k,
-            nprobe=None if not db.is_ivf else db.n_clusters,
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-        )
-        return BatchSearchResult.from_execution(execution)
-
-    def ivf_search(
-        self,
-        db_id: int,
-        queries: np.ndarray,
-        k: int = 10,
-        nprobe: Optional[int] = None,
-        recall_target: Optional[float] = None,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-        host_profile=None,
-    ) -> BatchSearchResult:
-        """``IVF_Search(Q, Qid, Did, k, R)``: IVF top-k for a query batch.
-
-        The paper's ``R`` (target accuracy) argument maps to
-        ``recall_target``: the device resolves it to the cheapest nprobe
-        whose expected cluster coverage reaches the target (a device-side
-        heuristic; :mod:`repro.experiments.operating_points` measures exact
-        recall-calibrated operating points for the evaluation figures).
-
-        ``host_profile`` opts into host wall-clock accounting per phase
-        (:class:`~repro.host.profile.HostProfile`); its ``host_<phase>``
-        diagnostics then ride along in
-        :meth:`BatchSearchResult.phase_seconds`.
-        """
-        db = self.database(db_id)
-        if not db.is_ivf:
-            raise ValueError(f"database {db_id} was deployed without IVF")
-        queries = validate_queries(db, queries, k, nprobe)
-        if nprobe is None and recall_target is not None:
-            nprobe = self.resolve_nprobe(db_id, recall_target)
-        execution = self.engine.search_batch(
-            db, queries, k, nprobe=nprobe,
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-            host_profile=host_profile,
-        )
-        return BatchSearchResult.from_execution(execution)
-
-    def submission_queue(
-        self,
-        db_id: int,
-        k: int = 10,
-        nprobe: Optional[int] = None,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-        policy: Optional[QueuePolicy] = None,
-        clock: Optional[SimClock] = None,
-    ) -> SubmissionQueue:
-        """An async host submission queue serving one deployed database.
-
-        The queue accepts per-tenant submissions with deadlines on a
-        simulated clock and forms batches by the deadline/occupancy policy
-        (:class:`~repro.core.queue.QueuePolicy`); see
-        :class:`~repro.core.queue.SubmissionQueue`.  ``search`` /
-        ``ivf_search`` remain the synchronous whole-batch API.
-        """
-        db = self.database(db_id)
-        if nprobe is not None and not db.is_ivf:
-            raise ValueError(f"database {db_id} was deployed without IVF")
-        return SubmissionQueue(
-            self.engine, db, k=k, nprobe=nprobe,
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-            policy=policy, clock=clock,
-        )
+    # -------------------------------------------------------------- ingest
 
     def ingest_manager(self, db_id: int) -> IngestManager:
         """The (cached) streaming-ingest manager for one IVF database.
@@ -492,36 +544,7 @@ class ReisDevice:
             )
         return self._ingest_managers[db_id]
 
-    def ingest_queue(
-        self,
-        db_id: int,
-        k: int = 10,
-        nprobe: Optional[int] = None,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-        policy: Optional[QueuePolicy] = None,
-        clock: Optional[SimClock] = None,
-    ) -> IngestQueue:
-        """A submission queue that also accepts inserts/deletes/updates.
-
-        Mutations batch with queries under the same forming policy and
-        commit on the same simulated clock; see
-        :class:`~repro.core.ingest.IngestQueue`.
-        """
-        db = self.database(db_id)
-        if not db.is_ivf:
-            raise ValueError("streaming ingest requires an IVF deployment")
-        return IngestQueue(
-            self.engine, db, k=k, nprobe=nprobe,
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-            policy=policy, clock=clock,
-            manager=self.ingest_manager(db_id),
-        )
-
-    def resolve_nprobe(self, db_id: int, recall_target: float) -> int:
-        """Heuristic nprobe for a recall target (see :func:`nprobe_for_recall`)."""
-        return nprobe_for_recall(self.database(db_id).n_clusters, recall_target)
+    _mutation_target = ingest_manager
 
     # ----------------------------------------------------- NVMe plumbing
 
@@ -600,14 +623,16 @@ class MigrationResult:
     seconds: float
 
 
-class ShardedReisDevice:
+class ShardedReisDevice(_HostSurface):
     """N REIS drives serving one logical database behind one device API.
 
-    The host-facing surface mirrors :class:`ReisDevice` (``db_deploy`` /
-    ``ivf_deploy`` / ``search`` / ``ivf_search`` / ``submission_queue``),
-    so everything built on the single-device API -- the RAG pipeline via
-    :class:`ReisRetriever`, the scheduler, the examples -- runs unchanged
-    on a cluster.  Deployment fits one codec set on the full corpus
+    The serving surface *is* :class:`ReisDevice`'s (``search`` /
+    ``ivf_search`` / ``submission_queue`` / ``ingest_queue``, inherited
+    from the same base), so everything built on the single-device API --
+    the RAG pipeline via :class:`ReisRetriever`, the scheduler, the
+    examples -- runs unchanged on a cluster; a bad cluster shape (unknown
+    placement, more replicas than shards) fails here, at construction.
+    Deployment fits one codec set on the full corpus
     (:func:`~repro.core.layout.fit_deployment_codecs`), partitions the
     vectors under the placement policy, and deploys each piece to its
     shard; serving fans queries out through the
@@ -625,8 +650,8 @@ class ShardedReisDevice:
         merge_model: Optional[MergeCostModel] = None,
         replication_factor: int = 1,
     ) -> None:
-        if n_shards < 1:
-            raise ValueError("n_shards must be at least 1")
+        super().__init__()
+        check_cluster_shape(n_shards, placement, replication_factor)
         self.placement = placement
         self.replication_factor = replication_factor
         self.config = config
@@ -641,9 +666,8 @@ class ShardedReisDevice:
         self.router = ShardRouter(
             [shard.engine for shard in self.shards], merge_model=merge_model
         )
-        self._databases: Dict[int, ShardedDatabase] = {}
+        self.executor = self.router
         self._ingest_coordinators: Dict[int, ShardedIngestCoordinator] = {}
-        self._next_db_id = 0
 
     @property
     def n_shards(self) -> int:
@@ -675,26 +699,6 @@ class ShardedReisDevice:
     def disable_page_cache(self) -> None:
         for shard in self.shards:
             shard.disable_page_cache()
-
-    # ----------------------------------------------------------- inventory
-
-    @property
-    def databases(self) -> Dict[int, ShardedDatabase]:
-        return dict(self._databases)
-
-    def database(self, db_id: int) -> ShardedDatabase:
-        try:
-            return self._databases[db_id]
-        except KeyError:
-            raise KeyError(f"database id {db_id} is not deployed") from None
-
-    def _allocate_db_id(self, db_id: Optional[int]) -> int:
-        if db_id is None:
-            db_id = self._next_db_id
-        if db_id in self._databases:
-            raise ValueError(f"database id {db_id} already deployed")
-        self._next_db_id = max(self._next_db_id, db_id + 1)
-        return db_id
 
     # --------------------------------------------------------- deployment
 
@@ -865,91 +869,7 @@ class ShardedReisDevice:
         del self._databases[db_id]
         self._ingest_coordinators.pop(db_id, None)
 
-    # -------------------------------------------------------------- search
-
-    def search(
-        self,
-        db_id: int,
-        queries: np.ndarray,
-        k: int = 10,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-    ) -> BatchSearchResult:
-        """Brute-force top-k across all shards, distance-merged."""
-        sdb = self.database(db_id)
-        queries = validate_queries(sdb, queries, k)
-        execution = self.router.execute(
-            sdb, queries, k,
-            nprobe=None if not sdb.is_ivf else sdb.n_clusters,
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-        )
-        return BatchSearchResult.from_execution(execution)
-
-    def ivf_search(
-        self,
-        db_id: int,
-        queries: np.ndarray,
-        k: int = 10,
-        nprobe: Optional[int] = None,
-        recall_target: Optional[float] = None,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-    ) -> BatchSearchResult:
-        """IVF top-k across all shards, distance-merged."""
-        sdb = self.database(db_id)
-        if not sdb.is_ivf:
-            raise ValueError(f"database {db_id} was deployed without IVF")
-        queries = validate_queries(sdb, queries, k, nprobe)
-        if nprobe is None and recall_target is not None:
-            nprobe = self.resolve_nprobe(db_id, recall_target)
-        execution = self.router.execute(
-            sdb, queries, k, nprobe=nprobe,
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-        )
-        return BatchSearchResult.from_execution(execution)
-
-    def submission_queue(
-        self,
-        db_id: int,
-        k: int = 10,
-        nprobe: Optional[int] = None,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-        policy: Optional[QueuePolicy] = None,
-        clock: Optional[SimClock] = None,
-    ) -> SubmissionQueue:
-        """An async submission queue draining into the shard router.
-
-        Batch forming (deadlines, occupancy, per-tenant fairness) is the
-        same host-side machinery as on one device, its occupancy estimate
-        taken over every live shard's layout (:meth:`_former`), and each
-        formed batch executes across every shard with distance-merged
-        results, so fairness and deadlines work cluster-wide.
-        """
-        sdb = self.database(db_id)
-        if nprobe is not None and not sdb.is_ivf:
-            raise ValueError(f"database {db_id} was deployed without IVF")
-        anchor = self.router.resolve_anchor(sdb)
-        queue_policy = policy if policy is not None else QueuePolicy()
-        return SubmissionQueue(
-            self.shards[anchor].engine, sdb.shard_dbs[anchor],
-            k=k, nprobe=nprobe,
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-            policy=queue_policy, clock=clock,
-            executor=ShardedBatchExecutor(self.router, sdb),
-            former=self._former(sdb, nprobe, queue_policy),
-        )
-
-    def _former(
-        self, sdb: ShardedDatabase, nprobe: Optional[int], policy: QueuePolicy
-    ) -> BatchFormer:
-        """Occupancy forming over the router's live view of ``sdb``."""
-        return BatchFormer(
-            partial(self.router.forming_views, sdb), sdb.n_clusters, nprobe, policy
-        )
+    # -------------------------------------------------------------- ingest
 
     def ingest_coordinator(self, db_id: int) -> ShardedIngestCoordinator:
         """The (cached) mutation router for one sharded IVF database.
@@ -963,42 +883,7 @@ class ShardedReisDevice:
             )
         return self._ingest_coordinators[db_id]
 
-    def ingest_queue(
-        self,
-        db_id: int,
-        k: int = 10,
-        nprobe: Optional[int] = None,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-        policy: Optional[QueuePolicy] = None,
-        clock: Optional[SimClock] = None,
-    ) -> IngestQueue:
-        """A cluster-wide submission queue accepting mutations + queries.
-
-        Mutations route to their owning shard through the
-        :class:`~repro.core.ingest.ShardedIngestCoordinator`; reads drain
-        through the shard router as usual.
-        """
-        sdb = self.database(db_id)
-        if not sdb.is_ivf:
-            raise ValueError("streaming ingest requires an IVF deployment")
-        anchor = self.router.resolve_anchor(sdb)
-        queue_policy = policy if policy is not None else QueuePolicy()
-        return IngestQueue(
-            self.shards[anchor].engine, sdb.shard_dbs[anchor],
-            k=k, nprobe=nprobe,
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-            policy=queue_policy, clock=clock,
-            executor=ShardedBatchExecutor(self.router, sdb),
-            manager=self.ingest_coordinator(db_id),
-            former=self._former(sdb, nprobe, queue_policy),
-        )
-
-    def resolve_nprobe(self, db_id: int, recall_target: float) -> int:
-        """Heuristic nprobe for a recall target, on the *global* cluster
-        count (the per-shard plans trim it to owned centroids)."""
-        return nprobe_for_recall(self.database(db_id).n_clusters, recall_target)
+    _mutation_target = ingest_coordinator
 
     # --------------------------------------------------------------- faults
 

@@ -562,6 +562,24 @@ class BatchExecutor:
 
     # -------------------------------------------------------------- execute
 
+    def plan(
+        self,
+        db: DeployedDatabase,
+        k: int = 10,
+        nprobe: Optional[int] = None,
+        fetch_documents: bool = True,
+        metadata_filter: Optional[int] = None,
+    ) -> QueryPlan:
+        """The one plan a batch with these parameters executes on ``db``."""
+        return build_query_plan(
+            self.engine, db, k, nprobe, fetch_documents, metadata_filter
+        )
+
+    def forming_views(self, db: DeployedDatabase, clusters: Sequence[int]):
+        """``db`` as a :class:`~repro.core.queue.BatchFormer` sees it: one
+        device, expected to scan every guessed cluster."""
+        return [(0, self.engine, db, clusters)]
+
     def prepare(
         self,
         db: DeployedDatabase,
@@ -572,9 +590,7 @@ class BatchExecutor:
         metadata_filter: Optional[int] = None,
     ) -> Tuple[QueryPlan, List[PlanContext]]:
         """Build the batch's one plan and a context per query."""
-        plan = build_query_plan(
-            self.engine, db, k, nprobe, fetch_documents, metadata_filter
-        )
+        plan = self.plan(db, k, nprobe, fetch_documents, metadata_filter)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         return plan, [PlanContext(db=db, query=query) for query in queries]
 

@@ -46,7 +46,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchExecution, BatchExecutor, ScanTasks
+from repro.core.batch import BatchExecutor, ScanTasks
 from repro.core.cache import CacheEntry, PageCache
 from repro.core.commands import DieCommandInterface
 from repro.core.config import OptFlags, ReisConfig
@@ -879,7 +879,8 @@ class InStorageAnnsEngine:
     ) -> ReisQueryResult:
         """Run one query through the full in-storage pipeline.
 
-        A solo query is a batch of one (:meth:`search_batch`); its
+        A solo query is a batch of one through the
+        :class:`~repro.core.batch.BatchExecutor`; its
         :class:`~repro.sim.latency.LatencyReport` is the solo composition
         of its phase costs, i.e. the latency on an otherwise-idle device.
         For IVF databases ``nprobe`` selects how many clusters the fine
@@ -891,36 +892,9 @@ class InStorageAnnsEngine:
         queries = validate_queries(
             db, np.asarray(query, dtype=np.float32)[None], k, nprobe
         )
-        return self.search_batch(
-            db, queries, k,
-            nprobe=nprobe,
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-        ).results[0]
-
-    def search_batch(
-        self,
-        db: DeployedDatabase,
-        queries: np.ndarray,
-        k: int = 10,
-        nprobe: Optional[int] = None,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-        host_profile=None,
-    ) -> BatchExecution:
-        """Serve a batch of queries concurrently against this device.
-
-        A query's result does not depend on its batch; the latency model
-        charges the batch jointly, amortizing page senses across queries
-        and overlapping independent queries across dies and channels (see
-        :class:`~repro.core.batch.BatchExecutor`).  ``host_profile``
-        opts into host wall-clock accounting
-        (:class:`~repro.host.profile.HostProfile`).
-        """
         return BatchExecutor(self).execute(
             db, queries, k,
             nprobe=nprobe,
             fetch_documents=fetch_documents,
             metadata_filter=metadata_filter,
-            host_profile=host_profile,
-        )
+        ).results[0]

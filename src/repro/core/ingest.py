@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,10 +58,10 @@ from repro.core.batch import BatchExecution, BatchStats
 from repro.core.defrag import Defragmenter
 from repro.core.layout import CapacityError, DeployedDatabase, RegionInfo
 from repro.core.plan import SearchStats
-from repro.core.queue import Submission, SubmissionQueue
+from repro.core.queue import QueuePolicy, Submission, SubmissionQueue
 from repro.core.registry import R_IVF_ENTRY_BYTES, RIvf, RIvfEntry, TombstoneRegistry
 from repro.rag.documents import DocumentChunk
-from repro.sim.latency import LatencyReport
+from repro.sim.latency import LatencyReport, SimClock
 from repro.ssd.allocation import ContiguousRegionAllocator
 from repro.ssd.device import SimulatedSSD
 
@@ -141,6 +141,21 @@ class CompactionResult:
     reclaimed_pages: int = 0
     pages_programmed: int = 0
     seconds: float = 0.0
+
+    @classmethod
+    def concurrent(
+        cls, shard_results: Iterable["CompactionResult"]
+    ) -> "CompactionResult":
+        """Fold per-shard passes that ran side by side: the counts add up,
+        the wall clock is the slowest shard's."""
+        total = cls()
+        for result in shard_results:
+            total.live_entries += result.live_entries
+            total.erased_blocks += result.erased_blocks
+            total.reclaimed_pages += result.reclaimed_pages
+            total.pages_programmed += result.pages_programmed
+            total.seconds = max(total.seconds, result.seconds)
+        return total
 
 
 # -------------------------------------------------------- mutable index
@@ -712,10 +727,23 @@ class IngestQueue(SubmissionQueue):
     reads' service time does.
     """
 
-    def __init__(self, *args, manager=None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if manager is None:
-            raise ValueError("an IngestQueue needs an ingest manager")
+    def __init__(
+        self,
+        executor,
+        db,
+        manager: Union[IngestManager, "ShardedIngestCoordinator"],
+        *,
+        k: int = 10,
+        nprobe: Optional[int] = None,
+        fetch_documents: bool = True,
+        metadata_filter: Optional[int] = None,
+        policy: Optional[QueuePolicy] = None,
+        clock: Optional[SimClock] = None,
+    ) -> None:
+        super().__init__(
+            executor, db, k=k, nprobe=nprobe, fetch_documents=fetch_documents,
+            metadata_filter=metadata_filter, policy=policy, clock=clock,
+        )
         self.manager = manager
         self._mutations: Dict[int, MutationRequest] = {}
         self.mutation_acks: Dict[int, MutationAck] = {}
@@ -1142,14 +1170,6 @@ class ShardedIngestCoordinator:
         canonical ``global_slot`` are untouched -- local positions in
         ``shard_vectors`` are stable by construction.
         """
-        result = CompactionResult()
-        slowest = 0.0
-        for manager in self.managers.values():
-            shard_result = manager.compact()
-            result.live_entries += shard_result.live_entries
-            result.erased_blocks += shard_result.erased_blocks
-            result.reclaimed_pages += shard_result.reclaimed_pages
-            result.pages_programmed += shard_result.pages_programmed
-            slowest = max(slowest, shard_result.seconds)
-        result.seconds = slowest
-        return result
+        return CompactionResult.concurrent(
+            manager.compact() for manager in self.managers.values()
+        )

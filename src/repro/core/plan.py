@@ -154,9 +154,10 @@ class QueryPlan:
     clamped to the cluster count otherwise; ``shortlist_size`` is the
     rescoring shortlist the fine phase keeps per query.  ``merge_fan_in``
     is set only on a sharded *logical* plan
-    (:meth:`~repro.core.shard.ShardRouter.logical_plan`): the number of
-    shards whose shortlists the host merges between fine search and rerank
-    -- plan data for introspection, never executed on a device.
+    (:meth:`~repro.core.shard.ShardRouter.plan`, whose ``nprobe`` is the
+    cluster-wide probe count): the number of shards whose shortlists the
+    host merges between fine search and rerank -- plan data for
+    introspection, never executed on a device.
     """
 
     k: int

@@ -34,7 +34,11 @@ behavior is deterministic and tier-1 stays flake-free):
   most ``weight(tenant)`` submissions per visit, so a tenant flooding the
   queue cannot push another tenant's share of a batch below its weight --
   the fairness invariant the starvation tests pin down.  The rotation
-  offset advances every batch so no tenant is permanently first.
+  offset advances every batch so no tenant is permanently first.  It is
+  built from an ``(executor, db)`` pair -- one drive's
+  :class:`~repro.core.batch.BatchExecutor` or a cluster's
+  :class:`~repro.core.shard.ShardRouter` -- and derives its plan and its
+  former from that pair; nothing else is wired in.
 
 Submissions are **never dropped**.  Deadline-missed queries are served,
 returned, and counted (:attr:`~repro.core.batch.BatchExecution.
@@ -55,6 +59,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -65,14 +70,14 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
 
-from repro.core.batch import BatchExecution, BatchExecutor, BatchStats
+from repro.core.batch import BatchExecution, BatchStats
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
-    build_query_plan,
     resolve_nprobe,
     schedule_order,
     schedule_senses,
@@ -83,7 +88,9 @@ from repro.sim.latency import LatencyReport, SimClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.api import BatchSearchResult
+    from repro.core.batch import BatchExecutor
     from repro.core.engine import InStorageAnnsEngine
+    from repro.core.shard import ShardedDatabase, ShardRouter
 
 _EPS = 1e-12
 
@@ -218,12 +225,13 @@ class BatchFormer:
 
     The layout comes in as ``views`` (:data:`FormingViews`), asked afresh
     per footprint so it reflects the deployment as it stands.  A single
-    device is the one-view case; a sharded deployment
+    device (:meth:`~repro.core.batch.BatchExecutor.forming_views`) is the
+    one-view case; a sharded deployment
     (:meth:`~repro.core.shard.ShardRouter.forming_views`) yields one view
     per live shard, each expected to scan the guessed clusters the router
     would have it *serve*, and planes count as ``(shard, plane)`` pairs --
-    the anchor shard's planes alone saturate long before (balanced
-    splits) or after (skewed splits) the cluster's do.
+    one shard's planes alone saturate long before (balanced splits) or
+    after (skewed splits) the cluster's do.
     """
 
     def __init__(
@@ -541,17 +549,21 @@ class SubmissionQueue:
     deployed database with fixed search parameters (k, nprobe, filters):
     that is what makes every pending submission batchable with every
     other, and why bad parameters fail when the queue is built
-    (:attr:`plan`), not at the first submission or mid-drain.  The
-    database may be a *logical* one spanning many drives:
-    :meth:`repro.core.api.ShardedReisDevice.submission_queue` injects a
-    shard-routing executor, so the same forming and fairness machinery
-    feeds a whole cluster.
+    (:attr:`plan`), not at the first submission or mid-drain.  The queue
+    takes ``(executor, db)`` as a pair and asks the executor for
+    everything device-shaped -- ``plan(db, ...)``, ``forming_views(db,
+    clusters)``, ``execute(db, queries, ...)`` -- so the same forming and
+    fairness machinery feeds one drive (a
+    :class:`~repro.core.batch.BatchExecutor` and its
+    :class:`~repro.core.layout.DeployedDatabase`) or a whole cluster (the
+    :class:`~repro.core.shard.ShardRouter` and its
+    :class:`~repro.core.shard.ShardedDatabase`).
     """
 
     def __init__(
         self,
-        engine: "InStorageAnnsEngine",
-        db: DeployedDatabase,
+        executor: Union["BatchExecutor", "ShardRouter"],
+        db: Union[DeployedDatabase, "ShardedDatabase"],
         *,
         k: int = 10,
         nprobe: Optional[int] = None,
@@ -559,39 +571,21 @@ class SubmissionQueue:
         metadata_filter: Optional[int] = None,
         policy: Optional[QueuePolicy] = None,
         clock: Optional[SimClock] = None,
-        executor: Optional[object] = None,
-        former: Optional[BatchFormer] = None,
     ) -> None:
         validate_search_params(k, nprobe)
-        self.engine = engine
+        self.executor = executor
         self.db = db
         self.k = k
         self.nprobe = nprobe
         self.fetch_documents = fetch_documents
         self.metadata_filter = metadata_filter
         # What every batch of this queue executes, resolved against ``db``.
-        self.plan = build_query_plan(
-            engine, db, k, nprobe, fetch_documents, metadata_filter
-        )
+        self.plan = executor.plan(db, k, nprobe, fetch_documents, metadata_filter)
         self.policy = policy if policy is not None else QueuePolicy()
         self.clock = clock if clock is not None else SimClock()
-        # Occupancy forming defaults to this device's layout (one view); a
-        # sharded deployment injects a former over the router's views so
-        # the trigger sees every shard's planes instead of the anchor's.
-        self.former = (
-            former
-            if former is not None
-            else BatchFormer(
-                lambda clusters: [(0, engine, db, clusters)],
-                db.n_clusters, nprobe, self.policy,
-            )
+        self.former = BatchFormer(
+            partial(executor.forming_views, db), db.n_clusters, nprobe, self.policy
         )
-        # The back end formed batches drain into.  Default: this device's
-        # page-major executor.  A sharded deployment injects a
-        # :class:`~repro.core.shard.ShardedBatchExecutor` so batches fan
-        # out through the router and come back distance-merged -- ``db``
-        # then only anchors forming estimates and submission validation.
-        self.executor = executor if executor is not None else BatchExecutor(engine)
         self._arrivals: List[Tuple[float, int, Submission]] = []
         self._tenants: Dict[str, Deque[Submission]] = {}
         self._rr_offset = 0

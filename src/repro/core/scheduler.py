@@ -18,11 +18,12 @@ boundaries.  :class:`DeviceScheduler` implements this policy over a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.api import BatchSearchResult, ReisDevice, ShardedReisDevice
+from repro.core.ingest import CompactionResult
 from repro.core.queue import QueuePolicy, QueueServeReport
 from repro.ssd.gc import GcResult
 from repro.ssd.refresh import RefreshManager, RefreshResult
@@ -30,6 +31,7 @@ from repro.ssd.refresh import RefreshManager, RefreshResult
 
 def _serve_through_queue(
     device,
+    accounting: "ScheduleAccounting",
     db_id: int,
     queries: np.ndarray,
     k: int,
@@ -39,13 +41,15 @@ def _serve_through_queue(
     deadlines_s: Optional[Sequence[float]],
     arrivals_s: Optional[Sequence[float]],
     policy: Optional[QueuePolicy],
-) -> QueueServeReport:
-    """Drive a batch through ``device.submission_queue`` and drain it.
+) -> Tuple[QueueServeReport, BatchSearchResult]:
+    """Drive a batch through ``device.submission_queue``, drain it and
+    bill the host-side queue outcome to ``accounting``.
 
     Shared by :class:`DeviceScheduler` (one drive) and
     :class:`ShardedScheduler` (a cluster): both devices expose the same
     ``submission_queue`` surface, so the queue-fronted serving path is one
-    piece of code.
+    piece of code.  Device-busy time is the caller's to bill (a cluster
+    splits it into serving and merge).
     """
     db = device.database(db_id)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
@@ -77,7 +81,14 @@ def _serve_through_queue(
                 ),
                 at_s=None if arrivals_s is None else arrivals_s[i],
             )
-    return queue.drain()
+    report = queue.drain()
+    batch = report.as_batch_result()
+    accounting.queries_served += len(batch)
+    accounting.queue_wait_seconds += report.total_queue_wait_s
+    accounting.deadline_misses += len(report.deadline_misses)
+    accounting.batches_formed += len(report.batches)
+    accounting.cache_hits += batch.batch_stats.cache_hits
+    return report, batch
 
 
 @dataclass
@@ -191,19 +202,12 @@ class DeviceScheduler:
         formed batches land in their own accounting fields.
         """
         self._enter_rag()
-        report = _serve_through_queue(
-            self.device, db_id, queries, k, nprobe,
+        report, batch = _serve_through_queue(
+            self.device, self.accounting, db_id, queries, k, nprobe,
             tenants=tenants, deadlines_s=deadlines_s, arrivals_s=arrivals_s,
             policy=policy,
         )
-        batch = report.as_batch_result()
         self.accounting.rag_seconds += report.service_seconds
-        self.accounting.queries_served += len(batch)
-        self.accounting.queue_wait_seconds += report.total_queue_wait_s
-        self.accounting.deadline_misses += len(report.deadline_misses)
-        self.accounting.batches_formed += len(report.batches)
-        if batch.batch_stats is not None:
-            self.accounting.cache_hits += batch.batch_stats.cache_hits
         return batch
 
     # --------------------------------------------------------- normal side
@@ -336,12 +340,11 @@ class ShardedScheduler:
         sdb = self.device.database(db_id)
         for shard in sdb.active_shards:
             self.children[shard]._enter_rag()
-        report = _serve_through_queue(
-            self.device, db_id, queries, k, nprobe,
+        report, batch = _serve_through_queue(
+            self.device, self.accounting, db_id, queries, k, nprobe,
             tenants=tenants, deadlines_s=deadlines_s, arrivals_s=arrivals_s,
             policy=policy,
         )
-        batch = report.as_batch_result()
         merge_seconds = 0.0
         for queued in report.batches:
             execution = queued.execution
@@ -355,15 +358,8 @@ class ShardedScheduler:
                         self.children[shard].accounting.queries_served += len(
                             queued.submissions
                         )
-        acc = self.accounting
-        acc.rag_seconds += report.service_seconds - merge_seconds
-        acc.merge_seconds += merge_seconds
-        acc.queries_served += len(batch)
-        acc.queue_wait_seconds += report.total_queue_wait_s
-        acc.deadline_misses += len(report.deadline_misses)
-        acc.batches_formed += len(report.batches)
-        if batch.batch_stats is not None:
-            acc.cache_hits += batch.batch_stats.cache_hits
+        self.accounting.rag_seconds += report.service_seconds - merge_seconds
+        self.accounting.merge_seconds += merge_seconds
         return batch
 
     # --------------------------------------------------------- normal side
@@ -401,23 +397,11 @@ class ShardedScheduler:
         shard's child scheduler); shards compact concurrently, so the
         cluster is billed the slowest shard's pass.
         """
-        sdb = self.device.database(coordinator.db_id)
-        slowest = 0.0
-        from repro.core.ingest import CompactionResult
-
-        total = CompactionResult()
-        for shard in sdb.active_shards:
-            child = self.children[shard]
-            child._enter_normal()
-            shard_result = coordinator.managers[shard].compact()
-            child.accounting.maintenance_seconds += shard_result.seconds
-            total.live_entries += shard_result.live_entries
-            total.erased_blocks += shard_result.erased_blocks
-            total.reclaimed_pages += shard_result.reclaimed_pages
-            total.pages_programmed += shard_result.pages_programmed
-            slowest = max(slowest, shard_result.seconds)
-        total.seconds = slowest
-        self.accounting.maintenance_seconds += slowest
+        total = CompactionResult.concurrent(
+            self.children[shard].run_ingest_maintenance(manager)
+            for shard, manager in coordinator.managers.items()
+        )
+        self.accounting.maintenance_seconds += total.seconds
         return total
 
     def run_rebalance(

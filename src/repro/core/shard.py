@@ -25,6 +25,10 @@ ANN systems, specialized to the in-storage engine:
   -> global rescoring shortlist, INT8 rerank scores -> global top-k.
   The filter-retry decision is likewise taken on cluster-wide survivor
   counts, exactly as one device scanning everything would take it.
+  Towards the host the router has the executor shape of
+  :class:`~repro.core.batch.BatchExecutor` -- ``plan`` / ``forming_views``
+  / ``execute`` with the :class:`ShardedDatabase` first -- which is what
+  lets the device surface and the submission queue be written once.
 
 **Bit identity.**  The merges reconstruct, candidate for candidate, the
 state a single device deploying the whole corpus would have built: the TTL
@@ -63,6 +67,7 @@ from repro.core.batch import (
     BatchExecution,
     BatchExecutor,
     BatchStats,
+    _phase_timer,
     compose_batch_report,
 )
 from repro.core.costing import BatchPhaseBreakdown
@@ -81,6 +86,7 @@ from repro.sim.latency import LatencyReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import InStorageAnnsEngine
+    from repro.host.profile import HostProfile
 
 PLACEMENT_POLICIES = ("round_robin", "cluster")
 
@@ -169,6 +175,35 @@ class ShardAssignment:
             return list(range(self.n_shards))
         return []
 
+    def local_cluster_ids(self, shard: int) -> Dict[int, int]:
+        """``{global cluster: shard-local id}`` of the clusters ``shard``
+        deploys (its position in the shard's centroid layout)."""
+        return {int(c): i for i, c in enumerate(self.shard_clusters[shard])}
+
+    def global_ids(
+        self, shard: int, db: DeployedDatabase, radrs: np.ndarray
+    ) -> np.ndarray:
+        """Global vector ids of the entries at ``radrs`` of ``shard``'s piece."""
+        mine = np.asarray(self.shard_vectors[shard], dtype=np.int64)
+        return mine[db.slot_to_original[radrs]]
+
+
+def check_cluster_shape(n_shards: int, policy: str, replication_factor: int) -> None:
+    """Reject a shard count / placement / replication combination no
+    corpus could be placed under (what is knowable before a model exists)."""
+    if n_shards < 1:
+        raise ValueError("n_shards must be at least 1")
+    if policy not in PLACEMENT_POLICIES:
+        raise ValueError(
+            f"unknown placement policy {policy!r}; pick from {PLACEMENT_POLICIES}"
+        )
+    if replication_factor < 1:
+        raise ValueError("replication_factor must be at least 1")
+    if replication_factor > n_shards:
+        raise ValueError(
+            f"replication_factor {replication_factor} exceeds {n_shards} shards"
+        )
+
 
 def plan_placement(
     n: int,
@@ -194,18 +229,7 @@ def plan_placement(
     batch and fail over to a survivor when an owner dies.  Replication is a
     SPANN-style posting-list replica scheme: whole clusters, full copies.
     """
-    if n_shards < 1:
-        raise ValueError("n_shards must be at least 1")
-    if policy not in PLACEMENT_POLICIES:
-        raise ValueError(
-            f"unknown placement policy {policy!r}; pick from {PLACEMENT_POLICIES}"
-        )
-    if replication_factor < 1:
-        raise ValueError("replication_factor must be at least 1")
-    if replication_factor > n_shards:
-        raise ValueError(
-            f"replication_factor {replication_factor} exceeds {n_shards} shards"
-        )
+    check_cluster_shape(n_shards, policy, replication_factor)
     if replication_factor > 1 and (policy != "cluster" or ivf_model is None):
         raise ValueError(
             "replication requires the 'cluster' placement of an IVF model "
@@ -454,9 +478,8 @@ class _BatchState:
     metadata_filter: Optional[int]
     merge_acc: _MergeAccounting
     runs: List[_ShardRun] = field(default_factory=list)
-    # Per query: probed global clusters in rank order / {cluster: rank}.
+    # Per query: probed global clusters in rank order (None on a flat db).
     probes: List[Optional[List[int]]] = field(default_factory=list)
-    probe_ranks: List[Optional[Dict[int, int]]] = field(default_factory=list)
     # Cluster -> serving shard for this batch (cluster-affinity placement
     # only; None means every shard serves its own slice of every cluster).
     serving: Optional[Dict[int, int]] = None
@@ -469,7 +492,13 @@ class _BatchState:
         return int(self.queries.shape[0])
 
     def live_runs(self) -> List[_ShardRun]:
-        return [run for run in self.runs if not run.dead]
+        """Runs still producing output; a batch with none cannot finish."""
+        runs = [run for run in self.runs if not run.dead]
+        if not runs:
+            raise ShardUnavailableError(
+                None, "every shard serving the batch is down"
+            )
+        return runs
 
 
 @dataclass
@@ -491,13 +520,30 @@ class _MergedShortlist:
         return int(self.gids.size)
 
 
+@dataclass
+class _RankedWinners:
+    """One query's global top-k, columnar like :class:`_MergedShortlist`.
+
+    Parallel arrays in rank order: global id, refined INT8 distance, and
+    where the winner's document lives -- the serving ``shards`` entry and
+    its shard-local ``dadrs`` address (rewritten in place when a document
+    fails over to a replica; ids and distances never move).
+    """
+
+    gids: np.ndarray
+    dists: np.ndarray
+    shards: np.ndarray
+    dadrs: np.ndarray
+
+
 class ShardRouter:
     """Fans one logical batch out to per-shard plans and merges by distance.
 
     The router holds the shard engines; which logical database to serve
-    comes in per call (a :class:`ShardedDatabase`), mirroring how
-    :class:`~repro.core.batch.BatchExecutor` takes a
-    :class:`~repro.core.layout.DeployedDatabase`.
+    comes in per call (a :class:`ShardedDatabase`).  Its host-facing shape
+    is :class:`~repro.core.batch.BatchExecutor`'s -- :meth:`plan`,
+    :meth:`forming_views`, :meth:`execute`, each taking the database first
+    -- so devices and queues are written once over either executor.
     """
 
     def __init__(
@@ -606,10 +652,6 @@ class ShardRouter:
 
     # ------------------------------------------------------------ plumbing
 
-    def resolve_nprobe(self, sdb: ShardedDatabase, nprobe: Optional[int]) -> Optional[int]:
-        """The *global* nprobe (per-shard plans trim it to owned centroids)."""
-        return resolve_nprobe(sdb.n_clusters, nprobe) if sdb.is_ivf else None
-
     def forming_views(
         self, sdb: ShardedDatabase, clusters: Sequence[int]
     ) -> List[Tuple[int, "InStorageAnnsEngine", DeployedDatabase, List[int]]]:
@@ -633,9 +675,7 @@ class ShardRouter:
         for shard in sdb.active_shards:
             if shard in self.failed_shards:
                 continue
-            position = {
-                int(c): i for i, c in enumerate(assignment.shard_clusters[shard])
-            }
+            position = assignment.local_cluster_ids(shard)
             local = [
                 position[cluster]
                 for cluster in clusters
@@ -647,10 +687,9 @@ class ShardRouter:
             )
         return views
 
-    def logical_plan(
+    def plan(
         self,
         sdb: ShardedDatabase,
-        query: np.ndarray,
         k: int = 10,
         nprobe: Optional[int] = None,
         fetch_documents: bool = True,
@@ -658,21 +697,23 @@ class ShardRouter:
     ) -> QueryPlan:
         """The sharded schedule as plan data: per-shard stages + the merge.
 
-        Built against the first live shard (every shard runs the same
-        stage list) with ``merge_fan_in`` set, which puts a ``merge`` stage
+        Every shard runs the same stage list, so the plan is built against
+        the first live shard; ``nprobe`` is the *global* probe count every
+        query ends up scanning (a shard's own plan trims it to the
+        centroids it holds) and ``merge_fan_in`` puts a ``merge`` stage
         between the fine search and the rerank -- where the router really
-        merges shortlists.  Introspection only; execution goes through
-        :meth:`execute`.
+        merges shortlists.
         """
-        active = sdb.active_shards
-        if not active:
-            raise ValueError("database has no deployed shards")
         anchor = self.resolve_anchor(sdb)
         plan = build_query_plan(
-            self.engines[anchor], sdb.shard_dbs[anchor], k,
-            self.resolve_nprobe(sdb, nprobe), fetch_documents, metadata_filter,
+            self.engines[anchor], sdb.shard_dbs[anchor], k, nprobe,
+            fetch_documents, metadata_filter,
         )
-        return replace(plan, merge_fan_in=len(active))
+        return replace(
+            plan,
+            nprobe=resolve_nprobe(sdb.n_clusters, nprobe),
+            merge_fan_in=len(sdb.active_shards),
+        )
 
     # ------------------------------------------------------------- execute
 
@@ -684,6 +725,7 @@ class ShardRouter:
         nprobe: Optional[int] = None,
         fetch_documents: bool = True,
         metadata_filter: Optional[int] = None,
+        host_profile: Optional["HostProfile"] = None,
     ) -> BatchExecution:
         """Serve a batch across all shards and merge to the global top-k.
 
@@ -693,6 +735,11 @@ class ShardRouter:
         replicas.  Either way the batch completes bit-identical to a
         healthy single device or raises :class:`ShardUnavailableError` --
         never partial results.
+
+        ``host_profile`` opts into host wall-clock accounting of the
+        router's own steps under the single-device executor's phase names
+        (``fine`` includes the shortlist merge, ``finalize`` is the result
+        composition); the default ``None`` never reads the wall clock.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         n_queries = queries.shape[0]
@@ -714,37 +761,45 @@ class ShardRouter:
                 "a shard holding an unreplicated slice is down "
                 f"({sorted(set(sdb.active_shards) - set(live))})",
             )
-        state = _BatchState(
-            sdb=sdb, queries=queries, k=k,
-            nprobe=self.resolve_nprobe(sdb, nprobe),
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-            merge_acc=_MergeAccounting(),
-            probes=[None] * n_queries,
-            probe_ranks=[None] * n_queries,
-        )
-        if sdb.is_ivf and sdb.assignment.cluster_of_vector is not None:
-            state.cluster_sizes = np.bincount(
-                np.asarray(sdb.assignment.cluster_of_vector, dtype=np.int64),
-                minlength=sdb.n_clusters,
+        with _phase_timer(host_profile, "prepare"):
+            state = _BatchState(
+                sdb=sdb, queries=queries, k=k,
+                # Global: each shard's plan trims it to the centroids it holds.
+                nprobe=resolve_nprobe(sdb.n_clusters, nprobe),
+                fetch_documents=fetch_documents,
+                metadata_filter=metadata_filter,
+                merge_acc=_MergeAccounting(),
+                probes=[None] * n_queries,
             )
-        for shard in live:
-            state.runs.append(self._make_run(state, shard))
-        for run in state.runs:
-            run.executor.run_ibc(run.ctxs)
+            if sdb.is_ivf and sdb.assignment.cluster_of_vector is not None:
+                state.cluster_sizes = np.bincount(
+                    np.asarray(sdb.assignment.cluster_of_vector, dtype=np.int64),
+                    minlength=sdb.n_clusters,
+                )
+            for shard in live:
+                state.runs.append(self._make_run(state, shard))
+        with _phase_timer(host_profile, "ibc"):
+            for run in state.runs:
+                run.executor.run_ibc(run.ctxs)
 
         if sdb.is_ivf:
-            self._coarse_barrier(state)
+            with _phase_timer(host_profile, "coarse"):
+                self._coarse_barrier(state)
         else:
             dead = self._pop_scheduled_kill("coarse")
             if dead is not None and self._mark_dead(state, dead):
                 self._spawn_replacements(state, dead, through="scan")
-
-        self._fine_barrier(state)
-        shortlists = self._shortlist_barrier(state)
-        ranked = self._rerank_barrier(state, shortlists)
-        documents = self._document_barrier(state, ranked)
-        return self._compose(state, ranked, documents)
+        with _phase_timer(host_profile, "fine"):
+            self._fine_barrier(state)
+            shortlists = self._shortlist_barrier(state)
+        with _phase_timer(host_profile, "rerank"):
+            ranked = self._rerank_barrier(state, shortlists)
+        with _phase_timer(host_profile, "documents"):
+            documents = self._document_barrier(state, ranked)
+        with _phase_timer(host_profile, "finalize"):
+            execution = self._compose(state, ranked, documents)
+        execution.stats.host_profile = host_profile
+        return execution
 
     # ------------------------------------------------------------- barriers
 
@@ -774,15 +829,35 @@ class ShardRouter:
             run.dead = True
         return casualties
 
+    def _elect(
+        self, state: _BatchState, cluster: int, assigned: Dict[int, int]
+    ) -> int:
+        """Pick ``cluster``'s serving replica into ``state.serving``: the
+        least-loaded live owner (cumulative busy seconds, then vectors
+        already ``assigned`` in this election round, then shard id).
+        Disjoint serving sets keep the downstream merge keys a total
+        order, so replica choice never changes results."""
+        owners = self._live_owners(state.sdb, cluster)
+        if not owners:
+            raise ShardUnavailableError(cluster)
+        pick = min(
+            owners, key=lambda s: (self._shard_load(s), assigned.get(s, 0), s)
+        )
+        assigned[pick] = assigned.get(pick, 0) + int(state.cluster_sizes[cluster])
+        state.serving[cluster] = pick
+        return pick
+
     def _spawn_replacements(
         self,
         state: _BatchState,
         dead: int,
         through: str,
-        clusters: Optional[set] = None,
+        members: Optional[np.ndarray] = None,
     ) -> List[_ShardRun]:
         """Re-execute the dead shard's serving slice on surviving replicas.
 
+        The slice is every cluster the dead shard was serving, or -- given
+        ``members`` (global vector ids) -- only the clusters holding them.
         Reassigns each lost cluster to its least-loaded live owner, spawns
         fresh failover runs on the chosen shards (IBC + filtered fine scan
         over exactly the lost clusters of each query's probe set), and --
@@ -804,47 +879,27 @@ class ShardRouter:
                 f"shard {dead} died mid-batch and the "
                 f"{sdb.assignment.policy!r} placement has no cluster replicas",
             )
-        if clusters is None:
-            lost = sorted(c for c, s in state.serving.items() if s == dead)
-        else:
-            lost = sorted(
-                c for c in clusters if state.serving.get(c) == dead
+        lost = sorted(c for c, s in state.serving.items() if s == dead)
+        if members is not None:
+            holding = set(
+                np.asarray(sdb.assignment.cluster_of_vector)[members].tolist()
             )
+            lost = [c for c in lost if c in holding]
         if not lost:
             return []
-        sizes = state.cluster_sizes
-        new_owner: Dict[int, int] = {}
         assigned: Dict[int, int] = {}
+        by_shard: Dict[int, set] = {}
         for cluster in lost:
-            owners = self._live_owners(sdb, cluster)
-            if not owners:
-                raise ShardUnavailableError(cluster)
-            pick = min(
-                owners,
-                key=lambda s: (self._shard_load(s), assigned.get(s, 0), s),
-            )
-            new_owner[cluster] = pick
-            assigned[pick] = assigned.get(pick, 0) + (
-                int(sizes[cluster]) if sizes is not None else 1
-            )
-            state.serving[cluster] = pick
-        by_shard: Dict[int, List[int]] = {}
-        for cluster, shard in new_owner.items():
-            by_shard.setdefault(shard, []).append(cluster)
+            pick = self._elect(state, cluster, assigned)
+            by_shard.setdefault(pick, set()).add(cluster)
         new_runs: List[_ShardRun] = []
         for shard in sorted(by_shard):
-            mine = set(by_shard[shard])
+            mine = by_shard[shard]
             run = self._make_run(state, shard, failover=True)
             run.executor.run_ibc(run.ctxs)
-            position = {
-                int(c): i
-                for i, c in enumerate(sdb.assignment.shard_clusters[shard])
-            }
+            position = sdb.assignment.local_cluster_ids(shard)
             for qi in range(state.n_queries):
-                probe = state.probes[qi] or []
-                local = [
-                    position[int(c)] for c in probe if int(c) in mine
-                ]
+                local = [position[c] for c in state.probes[qi] if c in mine]
                 run.ctxs[qi].clusters = local
                 run.ctxs[qi].stats.clusters_probed = len(local)
             run.fine = run.executor._fine_scan(
@@ -907,10 +962,6 @@ class ShardRouter:
                     f"{sdb.assignment.policy!r} placement has no replicas",
                 )
         runs = state.live_runs()
-        if not runs:
-            raise ShardUnavailableError(
-                None, "every shard serving the batch is down"
-            )
         for run in runs:
             for block in run.coarse_blocks:
                 state.merge_acc.add(run.shard, len(block))
@@ -927,17 +978,9 @@ class ShardRouter:
         down_ids = np.asarray(down, dtype=np.int64)
 
         local_position = {
-            run.shard: {
-                int(cluster): index
-                for index, cluster in enumerate(
-                    sdb.assignment.shard_clusters[run.shard]
-                )
-            }
-            for run in runs
+            run.shard: sdb.assignment.local_cluster_ids(run.shard) for run in runs
         }
-        serving: Optional[Dict[int, int]] = (
-            {} if self._can_fail_over(sdb) else None
-        )
+        serving = state.serving = {} if self._can_fail_over(sdb) else None
         assigned: Dict[int, int] = {}
         for qi in range(state.n_queries):
             # Stack every live shard's candidates (plus host-computed down
@@ -965,54 +1008,26 @@ class ShardRouter:
             order = merge_order(dists, clusters)
             sorted_clusters = clusters[order]
             _, first = np.unique(sorted_clusters, return_index=True)
-            probe = sorted_clusters[np.sort(first)][:nprobe]
-            if down:
-                down_set = set(down)
-                for cluster in probe:
-                    if int(cluster) in down_set:
-                        raise ShardUnavailableError(int(cluster))
-            ranks = {int(cluster): rank for rank, cluster in enumerate(probe)}
-            state.probes[qi] = [int(cluster) for cluster in probe]
-            state.probe_ranks[qi] = ranks
+            probe = sorted_clusters[np.sort(first)][:nprobe].tolist()
+            for cluster in probe:
+                if cluster in down:
+                    raise ShardUnavailableError(cluster)
+            state.probes[qi] = probe
             if serving is not None:
-                # One serving replica per probed cluster: the least-loaded
-                # live owner (cumulative busy seconds, then vectors already
-                # assigned this batch, then shard id).  Disjoint serving
-                # sets keep the downstream merge keys a total order, so
-                # replica choice never changes results.
-                for cluster in state.probes[qi]:
-                    if cluster in serving:
-                        continue
-                    owners = self._live_owners(sdb, cluster)
-                    pick = min(
-                        owners,
-                        key=lambda s: (
-                            self._shard_load(s), assigned.get(s, 0), s,
-                        ),
-                    )
-                    serving[cluster] = pick
-                    assigned[pick] = assigned.get(pick, 0) + (
-                        int(state.cluster_sizes[cluster])
-                        if state.cluster_sizes is not None
-                        else 1
-                    )
+                # One serving replica per probed cluster, batch-wide.
+                for cluster in probe:
+                    if cluster not in serving:
+                        self._elect(state, cluster, assigned)
             for run in runs:
                 position = local_position[run.shard]
-                if serving is None:
-                    local = [
-                        position[int(cluster)]
-                        for cluster in probe
-                        if int(cluster) in position
-                    ]
-                else:
-                    local = [
-                        position[int(cluster)]
-                        for cluster in probe
-                        if serving.get(int(cluster)) == run.shard
-                    ]
+                local = [
+                    position[c]
+                    for c in probe
+                    if c in position
+                    and (serving is None or serving[c] == run.shard)
+                ]
                 run.ctxs[qi].clusters = local
                 run.ctxs[qi].stats.clusters_probed = len(local)
-        state.serving = serving
 
     def _fine_barrier(self, state: _BatchState) -> None:
         """Filtered fine scans everywhere, then the cluster-wide retry.
@@ -1036,10 +1051,6 @@ class ShardRouter:
         if dead is not None and self._mark_dead(state, dead):
             self._spawn_replacements(state, dead, through="scan")
         runs = state.live_runs()
-        if not runs:
-            raise ShardUnavailableError(
-                None, "every shard serving the batch is down"
-            )
         retried: List[bool] = []
         for qi in range(state.n_queries):
             survivors = sum(run.fine.survivors(qi) for run in runs)
@@ -1090,13 +1101,10 @@ class ShardRouter:
                 state.merge_acc.add(run.shard, len(block))
                 if len(block) == 0:
                     continue
-                mine = np.asarray(
-                    assignment.shard_vectors[run.shard], dtype=np.int64
-                )
-                local_original = run.db.slot_to_original[block.radrs]
-                gids = mine[local_original]
                 dists_parts.append(block.dists)
-                gid_parts.append(gids)
+                gid_parts.append(
+                    assignment.global_ids(run.shard, run.db, block.radrs)
+                )
                 run_parts.append(
                     np.full(len(block), run_idx, dtype=np.int64)
                 )
@@ -1110,11 +1118,10 @@ class ShardRouter:
             run_index = np.concatenate(run_parts)
             rows = np.concatenate(row_parts)
             slots = np.asarray(assignment.global_slot, dtype=np.int64)[gids]
-            if state.probe_ranks[qi] is not None:
-                ranks = state.probe_ranks[qi]
+            probe = state.probes[qi]
+            if probe is not None:
                 rank_of_cluster = np.full(sdb.n_clusters, -1, dtype=np.int64)
-                for cluster, rank in ranks.items():
-                    rank_of_cluster[cluster] = rank
+                rank_of_cluster[probe] = np.arange(len(probe))
                 pranks = rank_of_cluster[
                     np.asarray(assignment.cluster_of_vector, dtype=np.int64)[gids]
                 ]
@@ -1126,80 +1133,61 @@ class ShardRouter:
             )
         return shortlists
 
-    def _failover_shortlists(
+    def _rehome(
         self,
         state: _BatchState,
-        shortlists: List[_MergedShortlist],
         dead: int,
-    ) -> None:
-        """Re-home merged-shortlist entries stranded on a dead shard.
+        stranded: List[np.ndarray],
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Find candidates stranded on a dead shard a new home on a replica.
 
-        Entries whose provenance points at the dead shard's runs get their
-        clusters re-executed on surviving replicas (fine scan + the batch's
-        recorded retry + finish, so the replacement's local shortlist holds
-        the exact candidates the dead shard shipped -- a global-top-S
-        member of cluster c is in the local top-S of *any* run scanning a
-        probe subset containing c), then their ``run_index``/``rows``
-        provenance is rewritten to the replacement runs.  Global rank
-        positions never move, so the downstream (distance, position) merge
-        key -- and therefore the final top-k -- is untouched.
+        ``stranded[qi]`` holds the global ids of query ``qi``'s candidates
+        whose shard-local state (shortlist row, document address) died
+        with ``dead``.  Their clusters are re-executed on surviving
+        replicas (fine scan + the batch's recorded retry + finish), so a
+        replacement's local shortlist holds the exact candidates the dead
+        shard shipped -- a global-top-S member of cluster c is in the
+        local top-S of *any* run scanning a probe subset containing c.
+        Returns, per query, each stranded id's new home as parallel
+        ``(run_index, rows)`` arrays: the replacement's absolute index in
+        ``state.runs`` and the candidate's row in its shortlist block.
         """
-        dead_idxs = np.flatnonzero(
-            np.fromiter(
-                (run.dead and run.shard == dead for run in state.runs),
-                dtype=bool, count=len(state.runs),
-            )
+        members = np.concatenate(stranded)
+        new_runs = (
+            self._spawn_replacements(state, dead, "finish", members)
+            if members.size
+            else []
         )
-        cluster_of = np.asarray(
-            state.sdb.assignment.cluster_of_vector, dtype=np.int64
-        )
-        stranded: List[np.ndarray] = []
-        needed: set = set()
-        for shortlist in shortlists:
-            sel = np.flatnonzero(np.isin(shortlist.run_index, dead_idxs))
-            stranded.append(sel)
-            if sel.size:
-                needed.update(
-                    int(c) for c in cluster_of[shortlist.gids[sel]]
-                )
-        if not needed:
-            return
-        new_runs = self._spawn_replacements(
-            state, dead, through="finish", clusters=needed
-        )
-        # gid -> (absolute run index, row) over the replacement shortlists.
-        shard_vectors = state.sdb.assignment.shard_vectors
-        for qi, shortlist in enumerate(shortlists):
-            sel = stranded[qi]
-            if not sel.size:
-                continue
-            row_of: Dict[int, Tuple[int, int]] = {}
-            for run in new_runs:
-                abs_idx = state.runs.index(run)
+        first_new = len(state.runs) - len(new_runs)
+        assignment = state.sdb.assignment
+        homes: List[Tuple[np.ndarray, np.ndarray]] = []
+        for qi, gids in enumerate(stranded):
+            home_of: Dict[int, Tuple[int, int]] = {}
+            for run_idx, run in enumerate(new_runs, first_new):
                 block = run.ctxs[qi].shortlist
-                if len(block) == 0:
-                    continue
-                mine = np.asarray(shard_vectors[run.shard], dtype=np.int64)
-                gids = mine[run.db.slot_to_original[block.radrs]]
-                for row, gid in enumerate(gids):
-                    row_of.setdefault(int(gid), (abs_idx, row))
-            for p in sel:
-                gid = int(shortlist.gids[p])
-                if gid not in row_of:
-                    raise ShardUnavailableError(
-                        int(cluster_of[gid]),
-                        f"failover lost candidate {gid} of cluster "
-                        f"{int(cluster_of[gid])} (no replacement rescanned it)",
-                    )
-                abs_idx, row = row_of[gid]
-                shortlist.run_index[p] = abs_idx
-                shortlist.rows[p] = row
+                block_gids = assignment.global_ids(run.shard, run.db, block.radrs)
+                for row, gid in enumerate(block_gids.tolist()):
+                    home_of.setdefault(gid, (run_idx, row))
+            lost = [gid for gid in gids.tolist() if gid not in home_of]
+            if lost:
+                cluster = int(assignment.cluster_of_vector[lost[0]])
+                raise ShardUnavailableError(
+                    cluster,
+                    f"failover lost vector {lost[0]} of cluster {cluster} "
+                    "(no replacement rescanned it)",
+                )
+            homes.append(
+                np.array(
+                    [home_of[gid] for gid in gids.tolist()], dtype=np.int64
+                ).reshape(-1, 2).T
+            )
+        return homes
 
     def _rerank_barrier(
         self,
         state: _BatchState,
         shortlists: List[_MergedShortlist],
-    ) -> List[List[Tuple[int, int, int, int]]]:
+    ) -> List[_RankedWinners]:
         """Per-shard INT8 reranks of the global shortlist, merged to top-k.
 
         Each shard rescores only its members -- routed through the same
@@ -1208,24 +1196,34 @@ class ShardRouter:
         call per shard covering every query; the router merges with one
         ``np.lexsort`` by (INT8 distance, global shortlist position) -- the
         stable order the single device's rerank argsort produces, positions
-        being unique -- and truncates to k.  Returns, per query, ranked
-        (global id, refined distance, shard, local dadr) tuples.
+        being unique -- and truncates to k.
 
-        A shard dying at this barrier loses its rerank output; the stranded
-        shortlist slices reroute through :meth:`_failover_shortlists` and
-        the replacements rerank alongside the survivors.  INT8 codes are
-        replica-identical and global rank positions are preserved, so the
-        merge is bit-identical.
+        A shard dying at this barrier loses its rerank output; the
+        shortlist entries whose provenance points at its runs are re-homed
+        (:meth:`_rehome`), their ``run_index``/``rows`` rewritten to the
+        replacement runs, and the replacements rerank alongside the
+        survivors.  INT8 codes are replica-identical and global rank
+        positions never move, so the merge is bit-identical.
         """
-        sdb = state.sdb
         queries = state.queries
         dead = self._pop_scheduled_kill("rerank")
         if dead is not None and self._mark_dead(state, dead):
-            self._failover_shortlists(state, shortlists, dead)
-        if not state.live_runs():
-            raise ShardUnavailableError(
-                None, "every shard serving the batch is down"
+            dead_idxs = [
+                i for i, run in enumerate(state.runs)
+                if run.dead and run.shard == dead
+            ]
+            stranded = [
+                np.flatnonzero(np.isin(shortlist.run_index, dead_idxs))
+                for shortlist in shortlists
+            ]
+            homes = self._rehome(
+                state, dead,
+                [sl.gids[sel] for sl, sel in zip(shortlists, stranded)],
             )
+            for shortlist, sel, (run_index, rows) in zip(shortlists, stranded, homes):
+                shortlist.run_index[sel] = run_index
+                shortlist.rows[sel] = rows
+        state.live_runs()  # raises when the kill left nobody to rerank
         # Phase 1: each shard reranks all of its members in one batch call.
         empty_sel = np.empty(0, dtype=np.int64)
         sel_of: List[List[np.ndarray]] = []
@@ -1255,7 +1253,7 @@ class ShardRouter:
                 ctx.distances, ctx.dadrs, ctx.slots = distances, dadrs, slots
 
         # Phase 2: host-side merge, unchanged from the per-query walk.
-        ranked: List[List[Tuple[int, int, int, int]]] = []
+        ranked: List[_RankedWinners] = []
         for qi, shortlist in enumerate(shortlists):
             dist_parts, pos_parts, gid_parts, shard_parts, dadr_parts = (
                 [], [], [], [], [],
@@ -1284,87 +1282,26 @@ class ShardRouter:
                 )
                 dadr_parts.append(dadrs)
             if not dist_parts:
-                ranked.append([])
+                ranked.append(
+                    _RankedWinners(empty_sel, empty_sel, empty_sel, empty_sel)
+                )
                 continue
             dists = np.concatenate(dist_parts)
-            positions = np.concatenate(pos_parts)
-            gids = np.concatenate(gid_parts)
-            shards = np.concatenate(shard_parts)
-            dadrs_all = np.concatenate(dadr_parts)
-            order = merge_order(dists, positions)[:state.k]
+            order = merge_order(dists, np.concatenate(pos_parts))[: state.k]
             ranked.append(
-                [
-                    (
-                        int(gids[i]),
-                        int(dists[i]),
-                        int(shards[i]),
-                        int(dadrs_all[i]),
-                    )
-                    for i in order
-                ]
+                _RankedWinners(
+                    gids=np.concatenate(gid_parts)[order],
+                    dists=dists[order],
+                    shards=np.concatenate(shard_parts)[order],
+                    dadrs=np.concatenate(dadr_parts)[order],
+                )
             )
         return ranked
-
-    def _failover_documents(
-        self,
-        state: _BatchState,
-        ranked: List[List[Tuple[int, int, int, int]]],
-        dead: int,
-    ) -> None:
-        """Re-home ranked winners whose document pages died with a shard.
-
-        A winner's document address on a replica is recoverable without
-        re-running the rerank: the rerank's DADRs originate from the fine
-        shortlist block, so a replacement run that rescans the winner's
-        cluster (fine + recorded retry + finish) carries the replica-local
-        DADR in its shortlist block.  The ranked (shard, dadr) tuples are
-        rewritten in place; ids and distances never move.
-        """
-        cluster_of = np.asarray(
-            state.sdb.assignment.cluster_of_vector, dtype=np.int64
-        )
-        needed: set = set()
-        for winners in ranked:
-            for gid, _dist, shard, _dadr in winners:
-                if shard == dead:
-                    needed.add(int(cluster_of[gid]))
-        if not needed:
-            return
-        new_runs = self._spawn_replacements(
-            state, dead, through="finish", clusters=needed
-        )
-        shard_vectors = state.sdb.assignment.shard_vectors
-        for qi, winners in enumerate(ranked):
-            if not any(shard == dead for _g, _d, shard, _a in winners):
-                continue
-            row_of: Dict[int, Tuple[int, int]] = {}
-            for run in new_runs:
-                block = run.ctxs[qi].shortlist
-                if len(block) == 0:
-                    continue
-                mine = np.asarray(shard_vectors[run.shard], dtype=np.int64)
-                gids = mine[run.db.slot_to_original[block.radrs]]
-                for row, gid in enumerate(gids):
-                    row_of.setdefault(
-                        int(gid), (run.shard, int(block.dadrs[row]))
-                    )
-            rewritten = []
-            for gid, dist, shard, dadr in winners:
-                if shard == dead:
-                    if gid not in row_of:
-                        raise ShardUnavailableError(
-                            int(cluster_of[gid]),
-                            f"failover lost document of vector {gid} "
-                            f"(cluster {int(cluster_of[gid])})",
-                        )
-                    shard, dadr = row_of[gid]
-                rewritten.append((gid, dist, shard, dadr))
-            ranked[qi] = rewritten
 
     def _document_barrier(
         self,
         state: _BatchState,
-        ranked: List[List[Tuple[int, int, int, int]]],
+        ranked: List[_RankedWinners],
     ) -> List[List[DocumentChunk]]:
         """Fetch each winner's chunk from its owning shard, rank order kept.
 
@@ -1373,61 +1310,73 @@ class ShardRouter:
         so a document page shared by several queries is materialized once per
         shard while every query is still billed its own senses.
 
-        A shard dying at this barrier loses its document reads; the affected
-        winners' clusters reroute through :meth:`_failover_documents` and the
-        fetch retries against replica-local addresses.  Document bytes are
-        replica-identical, so the returned chunks match the healthy run.
+        A shard dying at this barrier loses its document reads.  A winner's
+        document address on a replica is recoverable without re-running the
+        rerank: the rerank's DADRs originate from the fine shortlist block,
+        so the replacement run :meth:`_rehome` finds for the winner carries
+        the replica-local DADR in its shortlist row.  The winners'
+        ``shards``/``dadrs`` are rewritten in place and the fetch goes to the
+        replicas; document bytes are replica-identical, so the returned
+        chunks match the healthy run.
         """
         sdb = state.sdb
         dead = self._pop_scheduled_kill("document")
-        if dead is not None and self._mark_dead(state, dead):
-            if state.fetch_documents:
-                self._failover_documents(state, ranked, dead)
-        if not state.live_runs():
-            raise ShardUnavailableError(
-                None, "every shard serving the batch is down"
+        if (
+            dead is not None
+            and self._mark_dead(state, dead)
+            and state.fetch_documents
+        ):
+            stranded = [
+                np.flatnonzero(winners.shards == dead) for winners in ranked
+            ]
+            homes = self._rehome(
+                state, dead, [w.gids[sel] for w, sel in zip(ranked, stranded)]
             )
-        documents: List[List[DocumentChunk]] = [[] for _ in ranked]
+            for qi, (run_index, rows) in enumerate(homes):
+                for at, run_idx, row in zip(
+                    stranded[qi].tolist(), run_index.tolist(), rows.tolist()
+                ):
+                    run = state.runs[run_idx]
+                    ranked[qi].shards[at] = run.shard
+                    ranked[qi].dadrs[at] = run.ctxs[qi].shortlist.dadrs[row]
+        runs = state.live_runs()
         if not state.fetch_documents:
-            return documents
+            return [[] for _ in ranked]
         # Group winner dadrs per owning shard, keeping the query index; a
         # shard can host two runs (primary + failover), so the fetch goes
         # through the shard's first live run.
         serving_run: Dict[int, _ShardRun] = {}
-        for run in state.live_runs():
+        for run in runs:
             serving_run.setdefault(run.shard, run)
-        per_shard: Dict[int, List[Tuple[int, List[int]]]] = {
+        per_shard: Dict[int, List[Tuple[int, np.ndarray]]] = {
             shard: [] for shard in serving_run
         }
         for qi, winners in enumerate(ranked):
-            mine: Dict[int, List[int]] = {}
-            for _global_id, _dist, shard, dadr in winners:
-                mine.setdefault(shard, []).append(dadr)
-            for shard, dadrs in mine.items():
+            for shard in np.unique(winners.shards).tolist():
                 if shard not in per_shard:
                     raise ShardUnavailableError(
                         None, f"winner document stranded on dead shard {shard}"
                     )
-                per_shard[shard].append((qi, dadrs))
+                per_shard[shard].append(
+                    (qi, winners.dadrs[winners.shards == shard])
+                )
         for shard, run in serving_run.items():
             groups = per_shard[shard]
             if not groups:
                 continue
             outs = run.executor.engine._fetch_documents_batch(
                 run.db,
-                [np.asarray(dadrs, dtype=np.int64) for _qi, dadrs in groups],
+                [dadrs for _qi, dadrs in groups],
                 [run.ctxs[qi].stats for qi, _dadrs in groups],
             )
             for (qi, _dadrs), (_docs, cost, host_s) in zip(groups, outs):
                 ctx = run.ctxs[qi]
                 ctx.phase_costs["documents"] = cost
                 ctx.host_seconds += host_s
-        for qi, winners in enumerate(ranked):
-            documents[qi] = [
-                sdb.document_chunk(global_id)
-                for global_id, _dist, _shard, _dadr in winners
-            ]
-        return documents
+        return [
+            [sdb.document_chunk(gid) for gid in winners.gids.tolist()]
+            for winners in ranked
+        ]
 
     # -------------------------------------------------------- composition
 
@@ -1490,7 +1439,7 @@ class ShardRouter:
     def _compose(
         self,
         state: _BatchState,
-        ranked: List[List[Tuple[int, int, int, int]]],
+        ranked: List[_RankedWinners],
         documents: List[List[DocumentChunk]],
     ) -> BatchExecution:
         """Assemble per-query results and the batch-level wall clock.
@@ -1545,19 +1494,11 @@ class ShardRouter:
                 stats.candidates += shard_stats.candidates
                 stats.ibc_transfers += shard_stats.ibc_transfers
             stats.filter_retries = 1 if state.retried[qi] else 0
-            stats.clusters_probed = (
-                len(state.probe_ranks[qi])
-                if state.probe_ranks[qi] is not None
-                else 0
-            )
+            stats.clusters_probed = len(state.probes[qi] or ())
             results.append(
                 ReisQueryResult(
-                    ids=np.array(
-                        [g for g, _d, _s, _a in ranked[qi]], dtype=np.int64
-                    ),
-                    distances=np.array(
-                        [d for _g, d, _s, _a in ranked[qi]], dtype=np.int64
-                    ),
+                    ids=ranked[qi].gids,
+                    distances=ranked[qi].dists,
                     documents=documents[qi],
                     latency=report,
                     stats=stats,
@@ -1625,33 +1566,4 @@ class ShardRouter:
             report=report,
             stats=stats,
             shard_seconds=shard_seconds,
-        )
-
-
-class ShardedBatchExecutor:
-    """Drop-in :class:`~repro.core.batch.BatchExecutor` for one sharded DB.
-
-    Lets the :class:`~repro.core.queue.SubmissionQueue` drain formed
-    batches into the router: tenant fairness, deadlines and batch forming
-    then work cluster-wide, unchanged.
-    """
-
-    def __init__(self, router: ShardRouter, sdb: ShardedDatabase) -> None:
-        self.router = router
-        self.sdb = sdb
-
-    def execute(
-        self,
-        db: DeployedDatabase,
-        queries: np.ndarray,
-        k: int = 10,
-        nprobe: Optional[int] = None,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-    ) -> BatchExecution:
-        # ``db`` is the queue's forming anchor (one shard's layout, used
-        # for submission validation); execution spans every shard.
-        return self.router.execute(
-            self.sdb, queries, k=k, nprobe=nprobe,
-            fetch_documents=fetch_documents, metadata_filter=metadata_filter,
         )

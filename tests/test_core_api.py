@@ -182,10 +182,33 @@ class TestQueryValidation:
             device.submission_queue(db_id, k=0)
         with pytest.raises(ValueError, match="without metadata tags"):
             device.submission_queue(db_id, k=5, metadata_filter=1)
-        # What raised is the queue's one plan, built up front.
+        # What raised is the queue's one plan, built up front -- on a
+        # cluster the logical plan, host-side merge included.
         plan = device.submission_queue(db_id, k=5, fetch_documents=False).plan
         assert plan.k == 5
-        assert plan.stage_names() == ["ibc", "coarse", "fine", "rerank"]
+        merge = ["merge"] if isinstance(device, ShardedReisDevice) else []
+        assert plan.stage_names() == ["ibc", "coarse", "fine", *merge, "rerank"]
+
+    def test_queue_plan_reports_the_nprobe_the_executor_uses(
+        self, either_device, small_queries
+    ):
+        """2 shards x 4 clusters: each shard holds 2 centroids, but every
+        query probes the 3 clusters asked for -- and so says the plan."""
+        device, db_id = either_device
+        plan = device.submission_queue(db_id, k=5, nprobe=3).plan
+        assert plan.nprobe == 3
+        sharded = isinstance(device, ShardedReisDevice)
+        assert plan.merge_fan_in == (2 if sharded else None)
+        assert ("merge" in plan.stage_names()) == sharded
+        batch = device.ivf_search(db_id, small_queries[:3], k=5, nprobe=3)
+        assert [r.stats.clusters_probed for r in batch] == [3, 3, 3]
+
+    @pytest.mark.parametrize(
+        "name", ["search", "ivf_search", "submission_queue", "ingest_queue"]
+    )
+    def test_serving_methods_are_literally_shared(self, name):
+        """One surface: a mirrored twin cannot grow back unnoticed."""
+        assert getattr(ReisDevice, name) is getattr(ShardedReisDevice, name)
 
     def test_empty_batch_returns_an_empty_result(self, either_device, small_queries):
         device, db_id = either_device

@@ -90,6 +90,25 @@ class TestPlacement:
         with pytest.raises(ValueError):
             plan_placement(10, 2, "zigzag")
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"placement": "bogus"}, "unknown placement policy 'bogus'"),
+            ({"replication_factor": 0}, "replication_factor must be at least 1"),
+            ({"replication_factor": 3}, "replication_factor 3 exceeds 2 shards"),
+        ],
+    )
+    def test_bad_cluster_shape_fails_at_construction(self, kwargs, message):
+        """Not inside the first deploy, after k-means ran on the corpus --
+        and with the very errors ``plan_placement`` raises."""
+        with pytest.raises(ValueError, match=message):
+            ShardedReisDevice(2, tiny_config("SHAPE"), **kwargs)
+        with pytest.raises(ValueError, match=message):
+            plan_placement(
+                10, 2, kwargs.get("placement", "cluster"),
+                replication_factor=kwargs.get("replication_factor", 1),
+            )
+
     def test_shard_ivf_model_local_lists_cover_shard(self):
         vectors, _ = make_clustered_embeddings(150, 32, 5, seed="local")
         model = build_ivf_model(vectors, 5, seed=0)
@@ -322,12 +341,12 @@ class TestMergeAccounting:
 class TestLogicalPlan:
     def test_logical_plan_contains_merge_stage(self, sharded_pair):
         _, _, sharded, did, queries = sharded_pair
-        plan = sharded.router.logical_plan(
-            sharded.database(did), queries[0], k=5, nprobe=4
-        )
+        plan = sharded.router.plan(sharded.database(did), k=5, nprobe=4)
         names = plan.stage_names()
         assert names == ["ibc", "coarse", "fine", "merge", "rerank", "documents"]
         assert plan.merge_fan_in == 4
+        # The global probe count, not one shard's trimmed share of it.
+        assert plan.nprobe == 4
 
     def test_single_device_plan_has_no_merge(self, sharded_pair):
         # The merge is host-side plan data: only the router's logical

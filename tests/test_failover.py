@@ -187,6 +187,19 @@ class TestZeroReplicaDegradation:
         )
 
 
+    @pytest.mark.parametrize("barrier", KILL_BARRIERS)
+    def test_flat_database_kill_raises_the_named_error(self, barrier):
+        """A flat (striped) layout has no replicas to re-home onto: a shard
+        dying at any barrier is the named error, not a TypeError out of
+        the failover bookkeeping (rerank/document before this pin)."""
+        vectors, queries, _ = _corpus("degrade-flat")
+        sharded = ShardedReisDevice(2, tiny_config("FO-FLAT"))
+        did = sharded.db_deploy("flat", vectors, seed=0)
+        sharded.schedule_shard_failure(1, barrier)
+        with pytest.raises(ShardUnavailableError, match="no cluster replicas"):
+            sharded.search(did, queries, k=K)
+
+
 class TestLiveRebalancing:
     @pytest.mark.parametrize("repl", [1, 2])
     def test_migration_preserves_bit_identity(self, repl):
@@ -370,11 +383,11 @@ class TestShardedBatchForming:
         queue = sharded.submission_queue(did, k=K, nprobe=NPROBE)
         former = queue.former
         total_planes = former._count_planes()
-        # A former over the anchor shard alone sees one shard's regions --
-        # the misreading the cluster-wide views fix.  The count over every
+        # A former over one shard alone sees one shard's regions -- the
+        # misreading the cluster-wide views fix.  The count over every
         # shard must exceed it.
         sdb = sharded.database(did)
-        anchor = sharded.router.resolve_anchor(sdb)
+        anchor = sdb.active_shards[0]
         base = sharded.shards[anchor].submission_queue(
             sdb.shard_db_ids[anchor], k=K, policy=queue.policy
         ).former

@@ -10,7 +10,7 @@ The contract has three parts:
   surfaces every executor phase as a ``host_<phase>`` key with per-query
   phases counted once per query, while the *modeled* phases still sum to
   ``wall_seconds`` exactly (host keys are diagnostics, not part of the
-  decomposition);
+  decomposition); on one drive and through the shard router alike;
 * **Observation changes nothing** -- results are bit-identical with and
   without a profile attached.
 """
@@ -18,7 +18,7 @@ The contract has three parts:
 import numpy as np
 import pytest
 
-from repro.core import ReisDevice, tiny_config
+from repro.core import ReisDevice, ShardedReisDevice, tiny_config
 from repro.host.profile import HostProfile
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
@@ -29,11 +29,16 @@ EXECUTOR_PHASES = (
 )
 
 
-@pytest.fixture(scope="module")
-def deployed():
+@pytest.fixture(scope="module", params=["single", "2-shard"])
+def deployed(request):
+    """One drive, or a 2-shard cluster whose router times its own steps
+    under the same phase names (the shared ``ivf_search``)."""
     vectors, _ = make_clustered_embeddings(N, DIM, NLIST, seed="hostprof")
     queries = make_queries(vectors, BATCH, seed="hostprof-q")
-    device = ReisDevice(tiny_config("HOSTPROF"))
+    if request.param == "single":
+        device = ReisDevice(tiny_config("HOSTPROF"))
+    else:
+        device = ShardedReisDevice(2, tiny_config("HOSTPROF-2"))
     db_id = device.ivf_deploy("hp", vectors, nlist=NLIST, seed=0)
     return device, db_id, queries
 
