@@ -38,11 +38,24 @@ hits skip the sense simulation, the ECC decode and the latch kernels,
 so a cached steady state that is *slower* means the hit path grew a
 per-page Python loop or the lookup stopped short-circuiting the sense.
 
+A sixth, also noise-free, covers the index build: the ``tracemalloc`` peak
+of the ``ivf_deploy`` that sets up the events gate's 10^5-entry point,
+against a constant measured when the gate was set, x1.10.  The build
+streams the corpus in row blocks (k-means keeps one block-sized distance
+tile, the quantizers block-sized temporaries), so k-means, codec fitting
+and encoding peak at 13 MB and the deploy as a whole where the last region
+is programmed (the stored pages plus one region's page images); it was
+4.7x that while k-means held the 100k x 128 distance matrix.  The matrix
+(51 MB) or a one-shot INT8 encode (four 25.6 MB temporaries) creeping back
+trips it on any machine; a single corpus-sized float32 temporary in the
+build (13 + 25.6 MB) stays under the programming peak and does not.
+
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
 
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -52,7 +65,7 @@ from test_serving_throughput import (  # noqa: E402
     HOST_SCALE_POINTS,
     K,
     NPROBE,
-    deploy_host_scaling_point,
+    host_scaling_corpus,
     run_cache_smoke,
     run_host_scaling_point,
 )
@@ -66,9 +79,14 @@ TLC_SHARE_CEILING = 0.54
 # Measured host_fine / host_wall is 0.23-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 60,223 (python 3.11, numpy 2.4); x1.10.
+# entries: 60,230 (python 3.11, numpy 2.4; 60,223 when the ceiling was set);
+# x1.10 of 60,223.
 EVENTS_N_ENTRIES = 100_000
 SEARCH_EVENTS_CEILING = 66_245
+# Measured tracemalloc peak of that point's ivf_deploy: 44.26 MB in a fresh
+# process, +-3 KB run to run, 43.2 MB after the gates above (python 3.11,
+# numpy 2.4; 206.19 MB with the whole-matrix build); x1.10.
+DEPLOY_PEAK_BYTES_CEILING = 48_690_000
 
 
 def tlc_share(point) -> float:
@@ -78,12 +96,22 @@ def tlc_share(point) -> float:
     return tlc / max(point["host_wall_seconds"], 1e-12)
 
 
-def count_search_events() -> int:
-    """Python ``call`` + ``c_call`` events of the first batch-64 search on
-    a fresh device at the :data:`EVENTS_N_ENTRIES` host-scaling point."""
-    device, db_id, queries, _deploy_seconds = deploy_host_scaling_point(
-        *next(p for p in HOST_SCALE_POINTS if p[0] == EVENTS_N_ENTRIES)
+def count_build_and_search() -> tuple:
+    """The :data:`EVENTS_N_ENTRIES` host-scaling point on a fresh device:
+    ``(tracemalloc peak bytes of its ivf_deploy, Python call + c_call
+    events of the first batch-64 search)``."""
+    n_entries, nlist, blocks_per_plane = next(
+        p for p in HOST_SCALE_POINTS if p[0] == EVENTS_N_ENTRIES
     )
+    vectors, queries, device = host_scaling_corpus(
+        n_entries, nlist, blocks_per_plane
+    )
+    tracemalloc.start()
+    try:
+        db_id = device.ivf_deploy("host-scale", vectors, nlist=nlist, seed=0)
+        _, deploy_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     events = 0
 
     def count(_frame, event, _arg):
@@ -95,7 +123,7 @@ def count_search_events() -> int:
         device.ivf_search(db_id, queries, k=K, nprobe=NPROBE)
     finally:
         sys.setprofile(None)
-    return events
+    return deploy_peak, events
 
 
 def main() -> int:
@@ -156,7 +184,19 @@ def main() -> int:
         )
         return 1
 
-    events = count_search_events()
+    deploy_peak, events = count_build_and_search()
+    print(
+        f"perf-smoke: ivf_deploy of {EVENTS_N_ENTRIES:,} entries: tracemalloc "
+        f"peak {deploy_peak / 2**20:.1f} MiB, ceiling "
+        f"{DEPLOY_PEAK_BYTES_CEILING / 2**20:.1f} MiB"
+    )
+    if deploy_peak > DEPLOY_PEAK_BYTES_CEILING:
+        print(
+            "perf-smoke: FAIL -- index build peak memory regressed "
+            "(corpus-sized temporary back in k-means or the quantizers?)"
+        )
+        return 1
+
     print(
         f"perf-smoke: batch-64 search at {EVENTS_N_ENTRIES:,} entries: "
         f"{events:,} call + c_call events, ceiling {SEARCH_EVENTS_CEILING:,}"

@@ -203,12 +203,19 @@ def host_scale_config(name, blocks_per_plane):
     )
 
 
-def deploy_host_scaling_point(n_entries, nlist, blocks_per_plane):
-    """A fresh device holding the ``n_entries`` corpus of a host-scaling
-    point: ``(device, db_id, the batch-64 queries, deploy wall seconds)``."""
+def host_scaling_corpus(n_entries, nlist, blocks_per_plane):
+    """What a host-scaling point deploys and serves: ``(the n_entries
+    vectors, the batch-64 queries, a fresh device deep enough for them)``."""
     vectors, _ = make_clustered_embeddings(n_entries, DIM, nlist, seed="host-scale")
     queries = make_queries(vectors, HOST_SCALE_BATCH, seed="host-scale-q")
     device = ReisDevice(host_scale_config(f"HOST-{n_entries}", blocks_per_plane))
+    return vectors, queries, device
+
+
+def deploy_host_scaling_point(n_entries, nlist, blocks_per_plane):
+    """A fresh device holding the ``n_entries`` corpus of a host-scaling
+    point: ``(device, db_id, the batch-64 queries, deploy wall seconds)``."""
+    vectors, queries, device = host_scaling_corpus(n_entries, nlist, blocks_per_plane)
     deploy_start = time.perf_counter()
     db_id = device.ivf_deploy("host-scale", vectors, nlist=nlist, seed=0)
     return device, db_id, queries, time.perf_counter() - deploy_start

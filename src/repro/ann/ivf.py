@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.ann.distances import hamming_packed, l2_squared
-from repro.ann.kmeans import kmeans
+from repro.ann.kmeans import group_by_label, kmeans
 from repro.ann.quantization import BinaryQuantizer, Int8Quantizer
 
 
@@ -54,14 +54,16 @@ class IvfModel:
 def build_ivf_model(
     vectors: np.ndarray, nlist: int, seed: object = 0, max_iterations: int = 20
 ) -> IvfModel:
-    """Train k-means and build the inverted lists."""
+    """Train k-means and build the inverted lists.
+
+    The lists (int64, ascending, every id exactly once) are cut from one
+    stable sort of the assignments, not from ``nlist`` masks over them.
+    """
     vectors = np.asarray(vectors, dtype=np.float32)
     result = kmeans(vectors, nlist, max_iterations=max_iterations, seed=seed)
-    lists = [
-        np.sort(np.nonzero(result.assignments == c)[0]).astype(np.int64)
-        for c in range(nlist)
-    ]
-    return IvfModel(result.centroids.astype(np.float32), lists)
+    order, bounds = group_by_label(result.assignments, nlist)
+    lists = [order[bounds[c] : bounds[c + 1]] for c in range(nlist)]
+    return IvfModel(result.centroids, lists)
 
 
 def coarse_probe(model: IvfModel, query: np.ndarray, nprobe: int) -> np.ndarray:

@@ -4,6 +4,12 @@ Binary quantization (BQ) compresses each FP32 component to one bit (32x),
 which turns distance computation into XOR + popcount -- the operation the
 NAND peripheral logic can execute.  INT8 scalar quantization (8-bit per
 component, 4x) is the reranking precision REIS stores in the TLC partition.
+
+``fit`` and ``encode`` run at deployment over the whole corpus, so their
+elementwise passes (and the order-free ``max``) walk it in row blocks
+(:mod:`repro.ann.blocks`) and hold block-sized temporaries only.  The
+float32 ``mean(axis=0)`` of the fits stays one call on purpose: blocking it
+would reorder a float sum and move every code.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.ann.blocks import row_blocks
 
 
 @dataclass
@@ -36,8 +44,10 @@ class BinaryQuantizer:
         if dim % 8 != 0:
             raise ValueError("dimension must be a multiple of 8 for packing")
         thresholds = self.thresholds if self.thresholds is not None else 0.0
-        bits = (vectors > thresholds).astype(np.uint8)
-        return np.packbits(bits, axis=1)
+        codes = np.empty((vectors.shape[0], dim // 8), dtype=np.uint8)
+        for lo, hi in row_blocks(vectors.shape[0]):
+            codes[lo:hi] = np.packbits(vectors[lo:hi] > thresholds, axis=1)
+        return codes
 
     def encode_one(self, vector: np.ndarray) -> np.ndarray:
         return self.encode(vector[None, :])[0]
@@ -59,15 +69,28 @@ class Int8Quantizer:
     def fit(self, vectors: np.ndarray) -> "Int8Quantizer":
         vectors = np.asarray(vectors, dtype=np.float32)
         self.offset = vectors.mean(axis=0)
-        spread = np.abs(vectors - self.offset).max()
+        spread = np.max(
+            [
+                np.abs(vectors[lo:hi] - self.offset).max()
+                for lo, hi in row_blocks(vectors.shape[0])
+            ]
+        )
         self.scale = float(spread) / 127.0 if spread > 0 else 1.0
         return self
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
+        """FP32 (n, d) -> INT8 codes (n, d): round((x - offset) / scale),
+        clipped to +-127."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         offset = self.offset if self.offset is not None else 0.0
-        scaled = np.round((vectors - offset) / self.scale)
-        return np.clip(scaled, -127, 127).astype(np.int8)
+        codes = np.empty(vectors.shape, dtype=np.int8)
+        for lo, hi in row_blocks(vectors.shape[0]):
+            scaled = vectors[lo:hi] - offset
+            scaled /= self.scale
+            np.round(scaled, out=scaled)
+            np.clip(scaled, -127, 127, out=scaled)
+            codes[lo:hi] = scaled
+        return codes
 
     def encode_one(self, vector: np.ndarray) -> np.ndarray:
         return self.encode(vector[None, :])[0]

@@ -50,7 +50,7 @@ from repro.core.layout import (
     DeploymentCodecs,
     fit_deployment_codecs,
 )
-from repro.core.plan import validate_queries
+from repro.core.plan import validate_queries, validate_vectors
 from repro.core.queue import QueuePolicy, SubmissionQueue
 from repro.core.shard import (
     MergeCostModel,
@@ -380,15 +380,11 @@ class ReisDevice(_HostSurface):
         :class:`~repro.core.layout.DeploymentCodecs`).  ``growth_entries``
         reserves erased slot headroom for streaming ingest.
         """
-        db_id = self._allocate_db_id(db_id)
-        deployed = self.deployer.deploy(
-            db_id, name, vectors, corpus=corpus,
+        return self._deploy(
+            db_id, name, validate_vectors(vectors), corpus=corpus,
             metadata_tags=metadata_tags, seed=seed, codecs=codecs,
             growth_entries=growth_entries,
         )
-        self._databases[db_id] = deployed
-        self.ssd.enter_rag_mode()
-        return db_id
 
     def ivf_deploy(
         self,
@@ -412,17 +408,27 @@ class ReisDevice(_HostSurface):
         multi-device deployment hook).  ``growth_entries`` reserves erased
         slot headroom so :meth:`ingest_queue` can stream inserts in later.
         """
+        vectors = validate_vectors(vectors)
         if ivf_model is None:
             if nlist is None:
                 raise ValueError("provide either nlist or a trained ivf_model")
             ivf_model = build_ivf_model(vectors, nlist, seed=seed)
-        db_id = self._allocate_db_id(db_id)
-        deployed = self.deployer.deploy(
+        return self._deploy(
             db_id, name, vectors, corpus=corpus, ivf_model=ivf_model,
             metadata_tags=metadata_tags, seed=seed, codecs=codecs,
             growth_entries=growth_entries,
         )
-        self._databases[db_id] = deployed
+
+    def _deploy(
+        self, db_id: Optional[int], name: str, vectors: np.ndarray, **sidecars
+    ) -> int:
+        """:meth:`DatabaseDeployer.deploy` of a corpus the caller has checked
+        (a shard's piece may be empty, which :func:`validate_vectors`
+        refuses), registered under its id."""
+        db_id = self._allocate_db_id(db_id)
+        self._databases[db_id] = self.deployer.deploy(
+            db_id, name, vectors, **sidecars
+        )
         self.ssd.enter_rag_mode()
         return db_id
 
@@ -714,8 +720,8 @@ class ShardedReisDevice(_HostSurface):
     ) -> int:
         """Deploy a flat database across the shards."""
         return self._deploy(
-            name, vectors, None, corpus, db_id, metadata_tags, seed,
-            growth_entries,
+            name, validate_vectors(vectors), None, corpus, db_id,
+            metadata_tags, seed, growth_entries,
         )
 
     def ivf_deploy(
@@ -739,7 +745,7 @@ class ShardedReisDevice(_HostSurface):
         reserves that much erased ingest headroom on *every* shard (any
         shard can end up owning a skewed share of the streamed inserts).
         """
-        vectors = np.asarray(vectors, dtype=np.float32)
+        vectors = validate_vectors(vectors)
         if ivf_model is None:
             if nlist is None:
                 raise ValueError("provide either nlist or a trained ivf_model")
@@ -760,7 +766,6 @@ class ShardedReisDevice(_HostSurface):
         seed: object,
         growth_entries: int = 0,
     ) -> int:
-        vectors = np.asarray(vectors, dtype=np.float32)
         n = vectors.shape[0]
         if corpus is not None and len(corpus) != n:
             raise ValueError("corpus size must match the number of embeddings")
@@ -846,18 +851,11 @@ class ShardedReisDevice(_HostSurface):
         local_tags = (
             metadata_tags[mine] if metadata_tags is not None else None
         )
-        if local_model is not None:
-            local_id = device.ivf_deploy(
-                name, vectors[mine], ivf_model=local_model,
-                corpus=local_corpus, metadata_tags=local_tags,
-                seed=seed, codecs=codecs, growth_entries=growth_entries,
-            )
-        else:
-            local_id = device.db_deploy(
-                name, vectors[mine], corpus=local_corpus,
-                metadata_tags=local_tags, seed=seed, codecs=codecs,
-                growth_entries=growth_entries,
-            )
+        local_id = device._deploy(
+            None, name, vectors[mine], corpus=local_corpus,
+            ivf_model=local_model, metadata_tags=local_tags, seed=seed,
+            codecs=codecs, growth_entries=growth_entries,
+        )
         return device.database(local_id), local_id
 
     def drop(self, db_id: int) -> None:

@@ -19,14 +19,14 @@ page-level FTL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.ann.distances import hamming_packed
 from repro.ann.ivf import IvfModel
 from repro.ann.quantization import BinaryQuantizer, Int8Quantizer
-from repro.ann.distances import hamming_packed
 from repro.core.config import EngineParams
 from repro.core.registry import RDb, RDbEntry, RIvf, RIvfEntry
 from repro.nand.cell import CellMode
@@ -51,12 +51,6 @@ class RegionInfo:
     @property
     def n_pages(self) -> int:
         return math.ceil(self.n_slots / self.slots_per_page) if self.n_slots else 0
-
-    def page_of_slot(self, slot: int) -> Tuple[int, int]:
-        """(page offset within region, slot index within page)."""
-        if not 0 <= slot < self.n_slots:
-            raise IndexError(f"slot {slot} outside region {self.name!r}")
-        return divmod(slot, self.slots_per_page)[0], slot % self.slots_per_page
 
 
 @dataclass
@@ -217,18 +211,20 @@ class DatabaseDeployer:
         slot_data: Sequence[np.ndarray],
         slot_oob: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
-        """Write slot payloads (and per-slot OOB records) into a region.
+        """Write slot payloads (and per-slot OOB records) into the head of a
+        region; slots past ``len(slot_data)`` (ingest headroom) stay erased.
 
         Payload/OOB packing runs as whole-region array math (one zero-padded
         row matrix reshaped page-major); the per-page loop only issues the
         physical programs.
         """
         g = self._geometry()
-        n_pages = info.n_pages
+        n_slots = len(slot_data)
+        n_pages = math.ceil(n_slots / info.slots_per_page)
         if n_pages == 0:
             return
         data_mat = self._pack_pages(
-            slot_data, info.n_slots, n_pages, info.slots_per_page,
+            slot_data, n_slots, n_pages, info.slots_per_page,
             info.item_bytes, g.page_bytes,
         )
         oob_mat = None
@@ -239,7 +235,7 @@ class DatabaseDeployer:
                 else slot_oob[0].size
             )
             oob_mat = self._pack_pages(
-                slot_oob, info.n_slots, n_pages, info.slots_per_page,
+                slot_oob, n_slots, n_pages, info.slots_per_page,
                 oob_record, g.oob_bytes,
             )
         for page_offset in range(n_pages):
@@ -396,9 +392,8 @@ class DatabaseDeployer:
                 code_bytes,
                 CellMode.SLC_ESP,
             )
-        # Mutable regions are allocated with ingest headroom; the initial
-        # corpus is programmed through views trimmed back to n slots so the
-        # headroom pages stay erased for streamed appends.
+        # Mutable regions are allocated with ingest headroom; programming the
+        # initial corpus leaves it erased for streamed appends.
         n_total = n + growth_entries
         embedding_region = self._allocate_region(
             f"{name}/embeddings", n_total, emb_spp, code_bytes, CellMode.SLC_ESP
@@ -409,9 +404,6 @@ class DatabaseDeployer:
         document_region = self._allocate_region(
             f"{name}/documents", n_total, doc_spp, doc_item_bytes, CellMode.TLC
         )
-        emb_initial = replace(embedding_region, n_slots=n)
-        int8_initial = replace(int8_region, n_slots=n)
-        doc_initial = replace(document_region, n_slots=n)
 
         # Embedding pages: payload = binary code; OOB = DADR + RADR per slot
         # (+ the metadata tag as a third word when tags are deployed).
@@ -422,29 +414,26 @@ class DatabaseDeployer:
         if metadata_tags is not None:
             oob_words[:, 2] = metadata_tags[order]
         emb_oob = oob_words.view(np.uint8).reshape(n, 4 * n_words)
-        self._program_region(emb_initial, codes, emb_oob)
+        self._program_region(embedding_region, codes, emb_oob)
 
         # Centroid pages: payload = centroid code; OOB = 8-bit tag per slot.
         if centroid_region is not None:
             tags = (np.arange(ivf_model.nlist) & 0xFF).astype(np.uint8)
             self._program_region(centroid_region, centroid_codes, tags[:, None])
-            entries = []
-            cursor = 0
-            for cluster, lst in enumerate(ivf_model.lists):
-                first = cursor
-                cursor += len(lst)
-                entries.append(
-                    RIvfEntry(
-                        centroid_addr=cluster,
-                        first_embedding=first,
-                        last_embedding=cursor - 1,
-                        tag=cluster & 0xFF,
-                    )
+            bounds = [0, *np.cumsum(ivf_model.cluster_sizes()).tolist()]
+            entries = [
+                RIvfEntry(
+                    centroid_addr=cluster,
+                    first_embedding=bounds[cluster],
+                    last_embedding=bounds[cluster + 1] - 1,
+                    tag=cluster & 0xFF,
                 )
+                for cluster in range(len(ivf_model.lists))
+            ]
             r_ivf = RIvf(entries, dram=self.ssd.dram, db_id=db_id)
 
         # INT8 pages (TLC, ECC-protected): int8 viewed as raw bytes.
-        self._program_region(int8_initial, codes_i8.view(np.uint8))
+        self._program_region(int8_region, codes_i8.view(np.uint8))
 
         # Document pages: chunk text bytes in deployment order.
         if corpus is not None:
@@ -458,7 +447,7 @@ class DatabaseDeployer:
                 for original in order.tolist()
             )
             doc_payloads = np.frombuffer(blob, dtype=np.uint8).reshape(n, 32)
-        self._program_region(doc_initial, doc_payloads)
+        self._program_region(document_region, doc_payloads)
 
         self.r_db.register(
             RDbEntry(
@@ -549,11 +538,7 @@ def deployment_order(n: int, ivf_model: Optional[IvfModel]) -> np.ndarray:
     """
     if ivf_model is None:
         return np.arange(n, dtype=np.int64)
-    nonempty = [lst for lst in ivf_model.lists if len(lst)]
-    if not nonempty:
-        order = np.empty(0, dtype=np.int64)
-    else:
-        order = np.concatenate(nonempty).astype(np.int64)
+    order = np.concatenate([np.empty(0, np.int64), *ivf_model.lists]).astype(np.int64)
     if order.size != n:
         raise ValueError("IVF lists do not cover every vector exactly once")
     return order
@@ -577,10 +562,6 @@ def _calibrate_filter_threshold(
     n = vectors.shape[0]
     queries = vectors[rng.integers(0, n, size=min(n_sample_queries, n))]
     sample = vectors[rng.integers(0, n, size=min(n_sample_codes, n))]
-    query_codes = binary.encode(queries)
-    sample_codes = binary.encode(sample)
-    distances = np.concatenate(
-        [hamming_packed(q, sample_codes) for q in query_codes]
-    )
+    distances = hamming_packed(binary.encode(queries), binary.encode(sample))
     threshold = int(np.quantile(distances, keep_quantile))
     return max(threshold, 1)

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ann.blocks import row_blocks
 from repro.core.costing import PhaseCost, compose_phase, merge_phase_totals
 from repro.core.layout import DeployedDatabase
 from repro.rag.documents import DocumentChunk
@@ -196,6 +197,18 @@ def validate_search_params(k: int, nprobe: Optional[int] = None) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def _finite_matrix(
+    name: str, array: np.ndarray, shape_ok: bool, expected: str
+) -> np.ndarray:
+    """Shape + finiteness check shared by queries and corpora (finiteness in
+    row blocks: a corpus costs no ``n x dim`` boolean temporary)."""
+    if not shape_ok:
+        raise ValueError(f"{name} must have shape {expected}, got {array.shape}")
+    if not all(np.isfinite(array[lo:hi]).all() for lo, hi in row_blocks(len(array))):
+        raise ValueError(f"{name} contain NaN or inf components")
+    return array
+
+
 def validate_queries(
     db, queries: np.ndarray, k: int, nprobe: Optional[int] = None
 ) -> np.ndarray:
@@ -210,13 +223,20 @@ def validate_queries(
     """
     validate_search_params(k, nprobe)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-    if queries.ndim != 2 or queries.shape[1] != db.dim:
-        raise ValueError(
-            f"queries must have shape (n, {db.dim}), got {queries.shape}"
-        )
-    if not np.isfinite(queries).all():
-        raise ValueError("queries contain NaN or inf components")
-    return queries
+    shape_ok = queries.ndim == 2 and queries.shape[1] == db.dim
+    return _finite_matrix("queries", queries, shape_ok, f"(n, {db.dim})")
+
+
+def validate_vectors(vectors: np.ndarray) -> np.ndarray:
+    """API-boundary check of a corpus to deploy; returns it as float32.
+
+    Anything but a non-empty ``(n, dim)`` matrix of finite components fails
+    here, before k-means or codec fitting starts (a NaN used to reach flash
+    as garbage INT8 codes, or die inside numpy's ``choice``).
+    """
+    vectors = np.asarray(vectors, dtype=np.float32)
+    shape_ok = vectors.ndim == 2 and vectors.shape[0] >= 1
+    return _finite_matrix("vectors", vectors, shape_ok, "(n, dim) with n >= 1")
 
 
 def resolve_nprobe(n_clusters: int, nprobe: Optional[int]) -> Optional[int]:

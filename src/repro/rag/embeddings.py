@@ -15,6 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.ann.blocks import row_blocks
 from repro.sim.rng import make_rng
 
 
@@ -35,6 +36,11 @@ def make_clustered_embeddings(
     center (the per-coordinate std is ``cluster_std / sqrt(dim)``), so the
     cluster tightness is dimension-independent: centers sit ~sqrt(2) apart
     and members ~``cluster_std`` from their center at every dimension.
+
+    The member noise is drawn row block by row block
+    (:mod:`repro.ann.blocks`): ``Generator.standard_normal`` consumes its
+    stream sequentially, so the vectors are those of one ``(n, dim)`` draw
+    while the float64 temporary is block-sized.
     """
     if n <= 0 or dim <= 0 or n_clusters <= 0:
         raise ValueError("n, dim and n_clusters must be positive")
@@ -46,11 +52,13 @@ def make_clustered_embeddings(
     weights /= weights.sum()
     labels = rng.choice(n_clusters, size=n, p=weights).astype(np.int64)
     per_coord = cluster_std / float(np.sqrt(dim))
-    vectors = centers[labels] + per_coord * rng.standard_normal((n, dim)).astype(
-        np.float32
-    )
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    return vectors.astype(np.float32), labels
+    vectors = np.empty((n, dim), dtype=np.float32)
+    for lo, hi in row_blocks(n):
+        noise = rng.standard_normal((hi - lo, dim)).astype(np.float32)
+        block = centers[labels[lo:hi]] + per_coord * noise
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        vectors[lo:hi] = block
+    return vectors, labels
 
 
 def make_queries(

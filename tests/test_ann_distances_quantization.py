@@ -11,6 +11,7 @@ from repro.ann.distances import (
     int8_l2_squared,
     l2_squared,
     pairwise_l2_squared,
+    row_norms_squared,
 )
 from repro.ann.quantization import BinaryQuantizer, Int8Quantizer
 
@@ -52,7 +53,14 @@ class TestDistances:
             data.draw(st.binary(min_size=8 * n, max_size=8 * n)), dtype=np.uint8
         ).reshape(n, 8).copy()
         expected = np.unpackbits(codes ^ query, axis=1).sum(axis=1)
-        assert np.array_equal(hamming_packed(query, codes), expected)
+        distances = hamming_packed(query, codes)
+        assert distances.dtype == np.int64
+        assert np.array_equal(distances, expected)
+        # A stack of queries is the stack of their rows.
+        assert np.array_equal(
+            hamming_packed(codes[:2], codes),
+            [hamming_packed(codes[0], codes), hamming_packed(codes[1], codes)],
+        )
 
     def test_hamming_identity_is_zero(self):
         code = np.arange(16, dtype=np.uint8)
@@ -77,6 +85,10 @@ class TestDistances:
         matrix = pairwise_l2_squared(a, b)
         for i in range(4):
             np.testing.assert_allclose(matrix[i], l2_squared(a[i], b), rtol=1e-4, atol=1e-3)
+        # Norms the caller already holds give the same matrix, bit for bit.
+        a_sq, b_sq = row_norms_squared(a), row_norms_squared(b)
+        assert np.array_equal(pairwise_l2_squared(a, b, a_sq, b_sq), matrix)
+        assert np.array_equal(pairwise_l2_squared(a, b, b_sq=b_sq), matrix)
 
 
 class TestBinaryQuantizer:

@@ -1,14 +1,19 @@
 """Unit tests for the ANN index implementations (flat, IVF, HNSW, LSH, PQ)."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.ann import blocks
 from repro.ann.flat import BinaryFlatIndex, FlatIndex
 from repro.ann.hnsw import HnswIndex
-from repro.ann.ivf import BqIvfIndex, IvfIndex, build_ivf_model, coarse_probe
-from repro.ann.kmeans import kmeans
+from repro.ann.ivf import BqIvfIndex, IvfIndex, IvfModel, build_ivf_model, coarse_probe
+from repro.ann.kmeans import KMeansResult, kmeans
 from repro.ann.lsh import LshIndex
 from repro.ann.pq import PqIvfIndex, ProductQuantizer
+from repro.ann.quantization import BinaryQuantizer, Int8Quantizer
 from repro.ann.recall import exact_ground_truth, mean_recall_at_k, recall_at_k
 from repro.ann.rerank import rerank_fp32, rerank_int8
 from repro.ann.selection import (
@@ -17,7 +22,10 @@ from repro.ann.selection import (
     quicksort_comparisons,
     sorted_topk,
 )
+from repro.core.api import ReisDevice
+from repro.core.config import tiny_config
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
+from repro.sim.rng import make_rng
 
 N, DIM, CLUSTERS = 500, 64, 10
 
@@ -325,3 +333,314 @@ class TestRecallMetric:
     def test_mean_recall_requires_matched_lengths(self):
         with pytest.raises(ValueError):
             mean_recall_at_k([[1]], [[1], [2]], 1)
+
+
+# --------------------------------------------------------------------------
+# The index build streams the corpus in row blocks (repro.ann.blocks).  Its
+# reference is the whole-matrix build it replaced, kept here verbatim.
+# --------------------------------------------------------------------------
+
+
+def _reference_pairwise(a, b):
+    a = np.asarray(a, dtype=np.float32)
+    b = np.asarray(b, dtype=np.float32)
+    a_sq = np.einsum("ij,ij->i", a, a)[:, None]
+    b_sq = np.einsum("ij,ij->i", b, b)[None, :]
+    cross = a @ b.T
+    out = a_sq + b_sq - 2.0 * cross
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _reference_kmeanspp(data, k, rng):
+    n = data.shape[0]
+    centroids = np.empty((k, data.shape[1]), dtype=np.float32)
+    first = int(rng.integers(0, n))
+    centroids[0] = data[first]
+    closest = _reference_pairwise(data, centroids[0:1]).ravel()
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centroids[i:] = data[rng.integers(0, n, size=k - i)]
+            break
+        probs = closest / total
+        chosen = int(rng.choice(n, p=probs))
+        centroids[i] = data[chosen]
+        dist_new = _reference_pairwise(data, centroids[i : i + 1]).ravel()
+        np.minimum(closest, dist_new, out=closest)
+    return centroids
+
+
+def _reference_kmeans(
+    data, k, max_iterations=25, tolerance=1e-4, seed=0, sample_limit=100_000
+):
+    """k-means over the whole ``(n, k)`` distance matrix with per-cluster
+    masks: the algorithm ``repro.ann.kmeans.kmeans`` must equal bit for bit."""
+    data = np.asarray(data, dtype=np.float32)
+    n = data.shape[0]
+    rng = make_rng("kmeans", seed, n, k)
+    if n > sample_limit:
+        train = data[rng.choice(n, size=sample_limit, replace=False)]
+    else:
+        train = data
+    centroids = _reference_kmeanspp(train, k, rng)
+    previous_inertia = np.inf
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        distances = _reference_pairwise(train, centroids)
+        labels = distances.argmin(axis=1)
+        inertia = float(distances[np.arange(train.shape[0]), labels].sum())
+        new_centroids = centroids.copy()
+        for cluster in range(k):
+            members = train[labels == cluster]
+            if members.shape[0] > 0:
+                new_centroids[cluster] = members.mean(axis=0)
+            else:
+                farthest = int(distances.min(axis=1).argmax())
+                new_centroids[cluster] = train[farthest]
+        centroids = new_centroids
+        if previous_inertia - inertia <= tolerance * max(previous_inertia, 1.0):
+            break
+        previous_inertia = inertia
+    full_distances = _reference_pairwise(data, centroids)
+    assignments = full_distances.argmin(axis=1).astype(np.int64)
+    inertia = float(full_distances[np.arange(n), assignments].sum())
+    return KMeansResult(centroids, assignments, inertia, iterations)
+
+
+def _mask_lists(assignments, nlist):
+    return [
+        np.sort(np.nonzero(assignments == c)[0]).astype(np.int64)
+        for c in range(nlist)
+    ]
+
+
+def _reference_embeddings(n, dim, n_clusters, cluster_std=0.5, seed=0):
+    """``make_clustered_embeddings`` with its noise drawn in one shot."""
+    rng = make_rng("corpus", seed, n, dim, n_clusters)
+    centers = rng.standard_normal((n_clusters, dim)).astype(np.float32)
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    weights = 1.0 / np.arange(1, n_clusters + 1) ** 0.6
+    weights /= weights.sum()
+    labels = rng.choice(n_clusters, size=n, p=weights).astype(np.int64)
+    per_coord = cluster_std / float(np.sqrt(dim))
+    vectors = centers[labels] + per_coord * rng.standard_normal((n, dim)).astype(
+        np.float32
+    )
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    return vectors.astype(np.float32), labels
+
+
+def _assert_same_clustering(got, want):
+    assert got.centroids.dtype == want.centroids.dtype == np.float32
+    assert got.assignments.dtype == want.assignments.dtype == np.int64
+    assert np.array_equal(got.centroids, want.centroids)
+    assert np.array_equal(got.assignments, want.assignments)
+    assert got.inertia == want.inertia
+    assert got.iterations == want.iterations
+
+
+@contextmanager
+def _row_block(value):
+    """Context in which every build pass walks ``value``-row blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blocks, "ROW_BLOCK", value)
+        yield
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("block", [1, 7, blocks.ROW_BLOCK])
+    def test_ranges_cover_every_row_once_and_fold_the_tail(self, block):
+        with _row_block(block):
+            for n in (0, 1, block - 1, block, block + 1, 2 * block - 1,
+                      2 * block, 2 * block + 1, 5 * block + 3):
+                ranges = blocks.row_blocks(n)
+                assert ranges[0][0] == 0 and ranges[-1][1] == n
+                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+                assert all(lo % block == 0 for lo, _ in ranges)
+                # No range is shorter than a block unless the input is:
+                # a short tail would take another BLAS routine.
+                assert all(hi - lo == block for lo, hi in ranges[:-1])
+                last = ranges[-1][1] - ranges[-1][0]
+                assert last == n if n < block else block <= last < 2 * block
+
+
+class TestKmeansAgainstWholeMatrixReference:
+    """``kmeans`` equals the whole-matrix reference bit for bit: centroids,
+    assignments, inertia and iteration count."""
+
+    @staticmethod
+    def _data(kind, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            return rng.standard_normal((n, dim)).astype(np.float32)
+        # Duplicate-heavy: a handful of distinct integer rows (so a repeat's
+        # distance is exactly 0): seeding runs out of distance mass
+        # (``total <= 0``) and Lloyd finds empty clusters.
+        pool = rng.integers(-3, 4, size=(max(1, n // 40), dim)).astype(np.float32)
+        return pool[rng.integers(0, pool.shape[0], size=n)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["gaussian", "duplicates"]),
+        n=st.integers(1, 3000),
+        dim=st.sampled_from([1, 3, 8, 17, 33, 64]),
+        k=st.integers(1, 48),
+        seed=st.integers(0, 2**31),
+        subsample=st.booleans(),
+    )
+    def test_property(self, kind, n, dim, k, seed, subsample):
+        n = max(n, k)
+        data = self._data(kind, n, dim, seed)
+        limit = max(k, n // 2) if subsample else 100_000
+        got = kmeans(data, k, seed=seed, sample_limit=limit)
+        want = _reference_kmeans(data, k, seed=seed, sample_limit=limit)
+        _assert_same_clustering(got, want)
+        # The Lloyd early stop (kmeans module docstring) is kept, not fixed.
+        assert got.iterations == 1
+
+    def test_degenerate_data_reaches_both_reseed_branches(self):
+        """3 distinct rows, 8 clusters: seeding exhausts the distance mass
+        and five clusters come out of the Lloyd step empty."""
+        data = np.repeat(np.eye(3, 5, dtype=np.float32), 20, axis=0)
+        got = kmeans(data, 8, seed=3)
+        assert np.unique(got.assignments).size == 3
+        _assert_same_clustering(got, _reference_kmeans(data, 8, seed=3))
+
+    @pytest.mark.parametrize("dim,k", [(64, 128), (17, 5), (33, 64)])
+    def test_corpora_longer_than_a_block(self, dim, k):
+        """The BLAS-facing half: the rows of a block-sized ``a @ b.T`` are
+        bitwise the rows of the whole product.  Holds on a BLAS whose sgemm
+        sums every output row in the same order wherever the row sits (the
+        tail is folded into the last block so no product is short enough
+        for another routine); one that does not must fail here, loudly."""
+        block = blocks.ROW_BLOCK
+        pool = np.random.default_rng(dim).standard_normal((3 * block, dim))
+        for n in (block - 1, block, block + 1, 2 * block - 1, 2 * block,
+                  2 * block + 1, 10_001):
+            data = pool[:n].astype(np.float32)
+            for limit in (100_000, n - 1000):
+                got = kmeans(data, k, seed=n, sample_limit=limit)
+                want = _reference_kmeans(data, k, seed=n, sample_limit=limit)
+                _assert_same_clustering(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        block=st.sampled_from([1, 7]),
+        exact=st.sampled_from(["grid", "line"]),
+        tail=st.integers(-1, 1),
+        multiple=st.integers(1, 6),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**31),
+        subsample=st.booleans(),
+    )
+    def test_block_size_independence(
+        self, block, exact, tail, multiple, k, seed, subsample
+    ):
+        """Blocks of 1 and 7 rows, n one below, at and one above a multiple
+        of the block, on inputs whose arithmetic is exact in any summation
+        order -- small integers clustered around their own seeds (no mean is
+        taken), or one dimension (a 'sum' of one product) -- so the equality
+        holds on every BLAS and pins the block walk itself."""
+        n = max(k, block * multiple + tail)
+        rng = np.random.default_rng(seed)
+        if exact == "grid":
+            data = rng.integers(-4, 5, size=(n, 5)).astype(np.float32)
+            args = dict(max_iterations=0)
+        else:
+            data = rng.standard_normal((n, 1)).astype(np.float32)
+            args = {}
+        limit = max(k, n - 2) if subsample else 100_000
+        want = _reference_kmeans(data, k, seed=seed, sample_limit=limit, **args)
+        with _row_block(block):
+            got = kmeans(data, k, seed=seed, sample_limit=limit, **args)
+        _assert_same_clustering(got, want)
+
+
+class TestBlockedBuildPasses:
+    """The order-free passes of the build equal their one-shot forms at any
+    block size, for n below, at and above a block."""
+
+    CASES = [(1, n) for n in (1, 2, 5)] + [(7, n) for n in (6, 7, 8, 13, 14, 15, 50)]
+
+    @pytest.mark.parametrize("nlist", [1, 7, 40])
+    def test_inverted_lists_equal_the_mask_built_ones(self, data, nlist):
+        vectors, _, _ = data
+        model = build_ivf_model(vectors, nlist, seed=5)
+        assignments = kmeans(vectors, nlist, max_iterations=20, seed=5).assignments
+        want = _mask_lists(assignments, nlist)
+        assert len(model.lists) == nlist
+        for got, ref in zip(model.lists, want):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref)
+        assert np.array_equal(np.sort(np.concatenate(model.lists)), np.arange(N))
+
+    @pytest.mark.parametrize("block,n", CASES + [
+        (blocks.ROW_BLOCK, n)
+        for n in (blocks.ROW_BLOCK - 1, blocks.ROW_BLOCK, 2 * blocks.ROW_BLOCK + 1)
+    ])
+    def test_clustered_embeddings_equal_the_one_shot_draw(self, block, n):
+        want_vectors, want_labels = _reference_embeddings(n, 24, 5, seed="blk")
+        with _row_block(block):
+            vectors, labels = make_clustered_embeddings(n, 24, 5, seed="blk")
+        assert vectors.dtype == np.float32 and labels.dtype == np.int64
+        assert np.array_equal(vectors, want_vectors)
+        assert np.array_equal(labels, want_labels)
+
+    @pytest.mark.parametrize("block,n", CASES + [(blocks.ROW_BLOCK, 2 * blocks.ROW_BLOCK + 1)])
+    def test_quantizers_equal_their_one_shot_forms(self, block, n):
+        rng = np.random.default_rng(n)
+        vectors = (rng.standard_normal((n, 16)) * 3 + 0.5).astype(np.float32)
+        with _row_block(block):
+            binary = BinaryQuantizer().fit(vectors)
+            int8 = Int8Quantizer().fit(vectors)
+            codes, codes_i8 = binary.encode(vectors), int8.encode(vectors)
+        offset = vectors.mean(axis=0)
+        spread = np.abs(vectors - offset).max()
+        assert np.array_equal(binary.thresholds, offset)
+        assert np.array_equal(int8.offset, offset)
+        assert int8.scale == (float(spread) / 127.0 if spread > 0 else 1.0)
+        want = np.packbits((vectors > offset).astype(np.uint8), axis=1)
+        assert codes.dtype == np.uint8 and np.array_equal(codes, want)
+        want_i8 = np.clip(
+            np.round((vectors - offset) / int8.scale), -127, 127
+        ).astype(np.int8)
+        assert codes_i8.dtype == np.int8 and np.array_equal(codes_i8, want_i8)
+
+
+def _programmed_pages(device):
+    """``(plane, block, page) -> (data, oob)`` of every programmed page."""
+    return {
+        (p, b, page): plane.golden_view(b, page)
+        for p, plane in enumerate(device.ssd.array.planes)
+        for b, block in enumerate(plane.blocks)
+        for page in range(block.next_program_page)
+    }
+
+
+def test_deployment_from_the_blocked_build_is_byte_identical():
+    """``ivf_deploy(nlist=64)`` of a 20k-entry corpus and ``ivf_deploy`` of
+    the model the whole-matrix reference builds leave the same flash image,
+    slot order, filter threshold and quantizers."""
+    n, nlist = 20_000, 64
+    vectors, _ = make_clustered_embeddings(n, 64, nlist, seed="pin")
+    device = ReisDevice(tiny_config("PIN"))
+    db = device.database(device.ivf_deploy("pin", vectors, nlist=nlist, seed=0))
+
+    reference = _reference_kmeans(vectors, nlist, max_iterations=20, seed=0)
+    model = IvfModel(reference.centroids, _mask_lists(reference.assignments, nlist))
+    twin = ReisDevice(tiny_config("PIN-REF"))
+    ref = twin.database(twin.ivf_deploy("pin", vectors, ivf_model=model, seed=0))
+
+    pages, ref_pages = _programmed_pages(device), _programmed_pages(twin)
+    assert pages.keys() == ref_pages.keys() and len(pages) > 100
+    for key, (data, oob) in pages.items():
+        assert np.array_equal(data, ref_pages[key][0]), key
+        assert np.array_equal(oob, ref_pages[key][1]), key
+    assert np.array_equal(db.slot_to_original, ref.slot_to_original)
+    assert db.filter_threshold == ref.filter_threshold
+    assert np.array_equal(
+        db.binary_quantizer.thresholds, ref.binary_quantizer.thresholds
+    )
+    assert db.int8_quantizer.scale == ref.int8_quantizer.scale
+    assert np.array_equal(db.int8_quantizer.offset, ref.int8_quantizer.offset)

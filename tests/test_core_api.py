@@ -1,8 +1,11 @@
 """Unit tests for the REIS device API (Table 1) and its NVMe wiring."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.ann import blocks
 from repro.core.api import ReisDevice, ReisRetriever, ShardedReisDevice
 from repro.core.config import tiny_config
 from repro.ssd.nvme import NvmeCommand, NvmeOpcode
@@ -220,6 +223,38 @@ class TestQueryValidation:
             assert len(batch) == 0 and batch.results == []
             assert batch.wall_seconds == 0.0
             assert batch.batch_stats.n_queries == 0
+
+    BAD_CORPUS = (
+        # NaN in the last row only: the blocked finiteness pass must reach it.
+        ("nan", lambda v: np.vstack([v[:-1], np.full_like(v[-1:], np.nan)]),
+         "vectors contain NaN or inf components"),
+        ("inf", lambda v: np.where(np.arange(v.shape[1]) == 0, np.inf, v),
+         "vectors contain NaN or inf components"),
+        ("1-d", lambda v: v[0],
+         r"vectors must have shape \(n, dim\) with n >= 1, got \(128,\)"),
+        ("empty", lambda v: v[:0],
+         r"vectors must have shape \(n, dim\) with n >= 1, got \(0, 128\)"),
+    )
+
+    @pytest.mark.parametrize(
+        "corrupt,message", [c[1:] for c in BAD_CORPUS], ids=[c[0] for c in BAD_CORPUS]
+    )
+    def test_bad_corpus_fails_at_the_deploy_boundary(
+        self, either_device, small_vectors, monkeypatch, corrupt, message
+    ):
+        """Flat and IVF, single and sharded: a named error before k-means or
+        codec fitting starts (no warning from inside numpy, no garbage
+        codes on flash), and nothing registered."""
+        device, db_id = either_device
+        vectors = corrupt(small_vectors[0])
+        monkeypatch.setattr(blocks, "ROW_BLOCK", 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                device.db_deploy("bad", vectors)
+            with pytest.raises(ValueError, match=message):
+                device.ivf_deploy("bad", vectors, nlist=4, seed=0)
+        assert set(device.databases) == {db_id}
 
     def test_nprobe_above_nlist_clamps(self, deployed_device, small_queries):
         device, db_id = deployed_device

@@ -411,6 +411,31 @@ class TestDatabaseDeployer:
         entry = deployer.r_db.lookup(db.db_id)
         assert entry.n_entries == 200
 
+    @pytest.mark.parametrize("n,dim,seed", [(5000, 64, 0), (40, 128, "small")])
+    def test_filter_threshold_equals_the_per_query_calibration(self, n, dim, seed):
+        """One broadcast XOR + popcount calibrates the threshold the 64
+        per-query ``hamming_packed`` calls did (one corpus larger than the
+        2,048-code sample, one smaller than the 64-query sample)."""
+        from repro.ann.distances import hamming_packed
+        from repro.core.layout import fit_deployment_codecs
+        from repro.rag.embeddings import make_clustered_embeddings
+        from repro.sim.rng import make_rng
+
+        vectors, _ = make_clustered_embeddings(n, dim, 8, seed=("df", n))
+        params = EngineParams()
+        codecs = fit_deployment_codecs(vectors, params, seed)
+        rng = make_rng("df-threshold", seed)
+        queries = vectors[rng.integers(0, n, size=min(64, n))]
+        sample = codecs.binary.encode(vectors[rng.integers(0, n, size=min(2048, n))])
+        distances = np.concatenate(
+            [hamming_packed(q, sample) for q in codecs.binary.encode(queries)]
+        )
+        keep = max(
+            params.filter_keep_quantile,
+            min(1.0, 1.5 * params.shortlist_factor * 10 / n),
+        )
+        assert codecs.filter_threshold == max(int(np.quantile(distances, keep)), 1)
+
 
 class TestEngineParams:
     def test_ttl_entry_sizes(self):
