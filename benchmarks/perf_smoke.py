@@ -50,6 +50,22 @@ is programmed (the stored pages plus one region's page images); it was
 trips it on any machine; a single corpus-sized float32 temporary in the
 build (13 + 25.6 MB) stays under the programming peak and does not.
 
+A seventh and an eighth, noise-free again, cover the cluster path.  The
+``call`` + ``c_call`` events of one warm 16-query batch on a 4 x 2 cluster
+behind page caches smaller than the working set (the ``shard_zipf_cache``
+shape) are capped at x1.05 of what the table-per-barrier router measured:
+a per-(shard, query) loop creeping back into a merge barrier, the report
+composition or the cache's eviction costs far more than 5%.  And the
+events of the ``shard_scaling`` batch on 8 shards over the same batch on 1
+shard are capped at x1.10 of the measured ratio -- the noise-free
+restatement of "8-shard host wall <= 2x the 1-shard".  The ratio was 3.26
+while every barrier and the composition ran once per (shard, query)
+(124,118 / 38,029 events); both counts fell 2.4x with the router's tables,
+so the ratio moved little (3.19): what still grows with the shard count is
+the per-(shard, query) cost emission inside the phase kernels
+(``PhaseCost.add_page``, per-query TTLs and contexts), which the cost-ledger
+item owns; its target is 2.2.
+
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
 
@@ -62,12 +78,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_serving_throughput import (  # noqa: E402
     BENCH_PATH,
+    CACHE_NPROBE,
     HOST_SCALE_POINTS,
     K,
     NPROBE,
+    SHARD_SCALE_NPROBE,
+    cached_cluster_workload,
+    deploy_shard_scaling_point,
     host_scaling_corpus,
     run_cache_smoke,
     run_host_scaling_point,
+    shard_scaling_corpus,
 )
 
 GATE_N_ENTRIES = 10_000
@@ -79,14 +100,21 @@ TLC_SHARE_CEILING = 0.54
 # Measured host_fine / host_wall is 0.23-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 60,230 (python 3.11, numpy 2.4; 60,223 when the ceiling was set);
-# x1.10 of 60,223.
+# entries: 36,694 (python 3.11, numpy 2.4; 60,230 while every query's
+# shortlist and report were selected and composed one by one); x1.10.
 EVENTS_N_ENTRIES = 100_000
-SEARCH_EVENTS_CEILING = 66_245
+SEARCH_EVENTS_CEILING = 40_363
 # Measured tracemalloc peak of that point's ivf_deploy: 44.26 MB in a fresh
 # process, +-3 KB run to run, 43.2 MB after the gates above (python 3.11,
 # numpy 2.4; 206.19 MB with the whole-matrix build); x1.10.
 DEPLOY_PEAK_BYTES_CEILING = 48_690_000
+# Measured events of the fifth batch on the cached 4 x 2 cluster: 18,973
+# (python 3.11, numpy 2.4); x1.05.
+SHARD_WARM_BATCHES = 4
+SHARD_EVENTS_CEILING = 19_921
+# Measured events(8 shards) / events(1 shard) on the shard_scaling batch:
+# 50,570 / 15,847 = 3.19 (124,118 / 38,029 = 3.26 before); x1.10.
+SHARD_SCALING_EVENTS_RATIO = 3.51
 
 
 def tlc_share(point) -> float:
@@ -94,6 +122,40 @@ def tlc_share(point) -> float:
     phases = point["host_phase_seconds"]
     tlc = phases.get("host_rerank", 0.0) + phases.get("host_documents", 0.0)
     return tlc / max(point["host_wall_seconds"], 1e-12)
+
+
+def count_events(serve) -> int:
+    """Python ``call`` + ``c_call`` events of one ``serve()``."""
+    events = 0
+
+    def count(_frame, event, _arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        serve()
+    finally:
+        sys.setprofile(None)
+    return events
+
+
+def count_cluster_events() -> tuple:
+    """``(events of one warm batch on the cached 4 x 2 cluster, events of
+    the shard_scaling batch on 1 shard, on 8 shards)``, fresh clusters."""
+    device, did, queries = cached_cluster_workload(SHARD_WARM_BATCHES)
+    warm = count_events(
+        lambda: device.ivf_search(did, queries, k=K, nprobe=CACHE_NPROBE)
+    )
+    assert sum(shard.page_cache.stats.evicted for shard in device.shards) > 0
+    vectors, queries, model = shard_scaling_corpus()
+    scale = []
+    for n_shards in (1, 8):
+        device, did = deploy_shard_scaling_point(n_shards, vectors, model)
+        scale.append(count_events(
+            lambda: device.ivf_search(did, queries, k=K, nprobe=SHARD_SCALE_NPROBE)
+        ))
+    return (warm, *scale)
 
 
 def count_build_and_search() -> tuple:
@@ -112,17 +174,9 @@ def count_build_and_search() -> tuple:
         _, deploy_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    events = 0
-
-    def count(_frame, event, _arg):
-        nonlocal events
-        events += event in ("call", "c_call")
-
-    sys.setprofile(count)
-    try:
-        device.ivf_search(db_id, queries, k=K, nprobe=NPROBE)
-    finally:
-        sys.setprofile(None)
+    events = count_events(
+        lambda: device.ivf_search(db_id, queries, k=K, nprobe=NPROBE)
+    )
     return deploy_peak, events
 
 
@@ -205,6 +259,31 @@ def main() -> int:
         print(
             "perf-smoke: FAIL -- Python call count regressed "
             "(per-page loop back in a phase kernel?)"
+        )
+        return 1
+
+    warm, one_shard, eight_shards = count_cluster_events()
+    print(
+        f"perf-smoke: warm batch-16 on the cached 4x2 cluster: {warm:,} call + "
+        f"c_call events, ceiling {SHARD_EVENTS_CEILING:,}"
+    )
+    if warm > SHARD_EVENTS_CEILING:
+        print(
+            "perf-smoke: FAIL -- cluster Python call count regressed "
+            "(per-(shard, query) loop back in a barrier, the composer or "
+            "the cache eviction?)"
+        )
+        return 1
+    ratio = eight_shards / one_shard
+    print(
+        f"perf-smoke: shard_scaling batch-32 events: 8 shards {eight_shards:,} "
+        f"/ 1 shard {one_shard:,} = {ratio:.2f}, ceiling "
+        f"{SHARD_SCALING_EVENTS_RATIO:.2f}"
+    )
+    if ratio > SHARD_SCALING_EVENTS_RATIO:
+        print(
+            "perf-smoke: FAIL -- per-shard Python glue grew faster than the "
+            "one-shard batch (work back on the (shard, query) cell?)"
         )
         return 1
 

@@ -176,6 +176,9 @@ CACHE_POOL = 48       # distinct queries the Zipf stream draws ranks from
 CACHE_STREAM = 192    # queries served per (skew, budget) point
 CACHE_BATCH = 16
 CACHE_BLOCKS_PER_PLANE = 512
+# Per-shard budget of the cached-cluster events gate: ten page mirrors, a
+# fraction of what a batch touches, so every batch admits and evicts.
+CACHED_CLUSTER_BUDGET = 10 * (16_384 + 2_208)
 
 
 def environment_block():
@@ -554,13 +557,27 @@ def test_host_scaling_serving(benchmark, show, bench_out):
         assert point["speedup"] > 1.0
 
 
-def run_shard_scaling():
-    """The batched workload served by 1/2/4/8-shard clusters."""
+def shard_scaling_corpus():
+    """What every shard-scaling point deploys and serves: ``(vectors, the
+    batch-32 queries, the IVF model the shards split)``."""
     vectors, _ = make_clustered_embeddings(
         SHARD_SCALE_N, SHARD_SCALE_DIM, SHARD_SCALE_NLIST, seed="scale"
     )
     queries = make_queries(vectors, SHARD_SCALE_BATCH, seed="scale-q")
-    model = build_ivf_model(vectors, SHARD_SCALE_NLIST, seed=0)
+    return vectors, queries, build_ivf_model(vectors, SHARD_SCALE_NLIST, seed=0)
+
+
+def deploy_shard_scaling_point(n_shards, vectors, model):
+    """A fresh ``n_shards`` cluster holding the shard-scaling corpus."""
+    device = ShardedReisDevice(
+        n_shards, tiny_config(f"SCALE-{n_shards}"), placement="cluster"
+    )
+    return device, device.ivf_deploy("scale", vectors, ivf_model=model, seed=0)
+
+
+def run_shard_scaling():
+    """The batched workload served by 1/2/4/8-shard clusters."""
+    vectors, queries, model = shard_scaling_corpus()
 
     # The single-device reference the merged results must reproduce
     # (batched execution is itself bit-identical to solo search).
@@ -572,10 +589,7 @@ def run_shard_scaling():
 
     points = []
     for n_shards in SHARD_COUNTS:
-        device = ShardedReisDevice(
-            n_shards, tiny_config(f"SCALE-{n_shards}"), placement="cluster"
-        )
-        db_id = device.ivf_deploy("scale", vectors, ivf_model=model, seed=0)
+        device, db_id = deploy_shard_scaling_point(n_shards, vectors, model)
         wall_start = time.perf_counter()
         batch = device.ivf_search(db_id, queries, k=K, nprobe=SHARD_SCALE_NPROBE)
         host_wall = time.perf_counter() - wall_start
@@ -1117,6 +1131,32 @@ def run_cache_serving():
             "points": points,
         })
     return sweeps
+
+
+def cached_cluster_workload(batches):
+    """A warm 4 x 2 cluster behind per-shard cost-aware page caches smaller
+    than the stream's working set (the ``shard_zipf_cache`` shape): the
+    cache-sweep corpus and its hot-Zipf stream, ``batches`` batches served.
+    Returns ``(device, database id, the next batch's queries)``."""
+    from repro.core.cache import CostAwarePolicy
+
+    vectors, _ = make_clustered_embeddings(
+        CACHE_N, DIM, CACHE_NLIST, seed="cache-serving"
+    )
+    pool = make_queries(vectors, CACHE_POOL, seed="cache-pool")
+    ranks = zipf_ranks(CACHE_POOL, 1.2, CACHE_STREAM, "cache-serving")
+    device = ShardedReisDevice(
+        4, host_scale_config("CLUSTER-CACHE", CACHE_BLOCKS_PER_PLANE),
+        placement="cluster", replication_factor=2,
+    )
+    did = device.ivf_deploy("cluster-cache", vectors, nlist=CACHE_NLIST, seed=0)
+    device.enable_page_cache(CACHED_CLUSTER_BUDGET, policy_factory=CostAwarePolicy)
+    for lo in range(0, batches * CACHE_BATCH, CACHE_BATCH):
+        device.ivf_search(
+            did, pool[ranks[lo:lo + CACHE_BATCH]], k=K, nprobe=CACHE_NPROBE
+        )
+    lo = batches * CACHE_BATCH
+    return device, did, pool[ranks[lo:lo + CACHE_BATCH]]
 
 
 def run_cache_smoke(repeats=5):

@@ -46,21 +46,20 @@ analytic cross-validation tests); the batch-level wall clock lives in
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.costing import BatchPhaseBreakdown, PhaseCost, compose_batch_phase
+from repro.core.costing import BatchPhaseBreakdown, PhaseCost, compose_batch
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
     PlanContext,
     QueryPlan,
     ReisQueryResult,
     build_query_plan,
-    finalize_query_result,
 )
-from repro.core.registry import TemporalTopList
+from repro.core.registry import TemporalTopList, TtlBlock
 from repro.sim.latency import LatencyReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -137,12 +136,8 @@ class BatchStats:
         for name, breakdown in other.phases.items():
             mine = self.phases.get(name)
             if mine is None:
-                self.phases[name] = BatchPhaseBreakdown(
-                    name=breakdown.name,
-                    seconds=breakdown.seconds,
-                    components=dict(breakdown.components),
-                    unique_senses=breakdown.unique_senses,
-                    total_senses=breakdown.total_senses,
+                self.phases[name] = replace(
+                    breakdown, components=dict(breakdown.components)
                 )
                 continue
             mine.seconds += breakdown.seconds
@@ -213,23 +208,44 @@ class ScanTasks:
 
 @dataclass
 class _FineScanState:
-    """Everything the fine phase carries between scan, retry and finish.
-
-    Exists so the retry decision and the final shortlist selection can be
-    driven from outside the executor (the shard router interleaves a
-    cluster-wide merge between these steps).
-    """
+    """What the fine phase carries between scan, retry and finish, so the
+    retry decision can be taken outside the executor (the shard router
+    interleaves a cluster-wide merge between these steps)."""
 
     threshold: Optional[int]
-    plan: QueryPlan
     costs: List[PhaseCost]
     ttls: List[TemporalTopList]
     ranges_per_query: List[List[Tuple[int, int]]]
 
-    def survivors(self, qi: int) -> int:
-        """Entries the filtered pass retained for query ``qi`` (the count
-        the retry predicate inspects)."""
-        return len(self.ttls[qi])
+
+@dataclass(eq=False)
+class BatchRun:
+    """One device's share of a batch in flight: the state every phase
+    driver of :class:`BatchExecutor` reads and writes."""
+
+    db: DeployedDatabase
+    plan: QueryPlan
+    ctxs: List[PlanContext]
+    stats: BatchStats
+    # Phase -> plane -> senses the executed scan schedules performed (the
+    # cost model's ``scheduled_senses`` feedback).
+    senses: Dict[str, Dict[int, int]] = field(default_factory=dict)
+    fine: Optional[_FineScanState] = None
+    # The finished fine shortlists, stacked query-major (nearest first per
+    # query), and the per-query bounds of the rows.
+    shortlist: Optional[TtlBlock] = None
+    shortlist_bounds: Optional[np.ndarray] = None
+
+
+def hand_out_clusters(
+    ctxs: Sequence[PlanContext], clusters: np.ndarray, bounds: np.ndarray
+) -> None:
+    """Give every query its segment of a stacked, query-major cluster
+    column (local ids, rank order) to scan."""
+    clusters, bounds = clusters.tolist(), bounds.tolist()
+    for ctx, lo, hi in zip(ctxs, bounds, bounds[1:]):
+        ctx.clusters = clusters[lo:hi]
+        ctx.stats.clusters_probed = hi - lo
 
 
 def tasks_from_ranges(
@@ -278,54 +294,45 @@ class BatchExecutor:
     def __init__(self, engine: "InStorageAnnsEngine") -> None:
         self.engine = engine
 
-    # ------------------------------------------------------- schedule layer
+    # --------------------------------------------------------- phase drivers
 
     def _serve_scan_phase(
         self,
-        db: DeployedDatabase,
+        run: BatchRun,
         tasks: ScanTasks,
         phase: str,
-        ctxs: Sequence[PlanContext],
         ttls: Sequence[TemporalTopList],
         costs: Sequence[PhaseCost],
-        select_k: Sequence[int],
-        stats: BatchStats,
-        scheduled_senses: Dict[str, Dict[int, int]],
+        select_k: int,
     ) -> None:
         """Drain one scan phase through the engine's phase kernel and
         record the schedule it executed for the cost model."""
         senses_of = self.engine.scan_page_run(
-            db, tasks, phase == "coarse",
-            np.stack([ctx.query_code for ctx in ctxs]),
-            ttls, costs, [ctx.stats for ctx in ctxs], select_k,
+            run.db, tasks, phase == "coarse",
+            np.stack([ctx.query_code for ctx in run.ctxs]),
+            ttls, costs, [ctx.stats for ctx in run.ctxs],
+            [select_k] * len(run.ctxs),
         )
-        self._record_schedule(len(tasks), senses_of, phase, stats, scheduled_senses)
+        self._record_schedule(len(tasks), senses_of, phase, run.stats, run.senses)
 
-    # --------------------------------------------------------- phase drivers
-
-    def _coarse_scan(
-        self,
-        db: DeployedDatabase,
-        plan: QueryPlan,
-        ctxs: Sequence[PlanContext],
-        stats: BatchStats,
-        scheduled_senses: Dict[str, Dict[int, int]],
-    ) -> List[TemporalTopList]:
-        """Page-major centroid sweep; returns the per-query TTL-Cs.
+    def _coarse_scan(self, run: BatchRun) -> Tuple[TtlBlock, np.ndarray]:
+        """Page-major centroid sweep: every query's ``nprobe`` nearest
+        centroid rows, stacked (nearest first per query), and their
+        per-query bounds.
 
         Deposits each query's coarse :class:`PhaseCost` into its context;
-        cluster *selection* is left to the caller so the shard router can
-        merge centroid candidates across devices before resolving ids.
+        which clusters a query then *scans* is left to the caller: all of
+        its own on one device, the merged probe table's on a shard.
         """
-        engine = self.engine
+        engine, db = self.engine, run.db
         region = db.centroid_region
         assert region is not None
-        n_queries = len(ctxs)
+        n_queries = len(run.ctxs)
         entry_bytes = engine.params.coarse_entry_bytes(db.code_bytes)
-        costs = [PhaseCost(name="coarse", with_compute=True) for _ in ctxs]
+        costs = [PhaseCost(name="coarse", with_compute=True) for _ in run.ctxs]
         ttls = [
             TemporalTopList("c", entry_bytes, dram=engine.ssd.dram)
-            for _ in ctxs
+            for _ in run.ctxs
         ]
         tasks = tasks_from_ranges(
             region,
@@ -335,71 +342,32 @@ class BatchExecutor:
             threshold=None,
             filters=[None] * n_queries,
         )
-        self._serve_scan_phase(
-            db, tasks, "coarse", ctxs, ttls, costs, [plan.nprobe] * n_queries,
-            stats, scheduled_senses,
-        )
-        for ctx, cost in zip(ctxs, costs):
+        self._serve_scan_phase(run, tasks, "coarse", ttls, costs, run.plan.nprobe)
+        for ctx, cost in zip(run.ctxs, costs):
             ctx.phase_costs["coarse"] = cost
-        return ttls
-
-    def _run_coarse_phase(
-        self,
-        db: DeployedDatabase,
-        plan: QueryPlan,
-        ctxs: Sequence[PlanContext],
-        stats: BatchStats,
-        scheduled_senses: Dict[str, Dict[int, int]],
-    ) -> None:
-        """Page-major coarse search: all queries sweep the centroid region."""
-        engine = self.engine
-        ttls = self._coarse_scan(db, plan, ctxs, stats, scheduled_senses)
-        for ctx, ttl in zip(ctxs, ttls):
-            ctx.clusters = engine.select_clusters(
-                db, ttl, plan.nprobe, ctx.phase_costs["coarse"], ctx.stats
-            )
+        return engine.select_clusters(db, ttls, run.plan.nprobe, costs)
 
     def _serve_fine_ranges(
-        self,
-        db: DeployedDatabase,
-        state: "_FineScanState",
-        queries: Sequence[int],
-        threshold: Optional[int],
-        ctxs: Sequence[PlanContext],
-        stats: BatchStats,
-        scheduled_senses: Dict[str, Dict[int, int]],
+        self, run: BatchRun, queries: Sequence[int], threshold: Optional[int]
     ) -> None:
         """One shared fine schedule over the slot ranges of ``queries``."""
-        n_queries = len(ctxs)
-        query_of_range: List[int] = []
-        firsts: List[int] = []
-        lasts: List[int] = []
-        for qi in queries:
-            for first, last in state.ranges_per_query[qi]:
-                query_of_range.append(qi)
-                firsts.append(first)
-                lasts.append(last)
+        state = run.fine
+        spans = [
+            (qi, first, last)
+            for qi in queries
+            for first, last in state.ranges_per_query[qi]
+        ]
         tasks = tasks_from_ranges(
-            db.embedding_region,
-            np.asarray(query_of_range, dtype=np.int64),
-            np.asarray(firsts, dtype=np.int64),
-            np.asarray(lasts, dtype=np.int64),
+            run.db.embedding_region,
+            *np.array(spans, dtype=np.int64).reshape(-1, 3).T,
             threshold=threshold,
-            filters=[state.plan.metadata_filter] * n_queries,
+            filters=[run.plan.metadata_filter] * len(run.ctxs),
         )
         self._serve_scan_phase(
-            db, tasks, "fine", ctxs, state.ttls, state.costs,
-            [state.plan.shortlist_size] * n_queries, stats, scheduled_senses,
+            run, tasks, "fine", state.ttls, state.costs, run.plan.shortlist_size
         )
 
-    def _fine_scan(
-        self,
-        db: DeployedDatabase,
-        plan: QueryPlan,
-        ctxs: Sequence[PlanContext],
-        stats: BatchStats,
-        scheduled_senses: Dict[str, Dict[int, int]],
-    ) -> "_FineScanState":
+    def _fine_scan(self, run: BatchRun) -> None:
         """The filtered page-major fine sweep (no retry, no selection).
 
         Split out so the retry decision can be taken *outside*: locally by
@@ -407,123 +375,80 @@ class BatchExecutor:
         retry predicate must see the whole corpus's survivor count, exactly
         as one device scanning everything would).
         """
-        engine = self.engine
+        engine, db = self.engine, run.db
         entry_bytes = engine.params.fine_entry_bytes(db.code_bytes)
-        state = _FineScanState(
-            threshold=(
-                db.filter_threshold if engine.flags.distance_filtering else None
-            ),
-            plan=plan,
+        filtering = engine.flags.distance_filtering
+        run.fine = _FineScanState(
+            threshold=db.filter_threshold if filtering else None,
             costs=[
-                PhaseCost(
-                    name="fine",
-                    with_compute=True,
-                    with_filter=engine.flags.distance_filtering,
-                )
-                for _ in ctxs
+                PhaseCost(name="fine", with_compute=True, with_filter=filtering)
+                for _ in run.ctxs
             ],
             ttls=[
                 TemporalTopList("e", entry_bytes, dram=engine.ssd.dram)
-                for _ in ctxs
+                for _ in run.ctxs
             ],
             ranges_per_query=[
-                engine._slot_ranges(db, ctx.clusters) for ctx in ctxs
+                engine._slot_ranges(db, ctx.clusters) for ctx in run.ctxs
             ],
         )
-        for ctx, ranges in zip(ctxs, state.ranges_per_query):
+        for ctx, ranges in zip(run.ctxs, run.fine.ranges_per_query):
             for first, last in ranges:
                 ctx.stats.candidates += last - first + 1
-        self._serve_fine_ranges(
-            db, state, range(len(ctxs)), state.threshold,
-            ctxs, stats, scheduled_senses,
-        )
-        return state
+        self._serve_fine_ranges(run, range(len(run.ctxs)), run.fine.threshold)
 
-    def _fine_retry(
-        self,
-        db: DeployedDatabase,
-        state: "_FineScanState",
-        ctxs: Sequence[PlanContext],
-        stats: BatchStats,
-        scheduled_senses: Dict[str, Dict[int, int]],
-        retries: Sequence[int],
-    ) -> None:
-        """Unfiltered rescan for the given queries, as one shared schedule.
+    def _fine_finish(self, run: BatchRun, retries: Sequence[int]) -> None:
+        """Rescan ``retries`` unfiltered, as one shared schedule, then
+        quickselect every query's TTL-E into ``run.shortlist``.
 
-        The calibrated threshold filtered too aggressively for these
+        The calibrated threshold filtered too aggressively for the retried
         queries to return k results; rescanning without it means
         correctness never depends on the filter (the paper calibrates
         thresholds so this is rare -- the retry counter lets tests assert
         exactly that).
         """
-        if not retries:
-            return
-        for qi in retries:
-            ctxs[qi].stats.filter_retries += 1
-            state.ttls[qi].clear()
-        self._serve_fine_ranges(
-            db, state, retries, None, ctxs, stats, scheduled_senses
+        state = run.fine
+        if retries:
+            for qi in retries:
+                run.ctxs[qi].stats.filter_retries += 1
+                state.ttls[qi].clear()
+            self._serve_fine_ranges(run, retries, None)
+        for ctx, cost in zip(run.ctxs, state.costs):
+            ctx.phase_costs["fine"] = cost
+        run.shortlist, run.shortlist_bounds = self.engine.select_nearest(
+            state.ttls, run.plan.shortlist_size, state.costs
         )
 
-    def _fine_finish(
-        self,
-        state: "_FineScanState",
-        ctxs: Sequence[PlanContext],
-    ) -> None:
-        """Final quickselect of every query's TTL-E into its shortlist."""
-        engine = self.engine
-        for ctx, ttl, cost in zip(ctxs, state.ttls, state.costs):
-            ctx.shortlist = engine.select_shortlist(
-                ttl, state.plan.shortlist_size, cost
-            )
-            ctx.phase_costs["fine"] = cost
-
-    def _run_fine_phase(
-        self,
-        db: DeployedDatabase,
-        plan: QueryPlan,
-        ctxs: Sequence[PlanContext],
-        stats: BatchStats,
-        scheduled_senses: Dict[str, Dict[int, int]],
-    ) -> None:
+    def _run_fine_phase(self, run: BatchRun) -> None:
         """Page-major fine search, including the per-query filter retry."""
-        engine = self.engine
-        state = self._fine_scan(db, plan, ctxs, stats, scheduled_senses)
-        # Queries the calibrated threshold starved below k rescan without
-        # filtering -- still as one shared page-major schedule.
-        retries = [
-            qi
-            for qi, ctx in enumerate(ctxs)
-            if engine.fine_needs_retry(
-                state.ttls[qi], state.threshold, plan.shortlist_size, ctx.stats
-            )
-        ]
-        self._fine_retry(db, state, ctxs, stats, scheduled_senses, retries)
-        self._fine_finish(state, ctxs)
+        self._fine_scan(run)
+        retries = self.engine.fine_retries(
+            [len(ttl) for ttl in run.fine.ttls],
+            [ctx.stats.candidates for ctx in run.ctxs],
+            run.fine.threshold, run.plan.shortlist_size,
+        )
+        self._fine_finish(run, retries)
 
-    def _run_rerank_phase(
-        self, db: DeployedDatabase, plan: QueryPlan, ctxs: Sequence[PlanContext]
-    ) -> None:
+    def _run_rerank_phase(self, run: BatchRun) -> None:
         """Page-major rerank: every query's shortlist in one pass.
 
         Per-query billing and top-k math; the page materialization, the
         ECC decode and the distance einsum are shared
         (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`).
         """
+        ctxs, bounds = run.ctxs, run.shortlist_bounds.tolist()
         outs = self.engine._rerank_batch(
-            db,
+            run.db,
             np.stack([ctx.query for ctx in ctxs]),
-            [ctx.shortlist for ctx in ctxs],
-            [plan.k] * len(ctxs),
+            [run.shortlist.take(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])],
+            [run.plan.k] * len(ctxs),
             [ctx.stats for ctx in ctxs],
         )
         for ctx, (distances, dadrs, slots, cost) in zip(ctxs, outs):
             ctx.distances, ctx.dadrs, ctx.slots = distances, dadrs, slots
             ctx.phase_costs["rerank"] = cost
 
-    def _run_document_phase(
-        self, db: DeployedDatabase, ctxs: Sequence[PlanContext]
-    ) -> None:
+    def _run_document_phase(self, run: BatchRun) -> None:
         """Page-major document fetch: every query's winner DADRs in one pass.
 
         Queries with no winners are skipped (no ``documents`` phase cost is
@@ -531,11 +456,11 @@ class BatchExecutor:
         keeping per-query charges
         (:meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`).
         """
-        active = [ctx for ctx in ctxs if ctx.dadrs.size]
+        active = [ctx for ctx in run.ctxs if ctx.dadrs.size]
         if not active:
             return
         outs = self.engine._fetch_documents_batch(
-            db,
+            run.db,
             [ctx.dadrs for ctx in active],
             [ctx.stats for ctx in active],
         )
@@ -588,11 +513,12 @@ class BatchExecutor:
         nprobe: Optional[int] = None,
         fetch_documents: bool = True,
         metadata_filter: Optional[int] = None,
-    ) -> Tuple[QueryPlan, List[PlanContext]]:
+    ) -> BatchRun:
         """Build the batch's one plan and a context per query."""
         plan = self.plan(db, k, nprobe, fetch_documents, metadata_filter)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        return plan, [PlanContext(db=db, query=query) for query in queries]
+        ctxs = [PlanContext(db=db, query=query) for query in queries]
+        return BatchRun(db, plan, ctxs, BatchStats(n_queries=len(ctxs)))
 
     def run_ibc(self, ctxs: Sequence[PlanContext]) -> None:
         """Step 1, batched: encode every query at once, broadcast back to back.
@@ -631,76 +557,38 @@ class BatchExecutor:
         (:class:`~repro.host.profile.HostProfile`); the default ``None``
         serves without ever reading the wall clock.
         """
-        engine = self.engine
         with _phase_timer(host_profile, "prepare"):
-            plan, ctxs = self.prepare(
+            run = self.prepare(
                 db, queries, k, nprobe, fetch_documents, metadata_filter
             )
-        stats = BatchStats(n_queries=len(ctxs), host_profile=host_profile)
-        scheduled_senses: Dict[str, Dict[int, int]] = {}
-
+        run.stats.host_profile = host_profile
         with _phase_timer(host_profile, "ibc"):
-            self.run_ibc(ctxs)
-        if ctxs:
-            if plan.nprobe is not None:
+            self.run_ibc(run.ctxs)
+        if run.ctxs:
+            if run.plan.nprobe is not None:
                 with _phase_timer(host_profile, "coarse"):
-                    self._run_coarse_phase(db, plan, ctxs, stats, scheduled_senses)
+                    block, bounds = self._coarse_scan(run)
+                    hand_out_clusters(run.ctxs, block.eadrs, bounds)
             with _phase_timer(host_profile, "fine"):
-                self._run_fine_phase(db, plan, ctxs, stats, scheduled_senses)
+                self._run_fine_phase(run)
             with _phase_timer(host_profile, "rerank"):
-                self._run_rerank_phase(db, plan, ctxs)
-            if plan.fetch_documents:
+                self._run_rerank_phase(run)
+            if run.plan.fetch_documents:
                 with _phase_timer(host_profile, "documents"):
-                    self._run_document_phase(db, ctxs)
+                    self._run_document_phase(run)
 
         with _phase_timer(host_profile, "finalize"):
-            results = [finalize_query_result(engine, ctx) for ctx in ctxs]
-        report = compose_batch_report(engine, ctxs, stats, scheduled_senses)
+            stats = run.stats
+            latencies, report, stats.phases, _seconds = compose_batch(
+                [(self.engine, run.ctxs, run.senses)]
+            )
+            stats.cache_hits = sum([ctx.stats.cache_hits for ctx in run.ctxs])
+            results = [
+                ReisQueryResult(
+                    ids=np.asarray(db.slot_to_original[ctx.slots], dtype=np.int64),
+                    distances=ctx.distances, documents=ctx.documents,
+                    latency=latency, stats=ctx.stats,
+                )
+                for ctx, latency in zip(run.ctxs, latencies)
+            ]
         return BatchExecution(results=results, report=report, stats=stats)
-
-
-def compose_batch_report(
-    engine: "InStorageAnnsEngine",
-    ctxs: Sequence[PlanContext],
-    stats: BatchStats,
-    scheduled_senses: Dict[str, Dict[int, int]],
-) -> LatencyReport:
-    """Joint cost composition of one device's served batch.
-
-    Merges the per-query :class:`PhaseCost` records under the die/channel
-    occupancy model (:func:`~repro.core.costing.compose_batch_phase`),
-    billing the scan phases exactly the senses their executed schedules
-    performed, and deposits the per-phase breakdowns into ``stats``.
-    Shared by :meth:`BatchExecutor.execute` and the per-shard composition
-    of :class:`~repro.core.shard.ShardRouter`.
-    """
-    phase_costs: Dict[str, List[PhaseCost]] = {}
-    ibc_seconds = 0.0
-    host_seconds = 0.0
-    for ctx in ctxs:
-        ibc_seconds += ctx.ibc_seconds
-        host_seconds += ctx.host_seconds
-        stats.cache_hits += ctx.stats.cache_hits
-        for name, cost in ctx.phase_costs.items():
-            phase_costs.setdefault(name, []).append(cost)
-
-    ecc_rate = engine.ssd.ecc.decode_time(1)
-    report = LatencyReport()
-    report.add_component("ibc", ibc_seconds)
-    report.add_phase("ibc", ibc_seconds)
-    report.total_s += ibc_seconds
-    for name, costs in phase_costs.items():
-        breakdown = compose_batch_phase(
-            costs, engine.timing, engine.flags, ecc_rate,
-            scheduled_senses=scheduled_senses.get(name),
-        )
-        stats.phases[name] = breakdown
-        report.total_s += breakdown.seconds
-        report.add_phase(name, breakdown.seconds)
-        for component, seconds in breakdown.components.items():
-            report.add_component(component, seconds)
-    if host_seconds:
-        report.add_component("host_transfer", host_seconds)
-        report.add_phase("host", host_seconds)
-        report.total_s += host_seconds
-    return report

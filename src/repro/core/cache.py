@@ -16,9 +16,10 @@ NAND sense entirely:
   region, so the cache competes with the R-DB/R-IVF/TTL structures under
   the 0.1% provisioning rule and an over-budget configuration raises
   :class:`~repro.core.layout.CapacityError` up front.
-* Admission/eviction is pluggable: :class:`LruPolicy` (least recently
-  used) and :class:`CostAwarePolicy` (sense-energy-saved per DRAM byte)
-  ship; both see the full entry map and pick a victim.
+* Eviction is pluggable as a **sort key**: :class:`LruPolicy` (least
+  recently used) and :class:`CostAwarePolicy` (sense-energy-saved per DRAM
+  byte) ship; the cache keeps the keys in a heap, so an admission pops
+  its victims instead of scanning every resident entry.
 
 Three object classes are cached, tagged by ``kind``: hot centroid array
 pages (``"centroid"``), hot cluster data pages -- embedding and INT8
@@ -33,7 +34,8 @@ dropped regions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,9 +55,10 @@ __all__ = [
 # The three cacheable object classes.
 DEFAULT_CACHE_KINDS = ("centroid", "cluster", "document")
 
-# (value-hashable CoarseRegion, page offset) -- the same key shape the
-# engine's page-translation memo uses, so region identity is by value.
-CacheKey = Tuple[object, int]
+# (region id, page offset).  Region identity is by value -- the id interns
+# the value-hashable CoarseRegion -- but a region's hash is a Python-level
+# call, so it is taken once per cache call, not once per dict operation.
+CacheKey = Tuple[int, int]
 
 
 @dataclass
@@ -89,20 +92,25 @@ class CacheEntry:
     oob: np.ndarray
     uses: int = 0
     last_tick: int = 0
-    # data + OOB bytes: read per resident entry by every eviction scan, so
-    # stored once rather than recomputed from the arrays.
-    nbytes: int = field(init=False)
+    nbytes: int = field(init=False)  # data + OOB bytes
 
     def __post_init__(self) -> None:
         self.nbytes = int(self.data.size + self.oob.size)
 
 
 class EvictionPolicy:
-    """Picks which resident entry to evict when an admission needs room."""
+    """Orders resident entries for eviction: the smallest :meth:`key` goes.
+
+    A key is a tuple whose last component is the entry's ``last_tick``.
+    Ticks are unique among residents (every admission and every hit takes
+    a fresh one), so the order is total without comparing anything else,
+    and a key goes stale exactly when its entry's tick moves -- which is
+    what lets :class:`PageCache` keep the keys in a heap.
+    """
 
     name: str = "policy"
 
-    def victim(self, entries: Dict[CacheKey, CacheEntry]) -> CacheKey:
+    def key(self, entry: CacheEntry) -> tuple:
         raise NotImplementedError
 
 
@@ -111,8 +119,8 @@ class LruPolicy(EvictionPolicy):
 
     name = "lru"
 
-    def victim(self, entries: Dict[CacheKey, CacheEntry]) -> CacheKey:
-        return min(entries, key=lambda key: entries[key].last_tick)
+    def key(self, entry: CacheEntry) -> tuple:
+        return (entry.last_tick,)
 
 
 class CostAwarePolicy(EvictionPolicy):
@@ -142,21 +150,8 @@ class CostAwarePolicy(EvictionPolicy):
         weight = self.kind_weights.get(entry.kind, 1.0)
         return entry.uses * weight * self.sense_energy_j / max(entry.nbytes, 1)
 
-    def victim(self, entries: Dict[CacheKey, CacheEntry]) -> CacheKey:
-        # The eviction scan runs once per admission over every resident
-        # entry, so :meth:`score` is spelled out inline.
-        weights, energy = self.kind_weights, self.sense_energy_j
-        # ``rank`` keeps full ties on the first entry and keys uncompared.
-        return min(
-            (
-                entry.uses * weights.get(entry.kind, 1.0) * energy
-                / max(entry.nbytes, 1),
-                entry.last_tick,
-                rank,
-                key,
-            )
-            for rank, (key, entry) in enumerate(entries.items())
-        )[3]
+    def key(self, entry: CacheEntry) -> tuple:
+        return (self.score(entry), entry.last_tick)
 
 
 class PageCache:
@@ -186,6 +181,11 @@ class PageCache:
         self.kinds = frozenset(kinds)
         self.stats = CacheStats()
         self._entries: Dict[CacheKey, CacheEntry] = {}
+        self._region_ids: Dict[object, int] = {}
+        # Eviction order: a heap of (policy key, cache key), invalidated
+        # lazily.  Every resident's *current* key is in it (:meth:`_rank`);
+        # an item is stale once its entry is gone or carries another tick.
+        self._heap: List[Tuple[tuple, CacheKey]] = []
         # Ghost frequency: touch counts of absent pages (misses plus the
         # uses of evicted entries), restored when a page is admitted.
         # Without it a budget smaller than one batch's footprint can
@@ -206,9 +206,12 @@ class PageCache:
 
     # ------------------------------------------------------------- lookup
 
-    @staticmethod
-    def _key(region: RegionInfo, page_offset: int) -> CacheKey:
-        return (region.region, int(page_offset))
+    def _key(self, region: RegionInfo, page_offset: int) -> CacheKey:
+        coarse = region.region
+        region_id = self._region_ids.get(coarse)
+        if region_id is None:
+            region_id = self._region_ids[coarse] = len(self._region_ids)
+        return (region_id, int(page_offset))
 
     @property
     def used_bytes(self) -> int:
@@ -238,9 +241,23 @@ class PageCache:
         self._tick += 1
         entry.uses += 1
         entry.last_tick = self._tick
+        self._rank(key, entry)
         self.stats.hits += 1
         self.stats.hit_bytes += entry.nbytes
         return entry
+
+    # ----------------------------------------------------------- eviction
+
+    def _rank(self, key: CacheKey, entry: CacheEntry) -> None:
+        """File ``entry``'s current eviction key (on admission and on every
+        hit, which moves its tick); once stale items outnumber live ones
+        the heap is rebuilt from the residents."""
+        heap = self._heap
+        heappush(heap, (self.policy.key(entry), key))
+        if len(heap) > 2 * len(self._entries):
+            rank = self.policy.key
+            heap[:] = [(rank(e), k) for k, e in self._entries.items()]
+            heapify(heap)
 
     # ---------------------------------------------------------- admission
 
@@ -267,15 +284,18 @@ class PageCache:
         if old is not None:
             self._used_bytes -= old.nbytes
         while self._used_bytes + nbytes > self.budget_bytes:
-            victim = self.policy.victim(self._entries)
-            evicted = self._entries.pop(victim)
+            rank, victim = heappop(self._heap)
+            evicted = self._entries.get(victim)
+            if evicted is None or evicted.last_tick != rank[-1]:
+                continue  # stale: the entry left or was touched since
+            del self._entries[victim]
             self._ghost_uses[victim] = (
                 self._ghost_uses.get(victim, 0) + evicted.uses
             )
             self._used_bytes -= evicted.nbytes
             self.stats.evicted += 1
         self._tick += 1
-        self._entries[key] = CacheEntry(
+        entry = self._entries[key] = CacheEntry(
             kind=kind,
             data=np.array(data, dtype=np.uint8, copy=True),
             oob=np.array(oob, dtype=np.uint8, copy=True),
@@ -285,6 +305,7 @@ class PageCache:
             ),
             last_tick=self._tick,
         )
+        self._rank(key, entry)
         self._used_bytes += nbytes
         self.stats.admitted += 1
         return True
@@ -304,10 +325,10 @@ class PageCache:
 
     def invalidate_region(self, region: RegionInfo) -> int:
         """Drop every entry of one region (drop/migrate authority barrier)."""
-        coarse = region.region
-        for key in [k for k in self._ghost_uses if k[0] == coarse]:
+        region_id = self._region_ids.get(region.region)
+        for key in [k for k in self._ghost_uses if k[0] == region_id]:
             del self._ghost_uses[key]
-        doomed = [key for key in self._entries if key[0] == coarse]
+        doomed = [key for key in self._entries if key[0] == region_id]
         for key in doomed:
             self._used_bytes -= self._entries.pop(key).nbytes
         self.stats.invalidated += len(doomed)
@@ -318,6 +339,7 @@ class PageCache:
         n = len(self._entries)
         self.stats.invalidated += n
         self._entries.clear()
+        self._heap.clear()
         self._ghost_uses.clear()
         self._used_bytes = 0
         return n
@@ -325,5 +347,6 @@ class PageCache:
     def close(self) -> None:
         """Release the DRAM reservation; the cache is unusable afterwards."""
         self._entries.clear()
+        self._heap.clear()
         self._used_bytes = 0
         self._dram.free(self.name)

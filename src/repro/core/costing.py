@@ -22,8 +22,11 @@ datasets), which is what lets tests cross-validate the two layers.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
@@ -125,6 +128,9 @@ def spread_channel_bytes(
         cost.add_channel_bytes(channel, per_channel)
 
 
+_PARTS = ("read", "transfer", "core", "dram")
+
+
 def page_iteration_time(
     timing: NandTiming, read_mode: str, with_compute: bool, with_filter: bool
 ) -> float:
@@ -137,6 +143,52 @@ def page_iteration_time(
     return seconds
 
 
+def overlap_stages(read_s, transfer_s, core_s, dram_s, iterations, pipelining):
+    """A phase's seconds from its four stage classes (Sec. 4.3.4).
+
+    The one place the pipelining rule is written; elementwise, so the batch
+    composer evaluates a whole ``(device, query, phase)`` grid in one call.
+    Float order is part of the modeled clock: the stage sum is ``((read +
+    transfer) + core) + dram``.
+
+    With pipelining the bottleneck stage sets throughput and the other
+    stages amortize over the phase's page ``iterations`` (the
+    pipeline-fill term); without it the classes execute back to back.
+    """
+    stage_sum = ((read_s + transfer_s) + core_s) + dram_s
+    bottleneck = np.maximum(np.maximum(read_s, transfer_s), np.maximum(core_s, dram_s))
+    piped = bottleneck + (stage_sum - bottleneck) / np.maximum(iterations, 1)
+    return np.where(pipelining, piped, stage_sum)
+
+
+def phase_stages(
+    cost: PhaseCost, iteration_s: float, timing: NandTiming, ecc_rate: float
+) -> Tuple[float, float, float, float, int]:
+    """``(read, transfer, core, dram, iterations)`` of one query's phase on
+    an otherwise idle device -- the arguments of :func:`overlap_stages` --
+    given its :func:`page_iteration_time`."""
+    pages = max(cost.pages_per_plane.values(), default=0)
+    return (
+        pages * iteration_s,
+        max(cost.channel_bytes.values(), default=0.0) / timing.channel_bandwidth_bps,
+        cost.core_seconds + cost.ecc_bytes * ecc_rate,
+        cost.dram_seconds,
+        pages,
+    )
+
+
+def _composed(
+    name: str, stages: Sequence[float], pipelining: bool
+) -> Tuple[float, Dict[str, float]]:
+    """``(seconds, components)`` of the phase ``name`` from its stages; the
+    DRAM component shows only when billed."""
+    components = {
+        f"{name}_{part}": seconds
+        for part, seconds in zip(_PARTS, stages) if part != "dram" or seconds
+    }
+    return float(overlap_stages(*stages, pipelining)), components
+
+
 def compose_phase(
     cost: PhaseCost,
     timing: NandTiming,
@@ -147,33 +199,11 @@ def compose_phase(
 
     Returns (phase_seconds, component breakdown).
     """
-    iteration = page_iteration_time(
+    iteration_s = page_iteration_time(
         timing, cost.read_mode, cost.with_compute, cost.with_filter
     )
-    read_s = cost.max_pages * iteration
-    transfer_s = max(
-        (b / timing.channel_bandwidth_bps for b in cost.channel_bytes.values()),
-        default=0.0,
-    )
-    core_s = cost.core_seconds + cost.ecc_bytes * ecc_decode_seconds_per_byte
-    dram_s = cost.dram_seconds
-    stages = [read_s, transfer_s, core_s, dram_s]
-    if flags.pipelining:
-        # Steady-state: the bottleneck stage sets throughput; the other
-        # stages amortize over the page iterations of the phase.
-        bottleneck = max(stages)
-        fill = (sum(stages) - bottleneck) / max(cost.max_pages, 1)
-        total = bottleneck + fill
-    else:
-        total = sum(stages)
-    components = {
-        f"{cost.name}_read": read_s,
-        f"{cost.name}_transfer": transfer_s,
-        f"{cost.name}_core": core_s,
-    }
-    if dram_s:
-        components[f"{cost.name}_dram"] = dram_s
-    return total, components
+    stages = phase_stages(cost, iteration_s, timing, ecc_decode_seconds_per_byte)
+    return _composed(cost.name, stages, flags.pipelining)
 
 
 @dataclass
@@ -198,14 +228,15 @@ class BatchPhaseBreakdown:
         return self.total_senses - self.unique_senses
 
 
-def compose_batch_phase(
+def batch_phase_stages(
     costs: Sequence[PhaseCost],
     timing: NandTiming,
-    flags: OptFlags,
     ecc_decode_seconds_per_byte: float = 0.0,
     scheduled_senses: Optional[Mapping[int, int]] = None,
-) -> BatchPhaseBreakdown:
-    """Compose one phase across a batch with die/channel occupancy.
+) -> Tuple[float, float, float, float, int, int, int]:
+    """One phase across a batch under die/channel occupancy: ``(read,
+    transfer, core, dram, iterations)`` -- the arguments of
+    :func:`overlap_stages` -- then the unique and total page senses.
 
     The sequential model charges each query as if the device were idle
     between queries: the phase time is ``sum over queries of (max per-plane
@@ -261,79 +292,82 @@ def compose_batch_phase(
     if first.with_filter:
         compute_s += timing.t_pass_fail_s
 
-    plane_visits: Dict[int, int] = {}
-    plane_tracked: Dict[int, int] = {}
+    scheduled = scheduled_senses if scheduled_senses is not None else {}
+    plane_visits: Dict[int, int] = defaultdict(int)
+    plane_tracked: Dict[int, int] = defaultdict(int)
     # plane -> page id -> senses the batch needs: the max number of times
     # any single query senses that page (cross-query visits share; a
-    # query's own repeat visits do not).
+    # query's own repeat visits do not).  Derived only for planes the
+    # executed schedule does not already answer for.
     plane_senses: Dict[int, Dict[int, int]] = {}
-    channel_load: Dict[int, float] = {}
+    channel_load: Dict[int, float] = defaultdict(float)
     core_s = 0.0
     dram_s = 0.0
     # page key -> DRAM stream time the batch needs: the max over queries
     # of one query's visits to that page (cross-query visits share the
     # stream out of the mirror, exactly like cross-query senses).
-    dram_shared: Dict[object, float] = {}
+    dram_shared: Dict[object, float] = defaultdict(float)
     for cost in costs:
         tracked_s = 0.0
         for key, (visits, per_visit_s) in cost.dram_streams.items():
             need = visits * per_visit_s
             tracked_s += need
-            if need > dram_shared.get(key, 0.0):
+            if need > dram_shared[key]:
                 dram_shared[key] = need
         dram_s += cost.dram_seconds - tracked_s
         for plane, n in cost.pages_per_plane.items():
-            plane_visits[plane] = plane_visits.get(plane, 0) + n
+            plane_visits[plane] += n
         for plane, ids in cost.sensed_page_ids.items():
-            plane_tracked[plane] = plane_tracked.get(plane, 0) + len(ids)
-            within_query: Dict[int, int] = {}
+            if plane in scheduled:
+                continue
+            plane_tracked[plane] += len(ids)
+            within_query: Dict[int, int] = defaultdict(int)
             for page_id in ids:
-                within_query[page_id] = within_query.get(page_id, 0) + 1
-            needed = plane_senses.setdefault(plane, {})
+                within_query[page_id] += 1
+            needed = plane_senses.setdefault(plane, defaultdict(int))
             for page_id, count in within_query.items():
-                needed[page_id] = max(needed.get(page_id, 0), count)
+                if count > needed[page_id]:
+                    needed[page_id] = count
         for channel, n_bytes in cost.channel_bytes.items():
-            channel_load[channel] = channel_load.get(channel, 0.0) + n_bytes
+            channel_load[channel] += n_bytes
         core_s += cost.core_seconds + cost.ecc_bytes * ecc_decode_seconds_per_byte
     dram_s += sum(dram_shared.values())
 
     read_s = 0.0
     unique_total = 0
     for plane, visits in plane_visits.items():
-        if scheduled_senses is not None and plane in scheduled_senses:
-            senses = scheduled_senses[plane]
+        if plane in scheduled:
+            senses = scheduled[plane]
         else:
             # Visits recorded without a page identity cannot be amortized.
-            untracked = visits - plane_tracked.get(plane, 0)
+            untracked = visits - plane_tracked[plane]
             senses = sum(plane_senses.get(plane, {}).values()) + untracked
         unique_total += senses
         read_s = max(read_s, senses * sense_s + visits * compute_s)
-    transfer_s = max(
-        (load / timing.channel_bandwidth_bps for load in channel_load.values()),
-        default=0.0,
+    transfer_s = max(channel_load.values(), default=0.0) / (
+        timing.channel_bandwidth_bps
     )
-    stages = [read_s, transfer_s, core_s, dram_s]
-    iterations = max(plane_visits.values(), default=0)
-    if flags.pipelining:
-        bottleneck = max(stages)
-        fill = (sum(stages) - bottleneck) / max(iterations, 1)
-        total = bottleneck + fill
-    else:
-        total = sum(stages)
-    components = {
-        f"{first.name}_read": read_s,
-        f"{first.name}_transfer": transfer_s,
-        f"{first.name}_core": core_s,
-    }
-    if dram_s:
-        components[f"{first.name}_dram"] = dram_s
-    return BatchPhaseBreakdown(
-        name=first.name,
-        seconds=total,
-        components=components,
-        unique_senses=unique_total,
-        total_senses=sum(plane_visits.values()),
+    return (
+        read_s, transfer_s, core_s, dram_s,
+        max(plane_visits.values(), default=0),
+        unique_total, sum(plane_visits.values()),
     )
+
+
+def compose_batch_phase(
+    costs: Sequence[PhaseCost],
+    timing: NandTiming,
+    flags: OptFlags,
+    ecc_decode_seconds_per_byte: float = 0.0,
+    scheduled_senses: Optional[Mapping[int, int]] = None,
+) -> BatchPhaseBreakdown:
+    """:func:`batch_phase_stages` composed into one phase's breakdown."""
+    *stages, unique, total = batch_phase_stages(
+        costs, timing, ecc_decode_seconds_per_byte, scheduled_senses
+    )
+    name = costs[0].name
+    seconds, components = _composed(name, stages, flags.pipelining)
+    return BatchPhaseBreakdown(name, seconds, components, unique, total)
 
 
 def ibc_time(
@@ -373,3 +407,173 @@ def merge_phase_totals(
         for name, seconds in components.items():
             report.add_component(name, seconds)
     return report
+
+
+# ------------------------------------------------------------ batch composer
+
+
+def _running_total(seconds: np.ndarray) -> np.ndarray:
+    """Sum over the last (slot) axis, strictly left to right (a running
+    accumulate, never numpy's pairwise ``sum``): a report's ``total_s``
+    adds up phase by phase in execution order."""
+    return np.add.accumulate(seconds, axis=-1)[..., -1]
+
+
+def _ran(names: Sequence[str], values: Sequence[float], billed_only) -> Dict[str, float]:
+    """The named values to show: not NaN (NaN marks what did not run) and,
+    for the names in ``billed_only``, not zero."""
+    return {
+        name: value for name, value in zip(names, values)
+        if value == value and (value or name not in billed_only)
+    }
+
+
+def compose_batch(
+    primary: Sequence[tuple],
+    failover: Sequence[tuple] = (),
+    merge: Optional[BatchPhaseBreakdown] = None,
+) -> Tuple[List[LatencyReport], LatencyReport, Dict[str, BatchPhaseBreakdown], List[float]]:
+    """Compose a served batch -- the one composer behind
+    :meth:`BatchExecutor.execute <repro.core.batch.BatchExecutor.execute>`
+    (one device) and :class:`~repro.core.shard.ShardRouter` (a cluster).
+
+    A device is ``(engine, contexts, scheduled_senses)``: one context per
+    query carrying ``phase_costs`` (in execution order), ``ibc_seconds``
+    and ``host_seconds``; the executed scan schedules' per-plane senses by
+    phase.  ``primary`` devices serve the batch side by side and meet at
+    the phase barriers, ``failover`` devices re-executed a dead shard's
+    slice, ``merge`` is a cluster's host-side merge phase.  Returns every
+    query's solo report, the batch report, the batch's phase breakdowns
+    and each device's own batch total.
+
+    Every cost is a cell ``(device, column, slot)`` of stage seconds:
+    column ``q`` is query ``q`` alone on an idle device
+    (:func:`phase_stages`), the last column the batch under occupancy
+    (:func:`batch_phase_stages`); slot 0 is the IBC broadcast, the last
+    the host transfer, the phases sit between in first-seen order (every
+    context's phases are a prefix of one pipeline).  One
+    :func:`overlap_stages` call composes all cells and every column folds
+    over the device axis alike: a phase costs its *first* slowest primary
+    device (``np.argmax``) and shows that device's components; a query's
+    ``1 / n_queries`` share of the merge and the slowest failover device's
+    whole total ride on top.  Float order is pinned: stage sums in
+    :func:`overlap_stages`; totals in slot order, then merge, then failover
+    (:func:`_running_total`).  See ``docs/architecture.md``, "Sharded
+    batch as a table".
+    """
+    devices = [*primary, *failover]
+    n_primary, n_queries = len(primary), len(devices[0][1])
+    names = list(dict.fromkeys(
+        name for _e, contexts, _s in devices for ctx in contexts
+        for name in ctx.phase_costs
+    ))
+    cells: List[tuple] = []  # (device, column, slot, *overlap_stages arguments)
+    senses: List[Dict[str, tuple]] = []  # per device: phase -> (unique, total)
+    for d, (engine, contexts, scheduled) in enumerate(devices):
+        timing, ecc_rate = engine.timing, engine.ssd.ecc.decode_time(1)
+        fixed = [(ctx.ibc_seconds, ctx.host_seconds) for ctx in contexts]
+        ibc_s = host_s = 0.0  # the batch column: the queries', added in order
+        for ibc, host in fixed:
+            ibc_s += ibc
+            host_s += host
+        cells += [
+            (d, column, slot, seconds, 0.0, 0.0, 0.0, 0)
+            for column, pair in enumerate([*fixed, (ibc_s, host_s)])
+            for slot, seconds in zip((0, -1), pair)
+        ]
+        senses.append({})
+        for slot, name in enumerate(names, 1):
+            ran = [
+                (q, ctx.phase_costs[name])
+                for q, ctx in enumerate(contexts) if name in ctx.phase_costs
+            ]
+            if not ran:
+                continue
+            *stages, unique, total = batch_phase_stages(
+                [cost for _q, cost in ran], timing, ecc_rate, scheduled.get(name)
+            )
+            senses[d][name] = (unique, total)
+            cells.append((d, n_queries, slot, *stages))
+            first = ran[0][1]  # a phase is homogeneous (checked above)
+            iteration_s = page_iteration_time(
+                timing, first.read_mode, first.with_compute, first.with_filter
+            )
+            cells += [
+                (d, q, slot, *phase_stages(cost, iteration_s, timing, ecc_rate))
+                for q, cost in ran
+            ]
+
+    # ---- compose every cell: what did not run costs 0.0 and shows NaN parts
+    shape = (len(devices), n_queries + 1, len(names) + 2)
+    table = np.array(cells).T
+    at = tuple(table[:3].astype(np.intp))
+    pipelining = np.array([e.flags.pipelining for e, _c, _s in devices])[at[0]]
+    seconds = np.zeros(shape)
+    seconds[at] = overlap_stages(*table[3:], pipelining)
+    parts = np.full((*shape, len(_PARTS)), np.nan)
+    parts[at] = table[3:7].T
+
+    # ---- fold the device axis, column by column
+    winner = seconds[:n_primary].argmax(axis=0)
+    columns, slots = np.arange(shape[1])[:, None], np.arange(shape[2])
+    best = seconds[winner, columns, slots]
+    total = _running_total(best)
+    best[np.isnan(parts[:n_primary, :, :, 0]).all(axis=0)] = np.nan
+    won_parts = parts[winner, columns, slots].reshape(shape[1], -1)
+    merges = recovery = None
+    if merge is not None:
+        per_query = max(n_queries, 1)
+        share = (
+            merge.seconds / per_query,
+            {name: s / per_query for name, s in merge.components.items()},
+        )
+        merges = [share] * n_queries + [(merge.seconds, merge.components)]
+        total = total + [seconds for seconds, _components in merges]
+    if failover:
+        recovery = _running_total(seconds[n_primary:]).max(axis=0)
+        total = total + recovery
+    # IBC and host are one-stage phases; the host transfer and a DRAM
+    # service show only when billed.
+    slot_names = ["ibc", *names, "host"]
+    part_names = [f"{name}_{part}" for name in slot_names for part in _PARTS]
+    part_names[:4], part_names[-4:] = ["ibc", "", "", ""], ["host_transfer", "", "", ""]
+    billed_only = {"", "host", "host_transfer", *[f"{name}_dram" for name in names]}
+    reports, part_rows = [], won_parts.tolist()
+    for column, (total_s, slot_row, part_row) in enumerate(
+        zip(total.tolist(), best.tolist(), part_rows)
+    ):
+        phases = _ran(slot_names, slot_row, billed_only)
+        components = _ran(part_names, part_row, billed_only)
+        if merges is not None:
+            phases["merge"] = merges[column][0]
+            components.update(merges[column][1])
+        if recovery is not None:
+            phases["failover"] = components["failover_recovery"] = float(
+                recovery[column]
+            )
+        reports.append(LatencyReport(total_s, components, phases))
+    report = reports.pop()
+
+    batch_phases: Dict[str, BatchPhaseBreakdown] = {}
+    for slot, name in enumerate(names, 1):
+        counts = [s[name] for s in senses[:n_primary] if name in s]
+        if counts:
+            unique, visits = map(sum, zip(*counts))
+            mine = slice(4 * slot, 4 * slot + 4)
+            shown = _ran(part_names[mine], part_rows[-1][mine], billed_only)
+            batch_phases[name] = BatchPhaseBreakdown(
+                name, report.phases[name], shown, unique, visits
+            )
+    if merge is not None:
+        batch_phases["merge"] = merge
+    if failover:
+        redone = sum(
+            sum(planes.values())
+            for _engine, _contexts, scheduled in failover
+            for planes in scheduled.values()
+        )
+        batch_phases["failover"] = BatchPhaseBreakdown(
+            "failover", report.phases["failover"],
+            {"failover_recovery": report.phases["failover"]}, redone, redone,
+        )
+    return reports, report, batch_phases, _running_total(seconds[:, -1]).tolist()

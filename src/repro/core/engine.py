@@ -59,7 +59,7 @@ from repro.core.plan import (
     schedule_senses,
     validate_queries,
 )
-from repro.core.registry import TemporalTopList, TtlBlock, TtlRefs
+from repro.core.registry import TemporalTopList, TtlBlock, TtlRefs, select_blocks
 from repro.nand.cell import reliability
 from repro.nand.ecc import UncorrectableReadError
 from repro.nand.latches import xor_popcount_segments
@@ -451,102 +451,67 @@ class InStorageAnnsEngine:
 
     # --------------------------------------------------------- search steps
 
-    def select_cluster_block(
+    def select_nearest(
         self,
-        ttl_c: TemporalTopList,
-        nprobe: int,
-        cost: PhaseCost,
-    ) -> TtlBlock:
-        """Quickselect the nprobe nearest centroid rows (nearest first).
+        ttls: Sequence[TemporalTopList],
+        k: int,
+        costs: Sequence[PhaseCost],
+    ) -> Tuple[TtlBlock, np.ndarray]:
+        """Quickselect the k nearest rows of every query's TTL: the final
+        selection of a scan phase (the fine phase's rescoring shortlists).
 
-        The rows still carry their Hamming distances, which is what the
-        shard router merges across devices before any cluster id is
-        resolved; the single-device path resolves ids immediately via
-        :meth:`resolve_cluster_block`.
+        One selection for the phase (:func:`~repro.core.registry.select_blocks`):
+        the rows come back stacked, nearest first per query, with the
+        per-query bounds -- the rerank and the shard barriers consume them
+        as arrays -- while the embedded core is charged per query.
         """
-        cost.core_seconds += self.ssd.cores.reis_core.quickselect(
-            len(ttl_c), nprobe
-        )
-        block = ttl_c.select_block(nprobe)
-        return block if block is not None else TtlBlock.empty()
-
-    def resolve_cluster_block(
-        self,
-        db: DeployedDatabase,
-        block: TtlBlock,
-        stats: SearchStats,
-    ) -> np.ndarray:
-        """Map selected centroid rows to cluster ids (tag cross-check).
-
-        EADR is the centroid's mini-page address == the cluster id; the
-        8-bit tag (which aliases for nlist > 256) is cross-checked.
-        """
-        assert db.r_ivf is not None
-        cluster_ids = block.eadrs
-        mismatch = db.r_ivf.tags[cluster_ids] != block.tags
-        if np.any(mismatch):
-            bad = int(cluster_ids[np.argmax(mismatch)])
-            raise RuntimeError(f"cluster tag mismatch for centroid {bad}")
-        stats.clusters_probed = len(block)
-        return cluster_ids
+        core = self.ssd.cores.reis_core
+        for ttl, cost in zip(ttls, costs):
+            cost.core_seconds += core.quickselect(len(ttl), k)
+        return select_blocks(ttls, k)
 
     def select_clusters(
         self,
         db: DeployedDatabase,
-        ttl_c: TemporalTopList,
+        ttls: Sequence[TemporalTopList],
         nprobe: int,
-        cost: PhaseCost,
-        stats: SearchStats,
+        costs: Sequence[PhaseCost],
+    ) -> Tuple[TtlBlock, np.ndarray]:
+        """Quickselect every query's nprobe nearest centroid rows.
+
+        EADR is the centroid's mini-page address == the cluster id; the
+        8-bit tag (which aliases for nlist > 256) is cross-checked.  The
+        rows still carry their Hamming distances, which is what the shard
+        router merges across devices.
+        """
+        assert db.r_ivf is not None
+        block, bounds = self.select_nearest(ttls, nprobe, costs)
+        mismatch = db.r_ivf.tags[block.eadrs] != block.tags
+        if np.any(mismatch):
+            bad = int(block.eadrs[np.argmax(mismatch)])
+            raise RuntimeError(f"cluster tag mismatch for centroid {bad}")
+        return block, bounds
+
+    def fine_retries(
+        self,
+        survivors: Sequence[int],
+        candidates: Sequence[int],
+        threshold: Optional[int],
+        shortlist_size: int,
     ) -> List[int]:
-        """Quickselect the nprobe nearest centroids and resolve cluster ids."""
-        block = self.select_cluster_block(ttl_c, nprobe, cost)
-        return [int(c) for c in self.resolve_cluster_block(db, block, stats)]
+        """The queries distance filtering starved below k survivors.
 
-    def fine_retry_needed(
-        self,
-        n_entries: int,
-        threshold: Optional[int],
-        shortlist_size: int,
-        n_candidates: int,
-    ) -> bool:
-        """The raw retry predicate: did filtering starve below k survivors?
-
-        Exposed on counts (rather than a TTL) so the shard router can apply
-        the *same* rule to cluster-wide totals: the retry is a global
-        decision, exactly as it would be on one device scanning the whole
-        corpus -- per-shard local decisions would let one shard inject
-        unfiltered candidates a single device never saw.
+        Takes counts (rather than TTLs) so the shard router can apply the
+        *same* rule to cluster-wide totals: the retry is a global decision,
+        exactly as it would be on one device scanning the whole corpus --
+        per-shard local decisions would let one shard inject unfiltered
+        candidates a single device never saw.
         """
+        if threshold is None:
+            return []
         k = max(1, shortlist_size // self.params.shortlist_factor)
-        return threshold is not None and n_entries < min(k, n_candidates)
-
-    def fine_needs_retry(
-        self,
-        ttl_e: TemporalTopList,
-        threshold: Optional[int],
-        shortlist_size: int,
-        stats: SearchStats,
-    ) -> bool:
-        """Did distance filtering starve this query below k candidates?"""
-        return self.fine_retry_needed(
-            len(ttl_e), threshold, shortlist_size, stats.candidates
-        )
-
-    def select_shortlist(
-        self,
-        ttl_e: TemporalTopList,
-        shortlist_size: int,
-        cost: PhaseCost,
-    ) -> TtlBlock:
-        """Final quickselect of the fine phase: the rescoring shortlist.
-
-        Returned columnar (nearest first): the rerank and the shard
-        barriers consume the shortlist as arrays, never as entry objects.
-        """
-        core = self.ssd.cores.reis_core
-        cost.core_seconds += core.quickselect(len(ttl_e), shortlist_size)
-        block = ttl_e.select_block(shortlist_size)
-        return block if block is not None else TtlBlock.empty()
+        starved = np.asarray(survivors) < np.minimum(k, candidates)
+        return np.flatnonzero(starved).tolist()
 
     def _slot_ranges(
         self, db: DeployedDatabase, clusters: Optional[Sequence[int]]

@@ -12,7 +12,8 @@ list is derived (:meth:`QueryPlan.stage_names`).  The batch executor
 state lives in a :class:`PlanContext`, whose raw
 :class:`~repro.core.costing.PhaseCost` records are what lets the batch
 costing amortize senses across queries while every query keeps the solo
-latency report of an otherwise-idle device (:func:`compose_solo_report`).
+latency report of an otherwise-idle device
+(:func:`~repro.core.costing.compose_batch`).
 
 The page-service schedule of a scan phase is array data too:
 :func:`schedule_order` orders a phase's page demands and
@@ -21,14 +22,15 @@ The page-service schedule of a scan phase is array data too:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ann.blocks import row_blocks
-from repro.core.costing import PhaseCost, compose_phase, merge_phase_totals
+from repro.core.costing import PhaseCost
 from repro.core.layout import DeployedDatabase
 from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport
@@ -60,6 +62,28 @@ class SearchStats:
         return self.entries_transferred / self.entries_scanned
 
 
+_STAT_FIELDS = tuple(f.name for f in fields(SearchStats))
+_read_stats = attrgetter(*_STAT_FIELDS)
+
+
+def sum_search_stats(
+    per_device: Sequence[Sequence[SearchStats]], **decided: Sequence[int]
+) -> List[SearchStats]:
+    """Each query's stats summed over the devices that served it.
+
+    Every field is a count of work done, so every field adds; the ones a
+    cluster decides once for all its shards (the filter retry, the probed
+    cluster count) come in as ``decided`` per-query columns instead.
+    """
+    total = np.array(
+        [[_read_stats(stats) for stats in device] for device in per_device],
+        dtype=np.int64,
+    ).sum(axis=0)
+    for name, column in decided.items():
+        total[:, _STAT_FIELDS.index(name)] = column
+    return [SearchStats(*row) for row in total.tolist()]
+
+
 @dataclass
 class ReisQueryResult:
     """The outcome of one in-storage search."""
@@ -84,9 +108,6 @@ class PlanContext:
     stats: SearchStats = field(default_factory=SearchStats)
     query_code: Optional[np.ndarray] = None
     clusters: Optional[List[int]] = None
-    # The fine phase's rescoring shortlist: a columnar
-    # :class:`~repro.core.registry.TtlBlock` once the fine search ran.
-    shortlist: object = field(default_factory=list)
     distances: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     dadrs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     slots: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -276,46 +297,4 @@ def build_query_plan(
         shortlist_size=engine.params.shortlist_factor * k,
         metadata_filter=metadata_filter,
         fetch_documents=fetch_documents,
-    )
-
-
-def compose_solo_report(
-    engine: "InStorageAnnsEngine", ctx: PlanContext
-) -> LatencyReport:
-    """Compose one query's phase costs as solo (otherwise-idle) latency.
-
-    Used by :func:`finalize_query_result` and, per shard, by the
-    :class:`~repro.core.shard.ShardRouter` (a sharded query's solo report
-    is the phase-wise slowest shard plus its merge share).
-    """
-    ecc_rate = engine.ssd.ecc.decode_time(1)
-    phases: Dict[str, Tuple[float, Dict[str, float]]] = {
-        name: compose_phase(cost, engine.timing, engine.flags, ecc_rate)
-        for name, cost in ctx.phase_costs.items()
-    }
-    report = merge_phase_totals(phases, ctx.ibc_seconds)
-    if ctx.host_seconds:
-        report.add_component("host_transfer", ctx.host_seconds)
-        report.add_phase("host", ctx.host_seconds)
-        report.total_s += ctx.host_seconds
-    return report
-
-
-def finalize_query_result(
-    engine: "InStorageAnnsEngine", ctx: PlanContext
-) -> ReisQueryResult:
-    """Compose a query's solo latency report and package its result.
-
-    However a batch was *serviced*, each query's phase costs are composed
-    solo here, so it keeps the latency report it would have had on an
-    otherwise-idle device.
-    """
-    slots = ctx.slots
-    ids = ctx.db.slot_to_original[slots] if slots.size else slots
-    return ReisQueryResult(
-        ids=np.asarray(ids, dtype=np.int64),
-        distances=ctx.distances,
-        documents=ctx.documents,
-        latency=compose_solo_report(engine, ctx),
-        stats=ctx.stats,
     )

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -285,16 +285,24 @@ class TtlBlock:
             meta=int(self.metas[row]),
         )
 
-    def take(self, rows: np.ndarray) -> "TtlBlock":
-        return TtlBlock(
-            dists=self.dists[rows],
-            embs=self.embs[rows],
-            eadrs=self.eadrs[rows],
-            tags=self.tags[rows],
-            radrs=self.radrs[rows],
-            dadrs=self.dadrs[rows],
-            metas=self.metas[rows],
-        )
+    def take(self, rows) -> "TtlBlock":
+        """The given rows (an index array, or a slice for a view), as a
+        block of the same columns: no re-validation, no copies a slice
+        does not need -- a stacked selection hands out per-query slices."""
+        block = TtlBlock.__new__(TtlBlock)
+        block.dists = self.dists[rows]
+        block.embs = self.embs[rows]
+        block.eadrs = self.eadrs[rows]
+        block.tags = self.tags[rows]
+        block.radrs = self.radrs[rows]
+        block.dadrs = self.dadrs[rows]
+        block.metas = self.metas[rows]
+        return block
+
+    def decode(self, _dists, rows: np.ndarray, _slots) -> "TtlBlock":
+        """A materialized block is its own row source (see :class:`TtlRefs`):
+        row ``i`` is already decoded."""
+        return self.take(rows)
 
     @classmethod
     def empty(cls, code_bytes: int = 0) -> "TtlBlock":
@@ -325,7 +333,9 @@ class TtlRefs:
     ever reads the linkage words and embedding codes of the rows it
     selects, so the TTL holds references and ``source.decode(dists, pages,
     slots)`` assembles the :class:`TtlBlock` of the selected rows from the
-    phase's latched-page snapshots.  Rows are in arrival order.
+    phase's latched-page snapshots.  Rows are in arrival order.  Already
+    materialized rows are references too -- into their own block
+    (:meth:`of_block`) -- so a TTL holds one kind of chunk.
     """
 
     __slots__ = ("dists", "pages", "slots", "source")
@@ -338,6 +348,11 @@ class TtlRefs:
         self.slots = slots
         self.source = source
 
+    @classmethod
+    def of_block(cls, block: TtlBlock) -> "TtlRefs":
+        rows = np.arange(len(block))
+        return cls(block.dists, rows, rows, block)
+
     def __len__(self) -> int:
         return int(self.dists.size)
 
@@ -346,21 +361,79 @@ class TtlRefs:
             self.dists[rows], self.pages[rows], self.slots[rows], self.source
         )
 
-    def take(self, rows: np.ndarray) -> TtlBlock:
-        return self.source.decode(
-            self.dists[rows], self.pages[rows], self.slots[rows]
-        )
+
+def _take_rows(chunks: Sequence[TtlRefs], rows: np.ndarray) -> TtlBlock:
+    """Materialize ``rows`` of the chunks' concatenation, in the given order.
+
+    Rows of one source decode together, whichever chunk (query) they came
+    from: a phase's TTLs all reference the one page snapshot their scan
+    latched, so a whole phase's selection is one decode.
+    """
+    dists = np.concatenate([chunk.dists for chunk in chunks])[rows]
+    pages = np.concatenate([chunk.pages for chunk in chunks])[rows]
+    slots = np.concatenate([chunk.slots for chunk in chunks])[rows]
+    sources = {id(chunk.source): chunk.source for chunk in chunks}
+    if len(sources) == 1:
+        return chunks[0].source.decode(dists, pages, slots)
+    source_of = np.repeat(
+        [id(chunk.source) for chunk in chunks],
+        [chunk.dists.size for chunk in chunks],
+    )[rows]
+    parts, positions = [], []
+    for key, source in sources.items():
+        mine = np.flatnonzero(source_of == key)
+        parts.append(source.decode(dists[mine], pages[mine], slots[mine]))
+        positions.append(mine)
+    back = np.argsort(np.concatenate(positions))
+    return TtlBlock.concatenate(parts).take(back)
+
+
+def select_blocks(
+    ttls: Sequence["TemporalTopList"], k: int
+) -> Tuple[TtlBlock, np.ndarray]:
+    """The k nearest rows of every TTL in one pass: ``(block, bounds)``.
+
+    ``block`` stacks the selections TTL-major, nearest first within each
+    (rows ``bounds[i]:bounds[i + 1]`` are TTL ``i``'s) -- one sort with
+    the TTL index as the most significant key, one decode.  Distance ties
+    break by arrival order, so a selection is a pure function of
+    (distances, insertion order) -- a deterministic total order.  That
+    determinism is what makes the selection reproducible across *any*
+    partitioning of the scan: per-shard shortlists merged by the same
+    (distance, scan-order) key reconstruct exactly the list a single
+    device would have selected (see :mod:`repro.core.shard`), and it is
+    why the accounted compactions never have to run.
+    """
+    for ttl in ttls:
+        if ttl._mark is not None and k > ttl._mark[1]:
+            ttl._apply_mark()
+    rows_of = np.array([ttl._rows for ttl in ttls], dtype=np.int64)
+    bounds = np.zeros(len(ttls) + 1, dtype=np.int64)
+    np.cumsum(np.minimum(rows_of, max(k, 0)), out=bounds[1:])
+    chunks = [chunk for ttl in ttls for chunk in ttl._chunks]
+    if not bounds[-1]:
+        return TtlBlock.empty(), bounds
+    dists = (
+        chunks[0].dists if len(chunks) == 1
+        else np.concatenate([chunk.dists for chunk in chunks])
+    )
+    owner = np.repeat(np.arange(len(ttls)), rows_of)
+    nearest = np.lexsort((dists, owner))  # stable: arrival breaks ties
+    first_row = np.cumsum(rows_of) - rows_of
+    keep = np.arange(owner.size) - first_row[owner] < k
+    return _take_rows(chunks, nearest[keep]), bounds
 
 
 class TemporalTopList:
     """An append + select-k staging list in controller DRAM.
 
-    Rows arrive in chunks (:class:`TtlBlock`, or :class:`TtlRefs` from the
-    scan kernel) and selection is one stable sort under the (distance,
-    arrival) total order.  The per-iteration quickselect of Sec. 4.3.1 is
-    *accounted* -- :meth:`compact` / :meth:`stream` keep ``len`` and
-    ``peak_entries`` exactly as a TTL that trims after every page would --
-    but not performed: keeping the k nearest of a prefix and later
+    Rows arrive in chunks (:class:`TtlRefs`: references from the scan
+    kernel, or a wrapped :class:`TtlBlock`) and selection is one stable
+    sort under the (distance, arrival) total order (:func:`select_blocks`,
+    for any number of TTLs at once).  The per-iteration quickselect of
+    Sec. 4.3.1 is *accounted* -- :meth:`compact` / :meth:`stream` keep
+    ``len`` and ``peak_entries`` exactly as a TTL that trims after every
+    page would -- but not performed: keeping the k nearest of a prefix and later
     selecting k' <= k of prefix + suffix equals selecting k' of everything,
     so a pending compaction is one ``(rows, k)`` mark ("of the first
     ``rows`` rows only the k nearest are live") that later compactions with
@@ -377,7 +450,7 @@ class TemporalTopList:
         self.name = name
         self.entry_bytes = entry_bytes
         self._dram = dram
-        self._chunks: list = []  # TtlBlock | TtlRefs, arrival order
+        self._chunks: List[TtlRefs] = []  # arrival order
         self._rows = 0  # rows held in the chunks
         self._n = 0  # rows a TTL trimmed at every compaction would hold
         self._mark: Optional[tuple] = None
@@ -392,7 +465,7 @@ class TemporalTopList:
         introspection; the hot path never calls this)."""
         if not self._rows:
             return []
-        block = self._take(self._live_rows())
+        block = _take_rows(self._chunks, self._live_rows())
         return [block.entry(i) for i in range(len(block))]
 
     def append(self, entry: TtlEntry) -> None:
@@ -434,9 +507,11 @@ class TemporalTopList:
         if self._mark is not None and k is not None and k > self._mark[1]:
             self._apply_mark()
         arrived = self._rows
-        if len(rows):
+        if rows.dists.size:
+            if isinstance(rows, TtlBlock):
+                rows = TtlRefs.of_block(rows)
             self._chunks.append(rows)
-            self._rows += len(rows)
+            self._rows += rows.dists.size
         n, peak, processed = self._n, self.peak_entries, []
         for count in counts:
             arrived += count
@@ -466,58 +541,26 @@ class TemporalTopList:
             self._n = k
         return processed
 
-    def _dists(self) -> np.ndarray:
-        if len(self._chunks) == 1:
-            return self._chunks[0].dists
-        return np.concatenate([chunk.dists for chunk in self._chunks])
-
     def _live_rows(self) -> np.ndarray:
         """Row indices a TTL trimmed at every compaction would hold."""
         if self._mark is None:
             return np.arange(self._rows)
         arrived, k = self._mark
-        head = np.argsort(self._dists()[:arrived], kind="stable")[:k]
+        dists = np.concatenate([chunk.dists for chunk in self._chunks])
+        head = np.argsort(dists[:arrived], kind="stable")[:k]
         return np.concatenate([np.sort(head), np.arange(arrived, self._rows)])
 
     def _apply_mark(self) -> None:
-        block = self._take(self._live_rows())
-        self._chunks, self._rows, self._mark = [block], len(block), None
-
-    def _take(self, rows: np.ndarray) -> TtlBlock:
-        """Materialize the given rows, in the given order."""
-        if len(self._chunks) == 1 or not len(rows):
-            return self._chunks[0].take(rows)
-        ends = np.cumsum([len(chunk) for chunk in self._chunks])
-        chunk_of = np.searchsorted(ends, rows, side="right")
-        parts, positions = [], []
-        for index in np.unique(chunk_of):
-            mine = np.flatnonzero(chunk_of == index)
-            start = ends[index] - len(self._chunks[index])
-            parts.append(self._chunks[index].take(rows[mine] - start))
-            positions.append(mine)
-        back = np.empty(len(rows), dtype=np.intp)
-        back[np.concatenate(positions)] = np.arange(len(rows))
-        return TtlBlock.concatenate(parts).take(back)
+        block = _take_rows(self._chunks, self._live_rows())
+        self._chunks = [TtlRefs.of_block(block)]
+        self._rows, self._mark = len(block), None
 
     def select_block(self, k: int) -> Optional[TtlBlock]:
-        """The k nearest rows as a columnar block, nearest first.
-
-        Distance ties break by arrival order, so the selection is a pure
-        function of (distances, insertion order) -- a deterministic total
-        order.  That determinism is what makes the selection reproducible
-        across *any* partitioning of the scan: per-shard shortlists merged
-        by the same (distance, scan-order) key reconstruct exactly the
-        list a single device would have selected (see
-        :mod:`repro.core.shard`), and it is why the accounted compactions
-        never have to run.
-        """
+        """The k nearest rows as a columnar block, nearest first
+        (:func:`select_blocks` of this one TTL)."""
         if k <= 0 or not self._rows:
             return None
-        dists = self._dists()
-        if self._mark is None or k <= self._mark[1]:
-            return self._take(np.argsort(dists, kind="stable")[:k])
-        live = self._live_rows()
-        return self._take(live[np.argsort(dists[live], kind="stable")[:k]])
+        return select_blocks([self], k)[0]
 
     def select_smallest(self, k: int) -> List[TtlEntry]:
         """Quickselect: the k nearest entries, nearest first (see

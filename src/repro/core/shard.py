@@ -23,6 +23,8 @@ ANN systems, specialized to the in-storage engine:
   plan to the centroids the shard actually owns), and the router merges at
   three barriers: centroid candidates -> global probe set, fine shortlists
   -> global rescoring shortlist, INT8 rerank scores -> global top-k.
+  A barrier is one columnar pass over the shards' stacked rows keyed by
+  query -- one sort, one segment cut -- never a loop over (shard, query).
   The filter-retry decision is likewise taken on cluster-wide survivor
   counts, exactly as one device scanning everything would take it.
   Towards the host the router has the executor shape of
@@ -45,7 +47,7 @@ filters.
 
 **Cost model.**  Shards execute concurrently, each under its own
 die/channel occupancy composition
-(:func:`~repro.core.batch.compose_batch_report`); the merges are barriers,
+(:func:`~repro.core.costing.compose_batch`); the merges are barriers,
 so every phase's wall clock is the slowest shard's, and the ``merge``
 phase adds the host-side work (per-shard shortlist transfer over each
 shard's host link in parallel, then one serial merge kernel) -- wall clock
@@ -66,20 +68,19 @@ from repro.ann.ivf import IvfModel
 from repro.core.batch import (
     BatchExecution,
     BatchExecutor,
+    BatchRun,
     BatchStats,
     _phase_timer,
-    compose_batch_report,
+    hand_out_clusters,
 )
-from repro.core.costing import BatchPhaseBreakdown
+from repro.core.costing import BatchPhaseBreakdown, compose_batch
 from repro.core.layout import DeployedDatabase, deployment_order
 from repro.core.plan import (
-    PlanContext,
     QueryPlan,
     ReisQueryResult,
-    SearchStats,
     build_query_plan,
-    compose_solo_report,
     resolve_nprobe,
+    sum_search_stats,
 )
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.sim.latency import LatencyReport
@@ -121,8 +122,9 @@ def merge_order(*keys: np.ndarray) -> np.ndarray:
     """Sort order for stacked shard columns, most-significant key first.
 
     Every merge barrier sorts the concatenated per-shard candidates by a
-    tuple key -- (distance, tiebreak, ...) -- whose final component is
-    unique across the stack, so the order is total and reproduces the
+    tuple key -- (query, distance, tiebreak, ...) -- whose final component
+    is unique across the stack (or whose full ties are value-identical
+    replica copies), so the order is total and reproduces the
     single-device tuple sort exactly.  One ``np.lexsort`` computes it;
     lexsort treats its *last* key as primary, hence the reversal.
     """
@@ -425,29 +427,22 @@ class MergeCostModel:
         return records / self.merge_elements_per_s
 
 
-@dataclass
-class _MergeAccounting:
-    """Running totals of the router's merge barriers for one batch."""
-
-    records_merged: int = 0
-    records_shipped: Dict[int, int] = field(default_factory=dict)  # per shard
-
-    def add(self, shard: int, records: int) -> None:
-        self.records_merged += records
-        self.records_shipped[shard] = (
-            self.records_shipped.get(shard, 0) + records
-        )
-
-
 # ------------------------------------------------------------------ router
 
 
-@dataclass(eq=False)
-class _ShardRun:
-    """One shard's in-flight state while the router serves a batch.
+def _no_rows() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+@dataclass(eq=False, kw_only=True)
+class _ShardRun(BatchRun):
+    """One shard's in-flight state while the router serves a batch: the
+    executor's :class:`~repro.core.batch.BatchRun` (this shard's plan has
+    ``nprobe`` trimmed to the centroids it owns) plus the router's own.
 
     A shard can host more than one run per batch: its primary run plus a
-    *failover* run re-executing a dead shard's slice.  ``dead`` marks a run
+    *failover* run re-executing a dead shard's slice (failover runs always
+    follow the primaries in ``_BatchState.runs``).  ``dead`` marks a run
     whose output was lost mid-batch (the shard died at a barrier); the run
     stays in the list -- merged-shortlist provenance indexes into it -- but
     contributes no further results.
@@ -455,15 +450,8 @@ class _ShardRun:
 
     shard: int
     executor: BatchExecutor
-    db: DeployedDatabase
-    plan: QueryPlan  # this shard's: nprobe trimmed to the centroids it owns
-    ctxs: List[PlanContext]
-    stats: BatchStats
-    senses: Dict[str, Dict[int, int]] = field(default_factory=dict)
     failover: bool = False
     dead: bool = False
-    fine: Optional[object] = None  # _FineScanState once the fine scan ran
-    coarse_blocks: List = field(default_factory=list)  # per-query blocks
 
 
 @dataclass
@@ -476,15 +464,19 @@ class _BatchState:
     nprobe: Optional[int]
     fetch_documents: bool
     metadata_filter: Optional[int]
-    merge_acc: _MergeAccounting
+    # Records each shard shipped to the host merges (every barrier adds).
+    shipped: np.ndarray
     runs: List[_ShardRun] = field(default_factory=list)
-    # Per query: probed global clusters in rank order (None on a flat db).
-    probes: List[Optional[List[int]]] = field(default_factory=list)
-    # Cluster -> serving shard for this batch (cluster-affinity placement
-    # only; None means every shard serves its own slice of every cluster).
-    serving: Optional[Dict[int, int]] = None
+    # The probe table, stacked query-major in rank order: row i says query
+    # ``probe_queries[i]`` probes global cluster ``probe_clusters[i]``
+    # (empty on a flat database).
+    probe_queries: np.ndarray = field(default_factory=_no_rows)
+    probe_clusters: np.ndarray = field(default_factory=_no_rows)
+    # Cluster -> serving shard for this batch, -1 where not (yet) elected
+    # (cluster-affinity placement only; None means every shard serves its
+    # own slice of every cluster).
+    serving: Optional[np.ndarray] = None
     cluster_sizes: Optional[np.ndarray] = None
-    retried: List[bool] = field(default_factory=list)
     retry_indices: List[int] = field(default_factory=list)
 
     @property
@@ -500,40 +492,55 @@ class _BatchState:
             )
         return runs
 
+    def query_of_rows(self, bounds: np.ndarray) -> np.ndarray:
+        """The query column of a stacked, query-major block."""
+        return np.repeat(np.arange(self.n_queries), np.diff(bounds))
+
+    def query_bounds(self, query_column: np.ndarray) -> np.ndarray:
+        """Segment bounds of a sorted query column (one cut per query)."""
+        return np.searchsorted(query_column, np.arange(self.n_queries + 1))
+
+    def head_of_each_query(self, query_column: np.ndarray, limit: int) -> np.ndarray:
+        """Mask of the first ``limit`` rows of every query's segment."""
+        first = self.query_bounds(query_column)[:-1]
+        return np.arange(query_column.size) - first[query_column] < limit
+
 
 @dataclass
 class _MergedShortlist:
-    """One query's merged global shortlist, columnar with provenance.
+    """The batch's merged global shortlists, stacked with provenance.
 
-    Parallel arrays over the merged candidates in global rank order:
-    ``gids`` the global vector ids, ``run_index`` which :class:`_ShardRun`
-    produced each candidate, and ``rows`` the candidate's row inside that
-    run's per-shard shortlist block -- enough to slice each shard's members
-    back out without materializing per-candidate objects.
+    Parallel arrays over the merged candidates, query-major and in global
+    rank order within a query: ``queries`` the query index, ``gids`` the
+    global vector ids, ``run_index`` which :class:`_ShardRun` produced each
+    candidate, and ``rows`` the candidate's row inside that run's stacked
+    shortlist block -- enough to slice each shard's members back out
+    without materializing per-candidate objects.
     """
 
+    queries: np.ndarray
     gids: np.ndarray
     run_index: np.ndarray
     rows: np.ndarray
 
-    def __len__(self) -> int:
-        return int(self.gids.size)
-
 
 @dataclass
 class _RankedWinners:
-    """One query's global top-k, columnar like :class:`_MergedShortlist`.
+    """The batch's global top-k lists, stacked like :class:`_MergedShortlist`.
 
-    Parallel arrays in rank order: global id, refined INT8 distance, and
-    where the winner's document lives -- the serving ``shards`` entry and
-    its shard-local ``dadrs`` address (rewritten in place when a document
-    fails over to a replica; ids and distances never move).
+    Parallel arrays, query-major in rank order: query index, global id,
+    refined INT8 distance, and where the winner's document lives -- the
+    serving ``shards`` entry and its shard-local ``dadrs`` address
+    (rewritten in place when a document fails over to a replica; ids and
+    distances never move).  ``bounds`` cuts the per-query segments.
     """
 
+    queries: np.ndarray
     gids: np.ndarray
     dists: np.ndarray
     shards: np.ndarray
     dadrs: np.ndarray
+    bounds: np.ndarray
 
 
 class ShardRouter:
@@ -544,6 +551,13 @@ class ShardRouter:
     is :class:`~repro.core.batch.BatchExecutor`'s -- :meth:`plan`,
     :meth:`forming_views`, :meth:`execute`, each taking the database first
     -- so devices and queues are written once over either executor.
+
+    A batch in flight is a table, not a grid of (shard, query) cells: the
+    kernels run once per shard per phase (each device keeps its own
+    counters, cache and senses), and every barrier between them -- probe
+    merge, shortlist merge, rerank merge, report composition -- is one
+    pass over the shards' stacked columns.  Replica election, re-homing
+    and failover billing stay per shard: the modeled clock needs them.
     """
 
     def __init__(
@@ -599,13 +613,18 @@ class ShardRouter:
         if not 0 <= shard < self.n_shards:
             raise ValueError(f"shard {shard} is out of range")
 
-    def _pop_scheduled_kill(self, barrier: str) -> Optional[int]:
-        if self._fail_plan is not None and self._fail_plan[1] == barrier:
-            shard = self._fail_plan[0]
-            self._fail_plan = None
-            self.failed_shards.add(shard)
-            return shard
-        return None
+    def _kill_at(self, state: "_BatchState", barrier: str) -> Optional[int]:
+        """Fire the death scheduled for ``barrier``, if any: the shard joins
+        ``failed_shards`` and its live runs are marked dead.  Returns the
+        shard when that cost the batch a run."""
+        if self._fail_plan is None or self._fail_plan[1] != barrier:
+            return None
+        shard, self._fail_plan = self._fail_plan[0], None
+        self.failed_shards.add(shard)
+        casualties = [r for r in state.runs if r.shard == shard and not r.dead]
+        for run in casualties:
+            run.dead = True
+        return shard if casualties else None
 
     def _shard_load(self, shard: int) -> float:
         if self.load_source is not None:
@@ -749,11 +768,8 @@ class ShardRouter:
             return BatchExecution(
                 results=[], report=LatencyReport(), stats=BatchStats()
             )
+        self.resolve_anchor(sdb)  # raises when no deployed shard is live
         live = [s for s in sdb.active_shards if s not in self.failed_shards]
-        if not live:
-            raise ShardUnavailableError(
-                None, f"database {sdb.db_id} has no live deployed shard"
-            )
         if len(live) < len(sdb.active_shards) and not self._can_fail_over(sdb):
             # A striped/flat layout lost a slice of every query already.
             raise ShardUnavailableError(
@@ -768,8 +784,7 @@ class ShardRouter:
                 nprobe=resolve_nprobe(sdb.n_clusters, nprobe),
                 fetch_documents=fetch_documents,
                 metadata_filter=metadata_filter,
-                merge_acc=_MergeAccounting(),
-                probes=[None] * n_queries,
+                shipped=np.zeros(self.n_shards, dtype=np.int64),
             )
             if sdb.is_ivf and sdb.assignment.cluster_of_vector is not None:
                 state.cluster_sizes = np.bincount(
@@ -786,14 +801,14 @@ class ShardRouter:
             with _phase_timer(host_profile, "coarse"):
                 self._coarse_barrier(state)
         else:
-            dead = self._pop_scheduled_kill("coarse")
-            if dead is not None and self._mark_dead(state, dead):
+            dead = self._kill_at(state, "coarse")
+            if dead is not None:
                 self._spawn_replacements(state, dead, through="scan")
         with _phase_timer(host_profile, "fine"):
             self._fine_barrier(state)
-            shortlists = self._shortlist_barrier(state)
+            shortlist = self._shortlist_barrier(state)
         with _phase_timer(host_profile, "rerank"):
-            ranked = self._rerank_barrier(state, shortlists)
+            ranked = self._rerank_barrier(state, shortlist)
         with _phase_timer(host_profile, "documents"):
             documents = self._document_barrier(state, ranked)
         with _phase_timer(host_profile, "finalize"):
@@ -808,26 +823,15 @@ class ShardRouter:
     ) -> _ShardRun:
         executor = self.executors[shard]
         db = state.sdb.shard_dbs[shard]
-        plan, ctxs = executor.prepare(
+        run = executor.prepare(
             db, state.queries, state.k,
             state.nprobe if db.is_ivf else None,
             state.fetch_documents, state.metadata_filter,
         )
         return _ShardRun(
-            shard=shard, executor=executor, db=db,
-            plan=plan, ctxs=ctxs,
-            stats=BatchStats(n_queries=state.n_queries),
-            failover=failover,
+            run.db, run.plan, run.ctxs, run.stats,
+            shard=shard, executor=executor, failover=failover,
         )
-
-    def _mark_dead(self, state: _BatchState, shard: int) -> List[_ShardRun]:
-        """Mark every live run on ``shard`` dead; return the casualties."""
-        casualties = [
-            run for run in state.runs if run.shard == shard and not run.dead
-        ]
-        for run in casualties:
-            run.dead = True
-        return casualties
 
     def _elect(
         self, state: _BatchState, cluster: int, assigned: Dict[int, int]
@@ -846,6 +850,21 @@ class ShardRouter:
         assigned[pick] = assigned.get(pick, 0) + int(state.cluster_sizes[cluster])
         state.serving[cluster] = pick
         return pick
+
+    def _hand_out_probes(
+        self, state: _BatchState, run: _ShardRun, mine: np.ndarray
+    ) -> None:
+        """Give ``run`` the rows of the probe table selected by the mask
+        ``mine``: every query's clusters, as the shard's local ids in
+        global rank order."""
+        owned = state.sdb.assignment.shard_clusters[run.shard]
+        position = np.full(state.sdb.n_clusters, -1, dtype=np.int64)
+        position[owned] = np.arange(len(owned))
+        mine = mine & (position[state.probe_clusters] >= 0)
+        hand_out_clusters(
+            run.ctxs, position[state.probe_clusters[mine]],
+            state.query_bounds(state.probe_queries[mine]),
+        )
 
     def _spawn_replacements(
         self,
@@ -871,60 +890,51 @@ class ShardRouter:
         """
         sdb = state.sdb
         if state.serving is None:
-            hint = next(
-                (int(p[0]) for p in state.probes if p), None
-            )
+            probed = state.probe_clusters
             raise ShardUnavailableError(
-                hint,
+                int(probed[0]) if probed.size else None,
                 f"shard {dead} died mid-batch and the "
                 f"{sdb.assignment.policy!r} placement has no cluster replicas",
             )
-        lost = sorted(c for c, s in state.serving.items() if s == dead)
+        lost = np.flatnonzero(state.serving == dead)
         if members is not None:
-            holding = set(
-                np.asarray(sdb.assignment.cluster_of_vector)[members].tolist()
-            )
-            lost = [c for c in lost if c in holding]
-        if not lost:
-            return []
+            holding = np.asarray(sdb.assignment.cluster_of_vector)[members]
+            lost = lost[np.isin(lost, holding)]
+        # Elected in ascending cluster order: the load key sees the same
+        # sequence of assignments every time.
         assigned: Dict[int, int] = {}
-        by_shard: Dict[int, set] = {}
-        for cluster in lost:
-            pick = self._elect(state, cluster, assigned)
-            by_shard.setdefault(pick, set()).add(cluster)
+        by_shard: Dict[int, List[int]] = {}
+        for cluster in lost.tolist():
+            by_shard.setdefault(self._elect(state, cluster, assigned), []).append(
+                cluster
+            )
         new_runs: List[_ShardRun] = []
         for shard in sorted(by_shard):
-            mine = by_shard[shard]
             run = self._make_run(state, shard, failover=True)
             run.executor.run_ibc(run.ctxs)
-            position = sdb.assignment.local_cluster_ids(shard)
-            for qi in range(state.n_queries):
-                local = [position[c] for c in state.probes[qi] if c in mine]
-                run.ctxs[qi].clusters = local
-                run.ctxs[qi].stats.clusters_probed = len(local)
-            run.fine = run.executor._fine_scan(
-                run.db, run.plan, run.ctxs, run.stats, run.senses
+            self._hand_out_probes(
+                state, run, np.isin(state.probe_clusters, by_shard[shard])
             )
+            run.executor._fine_scan(run)
             if through == "finish":
-                run.executor._fine_retry(
-                    run.db, run.fine, run.ctxs, run.stats, run.senses,
-                    state.retry_indices,
-                )
-                run.executor._fine_finish(run.fine, run.ctxs)
+                run.executor._fine_finish(run, state.retry_indices)
             state.runs.append(run)
             new_runs.append(run)
         return new_runs
 
     def _coarse_barrier(self, state: _BatchState) -> None:
-        """Per-shard coarse scans -> merged global probe set, rank order.
+        """Per-shard coarse scans -> merged global probe table, rank order.
 
         Each shard quickselects its local top ``min(nprobe, local nlist)``
-        centroids (the plan already trimmed its nprobe); the router merges
-        by (distance, global cluster id) -- the single-device selection
-        key -- dedupes replicas (replicated centroids tie exactly), picks
-        one *serving* replica per probed cluster (least-loaded live owner),
-        and hands each serving shard its local ids of its clusters in
-        global rank order.
+        centroids for all of its queries at once (the plan already trimmed
+        its nprobe); the router stacks every shard's rows and merges with
+        one sort by (query, distance, global cluster id) -- the
+        single-device selection key behind the query index -- dedupes
+        replicas (replicated centroids tie exactly, so a first-seen dedupe
+        over the sorted order keeps one of each), cuts every query's
+        segment to ``nprobe``, picks one *serving* replica per probed
+        cluster (least-loaded live owner, elected in first-probed order),
+        and hands each serving shard its local ids of its clusters.
 
         Fault paths: a shard dying at this barrier loses its whole coarse
         block, and clusters whose every owner is down have their centroids
@@ -937,97 +947,67 @@ class ShardRouter:
         diverge from a healthy device.
         """
         sdb = state.sdb
-        nprobe = state.nprobe
+        n_queries = state.n_queries
+        selected = {}
         for run in state.live_runs():
-            engine = run.executor.engine
-            ttls = run.executor._coarse_scan(
-                run.db, run.plan, run.ctxs, run.stats, run.senses
-            )
-            per_query = []
-            for qi, ctx in enumerate(run.ctxs):
-                block = engine.select_cluster_block(
-                    ttls[qi], run.plan.nprobe, ctx.phase_costs["coarse"]
-                )
-                # Same tag cross-check the single device performs.
-                engine.resolve_cluster_block(run.db, block, ctx.stats)
-                per_query.append(block)
-            run.coarse_blocks = per_query
+            selected[run.shard] = run.executor._coarse_scan(run)
 
-        dead = self._pop_scheduled_kill("coarse")
-        if dead is not None and self._mark_dead(state, dead):
-            if not self._can_fail_over(sdb):
-                raise ShardUnavailableError(
-                    None,
-                    f"shard {dead} died at the coarse barrier and the "
-                    f"{sdb.assignment.policy!r} placement has no replicas",
-                )
+        dead = self._kill_at(state, "coarse")
+        if dead is not None and not self._can_fail_over(sdb):
+            raise ShardUnavailableError(
+                None,
+                f"shard {dead} died at the coarse barrier and the "
+                f"{sdb.assignment.policy!r} placement has no replicas",
+            )
         runs = state.live_runs()
+        queries, dists, clusters = [], [], []
         for run in runs:
-            for block in run.coarse_blocks:
-                state.merge_acc.add(run.shard, len(block))
+            block, bounds = selected[run.shard]
+            state.shipped[run.shard] += len(block)
+            queries.append(state.query_of_rows(bounds))
+            dists.append(block.dists)
+            clusters.append(
+                np.asarray(sdb.assignment.shard_clusters[run.shard], dtype=np.int64)[
+                    block.eadrs
+                ]
+            )
 
         # Clusters with zero live owners: reconstruct their coarse
         # candidates host-side so the probe decision stays exact.
-        down = self._down_clusters(sdb)
-        down_codes = None
-        if down:
+        down = np.asarray(self._down_clusters(sdb), dtype=np.int64)
+        if down.size:
             quantizer = sdb.shard_dbs[runs[0].shard].binary_quantizer
-            down_codes = quantizer.encode(
-                np.asarray(sdb.ivf_model.centroids)[down]
-            )
-        down_ids = np.asarray(down, dtype=np.int64)
+            codes = quantizer.encode(np.asarray(sdb.ivf_model.centroids)[down])
+            query_codes = np.stack([ctx.query_code for ctx in runs[0].ctxs])
+            queries.append(np.repeat(np.arange(n_queries), down.size))
+            dists.append(hamming_packed(query_codes, codes).ravel())
+            clusters.append(np.tile(down, n_queries))
 
-        local_position = {
-            run.shard: sdb.assignment.local_cluster_ids(run.shard) for run in runs
-        }
-        serving = state.serving = {} if self._can_fail_over(sdb) else None
-        assigned: Dict[int, int] = {}
-        for qi in range(state.n_queries):
-            # Stack every live shard's candidates (plus host-computed down
-            # clusters) and merge by the single-device selection key
-            # (distance, global cluster id) in one lexsort; replica copies
-            # of a centroid tie exactly, so a first-seen dedupe over the
-            # sorted order keeps one of each.
-            dists_parts = [run.coarse_blocks[qi].dists for run in runs]
-            cluster_parts = [
-                np.asarray(
-                    sdb.assignment.shard_clusters[run.shard], dtype=np.int64
-                )[run.coarse_blocks[qi].eadrs]
-                for run in runs
-            ]
-            if down_codes is not None:
-                query_code = runs[0].ctxs[qi].query_code
-                dists_parts.append(
-                    hamming_packed(query_code, down_codes).astype(
-                        dists_parts[0].dtype if dists_parts else np.int64
-                    )
-                )
-                cluster_parts.append(down_ids)
-            dists = np.concatenate(dists_parts)
-            clusters = np.concatenate(cluster_parts)
-            order = merge_order(dists, clusters)
-            sorted_clusters = clusters[order]
-            _, first = np.unique(sorted_clusters, return_index=True)
-            probe = sorted_clusters[np.sort(first)][:nprobe].tolist()
-            for cluster in probe:
-                if cluster in down:
-                    raise ShardUnavailableError(cluster)
-            state.probes[qi] = probe
-            if serving is not None:
-                # One serving replica per probed cluster, batch-wide.
-                for cluster in probe:
-                    if cluster not in serving:
-                        self._elect(state, cluster, assigned)
-            for run in runs:
-                position = local_position[run.shard]
-                local = [
-                    position[c]
-                    for c in probe
-                    if c in position
-                    and (serving is None or serving[c] == run.shard)
-                ]
-                run.ctxs[qi].clusters = local
-                run.ctxs[qi].stats.clusters_probed = len(local)
+        queries = np.concatenate(queries)
+        clusters = np.concatenate(clusters)
+        order = merge_order(queries, np.concatenate(dists), clusters)
+        queries, clusters = queries[order], clusters[order]
+        _, first = np.unique(queries * sdb.n_clusters + clusters, return_index=True)
+        first.sort()
+        queries, clusters = queries[first], clusters[first]
+        probed = state.head_of_each_query(queries, state.nprobe)
+        state.probe_queries, state.probe_clusters = queries[probed], clusters[probed]
+        lost = np.isin(state.probe_clusters, down)
+        if lost.any():
+            raise ShardUnavailableError(int(state.probe_clusters[np.argmax(lost)]))
+
+        serves = np.ones(state.probe_clusters.size, dtype=bool)
+        if self._can_fail_over(sdb):
+            # One serving replica per probed cluster, batch-wide.
+            state.serving = np.full(sdb.n_clusters, -1, dtype=np.int64)
+            assigned: Dict[int, int] = {}
+            distinct, first = np.unique(state.probe_clusters, return_index=True)
+            for cluster in distinct[np.argsort(first)].tolist():
+                self._elect(state, cluster, assigned)
+        for run in runs:
+            if state.serving is not None:
+                serves = state.serving[state.probe_clusters] == run.shard
+            self._hand_out_probes(state, run, serves)
 
     def _fine_barrier(self, state: _BatchState) -> None:
         """Filtered fine scans everywhere, then the cluster-wide retry.
@@ -1044,159 +1024,140 @@ class ShardRouter:
         healthy device exactly.
         """
         for run in state.live_runs():
-            run.fine = run.executor._fine_scan(
-                run.db, run.plan, run.ctxs, run.stats, run.senses
-            )
-        dead = self._pop_scheduled_kill("fine")
-        if dead is not None and self._mark_dead(state, dead):
+            run.executor._fine_scan(run)
+        dead = self._kill_at(state, "fine")
+        if dead is not None:
             self._spawn_replacements(state, dead, through="scan")
         runs = state.live_runs()
-        retried: List[bool] = []
-        for qi in range(state.n_queries):
-            survivors = sum(run.fine.survivors(qi) for run in runs)
-            candidates = sum(run.ctxs[qi].stats.candidates for run in runs)
-            anchor = runs[0].fine
-            retried.append(
-                runs[0].executor.engine.fine_retry_needed(
-                    survivors, anchor.threshold,
-                    anchor.plan.shortlist_size, candidates,
-                )
-            )
-        state.retried = retried
-        state.retry_indices = [
-            qi for qi in range(state.n_queries) if retried[qi]
-        ]
+        state.retry_indices = runs[0].executor.engine.fine_retries(
+            np.sum([[len(ttl) for ttl in run.fine.ttls] for run in runs], axis=0),
+            np.sum(
+                [[ctx.stats.candidates for ctx in run.ctxs] for run in runs], axis=0
+            ),
+            runs[0].fine.threshold, runs[0].plan.shortlist_size,
+        )
         for run in runs:
-            run.executor._fine_retry(
-                run.db, run.fine, run.ctxs, run.stats, run.senses,
-                state.retry_indices,
-            )
-            run.executor._fine_finish(run.fine, run.ctxs)
+            run.executor._fine_finish(run, state.retry_indices)
 
-    def _shortlist_barrier(self, state: _BatchState) -> List[_MergedShortlist]:
-        """Merge per-shard shortlists into the global rescoring shortlist.
+    def _stack_shortlists(
+        self, state: _BatchState, runs: Sequence[Tuple[int, _ShardRun]]
+    ) -> Tuple[_MergedShortlist, np.ndarray]:
+        """The finished shortlists of ``runs`` -- (index in ``state.runs``,
+        run) pairs -- as one table with provenance, and its distance column."""
+        assignment = state.sdb.assignment
+        columns = [[_no_rows()] for _ in range(5)]
+        for index, run in runs:
+            block = run.shortlist
+            for column, rows in zip(columns, (
+                state.query_of_rows(run.shortlist_bounds),
+                assignment.global_ids(run.shard, run.db, block.radrs),
+                np.full(len(block), index), np.arange(len(block)), block.dists,
+            )):
+                column.append(rows)
+        *table, dists = map(np.concatenate, columns)
+        return _MergedShortlist(*table), dists
 
-        The merge key is (Hamming distance, single-device scan order):
-        probe rank then canonical slot for IVF, canonical slot alone for
-        flat.  Each shard's local top-S contains its members of the global
-        top-S, so the merged head *is* the single-device shortlist.  The
-        merge itself is one ``np.lexsort`` over the stacked shard columns;
-        serving sets are disjoint per cluster (one replica serves each
-        cluster per batch), so slots stay unique, the key is a total order
-        and the lexsort reproduces the tuple sort exactly.  ``run_index``
-        is the run's absolute index in ``state.runs`` -- dead runs stay in
-        the list precisely so this provenance survives later failovers.
+    def _shortlist_barrier(self, state: _BatchState) -> _MergedShortlist:
+        """Merge per-shard shortlists into the global rescoring shortlists.
+
+        The merge key is (query, Hamming distance, single-device scan
+        order): probe rank then canonical slot for IVF, canonical slot
+        alone for flat.  Each shard's local top-S contains its members of
+        the global top-S, so the head of every query's segment *is* the
+        single-device shortlist.  The merge is one sort over the stacked
+        shard columns and one segment cut; serving sets are disjoint per
+        cluster (one replica serves each cluster per batch), so slots stay
+        unique within a query, the key is a total order and the sort
+        reproduces the tuple sort exactly.  ``run_index`` is the run's
+        absolute index in ``state.runs`` -- dead runs stay in the list
+        precisely so this provenance survives later failovers.
         """
         sdb = state.sdb
         assignment = sdb.assignment
-        # Every shard plans the same unclamped shortlist_factor * k.
-        shortlist_size = state.live_runs()[0].plan.shortlist_size
-        shortlists: List[_MergedShortlist] = []
-        for qi in range(state.n_queries):
-            dists_parts, gid_parts, run_parts, row_parts = [], [], [], []
-            for run_idx, run in enumerate(state.runs):
-                if run.dead:
-                    continue
-                block = run.ctxs[qi].shortlist
-                state.merge_acc.add(run.shard, len(block))
-                if len(block) == 0:
-                    continue
-                dists_parts.append(block.dists)
-                gid_parts.append(
-                    assignment.global_ids(run.shard, run.db, block.radrs)
-                )
-                run_parts.append(
-                    np.full(len(block), run_idx, dtype=np.int64)
-                )
-                row_parts.append(np.arange(len(block), dtype=np.int64))
-            if not dists_parts:
-                empty = np.empty(0, dtype=np.int64)
-                shortlists.append(_MergedShortlist(empty, empty, empty))
-                continue
-            dists = np.concatenate(dists_parts)
-            gids = np.concatenate(gid_parts)
-            run_index = np.concatenate(run_parts)
-            rows = np.concatenate(row_parts)
-            slots = np.asarray(assignment.global_slot, dtype=np.int64)[gids]
-            probe = state.probes[qi]
-            if probe is not None:
-                rank_of_cluster = np.full(sdb.n_clusters, -1, dtype=np.int64)
-                rank_of_cluster[probe] = np.arange(len(probe))
-                pranks = rank_of_cluster[
-                    np.asarray(assignment.cluster_of_vector, dtype=np.int64)[gids]
-                ]
-                order = merge_order(dists, pranks, slots)[:shortlist_size]
-            else:
-                order = merge_order(dists, slots)[:shortlist_size]
-            shortlists.append(
-                _MergedShortlist(gids[order], run_index[order], rows[order])
+        live = [(i, run) for i, run in enumerate(state.runs) if not run.dead]
+        for _index, run in live:
+            state.shipped[run.shard] += len(run.shortlist)
+        table, dists = self._stack_shortlists(state, live)
+        keys = [np.asarray(assignment.global_slot, dtype=np.int64)[table.gids]]
+        if sdb.is_ivf:
+            rank_of = np.full((state.n_queries, sdb.n_clusters), -1, dtype=np.int64)
+            rank_of[state.probe_queries, state.probe_clusters] = np.arange(
+                state.probe_queries.size
             )
-        return shortlists
+            clusters = np.asarray(assignment.cluster_of_vector, dtype=np.int64)
+            keys.insert(0, rank_of[table.queries, clusters[table.gids]])
+        order = merge_order(table.queries, dists, *keys)
+        # Every shard plans the same unclamped shortlist_factor * k.
+        order = order[
+            state.head_of_each_query(
+                table.queries[order], state.live_runs()[0].plan.shortlist_size
+            )
+        ]
+        return _MergedShortlist(
+            table.queries[order], table.gids[order],
+            table.run_index[order], table.rows[order],
+        )
 
     def _rehome(
         self,
         state: _BatchState,
         dead: int,
-        stranded: List[np.ndarray],
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        queries: np.ndarray,
+        gids: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Find candidates stranded on a dead shard a new home on a replica.
 
-        ``stranded[qi]`` holds the global ids of query ``qi``'s candidates
-        whose shard-local state (shortlist row, document address) died
-        with ``dead``.  Their clusters are re-executed on surviving
-        replicas (fine scan + the batch's recorded retry + finish), so a
-        replacement's local shortlist holds the exact candidates the dead
-        shard shipped -- a global-top-S member of cluster c is in the
-        local top-S of *any* run scanning a probe subset containing c.
-        Returns, per query, each stranded id's new home as parallel
-        ``(run_index, rows)`` arrays: the replacement's absolute index in
-        ``state.runs`` and the candidate's row in its shortlist block.
+        ``(queries[i], gids[i])`` is a candidate whose shard-local state
+        (shortlist row, document address) died with ``dead``.  Their
+        clusters are re-executed on surviving replicas (fine scan + the
+        batch's recorded retry + finish), so a replacement's local
+        shortlist holds the exact candidates the dead shard shipped -- a
+        global-top-S member of cluster c is in the local top-S of *any*
+        run scanning a probe subset containing c.  Returns each stranded
+        candidate's new home as parallel ``(run_index, rows)`` arrays: the
+        replacement's absolute index in ``state.runs`` and the candidate's
+        row in its stacked shortlist block (the first match in run order:
+        one stable sort + ``searchsorted`` over the replacements' rows).
         """
-        members = np.concatenate(stranded)
         new_runs = (
-            self._spawn_replacements(state, dead, "finish", members)
-            if members.size
+            self._spawn_replacements(state, dead, "finish", gids)
+            if gids.size
             else []
         )
-        first_new = len(state.runs) - len(new_runs)
-        assignment = state.sdb.assignment
-        homes: List[Tuple[np.ndarray, np.ndarray]] = []
-        for qi, gids in enumerate(stranded):
-            home_of: Dict[int, Tuple[int, int]] = {}
-            for run_idx, run in enumerate(new_runs, first_new):
-                block = run.ctxs[qi].shortlist
-                block_gids = assignment.global_ids(run.shard, run.db, block.radrs)
-                for row, gid in enumerate(block_gids.tolist()):
-                    home_of.setdefault(gid, (run_idx, row))
-            lost = [gid for gid in gids.tolist() if gid not in home_of]
-            if lost:
-                cluster = int(assignment.cluster_of_vector[lost[0]])
-                raise ShardUnavailableError(
-                    cluster,
-                    f"failover lost vector {lost[0]} of cluster {cluster} "
-                    "(no replacement rescanned it)",
-                )
-            homes.append(
-                np.array(
-                    [home_of[gid] for gid in gids.tolist()], dtype=np.int64
-                ).reshape(-1, 2).T
+        homes, _dists = self._stack_shortlists(
+            state, list(enumerate(new_runs, len(state.runs) - len(new_runs)))
+        )
+        span = int(max(homes.gids.max(initial=0), gids.max(initial=0))) + 1
+        home_keys = homes.queries * span + homes.gids
+        by_key = np.argsort(home_keys, kind="stable")
+        wanted = queries * span + gids
+        at = np.searchsorted(home_keys[by_key], wanted)
+        found = at < by_key.size
+        found[found] = home_keys[by_key[at[found]]] == wanted[found]
+        if not found.all():
+            gid = int(gids[np.argmin(found)])
+            cluster = int(state.sdb.assignment.cluster_of_vector[gid])
+            raise ShardUnavailableError(
+                cluster,
+                f"failover lost vector {gid} of cluster {cluster} "
+                "(no replacement rescanned it)",
             )
-        return homes
+        return homes.run_index[by_key[at]], homes.rows[by_key[at]]
 
     def _rerank_barrier(
         self,
         state: _BatchState,
-        shortlists: List[_MergedShortlist],
-    ) -> List[_RankedWinners]:
-        """Per-shard INT8 reranks of the global shortlist, merged to top-k.
+        shortlist: _MergedShortlist,
+    ) -> _RankedWinners:
+        """Per-shard INT8 reranks of the global shortlists, merged to top-k.
 
         Each shard rescores only its members -- routed through the same
         page-major batch kernel the single-device executor uses
         (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`), one
         call per shard covering every query; the router merges with one
-        ``np.lexsort`` by (INT8 distance, global shortlist position) -- the
-        stable order the single device's rerank argsort produces, positions
-        being unique -- and truncates to k.
+        ``np.lexsort`` by (query, INT8 distance, global shortlist position)
+        -- the stable order the single device's rerank argsort produces,
+        positions being unique -- and cuts every query's segment to k.
 
         A shard dying at this barrier loses its rerank output; the
         shortlist entries whose provenance points at its runs are re-homed
@@ -1205,110 +1166,77 @@ class ShardRouter:
         survivors.  INT8 codes are replica-identical and global rank
         positions never move, so the merge is bit-identical.
         """
-        queries = state.queries
-        dead = self._pop_scheduled_kill("rerank")
-        if dead is not None and self._mark_dead(state, dead):
+        n_queries = state.n_queries
+        dead = self._kill_at(state, "rerank")
+        if dead is not None:
             dead_idxs = [
                 i for i, run in enumerate(state.runs)
                 if run.dead and run.shard == dead
             ]
-            stranded = [
-                np.flatnonzero(np.isin(shortlist.run_index, dead_idxs))
-                for shortlist in shortlists
-            ]
-            homes = self._rehome(
-                state, dead,
-                [sl.gids[sel] for sl, sel in zip(shortlists, stranded)],
+            stranded = np.flatnonzero(np.isin(shortlist.run_index, dead_idxs))
+            shortlist.run_index[stranded], shortlist.rows[stranded] = self._rehome(
+                state, dead, shortlist.queries[stranded], shortlist.gids[stranded]
             )
-            for shortlist, sel, (run_index, rows) in zip(shortlists, stranded, homes):
-                shortlist.run_index[sel] = run_index
-                shortlist.rows[sel] = rows
         state.live_runs()  # raises when the kill left nobody to rerank
-        # Phase 1: each shard reranks all of its members in one batch call.
-        empty_sel = np.empty(0, dtype=np.int64)
-        sel_of: List[List[np.ndarray]] = []
+        dists, positions, shards, dadrs = [], [], [], []
         for run_idx, run in enumerate(state.runs):
             if run.dead:
-                # Placeholder keeps sel_of aligned with state.runs.
-                sel_of.append([empty_sel] * len(shortlists))
                 continue
-            mines, sels = [], []
-            for qi, shortlist in enumerate(shortlists):
-                sel = np.flatnonzero(shortlist.run_index == run_idx)
-                ctx = run.ctxs[qi]
-                mine = ctx.shortlist.take(shortlist.rows[sel])
-                ctx.shortlist = mine
-                state.merge_acc.add(run.shard, len(mine))
-                mines.append(mine)
-                sels.append(sel)
-            sel_of.append(sels)
+            # The run's members of every query's shortlist, query-major.
+            sel = np.flatnonzero(shortlist.run_index == run_idx)
+            mine = run.shortlist.take(shortlist.rows[sel])
+            state.shipped[run.shard] += sel.size
+            counts = np.bincount(shortlist.queries[sel], minlength=n_queries)
+            bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
             outs = run.executor.engine._rerank_batch(
-                run.db, queries, mines,
-                [len(mine) for mine in mines],
-                [ctx.stats for ctx in run.ctxs],
+                run.db, state.queries,
+                [mine.take(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])],
+                counts.tolist(), [ctx.stats for ctx in run.ctxs],
             )
-            for qi, (distances, dadrs, slots, cost) in enumerate(outs):
-                ctx = run.ctxs[qi]
-                ctx.phase_costs["rerank"] = cost
-                ctx.distances, ctx.dadrs, ctx.slots = distances, dadrs, slots
-
-        # Phase 2: host-side merge, unchanged from the per-query walk.
-        ranked: List[_RankedWinners] = []
-        for qi, shortlist in enumerate(shortlists):
-            dist_parts, pos_parts, gid_parts, shard_parts, dadr_parts = (
-                [], [], [], [], [],
+            for ctx, out in zip(run.ctxs, outs):
+                ctx.phase_costs["rerank"] = out[3]
+            # The rerank returns rows in refined order; map each row back
+            # to its member ((query, RADR) is unique within a run) to
+            # recover its merged-shortlist position.
+            span = run.db.int8_region.n_slots
+            member_keys = shortlist.queries[sel] * span + mine.radrs
+            by_key = np.argsort(member_keys)
+            refined = np.concatenate([out[0] for out in outs])
+            refined_keys = np.repeat(
+                np.arange(n_queries), [out[0].size for out in outs]
+            ) * span + np.concatenate([out[2] for out in outs])
+            dists.append(refined)
+            positions.append(
+                sel[by_key[np.searchsorted(member_keys[by_key], refined_keys)]]
             )
-            for run_idx, run in enumerate(state.runs):
-                if run.dead:
-                    continue
-                sel = sel_of[run_idx][qi]
-                ctx = run.ctxs[qi]
-                mine = ctx.shortlist
-                distances, dadrs, slots = ctx.distances, ctx.dadrs, ctx.slots
-                if distances.size == 0:
-                    continue
-                # The rerank returns rows in refined order; map each row
-                # back to its member (RADRs are unique within a shard) to
-                # recover global id and merged-shortlist position.
-                by_radr = np.argsort(mine.radrs)
-                member = by_radr[
-                    np.searchsorted(mine.radrs[by_radr], slots)
-                ]
-                dist_parts.append(distances)
-                pos_parts.append(sel[member])
-                gid_parts.append(shortlist.gids[sel][member])
-                shard_parts.append(
-                    np.full(distances.size, run.shard, dtype=np.int64)
-                )
-                dadr_parts.append(dadrs)
-            if not dist_parts:
-                ranked.append(
-                    _RankedWinners(empty_sel, empty_sel, empty_sel, empty_sel)
-                )
-                continue
-            dists = np.concatenate(dist_parts)
-            order = merge_order(dists, np.concatenate(pos_parts))[: state.k]
-            ranked.append(
-                _RankedWinners(
-                    gids=np.concatenate(gid_parts)[order],
-                    dists=dists[order],
-                    shards=np.concatenate(shard_parts)[order],
-                    dadrs=np.concatenate(dadr_parts)[order],
-                )
-            )
-        return ranked
+            shards.append(np.full(refined.size, run.shard, dtype=np.int64))
+            dadrs.append(np.concatenate([out[1] for out in outs]))
+        dists, positions = np.concatenate(dists), np.concatenate(positions)
+        queries = shortlist.queries[positions]
+        order = merge_order(queries, dists, positions)
+        order = order[state.head_of_each_query(queries[order], state.k)]
+        queries = queries[order]
+        return _RankedWinners(
+            queries=queries,
+            gids=shortlist.gids[positions[order]],
+            dists=dists[order],
+            shards=np.concatenate(shards)[order],
+            dadrs=np.concatenate(dadrs)[order],
+            bounds=state.query_bounds(queries),
+        )
 
     def _document_barrier(
         self,
         state: _BatchState,
-        ranked: List[_RankedWinners],
-    ) -> List[List[DocumentChunk]]:
+        ranked: _RankedWinners,
+    ) -> List[DocumentChunk]:
         """Fetch each winner's chunk from its owning shard, rank order kept.
 
         Each shard serves every query's winners in one page-major batch call
         (:meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`),
         so a document page shared by several queries is materialized once per
-        shard while every query is still billed its own senses.
+        shard while every query is still billed its own senses.  Returns the
+        chunks stacked like ``ranked`` (empty when documents are not fetched).
 
         A shard dying at this barrier loses its document reads.  A winner's
         document address on a replica is recoverable without re-running the
@@ -1320,127 +1248,74 @@ class ShardRouter:
         chunks match the healthy run.
         """
         sdb = state.sdb
-        dead = self._pop_scheduled_kill("document")
-        if (
-            dead is not None
-            and self._mark_dead(state, dead)
-            and state.fetch_documents
-        ):
-            stranded = [
-                np.flatnonzero(winners.shards == dead) for winners in ranked
-            ]
-            homes = self._rehome(
-                state, dead, [w.gids[sel] for w, sel in zip(ranked, stranded)]
+        dead = self._kill_at(state, "document")
+        if dead is not None and state.fetch_documents:
+            stranded = np.flatnonzero(ranked.shards == dead)
+            home_runs, home_rows = self._rehome(
+                state, dead, ranked.queries[stranded], ranked.gids[stranded]
             )
-            for qi, (run_index, rows) in enumerate(homes):
-                for at, run_idx, row in zip(
-                    stranded[qi].tolist(), run_index.tolist(), rows.tolist()
-                ):
-                    run = state.runs[run_idx]
-                    ranked[qi].shards[at] = run.shard
-                    ranked[qi].dadrs[at] = run.ctxs[qi].shortlist.dadrs[row]
+            for run_idx in np.unique(home_runs).tolist():
+                run = state.runs[run_idx]
+                moved = home_runs == run_idx
+                ranked.shards[stranded[moved]] = run.shard
+                ranked.dadrs[stranded[moved]] = run.shortlist.dadrs[home_rows[moved]]
         runs = state.live_runs()
         if not state.fetch_documents:
-            return [[] for _ in ranked]
-        # Group winner dadrs per owning shard, keeping the query index; a
-        # shard can host two runs (primary + failover), so the fetch goes
+            return []
+        # A shard can host two runs (primary + failover): the fetch goes
         # through the shard's first live run.
         serving_run: Dict[int, _ShardRun] = {}
         for run in runs:
             serving_run.setdefault(run.shard, run)
-        per_shard: Dict[int, List[Tuple[int, np.ndarray]]] = {
-            shard: [] for shard in serving_run
-        }
-        for qi, winners in enumerate(ranked):
-            for shard in np.unique(winners.shards).tolist():
-                if shard not in per_shard:
-                    raise ShardUnavailableError(
-                        None, f"winner document stranded on dead shard {shard}"
-                    )
-                per_shard[shard].append(
-                    (qi, winners.dadrs[winners.shards == shard])
-                )
+        orphaned = ~np.isin(ranked.shards, list(serving_run))
+        if orphaned.any():
+            first = orphaned & (ranked.queries == ranked.queries[np.argmax(orphaned)])
+            raise ShardUnavailableError(
+                None,
+                "winner document stranded on dead shard "
+                f"{int(ranked.shards[first].min())}",
+            )
         for shard, run in serving_run.items():
-            groups = per_shard[shard]
-            if not groups:
+            mine = np.flatnonzero(ranked.shards == shard)
+            if not mine.size:
                 continue
+            # One group per query with winners here, in query order.
+            asking, starts = np.unique(ranked.queries[mine], return_index=True)
+            starts = starts.tolist() + [mine.size]
+            dadrs = ranked.dadrs[mine]
+            ctxs = [run.ctxs[qi] for qi in asking.tolist()]
             outs = run.executor.engine._fetch_documents_batch(
                 run.db,
-                [dadrs for _qi, dadrs in groups],
-                [run.ctxs[qi].stats for qi, _dadrs in groups],
+                [dadrs[lo:hi] for lo, hi in zip(starts, starts[1:])],
+                [ctx.stats for ctx in ctxs],
             )
-            for (qi, _dadrs), (_docs, cost, host_s) in zip(groups, outs):
-                ctx = run.ctxs[qi]
+            for ctx, (_docs, cost, host_s) in zip(ctxs, outs):
                 ctx.phase_costs["documents"] = cost
                 ctx.host_seconds += host_s
-        return [
-            [sdb.document_chunk(gid) for gid in winners.gids.tolist()]
-            for winners in ranked
-        ]
+        return [sdb.document_chunk(gid) for gid in ranked.gids.tolist()]
 
     # -------------------------------------------------------- composition
 
-    def _merge_breakdown(self, merge_acc: _MergeAccounting) -> BatchPhaseBreakdown:
-        """The merge phase's cost: parallel per-shard ship + serial merge."""
+    def _merge_breakdown(self, shipped: np.ndarray) -> BatchPhaseBreakdown:
+        """The merge phase's cost: parallel per-shard ship + serial merge
+        (``shipped[s]`` = records shard ``s`` sent to the barriers)."""
         transfer = max(
-            (
-                self.merge_model.transfer_seconds(
-                    records,
-                    self.engines[shard].ssd.spec.host_link_bandwidth_bps,
-                )
-                for shard, records in merge_acc.records_shipped.items()
-            ),
-            default=0.0,
+            self.merge_model.transfer_seconds(
+                records, engine.ssd.spec.host_link_bandwidth_bps
+            )
+            for records, engine in zip(shipped.tolist(), self.engines)
         )
-        core = self.merge_model.merge_seconds(merge_acc.records_merged)
+        core = self.merge_model.merge_seconds(int(shipped.sum()))
         return BatchPhaseBreakdown(
-            name="merge",
-            seconds=transfer + core,
-            components={"merge_transfer": transfer, "merge_core": core},
-            unique_senses=0,
-            total_senses=0,
+            "merge", transfer + core,
+            {"merge_transfer": transfer, "merge_core": core}, 0, 0,
         )
-
-    @staticmethod
-    def _merge_reports(
-        reports: Sequence[LatencyReport],
-        merge_breakdown: Optional[BatchPhaseBreakdown],
-    ) -> LatencyReport:
-        """Barrier-compose per-shard reports: each phase is its slowest
-        shard (components copied from that shard), plus the merge phase."""
-        merged = LatencyReport()
-        names: List[str] = []
-        for report in reports:
-            for name in report.phases:
-                if name not in names:
-                    names.append(name)
-        for name in names:
-            seconds = [report.phases.get(name, 0.0) for report in reports]
-            winner = reports[int(np.argmax(seconds))]
-            merged.add_phase(name, max(seconds))
-            merged.total_s += max(seconds)
-            if name == "ibc":
-                prefixes = ("ibc",)
-            elif name == "host":
-                prefixes = ("host_transfer",)
-            else:
-                prefixes = tuple(
-                    c for c in winner.components if c.startswith(f"{name}_")
-                )
-            for component in prefixes:
-                merged.add_component(component, winner.components.get(component, 0.0))
-        if merge_breakdown is not None and merge_breakdown.seconds >= 0:
-            merged.add_phase("merge", merge_breakdown.seconds)
-            merged.total_s += merge_breakdown.seconds
-            for component, seconds in merge_breakdown.components.items():
-                merged.add_component(component, seconds)
-        return merged
 
     def _compose(
         self,
         state: _BatchState,
-        ranked: List[_RankedWinners],
-        documents: List[List[DocumentChunk]],
+        ranked: _RankedWinners,
+        documents: List[DocumentChunk],
     ) -> BatchExecution:
         """Assemble per-query results and the batch-level wall clock.
 
@@ -1448,122 +1323,48 @@ class ShardRouter:
         included -- their *completed* phases happened) barrier-compose as
         usual, while every failover run's whole re-execution is billed to
         a dedicated ``failover`` phase (replacements run concurrently, so
-        the phase costs the slowest one).  Stats counters sum over all
-        runs, completed or not -- work the cluster really did.
+        the phase costs the slowest one) --
+        :func:`~repro.core.costing.compose_batch`.  Stats counters sum
+        over all runs, completed or not: work the cluster really did.
         """
         runs = state.runs
         n_queries = state.n_queries
-        primary = [run for run in runs if not run.failover]
-        failover = [run for run in runs if run.failover]
-        merge_breakdown = self._merge_breakdown(state.merge_acc)
-        per_query_merge = BatchPhaseBreakdown(
-            name="merge",
-            seconds=merge_breakdown.seconds / max(n_queries, 1),
-            components={
-                name: seconds / max(n_queries, 1)
-                for name, seconds in merge_breakdown.components.items()
-            },
-            unique_senses=0,
-            total_senses=0,
+        devices = [(run.executor.engine, run.ctxs, run.senses) for run in runs]
+        first_failover = sum(not run.failover for run in runs)
+        latencies, report, phases, device_seconds = compose_batch(
+            devices[:first_failover], devices[first_failover:],
+            self._merge_breakdown(state.shipped),
         )
-
-        results: List[ReisQueryResult] = []
-        for qi in range(n_queries):
-            solo_reports = [
-                compose_solo_report(run.executor.engine, run.ctxs[qi])
-                for run in primary
-            ]
-            report = self._merge_reports(solo_reports, per_query_merge)
-            if failover:
-                fo = max(
-                    compose_solo_report(
-                        run.executor.engine, run.ctxs[qi]
-                    ).total_s
-                    for run in failover
-                )
-                report.add_phase("failover", fo)
-                report.add_component("failover_recovery", fo)
-                report.total_s += fo
-            stats = SearchStats()
-            for run in runs:
-                shard_stats = run.ctxs[qi].stats
-                stats.pages_read += shard_stats.pages_read
-                stats.entries_scanned += shard_stats.entries_scanned
-                stats.entries_transferred += shard_stats.entries_transferred
-                stats.entries_filtered += shard_stats.entries_filtered
-                stats.candidates += shard_stats.candidates
-                stats.ibc_transfers += shard_stats.ibc_transfers
-            stats.filter_retries = 1 if state.retried[qi] else 0
-            stats.clusters_probed = len(state.probes[qi] or ())
-            results.append(
-                ReisQueryResult(
-                    ids=ranked[qi].gids,
-                    distances=ranked[qi].dists,
-                    documents=documents[qi],
-                    latency=report,
-                    stats=stats,
-                )
+        retried = np.zeros(n_queries, dtype=np.int64)
+        retried[state.retry_indices] = 1
+        query_stats = sum_search_stats(
+            [[ctx.stats for ctx in run.ctxs] for run in runs],
+            filter_retries=retried,
+            clusters_probed=np.bincount(state.probe_queries, minlength=n_queries),
+        )
+        bounds = ranked.bounds.tolist()
+        cuts = list(zip(bounds, bounds[1:]))
+        results = [
+            ReisQueryResult(
+                ids=ranked.gids[lo:hi], distances=ranked.dists[lo:hi],
+                documents=documents[lo:hi], latency=latency, stats=stats,
             )
-
-        stats = BatchStats(n_queries=n_queries)
+            for (lo, hi), latency, stats in zip(cuts, latencies, query_stats)
+        ]
         shard_seconds = [0.0] * self.n_shards
-        primary_reports: List[LatencyReport] = []
-        failover_total = 0.0
-        for run in runs:
-            report = compose_batch_report(
-                run.executor.engine, run.ctxs, run.stats, run.senses
-            )
-            shard_seconds[run.shard] += report.total_s
-            stats.scan_requests += run.stats.scan_requests
-            stats.scan_senses += run.stats.scan_senses
-            if run.failover:
-                failover_total = max(failover_total, report.total_s)
-            else:
-                primary_reports.append(report)
-        phase_names: List[str] = []
-        for run in primary:
-            for name in run.stats.phases:
-                if name not in phase_names:
-                    phase_names.append(name)
-        for name in phase_names:
-            breakdowns = [
-                run.stats.phases.get(name) for run in primary
-            ]
-            seconds = [b.seconds if b is not None else 0.0 for b in breakdowns]
-            winner = breakdowns[int(np.argmax(seconds))]
-            stats.phases[name] = BatchPhaseBreakdown(
-                name=name,
-                seconds=max(seconds),
-                components=dict(winner.components) if winner is not None else {},
-                unique_senses=sum(
-                    b.unique_senses for b in breakdowns if b is not None
-                ),
-                total_senses=sum(
-                    b.total_senses for b in breakdowns if b is not None
-                ),
-            )
-        stats.phases["merge"] = merge_breakdown
-        report = self._merge_reports(primary_reports, merge_breakdown)
-        if failover:
-            stats.phases["failover"] = BatchPhaseBreakdown(
-                name="failover",
-                seconds=failover_total,
-                components={"failover_recovery": failover_total},
-                unique_senses=sum(
-                    run.stats.scan_senses for run in failover
-                ),
-                total_senses=sum(
-                    run.stats.scan_senses for run in failover
-                ),
-            )
-            report.add_phase("failover", failover_total)
-            report.add_component("failover_recovery", failover_total)
-            report.total_s += failover_total
-        for shard in range(self.n_shards):
-            self.shard_busy_s[shard] += shard_seconds[shard]
+        for run, seconds in zip(runs, device_seconds):
+            shard_seconds[run.shard] += seconds
+        for shard, seconds in enumerate(shard_seconds):
+            self.shard_busy_s[shard] += seconds
         return BatchExecution(
             results=results,
             report=report,
-            stats=stats,
+            stats=BatchStats(
+                n_queries=state.n_queries,
+                phases=phases,
+                scan_requests=sum(run.stats.scan_requests for run in runs),
+                scan_senses=sum(run.stats.scan_senses for run in runs),
+                cache_hits=sum(stats.cache_hits for stats in query_stats),
+            ),
             shard_seconds=shard_seconds,
         )

@@ -566,3 +566,232 @@ class TestSchedulerCacheAccounting:
         assert scheduler.report()["cache_hits"] == (
             scheduler.accounting.cache_hits
         )
+
+
+class TestBatchCacheHitAccounting:
+    """Cache hits a batch reports == hits the drives billed, on either API.
+
+    The sharded merge used to sum six ``SearchStats`` fields by hand and
+    drop ``cache_hits`` (and ``BatchStats.cache_hits``): a warm 4x2
+    cluster reported zero hits while its shards' counters rose.
+    """
+
+    @pytest.fixture(params=["single", "sharded"])
+    def either_device(self, request):
+        vectors, model, queries = _base(240, "chits")
+        if request.param == "single":
+            device = ReisDevice(deep_config("CHITS-1"))
+            drives = [device]
+        else:
+            device = ShardedReisDevice(
+                4, deep_config("CHITS-4x2"), placement="cluster",
+                replication_factor=2,
+            )
+            drives = device.shards
+        db = device.ivf_deploy("db", vectors, ivf_model=model, seed=0)
+        device.enable_page_cache(400_000)
+        return device, drives, db, queries
+
+    def test_per_query_hits_sum_to_the_batch_and_the_counters(self, either_device):
+        device, drives, db, queries = either_device
+        device.ivf_search(db, queries, k=K, nprobe=3)  # warm the mirrors
+
+        def billed():
+            return sum(d.ssd.counters["dram_cache_hits"] for d in drives)
+
+        before = billed()
+        batch = device.ivf_search(db, queries, k=K, nprobe=3)
+        rise = billed() - before
+        assert rise > 0
+        assert batch.batch_stats.cache_hits == rise
+        assert sum(r.stats.cache_hits for r in batch) == rise
+
+
+# --------------------------------------------------------------------------
+# Eviction order: the cache against the full-scan victim it replaced.
+
+
+def _reference_victim(policy, entries):
+    """The eviction scans ``PageCache`` ran once per admission before its
+    victim heap, verbatim: the whole resident map, every time."""
+    if isinstance(policy, CostAwarePolicy):
+        weights, energy = policy.kind_weights, policy.sense_energy_j
+        return min(
+            (
+                entry.uses * weights.get(entry.kind, 1.0) * energy
+                / max(entry.nbytes, 1),
+                entry.last_tick,
+                rank,
+                key,
+            )
+            for rank, (key, entry) in enumerate(entries.items())
+        )[3]
+    return min(entries, key=lambda key: entries[key].last_tick)
+
+
+class _ReferenceEntry:
+    def __init__(self, kind, nbytes, uses, last_tick):
+        self.kind, self.nbytes = kind, nbytes
+        self.uses, self.last_tick = uses, last_tick
+
+
+class _ReferenceCache:
+    """``PageCache``'s bookkeeping with the full-scan victim (no bytes)."""
+
+    def __init__(self, budget, policy, kinds):
+        from repro.core.cache import CacheStats
+
+        self.budget, self.policy, self.kinds = budget, policy, kinds
+        self.stats = CacheStats()
+        self.entries, self.ghost = {}, {}
+        self.used = self.tick = 0
+        self.evictions = []  # keys, in eviction order
+
+    def lookup(self, key):
+        entry = self.entries.get(key)
+        if entry is None:
+            self.ghost[key] = self.ghost.get(key, 0) + 1
+            self.stats.misses += 1
+            return False
+        self.tick += 1
+        entry.uses += 1
+        entry.last_tick = self.tick
+        self.stats.hits += 1
+        self.stats.hit_bytes += entry.nbytes
+        return True
+
+    def admit(self, key, kind, nbytes):
+        if kind not in self.kinds or nbytes > self.budget:
+            return False
+        old = self.entries.pop(key, None)
+        if old is not None:
+            self.used -= old.nbytes
+        while self.used + nbytes > self.budget:
+            victim = _reference_victim(self.policy, self.entries)
+            evicted = self.entries.pop(victim)
+            self.ghost[victim] = self.ghost.get(victim, 0) + evicted.uses
+            self.used -= evicted.nbytes
+            self.stats.evicted += 1
+            self.evictions.append(victim)
+        self.tick += 1
+        uses = old.uses if old is not None else self.ghost.pop(key, 0)
+        self.entries[key] = _ReferenceEntry(kind, nbytes, uses, self.tick)
+        self.used += nbytes
+        self.stats.admitted += 1
+        return True
+
+    def invalidate_page(self, key):
+        self.ghost.pop(key, None)
+        entry = self.entries.pop(key, None)
+        if entry is None:
+            return False
+        self.used -= entry.nbytes
+        self.stats.invalidated += 1
+        return True
+
+    def invalidate_region(self, coarse):
+        for key in [k for k in self.ghost if k[0] == coarse]:
+            del self.ghost[key]
+        doomed = [key for key in self.entries if key[0] == coarse]
+        for key in doomed:
+            self.used -= self.entries.pop(key).nbytes
+        self.stats.invalidated += len(doomed)
+        return len(doomed)
+
+    def clear(self):
+        n = len(self.entries)
+        self.stats.invalidated += n
+        self.entries.clear()
+        self.ghost.clear()
+        self.used = 0
+        return n
+
+
+def _cache_op(selector, where, kind, size):
+    """Mostly admissions and lookups -- a script has to overflow the
+    500-byte budget many times over -- with the invalidations the rare
+    events they are (``one_of`` does not weight its branches)."""
+    if selector < 50:
+        return ("admit", where, kind, size)
+    if selector < 90:
+        return ("lookup", where)
+    if selector < 96:
+        return ("invalidate_page", where)
+    return ("invalidate_region", where[0]) if selector < 99 else ("clear",)
+
+
+cache_scripts = st.lists(
+    st.builds(
+        _cache_op,
+        st.integers(0, 99),
+        st.tuples(st.integers(0, 1), st.integers(0, 5)),
+        st.sampled_from(["centroid", "cluster", "cluster", "document", "other"]),
+        st.sampled_from([(30, 10), (100, 10), (100, 0), (190, 10), (600, 0)]),
+    ),
+    min_size=25,
+    max_size=120,
+)
+
+
+class TestEvictionOrderAgainstFullScan:
+    @settings(max_examples=150, deadline=None)
+    @given(cache_scripts, st.sampled_from(["lru", "cost_aware"]))
+    def test_same_victims_stats_and_uses_as_the_full_scan(self, script, policy_name):
+        """Random lookup / admit (mixed kinds and sizes, re-admission of a
+        resident key) / invalidate / clear sequences: the cache evicts the
+        keys the per-admission full scan would, admission by admission,
+        and ends with equal stats, ``used_bytes`` and per-entry uses."""
+        from repro.core.cache import DEFAULT_CACHE_KINDS, LruPolicy
+
+        def make_policy():
+            return CostAwarePolicy() if policy_name == "cost_aware" else LruPolicy()
+
+        cache = PageCache(InternalDram(10_000), 500, policy=make_policy())
+        model = _ReferenceCache(500, make_policy(), frozenset(DEFAULT_CACHE_KINDS))
+        regions = [_Region(0), _Region(1)]
+        universe = [(r, page) for r in regions for page in range(6)]
+
+        def resident():
+            return {
+                (r.region, page) for r, page in universe
+                if cache.peek(r, page) is not None
+            }
+
+        for op, *args in script:
+            before, evicted_before = resident(), len(model.evictions)
+            if op == "lookup":
+                (r, page), = args
+                hit = cache.lookup(regions[r], page) is not None
+                assert hit == model.lookup((regions[r].region, page))
+            elif op == "admit":
+                (r, page), kind, (n_data, n_oob) = args
+                data, oob = _entry_arrays(n_data, n_oob, fill=page)
+                assert cache.admit(regions[r], page, kind, data, oob) == (
+                    model.admit((regions[r].region, page), kind, n_data + n_oob)
+                )
+                admitted = {(regions[r].region, page)}
+                assert before - resident() - admitted == set(
+                    model.evictions[evicted_before:]
+                ) - admitted
+            elif op == "invalidate_page":
+                (r, page), = args
+                assert cache.invalidate_page(regions[r], page) == (
+                    model.invalidate_page((regions[r].region, page))
+                )
+            elif op == "invalidate_region":
+                r, = args
+                assert cache.invalidate_region(regions[r]) == (
+                    model.invalidate_region(regions[r].region)
+                )
+            else:
+                assert cache.clear() == model.clear()
+            assert resident() == set(model.entries)
+            assert cache.stats == model.stats
+            assert cache.used_bytes == model.used
+            for r, page in universe:
+                entry = cache.peek(r, page)
+                if entry is not None:
+                    twin = model.entries[(r.region, page)]
+                    assert (entry.uses, entry.kind, entry.nbytes) == (
+                        twin.uses, twin.kind, twin.nbytes
+                    )

@@ -570,3 +570,122 @@ class TestMetadataFiltering:
         assert sum(r.stats.entries_transferred for r in tagged) < sum(
             r.stats.entries_transferred for r in plain
         )
+
+
+# --------------------------------------------------------------------------
+# Batched selection: one call per phase against the per-TTL forms it replaced.
+
+
+def _reference_select_cluster_block(engine, ttl_c, nprobe, cost):
+    """The per-query coarse selection, as the executors ran it per TTL."""
+    from repro.core.registry import TtlBlock
+
+    cost.core_seconds += engine.ssd.cores.reis_core.quickselect(len(ttl_c), nprobe)
+    block = ttl_c.select_block(nprobe)
+    return block if block is not None else TtlBlock.empty()
+
+
+def _reference_resolve_cluster_block(db, block, stats):
+    cluster_ids = block.eadrs
+    mismatch = db.r_ivf.tags[cluster_ids] != block.tags
+    if np.any(mismatch):
+        bad = int(cluster_ids[np.argmax(mismatch)])
+        raise RuntimeError(f"cluster tag mismatch for centroid {bad}")
+    stats.clusters_probed = len(block)
+    return cluster_ids
+
+
+def _reference_select_shortlist(engine, ttl_e, shortlist_size, cost):
+    from repro.core.registry import TtlBlock
+
+    core = engine.ssd.cores.reis_core
+    cost.core_seconds += core.quickselect(len(ttl_e), shortlist_size)
+    block = ttl_e.select_block(shortlist_size)
+    return block if block is not None else TtlBlock.empty()
+
+
+class TestBatchedSelectAgainstPerTtl:
+    """Ties-heavy TTLs (distances in 0..2): the stacked selection of a
+    phase == the per-TTL selections, rows, charges and core clock."""
+
+    N_QUERIES = 7
+
+    def _ttls(self, db, seed, coarse, corrupt_tag=False):
+        from repro.core.registry import TemporalTopList, TtlBlock
+
+        rng = np.random.default_rng(seed)
+        ttls = []
+        for qi in range(self.N_QUERIES):
+            pool = SMALL_NLIST if coarse else SMALL_N
+            n = min(int(rng.integers(0, 30)), pool) if qi else 0  # one empty TTL
+            rows = rng.permutation(pool)[:n]
+            block = TtlBlock(
+                dists=rng.integers(0, 3, n),
+                embs=rng.integers(0, 255, (n, db.code_bytes), dtype=np.uint8),
+                eadrs=rows,
+                tags=db.r_ivf.tags[rows] if coarse else None,
+                radrs=None if coarse else rows,
+                dadrs=None if coarse else rows[::-1].copy(),
+            )
+            if corrupt_tag and n:
+                block.tags[0] ^= 1
+            ttl = TemporalTopList("t", entry_bytes=4)
+            ttl.stream(block, [n // 2, n - n // 2], 4)
+            ttls.append(ttl)
+        return ttls
+
+    @staticmethod
+    def _columns(block):
+        return [
+            getattr(block, name).tolist()
+            for name in ("dists", "embs", "eadrs", "tags", "radrs", "dadrs", "metas")
+        ]
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    @pytest.mark.parametrize("coarse", [True, False])
+    def test_stacked_selection_equals_per_ttl(self, deployed_device, coarse, k):
+        from repro.core.costing import PhaseCost
+        from repro.core.plan import SearchStats
+
+        device, db_id = deployed_device
+        db, engine = device.database(db_id), device.engine
+        core = engine.ssd.cores.reis_core
+
+        # Both halves charge the core from the same starting clock, so the
+        # accumulated floats must match to the bit.
+        start = core.busy_seconds
+        expected, expected_costs = [], []
+        for ttl in self._ttls(db, k, coarse):
+            cost = PhaseCost(name="phase")
+            if coarse:
+                block = _reference_select_cluster_block(engine, ttl, k, cost)
+                stats = SearchStats()
+                _reference_resolve_cluster_block(db, block, stats)
+                assert stats.clusters_probed == len(block)
+            else:
+                block = _reference_select_shortlist(engine, ttl, k, cost)
+            expected.append(self._columns(block))
+            expected_costs.append(cost.core_seconds)
+        reference_busy, core.busy_seconds = core.busy_seconds, start
+
+        costs = [PhaseCost(name="phase") for _ in range(self.N_QUERIES)]
+        ttls = self._ttls(db, k, coarse)
+        if coarse:
+            block, bounds = engine.select_clusters(db, ttls, k, costs)
+        else:
+            block, bounds = engine.select_nearest(ttls, k, costs)
+        assert core.busy_seconds == reference_busy
+        assert [cost.core_seconds for cost in costs] == expected_costs
+        assert [
+            self._columns(block.take(slice(lo, hi))) for lo, hi in zip(bounds[:-1], bounds[1:])
+        ] == expected
+
+    def test_tag_mismatch_is_caught_in_the_stacked_form(self, deployed_device):
+        from repro.core.costing import PhaseCost
+
+        device, db_id = deployed_device
+        db, engine = device.database(db_id), device.engine
+        ttls = self._ttls(db, 3, coarse=True, corrupt_tag=True)
+        costs = [PhaseCost(name="coarse") for _ in ttls]
+        with pytest.raises(RuntimeError, match="cluster tag mismatch"):
+            engine.select_clusters(db, ttls, SMALL_NLIST, costs)

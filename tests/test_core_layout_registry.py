@@ -294,6 +294,57 @@ class TestTtlArithmeticCompaction:
                 assert a.eadrs.tolist() == b.eadrs.tolist()
 
 
+class TestBatchedSelection:
+    """``select_blocks`` over many TTLs == each TTL's own selection."""
+
+    @given(
+        st.lists(  # per TTL: its page visits, ties-heavy
+            st.lists(st.lists(st.integers(0, 3), max_size=8), min_size=1, max_size=6),
+            min_size=1, max_size=6,
+        ),
+        st.integers(0, 5),  # stream-time compaction k (0: never)
+        st.integers(0, 9),  # selection k
+        st.booleans(),  # one shared row source (a scan phase) or one per TTL
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_ttl_streaming_reference(self, ttl_visits, k, final_k, shared):
+        from repro.core.registry import TtlRefs, select_blocks
+
+        flat = [d for visits in ttl_visits for dists in visits for d in dists]
+        table = TestTtlArithmeticCompaction._block(flat, 0)
+        ttls, expected, first = [], [], 0
+        for visits in ttl_visits:
+            dists = [d for page in visits for d in page]
+            ttl = TemporalTopList("t", entry_bytes=4)
+            rows = np.arange(first, first + len(dists))
+            chunk = (
+                TtlRefs(table.dists[rows], rows, rows, table)
+                if shared else table.take(rows)
+            )
+            ttl.stream(chunk, [len(page) for page in visits], k or None)
+            # The spec: a TTL that trims for real above 2k, then selects.
+            kept, arrival = [], first
+            for page in visits:
+                kept += [(d, arrival + i) for i, d in enumerate(page)]
+                arrival += len(page)
+                if k and len(kept) > 2 * k:
+                    kept = sorted(sorted(kept)[:k], key=lambda row: row[1])
+            expected.append(sorted(kept)[:final_k])
+            ttls.append(ttl)
+            first += len(dists)
+        block, bounds = select_blocks(ttls, final_k)
+        assert bounds.tolist() == np.cumsum([0] + [len(e) for e in expected]).tolist()
+        stacked = list(zip(block.dists.tolist(), block.eadrs.tolist()))
+        assert stacked == [row for rows in expected for row in rows]
+        for ttl, lo, hi in zip(ttls, bounds[:-1], bounds[1:]):
+            alone = ttl.select_block(final_k)
+            mine = block.take(slice(lo, hi))
+            assert (alone is None) == (lo == hi)
+            if alone is not None:
+                for column in ("dists", "embs", "eadrs", "tags", "radrs", "dadrs", "metas"):
+                    assert np.array_equal(getattr(mine, column), getattr(alone, column))
+
+
 class TestDatabaseDeployer:
     def _deploy(self, n=200, dim=64, nlist=None, metadata=None):
         from repro.ann.ivf import build_ivf_model

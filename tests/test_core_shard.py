@@ -37,6 +37,8 @@ from repro.core import (
 )
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
+from tests.test_core_cache import deep_config
+
 
 class TestPlacement:
     def test_round_robin_stripes_vectors(self):
@@ -530,3 +532,370 @@ class TestShardedDeviceSurface:
             sum(r["energy_j"] for r in report["per_shard"])
         )
         assert len(report["per_shard"]) == 2
+
+
+# --------------------------------------------------------------------------
+# Composition: the one array composer against the per-cell walk it replaced.
+#
+# Before the composer, a query's report was ``compose_solo_report`` once per
+# (shard, query) -> ``compose_phase`` once per (shard, query, phase), folded
+# per query by ``_merge_reports``; the batch report walked
+# ``compose_batch_report`` per run and folded the same way.  That walk is
+# kept here, verbatim, as the reference; every number must come out ``==``.
+
+
+def _reference_compose_phase(cost, timing, flags, ecc_decode_seconds_per_byte=0.0):
+    from repro.core.costing import page_iteration_time
+
+    iteration = page_iteration_time(
+        timing, cost.read_mode, cost.with_compute, cost.with_filter
+    )
+    read_s = cost.max_pages * iteration
+    transfer_s = max(
+        (b / timing.channel_bandwidth_bps for b in cost.channel_bytes.values()),
+        default=0.0,
+    )
+    core_s = cost.core_seconds + cost.ecc_bytes * ecc_decode_seconds_per_byte
+    dram_s = cost.dram_seconds
+    # ``sum(stages)`` spelled out: left to right from 0, the order the
+    # composer pins (and what ``sum`` does before CPython 3.12's
+    # compensated float summation).
+    stage_sum = (((0 + read_s) + transfer_s) + core_s) + dram_s
+    if flags.pipelining:
+        bottleneck = max(read_s, transfer_s, core_s, dram_s)
+        fill = (stage_sum - bottleneck) / max(cost.max_pages, 1)
+        total = bottleneck + fill
+    else:
+        total = stage_sum
+    components = {
+        f"{cost.name}_read": read_s,
+        f"{cost.name}_transfer": transfer_s,
+        f"{cost.name}_core": core_s,
+    }
+    if dram_s:
+        components[f"{cost.name}_dram"] = dram_s
+    return total, components
+
+
+def _reference_solo_report(engine, ctx):
+    from repro.sim.latency import LatencyReport
+
+    ecc_rate = engine.ssd.ecc.decode_time(1)
+    report = LatencyReport()
+    report.add_component("ibc", ctx.ibc_seconds)
+    report.add_phase("ibc", ctx.ibc_seconds)
+    report.total_s += ctx.ibc_seconds
+    for name, cost in ctx.phase_costs.items():
+        total, components = _reference_compose_phase(
+            cost, engine.timing, engine.flags, ecc_rate
+        )
+        report.total_s += total
+        report.add_phase(name, total)
+        for component, seconds in components.items():
+            report.add_component(component, seconds)
+    if ctx.host_seconds:
+        report.add_component("host_transfer", ctx.host_seconds)
+        report.add_phase("host", ctx.host_seconds)
+        report.total_s += ctx.host_seconds
+    return report
+
+
+def _reference_batch_report(engine, ctxs, stats, scheduled_senses):
+    from repro.core.costing import compose_batch_phase
+    from repro.sim.latency import LatencyReport
+
+    phase_costs = {}
+    ibc_seconds = 0.0
+    host_seconds = 0.0
+    for ctx in ctxs:
+        ibc_seconds += ctx.ibc_seconds
+        host_seconds += ctx.host_seconds
+        stats.cache_hits += ctx.stats.cache_hits
+        for name, cost in ctx.phase_costs.items():
+            phase_costs.setdefault(name, []).append(cost)
+    ecc_rate = engine.ssd.ecc.decode_time(1)
+    report = LatencyReport()
+    report.add_component("ibc", ibc_seconds)
+    report.add_phase("ibc", ibc_seconds)
+    report.total_s += ibc_seconds
+    for name, costs in phase_costs.items():
+        breakdown = compose_batch_phase(
+            costs, engine.timing, engine.flags, ecc_rate,
+            scheduled_senses=scheduled_senses.get(name),
+        )
+        stats.phases[name] = breakdown
+        report.total_s += breakdown.seconds
+        report.add_phase(name, breakdown.seconds)
+        for component, seconds in breakdown.components.items():
+            report.add_component(component, seconds)
+    if host_seconds:
+        report.add_component("host_transfer", host_seconds)
+        report.add_phase("host", host_seconds)
+        report.total_s += host_seconds
+    return report
+
+
+def _reference_merge_reports(reports, merge_breakdown):
+    from repro.sim.latency import LatencyReport
+
+    merged = LatencyReport()
+    names = []
+    for report in reports:
+        for name in report.phases:
+            if name not in names:
+                names.append(name)
+    for name in names:
+        seconds = [report.phases.get(name, 0.0) for report in reports]
+        winner = reports[int(np.argmax(seconds))]
+        merged.add_phase(name, max(seconds))
+        merged.total_s += max(seconds)
+        if name == "ibc":
+            prefixes = ("ibc",)
+        elif name == "host":
+            prefixes = ("host_transfer",)
+        else:
+            prefixes = tuple(
+                c for c in winner.components if c.startswith(f"{name}_")
+            )
+        for component in prefixes:
+            merged.add_component(component, winner.components.get(component, 0.0))
+    if merge_breakdown is not None and merge_breakdown.seconds >= 0:
+        merged.add_phase("merge", merge_breakdown.seconds)
+        merged.total_s += merge_breakdown.seconds
+        for component, seconds in merge_breakdown.components.items():
+            merged.add_component(component, seconds)
+    return merged
+
+
+def _reference_compose(state, merge_breakdown):
+    """``ShardRouter._compose``'s reports from a finished batch state:
+    ``(per-query reports, batch report, batch phase breakdowns)``.  The
+    merge barrier's own accounting is taken as given (``merge_breakdown``)."""
+    from repro.core.batch import BatchStats
+    from repro.core.costing import BatchPhaseBreakdown
+
+    runs = state.runs
+    n_queries = state.n_queries
+    primary = [run for run in runs if not run.failover]
+    failover = [run for run in runs if run.failover]
+    per_query_merge = BatchPhaseBreakdown(
+        name="merge",
+        seconds=merge_breakdown.seconds / max(n_queries, 1),
+        components={
+            name: seconds / max(n_queries, 1)
+            for name, seconds in merge_breakdown.components.items()
+        },
+        unique_senses=0,
+        total_senses=0,
+    )
+    reports = []
+    for qi in range(n_queries):
+        report = _reference_merge_reports(
+            [_reference_solo_report(run.executor.engine, run.ctxs[qi])
+             for run in primary],
+            per_query_merge,
+        )
+        if failover:
+            fo = max(
+                _reference_solo_report(run.executor.engine, run.ctxs[qi]).total_s
+                for run in failover
+            )
+            report.add_phase("failover", fo)
+            report.add_component("failover_recovery", fo)
+            report.total_s += fo
+        reports.append(report)
+
+    run_stats = [BatchStats(n_queries=n_queries) for _ in runs]
+    primary_reports, primary_stats = [], []
+    failover_total = 0.0
+    for run, stats in zip(runs, run_stats):
+        report = _reference_batch_report(
+            run.executor.engine, run.ctxs, stats, run.senses
+        )
+        if run.failover:
+            failover_total = max(failover_total, report.total_s)
+        else:
+            primary_reports.append(report)
+            primary_stats.append(stats)
+    phases = {}
+    phase_names = []
+    for stats in primary_stats:
+        for name in stats.phases:
+            if name not in phase_names:
+                phase_names.append(name)
+    for name in phase_names:
+        breakdowns = [stats.phases.get(name) for stats in primary_stats]
+        seconds = [b.seconds if b is not None else 0.0 for b in breakdowns]
+        winner = breakdowns[int(np.argmax(seconds))]
+        phases[name] = BatchPhaseBreakdown(
+            name=name,
+            seconds=max(seconds),
+            components=dict(winner.components) if winner is not None else {},
+            unique_senses=sum(b.unique_senses for b in breakdowns if b is not None),
+            total_senses=sum(b.total_senses for b in breakdowns if b is not None),
+        )
+    phases["merge"] = merge_breakdown
+    batch_report = _reference_merge_reports(primary_reports, merge_breakdown)
+    if failover:
+        failover_senses = sum(
+            run.stats.scan_senses for run in failover
+        )
+        phases["failover"] = BatchPhaseBreakdown(
+            name="failover",
+            seconds=failover_total,
+            components={"failover_recovery": failover_total},
+            unique_senses=failover_senses,
+            total_senses=failover_senses,
+        )
+        batch_report.add_phase("failover", failover_total)
+        batch_report.add_component("failover_recovery", failover_total)
+        batch_report.total_s += failover_total
+    return reports, batch_report, phases
+
+
+def _assert_reports_equal(actual, expected):
+    assert actual.phases == expected.phases
+    assert list(actual.phases) == list(expected.phases)
+    assert actual.components == expected.components
+    assert actual.total_s == expected.total_s
+
+
+class TestComposeAgainstPerCellReference:
+    N, DIM, NLIST, K, NPROBE, NQ = 360, 64, 12, 8, 5, 6
+    CACHE_BYTES = 400_000
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        vectors, _ = make_clustered_embeddings(
+            self.N, self.DIM, self.NLIST, seed="compose"
+        )
+        queries = make_queries(vectors, self.NQ, seed="compose-q")
+        return vectors, queries, build_ivf_model(vectors, self.NLIST, seed=0)
+
+    def _sharded(self, corpus, layout, cached):
+        vectors, queries, model = corpus
+        n_shards, placement, replicas = {
+            "striped": (3, "round_robin", 1),
+            "replicated": (4, "cluster", 2),
+        }[layout]
+        device = ShardedReisDevice(
+            n_shards, deep_config(f"CMP-{layout}-{cached}"),
+            placement=placement, replication_factor=replicas,
+        )
+        db_id = device.ivf_deploy("cmp", vectors, ivf_model=model, seed=0)
+        if cached:
+            device.enable_page_cache(self.CACHE_BYTES)
+            device.ivf_search(db_id, queries, k=self.K, nprobe=self.NPROBE)
+        return device, db_id
+
+    def _check_sharded(self, monkeypatch, device, db_id, queries):
+        from repro.core.shard import ShardRouter
+
+        seen = []
+        compose = ShardRouter._compose
+
+        def spy(router, state, *rest):
+            seen.append(state)
+            return compose(router, state, *rest)
+
+        monkeypatch.setattr(ShardRouter, "_compose", spy)
+        batch = device.ivf_search(db_id, queries, k=self.K, nprobe=self.NPROBE)
+        monkeypatch.undo()
+        reports, batch_report, phases = _reference_compose(
+            seen[-1], batch.batch_stats.phases["merge"]
+        )
+        for result, expected in zip(batch, reports):
+            _assert_reports_equal(result.latency, expected)
+        _assert_reports_equal(batch.batch_report, batch_report)
+        assert batch.batch_stats.phases == phases
+        assert list(batch.batch_stats.phases) == list(phases)
+        return batch
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("layout", ["striped", "replicated"])
+    def test_sharded_reports_equal_the_per_cell_walk(
+        self, corpus, monkeypatch, layout, cached
+    ):
+        device, db_id = self._sharded(corpus, layout, cached)
+        batch = self._check_sharded(monkeypatch, device, db_id, corpus[1])
+        if cached:
+            assert any(
+                name.endswith("_dram")
+                for result in batch for name in result.latency.components
+            )
+
+    @pytest.mark.parametrize("layout", ["striped", "replicated"])
+    def test_forced_filter_retry(self, corpus, monkeypatch, layout):
+        device, db_id = self._sharded(corpus, layout, cached=False)
+        for shard_db in device.database(db_id).shard_dbs:
+            shard_db.filter_threshold = 1
+        batch = self._check_sharded(monkeypatch, device, db_id, corpus[1])
+        assert all(r.stats.filter_retries == 1 for r in batch)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("barrier", KILL_BARRIERS)
+    def test_a_kill_at_each_barrier(self, corpus, monkeypatch, barrier, cached):
+        device, db_id = self._sharded(corpus, "replicated", cached)
+        saw_failover = False
+        for _attempt in range(4):
+            # The least-loaded shard is the one elections favour, so the
+            # one whose death strands work.
+            victim = int(np.argmin(device.router.shard_busy_s))
+            device.schedule_shard_failure(victim, barrier)
+            try:
+                batch = self._check_sharded(monkeypatch, device, db_id, corpus[1])
+            finally:
+                device.revive_shard(victim)
+            saw_failover |= "failover" in batch.batch_report.phases
+        # A shard lost at the coarse barrier is covered by its replicas'
+        # own coarse blocks: its run stays (dead) among the primaries.
+        assert saw_failover == (barrier != "coarse")
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_single_device_reports_equal_the_per_query_walk(
+        self, corpus, monkeypatch, cached, retry
+    ):
+        from repro.core.batch import BatchExecutor, BatchStats
+        from repro.core.engine import InStorageAnnsEngine
+
+        vectors, queries, model = corpus
+        device = ReisDevice(deep_config(f"CMP-1-{cached}-{retry}"))
+        db_id = device.ivf_deploy("cmp", vectors, ivf_model=model, seed=0)
+        if retry:
+            device.database(db_id).filter_threshold = 1
+        if cached:
+            device.enable_page_cache(self.CACHE_BYTES)
+            device.ivf_search(db_id, queries, k=self.K, nprobe=self.NPROBE)
+        prepared, senses = [], {}
+        prepare, scan = BatchExecutor.prepare, InStorageAnnsEngine.scan_page_run
+
+        def spy_prepare(executor, *args, **kwargs):
+            prepared.append(prepare(executor, *args, **kwargs))
+            return prepared[-1]
+
+        def spy_scan(engine, db, tasks, coarse, *rest):
+            senses_of = scan(engine, db, tasks, coarse, *rest)
+            acc = senses.setdefault("coarse" if coarse else "fine", {})
+            for plane in senses_of.nonzero()[0].tolist():
+                acc[plane] = acc.get(plane, 0) + int(senses_of[plane])
+            return senses_of
+
+        monkeypatch.setattr(BatchExecutor, "prepare", spy_prepare)
+        monkeypatch.setattr(InStorageAnnsEngine, "scan_page_run", spy_scan)
+        batch = device.ivf_search(db_id, queries, k=self.K, nprobe=self.NPROBE)
+        monkeypatch.undo()
+        ctxs = prepared[-1].ctxs
+        for result, ctx in zip(batch, ctxs):
+            _assert_reports_equal(
+                result.latency, _reference_solo_report(device.engine, ctx)
+            )
+        stats = BatchStats(n_queries=len(ctxs))
+        _assert_reports_equal(
+            batch.batch_report,
+            _reference_batch_report(device.engine, ctxs, stats, senses),
+        )
+        assert batch.batch_stats.phases == stats.phases
+        assert batch.batch_stats.cache_hits == stats.cache_hits
+        assert (stats.cache_hits > 0) == cached
+        assert all(r.stats.filter_retries == int(retry) for r in batch)
