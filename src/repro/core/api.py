@@ -50,7 +50,7 @@ from repro.core.layout import (
     DeploymentCodecs,
     fit_deployment_codecs,
 )
-from repro.core.plan import validate_queries, validate_vectors
+from repro.core.plan import validate_metadata_tags, validate_queries, validate_vectors
 from repro.core.queue import QueuePolicy, SubmissionQueue
 from repro.core.shard import (
     MergeCostModel,
@@ -770,7 +770,7 @@ class ShardedReisDevice(_HostSurface):
         if corpus is not None and len(corpus) != n:
             raise ValueError("corpus size must match the number of embeddings")
         if metadata_tags is not None:
-            metadata_tags = np.asarray(metadata_tags, dtype=np.uint32)
+            metadata_tags = validate_metadata_tags(metadata_tags)
             if metadata_tags.shape != (n,):
                 raise ValueError("need exactly one metadata tag per embedding")
         db_id = self._allocate_db_id(db_id)

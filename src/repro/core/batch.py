@@ -33,13 +33,13 @@ of a batch phase by phase:
   (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch` /
   :meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`).
 
-Cost composition is joint: per-query :class:`PhaseCost` records are merged
-by :func:`~repro.core.costing.compose_batch_phase` into per-plane /
-per-channel occupancies, and for the scan phases the executed schedule's
-per-plane sense counts are passed as ``scheduled_senses`` -- the model
-bills exactly the senses the trace shows.  The per-query results keep
-their solo latency reports (useful for tail-latency analysis and the
-analytic cross-validation tests); the batch-level wall clock lives in
+Cost composition is joint: every executed phase bills one
+:class:`~repro.core.costing.PhaseLedger` (for the scan phases with the
+executed schedule's per-plane senses, so the model bills exactly the
+senses the trace shows), which :func:`~repro.core.costing.compose_batch`
+reduces to per-plane / per-channel occupancies.  The per-query results
+keep their solo latency reports (tail-latency analysis, the analytic
+cross-validation tests); the batch wall clock lives in
 :class:`BatchExecution`.
 """
 
@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.costing import BatchPhaseBreakdown, PhaseCost, compose_batch
+from repro.core.costing import BatchPhaseBreakdown, PhaseLedger, compose_batch
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
     PlanContext,
@@ -93,7 +93,7 @@ class BatchStats:
     # actually performed.  ``scan_senses`` is, by construction, the number
     # of READ_PAGE commands the batch put on the die command buses for the
     # coarse+fine phases, and equals the cost model's unique-sense count
-    # for those phases (compose_batch_phase bills the schedule verbatim).
+    # for those phases (the phase ledger bills the schedule verbatim).
     scan_requests: int = 0
     scan_senses: int = 0
     # Page visits the DRAM page cache served (all phases, summed over
@@ -213,7 +213,7 @@ class _FineScanState:
     interleaves a cluster-wide merge between these steps)."""
 
     threshold: Optional[int]
-    costs: List[PhaseCost]
+    ledger: PhaseLedger
     ttls: List[TemporalTopList]
     ranges_per_query: List[List[Tuple[int, int]]]
 
@@ -227,9 +227,9 @@ class BatchRun:
     plan: QueryPlan
     ctxs: List[PlanContext]
     stats: BatchStats
-    # Phase -> plane -> senses the executed scan schedules performed (the
-    # cost model's ``scheduled_senses`` feedback).
-    senses: Dict[str, Dict[int, int]] = field(default_factory=dict)
+    # Phase -> the ledger it billed, for the phases that completed, in
+    # execution order: what ``compose_batch`` reads.
+    ledgers: Dict[str, PhaseLedger] = field(default_factory=dict)
     fine: Optional[_FineScanState] = None
     # The finished fine shortlists, stacked query-major (nearest first per
     # query), and the per-query bounds of the rows.
@@ -300,36 +300,36 @@ class BatchExecutor:
         self,
         run: BatchRun,
         tasks: ScanTasks,
-        phase: str,
         ttls: Sequence[TemporalTopList],
-        costs: Sequence[PhaseCost],
+        ledger: PhaseLedger,
         select_k: int,
     ) -> None:
-        """Drain one scan phase through the engine's phase kernel and
-        record the schedule it executed for the cost model."""
+        """Drain one scan phase through the engine's phase kernel (it bills
+        ``ledger``) and count the executed schedule's requests and senses."""
         senses_of = self.engine.scan_page_run(
-            run.db, tasks, phase == "coarse",
+            run.db, tasks, ledger.name == "coarse",
             np.stack([ctx.query_code for ctx in run.ctxs]),
-            ttls, costs, [ctx.stats for ctx in run.ctxs],
+            ttls, ledger, [ctx.stats for ctx in run.ctxs],
             [select_k] * len(run.ctxs),
         )
-        self._record_schedule(len(tasks), senses_of, phase, run.stats, run.senses)
+        run.stats.scan_requests += len(tasks)
+        run.stats.scan_senses += int(senses_of.sum())
 
     def _coarse_scan(self, run: BatchRun) -> Tuple[TtlBlock, np.ndarray]:
         """Page-major centroid sweep: every query's ``nprobe`` nearest
         centroid rows, stacked (nearest first per query), and their
         per-query bounds.
 
-        Deposits each query's coarse :class:`PhaseCost` into its context;
-        which clusters a query then *scans* is left to the caller: all of
-        its own on one device, the merged probe table's on a shard.
+        Bills the run's coarse ledger; which clusters a query then *scans*
+        is left to the caller: all of its own on one device, the merged
+        probe table's on a shard.
         """
         engine, db = self.engine, run.db
         region = db.centroid_region
         assert region is not None
         n_queries = len(run.ctxs)
         entry_bytes = engine.params.coarse_entry_bytes(db.code_bytes)
-        costs = [PhaseCost(name="coarse", with_compute=True) for _ in run.ctxs]
+        ledger = run.ledgers["coarse"] = PhaseLedger("coarse", n_queries, engine.geometry)
         ttls = [
             TemporalTopList("c", entry_bytes, dram=engine.ssd.dram)
             for _ in run.ctxs
@@ -342,10 +342,8 @@ class BatchExecutor:
             threshold=None,
             filters=[None] * n_queries,
         )
-        self._serve_scan_phase(run, tasks, "coarse", ttls, costs, run.plan.nprobe)
-        for ctx, cost in zip(run.ctxs, costs):
-            ctx.phase_costs["coarse"] = cost
-        return engine.select_clusters(db, ttls, run.plan.nprobe, costs)
+        self._serve_scan_phase(run, tasks, ttls, ledger, run.plan.nprobe)
+        return engine.select_clusters(db, ttls, run.plan.nprobe, ledger)
 
     def _serve_fine_ranges(
         self, run: BatchRun, queries: Sequence[int], threshold: Optional[int]
@@ -364,7 +362,7 @@ class BatchExecutor:
             filters=[run.plan.metadata_filter] * len(run.ctxs),
         )
         self._serve_scan_phase(
-            run, tasks, "fine", state.ttls, state.costs, run.plan.shortlist_size
+            run, tasks, state.ttls, state.ledger, run.plan.shortlist_size
         )
 
     def _fine_scan(self, run: BatchRun) -> None:
@@ -380,10 +378,9 @@ class BatchExecutor:
         filtering = engine.flags.distance_filtering
         run.fine = _FineScanState(
             threshold=db.filter_threshold if filtering else None,
-            costs=[
-                PhaseCost(name="fine", with_compute=True, with_filter=filtering)
-                for _ in run.ctxs
-            ],
+            ledger=PhaseLedger(
+                "fine", len(run.ctxs), engine.geometry, with_filter=filtering
+            ),
             ttls=[
                 TemporalTopList("e", entry_bytes, dram=engine.ssd.dram)
                 for _ in run.ctxs
@@ -413,10 +410,10 @@ class BatchExecutor:
                 run.ctxs[qi].stats.filter_retries += 1
                 state.ttls[qi].clear()
             self._serve_fine_ranges(run, retries, None)
-        for ctx, cost in zip(run.ctxs, state.costs):
-            ctx.phase_costs["fine"] = cost
+        # Only a finished fine phase is billed (a shard may die between scan and here).
+        run.ledgers["fine"] = state.ledger
         run.shortlist, run.shortlist_bounds = self.engine.select_nearest(
-            state.ttls, run.plan.shortlist_size, state.costs
+            state.ttls, run.plan.shortlist_size, state.ledger
         )
 
     def _run_fine_phase(self, run: BatchRun) -> None:
@@ -437,53 +434,38 @@ class BatchExecutor:
         (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`).
         """
         ctxs, bounds = run.ctxs, run.shortlist_bounds.tolist()
-        outs = self.engine._rerank_batch(
+        outs, run.ledgers["rerank"] = self.engine._rerank_batch(
             run.db,
             np.stack([ctx.query for ctx in ctxs]),
             [run.shortlist.take(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])],
             [run.plan.k] * len(ctxs),
             [ctx.stats for ctx in ctxs],
         )
-        for ctx, (distances, dadrs, slots, cost) in zip(ctxs, outs):
+        for ctx, (distances, dadrs, slots) in zip(ctxs, outs):
             ctx.distances, ctx.dadrs, ctx.slots = distances, dadrs, slots
-            ctx.phase_costs["rerank"] = cost
 
     def _run_document_phase(self, run: BatchRun) -> None:
         """Page-major document fetch: every query's winner DADRs in one pass.
 
-        Queries with no winners are skipped (no ``documents`` phase cost is
-        recorded for them); the rest share one functional page pass while
-        keeping per-query charges
+        Queries with no winners are skipped (the ``documents`` ledger names
+        only the queries that ran); the rest share one functional page pass
+        while keeping per-query charges
         (:meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`).
         """
-        active = [ctx for ctx in run.ctxs if ctx.dadrs.size]
-        if not active:
+        asking = [q for q, ctx in enumerate(run.ctxs) if ctx.dadrs.size]
+        if not asking:
             return
-        outs = self.engine._fetch_documents_batch(
+        active = [run.ctxs[q] for q in asking]
+        outs, ledger = self.engine._fetch_documents_batch(
             run.db,
             [ctx.dadrs for ctx in active],
             [ctx.stats for ctx in active],
         )
-        for ctx, (documents, cost, host_s) in zip(active, outs):
+        ledger.queries = np.array(asking)
+        run.ledgers["documents"] = ledger
+        for ctx, (documents, host_s) in zip(active, outs):
             ctx.documents = documents
             ctx.host_seconds = host_s
-            ctx.phase_costs["documents"] = cost
-
-    @staticmethod
-    def _record_schedule(
-        n_requests: int,
-        senses_of: np.ndarray,
-        phase: str,
-        stats: BatchStats,
-        scheduled_senses: Dict[str, Dict[int, int]],
-    ) -> None:
-        """Accumulate an executed schedule's sense counts for the cost model
-        (``senses_of[plane]`` = the senses the kernel ran on that plane)."""
-        stats.scan_requests += int(n_requests)
-        stats.scan_senses += int(senses_of.sum())
-        acc = scheduled_senses.setdefault(phase, {})
-        for plane in senses_of.nonzero()[0].tolist():
-            acc[plane] = acc.get(plane, 0) + int(senses_of[plane])
 
     # -------------------------------------------------------------- execute
 
@@ -580,7 +562,7 @@ class BatchExecutor:
         with _phase_timer(host_profile, "finalize"):
             stats = run.stats
             latencies, report, stats.phases, _seconds = compose_batch(
-                [(self.engine, run.ctxs, run.senses)]
+                [(self.engine, run.ctxs, run.ledgers)]
             )
             stats.cache_hits = sum([ctx.stats.cache_hits for ctx in run.ctxs])
             results = [

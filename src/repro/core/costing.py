@@ -22,9 +22,8 @@ datasets), which is what lets tests cross-validate the two layers.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import InitVar, dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,13 +35,11 @@ from repro.sim.latency import LatencyReport
 
 @dataclass
 class PhaseCost:
-    """Raw resource usage of one query phase.
-
-    The functional engine fills ``pages_per_plane`` / ``channel_bytes``
-    with exact per-resource loads.  The analytic twin uses the
-    :func:`spread_pages` / :func:`spread_channel_bytes` helpers, which set
-    the same fields from an even distribution without materializing one
-    dict entry per plane.
+    """Raw resource usage of one query phase, as a scalar record: what the
+    analytic twin and ``baselines/`` fill (:func:`spread_pages` /
+    :func:`spread_channel_bytes`: an even spread, no dict entry per plane)
+    and :func:`compose_phase` composes.  The functional engine bills a
+    whole phase into one :class:`PhaseLedger` instead.
     """
 
     name: str
@@ -55,35 +52,9 @@ class PhaseCost:
     ecc_bytes: float = 0.0  # bytes ECC-decoded on the controller
     # DRAM-cache service: senses skipped because the page was mirrored in
     # the internal DRAM.  Hits bill InternalDram.access_time instead of the
-    # page-sense latency and carry their byte load for the energy model.
+    # page-sense latency.
     dram_seconds: float = 0.0
-    dram_bytes: float = 0.0
     total_pages_override: int = 0  # analytic: true total when spread evenly
-    # Identities of the sensed pages (global linear page index), per plane.
-    # The functional engine records them so the batch executor can amortize
-    # senses across queries that touch the same page; the analytic twin
-    # leaves them empty.
-    sensed_page_ids: Dict[int, List[int]] = field(default_factory=dict)
-    # Identities of the DRAM-cache streams ((region, page) -> [visits,
-    # seconds per visit]).  Mirrors ``sensed_page_ids``: the batch executor
-    # streams each mirrored page out of the DRAM once for every query that
-    # wants it functionally, but cross-query visits share the stream, so
-    # compose_batch_phase amortizes them the same way it shares senses.
-    dram_streams: Dict[object, List[float]] = field(default_factory=dict)
-
-    def add_page(self, plane_index: int, n: int = 1, page_id: Optional[int] = None) -> None:
-        self.pages_per_plane[plane_index] = self.pages_per_plane.get(plane_index, 0) + n
-        if page_id is not None:
-            self.sensed_page_ids.setdefault(plane_index, []).append(page_id)
-
-    def add_dram_stream(self, key: object, seconds: float) -> None:
-        """One cache-served page visit, identified for batch amortization."""
-        self.dram_seconds += seconds
-        entry = self.dram_streams.get(key)
-        if entry is None:
-            self.dram_streams[key] = [1, seconds]
-        else:
-            entry[0] += 1
 
     def add_channel_bytes(self, channel: int, n_bytes: float) -> None:
         self.channel_bytes[channel] = self.channel_bytes.get(channel, 0.0) + n_bytes
@@ -161,34 +132,6 @@ def overlap_stages(read_s, transfer_s, core_s, dram_s, iterations, pipelining):
     return np.where(pipelining, piped, stage_sum)
 
 
-def phase_stages(
-    cost: PhaseCost, iteration_s: float, timing: NandTiming, ecc_rate: float
-) -> Tuple[float, float, float, float, int]:
-    """``(read, transfer, core, dram, iterations)`` of one query's phase on
-    an otherwise idle device -- the arguments of :func:`overlap_stages` --
-    given its :func:`page_iteration_time`."""
-    pages = max(cost.pages_per_plane.values(), default=0)
-    return (
-        pages * iteration_s,
-        max(cost.channel_bytes.values(), default=0.0) / timing.channel_bandwidth_bps,
-        cost.core_seconds + cost.ecc_bytes * ecc_rate,
-        cost.dram_seconds,
-        pages,
-    )
-
-
-def _composed(
-    name: str, stages: Sequence[float], pipelining: bool
-) -> Tuple[float, Dict[str, float]]:
-    """``(seconds, components)`` of the phase ``name`` from its stages; the
-    DRAM component shows only when billed."""
-    components = {
-        f"{name}_{part}": seconds
-        for part, seconds in zip(_PARTS, stages) if part != "dram" or seconds
-    }
-    return float(overlap_stages(*stages, pipelining)), components
-
-
 def compose_phase(
     cost: PhaseCost,
     timing: NandTiming,
@@ -197,20 +140,31 @@ def compose_phase(
 ) -> Tuple[float, Dict[str, float]]:
     """Compose a phase's wall-clock time from its resource usage.
 
-    Returns (phase_seconds, component breakdown).
+    Returns (phase_seconds, component breakdown); the DRAM component
+    shows only when billed.
     """
-    iteration_s = page_iteration_time(
-        timing, cost.read_mode, cost.with_compute, cost.with_filter
+    pages = cost.max_pages
+    stages = (
+        pages * page_iteration_time(
+            timing, cost.read_mode, cost.with_compute, cost.with_filter
+        ),
+        max(cost.channel_bytes.values(), default=0.0) / timing.channel_bandwidth_bps,
+        cost.core_seconds + cost.ecc_bytes * ecc_decode_seconds_per_byte,
+        cost.dram_seconds,
+        pages,
     )
-    stages = phase_stages(cost, iteration_s, timing, ecc_decode_seconds_per_byte)
-    return _composed(cost.name, stages, flags.pipelining)
+    components = {
+        f"{cost.name}_{part}": seconds
+        for part, seconds in zip(_PARTS, stages) if part != "dram" or seconds
+    }
+    return float(overlap_stages(*stages, flags.pipelining)), components
 
 
 @dataclass
 class BatchPhaseBreakdown:
     """Wall-clock cost of one phase executed for a whole batch.
 
-    Produced by :func:`compose_batch_phase`.  ``total_senses`` counts every
+    Produced by :func:`compose_batch`.  ``total_senses`` counts every
     page visit any query in the batch made during the phase;
     ``unique_senses`` counts the page senses the device actually performs
     after amortizing visits to the same physical page across queries.
@@ -226,148 +180,6 @@ class BatchPhaseBreakdown:
     def senses_amortized(self) -> int:
         """Page senses saved by sharing one sense among N queries."""
         return self.total_senses - self.unique_senses
-
-
-def batch_phase_stages(
-    costs: Sequence[PhaseCost],
-    timing: NandTiming,
-    ecc_decode_seconds_per_byte: float = 0.0,
-    scheduled_senses: Optional[Mapping[int, int]] = None,
-) -> Tuple[float, float, float, float, int, int, int]:
-    """One phase across a batch under die/channel occupancy: ``(read,
-    transfer, core, dram, iterations)`` -- the arguments of
-    :func:`overlap_stages` -- then the unique and total page senses.
-
-    The sequential model charges each query as if the device were idle
-    between queries: the phase time is ``sum over queries of (max per-plane
-    load)``.  With a resident batch the controller keeps every die and
-    channel busy, so the phase time is set by the *occupancy* of the
-    critical resource instead:
-
-    * **planes** -- each plane's busy time is its deduplicated sense count
-      plus one in-plane compute pass per visit (XOR + fail-bit count: the
-      latch logic must run once per broadcast query even on a shared
-      sense); planes work in parallel, so read time is the busiest plane.
-      Senses are shared **across queries only**: a page every query needs
-      once is sensed once, but a query that itself re-reads a page (the
-      filter-retry rescan, repeated document-slot reads) pays each of its
-      own senses -- those are temporally separated within that query's
-      execution, so the batch needs max-over-queries senses per page.
-    * **channels** -- TTL entries from all queries share the serial buses;
-      transfer time is the busiest channel's total byte load.
-    * **core** -- the single REIS core serializes every query's kernels.
-
-    With pipelining the stage classes overlap exactly as in
-    :func:`compose_phase`, with the pipeline-fill term amortized over the
-    batch's page iterations.  All costs must belong to the same phase (same
-    name, read mode and compute/filter settings).
-
-    ``scheduled_senses`` is the page-major execution feedback path: for a
-    phase served by a page schedule (:func:`~repro.core.plan.schedule_senses`)
-    the caller passes the per-plane count of senses the schedule *really
-    performed* and the model bills exactly those, instead of re-deriving
-    sharing from page identities.  (The derived count assumes query-major
-    service, where a query's own repeat visits are temporally separated; a
-    page-major schedule can merge even those, so the executed schedule is
-    the ground truth.)  Per-plane visit counts -- which drive the per-visit
-    latch compute and the pipeline-fill term -- always come from the costs.
-    """
-    if not costs:
-        raise ValueError("compose_batch_phase needs at least one phase cost")
-    first = costs[0]
-    for cost in costs[1:]:
-        if (
-            cost.name != first.name
-            or cost.read_mode != first.read_mode
-            or cost.with_compute != first.with_compute
-            or cost.with_filter != first.with_filter
-        ):
-            raise ValueError(
-                f"phase {cost.name!r} is not homogeneous with {first.name!r}"
-            )
-    sense_s = timing.read_time(first.read_mode)
-    compute_s = 0.0
-    if first.with_compute:
-        compute_s += timing.t_latch_xor_s + timing.t_bit_count_s
-    if first.with_filter:
-        compute_s += timing.t_pass_fail_s
-
-    scheduled = scheduled_senses if scheduled_senses is not None else {}
-    plane_visits: Dict[int, int] = defaultdict(int)
-    plane_tracked: Dict[int, int] = defaultdict(int)
-    # plane -> page id -> senses the batch needs: the max number of times
-    # any single query senses that page (cross-query visits share; a
-    # query's own repeat visits do not).  Derived only for planes the
-    # executed schedule does not already answer for.
-    plane_senses: Dict[int, Dict[int, int]] = {}
-    channel_load: Dict[int, float] = defaultdict(float)
-    core_s = 0.0
-    dram_s = 0.0
-    # page key -> DRAM stream time the batch needs: the max over queries
-    # of one query's visits to that page (cross-query visits share the
-    # stream out of the mirror, exactly like cross-query senses).
-    dram_shared: Dict[object, float] = defaultdict(float)
-    for cost in costs:
-        tracked_s = 0.0
-        for key, (visits, per_visit_s) in cost.dram_streams.items():
-            need = visits * per_visit_s
-            tracked_s += need
-            if need > dram_shared[key]:
-                dram_shared[key] = need
-        dram_s += cost.dram_seconds - tracked_s
-        for plane, n in cost.pages_per_plane.items():
-            plane_visits[plane] += n
-        for plane, ids in cost.sensed_page_ids.items():
-            if plane in scheduled:
-                continue
-            plane_tracked[plane] += len(ids)
-            within_query: Dict[int, int] = defaultdict(int)
-            for page_id in ids:
-                within_query[page_id] += 1
-            needed = plane_senses.setdefault(plane, defaultdict(int))
-            for page_id, count in within_query.items():
-                if count > needed[page_id]:
-                    needed[page_id] = count
-        for channel, n_bytes in cost.channel_bytes.items():
-            channel_load[channel] += n_bytes
-        core_s += cost.core_seconds + cost.ecc_bytes * ecc_decode_seconds_per_byte
-    dram_s += sum(dram_shared.values())
-
-    read_s = 0.0
-    unique_total = 0
-    for plane, visits in plane_visits.items():
-        if plane in scheduled:
-            senses = scheduled[plane]
-        else:
-            # Visits recorded without a page identity cannot be amortized.
-            untracked = visits - plane_tracked[plane]
-            senses = sum(plane_senses.get(plane, {}).values()) + untracked
-        unique_total += senses
-        read_s = max(read_s, senses * sense_s + visits * compute_s)
-    transfer_s = max(channel_load.values(), default=0.0) / (
-        timing.channel_bandwidth_bps
-    )
-    return (
-        read_s, transfer_s, core_s, dram_s,
-        max(plane_visits.values(), default=0),
-        unique_total, sum(plane_visits.values()),
-    )
-
-
-def compose_batch_phase(
-    costs: Sequence[PhaseCost],
-    timing: NandTiming,
-    flags: OptFlags,
-    ecc_decode_seconds_per_byte: float = 0.0,
-    scheduled_senses: Optional[Mapping[int, int]] = None,
-) -> BatchPhaseBreakdown:
-    """:func:`batch_phase_stages` composed into one phase's breakdown."""
-    *stages, unique, total = batch_phase_stages(
-        costs, timing, ecc_decode_seconds_per_byte, scheduled_senses
-    )
-    name = costs[0].name
-    seconds, components = _composed(name, stages, flags.pipelining)
-    return BatchPhaseBreakdown(name, seconds, components, unique, total)
 
 
 def ibc_time(
@@ -409,7 +221,7 @@ def merge_phase_totals(
     return report
 
 
-# ------------------------------------------------------------ batch composer
+# -------------------------------------------------------------- phase ledger
 
 
 def _running_total(seconds: np.ndarray) -> np.ndarray:
@@ -417,6 +229,221 @@ def _running_total(seconds: np.ndarray) -> np.ndarray:
     accumulate, never numpy's pairwise ``sum``): a report's ``total_s``
     adds up phase by phase in execution order."""
     return np.add.accumulate(seconds, axis=-1)[..., -1]
+
+
+def _runs(ranked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, lengths)`` of the runs of equal values in a sorted,
+    non-empty column."""
+    starts = np.concatenate(([True], ranked[1:] != ranked[:-1])).nonzero()[0]
+    return starts, np.diff(starts, append=ranked.size)
+
+
+def _sums_in_row_order(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """Every group's ``values`` added left to right in row order (the
+    :func:`_running_total` idiom over a zero-padded ``(group, position)``
+    matrix: the trailing ``+ 0.0`` of a shorter group changes nothing)."""
+    order = group.argsort(kind="stable")
+    ranked = group[order]
+    counts = np.bincount(group, minlength=n_groups)
+    padded = np.zeros((n_groups, int(counts.max())))
+    padded[ranked, np.arange(ranked.size) - (counts.cumsum() - counts)[ranked]] = (
+        values[order]
+    )
+    return _running_total(padded)
+
+
+def _appended(columns: tuple, more: tuple) -> tuple:
+    """Parallel columns with ``more`` rows after them."""
+    if not columns[0].size:
+        return more
+    return tuple(map(np.concatenate, zip(columns, more)))
+
+
+@dataclass(eq=False)
+class PhaseLedger:
+    """Everything one executed phase bills, as one visit table.
+
+    A phase is homogeneous by construction (one name, read mode and
+    compute/filter setting) and its kernels append what they hold as
+    arrays: ``nand`` visits ``(row, plane, page_id)``, ``dram``-served
+    visits ``(row, page_id, seconds, nbytes)``, the ``(row, channel)``
+    matrix ``channel_bytes``, per-row ``core_seconds`` / ``ecc_bytes``
+    (charged query by query: the core model keeps its own clock) and
+    ``senses``, the per-plane senses of the schedules the phase executed
+    (``None``: none served it).  Row ``r`` is batch query ``queries[r]``
+    -- the phase driver says which ran -- billed what it would pay alone,
+    its visits in its own order.  ``docs/architecture.md``, "Cost ledger".
+    """
+
+    name: str
+    n_queries: InitVar[int]
+    geometry: InitVar[FlashGeometry]
+    read_mode: str = "slc_esp"
+    with_compute: bool = True
+    with_filter: bool = False
+
+    def __post_init__(self, n_queries: int, geometry: FlashGeometry) -> None:
+        self.n_planes = geometry.total_planes
+        self.queries = np.arange(n_queries)
+        self.channel_bytes = np.zeros((n_queries, geometry.channels))
+        self.core_seconds: List[float] = [0.0] * n_queries
+        self.ecc_bytes = np.zeros(n_queries)
+        self.senses: Optional[np.ndarray] = None
+        no_rows = np.empty(0, dtype=np.int64)
+        self.nand = (no_rows,) * 3
+        self.dram = (no_rows,) * 4
+
+    def __len__(self) -> int:
+        return int(self.queries.size)
+
+    def add_nand_visits(self, rows, planes, page_ids) -> None:
+        """Page visits served by a sense (columns; page ids are global)."""
+        self.nand = _appended(self.nand, (rows, planes, page_ids))
+
+    def add_dram_visits(self, rows, page_ids, seconds, nbytes) -> None:
+        """Page visits the DRAM mirror served: access seconds, byte load."""
+        self.dram = _appended(self.dram, (rows, page_ids, seconds, nbytes))
+
+    def add_schedule(self, senses_of: np.ndarray) -> None:
+        """The senses an executed page schedule ran per plane (billed as is)."""
+        self.senses = senses_of if self.senses is None else self.senses + senses_of
+
+    def query_cost(self, query: int) -> Optional[PhaseCost]:
+        """Query ``query``'s bill as a scalar :class:`PhaseCost` (``None``
+        if it did not run the phase) -- for tests and the reference
+        composer; nothing on the serving path materializes it."""
+        if query not in self.queries:
+            return None
+        row = int(np.flatnonzero(self.queries == query)[0])
+        visits = np.bincount(self.nand[1][self.nand[0] == row]).tolist()
+        dram_seconds = 0.0
+        for visit_s in self.dram[2][self.dram[0] == row].tolist():
+            dram_seconds += visit_s
+        loads = self.channel_bytes[row].tolist()
+        return PhaseCost(
+            name=self.name, read_mode=self.read_mode,
+            with_compute=self.with_compute, with_filter=self.with_filter,
+            pages_per_plane={p: n for p, n in enumerate(visits) if n},
+            channel_bytes={c: load for c, load in enumerate(loads) if load},
+            core_seconds=self.core_seconds[row],
+            ecc_bytes=float(self.ecc_bytes[row]),
+            dram_seconds=dram_seconds,
+        )
+
+    def _derived_senses(self, rows, planes, page_ids) -> np.ndarray:
+        """Senses per plane these visits need when no executed schedule
+        answers: visits to one page share a sense **across queries only**,
+        so a page costs the most visits any one query paid it (a query's
+        own repeats -- the retry rescan, repeated document slots -- are
+        temporally separated senses)."""
+        if not rows.size:
+            return np.zeros(self.n_planes, dtype=np.int64)
+        pair = (page_ids * self.n_planes + planes) * len(self) + rows
+        pair.sort()
+        starts, repeats = _runs(pair)  # one run per (page, query)
+        page = pair[starts] // len(self)
+        first_of_page, _lengths = _runs(page)
+        return np.bincount(
+            page[first_of_page] % self.n_planes,
+            weights=np.maximum.reduceat(repeats, first_of_page),
+            minlength=self.n_planes,
+        ).astype(np.int64)
+
+    def _dram_stages(self):
+        """``(solo, batch)`` DRAM-stream seconds.  Solo, a row pays every
+        visit it made, in visit order.  In a batch a mirrored page's stream
+        is shared across queries as senses are: the page costs the largest
+        ``visits x seconds-per-visit`` (its first visit's) any one query
+        needs, pages in first-seen order; what a row paid beyond its own
+        such products (in its first-visit order) stays unshared.  All four
+        sums accumulate left to right: their order is part of the clock.
+        """
+        n = len(self)
+        rows, page_ids, seconds, _nbytes = self.dram
+        if not rows.size:
+            return 0.0, 0.0
+        solo = _sums_in_row_order(rows, seconds, n)
+        pair = page_ids * n + rows
+        order = pair.argsort(kind="stable")
+        starts, visits = _runs(pair[order])
+        first = order[starts]  # a (page, row) stream's first visit
+        need = visits * seconds[first]
+        # Streams row by row, each row's in its own first-visit order.
+        by_row = np.lexsort((first, rows[first]))
+        stream_row, need = rows[first][by_row], need[by_row]
+        residue = solo - _sums_in_row_order(stream_row, need, n)
+        page = page_ids[first][by_row]
+        by_page = page.argsort(kind="stable")
+        page_starts, _lengths = _runs(page[by_page])
+        shared = np.maximum.reduceat(need[by_page], page_starts)
+        first_seen = by_page[page_starts].argsort()
+        return solo, float(_running_total(residue) + _running_total(shared[first_seen]))
+
+    def stages(self, timing: NandTiming, ecc_rate: float):
+        """``(solo, batch)``: the phase reduced to stage seconds.
+
+        ``solo`` is a ``(5, rows)`` array -- ``read, transfer, core, dram,
+        iterations``, the arguments of :func:`overlap_stages` -- of every
+        row alone on an idle device.  ``batch`` is the same five for the
+        whole batch under occupancy, then the unique and total page senses.
+        A **plane** is busy for its senses plus one compute pass per visit
+        (XOR + fail-bit count run per query even on a shared sense) and the
+        busiest sets the read time; a plane an executed schedule sensed on
+        is billed exactly those senses (a page-major schedule merges even
+        a query's own repeats), any other what :meth:`_derived_senses`
+        finds.  The busiest **channel** carries all queries' bytes, the
+        one REIS **core** serializes their kernels, **DRAM** streams share
+        (:meth:`_dram_stages`).  Batch core seconds and channel loads add
+        up row by row, left to right: the modeled clock's order.
+        """
+        n = len(self)
+        rows, planes, page_ids = self.nand
+        visits = np.bincount(
+            rows * self.n_planes + planes, minlength=n * self.n_planes
+        ).reshape(n, self.n_planes)
+        pages = np.maximum.reduce(visits, axis=1)
+        bandwidth = timing.channel_bandwidth_bps
+        solo = np.empty((5, n))
+        solo[0] = pages * page_iteration_time(
+            timing, self.read_mode, self.with_compute, self.with_filter
+        )
+        solo[1] = np.maximum.reduce(self.channel_bytes, axis=1) / bandwidth
+        solo[2] = self.core_seconds
+        solo[2] += self.ecc_bytes * ecc_rate
+        solo[3], dram_s = self._dram_stages()
+        solo[4] = pages
+
+        sense_s = timing.read_time(self.read_mode)
+        compute_s = 0.0  # not the iteration time less the sense: float order
+        if self.with_compute:
+            compute_s += timing.t_latch_xor_s + timing.t_bit_count_s
+        if self.with_filter:
+            compute_s += timing.t_pass_fail_s
+        plane_visits = np.add.reduce(visits, axis=0)
+        if self.senses is None:
+            senses = self._derived_senses(rows, planes, page_ids)
+        else:
+            senses = self.senses
+            unscheduled = senses[planes] == 0
+            if unscheduled.any():
+                senses = np.where(senses > 0, senses, self._derived_senses(
+                    rows[unscheduled], planes[unscheduled], page_ids[unscheduled]
+                ))
+        # Only planes the batch visited are busy (an idle plane reads 0.0).
+        senses = senses * (plane_visits > 0)
+        channel_load = np.add.accumulate(self.channel_bytes, axis=0)[-1]
+        return solo, (
+            float(np.maximum.reduce(senses * sense_s + plane_visits * compute_s)),
+            float(np.maximum.reduce(channel_load)) / bandwidth,
+            float(_running_total(solo[2])),
+            dram_s,
+            int(np.maximum.reduce(plane_visits)),
+            int(np.add.reduce(senses)),
+            int(np.add.reduce(plane_visits)),
+        )
+
+
+# ------------------------------------------------------------ batch composer
 
 
 def _ran(names: Sequence[str], values: Sequence[float], billed_only) -> Dict[str, float]:
@@ -437,75 +464,60 @@ def compose_batch(
     :meth:`BatchExecutor.execute <repro.core.batch.BatchExecutor.execute>`
     (one device) and :class:`~repro.core.shard.ShardRouter` (a cluster).
 
-    A device is ``(engine, contexts, scheduled_senses)``: one context per
-    query carrying ``phase_costs`` (in execution order), ``ibc_seconds``
-    and ``host_seconds``; the executed scan schedules' per-plane senses by
-    phase.  ``primary`` devices serve the batch side by side and meet at
-    the phase barriers, ``failover`` devices re-executed a dead shard's
-    slice, ``merge`` is a cluster's host-side merge phase.  Returns every
-    query's solo report, the batch report, the batch's phase breakdowns
-    and each device's own batch total.
+    A device is ``(engine, contexts, ledgers)``: a context per query
+    (``ibc_seconds``, ``host_seconds``) and its :class:`PhaseLedger` per
+    executed phase, in execution order.  ``primary`` devices serve the
+    batch side by side and meet at the phase barriers, ``failover``
+    devices re-executed a dead shard's slice, ``merge`` is a cluster's
+    host-side merge phase.  Returns every query's solo report, the batch
+    report, the batch's phase breakdowns and each device's own batch total.
 
     Every cost is a cell ``(device, column, slot)`` of stage seconds:
-    column ``q`` is query ``q`` alone on an idle device
-    (:func:`phase_stages`), the last column the batch under occupancy
-    (:func:`batch_phase_stages`); slot 0 is the IBC broadcast, the last
-    the host transfer, the phases sit between in first-seen order (every
-    context's phases are a prefix of one pipeline).  One
+    column ``q`` is query ``q`` alone on an idle device, the last column
+    the batch under occupancy -- both from :meth:`PhaseLedger.stages`,
+    the ledger's ``queries`` naming the columns that ran; slot 0 is the
+    IBC broadcast, the last the host transfer, the phases sit between in
+    first-seen order (a prefix of one pipeline).  One
     :func:`overlap_stages` call composes all cells and every column folds
     over the device axis alike: a phase costs its *first* slowest primary
     device (``np.argmax``) and shows that device's components; a query's
     ``1 / n_queries`` share of the merge and the slowest failover device's
     whole total ride on top.  Float order is pinned: stage sums in
-    :func:`overlap_stages`; totals in slot order, then merge, then failover
-    (:func:`_running_total`).  See ``docs/architecture.md``, "Sharded
-    batch as a table".
+    :func:`overlap_stages`; totals in slot order, then merge, then
+    failover (:func:`_running_total`).  See ``docs/architecture.md``,
+    "Sharded batch as a table".
     """
     devices = [*primary, *failover]
     n_primary, n_queries = len(primary), len(devices[0][1])
-    names = list(dict.fromkeys(
-        name for _e, contexts, _s in devices for ctx in contexts
-        for name in ctx.phase_costs
-    ))
-    cells: List[tuple] = []  # (device, column, slot, *overlap_stages arguments)
-    senses: List[Dict[str, tuple]] = []  # per device: phase -> (unique, total)
-    for d, (engine, contexts, scheduled) in enumerate(devices):
+    names = list(dict.fromkeys(n for _e, _c, ledgers in devices for n in ledgers))
+    blocks: List[np.ndarray] = []  # rows: device, column, slot, *overlap_stages args
+    counted: Dict[str, List[int]] = {}  # phase -> primaries' [unique, total]
+    for d, (engine, contexts, ledgers) in enumerate(devices):
         timing, ecc_rate = engine.timing, engine.ssd.ecc.decode_time(1)
-        fixed = [(ctx.ibc_seconds, ctx.host_seconds) for ctx in contexts]
-        ibc_s = host_s = 0.0  # the batch column: the queries', added in order
-        for ibc, host in fixed:
-            ibc_s += ibc
-            host_s += host
-        cells += [
-            (d, column, slot, seconds, 0.0, 0.0, 0.0, 0)
-            for column, pair in enumerate([*fixed, (ibc_s, host_s)])
-            for slot, seconds in zip((0, -1), pair)
-        ]
-        senses.append({})
+        fixed = np.zeros((2, 8, n_queries + 1))  # the IBC and host slots
+        fixed[:, 0], fixed[:, 1], fixed[1, 2] = d, np.arange(n_queries + 1), -1
+        fixed[0, 3, :-1] = [ctx.ibc_seconds for ctx in contexts]
+        fixed[1, 3, :-1] = [ctx.host_seconds for ctx in contexts]
+        # The batch column (still 0.0): the queries', added in order.
+        fixed[:, 3, -1] = _running_total(fixed[:, 3])
+        blocks += [fixed[0], fixed[1]]
         for slot, name in enumerate(names, 1):
-            ran = [
-                (q, ctx.phase_costs[name])
-                for q, ctx in enumerate(contexts) if name in ctx.phase_costs
-            ]
-            if not ran:
+            ledger = ledgers.get(name)
+            if ledger is None:
                 continue
-            *stages, unique, total = batch_phase_stages(
-                [cost for _q, cost in ran], timing, ecc_rate, scheduled.get(name)
-            )
-            senses[d][name] = (unique, total)
-            cells.append((d, n_queries, slot, *stages))
-            first = ran[0][1]  # a phase is homogeneous (checked above)
-            iteration_s = page_iteration_time(
-                timing, first.read_mode, first.with_compute, first.with_filter
-            )
-            cells += [
-                (d, q, slot, *phase_stages(cost, iteration_s, timing, ecc_rate))
-                for q, cost in ran
-            ]
+            solo, (*batch, unique, total) = ledger.stages(timing, ecc_rate)
+            if d < n_primary:
+                sums = counted.setdefault(name, [0, 0])
+                sums[0], sums[1] = sums[0] + unique, sums[1] + total
+            block = np.empty((8, len(ledger) + 1))
+            block[0], block[2] = d, slot
+            block[1, :-1], block[1, -1] = ledger.queries, n_queries
+            block[3:, :-1], block[3:, -1] = solo, batch
+            blocks.append(block)
 
     # ---- compose every cell: what did not run costs 0.0 and shows NaN parts
     shape = (len(devices), n_queries + 1, len(names) + 2)
-    table = np.array(cells).T
+    table = np.concatenate(blocks, axis=1)
     at = tuple(table[:3].astype(np.intp))
     pipelining = np.array([e.flags.pipelining for e, _c, _s in devices])[at[0]]
     seconds = np.zeros(shape)
@@ -556,21 +568,19 @@ def compose_batch(
 
     batch_phases: Dict[str, BatchPhaseBreakdown] = {}
     for slot, name in enumerate(names, 1):
-        counts = [s[name] for s in senses[:n_primary] if name in s]
-        if counts:
-            unique, visits = map(sum, zip(*counts))
+        if name in counted:
             mine = slice(4 * slot, 4 * slot + 4)
             shown = _ran(part_names[mine], part_rows[-1][mine], billed_only)
             batch_phases[name] = BatchPhaseBreakdown(
-                name, report.phases[name], shown, unique, visits
+                name, report.phases[name], shown, *counted[name]
             )
     if merge is not None:
         batch_phases["merge"] = merge
     if failover:
         redone = sum(
-            sum(planes.values())
-            for _engine, _contexts, scheduled in failover
-            for planes in scheduled.values()
+            int(ledger.senses.sum())
+            for _engine, _contexts, ledgers in failover
+            for ledger in ledgers.values() if ledger.senses is not None
         )
         batch_phases["failover"] = BatchPhaseBreakdown(
             "failover", report.phases["failover"],

@@ -50,7 +50,7 @@ from repro.core.batch import BatchExecutor, ScanTasks
 from repro.core.cache import CacheEntry, PageCache
 from repro.core.commands import DieCommandInterface
 from repro.core.config import OptFlags, ReisConfig
-from repro.core.costing import PhaseCost, ibc_time
+from repro.core.costing import PhaseLedger, ibc_time
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
     ReisQueryResult,
@@ -165,25 +165,39 @@ class InStorageAnnsEngine:
         """The device's DRAM page cache (attached to the SSD; default off)."""
         return getattr(self.ssd, "page_cache", None)
 
-    def _bill_dram_hit(
-        self, cost: PhaseCost, stats: SearchStats, nbytes: int, key: object
+    def _bill_visits(
+        self,
+        ledger: PhaseLedger,
+        stats_list: Sequence[SearchStats],
+        queries: np.ndarray, planes: np.ndarray, page_ids: np.ndarray,
+        hit_nbytes: np.ndarray,
     ) -> None:
-        """Account one cache-served page visit.
+        """Append a kernel's page visits to the phase ledger, as columns
+        (query-major, each query's in its own visit order).
 
-        A hit skips the sense, the latch work and the channel crossing; the
-        controller streams the mirrored bytes out of the internal DRAM, so
-        the visit bills :meth:`InternalDram.access_time` and advances the
-        ``dram_cache_*`` counters -- the energy invariant becomes: billed
-        work = unique NAND senses + DRAM hit bytes.  ``key`` is the page
-        identity, so compose_batch_phase can share the stream across the
-        queries that drain it (each query still bills the full visit solo,
-        mirroring per-query sense billing).
+        ``hit_nbytes[i]`` is the mirror entry's size when the DRAM cache
+        served visit ``i``, else 0.  A hit skips
+        the sense, the latch work and the channel crossing: the controller
+        streams the mirrored bytes out of the internal DRAM, so the visit
+        bills :meth:`InternalDram.access_time` and the ``dram_cache_*``
+        counters advance by the hit counts (billed work = unique NAND
+        senses + DRAM hit bytes); its page identity lets a batch share the
+        stream across the queries that drain it.
         """
-        cost.add_dram_stream(key, self.ssd.dram.access_time(nbytes))
-        cost.dram_bytes += nbytes
-        self.ssd.counters.add("dram_cache_hits", 1)
-        self.ssd.counters.add("dram_cache_bytes", nbytes)
-        stats.cache_hits += 1
+        hit = hit_nbytes > 0
+        if hit.any():
+            nbytes = hit_nbytes[hit]
+            ledger.add_dram_visits(
+                queries[hit], page_ids[hit],
+                self.ssd.dram.access_time(nbytes), nbytes,
+            )
+            self.ssd.counters.add("dram_cache_hits", int(nbytes.size))
+            self.ssd.counters.add("dram_cache_bytes", int(nbytes.sum()))
+            hits_of = np.bincount(queries[hit], minlength=len(stats_list))
+            for stats, hits in zip(stats_list, hits_of.tolist()):
+                stats.cache_hits += hits
+            queries, planes, page_ids = queries[~hit], planes[~hit], page_ids[~hit]
+        ledger.add_nand_visits(queries, planes, page_ids)
 
     # ----------------------------------------------------------------- IBC
 
@@ -222,7 +236,7 @@ class InStorageAnnsEngine:
         coarse: bool,
         code_rows: np.ndarray,
         ttls: Sequence[TemporalTopList],
-        costs: Sequence[PhaseCost],
+        ledger: PhaseLedger,
         stats_list: Sequence[SearchStats],
         select_k: Sequence[int],
     ) -> np.ndarray:
@@ -230,38 +244,35 @@ class InStorageAnnsEngine:
 
         ``tasks`` holds every (query, page, slot window) demand of the
         phase, query-major in each query's scan order; ``code_rows`` is the
-        stacked query-code matrix and ``ttls`` / ``costs`` / ``stats_list``
-        / ``select_k`` are indexed by ``tasks.queries``.  The region must be
-        in a raw-BER-0 cell mode (:class:`ValueError` otherwise): in-plane
-        distances are only defined on ECC-free data (Sec. 4.1.2).
+        stacked query-code matrix and ``ttls`` / ``stats_list`` /
+        ``select_k`` / the rows of ``ledger`` are indexed by
+        ``tasks.queries``.  The region must be in a raw-BER-0 cell mode
+        (:class:`ValueError` otherwise): in-plane distances are only
+        defined on ECC-free data (Sec. 4.1.2).
 
         **Per unique page**: one cache residency lookup, one admission if
         freshly sensed, one code + OOB snapshot (:class:`_LatchedPages`).
+        **Per plane**, through the die command interface: the demands in
+        service order (:func:`~repro.core.plan.schedule_order`), *one sense
+        run* over the requests whose page is not latched
+        (:func:`~repro.core.plan.schedule_senses`) and *one stacked*
+        ``XOR`` + ``GEN_DIST`` pass over every (page, query) extraction
+        the plane owes; a page the DRAM cache mirrors is neither sensed nor
+        latched (same arithmetic on the mirror's bytes, the visit bills
+        DRAM).  **Per phase**, once: the slot-window + threshold mask, the
+        in-die metadata-tag comparison, the surviving rows in each query's
+        arrival order, commands / counters / :class:`SearchStats` by
+        ``bincount``, each query's TTL fed its survivors with the
+        per-iteration quickselect accounted arithmetically.  See
+        ``docs/architecture.md``, "Batched execution is page-major".
 
-        **Per plane** the NAND work happens, through the die command
-        interface: the demands are put in service order
-        (:func:`~repro.core.plan.schedule_order`), the requests whose page
-        is not latched are marked (:func:`~repro.core.plan.schedule_senses`)
-        and each plane gets *one sense run* over its marked requests plus
-        *one stacked* ``XOR`` + ``GEN_DIST`` pass over every (page, query)
-        extraction it owes ("one sense, N distance extractions").  A page
-        the DRAM cache mirrors is neither sensed nor latched: the controller
-        runs the same arithmetic on the mirror's bytes and the visit bills
-        DRAM.
-
-        **Per phase**, once: the slot-window + threshold mask over the
-        ``(tasks, slots)`` distance matrix, the in-die metadata-tag
-        comparison, ``np.nonzero`` for the surviving rows (in each query's
-        arrival order, because tasks are query-major), commands / counters
-        / :class:`PhaseCost` / :class:`SearchStats` by ``bincount``, and
-        each query's TTL fed its survivors as
-        :class:`~repro.core.registry.TtlRefs` with the per-iteration
-        quickselect accounted arithmetically
-        (:meth:`TemporalTopList.stream`).  Every query is billed exactly
-        the visits, transfers and quickselects it would pay solo.
-
-        Returns the senses the schedule ran on each plane (indexed by
-        global plane), for the cost model's schedule feedback.
+        **The bill** goes into ``ledger`` as columns: the task table *is*
+        the visit table (:meth:`_bill_visits`), the ``(query, channel)``
+        RD_TTL bytes add onto its byte matrix, the quickselects onto its
+        per-query core seconds, the executed schedule's per-plane senses
+        are its schedule feedback -- per query exactly the visits,
+        transfers and quickselects it would pay solo.  Returns those
+        senses (indexed by global plane).
         """
         n_tasks = len(tasks)
         n_planes = self.geometry.total_planes
@@ -301,7 +312,8 @@ class InStorageAnnsEngine:
             # this phase drains don't retroactively serve it (the schedule
             # partition is fixed, like the sense/latch plan itself).
             entries = [cache.lookup(region, page) for page in pages_u]
-        cached_u = np.array([entry is not None for entry in entries], dtype=bool)
+        nbytes_u = np.array([0 if entry is None else entry.nbytes for entry in entries])
+        cached_u = nbytes_u > 0
         order = schedule_order(
             tasks.pages, self.flags.schedule_optimization, (first_index, rank_of)
         )
@@ -398,27 +410,19 @@ class InStorageAnnsEngine:
         if moved.any():
             self.ssd.counters.add("channel_bytes", int(moved.sum()) * entry_bytes)
 
-        # ---- per query: page visits, stats, channel bytes, TTL.  Tasks
-        # and survivors are query-major, so a query owns one slice of each.
-        page_ids = page_id_u.tolist()
-        for qi, rank, plane_index in zip(
-            q_of.tolist(), rank_of.tolist(), plane_t.tolist()
-        ):
-            entry = entries[rank]
-            if entry is None:
-                costs[qi].add_page(plane_index, page_id=page_ids[rank])
-            else:
-                self._bill_dram_hit(
-                    costs[qi], stats_list[qi], entry.nbytes, page_ids[rank]
-                )
+        # ---- the bill: the task table is the visit table
+        self._bill_visits(
+            ledger, stats_list, q_of, plane_t, page_id_u[rank_of], nbytes_u[rank_of]
+        )
         n_queries = len(ttls)
         n_channels = self.geometry.channels
-        bytes_of = np.bincount(
+        ledger.channel_bytes += np.bincount(
             q_of * n_channels + channel_t, weights=moved * entry_bytes,
             minlength=n_queries * n_channels,
         ).reshape(n_queries, n_channels)
-        for qi, channel in zip(*(axis.tolist() for axis in np.nonzero(bytes_of))):
-            costs[qi].add_channel_bytes(channel, float(bytes_of[qi, channel]))
+
+        # ---- per query: stats and TTL.  Tasks and survivors are
+        # query-major, so a query owns one slice of each.
         scanned, kept, visits = (
             np.bincount(q_of, weights=w, minlength=n_queries)
             .astype(np.int64).tolist()
@@ -429,7 +433,8 @@ class InStorageAnnsEngine:
         row_bounds = np.searchsorted(t_idx, task_bounds).tolist()
         kept_counts = n_kept.tolist()
         core = self.ssd.cores.reis_core
-        for qi, (stats, cost, k) in enumerate(zip(stats_list, costs, select_k)):
+        core_seconds = ledger.core_seconds
+        for qi, (stats, k) in enumerate(zip(stats_list, select_k)):
             first, last = task_bounds[qi], task_bounds[qi + 1]
             if first == last:
                 continue
@@ -440,14 +445,16 @@ class InStorageAnnsEngine:
             # Per-iteration quickselect (Sec. 4.3.1): after each page the
             # embedded core trims the TTL back to the running top list,
             # bounding its DRAM footprint.  With pipelining this overlaps
-            # the next page read (handled by compose_phase).
+            # the next page read (handled by overlap_stages).
             for processed in ttls[qi].stream(
                 survivors[row_bounds[qi]:row_bounds[qi + 1]],
                 kept_counts[first:last],
                 k,
             ):
-                cost.core_seconds += core.quickselect(processed, k)
-        return np.bincount(plane_o[sensed], minlength=n_planes)
+                core_seconds[qi] += core.quickselect(processed, k)
+        senses_of = np.bincount(plane_o[sensed], minlength=n_planes)
+        ledger.add_schedule(senses_of)
+        return senses_of
 
     # --------------------------------------------------------- search steps
 
@@ -455,7 +462,7 @@ class InStorageAnnsEngine:
         self,
         ttls: Sequence[TemporalTopList],
         k: int,
-        costs: Sequence[PhaseCost],
+        ledger: PhaseLedger,
     ) -> Tuple[TtlBlock, np.ndarray]:
         """Quickselect the k nearest rows of every query's TTL: the final
         selection of a scan phase (the fine phase's rescoring shortlists).
@@ -466,8 +473,8 @@ class InStorageAnnsEngine:
         as arrays -- while the embedded core is charged per query.
         """
         core = self.ssd.cores.reis_core
-        for ttl, cost in zip(ttls, costs):
-            cost.core_seconds += core.quickselect(len(ttl), k)
+        for qi, ttl in enumerate(ttls):
+            ledger.core_seconds[qi] += core.quickselect(len(ttl), k)
         return select_blocks(ttls, k)
 
     def select_clusters(
@@ -475,7 +482,7 @@ class InStorageAnnsEngine:
         db: DeployedDatabase,
         ttls: Sequence[TemporalTopList],
         nprobe: int,
-        costs: Sequence[PhaseCost],
+        ledger: PhaseLedger,
     ) -> Tuple[TtlBlock, np.ndarray]:
         """Quickselect every query's nprobe nearest centroid rows.
 
@@ -485,7 +492,7 @@ class InStorageAnnsEngine:
         router merges across devices.
         """
         assert db.r_ivf is not None
-        block, bounds = self.select_nearest(ttls, nprobe, costs)
+        block, bounds = self.select_nearest(ttls, nprobe, ledger)
         mismatch = db.r_ivf.tags[block.eadrs] != block.tags
         if np.any(mismatch):
             bad = int(block.eadrs[np.argmax(mismatch)])
@@ -614,27 +621,24 @@ class InStorageAnnsEngine:
         last_cw: np.ndarray,
         pages: _TlcPages,
         stats_list: Sequence[SearchStats],
-    ) -> List[PhaseCost]:
-        """Every query's TLC charges for one phase, in one columnar pass.
+    ) -> PhaseLedger:
+        """Every query's TLC charges for one phase, as one ledger.
 
         Row ``i`` of the phase belongs to query ``seg_of_row[i]``
         (query-major) and reads ECC codewords ``first_cw[i]..last_cw[i]``
         (none when ``last_cw < first_cw``: a zero-length read) of the page
         in row ``page_row[i]`` of ``pages``.  A query pays what it would pay
-        alone: one sense per distinct uncached page, in its own first-touch
-        order (``pages_per_plane`` / ``sensed_page_ids`` / ``pages_read``),
-        one DRAM stream per distinct cached page, and one channel + ECC
-        codeword per distinct (page, codeword) on uncached pages --
-        codewords of mirror-served pages never cross the channel or the ECC
-        engine.  The device counters advance per query too: the phase
-        sensed each page once, so the cross-query remainder of
-        ``page_reads`` / ``decoded_bytes`` is charged here -- shared host
-        work, unshared energy.
+        alone: one visit per distinct page, in its own first-touch order
+        (a sense, or a DRAM stream for a cached page: :meth:`_bill_visits`)
+        and one channel + ECC codeword per distinct (page, codeword) on
+        uncached pages -- codewords of mirror-served pages never cross the
+        channel or the ECC engine.  The device counters advance per query
+        too: the phase sensed each page once, so the cross-query remainder
+        of ``page_reads`` / ``decoded_bytes`` is charged here -- shared
+        host work, unshared energy.
         """
-        costs = [
-            PhaseCost(name=name, read_mode="tlc", with_compute=False)
-            for _ in stats_list
-        ]
+        n_queries = len(stats_list)
+        ledger = PhaseLedger(name, n_queries, self.geometry, "tlc", with_compute=False)
         _stack, plane_of, channel_of, page_id_of, cached, hit_nbytes = pages
         n_pages = plane_of.size
         visit_of_row = seg_of_row * n_pages + page_row
@@ -642,20 +646,13 @@ class InStorageAnnsEngine:
         visits, first = np.unique(visit_of_row, return_index=True)
         visits = visits[np.argsort(first, kind="stable")]
         visit_q, visit_row = np.divmod(visits, n_pages)
-        visit_hit = cached[visit_row]
-        planes, page_ids = plane_of.tolist(), page_id_of.tolist()
-        for qi, row, hit in zip(
-            visit_q.tolist(), visit_row.tolist(), visit_hit.tolist()
-        ):
-            if hit:
-                self._bill_dram_hit(
-                    costs[qi], stats_list[qi], int(hit_nbytes[row]),
-                    page_ids[row],
-                )
-            else:
-                costs[qi].add_page(planes[row], page_id=page_ids[row])
-        n_queries = len(costs)
-        sensed_visits = np.bincount(visit_q[~visit_hit], minlength=n_queries)
+        self._bill_visits(
+            ledger, stats_list, visit_q, plane_of[visit_row],
+            page_id_of[visit_row], hit_nbytes[visit_row],
+        )
+        sensed_visits = np.bincount(
+            visit_q[~cached[visit_row]], minlength=n_queries
+        )
         # (query, page, codeword) dedupe over each row's codeword range.
         cw = self.ssd.ecc.config.codeword_bytes
         page_bytes = self.geometry.page_bytes
@@ -671,19 +668,17 @@ class InStorageAnnsEngine:
             key_q[moved] * n_channels + channel_of[key_row[moved]],
             minlength=n_queries * n_channels,
         ).reshape(n_queries, n_channels)
-        for qi, channel in zip(*(a.tolist() for a in np.nonzero(codewords_of))):
-            costs[qi].add_channel_bytes(channel, int(codewords_of[qi, channel]) * cw)
-        codewords = codewords_of.sum(axis=1).tolist()
-        for qi, n_sensed in enumerate(sensed_visits.tolist()):
-            stats_list[qi].pages_read += n_sensed
-            costs[qi].ecc_bytes += codewords[qi] * cw
+        ledger.channel_bytes += codewords_of * cw
+        ledger.ecc_bytes += codewords_of.sum(axis=1) * cw
+        for stats, n_sensed in zip(stats_list, sensed_visits.tolist()):
+            stats.pages_read += n_sensed
         self.ssd.counters.add("channel_bytes", int(moved.sum()) * cw)
         extra = int(sensed_visits.sum()) - int(n_pages - cached.sum())
         if extra > 0:
             self.ssd.counters.add("page_reads", extra)
             self.ssd.counters.add("page_reads_tlc", extra)
             self.ssd.ecc.decoded_bytes += extra * page_bytes
-        return costs
+        return ledger
 
     def _rerank_batch(
         self,
@@ -692,7 +687,7 @@ class InStorageAnnsEngine:
         shortlists: Sequence[TtlBlock],
         ks: Sequence[int],
         stats_list: Sequence[SearchStats],
-    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, PhaseCost]]:
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], PhaseLedger]:
         """Steps 7-8 for a phase of queries: page-major INT8 rerank.
 
         INT8 twins live in the TLC partition, so each page routes through
@@ -703,7 +698,7 @@ class InStorageAnnsEngine:
         ``(n_total_short, dim)`` matrix refined by a single einsum, and each
         query quicksorts its own segment on the embedded core.  Billing is
         per query (:meth:`_bill_tlc_phase`).  Returns one ``(distances,
-        dadrs, slots, cost)`` tuple per query.
+        dadrs, slots)`` tuple per query and the phase's ledger.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         region = db.int8_region
@@ -712,12 +707,9 @@ class InStorageAnnsEngine:
         counts = np.array([len(block) for block in shortlists], dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
         if int(counts.sum()) == 0:
-            return [
-                (empty, empty, empty, PhaseCost(
-                    name="rerank", read_mode="tlc", with_compute=False
-                ))
-                for _ in shortlists
-            ]
+            return [(empty, empty, empty)] * len(shortlists), PhaseLedger(
+                "rerank", len(shortlists), self.geometry, "tlc", with_compute=False
+            )
         live = [block for block in shortlists if len(block)]
         radrs = np.concatenate([block.radrs for block in live])
         dadrs = np.concatenate([block.dadrs for block in live])
@@ -730,7 +722,7 @@ class InStorageAnnsEngine:
         seg_of_row = np.repeat(np.arange(len(shortlists)), counts)
         cw = self.ssd.ecc.config.codeword_bytes
         starts = slot_in_page * dim
-        costs = self._bill_tlc_phase(
+        ledger = self._bill_tlc_phase(
             "rerank", seg_of_row, page_row,
             starts // cw, (starts + dim - 1) // cw, pages, stats_list,
         )
@@ -748,23 +740,22 @@ class InStorageAnnsEngine:
         core = self.ssd.cores.reis_core
         bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
         outs = []
-        for qi, cost in enumerate(costs):
-            lo, hi = bounds[qi], bounds[qi + 1]
+        for qi, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             if lo == hi:
-                outs.append((empty, empty, empty, cost))
+                outs.append((empty, empty, empty))
                 continue
-            cost.core_seconds += core.int8_distances(hi - lo, dim)
+            ledger.core_seconds[qi] += core.int8_distances(hi - lo, dim)
             top = lo + np.argsort(refined[lo:hi], kind="stable")[: int(ks[qi])]
-            cost.core_seconds += core.quicksort(hi - lo)
-            outs.append((refined[top], dadrs[top], radrs[top], cost))
-        return outs
+            ledger.core_seconds[qi] += core.quicksort(hi - lo)
+            outs.append((refined[top], dadrs[top], radrs[top]))
+        return outs, ledger
 
     def _fetch_documents_batch(
         self,
         db: DeployedDatabase,
         dadrs_list: Sequence[np.ndarray],
         stats_list: Sequence[SearchStats],
-    ) -> List[Tuple[List[DocumentChunk], PhaseCost, float]]:
+    ) -> Tuple[List[Tuple[List[DocumentChunk], float]], PhaseLedger]:
         """Step 9 for a phase of queries: document identification + transfer.
 
         Every query's result DADRs resolve in one columnar pass and each
@@ -774,19 +765,18 @@ class InStorageAnnsEngine:
         (:meth:`_bill_tlc_phase`): with packed document slots several
         results routinely share a page and the query pays for it once;
         cross-query charges are never deduplicated (the energy-counter
-        invariant).  Returns one ``(documents, cost,
-        host_transfer_seconds)`` tuple per query.
+        invariant).  The winners' payload rows decode, and their ids
+        gather, in one pass each (:meth:`DocumentChunk.decode_rows`).
+        Returns one ``(documents, host_transfer_seconds)`` pair per query
+        and the phase's ledger.
         """
         region = db.document_region
         item_bytes = region.item_bytes
         counts = np.array([len(d) for d in dadrs_list], dtype=np.int64)
         if int(counts.sum()) == 0:
-            return [
-                ([], PhaseCost(
-                    name="documents", read_mode="tlc", with_compute=False
-                ), 0.0)
-                for _ in dadrs_list
-            ]
+            return [([], 0.0)] * len(dadrs_list), PhaseLedger(
+                "documents", len(dadrs_list), self.geometry, "tlc", with_compute=False
+            )
         dadrs = np.concatenate(
             [np.asarray(d, dtype=np.int64) for d in dadrs_list]
         )
@@ -800,36 +790,30 @@ class InStorageAnnsEngine:
         )
         cw = self.ssd.ecc.config.codeword_bytes
         starts = slot_in_page * item_bytes
-        costs = self._bill_tlc_phase(
+        ledger = self._bill_tlc_phase(
             "documents", np.repeat(np.arange(len(dadrs_list)), counts), page_row,
             starts // cw, (starts + max(item_bytes, 1) - 1) // cw,
             pages, stats_list,
         )
+        chunk_ids = db.original_of_dadr(dadrs).tolist()
         if db.corpus is not None:
-            documents = [
-                db.corpus[db.original_of_dadr(dadr)] for dadr in dadrs.tolist()
-            ]
+            documents = [db.corpus[chunk_id] for chunk_id in chunk_ids]
         else:
             payloads = pages.stack[
                 page_row[:, None], starts[:, None] + np.arange(item_bytes)
             ]
             documents = [
-                DocumentChunk(
-                    chunk_id=db.original_of_dadr(dadr),
-                    text=DocumentChunk.decode_bytes(payload),
+                DocumentChunk(chunk_id=chunk_id, text=text)
+                for chunk_id, text in zip(
+                    chunk_ids, DocumentChunk.decode_rows(payloads)
                 )
-                for dadr, payload in zip(dadrs.tolist(), payloads)
             ]
         bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
         host_bandwidth = self.ssd.spec.host_link_bandwidth_bps
         return [
-            (
-                documents[bounds[qi] : bounds[qi + 1]],
-                cost,
-                float((bounds[qi + 1] - bounds[qi]) * item_bytes) / host_bandwidth,
-            )
-            for qi, cost in enumerate(costs)
-        ]
+            (documents[lo:hi], float((hi - lo) * item_bytes) / host_bandwidth)
+            for lo, hi in zip(bounds, bounds[1:])
+        ], ledger
 
     # -------------------------------------------------------------- search
 
@@ -847,7 +831,7 @@ class InStorageAnnsEngine:
         A solo query is a batch of one through the
         :class:`~repro.core.batch.BatchExecutor`; its
         :class:`~repro.sim.latency.LatencyReport` is the solo composition
-        of its phase costs, i.e. the latency on an otherwise-idle device.
+        of its phases' ledger rows, i.e. the latency on an otherwise-idle device.
         For IVF databases ``nprobe`` selects how many clusters the fine
         search visits (default: enough for ~sqrt(nlist)).  For flat
         databases the fine search scans the whole embedding region (brute

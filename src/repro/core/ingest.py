@@ -57,7 +57,7 @@ from repro.ann.distances import hamming_packed
 from repro.core.batch import BatchExecution, BatchStats
 from repro.core.defrag import Defragmenter
 from repro.core.layout import CapacityError, DeployedDatabase, RegionInfo
-from repro.core.plan import SearchStats
+from repro.core.plan import SearchStats, validate_metadata_tags
 from repro.core.queue import QueuePolicy, Submission, SubmissionQueue
 from repro.core.registry import R_IVF_ENTRY_BYTES, RIvf, RIvfEntry, TombstoneRegistry
 from repro.rag.documents import DocumentChunk
@@ -195,7 +195,11 @@ class MutableIndex:
             [] for _ in range(len(db.r_ivf))
         ]  # per cluster: (embedding slot, entry id), ascending slot
         self.entries: Dict[int, EntryInfo] = {}
-        self._dadr_to_id: Dict[int, int] = {}
+        # Document slot -> entry id over the whole document region (-1:
+        # none).  At deploy DADR == slot; appended entries' document slots
+        # diverge from their embedding slots (one tail cursor per region).
+        self.dadr_to_id = np.full(db.document_region.n_slots, -1, dtype=np.int64)
+        self.dadr_to_id[: db.slot_to_original.size] = db.slot_to_original
         for cluster, record in enumerate(db.r_ivf.entries):
             for slot in range(record.first_embedding, record.last_embedding + 1):
                 entry_id = int(db.slot_to_original[slot])
@@ -236,17 +240,6 @@ class MutableIndex:
                 ranges.append((run_start, run_end))
         return ranges
 
-    def original_of_dadr(self, dadr: int) -> int:
-        """Entry id stored at document slot ``dadr``.
-
-        Appended entries' document slots diverge from their embedding
-        slots (each region has its own tail cursor), so the deployer's
-        identity mapping only covers the original deployment.
-        """
-        if dadr in self._dadr_to_id:
-            return self._dadr_to_id[dadr]
-        return int(self.db.slot_to_original[dadr])
-
     # ---------------------------------------------------------- mutation
 
     def insert(
@@ -259,7 +252,7 @@ class MutableIndex:
             raise ValueError("appends must keep ascending slot order")
         members.append((eadr, entry_id))
         self.entries[entry_id] = EntryInfo(cluster, eadr, radr, dadr, meta)
-        self._dadr_to_id[dadr] = entry_id
+        self.dadr_to_id[dadr] = entry_id
 
     def remove(self, entry_id: int) -> None:
         info = self.entries[entry_id]
@@ -614,14 +607,17 @@ class IngestManager:
         # Read back one region at a time: every golden page holding a live
         # slot once, then one gather of the live payload rows.
         payloads: Dict[str, np.ndarray] = {}
-        slot_of = {"embeddings": "eadr", "int8": "radr", "documents": "dadr"}
+        # One pass over the live entries yields all three slot columns.
+        eadrs, radrs, dadrs = np.array(
+            [(info.eadr, info.radr, info.dadr) for _entry_id, info in order],
+            dtype=np.int64,
+        ).reshape(-1, 3).T
+        slots_of = {"embeddings": eadrs, "int8": radrs, "documents": dadrs}
         for key, region in self._regions.items():
             width = db.code_bytes if key == "embeddings" else region.item_bytes
-            slots = np.fromiter(
-                (getattr(info, slot_of[key]) for _entry_id, info in order),
-                dtype=np.int64, count=len(order),
+            page_offsets, slot_in_page = np.divmod(
+                slots_of[key], region.slots_per_page
             )
-            page_offsets, slot_in_page = np.divmod(slots, region.slots_per_page)
             touched, row_of = np.unique(page_offsets, return_inverse=True)
             pages = np.empty((touched.size, g.page_bytes), dtype=np.uint8)
             for row, page_offset in enumerate(touched.tolist()):
@@ -688,7 +684,8 @@ class IngestManager:
         db.n_entries = live_ids.size
 
         slot = 0
-        self.index._dadr_to_id.clear()
+        self.index.dadr_to_id[:] = -1
+        self.index.dadr_to_id[: live_ids.size] = live_ids
         self.index.entries = {}
         for cluster in range(len(self.index.members)):
             rebuilt = []
@@ -760,6 +757,8 @@ class IngestQueue(SubmissionQueue):
         at_s: Optional[float] = None,
     ) -> int:
         vector = np.asarray(vector, dtype=np.float32)
+        if metadata_tag is not None:  # checked before anything is enqueued
+            metadata_tag = int(validate_metadata_tags(metadata_tag, "metadata_tag"))
         sub_id = self.submit(vector, tenant=tenant, deadline_s=deadline_s, at_s=at_s)
         self._mutations[sub_id] = MutationRequest(
             op="insert", vector=vector, text=text, metadata_tag=metadata_tag
@@ -791,6 +790,8 @@ class IngestQueue(SubmissionQueue):
         at_s: Optional[float] = None,
     ) -> int:
         vector = np.asarray(vector, dtype=np.float32)
+        if metadata_tag is not None:  # checked before anything is enqueued
+            metadata_tag = int(validate_metadata_tags(metadata_tag, "metadata_tag"))
         sub_id = self.submit(vector, tenant=tenant, deadline_s=deadline_s, at_s=at_s)
         self._mutations[sub_id] = MutationRequest(
             op="update",

@@ -28,6 +28,7 @@ from repro.ann.distances import hamming_packed
 from repro.ann.ivf import IvfModel
 from repro.ann.quantization import BinaryQuantizer, Int8Quantizer
 from repro.core.config import EngineParams
+from repro.core.plan import validate_metadata_tags
 from repro.core.registry import RDb, RDbEntry, RIvf, RIvfEntry
 from repro.nand.cell import CellMode
 from repro.nand.geometry import FlashGeometry
@@ -86,15 +87,16 @@ class DeployedDatabase:
     def has_metadata(self) -> bool:
         return self.metadata_tags is not None
 
-    def original_of_dadr(self, dadr: int) -> int:
+    def original_of_dadr(self, dadr):
         """Original (external) id of the entry stored at document slot
-        ``dadr``.  At deploy time DADR == slot, so the base mapping is the
-        slot table; streamed appends may place an entry's document at a
-        different slot than its embedding, which the mutable index tracks.
+        ``dadr`` (one slot or an array of them: a column gather).  At
+        deploy time DADR == slot, so the base mapping is the slot table;
+        streamed appends may place an entry's document at a different slot
+        than its embedding, which the mutable index tracks.
         """
         if self.mutable_index is not None:
-            return self.mutable_index.original_of_dadr(dadr)
-        return int(self.slot_to_original[dadr])
+            return self.mutable_index.dadr_to_id[dadr]
+        return self.slot_to_original[dadr]
 
     @property
     def is_ivf(self) -> bool:
@@ -350,7 +352,7 @@ class DatabaseDeployer:
         if corpus is not None and len(corpus) != n:
             raise ValueError("corpus size must match the number of embeddings")
         if metadata_tags is not None:
-            metadata_tags = np.asarray(metadata_tags, dtype=np.uint32)
+            metadata_tags = validate_metadata_tags(metadata_tags)
             if metadata_tags.shape != (n,):
                 raise ValueError("need exactly one metadata tag per embedding")
         g = self._geometry()

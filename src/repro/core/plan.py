@@ -9,10 +9,10 @@ fetch_documents)`` per batch, so a batch executes **one**
 against the database (:func:`build_query_plan`), from which the stage
 list is derived (:meth:`QueryPlan.stage_names`).  The batch executor
 (:mod:`repro.core.batch`) runs the phases the record names; per-query
-state lives in a :class:`PlanContext`, whose raw
-:class:`~repro.core.costing.PhaseCost` records are what lets the batch
-costing amortize senses across queries while every query keeps the solo
-latency report of an otherwise-idle device
+state lives in a :class:`PlanContext`, and each phase bills one
+:class:`~repro.core.costing.PhaseLedger` whose visit table is what lets
+the batch costing amortize senses across queries while every query keeps
+the solo latency report of an otherwise-idle device
 (:func:`~repro.core.costing.compose_batch`).
 
 The page-service schedule of a scan phase is array data too:
@@ -25,18 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from numbers import Integral
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ann.blocks import row_blocks
-from repro.core.costing import PhaseCost
-from repro.core.layout import DeployedDatabase
 from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (both import us)
     from repro.core.engine import InStorageAnnsEngine
+    from repro.core.layout import DeployedDatabase
 
 
 @dataclass
@@ -114,9 +113,6 @@ class PlanContext:
     documents: List[DocumentChunk] = field(default_factory=list)
     ibc_seconds: float = 0.0
     host_seconds: float = 0.0
-    # Phase name -> raw resource usage, in execution order: composed solo
-    # for the query's own report and jointly across the batch's queries.
-    phase_costs: Dict[str, PhaseCost] = field(default_factory=dict)
 
 
 def schedule_order(
@@ -260,6 +256,27 @@ def validate_vectors(vectors: np.ndarray) -> np.ndarray:
     return _finite_matrix("vectors", vectors, shape_ok, "(n, dim) with n >= 1")
 
 
+def validate_metadata_tags(tags, name: str = "metadata_tags") -> np.ndarray:
+    """API-boundary check of metadata tags; returns them as ``uint32``.
+
+    A tag is one unsigned 32-bit OOB word (Sec. 7.1) that filters compare
+    against, so a deploy's tags, an insert's tag and a ``metadata_filter``
+    (``name`` says which) must be integers in ``[0, 2**32)``: a named
+    :class:`ValueError` where a ``uint32`` cast would wrap ``2**32 + 7``
+    to 7 and ``-1`` to ``2**32 - 1``, or cut 1.5 to 1.
+    """
+    array = np.asarray(tags)
+    if array.dtype.kind not in "iu" and not (
+        array.dtype.kind == "O"
+        and all(isinstance(tag, Integral) for tag in array.ravel().tolist())
+    ):
+        raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
+    outside = (array < 0) | (array >= 2**32)
+    if outside.any():
+        raise ValueError(f"{name} must be in [0, 2**32), got {array[outside].flat[0]}")
+    return array.astype(np.uint32, copy=False)
+
+
 def resolve_nprobe(n_clusters: int, nprobe: Optional[int]) -> Optional[int]:
     """Clusters the fine search visits: ``None`` on a flat database,
     ~sqrt(nlist) by default, never more than there are clusters."""
@@ -272,7 +289,7 @@ def resolve_nprobe(n_clusters: int, nprobe: Optional[int]) -> Optional[int]:
 
 def build_query_plan(
     engine: "InStorageAnnsEngine",
-    db: DeployedDatabase,
+    db: "DeployedDatabase",
     k: int = 10,
     nprobe: Optional[int] = None,
     fetch_documents: bool = True,
@@ -283,14 +300,19 @@ def build_query_plan(
     For IVF databases ``nprobe`` selects how many clusters the fine search
     visits (:func:`resolve_nprobe`) and a coarse phase is planned; flat
     databases skip it and the fine search scans the whole embedding
-    region.  ``fetch_documents=False`` drops the document phase.  The
-    queries themselves are checked once, at the API
-    (:func:`validate_queries`).
+    region.  ``fetch_documents=False`` drops the document phase and
+    ``metadata_filter`` must be a tag the OOB word can hold
+    (:func:`validate_metadata_tags`).  The queries themselves are checked
+    once, at the API (:func:`validate_queries`).
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    if metadata_filter is not None and not db.has_metadata:
-        raise ValueError("database was deployed without metadata tags")
+    if metadata_filter is not None:
+        if not db.has_metadata:
+            raise ValueError("database was deployed without metadata tags")
+        metadata_filter = int(
+            validate_metadata_tags(metadata_filter, "metadata_filter")
+        )
     return QueryPlan(
         k=k,
         nprobe=resolve_nprobe(db.n_clusters, nprobe) if db.is_ivf else None,

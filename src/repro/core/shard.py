@@ -1188,13 +1188,11 @@ class ShardRouter:
             state.shipped[run.shard] += sel.size
             counts = np.bincount(shortlist.queries[sel], minlength=n_queries)
             bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-            outs = run.executor.engine._rerank_batch(
+            outs, run.ledgers["rerank"] = run.executor.engine._rerank_batch(
                 run.db, state.queries,
                 [mine.take(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])],
                 counts.tolist(), [ctx.stats for ctx in run.ctxs],
             )
-            for ctx, out in zip(run.ctxs, outs):
-                ctx.phase_costs["rerank"] = out[3]
             # The rerank returns rows in refined order; map each row back
             # to its member ((query, RADR) is unique within a run) to
             # recover its merged-shortlist position.
@@ -1284,13 +1282,14 @@ class ShardRouter:
             starts = starts.tolist() + [mine.size]
             dadrs = ranked.dadrs[mine]
             ctxs = [run.ctxs[qi] for qi in asking.tolist()]
-            outs = run.executor.engine._fetch_documents_batch(
+            outs, ledger = run.executor.engine._fetch_documents_batch(
                 run.db,
                 [dadrs[lo:hi] for lo, hi in zip(starts, starts[1:])],
                 [ctx.stats for ctx in ctxs],
             )
-            for ctx, (_docs, cost, host_s) in zip(ctxs, outs):
-                ctx.phase_costs["documents"] = cost
+            ledger.queries = asking
+            run.ledgers["documents"] = ledger
+            for ctx, (_docs, host_s) in zip(ctxs, outs):
                 ctx.host_seconds += host_s
         return [sdb.document_chunk(gid) for gid in ranked.gids.tolist()]
 
@@ -1329,7 +1328,7 @@ class ShardRouter:
         """
         runs = state.runs
         n_queries = state.n_queries
-        devices = [(run.executor.engine, run.ctxs, run.senses) for run in runs]
+        devices = [(run.executor.engine, run.ctxs, run.ledgers) for run in runs]
         first_failover = sum(not run.failover for run in runs)
         latencies, report, phases, device_seconds = compose_batch(
             devices[:first_failover], devices[first_failover:],

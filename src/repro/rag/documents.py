@@ -38,6 +38,16 @@ class DocumentChunk:
         raw = bytes(data.tobytes()).rstrip(b"\x00")
         return raw.decode("utf-8", errors="replace")
 
+    @staticmethod
+    def decode_rows(rows: np.ndarray) -> List[str]:
+        """:meth:`decode_bytes` of every row of a ``(n, slot_bytes)`` uint8
+        matrix, in one pass: the rows viewed as fixed-width byte strings
+        (numpy drops a bytes element's trailing NULs, which is exactly the
+        padding strip) and decoded by one vectorized call."""
+        rows = np.ascontiguousarray(rows)
+        packed = rows.view(f"S{rows.shape[1]}").ravel()
+        return np.strings.decode(packed, "utf-8", "replace").tolist()
+
 
 def chunk_text(text: str, chunk_chars: int, overlap_chars: int = 0) -> List[str]:
     """Split ``text`` into fixed-size chunks with optional overlap."""

@@ -34,11 +34,8 @@ TIMING = NandTiming()
 
 
 class TestPhaseCost:
-    def test_add_page_accumulates(self):
-        cost = PhaseCost(name="t")
-        cost.add_page(0)
-        cost.add_page(0)
-        cost.add_page(1)
+    def test_pages_per_plane_max_and_total(self):
+        cost = PhaseCost(name="t", pages_per_plane={0: 2, 1: 1})
         assert cost.max_pages == 2
         assert cost.total_pages == 3
 

@@ -265,6 +265,102 @@ class TestQueryValidation:
             assert a.ids.tolist() == b.ids.tolist()
 
 
+class TestMetadataTagValidation:
+    """A metadata tag is one 32-bit unsigned word in the OOB record: a tag
+    or filter that does not fit fails at the API, by name, instead of
+    wrapping (``2**32 + 7`` used to answer to filter ``7``, ``-1`` to
+    ``2**32 - 1``, ``1.5`` to ``1``, and filter ``3.5`` was served as 3)."""
+
+    N = 120
+
+    @pytest.fixture(params=["single", "sharded"])
+    def either_device(self, request):
+        if request.param == "single":
+            return ReisDevice(tiny_config("TAG-1"))
+        return ShardedReisDevice(2, tiny_config("TAG-2"))
+
+    def _tagged(self, device, small_vectors, tags=None):
+        vectors = small_vectors[0][: self.N]
+        if tags is None:
+            tags = np.arange(self.N) % 4
+        return device.ivf_deploy(
+            "tagged", vectors, nlist=4, seed=0, metadata_tags=tags,
+            growth_entries=256,
+        )
+
+    BAD = (
+        ("above", 2**32 + 7, r"must be in \[0, 2\*\*32\), got 4294967303"),
+        ("negative", -1, r"must be in \[0, 2\*\*32\), got -1"),
+        ("fraction", 1.5, "must be integers"),
+    )
+
+    @pytest.mark.parametrize("bad,message", [b[1:] for b in BAD], ids=[b[0] for b in BAD])
+    def test_bad_tag_fails_at_the_deploy_boundary(
+        self, either_device, small_vectors, bad, message
+    ):
+        tags = [7] * self.N
+        tags[5] = bad
+        vectors = small_vectors[0][: self.N]
+        for deploy in (
+            lambda: either_device.db_deploy("t", vectors, metadata_tags=tags),
+            lambda: self._tagged(either_device, small_vectors, tags),
+        ):
+            with pytest.raises(ValueError, match="metadata_tags " + message):
+                deploy()
+        assert either_device.databases == {}
+
+    def test_tags_at_both_ends_of_the_word_are_served(
+        self, either_device, small_vectors, small_queries
+    ):
+        tags = np.zeros(self.N, dtype=np.uint64)
+        tags[::3] = 2**32 - 1
+        db_id = self._tagged(either_device, small_vectors, tags)
+        for wanted in (0, 2**32 - 1):
+            batch = either_device.ivf_search(
+                db_id, small_queries[:3], k=5, nprobe=4, metadata_filter=wanted
+            )
+            for result in batch:
+                assert result.ids.size == 5
+                assert (tags[result.ids] == wanted).all()
+
+    @pytest.mark.parametrize(
+        "bad,message", [(3.5, "must be integers"), *[b[1:] for b in BAD[:2]]]
+    )
+    def test_bad_filter_fails_at_every_search_entry_point(
+        self, either_device, small_vectors, small_queries, bad, message
+    ):
+        db_id = self._tagged(either_device, small_vectors)
+        message = "metadata_filter " + message
+        with pytest.raises(ValueError, match=message):
+            either_device.ivf_search(
+                db_id, small_queries[:2], k=5, nprobe=2, metadata_filter=bad
+            )
+        with pytest.raises(ValueError, match=message):
+            either_device.search(db_id, small_queries[:2], k=5, metadata_filter=bad)
+        with pytest.raises(ValueError, match=message):
+            either_device.submission_queue(db_id, k=5, metadata_filter=bad)
+
+    @pytest.mark.parametrize("bad,message", [b[1:] for b in BAD], ids=[b[0] for b in BAD])
+    def test_bad_tag_fails_when_a_mutation_is_submitted(
+        self, either_device, small_vectors, bad, message
+    ):
+        db_id = self._tagged(either_device, small_vectors)
+        queue = either_device.ingest_queue(db_id, k=5, nprobe=2)
+        vector = small_vectors[0][0] * 1.01
+        with pytest.raises(ValueError, match="metadata_tag " + message):
+            queue.submit_insert(vector, metadata_tag=bad)
+        with pytest.raises(ValueError, match="metadata_tag " + message):
+            queue.submit_update(3, vector, metadata_tag=bad)
+        assert queue.pending_count == 0
+        # A tag that fits still streams in and answers to its own filter.
+        queue.submit_insert(vector, metadata_tag=2**32 - 1)
+        queue.drain()
+        batch = either_device.ivf_search(
+            db_id, vector[None], k=1, nprobe=4, metadata_filter=2**32 - 1
+        )
+        assert batch.results[0].ids.tolist() == [self.N]
+
+
 class TestNvmePath:
     def test_search_via_nvme(self, deployed_device, small_queries):
         device, db_id = deployed_device

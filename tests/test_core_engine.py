@@ -13,6 +13,7 @@ from repro.ann.ivf import BqIvfIndex
 from repro.ann.recall import mean_recall_at_k
 from repro.core.api import ReisDevice
 from repro.core.config import NO_OPT, OptFlags, tiny_config
+from repro.core.costing import PhaseLedger
 from repro.core.engine import InStorageAnnsEngine
 
 from tests.conftest import SMALL_DIM, SMALL_N, SMALL_NLIST
@@ -61,7 +62,6 @@ class TestPhaseKernelAgainstBruteForce:
 
     def test_threshold_filter_and_clamped_windows(self):
         from repro.core.batch import tasks_from_ranges
-        from repro.core.costing import PhaseCost
         from repro.core.plan import SearchStats
         from repro.core.registry import TemporalTopList
         from repro.rag.embeddings import make_clustered_embeddings, make_queries
@@ -97,10 +97,11 @@ class TestPhaseKernelAgainstBruteForce:
         )
         entry_bytes = device.engine.params.fine_entry_bytes(db.code_bytes)
         ttls = [TemporalTopList("e", entry_bytes) for _ in queries]
-        costs = [PhaseCost(name="fine") for _ in queries]
         stats = [SearchStats() for _ in queries]
         device.engine.scan_page_run(
-            db, tasks, False, codes, ttls, costs, stats, [1000] * 3
+            db, tasks, False, codes, ttls,
+            PhaseLedger("fine", len(queries), device.engine.geometry), stats,
+            [1000] * 3,
         )
 
         for qi in range(3):
@@ -199,7 +200,6 @@ class TestPhaseKernelAgainstLatchWalk:
     ):
         from repro.core.batch import tasks_from_ranges
         from repro.core.commands import FlashOp
-        from repro.core.costing import PhaseCost
         from repro.core.plan import SearchStats
         from repro.core.registry import TemporalTopList
         from repro.rag.embeddings import make_clustered_embeddings, make_queries
@@ -257,7 +257,7 @@ class TestPhaseKernelAgainstLatchWalk:
         ttls = [TemporalTopList("e", entry_bytes) for _ in codes]
         device.engine.scan_page_run(
             db, tasks, False, codes, ttls,
-            [PhaseCost(name="fine") for _ in codes],
+            PhaseLedger("fine", len(codes), device.engine.geometry),
             [SearchStats() for _ in codes], [10**6] * 3,
         )
 
@@ -668,24 +668,24 @@ class TestBatchedSelectAgainstPerTtl:
             expected_costs.append(cost.core_seconds)
         reference_busy, core.busy_seconds = core.busy_seconds, start
 
-        costs = [PhaseCost(name="phase") for _ in range(self.N_QUERIES)]
+        ledger = PhaseLedger("phase", self.N_QUERIES, engine.geometry)
         ttls = self._ttls(db, k, coarse)
         if coarse:
-            block, bounds = engine.select_clusters(db, ttls, k, costs)
+            block, bounds = engine.select_clusters(db, ttls, k, ledger)
         else:
-            block, bounds = engine.select_nearest(ttls, k, costs)
+            block, bounds = engine.select_nearest(ttls, k, ledger)
         assert core.busy_seconds == reference_busy
-        assert [cost.core_seconds for cost in costs] == expected_costs
+        assert ledger.core_seconds == expected_costs
         assert [
             self._columns(block.take(slice(lo, hi))) for lo, hi in zip(bounds[:-1], bounds[1:])
         ] == expected
 
     def test_tag_mismatch_is_caught_in_the_stacked_form(self, deployed_device):
-        from repro.core.costing import PhaseCost
-
         device, db_id = deployed_device
         db, engine = device.database(db_id), device.engine
         ttls = self._ttls(db, 3, coarse=True, corrupt_tag=True)
-        costs = [PhaseCost(name="coarse") for _ in ttls]
         with pytest.raises(RuntimeError, match="cluster tag mismatch"):
-            engine.select_clusters(db, ttls, SMALL_NLIST, costs)
+            engine.select_clusters(
+                db, ttls, SMALL_NLIST,
+                PhaseLedger("coarse", len(ttls), engine.geometry),
+            )

@@ -456,7 +456,7 @@ class TestMutableIndex:
         # Per-region tail cursors are page-aligned independently, so the
         # three addresses no longer coincide the way deploy slots do.
         assert info.eadr != info.dadr
-        assert manager.index.original_of_dadr(info.dadr) == entry_id
+        assert manager.index.dadr_to_id[info.dadr] == entry_id
         assert manager.db.original_of_dadr(info.dadr) == entry_id
 
     def test_duplicate_id_rejected(self, manager):

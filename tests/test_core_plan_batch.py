@@ -20,19 +20,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.api import ReisDevice
-from repro.core.batch import BatchExecutor, BatchStats
+from repro.core.batch import BatchExecutor
 from repro.core.commands import FlashOp
 from repro.core.config import NO_OPT, OptFlags, tiny_config
-from repro.core.costing import PhaseCost, compose_batch_phase, compose_phase
+from repro.core.costing import PhaseLedger, compose_phase
 from repro.core.plan import (
     build_query_plan,
     schedule_order,
     schedule_senses,
     validate_queries,
 )
+from repro.nand.geometry import FlashGeometry
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
 from tests.conftest import SMALL_NLIST
+from tests.cost_reference import compose_ledger
 
 
 def _trace_count(device, op):
@@ -231,20 +233,15 @@ class TestPageSchedule:
 
     def test_senses_per_plane_sums_to_n_senses(self):
         """The per-plane sense counts the cost model is billed
-        (``_record_schedule``) add up to the schedule's senses."""
+        (``PhaseLedger.add_schedule``, one call per executed schedule) add
+        up to the schedules' senses."""
+        ledger = PhaseLedger("fine", 1, FlashGeometry(dies_per_chip=1))
+        total = np.zeros(4, dtype=np.int64)
         for optimize in (True, False):
-            _order, pages, planes, sensed = self._schedule(self.PAGES, optimize)
-            stats, billed = BatchStats(), {}
-            BatchExecutor._record_schedule(
-                pages.size, np.bincount(planes[sensed], minlength=4), "fine",
-                stats, billed,
-            )
-            assert stats.scan_requests == 6
-            assert sum(billed["fine"].values()) == stats.scan_senses == sensed.sum()
-            assert billed["fine"] == {
-                plane: int(sensed[planes == plane].sum())
-                for plane in np.unique(planes[sensed]).tolist()
-            }
+            _order, _pages, planes, sensed = self._schedule(self.PAGES, optimize)
+            ledger.add_schedule(np.bincount(planes[sensed], minlength=4))
+            total += [int(sensed[planes == plane].sum()) for plane in range(4)]
+            assert ledger.senses.tolist() == total.tolist()
 
     def test_service_groups_cover_requests_in_order(self):
         """The optimized order is one run per page: the run's first
@@ -297,6 +294,45 @@ class TestPageMajorExecution:
         assert traced_reads == stats.scan_senses == scan_unique
         # And the batch really amortized: fewer senses than page visits.
         assert stats.scan_senses < stats.scan_requests
+
+    def test_trace_reads_equal_the_ledgers_unique_senses(self, monkeypatch):
+        """The same invariant computed from the phase ledgers the batch
+        billed: READ_PAGE commands == the scan ledgers' unique senses ==
+        the senses their executed schedules recorded == the SLC
+        ``page_reads`` the planes counted; the TLC phases bill every
+        query's own visits (``page_reads_tlc`` == their total senses)."""
+        device, db_id, queries = self._deploy("ledger")
+        runs, prepare = [], BatchExecutor.prepare
+
+        def spy_prepare(executor, *args, **kwargs):
+            runs.append(prepare(executor, *args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(BatchExecutor, "prepare", spy_prepare)
+        counters = device.ssd.counters
+        reads_before = _trace_count(device, FlashOp.READ_PAGE)
+        before = counters.as_dict()
+        device.ivf_search(
+            db_id, queries, k=self.WORKLOAD["k"], nprobe=self.WORKLOAD["nprobe"]
+        )
+        traced_reads = _trace_count(device, FlashOp.READ_PAGE) - reads_before
+        tlc_reads = counters["page_reads_tlc"] - before.get("page_reads_tlc", 0)
+        scan_reads = counters["page_reads"] - before.get("page_reads", 0) - tlc_reads
+
+        ledgers = runs[-1].ledgers
+        assert list(ledgers) == ["coarse", "fine", "rerank", "documents"]
+        engine = device.engine
+        unique, total = {}, {}
+        for name, ledger in ledgers.items():
+            _solo, batch = ledger.stages(engine.timing, engine.ssd.ecc.decode_time(1))
+            unique[name], total[name] = batch[5], batch[6]
+        scheduled = sum(int(ledgers[name].senses.sum()) for name in ("coarse", "fine"))
+        assert (
+            traced_reads == unique["coarse"] + unique["fine"] == scheduled == scan_reads
+        )
+        assert scan_reads < total["coarse"] + total["fine"]  # the batch shared senses
+        assert ledgers["rerank"].senses is None and ledgers["documents"].senses is None
+        assert tlc_reads == total["rerank"] + total["documents"]
 
     def test_energy_scales_with_unique_not_total_senses(self):
         """The page_reads counter (and hence sense energy) advances once
@@ -430,26 +466,31 @@ class TestPageMajorExecution:
 
 
 class TestComposeBatchPhase:
-    """Unit tests of the die/channel-occupancy composition."""
+    """Unit tests of the die/channel-occupancy composition (the batch
+    reduction of a :class:`PhaseLedger`)."""
 
     def _timing_and_flags(self):
         config = tiny_config("OCC")
         return config.timing, OptFlags()
 
-    def _cost(self, name="fine", plane=0, pages=(), channel_bytes=0.0, core=0.0):
-        cost = PhaseCost(name=name, with_compute=True)
-        for page_id in pages:
-            cost.add_page(plane, page_id=page_id)
-        if channel_bytes:
-            cost.add_channel_bytes(0, channel_bytes)
-        cost.core_seconds = core
-        return cost
+    def _ledger(self, *queries):
+        """One ledger row per query: ``dict(plane=, pages=, channel_bytes=,
+        core=)``, pages visited in the given order."""
+        ledger = PhaseLedger("fine", len(queries), FlashGeometry(dies_per_chip=1))
+        for row, query in enumerate(queries):
+            pages = np.array(query.get("pages", ()), dtype=np.int64)
+            ledger.add_nand_visits(
+                np.full(pages.size, row), np.full(pages.size, query.get("plane", 0)),
+                pages,
+            )
+            ledger.channel_bytes[row, 0] = query.get("channel_bytes", 0.0)
+            ledger.core_seconds[row] = query.get("core", 0.0)
+        return ledger
 
     def test_shared_pages_sensed_once(self):
         timing, flags = self._timing_and_flags()
-        a = self._cost(pages=(10, 11, 12))
-        b = self._cost(pages=(11, 12, 13))
-        breakdown = compose_batch_phase([a, b], timing, flags)
+        ledger = self._ledger(dict(pages=(10, 11, 12)), dict(pages=(11, 12, 13)))
+        breakdown = compose_ledger(ledger, timing, flags)
         assert breakdown.total_senses == 6
         assert breakdown.unique_senses == 4
         assert breakdown.senses_amortized == 2
@@ -459,61 +500,74 @@ class TestComposeBatchPhase:
         are temporally separated senses: a batch of one costs the solo
         model exactly."""
         timing, flags = self._timing_and_flags()
-        retry = self._cost(pages=(1, 2, 1, 2))  # one query scanning twice
-        breakdown = compose_batch_phase([retry], timing, flags)
+        retry = self._ledger(dict(pages=(1, 2, 1, 2)))  # one query scanning twice
+        breakdown = compose_ledger(retry, timing, flags)
         assert breakdown.total_senses == 4
         assert breakdown.unique_senses == 4
         assert breakdown.senses_amortized == 0
 
     def test_cross_query_sharing_caps_at_max_multiplicity(self):
         timing, flags = self._timing_and_flags()
-        a = self._cost(pages=(1, 2, 1, 2))  # needs each page twice itself
-        b = self._cost(pages=(1, 2))  # rides along with one of a's passes
-        breakdown = compose_batch_phase([a, b], timing, flags)
+        ledger = self._ledger(
+            dict(pages=(1, 2, 1, 2)),  # needs each page twice itself
+            dict(pages=(1, 2)),  # rides along with one of the first's passes
+        )
+        breakdown = compose_ledger(ledger, timing, flags)
         assert breakdown.total_senses == 6
         assert breakdown.unique_senses == 4
         assert breakdown.senses_amortized == 2
 
+    def test_executed_schedule_overrides_derived_sharing(self):
+        """A plane the executed schedule sensed on bills exactly those
+        senses (a page-major schedule merges even a query's own repeats);
+        planes it did not touch still derive theirs."""
+        timing, flags = self._timing_and_flags()
+        ledger = self._ledger(
+            dict(plane=0, pages=(1, 2, 1, 2)), dict(plane=1, pages=(9, 9))
+        )
+        ledger.add_schedule(np.array([2, 0, 0, 0]))
+        breakdown = compose_ledger(ledger, timing, flags)
+        assert breakdown.total_senses == 6
+        assert breakdown.unique_senses == 2 + 2
+
     def test_disjoint_planes_overlap(self):
         """Two queries on different planes cost one query's read time."""
         timing, flags = self._timing_and_flags()
-        a = self._cost(plane=0, pages=(1, 2))
-        b = self._cost(plane=1, pages=(101, 102))
-        joint = compose_batch_phase([a, b], timing, flags)
-        solo_a = compose_phase(a, timing, flags)[0]
-        solo_b = compose_phase(b, timing, flags)[0]
+        ledger = self._ledger(
+            dict(plane=0, pages=(1, 2)), dict(plane=1, pages=(101, 102))
+        )
+        joint = compose_ledger(ledger, timing, flags)
+        solo_a = compose_phase(ledger.query_cost(0), timing, flags)[0]
+        solo_b = compose_phase(ledger.query_cost(1), timing, flags)[0]
         assert joint.seconds < solo_a + solo_b
 
     def test_batch_of_one_matches_solo_compose(self):
         timing, flags = self._timing_and_flags()
-        cost = self._cost(pages=(1, 2, 3), channel_bytes=512.0, core=1e-6)
-        solo_total, solo_components = compose_phase(cost, timing, flags)
-        breakdown = compose_batch_phase([cost], timing, flags)
+        ledger = self._ledger(dict(pages=(1, 2, 3), channel_bytes=512.0, core=1e-6))
+        solo_total, solo_components = compose_phase(
+            ledger.query_cost(0), timing, flags
+        )
+        breakdown = compose_ledger(ledger, timing, flags)
         assert breakdown.seconds == pytest.approx(solo_total)
         assert breakdown.components == pytest.approx(solo_components)
 
     def test_core_time_serializes(self):
         timing, flags = self._timing_and_flags()
-        costs = [self._cost(pages=(i,), core=1e-3) for i in range(4)]
-        breakdown = compose_batch_phase(costs, timing, flags)
+        ledger = self._ledger(*(dict(pages=(i,), core=1e-3) for i in range(4)))
+        breakdown = compose_ledger(ledger, timing, flags)
         assert breakdown.components["fine_core"] == pytest.approx(4e-3)
 
-    def test_heterogeneous_phases_rejected(self):
+    def test_query_that_did_not_run_has_no_cost(self):
         timing, flags = self._timing_and_flags()
-        a = self._cost(name="fine")
-        b = PhaseCost(name="rerank", read_mode="tlc", with_compute=False)
-        with pytest.raises(ValueError):
-            compose_batch_phase([a, b], timing, flags)
-
-    def test_empty_batch_rejected(self):
-        timing, flags = self._timing_and_flags()
-        with pytest.raises(ValueError):
-            compose_batch_phase([], timing, flags)
+        ledger = self._ledger(dict(pages=(1,)), dict(pages=(2, 3)))
+        ledger.queries = np.array([0, 2])  # query 1 sat the phase out
+        assert ledger.query_cost(1) is None
+        assert ledger.query_cost(2).pages_per_plane == {0: 2}
 
     def test_no_pipelining_sums_stages(self):
         timing, _ = self._timing_and_flags()
-        cost = self._cost(pages=(1, 2), channel_bytes=2048.0, core=5e-6)
-        breakdown = compose_batch_phase([cost], timing, NO_OPT)
+        ledger = self._ledger(dict(pages=(1, 2), channel_bytes=2048.0, core=5e-6))
+        breakdown = compose_ledger(ledger, timing, NO_OPT)
         assert breakdown.seconds == pytest.approx(
             sum(breakdown.components.values())
         )

@@ -577,7 +577,9 @@ def _reference_compose_phase(cost, timing, flags, ecc_decode_seconds_per_byte=0.
     return total, components
 
 
-def _reference_solo_report(engine, ctx):
+def _reference_solo_report(engine, ctx, ledgers, qi):
+    """Query ``qi``'s solo report from its context and the phase ledgers of
+    the device that served it, read per query (``ledger.query_cost``)."""
     from repro.sim.latency import LatencyReport
 
     ecc_rate = engine.ssd.ecc.decode_time(1)
@@ -585,7 +587,10 @@ def _reference_solo_report(engine, ctx):
     report.add_component("ibc", ctx.ibc_seconds)
     report.add_phase("ibc", ctx.ibc_seconds)
     report.total_s += ctx.ibc_seconds
-    for name, cost in ctx.phase_costs.items():
+    for name, ledger in ledgers.items():
+        cost = ledger.query_cost(qi)
+        if cost is None:  # the query did not run this phase
+            continue
         total, components = _reference_compose_phase(
             cost, engine.timing, engine.flags, ecc_rate
         )
@@ -600,26 +605,25 @@ def _reference_solo_report(engine, ctx):
     return report
 
 
-def _reference_batch_report(engine, ctxs, stats, scheduled_senses):
-    from repro.core.costing import compose_batch_phase
+def _reference_batch_report(engine, ctxs, stats, ledgers, scheduled_senses):
     from repro.sim.latency import LatencyReport
+    from tests.cost_reference import _reference_compose_batch_phase, replay
 
-    phase_costs = {}
     ibc_seconds = 0.0
     host_seconds = 0.0
     for ctx in ctxs:
         ibc_seconds += ctx.ibc_seconds
         host_seconds += ctx.host_seconds
         stats.cache_hits += ctx.stats.cache_hits
-        for name, cost in ctx.phase_costs.items():
-            phase_costs.setdefault(name, []).append(cost)
+    # The per-query objects the parent's kernels filled, one visit at a time.
+    phase_costs = {name: replay(ledger) for name, ledger in ledgers.items()}
     ecc_rate = engine.ssd.ecc.decode_time(1)
     report = LatencyReport()
     report.add_component("ibc", ibc_seconds)
     report.add_phase("ibc", ibc_seconds)
     report.total_s += ibc_seconds
     for name, costs in phase_costs.items():
-        breakdown = compose_batch_phase(
+        breakdown = _reference_compose_batch_phase(
             costs, engine.timing, engine.flags, ecc_rate,
             scheduled_senses=scheduled_senses.get(name),
         )
@@ -673,6 +677,7 @@ def _reference_compose(state, merge_breakdown):
     merge barrier's own accounting is taken as given (``merge_breakdown``)."""
     from repro.core.batch import BatchStats
     from repro.core.costing import BatchPhaseBreakdown
+    from tests.cost_reference import scheduled_senses
 
     runs = state.runs
     n_queries = state.n_queries
@@ -691,13 +696,16 @@ def _reference_compose(state, merge_breakdown):
     reports = []
     for qi in range(n_queries):
         report = _reference_merge_reports(
-            [_reference_solo_report(run.executor.engine, run.ctxs[qi])
-             for run in primary],
+            [_reference_solo_report(
+                run.executor.engine, run.ctxs[qi], run.ledgers, qi
+            ) for run in primary],
             per_query_merge,
         )
         if failover:
             fo = max(
-                _reference_solo_report(run.executor.engine, run.ctxs[qi]).total_s
+                _reference_solo_report(
+                    run.executor.engine, run.ctxs[qi], run.ledgers, qi
+                ).total_s
                 for run in failover
             )
             report.add_phase("failover", fo)
@@ -710,7 +718,8 @@ def _reference_compose(state, merge_breakdown):
     failover_total = 0.0
     for run, stats in zip(runs, run_stats):
         report = _reference_batch_report(
-            run.executor.engine, run.ctxs, stats, run.senses
+            run.executor.engine, run.ctxs, stats, run.ledgers,
+            {name: scheduled_senses(ledger) for name, ledger in run.ledgers.items()},
         )
         if run.failover:
             failover_total = max(failover_total, report.total_s)
@@ -885,15 +894,16 @@ class TestComposeAgainstPerCellReference:
         monkeypatch.setattr(InStorageAnnsEngine, "scan_page_run", spy_scan)
         batch = device.ivf_search(db_id, queries, k=self.K, nprobe=self.NPROBE)
         monkeypatch.undo()
-        ctxs = prepared[-1].ctxs
-        for result, ctx in zip(batch, ctxs):
+        ctxs, ledgers = prepared[-1].ctxs, prepared[-1].ledgers
+        for qi, (result, ctx) in enumerate(zip(batch, ctxs)):
             _assert_reports_equal(
-                result.latency, _reference_solo_report(device.engine, ctx)
+                result.latency,
+                _reference_solo_report(device.engine, ctx, ledgers, qi),
             )
         stats = BatchStats(n_queries=len(ctxs))
         _assert_reports_equal(
             batch.batch_report,
-            _reference_batch_report(device.engine, ctxs, stats, senses),
+            _reference_batch_report(device.engine, ctxs, stats, ledgers, senses),
         )
         assert batch.batch_stats.phases == stats.phases
         assert batch.batch_stats.cache_hits == stats.cache_hits

@@ -4,13 +4,28 @@ These pin the monotonicity and bounding properties every timing layer
 must satisfy, independent of calibration constants.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.analytic import AnalyticWorkload, ReisAnalyticModel, ivf_workload
 from repro.core.config import ALL_OPT, NO_OPT, REIS_SSD1, REIS_SSD2, OptFlags
-from repro.core.costing import PhaseCost, compose_phase, ibc_time, spread_pages
+from repro.core.costing import (
+    PhaseCost,
+    PhaseLedger,
+    compose_phase,
+    ibc_time,
+    page_iteration_time,
+    spread_pages,
+)
+from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
+
+from tests.cost_reference import (
+    _reference_batch_phase_stages,
+    replay,
+    scheduled_senses,
+)
 
 TIMING = NandTiming()
 
@@ -63,6 +78,97 @@ class TestComposeProperties:
         if total:
             assert cost.max_pages == -(-total // planes)
             assert cost.max_pages * planes >= total
+
+
+GEOMETRY = FlashGeometry(dies_per_chip=1)  # 2 channels x 2 planes each
+N_PLANES, N_CHANNELS, ECC_RATE = GEOMETRY.total_planes, GEOMETRY.channels, 3.7e-10
+
+
+@st.composite
+def visit_tables(draw):
+    """A random phase ledger: NAND visits with within-query repeats (the
+    filter-retry rescan) and one page id on several planes, DRAM streams
+    shared across queries with per-visit seconds that differ, an executed
+    schedule answering for some planes or none, a second kernel call, and
+    batch queries that sat the phase out (``queries`` skips indices)."""
+    n = draw(st.integers(1, 4))
+    rows = st.integers(0, n - 1)
+    kind = draw(st.sampled_from([
+        dict(read_mode="slc_esp", with_compute=True, with_filter=True),
+        dict(read_mode="slc_esp", with_compute=True, with_filter=False),
+        dict(read_mode="tlc", with_compute=False, with_filter=False),
+    ]))
+    ledger = PhaseLedger("phase", n, GEOMETRY, **kind)
+    ledger.queries = np.array(
+        sorted(draw(st.sets(st.integers(0, 6), min_size=n, max_size=n)))
+    )
+    nand = st.lists(
+        st.tuples(rows, st.integers(0, N_PLANES - 1), st.integers(0, 5)), max_size=20
+    )
+    dram = st.lists(
+        st.tuples(
+            rows, st.integers(0, 4), st.sampled_from([1e-6, 3e-6, 0.1, 1 / 3, 7e-7])
+        ),
+        max_size=14,
+    )
+    for _call in range(draw(st.integers(1, 2))):  # the scan, then its retry
+        visits = draw(nand)
+        if visits:
+            ledger.add_nand_visits(*(np.array(c, dtype=np.int64) for c in zip(*visits)))
+        streams = draw(dram)
+        if streams:
+            row, page, seconds = zip(*streams)
+            ledger.add_dram_visits(
+                np.array(row), np.array(page), np.array(seconds),
+                np.full(len(row), 18592),
+            )
+        if draw(st.booleans()):
+            ledger.add_schedule(np.array(draw(st.lists(
+                st.integers(0, 3), min_size=N_PLANES, max_size=N_PLANES
+            ))))
+    ledger.channel_bytes += np.array(draw(st.lists(
+        st.integers(0, 10**6), min_size=n * N_CHANNELS, max_size=n * N_CHANNELS
+    ))).reshape(n, N_CHANNELS)
+    ledger.core_seconds[:] = draw(
+        st.lists(st.floats(0, 1e-2), min_size=n, max_size=n)
+    )
+    ledger.ecc_bytes += draw(st.lists(st.integers(0, 10**5), min_size=n, max_size=n))
+    return ledger
+
+
+class TestLedgerAgainstTheObjectWalk:
+    """The ledger's reductions == the parent's per-object walk, to the bit."""
+
+    @given(visit_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_stages_equal_the_reference_walk(self, ledger):
+        _solo, batch = ledger.stages(TIMING, ECC_RATE)
+        expected = _reference_batch_phase_stages(
+            replay(ledger), TIMING, ECC_RATE, scheduled_senses(ledger)
+        )
+        assert batch == expected  # all seven outputs, floats included
+
+    @given(visit_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_solo_stages_equal_each_query_alone(self, ledger):
+        solo, _batch = ledger.stages(TIMING, ECC_RATE)
+        iteration_s = page_iteration_time(
+            TIMING, ledger.read_mode, ledger.with_compute, ledger.with_filter
+        )
+        for row, cost in enumerate(replay(ledger)):
+            pages = max(cost.pages_per_plane.values(), default=0)
+            assert solo[:, row].tolist() == [
+                pages * iteration_s,
+                max(cost.channel_bytes.values(), default=0.0)
+                / TIMING.channel_bandwidth_bps,
+                cost.core_seconds + cost.ecc_bytes * ECC_RATE,
+                cost.dram_seconds,
+                pages,
+            ]
+            # ...and the scalar record says the same (dicts, float sums).
+            scalar = ledger.query_cost(int(ledger.queries[row]))
+            assert scalar.pages_per_plane == cost.pages_per_plane
+            assert scalar.dram_seconds == cost.dram_seconds
 
 
 class TestIbcProperties:

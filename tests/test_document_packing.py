@@ -107,7 +107,7 @@ class TestPackedRoundtrip:
         # Decode through the flash payloads, not the corpus shortcut.
         db.corpus = None
         dadrs = np.arange(n, dtype=np.int64)
-        [(documents, _cost, _host_s)] = device.engine._fetch_documents_batch(
+        [(documents, _host_s)], _ledger = device.engine._fetch_documents_batch(
             db, [dadrs], [SearchStats()]
         )
         by_id = {doc.chunk_id: doc.text for doc in documents}
@@ -121,7 +121,7 @@ class TestPackedRoundtrip:
         db = device.database(db_id)
         # 32-byte synthetic blobs pack at the 64B floor.
         assert db.document_region.item_bytes == 64
-        [(documents, _cost, _host_s)] = device.engine._fetch_documents_batch(
+        [(documents, _host_s)], _ledger = device.engine._fetch_documents_batch(
             db, [np.arange(30, dtype=np.int64)], [SearchStats()]
         )
         assert sorted(doc.text for doc in documents) == sorted(
@@ -157,3 +157,49 @@ class TestPackedIngestRoundtrip:
         }
         assert new_id in docs
         assert docs[new_id].text == streamed
+
+
+class TestDecodeRowsAgainstDecodeBytes:
+    """``DocumentChunk.decode_rows`` (one pass over the gathered payload
+    matrix) == ``DocumentChunk.decode_bytes`` row by row."""
+
+    @given(
+        st.integers(1, 48),
+        st.lists(
+            st.one_of(
+                st.binary(max_size=64),  # raw bytes: embedded NULs, bad UTF-8
+                st.text(max_size=24).map(lambda text: text.encode("utf-8")),
+            ),
+            min_size=1, max_size=12,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_decode_like_the_reference(self, slot_bytes, payloads):
+        """Payloads are cut at the slot edge (a multi-byte character may
+        lose its tail: ``errors="replace"``), may fill the slot exactly (no
+        padding to strip), and may carry NULs inside or at their end."""
+        rows = np.zeros((len(payloads), slot_bytes), dtype=np.uint8)
+        for row, payload in zip(rows, payloads):
+            cut = np.frombuffer(payload[:slot_bytes], dtype=np.uint8)
+            row[: cut.size] = cut
+        assert DocumentChunk.decode_rows(rows) == [
+            DocumentChunk.decode_bytes(row) for row in rows
+        ]
+
+    def test_edge_payloads(self):
+        slot = 8
+        cases = [
+            b"",  # an empty slot
+            b"a\x00b",  # NUL inside the text survives
+            b"ab\x00\x00",  # trailing NULs are padding
+            b"12345678",  # fills its slot: nothing to strip
+            "café-€".encode("utf-8")[:slot],  # euro sign cut mid-character
+            b"\xff\xfe",  # not UTF-8 at all
+        ]
+        rows = np.zeros((len(cases), slot), dtype=np.uint8)
+        for row, payload in zip(rows, cases):
+            row[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+        decoded = DocumentChunk.decode_rows(rows)
+        assert decoded == [DocumentChunk.decode_bytes(row) for row in rows]
+        assert decoded[1] == "a\x00b" and decoded[3] == "12345678"
+        assert decoded[4].endswith("�")

@@ -40,6 +40,8 @@ from repro.nand.plane import Plane
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
+from tests.cost_reference import replay
+
 SETTINGS = settings(
     max_examples=8,
     deadline=None,
@@ -295,10 +297,12 @@ def _bill(engine, rows, pages, n_queries):
         np.array(col, dtype=np.int64) for col in zip(*rows)
     )
     stats = [SearchStats() for _ in range(n_queries)]
-    costs = engine._bill_tlc_phase(
+    ledger = engine._bill_tlc_phase(
         "probe", seg, page_row, first_cw, last_cw, pages, stats
     )
-    return costs, stats
+    # Per-query costs, read back through ``ledger.query_cost(q)`` and the
+    # visit columns replayed one ``add_page`` / ``add_dram_stream`` at a time.
+    return replay(ledger), stats
 
 
 class TestZeroLengthReadBilling:
@@ -552,11 +556,11 @@ class TestTlcKernelsAgainstBruteForce:
         ]
         mirror_page_zero(db.int8_region, "cluster")
         rerank_stats = [SearchStats() for _ in range(n_queries)]
-        outs = engine._rerank_batch(
+        outs, _ledger = engine._rerank_batch(
             db, queries, shortlists, [self.K] * n_queries, rerank_stats
         )
         winners = []
-        for qi, (distances, dadrs, radrs, _cost) in enumerate(outs):
+        for qi, (distances, dadrs, radrs) in enumerate(outs):
             diff = slot_codes[slots[qi]].astype(np.int64) - query_codes[qi]
             exact = (diff * diff).sum(axis=1)
             top = np.argsort(exact, kind="stable")[: self.K]
@@ -568,8 +572,8 @@ class TestTlcKernelsAgainstBruteForce:
         db.corpus = None
         mirror_page_zero(db.document_region, "document")
         document_stats = [SearchStats() for _ in range(n_queries)]
-        fetched = engine._fetch_documents_batch(db, winners, document_stats)
-        for dadrs, (documents, _cost, host_s) in zip(winners, fetched):
+        fetched, _ledger = engine._fetch_documents_batch(db, winners, document_stats)
+        for dadrs, (documents, host_s) in zip(winners, fetched):
             ids = db.slot_to_original[dadrs].tolist()
             assert [doc.chunk_id for doc in documents] == ids
             assert [doc.text for doc in documents] == [corpus[i].text for i in ids]
