@@ -1159,6 +1159,63 @@ def cached_cluster_workload(batches):
     return device, did, pool[ranks[lo:lo + CACHE_BATCH]]
 
 
+# Per shard of the warm cached 4 x 2 cluster (``SHARD_WARM_BATCHES`` = 4 of
+# perf_smoke.py): cache stats (hits, misses, admitted, evicted, invalidated,
+# hit_bytes), used bytes, and the resident pages as (region start page in
+# plane, page offset, kind, uses) -- recorded from the per-page cache the
+# columnar one replaced.
+CACHED_CLUSTER_STATE = [
+    ((3, 72, 72, 62, 0, 55_776), 185_920, [
+        (0, 0, "centroid", 4), (128, 2, "cluster", 3), (128, 5, "cluster", 3),
+        (192, 3, "document", 3), (192, 4, "document", 3),
+        (192, 5, "document", 2), (192, 6, "document", 2),
+        (192, 7, "document", 2), (192, 8, "document", 2),
+        (192, 9, "document", 2),
+    ]),
+    ((1, 51, 51, 41, 0, 18_592), 185_920, [
+        (0, 0, "centroid", 4), (128, 0, "cluster", 2), (128, 1, "cluster", 2),
+        (128, 2, "cluster", 2), (128, 3, "cluster", 2), (128, 5, "cluster", 2),
+        (128, 6, "cluster", 2), (128, 7, "cluster", 2),
+        (192, 6, "document", 2), (192, 7, "document", 2),
+    ]),
+    ((3, 65, 65, 55, 0, 55_776), 185_920, [
+        (0, 0, "centroid", 4), (128, 0, "cluster", 3), (128, 1, "cluster", 3),
+        (128, 7, "cluster", 3), (128, 8, "cluster", 3), (128, 9, "cluster", 3),
+        (192, 2, "document", 2), (192, 3, "document", 2),
+        (192, 9, "document", 3), (192, 10, "document", 2),
+    ]),
+    ((1, 46, 46, 36, 0, 18_592), 185_920, [
+        (0, 0, "centroid", 4), (64, 7, "cluster", 2), (64, 9, "cluster", 2),
+        (64, 10, "cluster", 2), (128, 2, "cluster", 2), (128, 4, "cluster", 2),
+        (128, 6, "cluster", 2), (128, 7, "cluster", 2), (128, 9, "cluster", 2),
+        (128, 10, "cluster", 2),
+    ]),
+]
+
+
+def test_cached_cluster_cache_state_is_pinned():
+    """The warm cluster the perf gate counts ends in exactly the recorded
+    per-shard cache state: same admissions, victims, ghosts and uses."""
+    device, did, _queries = cached_cluster_workload(4)
+    sdb = device.database(did)
+    state = []
+    for shard, db in zip(device.shards, sdb.shard_dbs):
+        cache, s = shard.page_cache, shard.page_cache.stats
+        regions = [
+            db.centroid_region, db.embedding_region, db.int8_region,
+            db.document_region,
+        ]
+        resident = sorted(
+            (region.region.start_page_in_plane, page, entry.kind, entry.uses)
+            for region in regions if region is not None
+            for page in range(region.n_pages)
+            for entry in [cache.peek(region, page)] if entry is not None
+        )
+        stats = (s.hits, s.misses, s.admitted, s.evicted, s.invalidated, s.hit_bytes)
+        state.append((stats, cache.used_bytes, resident))
+    assert state == CACHED_CLUSTER_STATE
+
+
 def run_cache_smoke(repeats=5):
     """The CI cache gate: the hot-Zipf stream (s=1.2) served with a
     working-set-sized cost-aware cache vs uncached, best-of-``repeats``

@@ -464,14 +464,9 @@ class ReisDevice(_HostSurface):
         The budget is a named :class:`~repro.ssd.dram.InternalDram` region
         (0.1% provisioning rule; over-budget raises
         :class:`~repro.core.layout.CapacityError`); ``policy`` defaults to
-        LRU.  Re-enabling replaces the previous cache.
+        LRU.  Re-enabling replaces the previous cache; a failed one changes nothing.
         """
-        old = self.page_cache
-        if old is not None:
-            old.close()
-        cache = PageCache(
-            self.ssd.dram, budget_bytes, policy=policy, kinds=kinds
-        )
+        cache = PageCache(self.ssd.dram, budget_bytes, policy=policy, kinds=kinds)
         self.ssd.page_cache = cache
         return cache
 
@@ -691,16 +686,22 @@ class ShardedReisDevice(_HostSurface):
 
         Caches are strictly per shard (each drive's internal DRAM is
         private); ``policy_factory`` is called once per shard so policies
-        never share mutable state.  Returns the per-shard caches.
+        never share mutable state.  Every shard switches, or none does.
         """
-        return [
-            shard.enable_page_cache(
-                budget_bytes,
-                policy=policy_factory() if policy_factory is not None else None,
-                kinds=kinds,
-            )
-            for shard in self.shards
-        ]
+        olds, caches = [shard.page_cache for shard in self.shards], []
+        try:
+            for shard in self.shards:
+                policy = policy_factory() if policy_factory is not None else None
+                caches.append(shard.enable_page_cache(budget_bytes, policy, kinds))
+        except Exception:
+            # Re-attach every previous cache with its reservation.
+            for shard, old in zip(self.shards, olds):
+                shard.ssd.page_cache = old
+                shard.ssd.dram.free("page_cache")
+                if old is not None:
+                    shard.ssd.dram.allocate(old.name, old.budget_bytes)
+            raise
+        return caches
 
     def disable_page_cache(self) -> None:
         for shard in self.shards:

@@ -1,41 +1,24 @@
-"""DRAM-budgeted hot-data cache tier.
+"""DRAM-budgeted hot-data cache tier: a cache hit skips the NAND sense.
 
-Every query re-senses everything from NAND: centroids, cluster pages,
-INT8 rerank pages and document pages all pay a full page sense (plus ECC
-for TLC) even when every batch probes the same hot clusters.  This module
-mirrors hot pages in the SSD's internal DRAM so a cache hit skips the
-NAND sense entirely:
+* The mirror stores the **golden** ``(data, oob)`` bytes of a page (ESP
+  senses are error-free, TLC senses are ECC-corrected to golden before
+  use), so serving from it is bit-identical to re-sensing.
+* Capacity is a named :class:`~repro.ssd.dram.InternalDram` region: the
+  cache competes with R-DB/R-IVF/TTLs under the 0.1% provisioning rule.
+* A table (one row per resident page, bookkeeping in columns) driven a
+  phase at a time; eviction sorts key columns (:class:`LruPolicy`,
+  :class:`CostAwarePolicy`).
 
-* The mirror stores the **golden** ``(data, oob)`` bytes of a page.
-  ESP-SLC senses are error-free by construction and TLC senses are
-  ECC-corrected back to golden before any byte is used, so serving a
-  query from the mirror is bit-identical to re-sensing -- the scan kernel
-  math (XOR + popcount + threshold + OOB decode) runs on the controller
-  against the same bytes the latch would hold.
-* Capacity comes out of :class:`~repro.ssd.dram.InternalDram` as a named
-  region, so the cache competes with the R-DB/R-IVF/TTL structures under
-  the 0.1% provisioning rule and an over-budget configuration raises
-  :class:`~repro.core.layout.CapacityError` up front.
-* Eviction is pluggable as a **sort key**: :class:`LruPolicy` (least
-  recently used) and :class:`CostAwarePolicy` (sense-energy-saved per DRAM
-  byte) ship; the cache keeps the keys in a heap, so an admission pops
-  its victims instead of scanning every resident entry.
-
-Three object classes are cached, tagged by ``kind``: hot centroid array
-pages (``"centroid"``), hot cluster data pages -- embedding and INT8
-regions -- (``"cluster"``) and recently-sensed document pages
-(``"document"``).  Invalidation hooks live at the same barriers that
-already carry authority changes: streaming ingest invalidates every page
-it programs, compaction clears the cache, and dropping a database (the
-``migrate_cluster`` path re-deploys through ``drop``) invalidates the
-dropped regions.
+Kinds: centroid array pages, embedding and INT8 ``"cluster"`` pages and
+``"document"`` pages.  Invalidation rides the authority barriers: ingest
+invalidates the pages it programs, compaction clears the cache, ``drop``
+(and so ``migrate_cluster``) invalidates the database's regions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,8 +26,8 @@ from repro.core.layout import CapacityError, RegionInfo
 from repro.ssd.dram import InternalDram
 
 __all__ = [
-    "CacheEntry",
     "CacheStats",
+    "CachedPage",
     "CostAwarePolicy",
     "EvictionPolicy",
     "LruPolicy",
@@ -55,10 +38,9 @@ __all__ = [
 # The three cacheable object classes.
 DEFAULT_CACHE_KINDS = ("centroid", "cluster", "document")
 
-# (region id, page offset).  Region identity is by value -- the id interns
-# the value-hashable CoarseRegion -- but a region's hash is a Python-level
-# call, so it is taken once per cache call, not once per dict operation.
-CacheKey = Tuple[int, int]
+# The row columns of the table: region id (-1: a free row), page offset,
+# kind code, uses, tick, bytes (data + OOB).
+_REGION, _PAGE, _KIND, _USES, _TICK, _NBYTES = range(6)
 
 
 @dataclass
@@ -78,55 +60,47 @@ class CacheStats:
 
     @property
     def hit_rate(self) -> float:
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
+        return self.hits / self.lookups if self.lookups else 0.0
 
 
-@dataclass
-class CacheEntry:
-    """One mirrored page: golden data + OOB plus the policy's bookkeeping."""
+class CachedPage(NamedTuple):
+    """A resident page's row, as :meth:`PageCache.peek` reads it."""
 
     kind: str
-    data: np.ndarray
-    oob: np.ndarray
-    uses: int = 0
-    last_tick: int = 0
-    nbytes: int = field(init=False)  # data + OOB bytes
-
-    def __post_init__(self) -> None:
-        self.nbytes = int(self.data.size + self.oob.size)
+    uses: int
+    nbytes: int
+    row: int
 
 
 class EvictionPolicy:
-    """Orders resident entries for eviction: the smallest :meth:`key` goes.
+    """Orders resident pages for eviction: the smallest key goes first.
 
-    A key is a tuple whose last component is the entry's ``last_tick``.
-    Ticks are unique among residents (every admission and every hit takes
-    a fresh one), so the order is total without comparing anything else,
-    and a key goes stale exactly when its entry's tick moves -- which is
-    what lets :class:`PageCache` keep the keys in a heap.
+    :meth:`keys` maps page columns to sort key columns, most significant
+    first, the last being the tick: unique among residents (every
+    admission and every hit takes a fresh one), so the order is total.
+    ``kind_weights`` holds the policy's ``kind_weights`` mapping (if it
+    has one; 1.0 for a kind it does not name), read at every eviction.
     """
 
     name: str = "policy"
 
-    def key(self, entry: CacheEntry) -> tuple:
+    def keys(self, uses, nbytes, kind_weights, ticks) -> Tuple[np.ndarray, ...]:
         raise NotImplementedError
 
 
 class LruPolicy(EvictionPolicy):
-    """Evict the least recently used entry."""
+    """Evict the least recently used page."""
 
     name = "lru"
 
-    def key(self, entry: CacheEntry) -> tuple:
-        return (entry.last_tick,)
+    def keys(self, uses, nbytes, kind_weights, ticks):
+        return (ticks,)
 
 
 class CostAwarePolicy(EvictionPolicy):
-    """Evict the entry with the least sense energy saved per DRAM byte.
+    """Evict the page with the least sense energy saved per DRAM byte.
 
-    Each residency re-use saves one page sense, so an entry's value is
+    Each residency re-use saves one page sense, so a page's value is
     ``uses * sense_energy / nbytes``; TLC pages additionally save their
     per-page ECC decode, expressed as a kind weight.  Ties break LRU.
     """
@@ -146,23 +120,25 @@ class CostAwarePolicy(EvictionPolicy):
             kind_weights if kind_weights is not None else self.DEFAULT_KIND_WEIGHTS
         )
 
-    def score(self, entry: CacheEntry) -> float:
-        weight = self.kind_weights.get(entry.kind, 1.0)
-        return entry.uses * weight * self.sense_energy_j / max(entry.nbytes, 1)
+    def keys(self, uses, nbytes, kind_weights, ticks):
+        score = uses * kind_weights * self.sense_energy_j / np.maximum(nbytes, 1)
+        return (score, ticks)
 
-    def key(self, entry: CacheEntry) -> tuple:
-        return (self.score(entry), entry.last_tick)
+
+def _grown(array: np.ndarray, shape: Tuple[int, ...], fill: int = -1) -> np.ndarray:
+    """``array`` in the corner of a larger array filled with ``fill``."""
+    out = np.full(shape, fill, dtype=array.dtype)
+    out[tuple(map(slice, array.shape))] = array
+    return out
 
 
 class PageCache:
     """A DRAM-budgeted mirror of hot NAND pages.
 
     The budget is reserved as a named :class:`InternalDram` region at
-    construction -- an over-budget configuration fails immediately with
-    :class:`CapacityError` -- and released by :meth:`close`.  Lookups
-    return the resident :class:`CacheEntry` (whose ``data``/``oob`` are
-    the golden page bytes) or ``None``; admissions copy their inputs so
-    no caller ever aliases the mirror.
+    construction (over budget: :class:`CapacityError`) and released by
+    :meth:`close`.  Admissions copy into the mirror, so no caller aliases
+    it; :meth:`gather` reads mirror rows back.
     """
 
     def __init__(
@@ -179,23 +155,10 @@ class PageCache:
         self.budget_bytes = int(budget_bytes)
         self.policy = policy if policy is not None else LruPolicy()
         self.kinds = frozenset(kinds)
+        self._kind_names = sorted(self.kinds)  # kind codes index it
         self.stats = CacheStats()
-        self._entries: Dict[CacheKey, CacheEntry] = {}
-        self._region_ids: Dict[object, int] = {}
-        # Eviction order: a heap of (policy key, cache key), invalidated
-        # lazily.  Every resident's *current* key is in it (:meth:`_rank`);
-        # an item is stale once its entry is gone or carries another tick.
-        self._heap: List[Tuple[tuple, CacheKey]] = []
-        # Ghost frequency: touch counts of absent pages (misses plus the
-        # uses of evicted entries), restored when a page is admitted.
-        # Without it a budget smaller than one batch's footprint can
-        # never converge -- every hot page is flushed by the cold flood
-        # before it earns a reuse, so the cost-aware score stays zero for
-        # everything.  (Metadata only, a few ints per page ever touched;
-        # the mirrored bytes are gone.)
-        self._ghost_uses: Dict[CacheKey, int] = {}
-        self._used_bytes = 0
         self._tick = 0
+        self._reset()
         try:
             dram.allocate(name, self.budget_bytes)
         except MemoryError as exc:
@@ -204,149 +167,186 @@ class PageCache:
             ) from exc
         self._dram = dram
 
-    # ------------------------------------------------------------- lookup
-
-    def _key(self, region: RegionInfo, page_offset: int) -> CacheKey:
-        coarse = region.region
-        region_id = self._region_ids.get(coarse)
+    def _region_arrays(self, region: RegionInfo, pages) -> Tuple[int, np.ndarray, np.ndarray]:
+        """``region``'s id (its CoarseRegion, hashed once per call) and its
+        arrays by page offset, grown to cover ``pages``: each page's row
+        (-1: absent) and ghost frequency (touches while absent: misses,
+        uses of evicted rows; restored on admission)."""
+        region_id = self._region_ids.get(region.region)
         if region_id is None:
-            region_id = self._region_ids[coarse] = len(self._region_ids)
-        return (region_id, int(page_offset))
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used_bytes
-
-    @property
-    def free_bytes(self) -> int:
-        return self.budget_bytes - self._used_bytes
+            region_id = self._region_ids[region.region] = len(self._slots)
+            self._slots += [np.full(0, -1, dtype=np.int64)]
+            self._ghosts += [np.zeros(0, dtype=np.int64)]
+        slots, ghost = self._slots[region_id], self._ghosts[region_id]
+        top = int(pages.max()) + 1 if pages.size else 0
+        if top > slots.size:
+            top = max(top, 2 * slots.size)
+            slots = self._slots[region_id] = _grown(slots, (top,))
+            ghost = self._ghosts[region_id] = _grown(ghost, (top,), 0)
+        return region_id, slots, ghost
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return int(np.count_nonzero(self._cols[_REGION] >= 0))
 
-    def peek(self, region: RegionInfo, page_offset: int) -> Optional[CacheEntry]:
-        """Residency probe that records no statistics (scheduling snapshot)."""
-        return self._entries.get(self._key(region, page_offset))
-
-    def lookup(self, region: RegionInfo, page_offset: int) -> Optional[CacheEntry]:
-        """Return the resident entry for a page, recording hit/miss stats."""
-        key = self._key(region, page_offset)
-        entry = self._entries.get(key)
-        if entry is None:
-            # A miss is still a touch: bank it so a page that keeps being
-            # wanted carries its popularity into the next admission.
-            self._ghost_uses[key] = self._ghost_uses.get(key, 0) + 1
-            self.stats.misses += 1
+    def peek(self, region: RegionInfo, page_offset: int) -> Optional[CachedPage]:
+        """Residency probe that records no statistics (inspection only)."""
+        row = int(self._region_arrays(region, np.array([page_offset]))[1][page_offset])
+        if row < 0:
             return None
-        self._tick += 1
-        entry.uses += 1
-        entry.last_tick = self._tick
-        self._rank(key, entry)
-        self.stats.hits += 1
-        self.stats.hit_bytes += entry.nbytes
-        return entry
+        kind, uses, nbytes = self._cols[[_KIND, _USES, _NBYTES], row].tolist()
+        return CachedPage(self._kind_names[kind], uses, nbytes, row)
 
-    # ----------------------------------------------------------- eviction
+    def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of the mirrored ``(data, oob)`` of ``rows`` (padded to the
+        widest page admitted)."""
+        return self._data[rows], self._oob[rows]
 
-    def _rank(self, key: CacheKey, entry: CacheEntry) -> None:
-        """File ``entry``'s current eviction key (on admission and on every
-        hit, which moves its tick); once stale items outnumber live ones
-        the heap is rebuilt from the residents."""
-        heap = self._heap
-        heappush(heap, (self.policy.key(entry), key))
-        if len(heap) > 2 * len(self._entries):
-            rank = self.policy.key
-            heap[:] = [(rank(e), k) for k, e in self._entries.items()]
-            heapify(heap)
+    def lookup_pages(self, region: RegionInfo, pages) -> Tuple[np.ndarray, np.ndarray]:
+        """Look up distinct pages of one region: each one's mirror row and
+        bytes (-1 and 0 on a miss).  Hits count a use and take consecutive
+        ticks in the order given; a miss is banked in the ghost."""
+        _, slots, ghost = self._region_arrays(region, pages)
+        rows = slots[pages]
+        hit_rows = rows[rows >= 0]
+        nbytes = np.where(rows >= 0, self._cols[_NBYTES, rows], 0)
+        self._cols[_TICK, hit_rows] = self._tick + 1 + np.arange(hit_rows.size)
+        self._cols[_USES, hit_rows] += 1
+        self._tick += hit_rows.size
+        ghost[pages[rows < 0]] += 1
+        self.stats.hits += hit_rows.size
+        self.stats.misses += pages.size - hit_rows.size
+        self.stats.hit_bytes += int(nbytes.sum())
+        return rows, nbytes
 
-    # ---------------------------------------------------------- admission
-
-    def admit(
-        self,
-        region: RegionInfo,
-        page_offset: int,
-        kind: str,
-        data: np.ndarray,
-        oob: np.ndarray,
-    ) -> bool:
-        """Mirror a freshly-sensed page (copied); evicts until it fits.
-
-        Returns ``False`` without touching the cache when the kind is not
-        enabled or the page alone exceeds the whole budget.
-        """
-        if kind not in self.kinds:
+    def admit_pages(self, region: RegionInfo, pages, kind: str, data, oob) -> bool:
+        """Mirror freshly-sensed distinct pages, one ``data`` / ``oob`` row
+        each, exactly as admitting them one at a time in the order given:
+        each replaces its own row, evicts the smallest keys (this call's
+        pages included) until it fits, and takes the next tick.  ``False``
+        (nothing done): the kind is not enabled or a page exceeds the budget."""
+        pages = np.asarray(pages, dtype=np.int64)
+        data, oob = np.asarray(data, dtype=np.uint8), np.asarray(oob, dtype=np.uint8)
+        size = data.shape[-1] + oob.shape[-1]
+        if kind not in self.kinds or size > self.budget_bytes:
             return False
-        nbytes = int(data.size + oob.size)
-        if nbytes > self.budget_bytes:
-            return False
-        key = self._key(region, page_offset)
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._used_bytes -= old.nbytes
-        while self._used_bytes + nbytes > self.budget_bytes:
-            rank, victim = heappop(self._heap)
-            evicted = self._entries.get(victim)
-            if evicted is None or evicted.last_tick != rank[-1]:
-                continue  # stale: the entry left or was touched since
-            del self._entries[victim]
-            self._ghost_uses[victim] = (
-                self._ghost_uses.get(victim, 0) + evicted.uses
-            )
-            self._used_bytes -= evicted.nbytes
-            self.stats.evicted += 1
-        self._tick += 1
-        entry = self._entries[key] = CacheEntry(
-            kind=kind,
-            data=np.array(data, dtype=np.uint8, copy=True),
-            oob=np.array(oob, dtype=np.uint8, copy=True),
-            uses=(
-                old.uses if old is not None
-                else self._ghost_uses.pop(key, 0)
-            ),
-            last_tick=self._tick,
-        )
-        self._rank(key, entry)
-        self._used_bytes += nbytes
-        self.stats.admitted += 1
+        region_id, slots, ghost = self._region_arrays(region, pages)
+        old = slots[pages]
+        n = pages.size
+        new = np.empty((6, n), dtype=np.int64)  # the pages' columns
+        new.T[:] = region_id, 0, self._kind_names.index(kind), 0, 0, size
+        new[_PAGE], new[_TICK] = pages, self._tick + 1 + np.arange(n)
+        new[_USES] = np.where(old >= 0, self._cols[_USES, old], ghost[pages])
+        evicted, evicted_new, freed = self._walk_budget(old, new, size)
+        # Evicted rows bank their uses in their region's ghost; admitted
+        # pages pop theirs, and bank again if this call evicted them.
+        banked = self._cols[[_REGION, _PAGE, _USES]][:, evicted].T.tolist()
+        for row_region, page, uses in banked:
+            self._ghosts[row_region][page] += uses
+            self._slots[row_region][page] = -1
+        self._cols[_REGION, freed] = -1
+        ghost[pages] = 0
+        ghost[pages[evicted_new]] = new[_USES, evicted_new]
+        slots[pages[evicted_new]] = -1
+        kept = np.ones(n, dtype=bool)
+        kept[evicted_new] = False
+        free = (self._cols[_REGION] < 0).nonzero()[0]
+        (n_rows, data_width), oob_width = self._data.shape, self._oob.shape[1]
+        if free.size < n or data.shape[-1] > data_width or oob.shape[-1] > oob_width:
+            n_rows += max(n, n_rows)  # rows double, byte columns widen
+            self._cols = _grown(self._cols, (6, n_rows))
+            self._data = _grown(self._data, (n_rows, max(data.shape[-1], data_width)), 0)
+            self._oob = _grown(self._oob, (n_rows, max(oob.shape[-1], oob_width)), 0)
+            free = (self._cols[_REGION] < 0).nonzero()[0]
+        rows = free[: n - len(evicted_new)]
+        self._cols[:, rows] = new[:, kept]
+        self._data[rows, : data.shape[-1]] = data[kept]
+        self._oob[rows, : oob.shape[-1]] = oob[kept]
+        slots[pages[kept]] = rows
+        self._tick += n
+        self.stats.admitted += n
+        self.stats.evicted += len(evicted) + len(evicted_new)
         return True
 
-    # -------------------------------------------------------- invalidation
+    def _walk_budget(self, old, new, size: int) -> Tuple[List[int], ...]:
+        """Admit the pages of columns ``new`` (``size`` bytes each; page
+        ``j`` resident in row ``old[j]`` or -1) one at a time on the
+        bookkeeping alone: sets ``used_bytes``; returns the rows evicted,
+        the pages evicted after their own admission and every row freed.
+        Keys are fixed for the call, so one sort of residents (by row) and
+        pages (``n_rows + j``) orders every victim: an eviction takes the
+        first candidate still resident, skipping pages not admitted yet."""
+        cols, n_rows = self._cols, self._cols.shape[1]
+        used, old_nbytes = self.used_bytes, cols[_NBYTES, old].tolist()
+        evicted, evicted_new, freed, order, gone = [], [], [], [], {}  # gone: ids out
+        for j, row in enumerate(old.tolist()):
+            if row >= 0 and row not in gone:
+                gone[row] = True
+                freed += [row]
+                used -= old_nbytes[j]
+            while used + size > self.budget_bytes:
+                if not order:
+                    live = (cols[_REGION] >= 0).nonzero()[0]
+                    cand = np.concatenate((cols[:, live], new), axis=1)
+                    weights = getattr(self.policy, "kind_weights", {})
+                    weight = np.array([weights.get(k, 1.0) for k in self._kind_names])
+                    keys = self.policy.keys(
+                        cand[_USES], cand[_NBYTES], weight[cand[_KIND]], cand[_TICK]
+                    )
+                    ids = np.concatenate((live, n_rows + np.arange(new.shape[1])))
+                    order = ids[np.lexsort(keys[::-1])].tolist()
+                    row_nbytes = cols[_NBYTES].tolist()
+                at = 0
+                while order[at] in gone or order[at] - n_rows >= j:
+                    at += 1
+                victim = order[at]
+                del order[at]
+                gone[victim] = True
+                if victim < n_rows:
+                    evicted += [victim]
+                    freed += [victim]
+                    used -= row_nbytes[victim]
+                else:
+                    evicted_new += [victim - n_rows]
+                    used -= size
+            used += size
+        self.used_bytes = used
+        return evicted, evicted_new, freed
 
-    def invalidate_page(self, region: RegionInfo, page_offset: int) -> bool:
-        """Drop one page's entry (streaming-ingest program barrier)."""
-        key = self._key(region, page_offset)
-        self._ghost_uses.pop(key, None)  # rewritten page, stale history
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return False
-        self._used_bytes -= entry.nbytes
-        self.stats.invalidated += 1
-        return True
+    def invalidate_pages(self, region: RegionInfo, pages) -> int:
+        """Drop distinct pages' rows and ghost history (streaming-ingest
+        program barrier); returns how many were resident."""
+        _, slots, ghost = self._region_arrays(region, pages)
+        ghost[pages] = 0  # rewritten pages, stale history
+        rows = slots[pages]
+        rows = rows[rows >= 0]
+        slots[pages] = -1
+        self._cols[_REGION, rows] = -1
+        self.used_bytes -= int(self._cols[_NBYTES, rows].sum())
+        self.stats.invalidated += rows.size
+        return rows.size
 
     def invalidate_region(self, region: RegionInfo) -> int:
-        """Drop every entry of one region (drop/migrate authority barrier)."""
-        region_id = self._region_ids.get(region.region)
-        for key in [k for k in self._ghost_uses if k[0] == region_id]:
-            del self._ghost_uses[key]
-        doomed = [key for key in self._entries if key[0] == region_id]
-        for key in doomed:
-            self._used_bytes -= self._entries.pop(key).nbytes
-        self.stats.invalidated += len(doomed)
-        return len(doomed)
+        """Drop every row of one region (drop/migrate authority barrier)."""
+        _, slots, _ = self._region_arrays(region, np.zeros(0, dtype=np.int64))
+        return self.invalidate_pages(region, np.arange(slots.size))
 
     def clear(self) -> int:
         """Drop everything (compaction rewrites whole region windows)."""
-        n = len(self._entries)
+        n = len(self)
         self.stats.invalidated += n
-        self._entries.clear()
-        self._heap.clear()
-        self._ghost_uses.clear()
-        self._used_bytes = 0
+        self._reset()
         return n
+
+    def _reset(self) -> None:
+        self._region_ids: Dict[object, int] = {}
+        self._slots: List[np.ndarray] = []
+        self._ghosts: List[np.ndarray] = []
+        self._cols = np.full((6, 8), -1, dtype=np.int64)
+        self._data = np.zeros((8, 0), dtype=np.uint8)
+        self._oob = np.zeros((8, 0), dtype=np.uint8)
+        self.used_bytes = 0  # data + OOB bytes of the resident rows
 
     def close(self) -> None:
         """Release the DRAM reservation; the cache is unusable afterwards."""
-        self._entries.clear()
-        self._heap.clear()
-        self._used_bytes = 0
+        self._reset()
         self._dram.free(self.name)

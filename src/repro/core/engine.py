@@ -47,7 +47,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batch import BatchExecutor, ScanTasks
-from repro.core.cache import CacheEntry, PageCache
+from repro.core.cache import PageCache
 from repro.core.commands import DieCommandInterface
 from repro.core.config import OptFlags, ReisConfig
 from repro.core.costing import PhaseLedger, ibc_time
@@ -132,8 +132,7 @@ class _TlcPages(NamedTuple):
     plane_of: np.ndarray
     channel_of: np.ndarray
     page_id_of: np.ndarray
-    cached: np.ndarray  # served from the DRAM mirror (never sensed)
-    hit_nbytes: np.ndarray  # mirror entry size of a cached row, else 0
+    hit_nbytes: np.ndarray  # mirror size of a row served from DRAM, else 0
 
 
 class InStorageAnnsEngine:
@@ -164,6 +163,14 @@ class InStorageAnnsEngine:
     def page_cache(self) -> Optional[PageCache]:
         """The device's DRAM page cache (attached to the SSD; default off)."""
         return getattr(self.ssd, "page_cache", None)
+
+    @staticmethod
+    def _mirror_lookup(cache: Optional[PageCache], region: RegionInfo, pages):
+        """``cache.lookup_pages``; all misses (rows -1, 0 bytes) with it off."""
+        if cache is not None:
+            return cache.lookup_pages(region, pages)
+        nbytes = np.zeros(pages.size, dtype=np.int64)
+        return nbytes - 1, nbytes
 
     def _bill_visits(
         self,
@@ -301,18 +308,14 @@ class InStorageAnnsEngine:
         uniq, first_index, rank_of = np.unique(
             tasks.pages, return_index=True, return_inverse=True
         )
-        pages_u = uniq.tolist()
         plane_u, block_u, page_u, channel_u, page_id_u = (
             region.region.translate_columns(uniq, self.geometry)
         )
+        # One residency snapshot of the unique pages: pages admitted while
+        # this phase drains don't retroactively serve it (the schedule
+        # partition is fixed, like the sense/latch plan itself).
         cache = self.page_cache
-        entries: List[Optional[CacheEntry]] = [None] * uniq.size
-        if cache is not None:
-            # One residency snapshot per unique page: pages admitted while
-            # this phase drains don't retroactively serve it (the schedule
-            # partition is fixed, like the sense/latch plan itself).
-            entries = [cache.lookup(region, page) for page in pages_u]
-        nbytes_u = np.array([0 if entry is None else entry.nbytes for entry in entries])
+        rows_u, nbytes_u = self._mirror_lookup(cache, region, uniq)
         cached_u = nbytes_u > 0
         order = schedule_order(
             tasks.pages, self.flags.schedule_optimization, (first_index, rank_of)
@@ -324,19 +327,22 @@ class InStorageAnnsEngine:
 
         # ---- per unique page: the bytes the phase computes on -- the
         # mirror's, or the stored ones (raw BER 0: what any sense returns)
-        located = zip(plane_u.tolist(), block_u.tolist(), page_u.tolist())
+        planes = self.ssd.array.planes
+        hits = None if cache is None else zip(*cache.gather(rows_u[cached_u]))
         views = [
-            self.ssd.array.planes[plane_index].golden_view(block, page)
-            if entry is None else (entry.data, entry.oob)
-            for entry, (plane_index, block, page) in zip(entries, located)
+            next(hits) if cached else planes[plane_index].golden_view(block, page)
+            for cached, plane_index, block, page in zip(
+                cached_u.tolist(), plane_u.tolist(), block_u.tolist(), page_u.tolist()
+            )
         ]
         latched = _LatchedPages(uniq, views, spp, code_bytes, record_bytes, coarse)
         if cache is not None:
             # Mirror the golden bytes of every freshly-sensed page (copied).
-            kind = "centroid" if coarse else "cluster"
-            for page_offset, entry, view in zip(pages_u, entries, views):
-                if entry is None:
-                    cache.admit(region, page_offset, kind, *view)
+            fresh = np.flatnonzero(~cached_u).tolist()
+            cache.admit_pages(
+                region, uniq[fresh], "centroid" if coarse else "cluster",
+                [views[i][0] for i in fresh], [views[i][1] for i in fresh],
+            )
 
         # ---- per plane: one sense run over its fresh senses (service order)
         # and one stacked XOR + popcount over every (page, query) extraction
@@ -570,10 +576,8 @@ class InStorageAnnsEngine:
         )
         n_pages = uniq.size
         cache = self.page_cache
-        entries: List[Optional[CacheEntry]] = [None] * n_pages
-        if cache is not None:
-            entries = [cache.lookup(region, page) for page in uniq.tolist()]
-        cached = np.array([entry is not None for entry in entries], dtype=bool)
+        rows_u, nbytes_u = self._mirror_lookup(cache, region, uniq)
+        cached = nbytes_u > 0
         # Stack order: sensed pages by first touch, then mirror-served ones.
         order = np.lexsort((first_rows, cached))
         n_sensed = n_pages - int(cached.sum())
@@ -595,21 +599,15 @@ class InStorageAnnsEngine:
                 if not np.array_equal(stack[row], golden)
             )
             raise UncorrectableReadError(region.name, int(offsets[bad]))
-        hit_nbytes = np.zeros(n_pages, dtype=np.int64)
-        for row, rank in enumerate(order[n_sensed:].tolist(), start=n_sensed):
-            stack[row] = entries[rank].data
-            hit_nbytes[row] = entries[rank].nbytes
+        if n_sensed < n_pages:  # mirror-served rows: one gather
+            hits, _oob = cache.gather(rows_u[order[n_sensed:]])
+            stack[n_sensed:] = hits[:, : stack.shape[1]]
         if cache is not None:
             # Freshly-sensed pages are now golden (ECC-corrected): mirror them.
-            for page_offset, golden, oob in zip(
-                offsets[:n_sensed].tolist(), sensed.golden, sensed.oob
-            ):
-                cache.admit(region, page_offset, kind, golden, oob)
+            cache.admit_pages(region, offsets[:n_sensed], kind, stack[:n_sensed], sensed.oob)
         row_of = np.empty(n_pages, dtype=np.int64)
         row_of[order] = np.arange(n_pages)
-        pages = _TlcPages(
-            stack, plane_of, channel_of, page_id_of, cached[order], hit_nbytes
-        )
+        pages = _TlcPages(stack, plane_of, channel_of, page_id_of, nbytes_u[order])
         return pages, row_of[inverse]
 
     def _bill_tlc_phase(
@@ -639,7 +637,8 @@ class InStorageAnnsEngine:
         """
         n_queries = len(stats_list)
         ledger = PhaseLedger(name, n_queries, self.geometry, "tlc", with_compute=False)
-        _stack, plane_of, channel_of, page_id_of, cached, hit_nbytes = pages
+        _stack, plane_of, channel_of, page_id_of, hit_nbytes = pages
+        cached = hit_nbytes > 0
         n_pages = plane_of.size
         visit_of_row = seg_of_row * n_pages + page_row
         # (query, page) visits, query-major in each query's first-touch order.

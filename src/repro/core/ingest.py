@@ -526,6 +526,11 @@ class IngestManager:
             spp = region.slots_per_page
             cursor = self._cursor[key]
             n_pages = math.ceil(len(payloads) / spp)
+            # Authority barrier: the tail pages programmed below supersede
+            # any DRAM-mirrored copy of those page offsets.
+            cache = getattr(self.ssd, "page_cache", None)
+            if cache is not None:
+                cache.invalidate_pages(region, cursor // spp + np.arange(n_pages))
             for j in range(n_pages):
                 rows = payloads[j * spp : (j + 1) * spp]
                 data = np.zeros(g.page_bytes, dtype=np.uint8)
@@ -545,11 +550,6 @@ class IngestManager:
                     )
                 self.ssd.array.program(ppa, data, oob)
                 seconds += self.timing.program_time(region.mode.timing_key)
-                # Authority barrier: the programmed tail page supersedes any
-                # DRAM-mirrored copy of that page offset.
-                cache = getattr(self.ssd, "page_cache", None)
-                if cache is not None:
-                    cache.invalidate_page(region, cursor // spp + j)
             self._cursor[key] = (cursor // spp + n_pages) * spp
             pages_programmed[key] = n_pages
         return seconds, pages_programmed

@@ -64,6 +64,17 @@ def _entry_arrays(n_data=100, n_oob=10, fill=0):
     return data, oob
 
 
+def _admit(cache, region, page, kind, data, oob):
+    """Admit one page through the array API."""
+    return cache.admit_pages(region, np.array([page]), kind, data[None], oob[None])
+
+
+def _lookup(cache, region, page):
+    """Look one page up through the array API: hit or miss."""
+    rows, _nbytes = cache.lookup_pages(region, np.array([page]))
+    return bool(rows[0] >= 0)
+
+
 class TestPageCacheUnit:
     def _cache(self, budget=330, policy=None):
         dram = InternalDram(10_000)
@@ -86,15 +97,17 @@ class TestPageCacheUnit:
         cache, _ = self._cache()
         region = _Region(0)
         data, oob = _entry_arrays(fill=7)
-        assert cache.admit(region, 3, "cluster", data, oob)
+        assert _admit(cache, region, 3, "cluster", data, oob)
         data[:] = 0  # the mirror must not alias caller buffers
-        entry = cache.lookup(region, 3)
-        assert entry is not None
-        assert entry.kind == "cluster"
-        assert np.all(entry.data == 7)
-        assert np.all(entry.oob == 7)
+        rows, nbytes = cache.lookup_pages(region, np.array([3, 4]))
+        assert rows[0] >= 0 and rows[1] == -1
+        assert nbytes.tolist() == [110, 0]
+        mirror_data, mirror_oob = cache.gather(rows[:1])
+        assert mirror_data.shape == (1, 100) and np.all(mirror_data == 7)
+        assert mirror_oob.shape == (1, 10) and np.all(mirror_oob == 7)
+        entry = cache.peek(region, 3)
+        assert (entry.kind, entry.nbytes, entry.row) == ("cluster", 110, rows[0])
         assert cache.used_bytes == 110
-        assert cache.lookup(region, 4) is None
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
@@ -103,27 +116,27 @@ class TestPageCacheUnit:
     def test_oversized_page_and_disabled_kind_rejected(self):
         cache, _ = self._cache(budget=330)
         region = _Region(0)
-        assert not cache.admit(
-            region, 0, "cluster", np.zeros(400, dtype=np.uint8),
+        assert not _admit(
+            cache, region, 0, "cluster", np.zeros(400, dtype=np.uint8),
             np.zeros(0, dtype=np.uint8),
         )
         small = PageCache(InternalDram(10_000), 330, kinds=("document",))
         data, oob = _entry_arrays()
-        assert not small.admit(region, 0, "cluster", data, oob)
-        assert small.admit(region, 0, "document", data, oob)
+        assert not _admit(small, region, 0, "cluster", data, oob)
+        assert _admit(small, region, 0, "document", data, oob)
 
     def test_lru_evicts_least_recently_used(self):
         cache, _ = self._cache(budget=330)  # fits 3 x 110B entries
         region = _Region(0)
         for page in range(3):
             data, oob = _entry_arrays(fill=page)
-            cache.admit(region, page, "cluster", data, oob)
-        cache.lookup(region, 0)  # page 1 becomes the LRU entry
+            _admit(cache, region, page, "cluster", data, oob)
+        _lookup(cache, region, 0)  # page 1 becomes the LRU entry
         data, oob = _entry_arrays(fill=9)
-        cache.admit(region, 3, "cluster", data, oob)
+        _admit(cache, region, 3, "cluster", data, oob)
         assert cache.stats.evicted == 1
-        assert cache.lookup(region, 1) is None
-        assert cache.lookup(region, 0) is not None
+        assert not _lookup(cache, region, 1)
+        assert _lookup(cache, region, 0)
         assert len(cache) == 3
 
     def test_cost_aware_evicts_lowest_energy_saved_per_byte(self):
@@ -131,46 +144,77 @@ class TestPageCacheUnit:
         region = _Region(0)
         for page in range(3):
             data, oob = _entry_arrays(fill=page)
-            cache.admit(region, page, "cluster", data, oob)
+            _admit(cache, region, page, "cluster", data, oob)
         # Page 0 is hot (2 re-uses), page 2 was re-used once; page 1 has
         # the least sense energy saved per byte and must be the victim.
-        cache.lookup(region, 0)
-        cache.lookup(region, 0)
-        cache.lookup(region, 2)
+        _lookup(cache, region, 0)
+        _lookup(cache, region, 0)
+        _lookup(cache, region, 2)
         data, oob = _entry_arrays(fill=9)
-        cache.admit(region, 3, "cluster", data, oob)
-        assert cache.lookup(region, 1) is None
-        assert cache.lookup(region, 0) is not None
-        assert cache.lookup(region, 2) is not None
+        _admit(cache, region, 3, "cluster", data, oob)
+        assert not _lookup(cache, region, 1)
+        assert _lookup(cache, region, 0)
+        assert _lookup(cache, region, 2)
 
     def test_cost_aware_kind_weights_break_ties(self):
         policy = CostAwarePolicy()
-        from repro.core.cache import CacheEntry
+        weights = np.array([policy.kind_weights[k] for k in ("document", "cluster")])
+        score, ticks = policy.keys(
+            np.array([1, 1]), np.array([110, 110]), weights, np.array([1, 2])
+        )
+        assert score[0] > score[1]
+        assert ticks.tolist() == [1, 2]
 
-        doc = CacheEntry("document", *_entry_arrays(), uses=1)
-        clu = CacheEntry("cluster", *_entry_arrays(), uses=1)
-        assert policy.score(doc) > policy.score(clu)
+    def test_cost_aware_kind_weights_are_read_at_eviction(self):
+        # Weights changed after the cache is built still steer eviction.
+        policy = CostAwarePolicy()
+        cache, _ = self._cache(budget=330, policy=policy)
+        region = _Region(0)
+        for page, kind in enumerate(("document", "cluster", "cluster")):
+            _admit(cache, region, page, kind, *_entry_arrays(fill=page))
+        cache.lookup_pages(region, np.arange(3))
+        policy.kind_weights["document"] = 0.5
+        _admit(cache, region, 3, "cluster", *_entry_arrays(fill=9))
+        assert cache.peek(region, 0) is None
+        assert all(cache.peek(region, page) is not None for page in (1, 2, 3))
 
     def test_readmit_preserves_use_count(self):
         cache, _ = self._cache()
         region = _Region(0)
         data, oob = _entry_arrays()
-        cache.admit(region, 0, "cluster", data, oob)
-        cache.lookup(region, 0)
-        cache.lookup(region, 0)
-        cache.admit(region, 0, "cluster", data, oob)
+        _admit(cache, region, 0, "cluster", data, oob)
+        _lookup(cache, region, 0)
+        _lookup(cache, region, 0)
+        _admit(cache, region, 0, "cluster", data, oob)
         assert cache.peek(region, 0).uses == 2
         assert cache.used_bytes == 110  # replaced, not duplicated
+
+    def test_one_call_evicts_a_page_it_admitted(self):
+        # Cost-aware: a re-used resident outranks the call's fresh pages,
+        # so the third fresh page evicts the first one, not the resident.
+        cache, _ = self._cache(budget=330, policy=CostAwarePolicy())
+        region = _Region(0)
+        data, oob = _entry_arrays(fill=1)
+        _admit(cache, region, 0, "cluster", data, oob)
+        _lookup(cache, region, 0)
+        stack = np.full((3, 100), 5, dtype=np.uint8)
+        assert cache.admit_pages(
+            region, np.array([4, 5, 6]), "cluster", stack, stack[:, :10]
+        )
+        assert cache.stats.evicted == 1
+        assert cache.peek(region, 4) is None
+        assert [cache.peek(region, p).uses for p in (0, 5, 6)] == [1, 0, 0]
+        assert cache.used_bytes == 330
 
     def test_invalidation_page_region_clear(self):
         cache, _ = self._cache(budget=660)
         a, b = _Region("a"), _Region("b")
         data, oob = _entry_arrays()
         for page in range(2):
-            cache.admit(a, page, "cluster", data, oob)
-            cache.admit(b, page, "document", data, oob)
-        assert cache.invalidate_page(a, 0)
-        assert not cache.invalidate_page(a, 0)  # already gone
+            _admit(cache, a, page, "cluster", data, oob)
+            _admit(cache, b, page, "document", data, oob)
+        assert cache.invalidate_pages(a, np.array([0])) == 1
+        assert cache.invalidate_pages(a, np.array([0])) == 0  # already gone
         assert cache.invalidate_region(b) == 2
         assert cache.used_bytes == 110
         assert cache.clear() == 1
@@ -329,6 +373,65 @@ class TestCachedServingBitIdentity:
         # Over-budget re-enable fails up front with CapacityError.
         with pytest.raises(CapacityError):
             device.enable_page_cache(device.ssd.dram.free_bytes + 1)
+
+
+class TestFailedReenableKeepsTheCache:
+    """A (re-)enable that raises leaves the device exactly as it was: the
+    previous cache stays attached with its contents and its reservation
+    (it used to be closed first, then kept serving and admitting with its
+    DRAM region freed).  A sharded device switches every shard or none."""
+
+    BUDGET = 20_000
+
+    @staticmethod
+    def _over_budget(dram):
+        return dram.free_bytes + TestFailedReenableKeepsTheCache.BUDGET + 1
+
+    @pytest.mark.parametrize("error", [CapacityError, ValueError])
+    def test_single_device(self, error):
+        vectors, model, queries = _base(80, "creenable")
+        device = ReisDevice(tiny_config("CREENABLE"))
+        db = device.ivf_deploy("db", vectors, ivf_model=model, seed=0)
+        cache = device.enable_page_cache(self.BUDGET)
+        device.ivf_search(db, queries, k=K, nprobe=NLIST)
+        dram = device.ssd.dram
+        free, used = dram.free_bytes, cache.used_bytes
+        assert used > 0
+        budget = self._over_budget(dram) if error is CapacityError else 0
+        with pytest.raises(error):
+            device.enable_page_cache(budget)
+        assert device.page_cache is cache
+        assert dram.region_size("page_cache") == self.BUDGET
+        assert (dram.free_bytes, cache.used_bytes) == (free, used)
+        lookups = cache.stats.lookups
+        device.ivf_search(db, queries, k=K, nprobe=NLIST)
+        assert cache.stats.lookups > lookups
+        assert cache.used_bytes <= dram.region_size("page_cache")
+
+    @pytest.mark.parametrize("error", [CapacityError, ValueError])
+    def test_sharded_device_switches_every_shard_or_none(self, error):
+        vectors, model, queries = _base(120, "csreenable")
+        device = ShardedReisDevice(3, tiny_config("CSREENABLE"), placement="cluster")
+        db = device.ivf_deploy("db", vectors, ivf_model=model, seed=0)
+        caches = device.enable_page_cache(self.BUDGET)
+        device.ivf_search(db, queries, k=K, nprobe=NLIST)
+        drams = [shard.ssd.dram for shard in device.shards]
+        # The last shard alone cannot take a bigger budget: the ones before
+        # it build their new caches before the failure.
+        budget = 2 * self.BUDGET
+        drams[-1].allocate("pinned", drams[-1].free_bytes - self.BUDGET // 2)
+        if error is ValueError:
+            budget = 0
+        before = [(d.free_bytes, c.used_bytes) for d, c in zip(drams, caches)]
+        with pytest.raises(error):
+            device.enable_page_cache(budget)
+        assert [shard.page_cache for shard in device.shards] == caches
+        assert [d.region_size("page_cache") for d in drams] == [self.BUDGET] * 3
+        assert [(d.free_bytes, c.used_bytes) for d, c in zip(drams, caches)] == before
+        # A budget every shard can take switches all of them.
+        fresh = device.enable_page_cache(self.BUDGET + 1)
+        assert [shard.page_cache for shard in device.shards] == fresh
+        assert [d.region_size("page_cache") for d in drams] == [self.BUDGET + 1] * 3
 
 
 # --------------------------------------------------------------------------
@@ -708,23 +811,28 @@ class _ReferenceCache:
 
 
 def _cache_op(selector, where, kind, size):
-    """Mostly admissions and lookups -- a script has to overflow the
-    500-byte budget many times over -- with the invalidations the rare
-    events they are (``one_of`` does not weight its branches)."""
+    """Mostly admissions and lookups of 1-5 distinct pages -- a script has
+    to overflow the 500-byte budget many times over -- with the
+    invalidations the rare events they are (``one_of`` does not weight its
+    branches)."""
+    region, pages = where
     if selector < 50:
-        return ("admit", where, kind, size)
+        return ("admit", region, pages, kind, size)
     if selector < 90:
-        return ("lookup", where)
+        return ("lookup", region, pages)
     if selector < 96:
-        return ("invalidate_page", where)
-    return ("invalidate_region", where[0]) if selector < 99 else ("clear",)
+        return ("invalidate_pages", region, pages)
+    return ("invalidate_region", region) if selector < 99 else ("clear",)
 
 
 cache_scripts = st.lists(
     st.builds(
         _cache_op,
         st.integers(0, 99),
-        st.tuples(st.integers(0, 1), st.integers(0, 5)),
+        st.tuples(
+            st.integers(0, 1),
+            st.lists(st.integers(0, 5), min_size=1, max_size=5, unique=True),
+        ),
         st.sampled_from(["centroid", "cluster", "cluster", "document", "other"]),
         st.sampled_from([(30, 10), (100, 10), (100, 0), (190, 10), (600, 0)]),
     ),
@@ -737,10 +845,13 @@ class TestEvictionOrderAgainstFullScan:
     @settings(max_examples=150, deadline=None)
     @given(cache_scripts, st.sampled_from(["lru", "cost_aware"]))
     def test_same_victims_stats_and_uses_as_the_full_scan(self, script, policy_name):
-        """Random lookup / admit (mixed kinds and sizes, re-admission of a
-        resident key) / invalidate / clear sequences: the cache evicts the
-        keys the per-admission full scan would, admission by admission,
-        and ends with equal stats, ``used_bytes`` and per-entry uses."""
+        """Random multi-page lookup / admit (mixed kinds and sizes, kinds
+        not enabled, an over-budget page, re-admission of a resident page,
+        victims admitted earlier in the same call) / invalidate / clear
+        sequences against the per-page reference: after every call the
+        cache has evicted the pages the per-admission full scan would,
+        holds the same residents with the same bytes and per-entry uses,
+        and has equal stats and ``used_bytes``."""
         from repro.core.cache import DEFAULT_CACHE_KINDS, LruPolicy
 
         def make_policy():
@@ -750,6 +861,7 @@ class TestEvictionOrderAgainstFullScan:
         model = _ReferenceCache(500, make_policy(), frozenset(DEFAULT_CACHE_KINDS))
         regions = [_Region(0), _Region(1)]
         universe = [(r, page) for r in regions for page in range(6)]
+        fills = {}  # key -> byte value its resident copy was admitted with
 
         def resident():
             return {
@@ -757,26 +869,37 @@ class TestEvictionOrderAgainstFullScan:
                 if cache.peek(r, page) is not None
             }
 
-        for op, *args in script:
+        for step, (op, *args) in enumerate(script):
             before, evicted_before = resident(), len(model.evictions)
             if op == "lookup":
-                (r, page), = args
-                hit = cache.lookup(regions[r], page) is not None
-                assert hit == model.lookup((regions[r].region, page))
+                r, pages = args
+                rows, nbytes = cache.lookup_pages(regions[r], np.array(pages))
+                hits = [model.lookup((regions[r].region, page)) for page in pages]
+                assert (rows >= 0).tolist() == hits
+                assert (nbytes > 0).tolist() == hits
             elif op == "admit":
-                (r, page), kind, (n_data, n_oob) = args
-                data, oob = _entry_arrays(n_data, n_oob, fill=page)
-                assert cache.admit(regions[r], page, kind, data, oob) == (
-                    model.admit((regions[r].region, page), kind, n_data + n_oob)
-                )
-                admitted = {(regions[r].region, page)}
-                assert before - resident() - admitted == set(
-                    model.evictions[evicted_before:]
-                ) - admitted
-            elif op == "invalidate_page":
-                (r, page), = args
-                assert cache.invalidate_page(regions[r], page) == (
-                    model.invalidate_page((regions[r].region, page))
+                r, pages, kind, (n_data, n_oob) = args
+                fill = step % 251
+                data = np.full((len(pages), n_data), fill, dtype=np.uint8)
+                oob = np.full((len(pages), n_oob), fill, dtype=np.uint8)
+                keys = [(regions[r].region, page) for page in pages]
+                admitted = [model.admit(key, kind, n_data + n_oob) for key in keys]
+                assert cache.admit_pages(
+                    regions[r], np.array(pages), kind, data, oob
+                ) == all(admitted)
+                assert len(set(admitted)) == 1  # all-or-nothing per call
+                if admitted[0]:
+                    fills.update((key, (fill, n_data, n_oob)) for key in keys)
+                # The pages that left are exactly the victims that did not
+                # come back later in the call.
+                victims = set(model.evictions[evicted_before:])
+                assert (before | set(keys)) - resident() == (
+                    victims - set(model.entries)
+                ) | (set(keys) - set(model.entries))
+            elif op == "invalidate_pages":
+                r, pages = args
+                assert cache.invalidate_pages(regions[r], np.array(pages)) == sum(
+                    model.invalidate_page((regions[r].region, page)) for page in pages
                 )
             elif op == "invalidate_region":
                 r, = args
@@ -788,6 +911,7 @@ class TestEvictionOrderAgainstFullScan:
             assert resident() == set(model.entries)
             assert cache.stats == model.stats
             assert cache.used_bytes == model.used
+            assert len(cache) == len(model.entries)
             for r, page in universe:
                 entry = cache.peek(r, page)
                 if entry is not None:
@@ -795,3 +919,7 @@ class TestEvictionOrderAgainstFullScan:
                     assert (entry.uses, entry.kind, entry.nbytes) == (
                         twin.uses, twin.kind, twin.nbytes
                     )
+                    fill, n_data, n_oob = fills[(r.region, page)]
+                    data, oob = cache.gather(np.array([entry.row]))
+                    assert np.all(data[0, :n_data] == fill)
+                    assert np.all(oob[0, :n_oob] == fill)

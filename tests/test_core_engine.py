@@ -238,9 +238,11 @@ class TestPhaseKernelAgainstLatchWalk:
             cached = {3, 8}
             for page in sorted(cached):
                 ppa = region.region.translate(page, device.engine.geometry)
-                cache.admit(
-                    region, page, "cluster",
-                    *device.ssd.array.plane(ppa).golden_page(ppa.block, ppa.page),
+                data, oob = device.ssd.array.plane(ppa).golden_page(
+                    ppa.block, ppa.page
+                )
+                cache.admit_pages(
+                    region, np.array([page]), "cluster", data[None], oob[None]
                 )
         planes = [plane for _i, plane in device.ssd.array.iter_planes()]
         before = [

@@ -279,15 +279,12 @@ class TestCorrectBatchEquivalence:
         assert batch.uncorrectable_codewords == solo.uncorrectable_codewords
 
 
-def _pages(plane_of, channel_of, page_id_of, cached, hit_nbytes=None):
+def _pages(plane_of, channel_of, page_id_of, cached):
     """Hand-built billing columns (the page bytes are not billing's business)."""
-    n = len(plane_of)
-    if hit_nbytes is None:
-        hit_nbytes = np.where(cached, 16384 + 2208, 0)
     return _TlcPages(
-        np.empty((n, 0), dtype=np.uint8),
+        np.empty((len(plane_of), 0), dtype=np.uint8),
         np.asarray(plane_of), np.asarray(channel_of), np.asarray(page_id_of),
-        np.asarray(cached, dtype=bool), np.asarray(hit_nbytes),
+        np.where(cached, 16384 + 2208, 0),
     )
 
 
