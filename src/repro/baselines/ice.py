@@ -25,18 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List, Optional
 
-from repro.core.analytic import AnalyticQueryCost, AnalyticWorkload
-from repro.core.config import OptFlags, ReisConfig
-from repro.core.costing import (
-    PhaseCost,
-    compose_phase,
-    ibc_time,
-    merge_phase_totals,
-    spread_channel_bytes,
-    spread_pages,
+from repro.core.analytic import (
+    AnalyticQueryCost,
+    AnalyticWorkload,
+    Bill,
+    channel_total,
+    even_ledger,
 )
+from repro.core.config import OptFlags, ReisConfig
+from repro.core.costing import compose_batch, ibc_time
 from repro.host.io import StorageIoModel
 from repro.sim.stats import CounterSet
 from repro.ssd.cores import EmbeddedCore
@@ -100,70 +99,58 @@ class IceModel:
     def _core(self) -> EmbeddedCore:
         return EmbeddedCore(0, self.config.core_spec)
 
-    def _spread_pages(self, cost: PhaseCost, total_pages: int) -> None:
-        spread_pages(cost, total_pages, self.geometry.total_planes)
-
-    def _spread_channel_bytes(self, cost: PhaseCost, total_bytes: float) -> None:
-        spread_channel_bytes(cost, total_bytes, self.geometry.channels)
-
     def _embeddings_per_page(self, dim: int) -> int:
         per_embedding = max(1, int(dim * self.ice.bytes_per_embedding_factor))
         return max(1, self.geometry.page_bytes // per_embedding)
 
     # --------------------------------------------------------------- query
 
-    def _scan_cost(self, name: str, n_embeddings: int, dim: int, select_k: int) -> PhaseCost:
-        cost = PhaseCost(name=name, with_compute=True)
+    def _scan_cost(self, name: str, n_embeddings: int, dim: int, select_k: int) -> Bill:
         spp = self._embeddings_per_page(dim)
         pages = math.ceil(n_embeddings / spp) * self.ice.sensing_passes
-        self._spread_pages(cost, pages)
+        ledger = even_ledger(
+            self.geometry, name, pages,
+            float(n_embeddings) * self.ice.result_bytes_per_candidate,
+        )
         # Multi-level operands need several bit-serial latch passes; the
         # extra rounds are charged as in-die latch time on the critical
         # plane (they serialize with the page iteration, like REIS's XOR).
         extra_ops = max(0, self.ice.latch_ops_per_page - 2)
         extra_s = extra_ops * (self.timing.t_latch_xor_s + self.timing.t_bit_count_s) / 2.0
-        cost.core_seconds += extra_s * cost.max_pages
-        self._spread_channel_bytes(
-            cost, float(n_embeddings) * self.ice.result_bytes_per_candidate
-        )
-        cost.core_seconds += self._core().quickselect(n_embeddings, select_k)
-        return cost
+        ledger.core_seconds[0] = extra_s * ledger.nand[0].size
+        ledger.core_seconds[0] += self._core().quickselect(n_embeddings, select_k)
+        return ledger, pages
 
     def query_cost(self, workload: AnalyticWorkload) -> AnalyticQueryCost:
         """Latency of one ICE query at the workload's operating point."""
-        phases: Dict[str, Tuple[float, Dict[str, float]]] = {}
-        costs = []
+        bills: List[Bill] = []
         if workload.is_ivf:
-            coarse = self._scan_cost(
+            bills.append(self._scan_cost(
                 "coarse", workload.nlist, workload.dim, workload.nprobe
-            )
-            phases["coarse"] = compose_phase(coarse, self.timing, self.flags)
-            costs.append(coarse)
-        fine = self._scan_cost(
+            ))
+        bills.append(self._scan_cost(
             "fine", workload.candidates, workload.dim, workload.k
-        )
-        phases["fine"] = compose_phase(fine, self.timing, self.flags)
-        costs.append(fine)
+        ))
 
         # IBC equivalent: ICE broadcasts the 4-bit query per die, plane by
         # plane (no MPIBC).
         query_bytes = int(workload.dim * self.ice.precision_bits / 8)
         ibc_s = ibc_time(self.geometry, self.timing, query_bytes, self.flags)
-        report = merge_phase_totals(phases, ibc_s)
-
-        # Document fetch goes through the regular host read path.
-        doc_bytes = workload.k * workload.doc_bytes
-        doc_s = self.io.load_time(doc_bytes, workload.k)
-        report.add_component("host_document_fetch", doc_s)
-        report.total_s += doc_s
+        # Document fetch goes through the regular host read path: the host
+        # slot.  No ECC decode on the controller (error-tolerant encoding).
+        doc_s = self.io.load_time(workload.k * workload.doc_bytes, workload.k)
+        [report], *_ = compose_batch([(
+            self.timing, self.flags.pipelining, 0.0,
+            [ibc_s], [doc_s], {ledger.name: ledger for ledger, _pages in bills},
+        )])
 
         counters = CounterSet()
-        total_pages = sum(c.total_pages for c in costs)
+        total_pages = sum(pages for _ledger, pages in bills)
         counters.add("page_reads", total_pages)
         counters.add("latch_xors", total_pages * self.ice.latch_ops_per_page / 2)
         counters.add("bit_counts", total_pages * self.ice.latch_ops_per_page / 2)
-        counters.add("channel_bytes", sum(c.total_channel_bytes for c in costs))
-        core_busy = sum(c.core_seconds for c in costs)
+        counters.add("channel_bytes", channel_total(bills))
+        core_busy = sum(ledger.core_seconds[0] for ledger, _pages in bills)
         return AnalyticQueryCost(report=report, counters=counters, core_busy_s=core_busy)
 
     def qps(self, workload: AnalyticWorkload) -> float:

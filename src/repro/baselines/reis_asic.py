@@ -24,30 +24,27 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from repro.core.analytic import AnalyticWorkload, ReisAnalyticModel
-from repro.core.costing import PhaseCost
+from repro.core.analytic import AnalyticWorkload, Bill, ReisAnalyticModel
 
 
 class ReisAsicModel(ReisAnalyticModel):
     """REIS with controller-side ideal-ASIC compute instead of ESP + ISP."""
 
-    def _coarse_cost(self, workload: AnalyticWorkload) -> PhaseCost:
-        cost = PhaseCost(name="coarse", read_mode="slc", with_compute=False)
+    def _coarse_cost(self, workload: AnalyticWorkload) -> Bill:
         g = self.geometry
         spp = min(
             g.page_bytes // workload.code_bytes,
             g.oob_bytes // self.params.tag_bytes,
         )
         pages = math.ceil(workload.nlist / spp)
-        self._spread_pages(cost, pages)
         page_bytes = float(pages) * g.page_bytes
-        self._spread_channel_bytes(cost, page_bytes)
-        cost.ecc_bytes = page_bytes
         # Selection happens on the ideal ASIC: zero compute time.
-        return cost
+        return self._bill(
+            "coarse", pages, page_bytes, ecc_bytes=page_bytes,
+            read_mode="slc", with_compute=False,
+        )
 
-    def _fine_cost(self, workload: AnalyticWorkload) -> Tuple[PhaseCost, int]:
-        cost = PhaseCost(name="fine", read_mode="slc", with_compute=False)
+    def _fine_cost(self, workload: AnalyticWorkload) -> Tuple[Bill, int]:
         g = self.geometry
         spp = min(
             g.page_bytes // workload.code_bytes,
@@ -60,10 +57,10 @@ class ReisAsicModel(ReisAnalyticModel):
                 pages + workload.nprobe - 1,
                 math.ceil(workload.n_entries / spp),
             )
-        self._spread_pages(cost, pages)
         page_bytes = float(pages) * g.page_bytes
-        self._spread_channel_bytes(cost, page_bytes)
-        cost.ecc_bytes = page_bytes
         # Every candidate reaches the controller; no distance filtering is
         # possible in the dies because raw reads are unreliable.
-        return cost, candidates
+        return self._bill(
+            "fine", pages, page_bytes, ecc_bytes=page_bytes,
+            read_mode="slc", with_compute=False,
+        ), candidates

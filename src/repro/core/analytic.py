@@ -2,35 +2,32 @@
 
 The functional engine in :mod:`repro.core.engine` executes real bytes and
 can only hold scaled-down datasets.  The evaluation datasets are 2.7M-1B
-entries, so the figures are regenerated with this analytic twin: it builds
-the *same* :class:`~repro.core.costing.PhaseCost` objects the functional
-engine produces -- page reads per plane, channel bytes, core seconds --
-but computes the counts from a workload descriptor instead of executing
-them, then composes them through the identical
-:func:`~repro.core.costing.compose_phase` path.
+entries, so the figures are regenerated with this analytic twin: a device
+like any other, it bills every phase into a one-row
+:class:`~repro.core.costing.PhaseLedger` -- page visits on the critical
+plane, channel bytes, core seconds -- computing the counts from a workload
+descriptor instead of executing them (:func:`even_ledger`), and composes
+them through the identical :func:`~repro.core.costing.compose_batch`
+path as a batch of one.
 
-Because both layers share the composition code, the functional engine's
-measured per-query latency and the analytic model's predicted latency can
-be cross-validated on workloads small enough to run functionally (the
-integration tests do exactly this).
+Because both layers share the ledger and the composer, the functional
+engine's measured per-query latency and the analytic model's predicted
+latency can be cross-validated on workloads small enough to run
+functionally (the integration tests do exactly this, phase by phase).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.config import OptFlags, ReisConfig
-from repro.core.costing import (
-    PhaseCost,
-    compose_phase,
-    ibc_time,
-    merge_phase_totals,
-    spread_channel_bytes,
-    spread_pages,
-)
+from repro.core.costing import PhaseLedger, compose_batch, ibc_time
 from repro.nand.ecc import EccEngine
+from repro.nand.geometry import FlashGeometry
 from repro.sim.latency import LatencyReport
 from repro.sim.stats import CounterSet
 from repro.ssd.cores import EmbeddedCore
@@ -62,14 +59,22 @@ class AnalyticWorkload:
     def __post_init__(self) -> None:
         if self.n_entries <= 0:
             raise ValueError("n_entries must be positive")
-        if self.dim % 8 != 0:
-            raise ValueError("dim must be a multiple of 8")
+        if self.dim <= 0 or self.dim % 8 != 0:
+            raise ValueError("dim must be a positive multiple of 8")
+        if not 1 <= self.k <= self.n_entries:
+            raise ValueError("k must be in [1, n_entries]")
+        if not 0 <= self.nlist <= self.n_entries:
+            raise ValueError("nlist must be in [0, n_entries]")
+        if self.nlist and not 1 <= self.nprobe <= self.nlist:
+            raise ValueError("IVF workloads need 1 <= nprobe <= nlist")
+        if self.nprobe and not self.nlist:
+            raise ValueError("nprobe needs an IVF workload (nlist >= 1)")
+        if self.doc_bytes < 0:
+            raise ValueError("doc_bytes must be non-negative")
         if not 0.0 < self.candidate_fraction <= 1.0:
             raise ValueError("candidate_fraction must be in (0, 1]")
         if not 0.0 < self.filter_pass_fraction <= 1.0:
             raise ValueError("filter_pass_fraction must be in (0, 1]")
-        if self.nlist and not self.nprobe:
-            raise ValueError("IVF workloads need nprobe >= 1")
 
     @property
     def is_ivf(self) -> bool:
@@ -104,6 +109,42 @@ class AnalyticQueryCost:
         return 1.0 / self.seconds if self.seconds > 0 else math.inf
 
 
+# A phase as the analytic twin bills it: its one-row ledger and its true
+# page total (the energy counters' count; the ledger holds the critical
+# plane's share).
+Bill = Tuple[PhaseLedger, int]
+
+
+def even_ledger(
+    geometry: FlashGeometry, name: str, pages: int, channel_bytes: float,
+    core_seconds: float = 0.0, ecc_bytes: float = 0.0, **kind,
+) -> PhaseLedger:
+    """One query's phase spread evenly over the device, as a one-row ledger.
+
+    Regions stripe plane-major, so the critical plane makes ``ceil(pages /
+    planes)`` visits: plane 0 stands for it, billed as an executed schedule
+    of that many senses (no page identities to sort).  Every channel
+    carries an equal share of ``channel_bytes``.
+    """
+    ledger = PhaseLedger(name, 1, geometry, **kind)
+    per_plane = -(-pages // geometry.total_planes)  # ceiling division
+    if per_plane > 0:
+        visits = np.zeros(per_plane, dtype=np.int64)
+        ledger.add_nand_visits(visits, visits, visits)
+        senses = np.zeros(geometry.total_planes, dtype=np.int64)
+        senses[0] = per_plane
+        ledger.add_schedule(senses)
+    if channel_bytes > 0:
+        ledger.channel_bytes[0] = channel_bytes / geometry.channels
+    ledger.core_seconds[0], ledger.ecc_bytes[0] = core_seconds, ecc_bytes
+    return ledger
+
+
+def channel_total(bills: List[Bill]) -> float:
+    """The bytes every phase moved over the channels, phase by phase."""
+    return sum(sum(ledger.channel_bytes[0].tolist()) for ledger, _pages in bills)
+
+
 class ReisAnalyticModel:
     """Predicts per-query latency/energy of REIS at paper dataset scale."""
 
@@ -118,11 +159,8 @@ class ReisAnalyticModel:
 
     # ---------------------------------------------------------- primitives
 
-    def _spread_pages(self, cost: PhaseCost, total_pages: int) -> None:
-        spread_pages(cost, total_pages, self.geometry.total_planes)
-
-    def _spread_channel_bytes(self, cost: PhaseCost, total_bytes: float) -> None:
-        spread_channel_bytes(cost, total_bytes, self.geometry.channels)
+    def _bill(self, name: str, pages: int, channel_bytes: float, **kind) -> Bill:
+        return even_ledger(self.geometry, name, pages, channel_bytes, **kind), pages
 
     def _core(self) -> EmbeddedCore:
         """A scratch core: time formulas only, not the live busy counter."""
@@ -130,26 +168,19 @@ class ReisAnalyticModel:
 
     # -------------------------------------------------------------- phases
 
-    def _coarse_cost(self, workload: AnalyticWorkload) -> PhaseCost:
-        cost = PhaseCost(name="coarse", with_compute=True)
+    def _coarse_cost(self, workload: AnalyticWorkload) -> Bill:
         g = self.geometry
         spp = min(
             g.page_bytes // workload.code_bytes,
             g.oob_bytes // self.params.tag_bytes,
         )
-        pages = math.ceil(workload.nlist / spp)
-        self._spread_pages(cost, pages)
         entry_bytes = self.params.coarse_entry_bytes(workload.code_bytes)
-        self._spread_channel_bytes(cost, workload.nlist * entry_bytes)
-        cost.core_seconds = self._core().quickselect(workload.nlist, workload.nprobe)
-        return cost
-
-    def _fine_cost(self, workload: AnalyticWorkload) -> Tuple[PhaseCost, int]:
-        cost = PhaseCost(
-            name="fine",
-            with_compute=True,
-            with_filter=self.flags.distance_filtering,
+        return self._bill(
+            "coarse", math.ceil(workload.nlist / spp), workload.nlist * entry_bytes,
+            core_seconds=self._core().quickselect(workload.nlist, workload.nprobe),
         )
+
+    def _fine_cost(self, workload: AnalyticWorkload) -> Tuple[Bill, int]:
         g = self.geometry
         spp = min(
             g.page_bytes // workload.code_bytes,
@@ -165,7 +196,6 @@ class ReisAnalyticModel:
                 pages + workload.nprobe - 1,
                 math.ceil(workload.n_entries / spp),
             )
-        self._spread_pages(cost, pages)
         if self.flags.distance_filtering:
             transferred = max(
                 int(round(candidates * workload.filter_pass_fraction)),
@@ -174,14 +204,15 @@ class ReisAnalyticModel:
         else:
             transferred = candidates
         entry_bytes = self.params.fine_entry_bytes(workload.code_bytes)
-        self._spread_channel_bytes(cost, transferred * entry_bytes)
-        cost.core_seconds = self._core().quickselect(transferred, shortlist)
-        return cost, transferred
+        return self._bill(
+            "fine", pages, transferred * entry_bytes,
+            core_seconds=self._core().quickselect(transferred, shortlist),
+            with_filter=self.flags.distance_filtering,
+        ), transferred
 
     def _rerank_cost(
         self, workload: AnalyticWorkload, transferred: Optional[int] = None
-    ) -> PhaseCost:
-        cost = PhaseCost(name="rerank", read_mode="tlc", with_compute=False)
+    ) -> Bill:
         shortlist = min(
             self.params.shortlist_factor * workload.k, workload.candidates
         )
@@ -193,8 +224,6 @@ class ReisAnalyticModel:
         # never more pages than the INT8 region holds per plane stripe.
         int8_spp = max(1, self.geometry.page_bytes // workload.dim)
         region_pages = math.ceil(workload.n_entries / int8_spp)
-        pages = min(shortlist, region_pages)
-        self._spread_pages(cost, pages)
         # Only the distinct ECC codewords covering the shortlist's INT8
         # embeddings cross the channel; at paper scale the shortlist is
         # scattered (one codeword group per entry), at small scale entries
@@ -204,65 +233,55 @@ class ReisAnalyticModel:
         region_codewords = region_pages * max(1, self.geometry.page_bytes // cw)
         n_codewords = min(shortlist * cw_per_entry, region_codewords)
         transfer_bytes = float(n_codewords) * cw
-        self._spread_channel_bytes(cost, transfer_bytes)
-        cost.ecc_bytes = transfer_bytes
         core = self._core()
-        cost.core_seconds = core.int8_distances(shortlist, workload.dim)
-        cost.core_seconds += core.quicksort(shortlist)
-        return cost
+        core_seconds = core.int8_distances(shortlist, workload.dim)
+        core_seconds += core.quicksort(shortlist)
+        return self._bill(
+            "rerank", min(shortlist, region_pages), transfer_bytes,
+            core_seconds=core_seconds, ecc_bytes=transfer_bytes,
+            read_mode="tlc", with_compute=False,
+        )
 
-    def _document_cost(self, workload: AnalyticWorkload) -> PhaseCost:
-        cost = PhaseCost(name="documents", read_mode="tlc", with_compute=False)
-        self._spread_pages(cost, workload.k)
+    def _document_cost(self, workload: AnalyticWorkload) -> Bill:
         cw = self._ecc.config.codeword_bytes
         chunk_bytes = math.ceil(workload.doc_bytes / cw) * cw
         transfer_bytes = float(workload.k) * chunk_bytes
-        self._spread_channel_bytes(cost, transfer_bytes)
-        cost.ecc_bytes = transfer_bytes
-        return cost
+        return self._bill(
+            "documents", workload.k, transfer_bytes, ecc_bytes=transfer_bytes,
+            read_mode="tlc", with_compute=False,
+        )
 
     # --------------------------------------------------------------- query
 
     def query_cost(self, workload: AnalyticWorkload) -> AnalyticQueryCost:
         """Predicted cost of one query at the workload's operating point."""
-        ecc_rate = self._ecc.decode_time(1)
-        phases: Dict[str, Tuple[float, Dict[str, float]]] = {}
-        costs = []
+        bills: List[Bill] = []
         if workload.is_ivf:
-            coarse = self._coarse_cost(workload)
-            phases["coarse"] = compose_phase(coarse, self.timing, self.flags, ecc_rate)
-            costs.append(coarse)
+            bills.append(self._coarse_cost(workload))
         fine, transferred = self._fine_cost(workload)
-        phases["fine"] = compose_phase(fine, self.timing, self.flags, ecc_rate)
-        costs.append(fine)
-        rerank = self._rerank_cost(workload, transferred)
-        phases["rerank"] = compose_phase(rerank, self.timing, self.flags, ecc_rate)
-        costs.append(rerank)
+        bills += [fine, self._rerank_cost(workload, transferred)]
         if workload.doc_bytes > 0:
-            documents = self._document_cost(workload)
-            phases["documents"] = compose_phase(
-                documents, self.timing, self.flags, ecc_rate
-            )
-            costs.append(documents)
+            bills.append(self._document_cost(workload))
 
         ibc_s = ibc_time(self.geometry, self.timing, workload.code_bytes, self.flags)
-        report = merge_phase_totals(phases, ibc_s)
         host_s = workload.k * workload.doc_bytes / 7.0e9  # PCIe 4.0 x4 link
-        if host_s > 0:
-            report.add_component("host_transfer", host_s)
-            report.total_s += host_s
+        [report], *_ = compose_batch([(
+            self.timing, self.flags.pipelining, self._ecc.decode_time(1),
+            [ibc_s], [host_s], {ledger.name: ledger for ledger, _pages in bills},
+        )])
 
         counters = CounterSet()
-        total_pages = sum(c.total_pages for c in costs)
-        compute_pages = sum(c.total_pages for c in costs if c.with_compute)
-        filter_pages = sum(c.total_pages for c in costs if c.with_filter)
-        counters.add("page_reads", total_pages)
+        compute_pages = sum(pages for ledger, pages in bills if ledger.with_compute)
+        counters.add("page_reads", sum(pages for _ledger, pages in bills))
         counters.add("latch_xors", compute_pages)
         counters.add("bit_counts", compute_pages)
-        counters.add("pass_fail_checks", filter_pages)
+        counters.add(
+            "pass_fail_checks",
+            sum(pages for ledger, pages in bills if ledger.with_filter),
+        )
         counters.add("ibc_broadcasts", self.geometry.total_dies)
-        counters.add("channel_bytes", sum(c.total_channel_bytes for c in costs))
-        core_busy = sum(c.core_seconds for c in costs)
+        counters.add("channel_bytes", channel_total(bills))
+        core_busy = sum(ledger.core_seconds[0] for ledger, _pages in bills)
         counters.add("entries_transferred", transferred)
         return AnalyticQueryCost(report=report, counters=counters, core_busy_s=core_busy)
 
@@ -309,6 +328,8 @@ def ivf_workload(
     label: str = "",
 ) -> AnalyticWorkload:
     """An IVF operating point; defaults the scan fraction to nprobe/nlist."""
+    if nlist < 1:
+        raise ValueError("IVF workloads need nlist >= 1")
     if candidate_fraction is None:
         candidate_fraction = min(1.0, nprobe / nlist)
     return AnalyticWorkload(

@@ -236,6 +236,14 @@ class BatchRun:
     shortlist: Optional[TtlBlock] = None
     shortlist_bounds: Optional[np.ndarray] = None
 
+    def bill(self, engine: "InStorageAnnsEngine") -> tuple:
+        """This run served by ``engine``, as a device of ``compose_batch``."""
+        return (
+            engine.timing, engine.flags.pipelining, engine.ssd.ecc.decode_time(1),
+            [ctx.ibc_seconds for ctx in self.ctxs],
+            [ctx.host_seconds for ctx in self.ctxs], self.ledgers,
+        )
+
 
 def hand_out_clusters(
     ctxs: Sequence[PlanContext], clusters: np.ndarray, bounds: np.ndarray
@@ -562,7 +570,7 @@ class BatchExecutor:
         with _phase_timer(host_profile, "finalize"):
             stats = run.stats
             latencies, report, stats.phases, _seconds = compose_batch(
-                [(self.engine, run.ctxs, run.ledgers)]
+                [run.bill(self.engine)]
             )
             stats.cache_hits = sum([ctx.stats.cache_hits for ctx in run.ctxs])
             results = [

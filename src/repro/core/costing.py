@@ -15,14 +15,16 @@ paper's pipelining optimization overlaps (Sec. 4.3.4):
 With pipelining the phase time approaches the bottleneck class plus a
 pipeline-fill term; without it the classes execute back-to-back.
 
-The same composition runs on *measured* costs (functional simulation,
-small datasets) and on *computed* costs (analytic model, paper-scale
-datasets), which is what lets tests cross-validate the two layers.
+Every bill is a :class:`PhaseLedger` and :func:`compose_batch` is the one
+composer: the functional engine's ledgers hold *measured* visits (small
+datasets), the analytic twin's and the baselines' one-row ledgers hold
+*computed* ones (paper-scale datasets, an even spread), which is what lets
+tests cross-validate the two layers.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,72 +33,6 @@ from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 from repro.core.config import OptFlags
 from repro.sim.latency import LatencyReport
-
-
-@dataclass
-class PhaseCost:
-    """Raw resource usage of one query phase, as a scalar record: what the
-    analytic twin and ``baselines/`` fill (:func:`spread_pages` /
-    :func:`spread_channel_bytes`: an even spread, no dict entry per plane)
-    and :func:`compose_phase` composes.  The functional engine bills a
-    whole phase into one :class:`PhaseLedger` instead.
-    """
-
-    name: str
-    pages_per_plane: Dict[int, int] = field(default_factory=dict)
-    channel_bytes: Dict[int, float] = field(default_factory=dict)
-    core_seconds: float = 0.0
-    read_mode: str = "slc_esp"
-    with_compute: bool = True  # latch XOR + bit count per page
-    with_filter: bool = False  # pass/fail check per page
-    ecc_bytes: float = 0.0  # bytes ECC-decoded on the controller
-    # DRAM-cache service: senses skipped because the page was mirrored in
-    # the internal DRAM.  Hits bill InternalDram.access_time instead of the
-    # page-sense latency.
-    dram_seconds: float = 0.0
-    total_pages_override: int = 0  # analytic: true total when spread evenly
-
-    def add_channel_bytes(self, channel: int, n_bytes: float) -> None:
-        self.channel_bytes[channel] = self.channel_bytes.get(channel, 0.0) + n_bytes
-
-    @property
-    def max_pages(self) -> int:
-        return max(self.pages_per_plane.values()) if self.pages_per_plane else 0
-
-    @property
-    def total_pages(self) -> int:
-        if self.total_pages_override:
-            return self.total_pages_override
-        return sum(self.pages_per_plane.values())
-
-    @property
-    def total_channel_bytes(self) -> float:
-        return sum(self.channel_bytes.values())
-
-
-def spread_pages(cost: PhaseCost, total_pages: int, total_planes: int) -> None:
-    """Distribute ``total_pages`` evenly over all planes (analytic form).
-
-    Regions stripe plane-major, so the per-plane load is the ceiling split;
-    only the maximum is recorded (compose_phase needs the critical plane)
-    while the true total is kept for the energy counters.
-    """
-    if total_pages <= 0:
-        return
-    per_plane = -(-total_pages // total_planes)  # ceiling division
-    cost.pages_per_plane[0] = cost.pages_per_plane.get(0, 0) + per_plane
-    cost.total_pages_override += total_pages
-
-
-def spread_channel_bytes(
-    cost: PhaseCost, total_bytes: float, channels: int
-) -> None:
-    """Distribute ``total_bytes`` evenly over all channels (analytic form)."""
-    if total_bytes <= 0:
-        return
-    per_channel = total_bytes / channels
-    for channel in range(channels):
-        cost.add_channel_bytes(channel, per_channel)
 
 
 _PARTS = ("read", "transfer", "core", "dram")
@@ -130,34 +66,6 @@ def overlap_stages(read_s, transfer_s, core_s, dram_s, iterations, pipelining):
     bottleneck = np.maximum(np.maximum(read_s, transfer_s), np.maximum(core_s, dram_s))
     piped = bottleneck + (stage_sum - bottleneck) / np.maximum(iterations, 1)
     return np.where(pipelining, piped, stage_sum)
-
-
-def compose_phase(
-    cost: PhaseCost,
-    timing: NandTiming,
-    flags: OptFlags,
-    ecc_decode_seconds_per_byte: float = 0.0,
-) -> Tuple[float, Dict[str, float]]:
-    """Compose a phase's wall-clock time from its resource usage.
-
-    Returns (phase_seconds, component breakdown); the DRAM component
-    shows only when billed.
-    """
-    pages = cost.max_pages
-    stages = (
-        pages * page_iteration_time(
-            timing, cost.read_mode, cost.with_compute, cost.with_filter
-        ),
-        max(cost.channel_bytes.values(), default=0.0) / timing.channel_bandwidth_bps,
-        cost.core_seconds + cost.ecc_bytes * ecc_decode_seconds_per_byte,
-        cost.dram_seconds,
-        pages,
-    )
-    components = {
-        f"{cost.name}_{part}": seconds
-        for part, seconds in zip(_PARTS, stages) if part != "dram" or seconds
-    }
-    return float(overlap_stages(*stages, flags.pipelining)), components
 
 
 @dataclass
@@ -203,22 +111,6 @@ def ibc_time(
     fill_once = geometry.subpage_bytes / timing.channel_bandwidth_bps
     fills_per_die = 1 if flags.multi_plane_ibc else geometry.planes_per_die
     return code_transfer + geometry.dies_per_channel * fills_per_die * fill_once
-
-
-def merge_phase_totals(
-    phases: Dict[str, Tuple[float, Dict[str, float]]], ibc_seconds: float
-) -> LatencyReport:
-    """Assemble per-phase totals + IBC into a query latency report."""
-    report = LatencyReport()
-    report.add_component("ibc", ibc_seconds)
-    report.add_phase("ibc", ibc_seconds)
-    report.total_s += ibc_seconds
-    for phase_name, (total, components) in phases.items():
-        report.total_s += total
-        report.add_phase(phase_name, total)
-        for name, seconds in components.items():
-            report.add_component(name, seconds)
-    return report
 
 
 # -------------------------------------------------------------- phase ledger
@@ -307,28 +199,6 @@ class PhaseLedger:
     def add_schedule(self, senses_of: np.ndarray) -> None:
         """The senses an executed page schedule ran per plane (billed as is)."""
         self.senses = senses_of if self.senses is None else self.senses + senses_of
-
-    def query_cost(self, query: int) -> Optional[PhaseCost]:
-        """Query ``query``'s bill as a scalar :class:`PhaseCost` (``None``
-        if it did not run the phase) -- for tests and the reference
-        composer; nothing on the serving path materializes it."""
-        if query not in self.queries:
-            return None
-        row = int(np.flatnonzero(self.queries == query)[0])
-        visits = np.bincount(self.nand[1][self.nand[0] == row]).tolist()
-        dram_seconds = 0.0
-        for visit_s in self.dram[2][self.dram[0] == row].tolist():
-            dram_seconds += visit_s
-        loads = self.channel_bytes[row].tolist()
-        return PhaseCost(
-            name=self.name, read_mode=self.read_mode,
-            with_compute=self.with_compute, with_filter=self.with_filter,
-            pages_per_plane={p: n for p, n in enumerate(visits) if n},
-            channel_bytes={c: load for c, load in enumerate(loads) if load},
-            core_seconds=self.core_seconds[row],
-            ecc_bytes=float(self.ecc_bytes[row]),
-            dram_seconds=dram_seconds,
-        )
 
     def _derived_senses(self, rows, planes, page_ids) -> np.ndarray:
         """Senses per plane these visits need when no executed schedule
@@ -464,9 +334,12 @@ def compose_batch(
     :meth:`BatchExecutor.execute <repro.core.batch.BatchExecutor.execute>`
     (one device) and :class:`~repro.core.shard.ShardRouter` (a cluster).
 
-    A device is ``(engine, contexts, ledgers)``: a context per query
-    (``ibc_seconds``, ``host_seconds``) and its :class:`PhaseLedger` per
-    executed phase, in execution order.  ``primary`` devices serve the
+    A device is ``(timing, pipelining, ecc_rate, ibc_seconds,
+    host_seconds, ledgers)``: its NAND timing, whether it pipelines, its
+    ECC decode seconds per byte, every query's IBC and host-transfer
+    seconds and its :class:`PhaseLedger` per executed phase, in execution
+    order -- a served device's or the analytic twin's alike (a
+    one-query batch).  ``primary`` devices serve the
     batch side by side and meet at the phase barriers, ``failover``
     devices re-executed a dead shard's slice, ``merge`` is a cluster's
     host-side merge phase.  Returns every query's solo report, the batch
@@ -488,16 +361,14 @@ def compose_batch(
     "Sharded batch as a table".
     """
     devices = [*primary, *failover]
-    n_primary, n_queries = len(primary), len(devices[0][1])
-    names = list(dict.fromkeys(n for _e, _c, ledgers in devices for n in ledgers))
+    n_primary, n_queries = len(primary), len(devices[0][3])
+    names = list(dict.fromkeys(n for *_, ledgers in devices for n in ledgers))
     blocks: List[np.ndarray] = []  # rows: device, column, slot, *overlap_stages args
     counted: Dict[str, List[int]] = {}  # phase -> primaries' [unique, total]
-    for d, (engine, contexts, ledgers) in enumerate(devices):
-        timing, ecc_rate = engine.timing, engine.ssd.ecc.decode_time(1)
+    for d, (timing, _pipelining, ecc_rate, ibc_s, host_s, ledgers) in enumerate(devices):
         fixed = np.zeros((2, 8, n_queries + 1))  # the IBC and host slots
         fixed[:, 0], fixed[:, 1], fixed[1, 2] = d, np.arange(n_queries + 1), -1
-        fixed[0, 3, :-1] = [ctx.ibc_seconds for ctx in contexts]
-        fixed[1, 3, :-1] = [ctx.host_seconds for ctx in contexts]
+        fixed[0, 3, :-1], fixed[1, 3, :-1] = ibc_s, host_s
         # The batch column (still 0.0): the queries', added in order.
         fixed[:, 3, -1] = _running_total(fixed[:, 3])
         blocks += [fixed[0], fixed[1]]
@@ -519,7 +390,7 @@ def compose_batch(
     shape = (len(devices), n_queries + 1, len(names) + 2)
     table = np.concatenate(blocks, axis=1)
     at = tuple(table[:3].astype(np.intp))
-    pipelining = np.array([e.flags.pipelining for e, _c, _s in devices])[at[0]]
+    pipelining = np.array([device[1] for device in devices])[at[0]]
     seconds = np.zeros(shape)
     seconds[at] = overlap_stages(*table[3:], pipelining)
     parts = np.full((*shape, len(_PARTS)), np.nan)
@@ -579,7 +450,7 @@ def compose_batch(
     if failover:
         redone = sum(
             int(ledger.senses.sum())
-            for _engine, _contexts, ledgers in failover
+            for *_, ledgers in failover
             for ledger in ledgers.values() if ledger.senses is not None
         )
         batch_phases["failover"] = BatchPhaseBreakdown(

@@ -1328,7 +1328,7 @@ class ShardRouter:
         """
         runs = state.runs
         n_queries = state.n_queries
-        devices = [(run.executor.engine, run.ctxs, run.ledgers) for run in runs]
+        devices = [run.bill(run.executor.engine) for run in runs]
         first_failover = sum(not run.failover for run in runs)
         latencies, report, phases, device_seconds = compose_batch(
             devices[:first_failover], devices[first_failover:],

@@ -121,6 +121,6 @@ def end_to_end_speedups(rows: Sequence[Table4Row]) -> Dict[str, float]:
     """CPU+BQ total / REIS total per dataset."""
     by_key = {(r.dataset, r.system): r.total_seconds for r in rows}
     out = {}
-    for dataset in {r.dataset for r in rows}:
+    for dataset in dict.fromkeys(r.dataset for r in rows):
         out[dataset] = by_key[(dataset, "CPU+BQ")] / by_key[(dataset, "REIS")]
     return out

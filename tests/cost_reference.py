@@ -10,6 +10,12 @@ so CPython >= 3.12 adds it in the same order), together with the per-visit emiss
 it read (:class:`ReferencePhaseCost`), so the ledger's reductions can be
 pinned to it with ``==``.  :func:`replay` turns a ledger back into the
 objects the parent would have built, one visit at a time.
+
+:class:`PhaseCost` (the scalar record the analytic twin once filled) and
+:func:`query_cost` (a ledger row read back as one) live here too: nothing
+under ``src/`` materializes a per-query record any more.  :func:`compose_solo`
+is how the tests compose a ledger alone -- through ``compose_batch``, the
+one composer.
 """
 
 from __future__ import annotations
@@ -18,14 +24,96 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.costing import (
     _PARTS,
     BatchPhaseBreakdown,
-    PhaseCost,
     PhaseLedger,
+    compose_batch,
     overlap_stages,
 )
 from repro.nand.timing import NandTiming
+
+
+@dataclass
+class PhaseCost:
+    """Raw resource usage of one query phase, as a scalar record."""
+
+    name: str
+    pages_per_plane: Dict[int, int] = field(default_factory=dict)
+    channel_bytes: Dict[int, float] = field(default_factory=dict)
+    core_seconds: float = 0.0
+    read_mode: str = "slc_esp"
+    with_compute: bool = True  # latch XOR + bit count per page
+    with_filter: bool = False  # pass/fail check per page
+    ecc_bytes: float = 0.0  # bytes ECC-decoded on the controller
+    # Senses skipped because the DRAM mirror served the page.
+    dram_seconds: float = 0.0
+
+    def add_channel_bytes(self, channel: int, n_bytes: float) -> None:
+        self.channel_bytes[channel] = self.channel_bytes.get(channel, 0.0) + n_bytes
+
+    @property
+    def max_pages(self) -> int:
+        return max(self.pages_per_plane.values()) if self.pages_per_plane else 0
+
+    @property
+    def total_pages(self) -> int:
+        return sum(self.pages_per_plane.values())
+
+    @property
+    def total_channel_bytes(self) -> float:
+        return sum(self.channel_bytes.values())
+
+
+def query_cost(ledger: PhaseLedger, query: int) -> Optional[PhaseCost]:
+    """Query ``query``'s bill in ``ledger`` as a scalar :class:`PhaseCost`
+    (``None`` if it did not run the phase)."""
+    if query not in ledger.queries:
+        return None
+    row = int(np.flatnonzero(ledger.queries == query)[0])
+    visits = np.bincount(ledger.nand[1][ledger.nand[0] == row]).tolist()
+    dram_seconds = 0.0
+    for visit_s in ledger.dram[2][ledger.dram[0] == row].tolist():
+        dram_seconds += visit_s
+    loads = ledger.channel_bytes[row].tolist()
+    return PhaseCost(
+        name=ledger.name, read_mode=ledger.read_mode,
+        with_compute=ledger.with_compute, with_filter=ledger.with_filter,
+        pages_per_plane={p: n for p, n in enumerate(visits) if n},
+        channel_bytes={c: load for c, load in enumerate(loads) if load},
+        core_seconds=ledger.core_seconds[row],
+        ecc_bytes=float(ledger.ecc_bytes[row]),
+        dram_seconds=dram_seconds,
+    )
+
+
+def one_query_ledger(geometry, pages=0, channel=0.0, core=0.0, **kind) -> PhaseLedger:
+    """Query 0 alone in phase ``p``: ``pages`` distinct pages visited on
+    plane 0, ``channel`` bytes on channel 0, ``core`` seconds."""
+    ledger = PhaseLedger("p", 1, geometry, **kind)
+    plane = np.zeros(pages, dtype=np.int64)
+    ledger.add_nand_visits(plane, plane, np.arange(pages))
+    ledger.channel_bytes[0, 0] = channel
+    ledger.core_seconds[0] = core
+    return ledger
+
+
+def compose_solo(ledger: PhaseLedger, timing, flags, ecc_rate=0.0, query=0):
+    """``(seconds, components)`` of batch query ``query`` alone on an idle
+    device that ran only ``ledger`` (no IBC, no host transfer), composed
+    by ``compose_batch``."""
+    n = int(ledger.queries.max()) + 1
+    reports, *_ = compose_batch([
+        (timing, flags.pipelining, ecc_rate, [0.0] * n, [0.0] * n, {ledger.name: ledger})
+    ])
+    report = reports[query]
+    prefix = f"{ledger.name}_"
+    return report.phases[ledger.name], {
+        name: seconds for name, seconds in report.components.items()
+        if name.startswith(prefix)
+    }
 
 
 @dataclass
@@ -83,7 +171,7 @@ def _reference_batch_phase_stages(
     * **core** -- the single REIS core serializes every query's kernels.
 
     With pipelining the stage classes overlap exactly as in
-    :func:`compose_phase`, with the pipeline-fill term amortized over the
+    :func:`compose_solo`, with the pipeline-fill term amortized over the
     batch's page iterations.  All costs must belong to the same phase (same
     name, read mode and compute/filter settings).
 
@@ -201,7 +289,7 @@ def _reference_compose_batch_phase(
 
 def _composed(name, stages, pipelining):
     """``(seconds, components)`` of the phase ``name`` from its stages; the
-    DRAM component shows only when billed (``compose_phase``'s rule)."""
+    DRAM component shows only when billed (``compose_batch``'s rule)."""
     components = {
         f"{name}_{part}": seconds
         for part, seconds in zip(_PARTS, stages) if part != "dram" or seconds
@@ -228,7 +316,7 @@ def replay(ledger: PhaseLedger) -> List[ReferencePhaseCost]:
     query's in its own visit order (the ledger's row order)."""
     costs = []
     for q in ledger.queries.tolist():
-        scalar = ledger.query_cost(q)
+        scalar = query_cost(ledger, q)
         costs.append(ReferencePhaseCost(
             name=scalar.name, read_mode=scalar.read_mode,
             with_compute=scalar.with_compute, with_filter=scalar.with_filter,

@@ -1,91 +1,84 @@
 """Tests for the cost composition layer and the paper-scale analytic twin.
 
 The key cross-validation: on a workload small enough to execute
-functionally, the analytic model's predicted per-query latency must agree
-with the functional engine's measured latency to within a modest factor --
-they share the same composition code, so only the resource-count
-approximations (even spreading, pass-fraction estimate) differ.
+functionally, the analytic model's predicted per-phase latency is pinned
+against the functional engine's measured one -- both bill
+:class:`PhaseLedger` s composed by ``compose_batch``, so only the
+resource-count approximations (even spreading, pass-fraction estimate,
+chunk size) differ, and each phase's ratio says by how much.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines.ice import IceConfig, IceModel
+from repro.baselines.reis_asic import ReisAsicModel
 from repro.core.analytic import (
     AnalyticWorkload,
     ReisAnalyticModel,
     brute_force_workload,
+    even_ledger,
     ivf_workload,
 )
 from repro.core.api import ReisDevice
 from repro.core.config import ALL_OPT, NO_OPT, OptFlags, REIS_SSD1, REIS_SSD2, tiny_config
-from repro.core.costing import (
-    PhaseCost,
-    compose_phase,
-    ibc_time,
-    page_iteration_time,
-    spread_channel_bytes,
-    spread_pages,
-)
+from repro.core.costing import ibc_time, page_iteration_time
 from repro.nand.timing import NandTiming
 
 from tests.conftest import SMALL_NLIST
+from tests.cost_reference import compose_solo, one_query_ledger
 
 TIMING = NandTiming()
+GEOMETRY = tiny_config().geometry  # 2 channels, 8 planes
 
 
-class TestPhaseCost:
-    def test_pages_per_plane_max_and_total(self):
-        cost = PhaseCost(name="t", pages_per_plane={0: 2, 1: 1})
-        assert cost.max_pages == 2
-        assert cost.total_pages == 3
+class TestEvenLedger:
+    """The analytic twin's one-row ledger: an even spread, critical plane
+    first."""
 
-    def test_spread_pages_even_distribution(self):
-        cost = PhaseCost(name="t")
-        spread_pages(cost, total_pages=100, total_planes=16)
-        assert cost.max_pages == 7  # ceil(100/16)
-        assert cost.total_pages == 100
-
-    def test_spread_channel_bytes(self):
-        cost = PhaseCost(name="t")
-        spread_channel_bytes(cost, 800.0, channels=8)
-        assert cost.total_channel_bytes == pytest.approx(800.0)
-        assert max(cost.channel_bytes.values()) == pytest.approx(100.0)
+    def test_critical_plane_carries_the_ceiling_share(self):
+        ledger = even_ledger(GEOMETRY, "t", pages=100, channel_bytes=800.0)
+        rows, planes, _page_ids = ledger.nand
+        assert rows.tolist() == planes.tolist() == [0] * 13  # ceil(100 / 8)
+        assert ledger.senses.tolist() == [13] + [0] * 7  # billed as executed
+        assert ledger.channel_bytes.tolist() == [[400.0, 400.0]]
 
     def test_spread_zero_is_noop(self):
-        cost = PhaseCost(name="t")
-        spread_pages(cost, 0, 8)
-        spread_channel_bytes(cost, 0.0, 8)
-        assert cost.max_pages == 0
-        assert cost.total_channel_bytes == 0.0
+        ledger = even_ledger(GEOMETRY, "t", pages=0, channel_bytes=0.0)
+        assert ledger.nand[0].size == 0 and ledger.senses is None
+        assert not ledger.channel_bytes.any()
+        _seconds, components = compose_solo(ledger, TIMING, NO_OPT)
+        assert components == {"t_read": 0.0, "t_transfer": 0.0, "t_core": 0.0}
+
+    def test_read_is_the_critical_plane(self):
+        ledger = even_ledger(GEOMETRY, "t", pages=100, channel_bytes=0.0)
+        _seconds, components = compose_solo(ledger, TIMING, NO_OPT)
+        assert components["t_read"] == 13 * page_iteration_time(
+            TIMING, "slc_esp", True, False
+        )
 
 
-class TestComposePhase:
-    def _cost(self, pages=10, channel=1e6, core=1e-4):
-        cost = PhaseCost(name="t")
-        cost.pages_per_plane[0] = pages
-        cost.add_channel_bytes(0, channel)
-        cost.core_seconds = core
-        return cost
+def _ledger(pages=10, channel=1e6, core=1e-4, **kind):
+    return one_query_ledger(GEOMETRY, pages, channel, core, **kind)
 
+
+class TestComposeSolo:
     def test_serial_without_pipelining(self):
-        cost = self._cost()
-        total, components = compose_phase(cost, TIMING, NO_OPT)
+        total, components = compose_solo(_ledger(), TIMING, NO_OPT)
         assert total == pytest.approx(sum(components.values()))
 
     def test_pipelining_approaches_bottleneck(self):
-        cost = self._cost(pages=1000)
-        serial, _ = compose_phase(cost, TIMING, NO_OPT)
-        piped, components = compose_phase(cost, TIMING, ALL_OPT)
+        ledger = _ledger(pages=1000)
+        serial, _ = compose_solo(ledger, TIMING, NO_OPT)
+        piped, components = compose_solo(ledger, TIMING, ALL_OPT)
         assert piped < serial
         assert piped >= max(components.values())
 
     def test_filter_adds_pass_fail_time(self):
-        plain = PhaseCost(name="t", with_filter=False)
-        plain.pages_per_plane[0] = 100
-        filtered = PhaseCost(name="t", with_filter=True)
-        filtered.pages_per_plane[0] = 100
-        t_plain, _ = compose_phase(plain, TIMING, NO_OPT)
-        t_filtered, _ = compose_phase(filtered, TIMING, NO_OPT)
+        plain = _ledger(pages=100, channel=0.0, core=0.0, with_filter=False)
+        filtered = _ledger(pages=100, channel=0.0, core=0.0, with_filter=True)
+        t_plain, _ = compose_solo(plain, TIMING, NO_OPT)
+        t_filtered, _ = compose_solo(filtered, TIMING, NO_OPT)
         assert t_filtered > t_plain
 
     def test_page_iteration_time_modes(self):
@@ -96,11 +89,12 @@ class TestComposePhase:
             page_iteration_time(TIMING, "bogus", True, False)
 
     def test_ecc_bytes_charged_to_core(self):
-        cost = self._cost(core=0.0)
-        cost.ecc_bytes = 1e6
-        with_ecc, _ = compose_phase(cost, TIMING, NO_OPT, ecc_decode_seconds_per_byte=1e-9)
-        without, _ = compose_phase(cost, TIMING, NO_OPT, ecc_decode_seconds_per_byte=0.0)
+        ledger = _ledger(core=0.0)
+        ledger.ecc_bytes[0] = 1e6
+        with_ecc, components = compose_solo(ledger, TIMING, NO_OPT, ecc_rate=1e-9)
+        without, _ = compose_solo(ledger, TIMING, NO_OPT, ecc_rate=0.0)
         assert with_ecc == pytest.approx(without + 1e-3)
+        assert components["p_core"] == pytest.approx(1e-3)
 
 
 class TestIbcTime:
@@ -129,6 +123,43 @@ class TestAnalyticWorkload:
             AnalyticWorkload(n_entries=10, dim=128, candidate_fraction=0.0)
         with pytest.raises(ValueError):
             AnalyticWorkload(n_entries=10, dim=128, nlist=4)  # nprobe missing
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (dict(dim=0), "dim"),
+            (dict(dim=-8), "dim"),
+            (dict(k=0), "k must"),
+            (dict(k=1001), "k must"),
+            (dict(nlist=8, nprobe=9), "nprobe <= nlist"),
+            (dict(nprobe=4), "nprobe needs"),
+            (dict(nlist=1001, nprobe=1), "nlist must"),
+            (dict(doc_bytes=-1), "doc_bytes"),
+        ],
+    )
+    def test_boundary_inputs_raise(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            AnalyticWorkload(**{"n_entries": 1000, "dim": 128, **bad})
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (dict(dim=0), "dim"),
+            (dict(k=0), "k must"),
+            (dict(k=1001), "k must"),
+            (dict(nprobe=9), "nprobe <= nlist"),
+            (dict(nlist=0), "nlist >= 1"),
+            (dict(nlist=1001), "nlist must"),
+            (dict(doc_bytes=-1), "doc_bytes"),
+        ],
+    )
+    def test_ivf_workload_boundary_inputs_raise(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            ivf_workload(**{"n_entries": 1000, "dim": 128, "nlist": 8, "nprobe": 2, **bad})
+
+    def test_boundaries_themselves_are_valid(self):
+        AnalyticWorkload(n_entries=8, dim=8, k=8, nlist=8, nprobe=8, doc_bytes=0)
+        ivf_workload(8, 8, nlist=8, nprobe=8, k=8, doc_bytes=0)
 
     def test_helpers(self):
         bf = brute_force_workload(1000, 128)
@@ -192,46 +223,119 @@ class TestAnalyticModel:
         assert "host_transfer" not in cost.report.components
 
 
-class TestFunctionalAnalyticCrossValidation:
-    """The two layers must agree on small workloads they both can run."""
+ANALYTIC_MODELS = {
+    "reis": ReisAnalyticModel(REIS_SSD1),
+    "reis-no-opt": ReisAnalyticModel(REIS_SSD1, NO_OPT),
+    "asic": ReisAsicModel(REIS_SSD1),
+    "ice": IceModel(REIS_SSD1),
+    "ice-esp": IceModel(REIS_SSD1, IceConfig().with_esp()),
+}
 
-    def test_per_query_latency_within_factor(self, small_vectors, small_corpus, small_queries):
+
+class TestAnalyticReportContract:
+    """A ``LatencyReport``'s phases sum to its total, the host transfer
+    included, for every analytic model."""
+
+    @pytest.mark.parametrize("name", sorted(ANALYTIC_MODELS))
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            ivf_workload(100_000, 128, nlist=64, nprobe=8),
+            brute_force_workload(1_000_000, 1024, k=100, doc_bytes=1000),
+            ivf_workload(1_000_000, 128, nlist=1024, nprobe=8, doc_bytes=0),
+        ],
+        ids=["ivf", "bf", "ivf-no-docs"],
+    )
+    def test_phases_sum_to_total(self, name, workload):
+        report = ANALYTIC_MODELS[name].query_cost(workload).report
+        assert sum(report.phases.values()) == pytest.approx(report.total_s, rel=1e-12)
+        host = report.components.get("host_transfer", 0.0)
+        assert report.phases.get("host", 0.0) == host
+        assert "host_document_fetch" not in report.components
+        # ICE always fetches documents over the host path; REIS only ships
+        # them when the workload has any.
+        assert (host > 0) == (name.startswith("ice") or workload.doc_bytes > 0)
+
+
+def _phase_ratios(batch, config, workload):
+    """Analytic / functional seconds per phase; functional is the mean of
+    the batch's solo reports."""
+    measured = {}
+    for result in batch:
+        for name, seconds in result.latency.phases.items():
+            measured[name] = measured.get(name, 0.0) + seconds / len(batch)
+    predicted = ReisAnalyticModel(config).query_cost(workload).report.phases
+    assert predicted.keys() == measured.keys()
+    return {name: predicted[name] / measured[name] for name in measured}
+
+
+# Analytic / functional ratio per phase on the tiny-config fixtures, pinned
+# two-sided at its measured value +-5%.  A ratio outside [0.9, 1.1] carries
+# a deviation note: why the twin and the engine part ways there.
+HOST_DEVIATION = 16.0  # deviation: the workload prices the 4 KiB doc_bytes
+# default; the synthetic corpus ships 256 B chunks (4096 / 256 = 16).
+IVF_FULL_PROBE_RATIOS = {
+    "ibc": 1.000,
+    "coarse": 0.996,
+    # deviation: the engine's critical plane makes 16 fine visits where the
+    # twin's even spread gives it ceil(pages / planes) = 2 (fine_read 224 us
+    # vs 28 us): 12 small probed clusters do not stripe evenly over 8 planes.
+    # ROADMAP item 2 step 3's first lead.
+    "fine": 0.167,
+    "rerank": 1.004,
+    # deviation: the twin prices one 4 KiB chunk per page (doc_bytes
+    # default); the corpus packs 256 B chunks, so the engine senses half the
+    # critical-plane pages and moves and decodes a fraction of the bytes.
+    "documents": 1.885,
+    "host": HOST_DEVIATION,
+}
+BF_RATIOS = {
+    "ibc": 1.000,
+    "fine": 0.987,
+    "rerank": 0.979,
+    # deviation: as for IVF (4 KiB priced vs 256 B chunks shipped).
+    "documents": 1.310,
+    "host": HOST_DEVIATION,
+}
+
+
+class TestFunctionalAnalyticCrossValidation:
+    """Phase by phase, the two layers agree on small workloads they both
+    can run, up to the pinned ratios."""
+
+    def test_ivf_full_probe_phase_ratios(self, small_vectors, small_corpus, small_queries):
         vectors, _ = small_vectors
         n, dim = vectors.shape
         config = tiny_config("XVAL")
         device = ReisDevice(config)
         db_id = device.ivf_deploy("x", vectors, nlist=SMALL_NLIST, corpus=small_corpus, seed=0)
-        db = device.database(db_id)
-
         nprobe = SMALL_NLIST  # full probe: candidate fraction exactly 1.0
         batch = device.ivf_search(db_id, small_queries[:6], k=10, nprobe=nprobe)
-        measured = batch.total_seconds / len(batch)
         pass_fraction = float(
             np.mean([r.stats.filter_pass_fraction for r in batch])
         )
 
-        model = ReisAnalyticModel(config)
         workload = ivf_workload(
             n, dim, nlist=SMALL_NLIST, nprobe=nprobe,
             candidate_fraction=1.0,
             filter_pass_fraction=pass_fraction,
         )
-        predicted = model.query_cost(workload).seconds
-        assert predicted == pytest.approx(measured, rel=0.6)
+        ratios = _phase_ratios(batch, config, workload)
+        assert ratios == pytest.approx(IVF_FULL_PROBE_RATIOS, rel=0.05)
 
-    def test_bf_latency_within_factor(self, small_vectors, small_corpus, small_queries):
+    def test_bf_phase_ratios(self, small_vectors, small_corpus, small_queries):
         vectors, _ = small_vectors
         n, dim = vectors.shape
         config = tiny_config("XVAL-BF")
         device = ReisDevice(config)
         db_id = device.db_deploy("x", vectors, corpus=small_corpus, seed=0)
         batch = device.search(db_id, small_queries[:4], k=10)
-        measured = batch.total_seconds / len(batch)
         pass_fraction = float(
             np.mean([r.stats.filter_pass_fraction for r in batch])
         )
         workload = AnalyticWorkload(
             n_entries=n, dim=dim, filter_pass_fraction=pass_fraction
         )
-        predicted = ReisAnalyticModel(config).query_cost(workload).seconds
-        assert predicted == pytest.approx(measured, rel=0.6)
+        assert _phase_ratios(batch, config, workload) == pytest.approx(
+            BF_RATIOS, rel=0.05
+        )

@@ -646,7 +646,7 @@ class TestBatchedSelectAgainstPerTtl:
     @pytest.mark.parametrize("k", [1, 4, 9])
     @pytest.mark.parametrize("coarse", [True, False])
     def test_stacked_selection_equals_per_ttl(self, deployed_device, coarse, k):
-        from repro.core.costing import PhaseCost
+        from tests.cost_reference import PhaseCost
         from repro.core.plan import SearchStats
 
         device, db_id = deployed_device

@@ -23,7 +23,7 @@ from repro.core.api import ReisDevice
 from repro.core.batch import BatchExecutor
 from repro.core.commands import FlashOp
 from repro.core.config import NO_OPT, OptFlags, tiny_config
-from repro.core.costing import PhaseLedger, compose_phase
+from repro.core.costing import PhaseLedger
 from repro.core.plan import (
     build_query_plan,
     schedule_order,
@@ -34,7 +34,7 @@ from repro.nand.geometry import FlashGeometry
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
 from tests.conftest import SMALL_NLIST
-from tests.cost_reference import compose_ledger
+from tests.cost_reference import compose_ledger, compose_solo, query_cost
 
 
 def _trace_count(device, op):
@@ -537,16 +537,14 @@ class TestComposeBatchPhase:
             dict(plane=0, pages=(1, 2)), dict(plane=1, pages=(101, 102))
         )
         joint = compose_ledger(ledger, timing, flags)
-        solo_a = compose_phase(ledger.query_cost(0), timing, flags)[0]
-        solo_b = compose_phase(ledger.query_cost(1), timing, flags)[0]
+        solo_a = compose_solo(ledger, timing, flags, query=0)[0]
+        solo_b = compose_solo(ledger, timing, flags, query=1)[0]
         assert joint.seconds < solo_a + solo_b
 
     def test_batch_of_one_matches_solo_compose(self):
         timing, flags = self._timing_and_flags()
         ledger = self._ledger(dict(pages=(1, 2, 3), channel_bytes=512.0, core=1e-6))
-        solo_total, solo_components = compose_phase(
-            ledger.query_cost(0), timing, flags
-        )
+        solo_total, solo_components = compose_solo(ledger, timing, flags)
         breakdown = compose_ledger(ledger, timing, flags)
         assert breakdown.seconds == pytest.approx(solo_total)
         assert breakdown.components == pytest.approx(solo_components)
@@ -561,8 +559,8 @@ class TestComposeBatchPhase:
         timing, flags = self._timing_and_flags()
         ledger = self._ledger(dict(pages=(1,)), dict(pages=(2, 3)))
         ledger.queries = np.array([0, 2])  # query 1 sat the phase out
-        assert ledger.query_cost(1) is None
-        assert ledger.query_cost(2).pages_per_plane == {0: 2}
+        assert query_cost(ledger, 1) is None
+        assert query_cost(ledger, 2).pages_per_plane == {0: 2}
 
     def test_no_pipelining_sums_stages(self):
         timing, _ = self._timing_and_flags()

@@ -579,8 +579,9 @@ def _reference_compose_phase(cost, timing, flags, ecc_decode_seconds_per_byte=0.
 
 def _reference_solo_report(engine, ctx, ledgers, qi):
     """Query ``qi``'s solo report from its context and the phase ledgers of
-    the device that served it, read per query (``ledger.query_cost``)."""
+    the device that served it, read per query (``query_cost``)."""
     from repro.sim.latency import LatencyReport
+    from tests.cost_reference import query_cost
 
     ecc_rate = engine.ssd.ecc.decode_time(1)
     report = LatencyReport()
@@ -588,7 +589,7 @@ def _reference_solo_report(engine, ctx, ledgers, qi):
     report.add_phase("ibc", ctx.ibc_seconds)
     report.total_s += ctx.ibc_seconds
     for name, ledger in ledgers.items():
-        cost = ledger.query_cost(qi)
+        cost = query_cost(ledger, qi)
         if cost is None:  # the query did not run this phase
             continue
         total, components = _reference_compose_phase(

@@ -8,76 +8,92 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analytic import AnalyticWorkload, ReisAnalyticModel, ivf_workload
-from repro.core.config import ALL_OPT, NO_OPT, REIS_SSD1, REIS_SSD2, OptFlags
-from repro.core.costing import (
-    PhaseCost,
-    PhaseLedger,
-    compose_phase,
-    ibc_time,
-    page_iteration_time,
-    spread_pages,
+from repro.core.analytic import (
+    AnalyticWorkload,
+    ReisAnalyticModel,
+    even_ledger,
+    ivf_workload,
 )
+from repro.core.config import ALL_OPT, NO_OPT, REIS_SSD1, REIS_SSD2, OptFlags
+from repro.core.costing import PhaseLedger, ibc_time, page_iteration_time
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 
 from tests.cost_reference import (
     _reference_batch_phase_stages,
+    compose_solo,
+    one_query_ledger,
+    query_cost,
     replay,
     scheduled_senses,
 )
 
 TIMING = NandTiming()
 
-phase_costs = st.builds(
-    lambda pages, channel, core: _make_cost(pages, channel, core),
+phase_ledgers = st.builds(
+    lambda pages, channel, core: one_query_ledger(GEOMETRY, pages, channel, core),
     st.integers(0, 5000),
     st.floats(0, 1e8),
     st.floats(0, 1e-2),
 )
 
 
-def _make_cost(pages, channel, core):
-    cost = PhaseCost(name="p")
-    if pages:
-        cost.pages_per_plane[0] = pages
-    if channel:
-        cost.add_channel_bytes(0, channel)
-    cost.core_seconds = core
-    return cost
-
-
 class TestComposeProperties:
-    @given(phase_costs)
-    @settings(max_examples=50)
-    def test_pipelined_never_exceeds_serial(self, cost):
-        serial, _ = compose_phase(cost, TIMING, NO_OPT)
-        piped, _ = compose_phase(cost, TIMING, ALL_OPT)
+    @given(phase_ledgers)
+    @settings(max_examples=50, deadline=None)
+    def test_pipelined_never_exceeds_serial(self, ledger):
+        serial, _ = compose_solo(ledger, TIMING, NO_OPT)
+        piped, _ = compose_solo(ledger, TIMING, ALL_OPT)
         assert piped <= serial + 1e-12
 
-    @given(phase_costs)
-    @settings(max_examples=50)
-    def test_pipelined_at_least_bottleneck(self, cost):
-        piped, components = compose_phase(cost, TIMING, ALL_OPT)
+    @given(phase_ledgers)
+    @settings(max_examples=50, deadline=None)
+    def test_pipelined_at_least_bottleneck(self, ledger):
+        piped, components = compose_solo(ledger, TIMING, ALL_OPT)
         assert piped >= max(components.values()) - 1e-12
 
-    @given(phase_costs, st.floats(0, 1e-9))
-    @settings(max_examples=50)
-    def test_ecc_only_adds_time(self, cost, rate):
-        base, _ = compose_phase(cost, TIMING, NO_OPT, 0.0)
-        cost.ecc_bytes = 1e6
-        with_ecc, _ = compose_phase(cost, TIMING, NO_OPT, rate)
+    @given(phase_ledgers, st.floats(0, 1e-9))
+    @settings(max_examples=50, deadline=None)
+    def test_ecc_only_adds_time(self, ledger, rate):
+        base, _ = compose_solo(ledger, TIMING, NO_OPT, 0.0)
+        ledger.ecc_bytes[0] = 1e6
+        with_ecc, _ = compose_solo(ledger, TIMING, NO_OPT, rate)
         assert with_ecc >= base - 1e-12
 
-    @given(st.integers(0, 10**7), st.integers(1, 512))
-    @settings(max_examples=50)
-    def test_spread_pages_conserves_total(self, total, planes):
-        cost = PhaseCost(name="p")
-        spread_pages(cost, total, planes)
-        assert cost.total_pages == total
-        if total:
-            assert cost.max_pages == -(-total // planes)
-            assert cost.max_pages * planes >= total
+    @given(
+        st.integers(0, 10**7),
+        st.sampled_from([FlashGeometry(dies_per_chip=1), REIS_SSD1.geometry, REIS_SSD2.geometry]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_even_spread_covers_the_total(self, total, geometry):
+        ledger = even_ledger(geometry, "p", total, 0.0)
+        per_plane, planes = ledger.nand[0].size, geometry.total_planes
+        assert per_plane == -(-total // planes)
+        assert per_plane * planes >= total > (per_plane - 1) * planes
+        assert set(ledger.nand[1].tolist()) <= {0}
+
+    @given(st.builds(
+        lambda n, nprobe: ivf_workload(n, 1024, nlist=1024, nprobe=nprobe),
+        st.integers(10_000, 10**9),
+        st.integers(1, 1024),
+    ))
+    @settings(max_examples=30, deadline=None)
+    def test_page_reads_are_the_phases_totals(self, workload):
+        """The critical plane carries the ledger; the counters keep every
+        page the phases read -- the totals the even spread conserves."""
+        model = ReisAnalyticModel(REIS_SSD1)
+        fine, transferred = model._fine_cost(workload)
+        bills = [
+            model._coarse_cost(workload),
+            fine,
+            model._rerank_cost(workload, transferred),
+            model._document_cost(workload),
+        ]
+        counters = model.query_cost(workload).counters
+        assert counters["page_reads"] == sum(pages for _ledger, pages in bills)
+        planes = REIS_SSD1.geometry.total_planes
+        for ledger, pages in bills:
+            assert ledger.nand[0].size == -(-pages // planes)
 
 
 GEOMETRY = FlashGeometry(dies_per_chip=1)  # 2 channels x 2 planes each
@@ -166,7 +182,7 @@ class TestLedgerAgainstTheObjectWalk:
                 pages,
             ]
             # ...and the scalar record says the same (dicts, float sums).
-            scalar = ledger.query_cost(int(ledger.queries[row]))
+            scalar = query_cost(ledger, int(ledger.queries[row]))
             assert scalar.pages_per_plane == cost.pages_per_plane
             assert scalar.dram_seconds == cost.dram_seconds
 

@@ -297,7 +297,7 @@ def _bill(engine, rows, pages, n_queries):
     ledger = engine._bill_tlc_phase(
         "probe", seg, page_row, first_cw, last_cw, pages, stats
     )
-    # Per-query costs, read back through ``ledger.query_cost(q)`` and the
+    # Per-query costs, read back through ``query_cost(ledger, q)`` and the
     # visit columns replayed one ``add_page`` / ``add_dram_stream`` at a time.
     return replay(ledger), stats
 
