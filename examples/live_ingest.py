@@ -70,13 +70,11 @@ def main() -> None:
     # --- bit identity vs a fresh deploy of the live snapshot -------------
     after = device.ivf_search(db_id, queries, k=K, nprobe=NPROBE)
     db = device.database(db_id)
-    live_ids = np.array(sorted(manager.index.live_ids()), dtype=np.int64)
-    position = {int(g): i for i, g in enumerate(live_ids)}
-    lists = [
-        np.array([position[g] for _, g in manager.index.members[c]],
-                 dtype=np.int64)
-        for c in range(NLIST)
-    ]
+    # Live ids per cluster in scan order; the snapshot deploys them as
+    # positions in the sorted live-id list.
+    members = manager.index.members_by_cluster()
+    live_ids = np.sort(np.concatenate(members))
+    lists = [np.searchsorted(live_ids, cluster) for cluster in members]
     all_vectors = np.concatenate([vectors, fresh, (vectors[10] * 0.98)[None]])
     snapshot = ReisDevice(tiny_config("SNAP"))
     snap_id = snapshot.ivf_deploy(

@@ -8,20 +8,27 @@ window; this gives the foreground path):
 
 * **Inserts** append entries to the erased *growth tail* of the deployed
   regions (``growth_entries`` headroom reserved by
-  :meth:`~repro.core.layout.DatabaseDeployer.deploy`).  The entry is
-  assigned to its nearest centroid -- re-encoded with the deployment's own
-  codecs and compared against the centroid codes read back from the
-  centroid region, the same XOR+popcount the coarse scan performs -- and
-  programmed with the same payload/OOB wire format the deployer uses, so
-  the scan pipeline needs no new read path.
-* **Deletes** tombstone the entry in the controller-DRAM
-  :class:`~repro.core.registry.TombstoneRegistry`; the flash pages are
+  :meth:`~repro.core.layout.DatabaseDeployer.deploy`, counted from each
+  region's page-aligned tail: the rest of the last deployed page is
+  sealed, so a small ``growth_entries`` can leave no usable slot).  The
+  entry is assigned to its nearest centroid -- re-encoded with the
+  deployment's own codecs and compared against the centroid codes read
+  back from the centroid region, the same XOR+popcount the coarse scan
+  performs -- and programmed with the same payload/OOB wire format the
+  deployer uses, so the scan pipeline needs no new read path.
+* **Deletes** clear the entry's bit in the :class:`MutableIndex` ``live``
+  column (booked in controller DRAM by the
+  :class:`~repro.core.registry.TombstoneRegistry`); the flash pages are
   untouched and the scan simply skips the entry (dead slots drop out of
   the :meth:`MutableIndex.slot_ranges` the fine search scans).
 * **Updates** compose the two: tombstone the old entry, append the new
   vector under a *fresh* id.  Ids are never reused -- reusing one would
   place it out of ascending-id order inside its cluster and break the
   bit-identity contract below.
+
+A mutation group is validated whole (op fields, vector width and
+finiteness, tags) and its tail capacity checked before any state changes,
+so a group either lands entirely or raises having changed nothing.
 
 **Bit-identity contract.**  After any interleaving of mutations and
 queries, a query against the mutated database returns results bit-identical
@@ -39,14 +46,17 @@ a no-op for that entry sequence.
 
 Sharded deployments route mutations through
 :class:`ShardedIngestCoordinator`: the owning shard is derived from the
-placement policy (cluster owner, or ``id % n_shards`` for round-robin) and
-the global merge keys (``global_slot``, ``cluster_of_vector``,
-``shard_vectors``) are re-derived after every commit so the router's
-distance-merge stays bit-identical to the single-device engine.
+placement policy (cluster owner, or ``id % n_shards`` for round-robin),
+the group commits on every shard it touches or on none, and the
+coordinator then edits the :class:`~repro.core.shard.ShardAssignment`
+arrays (``shard_of_vector``, ``shard_vectors``, ``cluster_of_vector``,
+``global_slot``) so the router's distance-merge stays bit-identical to the
+single-device engine.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -66,6 +76,7 @@ from repro.ssd.allocation import ContiguousRegionAllocator
 from repro.ssd.device import SimulatedSSD
 
 MUTATION_OPS = ("insert", "delete", "update")
+_MISSING_TAG = "this database carries metadata tags; inserts must supply one"
 
 
 # ------------------------------------------------------------- requests
@@ -75,10 +86,10 @@ MUTATION_OPS = ("insert", "delete", "update")
 class MutationRequest:
     """One corpus mutation, expressed host-side.
 
-    ``cluster`` and ``assign_id`` pin the (local) cluster assignment and
-    the assigned id; the sharded coordinator uses them to route a
-    globally-resolved mutation into a shard without re-deriving either.
-    Host callers normally leave both ``None``.
+    ``cluster`` pins the (local) cluster assignment; the sharded
+    coordinator uses it to route a globally-resolved insert into a shard
+    without the shard re-deriving it.  Host callers normally leave it
+    ``None``.
     """
 
     op: str
@@ -87,7 +98,6 @@ class MutationRequest:
     text: Optional[str] = None
     metadata_tag: Optional[int] = None
     cluster: Optional[int] = None
-    assign_id: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.op not in MUTATION_OPS:
@@ -131,6 +141,14 @@ class CommitResult:
     seconds: float = 0.0
     acks: List[MutationAck] = field(default_factory=list)
 
+    def count(self, op: str) -> None:
+        if op == "insert":
+            self.n_inserts += 1
+        elif op == "delete":
+            self.n_deletes += 1
+        else:
+            self.n_updates += 1
+
 
 @dataclass
 class CompactionResult:
@@ -158,105 +176,210 @@ class CompactionResult:
         return total
 
 
+def _validate_group(
+    requests: Sequence[MutationRequest], dim: int, tagged: bool
+) -> None:
+    """Check a whole mutation group before any of it lands: every insert /
+    update vector has the database's width and is finite, and carries an
+    in-range tag -- which a tagged database requires."""
+    for request in requests:
+        if request.op == "delete":
+            continue
+        vector = np.asarray(request.vector, dtype=np.float32)
+        if vector.shape != (dim,):
+            raise ValueError(f"{request.op} vector must have dim {dim}")
+        if not np.isfinite(vector).all():
+            raise ValueError(f"{request.op} vector must be finite")
+        if request.metadata_tag is not None:
+            validate_metadata_tags(request.metadata_tag, "metadata_tag")
+        elif tagged:
+            raise ValueError(_MISSING_TAG)
+
+
+def _resolve_group(
+    requests: Sequence[MutationRequest],
+    live: np.ndarray,
+    first_id: int,
+    result: CommitResult,
+) -> List[Tuple[MutationRequest, Optional[int], Optional[int], MutationAck]]:
+    """Resolve a group's liveness in request order on its working ``live``
+    column (current ids, then room for the group's appends), so a later
+    request sees every earlier one.  Acks and counts go into ``result``;
+    returns ``(request, retired id, fresh id, ack)`` per applied request.
+    Ids are never reused: the ``k``-th append takes ``first_id + k``.
+    """
+    resolved = []
+    for request in requests:
+        result.count(request.op)
+        retired = fresh = None
+        if request.op != "insert":
+            target = int(request.entry_id)
+            if not (0 <= target < live.size and live[target]):
+                result.acks.append(MutationAck(
+                    op=request.op, entry_id=target, applied=False,
+                    note="target entry is not live",
+                ))
+                continue
+            live[target] = False
+            retired = target
+        if request.op != "delete":
+            fresh = first_id + len(result.ids)
+            live[fresh] = True
+            result.ids.append(fresh)
+        ack = MutationAck(
+            op=request.op, entry_id=retired if fresh is None else fresh,
+            applied=True, replaced_id=retired if request.op == "update" else None,
+        )
+        result.acks.append(ack)
+        resolved.append((request, retired, fresh, ack))
+    return resolved
+
+
+def _split_by_cluster(
+    order: np.ndarray, clusters: np.ndarray, n_clusters: int
+) -> List[np.ndarray]:
+    """Cut a scan-ordered id array into its per-cluster pieces."""
+    counts = np.bincount(clusters, minlength=n_clusters)
+    return np.split(order, np.cumsum(counts)[:-1])
+
+
+def _scan_order(live: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
+    """Live global ids in canonical single-device scan order: by cluster,
+    ascending id within each."""
+    ids = np.flatnonzero(live)
+    return ids[np.lexsort((ids, cluster_of[ids]))]
+
+
 # -------------------------------------------------------- mutable index
-
-
-@dataclass
-class EntryInfo:
-    """Where one live entry physically lives (all three regions)."""
-
-    cluster: int
-    eadr: int  # embedding slot
-    radr: int  # INT8 slot
-    dadr: int  # document slot
-    meta: int = -1
 
 
 class MutableIndex:
     """Live cluster membership layered over a deployed database.
 
+    One id-indexed table: ids are dense, monotone and never reused, so row
+    ``i`` of the ``cluster`` / ``eadr`` / ``radr`` / ``dadr`` / ``meta``
+    columns says where entry ``i`` lives, and ``live[i]`` is the only
+    record of whether it still does.  ``dadr_to_id`` is the reverse index
+    over the document region that
+    :meth:`~repro.core.layout.DeployedDatabase.original_of_dadr` gathers
+    from (appended entries' document slots diverge from their embedding
+    slots: one tail cursor per region).
+
     The deployer's R-IVF describes contiguous ``[first, last]`` slot ranges;
-    once entries are appended to the growth tail and tombstoned in place,
-    membership becomes a per-cluster *list* of embedding slots.  The index
-    keeps those lists in ascending slot order -- which, by construction
-    (monotone id assignment, appends in arrival order), is ascending id
-    order, the canonical single-device scan order -- and hands the engine
-    maximal consecutive-slot runs so the page-major scan machinery is
-    reused unchanged (:meth:`~repro.core.engine.InStorageAnnsEngine.
+    once entries are appended to the growth tail and tombstoned in place, a
+    cluster's live slots are no longer one range.  Within a cluster
+    ascending embedding slot is ascending id (appends take the tail in
+    arrival order, compaction packs in that order) -- the canonical
+    single-device scan order -- so the index sorts the live rows by
+    ``(cluster, eadr)`` once per commit and hands the engine the maximal
+    consecutive-slot runs of that order, reusing the page-major scan
+    machinery unchanged (:meth:`~repro.core.engine.InStorageAnnsEngine.
     _slot_ranges` dispatches here when the database carries an index).
     """
 
-    def __init__(self, db: DeployedDatabase, tombstones: TombstoneRegistry) -> None:
+    def __init__(self, db: DeployedDatabase) -> None:
         if db.r_ivf is None:
             raise ValueError("a mutable index requires an IVF deployment")
-        self.db = db
-        self.tombstones = tombstones
-        self.members: List[List[Tuple[int, int]]] = [
-            [] for _ in range(len(db.r_ivf))
-        ]  # per cluster: (embedding slot, entry id), ascending slot
-        self.entries: Dict[int, EntryInfo] = {}
-        # Document slot -> entry id over the whole document region (-1:
-        # none).  At deploy DADR == slot; appended entries' document slots
-        # diverge from their embedding slots (one tail cursor per region).
-        self.dadr_to_id = np.full(db.document_region.n_slots, -1, dtype=np.int64)
-        self.dadr_to_id[: db.slot_to_original.size] = db.slot_to_original
+        self.n_clusters = len(db.r_ivf)
+        slot_ids = db.slot_to_original
+        n_ids = int(slot_ids.max()) + 1 if slot_ids.size else 0
+        self.cluster = np.full(n_ids, -1, dtype=np.int64)
         for cluster, record in enumerate(db.r_ivf.entries):
-            for slot in range(record.first_embedding, record.last_embedding + 1):
-                entry_id = int(db.slot_to_original[slot])
-                meta = (
-                    int(db.metadata_tags[entry_id]) if db.has_metadata else -1
-                )
-                self.members[cluster].append((slot, entry_id))
-                self.entries[entry_id] = EntryInfo(cluster, slot, slot, slot, meta)
+            span = slot_ids[record.first_embedding : record.last_embedding + 1]
+            self.cluster[span] = cluster
+        # At deploy every address of an entry is its slot.
+        self.eadr = np.full(n_ids, -1, dtype=np.int64)
+        self.eadr[slot_ids] = np.arange(slot_ids.size)
+        self.radr = self.eadr.copy()
+        self.dadr = self.eadr.copy()
+        self.meta = np.full(n_ids, -1, dtype=np.int64)
+        if db.has_metadata:
+            self.meta[slot_ids] = db.metadata_tags[slot_ids]
+        self.live = np.zeros(n_ids, dtype=bool)
+        self.live[slot_ids] = True
+        self.dadr_to_id = np.full(db.document_region.n_slots, -1, dtype=np.int64)
+        self.dadr_to_id[: slot_ids.size] = slot_ids
+        self._scanned: Optional[Tuple[np.ndarray, List, List[int]]] = None
 
     # ------------------------------------------------------------ queries
 
     def is_live(self, entry_id: int) -> bool:
-        return entry_id in self.entries and not self.tombstones.is_dead(entry_id)
+        return 0 <= entry_id < self.live.size and bool(self.live[entry_id])
 
     def live_count(self) -> int:
-        return sum(len(m) for m in self.members)
+        return int(np.count_nonzero(self.live))
 
-    def live_ids(self) -> List[int]:
+    def live_ids(self) -> np.ndarray:
         """All live ids in canonical scan order (cluster-major, ascending)."""
-        return [entry_id for m in self.members for _, entry_id in m]
+        return self._scan()[0]
+
+    def members_by_cluster(self) -> List[np.ndarray]:
+        """Live ids per cluster, in scan order (the sharded coordinator
+        answers the same with global ids)."""
+        order = self.live_ids()
+        return _split_by_cluster(order, self.cluster[order], self.n_clusters)
 
     def slot_ranges(self, clusters: Optional[Sequence[int]]) -> List[Tuple[int, int]]:
         """Maximal runs of consecutive live embedding slots, scan order."""
-        cluster_ids = range(len(self.members)) if clusters is None else clusters
-        ranges: List[Tuple[int, int]] = []
-        for cluster in cluster_ids:
-            run_start: Optional[int] = None
-            run_end = -1
-            for slot, _entry_id in self.members[cluster]:
-                if run_start is None:
-                    run_start, run_end = slot, slot
-                elif slot == run_end + 1:
-                    run_end = slot
-                else:
-                    ranges.append((run_start, run_end))
-                    run_start, run_end = slot, slot
-            if run_start is not None:
-                ranges.append((run_start, run_end))
-        return ranges
+        _order, runs, bounds = self._scan()
+        if clusters is None:
+            return list(runs)
+        return [run for c in clusters for run in runs[bounds[c] : bounds[c + 1]]]
+
+    def _scan(self) -> Tuple[np.ndarray, List[Tuple[int, int]], List[int]]:
+        """``(live ids in scan order, their slot runs, per-cluster run
+        bounds)``, sorted once per commit."""
+        if self._scanned is None:
+            ids = np.flatnonzero(self.live)
+            order = ids[np.lexsort((self.eadr[ids], self.cluster[ids]))]
+            slots, clusters = self.eadr[order], self.cluster[order]
+            head = np.ones(order.size, dtype=bool)
+            head[1:] = (np.diff(slots) != 1) | (np.diff(clusters) != 0)
+            starts = np.flatnonzero(head)
+            ends = np.flatnonzero(np.roll(head, -1))
+            runs = list(zip(slots[starts].tolist(), slots[ends].tolist()))
+            bounds = np.searchsorted(
+                clusters[starts], np.arange(self.n_clusters + 1)
+            ).tolist()
+            self._scanned = (order, runs, bounds)
+        return self._scanned
 
     # ---------------------------------------------------------- mutation
 
-    def insert(
-        self, entry_id: int, cluster: int, eadr: int, radr: int, dadr: int, meta: int
+    def commit(
+        self,
+        live: np.ndarray,
+        cluster: np.ndarray,
+        eadr: np.ndarray,
+        radr: np.ndarray,
+        dadr: np.ndarray,
+        meta: np.ndarray,
     ) -> None:
-        if entry_id in self.entries:
-            raise ValueError(f"entry id {entry_id} already exists")
-        members = self.members[cluster]
-        if members and members[-1][0] >= eadr:
-            raise ValueError("appends must keep ascending slot order")
-        members.append((eadr, entry_id))
-        self.entries[entry_id] = EntryInfo(cluster, eadr, radr, dadr, meta)
-        self.dadr_to_id[dadr] = entry_id
+        """Install one commit group: the whole new ``live`` column and the
+        rows of the group's fresh ids, which follow the table's last id."""
+        first = self.cluster.size
+        if live.size != first + cluster.size:
+            raise ValueError("the live column must cover every id exactly once")
+        self.cluster = np.concatenate([self.cluster, cluster])
+        self.eadr = np.concatenate([self.eadr, eadr])
+        self.radr = np.concatenate([self.radr, radr])
+        self.dadr = np.concatenate([self.dadr, dadr])
+        self.meta = np.concatenate([self.meta, meta])
+        self.live = live
+        self.dadr_to_id[dadr] = np.arange(first, self.cluster.size)
+        self._scanned = None
 
-    def remove(self, entry_id: int) -> None:
-        info = self.entries[entry_id]
-        self.members[info.cluster].remove((info.eadr, entry_id))
+    def repack(self) -> np.ndarray:
+        """Compaction: the live rows take slots ``0..n-1`` in scan order
+        (every address equals the slot again); returns that order."""
+        order = self.live_ids()
+        packed = np.arange(order.size, dtype=np.int64)
+        for column in (self.eadr, self.radr, self.dadr):
+            column[order] = packed
+        self.dadr_to_id[:] = -1
+        self.dadr_to_id[: order.size] = order
+        self._scanned = None
+        return order
 
 
 # ------------------------------------------------------------- manager
@@ -269,8 +392,8 @@ class IngestManager:
     once, so each commit seals whole tail pages), the parallelism-first
     tail allocators (fast-forwarded past the deployed pages; the rotation
     is identical to the coarse region's offset order, so allocation *k*
-    lands on region offset *k*), the tombstone registry and the
-    :class:`MutableIndex` it installs on the database.
+    lands on region offset *k*), the tombstone bitmap's DRAM booking and
+    the :class:`MutableIndex` it installs on the database.
     """
 
     def __init__(self, ssd: SimulatedSSD, db: DeployedDatabase) -> None:
@@ -286,11 +409,8 @@ class IngestManager:
         self.timing = ssd.spec.timing
         self.tombstones = TombstoneRegistry(db.db_id, dram=ssd.dram)
         self.tombstones.track_capacity(db.embedding_region.n_slots)
-        self.index = MutableIndex(db, self.tombstones)
+        self.index = MutableIndex(db)
         db.mutable_index = self.index
-        self.next_id = (
-            int(db.slot_to_original.max()) + 1 if db.slot_to_original.size else 0
-        )
         self.centroid_codes = self._read_centroid_codes()
         self.commits: List[CommitResult] = []
         self._regions: Dict[str, RegionInfo] = {
@@ -317,194 +437,132 @@ class IngestManager:
         """Centroid codes sensed back from the centroid region (ESP-SLC is
         error-free, so the golden page *is* the sensed page)."""
         region = self.db.centroid_region
-        codes = np.empty((region.n_slots, self.db.code_bytes), dtype=np.uint8)
+        pages = []
         for page_offset in range(region.n_pages):
             ppa = region.region.translate(page_offset, self.geometry)
-            plane = self.ssd.array.plane(ppa)
-            data, _oob = plane.golden_page(ppa.block, ppa.page)
-            start = page_offset * region.slots_per_page
-            stop = min(start + region.slots_per_page, region.n_slots)
-            for i, slot in enumerate(range(start, stop)):
-                offset = i * region.item_bytes
-                codes[slot] = data[offset : offset + self.db.code_bytes]
-        return codes
+            data, _oob = self.ssd.array.plane(ppa).golden_page(ppa.block, ppa.page)
+            items = data[: region.slots_per_page * region.item_bytes]
+            pages.append(items.reshape(region.slots_per_page, region.item_bytes))
+        return np.concatenate(pages)[: region.n_slots, : self.db.code_bytes].copy()
 
-    def assign_cluster(self, code: np.ndarray) -> int:
-        """Nearest centroid by packed Hamming distance (ties: lowest id)."""
-        return int(np.argmin(hamming_packed(code, self.centroid_codes)))
+    def _free(self, key: str) -> int:
+        # The page-aligned tail cursor can start past a small growth region.
+        return max(0, self._regions[key].n_slots - self._cursor[key])
 
     @property
     def free_slots(self) -> int:
         """Insert capacity left before the tightest region runs out."""
-        return min(
-            region.n_slots - self._cursor[key]
-            for key, region in self._regions.items()
-        )
+        return min(self._free(key) for key in self._regions)
+
+    def check_capacity(self, n_slots_needed: int) -> None:
+        """Raise :class:`~repro.core.layout.CapacityError` unless every
+        region's tail holds ``n_slots_needed`` more slots.
+
+        Pure-delete groups need no tail slots, so they must go through even
+        when the tail has outrun a small growth region -- deletes are how
+        capacity comes back.
+        """
+        for key, region in self._regions.items():
+            if n_slots_needed and self._free(key) < n_slots_needed:
+                raise CapacityError(
+                    f"region {region.name!r} has {self._free(key)} free slots, "
+                    f"need {n_slots_needed}; run a compaction pass or "
+                    f"redeploy with more growth_entries"
+                )
 
     # ------------------------------------------------------------- commit
 
     def apply(self, requests: Sequence[MutationRequest]) -> CommitResult:
         """Apply a mutation group atomically and return its commit.
 
-        Mutations land in request order.  Capacity is checked up front so
-        a group either fits entirely or raises :class:`~repro.core.layout.
-        CapacityError` before any state changes.
+        Mutations land in request order.  The group is validated and its
+        capacity checked up front, so it either fits entirely or raises
+        ``ValueError`` / :class:`~repro.core.layout.CapacityError` before
+        any state changes.
         """
-        n_slots_needed = sum(1 for r in requests if r.op in ("insert", "update"))
-        for key, region in self._regions.items():
-            # Pure-delete groups need no tail slots, so they must go
-            # through even when the (page-aligned) tail has outrun a small
-            # growth region -- deletes are how capacity comes back.
-            if n_slots_needed and self._cursor[key] + n_slots_needed > region.n_slots:
-                raise CapacityError(
-                    f"region {region.name!r} has "
-                    f"{region.n_slots - self._cursor[key]} free slots, "
-                    f"need {n_slots_needed}; run a compaction pass or "
-                    f"redeploy with more growth_entries"
-                )
+        _validate_group(requests, self.db.dim, self.db.has_metadata)
+        n_writes = sum(1 for r in requests if r.op != "delete")
+        self.check_capacity(n_writes)
         result = CommitResult()
-        staged: Dict[str, List[Tuple[np.ndarray, Optional[np.ndarray]]]] = {
-            key: [] for key in self._regions
-        }
-        new_radr_ids: List[Tuple[int, int]] = []
-        precoded = self._batch_encode(requests)
-        for index, request in enumerate(requests):
-            if request.op == "insert":
-                ack = self._stage_insert(
-                    request, staged, new_radr_ids, precoded.get(index)
-                )
-                result.n_inserts += 1
-                if ack.applied:
-                    result.ids.append(ack.entry_id)
-            elif request.op == "delete":
-                ack = self._apply_delete(int(request.entry_id))
-                result.n_deletes += 1
-            else:  # update = delete old + insert fresh id
-                old_id = int(request.entry_id)
-                if not self.index.is_live(old_id):
-                    ack = MutationAck(
-                        op="update", entry_id=old_id, applied=False,
-                        note="target entry is not live",
-                    )
-                else:
-                    self._apply_delete(old_id)
-                    ack = self._stage_insert(
-                        request, staged, new_radr_ids, precoded.get(index)
-                    )
-                    ack.op = "update"
-                    ack.replaced_id = old_id
-                    result.ids.append(ack.entry_id)
-                result.n_updates += 1
-            result.acks.append(ack)
-        result.seconds, result.pages_programmed = self._program_staged({
-            key: (
-                np.stack([payload for payload, _record in items]),
-                None if items[0][1] is None
-                else np.stack([record for _payload, record in items]),
+        first_id = self.index.live.size
+        live = np.concatenate([self.index.live, np.zeros(n_writes, dtype=bool)])
+        appends = [
+            request
+            for request, _retired, fresh, _ack in _resolve_group(
+                requests, live, first_id, result
             )
-            for key, items in staged.items() if items
-        })
+            if fresh is not None
+        ]
+        columns, staged, chunks = self._stage_appends(appends, first_id)
+        result.seconds, result.pages_programmed = self._program_staged(staged)
         # Registry bookkeeping rides the controller DRAM.
         result.seconds += self.ssd.dram.access_time(
             max(1, len(requests)) * R_IVF_ENTRY_BYTES
         )
-        self._extend_slot_table(new_radr_ids)
+        self.index.commit(live[: first_id + len(appends)], **columns)
+        if appends:
+            self._extend_slot_table(columns["radr"], first_id)
+        if self.db.corpus is not None:
+            for chunk in chunks:
+                self.db.corpus.add(chunk)
         self.db.n_entries = self.index.live_count()
         self.commits.append(result)
         return result
 
-    def _apply_delete(self, entry_id: int) -> MutationAck:
-        if not self.index.is_live(entry_id):
-            return MutationAck(
-                op="delete", entry_id=entry_id, applied=False,
-                note="target entry is not live",
-            )
-        self.tombstones.mark(entry_id)
-        self.index.remove(entry_id)
-        return MutationAck(op="delete", entry_id=entry_id, applied=True)
+    def _stage_appends(
+        self, appends: Sequence[MutationRequest], first_id: int
+    ) -> Tuple[Dict[str, np.ndarray], Dict, List[DocumentChunk]]:
+        """One group encode of the appended entries: their index columns,
+        their staged ``(payloads, records)`` per region and their chunks.
 
-    def _batch_encode(
-        self, requests: Sequence[MutationRequest]
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Group-batched quantizer encode of a commit group's insert vectors.
-
-        Both quantizers encode row-wise (``encode_one(v) == encode(v[None])
-        [0]``), so encoding the whole group as one matrix is bit-identical
-        to the per-insert calls it replaces.  Malformed vectors are left
-        out; :meth:`_stage_insert` raises its usual error at that request's
-        turn in the commit order.
+        Both quantizers encode row-wise, so encoding the group as one
+        matrix is bit-identical to encoding each insert alone.
         """
-        rows: List[np.ndarray] = []
-        indices: List[int] = []
-        for index, request in enumerate(requests):
-            if request.op not in ("insert", "update") or request.vector is None:
-                continue
-            vector = np.asarray(request.vector, dtype=np.float32)
-            if vector.shape != (self.db.dim,):
-                continue
-            rows.append(vector)
-            indices.append(index)
-        if not rows:
-            return {}
-        mat = np.stack(rows)
+        step = np.arange(len(appends), dtype=np.int64)
+        columns = {
+            "cluster": np.array(
+                [-1 if r.cluster is None else r.cluster for r in appends],
+                dtype=np.int64,
+            ),
+            "eadr": self._cursor["embeddings"] + step,
+            "radr": self._cursor["int8"] + step,
+            "dadr": self._cursor["documents"] + step,
+            "meta": np.array(
+                [-1 if r.metadata_tag is None else r.metadata_tag for r in appends],
+                dtype=np.int64,
+            ),
+        }
+        if not appends:
+            return columns, {}, []
+        mat = np.stack([np.asarray(r.vector, dtype=np.float32) for r in appends])
         codes = self.db.binary_quantizer.encode(mat)
         codes_i8 = self.db.int8_quantizer.encode(mat)
-        return {
-            index: (codes[j], codes_i8[j]) for j, index in enumerate(indices)
-        }
-
-    def _stage_insert(
-        self,
-        request: MutationRequest,
-        staged: Dict[str, List[Tuple[np.ndarray, Optional[np.ndarray]]]],
-        new_radr_ids: List[Tuple[int, int]],
-        precoded: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> MutationAck:
-        vector = np.asarray(request.vector, dtype=np.float32)
-        if vector.shape != (self.db.dim,):
-            raise ValueError(f"insert vector must have dim {self.db.dim}")
-        if self.db.has_metadata and request.metadata_tag is None:
-            raise ValueError(
-                "this database carries metadata tags; inserts must supply one"
+        unpinned = columns["cluster"] < 0
+        if unpinned.any():
+            # Nearest centroid by packed Hamming distance (ties: lowest id).
+            columns["cluster"][unpinned] = np.argmin(
+                hamming_packed(codes[unpinned], self.centroid_codes), axis=1
             )
-        entry_id = (
-            self.next_id if request.assign_id is None else int(request.assign_id)
-        )
-        self.next_id = max(self.next_id, entry_id + 1)
-        if precoded is None:
-            code = self.db.binary_quantizer.encode_one(vector)
-            code_i8 = self.db.int8_quantizer.encode_one(vector)
-        else:
-            code, code_i8 = precoded
-        cluster = (
-            self.assign_cluster(code)
-            if request.cluster is None
-            else int(request.cluster)
-        )
-        eadr = self._cursor["embeddings"] + len(staged["embeddings"])
-        radr = self._cursor["int8"] + len(staged["int8"])
-        dadr = self._cursor["documents"] + len(staged["documents"])
-        meta = -1 if request.metadata_tag is None else int(request.metadata_tag)
-        # Same OOB wire format the deployer writes: DADR + RADR words,
-        # plus the metadata tag word when the database carries tags.
-        words = [dadr, radr]
+        # Same OOB wire format the deployer writes: DADR + RADR words, plus
+        # the metadata tag word when the database carries tags.
+        words = [columns["dadr"], columns["radr"]]
         if self.db.has_metadata:
-            words.append(meta)
-        oob = np.frombuffer(
-            np.array(words, dtype="<u4").tobytes(), dtype=np.uint8
-        ).copy()
-        staged["embeddings"].append((code, oob))
-        staged["int8"].append((code_i8.view(np.uint8), None))
-        text = request.text if request.text is not None else f"chunk-{entry_id}"
-        chunk = DocumentChunk(chunk_id=entry_id, text=text)
-        staged["documents"].append(
-            (chunk.encode_bytes(self.db.document_region.item_bytes), None)
-        )
-        self.index.insert(entry_id, cluster, eadr, radr, dadr, meta)
-        new_radr_ids.append((radr, entry_id))
-        if self.db.corpus is not None:
-            self.db.corpus.add(chunk)
-        return MutationAck(op="insert", entry_id=entry_id, applied=True)
+            words.append(columns["meta"])
+        records = np.stack(words, axis=1).astype("<u4").view(np.uint8)
+        chunks = [
+            DocumentChunk(
+                chunk_id=entry_id,
+                text=r.text if r.text is not None else f"chunk-{entry_id}",
+            )
+            for entry_id, r in enumerate(appends, first_id)
+        ]
+        item_bytes = self.db.document_region.item_bytes
+        staged = {
+            "embeddings": (codes, records),
+            "int8": (codes_i8.view(np.uint8), None),
+            "documents": (np.stack([c.encode_bytes(item_bytes) for c in chunks]), None),
+        }
+        return columns, staged, chunks
 
     def _program_staged(
         self, staged: Dict[str, Tuple[np.ndarray, Optional[np.ndarray]]]
@@ -554,23 +612,20 @@ class IngestManager:
             pages_programmed[key] = n_pages
         return seconds, pages_programmed
 
-    def _extend_slot_table(self, new_radr_ids: List[Tuple[int, int]]) -> None:
+    def _extend_slot_table(self, radrs: np.ndarray, first_id: int) -> None:
         """Grow ``slot_to_original`` over the appended INT8 slots.
 
         The table is RADR-indexed (at deploy RADR == slot), which is how
         the rerank and the shard router map shortlist entries back to ids;
         padding slots stay ``-1``.
         """
-        if not new_radr_ids:
-            return
-        new_size = self._cursor["int8"]
         table = self.db.slot_to_original
+        new_size = self._cursor["int8"]
         if new_size > table.size:
-            extended = np.full(new_size, -1, dtype=np.int64)
-            extended[: table.size] = table
-            table = extended
-        for radr, entry_id in new_radr_ids:
-            table[radr] = entry_id
+            table = np.concatenate(
+                [table, np.full(new_size - table.size, -1, dtype=np.int64)]
+            )
+        table[radrs] = np.arange(first_id, first_id + radrs.size)
         self.db.slot_to_original = table
 
     # -------------------------------------------------------- maintenance
@@ -583,22 +638,19 @@ class IngestManager:
         windows through the defragmenter, restores their cell modes and
         reprograms the live set cluster-major from slot zero: exactly the
         layout a fresh deployment of the live snapshot produces, which is
-        why compaction cannot perturb query results.  Tombstones and the
-        dadr divergence reset; reclaimed tail pages return to the erased
-        headroom.
+        why compaction cannot perturb query results.  The dadr divergence
+        resets; reclaimed tail pages return to the erased headroom.
         """
         db = self.db
         g = self.geometry
+        index = self.index
         # Compaction rewrites whole region windows, so every mirrored page
         # of this device is suspect: clear the DRAM cache at the barrier.
         device_cache = getattr(self.ssd, "page_cache", None)
         if device_cache is not None:
             device_cache.clear()
-        order: List[Tuple[int, EntryInfo]] = [
-            (entry_id, self.index.entries[entry_id])
-            for entry_id in self.index.live_ids()
-        ]
-        result = CompactionResult(live_entries=len(order))
+        order = index.live_ids()
+        result = CompactionResult(live_entries=int(order.size))
         pages_before = sum(
             self._cursor[key] // region.slots_per_page
             for key, region in self._regions.items()
@@ -607,12 +659,11 @@ class IngestManager:
         # Read back one region at a time: every golden page holding a live
         # slot once, then one gather of the live payload rows.
         payloads: Dict[str, np.ndarray] = {}
-        # One pass over the live entries yields all three slot columns.
-        eadrs, radrs, dadrs = np.array(
-            [(info.eadr, info.radr, info.dadr) for _entry_id, info in order],
-            dtype=np.int64,
-        ).reshape(-1, 3).T
-        slots_of = {"embeddings": eadrs, "int8": radrs, "documents": dadrs}
+        slots_of = {
+            "embeddings": index.eadr[order],
+            "int8": index.radr[order],
+            "documents": index.dadr[order],
+        }
         for key, region in self._regions.items():
             width = db.code_bytes if key == "embeddings" else region.item_bytes
             page_offsets, slot_in_page = np.divmod(
@@ -642,15 +693,13 @@ class IngestManager:
                 window.start_page_in_plane, window.end_page_in_plane, region.mode
             )
 
-        # Reprogram packed from slot 0 in canonical order and rebuild the
-        # registry structures to the fresh-deploy state.
-        metas = [info.meta for _entry_id, info in order]
-        # Same OOB wire format the deployer writes (DADR + RADR words, plus
-        # the metadata tag word); after packing both equal the slot.
-        slot_words = np.arange(len(order), dtype="<u4")
+        # Reprogram packed from slot 0 in canonical order, with the OOB
+        # wire format the deployer writes (DADR + RADR words, plus the
+        # metadata tag word); after packing both links equal the slot.
+        slot_words = np.arange(order.size, dtype="<u4")
         words = [slot_words, slot_words]
         if db.has_metadata:
-            words.append(np.array(metas, dtype="<u4"))
+            words.append(index.meta[order].astype("<u4"))
         records = np.stack(words, axis=1).view(np.uint8)
         staged = {
             "embeddings": (payloads["embeddings"], records),
@@ -662,43 +711,33 @@ class IngestManager:
         result.seconds += program_seconds
         result.pages_programmed = sum(pages.values())
 
-        entries: List[RIvfEntry] = []
-        cursor = 0
-        for cluster in range(len(self.index.members)):
-            first = cursor
-            cursor += len(self.index.members[cluster])
-            entries.append(
+        # Rebuild the registry structures to the fresh-deploy state: the
+        # R-IVF bounds are the running cluster sizes.
+        counts = np.bincount(index.cluster[order], minlength=index.n_clusters)
+        lasts = np.cumsum(counts) - 1
+        db.r_ivf = RIvf(
+            [
                 RIvfEntry(
                     centroid_addr=cluster,
-                    first_embedding=first,
-                    last_embedding=cursor - 1,
+                    first_embedding=last - count + 1,
+                    last_embedding=last,
                     tag=cluster & 0xFF,
                 )
-            )
-        db.r_ivf = RIvf(entries, dram=self.ssd.dram, db_id=db.db_id)
-        live_ids = np.array([entry_id for entry_id, _ in order], dtype=np.int64)
-        db.slot_to_original = live_ids
-        original_to_slot = np.full(self.next_id, -1, dtype=np.int64)
-        original_to_slot[live_ids] = np.arange(live_ids.size, dtype=np.int64)
-        db.original_to_slot = original_to_slot
-        db.n_entries = live_ids.size
-
-        slot = 0
-        self.index.dadr_to_id[:] = -1
-        self.index.dadr_to_id[: live_ids.size] = live_ids
-        self.index.entries = {}
-        for cluster in range(len(self.index.members)):
-            rebuilt = []
-            for _old_slot, entry_id in self.index.members[cluster]:
-                rebuilt.append((slot, entry_id))
-                self.index.entries[entry_id] = EntryInfo(
-                    cluster, slot, slot, slot, metas[slot]
+                for cluster, (count, last) in enumerate(
+                    zip(counts.tolist(), lasts.tolist())
                 )
-                slot += 1
-            self.index.members[cluster] = rebuilt
-        self.tombstones.clear()
+            ],
+            dram=self.ssd.dram,
+            db_id=db.db_id,
+        )
+        index.repack()
+        db.slot_to_original = order
+        original_to_slot = np.full(index.live.size, -1, dtype=np.int64)
+        original_to_slot[order] = np.arange(order.size, dtype=np.int64)
+        db.original_to_slot = original_to_slot
+        db.n_entries = int(order.size)
         result.seconds += self.ssd.dram.access_time(
-            max(1, len(entries)) * R_IVF_ENTRY_BYTES
+            max(1, index.n_clusters) * R_IVF_ENTRY_BYTES
         )
         pages_after = sum(
             self._cursor[key] // region.slots_per_page
@@ -756,14 +795,10 @@ class IngestQueue(SubmissionQueue):
         deadline_s: float = math.inf,
         at_s: Optional[float] = None,
     ) -> int:
-        vector = np.asarray(vector, dtype=np.float32)
-        if metadata_tag is not None:  # checked before anything is enqueued
-            metadata_tag = int(validate_metadata_tags(metadata_tag, "metadata_tag"))
-        sub_id = self.submit(vector, tenant=tenant, deadline_s=deadline_s, at_s=at_s)
-        self._mutations[sub_id] = MutationRequest(
-            op="insert", vector=vector, text=text, metadata_tag=metadata_tag
+        return self._submit_mutation(
+            tenant, deadline_s, at_s, op="insert", vector=vector, text=text,
+            metadata_tag=metadata_tag,
         )
-        return sub_id
 
     def submit_delete(
         self,
@@ -772,12 +807,9 @@ class IngestQueue(SubmissionQueue):
         deadline_s: float = math.inf,
         at_s: Optional[float] = None,
     ) -> int:
-        placeholder = np.zeros(self.db.dim, dtype=np.float32)
-        sub_id = self.submit(
-            placeholder, tenant=tenant, deadline_s=deadline_s, at_s=at_s
+        return self._submit_mutation(
+            tenant, deadline_s, at_s, op="delete", entry_id=int(entry_id)
         )
-        self._mutations[sub_id] = MutationRequest(op="delete", entry_id=int(entry_id))
-        return sub_id
 
     def submit_update(
         self,
@@ -789,17 +821,30 @@ class IngestQueue(SubmissionQueue):
         deadline_s: float = math.inf,
         at_s: Optional[float] = None,
     ) -> int:
-        vector = np.asarray(vector, dtype=np.float32)
-        if metadata_tag is not None:  # checked before anything is enqueued
-            metadata_tag = int(validate_metadata_tags(metadata_tag, "metadata_tag"))
-        sub_id = self.submit(vector, tenant=tenant, deadline_s=deadline_s, at_s=at_s)
-        self._mutations[sub_id] = MutationRequest(
-            op="update",
-            entry_id=int(entry_id),
-            vector=vector,
-            text=text,
-            metadata_tag=metadata_tag,
+        return self._submit_mutation(
+            tenant, deadline_s, at_s, op="update", entry_id=int(entry_id),
+            vector=vector, text=text, metadata_tag=metadata_tag,
         )
+
+    def _submit_mutation(
+        self, tenant: str, deadline_s: float, at_s: Optional[float], **fields
+    ) -> int:
+        """Enqueue one mutation; its vector doubles as the forming-estimate
+        query (a delete carries zeros).  Tags are checked before anything is
+        enqueued: a bad one, or a missing one on a tagged database, would
+        otherwise only be refused at commit."""
+        if fields["op"] == "delete":
+            query = np.zeros(self.db.dim, dtype=np.float32)
+        else:
+            query = fields["vector"] = np.asarray(fields["vector"], dtype=np.float32)
+            if fields["metadata_tag"] is not None:
+                fields["metadata_tag"] = int(
+                    validate_metadata_tags(fields["metadata_tag"], "metadata_tag")
+                )
+            elif self.db.has_metadata:
+                raise ValueError(_MISSING_TAG)
+        sub_id = self.submit(query, tenant=tenant, deadline_s=deadline_s, at_s=at_s)
+        self._mutations[sub_id] = MutationRequest(**fields)
         return sub_id
 
     # ------------------------------------------------------------- serving
@@ -856,22 +901,23 @@ class IngestQueue(SubmissionQueue):
 class ShardedIngestCoordinator:
     """Routes mutations to owning shards and keeps the merge keys global.
 
-    One per sharded database.  Inserts resolve their *global* cluster
-    against the full centroid set (same codecs as every shard), pick the
-    owning shard from the placement policy, and commit into that shard's
+    One per sharded database.  Its state is the database's
+    :class:`~repro.core.shard.ShardAssignment`, one global ``live`` mask
+    and ``next_id``.  Inserts resolve their *global* cluster against the
+    full centroid set (same codecs as every shard), pick the owning shards
+    from the placement policy, and commit into each shard's
     :class:`IngestManager` with the cluster pinned (shard-local id) so the
     shard does not re-derive assignment from its partial centroid view.
-    After every commit the :class:`~repro.core.shard.ShardAssignment` is
-    re-derived -- extended ownership arrays, per-shard id lists (stable
-    local positions; dead ids stay), and the canonical single-device
-    ``global_slot`` over the live membership -- which is all the router
-    needs to keep distance-merged results bit-identical to one big device.
+    A copy's shard-local id is its position in the ascending
+    ``shard_vectors[s]`` (a ``searchsorted``).  After every commit the
+    assignment's arrays are extended -- ownership, per-shard id lists
+    (stable local positions; dead ids stay), clusters -- and the canonical
+    single-device ``global_slot`` is re-derived from the live ids, which is
+    all the router needs to keep distance-merged results bit-identical to
+    one big device.
     """
 
     def __init__(self, device, db_id: int) -> None:
-        from repro.core.shard import ShardAssignment
-
-        self._assignment_cls = ShardAssignment
         self.device = device
         self.db_id = db_id
         self.sdb = device.database(db_id)
@@ -887,76 +933,37 @@ class ShardedIngestCoordinator:
         anchor_shard = device.router.resolve_anchor(self.sdb)
         self._binary = self.sdb.shard_dbs[anchor_shard].binary_quantizer
         self.centroid_codes = self._binary.encode(self.sdb.ivf_model.centroids)
-        assignment = self.sdb.assignment
-        self.next_id = int(assignment.shard_of_vector.size)
-        self._dead: set = set()
-        self._shard_of: List[int] = [int(s) for s in assignment.shard_of_vector]
-        self._cluster_of: List[int] = [
-            int(c) for c in assignment.cluster_of_vector
-        ]
-        self._shard_vectors: List[List[int]] = [
-            [int(v) for v in vec] for vec in assignment.shard_vectors
-        ]
-        # Per-shard global id -> local position.  Under replication one
-        # global id lives on several shards; copies a migration tombstoned
-        # on their source shard are skipped (unreachable for serving, so
-        # mutations must not route to them either).
-        self._local_on: List[Dict[int, int]] = [
-            {} for _ in range(assignment.n_shards)
-        ]
-        for shard, vec in enumerate(self._shard_vectors):
-            tombstoned = (
-                self.sdb.source_tombstones[shard]
-                if shard < len(self.sdb.source_tombstones)
-                else set()
-            )
-            for local, global_id in enumerate(vec):
-                if global_id in tombstoned:
-                    continue
-                self._local_on[shard][global_id] = local
-        self._members: List[List[int]] = [
-            [] for _ in range(self.sdb.n_clusters)
-        ]
-        for global_id, cluster in enumerate(self._cluster_of):
-            self._members[cluster].append(global_id)
-        # (shard, global cluster) -> shard-local cluster id, for every
-        # shard *deploying* the cluster (the layout authority).
-        self._cluster_local: Dict[Tuple[int, int], int] = {}
-        if assignment.policy == "cluster":
-            for shard in self.sdb.active_shards:
-                owned = assignment.shard_clusters[shard]
-                for local, cluster in enumerate(owned):
-                    self._cluster_local[(shard, int(cluster))] = local
+        # A deploy-time global_slot covers every id; a re-derived one marks
+        # dead ids -1, so a rebuilt coordinator recovers liveness from it.
+        self.live = self.sdb.assignment.global_slot >= 0
+        self.next_id = int(self.live.size)
         self.commits: List[CommitResult] = []
+
+    def members_by_cluster(self) -> List[np.ndarray]:
+        """Live global ids per cluster, in scan order."""
+        cluster_of = self.sdb.assignment.cluster_of_vector
+        order = _scan_order(self.live, cluster_of)
+        return _split_by_cluster(order, cluster_of[order], self.sdb.n_clusters)
 
     # ------------------------------------------------------------- routing
 
     def _route_insert(
-        self, global_id: int, cluster: int
+        self, global_id: int, cluster: int, local_ids: Dict[int, Dict[int, int]]
     ) -> List[Tuple[int, int]]:
         """(owning shard, shard-local cluster id) per replica of a new entry.
 
         Under cluster-affinity placement the entry lands on *every* owner
         of its cluster (replicas hold full cluster membership, which is
         what makes mid-batch failover bit-identical); striping keeps the
-        single round-robin target.
+        single round-robin target.  ``local_ids[s]`` is shard ``s``'s
+        ``{global cluster: local id}`` map.
         """
         assignment = self.sdb.assignment
         if assignment.policy == "cluster":
-            owners = assignment.owners_of(cluster)
-            if not owners:
-                # Pre-replication assignment without owner arrays: the
-                # deploying shard is the sole owner.
-                owners = [
-                    shard
-                    for shard in self.sdb.active_shards
-                    if (shard, cluster) in self._cluster_local
-                ]
             targets = [
-                (shard, self._cluster_local[(shard, cluster)])
-                for shard in owners
-                if (shard, cluster) in self._cluster_local
-                and shard in self.managers
+                (shard, local_ids[shard][cluster])
+                for shard in assignment.owners_of(cluster)
+                if shard in local_ids and cluster in local_ids[shard]
             ]
             if not targets:
                 raise RuntimeError(
@@ -970,54 +977,98 @@ class ShardedIngestCoordinator:
             raise RuntimeError(f"shard {shard} has no deployment to ingest into")
         return [(shard, cluster)]
 
+    def _copies(self, global_id: int) -> List[Tuple[int, int]]:
+        """(shard, local id) of every servable copy of a deployed id.
+
+        Under replication one global id lives on several shards; copies a
+        migration tombstoned on their source shard are skipped (unreachable
+        for serving, so mutations must not route to them either).
+        """
+        assignment = self.sdb.assignment
+        copies = []
+        for shard in self.managers:
+            mine = assignment.shard_vectors[shard]
+            local = int(np.searchsorted(mine, global_id))
+            if (
+                local < mine.size
+                and mine[local] == global_id
+                and global_id not in self.sdb.source_tombstones[shard]
+            ):
+                copies.append((shard, local))
+        return copies
+
     def apply(self, requests: Sequence[MutationRequest]) -> CommitResult:
-        """Route one mutation group and commit it shard-by-shard."""
+        """Route one mutation group and commit it on every shard it touches,
+        or on none.
+
+        The group is validated, routed and every target shard's capacity
+        checked against its share before any shard commits; the assignment
+        is edited only after all of them have.
+        """
+        _validate_group(requests, self.sdb.dim, self.sdb.has_metadata)
+        assignment = self.sdb.assignment
         result = CommitResult()
+        n_writes = sum(1 for r in requests if r.op != "delete")
+        live = np.concatenate([self.live, np.zeros(n_writes, dtype=bool)])
+        resolved = _resolve_group(requests, live, self.next_id, result)
+        appends = [r for r, _retired, fresh_id, _ack in resolved if fresh_id is not None]
+        if appends:
+            codes = self._binary.encode(
+                np.stack([np.asarray(r.vector, dtype=np.float32) for r in appends])
+            )
+            clusters = iter(
+                np.argmin(hamming_packed(codes, self.centroid_codes), axis=1).tolist()
+            )
+        local_ids = {s: assignment.local_cluster_ids(s) for s in self.managers}
         per_shard: Dict[int, List[MutationRequest]] = {}
-        # Per request: ("shard", shard, index-in-shard-list, global ack
-        # template) or ("reject", ack).
-        plans: List[Tuple] = []
+        added: Dict[int, List[int]] = {}  # shard -> this group's new global ids
+        copies_of: Dict[int, List[Tuple[int, int]]] = {}  # of this group's ids
+        # Per new entry: its chunk (global id + text), global cluster,
+        # primary shard and request.
+        fresh: List[Tuple[DocumentChunk, int, int, MutationRequest]] = []
+        plans: List[Tuple[MutationAck, List[Tuple[int, int]]]] = []
 
-        def enqueue(shard: int, request: MutationRequest) -> int:
+        def enqueue(shard: int, request: MutationRequest) -> Tuple[int, int]:
             per_shard.setdefault(shard, []).append(request)
-            return len(per_shard[shard]) - 1
+            return shard, len(per_shard[shard]) - 1
 
-        route_codes = self._batch_route_codes(requests)
-        for index, request in enumerate(requests):
-            if request.op == "insert":
-                ack, entry = self._plan_insert(
-                    request, enqueue, route_codes.get(index)
-                )
-                result.n_inserts += 1
-            elif request.op == "delete":
-                ack, entry = self._plan_delete(int(request.entry_id), enqueue)
-                result.n_deletes += 1
-            else:
-                old_id = int(request.entry_id)
-                if old_id in self._dead or not (0 <= old_id < len(self._shard_of)):
-                    ack, entry = (
-                        MutationAck(
-                            op="update", entry_id=old_id, applied=False,
-                            note="target entry is not live",
-                        ),
-                        None,
-                    )
-                else:
-                    self._plan_delete(old_id, enqueue)
-                    ack, entry = self._plan_insert(
-                        request, enqueue, route_codes.get(index)
-                    )
-                    ack.op = "update"
-                    ack.replaced_id = old_id
-                result.n_updates += 1
-            if ack.applied and ack.op in ("insert", "update"):
-                result.ids.append(ack.entry_id)
-            plans.append((ack, entry))
+        for request, retired, global_id, ack in resolved:
+            hits = []
+            if retired is not None:
+                # Every live copy gets tombstoned (replicas hold it too).
+                for shard, local in copies_of.get(retired) or self._copies(retired):
+                    hits.append(enqueue(
+                        shard, MutationRequest(op="delete", entry_id=local)
+                    ))
+            if global_id is not None:
+                cluster = next(clusters)
+                text = request.text if request.text is not None else f"chunk-{global_id}"
+                targets = self._route_insert(global_id, cluster, local_ids)
+                copies_of[global_id] = []
+                for shard, local_cluster in targets:
+                    hits.append(enqueue(shard, MutationRequest(
+                        op="insert", vector=request.vector, text=text,
+                        metadata_tag=request.metadata_tag, cluster=local_cluster,
+                    )))
+                    shard_ids = added.setdefault(shard, [])
+                    local = assignment.shard_vectors[shard].size + len(shard_ids)
+                    copies_of[global_id].append((shard, local))
+                    shard_ids.append(global_id)
+                fresh.append((
+                    DocumentChunk(chunk_id=global_id, text=text),
+                    cluster, targets[0][0], request,
+                ))
+            plans.append((ack, hits))
 
-        shard_commits: Dict[int, CommitResult] = {}
         for shard, shard_requests in per_shard.items():
-            commit = self.managers[shard].apply(shard_requests)
-            shard_commits[shard] = commit
+            self.managers[shard].check_capacity(
+                sum(1 for r in shard_requests if r.op == "insert")
+            )
+        shard_commits = {
+            shard: self.managers[shard].apply(shard_requests)
+            for shard, shard_requests in per_shard.items()
+        }
+        for commit in shard_commits.values():
             for key, pages in commit.pages_programmed.items():
                 result.pages_programmed[key] = (
                     result.pages_programmed.get(key, 0) + pages
@@ -1026,141 +1077,61 @@ class ShardedIngestCoordinator:
         result.seconds = max(
             (commit.seconds for commit in shard_commits.values()), default=0.0
         )
-        for ack, entry in plans:
-            result.acks.append(ack)
-            if entry:
-                # AND over every replica's ack: a partially applied insert
-                # would silently desync replicas, so it reports failure.
-                for shard, index in entry:
-                    shard_ack = shard_commits[shard].acks[index]
-                    ack.applied = ack.applied and shard_ack.applied
-        self._rebuild_assignment()
+        for ack, hits in plans:
+            # AND over every replica's ack: a partially applied mutation
+            # would silently desync replicas, so it reports failure.
+            for shard, index in hits:
+                ack.applied = ack.applied and shard_commits[shard].acks[index].applied
+        self._extend_assignment(live[: self.next_id + len(fresh)], fresh, added)
         self.commits.append(result)
         return result
 
-    def _batch_route_codes(
-        self, requests: Sequence[MutationRequest]
-    ) -> Dict[int, np.ndarray]:
-        """Group-batched binary encode of the vectors needing shard routing.
-
-        Row-wise identical to the per-request ``encode_one``; vectors of
-        the wrong width are left out so :meth:`_plan_insert` fails at that
-        request's turn, as the per-request path did.
-        """
-        dim = self.centroid_codes.shape[1] * 8
-        rows: List[np.ndarray] = []
-        indices: List[int] = []
-        for index, request in enumerate(requests):
-            if request.op not in ("insert", "update") or request.vector is None:
-                continue
-            vector = np.asarray(request.vector, dtype=np.float32)
-            if vector.shape != (dim,):
-                continue
-            rows.append(vector)
-            indices.append(index)
-        if not rows:
-            return {}
-        codes = self._binary.encode(np.stack(rows))
-        return {index: codes[j] for j, index in enumerate(indices)}
-
-    def _plan_insert(
+    def _extend_assignment(
         self,
-        request: MutationRequest,
-        enqueue,
-        code: Optional[np.ndarray] = None,
-    ):
-        vector = np.asarray(request.vector, dtype=np.float32)
-        if code is None:
-            code = self._binary.encode_one(vector)
-        cluster = int(np.argmin(hamming_packed(code, self.centroid_codes)))
-        global_id = self.next_id
-        self.next_id += 1
-        targets = self._route_insert(global_id, cluster)
-        text = request.text if request.text is not None else f"chunk-{global_id}"
-        entries: List[Tuple[int, int]] = []
-        for shard, local_cluster in targets:
-            index = enqueue(
-                shard,
-                MutationRequest(
-                    op="insert",
-                    vector=vector,
-                    text=text,
-                    metadata_tag=request.metadata_tag,
-                    cluster=local_cluster,
-                ),
-            )
-            entries.append((shard, index))
-            self._local_on[shard][global_id] = len(
-                self._shard_vectors[shard]
-            )
-            self._shard_vectors[shard].append(global_id)
-        self._shard_of.append(targets[0][0])
-        self._cluster_of.append(cluster)
-        self._members[cluster].append(global_id)
-        if self.sdb.vectors is not None:
-            self.sdb.vectors = np.vstack(
-                [self.sdb.vectors, vector[None, :]]
-            )
-        if self.sdb.corpus is not None:
-            self.sdb.corpus.add(DocumentChunk(chunk_id=global_id, text=text))
-        if self.sdb.metadata_tags is not None:
-            self.sdb.metadata_tags = np.append(
-                self.sdb.metadata_tags, np.uint32(request.metadata_tag)
-            )
-        ack = MutationAck(op="insert", entry_id=global_id, applied=True)
-        return ack, entries
-
-    def _plan_delete(self, entry_id: int, enqueue):
-        live = (
-            0 <= entry_id < len(self._shard_of) and entry_id not in self._dead
+        live: np.ndarray,
+        fresh: List[Tuple[DocumentChunk, int, int, MutationRequest]],
+        added: Dict[int, List[int]],
+    ) -> None:
+        """Edit the assignment arrays for one committed group and re-derive
+        the canonical ``global_slot`` over the live ids."""
+        sdb, old = self.sdb, self.sdb.assignment
+        cluster_of = np.concatenate(
+            [old.cluster_of_vector, np.array([f[1] for f in fresh], dtype=np.int64)]
         )
-        if not live:
-            return (
-                MutationAck(
-                    op="delete", entry_id=entry_id, applied=False,
-                    note="target entry is not live",
-                ),
-                None,
-            )
-        # Every live copy gets tombstoned (replicas hold the entry too).
-        entries: List[Tuple[int, int]] = []
-        for shard, local_on in enumerate(self._local_on):
-            local_id = local_on.get(entry_id)
-            if local_id is None or shard not in self.managers:
-                continue
-            index = enqueue(
-                shard, MutationRequest(op="delete", entry_id=local_id)
-            )
-            entries.append((shard, index))
-        self._dead.add(entry_id)
-        self._members[self._cluster_of[entry_id]].remove(entry_id)
-        return (
-            MutationAck(op="delete", entry_id=entry_id, applied=True),
-            entries,
-        )
-
-    def _rebuild_assignment(self) -> None:
-        old = self.sdb.assignment
-        global_slot = np.full(self.next_id, -1, dtype=np.int64)
-        slot = 0
-        for cluster_members in self._members:
-            for global_id in cluster_members:
-                global_slot[global_id] = slot
-                slot += 1
-        self.sdb.assignment = self._assignment_cls(
-            policy=old.policy,
-            n_shards=old.n_shards,
-            shard_of_vector=np.array(self._shard_of, dtype=np.int64),
+        order = _scan_order(live, cluster_of)
+        global_slot = np.full(live.size, -1, dtype=np.int64)
+        global_slot[order] = np.arange(order.size, dtype=np.int64)
+        sdb.assignment = dataclasses.replace(
+            old,
+            shard_of_vector=np.concatenate(
+                [old.shard_of_vector, np.array([f[2] for f in fresh], dtype=np.int64)]
+            ),
             shard_vectors=[
-                np.array(vec, dtype=np.int64) for vec in self._shard_vectors
+                np.concatenate([mine, np.array(added[s], dtype=np.int64)])
+                if s in added else mine
+                for s, mine in enumerate(old.shard_vectors)
             ],
-            shard_clusters=old.shard_clusters,
             global_slot=global_slot,
-            cluster_of_vector=np.array(self._cluster_of, dtype=np.int64),
-            replication_factor=old.replication_factor,
-            cluster_owners=old.cluster_owners,
+            cluster_of_vector=cluster_of,
         )
-        self.sdb.n_entries = slot
+        sdb.n_entries = int(order.size)
+        self.live = live
+        self.next_id = int(live.size)
+        if not fresh:
+            return
+        if sdb.vectors is not None:
+            sdb.vectors = np.vstack(
+                [sdb.vectors]
+                + [np.asarray(f[3].vector, dtype=np.float32)[None, :] for f in fresh]
+            )
+        if sdb.corpus is not None:
+            for chunk, _cluster, _primary, _request in fresh:
+                sdb.corpus.add(chunk)
+        if sdb.metadata_tags is not None:
+            sdb.metadata_tags = np.concatenate([
+                sdb.metadata_tags,
+                np.array([f[3].metadata_tag for f in fresh], dtype=np.uint32),
+            ])
 
     # -------------------------------------------------------- maintenance
 

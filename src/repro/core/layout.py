@@ -290,7 +290,9 @@ class DatabaseDeployer:
         ``n + growth_entries`` slots, the initial corpus is programmed into
         the head, and the tail pages stay erased so
         :class:`repro.core.ingest.IngestManager` can append cluster-tail
-        pages later without re-layout.
+        pages later without re-layout.  Appends start at each region's
+        page-aligned tail, so the rest of the last deployed page comes out
+        of the headroom.
 
         ``metadata_tags`` optionally attaches one integer tag per embedding
         for Sec. 7.1 metadata filtering; tags are stored as a third 4-byte

@@ -145,20 +145,20 @@ class RIvf:
 
 
 class TombstoneRegistry:
-    """Per-database set of dead entry ids, DRAM-accounted as a bitmap.
+    """DRAM booking of one database's tombstone bitmap.
 
     Streaming deletes do not rewrite flash: the entry stays physically in
-    its cluster tail, and this registry records it as dead so the scan /
-    rerank / filter phases skip it (:mod:`repro.core.ingest`).  The DRAM
-    cost is one bit per addressable slot, booked in the named region
-    ``tombstones-{db_id}`` -- compaction clears the set and shrinks the
-    region back to its floor.
+    its cluster tail and is recorded dead so the scan / rerank / filter
+    phases skip it (:mod:`repro.core.ingest`).  The record itself is the
+    ``live`` column of the database's
+    :class:`~repro.core.ingest.MutableIndex`; this registry books its
+    controller-DRAM cost -- one bit per addressable slot, in the named
+    region ``tombstones-{db_id}`` -- and frees it when the database drops.
     """
 
     def __init__(self, db_id: int, dram: Optional[InternalDram] = None) -> None:
         self.db_id = db_id
         self._dram = dram
-        self._dead: set = set()
         self._capacity_slots = 0
 
     def track_capacity(self, n_slots: int) -> None:
@@ -167,25 +167,8 @@ class TombstoneRegistry:
             self._capacity_slots = n_slots
             self._sync_dram()
 
-    def mark(self, entry_id: int) -> None:
-        self._dead.add(int(entry_id))
-
-    def is_dead(self, entry_id: int) -> bool:
-        return int(entry_id) in self._dead
-
-    def __len__(self) -> int:
-        return len(self._dead)
-
-    def __contains__(self, entry_id: int) -> bool:
-        return self.is_dead(entry_id)
-
-    def clear(self) -> None:
-        """Forget all tombstones (compaction rewrote the layout)."""
-        self._dead.clear()
-
     def release(self) -> None:
         """Free the DRAM region backing the bitmap (database dropped)."""
-        self._dead.clear()
         self._capacity_slots = 0
         if self._dram is not None:
             self._dram.free(f"tombstones-{self.db_id}")

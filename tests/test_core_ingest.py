@@ -11,10 +11,13 @@ simulated clock), capacity is checked atomically, and compaction -- a
 scheduler maintenance pass -- never changes a single result bit.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.ann.distances import hamming_packed
 from repro.ann.ivf import IvfModel, build_ivf_model
 from repro.core.api import ReisDevice, ShardedReisDevice
 from repro.core.config import tiny_config
@@ -151,9 +154,7 @@ class TestBitIdentitySingleDevice:
         # Independent membership check before trusting the index's lists.
         assert set(manager.index.live_ids()) == live
         assert manager.index.live_count() == len(live)
-        members = [
-            [g for _slot, g in manager.index.members[c]] for c in range(NLIST)
-        ]
+        members = manager.index.members_by_cluster()
         db = device.database(db_id)
         codecs = DeploymentCodecs(
             binary=db.binary_quantizer,
@@ -201,7 +202,7 @@ class TestBitIdentitySharded:
         )
         coordinator = device.ingest_coordinator(db_id)
         vectors_by_id, live = _run_script(coordinator, ops, seed, vectors)
-        members = [list(cluster) for cluster in coordinator._members]
+        members = coordinator.members_by_cluster()
         assert set(g for cluster in members for g in cluster) == live
         sdb = device.database(db_id)
         assert sdb.n_entries == len(live)
@@ -252,7 +253,6 @@ class TestMutationAcks:
         assert ack.replaced_id == 7
         assert ack.entry_id == 40  # ids are monotone, never reused
         assert not manager.index.is_live(7)
-        assert manager.tombstones.is_dead(7)
         assert manager.index.is_live(40)
 
     def test_update_of_dead_target_rejected(self, manager):
@@ -315,6 +315,23 @@ class TestCapacity:
         assert manager.index.live_count() == before
         assert manager.index.is_live(0)
 
+    def test_free_slots_never_go_negative(self):
+        """``growth_entries`` headroom is counted from the page-aligned
+        tail: 256 growth slots sit inside the last deployed INT8 page."""
+        vectors, _ = make_clustered_embeddings(60, 32, 4, seed="x")
+        device = ReisDevice(tiny_config("INGF0"))
+        db_id = device.ivf_deploy(
+            "db", vectors, nlist=4, seed=0, growth_entries=256
+        )
+        manager = device.ingest_manager(db_id)
+        int8 = device.database(db_id).int8_region
+        assert int8.n_slots < int8.slots_per_page  # the tail starts past the end
+        assert manager.free_slots == 0
+        with pytest.raises(CapacityError, match="has 0 free slots, need 1"):
+            manager.apply([MutationRequest(op="insert", vector=vectors[0])])
+        # Deletes need no tail and still go through.
+        assert manager.apply([MutationRequest(op="delete", entry_id=0)]).acks[0].applied
+
     def test_compaction_reopens_headroom(self):
         vectors, model, _ = _base(40, seed="cap2")
         device = ReisDevice(tiny_config("INGC2"))
@@ -338,6 +355,106 @@ class TestCapacity:
         # With the appended-then-deleted entries packed away, the tail is
         # back exactly where the original deployment left it.
         assert manager.free_slots == free_before
+
+
+class TestGroupAtomicity:
+    """A group that raises changes nothing, on one device or a cluster."""
+
+    def _tagged(self, name):
+        vectors, _ = make_clustered_embeddings(60, 32, 4, seed=("atomic", name))
+        device = ReisDevice(tiny_config(name))
+        db_id = device.ivf_deploy(
+            "db", vectors, nlist=4, seed=0,
+            metadata_tags=np.ones(60, dtype=np.uint32), growth_entries=2048,
+        )
+        return device, db_id, vectors
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (dict(), "inserts must supply one"),
+            (dict(metadata_tag=2**32), r"\[0, 2\*\*32\)"),
+            (dict(metadata_tag=1, nan=True), "finite"),
+            (dict(metadata_tag=1, width=31), "dim 32"),
+        ],
+    )
+    def test_refused_group_changes_nothing(self, bad, match):
+        device, db_id, vectors = self._tagged("INGV")
+        manager = device.ingest_manager(db_id)
+        before = device.ivf_search(db_id, vectors[:2], k=5, nprobe=4)
+        free = manager.free_slots
+        vector = vectors[5][: bad.pop("width", 32)].copy()
+        if bad.pop("nan", False):
+            vector[0] = np.nan
+        with pytest.raises(ValueError, match=match):
+            manager.apply([
+                MutationRequest(op="insert", vector=vectors[1], metadata_tag=1),
+                MutationRequest(op="delete", entry_id=3),
+                MutationRequest(op="insert", vector=vector, **bad),
+            ])
+        assert manager.index.is_live(3)
+        assert manager.index.live.size == 60 and manager.index.live_count() == 60
+        assert manager.free_slots == free and manager.commits == []
+        after = device.ivf_search(db_id, vectors[:2], k=5, nprobe=4)
+        for a, b in zip(before.results, after.results):
+            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(a.distances, b.distances)
+        # The repaired group lands under the ids the refused one would have.
+        commit = manager.apply([
+            MutationRequest(op="insert", vector=vectors[1], metadata_tag=1),
+            MutationRequest(op="delete", entry_id=3),
+            MutationRequest(op="insert", vector=vectors[5], metadata_tag=1),
+        ])
+        assert commit.ids == [60, 61] and not manager.index.is_live(3)
+
+    def test_queue_refuses_a_missing_tag_at_submission(self):
+        device, db_id, vectors = self._tagged("INGVQ")
+        queue = device.ingest_queue(db_id, k=5, nprobe=4)
+        with pytest.raises(ValueError, match="inserts must supply one"):
+            queue.submit_insert(vectors[0])
+        with pytest.raises(ValueError, match="inserts must supply one"):
+            queue.submit_update(4, vectors[0])
+        queue.submit_update(4, vectors[0], metadata_tag=1)
+        queue.drain()
+        # Only the well-formed submission was ever enqueued.
+        assert [ack.applied for ack in queue.mutation_acks.values()] == [True]
+        assert len(queue.served) == 1
+
+    def test_sharded_group_one_shard_refuses_commits_nowhere(self):
+        vectors, _ = make_clustered_embeddings(60, 32, 4, seed=("atomic", "sh"))
+        device = ShardedReisDevice(2, tiny_config("INGVS"), placement="cluster")
+        db_id = device.ivf_deploy(
+            "db", vectors, nlist=4, seed=0, growth_entries=2048
+        )
+        coordinator = device.ingest_coordinator(db_id)
+        sdb = device.database(db_id)
+        codes = coordinator._binary.encode(vectors)
+        nearest = np.argmin(
+            hamming_packed(codes, coordinator.centroid_codes), axis=1
+        )
+        owner = [sdb.assignment.owners_of(int(c))[0] for c in nearest]
+        to_0, to_1 = vectors[owner.index(0)], vectors[owner.index(1)]
+        fill = coordinator.managers[0].free_slots
+        coordinator.apply(
+            [MutationRequest(op="insert", vector=to_0)] * fill
+        )
+        assert coordinator.managers[0].free_slots <= 0  # full
+        live_1 = coordinator.managers[1].index.live_count()
+        next_id = coordinator.next_id
+        assignment = sdb.assignment
+        with pytest.raises(CapacityError, match="db@0/"):
+            coordinator.apply([
+                MutationRequest(op="insert", vector=to_1),
+                MutationRequest(op="insert", vector=to_0),
+            ])
+        assert coordinator.managers[1].index.live_count() == live_1
+        assert coordinator.next_id == next_id
+        assert sdb.assignment is assignment
+        assert assignment.global_slot.size == next_id
+        assert sdb.vectors.shape[0] == next_id
+        # Shard 1 alone still has room.
+        commit = coordinator.apply([MutationRequest(op="insert", vector=to_1)])
+        assert commit.ids == [next_id] and commit.acks[0].applied
 
 
 class TestCompactionLayout:
@@ -366,10 +483,8 @@ class TestCompactionLayout:
         ])
         by_id = {i: vectors[i] for i in range(60)}
         by_id.update({60 + i: fresh[i] for i in range(6)})
-        members = [
-            [g for _slot, g in manager.index.members[c]] for c in range(NLIST)
-        ]
-        order = [g for cluster in members for g in cluster]
+        members = manager.index.members_by_cluster()
+        order = [int(g) for cluster in members for g in cluster]
         assert 8 not in order and 64 in order and len(order) == 62
         manager.compact()
 
@@ -428,13 +543,11 @@ class TestMutableIndex:
         assert covered[-1][1] == 39
 
     def test_tombstone_splits_a_run(self, manager):
-        victim_cluster = max(
-            range(NLIST), key=lambda c: len(manager.index.members[c])
-        )
-        slots = [slot for slot, _ in manager.index.members[victim_cluster]]
-        middle_slot, middle_id = manager.index.members[victim_cluster][
-            len(slots) // 2
-        ]
+        members = manager.index.members_by_cluster()
+        victim_cluster = max(range(NLIST), key=lambda c: members[c].size)
+        victims = members[victim_cluster]
+        middle_id = int(victims[victims.size // 2])
+        middle_slot = int(manager.index.eadr[middle_id])
         n_before = len(manager.index.slot_ranges([victim_cluster]))
         manager.apply([MutationRequest(op="delete", entry_id=middle_id)])
         ranges = manager.index.slot_ranges([victim_cluster])
@@ -452,16 +565,145 @@ class TestMutableIndex:
             ]
         )
         entry_id = commit.ids[0]
-        info = manager.index.entries[entry_id]
+        index = manager.index
         # Per-region tail cursors are page-aligned independently, so the
         # three addresses no longer coincide the way deploy slots do.
-        assert info.eadr != info.dadr
-        assert manager.index.dadr_to_id[info.dadr] == entry_id
-        assert manager.db.original_of_dadr(info.dadr) == entry_id
+        assert index.eadr[entry_id] != index.dadr[entry_id]
+        assert index.dadr_to_id[index.dadr[entry_id]] == entry_id
+        assert manager.db.original_of_dadr(index.dadr[entry_id]) == entry_id
 
-    def test_duplicate_id_rejected(self, manager):
-        with pytest.raises(ValueError, match="already exists"):
-            manager.index.insert(0, 0, 10_000, 10_000, 10_000, -1)
+    def test_ids_are_rows_of_one_table(self, manager):
+        """Ids are dense and never reused: a commit appends the rows of
+        the next ids, and a live column that skips or repeats one is refused
+        before any column changes."""
+        index = manager.index
+        commit = manager.apply(
+            [MutationRequest(op="insert", vector=np.ones(DIM, np.float32))]
+        )
+        assert commit.ids == [40]
+        columns = (index.cluster, index.eadr, index.radr, index.dadr, index.meta)
+        assert all(column.size == 41 for column in columns + (index.live,))
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="every id exactly once"):
+            index.commit(np.ones(43, dtype=bool), *([np.zeros(1, np.int64)] * 5))
+        with pytest.raises(ValueError, match="every id exactly once"):
+            index.commit(np.ones(40, dtype=bool), *([empty] * 5))
+        assert index.cluster.size == 41 and index.live_count() == 41
+
+    def test_live_column_is_the_tombstone_record(self, manager):
+        index = manager.index
+        assert index.is_live(5) and index.live[5]
+        manager.apply([MutationRequest(op="delete", entry_id=5)])
+        assert not index.is_live(5) and not index.live[5]
+        assert index.live_count() == 39
+        # Idempotent: a second delete is refused and changes nothing.
+        again = manager.apply([MutationRequest(op="delete", entry_id=5)])
+        assert not again.acks[0].applied
+        assert index.live_count() == 39
+        # Compaction packs the dead row away; it stays dead, never reused.
+        manager.compact()
+        assert not index.live[5] and 5 not in index.live_ids()
+        assert not index.is_live(-1) and not index.is_live(10_000)
+
+
+class _SlotWalk:
+    """The per-slot membership walk the id-indexed table replaced: per
+    cluster, ``(embedding slot, id)`` pairs in ascending slot, replayed
+    from commit acks (new entries placed where the index says they went)."""
+
+    def __init__(self, db):
+        self.members = [
+            [(slot, int(db.slot_to_original[slot]))
+             for slot in range(r.first_embedding, r.last_embedding + 1)]
+            for r in db.r_ivf.entries
+        ]
+
+    def replay(self, commit, index):
+        for ack in commit.acks:
+            if not ack.applied:
+                continue
+            retired = ack.entry_id if ack.op == "delete" else ack.replaced_id
+            if retired is not None:
+                for cluster in self.members:
+                    cluster[:] = [(s, g) for s, g in cluster if g != retired]
+            if ack.op != "delete":
+                self.members[int(index.cluster[ack.entry_id])].append(
+                    (int(index.eadr[ack.entry_id]), ack.entry_id)
+                )
+
+    def compact(self):
+        slot = 0
+        for cluster in self.members:
+            cluster[:] = [(slot + i, g) for i, (_s, g) in enumerate(cluster)]
+            slot += len(cluster)
+
+    def slot_ranges(self, clusters):
+        cluster_ids = range(len(self.members)) if clusters is None else clusters
+        ranges = []
+        for cluster in cluster_ids:
+            run_start, run_end = None, -1
+            for slot, _entry_id in self.members[cluster]:
+                if run_start is None:
+                    run_start, run_end = slot, slot
+                elif slot == run_end + 1:
+                    run_end = slot
+                else:
+                    ranges.append((run_start, run_end))
+                    run_start, run_end = slot, slot
+            if run_start is not None:
+                ranges.append((run_start, run_end))
+        return ranges
+
+
+class TestSlotRangesMatchTheWalk:
+    @SETTINGS
+    @given(
+        # Steps: a commit group (a string of I / D / U ops) or a compaction.
+        st.lists(
+            st.one_of(st.just("C"), st.text("IDU", min_size=1, max_size=4)),
+            min_size=1, max_size=6,
+        ),
+        st.integers(0, 10**6),
+    )
+    def test_runs_equal_the_per_slot_walk(self, steps, seed):
+        vectors, model, _ = _base(40, seed=("walk", seed))
+        device = ReisDevice(tiny_config(f"INGW-{seed}"))
+        db_id = device.ivf_deploy(
+            "db", vectors, ivf_model=model, growth_entries=4096
+        )
+        manager = device.ingest_manager(db_id)
+        walk = _SlotWalk(device.database(db_id))
+        rng = np.random.default_rng(seed)
+        subsets = [None] + [
+            list(c) for r in range(NLIST + 1)
+            for c in itertools.combinations(range(NLIST), r)
+        ] + [[4, 0, 2, 0], [3, 3]]
+        for step in steps + ["C"]:
+            if step == "C":
+                manager.compact()
+                walk.compact()
+            else:
+                group = []
+                for op in step:
+                    target = int(rng.integers(manager.index.live.size + 1))
+                    vector = (
+                        vectors[target % 40] + rng.normal(0, 0.05, DIM)
+                    ).astype(np.float32)
+                    group.append({
+                        "I": MutationRequest(op="insert", vector=vector),
+                        "D": MutationRequest(op="delete", entry_id=target),
+                        "U": MutationRequest(
+                            op="update", entry_id=target, vector=vector
+                        ),
+                    }[op])
+                walk.replay(manager.apply(group), manager.index)
+            for clusters in subsets:
+                assert manager.index.slot_ranges(clusters) == walk.slot_ranges(
+                    clusters
+                )
+            assert manager.index.live_ids().tolist() == [
+                g for cluster in walk.members for _s, g in cluster
+            ]
 
 
 class TestIngestQueue:

@@ -105,20 +105,8 @@ class TestRDbDramResync:
 
 
 class TestTombstoneRegistry:
-    def test_mark_and_membership(self):
-        tombstones = TombstoneRegistry(0)
-        tombstones.track_capacity(64)
-        assert not tombstones.is_dead(5)
-        tombstones.mark(5)
-        assert tombstones.is_dead(5)
-        assert 5 in tombstones
-        assert len(tombstones) == 1
-        tombstones.mark(5)  # idempotent
-        assert len(tombstones) == 1
-        tombstones.clear()
-        assert len(tombstones) == 0
-        assert not tombstones.is_dead(5)
-
+    # Liveness itself is the MutableIndex ``live`` column
+    # (tests/test_core_ingest.py::TestMutableIndex); the registry books it.
     def test_footprint_is_one_bit_per_slot(self):
         dram = InternalDram(10_000)
         tombstones = TombstoneRegistry(1, dram=dram)
