@@ -27,7 +27,9 @@ it.
 
 A fourth is noise-free: the Python ``call`` + ``c_call`` events
 (``sys.setprofile``) of the first batch-64 search on a fresh device,
-against a constant measured when the gate was set, x1.10.  The count is
+against a constant measured when the gate was set, x1.05; the events of
+the batch-of-one search that follows it are capped the same way, so the
+small batches open-loop serving forms cannot regress unseen.  The count is
 exact for a given interpreter and numpy, and host time tracks it at about
 0.5 us per event, so a per-page Python loop creeping back into a phase
 kernel trips it on any machine.  It is taken at the 10^5-entry point,
@@ -68,9 +70,11 @@ while every barrier and the composition ran once per (shard, query)
 object per (shard, query) filled one page visit at a time) took a third
 off the 8-shard count and nearly half off the 1-shard one, so both fell
 and the *ratio rose* to 4.04: per-visit emission was the part of the glue
-that did not grow with the shard count.  What does -- per-(shard, query)
-TTLs, contexts and quickselect charges, and a fixed handful of array calls
-per (shard, phase) -- is the (shard, plane, page) task table's to remove.
+that did not grow with the shard count.  One TTL table per (shard, phase)
+instead of a TTL object per (shard, query) brought it to 3.68.  What still
+grows with shards -- per-(shard, query) contexts and quickselect charges,
+and a fixed handful of array calls per (shard, phase) -- is the (shard,
+plane, page) task table's to remove.
 
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
@@ -110,24 +114,32 @@ TLC_SHARE_CEILING = 0.70
 # Measured host_fine / host_wall is 0.19-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 18,399 (python 3.11, numpy 2.4; 36,694 while every page visit
-# filled a per-query cost object, 60,230 while every query's shortlist and
-# report were also selected and composed one by one); x1.10.
+# entries: 16,678 (python 3.11, numpy 2.4; 18,396 with one TTL object per
+# query, 36,694 while every page visit filled a per-query cost object,
+# 60,230 while every query's shortlist and report were also selected and
+# composed one by one); x1.05 (x1.10 of 18,399 before the TTL table).
 EVENTS_N_ENTRIES = 100_000
-SEARCH_EVENTS_CEILING = 20_238
+SEARCH_EVENTS_CEILING = 17_511
+# Measured events of the batch-of-one search that follows it: 3,128
+# (python 3.11, numpy 2.4; 3,194 with one TTL object per query); x1.05.
+# A batch of one pays every per-batch pass for one query, so fixed
+# per-batch work that batch 64 amortizes shows here first.
+SOLO_EVENTS_CEILING = 3_284
 # Measured tracemalloc peak of that point's ivf_deploy: 44.26 MB in a fresh
 # process, +-3 KB run to run, 43.2 MB after the gates above (python 3.11,
 # numpy 2.4; 206.19 MB with the whole-matrix build); x1.10.
 DEPLOY_PEAK_BYTES_CEILING = 48_690_000
-# Measured events of the fifth batch on the cached 4 x 2 cluster: 13,417
-# (python 3.11, numpy 2.4; 14,353 while the cache was driven one page at a
-# time, 18,973 before the cost ledger); x1.05.
+# Measured events of the fifth batch on the cached 4 x 2 cluster: 11,960
+# (python 3.11, numpy 2.4; 13,421 with one TTL object per (shard, query),
+# 14,353 while the cache was driven one page at a time, 18,973 before the
+# cost ledger); x1.05.
 SHARD_WARM_BATCHES = 4
-SHARD_EVENTS_CEILING = 14_088
+SHARD_EVENTS_CEILING = 12_558
 # Measured events(8 shards) / events(1 shard) on the shard_scaling batch:
-# 34,421 / 8,529 = 4.04 (34,453 / 8,533 = 4.04 with the per-page cache,
+# 28,120 / 7,634 = 3.68 (34,429 / 8,530 = 4.04 with one TTL object per
+# (shard, query), 34,453 / 8,533 = 4.04 with the per-page cache,
 # 50,570 / 15,847 = 3.19 and 124,118 / 38,029 = 3.26 before that); x1.10.
-SHARD_SCALING_EVENTS_RATIO = 4.44
+SHARD_SCALING_EVENTS_RATIO = 4.05
 
 
 def tlc_share(point) -> float:
@@ -174,7 +186,8 @@ def count_cluster_events() -> tuple:
 def count_build_and_search() -> tuple:
     """The :data:`EVENTS_N_ENTRIES` host-scaling point on a fresh device:
     ``(tracemalloc peak bytes of its ivf_deploy, Python call + c_call
-    events of the first batch-64 search)``."""
+    events of the first batch-64 search, events of the batch-of-one search
+    of its first query that follows)``."""
     n_entries, nlist, blocks_per_plane = next(
         p for p in HOST_SCALE_POINTS if p[0] == EVENTS_N_ENTRIES
     )
@@ -190,7 +203,10 @@ def count_build_and_search() -> tuple:
     events = count_events(
         lambda: device.ivf_search(db_id, queries, k=K, nprobe=NPROBE)
     )
-    return deploy_peak, events
+    solo_events = count_events(
+        lambda: device.ivf_search(db_id, queries[:1], k=K, nprobe=NPROBE)
+    )
+    return deploy_peak, events, solo_events
 
 
 def main() -> int:
@@ -251,7 +267,7 @@ def main() -> int:
         )
         return 1
 
-    deploy_peak, events = count_build_and_search()
+    deploy_peak, events, solo_events = count_build_and_search()
     print(
         f"perf-smoke: ivf_deploy of {EVENTS_N_ENTRIES:,} entries: tracemalloc "
         f"peak {deploy_peak / 2**20:.1f} MiB, ceiling "
@@ -272,6 +288,16 @@ def main() -> int:
         print(
             "perf-smoke: FAIL -- Python call count regressed "
             "(per-page loop back in a phase kernel?)"
+        )
+        return 1
+    print(
+        f"perf-smoke: batch-1 search at {EVENTS_N_ENTRIES:,} entries: "
+        f"{solo_events:,} call + c_call events, ceiling {SOLO_EVENTS_CEILING:,}"
+    )
+    if solo_events > SOLO_EVENTS_CEILING:
+        print(
+            "perf-smoke: FAIL -- batch-of-one Python call count regressed "
+            "(fixed per-batch work grew?)"
         )
         return 1
 

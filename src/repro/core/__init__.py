@@ -94,7 +94,7 @@ from repro.core.layout import (
     fit_deployment_codecs,
 )
 from repro.core.metadata import TaggedSearcher, TimePartitionedStore, TimeWindow
-from repro.core.registry import RDb, RDbEntry, RIvf, RIvfEntry, TemporalTopList, TtlEntry
+from repro.core.registry import RDb, RDbEntry, RIvf, RIvfEntry, TemporalTopList
 
 __all__ = [
     "ALL_OPT",
@@ -159,7 +159,6 @@ __all__ = [
     "TemporalTopList",
     "TimePartitionedStore",
     "TimeWindow",
-    "TtlEntry",
     "UncorrectableReadError",
     "brute_force_workload",
     "ivf_workload",

@@ -21,11 +21,12 @@ of a batch phase by phase:
   it, requests stay in query order and only accidental adjacency shares
   a sense.
 * **Arrival-order TTLs** make a query's result independent of its batch:
-  the kernel hands every query its surviving rows in the query's own
-  scan order and bills it the visits, channel transfers and per-page
-  quickselects of that order, so reordering page service across queries
-  changes *when* a page is sensed, never *what* any query computes from
-  it or pays for it.
+  a scan phase streams every query's surviving rows, in the query's own
+  scan order, into one TTL table with a query column
+  (:class:`~repro.core.registry.TemporalTopList`), and bills each query
+  the visits, channel transfers and per-page quickselects of that order,
+  so reordering page service across queries changes *when* a page is
+  sensed, never *what* any query computes from it or pays for it.
 * **Rerank and document phases** are page-major too: every query's
   shortlist (or winner DADRs) goes through one shared functional pass --
   each batch-unique TLC page sensed and ECC-corrected once, one distance
@@ -214,7 +215,7 @@ class _FineScanState:
 
     threshold: Optional[int]
     ledger: PhaseLedger
-    ttls: List[TemporalTopList]
+    ttl: TemporalTopList
     ranges_per_query: List[List[Tuple[int, int]]]
 
 
@@ -308,17 +309,16 @@ class BatchExecutor:
         self,
         run: BatchRun,
         tasks: ScanTasks,
-        ttls: Sequence[TemporalTopList],
+        ttl: TemporalTopList,
         ledger: PhaseLedger,
-        select_k: int,
     ) -> None:
-        """Drain one scan phase through the engine's phase kernel (it bills
-        ``ledger``) and count the executed schedule's requests and senses."""
+        """Drain one scan phase through the engine's phase kernel (it
+        streams into ``ttl`` and bills ``ledger``) and count the executed
+        schedule's requests and senses."""
         senses_of = self.engine.scan_page_run(
             run.db, tasks, ledger.name == "coarse",
             np.stack([ctx.query_code for ctx in run.ctxs]),
-            ttls, ledger, [ctx.stats for ctx in run.ctxs],
-            [select_k] * len(run.ctxs),
+            ttl, ledger, [ctx.stats for ctx in run.ctxs],
         )
         run.stats.scan_requests += len(tasks)
         run.stats.scan_senses += int(senses_of.sum())
@@ -336,12 +336,11 @@ class BatchExecutor:
         region = db.centroid_region
         assert region is not None
         n_queries = len(run.ctxs)
-        entry_bytes = engine.params.coarse_entry_bytes(db.code_bytes)
         ledger = run.ledgers["coarse"] = PhaseLedger("coarse", n_queries, engine.geometry)
-        ttls = [
-            TemporalTopList("c", entry_bytes, dram=engine.ssd.dram)
-            for _ in run.ctxs
-        ]
+        ttl = TemporalTopList(
+            "c", engine.params.coarse_entry_bytes(db.code_bytes),
+            n_queries, run.plan.nprobe, engine.ssd.dram,
+        )
         tasks = tasks_from_ranges(
             region,
             np.arange(n_queries, dtype=np.int64),
@@ -350,8 +349,8 @@ class BatchExecutor:
             threshold=None,
             filters=[None] * n_queries,
         )
-        self._serve_scan_phase(run, tasks, ttls, ledger, run.plan.nprobe)
-        return engine.select_clusters(db, ttls, run.plan.nprobe, ledger)
+        self._serve_scan_phase(run, tasks, ttl, ledger)
+        return engine.select_clusters(db, ttl, ledger)
 
     def _serve_fine_ranges(
         self, run: BatchRun, queries: Sequence[int], threshold: Optional[int]
@@ -369,9 +368,7 @@ class BatchExecutor:
             threshold=threshold,
             filters=[run.plan.metadata_filter] * len(run.ctxs),
         )
-        self._serve_scan_phase(
-            run, tasks, state.ttls, state.ledger, run.plan.shortlist_size
-        )
+        self._serve_scan_phase(run, tasks, state.ttl, state.ledger)
 
     def _fine_scan(self, run: BatchRun) -> None:
         """The filtered page-major fine sweep (no retry, no selection).
@@ -382,17 +379,16 @@ class BatchExecutor:
         as one device scanning everything would).
         """
         engine, db = self.engine, run.db
-        entry_bytes = engine.params.fine_entry_bytes(db.code_bytes)
         filtering = engine.flags.distance_filtering
         run.fine = _FineScanState(
             threshold=db.filter_threshold if filtering else None,
             ledger=PhaseLedger(
                 "fine", len(run.ctxs), engine.geometry, with_filter=filtering
             ),
-            ttls=[
-                TemporalTopList("e", entry_bytes, dram=engine.ssd.dram)
-                for _ in run.ctxs
-            ],
+            ttl=TemporalTopList(
+                "e", engine.params.fine_entry_bytes(db.code_bytes),
+                len(run.ctxs), run.plan.shortlist_size, engine.ssd.dram,
+            ),
             ranges_per_query=[
                 engine._slot_ranges(db, ctx.clusters) for ctx in run.ctxs
             ],
@@ -416,19 +412,19 @@ class BatchExecutor:
         if retries:
             for qi in retries:
                 run.ctxs[qi].stats.filter_retries += 1
-                state.ttls[qi].clear()
+            state.ttl.restart(retries)
             self._serve_fine_ranges(run, retries, None)
         # Only a finished fine phase is billed (a shard may die between scan and here).
         run.ledgers["fine"] = state.ledger
         run.shortlist, run.shortlist_bounds = self.engine.select_nearest(
-            state.ttls, run.plan.shortlist_size, state.ledger
+            state.ttl, state.ledger
         )
 
     def _run_fine_phase(self, run: BatchRun) -> None:
         """Page-major fine search, including the per-query filter retry."""
         self._fine_scan(run)
         retries = self.engine.fine_retries(
-            [len(ttl) for ttl in run.fine.ttls],
+            run.fine.ttl.sizes,
             [ctx.stats.candidates for ctx in run.ctxs],
             run.fine.threshold, run.plan.shortlist_size,
         )

@@ -59,7 +59,7 @@ from repro.core.plan import (
     schedule_senses,
     validate_queries,
 )
-from repro.core.registry import TemporalTopList, TtlBlock, TtlRefs, select_blocks
+from repro.core.registry import TemporalTopList, TtlBlock
 from repro.nand.cell import reliability
 from repro.nand.ecc import UncorrectableReadError
 from repro.nand.latches import xor_popcount_segments
@@ -79,8 +79,9 @@ class _LatchedPages:
     The phase kernel snapshots each unique page once, from its stored bytes
     (what a raw-BER-0 sense returns) or the DRAM mirror, so that the stacked
     distance pass reads one table and TTL rows stay ``(page, slot)`` references:
-    :meth:`decode` assembles the RD_TTL payload -- the embedding code and
-    the OOB linkage words -- only for the rows a selection asks for.
+    :meth:`decode` -- the TTL table's row source -- assembles the RD_TTL
+    payload (the embedding code and the OOB linkage words) only for the
+    rows a selection asks for.
     """
 
     def __init__(
@@ -242,18 +243,17 @@ class InStorageAnnsEngine:
         tasks: ScanTasks,
         coarse: bool,
         code_rows: np.ndarray,
-        ttls: Sequence[TemporalTopList],
+        ttl: TemporalTopList,
         ledger: PhaseLedger,
         stats_list: Sequence[SearchStats],
-        select_k: Sequence[int],
     ) -> np.ndarray:
         """Steps 2-7 for one scan phase: the columnar phase kernel.
 
         ``tasks`` holds every (query, page, slot window) demand of the
         phase, query-major in each query's scan order; ``code_rows`` is the
-        stacked query-code matrix and ``ttls`` / ``stats_list`` /
-        ``select_k`` / the rows of ``ledger`` are indexed by
-        ``tasks.queries``.  The region must be in a raw-BER-0 cell mode
+        stacked query-code matrix and ``stats_list``, the rows of
+        ``ledger`` and the queries of the phase's ``ttl`` table are indexed
+        by ``tasks.queries``.  The region must be in a raw-BER-0 cell mode
         (:class:`ValueError` otherwise): in-plane distances are only
         defined on ECC-free data (Sec. 4.1.2).
 
@@ -269,7 +269,7 @@ class InStorageAnnsEngine:
         DRAM).  **Per phase**, once: the slot-window + threshold mask, the
         in-die metadata-tag comparison, the surviving rows in each query's
         arrival order, commands / counters / :class:`SearchStats` by
-        ``bincount``, each query's TTL fed its survivors with the
+        ``bincount``, the survivors streamed into the TTL table with the
         per-iteration quickselect accounted arithmetically.  See
         ``docs/architecture.md``, "Batched execution is page-major".
 
@@ -293,13 +293,8 @@ class InStorageAnnsEngine:
                 "in-plane distances are only defined on ECC-free data"
             )
         code_bytes = db.code_bytes
-        params = self.params
-        record_bytes = params.tag_bytes if coarse else db.oob_record_bytes
-        entry_bytes = (
-            params.coarse_entry_bytes(code_bytes)
-            if coarse
-            else params.fine_entry_bytes(code_bytes)
-        )
+        record_bytes = self.params.tag_bytes if coarse else db.oob_record_bytes
+        entry_bytes = ttl.entry_bytes
         spp = region.slots_per_page
         q_of = tasks.queries
         threshold = tasks.threshold
@@ -420,44 +415,36 @@ class InStorageAnnsEngine:
         self._bill_visits(
             ledger, stats_list, q_of, plane_t, page_id_u[rank_of], nbytes_u[rank_of]
         )
-        n_queries = len(ttls)
+        n_queries = len(stats_list)
         n_channels = self.geometry.channels
         ledger.channel_bytes += np.bincount(
             q_of * n_channels + channel_t, weights=moved * entry_bytes,
             minlength=n_queries * n_channels,
         ).reshape(n_queries, n_channels)
 
-        # ---- per query: stats and TTL.  Tasks and survivors are
-        # query-major, so a query owns one slice of each.
+        # ---- per query: stats; the TTL table takes every survivor at once.
         scanned, kept, visits = (
             np.bincount(q_of, weights=w, minlength=n_queries)
             .astype(np.int64).tolist()
             for w in (n_valid, n_kept, from_nand)
         )
-        survivors = TtlRefs(dist[t_idx, s_idx], rank_of[t_idx], s_idx, latched)
-        task_bounds = np.searchsorted(q_of, np.arange(n_queries + 1)).tolist()
-        row_bounds = np.searchsorted(t_idx, task_bounds).tolist()
-        kept_counts = n_kept.tolist()
+        for stats, n_visits, n_scanned, n_transferred in zip(
+            stats_list, visits, scanned, kept
+        ):
+            stats.pages_read += n_visits
+            stats.entries_scanned += n_scanned
+            stats.entries_filtered += n_scanned - n_transferred
+            stats.entries_transferred += n_transferred
+        # Per-iteration quickselect (Sec. 4.3.1): after each page the
+        # embedded core trims the TTL back to the running top list,
+        # bounding its DRAM footprint.  With pipelining this overlaps the
+        # next page read (handled by overlap_stages).
         core = self.ssd.cores.reis_core
-        core_seconds = ledger.core_seconds
-        for qi, (stats, k) in enumerate(zip(stats_list, select_k)):
-            first, last = task_bounds[qi], task_bounds[qi + 1]
-            if first == last:
-                continue
-            stats.pages_read += visits[qi]
-            stats.entries_scanned += scanned[qi]
-            stats.entries_filtered += scanned[qi] - kept[qi]
-            stats.entries_transferred += kept[qi]
-            # Per-iteration quickselect (Sec. 4.3.1): after each page the
-            # embedded core trims the TTL back to the running top list,
-            # bounding its DRAM footprint.  With pipelining this overlaps
-            # the next page read (handled by overlap_stages).
-            for processed in ttls[qi].stream(
-                survivors[row_bounds[qi]:row_bounds[qi + 1]],
-                kept_counts[first:last],
-                k,
-            ):
-                core_seconds[qi] += core.quickselect(processed, k)
+        for qi, processed in ttl.stream(
+            latched, q_of[t_idx], dist[t_idx, s_idx], rank_of[t_idx], s_idx,
+            q_of, n_kept,
+        ):
+            ledger.core_seconds[qi] += core.quickselect(processed, ttl.k)
         senses_of = np.bincount(plane_o[sensed], minlength=n_planes)
         ledger.add_schedule(senses_of)
         return senses_of
@@ -465,30 +452,23 @@ class InStorageAnnsEngine:
     # --------------------------------------------------------- search steps
 
     def select_nearest(
-        self,
-        ttls: Sequence[TemporalTopList],
-        k: int,
-        ledger: PhaseLedger,
+        self, ttl: TemporalTopList, ledger: PhaseLedger
     ) -> Tuple[TtlBlock, np.ndarray]:
         """Quickselect the k nearest rows of every query's TTL: the final
         selection of a scan phase (the fine phase's rescoring shortlists).
 
-        One selection for the phase (:func:`~repro.core.registry.select_blocks`):
-        the rows come back stacked, nearest first per query, with the
+        One selection for the phase (:meth:`TemporalTopList.select`): the
+        rows come back stacked, nearest first per query, with the
         per-query bounds -- the rerank and the shard barriers consume them
         as arrays -- while the embedded core is charged per query.
         """
         core = self.ssd.cores.reis_core
-        for qi, ttl in enumerate(ttls):
-            ledger.core_seconds[qi] += core.quickselect(len(ttl), k)
-        return select_blocks(ttls, k)
+        for qi, size in enumerate(ttl.sizes.tolist()):
+            ledger.core_seconds[qi] += core.quickselect(size, ttl.k)
+        return ttl.select()
 
     def select_clusters(
-        self,
-        db: DeployedDatabase,
-        ttls: Sequence[TemporalTopList],
-        nprobe: int,
-        ledger: PhaseLedger,
+        self, db: DeployedDatabase, ttl: TemporalTopList, ledger: PhaseLedger
     ) -> Tuple[TtlBlock, np.ndarray]:
         """Quickselect every query's nprobe nearest centroid rows.
 
@@ -498,7 +478,7 @@ class InStorageAnnsEngine:
         router merges across devices.
         """
         assert db.r_ivf is not None
-        block, bounds = self.select_nearest(ttls, nprobe, ledger)
+        block, bounds = self.select_nearest(ttl, ledger)
         mismatch = db.r_ivf.tags[block.eadrs] != block.tags
         if np.any(mismatch):
             bad = int(block.eadrs[np.argmax(mismatch)])

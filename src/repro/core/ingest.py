@@ -37,7 +37,7 @@ codecs, same clusters, live entries only).  This holds because the engine's
 candidate stream is fully determined by the per-cluster entry sequence
 (ascending slot == ascending id within each cluster) and every downstream
 selection is a stable (distance, arrival-order) quickselect
-(:meth:`~repro.core.registry.TemporalTopList.select_smallest`).  Appends
+(:meth:`~repro.core.registry.TemporalTopList.select`).  Appends
 preserve ascending id order per cluster; tombstones only remove entries;
 so the mutated scan enumerates exactly the sequence the snapshot deploy
 would.  :meth:`IngestManager.compact` rewrites the regions into canonical

@@ -182,32 +182,17 @@ class TombstoneRegistry:
             self._dram.allocate(f"tombstones-{self.db_id}", self.footprint_bytes)
 
 
-@dataclass
-class TtlEntry:
-    """One Temporal-Top-List row.
-
-    Coarse entries carry (DIST, EMB, EADR, TAG); fine entries carry
-    (DIST, EMB, RADR, DADR).  ``emb`` keeps the binary code so the engine
-    can hand it to reranking without re-reading flash.
-    """
-
-    dist: int
-    emb: np.ndarray
-    eadr: int = -1
-    tag: int = -1
-    radr: int = -1
-    dadr: int = -1
-    meta: int = -1  # Sec. 7.1 metadata tag (present when the DB carries one)
 
 
 class TtlBlock:
     """A columnar batch of materialized TTL rows.
 
-    Parallel columns (distance, packed code matrix, linkage words) instead
-    of one :class:`TtlEntry` object per row: this is what a selection
-    returns (a shortlist, the probed centroids) and what the rerank and
-    the shard barriers consume.  Rows keep the order they were given in --
-    arrival order in a TTL chunk, nearest first out of a selection.
+    Coarse rows carry (DIST, EMB, EADR, TAG); fine rows carry (DIST, EMB,
+    EADR, RADR, DADR) and the Sec. 7.1 metadata tag when the database has
+    one; absent columns are -1.  ``embs`` keeps the binary codes so the
+    rows can go to reranking without re-reading flash.  This is what a
+    selection returns (a shortlist, the probed centroids), nearest first
+    per query, and what the rerank and the shard barriers consume.
     """
 
     __slots__ = ("dists", "embs", "eadrs", "tags", "radrs", "dadrs", "metas")
@@ -244,30 +229,6 @@ class TtlBlock:
     def __len__(self) -> int:
         return int(self.dists.size)
 
-    @classmethod
-    def from_entries(cls, entries: List[TtlEntry]) -> "TtlBlock":
-        return cls(
-            dists=np.array([e.dist for e in entries], dtype=np.int64),
-            embs=np.stack([e.emb for e in entries]) if entries else np.empty((0, 0), dtype=np.uint8),
-            eadrs=np.array([e.eadr for e in entries], dtype=np.int64),
-            tags=np.array([e.tag for e in entries], dtype=np.int64),
-            radrs=np.array([e.radr for e in entries], dtype=np.int64),
-            dadrs=np.array([e.dadr for e in entries], dtype=np.int64),
-            metas=np.array([e.meta for e in entries], dtype=np.int64),
-        )
-
-    def entry(self, row: int) -> TtlEntry:
-        """Materialize one row as a :class:`TtlEntry` (selection output)."""
-        return TtlEntry(
-            dist=int(self.dists[row]),
-            emb=self.embs[row],
-            eadr=int(self.eadrs[row]),
-            tag=int(self.tags[row]),
-            radr=int(self.radrs[row]),
-            dadr=int(self.dadrs[row]),
-            meta=int(self.metas[row]),
-        )
-
     def take(self, rows) -> "TtlBlock":
         """The given rows (an index array, or a slice for a view), as a
         block of the same columns: no re-validation, no copies a slice
@@ -281,11 +242,6 @@ class TtlBlock:
         block.dadrs = self.dadrs[rows]
         block.metas = self.metas[rows]
         return block
-
-    def decode(self, _dists, rows: np.ndarray, _slots) -> "TtlBlock":
-        """A materialized block is its own row source (see :class:`TtlRefs`):
-        row ``i`` is already decoded."""
-        return self.take(rows)
 
     @classmethod
     def empty(cls, code_bytes: int = 0) -> "TtlBlock":
@@ -309,255 +265,131 @@ class TtlBlock:
         )
 
 
-class TtlRefs:
-    """Deferred TTL rows: distances plus ``(page, slot)`` references.
-
-    The scan kernel knows every surviving row's distance but a query only
-    ever reads the linkage words and embedding codes of the rows it
-    selects, so the TTL holds references and ``source.decode(dists, pages,
-    slots)`` assembles the :class:`TtlBlock` of the selected rows from the
-    phase's latched-page snapshots.  Rows are in arrival order.  Already
-    materialized rows are references too -- into their own block
-    (:meth:`of_block`) -- so a TTL holds one kind of chunk.
-    """
-
-    __slots__ = ("dists", "pages", "slots", "source")
-
-    def __init__(
-        self, dists: np.ndarray, pages: np.ndarray, slots: np.ndarray, source
-    ) -> None:
-        self.dists = dists
-        self.pages = pages
-        self.slots = slots
-        self.source = source
-
-    @classmethod
-    def of_block(cls, block: TtlBlock) -> "TtlRefs":
-        rows = np.arange(len(block))
-        return cls(block.dists, rows, rows, block)
-
-    def __len__(self) -> int:
-        return int(self.dists.size)
-
-    def __getitem__(self, rows: slice) -> "TtlRefs":
-        return TtlRefs(
-            self.dists[rows], self.pages[rows], self.slots[rows], self.source
-        )
-
-
-def _take_rows(chunks: Sequence[TtlRefs], rows: np.ndarray) -> TtlBlock:
-    """Materialize ``rows`` of the chunks' concatenation, in the given order.
-
-    Rows of one source decode together, whichever chunk (query) they came
-    from: a phase's TTLs all reference the one page snapshot their scan
-    latched, so a whole phase's selection is one decode.
-    """
-    dists = np.concatenate([chunk.dists for chunk in chunks])[rows]
-    pages = np.concatenate([chunk.pages for chunk in chunks])[rows]
-    slots = np.concatenate([chunk.slots for chunk in chunks])[rows]
-    sources = {id(chunk.source): chunk.source for chunk in chunks}
-    if len(sources) == 1:
-        return chunks[0].source.decode(dists, pages, slots)
-    source_of = np.repeat(
-        [id(chunk.source) for chunk in chunks],
-        [chunk.dists.size for chunk in chunks],
-    )[rows]
-    parts, positions = [], []
-    for key, source in sources.items():
-        mine = np.flatnonzero(source_of == key)
-        parts.append(source.decode(dists[mine], pages[mine], slots[mine]))
-        positions.append(mine)
-    back = np.argsort(np.concatenate(positions))
-    return TtlBlock.concatenate(parts).take(back)
-
-
-def select_blocks(
-    ttls: Sequence["TemporalTopList"], k: int
-) -> Tuple[TtlBlock, np.ndarray]:
-    """The k nearest rows of every TTL in one pass: ``(block, bounds)``.
-
-    ``block`` stacks the selections TTL-major, nearest first within each
-    (rows ``bounds[i]:bounds[i + 1]`` are TTL ``i``'s) -- one sort with
-    the TTL index as the most significant key, one decode.  Distance ties
-    break by arrival order, so a selection is a pure function of
-    (distances, insertion order) -- a deterministic total order.  That
-    determinism is what makes the selection reproducible across *any*
-    partitioning of the scan: per-shard shortlists merged by the same
-    (distance, scan-order) key reconstruct exactly the list a single
-    device would have selected (see :mod:`repro.core.shard`), and it is
-    why the accounted compactions never have to run.
-    """
-    for ttl in ttls:
-        if ttl._mark is not None and k > ttl._mark[1]:
-            ttl._apply_mark()
-    rows_of = np.array([ttl._rows for ttl in ttls], dtype=np.int64)
-    bounds = np.zeros(len(ttls) + 1, dtype=np.int64)
-    np.cumsum(np.minimum(rows_of, max(k, 0)), out=bounds[1:])
-    chunks = [chunk for ttl in ttls for chunk in ttl._chunks]
-    if not bounds[-1]:
-        return TtlBlock.empty(), bounds
-    dists = (
-        chunks[0].dists if len(chunks) == 1
-        else np.concatenate([chunk.dists for chunk in chunks])
-    )
-    owner = np.repeat(np.arange(len(ttls)), rows_of)
-    nearest = np.lexsort((dists, owner))  # stable: arrival breaks ties
-    first_row = np.cumsum(rows_of) - rows_of
-    keep = np.arange(owner.size) - first_row[owner] < k
-    return _take_rows(chunks, nearest[keep]), bounds
-
-
 class TemporalTopList:
-    """An append + select-k staging list in controller DRAM.
+    """One scan phase's TTL-C or TTL-E for every query of a run, as a table.
 
-    Rows arrive in chunks (:class:`TtlRefs`: references from the scan
-    kernel, or a wrapped :class:`TtlBlock`) and selection is one stable
-    sort under the (distance, arrival) total order (:func:`select_blocks`,
-    for any number of TTLs at once).  The per-iteration quickselect of
-    Sec. 4.3.1 is *accounted* -- :meth:`compact` / :meth:`stream` keep
-    ``len`` and ``peak_entries`` exactly as a TTL that trims after every
-    page would -- but not performed: keeping the k nearest of a prefix and later
-    selecting k' <= k of prefix + suffix equals selecting k' of everything,
-    so a pending compaction is one ``(rows, k)`` mark ("of the first
-    ``rows`` rows only the k nearest are live") that later compactions with
-    k' <= k simply move.  The mark is applied for real only when a wider
-    selection than k needs the live set.
+    Sec. 4.3.1's TTL is a staging list in SSD DRAM that the embedded core
+    trims back to the k nearest after every page.  Here a phase's lists are
+    one table whose rows, in arrival order, are columns: ``query``,
+    ``dist`` and a reference into the pages the scan latched (``source``,
+    page rank, slot).  Only the rows :meth:`select` returns are decoded
+    into their RD_TTL payload.
+
+    The trimming is accounted, not performed: ``sizes[q]`` is the length
+    query ``q``'s list has when trimmed at every compaction and
+    ``peaks[q]`` its high-water mark.  Under the (distance, arrival) total
+    order, the k nearest of a trimmed list are the k nearest of every row
+    it was fed, so the rows a compaction would drop never need dropping.
+    Every query's list lives in one named DRAM arena sized for the worst
+    peak seen so far (the single embedded core serializes the
+    quickselects, so the arena is reused, not duplicated per query); the
+    arena only grows.
     """
 
     def __init__(
         self,
         name: str,
         entry_bytes: int,
+        n_queries: int,
+        k: int,
         dram: Optional[InternalDram] = None,
     ) -> None:
         self.name = name
         self.entry_bytes = entry_bytes
+        self.k = k
         self._dram = dram
-        self._chunks: List[TtlRefs] = []  # arrival order
-        self._rows = 0  # rows held in the chunks
-        self._n = 0  # rows a TTL trimmed at every compaction would hold
-        self._mark: Optional[tuple] = None
-        self.peak_entries = 0
+        self.sizes = np.zeros(n_queries, dtype=np.int64)
+        self.peaks = np.zeros(n_queries, dtype=np.int64)
+        self._sources: list = []
+        # (query, dist, source, rank, slot), arrival order; None when empty.
+        self._columns: Optional[Tuple[np.ndarray, ...]] = None
 
-    def __len__(self) -> int:
-        return self._n
+    def stream(
+        self,
+        source,
+        query: np.ndarray,
+        dist: np.ndarray,
+        rank: np.ndarray,
+        slot: np.ndarray,
+        visits: np.ndarray,
+        counts: np.ndarray,
+    ) -> List[Tuple[int, int]]:
+        """Absorb one scan kernel call's survivors.
 
-    @property
-    def entries(self) -> List[TtlEntry]:
-        """The live rows materialized as entries, in arrival order (tests /
-        introspection; the hot path never calls this)."""
-        if not self._rows:
-            return []
-        block = _take_rows(self._chunks, self._live_rows())
-        return [block.entry(i) for i in range(len(block))]
-
-    def append(self, entry: TtlEntry) -> None:
-        self.extend(TtlBlock.from_entries([entry]))
-
-    def _raise_peak(self, peak: int) -> None:
-        """Record a new high-water mark and grow the shared TTL arena.
-
-        Every query's TTL-C/TTL-E lives in one named DRAM arena sized for
-        the worst query seen so far (the single embedded core serializes
-        the queries' quickselects, so the arena is reused rather than
-        duplicated per in-flight query).  The region only grows: a later
-        query with a smaller peak must not shrink the recorded footprint.
+        Row ``i`` of query ``query[i]`` at distance ``dist[i]`` is slot
+        ``slot[i]`` of page ``rank[i]`` of ``source``, whose
+        ``decode(dists, ranks, slots)`` builds its :class:`TtlBlock`.  The
+        call's page visits belong to queries ``visits`` and left
+        ``counts`` survivors each; rows and visits are query-major, each
+        query's in its arrival order.  After every visit that leaves a
+        list above ``2k`` entries, it compacts to ``k``.  Returns
+        ``(query, entries processed)`` of every compaction, query-major in
+        arrival order, for the caller to charge the embedded core.
         """
-        if peak <= self.peak_entries:
-            return
-        self.peak_entries = peak
-        if self._dram is not None:
-            region = f"ttl-{self.name}"
-            if peak * self.entry_bytes > self._dram.region_size(region):
-                self._dram.allocate(region, peak * self.entry_bytes)
-
-    def extend(self, entries) -> None:
-        """Bulk append of a :class:`TtlBlock`, :class:`TtlRefs` or any
-        iterable of :class:`TtlEntry`: one chunk, one high-water update."""
-        if not isinstance(entries, (TtlBlock, TtlRefs)):
-            entries = TtlBlock.from_entries(list(entries))
-        self.stream(entries, [len(entries)], None)
-
-    def stream(self, rows, counts: Sequence[int], k: Optional[int]) -> List[int]:
-        """Absorb ``rows`` as consecutive page visits of ``counts[i]`` rows.
-
-        After each visit that leaves more than ``2 * k`` entries the TTL
-        compacts to ``k`` (``k=None``: never) -- as integer arithmetic on
-        the length, see the class docstring.  Returns the number of
-        entries each compaction processed, in order, so the caller can
-        charge the embedded core.
-        """
-        if self._mark is not None and k is not None and k > self._mark[1]:
-            self._apply_mark()
-        arrived = self._rows
-        if rows.dists.size:
-            if isinstance(rows, TtlBlock):
-                rows = TtlRefs.of_block(rows)
-            self._chunks.append(rows)
-            self._rows += rows.dists.size
-        n, peak, processed = self._n, self.peak_entries, []
-        for count in counts:
-            arrived += count
-            n += count
-            if n > peak:
-                peak = n
-            if k is not None and n > 2 * k:
-                processed.append(n)
+        if dist.size:
+            columns = (
+                query, dist, np.full(dist.size, len(self._sources)), rank, slot
+            )
+            self._sources.append(source)
+            self._columns = columns if self._columns is None else tuple(
+                np.concatenate(pair) for pair in zip(self._columns, columns)
+            )
+        k, limit = self.k, 2 * self.k
+        sizes, peaks, compactions = self.sizes.tolist(), self.peaks.tolist(), []
+        for q, count in zip(visits.tolist(), counts.tolist()):
+            n = sizes[q] + count
+            if n > peaks[q]:
+                peaks[q] = n
+            if n > limit:
+                compactions.append((q, n))
                 n = k
-                self._mark = (arrived, k)
-        self._n = n
-        self._raise_peak(peak)
-        return processed
+            sizes[q] = n
+        self.sizes[:], self.peaks[:] = sizes, peaks
+        if self._dram is not None and peaks:
+            region, nbytes = f"ttl-{self.name}", max(peaks) * self.entry_bytes
+            if nbytes > self._dram.region_size(region):
+                self._dram.allocate(region, nbytes)
+        return compactions
 
-    def compact(self, k: int) -> int:
-        """Keep only the k nearest entries (the per-iteration quickselect
-        of Sec. 4.3.1 that bounds the TTL's DRAM footprint).
+    def restart(self, queries: Sequence[int]) -> None:
+        """Empty the lists of ``queries`` (the filter retry rescans them);
+        their peaks stay, since the arena has already grown."""
+        self.sizes[queries] = 0
+        if self._columns is not None:
+            keep = ~np.isin(self._columns[0], queries)
+            self._columns = tuple(column[keep] for column in self._columns)
 
-        Returns the number of entries the quickselect processed, so the
-        caller can charge the embedded core.
+    def select(self) -> Tuple[TtlBlock, np.ndarray]:
+        """Every query's k nearest rows in one pass: ``(block, bounds)``.
+
+        ``block`` stacks the selections query-major, nearest first within
+        each (rows ``bounds[q]:bounds[q + 1]`` are query ``q``'s): one
+        stable sort keyed by query then distance, one decode per source.
+        Distance ties break by arrival order, so a selection is a pure
+        function of (distances, arrival order).  That determinism is what
+        makes it reproducible across *any* partitioning of the scan:
+        per-shard shortlists merged by the same (distance, scan-order) key
+        reconstruct exactly the list one device would have selected (see
+        :mod:`repro.core.shard`).
         """
-        processed = self._n
-        if processed > k:
-            if self._mark is not None and k > self._mark[1]:
-                self._apply_mark()
-            self._mark = (self._rows, k)
-            self._n = k
-        return processed
-
-    def _live_rows(self) -> np.ndarray:
-        """Row indices a TTL trimmed at every compaction would hold."""
-        if self._mark is None:
-            return np.arange(self._rows)
-        arrived, k = self._mark
-        dists = np.concatenate([chunk.dists for chunk in self._chunks])
-        head = np.argsort(dists[:arrived], kind="stable")[:k]
-        return np.concatenate([np.sort(head), np.arange(arrived, self._rows)])
-
-    def _apply_mark(self) -> None:
-        block = _take_rows(self._chunks, self._live_rows())
-        self._chunks = [TtlRefs.of_block(block)]
-        self._rows, self._mark = len(block), None
-
-    def select_block(self, k: int) -> Optional[TtlBlock]:
-        """The k nearest rows as a columnar block, nearest first
-        (:func:`select_blocks` of this one TTL)."""
-        if k <= 0 or not self._rows:
-            return None
-        return select_blocks([self], k)[0]
-
-    def select_smallest(self, k: int) -> List[TtlEntry]:
-        """Quickselect: the k nearest entries, nearest first (see
-        :meth:`select_block` for the ordering contract)."""
-        block = self.select_block(k)
-        if block is None:
-            return []
-        return [block.entry(i) for i in range(len(block))]
-
-    def clear(self) -> None:
-        self._chunks = []
-        self._rows = self._n = 0
-        self._mark = None
-
-    @property
-    def footprint_bytes(self) -> int:
-        return self.peak_entries * self.entry_bytes
+        k, bounds = self.k, np.zeros(self.sizes.size + 1, dtype=np.int64)
+        if self._columns is None:
+            return TtlBlock.empty(), bounds
+        query, dist, source, rank, slot = self._columns
+        held = np.bincount(query, minlength=self.sizes.size)
+        np.cumsum(np.minimum(held, k), out=bounds[1:])
+        if not bounds[-1]:
+            return TtlBlock.empty(), bounds
+        nearest = np.lexsort((dist, query))  # stable: arrival breaks ties
+        first_row = np.cumsum(held) - held
+        rows = nearest[np.arange(nearest.size) - first_row[query[nearest]] < k]
+        if len(self._sources) == 1:
+            return self._sources[0].decode(dist[rows], rank[rows], slot[rows]), bounds
+        parts, positions, source_of = [], [], source[rows]
+        for index, latched in enumerate(self._sources):
+            mine = np.flatnonzero(source_of == index)
+            picked = rows[mine]
+            parts.append(latched.decode(dist[picked], rank[picked], slot[picked]))
+            positions.append(mine)
+        back = np.argsort(np.concatenate(positions))
+        return TtlBlock.concatenate(parts).take(back), bounds

@@ -35,7 +35,7 @@ ANN systems, specialized to the in-storage engine:
 **Bit identity.**  The merges reconstruct, candidate for candidate, the
 state a single device deploying the whole corpus would have built: the TTL
 selection is a deterministic total order (distance, then scan order --
-:meth:`~repro.core.registry.TemporalTopList.select_smallest`), each
+:meth:`~repro.core.registry.TemporalTopList.select`), each
 shard's local top list provably contains its members of the global top
 list, and the router merges with the single-device scan-order key
 (coarse: global cluster id; fine: probe rank, then the slot the vector
@@ -1030,7 +1030,7 @@ class ShardRouter:
             self._spawn_replacements(state, dead, through="scan")
         runs = state.live_runs()
         state.retry_indices = runs[0].executor.engine.fine_retries(
-            np.sum([[len(ttl) for ttl in run.fine.ttls] for run in runs], axis=0),
+            np.sum([run.fine.ttl.sizes for run in runs], axis=0),
             np.sum(
                 [[ctx.stats.candidates for ctx in run.ctxs] for run in runs], axis=0
             ),

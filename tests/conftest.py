@@ -94,3 +94,30 @@ def sim_clock():
     from repro.sim.latency import SimClock
 
     return SimClock()
+
+
+class BlockRows:
+    """A TTL row source over a materialized :class:`TtlBlock`: slot ``s``
+    decodes to block row ``s`` (on a device the scan's latched pages play
+    this part)."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def decode(self, _dists, _ranks, slots):
+        return self.block.take(slots)
+
+
+def stream_visits(ttl, source, visits):
+    """Stream page visits ``[(query, [dist, ...]), ...]`` -- query-major,
+    each query's in arrival order -- into ``ttl`` as one scan kernel call
+    whose rows are slots ``0, 1, ...`` of ``source``.  Returns the table's
+    compactions."""
+    queries = np.array([q for q, _ in visits], dtype=np.int64)
+    counts = np.array([len(page) for _, page in visits], dtype=np.int64)
+    dists = np.array([d for _, page in visits for d in page], dtype=np.int64)
+    slots = np.arange(dists.size)
+    return ttl.stream(
+        source, np.repeat(queries, counts), dists, np.zeros_like(slots), slots,
+        queries, counts,
+    )

@@ -96,13 +96,13 @@ class TestPhaseKernelAgainstBruteForce:
             filters,
         )
         entry_bytes = device.engine.params.fine_entry_bytes(db.code_bytes)
-        ttls = [TemporalTopList("e", entry_bytes) for _ in queries]
+        ttl = TemporalTopList("e", entry_bytes, len(queries), 1000)
         stats = [SearchStats() for _ in queries]
         device.engine.scan_page_run(
-            db, tasks, False, codes, ttls,
+            db, tasks, False, codes, ttl,
             PhaseLedger("fine", len(queries), device.engine.geometry), stats,
-            [1000] * 3,
         )
+        selection, bounds = ttl.select()
 
         for qi in range(3):
             slots = np.concatenate(
@@ -113,10 +113,10 @@ class TestPhaseKernelAgainstBruteForce:
                 keep &= slot_tags[slots] == filters[qi]
             kept = slots[keep]
             assert stats[qi].entries_scanned == slots.size
-            assert stats[qi].entries_transferred == kept.size == len(ttls[qi])
+            assert stats[qi].entries_transferred == kept.size == ttl.sizes[qi]
             assert stats[qi].entries_filtered == slots.size - kept.size
-            expected = kept[np.argsort(dists[qi, kept], kind="stable")][:40]
-            block = ttls[qi].select_block(40)
+            expected = kept[np.argsort(dists[qi, kept], kind="stable")]
+            block = selection.take(slice(bounds[qi], bounds[qi + 1]))
             assert block.eadrs.tolist() == expected.tolist()
             assert block.dists.tolist() == dists[qi, expected].tolist()
             assert block.metas.tolist() == slot_tags[expected].tolist()
@@ -256,25 +256,24 @@ class TestPhaseKernelAgainstLatchWalk:
         )
 
         entry_bytes = device.engine.params.fine_entry_bytes(db.code_bytes)
-        ttls = [TemporalTopList("e", entry_bytes) for _ in codes]
+        ttl = TemporalTopList("e", entry_bytes, len(codes), 10**6)
         device.engine.scan_page_run(
-            db, tasks, False, codes, ttls,
+            db, tasks, False, codes, ttl,
             PhaseLedger("fine", len(codes), device.engine.geometry),
-            [SearchStats() for _ in codes], [10**6] * 3,
+            [SearchStats() for _ in codes],
         )
 
         # Every query received its in-window survivors, nearest first with
         # ties in its own scan order (= task order), at the walk's distances.
-        for qi, ttl in enumerate(ttls):
+        selection, bounds = ttl.select()
+        for qi in range(len(codes)):
             arrived = [
                 row for t, task in enumerate(rows) if task[0] == qi
                 for row in survivors[t]
             ]
             expected = sorted(arrived, key=lambda row: row[1])
-            block = ttl.select_block(10**6)
-            got = [] if block is None else list(
-                zip(block.eadrs.tolist(), block.dists.tolist())
-            )
+            block = selection.take(slice(bounds[qi], bounds[qi + 1]))
+            got = list(zip(block.eadrs.tolist(), block.dists.tolist()))
             assert got == expected and len(expected) > 0
         # The commands each die saw.
         for die, interface in device.engine._die_interfaces.items():
@@ -575,16 +574,15 @@ class TestMetadataFiltering:
 
 
 # --------------------------------------------------------------------------
-# Batched selection: one call per phase against the per-TTL forms it replaced.
+# Batched selection: one table per phase against one table per query.
 
 
-def _reference_select_cluster_block(engine, ttl_c, nprobe, cost):
-    """The per-query coarse selection, as the executors ran it per TTL."""
-    from repro.core.registry import TtlBlock
-
-    cost.core_seconds += engine.ssd.cores.reis_core.quickselect(len(ttl_c), nprobe)
-    block = ttl_c.select_block(nprobe)
-    return block if block is not None else TtlBlock.empty()
+def _reference_select_cluster_block(engine, ttl_c, cost):
+    """A query's coarse selection from its own one-query table."""
+    cost.core_seconds += engine.ssd.cores.reis_core.quickselect(
+        int(ttl_c.sizes[0]), ttl_c.k
+    )
+    return ttl_c.select()[0]
 
 
 def _reference_resolve_cluster_block(db, block, stats):
@@ -597,26 +595,24 @@ def _reference_resolve_cluster_block(db, block, stats):
     return cluster_ids
 
 
-def _reference_select_shortlist(engine, ttl_e, shortlist_size, cost):
-    from repro.core.registry import TtlBlock
-
+def _reference_select_shortlist(engine, ttl_e, cost):
     core = engine.ssd.cores.reis_core
-    cost.core_seconds += core.quickselect(len(ttl_e), shortlist_size)
-    block = ttl_e.select_block(shortlist_size)
-    return block if block is not None else TtlBlock.empty()
+    cost.core_seconds += core.quickselect(int(ttl_e.sizes[0]), ttl_e.k)
+    return ttl_e.select()[0]
 
 
 class TestBatchedSelectAgainstPerTtl:
-    """Ties-heavy TTLs (distances in 0..2): the stacked selection of a
-    phase == the per-TTL selections, rows, charges and core clock."""
+    """Ties-heavy TTLs (distances in 0..2): the selection of one table over
+    a phase's queries == each query's own table, rows, charges and core
+    clock."""
 
     N_QUERIES = 7
 
-    def _ttls(self, db, seed, coarse, corrupt_tag=False):
-        from repro.core.registry import TemporalTopList, TtlBlock
+    def _blocks(self, db, seed, coarse, corrupt_tag=False):
+        from repro.core.registry import TtlBlock
 
         rng = np.random.default_rng(seed)
-        ttls = []
+        blocks = []
         for qi in range(self.N_QUERIES):
             pool = SMALL_NLIST if coarse else SMALL_N
             n = min(int(rng.integers(0, 30)), pool) if qi else 0  # one empty TTL
@@ -631,10 +627,23 @@ class TestBatchedSelectAgainstPerTtl:
             )
             if corrupt_tag and n:
                 block.tags[0] ^= 1
-            ttl = TemporalTopList("t", entry_bytes=4)
-            ttl.stream(block, [n // 2, n - n // 2], 4)
-            ttls.append(ttl)
-        return ttls
+            blocks.append(block)
+        return blocks
+
+    @staticmethod
+    def _table(blocks, k):
+        """One table over ``blocks`` (query ``i``'s rows are ``blocks[i]``),
+        each query's rows streamed as two page visits."""
+        from repro.core.registry import TemporalTopList, TtlBlock
+        from tests.conftest import BlockRows, stream_visits
+
+        ttl = TemporalTopList("t", 4, len(blocks), k)
+        visits = []
+        for qi, block in enumerate(blocks):
+            dists, half = block.dists.tolist(), len(block) // 2
+            visits += [(qi, dists[:half]), (qi, dists[half:])]
+        stream_visits(ttl, BlockRows(TtlBlock.concatenate(blocks)), visits)
+        return ttl
 
     @staticmethod
     def _columns(block):
@@ -652,30 +661,32 @@ class TestBatchedSelectAgainstPerTtl:
         device, db_id = deployed_device
         db, engine = device.database(db_id), device.engine
         core = engine.ssd.cores.reis_core
+        blocks = self._blocks(db, k, coarse)
 
         # Both halves charge the core from the same starting clock, so the
         # accumulated floats must match to the bit.
         start = core.busy_seconds
         expected, expected_costs = [], []
-        for ttl in self._ttls(db, k, coarse):
+        for block in blocks:
+            ttl = self._table([block], k)
             cost = PhaseCost(name="phase")
             if coarse:
-                block = _reference_select_cluster_block(engine, ttl, k, cost)
+                selected = _reference_select_cluster_block(engine, ttl, cost)
                 stats = SearchStats()
-                _reference_resolve_cluster_block(db, block, stats)
-                assert stats.clusters_probed == len(block)
+                _reference_resolve_cluster_block(db, selected, stats)
+                assert stats.clusters_probed == len(selected)
             else:
-                block = _reference_select_shortlist(engine, ttl, k, cost)
-            expected.append(self._columns(block))
+                selected = _reference_select_shortlist(engine, ttl, cost)
+            expected.append(self._columns(selected))
             expected_costs.append(cost.core_seconds)
         reference_busy, core.busy_seconds = core.busy_seconds, start
 
         ledger = PhaseLedger("phase", self.N_QUERIES, engine.geometry)
-        ttls = self._ttls(db, k, coarse)
+        ttl = self._table(blocks, k)
         if coarse:
-            block, bounds = engine.select_clusters(db, ttls, k, ledger)
+            block, bounds = engine.select_clusters(db, ttl, ledger)
         else:
-            block, bounds = engine.select_nearest(ttls, k, ledger)
+            block, bounds = engine.select_nearest(ttl, ledger)
         assert core.busy_seconds == reference_busy
         assert ledger.core_seconds == expected_costs
         assert [
@@ -685,9 +696,10 @@ class TestBatchedSelectAgainstPerTtl:
     def test_tag_mismatch_is_caught_in_the_stacked_form(self, deployed_device):
         device, db_id = deployed_device
         db, engine = device.database(db_id), device.engine
-        ttls = self._ttls(db, 3, coarse=True, corrupt_tag=True)
+        ttl = self._table(
+            self._blocks(db, 3, coarse=True, corrupt_tag=True), SMALL_NLIST
+        )
         with pytest.raises(RuntimeError, match="cluster tag mismatch"):
             engine.select_clusters(
-                db, ttls, SMALL_NLIST,
-                PhaseLedger("coarse", len(ttls), engine.geometry),
+                db, ttl, PhaseLedger("coarse", self.N_QUERIES, engine.geometry)
             )

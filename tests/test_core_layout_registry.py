@@ -14,12 +14,13 @@ from repro.core.registry import (
     TemporalTopList,
     TombstoneRegistry,
     TtlBlock,
-    TtlEntry,
     R_IVF_ENTRY_BYTES,
 )
 from repro.nand.cell import CellMode
 from repro.ssd.coarse import COARSE_ENTRY_BYTES, CoarseRegion
 from repro.ssd.dram import InternalDram
+
+from tests.conftest import BlockRows, stream_visits
 
 
 class TestRDb:
@@ -144,193 +145,202 @@ class TestRIvf:
         ]
         rivf = RIvf(entries)
         assert rivf.clusters_with_tag(0) == [0, 256]
-        assert rivf.clusters_with_tag(44) == [44, 300 - 300 + 44 + 256] if False else True
+        assert rivf.clusters_with_tag(44) == [44]
+
+
+def _rows_block(rows):
+    """A block of ``(dist, id)`` rows; ``eadrs`` carries the id."""
+    return TtlBlock(
+        dists=np.array([d for d, _ in rows], dtype=np.int64),
+        embs=np.zeros((len(rows), 2), dtype=np.uint8),
+        eadrs=np.array([i for _, i in rows], dtype=np.int64),
+    )
+
+
+def _feed(ttl, visits):
+    """Stream ``[(query, [(dist, id), ...]), ...]`` page visits as one kernel
+    call with its own row source; returns the compactions."""
+    rows = [row for _, page in visits for row in page]
+    return stream_visits(
+        ttl, BlockRows(_rows_block(rows)),
+        [(q, [d for d, _ in page]) for q, page in visits],
+    )
+
+
+def _selected(ttl):
+    """Each query's selection as ``(dist, id)`` rows, and the bounds."""
+    block, bounds = ttl.select()
+    rows = list(zip(block.dists.tolist(), block.eadrs.tolist()))
+    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])], bounds
 
 
 class TestTemporalTopList:
-    def _entry(self, dist):
-        return TtlEntry(dist=dist, emb=np.zeros(4, dtype=np.uint8))
+    @staticmethod
+    def _table(dists_by_query, k, dram=None):
+        """One page visit per query that has rows, as one kernel call."""
+        ttl = TemporalTopList("t", 10, len(dists_by_query), k, dram)
+        pages = [[dists] if dists else [] for dists in dists_by_query]
+        return ttl, _feed(ttl, _number([pages])[0])
 
-    def test_select_smallest(self):
-        ttl = TemporalTopList("t", entry_bytes=10)
-        for dist in (5, 1, 9, 3):
-            ttl.append(self._entry(dist))
-        selected = ttl.select_smallest(2)
-        assert sorted(e.dist for e in selected) == [1, 3]
+    def test_select_k_nearest(self):
+        ttl, compactions = self._table([[5, 1, 9, 3]], k=2)
+        assert compactions == []
+        assert _selected(ttl)[0] == [[(1, 1), (3, 3)]]
 
     def test_select_more_than_present(self):
-        ttl = TemporalTopList("t", entry_bytes=10)
-        ttl.append(self._entry(1))
-        assert len(ttl.select_smallest(10)) == 1
+        ttl, _ = self._table([[1]], k=10)
+        selected, bounds = _selected(ttl)
+        assert selected == [[(1, 0)]] and bounds.tolist() == [0, 1]
 
-    def test_compact_keeps_k_nearest_and_reports_processed(self):
-        ttl = TemporalTopList("t", entry_bytes=10)
-        for dist in range(10):
-            ttl.append(self._entry(dist))
-        processed = ttl.compact(3)
-        assert processed == 10
-        assert len(ttl) == 3
-        assert sorted(e.dist for e in ttl.entries) == [0, 1, 2]
+    def test_compaction_above_2k_reports_processed(self):
+        ttl, compactions = self._table([list(range(10))], k=3)
+        assert compactions == [(0, 10)]
+        assert ttl.sizes.tolist() == [3]
+        assert [d for d, _ in _selected(ttl)[0][0]] == [0, 1, 2]
 
-    def test_compact_below_k_is_noop(self):
-        ttl = TemporalTopList("t", entry_bytes=10)
-        ttl.append(self._entry(1))
-        assert ttl.compact(5) == 1
-        assert len(ttl) == 1
+    def test_at_most_2k_does_not_compact(self):
+        ttl, compactions = self._table([[1], [4, 3, 2, 1]], k=2)
+        assert compactions == []
+        assert ttl.sizes.tolist() == [1, 4]
 
-    def test_peak_tracks_high_watermark(self):
-        ttl = TemporalTopList("t", entry_bytes=10)
-        for dist in range(8):
-            ttl.append(self._entry(dist))
-        ttl.compact(2)
-        assert ttl.peak_entries == 8
-        assert ttl.footprint_bytes == 80
+    def test_peaks_size_the_dram_arena_which_only_grows(self):
+        dram = InternalDram(10_000)
+        ttl, _ = self._table([list(range(8)), [1, 2]], k=2, dram=dram)
+        assert ttl.peaks.tolist() == [8, 2]
+        assert dram.region_size("ttl-t") == 80
+        self._table([[1, 2, 3]], k=2, dram=dram)
+        assert dram.region_size("ttl-t") == 80
+
+    def test_restart_drops_rows_and_sizes_keeps_peaks(self):
+        ttl, _ = self._table([[4, 5], [2, 1]], k=2)
+        ttl.restart([0])
+        assert ttl.sizes.tolist() == [0, 2] and ttl.peaks.tolist() == [2, 2]
+        selected, bounds = _selected(ttl)
+        assert selected == [[], [(1, 3), (2, 2)]] and bounds.tolist() == [0, 0, 2]
+
+    def test_empty_table_selects_nothing(self):
+        block, bounds = TemporalTopList("t", 10, 3, 4).select()
+        assert len(block) == 0 and bounds.tolist() == [0, 0, 0, 0]
 
 
-def _streaming_ttl(blocks, ks, final_k):
-    """Pure-Python reference: a TTL that really trims at every compaction.
+def _streaming_ttl(visits, k):
+    """Pure-Python reference: a TTL that really trims above 2k.
 
-    Rows are ``(dist, arrival)``; compaction sorts them (a total order) and
-    keeps the k nearest, still in arrival order.  Returns the compact()
-    return values, the length after every step, the peak, and the final
-    selection.
+    ``visits`` are page visits, each a list of ``(dist, arrival)`` rows.
+    After every visit that leaves more than ``2 * k`` rows, compaction
+    sorts them (a total order) and keeps the k nearest, still in arrival
+    order.  Returns the entries every compaction processed, the final
+    length, the peak, and the final selection of k.
     """
-    rows, processed, lengths, peak, arrival = [], [], [], 0, 0
-    for dists, k in zip(blocks, ks):
-        rows += [(d, arrival + i) for i, d in enumerate(dists)]
-        arrival += len(dists)
+    rows, processed, peak = [], [], 0
+    for page in visits:
+        rows += page
         peak = max(peak, len(rows))
-        if k is not None:
+        if len(rows) > 2 * k:
             processed.append(len(rows))
-            if len(rows) > k:
-                rows = sorted(sorted(rows)[:k], key=lambda row: row[1])
-        lengths.append(len(rows))
-    return processed, lengths, peak, sorted(rows)[:final_k]
+            rows = sorted(sorted(rows)[:k], key=lambda row: row[1])
+    return processed, len(rows), peak, sorted(rows)[:k]
 
 
-class TestTtlArithmeticCompaction:
-    """The TTL accounts compactions instead of running them; for any
-    stream it must be indistinguishable from one that trims for real."""
+def _number(calls):
+    """Give ``calls`` (per call, per query: page visits as distance lists)
+    global row ids in arrival order: ``[(query, [(dist, id), ...]), ...]``
+    per call, query-major."""
+    numbered, next_id = [], 0
+    for call in calls:
+        visits = []
+        for q, pages in enumerate(call):
+            for page in pages:
+                visits.append((q, [(d, next_id + i) for i, d in enumerate(page)]))
+                next_id += len(page)
+        numbered.append(visits)
+    return numbered
 
-    @staticmethod
-    def _block(dists, first_arrival):
-        n = len(dists)
-        return TtlBlock(
-            dists=np.array(dists, dtype=np.int64),
-            embs=np.zeros((n, 2), dtype=np.uint8),
-            eadrs=first_arrival + np.arange(n, dtype=np.int64),
-        )
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.lists(st.integers(0, 6), max_size=12),  # heavy ties
-                st.one_of(st.none(), st.integers(0, 8)),  # compact(k) or not
-            ),
-            min_size=1, max_size=10,
-        ),
-        st.integers(0, 12),
-    )
+def _pages_of(visits, q):
+    return [page for owner, page in visits if owner == q]
+
+
+# Per query: its page visits, ties-heavy; a query may have none.
+_QUERY_VISITS = st.lists(
+    st.lists(st.lists(st.integers(0, 3), max_size=8), max_size=6),
+    min_size=1, max_size=6,
+)
+
+
+class TestTtlTableAgainstStreamingReference:
+    """One multi-query table accounts its compactions instead of running
+    them; for any stream it must be indistinguishable from per-query TTLs
+    that trim for real: compactions, sizes, peaks, arena and selection."""
+
+    @given(_QUERY_VISITS, st.integers(1, 5), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_streaming_reference(self, steps, final_k):
-        blocks = [dists for dists, _ in steps]
-        ks = [k for _, k in steps]
-        ttl = TemporalTopList("t", entry_bytes=4)
-        processed, lengths, arrival = [], [], 0
-        for dists, k in steps:
-            ttl.extend(self._block(dists, arrival))
-            arrival += len(dists)
-            if k is not None:
-                processed.append(ttl.compact(k))
-            lengths.append(len(ttl))
-        expected = _streaming_ttl(blocks, ks, final_k)
-        block = ttl.select_block(final_k)
-        selected = (
-            [] if block is None
-            else list(zip(block.dists.tolist(), block.eadrs.tolist()))
-        )
-        assert (processed, lengths, ttl.peak_entries, selected) == expected
-        assert len(ttl.entries) == len(ttl)
+    def test_one_or_two_sources(self, query_visits, k, data):
+        # Each query's visits split between the scan and a second kernel
+        # call with its own row source (or all in the scan).
+        if data.draw(st.booleans()):
+            splits = [data.draw(st.integers(0, len(v))) for v in query_visits]
+        else:
+            splits = [len(v) for v in query_visits]
+        calls = _number([
+            [v[:s] for v, s in zip(query_visits, splits)],
+            [v[s:] for v, s in zip(query_visits, splits)],
+        ])
+        dram = InternalDram(10**6)
+        ttl = TemporalTopList("t", 4, len(query_visits), k, dram)
+        got = [_feed(ttl, visits) for visits in calls]
 
-    @given(
-        st.lists(st.lists(st.integers(0, 6), max_size=12), min_size=1, max_size=10),
-        st.integers(1, 6),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_stream_is_extend_plus_compact_above_2k(self, blocks, k):
-        """``stream`` (the scan kernel's bulk feed: one chunk, per-visit
-        counts) == extending visit by visit and compacting above 2k."""
-        flat = [d for dists in blocks for d in dists]
-        bulk = TemporalTopList("bulk", entry_bytes=4)
-        bulk_processed = bulk.stream(
-            self._block(flat, 0), [len(dists) for dists in blocks], k
-        )
-        stepwise = TemporalTopList("step", entry_bytes=4)
-        step_processed, arrival = [], 0
-        for dists in blocks:
-            stepwise.extend(self._block(dists, arrival))
-            arrival += len(dists)
-            if len(stepwise) > 2 * k:
-                step_processed.append(stepwise.compact(k))
-        assert bulk_processed == step_processed
-        assert len(bulk) == len(stepwise)
-        assert bulk.peak_entries == stepwise.peak_entries
-        for final_k in (k, 2 * k + 1):
-            a, b = bulk.select_block(final_k), stepwise.select_block(final_k)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.eadrs.tolist() == b.eadrs.tolist()
-
-
-class TestBatchedSelection:
-    """``select_blocks`` over many TTLs == each TTL's own selection."""
-
-    @given(
-        st.lists(  # per TTL: its page visits, ties-heavy
-            st.lists(st.lists(st.integers(0, 3), max_size=8), min_size=1, max_size=6),
-            min_size=1, max_size=6,
-        ),
-        st.integers(0, 5),  # stream-time compaction k (0: never)
-        st.integers(0, 9),  # selection k
-        st.booleans(),  # one shared row source (a scan phase) or one per TTL
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_per_ttl_streaming_reference(self, ttl_visits, k, final_k, shared):
-        from repro.core.registry import TtlRefs, select_blocks
-
-        flat = [d for visits in ttl_visits for dists in visits for d in dists]
-        table = TestTtlArithmeticCompaction._block(flat, 0)
-        ttls, expected, first = [], [], 0
-        for visits in ttl_visits:
-            dists = [d for page in visits for d in page]
-            ttl = TemporalTopList("t", entry_bytes=4)
-            rows = np.arange(first, first + len(dists))
-            chunk = (
-                TtlRefs(table.dists[rows], rows, rows, table)
-                if shared else table.take(rows)
+        expected_calls, sizes, peaks, selections = [[], []], [], [], []
+        for q in range(len(query_visits)):
+            head = _pages_of(calls[0], q)
+            prefix = _streaming_ttl(head, k)
+            processed, size, peak, selected = _streaming_ttl(
+                head + _pages_of(calls[1], q), k
             )
-            ttl.stream(chunk, [len(page) for page in visits], k or None)
-            # The spec: a TTL that trims for real above 2k, then selects.
-            kept, arrival = [], first
-            for page in visits:
-                kept += [(d, arrival + i) for i, d in enumerate(page)]
-                arrival += len(page)
-                if k and len(kept) > 2 * k:
-                    kept = sorted(sorted(kept)[:k], key=lambda row: row[1])
-            expected.append(sorted(kept)[:final_k])
-            ttls.append(ttl)
-            first += len(dists)
-        block, bounds = select_blocks(ttls, final_k)
-        assert bounds.tolist() == np.cumsum([0] + [len(e) for e in expected]).tolist()
-        stacked = list(zip(block.dists.tolist(), block.eadrs.tolist()))
-        assert stacked == [row for rows in expected for row in rows]
-        for ttl, lo, hi in zip(ttls, bounds[:-1], bounds[1:]):
-            alone = ttl.select_block(final_k)
-            mine = block.take(slice(lo, hi))
-            assert (alone is None) == (lo == hi)
-            if alone is not None:
-                for column in ("dists", "embs", "eadrs", "tags", "radrs", "dadrs", "metas"):
-                    assert np.array_equal(getattr(mine, column), getattr(alone, column))
+            expected_calls[0] += [(q, n) for n in prefix[0]]
+            expected_calls[1] += [(q, n) for n in processed[len(prefix[0]):]]
+            sizes.append(size)
+            peaks.append(peak)
+            selections.append(selected)
+        assert got == expected_calls
+        assert ttl.sizes.tolist() == sizes and ttl.peaks.tolist() == peaks
+        assert dram.region_size("ttl-t") == 4 * max(peaks)
+        selected, bounds = _selected(ttl)
+        assert selected == selections
+        assert bounds.tolist() == np.cumsum([0] + [len(s) for s in selections]).tolist()
+
+    @given(_QUERY_VISITS, st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_restart_then_second_source(self, query_visits, k, data):
+        """The filter retry: ``restart`` a subset, rescan it as a second
+        source.  The reference clears those queries' TTLs and re-streams."""
+        n_queries = len(query_visits)
+        retried = sorted(data.draw(st.sets(st.integers(0, n_queries - 1))))
+        rescans = [
+            data.draw(st.lists(st.lists(st.integers(0, 3), max_size=8), max_size=6))
+            if q in retried else []
+            for q in range(n_queries)
+        ]
+        scan, rescan = _number([query_visits, rescans])
+        ttl = TemporalTopList("t", 4, n_queries, k)
+        _feed(ttl, scan)
+        ttl.restart(retried)
+        got = _feed(ttl, rescan)
+
+        expected, sizes, peaks, selections = [], [], [], []
+        for q in range(n_queries):
+            first = _streaming_ttl(_pages_of(scan, q), k)
+            processed, size, peak, selected = (
+                _streaming_ttl(_pages_of(rescan, q), k) if q in retried else first
+            )
+            if q in retried:
+                expected += [(q, n) for n in processed]
+            sizes.append(size)
+            peaks.append(max(peak, first[2]))
+            selections.append(selected)
+        assert got == expected
+        assert ttl.sizes.tolist() == sizes and ttl.peaks.tolist() == peaks
+        assert _selected(ttl)[0] == selections
 
 
 class TestDatabaseDeployer:
