@@ -114,31 +114,36 @@ TLC_SHARE_CEILING = 0.70
 # Measured host_fine / host_wall is 0.19-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 16,678 (python 3.11, numpy 2.4; 18,396 with one TTL object per
-# query, 36,694 while every page visit filled a per-query cost object,
-# 60,230 while every query's shortlist and report were also selected and
-# composed one by one); x1.05 (x1.10 of 18,399 before the TTL table).
+# entries: 15,908 (python 3.11, numpy 2.4; 16,678 while each phase ledger
+# was reduced on its own and the TLC phases derived their senses, 18,396
+# with one TTL object per query, 36,694 while every page visit filled a
+# per-query cost object, 60,230 while every query's shortlist and report
+# were also selected and composed one by one); x1.05.
 EVENTS_N_ENTRIES = 100_000
-SEARCH_EVENTS_CEILING = 17_511
-# Measured events of the batch-of-one search that follows it: 3,128
-# (python 3.11, numpy 2.4; 3,194 with one TTL object per query); x1.05.
+SEARCH_EVENTS_CEILING = 16_703
+# Measured events of the batch-of-one search that follows it: 2,933
+# (python 3.11, numpy 2.4; 3,128 with per-ledger reductions, 3,194 with
+# one TTL object per query); x1.05.
 # A batch of one pays every per-batch pass for one query, so fixed
 # per-batch work that batch 64 amortizes shows here first.
-SOLO_EVENTS_CEILING = 3_284
+SOLO_EVENTS_CEILING = 3_079
 # Measured tracemalloc peak of that point's ivf_deploy: 44.26 MB in a fresh
 # process, +-3 KB run to run, 43.2 MB after the gates above (python 3.11,
 # numpy 2.4; 206.19 MB with the whole-matrix build); x1.10.
 DEPLOY_PEAK_BYTES_CEILING = 48_690_000
-# Measured events of the fifth batch on the cached 4 x 2 cluster: 11,960
-# (python 3.11, numpy 2.4; 13,421 with one TTL object per (shard, query),
-# 14,353 while the cache was driven one page at a time, 18,973 before the
-# cost ledger); x1.05.
+# Measured events of the fifth batch on the cached 4 x 2 cluster: 10,928
+# (python 3.11, numpy 2.4; 11,960 with per-ledger reductions, 13,421 with
+# one TTL object per (shard, query), 14,353 while the cache was driven one
+# page at a time, 18,973 before the cost ledger); x1.05.
 SHARD_WARM_BATCHES = 4
-SHARD_EVENTS_CEILING = 12_558
+SHARD_EVENTS_CEILING = 11_474
 # Measured events(8 shards) / events(1 shard) on the shard_scaling batch:
-# 28,120 / 7,634 = 3.68 (34,429 / 8,530 = 4.04 with one TTL object per
-# (shard, query), 34,453 / 8,533 = 4.04 with the per-page cache,
-# 50,570 / 15,847 = 3.19 and 124,118 / 38,029 = 3.26 before that); x1.10.
+# 26,099 / 6,768 = 3.86.  The ceiling is x1.10 of 28,120 / 7,634 = 3.68,
+# read with per-ledger reductions, and is not raised: stacking them cut
+# more of the one-shard batch's fixed calls than the eight-shard one's.
+# Earlier: 34,429 / 8,530 = 4.04 with one TTL object per (shard, query),
+# 34,453 / 8,533 = 4.04 with the per-page cache, 50,570 / 15,847 = 3.19
+# and 124,118 / 38,029 = 3.26 before that.
 SHARD_SCALING_EVENTS_RATIO = 4.05
 
 

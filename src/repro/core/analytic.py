@@ -19,7 +19,7 @@ functionally (the integration tests do exactly this, phase by phase).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -87,9 +87,6 @@ class AnalyticWorkload:
     @property
     def candidates(self) -> int:
         return max(1, int(round(self.candidate_fraction * self.n_entries)))
-
-    def with_recall_label(self, label: str) -> "AnalyticWorkload":
-        return replace(self, label=label)
 
 
 @dataclass

@@ -19,7 +19,10 @@ Every bill is a :class:`PhaseLedger` and :func:`compose_batch` is the one
 composer: the functional engine's ledgers hold *measured* visits (small
 datasets), the analytic twin's and the baselines' one-row ledgers hold
 *computed* ones (paper-scale datasets, an even spread), which is what lets
-tests cross-validate the two layers.
+tests cross-validate the two layers.  A ledger bills the senses its phase
+executed, never derived ones, and the composer reduces every ledger of a
+batch -- all devices, all phases -- in one stacked pass
+(:func:`reduce_ledgers`).
 """
 
 from __future__ import annotations
@@ -185,9 +188,6 @@ class PhaseLedger:
         self.nand = (no_rows,) * 3
         self.dram = (no_rows,) * 4
 
-    def __len__(self) -> int:
-        return int(self.queries.size)
-
     def add_nand_visits(self, rows, planes, page_ids) -> None:
         """Page visits served by a sense (columns; page ids are global)."""
         self.nand = _appended(self.nand, (rows, planes, page_ids))
@@ -200,117 +200,123 @@ class PhaseLedger:
         """The senses an executed page schedule ran per plane (billed as is)."""
         self.senses = senses_of if self.senses is None else self.senses + senses_of
 
-    def _derived_senses(self, rows, planes, page_ids) -> np.ndarray:
-        """Senses per plane these visits need when no executed schedule
-        answers: visits to one page share a sense **across queries only**,
-        so a page costs the most visits any one query paid it (a query's
-        own repeats -- the retry rescan, repeated document slots -- are
-        temporally separated senses)."""
-        if not rows.size:
-            return np.zeros(self.n_planes, dtype=np.int64)
-        pair = (page_ids * self.n_planes + planes) * len(self) + rows
-        pair.sort()
-        starts, repeats = _runs(pair)  # one run per (page, query)
-        page = pair[starts] // len(self)
-        first_of_page, _lengths = _runs(page)
-        return np.bincount(
-            page[first_of_page] % self.n_planes,
-            weights=np.maximum.reduceat(repeats, first_of_page),
-            minlength=self.n_planes,
-        ).astype(np.int64)
-
-    def _dram_stages(self):
-        """``(solo, batch)`` DRAM-stream seconds.  Solo, a row pays every
-        visit it made, in visit order.  In a batch a mirrored page's stream
-        is shared across queries as senses are: the page costs the largest
-        ``visits x seconds-per-visit`` (its first visit's) any one query
-        needs, pages in first-seen order; what a row paid beyond its own
-        such products (in its first-visit order) stays unshared.  All four
-        sums accumulate left to right: their order is part of the clock.
-        """
-        n = len(self)
-        rows, page_ids, seconds, _nbytes = self.dram
-        if not rows.size:
-            return 0.0, 0.0
-        solo = _sums_in_row_order(rows, seconds, n)
-        pair = page_ids * n + rows
-        order = pair.argsort(kind="stable")
-        starts, visits = _runs(pair[order])
-        first = order[starts]  # a (page, row) stream's first visit
-        need = visits * seconds[first]
-        # Streams row by row, each row's in its own first-visit order.
-        by_row = np.lexsort((first, rows[first]))
-        stream_row, need = rows[first][by_row], need[by_row]
-        residue = solo - _sums_in_row_order(stream_row, need, n)
-        page = page_ids[first][by_row]
-        by_page = page.argsort(kind="stable")
-        page_starts, _lengths = _runs(page[by_page])
-        shared = np.maximum.reduceat(need[by_page], page_starts)
-        first_seen = by_page[page_starts].argsort()
-        return solo, float(_running_total(residue) + _running_total(shared[first_seen]))
-
     def stages(self, timing: NandTiming, ecc_rate: float):
-        """``(solo, batch)``: the phase reduced to stage seconds.
+        """``(solo, batch)``: the phase reduced to stage seconds, the
+        one-ledger case of :func:`reduce_ledgers`."""
+        solo, batch = reduce_ledgers([(self, timing, ecc_rate)])
+        *seconds, iterations, unique, total = batch[:, 0].tolist()
+        return solo, (*seconds, int(iterations), int(unique), int(total))
 
-        ``solo`` is a ``(5, rows)`` array -- ``read, transfer, core, dram,
-        iterations``, the arguments of :func:`overlap_stages` -- of every
-        row alone on an idle device.  ``batch`` is the same five for the
-        whole batch under occupancy, then the unique and total page senses.
-        A **plane** is busy for its senses plus one compute pass per visit
-        (XOR + fail-bit count run per query even on a shared sense) and the
-        busiest sets the read time; a plane an executed schedule sensed on
-        is billed exactly those senses (a page-major schedule merges even
-        a query's own repeats), any other what :meth:`_derived_senses`
-        finds.  The busiest **channel** carries all queries' bytes, the
-        one REIS **core** serializes their kernels, **DRAM** streams share
-        (:meth:`_dram_stages`).  Batch core seconds and channel loads add
-        up row by row, left to right: the modeled clock's order.
-        """
-        n = len(self)
-        rows, planes, page_ids = self.nand
-        visits = np.bincount(
-            rows * self.n_planes + planes, minlength=n * self.n_planes
-        ).reshape(n, self.n_planes)
-        pages = np.maximum.reduce(visits, axis=1)
-        bandwidth = timing.channel_bandwidth_bps
-        solo = np.empty((5, n))
-        solo[0] = pages * page_iteration_time(
-            timing, self.read_mode, self.with_compute, self.with_filter
-        )
-        solo[1] = np.maximum.reduce(self.channel_bytes, axis=1) / bandwidth
-        solo[2] = self.core_seconds
-        solo[2] += self.ecc_bytes * ecc_rate
-        solo[3], dram_s = self._dram_stages()
-        solo[4] = pages
 
-        sense_s = timing.read_time(self.read_mode)
+def _dram_stages(rows, page_ids, seconds, n_ledgers: int, n_rows: int):
+    """``(solo, batch)`` DRAM-stream seconds of stacked visit columns
+    (``rows``: ``ledger * n_rows + row``; ``page_ids`` keyed by ledger).
+    Solo, a row pays its visits in visit order; in a batch a mirrored
+    page's stream is shared as senses are -- the page costs the largest
+    ``visits x seconds-per-visit`` any one query needs, in first-seen page
+    order, plus what each row paid beyond its own such products.
+    """
+    n_cells = n_ledgers * n_rows
+    solo = _sums_in_row_order(rows, seconds, n_cells)
+    pair = page_ids * n_cells + rows
+    order = pair.argsort(kind="stable")
+    starts, visits = _runs(pair[order])
+    first = order[starts]  # a (page, row) stream's first visit
+    need = visits * seconds[first]
+    # Streams row by row, each row's in its own first-visit order.
+    by_row = np.lexsort((first, rows[first]))
+    stream_row, need = rows[first][by_row], need[by_row]
+    residue = solo - _sums_in_row_order(stream_row, need, n_cells)
+    page = page_ids[first][by_row]
+    by_page = page.argsort(kind="stable")
+    page_starts, _lengths = _runs(page[by_page])
+    shared = np.maximum.reduceat(need[by_page], page_starts)
+    first_seen = by_page[page_starts].argsort()
+    ledger_of_page = page[by_page[page_starts]][first_seen] % n_ledgers
+    return solo, (
+        _running_total(residue.reshape(n_ledgers, n_rows))
+        + _sums_in_row_order(ledger_of_page, shared[first_seen], n_ledgers)
+    )
+
+
+def reduce_ledgers(bills: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``(ledger, timing, ecc_rate)`` of ``bills`` reduced to stage
+    seconds in one stacked pass: ``(solo, batch)``.
+
+    ``solo`` is a ``(5, rows)`` array -- ``read, transfer, core, dram,
+    iterations``, the arguments of :func:`overlap_stages` -- of every row
+    of every ledger, in order, alone on an idle device; ``batch[:, i]`` is
+    the same five for ledger ``i``'s batch under occupancy, then its
+    unique and total page senses.  Ledgers stack on a leading axis with
+    rows, planes and channels zero-padded: a padded cell adds 0.0 to a
+    left-to-right sum and 0 to a max of non-negative loads.  NAND visits
+    without an executed schedule are a :class:`ValueError`.  See
+    ``docs/architecture.md``, "Cost ledger".
+    """
+    n_ledgers = len(bills)
+    n_rows = max([1, *[ledger.queries.size for ledger, _timing, _rate in bills]])
+    n_planes = max([ledger.n_planes for ledger, _timing, _rate in bills])
+    n_channels = max([ledger.channel_bytes.shape[1] for ledger, _timing, _rate in bills])
+    channel_bytes = np.zeros((n_ledgers, n_rows, n_channels))
+    core, ecc_bytes = np.zeros((2, n_ledgers, n_rows))
+    ran = np.zeros((n_ledgers, n_rows), dtype=bool)
+    senses = np.zeros((n_ledgers, n_planes), dtype=np.int64)
+    rates = np.empty((5, n_ledgers))  # iteration, sense, compute s, bandwidth, ECC
+    nand, dram = [], []
+    for i, (ledger, timing, ecc_rate) in enumerate(bills):
+        n, (rows, planes, _page_ids) = ledger.queries.size, ledger.nand
+        channel_bytes[i, :n, : ledger.channel_bytes.shape[1]] = ledger.channel_bytes
+        core[i, :n], ecc_bytes[i, :n] = ledger.core_seconds, ledger.ecc_bytes
+        ran[i, :n] = True
         compute_s = 0.0  # not the iteration time less the sense: float order
-        if self.with_compute:
+        if ledger.with_compute:
             compute_s += timing.t_latch_xor_s + timing.t_bit_count_s
-        if self.with_filter:
+        if ledger.with_filter:
             compute_s += timing.t_pass_fail_s
-        plane_visits = np.add.reduce(visits, axis=0)
-        if self.senses is None:
-            senses = self._derived_senses(rows, planes, page_ids)
-        else:
-            senses = self.senses
-            unscheduled = senses[planes] == 0
-            if unscheduled.any():
-                senses = np.where(senses > 0, senses, self._derived_senses(
-                    rows[unscheduled], planes[unscheduled], page_ids[unscheduled]
-                ))
-        # Only planes the batch visited are busy (an idle plane reads 0.0).
-        senses = senses * (plane_visits > 0)
-        channel_load = np.add.accumulate(self.channel_bytes, axis=0)[-1]
-        return solo, (
-            float(np.maximum.reduce(senses * sense_s + plane_visits * compute_s)),
-            float(np.maximum.reduce(channel_load)) / bandwidth,
-            float(_running_total(solo[2])),
-            dram_s,
-            int(np.maximum.reduce(plane_visits)),
-            int(np.add.reduce(senses)),
-            int(np.add.reduce(plane_visits)),
+        rates[:, i] = (
+            page_iteration_time(
+                timing, ledger.read_mode, ledger.with_compute, ledger.with_filter
+            ),
+            timing.read_time(ledger.read_mode), compute_s,
+            timing.channel_bandwidth_bps, ecc_rate,
         )
+        if ledger.senses is not None:
+            senses[i, : ledger.n_planes] = ledger.senses
+        elif rows.size:
+            raise ValueError(
+                f"phase {ledger.name!r} billed NAND visits without an executed schedule"
+            )
+        nand.append((rows + i * n_rows) * n_planes + planes)
+        dram.append(ledger.dram)
+    iteration_s, sense_s, compute_s, bandwidth, ecc_rate = rates[:, :, None]
+    visits = np.bincount(
+        np.concatenate(nand), minlength=n_ledgers * n_rows * n_planes
+    ).reshape(n_ledgers, n_rows, n_planes)
+    pages = np.maximum.reduce(visits, axis=2)
+    plane_visits = np.add.reduce(visits, axis=1)
+    solo = np.zeros((5, n_ledgers, n_rows))
+    solo[0] = pages * iteration_s
+    solo[1] = np.maximum.reduce(channel_bytes, axis=2) / bandwidth
+    solo[2] = core + ecc_bytes * ecc_rate
+    solo[4] = pages
+    batch = np.zeros((7, n_ledgers))
+    rows, page_ids, seconds, _nbytes = map(np.concatenate, zip(*dram))
+    if rows.size:
+        ledger_of = np.arange(n_ledgers).repeat([rows.size for rows, *_ in dram])
+        dram_solo, batch[3] = _dram_stages(
+            ledger_of * n_rows + rows, page_ids * n_ledgers + ledger_of,
+            seconds, n_ledgers, n_rows,
+        )
+        solo[3] = dram_solo.reshape(n_ledgers, n_rows)
+    senses *= plane_visits > 0  # only planes the batch visited are busy
+    batch[0] = np.maximum.reduce(senses * sense_s + plane_visits * compute_s, axis=1)
+    channel_load = np.add.accumulate(channel_bytes, axis=1)[:, -1]
+    batch[1] = np.maximum.reduce(channel_load, axis=1) / bandwidth[:, 0]
+    batch[2] = _running_total(solo[2])
+    batch[4] = np.maximum.reduce(plane_visits, axis=1)
+    batch[5] = np.add.reduce(senses, axis=1)
+    batch[6] = np.add.reduce(plane_visits, axis=1)
+    return solo[:, ran], batch
 
 
 # ------------------------------------------------------------ batch composer
@@ -338,21 +344,21 @@ def compose_batch(
     host_seconds, ledgers)``: its NAND timing, whether it pipelines, its
     ECC decode seconds per byte, every query's IBC and host-transfer
     seconds and its :class:`PhaseLedger` per executed phase, in execution
-    order -- a served device's or the analytic twin's alike (a
-    one-query batch).  ``primary`` devices serve the
-    batch side by side and meet at the phase barriers, ``failover``
-    devices re-executed a dead shard's slice, ``merge`` is a cluster's
-    host-side merge phase.  Returns every query's solo report, the batch
-    report, the batch's phase breakdowns and each device's own batch total.
+    order (the analytic twin is a one-query batch).  ``primary`` devices
+    serve the batch side by side and meet at the phase barriers,
+    ``failover`` devices re-executed a dead shard's slice, ``merge`` is a
+    cluster's host-side merge phase.  Returns every query's solo report,
+    the batch report, the batch's phase breakdowns and each device's own
+    batch total.
 
     Every cost is a cell ``(device, column, slot)`` of stage seconds:
     column ``q`` is query ``q`` alone on an idle device, the last column
-    the batch under occupancy -- both from :meth:`PhaseLedger.stages`,
-    the ledger's ``queries`` naming the columns that ran; slot 0 is the
-    IBC broadcast, the last the host transfer, the phases sit between in
-    first-seen order (a prefix of one pipeline).  One
-    :func:`overlap_stages` call composes all cells and every column folds
-    over the device axis alike: a phase costs its *first* slowest primary
+    the batch under occupancy; slot 0 is the IBC broadcast, the last the
+    host transfer, the phases sit between in first-seen order.  One
+    :func:`reduce_ledgers` pass gives the phase cells of every ledger of
+    every device (a ledger's ``queries`` name its columns), one
+    :func:`overlap_stages` call composes them, and every column folds over
+    the device axis alike: a phase costs its *first* slowest primary
     device (``np.argmax``) and shows that device's components; a query's
     ``1 / n_queries`` share of the merge and the slowest failover device's
     whole total ride on top.  Float order is pinned: stage sums in
@@ -362,39 +368,46 @@ def compose_batch(
     """
     devices = [*primary, *failover]
     n_primary, n_queries = len(primary), len(devices[0][3])
-    names = list(dict.fromkeys(n for *_, ledgers in devices for n in ledgers))
-    blocks: List[np.ndarray] = []  # rows: device, column, slot, *overlap_stages args
-    counted: Dict[str, List[int]] = {}  # phase -> primaries' [unique, total]
-    for d, (timing, _pipelining, ecc_rate, ibc_s, host_s, ledgers) in enumerate(devices):
-        fixed = np.zeros((2, 8, n_queries + 1))  # the IBC and host slots
-        fixed[:, 0], fixed[:, 1], fixed[1, 2] = d, np.arange(n_queries + 1), -1
-        fixed[0, 3, :-1], fixed[1, 3, :-1] = ibc_s, host_s
-        # The batch column (still 0.0): the queries', added in order.
-        fixed[:, 3, -1] = _running_total(fixed[:, 3])
-        blocks += [fixed[0], fixed[1]]
-        for slot, name in enumerate(names, 1):
-            ledger = ledgers.get(name)
-            if ledger is None:
-                continue
-            solo, (*batch, unique, total) = ledger.stages(timing, ecc_rate)
-            if d < n_primary:
-                sums = counted.setdefault(name, [0, 0])
-                sums[0], sums[1] = sums[0] + unique, sums[1] + total
-            block = np.empty((8, len(ledger) + 1))
-            block[0], block[2] = d, slot
-            block[1, :-1], block[1, -1] = ledger.queries, n_queries
-            block[3:, :-1], block[3:, -1] = solo, batch
-            blocks.append(block)
+    names = list(dict.fromkeys([name for *_, ledgers in devices for name in ledgers]))
+    slot_of = {name: slot for slot, name in enumerate(names, 1)}
+    bills, cells = [], []  # every ledger of every device, and its (device, slot)
+    for d, (timing, _pipelining, ecc_rate, _ibc, _host, ledgers) in enumerate(devices):
+        for name, ledger in ledgers.items():
+            bills.append((ledger, timing, ecc_rate))
+            cells.append((d, slot_of[name]))
 
     # ---- compose every cell: what did not run costs 0.0 and shows NaN parts
     shape = (len(devices), n_queries + 1, len(names) + 2)
-    table = np.concatenate(blocks, axis=1)
-    at = tuple(table[:3].astype(np.intp))
-    pipelining = np.array([device[1] for device in devices])[at[0]]
     seconds = np.zeros(shape)
-    seconds[at] = overlap_stages(*table[3:], pipelining)
     parts = np.full((*shape, len(_PARTS)), np.nan)
-    parts[at] = table[3:7].T
+    # IBC and host are one-stage slots (``overlap_stages(x, 0, 0, 0, 0)``
+    # is ``x``); their batch column adds the queries' up in order.
+    fixed = np.zeros((len(devices), 2, n_queries + 1))
+    fixed[:, :, :-1] = [(ibc_s, host_s) for _t, _p, _e, ibc_s, host_s, _l in devices]
+    fixed[:, :, -1] = _running_total(fixed)
+    seconds[:, :, [0, -1]] = parts[:, :, [0, -1], 0] = fixed.swapaxes(1, 2)
+    parts[:, :, [0, -1], 1:] = 0.0
+    counted = np.zeros((3, len(names) + 1), dtype=np.int64)
+    if bills:
+        solo, batch = reduce_ledgers(bills)
+        device, slot = np.array(cells).T
+        sizes = [ledger.queries.size for ledger, _timing, _rate in bills]
+        queries = [ledger.queries for ledger, _timing, _rate in bills]
+        at = (
+            np.concatenate([device.repeat(sizes), device]),
+            np.concatenate([*queries, np.full(len(bills), n_queries)]),
+            np.concatenate([slot.repeat(sizes), slot]),
+        )
+        stages = np.concatenate([solo, batch[:5]], axis=1)
+        pipelining = np.array([pipelines for _timing, pipelines, *_ in devices])
+        seconds[at] = overlap_stages(*stages, pipelining[at[0]])
+        parts[at] = stages[:4].T
+        # Per phase, the primaries' ledgers and their unique and total senses.
+        of_primary = device < n_primary
+        counted = np.array([
+            np.bincount(slot[of_primary], weights, len(names) + 1)
+            for weights in (None, *batch[5:, of_primary])
+        ]).astype(np.int64)
 
     # ---- fold the device axis, column by column
     winner = seconds[:n_primary].argmax(axis=0)
@@ -439,20 +452,23 @@ def compose_batch(
 
     batch_phases: Dict[str, BatchPhaseBreakdown] = {}
     for slot, name in enumerate(names, 1):
-        if name in counted:
+        ran, unique, total = counted[:, slot].tolist()
+        if ran:
             mine = slice(4 * slot, 4 * slot + 4)
             shown = _ran(part_names[mine], part_rows[-1][mine], billed_only)
             batch_phases[name] = BatchPhaseBreakdown(
-                name, report.phases[name], shown, *counted[name]
+                name, report.phases[name], shown, unique, total
             )
     if merge is not None:
         batch_phases["merge"] = merge
     if failover:
-        redone = sum(
+        # The scan phases' senses: what the replacement runs re-did.
+        redone = sum([
             int(ledger.senses.sum())
             for *_, ledgers in failover
-            for ledger in ledgers.values() if ledger.senses is not None
-        )
+            for ledger in ledgers.values()
+            if ledger.senses is not None and ledger.read_mode != "tlc"
+        ])
         batch_phases["failover"] = BatchPhaseBreakdown(
             "failover", report.phases["failover"],
             {"failover_recovery": report.phases["failover"]}, redone, redone,

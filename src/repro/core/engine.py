@@ -523,12 +523,11 @@ class InStorageAnnsEngine:
         if clusters is None:
             return [(0, db.n_entries - 1)] if db.n_entries else []
         assert db.r_ivf is not None
-        ranges = []
-        for cluster in clusters:
-            entry = db.r_ivf[cluster]
-            if entry.size > 0:
-                ranges.append((entry.first_embedding, entry.last_embedding))
-        return ranges
+        firsts, lasts = db.r_ivf.firsts[clusters], db.r_ivf.lasts[clusters]
+        return [
+            (first, last)
+            for first, last in zip(firsts.tolist(), lasts.tolist()) if last >= first
+        ]
 
     # ------------------------------------------------------ TLC phase kernels
 
@@ -610,10 +609,11 @@ class InStorageAnnsEngine:
         (a sense, or a DRAM stream for a cached page: :meth:`_bill_visits`)
         and one channel + ECC codeword per distinct (page, codeword) on
         uncached pages -- codewords of mirror-served pages never cross the
-        channel or the ECC engine.  The device counters advance per query
-        too: the phase sensed each page once, so the cross-query remainder
-        of ``page_reads`` / ``decoded_bytes`` is charged here -- shared
-        host work, unshared energy.
+        channel or the ECC engine.  The ledger's schedule is the senses the
+        phase executed, one per uncached row of ``pages``.  The device
+        counters advance per query too: the phase sensed each page once, so
+        the cross-query remainder of ``page_reads`` / ``decoded_bytes`` is
+        charged here -- shared host work, unshared energy.
         """
         n_queries = len(stats_list)
         ledger = PhaseLedger(name, n_queries, self.geometry, "tlc", with_compute=False)
@@ -628,6 +628,9 @@ class InStorageAnnsEngine:
         self._bill_visits(
             ledger, stats_list, visit_q, plane_of[visit_row],
             page_id_of[visit_row], hit_nbytes[visit_row],
+        )
+        ledger.add_schedule(
+            np.bincount(plane_of[~cached], minlength=self.geometry.total_planes)
         )
         sensed_visits = np.bincount(
             visit_q[~cached[visit_row]], minlength=n_queries

@@ -69,7 +69,7 @@ from repro.core.defrag import Defragmenter
 from repro.core.layout import CapacityError, DeployedDatabase, RegionInfo
 from repro.core.plan import SearchStats, validate_metadata_tags
 from repro.core.queue import QueuePolicy, Submission, SubmissionQueue
-from repro.core.registry import R_IVF_ENTRY_BYTES, RIvf, RIvfEntry, TombstoneRegistry
+from repro.core.registry import R_IVF_ENTRY_BYTES, RIvf, TombstoneRegistry
 from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport, SimClock
 from repro.ssd.allocation import ContiguousRegionAllocator
@@ -713,22 +713,9 @@ class IngestManager:
 
         # Rebuild the registry structures to the fresh-deploy state: the
         # R-IVF bounds are the running cluster sizes.
-        counts = np.bincount(index.cluster[order], minlength=index.n_clusters)
-        lasts = np.cumsum(counts) - 1
-        db.r_ivf = RIvf(
-            [
-                RIvfEntry(
-                    centroid_addr=cluster,
-                    first_embedding=last - count + 1,
-                    last_embedding=last,
-                    tag=cluster & 0xFF,
-                )
-                for cluster, (count, last) in enumerate(
-                    zip(counts.tolist(), lasts.tolist())
-                )
-            ],
-            dram=self.ssd.dram,
-            db_id=db.db_id,
+        db.r_ivf = RIvf.packed(
+            np.bincount(index.cluster[order], minlength=index.n_clusters),
+            self.ssd.dram, db.db_id,
         )
         index.repack()
         db.slot_to_original = order

@@ -29,7 +29,7 @@ from repro.ann.ivf import IvfModel
 from repro.ann.quantization import BinaryQuantizer, Int8Quantizer
 from repro.core.config import EngineParams
 from repro.core.plan import validate_metadata_tags
-from repro.core.registry import RDb, RDbEntry, RIvf, RIvfEntry
+from repro.core.registry import RDb, RDbEntry, RIvf
 from repro.nand.cell import CellMode
 from repro.nand.geometry import FlashGeometry
 from repro.rag.documents import Corpus
@@ -424,17 +424,7 @@ class DatabaseDeployer:
         if centroid_region is not None:
             tags = (np.arange(ivf_model.nlist) & 0xFF).astype(np.uint8)
             self._program_region(centroid_region, centroid_codes, tags[:, None])
-            bounds = [0, *np.cumsum(ivf_model.cluster_sizes()).tolist()]
-            entries = [
-                RIvfEntry(
-                    centroid_addr=cluster,
-                    first_embedding=bounds[cluster],
-                    last_embedding=bounds[cluster + 1] - 1,
-                    tag=cluster & 0xFF,
-                )
-                for cluster in range(len(ivf_model.lists))
-            ]
-            r_ivf = RIvf(entries, dram=self.ssd.dram, db_id=db_id)
+            r_ivf = RIvf.packed(ivf_model.cluster_sizes(), self.ssd.dram, db_id)
 
         # INT8 pages (TLC, ECC-protected): int8 viewed as raw bytes.
         self._program_region(int8_region, codes_i8.view(np.uint8))

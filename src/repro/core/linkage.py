@@ -120,10 +120,6 @@ class PhysicalLinkageDirectory:
         """Controller-DRAM cost of the reverse map (8B per link entry)."""
         return sum(8 * len(slots) for slots in self._reverse.values())
 
-    def oob_bytes_per_page(self) -> int:
-        """OOB budget per embedding page under physical linkage."""
-        return self.embeddings_per_page * 5
-
     def update_amplification(self, chunks_per_page: int) -> float:
         """Expected embedding-page rewrites per relocated *document page*.
 

@@ -221,7 +221,7 @@ def _finite_matrix(
     row blocks: a corpus costs no ``n x dim`` boolean temporary)."""
     if not shape_ok:
         raise ValueError(f"{name} must have shape {expected}, got {array.shape}")
-    if not all(np.isfinite(array[lo:hi]).all() for lo, hi in row_blocks(len(array))):
+    if not all([np.isfinite(array[lo:hi]).all() for lo, hi in row_blocks(len(array))]):
         raise ValueError(f"{name} contain NaN or inf components")
     return array
 
@@ -239,6 +239,11 @@ def validate_queries(
     code) and ``nprobe == 0`` (which probes nothing), not at all.
     """
     validate_search_params(k, nprobe)
+    return validate_query_rows(db, queries)
+
+
+def validate_query_rows(db, queries: np.ndarray) -> np.ndarray:
+    """:func:`validate_queries` less ``k`` / ``nprobe`` (a queue checks them once)."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
     shape_ok = queries.ndim == 2 and queries.shape[1] == db.dim
     return _finite_matrix("queries", queries, shape_ok, f"(n, {db.dim})")

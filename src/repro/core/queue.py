@@ -1,11 +1,9 @@
 """Async host submission queue: deadline/occupancy batch forming.
 
-PR 2/3 built a plan/execute engine whose :class:`~repro.core.batch.
-BatchExecutor` amortizes page senses across *caller-defined* query groups.
-Serving heavy multi-user traffic means the host must form those groups
-itself from an asynchronous stream of per-tenant submissions -- the
-admission-control layer every disaggregated serving system lives or dies
-on.  This module models that layer on a **simulated clock**
+The :class:`~repro.core.batch.BatchExecutor` amortizes page senses across
+a batch; serving multi-user traffic, the host forms those batches itself
+from an asynchronous stream of per-tenant submissions.  This module
+models that admission-control layer on a **simulated clock**
 (:class:`~repro.sim.latency.SimClock`; never wall time, so queueing
 behavior is deterministic and tier-1 stays flake-free):
 
@@ -57,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
@@ -81,7 +79,7 @@ from repro.core.plan import (
     resolve_nprobe,
     schedule_order,
     schedule_senses,
-    validate_queries,
+    validate_query_rows,
     validate_search_params,
 )
 from repro.sim.latency import LatencyReport, SimClock
@@ -295,19 +293,17 @@ class BatchFormer:
             if db.is_ivf:
                 centroid = db.centroid_region
                 scans.append((shard, engine, centroid, np.arange(centroid.n_pages)))
+                # The guessed clusters' pages (R-IVF columns) in demand
+                # order; a page two of them share is one demand.
                 spp = embedding.slots_per_page
-                ranges = [
-                    np.arange(
-                        entry.first_embedding // spp,
-                        entry.last_embedding // spp + 1,
-                    )
-                    for entry in (db.r_ivf[cluster] for cluster in clusters)
-                    if entry.size > 0
-                ]
-                pages = np.concatenate(ranges or [np.empty(0, dtype=np.int64)])
-                # A page two guessed clusters share is one demand.
-                _, first = np.unique(pages, return_index=True)
-                pages = pages[np.sort(first)]
+                pages = np.array(list(dict.fromkeys([
+                    page
+                    for first, last in zip(
+                        db.r_ivf.firsts[clusters].tolist(),
+                        db.r_ivf.lasts[clusters].tolist(),
+                    ) if last >= first
+                    for page in range(first // spp, last // spp + 1)
+                ])), dtype=np.int64)
             else:
                 pages = np.arange(embedding.n_pages)
             scans.append((shard, engine, embedding, pages))
@@ -322,7 +318,7 @@ class BatchFormer:
         same ``schedule_optimization`` flag the executor will use, so the
         estimate and the execution share one collision model.
         """
-        key = tuple(s.sub_id for s in candidates)
+        key = tuple([s.sub_id for s in candidates])
         cached = self._estimates.get(key)
         if cached is not None:
             return cached
@@ -343,9 +339,10 @@ class BatchFormer:
             sensed = schedule_senses(pages, planes)
             n_requests += pages.size
             n_senses += int(sensed.sum())
-            covered.update(
-                (shard, plane) for plane in np.unique(planes[sensed]).tolist()
-            )
+            covered.update([
+                (shard, plane)
+                for plane in np.bincount(planes[sensed]).nonzero()[0].tolist()
+            ])
         estimate = FormingEstimate(
             n_requests=n_requests,
             n_senses=n_senses,
@@ -376,10 +373,10 @@ class BatchFormer:
                 and estimate.collision_ratio >= policy.collision_target - _EPS
             ):
                 return "occupancy"
-        oldest = min(s.submit_s for s in pending)
+        oldest = min([s.submit_s for s in pending])
         if now_s >= oldest + policy.batching_timeout_s - _EPS:
             return "timeout"
-        nearest = min(s.deadline_s for s in pending)
+        nearest = min([s.deadline_s for s in pending])
         if math.isfinite(nearest) and now_s >= nearest - policy.deadline_slack_s - _EPS:
             return "deadline"
         if flushing and policy.close_on_flush:
@@ -390,9 +387,9 @@ class BatchFormer:
         """Earliest future instant a time-based trigger can fire."""
         if not pending:
             return math.inf
-        oldest = min(s.submit_s for s in pending)
+        oldest = min([s.submit_s for s in pending])
         instant = oldest + self.policy.batching_timeout_s
-        nearest = min(s.deadline_s for s in pending)
+        nearest = min([s.deadline_s for s in pending])
         if math.isfinite(nearest):
             instant = min(instant, nearest - self.policy.deadline_slack_s)
         return instant
@@ -587,6 +584,8 @@ class SubmissionQueue:
             partial(executor.forming_views, db), db.n_clusters, nprobe, self.policy
         )
         self._arrivals: List[Tuple[float, int, Submission]] = []
+        # Held arrivals per tenant (the admission bound counts them).
+        self._future: Dict[str, int] = defaultdict(int)
         self._tenants: Dict[str, Deque[Submission]] = {}
         self._rr_offset = 0
         self._next_sub_id = 0
@@ -616,14 +615,17 @@ class SubmissionQueue:
                 f"arrival at {at!r}s is in the past (now {self.clock.now_s!r}s)"
             )
         bound = self.policy.max_pending_per_tenant
-        if bound is not None and self._tenant_backlog(tenant) >= bound:
+        if bound is not None and (
+            len(self._tenants.get(tenant, ())) + self._future[tenant] >= bound
+        ):
             raise QueueAdmissionError(
                 f"tenant {tenant!r} already has {bound} pending submissions"
             )
         query = np.asarray(query, dtype=np.float32)
         if query.ndim != 1:
             raise ValueError("submit takes one flat query vector")
-        query = validate_queries(self.db, query, self.k, self.nprobe)[0]
+        # ``k`` / ``nprobe`` were checked when the queue was built.
+        query = validate_query_rows(self.db, query)[0]
         submission = Submission(
             sub_id=self._next_sub_id,
             tenant=tenant,
@@ -633,6 +635,7 @@ class SubmissionQueue:
         )
         self._next_sub_id += 1
         heapq.heappush(self._arrivals, (at, submission.sub_id, submission))
+        self._future[tenant] += 1
         if self._first_submit_s is None or at < self._first_submit_s:
             self._first_submit_s = at
         return submission.sub_id
@@ -661,21 +664,17 @@ class SubmissionQueue:
             for i in range(n)
         ]
 
-    def _tenant_backlog(self, tenant: str) -> int:
-        queued = len(self._tenants.get(tenant, ()))
-        future = sum(1 for _, _, s in self._arrivals if s.tenant == tenant)
-        return queued + future
-
     @property
     def pending_count(self) -> int:
         """Admitted-but-unserved submissions (excludes future arrivals)."""
-        return sum(len(q) for q in self._tenants.values())
+        return sum([len(q) for q in self._tenants.values()])
 
     # ------------------------------------------------------------ admission
 
     def _admit_due(self) -> None:
         while self._arrivals and self._arrivals[0][0] <= self.clock.now_s + _EPS:
             _, _, submission = heapq.heappop(self._arrivals)
+            self._future[submission.tenant] -= 1
             self._tenants.setdefault(submission.tenant, deque()).append(submission)
 
     def _pending_snapshot(self) -> List[Submission]:

@@ -34,10 +34,6 @@ class RDbEntry:
     # sizes it to the database's largest chunk, see ``packed_doc_slot_bytes``).
     doc_slot_bytes: int = 4096
 
-    @property
-    def size_bytes(self) -> int:
-        return COARSE_ENTRY_BYTES
-
 
 @dataclass(frozen=True)
 class RIvfEntry:
@@ -112,16 +108,26 @@ class RIvf:
 
     def __init__(self, entries: List[RIvfEntry], dram: Optional[InternalDram] = None, db_id: int = 0) -> None:
         self.entries = list(entries)
-        # Column view for vectorized tag cross-checks (entries are
+        # Columns for vectorized tag checks and slot ranges (entries are
         # replaced wholesale on compaction, never mutated in place).
-        self.tags = np.array([e.tag for e in self.entries], dtype=np.int64)
+        self.tags, self.firsts, self.lasts = np.array(
+            [(e.tag, e.first_embedding, e.last_embedding) for e in self.entries],
+            dtype=np.int64,
+        ).reshape(-1, 3).T
         self._dram = dram
         self._db_id = db_id
-        self._tag_to_cluster = {}
-        for cluster_id, entry in enumerate(self.entries):
-            self._tag_to_cluster.setdefault(entry.tag, []).append(cluster_id)
         if dram is not None:
             dram.allocate(f"r-ivf-{db_id}", self.footprint_bytes)
+
+    @classmethod
+    def packed(cls, sizes: np.ndarray, dram: InternalDram, db_id: int) -> "RIvf":
+        """Clusters of the given sizes laid out back to back in cluster
+        order: cluster ``c``'s centroid at mini-page ``c``, tag ``c & 0xFF``."""
+        lasts = np.cumsum(sizes) - 1
+        return cls([
+            RIvfEntry(cluster, last - size + 1, last, cluster & 0xFF)
+            for cluster, (size, last) in enumerate(zip(sizes.tolist(), lasts.tolist()))
+        ], dram, db_id)
 
     def release(self) -> None:
         """Free the DRAM region backing this cluster array."""
@@ -141,7 +147,7 @@ class RIvf:
     def clusters_with_tag(self, tag: int) -> List[int]:
         """Tags are 8-bit, so large nlist values alias; disambiguation uses
         the centroid address carried in the TTL entry."""
-        return list(self._tag_to_cluster.get(tag, []))
+        return np.flatnonzero(self.tags == tag).tolist()
 
 
 class TombstoneRegistry:

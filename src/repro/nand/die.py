@@ -75,29 +75,27 @@ class Die:
         plane needs its own transfer (``planes_per_die``).  The functional
         effect is identical; the cost difference drives the Fig. 9 ablation.
         """
-        for plane in self.planes:
-            plane.broadcast_to_cache(pattern)
-        transfers = 1 if multi_plane else self.planes_per_die
-        self.counters.add("ibc_page_transfers", transfers)
-        return transfers
+        return self.broadcast_queries(pattern[None], multi_plane)
 
     def broadcast_queries(self, patterns: np.ndarray, multi_plane: bool) -> int:
         """IBC of several queries back to back (one per row of ``patterns``).
 
         The cache latch is overwrite-only, so broadcasting queries
         back-to-back leaves only the last pattern latched; earlier patterns
-        are never observable.  This method therefore tiles only the final
-        row while accounting every broadcast and transfer, leaving latch
-        state and counters identical to calling :meth:`broadcast_query`
-        once per row.  Returns the total page-sized transfers consumed.
+        are never observable.  This method therefore validates and tiles
+        only the final row, once for the die, and loads that image into
+        every plane's cache latch, while accounting every broadcast and
+        transfer: latch state and counters are those of
+        :meth:`~repro.nand.plane.Plane.broadcast_to_cache` once per (row,
+        plane).  Returns the total page-sized transfers consumed.
         """
         n = len(patterns)
         if n == 0:
             return 0
+        image = self.planes[0].broadcast_image(patterns[-1])
         for plane in self.planes:
-            plane.broadcast_to_cache(patterns[-1])
-            if n > 1:
-                plane.counters.add("ibc_broadcasts", n - 1)
+            plane.buffer.load_cache(image)
+        self.counters.add("ibc_broadcasts", n * self.planes_per_die)
         transfers = (1 if multi_plane else self.planes_per_die) * n
         self.counters.add("ibc_page_transfers", transfers)
         return transfers

@@ -159,12 +159,15 @@ class Plane:
         embedding aligned to the database embeddings, where
         N = page_size / embedding_size (Sec. 4.3.2 step 1).
         """
+        self.buffer.load_cache(self.broadcast_image(pattern))
+        self.counters.add("ibc_broadcasts")
+
+    def broadcast_image(self, pattern: np.ndarray) -> np.ndarray:
+        """The cache-latch contents an IBC of ``pattern`` leaves: as many
+        whole copies as fit in a page (:class:`ValueError` unless one does)."""
         if pattern.size == 0 or pattern.size > self.page_bytes:
             raise ValueError("broadcast pattern must fit within a page")
-        n_copies = self.page_bytes // pattern.size
-        tiled = np.tile(pattern.astype(np.uint8), n_copies)
-        self.buffer.load_cache(tiled)
-        self.counters.add("ibc_broadcasts")
+        return np.tile(pattern.astype(np.uint8), self.page_bytes // pattern.size)
 
     def xor_cache_sensing(self) -> None:
         """XOR(CL, SL) -> DL: bitwise difference of query and database page."""

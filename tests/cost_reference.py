@@ -11,6 +11,11 @@ it read (:class:`ReferencePhaseCost`), so the ledger's reductions can be
 pinned to it with ``==``.  :func:`replay` turns a ledger back into the
 objects the parent would have built, one visit at a time.
 
+The senses the walk derived for a plane no executed schedule answers
+(:func:`derived_senses`, :func:`reference_senses`) live here too, since a
+phase ledger now bills only the senses its phase executed; :func:`scheduled`
+fills such planes in before a test-built ledger is reduced.
+
 :class:`PhaseCost` (the scalar record the analytic twin once filled) and
 :func:`query_cost` (a ledger row read back as one) live here too: nothing
 under ``src/`` materializes a per-query record any more.  :func:`compose_solo`
@@ -30,6 +35,7 @@ from repro.core.costing import (
     _PARTS,
     BatchPhaseBreakdown,
     PhaseLedger,
+    _runs,
     compose_batch,
     overlap_stages,
 )
@@ -103,11 +109,12 @@ def one_query_ledger(geometry, pages=0, channel=0.0, core=0.0, **kind) -> PhaseL
 def compose_solo(ledger: PhaseLedger, timing, flags, ecc_rate=0.0, query=0):
     """``(seconds, components)`` of batch query ``query`` alone on an idle
     device that ran only ``ledger`` (no IBC, no host transfer), composed
-    by ``compose_batch``."""
+    by ``compose_batch`` (unscheduled planes: :func:`scheduled`)."""
     n = int(ledger.queries.max()) + 1
-    reports, *_ = compose_batch([
-        (timing, flags.pipelining, ecc_rate, [0.0] * n, [0.0] * n, {ledger.name: ledger})
-    ])
+    reports, *_ = compose_batch([(
+        timing, flags.pipelining, ecc_rate, [0.0] * n, [0.0] * n,
+        {ledger.name: scheduled(ledger)},
+    )])
     report = reports[query]
     prefix = f"{ledger.name}_"
     return report.phases[ledger.name], {
@@ -301,8 +308,9 @@ def compose_ledger(
     ledger: PhaseLedger, timing, flags, ecc_decode_seconds_per_byte=0.0
 ) -> BatchPhaseBreakdown:
     """One ledger's batch reduction composed into a phase breakdown (what
-    ``compose_batch`` does for each phase of each device)."""
-    _solo, (*stages, unique, total) = ledger.stages(
+    ``compose_batch`` does for each phase of each device; unscheduled
+    planes: :func:`scheduled`)."""
+    _solo, (*stages, unique, total) = scheduled(ledger).stages(
         timing, ecc_decode_seconds_per_byte
     )
     seconds, components = _composed(ledger.name, stages, flags.pipelining)
@@ -331,6 +339,51 @@ def replay(ledger: PhaseLedger) -> List[ReferencePhaseCost]:
         costs[row].add_dram_stream(page_id, visit_s)
         costs[row].dram_bytes += visit_bytes
     return costs
+
+
+def derived_senses(ledger: PhaseLedger, rows, planes, page_ids) -> np.ndarray:
+    """The parent's ``PhaseLedger._derived_senses``: the senses per plane
+    these NAND visits need when no executed schedule answers.  Visits to
+    one page share a sense **across queries only**, so a page costs the
+    most visits any one query paid it (a query's own repeats -- the retry
+    rescan, repeated document slots -- are temporally separated senses)."""
+    n_planes, n = ledger.n_planes, ledger.queries.size
+    if not rows.size:
+        return np.zeros(n_planes, dtype=np.int64)
+    pair = (page_ids * n_planes + planes) * n + rows
+    pair.sort()
+    starts, repeats = _runs(pair)  # one run per (page, query)
+    page = pair[starts] // n
+    first_of_page, _lengths = _runs(page)
+    return np.bincount(
+        page[first_of_page] % n_planes,
+        weights=np.maximum.reduceat(repeats, first_of_page),
+        minlength=n_planes,
+    ).astype(np.int64)
+
+
+def reference_senses(ledger: PhaseLedger) -> np.ndarray:
+    """The parent's per-plane senses rule of ``PhaseLedger.stages``: a plane
+    an executed schedule sensed on bills exactly those senses, any other
+    plane the visits on it derive (:func:`derived_senses`)."""
+    rows, planes, page_ids = ledger.nand
+    if ledger.senses is None:
+        return derived_senses(ledger, rows, planes, page_ids)
+    unscheduled = ledger.senses[planes] == 0
+    return np.where(ledger.senses > 0, ledger.senses, derived_senses(
+        ledger, rows[unscheduled], planes[unscheduled], page_ids[unscheduled]
+    ))
+
+
+def scheduled(ledger: PhaseLedger) -> PhaseLedger:
+    """``ledger`` with every plane it visited scheduled: a plane no
+    executed schedule answers bills the senses the reference derives for
+    it (:func:`reference_senses`), the rule the parent's ``stages`` applied
+    itself.  ``stages`` bills executed schedules only and refuses NAND
+    visits without one; a test-built ledger goes through here first."""
+    if ledger.nand[0].size:
+        ledger.senses = reference_senses(ledger)
+    return ledger
 
 
 def scheduled_senses(ledger: PhaseLedger) -> Optional[Dict[int, int]]:

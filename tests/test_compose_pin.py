@@ -1,0 +1,114 @@
+"""Pinned cost composition of the two ledger-heavy serving paths.
+
+:func:`repro.core.costing.compose_batch` turns every phase ledger a batch
+billed into the modeled clock: each query's solo report, the batch
+report, the per-phase breakdowns (seconds, components, unique and total
+senses).  The device counters record the same work as energy.  Any change
+to how the ledgers are reduced -- how the senses of a phase are counted,
+how many reductions run, how IBC latches are filled -- must leave all of
+it bit-identical, so this module pins, for
+
+* one single-device IVF batch of five whose threshold starves every query
+  into the unfiltered retry rescan (the fine ledger carries two executed
+  schedules), and
+* one 2-shard, 2-replica batch on warm DRAM page caches that loses a
+  shard at the fine barrier (primary and failover devices in one
+  composition, mirror-served visits in the ledgers),
+
+every query's ``repr(latency.total_s)`` and phase dict, the batch report,
+``BatchStats.phases`` and ``ssd.counters.as_dict()`` per device.  Floats
+are compared exactly (JSON keeps a float's ``repr``).  The values in
+``compose_pin.json`` were recorded before the TLC phases billed their
+executed senses and before the composer reduced all ledgers in one pass.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+from repro.core.api import ReisDevice, ShardedReisDevice
+from repro.core.config import tiny_config
+from repro.rag.embeddings import make_clustered_embeddings, make_queries
+
+PINNED_FILE = Path(__file__).with_name("compose_pin.json")
+
+
+def _report(report):
+    return {
+        "total_s": repr(report.total_s),
+        "phases": report.phases,
+        "components": report.components,
+    }
+
+
+def _observe(batch, devices):
+    observed = {
+        "queries": [
+            {"total_s": repr(r.latency.total_s), "phases": r.latency.phases}
+            for r in batch
+        ],
+        "batch": _report(batch.batch_report),
+        "phases": {
+            name: {
+                "seconds": phase.seconds,
+                "unique_senses": phase.unique_senses,
+                "total_senses": phase.total_senses,
+                "components": phase.components,
+            }
+            for name, phase in batch.batch_stats.phases.items()
+        },
+        "counters": [d.ssd.counters.as_dict() for d in devices],
+    }
+    return json.loads(json.dumps(observed))
+
+
+def _workload():
+    vectors, _ = make_clustered_embeddings(400, 64, 8, seed="compose-pin")
+    return vectors, make_queries(vectors, 10, seed="compose-pin-q")
+
+
+def observe_filter_retry():
+    vectors, queries = _workload()
+    device = ReisDevice(tiny_config("CPIN"))
+    db_id = device.ivf_deploy("pin", vectors, nlist=8, seed=0)
+    device.database(db_id).filter_threshold = 1  # nothing survives the filter
+    batch = device.ivf_search(db_id, queries[:5], k=4, nprobe=3)
+    assert all(r.stats.filter_retries == 1 for r in batch)
+    return _observe(batch, [device])
+
+
+def observe_cached_shard_failover():
+    vectors, queries = _workload()
+    config = tiny_config("CPIN-SH")
+    # A deeper array: the 0.1%-rule DRAM then holds a working-set cache.
+    config = dataclasses.replace(
+        config, geometry=dataclasses.replace(config.geometry, blocks_per_plane=64)
+    )
+    device = ShardedReisDevice(
+        2, config, placement="cluster", replication_factor=2
+    )
+    db_id = device.ivf_deploy("pin", vectors, nlist=8, seed=0)
+    device.enable_page_cache(100_000)  # about five pages per shard
+    device.ivf_search(db_id, queries[:5], k=4, nprobe=3)  # warms the mirrors
+    device.schedule_shard_failure(0, "fine")
+    batch = device.ivf_search(db_id, queries[3:8], k=4, nprobe=3)
+    assert sum(r.stats.cache_hits for r in batch) > 0
+    assert "failover" in batch.batch_stats.phases
+    return _observe(batch, device.shards)
+
+
+def test_filter_retry_composition_is_pinned():
+    pinned = json.loads(PINNED_FILE.read_text())["filter_retry"]
+    assert observe_filter_retry() == pinned
+
+
+def test_cached_shard_failover_composition_is_pinned():
+    pinned = json.loads(PINNED_FILE.read_text())["shard_failover"]
+    assert observe_cached_shard_failover() == pinned
+
+
+if __name__ == "__main__":  # re-record: python tests/test_compose_pin.py
+    PINNED_FILE.write_text(json.dumps({
+        "filter_retry": observe_filter_retry(),
+        "shard_failover": observe_cached_shard_failover(),
+    }, indent=1, sort_keys=True) + "\n")

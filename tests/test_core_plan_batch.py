@@ -299,8 +299,9 @@ class TestPageMajorExecution:
         """The same invariant computed from the phase ledgers the batch
         billed: READ_PAGE commands == the scan ledgers' unique senses ==
         the senses their executed schedules recorded == the SLC
-        ``page_reads`` the planes counted; the TLC phases bill every
-        query's own visits (``page_reads_tlc`` == their total senses)."""
+        ``page_reads`` the planes counted; the TLC phases bill the senses
+        their page stacks executed as their unique senses and every query's
+        own visits as energy (``page_reads_tlc`` == their total senses)."""
         device, db_id, queries = self._deploy("ledger")
         runs, prepare = [], BatchExecutor.prepare
 
@@ -331,7 +332,8 @@ class TestPageMajorExecution:
             traced_reads == unique["coarse"] + unique["fine"] == scheduled == scan_reads
         )
         assert scan_reads < total["coarse"] + total["fine"]  # the batch shared senses
-        assert ledgers["rerank"].senses is None and ledgers["documents"].senses is None
+        for name in ("rerank", "documents"):  # the TLC phases bill executed senses too
+            assert int(ledgers[name].senses.sum()) == unique[name]
         assert tlc_reads == total["rerank"] + total["documents"]
 
     def test_energy_scales_with_unique_not_total_senses(self):

@@ -402,6 +402,27 @@ class TestSubmissionAdmission:
         # Other tenants are unaffected by one tenant's backlog.
         queue.submit(queries[3], tenant="calm")
 
+    def test_pending_bound_counts_future_arrivals_until_drained(self, deployed):
+        """Held arrivals (``at_s`` in the future) count against their
+        tenant's bound before the clock admits them, and a drained queue
+        frees the bound again."""
+        device, db_id, queries = deployed
+        queue = _make_queue(
+            device, db_id, k=5, nprobe=3,
+            policy=QueuePolicy(max_pending_per_tenant=2),
+        )
+        queue.submit(queries[0], tenant="bursty", at_s=1e-3)
+        queue.submit(queries[1], tenant="bursty", at_s=2e-3)
+        assert queue.pending_count == 0  # nothing admitted yet
+        with pytest.raises(QueueAdmissionError):
+            queue.submit(queries[2], tenant="bursty", at_s=3e-3)
+        queue.submit(queries[2], tenant="calm", at_s=3e-3)
+        assert queue.drain().n_queries == 3
+        queue.submit(queries[3], tenant="bursty", at_s=queue.clock.now_s + 1e-3)
+        queue.submit(queries[4], tenant="bursty")
+        with pytest.raises(QueueAdmissionError):
+            queue.submit(queries[5], tenant="bursty")
+
     def test_weighted_round_robin_batch_composition(self, deployed):
         """A flooding tenant cannot squeeze another below its weight."""
         device, db_id, queries = deployed

@@ -19,12 +19,19 @@ from repro.core.costing import PhaseLedger, ibc_time, page_iteration_time
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 
+from repro.core.api import ReisDevice
+from repro.core.config import tiny_config
+from repro.core.engine import _TlcPages
+from repro.core.plan import SearchStats
+
 from tests.cost_reference import (
     _reference_batch_phase_stages,
     compose_solo,
+    derived_senses,
     one_query_ledger,
     query_cost,
     replay,
+    scheduled,
     scheduled_senses,
 )
 
@@ -153,21 +160,27 @@ def visit_tables(draw):
 
 
 class TestLedgerAgainstTheObjectWalk:
-    """The ledger's reductions == the parent's per-object walk, to the bit."""
+    """The ledger's reductions == the parent's per-object walk, to the bit.
+
+    The walk derives the senses of every plane no executed schedule
+    answers; ``stages`` bills schedules only, so those planes are
+    scheduled with the reference's derivation first (``scheduled``)
+    and :class:`TestTlcKernelSchedule` pins that derivation to what the
+    TLC kernel records."""
 
     @given(visit_tables())
     @settings(max_examples=300, deadline=None)
     def test_batch_stages_equal_the_reference_walk(self, ledger):
-        _solo, batch = ledger.stages(TIMING, ECC_RATE)
         expected = _reference_batch_phase_stages(
             replay(ledger), TIMING, ECC_RATE, scheduled_senses(ledger)
         )
+        _solo, batch = scheduled(ledger).stages(TIMING, ECC_RATE)
         assert batch == expected  # all seven outputs, floats included
 
     @given(visit_tables())
     @settings(max_examples=150, deadline=None)
     def test_solo_stages_equal_each_query_alone(self, ledger):
-        solo, _batch = ledger.stages(TIMING, ECC_RATE)
+        solo, _batch = scheduled(ledger).stages(TIMING, ECC_RATE)
         iteration_s = page_iteration_time(
             TIMING, ledger.read_mode, ledger.with_compute, ledger.with_filter
         )
@@ -185,6 +198,74 @@ class TestLedgerAgainstTheObjectWalk:
             scalar = query_cost(ledger, int(ledger.queries[row]))
             assert scalar.pages_per_plane == cost.pages_per_plane
             assert scalar.dram_seconds == cost.dram_seconds
+
+    def test_visits_without_a_schedule_are_refused(self):
+        ledger = PhaseLedger("rerank", 1, GEOMETRY, "tlc", with_compute=False)
+        ledger.add_nand_visits(*np.zeros((3, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="'rerank' billed NAND visits"):
+            ledger.stages(TIMING, ECC_RATE)
+
+
+@st.composite
+def tlc_visit_tables(draw):
+    """A TLC phase as ``_materialize_tlc_batch`` hands it to the biller:
+    a page stack (distinct pages on random planes and channels, some
+    mirror-served) and query-major rows, each reading a codeword range of
+    one stack row -- with a query's repeats of a page (several shortlist
+    slots or documents on one page) and pages several queries share."""
+    n_queries = draw(st.integers(1, 4))
+    n_pages = draw(st.integers(1, 6))
+    touches = sorted(draw(st.lists(
+        st.tuples(st.integers(0, n_queries - 1), st.integers(0, n_pages - 1)),
+        min_size=1, max_size=16,
+    )))
+    query, page_row = (np.array(column) for column in zip(*touches))
+    # Every stack row is a page some row touched.
+    touched, page_row = np.unique(page_row, return_inverse=True)
+    n_pages = touched.size
+    first_cw = np.array(draw(st.lists(
+        st.integers(0, 3), min_size=query.size, max_size=query.size
+    )))
+    last_cw = first_cw + np.array(draw(st.lists(  # -1: a zero-length read
+        st.integers(-1, 2), min_size=query.size, max_size=query.size
+    )))
+    pages = _TlcPages(
+        stack=np.zeros((n_pages, 1), dtype=np.uint8),
+        plane_of=np.array(draw(st.lists(
+            st.integers(0, TLC_PLANES - 1), min_size=n_pages, max_size=n_pages
+        ))),
+        channel_of=np.array(draw(st.lists(
+            st.integers(0, 1), min_size=n_pages, max_size=n_pages
+        ))),
+        page_id_of=np.array(draw(st.permutations(range(100, 100 + n_pages)))),
+        hit_nbytes=np.array(draw(st.lists(
+            st.sampled_from([0, 0, 18592]), min_size=n_pages, max_size=n_pages
+        ))),
+    )
+    return n_queries, query, page_row, first_cw, last_cw, pages
+
+
+TLC_DEVICE = ReisDevice(tiny_config("TLC-SCHEDULE"))
+TLC_PLANES = TLC_DEVICE.engine.geometry.total_planes
+
+
+class TestTlcKernelSchedule:
+    """Where the walk derives senses for a plane, a TLC phase now records
+    them: ``_bill_tlc_phase`` bills one sense per uncached page it
+    materialized.  Its visits are one per (query, page), so the reference
+    derivation -- a page costs the most visits any one query paid it --
+    must give exactly the recorded schedule."""
+
+    @given(tlc_visit_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_derived_senses_equal_the_recorded_schedule(self, table):
+        n_queries, query, page_row, first_cw, last_cw, pages = table
+        ledger = TLC_DEVICE.engine._bill_tlc_phase(
+            "rerank", query, page_row, first_cw, last_cw, pages,
+            [SearchStats() for _ in range(n_queries)],
+        )
+        assert ledger.senses.tolist() == derived_senses(ledger, *ledger.nand).tolist()
+        assert int(ledger.senses.sum()) == int((pages.hit_nbytes == 0).sum())
 
 
 class TestIbcProperties:
