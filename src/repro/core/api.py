@@ -33,7 +33,7 @@ scale through the analytic model, which is how the end-to-end comparisons
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from repro.core.plan import validate_metadata_tags, validate_queries, validate_v
 from repro.core.queue import QueuePolicy, SubmissionQueue
 from repro.core.shard import (
     MergeCostModel,
+    ShardAssignment,
     ShardedDatabase,
     ShardRouter,
     ShardUnavailableError,
@@ -782,34 +783,14 @@ class ShardedReisDevice(_HostSurface):
             n, self.n_shards, self.placement, ivf_model,
             replication_factor=self.replication_factor,
         )
-        shard_dbs: List[Optional[DeployedDatabase]] = []
-        shard_db_ids: List[Optional[int]] = []
-        for shard in range(self.n_shards):
-            mine = assignment.shard_vectors[shard]
-            owns_clusters = assignment.shard_clusters[shard].size > 0
-            if mine.size == 0 and not (ivf_model is not None and owns_clusters):
-                shard_dbs.append(None)
-                shard_db_ids.append(None)
-                continue
-            local_model = (
-                shard_ivf_model(ivf_model, assignment, shard)
-                if ivf_model is not None
-                else None
-            )
-            local_db, local_id = self._deploy_local(
-                shard, f"{name}@{shard}", vectors, mine, local_model,
-                corpus, metadata_tags, seed, codecs, growth_entries,
-            )
-            shard_dbs.append(local_db)
-            shard_db_ids.append(local_id)
         sdb = ShardedDatabase(
             db_id=db_id,
             name=name,
             n_entries=n,
             dim=int(vectors.shape[1]),
             assignment=assignment,
-            shard_dbs=shard_dbs,
-            shard_db_ids=shard_db_ids,
+            shard_dbs=[None] * self.n_shards,
+            shard_db_ids=[None] * self.n_shards,
             ivf_model=ivf_model,
             corpus=corpus,
             metadata_tags=metadata_tags,
@@ -817,47 +798,49 @@ class ShardedReisDevice(_HostSurface):
             codecs=codecs,
             growth_entries=growth_entries,
         )
+        for shard in range(self.n_shards):
+            self._deploy_shard(sdb, assignment, shard)
         self._databases[db_id] = sdb
         return db_id
 
-    def _deploy_local(
-        self,
-        shard: int,
-        name: str,
-        vectors: np.ndarray,
-        mine: np.ndarray,
-        local_model: Optional[IvfModel],
-        corpus: Optional[Corpus],
-        metadata_tags: Optional[np.ndarray],
-        seed: object,
-        codecs: object,
-        growth_entries: int,
-    ) -> Tuple[DeployedDatabase, int]:
-        """Deploy one shard's piece (also the rebalancer's copy machinery)."""
+    def _deploy_shard(
+        self, sdb: ShardedDatabase, assignment: ShardAssignment, shard: int
+    ) -> None:
+        """(Re)materialize ``shard``'s piece of ``sdb`` under ``assignment``
+        from the host mirror: the one builder for deploys and migrations.
+
+        A piece the shard already held is dropped first, reclaiming its
+        flash (the old and new layouts together can exceed the planes); a
+        shard with neither ids nor clusters holds no piece.
+        """
         device = self.shards[shard]
+        if sdb.shard_db_ids[shard] is not None:
+            device.drop(sdb.shard_db_ids[shard], reclaim=True)
+            sdb.shard_dbs[shard] = sdb.shard_db_ids[shard] = None
+        mine = assignment.shard_vectors[shard]
+        if mine.size == 0 and assignment.shard_clusters[shard].size == 0:
+            return
         local_corpus = None
-        if corpus is not None:
+        if sdb.corpus is not None:
             # Shard-local chunk ids (the shard's slot->original mapping
             # is local); the router restores global identity on fetch.
-            local_corpus = Corpus(
-                [
-                    DocumentChunk(
-                        chunk_id=local,
-                        text=corpus[int(global_id)].text,
-                        source=corpus[int(global_id)].source,
-                    )
-                    for local, global_id in enumerate(mine)
-                ]
-            )
-        local_tags = (
-            metadata_tags[mine] if metadata_tags is not None else None
-        )
+            local_corpus = Corpus([
+                DocumentChunk(chunk_id=local, text=chunk.text, source=chunk.source)
+                for local, chunk in enumerate(sdb.corpus[int(g)] for g in mine)
+            ])
         local_id = device._deploy(
-            None, name, vectors[mine], corpus=local_corpus,
-            ivf_model=local_model, metadata_tags=local_tags, seed=seed,
-            codecs=codecs, growth_entries=growth_entries,
+            None, f"{sdb.name}@{shard}", sdb.vectors[mine], corpus=local_corpus,
+            ivf_model=(
+                shard_ivf_model(sdb.ivf_model, assignment, shard)
+                if sdb.is_ivf else None
+            ),
+            metadata_tags=(
+                sdb.metadata_tags[mine] if sdb.metadata_tags is not None else None
+            ),
+            codecs=sdb.codecs, growth_entries=sdb.growth_entries,
         )
-        return device.database(local_id), local_id
+        sdb.shard_dbs[shard] = device.database(local_id)
+        sdb.shard_db_ids[shard] = local_id
 
     def drop(self, db_id: int) -> None:
         """Remove the logical database from every shard."""
@@ -909,35 +892,33 @@ class ShardedReisDevice(_HostSurface):
         dst: int,
         src: Optional[int] = None,
     ) -> "MigrationResult":
-        """Move one cluster's serve-ownership from ``src`` to ``dst`` live.
+        """Move one cluster's ownership from ``src`` (default: its first
+        live owner) to ``dst``, live.
 
-        The destination re-materializes its piece with the cluster added
-        -- the stored deployment codecs are deterministic, so re-encoding
-        the host mirror writes bit-for-bit the pages a physical page copy
-        from the source would have (the cost model bills the copy: cluster
-        pages read on the source, programmed on the destination).  Then
-        ownership flips in the :class:`~repro.core.shard.ShardAssignment`
-        (``cluster_owners``) and the source's copies are tombstoned for
-        future coordinators.  The source's deployed layout is untouched --
-        local cluster ids must keep matching its centroid region -- so
-        queries in flight and batches before/after the flip keep serving,
+        Every argument and state check runs before anything changes.  The
+        table edit is :meth:`~repro.core.shard.ShardAssignment.move`; the
+        destination then re-materializes its piece from the host mirror
+        (:meth:`_deploy_shard` -- the stored codecs are deterministic, so
+        re-encoding writes bit-for-bit the pages a physical copy would),
+        and the cost model bills the copy: the cluster's pages read on the
+        source, programmed on the destination.  The source keeps its
+        layout -- its local cluster ids must keep matching its centroid
+        region -- but no longer owns the cluster, so its copies are neither
+        served nor written; batches before and after the flip are
         bit-identical.
         """
         sdb = self.database(db_id)
-        if not sdb.is_ivf or sdb.assignment.policy != "cluster":
+        assignment = sdb.assignment
+        if not assignment.cluster_owned:
             raise ValueError(
                 "cluster migration needs an IVF cluster-affinity placement"
-            )
-        if sdb.assignment.cluster_owners is None or sdb.vectors is None:
-            raise ValueError(
-                "this database predates replica-aware placement; redeploy"
             )
         if not 0 <= cluster < sdb.n_clusters:
             raise ValueError(f"cluster {cluster} is out of range")
         self.router._check_shard(dst)
-        owners = list(sdb.assignment.cluster_owners[cluster])
+        owners = assignment.owners_of(cluster)
         if src is None:
-            live = self.router._live_owners(sdb, cluster)
+            live = [s for s in owners if s not in self.router.failed_shards]
             if not live:
                 raise ShardUnavailableError(cluster)
             src = live[0]
@@ -947,104 +928,35 @@ class ShardedReisDevice(_HostSurface):
             raise ValueError(f"shard {dst} already owns cluster {cluster}")
         if dst in self.router.failed_shards:
             raise ValueError(f"cannot migrate onto dead shard {dst}")
-        assignment = sdb.assignment
-        members = np.flatnonzero(
-            np.asarray(assignment.cluster_of_vector, dtype=np.int64) == cluster
-        ).astype(np.int64)
-        # Live copies actually held by the source (excludes anything a
-        # streamed delete already removed from the shard's id list).
-        members = members[
-            np.isin(
-                members,
-                np.asarray(assignment.shard_vectors[src], dtype=np.int64),
-            )
-        ]
 
-        # Destination re-deploy: its current clusters plus the migrated one
-        # (appended, so existing local cluster ids keep their positions).
-        owned_new = np.concatenate(
-            [
-                np.asarray(assignment.shard_clusters[dst], dtype=np.int64),
-                np.asarray([cluster], dtype=np.int64),
-            ]
-        )
-        old_dst_vectors = (
-            np.asarray(assignment.shard_vectors[dst], dtype=np.int64)
-            if dst < len(assignment.shard_vectors)
-            else np.empty(0, dtype=np.int64)
-        )
-        new_mine = np.sort(
-            np.unique(np.concatenate([old_dst_vectors, members]))
-        )
-        centroids = np.asarray(sdb.ivf_model.centroids)
-        local_lists = []
-        for c in owned_new:
-            cluster_members = np.flatnonzero(
-                np.asarray(assignment.cluster_of_vector, dtype=np.int64) == c
-            )
-            cluster_members = cluster_members[
-                np.isin(cluster_members, new_mine)
-            ]
-            local_ids = np.searchsorted(new_mine, cluster_members)
-            local_lists.append(local_ids.astype(np.int64))
-        local_model = IvfModel(
-            centroids=centroids[owned_new].astype(np.float32),
-            lists=local_lists,
-        )
-        # Free the destination's old regions before re-materializing: the
-        # migration is synchronous (no batch in flight inside this call),
-        # and the old and new layouts together can exceed the planes.
-        old_local_id = sdb.shard_db_ids[dst]
-        if old_local_id is not None:
-            self.shards[dst].drop(old_local_id, reclaim=True)
-        new_db, new_id = self._deploy_local(
-            dst, f"{sdb.name}@{dst}", sdb.vectors, new_mine, local_model,
-            sdb.corpus, sdb.metadata_tags, 0, sdb.codecs,
-            sdb.growth_entries,
-        )
+        moved = assignment.move(cluster, src, dst)
+        self._deploy_shard(sdb, moved, dst)
+        sdb.assignment = moved
+        if db_id in self._ingest_coordinators:
+            self._ingest_coordinators[db_id].attach(dst)
 
-        # Flip ownership: dst takes src's slot (primary stays primary).
-        owners[owners.index(src)] = dst
-        assignment.cluster_owners[cluster] = np.asarray(
-            owners, dtype=np.int64
-        )
-        assignment.shard_clusters[dst] = owned_new
-        assignment.shard_vectors[dst] = new_mine
-        primary = owners[0]
-        assignment.shard_of_vector[members] = primary
-        sdb.shard_dbs[dst] = new_db
-        sdb.shard_db_ids[dst] = new_id
-        sdb.source_tombstones[src].update(int(g) for g in members)
-        # A cached mutation router holds the pre-migration layout; rebuild
-        # lazily from the flipped assignment + tombstones on next use.
-        self._ingest_coordinators.pop(db_id, None)
-
-        # Bill the modeled page copy: the cluster's pages are read on the
-        # source and programmed on the destination (embedding/centroid on
-        # SLC, INT8 and documents on TLC).
-        timing = self.shards[dst].ssd.spec.timing
-        n_members = int(members.size)
-        pages = {"slc": 1, "tlc": 0}  # one centroid page rewrite
+        # Embedding/centroid pages on SLC, INT8 and documents on TLC, plus
+        # one centroid page rewrite.
+        n_members = int(np.count_nonzero(
+            (moved.cluster_of_vector == cluster) & moved.live
+        ))
+        db = sdb.shard_dbs[dst]
+        pages = {"slc": 1, "tlc": 0}
         for region, mode in (
-            (new_db.embedding_region, "slc"),
-            (new_db.int8_region, "tlc"),
-            (new_db.document_region, "tlc"),
+            (db.embedding_region, "slc"),
+            (db.int8_region, "tlc"),
+            (db.document_region, "tlc"),
         ):
-            if region is None:
-                continue
-            per_page = max(1, region.slots_per_page)
-            pages[mode] += -(-n_members // per_page)
+            if region is not None:
+                pages[mode] += -(-n_members // max(1, region.slots_per_page))
+        timing = self.shards[dst].ssd.spec.timing
         seconds = sum(
             count * (timing.read_time(mode) + timing.program_time(mode))
             for mode, count in pages.items()
         )
         return MigrationResult(
-            db_id=db_id,
-            cluster=cluster,
-            src=src,
-            dst=dst,
-            vectors_moved=n_members,
-            pages_copied=sum(pages.values()),
+            db_id=db_id, cluster=cluster, src=src, dst=dst,
+            vectors_moved=n_members, pages_copied=sum(pages.values()),
             seconds=seconds,
         )
 

@@ -45,18 +45,16 @@ packed form (the maintenance pass schedulers overlap with serving) and is
 a no-op for that entry sequence.
 
 Sharded deployments route mutations through
-:class:`ShardedIngestCoordinator`: the owning shard is derived from the
-placement policy (cluster owner, or ``id % n_shards`` for round-robin),
-the group commits on every shard it touches or on none, and the
-coordinator then edits the :class:`~repro.core.shard.ShardAssignment`
-arrays (``shard_of_vector``, ``shard_vectors``, ``cluster_of_vector``,
-``global_slot``) so the router's distance-merge stays bit-identical to the
-single-device engine.
+:class:`ShardedIngestCoordinator`: the target shards are read off the
+placement table (every live owner of the cluster, or ``id % n_shards`` for
+round-robin), the group commits on every shard it touches or on none, and
+the coordinator then replaces the
+:class:`~repro.core.shard.ShardAssignment` with its edited copy so the
+router's distance-merge stays bit-identical to the single-device engine.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -70,6 +68,7 @@ from repro.core.layout import CapacityError, DeployedDatabase, RegionInfo
 from repro.core.plan import SearchStats, validate_metadata_tags
 from repro.core.queue import QueuePolicy, Submission, SubmissionQueue
 from repro.core.registry import R_IVF_ENTRY_BYTES, RIvf, TombstoneRegistry
+from repro.core.shard import ShardUnavailableError, scan_order
 from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport, SimClock
 from repro.ssd.allocation import ContiguousRegionAllocator
@@ -241,13 +240,6 @@ def _split_by_cluster(
     """Cut a scan-ordered id array into its per-cluster pieces."""
     counts = np.bincount(clusters, minlength=n_clusters)
     return np.split(order, np.cumsum(counts)[:-1])
-
-
-def _scan_order(live: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
-    """Live global ids in canonical single-device scan order: by cluster,
-    ascending id within each."""
-    ids = np.flatnonzero(live)
-    return ids[np.lexsort((ids, cluster_of[ids]))]
 
 
 # -------------------------------------------------------- mutable index
@@ -888,20 +880,26 @@ class IngestQueue(SubmissionQueue):
 class ShardedIngestCoordinator:
     """Routes mutations to owning shards and keeps the merge keys global.
 
-    One per sharded database.  Its state is the database's
-    :class:`~repro.core.shard.ShardAssignment`, one global ``live`` mask
-    and ``next_id``.  Inserts resolve their *global* cluster against the
-    full centroid set (same codecs as every shard), pick the owning shards
-    from the placement policy, and commit into each shard's
-    :class:`IngestManager` with the cluster pinned (shard-local id) so the
-    shard does not re-derive assignment from its partial centroid view.
-    A copy's shard-local id is its position in the ascending
-    ``shard_vectors[s]`` (a ``searchsorted``).  After every commit the
-    assignment's arrays are extended -- ownership, per-shard id lists
-    (stable local positions; dead ids stay), clusters -- and the canonical
-    single-device ``global_slot`` is re-derived from the live ids, which is
-    all the router needs to keep distance-merged results bit-identical to
-    one big device.
+    One per sharded database.  Its state is the database's placement table
+    (:class:`~repro.core.shard.ShardAssignment`): ``live`` and ``next_id``
+    are read off its ``global_slot``.  Inserts resolve their *global*
+    cluster against the full centroid set (same codecs as every shard) and
+    go to every owner of it -- striping: to shard ``id % n_shards`` --
+    deletes to every servable copy of the id (an owner of its cluster
+    holding it).  Each shard's :class:`IngestManager` commits with the
+    cluster pinned (shard-local id) so the shard does not re-derive
+    assignment from its partial centroid view; a copy's shard-local id is
+    its position in the ascending ``shard_vectors[s]`` (a
+    ``searchsorted``).
+
+    No write lands on a dead shard: a dead owner is passed over and the
+    commit demotes it from the cluster; a write with no live copy refuses
+    the whole group with :class:`~repro.core.shard.ShardUnavailableError`
+    before any shard commits.  After every commit the table is replaced by
+    its :meth:`~repro.core.shard.ShardAssignment.append` (and
+    :meth:`~repro.core.shard.ShardAssignment.demote`), which is all the
+    router needs to keep distance-merged results bit-identical to one big
+    device.
     """
 
     def __init__(self, device, db_id: int) -> None:
@@ -912,24 +910,32 @@ class ShardedIngestCoordinator:
             raise ValueError("streaming ingest requires an IVF deployment")
         self.managers: Dict[int, IngestManager] = {}
         for shard in self.sdb.active_shards:
-            self.managers[shard] = IngestManager(
-                device.shards[shard].ssd, self.sdb.shard_dbs[shard]
-            )
+            self.attach(shard)
         # Codec anchor through the router, not shard 0 -- shard 0 may be
         # drained (owns nothing under a skewed split) or dead.
         anchor_shard = device.router.resolve_anchor(self.sdb)
         self._binary = self.sdb.shard_dbs[anchor_shard].binary_quantizer
         self.centroid_codes = self._binary.encode(self.sdb.ivf_model.centroids)
-        # A deploy-time global_slot covers every id; a re-derived one marks
-        # dead ids -1, so a rebuilt coordinator recovers liveness from it.
-        self.live = self.sdb.assignment.global_slot >= 0
-        self.next_id = int(self.live.size)
         self.commits: List[CommitResult] = []
+
+    @property
+    def next_id(self) -> int:
+        return int(self.sdb.assignment.global_slot.size)
+
+    def attach(self, shard: int) -> None:
+        """Give ``shard``'s current piece its ingest manager -- at creation,
+        and after a migration re-materialized the piece."""
+        if shard in self.managers:
+            self.managers[shard].tombstones.release()
+        self.managers[shard] = IngestManager(
+            self.device.shards[shard].ssd, self.sdb.shard_dbs[shard]
+        )
 
     def members_by_cluster(self) -> List[np.ndarray]:
         """Live global ids per cluster, in scan order."""
-        cluster_of = self.sdb.assignment.cluster_of_vector
-        order = _scan_order(self.live, cluster_of)
+        assignment = self.sdb.assignment
+        cluster_of = assignment.cluster_of_vector
+        order = scan_order(assignment.live, cluster_of)
         return _split_by_cluster(order, cluster_of[order], self.sdb.n_clusters)
 
     # ------------------------------------------------------------- routing
@@ -937,66 +943,63 @@ class ShardedIngestCoordinator:
     def _route_insert(
         self, global_id: int, cluster: int, local_ids: Dict[int, Dict[int, int]]
     ) -> List[Tuple[int, int]]:
-        """(owning shard, shard-local cluster id) per replica of a new entry.
+        """(shard, shard-local cluster id) per copy of a new entry.
 
-        Under cluster-affinity placement the entry lands on *every* owner
-        of its cluster (replicas hold full cluster membership, which is
-        what makes mid-batch failover bit-identical); striping keeps the
-        single round-robin target.  ``local_ids[s]`` is shard ``s``'s
+        Under cluster-affinity placement the entry goes to *every* owner of
+        its cluster (replicas hold full cluster membership, which is what
+        makes mid-batch failover bit-identical); striping keeps the single
+        round-robin target, whose local cluster id is the global one (every
+        shard deploys every centroid).  ``local_ids[s]`` is shard ``s``'s
         ``{global cluster: local id}`` map.
         """
         assignment = self.sdb.assignment
-        if assignment.policy == "cluster":
-            targets = [
+        if assignment.cluster_owned:
+            return [
                 (shard, local_ids[shard][cluster])
                 for shard in assignment.owners_of(cluster)
-                if shard in local_ids and cluster in local_ids[shard]
             ]
-            if not targets:
-                raise RuntimeError(
-                    f"cluster {cluster} is owned by a shard with no deployment"
-                )
-            return targets
-        # Round-robin placement replicates every centroid on every shard,
-        # so the local cluster id is the global one.
-        shard = global_id % assignment.n_shards
-        if shard not in self.managers:
-            raise RuntimeError(f"shard {shard} has no deployment to ingest into")
-        return [(shard, cluster)]
+        return [(global_id % assignment.n_shards, cluster)]
 
     def _copies(self, global_id: int) -> List[Tuple[int, int]]:
-        """(shard, local id) of every servable copy of a deployed id.
-
-        Under replication one global id lives on several shards; copies a
-        migration tombstoned on their source shard are skipped (unreachable
-        for serving, so mutations must not route to them either).
-        """
+        """(shard, local id) of every servable copy of a deployed id: each
+        owner of its cluster that holds it.  A shard that lost the cluster
+        (a migration's source, a demoted dead shard) keeps a stale copy
+        nobody serves, so mutations skip it too."""
         assignment = self.sdb.assignment
         copies = []
-        for shard in self.managers:
+        for shard in assignment.owners_of(assignment.cluster_of_vector[global_id]):
             mine = assignment.shard_vectors[shard]
             local = int(np.searchsorted(mine, global_id))
-            if (
-                local < mine.size
-                and mine[local] == global_id
-                and global_id not in self.sdb.source_tombstones[shard]
-            ):
+            if local < mine.size and mine[local] == global_id:
                 copies.append((shard, local))
         return copies
+
+    def _live_only(
+        self, cluster: int, copies: List[Tuple[int, int]], demoted: set
+    ) -> List[Tuple[int, int]]:
+        """The ``copies`` on live shards.  Passing a dead one over marks
+        ``cluster`` for demotion; with none live the group is refused."""
+        failed = self.device.router.failed_shards
+        live = [copy for copy in copies if copy[0] not in failed]
+        if not live:
+            raise ShardUnavailableError(cluster)
+        if len(live) < len(copies):
+            demoted.add(cluster)
+        return live
 
     def apply(self, requests: Sequence[MutationRequest]) -> CommitResult:
         """Route one mutation group and commit it on every shard it touches,
         or on none.
 
-        The group is validated, routed and every target shard's capacity
-        checked against its share before any shard commits; the assignment
-        is edited only after all of them have.
+        The group is validated, routed (live copies only) and every target
+        shard's capacity checked against its share before any shard
+        commits; the table is replaced only after all of them have.
         """
         _validate_group(requests, self.sdb.dim, self.sdb.has_metadata)
         assignment = self.sdb.assignment
         result = CommitResult()
         n_writes = sum(1 for r in requests if r.op != "delete")
-        live = np.concatenate([self.live, np.zeros(n_writes, dtype=bool)])
+        live = np.concatenate([assignment.live, np.zeros(n_writes, dtype=bool)])
         resolved = _resolve_group(requests, live, self.next_id, result)
         appends = [r for r, _retired, fresh_id, _ack in resolved if fresh_id is not None]
         if appends:
@@ -1010,9 +1013,10 @@ class ShardedIngestCoordinator:
         per_shard: Dict[int, List[MutationRequest]] = {}
         added: Dict[int, List[int]] = {}  # shard -> this group's new global ids
         copies_of: Dict[int, List[Tuple[int, int]]] = {}  # of this group's ids
-        # Per new entry: its chunk (global id + text), global cluster,
-        # primary shard and request.
-        fresh: List[Tuple[DocumentChunk, int, int, MutationRequest]] = []
+        demoted: set = set()  # clusters a dead owner was passed over in
+        # Per new entry: its chunk (global id + text), global cluster and
+        # request.
+        fresh: List[Tuple[DocumentChunk, int, MutationRequest]] = []
         plans: List[Tuple[MutationAck, List[Tuple[int, int]]]] = []
 
         def enqueue(shard: int, request: MutationRequest) -> Tuple[int, int]:
@@ -1023,14 +1027,20 @@ class ShardedIngestCoordinator:
             hits = []
             if retired is not None:
                 # Every live copy gets tombstoned (replicas hold it too).
-                for shard, local in copies_of.get(retired) or self._copies(retired):
+                copies = copies_of.get(retired) or self._live_only(
+                    int(assignment.cluster_of_vector[retired]),
+                    self._copies(retired), demoted,
+                )
+                for shard, local in copies:
                     hits.append(enqueue(
                         shard, MutationRequest(op="delete", entry_id=local)
                     ))
             if global_id is not None:
                 cluster = next(clusters)
                 text = request.text if request.text is not None else f"chunk-{global_id}"
-                targets = self._route_insert(global_id, cluster, local_ids)
+                targets = self._live_only(
+                    cluster, self._route_insert(global_id, cluster, local_ids), demoted
+                )
                 copies_of[global_id] = []
                 for shard, local_cluster in targets:
                     hits.append(enqueue(shard, MutationRequest(
@@ -1041,10 +1051,7 @@ class ShardedIngestCoordinator:
                     local = assignment.shard_vectors[shard].size + len(shard_ids)
                     copies_of[global_id].append((shard, local))
                     shard_ids.append(global_id)
-                fresh.append((
-                    DocumentChunk(chunk_id=global_id, text=text),
-                    cluster, targets[0][0], request,
-                ))
+                fresh.append((DocumentChunk(chunk_id=global_id, text=text), cluster, request))
             plans.append((ack, hits))
 
         for shard, shard_requests in per_shard.items():
@@ -1069,55 +1076,42 @@ class ShardedIngestCoordinator:
             # would silently desync replicas, so it reports failure.
             for shard, index in hits:
                 ack.applied = ack.applied and shard_commits[shard].acks[index].applied
-        self._extend_assignment(live[: self.next_id + len(fresh)], fresh, added)
+        self._commit_table(live[: self.next_id + len(fresh)], fresh, added, demoted)
         self.commits.append(result)
         return result
 
-    def _extend_assignment(
+    def _commit_table(
         self,
         live: np.ndarray,
-        fresh: List[Tuple[DocumentChunk, int, int, MutationRequest]],
+        fresh: List[Tuple[DocumentChunk, int, MutationRequest]],
         added: Dict[int, List[int]],
+        demoted: set,
     ) -> None:
-        """Edit the assignment arrays for one committed group and re-derive
-        the canonical ``global_slot`` over the live ids."""
-        sdb, old = self.sdb, self.sdb.assignment
-        cluster_of = np.concatenate(
-            [old.cluster_of_vector, np.array([f[1] for f in fresh], dtype=np.int64)]
+        """Replace the table with its edit for one committed group, and
+        extend the host mirrors by the group's new entries."""
+        sdb = self.sdb
+        table = sdb.assignment.append(
+            np.array([f[1] for f in fresh], dtype=np.int64), added, live
         )
-        order = _scan_order(live, cluster_of)
-        global_slot = np.full(live.size, -1, dtype=np.int64)
-        global_slot[order] = np.arange(order.size, dtype=np.int64)
-        sdb.assignment = dataclasses.replace(
-            old,
-            shard_of_vector=np.concatenate(
-                [old.shard_of_vector, np.array([f[2] for f in fresh], dtype=np.int64)]
-            ),
-            shard_vectors=[
-                np.concatenate([mine, np.array(added[s], dtype=np.int64)])
-                if s in added else mine
-                for s, mine in enumerate(old.shard_vectors)
-            ],
-            global_slot=global_slot,
-            cluster_of_vector=cluster_of,
-        )
-        sdb.n_entries = int(order.size)
-        self.live = live
-        self.next_id = int(live.size)
+        if demoted:
+            table = table.demote(
+                sorted(demoted), sorted(self.device.router.failed_shards)
+            )
+        sdb.assignment = table
+        sdb.n_entries = int(np.count_nonzero(live))
         if not fresh:
             return
-        if sdb.vectors is not None:
-            sdb.vectors = np.vstack(
-                [sdb.vectors]
-                + [np.asarray(f[3].vector, dtype=np.float32)[None, :] for f in fresh]
-            )
+        sdb.vectors = np.vstack(
+            [sdb.vectors]
+            + [np.asarray(f[2].vector, dtype=np.float32)[None, :] for f in fresh]
+        )
         if sdb.corpus is not None:
-            for chunk, _cluster, _primary, _request in fresh:
+            for chunk, _cluster, _request in fresh:
                 sdb.corpus.add(chunk)
         if sdb.metadata_tags is not None:
             sdb.metadata_tags = np.concatenate([
                 sdb.metadata_tags,
-                np.array([f[3].metadata_tag for f in fresh], dtype=np.uint32),
+                np.array([f[2].metadata_tag for f in fresh], dtype=np.uint32),
             ])
 
     # -------------------------------------------------------- maintenance

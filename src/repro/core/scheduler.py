@@ -412,53 +412,43 @@ class ShardedScheduler:
     ) -> Optional["MigrationResult"]:
         """Migrate one cluster off the busiest shard, as maintenance.
 
-        Picks the busiest live shard (serving busy-time), its largest
-        serving cluster, and the lightest live shard that does not already
-        own it; the copy runs through
+        Picks from the placement table: the busiest live owner (serving
+        busy-time), its largest cluster, and the lightest live shard that
+        does not own it; the copy runs through
         :meth:`~repro.core.api.ShardedReisDevice.migrate_cluster` while
         queries keep serving (the flip is atomic between batches).  Billed
         as maintenance: the copy work on both endpoints' children and the
-        cluster level.  Explicit ``cluster``/``dst`` override the pick.
-        Returns ``None`` when no profitable move exists.
+        cluster level.  Explicit ``cluster``/``dst`` override the pick (the
+        source is then the cluster's busiest live owner).  Returns ``None``
+        when no move exists.
         """
         device = self.device
-        sdb = device.database(db_id)
-        if not sdb.is_ivf or sdb.assignment.policy != "cluster":
+        assignment = device.database(db_id).assignment
+        if not assignment.cluster_owned:
             return None
-        if sdb.assignment.cluster_owners is None:
-            return None
-        live = [
-            s for s in sdb.active_shards
-            if s not in device.router.failed_shards
-        ]
-        if len(live) < 2:
-            return None
-        load = {s: self.children[s].accounting.rag_seconds for s in live}
+        failed = device.router.failed_shards
+        owners = assignment.live_owners(failed)
+        load = [child.accounting.rag_seconds for child in self.children]
         if cluster is None:
-            busiest = max(live, key=lambda s: (load[s], s))
-            sizes = np.bincount(
-                np.asarray(sdb.assignment.cluster_of_vector, dtype=np.int64),
-                minlength=sdb.n_clusters,
-            )
-            candidates = [
-                c for c in range(sdb.n_clusters)
-                if busiest in sdb.assignment.owners_of(c)
-            ]
+            candidates = np.unique(owners[owners >= 0]).tolist()
             if not candidates:
                 return None
-            cluster = max(candidates, key=lambda c: (int(sizes[c]), -c))
-            src = busiest
+            src = max(candidates, key=lambda s: (load[s], s))
+            sizes = np.bincount(
+                assignment.cluster_of_vector[assignment.live],
+                minlength=len(owners),
+            )
+            mine = np.flatnonzero((owners == src).any(axis=1)).tolist()
+            cluster = max(mine, key=lambda c: (int(sizes[c]), -c))
         else:
-            owners = [
-                s for s in sdb.assignment.owners_of(cluster) if s in live
-            ]
-            if not owners:
+            candidates = [s for s in owners[cluster].tolist() if s >= 0]
+            if not candidates:
                 return None
-            src = max(owners, key=lambda s: (load[s], s))
+            src = max(candidates, key=lambda s: (load[s], s))
         if dst is None:
             options = [
-                s for s in live
-                if s not in sdb.assignment.owners_of(cluster)
+                s for s in range(device.n_shards)
+                if s not in failed and s not in assignment.owners_of(cluster)
             ]
             if not options:
                 return None

@@ -136,35 +136,54 @@ def merge_order(*keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShardAssignment:
-    """How one corpus is split across N shards.
+    """The placement table: how one corpus is split across N shards, and
+    which shard may serve and take writes for what.
 
-    ``shard_vectors[s]`` holds shard ``s``'s global vector ids in ascending
-    order -- the order the shard's deployer receives them, so a shard-local
-    original index maps back through it.  ``global_slot[v]`` is the slot
-    vector ``v`` would occupy on a *single* device deploying the whole
-    corpus (the canonical layout), which is the scan-order tie-break key
-    the router merges shortlists with.
+    ``shard_vectors[s]`` holds the global ids of shard ``s``'s deployed
+    piece in ascending order -- the order its deployer received them, so a
+    shard-local original index maps back through it.  ``shard_clusters[s]``
+    is the piece's centroid *layout* (ascending global cluster ids; a
+    position is a local cluster id).  ``global_slot[v]`` is the slot vector
+    ``v`` would occupy on a *single* device deploying the live corpus (the
+    canonical layout; -1 for a deleted id), which is the scan-order
+    tie-break key the router merges shortlists with.
+
+    Under cluster-affinity IVF placement ``cluster_owners[c]`` lists the
+    shards that own cluster ``c`` -- primary first, -1 in the slots a
+    demotion freed -- and is the one authority on serving: a copy of id
+    ``g`` on shard ``s`` is servable iff ``s`` owns ``g``'s cluster.  A
+    shard may hold a cluster it no longer owns (a migration's source keeps
+    its layout; a demoted shard missed writes): those copies are neither
+    served nor written.
+
+    The table is frozen.  Every edit -- :meth:`move`, :meth:`append`,
+    :meth:`demote` -- returns a new one.
     """
 
     policy: str
     n_shards: int
-    shard_of_vector: np.ndarray  # (n,) primary owning shard per global id
     shard_vectors: List[np.ndarray]  # per shard: global ids, ascending
     shard_clusters: List[np.ndarray]  # per shard: deployed global cluster ids
-    global_slot: np.ndarray  # (n,) canonical single-device slot
+    global_slot: np.ndarray  # (n,) canonical single-device slot, -1 = deleted
     cluster_of_vector: Optional[np.ndarray]  # (n,) global cluster (IVF)
-    # Replica groups (cluster-affinity IVF placement only): each cluster is
-    # owned by ``replication_factor`` shards, primary first.  A shard may
-    # keep a cluster in ``shard_clusters`` (deployed centroid layout) after
-    # losing serve-ownership -- migration tombstones the source but leaves
-    # its layout intact -- so ``cluster_owners`` is the authority on who may
-    # serve a cluster; ``shard_clusters`` is the authority on local ids.
     replication_factor: int = 1
-    cluster_owners: Optional[List[np.ndarray]] = None
+    cluster_owners: Optional[np.ndarray] = None  # (nlist, R) shards, -1 = none
 
     @property
     def is_ivf(self) -> bool:
         return self.cluster_of_vector is not None
+
+    @property
+    def cluster_owned(self) -> bool:
+        """Whole clusters have owner shards (cluster-affinity IVF): the
+        layouts that fail over, migrate and demote.  Striped and flat
+        layouts lose a slice of every query with any shard."""
+        return self.cluster_owners is not None
+
+    @property
+    def live(self) -> np.ndarray:
+        """(n,) mask of the ids not deleted."""
+        return self.global_slot >= 0
 
     def shard_sizes(self) -> np.ndarray:
         return np.array([v.size for v in self.shard_vectors], dtype=np.int64)
@@ -172,10 +191,18 @@ class ShardAssignment:
     def owners_of(self, cluster: int) -> List[int]:
         """Shards allowed to serve ``cluster`` (primary first)."""
         if self.cluster_owners is not None:
-            return [int(s) for s in self.cluster_owners[int(cluster)]]
+            row = self.cluster_owners[int(cluster)]
+            return row[row >= 0].tolist()
         if self.policy == "round_robin":
             return list(range(self.n_shards))
         return []
+
+    def live_owners(self, failed: Sequence[int]) -> np.ndarray:
+        """The owner table with every ``failed`` shard's slot -1."""
+        alive = np.ones(self.n_shards + 1, dtype=bool)
+        alive[list(failed)] = False
+        alive[-1] = False  # what a -1 slot indexes
+        return np.where(alive[self.cluster_owners], self.cluster_owners, -1)
 
     def local_cluster_ids(self, shard: int) -> Dict[int, int]:
         """``{global cluster: shard-local id}`` of the clusters ``shard``
@@ -188,6 +215,65 @@ class ShardAssignment:
         """Global vector ids of the entries at ``radrs`` of ``shard``'s piece."""
         mine = np.asarray(self.shard_vectors[shard], dtype=np.int64)
         return mine[db.slot_to_original[radrs]]
+
+    # ------------------------------------------------------------- edits
+
+    def move(self, cluster: int, src: int, dst: int) -> "ShardAssignment":
+        """``cluster``'s ownership passes from ``src`` to ``dst``, which takes
+        ``src``'s slot (a primary stays primary).  ``dst``'s layout becomes
+        the sorted union of its clusters and ``cluster``, and its piece every
+        live member of that layout: what :func:`shard_ivf_model` builds."""
+        owners = self.cluster_owners.copy()
+        owners[cluster][owners[cluster] == src] = dst
+        layout = np.union1d(self.shard_clusters[dst], [cluster]).astype(np.int64)
+        piece = np.flatnonzero(np.isin(self.cluster_of_vector, layout) & self.live)
+        return replace(
+            self, cluster_owners=owners,
+            shard_clusters=_set(self.shard_clusters, dst, layout),
+            shard_vectors=_set(self.shard_vectors, dst, piece),
+        )
+
+    def append(
+        self, clusters: np.ndarray, added: Dict[int, List[int]], live: np.ndarray
+    ) -> "ShardAssignment":
+        """One committed ingest group: the new ids' ``clusters``, each
+        shard's ``added`` ids after its list (local positions are stable;
+        deleted ids stay), and ``global_slot`` re-derived over ``live``."""
+        cluster_of = np.concatenate([self.cluster_of_vector, clusters])
+        order = scan_order(live, cluster_of)
+        global_slot = np.full(live.size, -1, dtype=np.int64)
+        global_slot[order] = np.arange(order.size, dtype=np.int64)
+        return replace(
+            self, cluster_of_vector=cluster_of, global_slot=global_slot,
+            shard_vectors=[
+                np.concatenate([mine, np.array(added[s], dtype=np.int64)])
+                if s in added else mine
+                for s, mine in enumerate(self.shard_vectors)
+            ],
+        )
+
+    def demote(self, clusters: Sequence[int], shards: Sequence[int]) -> "ShardAssignment":
+        """Strike ``shards`` from the owners of ``clusters`` (dead owners a
+        commit passed over): the rest keep their order, the freed slots go
+        -1 at the end of the row."""
+        owners = self.cluster_owners.copy()
+        rows = owners[clusters]
+        rows[np.isin(rows, shards)] = -1
+        owners[clusters] = np.take_along_axis(
+            rows, np.argsort(rows < 0, axis=1, kind="stable"), axis=1
+        )
+        return replace(self, cluster_owners=owners)
+
+
+def _set(items: List[np.ndarray], at: int, value: np.ndarray) -> List[np.ndarray]:
+    return [value if i == at else item for i, item in enumerate(items)]
+
+
+def scan_order(live: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
+    """Live global ids in canonical single-device scan order: by cluster,
+    ascending id within each."""
+    ids = np.flatnonzero(live)
+    return ids[np.lexsort((ids, cluster_of[ids]))]
 
 
 def check_cluster_shape(n_shards: int, policy: str, replication_factor: int) -> None:
@@ -243,18 +329,16 @@ def plan_placement(
         for cluster, members in enumerate(ivf_model.lists):
             cluster_of[members] = cluster
 
-    cluster_owners: Optional[List[np.ndarray]] = None
+    no_clusters = [np.empty(0, dtype=np.int64) for _ in range(n_shards)]
+    cluster_owners: Optional[np.ndarray] = None
     if policy == "round_robin":
-        shard_of = np.arange(n, dtype=np.int64) % n_shards
+        shard_vectors = [
+            np.arange(s, n, n_shards, dtype=np.int64) for s in range(n_shards)
+        ]
+        shard_clusters = no_clusters
         if ivf_model is not None:
             all_clusters = np.arange(ivf_model.nlist, dtype=np.int64)
             shard_clusters = [all_clusters.copy() for _ in range(n_shards)]
-        else:
-            shard_clusters = [np.empty(0, dtype=np.int64) for _ in range(n_shards)]
-        shard_vectors = [
-            np.nonzero(shard_of == s)[0].astype(np.int64)
-            for s in range(n_shards)
-        ]
     elif ivf_model is not None:  # cluster affinity
         sizes = ivf_model.cluster_sizes()
         # Largest clusters first (ties by id), each to the R lightest
@@ -263,38 +347,29 @@ def plan_placement(
         order = sorted(range(ivf_model.nlist), key=lambda c: (-sizes[c], c))
         load = [0] * n_shards
         owners: List[List[int]] = [[] for _ in range(ivf_model.nlist)]
-        owned: List[List[int]] = [[] for _ in range(n_shards)]
         for cluster in order:
             picks = sorted(range(n_shards), key=lambda s: (load[s], s))
-            picks = picks[:replication_factor]
-            owners[cluster] = picks
-            for shard in picks:
-                owned[shard].append(cluster)
+            owners[cluster] = picks[:replication_factor]
+            for shard in owners[cluster]:
                 load[shard] += int(sizes[cluster])
-        owner = np.array([o[0] for o in owners], dtype=np.int64)
-        shard_of = owner[cluster_of] if n else np.empty(0, dtype=np.int64)
+        cluster_owners = np.array(owners, dtype=np.int64).reshape(
+            ivf_model.nlist, replication_factor
+        )
         shard_clusters = [
-            np.array(sorted(c), dtype=np.int64) for c in owned
-        ]
-        cluster_owners = [np.array(o, dtype=np.int64) for o in owners]
-        # A shard holds the *full* membership of every cluster it owns
-        # (replicas are whole-cluster copies), in ascending global order.
-        shard_vectors = []
-        for shard in range(n_shards):
-            mine = np.concatenate(
-                [ivf_model.lists[int(c)] for c in shard_clusters[shard]]
-                or [np.empty(0, dtype=np.int64)]
-            )
-            shard_vectors.append(np.sort(mine).astype(np.int64))
-    else:  # cluster affinity without clusters: contiguous chunks
-        shard_of = np.empty(n, dtype=np.int64)
-        for shard, chunk in enumerate(np.array_split(np.arange(n), n_shards)):
-            shard_of[chunk] = shard
-        shard_clusters = [np.empty(0, dtype=np.int64) for _ in range(n_shards)]
-        shard_vectors = [
-            np.nonzero(shard_of == s)[0].astype(np.int64)
+            np.flatnonzero((cluster_owners == s).any(axis=1))
             for s in range(n_shards)
         ]
+        # A shard holds the *full* membership of every cluster it owns
+        # (replicas are whole-cluster copies), in ascending global order.
+        shard_vectors = [
+            np.flatnonzero(np.isin(cluster_of, owned)) for owned in shard_clusters
+        ]
+    else:  # cluster affinity without clusters: contiguous chunks
+        shard_vectors = [
+            chunk.astype(np.int64)
+            for chunk in np.array_split(np.arange(n), n_shards)
+        ]
+        shard_clusters = no_clusters
 
     order = deployment_order(n, ivf_model)
     global_slot = np.empty(n, dtype=np.int64)
@@ -302,7 +377,6 @@ def plan_placement(
     return ShardAssignment(
         policy=policy,
         n_shards=n_shards,
-        shard_of_vector=shard_of,
         shard_vectors=shard_vectors,
         shard_clusters=shard_clusters,
         global_slot=global_slot,
@@ -315,29 +389,22 @@ def plan_placement(
 def shard_ivf_model(
     ivf_model: IvfModel, assignment: ShardAssignment, shard: int
 ) -> IvfModel:
-    """Shard ``shard``'s local IVF model: its owned centroids, with lists
+    """Shard ``shard``'s local IVF model: its layout's centroids, with lists
     holding shard-local vector indices (positions within
     ``assignment.shard_vectors[shard]``).
 
-    Local cluster ids are positions within the shard's (ascending) owned
-    cluster array, so local scan order stays consistent with global
-    cluster ids -- the coarse-merge tie-break key.
+    Membership comes from ``cluster_of_vector``, so it covers ingested ids;
+    under replication a shard holds the full membership of every cluster
+    in its layout, under round-robin striping only its stripe of it.
+    Local cluster ids are positions within the shard's (ascending) layout,
+    so local scan order stays consistent with global cluster ids -- the
+    coarse-merge tie-break key.
     """
     owned = assignment.shard_clusters[shard]
-    mine = assignment.shard_vectors[shard]
-    lists: List[np.ndarray] = []
-    for cluster in owned:
-        members = ivf_model.lists[int(cluster)]
-        # Membership in the shard's id list, not primary ownership: under
-        # replication a shard holds the full membership of every owned
-        # cluster, under round-robin striping only its stripe of it.
-        local_members = members[np.isin(members, mine, assume_unique=True)]
-        lists.append(
-            np.searchsorted(mine, local_members).astype(np.int64)
-        )
+    clusters = assignment.cluster_of_vector[assignment.shard_vectors[shard]]
     return IvfModel(
         centroids=ivf_model.centroids[owned].copy(),
-        lists=lists,
+        lists=[np.flatnonzero(clusters == c) for c in owned.tolist()],
     )
 
 
@@ -346,7 +413,11 @@ def shard_ivf_model(
 
 @dataclass
 class ShardedDatabase:
-    """One logical database deployed across N shard devices."""
+    """One logical database deployed across N shard devices.
+
+    ``assignment`` is its placement table; ``shard_dbs[s]`` is the piece
+    shard ``s`` deployed under it (``None`` for a shard holding nothing).
+    """
 
     db_id: int
     name: str
@@ -358,21 +429,14 @@ class ShardedDatabase:
     ivf_model: Optional[IvfModel]
     corpus: Optional[Corpus] = field(default=None, repr=False)
     metadata_tags: Optional[np.ndarray] = field(default=None, repr=False)
-    # Host-side mirrors for live rebalancing: migrating a cluster redeploys
-    # the destination shard from the float vectors (the deployed codecs are
-    # deterministic, so re-encoding is bit-identical to copying pages) with
-    # the same globally-fit codecs and growth headroom the original
-    # deployment used.  ``source_tombstones[s]`` records global ids
-    # tombstoned on shard ``s`` while still live elsewhere (migrated-away
-    # copies), so a later ingest coordinator does not route to them.
+    # Host mirrors every piece is (re)materialized from -- at deploy and
+    # when a migration redeploys a destination (the deployed codecs are
+    # deterministic, so re-encoding is bit-identical to copying pages) --
+    # with the same globally-fit codecs and growth headroom.  Ingest
+    # commits extend them.
     vectors: Optional[np.ndarray] = field(default=None, repr=False)
     codecs: Optional[object] = field(default=None, repr=False)
     growth_entries: int = 0
-    source_tombstones: List[set] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.source_tombstones:
-            self.source_tombstones = [set() for _ in range(len(self.shard_dbs))]
 
     @property
     def is_ivf(self) -> bool:
@@ -594,7 +658,12 @@ class ShardRouter:
         self.failed_shards.add(shard)
 
     def revive_shard(self, shard: int) -> None:
-        """Bring a killed shard back (the simulator's state is intact)."""
+        """Bring a killed shard back.  It serves again exactly the clusters
+        it still owns: every commit that wrote a cluster while the shard
+        was dead demoted it from that cluster's owners (its copies there
+        are stale), and only a migration back onto it
+        (:meth:`~repro.core.api.ShardedReisDevice.migrate_cluster`)
+        re-materializes them."""
         self._check_shard(shard)
         self.failed_shards.discard(shard)
 
@@ -626,10 +695,10 @@ class ShardRouter:
             run.dead = True
         return shard if casualties else None
 
-    def _shard_load(self, shard: int) -> float:
+    def _shard_loads(self) -> Sequence[float]:
         if self.load_source is not None:
-            return float(self.load_source()[shard])
-        return self.shard_busy_s[shard]
+            return self.load_source()
+        return self.shard_busy_s
 
     def resolve_anchor(self, sdb: ShardedDatabase) -> int:
         """The first *live* shard holding a deployed piece -- the anchor
@@ -642,32 +711,12 @@ class ShardRouter:
             None, f"database {sdb.db_id} has no live deployed shard"
         )
 
-    def _can_fail_over(self, sdb: ShardedDatabase) -> bool:
-        """Whole-cluster replicas exist only under cluster-affinity IVF
-        placement; striped and flat layouts lose a slice of every query
-        with any shard, so they cannot reroute."""
-        return (
-            sdb.is_ivf
-            and sdb.assignment.policy == "cluster"
-            and sdb.assignment.cluster_owners is not None
-        )
-
-    def _live_owners(self, sdb: ShardedDatabase, cluster: int) -> List[int]:
-        return [
-            s
-            for s in sdb.assignment.owners_of(cluster)
-            if s not in self.failed_shards and sdb.shard_dbs[s] is not None
-        ]
-
-    def _down_clusters(self, sdb: ShardedDatabase) -> List[int]:
+    def _down_clusters(self, sdb: ShardedDatabase) -> np.ndarray:
         """Clusters with zero live owners (their pages are unreachable)."""
-        if not self._can_fail_over(sdb):
-            return []
-        return [
-            cluster
-            for cluster in range(sdb.n_clusters)
-            if not self._live_owners(sdb, cluster)
-        ]
+        if not sdb.assignment.cluster_owned:
+            return np.empty(0, dtype=np.int64)
+        live = sdb.assignment.live_owners(self.failed_shards)
+        return np.flatnonzero((live < 0).all(axis=1))
 
     # ------------------------------------------------------------ plumbing
 
@@ -683,13 +732,10 @@ class ShardRouter:
         local slice under striping.
         """
         assignment = sdb.assignment
-        serving: Optional[Dict[int, int]] = None
-        if sdb.is_ivf and assignment.policy == "cluster":
-            serving = {}
-            for cluster in clusters:
-                owners = self._live_owners(sdb, cluster)
-                if owners:
-                    serving[cluster] = owners[0]
+        serving: Optional[List[int]] = None
+        if assignment.cluster_owned:
+            live = assignment.live_owners(self.failed_shards)
+            serving = live[np.arange(len(live)), np.argmax(live >= 0, axis=1)].tolist()
         views = []
         for shard in sdb.active_shards:
             if shard in self.failed_shards:
@@ -699,7 +745,7 @@ class ShardRouter:
                 position[cluster]
                 for cluster in clusters
                 if cluster in position
-                and (serving is None or serving.get(cluster) == shard)
+                and (serving is None or serving[cluster] == shard)
             ]
             views.append(
                 (shard, self.engines[shard], sdb.shard_dbs[shard], local)
@@ -770,7 +816,7 @@ class ShardRouter:
             )
         self.resolve_anchor(sdb)  # raises when no deployed shard is live
         live = [s for s in sdb.active_shards if s not in self.failed_shards]
-        if len(live) < len(sdb.active_shards) and not self._can_fail_over(sdb):
+        if len(live) < len(sdb.active_shards) and not sdb.assignment.cluster_owned:
             # A striped/flat layout lost a slice of every query already.
             raise ShardUnavailableError(
                 None,
@@ -834,22 +880,27 @@ class ShardRouter:
         )
 
     def _elect(
-        self, state: _BatchState, cluster: int, assigned: Dict[int, int]
-    ) -> int:
-        """Pick ``cluster``'s serving replica into ``state.serving``: the
-        least-loaded live owner (cumulative busy seconds, then vectors
-        already ``assigned`` in this election round, then shard id).
-        Disjoint serving sets keep the downstream merge keys a total
-        order, so replica choice never changes results."""
-        owners = self._live_owners(state.sdb, cluster)
-        if not owners:
-            raise ShardUnavailableError(cluster)
-        pick = min(
-            owners, key=lambda s: (self._shard_load(s), assigned.get(s, 0), s)
-        )
-        assigned[pick] = assigned.get(pick, 0) + int(state.cluster_sizes[cluster])
-        state.serving[cluster] = pick
-        return pick
+        self, state: _BatchState, clusters: Sequence[int]
+    ) -> Dict[int, List[int]]:
+        """Pick each of ``clusters``' serving replica, in the order given,
+        into ``state.serving``: the least-loaded live owner (cumulative busy
+        seconds, then vectors already assigned in this round, then shard
+        id).  Returns the clusters each picked shard now serves.  Disjoint
+        serving sets keep the downstream merge keys a total order, so
+        replica choice never changes results."""
+        rows = state.sdb.assignment.live_owners(self.failed_shards)[clusters]
+        load, assigned = self._shard_loads(), [0] * self.n_shards
+        sizes = state.cluster_sizes[clusters].tolist()
+        by_shard: Dict[int, List[int]] = {}
+        for cluster, owners, size in zip(clusters, rows.tolist(), sizes):
+            owners = [s for s in owners if s >= 0]
+            if not owners:
+                raise ShardUnavailableError(cluster)
+            pick = min(owners, key=lambda s: (load[s], assigned[s], s))
+            assigned[pick] += size
+            state.serving[cluster] = pick
+            by_shard.setdefault(pick, []).append(cluster)
+        return by_shard
 
     def _hand_out_probes(
         self, state: _BatchState, run: _ShardRun, mine: np.ndarray
@@ -902,12 +953,7 @@ class ShardRouter:
             lost = lost[np.isin(lost, holding)]
         # Elected in ascending cluster order: the load key sees the same
         # sequence of assignments every time.
-        assigned: Dict[int, int] = {}
-        by_shard: Dict[int, List[int]] = {}
-        for cluster in lost.tolist():
-            by_shard.setdefault(self._elect(state, cluster, assigned), []).append(
-                cluster
-            )
+        by_shard = self._elect(state, lost.tolist())
         new_runs: List[_ShardRun] = []
         for shard in sorted(by_shard):
             run = self._make_run(state, shard, failover=True)
@@ -953,7 +999,7 @@ class ShardRouter:
             selected[run.shard] = run.executor._coarse_scan(run)
 
         dead = self._kill_at(state, "coarse")
-        if dead is not None and not self._can_fail_over(sdb):
+        if dead is not None and not sdb.assignment.cluster_owned:
             raise ShardUnavailableError(
                 None,
                 f"shard {dead} died at the coarse barrier and the "
@@ -974,7 +1020,7 @@ class ShardRouter:
 
         # Clusters with zero live owners: reconstruct their coarse
         # candidates host-side so the probe decision stays exact.
-        down = np.asarray(self._down_clusters(sdb), dtype=np.int64)
+        down = self._down_clusters(sdb)
         if down.size:
             quantizer = sdb.shard_dbs[runs[0].shard].binary_quantizer
             codes = quantizer.encode(np.asarray(sdb.ivf_model.centroids)[down])
@@ -997,13 +1043,11 @@ class ShardRouter:
             raise ShardUnavailableError(int(state.probe_clusters[np.argmax(lost)]))
 
         serves = np.ones(state.probe_clusters.size, dtype=bool)
-        if self._can_fail_over(sdb):
+        if sdb.assignment.cluster_owned:
             # One serving replica per probed cluster, batch-wide.
             state.serving = np.full(sdb.n_clusters, -1, dtype=np.int64)
-            assigned: Dict[int, int] = {}
             distinct, first = np.unique(state.probe_clusters, return_index=True)
-            for cluster in distinct[np.argsort(first)].tolist():
-                self._elect(state, cluster, assigned)
+            self._elect(state, distinct[np.argsort(first)].tolist())
         for run in runs:
             if state.serving is not None:
                 serves = state.serving[state.probe_clusters] == run.shard

@@ -43,8 +43,8 @@ from tests.test_core_cache import deep_config
 class TestPlacement:
     def test_round_robin_stripes_vectors(self):
         assignment = plan_placement(10, 3, "round_robin")
-        assert assignment.shard_of_vector.tolist() == [
-            0, 1, 2, 0, 1, 2, 0, 1, 2, 0
+        assert [v.tolist() for v in assignment.shard_vectors] == [
+            [0, 3, 6, 9], [1, 4, 7], [2, 5, 8]
         ]
         # Every vector lands on exactly one shard.
         total = np.concatenate(assignment.shard_vectors)
@@ -54,10 +54,13 @@ class TestPlacement:
         vectors, _ = make_clustered_embeddings(300, 32, 6, seed="place")
         model = build_ivf_model(vectors, 6, seed=0)
         assignment = plan_placement(300, 2, "cluster", model)
-        # A cluster's members all live on its owner shard.
+        # A cluster's members all live on its owner shard, and only there.
         for cluster, members in enumerate(model.lists):
-            owners = set(assignment.shard_of_vector[members].tolist())
+            owners = assignment.owners_of(cluster)
             assert len(owners) == 1
+            for shard, mine in enumerate(assignment.shard_vectors):
+                held = np.isin(members, mine)
+                assert held.all() if shard == owners[0] else not held.any()
         # Greedy balancing keeps the shards within one max-cluster of even.
         sizes = assignment.shard_sizes()
         assert abs(int(sizes[0]) - int(sizes[1])) <= int(
@@ -84,7 +87,9 @@ class TestPlacement:
         model = build_ivf_model(vectors, 5, seed=0)
         a = plan_placement(200, 4, "cluster", model)
         b = plan_placement(200, 4, "cluster", model)
-        assert np.array_equal(a.shard_of_vector, b.shard_of_vector)
+        assert np.array_equal(a.cluster_owners, b.cluster_owners)
+        for mine_a, mine_b in zip(a.shard_vectors, b.shard_vectors):
+            assert np.array_equal(mine_a, mine_b)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):

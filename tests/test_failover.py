@@ -11,11 +11,13 @@ The contracts under test:
   replica; probing one must raise :class:`ShardUnavailableError` naming
   the cluster, never an IndexError out of the merge barriers.
 * **Live rebalancing** -- migrating a cluster between shards (page copy,
-  ownership flip, source tombstone) must not perturb served results, and
-  the scheduler's rebalance pass bills the copy as maintenance.
+  ownership flip in the placement table), there and back again, must not
+  perturb served results, and the scheduler's rebalance pass bills the
+  copy as maintenance.
 * **Replicated ingest** -- streamed inserts land on every replica of
   their cluster, deletes fan out to every holder, and the stream stays
-  bit-identical to the same stream on one big device.
+  bit-identical to the same stream on one big device.  No write lands on
+  a dead shard: it is passed over and demoted, or the group is refused.
 """
 
 import numpy as np
@@ -201,42 +203,69 @@ class TestZeroReplicaDegradation:
 
 
 class TestLiveRebalancing:
+    @pytest.mark.parametrize("via", ["migrate_cluster", "run_rebalance"])
     @pytest.mark.parametrize("repl", [1, 2])
-    def test_migration_preserves_bit_identity(self, repl):
+    def test_migration_preserves_bit_identity(self, repl, via):
+        """Three clusters move out, then the first moves back to the shard
+        it left (A -> B -> A: onto a layout that still holds it).  No move
+        perturbs results, and a delete after the round trip matches the
+        same delete on one device."""
         vectors, queries, model = _corpus("migrate")
-        single = ReisDevice(tiny_config(f"MIG-1-{repl}"))
+        single = ReisDevice(tiny_config(f"MIG-1-{repl}-{via}"))
         sid = single.ivf_deploy("m", vectors, ivf_model=model, seed=0)
         reference = single.ivf_search(sid, queries, k=K, nprobe=NPROBE)
         sharded = ShardedReisDevice(
-            SHARDS, tiny_config(f"MIG-{repl}"), placement="cluster",
+            SHARDS, tiny_config(f"MIG-{repl}-{via}"), placement="cluster",
             replication_factor=repl,
         )
         did = sharded.ivf_deploy("m", vectors, ivf_model=model, seed=0)
-        assignment = sharded.database(did).assignment
-        moved = 0
-        for cluster in range(NLIST):
-            owners = list(assignment.owners_of(cluster))
-            free = [s for s in range(SHARDS) if s not in owners]
-            if not free:
-                continue
-            result = sharded.migrate_cluster(
-                did, cluster, free[0], src=owners[0]
-            )
+        scheduler = ShardedScheduler(sharded)
+
+        def table():
+            return sharded.database(did).assignment
+
+        def move(cluster, dst, src):
+            if via == "migrate_cluster":
+                return sharded.migrate_cluster(did, cluster, dst, src=src)
+            return scheduler.run_rebalance(did, cluster=cluster, dst=dst)
+
+        victim = int(reference[0].ids[0])
+        home = int(table().cluster_of_vector[victim])
+        moves = []
+        for cluster in [home] + [c for c in range(NLIST) if c != home][:2]:
+            owners = table().owners_of(cluster)
+            dst = next(s for s in range(SHARDS) if s not in owners)
+            result = move(cluster, dst, owners[0])
             assert isinstance(result, MigrationResult)
             assert result.vectors_moved > 0
             assert result.pages_copied > 0
             assert result.seconds > 0
             # Ownership flipped to the destination.
-            assert free[0] in assignment.owners_of(cluster)
-            assert owners[0] not in assignment.owners_of(cluster)
-            moved += 1
+            assert dst in table().owners_of(cluster)
+            assert result.src not in table().owners_of(cluster)
+            moves.append(result)
             _assert_identical(
                 reference,
                 sharded.ivf_search(did, queries, k=K, nprobe=NPROBE),
             )
-            if moved >= 3:
-                break
-        assert moved >= 3
+        first = moves[0]
+        back = move(first.cluster, first.src, first.dst)
+        assert back.dst == first.src
+        assert first.src in table().owners_of(first.cluster)
+        layout = table().shard_clusters[first.src].tolist()
+        assert layout.count(first.cluster) == 1
+        _assert_identical(
+            reference, sharded.ivf_search(did, queries, k=K, nprobe=NPROBE)
+        )
+
+        delete = [MutationRequest(op="delete", entry_id=victim)]
+        assert single.ingest_manager(sid).apply(delete).acks[0].applied
+        assert sharded.ingest_coordinator(did).apply(delete).acks[0].applied
+        expect = single.ivf_search(sid, queries, k=K, nprobe=NPROBE)
+        assert victim not in expect[0].ids
+        _assert_identical(
+            expect, sharded.ivf_search(did, queries, k=K, nprobe=NPROBE)
+        )
 
     def test_kill_migration_destination_still_fails_over(self):
         vectors, queries, model = _corpus("migkill")
@@ -263,20 +292,40 @@ class TestLiveRebalancing:
         sharded.revive_shard(result.dst)
 
     def test_migration_argument_validation(self):
+        """Every refused move is refused before the destination's piece is
+        dropped: the table and every shard's piece stay as they were."""
         vectors, queries, model = _corpus("migval")
         sharded = ShardedReisDevice(
             SHARDS, tiny_config("MV"), placement="cluster"
         )
         did = sharded.ivf_deploy("m", vectors, ivf_model=model, seed=0)
-        assignment = sharded.database(did).assignment
-        owner = int(assignment.cluster_owners[0][0])
-        with pytest.raises(ValueError):
-            sharded.migrate_cluster(did, 0, owner)  # already owns it
-        with pytest.raises(ValueError):
-            sharded.migrate_cluster(did, NLIST + 5, (owner + 1) % SHARDS)
-        with pytest.raises(ValueError):
-            other = next(s for s in range(SHARDS) if s != owner)
-            sharded.migrate_cluster(did, 0, other, src=other)
+        sdb = sharded.database(did)
+        table, pieces = sdb.assignment, list(sdb.shard_dbs)
+        owner = int(table.cluster_owners[0][0])
+        other = next(s for s in range(SHARDS) if s != owner)
+        striped = ShardedReisDevice(2, tiny_config("MV-RR"), placement="round_robin")
+        rid = striped.ivf_deploy("m", vectors, ivf_model=model, seed=0)
+        refused = [
+            (ValueError, lambda: sharded.migrate_cluster(did, 0, owner)),
+            (ValueError, lambda: sharded.migrate_cluster(did, NLIST + 5, other)),
+            (ValueError, lambda: sharded.migrate_cluster(did, 0, other, src=other)),
+            (ValueError, lambda: sharded.migrate_cluster(did, 0, SHARDS)),
+            (ValueError, lambda: striped.migrate_cluster(rid, 0, 1)),
+        ]
+        sharded.kill_shard(other)
+        refused.append(
+            (ValueError, lambda: sharded.migrate_cluster(did, 0, other))
+        )
+        for error, call in refused:
+            with pytest.raises(error):
+                call()
+        sharded.revive_shard(other)
+        sharded.kill_shard(owner)
+        with pytest.raises(ShardUnavailableError):
+            sharded.migrate_cluster(did, 0, other)
+        sharded.revive_shard(owner)
+        assert sdb.assignment is table
+        assert all(a is b for a, b in zip(sdb.shard_dbs, pieces))
 
     def test_scheduler_rebalance_moves_load_and_bills_maintenance(self):
         vectors, queries, model = _corpus("rebal")
@@ -358,6 +407,98 @@ class TestReplicatedIngest:
                 documents=False,
             )
             sharded.revive_shard(victim)
+
+
+    @pytest.mark.parametrize(
+        "placement,repl,shards",
+        [("cluster", 1, 2), ("round_robin", 1, 2), ("cluster", 2, SHARDS)],
+    )
+    def test_no_write_lands_on_a_dead_shard(self, placement, repl, shards):
+        """A group commits on live copies only and demotes the dead owners
+        of every cluster it wrote; with no live copy it is refused whole.
+        The dead shard's live count never moves, and after revive the
+        database matches one device that received the same stream."""
+        vectors, queries, model = _corpus("dead-write")
+        head, tail = vectors[:300], vectors[300:]
+        head_model = build_ivf_model(head, NLIST, seed=0)
+        tag = f"DW-{placement}-{repl}"
+        single = ReisDevice(tiny_config(f"{tag}-1"))
+        sid = single.ivf_deploy(
+            "w", head, ivf_model=head_model, growth_entries=2048, seed=0
+        )
+        sharded = ShardedReisDevice(
+            shards, tiny_config(tag), placement=placement,
+            replication_factor=repl,
+        )
+        did = sharded.ivf_deploy(
+            "w", head, ivf_model=head_model, growth_entries=2048, seed=0
+        )
+        sdb = sharded.database(did)
+        manager, coordinator = single.ingest_manager(sid), sharded.ingest_coordinator(did)
+
+        def holders(gid):
+            table = sdb.assignment
+            cluster = int(table.cluster_of_vector[gid])
+            return [s for s in table.owners_of(cluster)
+                    if gid in table.shard_vectors[s]]
+
+        def commit(group):
+            assert all(a.applied for a in manager.apply(group).acks)
+            assert all(a.applied for a in coordinator.apply(group).acks)
+
+        group = [MutationRequest(op="delete", entry_id=g) for g in range(0, 100, 10)]
+        group += [MutationRequest(op="insert", vector=v) for v in tail[:10]]
+        sharded.kill_shard(0)
+        dead_live = coordinator.managers[0].index.live_count()
+        if repl == 1:
+            table, next_id = sdb.assignment, coordinator.next_id
+            with pytest.raises(ShardUnavailableError) as refused:
+                coordinator.apply(group)
+            assert 0 <= refused.value.cluster < NLIST
+            assert sdb.assignment is table and coordinator.next_id == next_id
+            commit([MutationRequest(op="delete", entry_id=g)
+                    for g in range(1, 100, 7) if 0 not in holders(g)])
+        else:
+            written = {int(sdb.assignment.cluster_of_vector[g]) for g in range(0, 100, 10)}
+            assert any(0 in sdb.assignment.owners_of(c) for c in written)
+            first_new = coordinator.next_id
+            commit(group)
+            written |= set(sdb.assignment.cluster_of_vector[first_new:].tolist())
+            assert all(0 not in sdb.assignment.owners_of(c) for c in written)
+        assert coordinator.managers[0].index.live_count() == dead_live
+
+        sharded.revive_shard(0)
+        if repl == 1:
+            commit(group)
+        else:
+            # Demoted: neither elected nor written to after the revive.
+            commit([MutationRequest(op="delete", entry_id=g) for g in range(5, 100, 10)])
+            assert coordinator.managers[0].index.live_count() == dead_live
+        _assert_identical(
+            single.ivf_search(sid, queries, k=K, nprobe=NLIST),
+            sharded.ivf_search(did, queries, k=K, nprobe=NLIST),
+            documents=False,
+        )
+        if repl == 1:
+            return
+        # A migration back onto the revived shard makes it serve again.
+        cluster = min(written)
+        sharded.migrate_cluster(did, cluster, dst=0)
+        assert 0 in sdb.assignment.owners_of(cluster)
+        for other in sdb.assignment.owners_of(cluster):
+            if other != 0:
+                sharded.kill_shard(other)
+        member = next(g for g in range(300) if holders(g) == [0])
+        before = coordinator.managers[0].index.live_count()
+        commit([MutationRequest(op="delete", entry_id=member)])
+        assert coordinator.managers[0].index.live_count() == before - 1
+        for other in range(SHARDS):
+            sharded.revive_shard(other)
+        _assert_identical(
+            single.ivf_search(sid, queries, k=K, nprobe=NLIST),
+            sharded.ivf_search(did, queries, k=K, nprobe=NLIST),
+            documents=False,
+        )
 
 
 class TestShardedBatchForming:
