@@ -569,9 +569,7 @@ def shard_scaling_corpus():
 
 def deploy_shard_scaling_point(n_shards, vectors, model):
     """A fresh ``n_shards`` cluster holding the shard-scaling corpus."""
-    device = ShardedReisDevice(
-        n_shards, tiny_config(f"SCALE-{n_shards}"), placement="cluster"
-    )
+    device = ShardedReisDevice(n_shards, tiny_config(f"SCALE-{n_shards}"))
     return device, device.ivf_deploy("scale", vectors, ivf_model=model, seed=0)
 
 
@@ -911,8 +909,7 @@ def run_failover_serving():
     points = []
     for repl in (1, 2):
         device = ShardedReisDevice(
-            FAILOVER_SHARDS, tiny_config(f"FOSV-R{repl}"),
-            placement="cluster", replication_factor=repl,
+            FAILOVER_SHARDS, tiny_config(f"FOSV-R{repl}"), replication_factor=repl
         )
         db_id = device.ivf_deploy("fo", vectors, ivf_model=model, seed=0)
         served = failed = mismatches = 0
@@ -1147,7 +1144,7 @@ def cached_cluster_workload(batches):
     ranks = zipf_ranks(CACHE_POOL, 1.2, CACHE_STREAM, "cache-serving")
     device = ShardedReisDevice(
         4, host_scale_config("CLUSTER-CACHE", CACHE_BLOCKS_PER_PLANE),
-        placement="cluster", replication_factor=2,
+        replication_factor=2,
     )
     did = device.ivf_deploy("cluster-cache", vectors, nlist=CACHE_NLIST, seed=0)
     device.enable_page_cache(CACHED_CLUSTER_BUDGET, policy_factory=CostAwarePolicy)

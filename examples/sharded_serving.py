@@ -46,9 +46,7 @@ def main() -> None:
           f"(cluster-affinity placement)")
     single = ReisDevice(tiny_config("DEMO-1"))
     single_id = single.ivf_deploy("demo", vectors, ivf_model=model, seed=0)
-    cluster = ShardedReisDevice(
-        N_SHARDS, tiny_config("DEMO-N"), placement="cluster"
-    )
+    cluster = ShardedReisDevice(N_SHARDS, tiny_config("DEMO-N"))
     cluster_id = cluster.ivf_deploy("demo", vectors, ivf_model=model, seed=0)
     sdb = cluster.database(cluster_id)
     sizes = sdb.assignment.shard_sizes()

@@ -20,9 +20,10 @@ retrieval system of Sec. 4:
 * :mod:`repro.core.queue` -- the async host submission queue:
   deadline/occupancy batch forming with per-tenant fairness on a
   simulated clock.
-* :mod:`repro.core.shard` -- multi-device sharding: placement policies,
-  the shard router, and host-side distance merging of per-shard
-  shortlists (bit-identical to a single device over the whole corpus).
+* :mod:`repro.core.shard` -- multi-device sharding: the placement table
+  (each IVF cluster's owner shards), the shard router, and host-side
+  distance merging of per-shard shortlists (bit-identical to a single
+  device over the whole corpus).
 * :mod:`repro.core.costing` -- the shared latency-composition layer.
 * :mod:`repro.core.analytic` -- the paper-scale analytic twin.
 * :mod:`repro.core.api` -- the device API (Table 1) and NVMe wiring.

@@ -12,10 +12,11 @@ calls.  The host-facing surface mirrors the paper's API:
                    resolved to an nprobe operating point.
 =================  =========================================================
 
-The deploy half differs per device (one drive's deployer vs partitioning
-a corpus across shards) and lives on each class; the serving half --
-``search``, ``ivf_search``, the submission and ingest queues -- is written
-once (:class:`_HostSurface`) over the device's *executor*: a
+The deploy half differs per device (one drive's deployer vs placing an IVF
+corpus's clusters on owner shards -- a cluster has only ``ivf_deploy``, and
+its ``search`` probes every cluster) and lives on each class; the serving
+half -- ``search``, ``ivf_search``, the submission and ingest queues -- is
+written once (:class:`_HostSurface`) over the device's *executor*: a
 :class:`~repro.core.batch.BatchExecutor` for one drive, the
 :class:`~repro.core.shard.ShardRouter` for a cluster, both answering
 ``plan`` / ``forming_views`` / ``execute`` with the database first.  On a
@@ -229,7 +230,8 @@ class _HostSurface:
         metadata_filter: Optional[int] = None,
     ) -> BatchSearchResult:
         """``Search(Q, Qid, Did, k)``: brute-force top-k for a query batch
-        (on a cluster: across all shards, distance-merged)."""
+        (on a cluster: every cluster probed across all shards,
+        distance-merged)."""
         db = self.database(db_id)
         queries = validate_queries(db, queries, k)
         execution = self.executor.execute(
@@ -628,19 +630,21 @@ class MigrationResult:
 class ShardedReisDevice(_HostSurface):
     """N REIS drives serving one logical database behind one device API.
 
-    The serving surface *is* :class:`ReisDevice`'s (``search`` /
-    ``ivf_search`` / ``submission_queue`` / ``ingest_queue``, inherited
-    from the same base), so everything built on the single-device API --
-    the RAG pipeline via :class:`ReisRetriever`, the scheduler, the
-    examples -- runs unchanged on a cluster; a bad cluster shape (unknown
-    placement, more replicas than shards) fails here, at construction.
-    Deployment fits one codec set on the full corpus
-    (:func:`~repro.core.layout.fit_deployment_codecs`), partitions the
-    vectors under the placement policy, and deploys each piece to its
-    shard; serving fans queries out through the
-    :class:`~repro.core.shard.ShardRouter` and distance-merges per-shard
-    shortlists into a global top-k that is bit-identical to a single
-    device deploying everything.
+    The serving surface *is* :class:`ReisDevice`'s (``search`` / ``ivf_search``
+    / ``submission_queue`` / ``ingest_queue``, inherited from the same
+    base), so everything built on the single-device API -- the RAG pipeline
+    via :class:`ReisRetriever`, the scheduler, the examples -- runs
+    unchanged on a cluster; a bad cluster shape (more replicas than shards)
+    fails here, at construction.  ``placement`` names the one policy,
+    ``"cluster"``: every database is an IVF deployment whose whole clusters
+    go to ``replication_factor`` owner shards each
+    (:func:`~repro.core.shard.plan_placement`).  Deployment fits one codec
+    set on the full corpus
+    (:func:`~repro.core.layout.fit_deployment_codecs`), places the
+    clusters, and deploys each piece to its shard; serving fans queries out
+    through the :class:`~repro.core.shard.ShardRouter` and distance-merges
+    per-shard shortlists into a global top-k that is bit-identical to a
+    single device deploying everything.
     """
 
     def __init__(
@@ -653,8 +657,11 @@ class ShardedReisDevice(_HostSurface):
         replication_factor: int = 1,
     ) -> None:
         super().__init__()
-        check_cluster_shape(n_shards, placement, replication_factor)
-        self.placement = placement
+        if placement != "cluster":
+            raise ValueError(
+                f"unknown placement {placement!r}; the one policy is 'cluster'"
+            )
+        check_cluster_shape(n_shards, replication_factor)
         self.replication_factor = replication_factor
         self.config = config
         self.flags = flags if flags is not None else OptFlags()
@@ -710,22 +717,6 @@ class ShardedReisDevice(_HostSurface):
 
     # --------------------------------------------------------- deployment
 
-    def db_deploy(
-        self,
-        name: str,
-        vectors: np.ndarray,
-        corpus: Optional[Corpus] = None,
-        db_id: Optional[int] = None,
-        metadata_tags: Optional[np.ndarray] = None,
-        seed: object = 0,
-        growth_entries: int = 0,
-    ) -> int:
-        """Deploy a flat database across the shards."""
-        return self._deploy(
-            name, validate_vectors(vectors), None, corpus, db_id,
-            metadata_tags, seed, growth_entries,
-        )
-
     def ivf_deploy(
         self,
         name: str,
@@ -741,33 +732,17 @@ class ShardedReisDevice(_HostSurface):
         """Deploy an IVF database across the shards.
 
         The clustering is trained (or taken) *globally*; each shard
-        deploys the centroids it owns under the placement policy plus its
-        members of every cluster, so the union of shards is exactly the
-        single-device deployment, re-partitioned.  ``growth_entries``
-        reserves that much erased ingest headroom on *every* shard (any
-        shard can end up owning a skewed share of the streamed inserts).
+        deploys the centroids and full membership of the clusters it owns,
+        so the union of shards is exactly the single-device deployment,
+        re-partitioned.  ``growth_entries`` reserves that much erased
+        ingest headroom on *every* shard (any shard can end up owning a
+        skewed share of the streamed inserts).
         """
         vectors = validate_vectors(vectors)
         if ivf_model is None:
             if nlist is None:
                 raise ValueError("provide either nlist or a trained ivf_model")
             ivf_model = build_ivf_model(vectors, nlist, seed=seed)
-        return self._deploy(
-            name, vectors, ivf_model, corpus, db_id, metadata_tags, seed,
-            growth_entries,
-        )
-
-    def _deploy(
-        self,
-        name: str,
-        vectors: np.ndarray,
-        ivf_model: Optional[IvfModel],
-        corpus: Optional[Corpus],
-        db_id: Optional[int],
-        metadata_tags: Optional[np.ndarray],
-        seed: object,
-        growth_entries: int = 0,
-    ) -> int:
         n = vectors.shape[0]
         if corpus is not None and len(corpus) != n:
             raise ValueError("corpus size must match the number of embeddings")
@@ -780,8 +755,7 @@ class ShardedReisDevice(_HostSurface):
         # threshold are fit globally and injected into every shard.
         codecs = fit_deployment_codecs(vectors, self.config.engine, seed)
         assignment = plan_placement(
-            n, self.n_shards, self.placement, ivf_model,
-            replication_factor=self.replication_factor,
+            n, self.n_shards, ivf_model, self.replication_factor
         )
         sdb = ShardedDatabase(
             db_id=db_id,
@@ -811,15 +785,15 @@ class ShardedReisDevice(_HostSurface):
 
         A piece the shard already held is dropped first, reclaiming its
         flash (the old and new layouts together can exceed the planes); a
-        shard with neither ids nor clusters holds no piece.
+        shard owning no cluster holds no piece.
         """
         device = self.shards[shard]
         if sdb.shard_db_ids[shard] is not None:
             device.drop(sdb.shard_db_ids[shard], reclaim=True)
             sdb.shard_dbs[shard] = sdb.shard_db_ids[shard] = None
-        mine = assignment.shard_vectors[shard]
-        if mine.size == 0 and assignment.shard_clusters[shard].size == 0:
+        if assignment.shard_clusters[shard].size == 0:
             return
+        mine = assignment.shard_vectors[shard]
         local_corpus = None
         if sdb.corpus is not None:
             # Shard-local chunk ids (the shard's slot->original mapping
@@ -830,10 +804,7 @@ class ShardedReisDevice(_HostSurface):
             ])
         local_id = device._deploy(
             None, f"{sdb.name}@{shard}", sdb.vectors[mine], corpus=local_corpus,
-            ivf_model=(
-                shard_ivf_model(sdb.ivf_model, assignment, shard)
-                if sdb.is_ivf else None
-            ),
+            ivf_model=shard_ivf_model(sdb.ivf_model, assignment, shard),
             metadata_tags=(
                 sdb.metadata_tags[mine] if sdb.metadata_tags is not None else None
             ),
@@ -909,10 +880,6 @@ class ShardedReisDevice(_HostSurface):
         """
         sdb = self.database(db_id)
         assignment = sdb.assignment
-        if not assignment.cluster_owned:
-            raise ValueError(
-                "cluster migration needs an IVF cluster-affinity placement"
-            )
         if not 0 <= cluster < sdb.n_clusters:
             raise ValueError(f"cluster {cluster} is out of range")
         self.router._check_shard(dst)

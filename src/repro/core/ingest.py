@@ -46,9 +46,8 @@ a no-op for that entry sequence.
 
 Sharded deployments route mutations through
 :class:`ShardedIngestCoordinator`: the target shards are read off the
-placement table (every live owner of the cluster, or ``id % n_shards`` for
-round-robin), the group commits on every shard it touches or on none, and
-the coordinator then replaces the
+placement table (every live owner of the cluster), the group commits on
+every shard it touches or on none, and the coordinator then replaces the
 :class:`~repro.core.shard.ShardAssignment` with its edited copy so the
 router's distance-merge stays bit-identical to the single-device engine.
 """
@@ -884,12 +883,11 @@ class ShardedIngestCoordinator:
     (:class:`~repro.core.shard.ShardAssignment`): ``live`` and ``next_id``
     are read off its ``global_slot``.  Inserts resolve their *global*
     cluster against the full centroid set (same codecs as every shard) and
-    go to every owner of it -- striping: to shard ``id % n_shards`` --
-    deletes to every servable copy of the id (an owner of its cluster
-    holding it).  Each shard's :class:`IngestManager` commits with the
-    cluster pinned (shard-local id) so the shard does not re-derive
-    assignment from its partial centroid view; a copy's shard-local id is
-    its position in the ascending ``shard_vectors[s]`` (a
+    go to every owner of it, deletes to every servable copy of the id (an
+    owner of its cluster holding it).  Each shard's :class:`IngestManager`
+    commits with the cluster pinned (shard-local id) so the shard does not
+    re-derive assignment from its partial centroid view; a copy's
+    shard-local id is its position in the ascending ``shard_vectors[s]`` (a
     ``searchsorted``).
 
     No write lands on a dead shard: a dead owner is passed over and the
@@ -906,8 +904,6 @@ class ShardedIngestCoordinator:
         self.device = device
         self.db_id = db_id
         self.sdb = device.database(db_id)
-        if not self.sdb.is_ivf:
-            raise ValueError("streaming ingest requires an IVF deployment")
         self.managers: Dict[int, IngestManager] = {}
         for shard in self.sdb.active_shards:
             self.attach(shard)
@@ -939,26 +935,6 @@ class ShardedIngestCoordinator:
         return _split_by_cluster(order, cluster_of[order], self.sdb.n_clusters)
 
     # ------------------------------------------------------------- routing
-
-    def _route_insert(
-        self, global_id: int, cluster: int, local_ids: Dict[int, Dict[int, int]]
-    ) -> List[Tuple[int, int]]:
-        """(shard, shard-local cluster id) per copy of a new entry.
-
-        Under cluster-affinity placement the entry goes to *every* owner of
-        its cluster (replicas hold full cluster membership, which is what
-        makes mid-batch failover bit-identical); striping keeps the single
-        round-robin target, whose local cluster id is the global one (every
-        shard deploys every centroid).  ``local_ids[s]`` is shard ``s``'s
-        ``{global cluster: local id}`` map.
-        """
-        assignment = self.sdb.assignment
-        if assignment.cluster_owned:
-            return [
-                (shard, local_ids[shard][cluster])
-                for shard in assignment.owners_of(cluster)
-            ]
-        return [(global_id % assignment.n_shards, cluster)]
 
     def _copies(self, global_id: int) -> List[Tuple[int, int]]:
         """(shard, local id) of every servable copy of a deployed id: each
@@ -1038,9 +1014,13 @@ class ShardedIngestCoordinator:
             if global_id is not None:
                 cluster = next(clusters)
                 text = request.text if request.text is not None else f"chunk-{global_id}"
-                targets = self._live_only(
-                    cluster, self._route_insert(global_id, cluster, local_ids), demoted
-                )
+                # A copy on every owner (shard, local cluster id): replicas
+                # hold full cluster membership, which is what makes
+                # mid-batch failover bit-identical.
+                targets = self._live_only(cluster, [
+                    (shard, local_ids[shard][cluster])
+                    for shard in assignment.owners_of(cluster)
+                ], demoted)
                 copies_of[global_id] = []
                 for shard, local_cluster in targets:
                     hits.append(enqueue(shard, MutationRequest(

@@ -92,6 +92,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _EPS = 1e-12
 
+#: Fraction of the database's planes the pending set must cover before the
+#: occupancy trigger may close a batch: all of them.
+PLANE_COVERAGE_TARGET = 1.0
+#: Forming-pass batch slots of a tenant absent from ``tenant_weights``.
+DEFAULT_TENANT_WEIGHT = 1
+
 
 class QueueAdmissionError(RuntimeError):
     """A submission was rejected by the per-tenant admission bound."""
@@ -137,25 +143,25 @@ class ServedQuery:
 class QueuePolicy:
     """Batch-forming and fairness knobs of one submission queue.
 
-    ``plane_coverage_target`` and ``collision_target`` define the
-    occupancy trigger: close once the estimated footprint of the pending
-    set covers that fraction of the database's planes *and* at least that
-    fraction of its page requests would ride a shared sense.  With the
-    defaults the occupancy trigger fires as soon as every plane the
-    database spans has work -- the point at which adding more queries only
-    deepens queues without widening device parallelism -- and the timeout
-    bounds the wait when traffic is too thin to ever get there.
+    The occupancy trigger closes once the estimated footprint of the
+    pending set covers every plane the database spans
+    (:data:`PLANE_COVERAGE_TARGET`) *and* at least ``collision_target`` of
+    its page requests would ride a shared sense.  With the default
+    ``collision_target`` it fires as soon as every plane has work -- the
+    point at which adding more queries only deepens queues without widening
+    device parallelism -- and the timeout bounds the wait when traffic is
+    too thin to ever get there.  ``tenant_weights`` maps a tenant to its
+    per-pass batch slots; an unlisted tenant gets
+    :data:`DEFAULT_TENANT_WEIGHT`.
     """
 
     max_batch: int = 64
     min_batch: int = 1
     batching_timeout_s: float = 500e-6
     deadline_slack_s: float = 0.0
-    plane_coverage_target: float = 1.0
     collision_target: float = 0.0
     close_on_flush: bool = True
     tenant_weights: Mapping[str, int] = field(default_factory=dict)
-    default_weight: int = 1
     max_pending_per_tenant: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -168,7 +174,7 @@ class QueuePolicy:
 
     def weight(self, tenant: str) -> int:
         """Per-forming-pass batch slots guaranteed to ``tenant``."""
-        return max(1, int(self.tenant_weights.get(tenant, self.default_weight)))
+        return max(1, int(self.tenant_weights.get(tenant, DEFAULT_TENANT_WEIGHT)))
 
 
 @dataclass(frozen=True)
@@ -369,7 +375,7 @@ class BatchFormer:
         if len(pending) >= policy.min_batch:
             estimate = self.estimate(pending[: policy.max_batch])
             if (
-                estimate.plane_coverage >= policy.plane_coverage_target - _EPS
+                estimate.plane_coverage >= PLANE_COVERAGE_TARGET - _EPS
                 and estimate.collision_ratio >= policy.collision_target - _EPS
             ):
                 return "occupancy"

@@ -293,7 +293,9 @@ class ShardedScheduler:
     serving through the shard router, per-shard busy-time billing (shards
     overlap, so each shard's ``rag_seconds`` is *its own* busy time, not
     the cluster wall clock), and the host-side ``merge`` phase in the
-    aggregate accounting.
+    aggregate accounting.  A dead drive (one in the router's
+    ``failed_shards``) is left alone -- no mode switch, maintenance or
+    compaction -- until it is revived.
     """
 
     def __init__(self, device: ShardedReisDevice) -> None:
@@ -313,6 +315,10 @@ class ShardedScheduler:
     def shard_accounting(self) -> List[ScheduleAccounting]:
         """Per-shard accounting (one entry per drive, in shard order)."""
         return [child.accounting for child in self.children]
+
+    def _live(self, shards) -> List[int]:
+        failed = self.device.router.failed_shards
+        return [shard for shard in shards if shard not in failed]
 
     # ------------------------------------------------------------ RAG side
 
@@ -337,8 +343,7 @@ class ShardedScheduler:
         batch; the aggregate is billed the cluster serving wall clock,
         split into device time (``rag``) and host merge time (``merge``).
         """
-        sdb = self.device.database(db_id)
-        for shard in sdb.active_shards:
+        for shard in self._live(self.device.database(db_id).active_shards):
             self.children[shard]._enter_rag()
         report, batch = _serve_through_queue(
             self.device, self.accounting, db_id, queries, k, nprobe,
@@ -370,14 +375,15 @@ class ShardedScheduler:
         max_refresh_blocks: int = 4,
         wear_level: bool = True,
     ) -> None:
-        """Run GC/refresh/wear-leveling on every shard (Sec. 7.2 per drive).
+        """Run GC/refresh/wear-leveling on every live shard (Sec. 7.2 per
+        drive).
 
         Drives maintain themselves independently and concurrently, so the
         cluster-level accounting bills the slowest shard's increment.
         """
         before = [child.accounting.maintenance_seconds for child in self.children]
-        for child in self.children:
-            child.run_maintenance(
+        for shard in self._live(range(len(self.children))):
+            self.children[shard].run_maintenance(
                 max_gc_blocks=max_gc_blocks,
                 max_refresh_blocks=max_refresh_blocks,
                 wear_level=wear_level,
@@ -391,15 +397,15 @@ class ShardedScheduler:
         )
 
     def run_ingest_maintenance(self, coordinator) -> "CompactionResult":
-        """Compact every shard of a streamed-into sharded database.
+        """Compact every live shard of a streamed-into sharded database.
 
         Each shard's compaction is local maintenance (billed to that
         shard's child scheduler); shards compact concurrently, so the
         cluster is billed the slowest shard's pass.
         """
         total = CompactionResult.concurrent(
-            self.children[shard].run_ingest_maintenance(manager)
-            for shard, manager in coordinator.managers.items()
+            self.children[shard].run_ingest_maintenance(coordinator.managers[shard])
+            for shard in self._live(coordinator.managers)
         )
         self.accounting.maintenance_seconds += total.seconds
         return total
@@ -424,8 +430,6 @@ class ShardedScheduler:
         """
         device = self.device
         assignment = device.database(db_id).assignment
-        if not assignment.cluster_owned:
-            return None
         failed = device.router.failed_shards
         owners = assignment.live_owners(failed)
         load = [child.accounting.rag_seconds for child in self.children]

@@ -8,11 +8,11 @@ and serves one logical batch as N per-shard
 merges** -- the shard-and-merge design of SPANN/DiskANN-class distributed
 ANN systems, specialized to the in-storage engine:
 
-* :func:`plan_placement` partitions the corpus.  ``round_robin`` stripes
-  vectors across shards (every shard replicates every centroid);
-  ``cluster`` places whole IVF clusters with greedy size balancing
-  (centroid scans divide across shards; flat databases fall back to
-  contiguous chunks).
+* :func:`plan_placement` partitions an IVF corpus: whole clusters go to
+  R owner shards each with greedy size balancing, so centroid scans
+  divide across shards and a cluster's owners are SPANN-style full
+  replicas.  Its :class:`ShardAssignment` -- one (cluster, owner) table --
+  keys serving, failover, ingest routing and migration.
 * Every shard is deployed with the **same**
   :class:`~repro.core.layout.DeploymentCodecs` -- quantizers and the
   distance-filter threshold fit once on the full corpus -- so all shards
@@ -42,8 +42,8 @@ list, and the router merges with the single-device scan-order key
 would occupy in the canonical single-device layout,
 :func:`~repro.core.layout.deployment_order`).  The property tests in
 ``tests/test_core_shard.py`` pin sharded top-k == single-device top-k
-(ids and distances) for arbitrary splits, placements, k and metadata
-filters.
+(ids and distances) for arbitrary splits, replication factors, k and
+metadata filters.
 
 **Cost model.**  Shards execute concurrently, each under its own
 die/channel occupancy composition
@@ -89,8 +89,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import InStorageAnnsEngine
     from repro.host.profile import HostProfile
 
-PLACEMENT_POLICIES = ("round_robin", "cluster")
-
 #: Barriers a shard can be scheduled to die at, in pipeline order.  A kill
 #: at barrier X means the shard's output for phase X is lost before the
 #: router consumes it; everything the shard shipped at earlier barriers
@@ -103,9 +101,7 @@ class ShardUnavailableError(RuntimeError):
 
     Raised instead of partial results -- the router never silently drops a
     shard's slice.  ``cluster`` names the first probed cluster with zero
-    live owners when one is identifiable (cluster-affinity placement);
-    ``None`` for unreplicated layouts (flat / round-robin striping), where
-    any shard loss loses a slice of *every* query.
+    live owners; ``None`` when no live shard is left to serve at all.
     """
 
     def __init__(self, cluster: Optional[int] = None, message: Optional[str] = None):
@@ -148,37 +144,27 @@ class ShardAssignment:
     canonical layout; -1 for a deleted id), which is the scan-order
     tie-break key the router merges shortlists with.
 
-    Under cluster-affinity IVF placement ``cluster_owners[c]`` lists the
-    shards that own cluster ``c`` -- primary first, -1 in the slots a
-    demotion freed -- and is the one authority on serving: a copy of id
-    ``g`` on shard ``s`` is servable iff ``s`` owns ``g``'s cluster.  A
-    shard may hold a cluster it no longer owns (a migration's source keeps
-    its layout; a demoted shard missed writes): those copies are neither
-    served nor written.
+    ``cluster_owners[c]`` lists the R shards that own cluster ``c`` --
+    primary first, -1 in the slots a demotion freed -- and is the one
+    authority on serving: a copy of id ``g`` on shard ``s`` is servable iff
+    ``s`` owns ``g``'s cluster.  A shard may hold a cluster it no longer
+    owns (a migration's source keeps its layout; a demoted shard missed
+    writes): those copies are neither served nor written.
 
     The table is frozen.  Every edit -- :meth:`move`, :meth:`append`,
     :meth:`demote` -- returns a new one.
     """
 
-    policy: str
     n_shards: int
     shard_vectors: List[np.ndarray]  # per shard: global ids, ascending
     shard_clusters: List[np.ndarray]  # per shard: deployed global cluster ids
     global_slot: np.ndarray  # (n,) canonical single-device slot, -1 = deleted
-    cluster_of_vector: Optional[np.ndarray]  # (n,) global cluster (IVF)
-    replication_factor: int = 1
-    cluster_owners: Optional[np.ndarray] = None  # (nlist, R) shards, -1 = none
+    cluster_of_vector: np.ndarray  # (n,) global cluster
+    cluster_owners: np.ndarray  # (nlist, R) shards, -1 = none
 
     @property
-    def is_ivf(self) -> bool:
-        return self.cluster_of_vector is not None
-
-    @property
-    def cluster_owned(self) -> bool:
-        """Whole clusters have owner shards (cluster-affinity IVF): the
-        layouts that fail over, migrate and demote.  Striped and flat
-        layouts lose a slice of every query with any shard."""
-        return self.cluster_owners is not None
+    def replication_factor(self) -> int:
+        return int(self.cluster_owners.shape[1])
 
     @property
     def live(self) -> np.ndarray:
@@ -190,12 +176,8 @@ class ShardAssignment:
 
     def owners_of(self, cluster: int) -> List[int]:
         """Shards allowed to serve ``cluster`` (primary first)."""
-        if self.cluster_owners is not None:
-            row = self.cluster_owners[int(cluster)]
-            return row[row >= 0].tolist()
-        if self.policy == "round_robin":
-            return list(range(self.n_shards))
-        return []
+        row = self.cluster_owners[int(cluster)]
+        return row[row >= 0].tolist()
 
     def live_owners(self, failed: Sequence[int]) -> np.ndarray:
         """The owner table with every ``failed`` shard's slot -1."""
@@ -276,15 +258,11 @@ def scan_order(live: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
     return ids[np.lexsort((ids, cluster_of[ids]))]
 
 
-def check_cluster_shape(n_shards: int, policy: str, replication_factor: int) -> None:
-    """Reject a shard count / placement / replication combination no
-    corpus could be placed under (what is knowable before a model exists)."""
+def check_cluster_shape(n_shards: int, replication_factor: int) -> None:
+    """Reject a shard count / replication combination no corpus could be
+    placed under (what is knowable before a model exists)."""
     if n_shards < 1:
         raise ValueError("n_shards must be at least 1")
-    if policy not in PLACEMENT_POLICIES:
-        raise ValueError(
-            f"unknown placement policy {policy!r}; pick from {PLACEMENT_POLICIES}"
-        )
     if replication_factor < 1:
         raise ValueError("replication_factor must be at least 1")
     if replication_factor > n_shards:
@@ -296,92 +274,54 @@ def check_cluster_shape(n_shards: int, policy: str, replication_factor: int) -> 
 def plan_placement(
     n: int,
     n_shards: int,
-    policy: str,
-    ivf_model: Optional[IvfModel] = None,
+    ivf_model: IvfModel,
     replication_factor: int = 1,
 ) -> ShardAssignment:
-    """Partition ``n`` vectors across ``n_shards`` under a placement policy.
+    """Place the ``n`` vectors of ``ivf_model``'s clusters on ``n_shards``.
 
-    ``round_robin`` assigns vector ``i`` to shard ``i % n_shards``; with an
-    IVF model every cluster then has members on every shard, so each shard
-    owns (a replica of) every centroid.  ``cluster`` assigns whole clusters
-    greedily -- largest first, each to the currently lightest shard -- so
-    a probed cluster lives on exactly one shard and centroid scans divide;
-    without a model it degrades to contiguous chunks.  Both policies are
-    deterministic functions of their inputs.
-
-    ``replication_factor`` R > 1 (cluster-affinity IVF only) gives each
-    cluster R owner shards -- the greedy pass picks the R lightest distinct
-    shards per cluster, primary first, charging the cluster's size to every
-    owner -- so the router can pick one replica per probed cluster per
-    batch and fail over to a survivor when an owner dies.  Replication is a
-    SPANN-style posting-list replica scheme: whole clusters, full copies.
+    Whole clusters go greedily -- largest first (ties by id), each to the
+    R = ``replication_factor`` currently lightest distinct shards (ties by
+    shard id), primary first, charging the cluster's size to every owner
+    -- so a probed cluster's centroid and members live on its owners only
+    and centroid scans divide.  Each owner holds a full copy (SPANN-style
+    posting-list replicas), so the router can pick one replica per probed
+    cluster per batch and fail over to a survivor when an owner dies.  The
+    plan is a deterministic function of its inputs.
     """
-    check_cluster_shape(n_shards, policy, replication_factor)
-    if replication_factor > 1 and (policy != "cluster" or ivf_model is None):
-        raise ValueError(
-            "replication requires the 'cluster' placement of an IVF model "
-            "(whole clusters are the replication unit)"
-        )
-    cluster_of: Optional[np.ndarray] = None
-    if ivf_model is not None:
-        cluster_of = np.empty(n, dtype=np.int64)
-        for cluster, members in enumerate(ivf_model.lists):
-            cluster_of[members] = cluster
-
-    no_clusters = [np.empty(0, dtype=np.int64) for _ in range(n_shards)]
-    cluster_owners: Optional[np.ndarray] = None
-    if policy == "round_robin":
-        shard_vectors = [
-            np.arange(s, n, n_shards, dtype=np.int64) for s in range(n_shards)
-        ]
-        shard_clusters = no_clusters
-        if ivf_model is not None:
-            all_clusters = np.arange(ivf_model.nlist, dtype=np.int64)
-            shard_clusters = [all_clusters.copy() for _ in range(n_shards)]
-    elif ivf_model is not None:  # cluster affinity
-        sizes = ivf_model.cluster_sizes()
-        # Largest clusters first (ties by id), each to the R lightest
-        # shards (ties by shard id): deterministic greedy balance.  With
-        # R == 1 this is exactly the unreplicated assignment.
-        order = sorted(range(ivf_model.nlist), key=lambda c: (-sizes[c], c))
-        load = [0] * n_shards
-        owners: List[List[int]] = [[] for _ in range(ivf_model.nlist)]
-        for cluster in order:
-            picks = sorted(range(n_shards), key=lambda s: (load[s], s))
-            owners[cluster] = picks[:replication_factor]
-            for shard in owners[cluster]:
-                load[shard] += int(sizes[cluster])
-        cluster_owners = np.array(owners, dtype=np.int64).reshape(
-            ivf_model.nlist, replication_factor
-        )
-        shard_clusters = [
-            np.flatnonzero((cluster_owners == s).any(axis=1))
-            for s in range(n_shards)
-        ]
-        # A shard holds the *full* membership of every cluster it owns
-        # (replicas are whole-cluster copies), in ascending global order.
-        shard_vectors = [
-            np.flatnonzero(np.isin(cluster_of, owned)) for owned in shard_clusters
-        ]
-    else:  # cluster affinity without clusters: contiguous chunks
-        shard_vectors = [
-            chunk.astype(np.int64)
-            for chunk in np.array_split(np.arange(n), n_shards)
-        ]
-        shard_clusters = no_clusters
-
+    check_cluster_shape(n_shards, replication_factor)
+    if ivf_model is None:
+        raise ValueError("placement needs an IVF model: clusters are its unit")
+    cluster_of = np.empty(n, dtype=np.int64)
+    for cluster, members in enumerate(ivf_model.lists):
+        cluster_of[members] = cluster
+    sizes = ivf_model.cluster_sizes()
+    order = sorted(range(ivf_model.nlist), key=lambda c: (-sizes[c], c))
+    load = [0] * n_shards
+    owners: List[List[int]] = [[] for _ in range(ivf_model.nlist)]
+    for cluster in order:
+        picks = sorted(range(n_shards), key=lambda s: (load[s], s))
+        owners[cluster] = picks[:replication_factor]
+        for shard in owners[cluster]:
+            load[shard] += int(sizes[cluster])
+    cluster_owners = np.array(owners, dtype=np.int64).reshape(
+        ivf_model.nlist, replication_factor
+    )
+    shard_clusters = [
+        np.flatnonzero((cluster_owners == s).any(axis=1)) for s in range(n_shards)
+    ]
     order = deployment_order(n, ivf_model)
     global_slot = np.empty(n, dtype=np.int64)
     global_slot[order] = np.arange(n, dtype=np.int64)
     return ShardAssignment(
-        policy=policy,
         n_shards=n_shards,
-        shard_vectors=shard_vectors,
+        # A shard holds the full membership of every cluster it owns, in
+        # ascending global order.
+        shard_vectors=[
+            np.flatnonzero(np.isin(cluster_of, owned)) for owned in shard_clusters
+        ],
         shard_clusters=shard_clusters,
         global_slot=global_slot,
         cluster_of_vector=cluster_of,
-        replication_factor=replication_factor,
         cluster_owners=cluster_owners,
     )
 
@@ -394,8 +334,7 @@ def shard_ivf_model(
     ``assignment.shard_vectors[shard]``).
 
     Membership comes from ``cluster_of_vector``, so it covers ingested ids;
-    under replication a shard holds the full membership of every cluster
-    in its layout, under round-robin striping only its stripe of it.
+    a shard holds the full membership of every cluster in its layout.
     Local cluster ids are positions within the shard's (ascending) layout,
     so local scan order stays consistent with global cluster ids -- the
     coarse-merge tie-break key.
@@ -426,7 +365,7 @@ class ShardedDatabase:
     assignment: ShardAssignment
     shard_dbs: List[Optional[DeployedDatabase]]  # None for empty shards
     shard_db_ids: List[Optional[int]]
-    ivf_model: Optional[IvfModel]
+    ivf_model: IvfModel
     corpus: Optional[Corpus] = field(default=None, repr=False)
     metadata_tags: Optional[np.ndarray] = field(default=None, repr=False)
     # Host mirrors every piece is (re)materialized from -- at deploy and
@@ -438,13 +377,11 @@ class ShardedDatabase:
     codecs: Optional[object] = field(default=None, repr=False)
     growth_entries: int = 0
 
-    @property
-    def is_ivf(self) -> bool:
-        return self.ivf_model is not None
+    is_ivf = True  # every sharded database is an IVF deployment
 
     @property
     def n_clusters(self) -> int:
-        return self.ivf_model.nlist if self.ivf_model is not None else 0
+        return self.ivf_model.nlist
 
     @property
     def has_metadata(self) -> bool:
@@ -530,17 +467,14 @@ class _BatchState:
     metadata_filter: Optional[int]
     # Records each shard shipped to the host merges (every barrier adds).
     shipped: np.ndarray
+    cluster_sizes: np.ndarray  # members per global cluster (election key)
+    # Cluster -> serving shard for this batch, -1 where not (yet) elected.
+    serving: np.ndarray
     runs: List[_ShardRun] = field(default_factory=list)
     # The probe table, stacked query-major in rank order: row i says query
-    # ``probe_queries[i]`` probes global cluster ``probe_clusters[i]``
-    # (empty on a flat database).
+    # ``probe_queries[i]`` probes global cluster ``probe_clusters[i]``.
     probe_queries: np.ndarray = field(default_factory=_no_rows)
     probe_clusters: np.ndarray = field(default_factory=_no_rows)
-    # Cluster -> serving shard for this batch, -1 where not (yet) elected
-    # (cluster-affinity placement only; None means every shard serves its
-    # own slice of every cluster).
-    serving: Optional[np.ndarray] = None
-    cluster_sizes: Optional[np.ndarray] = None
     retry_indices: List[int] = field(default_factory=list)
 
     @property
@@ -713,8 +647,6 @@ class ShardRouter:
 
     def _down_clusters(self, sdb: ShardedDatabase) -> np.ndarray:
         """Clusters with zero live owners (their pages are unreachable)."""
-        if not sdb.assignment.cluster_owned:
-            return np.empty(0, dtype=np.int64)
         live = sdb.assignment.live_owners(self.failed_shards)
         return np.flatnonzero((live < 0).all(axis=1))
 
@@ -727,15 +659,12 @@ class ShardRouter:
 
         One ``(shard, engine, local db, local cluster ids)`` view per live
         shard holding a piece.  Of the given global ``clusters`` a shard is
-        expected to scan the ones the router would have it *serve*: the
-        first live owner under cluster-affinity placement, every shard's
-        local slice under striping.
+        expected to scan the ones the router would have it *serve*: those
+        it is the first live owner of.
         """
         assignment = sdb.assignment
-        serving: Optional[List[int]] = None
-        if assignment.cluster_owned:
-            live = assignment.live_owners(self.failed_shards)
-            serving = live[np.arange(len(live)), np.argmax(live >= 0, axis=1)].tolist()
+        live = assignment.live_owners(self.failed_shards)
+        serving = live[np.arange(len(live)), np.argmax(live >= 0, axis=1)].tolist()
         views = []
         for shard in sdb.active_shards:
             if shard in self.failed_shards:
@@ -744,8 +673,7 @@ class ShardRouter:
             local = [
                 position[cluster]
                 for cluster in clusters
-                if cluster in position
-                and (serving is None or serving[cluster] == shard)
+                if cluster in position and serving[cluster] == shard
             ]
             views.append(
                 (shard, self.engines[shard], sdb.shard_dbs[shard], local)
@@ -815,14 +743,6 @@ class ShardRouter:
                 results=[], report=LatencyReport(), stats=BatchStats()
             )
         self.resolve_anchor(sdb)  # raises when no deployed shard is live
-        live = [s for s in sdb.active_shards if s not in self.failed_shards]
-        if len(live) < len(sdb.active_shards) and not sdb.assignment.cluster_owned:
-            # A striped/flat layout lost a slice of every query already.
-            raise ShardUnavailableError(
-                None,
-                "a shard holding an unreplicated slice is down "
-                f"({sorted(set(sdb.active_shards) - set(live))})",
-            )
         with _phase_timer(host_profile, "prepare"):
             state = _BatchState(
                 sdb=sdb, queries=queries, k=k,
@@ -831,25 +751,19 @@ class ShardRouter:
                 fetch_documents=fetch_documents,
                 metadata_filter=metadata_filter,
                 shipped=np.zeros(self.n_shards, dtype=np.int64),
+                cluster_sizes=np.bincount(
+                    sdb.assignment.cluster_of_vector, minlength=sdb.n_clusters
+                ),
+                serving=np.full(sdb.n_clusters, -1, dtype=np.int64),
             )
-            if sdb.is_ivf and sdb.assignment.cluster_of_vector is not None:
-                state.cluster_sizes = np.bincount(
-                    np.asarray(sdb.assignment.cluster_of_vector, dtype=np.int64),
-                    minlength=sdb.n_clusters,
-                )
-            for shard in live:
-                state.runs.append(self._make_run(state, shard))
+            for shard in sdb.active_shards:
+                if shard not in self.failed_shards:
+                    state.runs.append(self._make_run(state, shard))
         with _phase_timer(host_profile, "ibc"):
             for run in state.runs:
                 run.executor.run_ibc(run.ctxs)
-
-        if sdb.is_ivf:
-            with _phase_timer(host_profile, "coarse"):
-                self._coarse_barrier(state)
-        else:
-            dead = self._kill_at(state, "coarse")
-            if dead is not None:
-                self._spawn_replacements(state, dead, through="scan")
+        with _phase_timer(host_profile, "coarse"):
+            self._coarse_barrier(state)
         with _phase_timer(host_profile, "fine"):
             self._fine_barrier(state)
             shortlist = self._shortlist_barrier(state)
@@ -868,10 +782,8 @@ class ShardRouter:
         self, state: _BatchState, shard: int, failover: bool = False
     ) -> _ShardRun:
         executor = self.executors[shard]
-        db = state.sdb.shard_dbs[shard]
         run = executor.prepare(
-            db, state.queries, state.k,
-            state.nprobe if db.is_ivf else None,
+            state.sdb.shard_dbs[shard], state.queries, state.k, state.nprobe,
             state.fetch_documents, state.metadata_filter,
         )
         return _ShardRun(
@@ -936,20 +848,11 @@ class ShardRouter:
         bit-for-bit the candidates the dead shard would have shipped
         (replicas are whole-cluster copies; determinism does the rest).
         Raises :class:`ShardUnavailableError` naming the first cluster with
-        zero live owners, or with ``cluster=None`` for layouts that cannot
-        reroute at all.
+        zero live owners.
         """
-        sdb = state.sdb
-        if state.serving is None:
-            probed = state.probe_clusters
-            raise ShardUnavailableError(
-                int(probed[0]) if probed.size else None,
-                f"shard {dead} died mid-batch and the "
-                f"{sdb.assignment.policy!r} placement has no cluster replicas",
-            )
         lost = np.flatnonzero(state.serving == dead)
         if members is not None:
-            holding = np.asarray(sdb.assignment.cluster_of_vector)[members]
+            holding = state.sdb.assignment.cluster_of_vector[members]
             lost = lost[np.isin(lost, holding)]
         # Elected in ascending cluster order: the load key sees the same
         # sequence of assignments every time.
@@ -998,13 +901,7 @@ class ShardRouter:
         for run in state.live_runs():
             selected[run.shard] = run.executor._coarse_scan(run)
 
-        dead = self._kill_at(state, "coarse")
-        if dead is not None and not sdb.assignment.cluster_owned:
-            raise ShardUnavailableError(
-                None,
-                f"shard {dead} died at the coarse barrier and the "
-                f"{sdb.assignment.policy!r} placement has no replicas",
-            )
+        self._kill_at(state, "coarse")
         runs = state.live_runs()
         queries, dists, clusters = [], [], []
         for run in runs:
@@ -1042,16 +939,13 @@ class ShardRouter:
         if lost.any():
             raise ShardUnavailableError(int(state.probe_clusters[np.argmax(lost)]))
 
-        serves = np.ones(state.probe_clusters.size, dtype=bool)
-        if sdb.assignment.cluster_owned:
-            # One serving replica per probed cluster, batch-wide.
-            state.serving = np.full(sdb.n_clusters, -1, dtype=np.int64)
-            distinct, first = np.unique(state.probe_clusters, return_index=True)
-            self._elect(state, distinct[np.argsort(first)].tolist())
+        # One serving replica per probed cluster, batch-wide.
+        distinct, first = np.unique(state.probe_clusters, return_index=True)
+        self._elect(state, distinct[np.argsort(first)].tolist())
         for run in runs:
-            if state.serving is not None:
-                serves = state.serving[state.probe_clusters] == run.shard
-            self._hand_out_probes(state, run, serves)
+            self._hand_out_probes(
+                state, run, state.serving[state.probe_clusters] == run.shard
+            )
 
     def _fine_barrier(self, state: _BatchState) -> None:
         """Filtered fine scans everywhere, then the cluster-wide retry.
@@ -1105,14 +999,13 @@ class ShardRouter:
         """Merge per-shard shortlists into the global rescoring shortlists.
 
         The merge key is (query, Hamming distance, single-device scan
-        order): probe rank then canonical slot for IVF, canonical slot
-        alone for flat.  Each shard's local top-S contains its members of
-        the global top-S, so the head of every query's segment *is* the
-        single-device shortlist.  The merge is one sort over the stacked
-        shard columns and one segment cut; serving sets are disjoint per
-        cluster (one replica serves each cluster per batch), so slots stay
-        unique within a query, the key is a total order and the sort
-        reproduces the tuple sort exactly.  ``run_index`` is the run's
+        order: probe rank, then canonical slot).  Each shard's local top-S
+        contains its members of the global top-S, so the head of every
+        query's segment *is* the single-device shortlist.  The merge is one
+        sort over the stacked shard columns and one segment cut; serving
+        sets are disjoint per cluster (one replica serves each cluster per
+        batch), so slots stay unique within a query, the key is a total
+        order and the sort reproduces the tuple sort exactly.  ``run_index`` is the run's
         absolute index in ``state.runs`` -- dead runs stay in the list
         precisely so this provenance survives later failovers.
         """
@@ -1122,15 +1015,15 @@ class ShardRouter:
         for _index, run in live:
             state.shipped[run.shard] += len(run.shortlist)
         table, dists = self._stack_shortlists(state, live)
-        keys = [np.asarray(assignment.global_slot, dtype=np.int64)[table.gids]]
-        if sdb.is_ivf:
-            rank_of = np.full((state.n_queries, sdb.n_clusters), -1, dtype=np.int64)
-            rank_of[state.probe_queries, state.probe_clusters] = np.arange(
-                state.probe_queries.size
-            )
-            clusters = np.asarray(assignment.cluster_of_vector, dtype=np.int64)
-            keys.insert(0, rank_of[table.queries, clusters[table.gids]])
-        order = merge_order(table.queries, dists, *keys)
+        rank_of = np.full((state.n_queries, sdb.n_clusters), -1, dtype=np.int64)
+        rank_of[state.probe_queries, state.probe_clusters] = np.arange(
+            state.probe_queries.size
+        )
+        order = merge_order(
+            table.queries, dists,
+            rank_of[table.queries, assignment.cluster_of_vector[table.gids]],
+            assignment.global_slot[table.gids],
+        )
         # Every shard plans the same unclamped shortlist_factor * k.
         order = order[
             state.head_of_each_query(
@@ -1309,14 +1202,6 @@ class ShardRouter:
         serving_run: Dict[int, _ShardRun] = {}
         for run in runs:
             serving_run.setdefault(run.shard, run)
-        orphaned = ~np.isin(ranked.shards, list(serving_run))
-        if orphaned.any():
-            first = orphaned & (ranked.queries == ranked.queries[np.argmax(orphaned)])
-            raise ShardUnavailableError(
-                None,
-                "winner document stranded on dead shard "
-                f"{int(ranked.shards[first].min())}",
-            )
         for shard, run in serving_run.items():
             mine = np.flatnonzero(ranked.shards == shard)
             if not mine.size:

@@ -84,9 +84,7 @@ def observe_cached_shard_failover():
     config = dataclasses.replace(
         config, geometry=dataclasses.replace(config.geometry, blocks_per_plane=64)
     )
-    device = ShardedReisDevice(
-        2, config, placement="cluster", replication_factor=2
-    )
+    device = ShardedReisDevice(2, config, replication_factor=2)
     db_id = device.ivf_deploy("pin", vectors, nlist=8, seed=0)
     device.enable_page_cache(100_000)  # about five pages per shard
     device.ivf_search(db_id, queries[:5], k=4, nprobe=3)  # warms the mirrors

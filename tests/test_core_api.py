@@ -63,6 +63,8 @@ class TestSearchApi:
         device, db_id = deployed_flat_device
         with pytest.raises(ValueError):
             device.ivf_search(db_id, small_queries[:1], k=5)
+        with pytest.raises(ValueError, match="without IVF"):
+            device.submission_queue(db_id, nprobe=2)
 
     def test_recall_target_resolves_nprobe(self, deployed_device, small_queries):
         device, db_id = deployed_device
@@ -242,16 +244,17 @@ class TestQueryValidation:
     def test_bad_corpus_fails_at_the_deploy_boundary(
         self, either_device, small_vectors, monkeypatch, corrupt, message
     ):
-        """Flat and IVF, single and sharded: a named error before k-means or
-        codec fitting starts (no warning from inside numpy, no garbage
-        codes on flash), and nothing registered."""
+        """Flat and IVF, single and sharded (IVF only): a named error before
+        k-means or codec fitting starts (no warning from inside numpy, no
+        garbage codes on flash), and nothing registered."""
         device, db_id = either_device
         vectors = corrupt(small_vectors[0])
         monkeypatch.setattr(blocks, "ROW_BLOCK", 7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
-                device.db_deploy("bad", vectors)
+            if isinstance(device, ReisDevice):
+                with pytest.raises(ValueError, match=message):
+                    device.db_deploy("bad", vectors)
             with pytest.raises(ValueError, match=message):
                 device.ivf_deploy("bad", vectors, nlist=4, seed=0)
         assert set(device.databases) == {db_id}
@@ -301,10 +304,12 @@ class TestMetadataTagValidation:
         tags = [7] * self.N
         tags[5] = bad
         vectors = small_vectors[0][: self.N]
-        for deploy in (
-            lambda: either_device.db_deploy("t", vectors, metadata_tags=tags),
-            lambda: self._tagged(either_device, small_vectors, tags),
-        ):
+        deploys = [lambda: self._tagged(either_device, small_vectors, tags)]
+        if isinstance(either_device, ReisDevice):
+            deploys.append(
+                lambda: either_device.db_deploy("t", vectors, metadata_tags=tags)
+            )
+        for deploy in deploys:
             with pytest.raises(ValueError, match="metadata_tags " + message):
                 deploy()
         assert either_device.databases == {}

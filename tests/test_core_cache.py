@@ -411,7 +411,7 @@ class TestFailedReenableKeepsTheCache:
     @pytest.mark.parametrize("error", [CapacityError, ValueError])
     def test_sharded_device_switches_every_shard_or_none(self, error):
         vectors, model, queries = _base(120, "csreenable")
-        device = ShardedReisDevice(3, tiny_config("CSREENABLE"), placement="cluster")
+        device = ShardedReisDevice(3, tiny_config("CSREENABLE"))
         db = device.ivf_deploy("db", vectors, ivf_model=model, seed=0)
         caches = device.enable_page_cache(self.BUDGET)
         device.ivf_search(db, queries, k=K, nprobe=NLIST)
@@ -535,12 +535,8 @@ class TestCacheInvalidation:
     def test_sharded_mutation_interleavings_match_uncached(self, script):
         ops, seed = script
         vectors, model, queries = _base(60, ("scinv", seed))
-        cached = ShardedReisDevice(
-            2, tiny_config(f"SCINV-{seed}"), placement="cluster"
-        )
-        plain = ShardedReisDevice(
-            2, tiny_config(f"SPINV-{seed}"), placement="cluster"
-        )
+        cached = ShardedReisDevice(2, tiny_config(f"SCINV-{seed}"))
+        plain = ShardedReisDevice(2, tiny_config(f"SPINV-{seed}"))
         cdb = cached.ivf_deploy(
             "db", vectors, ivf_model=model, growth_entries=2048
         )
@@ -579,12 +575,10 @@ class TestCacheInvalidation:
         queries = make_queries(vectors, 6, seed="cmig-q")
         model = build_ivf_model(vectors, nlist, seed=0)
         cached = ShardedReisDevice(
-            3, tiny_config("CMIG-ON"), placement="cluster",
-            replication_factor=2,
+            3, tiny_config("CMIG-ON"), replication_factor=2
         )
         plain = ShardedReisDevice(
-            3, tiny_config("CMIG-OFF"), placement="cluster",
-            replication_factor=2,
+            3, tiny_config("CMIG-OFF"), replication_factor=2
         )
         cdb = cached.ivf_deploy("db", vectors, ivf_model=model, seed=0)
         pdb = plain.ivf_deploy("db", vectors, ivf_model=model, seed=0)
@@ -613,12 +607,10 @@ class TestCacheInvalidation:
         queries = make_queries(vectors, 6, seed="ckill-q")
         model = build_ivf_model(vectors, nlist, seed=0)
         cached = ShardedReisDevice(
-            3, tiny_config("CKILL-ON"), placement="cluster",
-            replication_factor=2,
+            3, tiny_config("CKILL-ON"), replication_factor=2
         )
         plain = ShardedReisDevice(
-            3, tiny_config("CKILL-OFF"), placement="cluster",
-            replication_factor=2,
+            3, tiny_config("CKILL-OFF"), replication_factor=2
         )
         cdb = cached.ivf_deploy("db", vectors, ivf_model=model, seed=0)
         pdb = plain.ivf_deploy("db", vectors, ivf_model=model, seed=0)
@@ -687,8 +679,7 @@ class TestBatchCacheHitAccounting:
             drives = [device]
         else:
             device = ShardedReisDevice(
-                4, deep_config("CHITS-4x2"), placement="cluster",
-                replication_factor=2,
+                4, deep_config("CHITS-4x2"), replication_factor=2
             )
             drives = device.shards
         db = device.ivf_deploy("db", vectors, ivf_model=model, seed=0)

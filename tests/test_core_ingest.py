@@ -177,7 +177,7 @@ class TestBitIdentitySingleDevice:
 
 
 class TestBitIdentitySharded:
-    """The same contract across shards, for both placement policies."""
+    """The same contract across shards."""
 
     @settings(
         max_examples=5,
@@ -188,15 +188,12 @@ class TestBitIdentitySharded:
         st.tuples(
             st.lists(st.sampled_from("IDU"), min_size=1, max_size=6),
             st.integers(0, 10**6),
-            st.sampled_from(["cluster", "round_robin"]),
         )
     )
     def test_sharded_mutations_match_fresh_snapshot(self, script):
-        ops, seed, placement = script
+        ops, seed = script
         vectors, model, queries = _base(60, seed=("shing", seed))
-        device = ShardedReisDevice(
-            2, tiny_config(f"SHING-{seed}"), placement=placement
-        )
+        device = ShardedReisDevice(2, tiny_config(f"SHING-{seed}"))
         db_id = device.ivf_deploy(
             "db", vectors, ivf_model=model, growth_entries=2048
         )
@@ -422,7 +419,7 @@ class TestGroupAtomicity:
 
     def test_sharded_group_one_shard_refuses_commits_nowhere(self):
         vectors, _ = make_clustered_embeddings(60, 32, 4, seed=("atomic", "sh"))
-        device = ShardedReisDevice(2, tiny_config("INGVS"), placement="cluster")
+        device = ShardedReisDevice(2, tiny_config("INGVS"))
         db_id = device.ivf_deploy(
             "db", vectors, nlist=4, seed=0, growth_entries=2048
         )

@@ -240,10 +240,10 @@ class TestFormerEstimateAgainstLatchWalk:
         queue = device.submission_queue(db_id, nprobe=self.NPROBE if ivf else None)
         return queue, [(0, device.engine, db, None)], db.n_clusters, None
 
-    def _sharded(self, optimize, n_shards, placement, replicas, dead):
+    def _sharded(self, optimize, n_shards, replicas, dead):
         device = ShardedReisDevice(
             n_shards, tiny_config(f"PIN-{n_shards}"), flags=self._flags(optimize),
-            placement=placement, replication_factor=replicas,
+            replication_factor=replicas,
         )
         db_id = device.ivf_deploy("p", self._vectors(), nlist=self.NLIST, seed=0)
         sdb = device.database(db_id)
@@ -257,13 +257,11 @@ class TestFormerEstimateAgainstLatchWalk:
              [int(c) for c in assignment.shard_clusters[shard]])
             for shard in sdb.active_shards if shard not in dead
         ]
-        serving = None
-        if placement == "cluster":
-            serving = {}
-            for cluster in range(self.NLIST):
-                live = [s for s in assignment.owners_of(cluster) if s not in dead]
-                if live:
-                    serving[cluster] = live[0]
+        serving = {}
+        for cluster in range(self.NLIST):
+            live = [s for s in assignment.owners_of(cluster) if s not in dead]
+            if live:
+                serving[cluster] = live[0]
         return queue, views, sdb.n_clusters, serving
 
     def _reference(self, views, n_clusters, serving, optimize, sub_ids):
@@ -341,10 +339,8 @@ class TestFormerEstimateAgainstLatchWalk:
     DEPLOYMENTS = {
         "single-ivf": lambda self, opt: self._single(opt, ivf=True),
         "single-flat": lambda self, opt: self._single(opt, ivf=False),
-        "striped-3": lambda self, opt: self._sharded(opt, 3, "round_robin", 1, ()),
-        "replicated-4x2-one-dead": lambda self, opt: self._sharded(
-            opt, 4, "cluster", 2, (1,)
-        ),
+        "unreplicated-3": lambda self, opt: self._sharded(opt, 3, 1, ()),
+        "replicated-4x2-one-dead": lambda self, opt: self._sharded(opt, 4, 2, (1,)),
     }
 
     @pytest.mark.parametrize("optimize", [True, False], ids=["optimized", "query-order"])
@@ -454,7 +450,7 @@ class TestFailedBatchIsRequeued:
     def _sharded(self, tag, **deploy):
         vectors, _ = make_clustered_embeddings(360, 64, self.NLIST, seed="requeue")
         queries = make_queries(vectors, 6, seed="requeue-q")
-        device = ShardedReisDevice(3, tiny_config(f"REQUEUE-{tag}"), placement="cluster")
+        device = ShardedReisDevice(3, tiny_config(f"REQUEUE-{tag}"))
         db_id = device.ivf_deploy("r", vectors, nlist=self.NLIST, seed=0, **deploy)
         return device, db_id, vectors, queries
 

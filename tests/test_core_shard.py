@@ -2,9 +2,9 @@
 
 The central contracts:
 
-* **Bit identity across any split** -- for any corpus split, placement
-  policy and k, the sharded top-k (ids *and* distances) equals the
-  single-device ``engine.search``, including metadata-filtered queries:
+* **Bit identity across any split** -- for any corpus split, replication
+  factor and k, the sharded top-k (ids *and* distances) equals the
+  single-device search, exhaustive or IVF, metadata-filtered or not:
   the router's distance merges reconstruct the single-device candidate
   stream exactly (hypothesis property below).
 * **Merge phase accounting** -- sharded batches report a ``merge`` phase
@@ -41,19 +41,10 @@ from tests.test_core_cache import deep_config
 
 
 class TestPlacement:
-    def test_round_robin_stripes_vectors(self):
-        assignment = plan_placement(10, 3, "round_robin")
-        assert [v.tolist() for v in assignment.shard_vectors] == [
-            [0, 3, 6, 9], [1, 4, 7], [2, 5, 8]
-        ]
-        # Every vector lands on exactly one shard.
-        total = np.concatenate(assignment.shard_vectors)
-        assert sorted(total.tolist()) == list(range(10))
-
     def test_cluster_affinity_keeps_clusters_whole_and_balances(self):
         vectors, _ = make_clustered_embeddings(300, 32, 6, seed="place")
         model = build_ivf_model(vectors, 6, seed=0)
-        assignment = plan_placement(300, 2, "cluster", model)
+        assignment = plan_placement(300, 2, model)
         # A cluster's members all live on its owner shard, and only there.
         for cluster, members in enumerate(model.lists):
             owners = assignment.owners_of(cluster)
@@ -70,57 +61,48 @@ class TestPlacement:
         owned = np.concatenate(assignment.shard_clusters)
         assert sorted(owned.tolist()) == list(range(6))
 
-    def test_round_robin_replicates_every_centroid(self):
-        vectors, _ = make_clustered_embeddings(120, 32, 4, seed="place-rr")
-        model = build_ivf_model(vectors, 4, seed=0)
-        assignment = plan_placement(120, 3, "round_robin", model)
-        for owned in assignment.shard_clusters:
-            assert owned.tolist() == [0, 1, 2, 3]
-
-    def test_cluster_policy_without_model_chunks_contiguously(self):
-        assignment = plan_placement(9, 2, "cluster")
-        assert assignment.shard_vectors[0].tolist() == [0, 1, 2, 3, 4]
-        assert assignment.shard_vectors[1].tolist() == [5, 6, 7, 8]
+    def test_placement_without_a_model_is_refused(self):
+        with pytest.raises(ValueError, match="needs an IVF model"):
+            plan_placement(9, 2, ivf_model=None)
 
     def test_placement_is_deterministic(self):
         vectors, _ = make_clustered_embeddings(200, 32, 5, seed="det")
         model = build_ivf_model(vectors, 5, seed=0)
-        a = plan_placement(200, 4, "cluster", model)
-        b = plan_placement(200, 4, "cluster", model)
+        a = plan_placement(200, 4, model)
+        b = plan_placement(200, 4, model)
         assert np.array_equal(a.cluster_owners, b.cluster_owners)
         for mine_a, mine_b in zip(a.shard_vectors, b.shard_vectors):
             assert np.array_equal(mine_a, mine_b)
 
     def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            plan_placement(10, 0, "round_robin")
-        with pytest.raises(ValueError):
-            plan_placement(10, 2, "zigzag")
+        vectors, _ = make_clustered_embeddings(40, 32, 2, seed="bad-args")
+        model = build_ivf_model(vectors, 2, seed=0)
+        with pytest.raises(ValueError, match="n_shards must be at least 1"):
+            plan_placement(40, 0, model)
 
     @pytest.mark.parametrize(
         "kwargs,message",
         [
-            ({"placement": "bogus"}, "unknown placement policy 'bogus'"),
+            ({"placement": "round_robin"}, "the one policy is 'cluster'"),
             ({"replication_factor": 0}, "replication_factor must be at least 1"),
             ({"replication_factor": 3}, "replication_factor 3 exceeds 2 shards"),
         ],
     )
     def test_bad_cluster_shape_fails_at_construction(self, kwargs, message):
         """Not inside the first deploy, after k-means ran on the corpus --
-        and with the very errors ``plan_placement`` raises."""
+        and a bad replication factor with the very error ``plan_placement``
+        raises."""
         with pytest.raises(ValueError, match=message):
             ShardedReisDevice(2, tiny_config("SHAPE"), **kwargs)
-        with pytest.raises(ValueError, match=message):
-            plan_placement(
-                10, 2, kwargs.get("placement", "cluster"),
-                replication_factor=kwargs.get("replication_factor", 1),
-            )
+        if "replication_factor" in kwargs:
+            with pytest.raises(ValueError, match=message):
+                plan_placement(10, 2, None, **kwargs)
 
     def test_shard_ivf_model_local_lists_cover_shard(self):
         vectors, _ = make_clustered_embeddings(150, 32, 5, seed="local")
         model = build_ivf_model(vectors, 5, seed=0)
-        assignment = plan_placement(150, 2, "round_robin", model)
-        for shard in range(2):
+        assignment = plan_placement(150, 3, model, replication_factor=2)
+        for shard in range(3):
             local = shard_ivf_model(model, assignment, shard)
             covered = np.sort(np.concatenate([lst for lst in local.lists]))
             assert covered.tolist() == list(
@@ -141,58 +123,57 @@ class TestShardedBitIdentity:
         st.tuples(
             st.integers(80, 180),  # n
             st.sampled_from([32, 64]),  # dim
-            st.integers(2, 6),  # nlist (0 -> flat)
+            st.integers(2, 6),  # nlist
             st.integers(1, 8),  # k
             st.integers(1, 4),  # shards
-            st.sampled_from(["round_robin", "cluster"]),
-            st.booleans(),  # IVF or flat
+            st.integers(1, 2),  # replication factor (capped at shards)
+            st.booleans(),  # exhaustive search() or ivf_search()
             st.integers(0, 10**6),  # seed
         )
     )
     @SETTINGS
     def test_sharded_topk_matches_single_device(self, shape):
-        n, dim, nlist, k, shards, policy, use_ivf, seed = shape
-        vectors, _ = make_clustered_embeddings(n, dim, max(nlist, 2), seed=seed)
+        n, dim, nlist, k, shards, repl, exhaustive, seed = shape
+        vectors, _ = make_clustered_embeddings(n, dim, nlist, seed=seed)
         queries = make_queries(vectors, 4, seed=(seed, "sq"))
         tags = (np.arange(n) % 3).astype(np.uint32)
-        model = build_ivf_model(vectors, nlist, seed=seed) if use_ivf else None
+        model = build_ivf_model(vectors, nlist, seed=seed)
 
         single = ReisDevice(tiny_config(f"SBI-{seed}-{n}"))
         sharded = ShardedReisDevice(
-            shards, tiny_config(f"SBI-SH-{seed}-{n}"), placement=policy
+            shards, tiny_config(f"SBI-SH-{seed}-{n}"),
+            replication_factor=min(repl, shards),
         )
-        if use_ivf:
-            sid = single.ivf_deploy(
-                "s", vectors, ivf_model=model, metadata_tags=tags, seed=seed
-            )
-            did = sharded.ivf_deploy(
-                "s", vectors, ivf_model=model, metadata_tags=tags, seed=seed
-            )
-        else:
-            sid = single.db_deploy(
-                "s", vectors, metadata_tags=tags, seed=seed
-            )
-            did = sharded.db_deploy(
-                "s", vectors, metadata_tags=tags, seed=seed
-            )
+        sid = single.ivf_deploy(
+            "s", vectors, ivf_model=model, metadata_tags=tags, seed=seed
+        )
+        did = sharded.ivf_deploy(
+            "s", vectors, ivf_model=model, metadata_tags=tags, seed=seed
+        )
         db = single.database(sid)
-        nprobe = max(1, nlist // 2) if use_ivf else None
+        nprobe = max(1, nlist // 2)
 
         for metadata_filter in (None, int(seed % 3)):
-            if use_ivf:
+            if exhaustive:
+                batch = sharded.search(
+                    did, queries, k=k, metadata_filter=metadata_filter
+                )
+                expect = single.search(
+                    sid, queries, k=k, metadata_filter=metadata_filter
+                )
+            else:
                 batch = sharded.ivf_search(
                     did, queries, k=k, nprobe=nprobe,
                     metadata_filter=metadata_filter,
                 )
-            else:
-                batch = sharded.search(
-                    did, queries, k=k, metadata_filter=metadata_filter
-                )
-            for query, result in zip(queries, batch):
-                solo = single.engine.search(
-                    db, query, k=k, nprobe=nprobe,
-                    metadata_filter=metadata_filter,
-                )
+                expect = [
+                    single.engine.search(
+                        db, query, k=k, nprobe=nprobe,
+                        metadata_filter=metadata_filter,
+                    )
+                    for query in queries
+                ]
+            for solo, result in zip(expect, batch):
                 assert np.array_equal(solo.ids, result.ids)
                 assert np.array_equal(solo.distances, result.distances)
                 assert [d.chunk_id for d in solo.documents] == [
@@ -236,10 +217,7 @@ class TestShardedBitIdentity:
         sid = single.ivf_deploy("s", vectors, ivf_model=model, seed=seed)
         db = single.database(sid)
         sharded = ShardedReisDevice(
-            shards,
-            tiny_config(f"FBI-SH-{seed}-{n}"),
-            placement="cluster",
-            replication_factor=repl,
+            shards, tiny_config(f"FBI-SH-{seed}-{n}"), replication_factor=repl
         )
         did = sharded.ivf_deploy("s", vectors, ivf_model=model, seed=seed)
         owned = sharded.database(did).assignment.shard_clusters[victim]
@@ -285,7 +263,7 @@ def sharded_pair():
     model = build_ivf_model(vectors, 16, seed=0)
     single = ReisDevice(tiny_config("PAIR-1"))
     sid = single.ivf_deploy("pair", vectors, ivf_model=model, seed=0)
-    sharded = ShardedReisDevice(4, tiny_config("PAIR-4"), placement="cluster")
+    sharded = ShardedReisDevice(4, tiny_config("PAIR-4"))
     did = sharded.ivf_deploy("pair", vectors, ivf_model=model, seed=0)
     return single, sid, sharded, did, queries
 
@@ -426,7 +404,7 @@ class TestShardedScheduler:
     @pytest.fixture()
     def scheduler(self):
         vectors, _ = make_clustered_embeddings(600, 64, 12, seed="ssched")
-        device = ShardedReisDevice(3, tiny_config("SSCHED"), placement="cluster")
+        device = ShardedReisDevice(3, tiny_config("SSCHED"))
         self.db_id = device.ivf_deploy("s", vectors, nlist=12, seed=0)
         self.queries = make_queries(vectors, 12, seed="ssched-q")
         return ShardedScheduler(device)
@@ -489,15 +467,6 @@ class TestShardedDeviceSurface:
         with pytest.raises(KeyError):
             device.database(db_id)
 
-    def test_ivf_search_requires_ivf(self):
-        vectors, _ = make_clustered_embeddings(120, 32, 3, seed="flat")
-        device = ShardedReisDevice(2, tiny_config("SFLAT"))
-        db_id = device.db_deploy("f", vectors, seed=0)
-        with pytest.raises(ValueError):
-            device.ivf_search(db_id, vectors[:2], k=3)
-        with pytest.raises(ValueError):
-            device.submission_queue(db_id, nprobe=2)
-
     def test_more_shards_than_clusters_leaves_empty_shards(self):
         """Cluster affinity with nlist < shards: spare shards stay empty
         and the cluster still answers correctly."""
@@ -505,7 +474,7 @@ class TestShardedDeviceSurface:
         model = build_ivf_model(vectors, 2, seed=0)
         single = ReisDevice(tiny_config("TINY-1"))
         sid = single.ivf_deploy("t", vectors, ivf_model=model, seed=0)
-        device = ShardedReisDevice(4, tiny_config("TINY-4"), placement="cluster")
+        device = ShardedReisDevice(4, tiny_config("TINY-4"))
         db_id = device.ivf_deploy("t", vectors, ivf_model=model, seed=0)
         sdb = device.database(db_id)
         assert len(sdb.active_shards) <= 2
@@ -789,13 +758,10 @@ class TestComposeAgainstPerCellReference:
 
     def _sharded(self, corpus, layout, cached):
         vectors, queries, model = corpus
-        n_shards, placement, replicas = {
-            "striped": (3, "round_robin", 1),
-            "replicated": (4, "cluster", 2),
-        }[layout]
+        n_shards, replicas = {"unreplicated": (3, 1), "replicated": (4, 2)}[layout]
         device = ShardedReisDevice(
             n_shards, deep_config(f"CMP-{layout}-{cached}"),
-            placement=placement, replication_factor=replicas,
+            replication_factor=replicas,
         )
         db_id = device.ivf_deploy("cmp", vectors, ivf_model=model, seed=0)
         if cached:
@@ -827,7 +793,7 @@ class TestComposeAgainstPerCellReference:
         return batch
 
     @pytest.mark.parametrize("cached", [False, True])
-    @pytest.mark.parametrize("layout", ["striped", "replicated"])
+    @pytest.mark.parametrize("layout", ["unreplicated", "replicated"])
     def test_sharded_reports_equal_the_per_cell_walk(
         self, corpus, monkeypatch, layout, cached
     ):
@@ -839,7 +805,7 @@ class TestComposeAgainstPerCellReference:
                 for result in batch for name in result.latency.components
             )
 
-    @pytest.mark.parametrize("layout", ["striped", "replicated"])
+    @pytest.mark.parametrize("layout", ["unreplicated", "replicated"])
     def test_forced_filter_retry(self, corpus, monkeypatch, layout):
         device, db_id = self._sharded(corpus, layout, cached=False)
         for shard_db in device.database(db_id).shard_dbs:

@@ -64,26 +64,23 @@ def replicated_pair():
     vectors, queries, model = _corpus("failover")
     single = ReisDevice(tiny_config("FO-1"))
     sid = single.ivf_deploy("fo", vectors, ivf_model=model, seed=0)
-    sharded = ShardedReisDevice(
-        SHARDS, tiny_config("FO-R2"), placement="cluster",
-        replication_factor=2,
-    )
+    sharded = ShardedReisDevice(SHARDS, tiny_config("FO-R2"), replication_factor=2)
     did = sharded.ivf_deploy("fo", vectors, ivf_model=model, seed=0)
     reference = single.ivf_search(sid, queries, k=K, nprobe=NPROBE)
     return sharded, did, queries, reference
 
 
 class TestReplicaPlacement:
-    def test_every_cluster_has_r_distinct_owners(self):
+    @pytest.mark.parametrize("repl", [1, 2, 3])
+    def test_every_cluster_has_r_distinct_owners(self, repl):
         vectors, _, model = _corpus("place")
-        assignment = plan_placement(
-            N, 4, "cluster", model, replication_factor=3
-        )
-        assert assignment.replication_factor == 3
+        assignment = plan_placement(N, 4, model, replication_factor=repl)
+        assert assignment.cluster_owners.shape == (NLIST, repl)
+        assert assignment.replication_factor == repl
         for cluster in range(NLIST):
             owners = assignment.owners_of(cluster)
-            assert len(owners) == 3
-            assert len(set(owners)) == 3
+            assert len(owners) == repl
+            assert len(set(owners)) == repl
             # The primary is the layout owner from the R=1 greedy pass.
             assert owners[0] == int(
                 assignment.cluster_owners[cluster][0]
@@ -91,9 +88,7 @@ class TestReplicaPlacement:
 
     def test_replicas_hold_full_cluster_membership(self):
         vectors, _, model = _corpus("members")
-        assignment = plan_placement(
-            N, SHARDS, "cluster", model, replication_factor=2
-        )
+        assignment = plan_placement(N, SHARDS, model, replication_factor=2)
         cluster_of = np.asarray(assignment.cluster_of_vector)
         for cluster in range(NLIST):
             members = set(np.flatnonzero(cluster_of == cluster).tolist())
@@ -103,16 +98,12 @@ class TestReplicaPlacement:
                 )
                 assert members <= held
 
-    def test_replication_needs_cluster_policy_and_model(self):
+    def test_replication_needs_a_model_and_enough_shards(self):
         _, _, model = _corpus("reject")
         with pytest.raises(ValueError):
-            plan_placement(N, SHARDS, "round_robin", model,
-                           replication_factor=2)
+            plan_placement(N, SHARDS, None, replication_factor=2)
         with pytest.raises(ValueError):
-            plan_placement(N, SHARDS, "cluster", None,
-                           replication_factor=2)
-        with pytest.raises(ValueError):
-            plan_placement(N, 2, "cluster", model, replication_factor=3)
+            plan_placement(N, 2, model, replication_factor=3)
 
 
 class TestKillPointBitIdentity:
@@ -145,10 +136,7 @@ class TestKillPointBitIdentity:
         single = ReisDevice(tiny_config("FOP-1"))
         sid = single.ivf_deploy("fo", vectors, ivf_model=model, seed=0)
         reference = single.ivf_search(sid, queries, k=K, nprobe=NPROBE)
-        sharded = ShardedReisDevice(
-            SHARDS, tiny_config("FOP-R2"), placement="cluster",
-            replication_factor=2,
-        )
+        sharded = ShardedReisDevice(SHARDS, tiny_config("FOP-R2"), replication_factor=2)
         did = sharded.ivf_deploy("fo", vectors, ivf_model=model, seed=0)
         # Whichever replica the load balancer picks, killing every shard
         # in turn must hit at least one that was serving lost work.
@@ -169,9 +157,7 @@ class TestKillPointBitIdentity:
 class TestZeroReplicaDegradation:
     def test_r1_kill_raises_naming_a_lost_cluster(self):
         vectors, queries, model = _corpus("degrade")
-        sharded = ShardedReisDevice(
-            SHARDS, tiny_config("FO-R1"), placement="cluster"
-        )
+        sharded = ShardedReisDevice(SHARDS, tiny_config("FO-R1"))
         did = sharded.ivf_deploy("fo", vectors, ivf_model=model, seed=0)
         owned = sharded.database(did).assignment.shard_clusters[0]
         sharded.kill_shard(0)
@@ -190,16 +176,20 @@ class TestZeroReplicaDegradation:
 
 
     @pytest.mark.parametrize("barrier", KILL_BARRIERS)
-    def test_flat_database_kill_raises_the_named_error(self, barrier):
-        """A flat (striped) layout has no replicas to re-home onto: a shard
-        dying at any barrier is the named error, not a TypeError out of
-        the failover bookkeeping (rerank/document before this pin)."""
-        vectors, queries, _ = _corpus("degrade-flat")
-        sharded = ShardedReisDevice(2, tiny_config("FO-FLAT"))
-        did = sharded.db_deploy("flat", vectors, seed=0)
+    def test_r1_full_probe_kill_raises_naming_a_lost_cluster(self, barrier):
+        """At R=1 a shard dying mid-batch at any barrier of a full-probe
+        ``search`` leaves its clusters no replica to re-home onto: the
+        named error, naming one of them, never a TypeError out of the
+        failover bookkeeping."""
+        vectors, queries, model = _corpus("degrade-full")
+        sharded = ShardedReisDevice(2, tiny_config("FO-R1-FULL"))
+        did = sharded.ivf_deploy("fo", vectors, ivf_model=model, seed=0)
+        owned = sharded.database(did).assignment.shard_clusters[1].tolist()
         sharded.schedule_shard_failure(1, barrier)
-        with pytest.raises(ShardUnavailableError, match="no cluster replicas"):
+        with pytest.raises(ShardUnavailableError) as excinfo:
             sharded.search(did, queries, k=K)
+        assert excinfo.value.cluster in owned
+        assert str(excinfo.value.cluster) in str(excinfo.value)
 
 
 class TestLiveRebalancing:
@@ -215,8 +205,7 @@ class TestLiveRebalancing:
         sid = single.ivf_deploy("m", vectors, ivf_model=model, seed=0)
         reference = single.ivf_search(sid, queries, k=K, nprobe=NPROBE)
         sharded = ShardedReisDevice(
-            SHARDS, tiny_config(f"MIG-{repl}-{via}"), placement="cluster",
-            replication_factor=repl,
+            SHARDS, tiny_config(f"MIG-{repl}-{via}"), replication_factor=repl
         )
         did = sharded.ivf_deploy("m", vectors, ivf_model=model, seed=0)
         scheduler = ShardedScheduler(sharded)
@@ -272,10 +261,7 @@ class TestLiveRebalancing:
         single = ReisDevice(tiny_config("MK-1"))
         sid = single.ivf_deploy("m", vectors, ivf_model=model, seed=0)
         reference = single.ivf_search(sid, queries, k=K, nprobe=NPROBE)
-        sharded = ShardedReisDevice(
-            SHARDS, tiny_config("MK-R2"), placement="cluster",
-            replication_factor=2,
-        )
+        sharded = ShardedReisDevice(SHARDS, tiny_config("MK-R2"), replication_factor=2)
         did = sharded.ivf_deploy("m", vectors, ivf_model=model, seed=0)
         assignment = sharded.database(did).assignment
         cluster = next(
@@ -295,22 +281,17 @@ class TestLiveRebalancing:
         """Every refused move is refused before the destination's piece is
         dropped: the table and every shard's piece stay as they were."""
         vectors, queries, model = _corpus("migval")
-        sharded = ShardedReisDevice(
-            SHARDS, tiny_config("MV"), placement="cluster"
-        )
+        sharded = ShardedReisDevice(SHARDS, tiny_config("MV"))
         did = sharded.ivf_deploy("m", vectors, ivf_model=model, seed=0)
         sdb = sharded.database(did)
         table, pieces = sdb.assignment, list(sdb.shard_dbs)
         owner = int(table.cluster_owners[0][0])
         other = next(s for s in range(SHARDS) if s != owner)
-        striped = ShardedReisDevice(2, tiny_config("MV-RR"), placement="round_robin")
-        rid = striped.ivf_deploy("m", vectors, ivf_model=model, seed=0)
         refused = [
             (ValueError, lambda: sharded.migrate_cluster(did, 0, owner)),
             (ValueError, lambda: sharded.migrate_cluster(did, NLIST + 5, other)),
             (ValueError, lambda: sharded.migrate_cluster(did, 0, other, src=other)),
             (ValueError, lambda: sharded.migrate_cluster(did, 0, SHARDS)),
-            (ValueError, lambda: striped.migrate_cluster(rid, 0, 1)),
         ]
         sharded.kill_shard(other)
         refused.append(
@@ -332,9 +313,7 @@ class TestLiveRebalancing:
         single = ReisDevice(tiny_config("RB-1"))
         sid = single.ivf_deploy("r", vectors, ivf_model=model, seed=0)
         reference = single.ivf_search(sid, queries, k=K, nprobe=NPROBE)
-        sharded = ShardedReisDevice(
-            SHARDS, tiny_config("RB"), placement="cluster"
-        )
+        sharded = ShardedReisDevice(SHARDS, tiny_config("RB"))
         did = sharded.ivf_deploy("r", vectors, ivf_model=model, seed=0)
         scheduler = ShardedScheduler(sharded)
         sharded.ivf_search(did, queries, k=K, nprobe=NPROBE)
@@ -356,6 +335,64 @@ class TestLiveRebalancing:
             reference,
             sharded.ivf_search(did, queries, k=K, nprobe=NPROBE),
         )
+
+
+class TestSchedulerOnDeadDrives:
+    """A killed drive is left alone by the cluster scheduler -- no mode
+    switch, no GC or refresh, no compaction -- and revive resumes each."""
+
+    def _killed(self, tag):
+        vectors, queries, model = _corpus("sched-dead")
+        sharded = ShardedReisDevice(
+            SHARDS, tiny_config(f"SD-{tag}"), replication_factor=2
+        )
+        did = sharded.ivf_deploy(
+            "s", vectors, ivf_model=model, growth_entries=256, seed=0
+        )
+        scheduler = ShardedScheduler(sharded)
+        scheduler.run_maintenance()
+        sharded.kill_shard(1)
+        return sharded, did, queries, scheduler, scheduler.children[1].accounting
+
+    def test_serving_switches_no_dead_shard_into_rag_mode(self):
+        sharded, did, queries, scheduler, dead = self._killed("serve")
+        switches = dead.mode_switches
+        scheduler.serve_queries(did, queries, k=K, nprobe=NPROBE)
+        assert dead.mode_switches == switches
+        assert dead.rag_seconds == 0
+
+        sharded.revive_shard(1)
+        scheduler.serve_queries(did, queries, k=K, nprobe=NPROBE)
+        assert dead.mode_switches > switches
+
+    def test_gc_and_refresh_skip_a_dead_shard(self):
+        sharded, _, _, scheduler, dead = self._killed("gc")
+        gc_runs, maintenance = len(dead.gc_results), dead.maintenance_seconds
+        scheduler.run_maintenance()
+        assert len(dead.gc_results) == len(dead.refresh_results) == gc_runs
+        assert dead.maintenance_seconds == maintenance
+
+        sharded.revive_shard(1)
+        scheduler.run_maintenance()
+        assert len(dead.gc_results) == len(dead.refresh_results) == gc_runs + 1
+
+    def test_compaction_skips_a_dead_shard_and_its_bill(self):
+        """The dead drive is not compacted, and so bills nothing toward
+        the cluster's slowest-shard maximum."""
+        sharded, did, _, scheduler, dead = self._killed("compact")
+        coordinator = sharded.ingest_coordinator(did)
+        before = [child.accounting.maintenance_seconds for child in scheduler.children]
+        total = scheduler.run_ingest_maintenance(coordinator)
+        spent = [
+            child.accounting.maintenance_seconds - prior
+            for child, prior in zip(scheduler.children, before)
+        ]
+        assert spent[1] == 0
+        assert total.seconds == max(spent) > 0
+
+        sharded.revive_shard(1)
+        scheduler.run_ingest_maintenance(coordinator)
+        assert dead.maintenance_seconds > before[1]
 
 
 class TestReplicatedIngest:
@@ -384,10 +421,7 @@ class TestReplicatedIngest:
         stream(single.ingest_manager(sid))
         reference = single.ivf_search(sid, queries, k=K, nprobe=NPROBE)
 
-        sharded = ShardedReisDevice(
-            SHARDS, tiny_config("RI-R2"), placement="cluster",
-            replication_factor=2,
-        )
+        sharded = ShardedReisDevice(SHARDS, tiny_config("RI-R2"), replication_factor=2)
         did = sharded.ivf_deploy(
             "i", head, ivf_model=head_model, growth_entries=2048, seed=0
         )
@@ -409,11 +443,8 @@ class TestReplicatedIngest:
             sharded.revive_shard(victim)
 
 
-    @pytest.mark.parametrize(
-        "placement,repl,shards",
-        [("cluster", 1, 2), ("round_robin", 1, 2), ("cluster", 2, SHARDS)],
-    )
-    def test_no_write_lands_on_a_dead_shard(self, placement, repl, shards):
+    @pytest.mark.parametrize("repl,shards", [(1, 2), (2, SHARDS)])
+    def test_no_write_lands_on_a_dead_shard(self, repl, shards):
         """A group commits on live copies only and demotes the dead owners
         of every cluster it wrote; with no live copy it is refused whole.
         The dead shard's live count never moves, and after revive the
@@ -421,15 +452,12 @@ class TestReplicatedIngest:
         vectors, queries, model = _corpus("dead-write")
         head, tail = vectors[:300], vectors[300:]
         head_model = build_ivf_model(head, NLIST, seed=0)
-        tag = f"DW-{placement}-{repl}"
+        tag = f"DW-cluster-{repl}"
         single = ReisDevice(tiny_config(f"{tag}-1"))
         sid = single.ivf_deploy(
             "w", head, ivf_model=head_model, growth_entries=2048, seed=0
         )
-        sharded = ShardedReisDevice(
-            shards, tiny_config(tag), placement=placement,
-            replication_factor=repl,
-        )
+        sharded = ShardedReisDevice(shards, tiny_config(tag), replication_factor=repl)
         did = sharded.ivf_deploy(
             "w", head, ivf_model=head_model, growth_entries=2048, seed=0
         )

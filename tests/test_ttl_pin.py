@@ -52,9 +52,7 @@ def observe_filter_retry():
 
 def observe_shard_failover():
     vectors, queries = _workload()
-    device = ShardedReisDevice(
-        2, tiny_config("PIN-SH"), placement="cluster", replication_factor=2
-    )
+    device = ShardedReisDevice(2, tiny_config("PIN-SH"), replication_factor=2)
     db_id = device.ivf_deploy("pin", vectors, nlist=8, seed=0)
     device.schedule_shard_failure(1, "fine")
     return _observe(
