@@ -283,7 +283,6 @@ def run_serving_sweep():
     queries = make_queries(vectors, max(BATCH_SIZES), seed="serve-q")
     device = ReisDevice(tiny_config("SERVE"))
     db_id = device.ivf_deploy("serve", vectors, nlist=NLIST, seed=0)
-    db = device.database(db_id)
 
     points = []
     for batch_size in BATCH_SIZES:
@@ -292,7 +291,7 @@ def run_serving_sweep():
         host_wall = time.perf_counter() - wall_start
         # A query's result does not depend on its batch (not timed).
         for query, result in zip(queries[:batch_size], batch):
-            solo = device.engine.search(db, query, k=K, nprobe=NPROBE)
+            [solo] = device.ivf_search(db_id, query[None], k=K, nprobe=NPROBE)
             assert np.array_equal(solo.ids, result.ids)
             assert np.array_equal(solo.distances, result.distances)
         stats = batch.batch_stats

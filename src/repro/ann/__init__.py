@@ -15,13 +15,6 @@ from repro.ann.lsh import LshIndex
 from repro.ann.pq import PqIvfIndex, ProductQuantizer
 from repro.ann.quantization import BinaryQuantizer, Int8Quantizer
 from repro.ann.recall import exact_ground_truth, mean_recall_at_k, recall_at_k
-from repro.ann.rerank import rerank_fp32, rerank_int8
-from repro.ann.selection import (
-    quickselect_comparisons,
-    quickselect_smallest,
-    quicksort_comparisons,
-    sorted_topk,
-)
 
 __all__ = [
     "l2_squared",
@@ -47,10 +40,4 @@ __all__ = [
     "recall_at_k",
     "mean_recall_at_k",
     "exact_ground_truth",
-    "rerank_int8",
-    "rerank_fp32",
-    "quickselect_smallest",
-    "sorted_topk",
-    "quickselect_comparisons",
-    "quicksort_comparisons",
 ]

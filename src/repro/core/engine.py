@@ -46,7 +46,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchExecutor, ScanTasks
+from repro.core.batch import ScanTasks
 from repro.core.cache import PageCache
 from repro.core.commands import DieCommandInterface
 from repro.core.config import OptFlags, ReisConfig
@@ -57,7 +57,6 @@ from repro.core.plan import (
     SearchStats,
     schedule_order,
     schedule_senses,
-    validate_queries,
 )
 from repro.core.registry import TemporalTopList, TtlBlock
 from repro.nand.cell import reliability
@@ -796,36 +795,3 @@ class InStorageAnnsEngine:
             (documents[lo:hi], float((hi - lo) * item_bytes) / host_bandwidth)
             for lo, hi in zip(bounds, bounds[1:])
         ], ledger
-
-    # -------------------------------------------------------------- search
-
-    def search(
-        self,
-        db: DeployedDatabase,
-        query: np.ndarray,
-        k: int = 10,
-        nprobe: Optional[int] = None,
-        fetch_documents: bool = True,
-        metadata_filter: Optional[int] = None,
-    ) -> ReisQueryResult:
-        """Run one query through the full in-storage pipeline.
-
-        A solo query is a batch of one through the
-        :class:`~repro.core.batch.BatchExecutor`; its
-        :class:`~repro.sim.latency.LatencyReport` is the solo composition
-        of its phases' ledger rows, i.e. the latency on an otherwise-idle device.
-        For IVF databases ``nprobe`` selects how many clusters the fine
-        search visits (default: enough for ~sqrt(nlist)).  For flat
-        databases the fine search scans the whole embedding region (brute
-        force, the "BF" rows of Figs. 7/8/10).  With ``metadata_filter``
-        only embeddings deployed with that tag can be returned (Sec. 7.1).
-        """
-        queries = validate_queries(
-            db, np.asarray(query, dtype=np.float32)[None], k, nprobe
-        )
-        return BatchExecutor(self).execute(
-            db, queries, k,
-            nprobe=nprobe,
-            fetch_documents=fetch_documents,
-            metadata_filter=metadata_filter,
-        ).results[0]

@@ -91,9 +91,6 @@ class RDb:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def ids(self) -> List[int]:
-        return sorted(self._entries)
-
     @property
     def footprint_bytes(self) -> int:
         return len(self._entries) * COARSE_ENTRY_BYTES
@@ -114,8 +111,6 @@ class RIvf:
             [(e.tag, e.first_embedding, e.last_embedding) for e in self.entries],
             dtype=np.int64,
         ).reshape(-1, 3).T
-        self._dram = dram
-        self._db_id = db_id
         if dram is not None:
             dram.allocate(f"r-ivf-{db_id}", self.footprint_bytes)
 
@@ -128,11 +123,6 @@ class RIvf:
             RIvfEntry(cluster, last - size + 1, last, cluster & 0xFF)
             for cluster, (size, last) in enumerate(zip(sizes.tolist(), lasts.tolist()))
         ], dram, db_id)
-
-    def release(self) -> None:
-        """Free the DRAM region backing this cluster array."""
-        if self._dram is not None:
-            self._dram.free(f"r-ivf-{self._db_id}")
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -8,7 +8,7 @@ from repro.nand.die import Die
 from repro.nand.ecc import EccConfig, EccEngine, UncorrectableReadError
 from repro.nand.errors import BitErrorModel
 from repro.nand.geometry import FlashGeometry, PhysicalPageAddress, ppa_from_linear
-from repro.nand.latches import FailBitCounter, PageBuffer, PassFailChecker, popcount_u8
+from repro.nand.latches import FailBitCounter, PageBuffer
 from repro.nand.page import FlashBlock, FlashPage, PageState
 from repro.nand.plane import Plane
 from repro.nand.timing import NandTiming
@@ -30,8 +30,6 @@ __all__ = [
     "PageState",
     "PageBuffer",
     "FailBitCounter",
-    "PassFailChecker",
-    "popcount_u8",
     "Plane",
     "Die",
     "FlashChip",

@@ -61,19 +61,16 @@ class FlashArray:
         chip, die = divmod(rest, g.dies_per_chip)
         return self.channels[channel].chips[chip].dies[die]
 
-    def channel_of_plane(self, plane_index: int) -> Channel:
-        g = self.geometry
-        die_index = plane_index // g.planes_per_die
-        return self.channels[die_index // g.dies_per_channel]
-
     def iter_planes(self) -> Iterator[Tuple[int, Plane]]:
         yield from enumerate(self.planes)
 
     # ----------------------------------------------------------------- I/O
 
     def read(self, address: PhysicalPageAddress) -> Tuple[np.ndarray, np.ndarray]:
-        """Raw page read (data may contain bit errors for non-ESP modes)."""
-        return self.plane(address).read_page(address.block, address.page)
+        """Raw page read (data may contain bit errors for non-ESP modes):
+        a :meth:`Plane.read_pages` run of one."""
+        run = self.plane(address).read_pages([address.block], [address.page])
+        return run.data[0], run.oob[0]
 
     def read_pages(
         self,
@@ -117,6 +114,3 @@ class FlashArray:
         oob: Optional[np.ndarray] = None,
     ) -> None:
         self.plane(address).program_page(address.block, address.page, data, oob)
-
-    def erase(self, address: PhysicalPageAddress) -> None:
-        self.plane(address).erase_block(address.block)

@@ -1,14 +1,17 @@
 """Flash dies: independent units that contain planes.
 
-Dies support multi-plane operations (all planes read in parallel), the
-Read-Page-Cache-Sequential mode used by REIS's pipelining (Sec. 4.3.4), and
-Multi-Plane Input Broadcasting (MPIBC): raising the select signal of all
-planes so they latch the broadcast query simultaneously.
+A die senses its planes in parallel (one :meth:`Plane.read_pages` run per
+plane per phase) and supports Multi-Plane Input Broadcasting (MPIBC):
+raising the select signal of all planes so they latch the broadcast query
+simultaneously.  REIS's pipelining overlaps a plane's next sense with the
+current page's latch work and channel transfer (Sec. 4.3.4,
+Read-Page-Cache-Sequential); that overlap is a property of the modeled
+clock (:mod:`repro.core.costing`), not of any latch state here.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -49,34 +52,6 @@ class Die:
     def planes_per_die(self) -> int:
         return len(self.planes)
 
-    def multi_plane_read(
-        self, addresses: Sequence[Tuple[int, int, int]]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Read one page per plane in parallel.
-
-        ``addresses`` holds (plane, block, page) triples; the physical
-        constraint that at most one read per plane is in flight is enforced.
-        """
-        seen = set()
-        results = []
-        for plane, block, page in addresses:
-            if plane in seen:
-                raise ValueError(f"two concurrent reads on plane {plane}")
-            seen.add(plane)
-            results.append(self.planes[plane].read_page(block, page))
-        self.counters.add("multi_plane_reads")
-        return results
-
-    def broadcast_query(self, pattern: np.ndarray, multi_plane: bool) -> int:
-        """IBC of the query into cache latches.
-
-        Returns the number of page-sized transfers the die I/O consumed:
-        with MPIBC every plane latches the same transfer (1), without it each
-        plane needs its own transfer (``planes_per_die``).  The functional
-        effect is identical; the cost difference drives the Fig. 9 ablation.
-        """
-        return self.broadcast_queries(pattern[None], multi_plane)
-
     def broadcast_queries(self, patterns: np.ndarray, multi_plane: bool) -> int:
         """IBC of several queries back to back (one per row of ``patterns``).
 
@@ -85,9 +60,11 @@ class Die:
         are never observable.  This method therefore validates and tiles
         only the final row, once for the die, and loads that image into
         every plane's cache latch, while accounting every broadcast and
-        transfer: latch state and counters are those of
-        :meth:`~repro.nand.plane.Plane.broadcast_to_cache` once per (row,
-        plane).  Returns the total page-sized transfers consumed.
+        transfer: one ``ibc_broadcasts`` per (row, plane).  With MPIBC
+        every plane latches the same transfer (one per row), without it
+        each plane needs its own (``planes_per_die`` per row); the
+        functional effect is identical and the cost difference drives the
+        Fig. 9 ablation.  Returns the total page-sized transfers consumed.
         """
         n = len(patterns)
         if n == 0:
@@ -99,13 +76,3 @@ class Die:
         transfers = (1 if multi_plane else self.planes_per_die) * n
         self.counters.add("ibc_page_transfers", transfers)
         return transfers
-
-    def cache_read_begin(self, plane: int) -> None:
-        """Read-Page-Cache-Sequential: move DL->CL so the next sense can start.
-
-        REIS keeps the query in CL instead, so its pipelining variant copies
-        the *sensing* latch to the data latch readout path; we model the mode
-        switch as a latch copy plus a counter tick.
-        """
-        self.planes[plane].buffer.copy("data", "cache")
-        self.counters.add("cache_mode_reads")

@@ -19,8 +19,8 @@ import numpy as np
 class UncorrectableReadError(RuntimeError):
     """A TLC page came back with a codeword past the correction capability.
 
-    Raised by the engine's read path instead of serving (or caching) bytes
-    that are not the programmed ones.
+    Raised by the engine's read path and by a host read instead of serving
+    (or caching) bytes that are not the programmed ones.
     """
 
     def __init__(self, region: str, page_offset: int) -> None:
@@ -82,63 +82,6 @@ class EccEngine:
         self.corrected_bits = 0
         self.uncorrectable_codewords = 0
 
-    def correct(
-        self,
-        raw: np.ndarray,
-        golden: np.ndarray,
-        candidate_bytes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Return the corrected page data.
-
-        ``raw`` and ``golden`` are equal-length ``uint8`` arrays.  When the
-        caller already knows a superset of the differing byte positions
-        (the functional simulator's error injector reports where it flipped
-        bits), passing it as ``candidate_bytes`` skips the full-page
-        comparison; the result is identical to the unhinted call as long as
-        the candidates cover every byte where ``raw != golden``.
-        """
-        if raw.shape != golden.shape:
-            raise ValueError("raw/golden shape mismatch")
-        cw = self.config.codeword_bytes
-        self.decoded_bytes += int(raw.size)
-        # Raw errors are sparse (a handful of flipped bits per page), so
-        # locate the flipped bytes in one vectorized pass and popcount only
-        # those, binned per codeword -- never a full-page bit expansion.
-        if candidate_bytes is None:
-            flipped = _diff_bytes(raw, golden)
-        elif candidate_bytes.size == 0:
-            return raw.copy()
-        else:
-            candidates = np.sort(candidate_bytes)
-            if candidates.size > 1:
-                keep = np.empty(candidates.size, dtype=bool)
-                keep[0] = True
-                np.not_equal(candidates[1:], candidates[:-1], out=keep[1:])
-                candidates = candidates[keep]
-            flipped = candidates[raw[candidates] != golden[candidates]]
-        if flipped.size == 0:
-            return raw.copy()
-        flips_per_byte = np.bitwise_count(
-            np.bitwise_xor(raw[flipped], golden[flipped])
-        )
-        errors_per_codeword = np.bincount(flipped // cw, weights=flips_per_byte)
-        if errors_per_codeword.max() <= self.config.correctable_bits_per_codeword:
-            # Every affected codeword is within capability: the corrected
-            # page is the golden page, no per-codeword restore needed.
-            self.corrected_bits += int(flips_per_byte.sum())
-            return golden.copy()
-        out = raw.copy()
-        for codeword in np.flatnonzero(errors_per_codeword):
-            n_errors = int(errors_per_codeword[codeword])
-            start = int(codeword) * cw
-            stop = min(start + cw, raw.size)
-            if n_errors <= self.config.correctable_bits_per_codeword:
-                out[start:stop] = golden[start:stop]
-                self.corrected_bits += n_errors
-            else:
-                self.uncorrectable_codewords += 1
-        return out
-
     def correct_batch(
         self,
         raws: np.ndarray,
@@ -149,16 +92,19 @@ class EccEngine:
 
         ``raws`` is an ``(n_pages, page_bytes)`` ``uint8`` stack and
         ``goldens`` one golden page per row (views of the stored pages, or
-        a stack); ``candidate_bytes`` optionally carries one per-page hint
-        array (the error injector's flipped-byte superset, see
-        :meth:`correct`), with ``None`` entries falling back to the full
-        compare for that page.  Every candidate byte is compared and every
-        codeword's flip count checked exactly as :meth:`correct` does page
-        by page -- same outputs, same ``decoded_bytes`` /
-        ``corrected_bits`` / ``uncorrectable_codewords`` -- but the golden
-        bytes are restored *inside* ``raws`` (only flipped bytes differ
-        from golden, so restoring them restores the codeword); an
-        uncorrectable codeword stays corrupt.  Returns ``raws``.
+        a stack).  ``candidate_bytes`` optionally carries one per-page hint
+        array: a superset of the byte positions where the row differs from
+        golden (the error injector reports where it flipped bits), which
+        skips the full-page comparison; a ``None`` entry, or no hints at
+        all, falls back to that comparison for the page.  Raw errors are
+        sparse, so only the flipped bytes are popcounted, binned per
+        codeword -- never a full-page bit expansion.  A codeword within
+        the correction capability gets its golden bytes restored *inside*
+        ``raws`` (only flipped bytes differ from golden, so restoring them
+        restores the codeword) and its flips added to ``corrected_bits``;
+        one past it stays corrupt and counts one
+        ``uncorrectable_codewords``.  Every row adds its bytes to
+        ``decoded_bytes``.  Returns ``raws``.
         """
         if raws.ndim != 2:
             raise ValueError("correct_batch expects (n_pages, page_bytes)")

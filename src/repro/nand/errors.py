@@ -30,19 +30,14 @@ class BitErrorModel:
         self._rng = make_rng("bit-errors", seed)
         self.enabled = enabled
 
-    def corrupt(self, data: np.ndarray, mode: CellMode) -> np.ndarray:
-        """Return ``data`` with bit flips sampled at the mode's raw BER.
-
-        ``data`` is a ``uint8`` array; the input is never modified in place.
-        """
-        return self.corrupt_traced(data, mode)[0]
-
     def corrupt_traced(
         self, data: np.ndarray, mode: CellMode, out: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`corrupt` plus the byte indices where flips were injected.
+        """Return ``data`` with bit flips sampled at the mode's raw BER,
+        plus the byte indices where flips were injected.
 
-        The returned index array is a superset of the bytes that actually
+        ``data`` is a ``uint8`` array and is never modified in place.  The
+        returned index array is a superset of the bytes that actually
         differ from ``data`` (two draws landing on the same bit cancel), so
         it can seed a sparse ECC pass without a full-page comparison.  An
         empty array guarantees the returned page equals ``data``.  The

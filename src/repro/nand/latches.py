@@ -3,16 +3,9 @@
 Each plane's page buffer contains a sensing latch (SL), data latch (DL) and
 cache latch (CL) (Sec. 2.3).  The peripheral circuitry provides XOR between
 latches (used on real chips for data randomization), an on-chip fail-bit
-counter and a pass/fail checker (used to guide ISPP programming).
-
-REIS computes Hamming distances with exactly these circuits (Sec. 4.3.2):
-
-1. Input broadcasting copies the query into the cache latch (N duplicates).
-2. A page of database embeddings is sensed into the sensing latch.
-3. XOR(CL, SL) -> DL yields the bitwise difference.
-4. The fail-bit counter counts ones per embedding segment = Hamming distance.
-5. The pass/fail checker compares distances against a threshold (distance
-   filtering, Sec. 4.3.3).
+counter and a pass/fail checker (used to guide ISPP programming).  REIS
+computes Hamming distances with exactly these circuits; the step list lives
+with the kernel that runs them, :meth:`repro.nand.plane.Plane.multi_query_distances`.
 
 No multiply-accumulate hardware exists anywhere in this module -- that is the
 paper's "no hardware modification" constraint, enforced by construction.
@@ -20,14 +13,9 @@ paper's "no hardware modification" constraint, enforced by construction.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-
-def popcount_u8(data: np.ndarray) -> int:
-    """Total number of set bits in a ``uint8`` array."""
-    return int(np.bitwise_count(data).sum())
 
 
 # Bytes of XOR temporary one block of a stacked extraction may hold: the
@@ -81,22 +69,19 @@ def xor_popcount_segments(
 
 
 class PageBuffer:
-    """Sensing/data/cache latches of one plane, each one page wide."""
+    """The latches of one plane a sense or a broadcast loads, one page wide.
 
-    LATCHES = ("sensing", "data", "cache")
+    DL, the XOR destination, is not held: its contents are the XOR
+    temporary of :func:`xor_popcount_segments`, consumed by the fail-bit
+    count in the same pass.
+    """
 
     def __init__(self, page_bytes: int, oob_bytes: int) -> None:
         self.page_bytes = page_bytes
         self.oob_bytes = oob_bytes
         self.sensing = np.zeros(page_bytes, dtype=np.uint8)
-        self.data = np.zeros(page_bytes, dtype=np.uint8)
         self.cache = np.zeros(page_bytes, dtype=np.uint8)
         self.oob = np.zeros(oob_bytes, dtype=np.uint8)
-
-    def _latch(self, name: str) -> np.ndarray:
-        if name not in self.LATCHES:
-            raise ValueError(f"unknown latch {name!r}")
-        return getattr(self, name)
 
     def load_sensing(self, data: np.ndarray, oob: np.ndarray) -> None:
         """Model a page sense: page data + OOB land in the sensing latch."""
@@ -112,14 +97,6 @@ class PageBuffer:
         self.cache[:] = 0
         self.cache[: data.size] = data
 
-    def copy(self, src: str, dst: str) -> None:
-        """Latch-to-latch copy (used by cache-read mode)."""
-        self._latch(dst)[:] = self._latch(src)
-
-    def xor(self, a: str = "cache", b: str = "sensing", dst: str = "data") -> None:
-        """XOR two latches into a third -- the randomizer circuit reused by REIS."""
-        np.bitwise_xor(self._latch(a), self._latch(b), out=self._latch(dst))
-
 
 class FailBitCounter:
     """On-chip digital bit counter (counts ones in a latch).
@@ -132,24 +109,6 @@ class FailBitCounter:
     def __init__(self, buffer: PageBuffer) -> None:
         self._buffer = buffer
         self.invocations = 0
-
-    def count_segments_array(
-        self, segment_bytes: int, n_segments: int, latch: str = "data"
-    ) -> np.ndarray:
-        """Popcount per consecutive ``segment_bytes`` slice of ``latch``,
-        as an ``int64`` vector (the engine's scan hot path)."""
-        if segment_bytes <= 0 or n_segments <= 0:
-            raise ValueError("segment_bytes and n_segments must be positive")
-        if segment_bytes * n_segments > self._buffer.page_bytes:
-            raise ValueError("segments exceed page size")
-        self.invocations += 1
-        data = self._buffer._latch(latch)
-        view = data[: segment_bytes * n_segments].reshape(n_segments, segment_bytes)
-        return np.bitwise_count(view).sum(axis=1, dtype=np.int64)
-
-    def count_segments(self, segment_bytes: int, n_segments: int, latch: str = "data") -> List[int]:
-        """Popcount per consecutive ``segment_bytes`` slice of ``latch``."""
-        return self.count_segments_array(segment_bytes, n_segments, latch).tolist()
 
     def count_xor_segments(
         self,
@@ -166,9 +125,8 @@ class FailBitCounter:
         each query code in turn (CL reload -> XOR -> count).  ``patterns``
         is a ``(Q, segment_bytes)`` uint8 array; the result is a
         ``(Q, n_segments)`` matrix (:func:`xor_popcount_segments`), row
-        ``q`` being exactly what :meth:`count_segments_array` would return
-        after broadcasting pattern ``q`` and XOR-ing it against the latched
-        page.
+        ``q`` being the segment popcounts of the latched page XOR-ed with
+        pattern ``q`` broadcast across it.
 
         By default that page is the one the sensing latch holds now.  A
         plane that latched several pages over a phase passes them as the
@@ -190,29 +148,3 @@ class FailBitCounter:
         return xor_popcount_segments(
             pages, patterns, segment_bytes, n_segments, page_of
         )
-
-    def count_all(self, latch: str = "data") -> int:
-        """Popcount of the entire latch (the counter's native operation)."""
-        self.invocations += 1
-        return popcount_u8(self._buffer._latch(latch))
-
-
-class PassFailChecker:
-    """On-chip comparator: flags values that pass a threshold.
-
-    REIS uses it for distance filtering: embeddings whose Hamming distance
-    exceeds the threshold are dropped inside the die and never cross the
-    channel (Sec. 4.3.3).
-    """
-
-    def __init__(self) -> None:
-        self.invocations = 0
-
-    def filter_below(self, values: Sequence[int], threshold: int) -> List[int]:
-        """Indices of values strictly below ``threshold`` (the "pass" set),
-        in ascending order."""
-        self.invocations += 1
-        values = np.asarray(values)
-        if values.size == 0:
-            return []
-        return np.flatnonzero(values < threshold).tolist()

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nand.cell import CellMode, reliability
 from repro.nand.errors import NO_FLIPS, BitErrorModel
-from repro.nand.latches import FailBitCounter, PageBuffer, PassFailChecker
+from repro.nand.latches import FailBitCounter, PageBuffer
 from repro.nand.page import FlashBlock, PageState
 from repro.sim.stats import CounterSet
 
@@ -57,7 +57,6 @@ class Plane:
         ]
         self.buffer = PageBuffer(page_bytes, oob_bytes)
         self.fail_bit_counter = FailBitCounter(self.buffer)
-        self.pass_fail_checker = PassFailChecker()
         self._errors = error_model or BitErrorModel(seed=plane_id)
         self.counters = counters if counters is not None else CounterSet()
         # Byte indices the error model touched on the most recent sense --
@@ -115,14 +114,6 @@ class Plane:
                 modes = [other for other in modes if other is not mode]
         return SenseRun(datas, oobs, goldens, flipped)
 
-    def read_page(
-        self, block: int, page: int, out: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sense one page into the sensing latch and return (data, oob):
-        :meth:`read_pages` for a run of one (``out`` is its one row)."""
-        run = self.read_pages([block], [page], None if out is None else [out])
-        return run.data[0], run.oob[0]
-
     def golden_page(self, block: int, page: int) -> Tuple[np.ndarray, np.ndarray]:
         """Error-free page contents (for ECC reference and tests)."""
         return self.blocks[block].pages[page].raw()
@@ -152,33 +143,12 @@ class Plane:
 
     # ------------------------------------------------- peripheral-logic ops
 
-    def broadcast_to_cache(self, pattern: np.ndarray) -> None:
-        """IBC: fill the cache latch with duplicates of ``pattern``.
-
-        After input broadcasting the cache latch holds N copies of the query
-        embedding aligned to the database embeddings, where
-        N = page_size / embedding_size (Sec. 4.3.2 step 1).
-        """
-        self.buffer.load_cache(self.broadcast_image(pattern))
-        self.counters.add("ibc_broadcasts")
-
     def broadcast_image(self, pattern: np.ndarray) -> np.ndarray:
         """The cache-latch contents an IBC of ``pattern`` leaves: as many
         whole copies as fit in a page (:class:`ValueError` unless one does)."""
         if pattern.size == 0 or pattern.size > self.page_bytes:
             raise ValueError("broadcast pattern must fit within a page")
         return np.tile(pattern.astype(np.uint8), self.page_bytes // pattern.size)
-
-    def xor_cache_sensing(self) -> None:
-        """XOR(CL, SL) -> DL: bitwise difference of query and database page."""
-        self.buffer.xor("cache", "sensing", "data")
-        self.counters.add("latch_xors")
-
-    def segment_distances(self, segment_bytes: int, n_segments: int) -> np.ndarray:
-        """Fail-bit-counter pass over DL: per-embedding Hamming distances
-        (``int64`` vector)."""
-        self.counters.add("bit_counts")
-        return self.fail_bit_counter.count_segments_array(segment_bytes, n_segments)
 
     def note_pass_fail_sweeps(self, n_sweeps: int) -> None:
         """Account ``n_sweeps`` pass/fail comparator sweeps over this plane.
@@ -189,7 +159,6 @@ class Plane:
         here.
         """
         self.counters.add("pass_fail_checks", n_sweeps)
-        self.pass_fail_checker.invocations += n_sweeps
 
     def multi_query_distances(
         self,
@@ -201,15 +170,26 @@ class Plane:
     ) -> np.ndarray:
         """Per-embedding Hamming distances of a stack of extractions.
 
-        A page stays latched in SL; for each of the ``Q`` query codes the
-        cache latch is reloaded, XOR-ed against SL and swept by the fail-bit
-        counter, so one physical sense yields several rows of the
-        ``(Q, n_segments)`` distance matrix.  Row ``q`` is bit-identical to
-        what :meth:`segment_distances` returns after broadcasting query
-        ``q`` alone.  By default every row is extracted from the page SL
-        holds now; ``pages`` / ``page_of`` stack the extractions of all the
-        pages this plane latched over a phase
-        (:meth:`FailBitCounter.count_xor_segments`).
+        This is REIS's distance computation on the plane's existing latch
+        circuits (Sec. 4.3.2), for ``Q`` query codes at once:
+
+        1. input broadcasting leaves N copies of a query code in the cache
+           latch (CL; :meth:`Die.broadcast_queries`);
+        2. a page of database embeddings is sensed into the sensing latch
+           (SL; :meth:`read_pages`);
+        3. XOR(CL, SL) -> DL yields the bitwise difference;
+        4. the fail-bit counter counts the ones of each embedding segment
+           of DL: its Hamming distance to the query.
+
+        A page stays latched in SL while CL is reloaded with each query
+        code in turn, so one physical sense yields several rows of the
+        ``(Q, n_segments)`` distance matrix; each row counts one XOR and
+        one fail-bit pass.  By default every row is extracted from the page
+        SL holds now; ``pages`` / ``page_of`` stack the extractions of all
+        the pages this plane latched over a phase
+        (:meth:`FailBitCounter.count_xor_segments`).  Step 5, the pass/fail
+        filter against the distance threshold, runs over the whole phase in
+        the scan kernel (:meth:`note_pass_fail_sweeps`).
         """
         query_codes = np.atleast_2d(np.asarray(query_codes, dtype=np.uint8))
         n_queries = len(query_codes)

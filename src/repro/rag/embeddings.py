@@ -104,9 +104,6 @@ class SyntheticEmbeddingModel:
         centers = rng.standard_normal((self.n_topics, self.dim)).astype(np.float32)
         self._centers = centers / np.linalg.norm(centers, axis=1, keepdims=True)
 
-    def topic_center(self, topic: int) -> np.ndarray:
-        return self._centers[topic % self.n_topics].copy()
-
     def encode(self, text: str) -> np.ndarray:
         """Deterministic embedding: topic direction + token-hash noise."""
         topic = self._extract_topic(text)

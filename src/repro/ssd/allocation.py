@@ -21,9 +21,6 @@ class PageAllocator:
         self._next_page: List[int] = [0] * geometry.total_planes
         self._cursor = 0
 
-    def _plane_order(self) -> Iterator[int]:
-        raise NotImplementedError
-
     def _ppa_for(self, plane_index: int, page_in_plane: int) -> PhysicalPageAddress:
         g = self.geometry
         block, page = divmod(page_in_plane, g.pages_per_block)
@@ -84,12 +81,6 @@ class SequentialAllocator(PageAllocator):
             for plane_index in range(g.total_planes):
                 for _ in range(g.pages_per_plane):
                     yield plane_index
-
-
-def contiguous_region_allocator(
-    geometry: FlashGeometry, start_page_in_plane: int = 0
-) -> "ContiguousRegionAllocator":
-    return ContiguousRegionAllocator(geometry, start_page_in_plane)
 
 
 class ContiguousRegionAllocator(PageAllocator):

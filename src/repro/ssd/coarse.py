@@ -89,7 +89,3 @@ class CoarseRegion:
         linear = plane_index * geometry.pages_per_plane + page_in_plane
         return plane_index, block, page, channel, linear
 
-    def plane_index_of_offset(self, offset: int, geometry: FlashGeometry) -> int:
-        """Global plane index holding page ``offset``."""
-        ppa = self.translate(offset, geometry)
-        return ppa.plane_linear(geometry)

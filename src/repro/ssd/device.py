@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nand.array import FlashArray
-from repro.nand.ecc import EccEngine
+from repro.nand.ecc import EccEngine, UncorrectableReadError
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 from repro.ssd.allocation import ParallelismFirstAllocator
@@ -71,15 +71,24 @@ class SimulatedSSD:
         return self.ftl.write(lpa, data, oob)
 
     def host_read(self, lpa: int) -> np.ndarray:
-        """Normal-mode host read: translate, sense, ECC-correct."""
+        """Normal-mode host read: translate, sense, ECC-correct.
+
+        A page with a codeword past the correction capability raises
+        :class:`UncorrectableReadError` (region ``"host"``, page ``lpa``)
+        instead of returning bytes that are not the written ones.
+        """
         self._require_normal_mode()
         ppa = self.ftl.translate(lpa)
         plane = self.array.plane(ppa)
-        raw, _oob = plane.read_page(ppa.block, ppa.page)
-        if plane.requires_ecc(ppa.block):
-            golden, _ = plane.golden_page(ppa.block, ppa.page)
-            return self.ecc.correct(raw, golden)
-        return raw
+        if not plane.requires_ecc(ppa.block):
+            return plane.read_pages([ppa.block], [ppa.page]).data[0]
+        page = np.empty((1, plane.page_bytes), dtype=np.uint8)
+        sensed = plane.read_pages([ppa.block], [ppa.page], out=page)
+        uncorrectable = self.ecc.uncorrectable_codewords
+        self.ecc.correct_batch(page, sensed.golden, sensed.flipped)
+        if self.ecc.uncorrectable_codewords != uncorrectable:
+            raise UncorrectableReadError("host", lpa)
+        return page[0]
 
     def _require_normal_mode(self) -> None:
         if self.rag_mode:

@@ -64,9 +64,6 @@ class InternalDram:
     def region_size(self, name: str) -> int:
         return self._regions.get(name, 0)
 
-    def regions(self) -> Dict[str, int]:
-        return dict(self._regions)
-
     def access_time(self, n_bytes: int) -> float:
         """Latency to stream ``n_bytes`` through the DRAM."""
         return self.timing.access_latency_s + n_bytes / self.timing.bandwidth_bps

@@ -50,9 +50,6 @@ class PageLevelFtl:
         except KeyError:
             raise KeyError(f"logical page {lpa} is unmapped") from None
 
-    def is_mapped(self, lpa: int) -> bool:
-        return lpa in self._l2p
-
     def write(self, lpa: int, data: np.ndarray, oob: Optional[np.ndarray] = None) -> PhysicalPageAddress:
         """Out-of-place write: allocate a fresh page, invalidate the old one."""
         old = self._l2p.get(lpa)
@@ -82,6 +79,3 @@ class PageLevelFtl:
         self._l2p[lpa] = ppa
         self._p2l[ppa.to_linear(self._array.geometry)] = lpa
 
-    @property
-    def mapped_pages(self) -> int:
-        return len(self._l2p)

@@ -24,6 +24,12 @@ SMALL_NLIST = 12
 N_QUERIES = 12
 
 
+def sense_one(plane, block, page, out=None):
+    """A `Plane.read_pages` run of one: the page's (data, oob)."""
+    run = plane.read_pages([block], [page], None if out is None else [out])
+    return run.data[0], run.oob[0]
+
+
 @pytest.fixture(scope="session")
 def small_vectors():
     vectors, labels = make_clustered_embeddings(

@@ -15,13 +15,6 @@ from repro.ann.lsh import LshIndex
 from repro.ann.pq import PqIvfIndex, ProductQuantizer
 from repro.ann.quantization import BinaryQuantizer, Int8Quantizer
 from repro.ann.recall import exact_ground_truth, mean_recall_at_k, recall_at_k
-from repro.ann.rerank import rerank_fp32, rerank_int8
-from repro.ann.selection import (
-    quickselect_comparisons,
-    quickselect_smallest,
-    quicksort_comparisons,
-    sorted_topk,
-)
 from repro.core.api import ReisDevice
 from repro.core.config import tiny_config
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
@@ -277,43 +270,6 @@ class TestPq:
             10,
         )
         assert reranked >= plain
-
-
-class TestSelectionAndRerank:
-    def test_quickselect_smallest(self):
-        values = np.array([5.0, 1.0, 9.0, 3.0, 7.0])
-        idx, vals = quickselect_smallest(values, 2)
-        assert set(idx.tolist()) == {1, 3}
-        assert set(vals.tolist()) == {1.0, 3.0}
-
-    def test_sorted_topk(self):
-        values = np.array([5.0, 1.0, 9.0, 3.0])
-        top_ids, top_values = sorted_topk(values, 3)
-        assert top_values.tolist() == [1.0, 3.0, 5.0]
-        assert top_ids.tolist() == [1, 3, 0]
-
-    def test_comparison_models_scale(self):
-        ratio = quickselect_comparisons(2000, 10) / quickselect_comparisons(1000, 10)
-        assert ratio == pytest.approx(2.0, rel=0.05)
-        assert quicksort_comparisons(2000) > 2 * quicksort_comparisons(1000)
-
-    def test_rerank_int8_returns_exact_order(self, data):
-        vectors, queries, gt = data
-        from repro.ann.quantization import Int8Quantizer
-
-        q8 = Int8Quantizer().fit(vectors)
-        candidates = gt[0][::-1].copy()  # true top-10, reversed
-        distances, ids = rerank_int8(
-            q8.encode_one(queries[0]), candidates, q8.encode(vectors), k=10
-        )
-        assert (np.diff(distances) >= 0).all()
-        assert recall_at_k(ids, gt[0], 10) == 1.0
-
-    def test_rerank_fp32_exact(self, data):
-        vectors, queries, gt = data
-        candidates = np.arange(N, dtype=np.int64)
-        _, ids = rerank_fp32(queries[0], candidates, vectors, k=10)
-        assert recall_at_k(ids, gt[0], 10) == 1.0
 
 
 class TestRecallMetric:

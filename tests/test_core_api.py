@@ -378,14 +378,34 @@ class TestNvmePath:
         assert completion.ok
         assert len(completion.result) == 2
 
-    def test_deploy_and_list_via_nvme(self, fresh_device, small_vectors):
+    @pytest.mark.parametrize("ivf", [False, True], ids=["flat", "ivf"])
+    def test_deploy_and_list_via_nvme(
+        self, fresh_device, small_vectors, small_queries, ivf
+    ):
+        """Deploy, list and search by command: the ids of the direct calls."""
         vectors, _ = small_vectors
-        completion = fresh_device.submit(
-            NvmeCommand(NvmeOpcode.REIS_DB_DEPLOY, {"name": "n", "vectors": vectors[:60]})
+        deploy = {"name": "n", "vectors": vectors[:60], **({"nlist": 4} if ivf else {})}
+        search = {"queries": small_queries[:3], "k": 5, **({"nprobe": 2} if ivf else {})}
+        deploy_op, search_op = (
+            (NvmeOpcode.REIS_IVF_DEPLOY, NvmeOpcode.REIS_IVF_SEARCH) if ivf
+            else (NvmeOpcode.REIS_DB_DEPLOY, NvmeOpcode.REIS_SEARCH)
         )
+        completion = fresh_device.submit(NvmeCommand(deploy_op, deploy))
         assert completion.ok
         listing = fresh_device.submit(NvmeCommand(NvmeOpcode.REIS_DB_LIST))
         assert listing.result == [completion.result]
+        served = fresh_device.submit(
+            NvmeCommand(search_op, {"db_id": completion.result, **search})
+        )
+        assert served.ok
+        direct = ReisDevice(tiny_config("REIS-DIRECT"))
+        if ivf:
+            expected = direct.ivf_search(direct.ivf_deploy(**deploy), **search)
+        else:
+            expected = direct.search(direct.db_deploy(**deploy), **search)
+        assert [ids.tolist() for ids in served.result.ids] == [
+            ids.tolist() for ids in expected.ids
+        ]
 
     def test_drop_via_nvme(self, fresh_device, small_vectors):
         vectors, _ = small_vectors

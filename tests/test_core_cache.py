@@ -330,12 +330,10 @@ class TestCachedServingBitIdentity:
         cdb = cached_dev.ivf_deploy("db", vectors, ivf_model=model, seed=0)
         pdb = plain_dev.ivf_deploy("db", vectors, ivf_model=model, seed=0)
         cached_dev.enable_page_cache(400_000)
-        cdbo = cached_dev.database(cdb)
-        pdbo = plain_dev.database(pdb)
         for _round in range(2):
             for query in queries:
-                mine = cached_dev.engine.search(cdbo, query, k=K, nprobe=NLIST)
-                ref = plain_dev.engine.search(pdbo, query, k=K, nprobe=NLIST)
+                [mine] = cached_dev.ivf_search(cdb, query[None], k=K, nprobe=NLIST)
+                [ref] = plain_dev.ivf_search(pdb, query[None], k=K, nprobe=NLIST)
                 assert np.array_equal(mine.ids, ref.ids)
                 assert np.array_equal(mine.distances, ref.distances)
                 assert [d.chunk_id for d in mine.documents] == [

@@ -8,6 +8,7 @@ reference algorithm (BQ-IVF with INT8 rerank) running on the same data.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ann.ivf import BqIvfIndex
 from repro.ann.recall import mean_recall_at_k
@@ -30,9 +31,8 @@ class TestEngineMatchesHostReference:
     @pytest.mark.parametrize("nprobe", [1, 3, SMALL_NLIST])
     def test_ivf_results_match(self, deployed_device, reference, small_queries, nprobe):
         device, db_id = deployed_device
-        db = device.database(db_id)
         for query in small_queries[:6]:
-            result = device.engine.search(db, query, k=10, nprobe=nprobe)
+            [result] = device.ivf_search(db_id, query[None], k=10, nprobe=nprobe)
             ref_dist, ref_ids = reference.search(query, 10, nprobe=nprobe)
             # Distances must agree exactly (same INT8 arithmetic); id order
             # may differ only where distances tie.
@@ -45,10 +45,9 @@ class TestEngineMatchesHostReference:
     ):
         vectors, _ = small_vectors
         device, db_id = deployed_flat_device
-        db = device.database(db_id)
         reference = BqIvfIndex(SMALL_DIM, nlist=1, seed=0).fit(vectors)
         for query in small_queries[:4]:
-            result = device.engine.search(db, query, k=10)
+            [result] = device.search(db_id, query[None], k=10)
             ref_dist, _ = reference.search(query, 10, nprobe=1)
             assert np.array_equal(result.distances, ref_dist)
 
@@ -123,6 +122,82 @@ class TestPhaseKernelAgainstBruteForce:
             assert np.array_equal(block.embs, slot_codes[expected])
             # A fresh deploy links every slot to its own INT8/document twin.
             assert block.radrs.tolist() == block.dadrs.tolist() == expected.tolist()
+
+
+class TestPassFailChecker:
+    """The pass/fail comparator of the scan kernel against a host mirror:
+    an entry survives exactly when its distance is strictly below the
+    threshold, and survivors keep slot order among equal distances."""
+
+    N, DIM = 500, 64
+
+    @pytest.fixture(scope="class")
+    def scan(self):
+        from repro.core.batch import tasks_from_ranges
+        from repro.core.plan import SearchStats
+        from repro.core.registry import TemporalTopList
+        from repro.rag.embeddings import make_clustered_embeddings, make_queries
+
+        vectors, _ = make_clustered_embeddings(self.N, self.DIM, 4, seed="pf")
+        device = ReisDevice(tiny_config("PF"))
+        db = device.database(device.ivf_deploy("pf", vectors, nlist=4, seed=0))
+        slot_codes = db.binary_quantizer.encode(vectors)[db.slot_to_original]
+        codes = db.binary_quantizer.encode(make_queries(vectors, 2, seed="pf-q"))
+        dists = np.bitwise_count(slot_codes[None] ^ codes[:, None]).sum(axis=2)
+        entry_bytes = device.engine.params.fine_entry_bytes(db.code_bytes)
+
+        def run(threshold, firsts, lasts):
+            """Survivor slots and distances of query 0, plus its stats."""
+            tasks = tasks_from_ranges(
+                db.embedding_region, np.zeros(len(firsts), dtype=np.int64),
+                np.array(firsts), np.array(lasts), threshold, [None, None],
+            )
+            ttl = TemporalTopList("e", entry_bytes, 2, 1000)
+            stats = [SearchStats(), SearchStats()]
+            device.engine.scan_page_run(
+                db, tasks, False, codes, ttl,
+                PhaseLedger("fine", 2, device.engine.geometry), stats,
+            )
+            selection, bounds = ttl.select()
+            block = selection.take(slice(bounds[0], bounds[1]))
+            return block.eadrs.tolist(), block.dists.tolist(), stats[0]
+
+        return run, dists[0]
+
+    def test_keeps_strictly_below_threshold(self, scan):
+        run, dists = scan
+        threshold = int(np.median(dists))
+        slots, kept_dists, stats = run(threshold, [0], [self.N - 1])
+        expected = np.flatnonzero(dists < threshold)
+        assert sorted(slots) == expected.tolist()
+        assert max(kept_dists) < threshold
+        assert stats.entries_filtered == self.N - expected.size
+
+    def test_threshold_is_exclusive(self, scan):
+        run, dists = scan
+        slot = 37
+        at, _, _ = run(int(dists[slot]), [slot], [slot])
+        above, _, _ = run(int(dists[slot]) + 1, [slot], [slot])
+        assert at == [] and above == [slot]
+
+    def test_empty_input(self, scan):
+        run, _ = scan
+        slots, _, stats = run(int(8 * self.DIM), [10], [9])
+        assert slots == []
+        assert stats.entries_scanned == stats.entries_transferred == 0
+
+    @given(st.integers(0, 64), st.integers(0, 499), st.integers(0, 499))
+    @settings(max_examples=15, deadline=None)
+    def test_filter_is_order_preserving_subset(self, scan, threshold, a, b):
+        run, dists = scan
+        first, last = min(a, b), max(a, b)
+        slots, kept_dists, stats = run(threshold, [first], [last])
+        window = np.arange(first, last + 1)
+        kept = window[dists[window] < threshold]
+        # Nearest first; equal distances in slot order.
+        assert slots == kept[np.argsort(dists[kept], kind="stable")].tolist()
+        assert kept_dists == dists[slots].tolist()
+        assert stats.entries_transferred == kept.size
 
 
 class TestPhaseKernelAgainstLatchWalk:
@@ -316,50 +391,44 @@ class TestScanNeedsEccFreeData:
 
         vectors, _ = small_vectors
         device = ReisDevice(tiny_config("NOISY"))
-        db = device.database(
-            device.ivf_deploy("noisy", vectors, nlist=SMALL_NLIST, seed=0)
-        )
-        device.engine.search(db, small_queries[0], k=5, nprobe=2)  # ESP-SLC: fine
+        db_id = device.ivf_deploy("noisy", vectors, nlist=SMALL_NLIST, seed=0)
+        db = device.database(db_id)
+        device.ivf_search(db_id, small_queries[0][None], k=5, nprobe=2)  # ESP-SLC: fine
         db.embedding_region = replace(db.embedding_region, mode=CellMode.TLC)
         with pytest.raises(ValueError, match=r"noisy/embeddings.*'tlc'.*ECC-free"):
-            device.engine.search(db, small_queries[0], k=5, nprobe=2)
+            device.ivf_search(db_id, small_queries[0][None], k=5, nprobe=2)
 
 
 class TestEngineBehaviour:
     def test_documents_match_returned_ids(self, deployed_device, small_queries):
         device, db_id = deployed_device
-        db = device.database(db_id)
-        result = device.engine.search(db, small_queries[0], k=5)
+        [result] = device.ivf_search(db_id, small_queries[0][None], k=5)
         assert len(result.documents) == 5
         for rank, doc in enumerate(result.documents):
             assert doc.chunk_id == int(result.ids[rank])
 
     def test_distances_sorted(self, deployed_device, small_queries):
         device, db_id = deployed_device
-        db = device.database(db_id)
-        result = device.engine.search(db, small_queries[1], k=10, nprobe=4)
+        [result] = device.ivf_search(db_id, small_queries[1][None], k=10, nprobe=4)
         assert (np.diff(result.distances) >= 0).all()
 
     def test_k_larger_than_matches(self, deployed_device, small_queries):
         device, db_id = deployed_device
-        db = device.database(db_id)
-        result = device.engine.search(db, small_queries[0], k=10, nprobe=1)
+        [result] = device.ivf_search(db_id, small_queries[0][None], k=10, nprobe=1)
         assert 0 < result.k <= 10
 
     def test_invalid_inputs_rejected(self, deployed_device, small_queries):
         device, db_id = deployed_device
-        db = device.database(db_id)
         with pytest.raises(ValueError):
-            device.engine.search(db, small_queries[0], k=0)
+            device.ivf_search(db_id, small_queries[0][None], k=0)
         with pytest.raises(ValueError):
-            device.engine.search(db, small_queries[0][:-8], k=5)
+            device.ivf_search(db_id, small_queries[0][None, :-8], k=5)
         with pytest.raises(ValueError):
-            device.engine.search(db, small_queries[0], k=5, metadata_filter=3)
+            device.ivf_search(db_id, small_queries[0][None], k=5, metadata_filter=3)
 
     def test_stats_accounting(self, deployed_device, small_queries):
         device, db_id = deployed_device
-        db = device.database(db_id)
-        result = device.engine.search(db, small_queries[2], k=10, nprobe=3)
+        [result] = device.ivf_search(db_id, small_queries[2][None], k=10, nprobe=3)
         stats = result.stats
         assert stats.clusters_probed == 3
         assert stats.candidates > 0
@@ -370,8 +439,7 @@ class TestEngineBehaviour:
 
     def test_latency_report_has_all_phases(self, deployed_device, small_queries):
         device, db_id = deployed_device
-        db = device.database(db_id)
-        result = device.engine.search(db, small_queries[0], k=5, nprobe=2)
+        [result] = device.ivf_search(db_id, small_queries[0][None], k=5, nprobe=2)
         components = result.latency.components
         for name in ("ibc", "coarse_read", "fine_read", "rerank_read", "documents_read"):
             assert name in components
@@ -379,18 +447,18 @@ class TestEngineBehaviour:
 
     def test_more_probes_cost_more_time(self, deployed_device, small_queries):
         device, db_id = deployed_device
-        db = device.database(db_id)
-        cheap = device.engine.search(db, small_queries[3], k=5, nprobe=1)
-        costly = device.engine.search(db, small_queries[3], k=5, nprobe=SMALL_NLIST)
+        [cheap] = device.ivf_search(db_id, small_queries[3][None], k=5, nprobe=1)
+        [costly] = device.ivf_search(
+            db_id, small_queries[3][None], k=5, nprobe=SMALL_NLIST
+        )
         assert costly.latency.total_s > cheap.latency.total_s
         assert costly.stats.pages_read > cheap.stats.pages_read
 
     def test_skip_document_fetch(self, deployed_device, small_queries):
         device, db_id = deployed_device
-        db = device.database(db_id)
-        result = device.engine.search(
-            db, small_queries[0], k=5, nprobe=2, fetch_documents=False
-        )
+        result = device.ivf_search(
+            db_id, small_queries[0][None], k=5, nprobe=2, fetch_documents=False
+        ).results[0]
         assert result.documents == []
         assert "documents_read" not in result.latency.components
 
@@ -422,12 +490,27 @@ class TestDistanceFiltering:
             transferred[df] = sum(r.stats.entries_transferred for r in batch)
         assert transferred[True] < transferred[False]
 
+    def test_no_threshold_never_retries(self, deployed_device):
+        device, _ = deployed_device
+        assert device.engine.fine_retries([0, 0], [50, 50], None, 400) == []
+
+    def test_retry_when_survivors_fall_short_of_k(self, deployed_device):
+        """A query retries when fewer than ``min(k, candidates)`` entries
+        survived, ``k`` being the shortlist over the shortlist factor."""
+        device, _ = deployed_device
+        factor = device.engine.params.shortlist_factor
+        shortlist = 10 * factor  # k = 10
+        survivors = [9, 10, 3, 3, 0]
+        candidates = [500, 500, 3, 4, 0]
+        retries = device.engine.fine_retries(survivors, candidates, 7, shortlist)
+        assert retries == [0, 3]
+
     def test_retry_counter_rare(self, deployed_device, small_queries):
         device, db_id = deployed_device
-        db = device.database(db_id)
         retries = sum(
-            device.engine.search(db, q, k=10, nprobe=2).stats.filter_retries
+            result.stats.filter_retries
             for q in small_queries
+            for result in device.ivf_search(db_id, q[None], k=10, nprobe=2)
         )
         assert retries <= len(small_queries) // 4
 
@@ -445,13 +528,13 @@ class TestDistanceFiltering:
         calibrated = db.filter_threshold
         db.filter_threshold = 1  # nothing is within 1 bit of the query
 
-        filtered = device.engine.search(db, small_queries[0], k=10, nprobe=3)
+        [filtered] = device.ivf_search(db_id, small_queries[0][None], k=10, nprobe=3)
         assert filtered.stats.filter_retries == 1
         assert filtered.k == 10
 
         # The retry rescans every probed page, so reads roughly double.
         db.filter_threshold = calibrated
-        clean = device.engine.search(db, small_queries[0], k=10, nprobe=3)
+        [clean] = device.ivf_search(db_id, small_queries[0][None], k=10, nprobe=3)
         assert clean.stats.filter_retries == 0
         assert filtered.stats.pages_read > clean.stats.pages_read
 
@@ -460,9 +543,9 @@ class TestDistanceFiltering:
         ref_id = no_df.ivf_deploy(
             "r", vectors, nlist=SMALL_NLIST, corpus=small_corpus, seed=0
         )
-        reference = no_df.engine.search(
-            no_df.database(ref_id), small_queries[0], k=10, nprobe=3
-        )
+        reference = no_df.ivf_search(
+            ref_id, small_queries[0][None], k=10, nprobe=3
+        ).results[0]
         assert np.array_equal(filtered.ids, reference.ids)
         assert np.array_equal(filtered.distances, reference.distances)
 
@@ -489,8 +572,7 @@ class TestNoHardwareModificationConstraint:
         from repro.core.commands import FlashOp
 
         device, db_id = deployed_device
-        db = device.database(db_id)
-        device.engine.search(db, small_queries[0], k=5, nprobe=2)
+        device.ivf_search(db_id, small_queries[0][None], k=5, nprobe=2)
         seen = set()
         for interface in device.engine._die_interfaces.values():
             seen.update(interface.trace.counts)

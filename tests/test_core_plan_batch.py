@@ -115,7 +115,8 @@ class TestBatchBitIdentity:
         db = device.database(db_id)
 
         sequential = [
-            device.engine.search(db, query, k=k, nprobe=2) for query in queries
+            device.ivf_search(db_id, query[None], k=k, nprobe=2).results[0]
+            for query in queries
         ]
         execution = BatchExecutor(device.engine).execute(
             db, queries, k=k, nprobe=2

@@ -4,7 +4,7 @@ The central contracts:
 
 * **Bit identity through the queue** -- for any arrival order, tenants
   and timeout settings, the union of results produced via the queue is
-  bit-identical per query to direct ``engine.search`` (the PR 3 property
+  bit-identical per query to a direct one-query ``ivf_search`` (the PR 3 property
   extended to the new layer): the queue only *partitions* submissions
   into batches, and batching is bit-identical by construction.
 * **Fairness / no starvation** -- with one tenant flooding 10x the
@@ -550,7 +550,6 @@ class TestQueueBitIdentity:
         queries = make_queries(vectors, n_subs, seed=(seed, "qq"))
         device = ReisDevice(tiny_config(f"QBI-{seed}-{n}-{dim}"))
         db_id = device.ivf_deploy("q", vectors, nlist=nlist, seed=seed)
-        db = device.database(db_id)
 
         rng = np.random.default_rng(seed)
         arrivals = np.sort(rng.uniform(0.0, 5e-3, size=n_subs))
@@ -575,7 +574,7 @@ class TestQueueBitIdentity:
         merged = report.as_batch_result()
         assert len(merged) == n_subs
         for i in range(n_subs):
-            solo = device.engine.search(db, queries[i], k=k, nprobe=2)
+            [solo] = device.ivf_search(db_id, queries[i : i + 1], k=k, nprobe=2)
             assert np.array_equal(solo.ids, merged[i].ids)
             assert np.array_equal(solo.distances, merged[i].distances)
         # The merged decomposition covers the whole served wall clock.

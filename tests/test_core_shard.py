@@ -150,7 +150,6 @@ class TestShardedBitIdentity:
         did = sharded.ivf_deploy(
             "s", vectors, ivf_model=model, metadata_tags=tags, seed=seed
         )
-        db = single.database(sid)
         nprobe = max(1, nlist // 2)
 
         for metadata_filter in (None, int(seed % 3)):
@@ -167,11 +166,12 @@ class TestShardedBitIdentity:
                     metadata_filter=metadata_filter,
                 )
                 expect = [
-                    single.engine.search(
-                        db, query, k=k, nprobe=nprobe,
+                    result
+                    for query in queries
+                    for result in single.ivf_search(
+                        sid, query[None], k=k, nprobe=nprobe,
                         metadata_filter=metadata_filter,
                     )
-                    for query in queries
                 ]
             for solo, result in zip(expect, batch):
                 assert np.array_equal(solo.ids, result.ids)
@@ -215,7 +215,6 @@ class TestShardedBitIdentity:
 
         single = ReisDevice(tiny_config(f"FBI-{seed}-{n}"))
         sid = single.ivf_deploy("s", vectors, ivf_model=model, seed=seed)
-        db = single.database(sid)
         sharded = ShardedReisDevice(
             shards, tiny_config(f"FBI-SH-{seed}-{n}"), replication_factor=repl
         )
@@ -232,7 +231,7 @@ class TestShardedBitIdentity:
             assert err.cluster in set(int(c) for c in owned)
             return
         for query, result in zip(queries, batch):
-            solo = single.engine.search(db, query, k=k, nprobe=nprobe)
+            [solo] = single.ivf_search(sid, query[None], k=k, nprobe=nprobe)
             assert np.array_equal(solo.ids, result.ids)
             assert np.array_equal(solo.distances, result.distances)
             assert [d.chunk_id for d in solo.documents] == [
@@ -250,7 +249,7 @@ class TestShardedBitIdentity:
             assert err.cluster in set(int(c) for c in owned)
             return
         for query, result in zip(queries, again):
-            solo = single.engine.search(db, query, k=k, nprobe=nprobe)
+            [solo] = single.ivf_search(sid, query[None], k=k, nprobe=nprobe)
             assert np.array_equal(solo.ids, result.ids)
             assert np.array_equal(solo.distances, result.distances)
 
@@ -347,7 +346,6 @@ class TestShardedQueue:
 
     def test_queue_results_bit_identical_and_fair(self, sharded_pair):
         single, sid, sharded, did, queries = sharded_pair
-        db = single.database(sid)
         policy = QueuePolicy(
             max_batch=4, min_batch=4, batching_timeout_s=2e-4,
             tenant_weights={"flood": 1, "slow": 1},
@@ -364,9 +362,7 @@ class TestShardedQueue:
         assert report.n_queries == 15
         merged = report.as_batch_result()
         for i in range(15):
-            solo = single.engine.search(
-                db, queries[i if i < 12 else i], k=5, nprobe=4
-            )
+            [solo] = single.ivf_search(sid, queries[i : i + 1], k=5, nprobe=4)
             assert np.array_equal(solo.ids, merged[i].ids)
             assert np.array_equal(solo.distances, merged[i].distances)
         # Fairness machinery is the same cluster-wide: while both tenants
@@ -480,9 +476,8 @@ class TestShardedDeviceSurface:
         assert len(sdb.active_shards) <= 2
         queries = make_queries(vectors, 3, seed="tiny-q")
         batch = device.ivf_search(db_id, queries, k=4, nprobe=2)
-        db = single.database(sid)
         for query, result in zip(queries, batch):
-            solo = single.engine.search(db, query, k=4, nprobe=2)
+            [solo] = single.ivf_search(sid, query[None], k=4, nprobe=2)
             assert np.array_equal(solo.ids, result.ids)
             assert np.array_equal(solo.distances, result.distances)
 

@@ -23,7 +23,7 @@ class TestEccBeyondCapability:
         raw = golden.copy()
         raw[:16] = 0xFF  # 128 flips in codeword 0: far beyond capability
         raw[200] = 0x01  # 1 flip in codeword 1: correctable
-        out = engine.correct(raw, golden)
+        out = engine.correct_batch(raw[None], [golden])[0]
         assert engine.uncorrectable_codewords == 1
         assert engine.corrected_bits == 1
         assert not np.array_equal(out[:128], golden[:128])  # still corrupt
@@ -39,6 +39,34 @@ class TestEccBeyondCapability:
         for _ in range(5):
             assert np.array_equal(ssd.host_read(0), data)
         assert ssd.ecc.decoded_bytes > 0
+
+    def test_uncorrectable_host_read_raises(self, monkeypatch):
+        """A host read past the correction capability raises instead of
+        returning bytes that differ from the written ones."""
+        ssd = tiny_config("ECC").make_ssd()
+        data = np.arange(ssd.spec.geometry.page_bytes, dtype=np.uint64) % 256
+        ssd.host_write(0, data.astype(np.uint8))
+        monkeypatch.setitem(
+            RELIABILITY, CellMode.TLC, ReliabilityProfile(2e-2, 3_000, True)
+        )
+        with pytest.raises(UncorrectableReadError) as excinfo:
+            ssd.host_read(0)
+        assert ssd.ecc.uncorrectable_codewords > 0
+        assert (excinfo.value.region, excinfo.value.page_offset) == ("host", 0)
+
+    def test_failed_host_read_leaves_the_stored_page_intact(self, monkeypatch):
+        """A read that raised is not destructive: once the raw error rate
+        is back in range, the same page reads back as written."""
+        ssd = tiny_config("ECC").make_ssd()
+        data = (np.arange(ssd.spec.geometry.page_bytes) % 199).astype(np.uint8)
+        ssd.host_write(0, data)
+        with monkeypatch.context() as patch:
+            patch.setitem(
+                RELIABILITY, CellMode.TLC, ReliabilityProfile(2e-2, 3_000, True)
+            )
+            with pytest.raises(UncorrectableReadError):
+                ssd.host_read(0)
+        assert np.array_equal(ssd.host_read(0), data)
 
 
 class TestUncorrectableTlcRead:
@@ -71,7 +99,7 @@ class TestUncorrectableTlcRead:
     def test_solo_rerank_raises(self, monkeypatch, small_vectors):
         device, db_id, queries = self._worn_out_device(monkeypatch, small_vectors)
         with pytest.raises(UncorrectableReadError):
-            device.engine.search(device.database(db_id), queries[0], k=5, nprobe=3)
+            device.ivf_search(db_id, queries[:1], k=5, nprobe=3)
 
     def test_document_page_raises(self, monkeypatch, small_vectors):
         device, db_id, _ = self._worn_out_device(monkeypatch, small_vectors)

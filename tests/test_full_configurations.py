@@ -44,10 +44,9 @@ class TestFullTopologies:
 
     def test_search_matches_host_reference(self, full_device):
         device, db_id, vectors, queries = full_device
-        db = device.database(db_id)
         reference = BqIvfIndex(128, 16, seed=0).fit(vectors)
         for query in queries[:3]:
-            result = device.engine.search(db, query, k=10, nprobe=6)
+            [result] = device.ivf_search(db_id, query[None], k=10, nprobe=6)
             ref_dist, _ = reference.search(query, 10, nprobe=6)
             assert np.array_equal(result.distances, ref_dist)
 

@@ -2,15 +2,15 @@
 
 These circuits are the entire compute substrate REIS is allowed to use
 (no-hardware-modification constraint), so their semantics are load-bearing:
-XOR between latches + segmented fail-bit counting must equal Hamming
-distance exactly.
+XOR against the latched page + segmented fail-bit counting must equal
+Hamming distance exactly.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nand.latches import FailBitCounter, PageBuffer, PassFailChecker, popcount_u8
+from repro.nand.latches import FailBitCounter, PageBuffer, xor_popcount_segments
 
 PAGE = 512
 OOB = 64
@@ -27,15 +27,25 @@ bytes_arrays = st.binary(min_size=1, max_size=PAGE).map(
 
 
 class TestPopcount:
+    """The popcount arithmetic of the latch circuits: an all-zero pattern
+    over one whole-width segment counts the ones of the page itself."""
+
     @given(bytes_arrays)
     def test_matches_numpy_unpackbits(self, data):
-        assert popcount_u8(data) == int(np.unpackbits(data).sum())
+        zeros = np.zeros((1, data.size), dtype=np.uint8)
+        counts = xor_popcount_segments(data, zeros, data.size, 1)
+        assert counts.tolist() == [[int(np.unpackbits(data).sum())]]
 
     def test_empty(self):
-        assert popcount_u8(np.zeros(0, dtype=np.uint8)) == 0
+        # A stack of no extractions is an empty matrix, not an error.
+        page = np.full(PAGE, 0xFF, dtype=np.uint8)
+        counts = xor_popcount_segments(page, np.zeros((0, 8), np.uint8), 8, 2)
+        assert counts.shape == (0, 2)
 
     def test_all_ones(self):
-        assert popcount_u8(np.full(10, 0xFF, dtype=np.uint8)) == 80
+        ones = np.full(10, 0xFF, dtype=np.uint8)
+        counts = xor_popcount_segments(ones, np.zeros((1, 10), np.uint8), 10, 1)
+        assert counts.tolist() == [[80]]
 
 
 class TestPageBuffer:
@@ -55,64 +65,46 @@ class TestPageBuffer:
         with pytest.raises(ValueError):
             buffer.load_cache(np.zeros(PAGE + 1, dtype=np.uint8))
 
-    def test_copy_between_latches(self, buffer):
-        buffer.load_cache(np.full(PAGE, 3, dtype=np.uint8))
-        buffer.copy("cache", "data")
-        assert np.array_equal(buffer.data, buffer.cache)
-
-    def test_unknown_latch_rejected(self, buffer):
-        with pytest.raises(ValueError):
-            buffer.copy("cache", "nonsense")
-
-    @given(bytes_arrays, bytes_arrays)
-    @settings(max_examples=25)
-    def test_xor_is_bitwise_difference(self, a, b):
-        buffer = PageBuffer(PAGE, OOB)
-        pad_a = np.zeros(PAGE, dtype=np.uint8)
-        pad_a[: a.size] = a
-        pad_b = np.zeros(PAGE, dtype=np.uint8)
-        pad_b[: b.size] = b
-        buffer.load_cache(pad_a)
-        buffer.load_sensing(pad_b, np.zeros(OOB, dtype=np.uint8))
-        buffer.xor("cache", "sensing", "data")
-        assert np.array_equal(buffer.data, pad_a ^ pad_b)
-
 
 class TestFailBitCounter:
     def test_segment_counts_equal_hamming(self, buffer):
-        # 4 segments of 8 bytes with known popcounts.
+        # 4 segments of 8 bytes with known popcounts, XOR-ed with zeros.
         segments = np.zeros(PAGE, dtype=np.uint8)
         segments[0:8] = 0xFF  # 64 ones
         segments[8:16] = 0x01  # 8 ones
         buffer.load_sensing(segments, np.zeros(OOB, dtype=np.uint8))
-        buffer.copy("sensing", "data")
         counter = FailBitCounter(buffer)
-        counts = counter.count_segments(8, 4)
-        assert counts == [64, 8, 0, 0]
+        counts = counter.count_xor_segments(np.zeros((1, 8), np.uint8), 8, 4)
+        assert counts.tolist() == [[64, 8, 0, 0]]
 
     def test_count_all(self, buffer):
-        data = np.full(PAGE, 0x0F, dtype=np.uint8)
-        buffer.load_sensing(data, np.zeros(OOB, dtype=np.uint8))
-        buffer.copy("sensing", "data")
-        assert FailBitCounter(buffer).count_all() == PAGE * 4
+        # One page-wide segment XOR-ed with zeros: every one in the latch.
+        buffer.load_sensing(np.full(PAGE, 0x0F, dtype=np.uint8), np.zeros(OOB, np.uint8))
+        counter = FailBitCounter(buffer)
+        counts = counter.count_xor_segments(np.zeros((1, PAGE), np.uint8), PAGE, 1)
+        assert counts.tolist() == [[PAGE * 4]]
 
     def test_rejects_segments_beyond_page(self, buffer):
+        # Too many segments of a width that fits is refused as well.
         counter = FailBitCounter(buffer)
         with pytest.raises(ValueError):
-            counter.count_segments(PAGE, 2)
+            counter.count_xor_segments(np.zeros((1, 8), np.uint8), 8, PAGE // 8 + 1)
 
     def test_rejects_nonpositive(self, buffer):
         counter = FailBitCounter(buffer)
         with pytest.raises(ValueError):
-            counter.count_segments(0, 1)
+            counter.count_xor_segments(np.zeros((1, 0), np.uint8), 0, 1)
         with pytest.raises(ValueError):
-            counter.count_segments(8, 0)
+            counter.count_xor_segments(np.zeros((1, 8), np.uint8), 8, 0)
 
     def test_tracks_invocations(self, buffer):
+        # The count accumulates over calls; a refused call adds nothing.
         counter = FailBitCounter(buffer)
-        counter.count_all()
-        counter.count_segments(8, 2)
-        assert counter.invocations == 2
+        counter.count_xor_segments(np.zeros((2, 8), np.uint8), 8, 2)
+        counter.count_xor_segments(np.zeros((1, PAGE), np.uint8), PAGE, 1)
+        with pytest.raises(ValueError):
+            counter.count_xor_segments(np.zeros((4, 8), np.uint8), 8, 0)
+        assert counter.invocations == 3
 
     @given(st.integers(1, 16), st.integers(1, 16), st.data())
     @settings(max_examples=25)
@@ -124,11 +116,11 @@ class TestFailBitCounter:
         ).copy()
         buffer = PageBuffer(PAGE, OOB)
         buffer.load_sensing(payload, np.zeros(OOB, dtype=np.uint8))
-        buffer.copy("sensing", "data")
-        counts = FailBitCounter(buffer).count_segments(seg_bytes, n_segments)
+        zeros = np.zeros((1, seg_bytes), dtype=np.uint8)
+        counts = FailBitCounter(buffer).count_xor_segments(zeros, seg_bytes, n_segments)
         view = payload[: seg_bytes * n_segments].reshape(n_segments, seg_bytes)
         expected = [int(np.unpackbits(row).sum()) for row in view]
-        assert counts == expected
+        assert counts[0].tolist() == expected
 
 
 class TestCountXorSegments:
@@ -163,14 +155,13 @@ class TestCountXorSegments:
         counter = FailBitCounter(buffer)
         matrix = counter.count_xor_segments(patterns, seg_bytes, n_segments)
         assert matrix.shape == (n_patterns, n_segments)
-        # Row q equals broadcasting pattern q alone: XOR into the data
-        # latch, then the plain segmented count.
+        # Row q is the popcount per segment of the page XOR pattern q
+        # broadcast across it.
+        width = seg_bytes * n_segments
         for q in range(n_patterns):
-            tiled = np.tile(patterns[q], PAGE // seg_bytes + 1)[:PAGE]
-            buffer.load_cache(tiled)
-            buffer.xor("cache", "sensing", "data")
-            expected = counter.count_segments(seg_bytes, n_segments, latch="data")
-            assert matrix[q].tolist() == expected
+            tiled = np.tile(patterns[q], n_segments)
+            diff = (payload[:width] ^ tiled).reshape(n_segments, seg_bytes)
+            assert matrix[q].tolist() == np.bitwise_count(diff).sum(axis=1).tolist()
 
     def test_rejects_mismatched_pattern_width(self, buffer):
         counter = FailBitCounter(buffer)
@@ -222,23 +213,3 @@ class TestCountXorSegments:
                 axis=1,
             ).sum(axis=1)
             assert stacked[i].tolist() == bits.tolist()
-
-
-class TestPassFailChecker:
-    def test_keeps_strictly_below_threshold(self):
-        checker = PassFailChecker()
-        assert checker.filter_below([5, 1, 9, 3], threshold=5) == [1, 3]
-
-    def test_threshold_is_exclusive(self):
-        assert PassFailChecker().filter_below([5], threshold=5) == []
-
-    def test_empty_input(self):
-        assert PassFailChecker().filter_below([], threshold=10) == []
-
-    @given(st.lists(st.integers(0, 100), max_size=50), st.integers(0, 100))
-    def test_filter_is_order_preserving_subset(self, values, threshold):
-        kept = PassFailChecker().filter_below(values, threshold)
-        assert kept == sorted(kept)
-        assert all(values[i] < threshold for i in kept)
-        passing = sum(1 for v in values if v < threshold)
-        assert len(kept) == passing

@@ -151,13 +151,13 @@ class TestBitErrorModel:
     def test_esp_reads_are_error_free(self):
         model = BitErrorModel(seed=1)
         data = _data(size=4096)
-        out = model.corrupt(data, CellMode.SLC_ESP)
-        assert np.array_equal(out, data)
+        out, flipped = model.corrupt_traced(data, CellMode.SLC_ESP)
+        assert np.array_equal(out, data) and flipped.size == 0
 
     def test_tlc_reads_flip_bits(self):
         model = BitErrorModel(seed=1)
         data = np.zeros(1 << 16, dtype=np.uint8)
-        out = model.corrupt(data, CellMode.TLC)
+        out, _flipped = model.corrupt_traced(data, CellMode.TLC)
         flipped = int(np.unpackbits(out ^ data).sum())
         expected = model.expected_errors(data.size, CellMode.TLC)
         assert flipped > 0
@@ -166,13 +166,13 @@ class TestBitErrorModel:
     def test_input_never_modified(self):
         model = BitErrorModel(seed=2)
         data = np.zeros(1 << 16, dtype=np.uint8)
-        model.corrupt(data, CellMode.QLC)
+        model.corrupt_traced(data, CellMode.QLC)
         assert (data == 0).all()
 
     def test_disabled_model_is_clean(self):
         model = BitErrorModel(seed=1, enabled=False)
         data = np.zeros(1 << 16, dtype=np.uint8)
-        assert np.array_equal(model.corrupt(data, CellMode.QLC), data)
+        assert np.array_equal(model.corrupt_traced(data, CellMode.QLC)[0], data)
 
     @given(st.integers(0, 2**16))
     def test_expected_errors_scales_linearly(self, n_bytes):

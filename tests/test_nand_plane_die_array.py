@@ -10,6 +10,8 @@ from repro.nand.geometry import FlashGeometry, PhysicalPageAddress
 from repro.nand.plane import Plane
 from repro.nand.timing import NandTiming
 
+from tests.conftest import sense_one
+
 GEOMETRY = FlashGeometry(page_bytes=2048, oob_bytes=128, subpage_bytes=512)
 
 
@@ -32,7 +34,7 @@ class TestPlane:
         data = np.arange(2048, dtype=np.uint8) % 251
         oob = np.arange(128, dtype=np.uint8)
         plane.program_page(0, 0, data, oob)
-        read, read_oob = plane.read_page(0, 0)
+        read, read_oob = sense_one(plane, 0, 0)
         assert np.array_equal(read, data)  # ESP: zero raw BER
         assert np.array_equal(read_oob, oob)
 
@@ -41,7 +43,7 @@ class TestPlane:
         data = np.zeros(2048, dtype=np.uint8)
         plane.program_page(0, 0, data)
         for _ in range(8):
-            plane.read_page(0, 0)
+            sense_one(plane, 0, 0)
         golden, _ = plane.golden_page(0, 0)
         assert np.array_equal(golden, data)
 
@@ -57,12 +59,12 @@ class TestPlane:
         data = np.full(2048, 0x5A, dtype=np.uint8)
         oob = np.full(128, 0x11, dtype=np.uint8)
         plane.program_page(0, 0, data, oob)
-        plane.read_page(0, 0)
+        sense_one(plane, 0, 0)
         assert np.array_equal(plane.buffer.sensing, data)
         assert np.array_equal(plane.buffer.oob, oob)
 
     def test_in_plane_hamming_distance(self):
-        """The REIS compute primitive: IBC + read + XOR + fail-bit count."""
+        """The REIS compute primitive: read + XOR + fail-bit count."""
         plane = make_plane()
         plane.blocks[0].set_mode(CellMode.SLC_ESP)
         code_bytes = 16
@@ -71,10 +73,8 @@ class TestPlane:
         embeddings[16:32] = 0x0F  # embedding 1: half ones
         plane.program_page(0, 0, embeddings)
         query = np.zeros(code_bytes, dtype=np.uint8)  # all-zero query
-        plane.broadcast_to_cache(query)
-        plane.read_page(0, 0)
-        plane.xor_cache_sensing()
-        distances = plane.segment_distances(code_bytes, 4)
+        sense_one(plane, 0, 0)
+        distances = plane.multi_query_distances(query, code_bytes, 4)[0]
         assert distances[0] == 128  # 16 bytes of difference
         assert distances[1] == 64
         assert distances[2] == 0
@@ -82,11 +82,89 @@ class TestPlane:
     def test_counters_track_operations(self):
         plane = make_plane()
         plane.program_page(0, 0, np.zeros(8, dtype=np.uint8))
-        plane.read_page(0, 0)
+        sense_one(plane, 0, 0)
         plane.erase_block(0)
         assert plane.counters["page_programs"] == 1
         assert plane.counters["page_reads"] == 1
         assert plane.counters["block_erases"] == 1
+
+    def test_read_counters_split_by_mode(self):
+        plane = make_plane()
+        plane.blocks[1].set_mode(CellMode.SLC_ESP)
+        for block in (0, 1):
+            plane.program_page(block, 0, np.zeros(8, dtype=np.uint8))
+            plane.program_page(block, 1, np.zeros(8, dtype=np.uint8))
+        plane.read_pages([0, 1, 0, 1, 1], [0, 0, 1, 1, 0])
+        assert plane.counters["page_reads"] == 5
+        assert plane.counters[f"page_reads_{CellMode.TLC.timing_key}"] == 2
+        assert plane.counters[f"page_reads_{CellMode.SLC_ESP.timing_key}"] == 3
+
+    def test_empty_read_run_leaves_latches_and_counters(self):
+        plane = make_plane()
+        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        data = np.full(2048, 0x5A, dtype=np.uint8)
+        plane.program_page(0, 0, data)
+        sense_one(plane, 0, 0)
+        run = plane.read_pages([], [])
+        assert run.data == run.oob == run.golden == run.flipped == []
+        assert np.array_equal(plane.buffer.sensing, data)
+        assert plane.counters["page_reads"] == 1
+
+    def test_error_free_run_returns_the_stored_bytes(self):
+        """Without a destination, a raw-BER-0 sense is the stored array
+        itself, read-only; with one, the bytes are copied into it."""
+        plane = make_plane()
+        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        data = np.arange(2048, dtype=np.uint8) % 13
+        plane.program_page(0, 0, data)
+        run = plane.read_pages([0], [0])
+        golden, _ = plane.golden_view(0, 0)
+        assert np.shares_memory(run.data[0], golden)
+        assert not run.data[0].flags.writeable
+        assert run.flipped[0].size == 0
+        row = np.zeros(2048, dtype=np.uint8)
+        sensed, _ = sense_one(plane, 0, 0, out=row)
+        assert np.shares_memory(sensed, row)
+        assert np.array_equal(row, data)
+
+    def test_latch_holds_the_last_page_of_a_run(self):
+        plane = make_plane()
+        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        for page in range(3):
+            plane.program_page(
+                0, page, np.full(2048, page + 1, dtype=np.uint8),
+                np.full(128, page + 7, dtype=np.uint8),
+            )
+        plane.read_pages([0, 0, 0], [2, 0, 1])
+        assert (plane.buffer.sensing == 2).all()
+        assert (plane.buffer.oob == 8).all()
+
+    def test_broadcast_image_tiles_whole_copies(self):
+        plane = make_plane()
+        pattern = np.arange(24, dtype=np.uint8)
+        image = plane.broadcast_image(pattern)
+        assert image.size == (2048 // 24) * 24
+        assert np.array_equal(image.reshape(-1, 24), np.tile(pattern, (2048 // 24, 1)))
+
+    def test_broadcast_image_rejects_empty_and_oversize(self):
+        plane = make_plane()
+        with pytest.raises(ValueError):
+            plane.broadcast_image(np.zeros(0, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            plane.broadcast_image(np.zeros(2049, dtype=np.uint8))
+
+    def test_distance_counters_count_every_query(self):
+        """Each query row of a stacked extraction is one XOR and one
+        fail-bit count; a pass/fail sweep is billed only as counted."""
+        plane = make_plane()
+        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        plane.program_page(0, 0, np.zeros(2048, dtype=np.uint8))
+        sense_one(plane, 0, 0)
+        plane.multi_query_distances(np.zeros((3, 16), dtype=np.uint8), 16, 4)
+        plane.note_pass_fail_sweeps(2)
+        assert plane.counters["latch_xors"] == plane.counters["bit_counts"] == 3
+        assert plane.fail_bit_counter.invocations == 3
+        assert plane.counters["pass_fail_checks"] == 2
 
 
 class TestDie:
@@ -105,7 +183,7 @@ class TestDie:
     def test_broadcast_reaches_every_plane(self):
         die = self._die()
         pattern = np.full(16, 0xAA, dtype=np.uint8)
-        transfers = die.broadcast_query(pattern, multi_plane=True)
+        transfers = die.broadcast_queries(pattern[None], multi_plane=True)
         assert transfers == 1
         for plane in die.planes:
             assert (plane.buffer.cache[:16] == 0xAA).all()
@@ -113,21 +191,38 @@ class TestDie:
     def test_broadcast_without_mpibc_costs_one_transfer_per_plane(self):
         die = self._die()
         pattern = np.full(16, 0xAA, dtype=np.uint8)
-        assert die.broadcast_query(pattern, multi_plane=False) == 2
+        assert die.broadcast_queries(pattern[None], multi_plane=False) == 2
 
-    def test_multi_plane_read_rejects_plane_conflict(self):
+    def test_broadcast_latches_only_the_last_row(self):
+        """The cache latch is overwrite-only: back-to-back broadcasts leave
+        the last query latched, and every row is still billed."""
         die = self._die()
+        patterns = np.stack([np.full(16, value, dtype=np.uint8) for value in (1, 2, 3)])
+        assert die.broadcast_queries(patterns, multi_plane=False) == 3 * 2
         for plane in die.planes:
-            plane.program_page(0, 0, np.zeros(8, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            die.multi_plane_read([(0, 0, 0), (0, 0, 1)])
+            assert (plane.buffer.cache == 3).all()
+        assert die.counters["ibc_broadcasts"] == 3 * 2
+        assert die.counters["ibc_page_transfers"] == 3 * 2
+
+    def test_empty_broadcast_is_free(self):
+        die = self._die()
+        assert die.broadcast_queries(np.zeros((0, 16), dtype=np.uint8), True) == 0
+        assert die.counters["ibc_broadcasts"] == 0
+        for plane in die.planes:
+            assert not plane.buffer.cache.any()
 
     def test_multi_plane_read_parallel_planes(self):
+        """Each plane of a die senses its own run into its own latch; the
+        die's counters see both."""
         die = self._die()
-        for plane in die.planes:
-            plane.program_page(0, 0, np.zeros(8, dtype=np.uint8))
-        results = die.multi_plane_read([(0, 0, 0), (1, 0, 0)])
-        assert len(results) == 2
+        for index, plane in enumerate(die.planes):
+            plane.blocks[0].set_mode(CellMode.SLC_ESP)
+            plane.program_page(0, 0, np.full(2048, index + 1, dtype=np.uint8))
+        runs = [plane.read_pages([0], [0]) for plane in die.planes]
+        for index, (plane, run) in enumerate(zip(die.planes, runs)):
+            assert (run.data[0] == index + 1).all()
+            assert (plane.buffer.sensing == index + 1).all()
+        assert die.counters["page_reads"] == 2
 
 
 class TestFlashArray:
@@ -159,7 +254,7 @@ class TestFlashArray:
 
     def test_read_pages_is_one_run_per_plane_in_the_order_given(self):
         """Pages anywhere in the array, interleaved across planes, == a
-        single read per page in the same order on a same-seed array: noisy
+        run of one per page in the same order on a same-seed array: noisy
         bytes, hints, latches, counters and every plane's error stream."""
 
         def make_array():
@@ -181,7 +276,7 @@ class TestFlashArray:
         run = grouped.read_pages(planes, blocks, pages, out=stack)
         for row, (plane_index, page) in enumerate(zip(planes, pages)):
             plane = single.plane_by_index(plane_index)
-            data, oob = plane.read_page(0, page)
+            data, oob = sense_one(plane, 0, page)
             assert np.array_equal(stack[row], data)
             assert np.shares_memory(run.data[row], stack[row])
             assert np.array_equal(run.oob[row], oob)
@@ -209,7 +304,7 @@ class TestEccEngine:
         golden = np.zeros(128, dtype=np.uint8)
         raw = golden.copy()
         raw[0] ^= 0b00000111  # 3 flipped bits in codeword 0
-        out = engine.correct(raw, golden)
+        out = engine.correct_batch(raw[None], [golden])[0]
         assert np.array_equal(out, golden)
         assert engine.corrected_bits == 3
         assert engine.uncorrectable_codewords == 0
@@ -219,14 +314,16 @@ class TestEccEngine:
         golden = np.zeros(64, dtype=np.uint8)
         raw = golden.copy()
         raw[:8] = 0xFF  # 64 flipped bits >> capability
-        out = engine.correct(raw, golden)
+        out = engine.correct_batch(raw[None], [golden])[0]
         assert not np.array_equal(out, golden)
         assert engine.uncorrectable_codewords == 1
 
     def test_shape_mismatch_rejected(self):
         engine = EccEngine()
         with pytest.raises(ValueError):
-            engine.correct(np.zeros(4, dtype=np.uint8), np.zeros(8, dtype=np.uint8))
+            engine.correct_batch(
+                np.zeros((1, 4), dtype=np.uint8), [np.zeros(8, dtype=np.uint8)]
+            )
 
     def test_decode_time_linear(self):
         engine = EccEngine()

@@ -90,11 +90,10 @@ class TestSearchInvariants:
     def test_matches_host_reference(self, shape):
         n, dim, nlist, k, seed = shape
         device, db_id, vectors, queries = _deploy(n, dim, nlist, seed)
-        db = device.database(db_id)
         reference = BqIvfIndex(dim, nlist, seed=seed).fit(vectors)
         nprobe = max(1, nlist - 1)
         for query in queries:
-            result = device.engine.search(db, query, k=k, nprobe=nprobe)
+            [result] = device.ivf_search(db_id, query[None], k=k, nprobe=nprobe)
             ref_dist, _ = reference.search(query, k, nprobe=nprobe)
             assert np.array_equal(result.distances, ref_dist)
 

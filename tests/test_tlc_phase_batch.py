@@ -10,10 +10,11 @@ The two TLC phases run as phase kernels -- the solo path is a phase of one
 * **Billing vs a pure-Python reference** -- `_bill_tlc_phase` charges each
   query its own unique pages and (page, codeword) pairs, straddling
   codewords, cached pages and zero-length reads included;
-* **Sense in place** -- `Plane.read_page(out=row)` draws the same errors,
-  leaves the same latch contents and counters as the allocating read;
+* **Sense in place** -- a `Plane.read_pages` run of one into a row draws
+  the same errors, leaves the same latch contents and counters as the
+  allocating run, and a run of N equals N runs of one;
 * **In-place ECC** -- :meth:`EccEngine.correct_batch` equals the per-page
-  :meth:`EccEngine.correct` loop, outputs and counters, hinted and
+  loop of ``tests/ecc_reference.py``, outputs and counters, hinted and
   unhinted, cancelling double flips and uncorrectable codewords included;
 * **Phase of N == N phases of one** -- ids, distances, decoded document
   text and the per-query energy counters (``page_reads_tlc``, ECC decoded
@@ -40,7 +41,9 @@ from repro.nand.plane import Plane
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
+from tests.conftest import sense_one
 from tests.cost_reference import replay
+from tests.ecc_reference import PageByPageEcc
 
 SETTINGS = settings(
     max_examples=8,
@@ -89,7 +92,8 @@ class TestTlcBatchBitIdentity:
         db.corpus = None
 
         sequential = [
-            device.engine.search(db, query, k=k, nprobe=2) for query in queries
+            device.ivf_search(db_id, query[None], k=k, nprobe=2).results[0]
+            for query in queries
         ]
         execution = BatchExecutor(device.engine).execute(
             db, queries, k=k, nprobe=2
@@ -126,7 +130,7 @@ class TestTlcBatchBitIdentity:
                 )
             else:
                 for query in small_queries[:8]:
-                    device.engine.search(db, query, k=10, nprobe=4)
+                    device.ivf_search(db_id, query[None], k=10, nprobe=4)
             return (
                 device.engine.ssd.counters["page_reads_tlc"] - base_reads,
                 device.engine.ssd.ecc.decoded_bytes - base_decoded,
@@ -193,7 +197,7 @@ class TestCorrectBatchEquivalence:
             n_pages, page_bytes, flips, seed
         )
 
-        solo, batch = EccEngine(), EccEngine()
+        solo, batch = PageByPageEcc(), EccEngine()
         expected = np.stack(
             [
                 solo.correct(
@@ -242,7 +246,7 @@ class TestCorrectBatchEquivalence:
             )
             hints.append(positions >> 3)
 
-        solo, batch = EccEngine(), EccEngine()
+        solo, batch = PageByPageEcc(), EccEngine()
         expected = [
             solo.correct(raws[i], goldens[i], candidate_bytes=hints[i])
             for i in range(n_pages)
@@ -268,7 +272,7 @@ class TestCorrectBatchEquivalence:
         # 3000 bytes is not a codeword multiple: each page ends on a short
         # codeword, exactly as on the per-page path.
         raws, goldens, hints = self._page_stack(3, 3000, [0, 5, 90], seed=7)
-        solo, batch = EccEngine(), EccEngine()
+        solo, batch = PageByPageEcc(), EccEngine()
         expected = np.stack(
             [solo.correct(raws[i], goldens[i]) for i in range(3)]
         )
@@ -409,8 +413,8 @@ class TestBillTlcPhaseAgainstReference:
 
 
 class TestSenseInPlace:
-    """`read_page(out=row)` is the allocating read written somewhere else,
-    and `read_pages` is a run of them with the latch loaded once: the
+    """A run of one into a row is the allocating run written somewhere
+    else, and a run of N is N runs of one with the latch loaded once: the
     per-plane error stream, latch contents and counters are pinned."""
 
     PAGE_BYTES, OOB_BYTES = 16384, 64
@@ -439,8 +443,8 @@ class TestSenseInPlace:
         stack = np.full((8, self.PAGE_BYTES), 0xAB, dtype=np.uint8)
         n_flipped = 0
         for row, (block, page) in enumerate(self.SEQUENCE):
-            data, oob = plain.read_page(block, page)
-            got, got_oob = in_place.read_page(block, page, out=stack[row])
+            data, oob = sense_one(plain, block, page)
+            got, got_oob = sense_one(in_place, block, page, out=stack[row])
             assert got is not data and np.shares_memory(got, stack[row])
             assert np.array_equal(stack[row], data)
             assert np.array_equal(got_oob, oob)
@@ -458,16 +462,16 @@ class TestSenseInPlace:
 
     @pytest.mark.parametrize("into_rows", [True, False])
     def test_one_run_is_n_single_reads(self, into_rows):
-        """One `read_pages` over the sequence == a `read_page` per page on
+        """One `read_pages` over the sequence == a run of one per page on
         a same-seed plane: bytes including flips, OOB, per-page
         flipped-byte hints, the latch (the run's last page), counters and
         the error RNG's state afterwards."""
         single, run_plane = self._make_plane(), self._make_plane()
-        reads = [single.read_page(block, page) for block, page in self.SEQUENCE]
+        reads = [sense_one(single, block, page) for block, page in self.SEQUENCE]
         hints = []
         replay = self._make_plane()  # per-page hints need their own walk
         for block, page in self.SEQUENCE:
-            replay.read_page(block, page)
+            sense_one(replay, block, page)
             hints.append(replay.last_flipped_bytes)
 
         stack = np.full((8, self.PAGE_BYTES), 0xAB, dtype=np.uint8)
@@ -502,7 +506,7 @@ class TestSenseInPlace:
 
     def test_an_empty_run_touches_nothing(self):
         plane = self._make_plane()
-        plane.read_page(1, 0)
+        sense_one(plane, 1, 0)
         latch, counters = plane.buffer.sensing.copy(), plane.counters.as_dict()
         run = plane.read_pages([], [])
         assert run.data == run.oob == run.golden == run.flipped == []
