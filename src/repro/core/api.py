@@ -487,51 +487,21 @@ class ReisDevice(_HostSurface):
         cache = self.page_cache
         if cache is None:
             return
-        for region in (
-            db.centroid_region,
-            db.embedding_region,
-            db.int8_region,
-            db.document_region,
-        ):
-            if region is not None:
-                cache.invalidate_region(region)
+        for region in db.regions:
+            cache.invalidate_region(region)
 
     def _reclaim_regions(self, db: DeployedDatabase) -> None:
-        regions = [
-            r
-            for r in (
-                db.embedding_region,
-                db.int8_region,
-                db.document_region,
-                db.centroid_region,
-            )
-            if r is not None
-        ]
-        if not regions:
-            return
-        start = min(r.region.start_page_in_plane for r in regions)
-        end = max(r.region.end_page_in_plane for r in regions)
+        start = min(r.region.start_page_in_plane for r in db.regions)
+        end = max(r.region.end_page_in_plane for r in db.regions)
         if end != self.deployer._next_page_in_plane:
             return  # not the top of the heap; leave it reserved
-        for other in self._databases.values():
-            for reg in (
-                other.embedding_region,
-                other.int8_region,
-                other.document_region,
-                other.centroid_region,
-            ):
-                if reg is not None and reg.region.end_page_in_plane > start:
-                    return
-        g = self.ssd.spec.geometry
-        ppb = g.pages_per_block
-        first_block = start // ppb
-        last_block = (end - 1) // ppb
-        for plane_index in range(g.total_planes):
-            plane = self.ssd.array.plane_by_index(plane_index)
-            for block_index in range(first_block, last_block + 1):
-                if plane.blocks[block_index].next_program_page:
-                    plane.erase_block(block_index)
-        self.deployer._next_page_in_plane = start
+        if any(
+            r.region.end_page_in_plane > start
+            for other in self._databases.values()
+            for r in other.regions
+        ):
+            return
+        self.deployer._rollback(start)
 
     # -------------------------------------------------------------- ingest
 

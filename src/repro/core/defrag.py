@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.nand.geometry import PhysicalPageAddress
+from repro.nand.geometry import PhysicalPageAddress, page_address
 from repro.nand.page import PageState
 from repro.ssd.coarse import CoarseRegion
 from repro.ssd.device import SimulatedSSD
@@ -86,7 +86,7 @@ class Defragmenter:
         seconds = 0.0
         relocated = 0
         for plane_index, block_index, page_index in self._victims(start_page, end_page):
-            ppa = self._address_of(plane_index, block_index, page_index)
+            ppa = page_address(g, plane_index, block_index, page_index)
             lpa = self.ssd.ftl.lpa_of(ppa)
             plane = self.ssd.array.plane_by_index(plane_index)
             data, oob = plane.blocks[block_index].pages[page_index].raw()
@@ -130,13 +130,6 @@ class Defragmenter:
         )
 
     # ------------------------------------------------------------- helpers
-
-    def _address_of(self, plane_index: int, block: int, page: int) -> PhysicalPageAddress:
-        g = self.ssd.spec.geometry
-        die_index, plane = divmod(plane_index, g.planes_per_die)
-        channel, rest = divmod(die_index, g.dies_per_channel)
-        chip, die = divmod(rest, g.dies_per_chip)
-        return PhysicalPageAddress(channel, chip, die, plane, block, page)
 
     def _inside_window(
         self, ppa: PhysicalPageAddress, start_page: int, end_page: int

@@ -63,14 +63,19 @@ import numpy as np
 from repro.ann.distances import hamming_packed
 from repro.core.batch import BatchExecution, BatchStats
 from repro.core.defrag import Defragmenter
-from repro.core.layout import CapacityError, DeployedDatabase, RegionInfo
+from repro.core.layout import (
+    CapacityError,
+    DeployedDatabase,
+    RegionInfo,
+    oob_records,
+    program_slots,
+)
 from repro.core.plan import SearchStats, validate_metadata_tags
 from repro.core.queue import QueuePolicy, Submission, SubmissionQueue
 from repro.core.registry import R_IVF_ENTRY_BYTES, RIvf, TombstoneRegistry
 from repro.core.shard import ShardUnavailableError, scan_order
 from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport, SimClock
-from repro.ssd.allocation import ContiguousRegionAllocator
 from repro.ssd.device import SimulatedSSD
 
 MUTATION_OPS = ("insert", "delete", "update")
@@ -175,14 +180,20 @@ class CompactionResult:
 
 
 def _validate_group(
-    requests: Sequence[MutationRequest], dim: int, tagged: bool
+    requests: Sequence[MutationRequest], dim: int, tagged: bool, n_clusters: int
 ) -> None:
     """Check a whole mutation group before any of it lands: every insert /
-    update vector has the database's width and is finite, and carries an
-    in-range tag -- which a tagged database requires."""
+    update vector has the database's width and is finite, pins (if at all)
+    a cluster in ``[0, n_clusters)``, and carries an in-range tag -- which
+    a tagged database requires."""
     for request in requests:
         if request.op == "delete":
             continue
+        if request.cluster is not None and not 0 <= request.cluster < n_clusters:
+            raise ValueError(
+                f"{request.op} cluster {request.cluster} is outside "
+                f"[0, {n_clusters})"
+            )
         vector = np.asarray(request.vector, dtype=np.float32)
         if vector.shape != (dim,):
             raise ValueError(f"{request.op} vector must have dim {dim}")
@@ -380,11 +391,13 @@ class IngestManager:
     """The device-side mutation path for one deployed IVF database.
 
     Owns the per-region tail cursors (page-aligned: a NAND page programs
-    once, so each commit seals whole tail pages), the parallelism-first
-    tail allocators (fast-forwarded past the deployed pages; the rotation
-    is identical to the coarse region's offset order, so allocation *k*
-    lands on region offset *k*), the tombstone bitmap's DRAM booking and
-    the :class:`MutableIndex` it installs on the database.
+    once, so each commit seals whole tail pages), the tombstone bitmap's
+    DRAM booking and the :class:`MutableIndex` it installs on the
+    database.  Tail pages go through the deployer's own writer
+    (:func:`~repro.core.layout.program_slots` at region page
+    ``cursor // slots_per_page``, with
+    :func:`~repro.core.layout.oob_records`), so an appended page is
+    addressed and formatted exactly as a deployed one.
     """
 
     def __init__(self, ssd: SimulatedSSD, db: DeployedDatabase) -> None:
@@ -402,7 +415,10 @@ class IngestManager:
         self.tombstones.track_capacity(db.embedding_region.n_slots)
         self.index = MutableIndex(db)
         db.mutable_index = self.index
-        self.centroid_codes = self._read_centroid_codes()
+        # Centroid codes sensed back from the centroid region.
+        self.centroid_codes = self._read_slots(
+            db.centroid_region, np.arange(db.centroid_region.n_slots)
+        )[0]
         self.commits: List[CommitResult] = []
         self._regions: Dict[str, RegionInfo] = {
             "embeddings": db.embedding_region,
@@ -410,7 +426,6 @@ class IngestManager:
             "documents": db.document_region,
         }
         self._cursor: Dict[str, int] = {}
-        self._allocators: Dict[str, ContiguousRegionAllocator] = {}
         self._reset_tails(db.n_entries)
 
     def _reset_tails(self, n_live_slots: int) -> None:
@@ -418,23 +433,27 @@ class IngestManager:
         for key, region in self._regions.items():
             pages = math.ceil(n_live_slots / region.slots_per_page)
             self._cursor[key] = pages * region.slots_per_page
-            allocator = ContiguousRegionAllocator(
-                self.geometry, region.region.start_page_in_plane
-            )
-            allocator.advance(pages)
-            self._allocators[key] = allocator
 
-    def _read_centroid_codes(self) -> np.ndarray:
-        """Centroid codes sensed back from the centroid region (ESP-SLC is
-        error-free, so the golden page *is* the sensed page)."""
-        region = self.db.centroid_region
-        pages = []
-        for page_offset in range(region.n_pages):
-            ppa = region.region.translate(page_offset, self.geometry)
-            data, _oob = self.ssd.array.plane(ppa).golden_page(ppa.block, ppa.page)
-            items = data[: region.slots_per_page * region.item_bytes]
-            pages.append(items.reshape(region.slots_per_page, region.item_bytes))
-        return np.concatenate(pages)[: region.n_slots, : self.db.code_bytes].copy()
+    def _read_slots(
+        self, region: RegionInfo, slots: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
+        """The payload rows of ``slots`` and the number of pages read: every
+        page holding one is read once, in offset order.  Reads are golden
+        (ESP-SLC is error-free and ECC corrects TLC; the functional sim
+        stores golden bytes)."""
+        g = self.geometry
+        page_offsets, slot_in_page = np.divmod(slots, region.slots_per_page)
+        touched, row_of = np.unique(page_offsets, return_inverse=True)
+        pages = np.empty((touched.size, g.page_bytes), dtype=np.uint8)
+        for row, page_offset in enumerate(touched.tolist()):
+            ppa = region.region.translate(page_offset, g)
+            pages[row], _ = self.ssd.array.plane(ppa).golden_view(
+                ppa.block, ppa.page
+            )
+        items = pages[:, : region.slots_per_page * region.item_bytes].reshape(
+            touched.size, region.slots_per_page, region.item_bytes
+        )
+        return items[row_of, slot_in_page], touched.size
 
     def _free(self, key: str) -> int:
         # The page-aligned tail cursor can start past a small growth region.
@@ -471,7 +490,9 @@ class IngestManager:
         ``ValueError`` / :class:`~repro.core.layout.CapacityError` before
         any state changes.
         """
-        _validate_group(requests, self.db.dim, self.db.has_metadata)
+        _validate_group(
+            requests, self.db.dim, self.db.has_metadata, self.index.n_clusters
+        )
         n_writes = sum(1 for r in requests if r.op != "delete")
         self.check_capacity(n_writes)
         result = CommitResult()
@@ -534,12 +555,10 @@ class IngestManager:
             columns["cluster"][unpinned] = np.argmin(
                 hamming_packed(codes[unpinned], self.centroid_codes), axis=1
             )
-        # Same OOB wire format the deployer writes: DADR + RADR words, plus
-        # the metadata tag word when the database carries tags.
-        words = [columns["dadr"], columns["radr"]]
-        if self.db.has_metadata:
-            words.append(columns["meta"])
-        records = np.stack(words, axis=1).astype("<u4").view(np.uint8)
+        records = oob_records(
+            columns["dadr"], columns["radr"],
+            columns["meta"] if self.db.has_metadata else None,
+        )
         chunks = [
             DocumentChunk(
                 chunk_id=entry_id,
@@ -566,40 +585,21 @@ class IngestManager:
         """
         seconds = 0.0
         pages_programmed: Dict[str, int] = {}
-        g = self.geometry
         for key, region in self._regions.items():
             if key not in staged:
                 pages_programmed[key] = 0
                 continue
-            payloads, records = staged[key]
-            spp = region.slots_per_page
-            cursor = self._cursor[key]
-            n_pages = math.ceil(len(payloads) / spp)
-            # Authority barrier: the tail pages programmed below supersede
+            first_page = self._cursor[key] // region.slots_per_page
+            n_pages = program_slots(self.ssd, region, *staged[key], first_page)
+            # Authority barrier: the tail pages just programmed supersede
             # any DRAM-mirrored copy of those page offsets.
             cache = getattr(self.ssd, "page_cache", None)
             if cache is not None:
-                cache.invalidate_pages(region, cursor // spp + np.arange(n_pages))
-            for j in range(n_pages):
-                rows = payloads[j * spp : (j + 1) * spp]
-                data = np.zeros(g.page_bytes, dtype=np.uint8)
-                data[: spp * region.item_bytes].reshape(spp, region.item_bytes)[
-                    : len(rows), : rows.shape[1]
-                ] = rows
-                oob: Optional[np.ndarray] = None
-                if records is not None:
-                    packed = records[j * spp : (j + 1) * spp].ravel()
-                    oob = np.zeros(g.oob_bytes, dtype=np.uint8)
-                    oob[: packed.size] = packed
-                ppa = self._allocators[key].allocate()
-                expected = region.region.translate(cursor // spp + j, g)
-                if ppa.to_linear(g) != expected.to_linear(g):
-                    raise RuntimeError(
-                        f"tail allocator diverged from region striping in {key}"
-                    )
-                self.ssd.array.program(ppa, data, oob)
-                seconds += self.timing.program_time(region.mode.timing_key)
-            self._cursor[key] = (cursor // spp + n_pages) * spp
+                cache.invalidate_pages(region, first_page + np.arange(n_pages))
+            program_s = self.timing.program_time(region.mode.timing_key)
+            for _ in range(n_pages):
+                seconds += program_s
+            self._cursor[key] = (first_page + n_pages) * region.slots_per_page
             pages_programmed[key] = n_pages
         return seconds, pages_programmed
 
@@ -633,7 +633,6 @@ class IngestManager:
         resets; reclaimed tail pages return to the erased headroom.
         """
         db = self.db
-        g = self.geometry
         index = self.index
         # Compaction rewrites whole region windows, so every mirrored page
         # of this device is suspect: clear the DRAM cache at the barrier.
@@ -656,22 +655,10 @@ class IngestManager:
             "documents": index.dadr[order],
         }
         for key, region in self._regions.items():
-            width = db.code_bytes if key == "embeddings" else region.item_bytes
-            page_offsets, slot_in_page = np.divmod(
-                slots_of[key], region.slots_per_page
-            )
-            touched, row_of = np.unique(page_offsets, return_inverse=True)
-            pages = np.empty((touched.size, g.page_bytes), dtype=np.uint8)
-            for row, page_offset in enumerate(touched.tolist()):
-                ppa = region.region.translate(page_offset, g)
-                pages[row], _ = self.ssd.array.plane(ppa).golden_view(
-                    ppa.block, ppa.page
-                )
-                result.seconds += self.timing.read_time(region.mode.timing_key)
-            items = pages[:, : region.slots_per_page * region.item_bytes].reshape(
-                touched.size, region.slots_per_page, region.item_bytes
-            )
-            payloads[key] = items[row_of, slot_in_page, :width]
+            payloads[key], n_read = self._read_slots(region, slots_of[key])
+            read_s = self.timing.read_time(region.mode.timing_key)
+            for _ in range(n_read):
+                result.seconds += read_s
 
         for key, region in self._regions.items():
             window = region.region
@@ -684,14 +671,12 @@ class IngestManager:
                 window.start_page_in_plane, window.end_page_in_plane, region.mode
             )
 
-        # Reprogram packed from slot 0 in canonical order, with the OOB
-        # wire format the deployer writes (DADR + RADR words, plus the
-        # metadata tag word); after packing both links equal the slot.
-        slot_words = np.arange(order.size, dtype="<u4")
-        words = [slot_words, slot_words]
-        if db.has_metadata:
-            words.append(index.meta[order].astype("<u4"))
-        records = np.stack(words, axis=1).view(np.uint8)
+        # Reprogram packed from slot 0 in canonical order; after packing
+        # both OOB links equal the slot.
+        slots = np.arange(order.size)
+        records = oob_records(
+            slots, slots, index.meta[order] if db.has_metadata else None
+        )
         staged = {
             "embeddings": (payloads["embeddings"], records),
             "int8": (payloads["int8"], None),
@@ -971,7 +956,10 @@ class ShardedIngestCoordinator:
         shard's capacity checked against its share before any shard
         commits; the table is replaced only after all of them have.
         """
-        _validate_group(requests, self.sdb.dim, self.sdb.has_metadata)
+        _validate_group(
+            requests, self.sdb.dim, self.sdb.has_metadata,
+            len(self.centroid_codes),
+        )
         assignment = self.sdb.assignment
         result = CommitResult()
         n_writes = sum(1 for r in requests if r.op != "delete")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -87,6 +87,14 @@ class DeployedDatabase:
     def has_metadata(self) -> bool:
         return self.metadata_tags is not None
 
+    @property
+    def regions(self) -> Tuple[RegionInfo, ...]:
+        """Every region of the database, in allocation order."""
+        regions = (self.embedding_region, self.int8_region, self.document_region)
+        if self.centroid_region is None:
+            return regions
+        return (self.centroid_region,) + regions
+
     def original_of_dadr(self, dadr):
         """Original (external) id of the entry stored at document slot
         ``dadr`` (one slot or an array of them: a column gather).  At
@@ -117,7 +125,12 @@ class DatabaseDeployer:
     Deployment reserves contiguous regions (performing the defragmentation
     the paper describes as an amortized upfront cost), converts their blocks
     to the right cell mode, writes the data with OOB links, and registers
-    the database in the R-DB (and R-IVF for IVF databases).
+    the database in the R-DB (and R-IVF for IVF databases).  Pages are
+    written by :func:`program_slots` with :func:`oob_records`, the writer
+    and OOB format streamed appends and compaction
+    (:class:`~repro.core.ingest.IngestManager`) use too; :meth:`_rollback`
+    is the one erase of a region window, for a failed deploy and for a
+    dropped database at the top of the heap alike.
     """
 
     def __init__(self, ssd: SimulatedSSD, params: Optional[EngineParams] = None) -> None:
@@ -175,78 +188,6 @@ class DatabaseDeployer:
             n_slots=n_slots,
             item_bytes=item_bytes,
         )
-
-    # ------------------------------------------------------------- writing
-
-    @staticmethod
-    def _pack_pages(
-        slot_data: Sequence[np.ndarray],
-        n_slots: int,
-        n_pages: int,
-        slots_per_page: int,
-        item_bytes: int,
-        page_capacity: int,
-    ) -> np.ndarray:
-        """Pack per-slot payloads into a ``(n_pages, page_capacity)`` matrix.
-
-        Accepts either a uniform-width 2-D ``uint8`` matrix (one payload per
-        row) or a sequence of 1-D payloads whose sizes may vary; short
-        payloads are zero-padded to ``item_bytes``, exactly as slot-by-slot
-        writes into a zeroed page would leave them.
-        """
-        rows = np.zeros((n_pages * slots_per_page, item_bytes), dtype=np.uint8)
-        if isinstance(slot_data, np.ndarray) and slot_data.ndim == 2:
-            rows[:n_slots, : slot_data.shape[1]] = slot_data
-        else:
-            for slot in range(n_slots):
-                payload = slot_data[slot]
-                rows[slot, : payload.size] = payload
-        mat = np.zeros((n_pages, page_capacity), dtype=np.uint8)
-        mat[:, : slots_per_page * item_bytes] = rows.reshape(
-            n_pages, slots_per_page * item_bytes
-        )
-        return mat
-
-    def _program_region(
-        self,
-        info: RegionInfo,
-        slot_data: Sequence[np.ndarray],
-        slot_oob: Optional[Sequence[np.ndarray]] = None,
-    ) -> None:
-        """Write slot payloads (and per-slot OOB records) into the head of a
-        region; slots past ``len(slot_data)`` (ingest headroom) stay erased.
-
-        Payload/OOB packing runs as whole-region array math (one zero-padded
-        row matrix reshaped page-major); the per-page loop only issues the
-        physical programs.
-        """
-        g = self._geometry()
-        n_slots = len(slot_data)
-        n_pages = math.ceil(n_slots / info.slots_per_page)
-        if n_pages == 0:
-            return
-        data_mat = self._pack_pages(
-            slot_data, n_slots, n_pages, info.slots_per_page,
-            info.item_bytes, g.page_bytes,
-        )
-        oob_mat = None
-        if slot_oob is not None:
-            oob_record = (
-                slot_oob.shape[1]
-                if isinstance(slot_oob, np.ndarray) and slot_oob.ndim == 2
-                else slot_oob[0].size
-            )
-            oob_mat = self._pack_pages(
-                slot_oob, n_slots, n_pages, info.slots_per_page,
-                oob_record, g.oob_bytes,
-            )
-        for page_offset in range(n_pages):
-            ppa = info.region.translate(page_offset, g)
-            self.ssd.array.program(
-                ppa,
-                data_mat[page_offset],
-                None if oob_mat is None else oob_mat[page_offset],
-            )
 
     def _reserve_deployed_space(self) -> None:
         """Keep normal-mode machinery out of the deployed regions.
@@ -410,38 +351,37 @@ class DatabaseDeployer:
         )
 
         # Embedding pages: payload = binary code; OOB = DADR + RADR per slot
-        # (+ the metadata tag as a third word when tags are deployed).
-        n_words = 3 if metadata_tags is not None else 2
-        oob_words = np.empty((n, n_words), dtype="<u4")
-        oob_words[:, 0] = np.arange(n, dtype=np.uint32)
-        oob_words[:, 1] = oob_words[:, 0]
-        if metadata_tags is not None:
-            oob_words[:, 2] = metadata_tags[order]
-        emb_oob = oob_words.view(np.uint8).reshape(n, 4 * n_words)
-        self._program_region(embedding_region, codes, emb_oob)
+        # (both the slot at deploy), plus the tag word when tags are deployed.
+        slots = np.arange(n)
+        tags = None if metadata_tags is None else metadata_tags[order]
+        program_slots(
+            self.ssd, embedding_region, codes, oob_records(slots, slots, tags)
+        )
 
         # Centroid pages: payload = centroid code; OOB = 8-bit tag per slot.
         if centroid_region is not None:
-            tags = (np.arange(ivf_model.nlist) & 0xFF).astype(np.uint8)
-            self._program_region(centroid_region, centroid_codes, tags[:, None])
+            cluster_tags = (np.arange(ivf_model.nlist) & 0xFF).astype(np.uint8)
+            program_slots(
+                self.ssd, centroid_region, centroid_codes, cluster_tags[:, None]
+            )
             r_ivf = RIvf.packed(ivf_model.cluster_sizes(), self.ssd.dram, db_id)
 
         # INT8 pages (TLC, ECC-protected): int8 viewed as raw bytes.
-        self._program_region(int8_region, codes_i8.view(np.uint8))
+        program_slots(self.ssd, int8_region, codes_i8.view(np.uint8))
 
         # Document pages: chunk text bytes in deployment order.
         if corpus is not None:
-            doc_payloads: Sequence[np.ndarray] = [
+            doc_payloads = np.stack([
                 corpus[int(original)].encode_bytes(doc_item_bytes)
                 for original in order
-            ]
+            ])
         else:
             blob = b"".join(
                 f"chunk-{original}".encode().ljust(32, b"\x00")
                 for original in order.tolist()
             )
             doc_payloads = np.frombuffer(blob, dtype=np.uint8).reshape(n, 32)
-        self._program_region(document_region, doc_payloads)
+        program_slots(self.ssd, document_region, doc_payloads)
 
         self.r_db.register(
             RDbEntry(
@@ -474,6 +414,60 @@ class DatabaseDeployer:
             corpus=corpus,
             growth_entries=growth_entries,
         )
+
+
+def oob_records(
+    dadr: np.ndarray, radr: np.ndarray, meta: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The embedding-page OOB wire format: per slot, a little-endian DADR
+    word and RADR word, plus the metadata tag word when the database
+    carries tags, as ``(n, 4 * words)`` bytes."""
+    words = (dadr, radr) if meta is None else (dadr, radr, meta)
+    return np.stack(words, axis=1).astype("<u4").view(np.uint8)
+
+
+def program_slots(
+    ssd: SimulatedSSD,
+    region: RegionInfo,
+    payloads: np.ndarray,
+    records: Optional[np.ndarray] = None,
+    first_page: int = 0,
+) -> int:
+    """Program slot rows into a region's pages ``first_page``, ``first_page
+    + 1``, ...: the one writer of deployed regions (deploy, streamed
+    appends and compaction).
+
+    Slots pack page-major: row ``i`` of ``payloads`` (at most ``item_bytes``
+    wide) is slot ``i % slots_per_page`` of the ``i // slots_per_page``-th
+    page, and row ``i`` of ``records`` that slot's OOB record.  Short rows
+    and a last page's empty slots read as zeros.  Region page ``o`` is
+    programmed at ``region.region.translate(o)``.  Returns the number of
+    pages programmed.
+    """
+    g = ssd.spec.geometry
+    spp = region.slots_per_page
+    n_pages = -(-len(payloads) // spp)
+    data = _page_rows(payloads, n_pages, spp, region.item_bytes)
+    oob = None if records is None else _page_rows(
+        records, n_pages, spp, records.shape[1]
+    )
+    for i in range(n_pages):
+        ssd.array.program(
+            region.region.translate(first_page + i, g),
+            data[i],
+            None if oob is None else oob[i],
+        )
+    return n_pages
+
+
+def _page_rows(
+    rows: np.ndarray, n_pages: int, slots_per_page: int, width: int
+) -> np.ndarray:
+    """``rows`` zero-padded to ``width`` bytes and to ``n_pages`` whole
+    pages, one page's slots per row of the result."""
+    out = np.zeros((n_pages * slots_per_page, width), dtype=np.uint8)
+    out[: len(rows), : rows.shape[1]] = rows
+    return out.reshape(n_pages, slots_per_page * width)
 
 
 @dataclass(frozen=True)

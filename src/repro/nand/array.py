@@ -7,7 +7,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nand.channel import Channel
-from repro.nand.geometry import FlashGeometry, PhysicalPageAddress
+from repro.nand.geometry import FlashGeometry, PhysicalPageAddress, page_address
 from repro.nand.plane import Plane, SenseRun
 from repro.nand.timing import NandTiming
 from repro.sim.stats import CounterSet
@@ -32,7 +32,8 @@ class FlashArray:
             for cid in range(geometry.channels)
         ]
         self.planes: List[Plane] = [
-            self.plane_by_index(index) for index in range(geometry.total_planes)
+            self.plane(page_address(geometry, index, 0, 0))
+            for index in range(geometry.total_planes)
         ]
 
     # ----------------------------------------------------------- accessors
@@ -46,20 +47,13 @@ class FlashArray:
 
     def plane_by_index(self, plane_index: int) -> Plane:
         """Plane by global index (0 .. total_planes-1)."""
-        g = self.geometry
-        if not 0 <= plane_index < g.total_planes:
+        if not 0 <= plane_index < len(self.planes):
             raise ValueError(f"plane index {plane_index} out of range")
-        die_index, plane = divmod(plane_index, g.planes_per_die)
-        channel, rest = divmod(die_index, g.dies_per_channel)
-        chip, die = divmod(rest, g.dies_per_chip)
-        return self.channels[channel].chips[chip].dies[die].planes[plane]
+        return self.planes[plane_index]
 
     def die_of_plane(self, plane_index: int):
-        g = self.geometry
-        die_index = plane_index // g.planes_per_die
-        channel, rest = divmod(die_index, g.dies_per_channel)
-        chip, die = divmod(rest, g.dies_per_chip)
-        return self.channels[channel].chips[chip].dies[die]
+        a = page_address(self.geometry, plane_index, 0, 0)
+        return self.channels[a.channel].chips[a.chip].dies[a.die]
 
     def iter_planes(self) -> Iterator[Tuple[int, Plane]]:
         yield from enumerate(self.planes)

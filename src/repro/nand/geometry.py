@@ -123,6 +123,15 @@ def ppa_from_linear(linear: int, geometry: FlashGeometry) -> PhysicalPageAddress
         raise ValueError(f"linear page index {linear} out of range")
     plane_index, in_plane = divmod(linear, geometry.pages_per_plane)
     block, page = divmod(in_plane, geometry.pages_per_block)
+    return page_address(geometry, plane_index, block, page)
+
+
+def page_address(
+    geometry: FlashGeometry, plane_index: int, block: int, page: int
+) -> PhysicalPageAddress:
+    """Address of page ``page`` of block ``block`` on global plane
+    ``plane_index``: the one inverse of
+    :meth:`PhysicalPageAddress.plane_linear`."""
     die_index, plane = divmod(plane_index, geometry.planes_per_die)
     channel, rest = divmod(die_index, geometry.dies_per_channel)
     chip, die = divmod(rest, geometry.dies_per_chip)

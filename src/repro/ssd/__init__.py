@@ -1,7 +1,6 @@
 """SSD substrate: controller, cores, DRAM, FTL, GC, hybrid modes, NVMe."""
 
 from repro.ssd.allocation import (
-    ContiguousRegionAllocator,
     PageAllocator,
     ParallelismFirstAllocator,
     SequentialAllocator,
@@ -32,7 +31,6 @@ __all__ = [
     "PageAllocator",
     "ParallelismFirstAllocator",
     "SequentialAllocator",
-    "ContiguousRegionAllocator",
     "GarbageCollector",
     "GcResult",
     "WearLeveler",

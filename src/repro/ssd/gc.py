@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
 from repro.nand.array import FlashArray
+from repro.nand.geometry import page_address
 from repro.nand.page import PageState
 from repro.ssd.ftl import PageLevelFtl
 
@@ -67,8 +68,9 @@ class GarbageCollector:
                 if page.state is not PageState.PROGRAMMED:
                     continue
                 data, oob = page.raw()
-                ppa = self._locate(plane_index, block_index, page_index)
-                lpa = self._ftl.lpa_of(ppa)
+                lpa = self._ftl.lpa_of(page_address(
+                    self._array.geometry, plane_index, block_index, page_index
+                ))
                 if lpa is None:
                     continue
                 new_ppa = self._ftl._allocator.allocate()
@@ -80,11 +82,3 @@ class GarbageCollector:
             result.victim_blocks.append((plane_index, block_index))
         return result
 
-    def _locate(self, plane_index: int, block: int, page: int):
-        g = self._array.geometry
-        die_index, plane = divmod(plane_index, g.planes_per_die)
-        channel, rest = divmod(die_index, g.dies_per_channel)
-        chip, die = divmod(rest, g.dies_per_chip)
-        from repro.nand.geometry import PhysicalPageAddress
-
-        return PhysicalPageAddress(channel, chip, die, plane, block, page)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.nand.array import FlashArray
+from repro.nand.geometry import page_address
 from repro.nand.cell import reliability
 from repro.nand.page import PageState
 
@@ -92,11 +93,10 @@ class WearLeveler:
                 hot_block, cursor, data, oob
             )
             if ftl is not None:
-                old_ppa = _address_of(self._array.geometry, cold_plane, cold_block, page_index)
-                lpa = ftl.lpa_of(old_ppa)
+                g = self._array.geometry
+                lpa = ftl.lpa_of(page_address(g, cold_plane, cold_block, page_index))
                 if lpa is not None:
-                    new_ppa = _address_of(self._array.geometry, hot_plane, hot_block, cursor)
-                    ftl.remap(lpa, new_ppa)
+                    ftl.remap(lpa, page_address(g, hot_plane, hot_block, cursor))
             cursor += 1
             result.pages_moved += 1
         cold_plane_obj.erase_block(cold_block)
@@ -115,11 +115,3 @@ class WearLevelResult:
     hot: Tuple[int, int] = (-1, -1)
     cold: Tuple[int, int] = (-1, -1)
 
-
-def _address_of(geometry, plane_index: int, block: int, page: int):
-    from repro.nand.geometry import PhysicalPageAddress
-
-    die_index, plane = divmod(plane_index, geometry.planes_per_die)
-    channel, rest = divmod(die_index, geometry.dies_per_channel)
-    chip, die = divmod(rest, geometry.dies_per_chip)
-    return PhysicalPageAddress(channel, chip, die, plane, block, page)

@@ -22,9 +22,9 @@ from repro.ann.ivf import IvfModel, build_ivf_model
 from repro.core.api import ReisDevice, ShardedReisDevice
 from repro.core.config import tiny_config
 from repro.core.ingest import MutationRequest
-from repro.core.layout import CapacityError, DeploymentCodecs
+from repro.core.layout import CapacityError, DeploymentCodecs, oob_records
 from repro.core.scheduler import DeviceScheduler, ShardedScheduler
-from repro.rag.documents import Corpus, synthetic_chunk
+from repro.rag.documents import Corpus, DocumentChunk, synthetic_chunk
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
 DIM = 16
@@ -404,6 +404,31 @@ class TestGroupAtomicity:
         ])
         assert commit.ids == [60, 61] and not manager.index.is_live(3)
 
+    @pytest.mark.parametrize("cluster", [999, 6, -3])
+    def test_pinned_cluster_outside_the_index_is_refused(self, cluster):
+        # 6 == nlist: one past the last cluster, which no scan serves.
+        vectors, _ = make_clustered_embeddings(300, 64, 6, seed="pinned")
+        device = ReisDevice(tiny_config("INGP"))
+        db_id = device.ivf_deploy(
+            "db", vectors, nlist=6, seed=0, growth_entries=4096
+        )
+        manager = device.ingest_manager(db_id)
+        free = manager.free_slots
+        with pytest.raises(ValueError, match="cluster"):
+            manager.apply([
+                MutationRequest(op="insert", vector=vectors[1]),
+                MutationRequest(op="insert", vector=vectors[7], cluster=cluster),
+            ])
+        assert manager.index.live.size == 300 and manager.commits == []
+        assert manager.free_slots == free
+        # An in-range pin lands, and a full probe serves it.
+        commit = manager.apply([
+            MutationRequest(op="insert", vector=vectors[7], cluster=5),
+        ])
+        assert commit.acks[0].applied and commit.ids == [300]
+        batch = device.ivf_search(db_id, vectors[7:8], k=5, nprobe=6)
+        assert 300 in batch.results[0].ids.tolist()
+
     def test_queue_refuses_a_missing_tag_at_submission(self):
         device, db_id, vectors = self._tagged("INGVQ")
         queue = device.ingest_queue(db_id, k=5, nprobe=4)
@@ -518,6 +543,78 @@ class TestCompactionLayout:
                 want = snapshot.ssd.array.plane(b).golden_page(b.block, b.page)
                 assert np.array_equal(got[0], want[0]), (name, offset)
                 assert np.array_equal(got[1], want[1]), (name, offset)
+
+
+class TestTailPagesSitAtTranslate:
+    """An append group and a compaction program every page at
+    ``region.region.translate(offset)``: the slot there holds the staged
+    payload row and, on embedding pages, the ``oob_records`` of the
+    entry's index columns."""
+
+    @staticmethod
+    def _slot(device, region, slot, record_bytes=0):
+        g = device.ssd.spec.geometry
+        page, i = divmod(int(slot), region.slots_per_page)
+        ppa = region.region.translate(page, g)
+        data, oob = device.ssd.array.plane(ppa).golden_view(ppa.block, ppa.page)
+        width = region.item_bytes
+        record = oob[i * record_bytes : (i + 1) * record_bytes]
+        return data[i * width : (i + 1) * width], record
+
+    def _assert_pages_hold(self, device, db, index, by_id, ids):
+        for entry_id in ids:
+            vector = by_id[entry_id][None, :]
+            meta = index.meta[[entry_id]] if db.has_metadata else None
+            record = oob_records(
+                index.dadr[[entry_id]], index.radr[[entry_id]], meta
+            )[0]
+            code, got = self._slot(
+                device, db.embedding_region, index.eadr[entry_id], record.size
+            )
+            assert np.array_equal(code, db.binary_quantizer.encode(vector)[0])
+            assert np.array_equal(got, record)
+            int8, _ = self._slot(device, db.int8_region, index.radr[entry_id])
+            want = db.int8_quantizer.encode(vector)[0].view(np.uint8)
+            assert np.array_equal(int8, want)
+            text, _ = self._slot(device, db.document_region, index.dadr[entry_id])
+            chunk = DocumentChunk(chunk_id=entry_id, text=f"chunk-{entry_id}")
+            assert np.array_equal(
+                text, chunk.encode_bytes(db.document_region.item_bytes)
+            )
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_appends_and_compaction_write_at_region_offsets(self, tagged):
+        vectors, model, _ = _base(60, seed=("writer", tagged))
+        tags = np.arange(60, dtype=np.uint32) % 3 if tagged else None
+        device = ReisDevice(tiny_config("INGW"))
+        db_id = device.ivf_deploy(
+            "db", vectors, ivf_model=model, metadata_tags=tags,
+            growth_entries=2048,
+        )
+        manager = device.ingest_manager(db_id)
+        db, index = device.database(db_id), manager.index
+        tag = dict(metadata_tag=2) if tagged else {}
+        fresh = (vectors[:5] * 0.9).astype(np.float32)
+        commit = manager.apply(
+            [MutationRequest(op="insert", vector=v, **tag) for v in fresh[:3]]
+            + [MutationRequest(op="delete", entry_id=i) for i in (4, 30)]
+            + [MutationRequest(op="update", entry_id=9, vector=fresh[3], **tag)]
+        )
+        assert commit.ids == [60, 61, 62, 63]
+        by_id = {i: vectors[i] for i in range(60)}
+        by_id.update({60 + i: fresh[i] for i in range(4)})
+        # Appends start at each region's first page past the deployed ones.
+        for key, region in (("eadr", db.embedding_region),
+                            ("radr", db.int8_region),
+                            ("dadr", db.document_region)):
+            first_tail = -(-60 // region.slots_per_page) * region.slots_per_page
+            assert getattr(index, key)[60] == first_tail
+        self._assert_pages_hold(device, db, index, by_id, commit.ids)
+
+        manager.compact()
+        live = index.live_ids()
+        assert np.array_equal(index.eadr[live], np.arange(live.size))
+        self._assert_pages_hold(device, db, index, by_id, live.tolist())
 
 
 class TestMutableIndex:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.nand.array import FlashArray
 from repro.nand.geometry import FlashGeometry
 from repro.ssd.allocation import (
-    ContiguousRegionAllocator,
     PageAllocator,
     ParallelismFirstAllocator,
     SequentialAllocator,
@@ -72,24 +71,6 @@ class TestSequentialAllocator:
             for _ in range(GEOMETRY.pages_per_plane)
         }
         assert planes == {0}
-
-
-class TestContiguousRegionAllocator:
-    def test_starts_at_offset(self):
-        allocator = ContiguousRegionAllocator(GEOMETRY, start_page_in_plane=4)
-        ppa = allocator.allocate()
-        page_in_plane = ppa.block * GEOMETRY.pages_per_block + ppa.page
-        assert page_in_plane == 4
-
-    def test_rejects_offset_outside_plane(self):
-        with pytest.raises(ValueError):
-            ContiguousRegionAllocator(GEOMETRY, GEOMETRY.pages_per_plane)
-
-    def test_end_page_tracks_high_watermark(self):
-        allocator = ContiguousRegionAllocator(GEOMETRY, 0)
-        for _ in range(GEOMETRY.total_planes + 1):
-            allocator.allocate()
-        assert allocator.end_page_in_plane() == 2
 
 
 class TestPageLevelFtl:

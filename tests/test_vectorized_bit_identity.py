@@ -12,9 +12,9 @@ path bit for bit.  Three kernels get direct property coverage here:
 * batched codec encode/decode (:class:`~repro.ann.quantization.BinaryQuantizer`,
   :class:`~repro.ann.quantization.Int8Quantizer`) equals the per-vector
   ``encode_one``/scalar path row for row, including the float32 decode;
-* the deployment page packer (``DatabaseDeployer._pack_pages``) produces
-  the same page matrices for a uniform 2-D batch as for the per-slot
-  payload list it replaced (variable-width payloads included).
+* the region writer's page packer (``core.layout._page_rows``, behind
+  ``program_slots``) produces the pages slot-by-slot writes into zeroed
+  pages would (rows narrower than a slot included).
 
 End-to-end bit-identity (ids AND distances through the full sharded
 serving stack) is covered by ``TestShardedBitIdentity`` in
@@ -26,7 +26,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ann.quantization import BinaryQuantizer, Int8Quantizer
-from repro.core.layout import DatabaseDeployer
+from repro.core.layout import _page_rows
 from repro.core.shard import merge_order
 
 SETTINGS = settings(
@@ -124,43 +124,22 @@ class TestBatchedCodecBitIdentity:
 
 
 class TestPagePackerBitIdentity:
-    """The 2-D packing fast path == slot-by-slot writes into zeroed pages."""
+    """The page packer == slot-by-slot writes into zeroed pages."""
 
     @given(st.data())
     @SETTINGS
-    def test_matrix_and_list_paths_agree(self, data):
-        n_slots = data.draw(st.integers(1, 40))
+    def test_packed_pages_equal_slot_by_slot_writes(self, data):
+        n_slots = data.draw(st.integers(0, 40))
         item_bytes = data.draw(st.integers(1, 16))
+        width = data.draw(st.integers(0, item_bytes))
         slots_per_page = data.draw(st.integers(1, 8))
         n_pages = -(-n_slots // slots_per_page)
-        page_capacity = slots_per_page * item_bytes + data.draw(
-            st.integers(0, 8)
-        )
-        seed = data.draw(st.integers(0, 10**6))
-        rng = np.random.default_rng(seed)
-        # Variable-width payloads, as the corpus path produces.
-        widths = rng.integers(0, item_bytes + 1, size=n_slots)
-        payloads = [
-            rng.integers(0, 256, size=w).astype(np.uint8) for w in widths
-        ]
-        padded = np.zeros((n_slots, item_bytes), dtype=np.uint8)
-        for i, payload in enumerate(payloads):
-            padded[i, : payload.size] = payload
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        rows = rng.integers(0, 256, size=(n_slots, width)).astype(np.uint8)
 
-        from_list = DatabaseDeployer._pack_pages(
-            payloads, n_slots, n_pages, slots_per_page, item_bytes,
-            page_capacity,
-        )
-        from_matrix = DatabaseDeployer._pack_pages(
-            padded, n_slots, n_pages, slots_per_page, item_bytes,
-            page_capacity,
-        )
-        assert np.array_equal(from_list, from_matrix)
-        assert from_matrix.shape == (n_pages, page_capacity)
-        # Row-major slot recovery: every payload lands at its slot offset.
-        rows = from_matrix[:, : slots_per_page * item_bytes].reshape(
-            n_pages * slots_per_page, item_bytes
-        )
-        for i, payload in enumerate(payloads):
-            assert np.array_equal(rows[i, : payload.size], payload)
-            assert not rows[i, payload.size :].any()
+        packed = _page_rows(rows, n_pages, slots_per_page, item_bytes)
+        pages = np.zeros((n_pages, slots_per_page * item_bytes), dtype=np.uint8)
+        for slot in range(n_slots):
+            page, i = divmod(slot, slots_per_page)
+            pages[page, i * item_bytes : i * item_bytes + width] = rows[slot]
+        assert np.array_equal(packed, pages)
