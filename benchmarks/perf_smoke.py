@@ -71,10 +71,13 @@ object per (shard, query) filled one page visit at a time) took a third
 off the 8-shard count and nearly half off the 1-shard one, so both fell
 and the *ratio rose* to 4.04: per-visit emission was the part of the glue
 that did not grow with the shard count.  One TTL table per (shard, phase)
-instead of a TTL object per (shard, query) brought it to 3.68.  What still
-grows with shards -- per-(shard, query) contexts and quickselect charges,
-and a fixed handful of array calls per (shard, phase) -- is the (shard,
-plane, page) task table's to remove.
+instead of a TTL object per (shard, query) brought it to 3.68, and it
+crept back to 4.00 as the one-device path lost fixed calls faster.  Each
+phase kernel now runs once per barrier over every shard's (shard, plane,
+page) table, with one TTL table whose rows are (shard, query) pairs: 2.60.
+What still grows with shards is each drive's own work -- its per-(shard,
+plane) die commands, its per-(shard, query) stats and quickselect charges,
+its cache, core and ledger.
 
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
@@ -114,40 +117,42 @@ TLC_SHARE_CEILING = 0.70
 # Measured host_fine / host_wall is 0.19-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 15,908 (python 3.11, numpy 2.4; 16,678 while each phase ledger
-# was reduced on its own and the TLC phases derived their senses, 18,396
-# with one TTL object per query, 36,694 while every page visit filled a
-# per-query cost object, 60,230 while every query's shortlist and report
-# were also selected and composed one by one); x1.05.
+# entries: 13,884 (python 3.11, numpy 2.4; 15,908 before a device batch
+# became the one-shard case of the cluster's phase kernels, 16,678 while
+# each phase ledger was reduced on its own and the TLC phases derived their
+# senses, 18,396 with one TTL object per query, 36,694 while every page
+# visit filled a per-query cost object, 60,230 while every query's
+# shortlist and report were also selected and composed one by one); x1.05.
 EVENTS_N_ENTRIES = 100_000
-SEARCH_EVENTS_CEILING = 16_703
-# Measured events of the batch-of-one search that follows it: 2,933
-# (python 3.11, numpy 2.4; 3,128 with per-ledger reductions, 3,194 with
-# one TTL object per query); x1.05.
+SEARCH_EVENTS_CEILING = 14_579
+# Measured events of the batch-of-one search that follows it: 2,862
+# (python 3.11, numpy 2.4; 2,933 before the one-shard kernels, 3,128 with
+# per-ledger reductions, 3,194 with one TTL object per query); x1.05.
 # A batch of one pays every per-batch pass for one query, so fixed
 # per-batch work that batch 64 amortizes shows here first.
-SOLO_EVENTS_CEILING = 3_079
+SOLO_EVENTS_CEILING = 3_006
 # Measured tracemalloc peak of that point's ivf_deploy: 44.26 MB in a fresh
 # process, +-3 KB run to run, 43.2 MB after the gates above (python 3.11,
 # numpy 2.4; 206.19 MB with the whole-matrix build); x1.10.
 DEPLOY_PEAK_BYTES_CEILING = 48_690_000
-# Measured events of the fifth batch on the cached 4 x 2 cluster: 10,678
-# (python 3.11, numpy 2.4; 10,928 while replica election and the down-
-# cluster check asked each cluster's owners one call at a time, 11,960
-# with per-ledger reductions, 13,421 with
-# one TTL object per (shard, query), 14,353 while the cache was driven one
-# page at a time, 18,973 before the cost ledger); x1.05.
+# Measured events of the fifth batch on the cached 4 x 2 cluster: 6,785
+# (python 3.11, numpy 2.4; 10,618-10,678 while every shard ran its own
+# phase kernels, 10,928 while replica election and the down-cluster check
+# asked each cluster's owners one call at a time, 11,960 with per-ledger
+# reductions, 13,421 with one TTL object per (shard, query), 14,353 while
+# the cache was driven one page at a time, 18,973 before the cost
+# ledger); x1.05.
 SHARD_WARM_BATCHES = 4
-SHARD_EVENTS_CEILING = 11_212
+SHARD_EVENTS_CEILING = 7_125
 # Measured events(8 shards) / events(1 shard) on the shard_scaling batch:
-# 25,836 / 6,505 = 3.97.  The ceiling is x1.10 of 28,120 / 7,634 = 3.68,
-# read with per-ledger reductions, and is not raised: stacking them cut
-# more of the one-shard batch's fixed calls than the eight-shard one's,
-# and the owner-table election cut 263 calls from each side (26,099 /
-# 6,768 = 3.86 before it).  Earlier: 34,429 / 8,530 = 4.04 with one TTL object per (shard, query),
-# 34,453 / 8,533 = 4.04 with the per-page cache, 50,570 / 15,847 = 3.19
-# and 124,118 / 38,029 = 3.26 before that.
-SHARD_SCALING_EVENTS_RATIO = 4.05
+# 12,367 / 4,749 = 2.60 with each phase kernel run once per barrier over
+# every shard's (shard, plane, page) table; x1.10.  Before it, with one
+# kernel call per shard: 25,772 / 6,448 = 4.00 (gated at 4.05, x1.10 of
+# 28,120 / 7,634 = 3.68 read with per-ledger reductions); 26,099 / 6,768
+# = 3.86 before the owner-table election; 34,429 / 8,530 = 4.04 with one
+# TTL object per (shard, query); 34,453 / 8,533 = 4.04 with the per-page
+# cache; 50,570 / 15,847 = 3.19 and 124,118 / 38,029 = 3.26 before that.
+SHARD_SCALING_EVENTS_RATIO = 2.87
 
 
 def tlc_share(point) -> float:

@@ -1,49 +1,41 @@
-"""Batched multi-query serving: one device, many concurrent queries.
+"""Batched multi-query serving: many concurrent queries, one or many drives.
 
 A batch is the only unit of execution: a solo ``search`` is a batch of
 one.  Batches execute **page-major** so the functional simulator, the
 command traces, the energy counters and the cost model all tell the same
-story: the paper's "one sense, N distance extractions".
+story: the paper's "one sense, N distance extractions".  Each drive's
+share of a batch is a :class:`BatchRun`; the phase drivers here run each
+phase kernel once over a list of runs -- one for :class:`BatchExecutor`,
+every live shard's for the :class:`~repro.core.shard.ShardRouter` -- so
+a device batch is the one-shard case of a cluster's:
 
-:class:`BatchExecutor` runs the one :class:`~repro.core.plan.QueryPlan`
-of a batch phase by phase:
-
-* **Scan phases (coarse, fine)** are driven by a columnar task table
-  (:class:`ScanTasks`): the union of pages the batch touches, each mapped
-  to every (query, slot-window) scan that wants it, as parallel arrays.
-  The engine's phase kernel
+* **Scan phases (coarse, fine)** are one columnar task table
+  (:class:`ScanTasks`) keyed (shard, plane, page): every (shard, query,
+  slot-window) demand of the phase.  The engine's kernel
   (:meth:`~repro.core.engine.InStorageAnnsEngine.scan_page_run`)
-  schedules them (:func:`~repro.core.plan.schedule_order` /
+  schedules it (:func:`~repro.core.plan.schedule_order` /
   :func:`~repro.core.plan.schedule_senses`), senses each scheduled page
-  once and extracts every interested query's distances from the latched
-  data.  With ``OptFlags.schedule_optimization`` the schedule groups
-  every request for a page into one run (maximum collisions); without
-  it, requests stay in query order and only accidental adjacency shares
-  a sense.
+  once and extracts every interested query's distances from the latch.
+  With ``OptFlags.schedule_optimization`` the schedule groups every
+  request for a page into one run; without it, requests stay in query
+  order and only accidental adjacency shares a sense.
 * **Arrival-order TTLs** make a query's result independent of its batch:
-  a scan phase streams every query's surviving rows, in the query's own
-  scan order, into one TTL table with a query column
-  (:class:`~repro.core.registry.TemporalTopList`), and bills each query
-  the visits, channel transfers and per-page quickselects of that order,
-  so reordering page service across queries changes *when* a page is
-  sensed, never *what* any query computes from it or pays for it.
-* **Rerank and document phases** are page-major too: every query's
-  shortlist (or winner DADRs) goes through one shared functional pass --
-  each batch-unique TLC page sensed and ECC-corrected once, one distance
-  einsum -- while charges stay per query
-  (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch` /
-  :meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`).
+  a scan phase streams every (shard, query)'s survivors, in the query's
+  own scan order, into one TTL table
+  (:class:`~repro.core.registry.TemporalTopList`) and bills each query
+  the visits, transfers and quickselects of that order, so reordering
+  page service changes *when* a page is sensed, never *what* any query
+  computes from it or pays for it.
+* **Rerank and document phases** are page-major too: every (shard,
+  query) cell's shortlist (or winners) goes through one functional pass
+  -- each unique TLC page sensed and ECC-corrected once, one einsum --
+  while charges stay per query.
 
-Cost composition is joint: every executed phase bills one
-:class:`~repro.core.costing.PhaseLedger` (for the scan phases with the
-executed schedule's per-plane senses, so the model bills exactly the
-senses the trace shows), which :func:`~repro.core.costing.compose_batch`
-reduces to per-plane / per-channel occupancies.  The per-query results
-keep their solo latency reports (tail-latency analysis, the analytic
-cross-validation tests); the batch wall clock lives in
-:class:`BatchExecution`.
+What a drive owns stays per shard inside the kernels: its planes and die
+commands, its page cache, its DRAM arenas, its embedded core and its
+:class:`~repro.core.costing.PhaseLedger` per phase, which
+:func:`~repro.core.costing.compose_batch` reduces to the modeled clock.
 """
-
 from __future__ import annotations
 
 from contextlib import nullcontext
@@ -55,12 +47,13 @@ import numpy as np
 from repro.core.costing import BatchPhaseBreakdown, PhaseLedger, compose_batch
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
-    PlanContext,
     QueryPlan,
     ReisQueryResult,
+    SearchStats,
     build_query_plan,
 )
 from repro.core.registry import TemporalTopList, TtlBlock
+from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -185,18 +178,18 @@ class BatchExecution:
 
 @dataclass
 class ScanTasks:
-    """A batch phase's scan demands in columnar (array-structured) form.
+    """A phase's scan demands over every shard, in columnar form.
 
-    Row ``t`` is one (query, page, slot-window) demand; ``queries[t]``
-    indexes the batch's contexts.  ``threshold`` is phase-uniform and
-    ``filters`` is per *query* (indexed through ``queries``), matching how
-    the phase drivers parameterize their sweeps.  Rows are query-major
-    (``queries`` ascending) and, within a query, in its sequential scan
-    order: ascending row index is each query's arrival order, which is
-    what the phase kernel's TTL feeding relies on.
+    Row ``t`` is one (shard, query, page, slot-window) demand: ``shards[t]``
+    indexes the phase's runs, ``queries[t]`` the batch's queries (and
+    ``filters``, one per query); ``threshold`` is phase-uniform.  Rows are
+    shard-major, then query-major in each query's scan order: ascending row
+    index is each (shard, query) list's arrival order, which the kernel's
+    TTL feeding relies on.
     """
 
-    queries: np.ndarray  # (T,) int64 -- context index of each demand
+    shards: np.ndarray  # (T,) int64 -- run of each demand
+    queries: np.ndarray  # (T,) int64 -- query of each demand
     pages: np.ndarray  # (T,) int64 -- region page offset
     lo: np.ndarray  # (T,) int64 -- window bounds, unclamped
     hi: np.ndarray  # (T,) int64
@@ -207,88 +200,104 @@ class ScanTasks:
         return int(self.pages.size)
 
 
-@dataclass
-class _FineScanState:
-    """What the fine phase carries between scan, retry and finish, so the
-    retry decision can be taken outside the executor (the shard router
-    interleaves a cluster-wide merge between these steps)."""
-
-    threshold: Optional[int]
-    ledger: PhaseLedger
-    ttl: TemporalTopList
-    ranges_per_query: List[List[Tuple[int, int]]]
-
-
 @dataclass(eq=False)
 class BatchRun:
     """One device's share of a batch in flight: the state every phase
-    driver of :class:`BatchExecutor` reads and writes."""
+    driver reads and writes.  ``query_stats`` are its (shard, query)
+    contexts, one :class:`SearchStats` per query of the batch."""
 
+    engine: "InStorageAnnsEngine"
     db: DeployedDatabase
     plan: QueryPlan
-    ctxs: List[PlanContext]
+    queries: np.ndarray  # (n_queries, dim) float32
+    query_stats: List[SearchStats]
     stats: BatchStats
+    host_seconds: np.ndarray  # per query: the documents' host transfer
+    ibc_seconds: float = 0.0  # per query
+    codes: Optional[np.ndarray] = None  # the batch's binary query codes
+    # The probe table this run scans -- (query, shard-local cluster)
+    # columns, query-major in rank order -- or None: every entry.
+    probes: Optional[Tuple[np.ndarray, np.ndarray]] = None
     # Phase -> the ledger it billed, for the phases that completed, in
     # execution order: what ``compose_batch`` reads.
     ledgers: Dict[str, PhaseLedger] = field(default_factory=dict)
-    fine: Optional[_FineScanState] = None
-    # The finished fine shortlists, stacked query-major (nearest first per
-    # query), and the per-query bounds of the rows.
-    shortlist: Optional[TtlBlock] = None
-    shortlist_bounds: Optional[np.ndarray] = None
 
-    def bill(self, engine: "InStorageAnnsEngine") -> tuple:
-        """This run served by ``engine``, as a device of ``compose_batch``."""
+    def bill(self) -> tuple:
+        """This run as a device of ``compose_batch``."""
+        engine = self.engine
         return (
             engine.timing, engine.flags.pipelining, engine.ssd.ecc.decode_time(1),
-            [ctx.ibc_seconds for ctx in self.ctxs],
-            [ctx.host_seconds for ctx in self.ctxs], self.ledgers,
+            [self.ibc_seconds] * len(self.query_stats),
+            self.host_seconds.tolist(), self.ledgers,
         )
 
 
-def hand_out_clusters(
-    ctxs: Sequence[PlanContext], clusters: np.ndarray, bounds: np.ndarray
-) -> None:
-    """Give every query its segment of a stacked, query-major cluster
-    column (local ids, rank order) to scan."""
-    clusters, bounds = clusters.tolist(), bounds.tolist()
-    for ctx, lo, hi in zip(ctxs, bounds, bounds[1:]):
-        ctx.clusters = clusters[lo:hi]
-        ctx.stats.clusters_probed = hi - lo
+@dataclass(eq=False)
+class FineTable:
+    """One fine phase over a set of runs, carried between scan, retry and
+    finish so the retry decision can be taken outside (the shard router
+    takes it on cluster-wide counts).
+
+    ``ttl`` is the phase's TTL-E table (rows: (shard, query) pairs);
+    ``ledgers[s]`` is run ``s``'s, billed when the phase finishes; ``spans``
+    are the scanned ``(shard, query, first, last)`` slot ranges and
+    ``candidates`` their sizes per row.  A run that died mid-phase is not
+    ``live``: its lists are empty and it bills nothing more.  Finishing
+    leaves the shortlists, nearest first per row, cut by ``bounds``.
+    """
+
+    runs: List[BatchRun]
+    threshold: Optional[int]
+    ledgers: List[PhaseLedger]
+    ttl: TemporalTopList
+    spans: Tuple[np.ndarray, ...]
+    candidates: np.ndarray
+    live: np.ndarray
+    shortlist: Optional[TtlBlock] = None
+    bounds: Optional[np.ndarray] = None
+
+    def drop(self, run: BatchRun) -> None:
+        """``run`` died mid-phase: empty its lists, bill it nothing more."""
+        shard = self.runs.index(run)
+        self.live[shard] = False
+        n_queries = self.ttl.n_queries
+        self.ttl.restart(np.arange(shard * n_queries, (shard + 1) * n_queries))
 
 
 def tasks_from_ranges(
     region: RegionInfo,
+    shard_of_range: np.ndarray,
     query_of_range: np.ndarray,
     firsts: np.ndarray,
     lasts: np.ndarray,
     threshold: Optional[int],
     filters: Sequence[Optional[int]],
 ) -> ScanTasks:
-    """Vectorized page/window expansion of many (query, slot-range) demands.
+    """Vectorized page/window expansion of many (shard, query, slot-range)
+    demands, the single source of the slot-to-page arithmetic.
 
-    The single source of the slot-to-page arithmetic: range ``r`` covering
-    slots ``[firsts[r], lasts[r]]`` expands to its pages ``firsts[r]//spp
-    .. lasts[r]//spp`` with unclamped window bounds relative to each page
-    (the kernel clamps to the page's valid slots; empty ranges are
-    skipped).  Row order is the ranges' order, pages ascending within a
-    range -- callers supply ranges query-major in scan order.
+    Range ``r`` covering slots ``[firsts[r], lasts[r]]`` expands to its
+    pages ``firsts[r]//spp .. lasts[r]//spp`` with unclamped window bounds
+    relative to each page (the kernel clamps; empty ranges are skipped).
+    Rows follow the ranges' order -- shard-major, then query-major in scan
+    order -- pages ascending within a range.  Every shard's region shares
+    ``region``'s slots per page.
     """
     spp = region.slots_per_page
     keep = lasts >= firsts
-    q = query_of_range[keep]
     f = firsts[keep]
     last = lasts[keep]
     first_page = f // spp
     n_pages = last // spp - first_page + 1
-    reps = np.repeat(np.arange(f.size), n_pages)
+    reps = np.arange(f.size).repeat(n_pages)
     # Position of each row within its range: row index minus the range's
     # starting row (exclusive prefix sum of the page counts).
-    within = np.arange(reps.size) - np.repeat(np.cumsum(n_pages) - n_pages, n_pages)
+    within = np.arange(reps.size) - (np.cumsum(n_pages) - n_pages).repeat(n_pages)
     pages = first_page[reps] + within
     page_first = pages * spp
     return ScanTasks(
-        queries=q[reps],
+        shards=shard_of_range[keep][reps],
+        queries=query_of_range[keep][reps],
         pages=pages,
         lo=f[reps] - page_first,
         hi=last[reps] - page_first,
@@ -297,181 +306,165 @@ def tasks_from_ranges(
     )
 
 
+# ------------------------------------------------------------ phase drivers
+#
+# Each driver runs its phase kernel once for every run it is given (one per
+# drive: a device batch is the one-run case) and leaves what a drive owns --
+# its ledgers, counters, cache and core -- on that drive.
+
+
+def broadcast_queries(runs: Sequence[BatchRun]) -> None:
+    """Step 1 for every run: encode the batch once (every shard shares one
+    code space), broadcast it back to back into each drive's dies.
+
+    The binary quantizers encode row-wise and cache latches are
+    overwrite-only, so only the last broadcast's latch state is ever
+    observable; commands, counters and per-query transfer stats account
+    the full sequence.
+    """
+    first = runs[0]
+    if not first.query_stats:
+        return
+    codes = first.db.binary_quantizer.encode(first.queries)
+    for run in runs:
+        run.codes = codes
+        run.ibc_seconds = run.engine._broadcast_batch(codes, run.query_stats)
+
+
+def coarse_scan(runs: Sequence[BatchRun]) -> Tuple[TtlBlock, np.ndarray]:
+    """Page-major centroid sweep of every run: each (shard, query) row's
+    ``nprobe`` nearest centroid rows (the run's plan trims ``nprobe`` to
+    the centroids it holds), stacked nearest first per row, and the row
+    bounds.
+
+    Bills every run's coarse ledger; which clusters a query then *scans*
+    is left to the caller: all of its own on one device, the merged probe
+    table's on a cluster.
+    """
+    first = runs[0]
+    engine, n_queries = first.engine, len(first.query_stats)
+    for run in runs:
+        run.ledgers["coarse"] = PhaseLedger("coarse", n_queries, engine.geometry)
+    ttl = TemporalTopList(
+        "c", engine.params.coarse_entry_bytes(first.db.code_bytes), n_queries,
+        np.array([run.plan.nprobe for run in runs]).repeat(n_queries),
+        [run.engine.ssd.dram for run in runs],
+    )
+    rows = np.arange(len(runs) * n_queries)
+    shards = rows // n_queries
+    lasts = np.array([run.db.centroid_region.n_slots - 1 for run in runs])
+    tasks = tasks_from_ranges(
+        first.db.centroid_region, shards, rows - shards * n_queries,
+        np.zeros(rows.size, dtype=np.int64), lasts[shards],
+        threshold=None, filters=[None] * n_queries,
+    )
+    ledgers = [run.ledgers["coarse"] for run in runs]
+    engine.scan_page_run(runs, ledgers, tasks, True, ttl)
+    return engine.select_clusters(runs, ledgers, ttl)
+
+
+def fine_scan(runs: Sequence[BatchRun]) -> FineTable:
+    """The filtered page-major fine sweep of every run (no retry, no
+    selection): each run scans the slot ranges of its probe table.
+
+    Split out so the retry decision can be taken *outside*: by the device
+    executor on its own counts, or cluster-wide by the shard router (the
+    retry predicate must see the whole corpus's survivor count, exactly
+    as one device scanning everything would).
+    """
+    first = runs[0]
+    engine, db, plan = first.engine, first.db, first.plan
+    n_queries = len(first.query_stats)
+    filtering = engine.flags.distance_filtering
+    spans, probed = [], []
+    for shard, run in enumerate(runs):
+        if run.probes is None:
+            owner, firsts, lasts = engine._slot_ranges(run.db, None)
+            queries = np.arange(n_queries).repeat(owner.size)
+            firsts, lasts = np.tile(firsts, n_queries), np.tile(lasts, n_queries)
+            probed.append(np.zeros(n_queries, dtype=np.int64))
+        else:
+            probe_queries, clusters = run.probes
+            owner, firsts, lasts = engine._slot_ranges(run.db, clusters)
+            queries = probe_queries[owner]
+            probed.append(np.bincount(probe_queries, minlength=n_queries))
+        spans.append((np.full(queries.size, shard), queries, firsts, lasts))
+    shard, queries, firsts, lasts = (np.concatenate(column) for column in zip(*spans))
+    candidates = np.bincount(
+        shard * n_queries + queries, weights=lasts - firsts + 1,
+        minlength=len(runs) * n_queries,
+    ).astype(np.int64)
+    for stats, n_candidates, n_probed in zip(
+        [stats for run in runs for stats in run.query_stats],
+        candidates.tolist(), np.concatenate(probed).tolist(),
+    ):
+        stats.candidates += n_candidates
+        stats.clusters_probed = n_probed
+    table = FineTable(
+        runs=list(runs),
+        threshold=db.filter_threshold if filtering else None,
+        ledgers=[
+            PhaseLedger("fine", n_queries, engine.geometry, with_filter=filtering)
+            for _run in runs
+        ],
+        ttl=TemporalTopList(
+            "e", engine.params.fine_entry_bytes(db.code_bytes), n_queries,
+            plan.shortlist_size, [run.engine.ssd.dram for run in runs],
+        ),
+        spans=(shard, queries, firsts, lasts),
+        candidates=candidates.reshape(len(runs), n_queries),
+        live=np.ones(len(runs), dtype=bool),
+    )
+    _serve_fine_spans(table, np.ones(shard.size, dtype=bool), table.threshold)
+    return table
+
+
+def _serve_fine_spans(table: FineTable, chosen: np.ndarray, threshold) -> None:
+    """One shared fine schedule over the ``chosen`` spans of ``table``."""
+    first = table.runs[0]
+    shard, queries, firsts, lasts = (column[chosen] for column in table.spans)
+    tasks = tasks_from_ranges(
+        first.db.embedding_region, shard, queries, firsts, lasts, threshold,
+        [first.plan.metadata_filter] * table.ttl.n_queries,
+    )
+    first.engine.scan_page_run(table.runs, table.ledgers, tasks, False, table.ttl)
+
+
+def fine_finish(table: FineTable, retries: Sequence[int]) -> None:
+    """Rescan ``retries`` unfiltered on every live run, as one shared
+    schedule, then quickselect every (shard, query) TTL-E list into the
+    table's shortlist.
+
+    The calibrated threshold filtered too aggressively for the retried
+    queries to return k results; rescanning without it means correctness
+    never depends on the filter (the paper calibrates thresholds so this
+    is rare -- the retry counter lets tests assert exactly that).
+    """
+    live = table.live.nonzero()[0]
+    if retries:
+        n_queries = table.ttl.n_queries
+        for shard in live.tolist():
+            query_stats = table.runs[shard].query_stats
+            for query in retries:
+                query_stats[query].filter_retries += 1
+        table.ttl.restart((live[:, None] * n_queries + retries).ravel())
+        shard, queries = table.spans[:2]
+        _serve_fine_spans(table, table.live[shard] & np.isin(queries, retries), None)
+    # Only a finished fine phase is billed (a shard may die between scan and here).
+    for shard in live.tolist():
+        table.runs[shard].ledgers["fine"] = table.ledgers[shard]
+    engine = table.runs[0].engine
+    table.shortlist, table.bounds = engine.select_nearest(
+        table.runs, table.ledgers, table.ttl
+    )
+
+
 class BatchExecutor:
-    """Serves a batch of queries concurrently against one device."""
+    """Serves a batch of queries concurrently against one device: the
+    one-run case of the phase drivers."""
 
     def __init__(self, engine: "InStorageAnnsEngine") -> None:
         self.engine = engine
-
-    # --------------------------------------------------------- phase drivers
-
-    def _serve_scan_phase(
-        self,
-        run: BatchRun,
-        tasks: ScanTasks,
-        ttl: TemporalTopList,
-        ledger: PhaseLedger,
-    ) -> None:
-        """Drain one scan phase through the engine's phase kernel (it
-        streams into ``ttl`` and bills ``ledger``) and count the executed
-        schedule's requests and senses."""
-        senses_of = self.engine.scan_page_run(
-            run.db, tasks, ledger.name == "coarse",
-            np.stack([ctx.query_code for ctx in run.ctxs]),
-            ttl, ledger, [ctx.stats for ctx in run.ctxs],
-        )
-        run.stats.scan_requests += len(tasks)
-        run.stats.scan_senses += int(senses_of.sum())
-
-    def _coarse_scan(self, run: BatchRun) -> Tuple[TtlBlock, np.ndarray]:
-        """Page-major centroid sweep: every query's ``nprobe`` nearest
-        centroid rows, stacked (nearest first per query), and their
-        per-query bounds.
-
-        Bills the run's coarse ledger; which clusters a query then *scans*
-        is left to the caller: all of its own on one device, the merged
-        probe table's on a shard.
-        """
-        engine, db = self.engine, run.db
-        region = db.centroid_region
-        assert region is not None
-        n_queries = len(run.ctxs)
-        ledger = run.ledgers["coarse"] = PhaseLedger("coarse", n_queries, engine.geometry)
-        ttl = TemporalTopList(
-            "c", engine.params.coarse_entry_bytes(db.code_bytes),
-            n_queries, run.plan.nprobe, engine.ssd.dram,
-        )
-        tasks = tasks_from_ranges(
-            region,
-            np.arange(n_queries, dtype=np.int64),
-            np.zeros(n_queries, dtype=np.int64),
-            np.full(n_queries, region.n_slots - 1, dtype=np.int64),
-            threshold=None,
-            filters=[None] * n_queries,
-        )
-        self._serve_scan_phase(run, tasks, ttl, ledger)
-        return engine.select_clusters(db, ttl, ledger)
-
-    def _serve_fine_ranges(
-        self, run: BatchRun, queries: Sequence[int], threshold: Optional[int]
-    ) -> None:
-        """One shared fine schedule over the slot ranges of ``queries``."""
-        state = run.fine
-        spans = [
-            (qi, first, last)
-            for qi in queries
-            for first, last in state.ranges_per_query[qi]
-        ]
-        tasks = tasks_from_ranges(
-            run.db.embedding_region,
-            *np.array(spans, dtype=np.int64).reshape(-1, 3).T,
-            threshold=threshold,
-            filters=[run.plan.metadata_filter] * len(run.ctxs),
-        )
-        self._serve_scan_phase(run, tasks, state.ttl, state.ledger)
-
-    def _fine_scan(self, run: BatchRun) -> None:
-        """The filtered page-major fine sweep (no retry, no selection).
-
-        Split out so the retry decision can be taken *outside*: locally by
-        :meth:`_run_fine_phase`, or cluster-wide by the shard router (the
-        retry predicate must see the whole corpus's survivor count, exactly
-        as one device scanning everything would).
-        """
-        engine, db = self.engine, run.db
-        filtering = engine.flags.distance_filtering
-        run.fine = _FineScanState(
-            threshold=db.filter_threshold if filtering else None,
-            ledger=PhaseLedger(
-                "fine", len(run.ctxs), engine.geometry, with_filter=filtering
-            ),
-            ttl=TemporalTopList(
-                "e", engine.params.fine_entry_bytes(db.code_bytes),
-                len(run.ctxs), run.plan.shortlist_size, engine.ssd.dram,
-            ),
-            ranges_per_query=[
-                engine._slot_ranges(db, ctx.clusters) for ctx in run.ctxs
-            ],
-        )
-        for ctx, ranges in zip(run.ctxs, run.fine.ranges_per_query):
-            for first, last in ranges:
-                ctx.stats.candidates += last - first + 1
-        self._serve_fine_ranges(run, range(len(run.ctxs)), run.fine.threshold)
-
-    def _fine_finish(self, run: BatchRun, retries: Sequence[int]) -> None:
-        """Rescan ``retries`` unfiltered, as one shared schedule, then
-        quickselect every query's TTL-E into ``run.shortlist``.
-
-        The calibrated threshold filtered too aggressively for the retried
-        queries to return k results; rescanning without it means
-        correctness never depends on the filter (the paper calibrates
-        thresholds so this is rare -- the retry counter lets tests assert
-        exactly that).
-        """
-        state = run.fine
-        if retries:
-            for qi in retries:
-                run.ctxs[qi].stats.filter_retries += 1
-            state.ttl.restart(retries)
-            self._serve_fine_ranges(run, retries, None)
-        # Only a finished fine phase is billed (a shard may die between scan and here).
-        run.ledgers["fine"] = state.ledger
-        run.shortlist, run.shortlist_bounds = self.engine.select_nearest(
-            state.ttl, state.ledger
-        )
-
-    def _run_fine_phase(self, run: BatchRun) -> None:
-        """Page-major fine search, including the per-query filter retry."""
-        self._fine_scan(run)
-        retries = self.engine.fine_retries(
-            run.fine.ttl.sizes,
-            [ctx.stats.candidates for ctx in run.ctxs],
-            run.fine.threshold, run.plan.shortlist_size,
-        )
-        self._fine_finish(run, retries)
-
-    def _run_rerank_phase(self, run: BatchRun) -> None:
-        """Page-major rerank: every query's shortlist in one pass.
-
-        Per-query billing and top-k math; the page materialization, the
-        ECC decode and the distance einsum are shared
-        (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`).
-        """
-        ctxs, bounds = run.ctxs, run.shortlist_bounds.tolist()
-        outs, run.ledgers["rerank"] = self.engine._rerank_batch(
-            run.db,
-            np.stack([ctx.query for ctx in ctxs]),
-            [run.shortlist.take(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])],
-            [run.plan.k] * len(ctxs),
-            [ctx.stats for ctx in ctxs],
-        )
-        for ctx, (distances, dadrs, slots) in zip(ctxs, outs):
-            ctx.distances, ctx.dadrs, ctx.slots = distances, dadrs, slots
-
-    def _run_document_phase(self, run: BatchRun) -> None:
-        """Page-major document fetch: every query's winner DADRs in one pass.
-
-        Queries with no winners are skipped (the ``documents`` ledger names
-        only the queries that ran); the rest share one functional page pass
-        while keeping per-query charges
-        (:meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`).
-        """
-        asking = [q for q, ctx in enumerate(run.ctxs) if ctx.dadrs.size]
-        if not asking:
-            return
-        active = [run.ctxs[q] for q in asking]
-        outs, ledger = self.engine._fetch_documents_batch(
-            run.db,
-            [ctx.dadrs for ctx in active],
-            [ctx.stats for ctx in active],
-        )
-        ledger.queries = np.array(asking)
-        run.ledgers["documents"] = ledger
-        for ctx, (documents, host_s) in zip(active, outs):
-            ctx.documents = documents
-            ctx.host_seconds = host_s
-
-    # -------------------------------------------------------------- execute
 
     def plan(
         self,
@@ -500,32 +493,15 @@ class BatchExecutor:
         fetch_documents: bool = True,
         metadata_filter: Optional[int] = None,
     ) -> BatchRun:
-        """Build the batch's one plan and a context per query."""
+        """Build the batch's one plan and this device's run of it."""
         plan = self.plan(db, k, nprobe, fetch_documents, metadata_filter)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        ctxs = [PlanContext(db=db, query=query) for query in queries]
-        return BatchRun(db, plan, ctxs, BatchStats(n_queries=len(ctxs)))
-
-    def run_ibc(self, ctxs: Sequence[PlanContext]) -> None:
-        """Step 1, batched: encode every query at once, broadcast back to back.
-
-        The binary quantizers encode row-wise and cache latches are
-        overwrite-only, so only the last broadcast's latch state is ever
-        observable; commands, counters and per-query transfer stats
-        account the full sequence.
-        """
-        if not ctxs:
-            return
-        db = ctxs[0].db
-        codes = db.binary_quantizer.encode(
-            np.stack([ctx.query for ctx in ctxs])
+        n_queries = len(queries)
+        return BatchRun(
+            self.engine, db, plan, queries,
+            [SearchStats() for _ in range(n_queries)],
+            BatchStats(n_queries=n_queries), np.zeros(n_queries),
         )
-        ibc_seconds = self.engine._broadcast_batch(
-            codes, [ctx.stats for ctx in ctxs]
-        )
-        for ctx, code in zip(ctxs, codes):
-            ctx.query_code = code
-            ctx.ibc_seconds = ibc_seconds
 
     def execute(
         self,
@@ -548,33 +524,76 @@ class BatchExecutor:
                 db, queries, k, nprobe, fetch_documents, metadata_filter
             )
         run.stats.host_profile = host_profile
+        runs, plan, n_queries = [run], run.plan, len(run.query_stats)
         with _phase_timer(host_profile, "ibc"):
-            self.run_ibc(run.ctxs)
-        if run.ctxs:
-            if run.plan.nprobe is not None:
+            broadcast_queries(runs)
+        # Every query's winners, query-major in rank order, cut by ``bounds``.
+        bounds = np.zeros(n_queries + 1, dtype=np.int64)
+        slots = distances = np.empty(0, dtype=np.int64)
+        documents: List[DocumentChunk] = []
+        if n_queries:
+            if plan.nprobe is not None:
                 with _phase_timer(host_profile, "coarse"):
-                    block, bounds = self._coarse_scan(run)
-                    hand_out_clusters(run.ctxs, block.eadrs, bounds)
+                    block, probe_bounds = coarse_scan(runs)
+                    run.probes = (
+                        np.arange(n_queries).repeat(probe_bounds[1:] - probe_bounds[:-1]),
+                        block.eadrs,
+                    )
             with _phase_timer(host_profile, "fine"):
-                self._run_fine_phase(run)
+                table = fine_scan(runs)
+                fine_finish(table, self.engine.fine_retries(
+                    table.ttl.sizes, table.candidates[0], table.threshold,
+                    plan.shortlist_size,
+                ))
             with _phase_timer(host_profile, "rerank"):
-                self._run_rerank_phase(run)
-            if run.plan.fetch_documents:
+                shortlist, cut = table.shortlist, table.bounds
+                cells = np.arange(n_queries).repeat(cut[1:] - cut[:-1])
+                order, refined = self.engine._rerank_batch(
+                    runs, run.queries, cells, shortlist.radrs, shortlist.dadrs
+                )
+                top = order[np.arange(order.size) - cut[cells[order]] < plan.k]
+                np.cumsum(np.minimum(cut[1:] - cut[:-1], plan.k), out=bounds[1:])
+                slots, distances = shortlist.radrs[top], refined[top]
+            if plan.fetch_documents:
                 with _phase_timer(host_profile, "documents"):
-                    self._run_document_phase(run)
+                    documents = self._fetch_documents(run, cells[top], shortlist.dadrs[top])
 
         with _phase_timer(host_profile, "finalize"):
             stats = run.stats
-            latencies, report, stats.phases, _seconds = compose_batch(
-                [run.bill(self.engine)]
-            )
-            stats.cache_hits = sum([ctx.stats.cache_hits for ctx in run.ctxs])
+            latencies, report, stats.phases, _seconds = compose_batch([run.bill()])
+            stats.cache_hits = sum([query.cache_hits for query in run.query_stats])
+            cuts = bounds.tolist()
+            ids = np.asarray(db.slot_to_original[slots], dtype=np.int64)
             results = [
                 ReisQueryResult(
-                    ids=np.asarray(db.slot_to_original[ctx.slots], dtype=np.int64),
-                    distances=ctx.distances, documents=ctx.documents,
-                    latency=latency, stats=ctx.stats,
+                    ids=ids[lo:hi], distances=distances[lo:hi],
+                    documents=documents[lo:hi], latency=latency, stats=query,
                 )
-                for ctx, latency in zip(run.ctxs, latencies)
+                for lo, hi, latency, query in zip(
+                    cuts, cuts[1:], latencies, run.query_stats
+                )
             ]
         return BatchExecution(results=results, report=report, stats=stats)
+
+    def _fetch_documents(
+        self, run: BatchRun, cells: np.ndarray, dadrs: np.ndarray
+    ) -> List[DocumentChunk]:
+        """The winners' chunks, stacked like ``dadrs``: the corpus's, or
+        decoded from the fetched slots in one pass.  Queries without
+        winners are not billed (the ledger names the queries that ran)."""
+        if not dadrs.size:
+            return []
+        pages, page_row = self.engine._fetch_documents_batch([run], cells, dadrs)
+        db = run.db
+        chunk_ids = db.original_of_dadr(dadrs).tolist()
+        if db.corpus is not None:
+            return [db.corpus[chunk_id] for chunk_id in chunk_ids]
+        region = db.document_region
+        starts = dadrs % region.slots_per_page * region.item_bytes
+        payloads = pages.stack[
+            page_row[:, None], starts[:, None] + np.arange(region.item_bytes)
+        ]
+        return [
+            DocumentChunk(chunk_id=chunk_id, text=text)
+            for chunk_id, text in zip(chunk_ids, DocumentChunk.decode_rows(payloads))
+        ]

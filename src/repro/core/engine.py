@@ -34,10 +34,9 @@ sense run, one stacked XOR + popcount -- ESP-SLC's raw BER of 0 makes a
 sensed page its stored bytes), steps 5-9 per *phase*, and only the TLC
 error draws per page, because they pin each plane's RNG stream.
 
-The phase methods here are the hardware-level primitives; what a batch
-runs is a :class:`~repro.core.plan.QueryPlan` and the executor that
-strings the phases together lives in :mod:`repro.core.batch` (a solo
-query is a batch of one).
+The phase kernels here serve every shard of a batch at once (one
+drive is the one-shard case); the drivers that string them into a
+:class:`~repro.core.plan.QueryPlan` live in :mod:`repro.core.batch`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import ScanTasks
+from repro.core.batch import BatchRun, ScanTasks
 from repro.core.cache import PageCache
 from repro.core.commands import DieCommandInterface
 from repro.core.config import OptFlags, ReisConfig
@@ -62,7 +61,6 @@ from repro.core.registry import TemporalTopList, TtlBlock
 from repro.nand.cell import reliability
 from repro.nand.ecc import UncorrectableReadError
 from repro.nand.latches import xor_popcount_segments
-from repro.rag.documents import DocumentChunk
 from repro.ssd.device import SimulatedSSD
 
 __all__ = [
@@ -126,13 +124,15 @@ class _LatchedPages:
 
 class _TlcPages(NamedTuple):
     """The pages one TLC phase materialized: the corrected page stack plus
-    the per-page billing columns, all indexed by stack row."""
+    the per-page billing columns, all indexed by stack row.  Shard ``s``'s
+    pages are the rows ``cuts[s]:cuts[s + 1]``; planes are its own."""
 
     stack: np.ndarray  # (n_pages, page_bytes) golden bytes
     plane_of: np.ndarray
     channel_of: np.ndarray
     page_id_of: np.ndarray
     hit_nbytes: np.ndarray  # mirror size of a row served from DRAM, else 0
+    cuts: List[int]
 
 
 class InStorageAnnsEngine:
@@ -238,134 +238,148 @@ class InStorageAnnsEngine:
 
     def scan_page_run(
         self,
-        db: DeployedDatabase,
+        runs: Sequence["BatchRun"],
+        ledgers: Sequence[PhaseLedger],
         tasks: ScanTasks,
         coarse: bool,
-        code_rows: np.ndarray,
         ttl: TemporalTopList,
-        ledger: PhaseLedger,
-        stats_list: Sequence[SearchStats],
     ) -> np.ndarray:
-        """Steps 2-7 for one scan phase: the columnar phase kernel.
+        """Steps 2-7 for one scan phase of every shard: the columnar kernel.
 
-        ``tasks`` holds every (query, page, slot window) demand of the
-        phase, query-major in each query's scan order; ``code_rows`` is the
-        stacked query-code matrix and ``stats_list``, the rows of
-        ``ledger`` and the queries of the phase's ``ttl`` table are indexed
-        by ``tasks.queries``.  The region must be in a raw-BER-0 cell mode
-        (:class:`ValueError` otherwise): in-plane distances are only
-        defined on ECC-free data (Sec. 4.1.2).
+        ``tasks`` holds every (shard, query, page, slot window) demand of
+        the phase, shard-major, then query-major in each query's scan
+        order; ``tasks.shards`` indexes ``runs`` and ``ledgers`` (one per
+        drive) and the rows of ``ttl`` are the (shard, query) pairs.  The
+        shards share one config and code space (read off ``self``); what a
+        drive owns is read off its run's engine.  A region not in a
+        raw-BER-0 cell mode is a :class:`ValueError`: in-plane distances
+        are only defined on ECC-free data (Sec. 4.1.2).
 
-        **Per unique page**: one cache residency lookup, one admission if
-        freshly sensed, one code + OOB snapshot (:class:`_LatchedPages`).
-        **Per plane**, through the die command interface: the demands in
-        service order (:func:`~repro.core.plan.schedule_order`), *one sense
-        run* over the requests whose page is not latched
-        (:func:`~repro.core.plan.schedule_senses`) and *one stacked*
-        ``XOR`` + ``GEN_DIST`` pass over every (page, query) extraction
-        the plane owes; a page the DRAM cache mirrors is neither sensed nor
-        latched (same arithmetic on the mirror's bytes, the visit bills
-        DRAM).  **Per phase**, once: the slot-window + threshold mask, the
-        in-die metadata-tag comparison, the surviving rows in each query's
-        arrival order, commands / counters / :class:`SearchStats` by
-        ``bincount``, the survivors streamed into the TTL table with the
-        per-iteration quickselect accounted arithmetically.  See
-        ``docs/architecture.md``, "Batched execution is page-major".
+        **Per phase**, once over the table: the unique (shard, page) pass,
+        the service order and sense marks keyed by (shard, plane)
+        (:func:`~repro.core.plan.schedule_order` /
+        :func:`~repro.core.plan.schedule_senses`), the window + threshold
+        mask, the in-die metadata-tag comparison, the survivors in arrival
+        order, stats by ``bincount`` and one TTL stream.  **Per shard**: its
+        address translation, one cache lookup, one code + OOB snapshot per
+        unique page (:class:`_LatchedPages`), one admission of the freshly
+        sensed ones, its counters, core and ledger.  **Per (shard, plane)**,
+        through the die command interface: one sense run over the requests
+        whose page is not latched and one stacked ``XOR`` + ``GEN_DIST``
+        pass over its (page, query) extractions; mirror-served pages are
+        neither sensed nor latched.  See ``docs/architecture.md``,
+        "Batched execution is page-major".
 
-        **The bill** goes into ``ledger`` as columns: the task table *is*
-        the visit table (:meth:`_bill_visits`), the ``(query, channel)``
-        RD_TTL bytes add onto its byte matrix, the quickselects onto its
-        per-query core seconds, the executed schedule's per-plane senses
-        are its schedule feedback -- per query exactly the visits,
-        transfers and quickselects it would pay solo.  Returns those
-        senses (indexed by global plane).
+        **The bill**, per shard as columns: the task table *is* the visit
+        table (:meth:`_bill_visits`), plus the ``(query, channel)`` RD_TTL
+        bytes, the quickselects and the executed schedule's per-plane
+        senses -- per query exactly what it would pay solo.  Returns those
+        senses, ``(shard, plane)``.
         """
-        n_tasks = len(tasks)
+        n_tasks, n_runs = len(tasks), len(runs)
         n_planes = self.geometry.total_planes
         if n_tasks == 0:
-            return np.zeros(n_planes, dtype=np.int64)
-        region = db.centroid_region if coarse else db.embedding_region
-        assert region is not None
-        if reliability(region.mode).requires_ecc:
-            raise ValueError(
-                f"region {region.name!r} is in cell mode {region.mode.value!r}: "
-                "in-plane distances are only defined on ECC-free data"
-            )
+            return np.zeros((n_runs, n_planes), dtype=np.int64)
+        kind = "centroid_region" if coarse else "embedding_region"
+        regions = [getattr(run.db, kind) for run in runs]
+        for region in regions:
+            if reliability(region.mode).requires_ecc:
+                raise ValueError(
+                    f"region {region.name!r} is in cell mode {region.mode.value!r}: "
+                    "in-plane distances are only defined on ECC-free data"
+                )
+        db = runs[0].db
         code_bytes = db.code_bytes
         record_bytes = self.params.tag_bytes if coarse else db.oob_record_bytes
         entry_bytes = ttl.entry_bytes
-        spp = region.slots_per_page
-        q_of = tasks.queries
+        spp = regions[0].slots_per_page
+        n_queries = ttl.n_queries
+        shard_t, q_of = tasks.shards, tasks.queries
+        row_t = shard_t * n_queries + q_of  # the demand's TTL / stats row
         threshold = tasks.threshold
 
-        # ---- the schedule: service order, fresh senses, mirror-served pages
+        # ---- per shard: its unique pages' addresses, one residency snapshot
+        # (pages admitted while this phase drains don't retroactively serve
+        # it: the schedule partition is fixed, like the sense/latch plan),
+        # the bytes the phase computes on -- the mirror's, or the stored
+        # ones (raw BER 0: what any sense returns) -- and one admission.
+        stride = int(tasks.pages.max()) + 1
         uniq, first_index, rank_of = np.unique(
-            tasks.pages, return_index=True, return_inverse=True
+            shard_t * stride + tasks.pages, return_index=True, return_inverse=True
         )
-        plane_u, block_u, page_u, channel_u, page_id_u = (
-            region.region.translate_columns(uniq, self.geometry)
-        )
-        # One residency snapshot of the unique pages: pages admitted while
-        # this phase drains don't retroactively serve it (the schedule
-        # partition is fixed, like the sense/latch plan itself).
-        cache = self.page_cache
-        rows_u, nbytes_u = self._mirror_lookup(cache, region, uniq)
+        shard_u, pages_u = np.divmod(uniq, stride)
+        cuts = shard_u.searchsorted(np.arange(n_runs + 1)).tolist()
+        columns = np.empty((6, uniq.size), dtype=np.int64)
+        views: list = []
+        for run, region, lo, hi in zip(runs, regions, cuts, cuts[1:]):
+            if lo == hi:
+                continue
+            pages = pages_u[lo:hi]
+            columns[:5, lo:hi] = region.region.translate_columns(pages, self.geometry)
+            cache = run.engine.page_cache
+            rows, columns[5, lo:hi] = self._mirror_lookup(cache, region, pages)
+            cached = columns[5, lo:hi] > 0
+            planes = run.engine.ssd.array.planes
+            hits = None if cache is None else zip(*cache.gather(rows[cached]))
+            snapshots = [
+                next(hits) if hit else planes[plane].golden_view(block, page)
+                for hit, plane, block, page in zip(cached.tolist(), *columns[:3, lo:hi].tolist())
+            ]
+            if cache is not None:
+                # Mirror the golden bytes of every freshly-sensed page (copied).
+                fresh = (~cached).nonzero()[0].tolist()
+                cache.admit_pages(
+                    region, pages[fresh], "centroid" if coarse else "cluster",
+                    [snapshots[i][0] for i in fresh], [snapshots[i][1] for i in fresh],
+                )
+            views += snapshots
+        plane_u, block_u, page_u, channel_u, page_id_u, nbytes_u = columns
         cached_u = nbytes_u > 0
+        latched = _LatchedPages(pages_u, views, spp, code_bytes, record_bytes, coarse)
+
+        # ---- the schedule: service order, fresh senses, keyed by (shard, plane)
+        lane_u = shard_u * n_planes + plane_u
         order = schedule_order(
-            tasks.pages, self.flags.schedule_optimization, (first_index, rank_of)
+            rank_of, self.flags.schedule_optimization, (first_index, rank_of)
         )
         rank_o = rank_of[order]
-        plane_o = plane_u[rank_o]
+        lane_o = lane_u[rank_o]
         cached_o = cached_u[rank_o]
-        sensed = schedule_senses(tasks.pages[order], plane_o, cached_o)
+        sensed = schedule_senses(rank_o, lane_o, cached_o)
 
-        # ---- per unique page: the bytes the phase computes on -- the
-        # mirror's, or the stored ones (raw BER 0: what any sense returns)
-        planes = self.ssd.array.planes
-        hits = None if cache is None else zip(*cache.gather(rows_u[cached_u]))
-        views = [
-            next(hits) if cached else planes[plane_index].golden_view(block, page)
-            for cached, plane_index, block, page in zip(
-                cached_u.tolist(), plane_u.tolist(), block_u.tolist(), page_u.tolist()
-            )
-        ]
-        latched = _LatchedPages(uniq, views, spp, code_bytes, record_bytes, coarse)
-        if cache is not None:
-            # Mirror the golden bytes of every freshly-sensed page (copied).
-            fresh = np.flatnonzero(~cached_u).tolist()
-            cache.admit_pages(
-                region, uniq[fresh], "centroid" if coarse else "cluster",
-                [views[i][0] for i in fresh], [views[i][1] for i in fresh],
-            )
-
-        # ---- per plane: one sense run over its fresh senses (service order)
-        # and one stacked XOR + popcount over every (page, query) extraction
-        # it owes; owner ``n_planes`` is the controller, over mirror bytes.
-        owner = np.where(cached_o, n_planes, plane_o)
+        # ---- per (shard, plane): one sense run over its fresh senses
+        # (service order) and one stacked XOR + popcount over every (page,
+        # query) extraction it owes; owner ``controller`` is every shard's
+        # controller, over mirror bytes.
+        controller = n_runs * n_planes
+        owner = np.where(cached_o, controller, lane_o)
         table = latched.codes.reshape(uniq.size, -1)
+        code_rows = runs[0].codes
         planes_per_die = self.geometry.planes_per_die
         dist = np.empty((n_tasks, spp), dtype=np.min_scalar_type(8 * code_bytes))
         for index in np.bincount(owner).nonzero()[0].tolist():
             served = (owner == index).nonzero()[0]
             rows = order[served]
             codes, ranks = code_rows[q_of[rows]], rank_of[rows]
-            if index == n_planes:
+            if index == controller:
                 dist[rows] = xor_popcount_segments(table, codes, code_bytes, spp, ranks)
                 continue
-            interface = self._die_interfaces[index // planes_per_die]
+            shard = index // n_planes
+            plane = index - shard * n_planes
+            interface = runs[shard].engine._die_interfaces[plane // planes_per_die]
             fresh = ranks[sensed[served]]
             interface.sense_run(
-                index % planes_per_die, block_u[fresh].tolist(), page_u[fresh].tolist()
+                plane % planes_per_die, block_u[fresh].tolist(), page_u[fresh].tolist()
             )
             dist[rows] = interface.gen_dist_run(
-                index % planes_per_die, codes, code_bytes, spp, table, ranks
+                plane % planes_per_die, codes, code_bytes, spp, table, ranks
             )
 
         # ---- per phase: window + threshold mask, metadata tag, survivors
-        plane_t = plane_u[rank_of]
-        channel_t = channel_u[rank_of]
+        lane_t = lane_u[rank_of]
         from_nand = ~cached_u[rank_of]
-        in_page = np.clip(region.n_slots - tasks.pages * spp, 0, spp)
+        n_slots = np.array([region.n_slots for region in regions])[shard_t]
+        in_page = np.minimum(np.maximum(n_slots - tasks.pages * spp, 0), spp)
         lo = np.maximum(tasks.lo, 0)
         hi = np.minimum(tasks.hi, in_page - 1)
         n_valid = np.maximum(hi - lo + 1, 0)
@@ -379,7 +393,7 @@ class InStorageAnnsEngine:
         if threshold is not None:
             mask &= dist < threshold
             sweeps += from_nand & (n_valid > 0)
-        t_idx, s_idx = np.nonzero(mask)
+        t_idx, s_idx = mask.nonzero()
         has_filter = np.array([f is not None for f in tasks.filters])
         if has_filter.any():
             wanted = np.array(
@@ -398,33 +412,50 @@ class InStorageAnnsEngine:
         # Only NAND-served rows are RD_TTL moves over a flash channel.
         moved = np.where(from_nand, n_kept, 0)
 
-        # ---- commands and counters, per plane
-        sweeps_of = np.bincount(plane_t, weights=sweeps, minlength=n_planes)
-        moved_of = np.bincount(plane_t, weights=moved, minlength=n_planes)
-        for plane_index in np.flatnonzero(sweeps_of + moved_of).tolist():
-            self._die_interfaces[plane_index // planes_per_die].record_extraction(
-                plane_index % planes_per_die,
-                int(sweeps_of[plane_index]),
-                int(moved_of[plane_index]),
+        # ---- commands, per (shard, plane)
+        sweeps_of = np.bincount(lane_t, weights=sweeps, minlength=controller)
+        moved_of = np.bincount(lane_t, weights=moved, minlength=controller)
+        for index in (sweeps_of + moved_of).nonzero()[0].tolist():
+            shard = index // n_planes
+            plane = index - shard * n_planes
+            runs[shard].engine._die_interfaces[plane // planes_per_die].record_extraction(
+                plane % planes_per_die, int(sweeps_of[index]), int(moved_of[index])
             )
-        if moved.any():
-            self.ssd.counters.add("channel_bytes", int(moved.sum()) * entry_bytes)
 
-        # ---- the bill: the task table is the visit table
-        self._bill_visits(
-            ledger, stats_list, q_of, plane_t, page_id_u[rank_of], nbytes_u[rank_of]
+        # ---- the bill, per shard: the task table is the visit table
+        n_rows, n_channels = n_runs * n_queries, self.geometry.channels
+        channel_bytes = np.bincount(
+            row_t * n_channels + channel_u[rank_of], weights=moved * entry_bytes,
+            minlength=n_rows * n_channels,
+        ).reshape(n_runs, n_queries, n_channels)
+        senses_of = np.bincount(lane_o[sensed], minlength=controller).reshape(
+            n_runs, n_planes
         )
-        n_queries = len(stats_list)
-        n_channels = self.geometry.channels
-        ledger.channel_bytes += np.bincount(
-            q_of * n_channels + channel_t, weights=moved * entry_bytes,
-            minlength=n_queries * n_channels,
-        ).reshape(n_queries, n_channels)
+        moved_by_shard = np.bincount(shard_t, weights=moved, minlength=n_runs).tolist()
+        plane_t, page_id_t, hit_t = plane_u[rank_of], page_id_u[rank_of], nbytes_u[rank_of]
+        stats_list = [stats for run in runs for stats in run.query_stats]
+        cuts = shard_t.searchsorted(np.arange(n_runs + 1)).tolist()
+        for shard, (run, ledger, first, end) in enumerate(zip(runs, ledgers, cuts, cuts[1:])):
+            if first == end:
+                continue
+            mine = slice(first, end)
+            run.engine._bill_visits(
+                ledger, stats_list[shard * n_queries:(shard + 1) * n_queries],
+                q_of[mine], plane_t[mine], page_id_t[mine], hit_t[mine],
+            )
+            ledger.channel_bytes += channel_bytes[shard]
+            ledger.add_schedule(senses_of[shard])
+            if moved_by_shard[shard]:
+                run.engine.ssd.counters.add(
+                    "channel_bytes", int(moved_by_shard[shard]) * entry_bytes
+                )
+            run.stats.scan_requests += end - first
+            run.stats.scan_senses += int(senses_of[shard].sum())
 
-        # ---- per query: stats; the TTL table takes every survivor at once.
+        # ---- per (shard, query): stats; the TTL table takes every survivor
+        # at once.
         scanned, kept, visits = (
-            np.bincount(q_of, weights=w, minlength=n_queries)
-            .astype(np.int64).tolist()
+            np.bincount(row_t, weights=w, minlength=n_rows).astype(np.int64).tolist()
             for w in (n_valid, n_kept, from_nand)
         )
         for stats, n_visits, n_scanned, n_transferred in zip(
@@ -438,50 +469,58 @@ class InStorageAnnsEngine:
         # embedded core trims the TTL back to the running top list,
         # bounding its DRAM footprint.  With pipelining this overlaps the
         # next page read (handled by overlap_stages).
-        core = self.ssd.cores.reis_core
-        for qi, processed in ttl.stream(
-            latched, q_of[t_idx], dist[t_idx, s_idx], rank_of[t_idx], s_idx,
-            q_of, n_kept,
+        cores = [run.engine.ssd.cores.reis_core for run in runs]
+        ks = ttl.ks
+        for row, processed in ttl.stream(
+            latched, row_t[t_idx], dist[t_idx, s_idx], rank_of[t_idx], s_idx,
+            row_t, n_kept,
         ):
-            ledger.core_seconds[qi] += core.quickselect(processed, ttl.k)
-        senses_of = np.bincount(plane_o[sensed], minlength=n_planes)
-        ledger.add_schedule(senses_of)
+            shard = row // n_queries
+            ledgers[shard].core_seconds[row - shard * n_queries] += cores[
+                shard
+            ].quickselect(processed, ks[row])
         return senses_of
 
     # --------------------------------------------------------- search steps
 
     def select_nearest(
-        self, ttl: TemporalTopList, ledger: PhaseLedger
+        self,
+        runs: Sequence["BatchRun"],
+        ledgers: Sequence[PhaseLedger],
+        ttl: TemporalTopList,
     ) -> Tuple[TtlBlock, np.ndarray]:
-        """Quickselect the k nearest rows of every query's TTL: the final
-        selection of a scan phase (the fine phase's rescoring shortlists).
-
-        One selection for the phase (:meth:`TemporalTopList.select`): the
-        rows come back stacked, nearest first per query, with the
-        per-query bounds -- the rerank and the shard barriers consume them
-        as arrays -- while the embedded core is charged per query.
-        """
-        core = self.ssd.cores.reis_core
-        for qi, size in enumerate(ttl.sizes.tolist()):
-            ledger.core_seconds[qi] += core.quickselect(size, ttl.k)
+        """Quickselect the k nearest rows of every (shard, query) list of a
+        TTL table -- a scan phase's final selection -- in one
+        :meth:`TemporalTopList.select`: rows stacked nearest first per
+        list, with the row bounds.  Each shard's embedded core is charged
+        per query, onto its ledger."""
+        cores = [run.engine.ssd.cores.reis_core for run in runs]
+        n_queries, ks = ttl.n_queries, ttl.ks
+        for row, size in enumerate(ttl.sizes.tolist()):
+            shard = row // n_queries
+            ledgers[shard].core_seconds[row - shard * n_queries] += cores[
+                shard
+            ].quickselect(size, ks[row])
         return ttl.select()
 
     def select_clusters(
-        self, db: DeployedDatabase, ttl: TemporalTopList, ledger: PhaseLedger
+        self,
+        runs: Sequence["BatchRun"],
+        ledgers: Sequence[PhaseLedger],
+        ttl: TemporalTopList,
     ) -> Tuple[TtlBlock, np.ndarray]:
-        """Quickselect every query's nprobe nearest centroid rows.
-
-        EADR is the centroid's mini-page address == the cluster id; the
-        8-bit tag (which aliases for nlist > 256) is cross-checked.  The
-        rows still carry their Hamming distances, which is what the shard
-        router merges across devices.
-        """
-        assert db.r_ivf is not None
-        block, bounds = self.select_nearest(ttl, ledger)
-        mismatch = db.r_ivf.tags[block.eadrs] != block.tags
-        if np.any(mismatch):
-            bad = int(block.eadrs[np.argmax(mismatch)])
-            raise RuntimeError(f"cluster tag mismatch for centroid {bad}")
+        """Quickselect every (shard, query) row's nprobe nearest centroids.
+        EADR is the centroid's mini-page address == the shard-local cluster
+        id; the 8-bit tag (aliasing for nlist > 256) is cross-checked
+        against each shard's R-IVF.  The rows keep their Hamming distances,
+        which the shard router merges across devices."""
+        block, bounds = self.select_nearest(runs, ledgers, ttl)
+        cuts = bounds[:: ttl.n_queries].tolist()
+        for run, lo, hi in zip(runs, cuts, cuts[1:]):
+            mismatch = run.db.r_ivf.tags[block.eadrs[lo:hi]] != block.tags[lo:hi]
+            if mismatch.any():
+                bad = int(block.eadrs[lo + mismatch.argmax()])
+                raise RuntimeError(f"cluster tag mismatch for centroid {bad}")
         return block, bounds
 
     def fine_retries(
@@ -506,135 +545,138 @@ class InStorageAnnsEngine:
         return np.flatnonzero(starved).tolist()
 
     def _slot_ranges(
-        self, db: DeployedDatabase, clusters: Optional[Sequence[int]]
-    ) -> List[Tuple[int, int]]:
-        """Contiguous slot ranges the fine search must scan.
-
-        A mutable database answers from its live cluster membership
-        (:mod:`repro.core.ingest`): streamed appends extend a cluster past
-        its deployed range and tombstoned entries drop out of the ranges,
-        so the scan/rerank/filter phases skip dead slots without any
-        re-layout.
+        self, db: DeployedDatabase, clusters: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The contiguous slot ranges the fine search scans, as columns
+        ``(owner, first, last)``: range ``i`` is slots ``first[i]..last[i]``
+        of cluster ``clusters[owner[i]]`` (of the whole database, owner 0,
+        when ``clusters`` is None); empty clusters give none.  A mutable
+        database answers from its live membership (:mod:`repro.core.ingest`):
+        appends extend a cluster's ranges and tombstones split them.
         """
         index = getattr(db, "mutable_index", None)
         if index is not None:
             return index.slot_ranges(clusters)
         if clusters is None:
-            return [(0, db.n_entries - 1)] if db.n_entries else []
+            whole = np.array([[0], [0], [db.n_entries - 1]], dtype=np.int64)
+            return tuple(whole[:, : int(db.n_entries > 0)])
         assert db.r_ivf is not None
         firsts, lasts = db.r_ivf.firsts[clusters], db.r_ivf.lasts[clusters]
-        return [
-            (first, last)
-            for first, last in zip(firsts.tolist(), lasts.tolist()) if last >= first
-        ]
+        owner = (lasts >= firsts).nonzero()[0]
+        return owner, firsts[owner], lasts[owner]
 
     # ------------------------------------------------------ TLC phase kernels
 
     def _materialize_tlc_batch(
-        self, region: RegionInfo, page_offsets: np.ndarray, kind: str
+        self,
+        runs: Sequence["BatchRun"],
+        regions: Sequence[RegionInfo],
+        shard_of_row: np.ndarray,
+        page_offsets: np.ndarray,
+        kind: str,
     ) -> Tuple["_TlcPages", np.ndarray]:
         """Materialize the TLC pages a phase's rows touch, once each.
 
-        ``page_offsets`` is the page of every row of the phase (query-major).
-        Each distinct page is looked up in the DRAM mirror once (the
-        scheduling snapshot, in ascending page order); misses are sensed
-        *straight into their rows of the page stack* in global first-touch
-        order (one run per plane: the order pins each plane's
-        error-injection RNG stream), ECC-corrected there by one
-        :meth:`EccEngine.correct_batch` call and admitted into the cache,
-        and hits copy the mirror's golden bytes into the rows after them.
-        A page with a codeword past the correction capability raises
-        :class:`UncorrectableReadError` before anything is admitted or
-        returned.  Returns the stack with its per-row billing columns, and
-        the stack row of every input row.  Billing is the *caller's* job
-        (:meth:`_bill_tlc_phase`).
+        Row ``i`` (shard-major) reads page ``page_offsets[i]`` of
+        ``regions[shard_of_row[i]]``.  Per shard, each distinct page is
+        looked up in its DRAM mirror once (ascending page order); misses
+        are sensed *straight into their stack rows* in first-touch order
+        (one run per plane: the order pins its error-injection RNG stream),
+        ECC-corrected there by one :meth:`EccEngine.correct_batch` call and
+        admitted, and hits copy the mirror's golden bytes after them.  A
+        codeword past the correction capability raises
+        :class:`UncorrectableReadError` before its shard admits anything.
+        Returns the stack with its billing columns and every row's stack
+        row; billing is :meth:`_bill_tlc_phase`'s.
         """
+        stride = int(page_offsets.max()) + 1
         uniq, first_rows, inverse = np.unique(
-            page_offsets, return_index=True, return_inverse=True
+            shard_of_row * stride + page_offsets, return_index=True,
+            return_inverse=True,
         )
+        shard_u, offset_u = np.divmod(uniq, stride)
         n_pages = uniq.size
-        cache = self.page_cache
-        rows_u, nbytes_u = self._mirror_lookup(cache, region, uniq)
-        cached = nbytes_u > 0
-        # Stack order: sensed pages by first touch, then mirror-served ones.
-        order = np.lexsort((first_rows, cached))
-        n_sensed = n_pages - int(cached.sum())
-        offsets = uniq[order]
-        plane_of, block_of, page_of, channel_of, page_id_of = (
-            region.region.translate_columns(offsets, self.geometry)
-        )
+        cuts = shard_u.searchsorted(np.arange(len(runs) + 1)).tolist()
         stack = np.empty((n_pages, self.geometry.page_bytes), dtype=np.uint8)
-        sensed = self.ssd.array.read_pages(
-            plane_of[:n_sensed].tolist(), block_of[:n_sensed].tolist(),
-            page_of[:n_sensed].tolist(), out=stack[:n_sensed],
-        )
-        ecc = self.ssd.ecc
-        uncorrectable = ecc.uncorrectable_codewords
-        ecc.correct_batch(stack[:n_sensed], sensed.golden, sensed.flipped)
-        if ecc.uncorrectable_codewords != uncorrectable:
-            bad = next(
-                row for row, golden in enumerate(sensed.golden)
-                if not np.array_equal(stack[row], golden)
-            )
-            raise UncorrectableReadError(region.name, int(offsets[bad]))
-        if n_sensed < n_pages:  # mirror-served rows: one gather
-            hits, _oob = cache.gather(rows_u[order[n_sensed:]])
-            stack[n_sensed:] = hits[:, : stack.shape[1]]
-        if cache is not None:
-            # Freshly-sensed pages are now golden (ECC-corrected): mirror them.
-            cache.admit_pages(region, offsets[:n_sensed], kind, stack[:n_sensed], sensed.oob)
+        columns = np.empty((4, n_pages), dtype=np.int64)
         row_of = np.empty(n_pages, dtype=np.int64)
-        row_of[order] = np.arange(n_pages)
-        pages = _TlcPages(stack, plane_of, channel_of, page_id_of, nbytes_u[order])
-        return pages, row_of[inverse]
+        for run, region, lo, hi in zip(runs, regions, cuts, cuts[1:]):
+            if lo == hi:
+                continue
+            ssd, cache = run.engine.ssd, run.engine.page_cache
+            rows_u, nbytes_u = self._mirror_lookup(cache, region, offset_u[lo:hi])
+            cached = nbytes_u > 0
+            # Stack order: sensed pages by first touch, then mirror-served ones.
+            order = np.lexsort((first_rows[lo:hi], cached))
+            n_sensed = hi - lo - int(np.count_nonzero(cached))
+            offsets = offset_u[lo:hi][order]
+            plane_of, block_of, page_of, channel_of, page_id_of = (
+                region.region.translate_columns(offsets, self.geometry)
+            )
+            out = stack[lo:hi]
+            sensed = ssd.array.read_pages(
+                plane_of[:n_sensed].tolist(), block_of[:n_sensed].tolist(),
+                page_of[:n_sensed].tolist(), out=out[:n_sensed],
+            )
+            uncorrectable = ssd.ecc.uncorrectable_codewords
+            ssd.ecc.correct_batch(out[:n_sensed], sensed.golden, sensed.flipped)
+            if ssd.ecc.uncorrectable_codewords != uncorrectable:
+                bad = next(
+                    row for row, golden in enumerate(sensed.golden)
+                    if not np.array_equal(out[row], golden)
+                )
+                raise UncorrectableReadError(region.name, int(offsets[bad]))
+            if n_sensed < hi - lo:  # mirror-served rows: one gather
+                hits, _oob = cache.gather(rows_u[order[n_sensed:]])
+                out[n_sensed:] = hits[:, : out.shape[1]]
+            if cache is not None:
+                # Freshly-sensed pages are now golden (ECC-corrected): mirror them.
+                cache.admit_pages(region, offsets[:n_sensed], kind, out[:n_sensed], sensed.oob)
+            row_of[lo + order] = np.arange(lo, hi)
+            columns[:, lo:hi] = plane_of, channel_of, page_id_of, nbytes_u[order]
+        return _TlcPages(stack, *columns, cuts), row_of[inverse]
 
     def _bill_tlc_phase(
         self,
         name: str,
-        seg_of_row: np.ndarray,
+        runs: Sequence["BatchRun"],
+        cell_cuts: Sequence[int],
+        stats_list: Sequence[SearchStats],
+        cell_of_row: np.ndarray,
         page_row: np.ndarray,
         first_cw: np.ndarray,
         last_cw: np.ndarray,
         pages: _TlcPages,
-        stats_list: Sequence[SearchStats],
-    ) -> PhaseLedger:
-        """Every query's TLC charges for one phase, as one ledger.
+    ) -> List[PhaseLedger]:
+        """Every (shard, query) cell's TLC charges for one phase: one ledger
+        per shard, whose rows are its cells ``cell_cuts[s]:cell_cuts[s+1]``.
 
-        Row ``i`` of the phase belongs to query ``seg_of_row[i]``
-        (query-major) and reads ECC codewords ``first_cw[i]..last_cw[i]``
-        (none when ``last_cw < first_cw``: a zero-length read) of the page
-        in row ``page_row[i]`` of ``pages``.  A query pays what it would pay
-        alone: one visit per distinct page, in its own first-touch order
-        (a sense, or a DRAM stream for a cached page: :meth:`_bill_visits`)
-        and one channel + ECC codeword per distinct (page, codeword) on
-        uncached pages -- codewords of mirror-served pages never cross the
-        channel or the ECC engine.  The ledger's schedule is the senses the
-        phase executed, one per uncached row of ``pages``.  The device
-        counters advance per query too: the phase sensed each page once, so
-        the cross-query remainder of ``page_reads`` / ``decoded_bytes`` is
-        charged here -- shared host work, unshared energy.
+        Row ``i`` (cell-major) of cell ``cell_of_row[i]`` reads ECC
+        codewords ``first_cw[i]..last_cw[i]`` (none when ``last_cw <
+        first_cw``) of stack row ``page_row[i]``.  A query pays what it
+        would pay alone: one visit per distinct page in its first-touch
+        order (a sense, or a DRAM stream: :meth:`_bill_visits`) and one
+        channel + ECC codeword per distinct (page, codeword) of an uncached
+        page.  The dedupes run once for the phase; a shard's schedule is
+        its uncached stack rows, and a shard that read nothing bills
+        nothing.  The counters advance per query: the cross-query remainder
+        of ``page_reads`` / ``decoded_bytes`` is charged here -- shared host
+        work, unshared energy.
         """
-        n_queries = len(stats_list)
-        ledger = PhaseLedger(name, n_queries, self.geometry, "tlc", with_compute=False)
-        _stack, plane_of, channel_of, page_id_of, hit_nbytes = pages
+        ledgers = [
+            PhaseLedger(name, hi - lo, self.geometry, "tlc", with_compute=False)
+            for lo, hi in zip(cell_cuts, cell_cuts[1:])
+        ]
+        plane_of, channel_of, hit_nbytes = pages.plane_of, pages.channel_of, pages.hit_nbytes
         cached = hit_nbytes > 0
-        n_pages = plane_of.size
-        visit_of_row = seg_of_row * n_pages + page_row
-        # (query, page) visits, query-major in each query's first-touch order.
+        n_pages, n_cells = plane_of.size, len(stats_list)
+        visit_of_row = cell_of_row * n_pages + page_row
+        # (cell, page) visits, cell-major in each query's first-touch order.
         visits, first = np.unique(visit_of_row, return_index=True)
         visits = visits[np.argsort(first, kind="stable")]
-        visit_q, visit_row = np.divmod(visits, n_pages)
-        self._bill_visits(
-            ledger, stats_list, visit_q, plane_of[visit_row],
-            page_id_of[visit_row], hit_nbytes[visit_row],
-        )
-        ledger.add_schedule(
-            np.bincount(plane_of[~cached], minlength=self.geometry.total_planes)
-        )
-        sensed_visits = np.bincount(
-            visit_q[~cached[visit_row]], minlength=n_queries
-        )
-        # (query, page, codeword) dedupe over each row's codeword range.
+        visit_cell, visit_row = np.divmod(visits, n_pages)
+        sensed_visits = np.bincount(visit_cell[~cached[visit_row]], minlength=n_cells)
+        # (cell, page, codeword) dedupe over each row's codeword range.
         cw = self.ssd.ecc.config.codeword_bytes
         page_bytes = self.geometry.page_bytes
         cw_per_page = -(-page_bytes // cw)
@@ -642,70 +684,94 @@ class InStorageAnnsEngine:
         within = np.arange(counts.max(initial=0))
         keys = (visit_of_row * cw_per_page + first_cw)[:, None] + within
         keys = np.unique(keys[within < counts[:, None]])
-        key_q, key_row = np.divmod(keys // cw_per_page, n_pages)
+        key_cell, key_row = np.divmod(keys // cw_per_page, n_pages)
         moved = ~cached[key_row]
         n_channels = self.geometry.channels
         codewords_of = np.bincount(
-            key_q[moved] * n_channels + channel_of[key_row[moved]],
-            minlength=n_queries * n_channels,
-        ).reshape(n_queries, n_channels)
-        ledger.channel_bytes += codewords_of * cw
-        ledger.ecc_bytes += codewords_of.sum(axis=1) * cw
+            key_cell[moved] * n_channels + channel_of[key_row[moved]],
+            minlength=n_cells * n_channels,
+        ).reshape(n_cells, n_channels)
+        codewords_of_cell = codewords_of.sum(axis=1)
+        visit_cuts = visit_cell.searchsorted(cell_cuts).tolist()
+        for shard, (run, ledger) in enumerate(zip(runs, ledgers)):
+            lo, hi = visit_cuts[shard], visit_cuts[shard + 1]
+            if lo == hi:
+                continue
+            first_cell, last_cell = cell_cuts[shard], cell_cuts[shard + 1]
+            mine = slice(pages.cuts[shard], pages.cuts[shard + 1])
+            rows = visit_row[lo:hi]
+            run.engine._bill_visits(
+                ledger, stats_list[first_cell:last_cell],
+                visit_cell[lo:hi] - first_cell, plane_of[rows],
+                pages.page_id_of[rows], hit_nbytes[rows],
+            )
+            ledger.add_schedule(np.bincount(
+                plane_of[mine][~cached[mine]], minlength=self.geometry.total_planes
+            ))
+            ledger.channel_bytes += codewords_of[first_cell:last_cell] * cw
+            ledger.ecc_bytes += codewords_of_cell[first_cell:last_cell] * cw
+            ssd = run.engine.ssd
+            ssd.counters.add(
+                "channel_bytes", int(codewords_of_cell[first_cell:last_cell].sum()) * cw
+            )
+            extra = int(sensed_visits[first_cell:last_cell].sum()) - int(
+                np.count_nonzero(~cached[mine])
+            )
+            if extra > 0:
+                ssd.counters.add("page_reads", extra)
+                ssd.counters.add("page_reads_tlc", extra)
+                ssd.ecc.decoded_bytes += extra * page_bytes
         for stats, n_sensed in zip(stats_list, sensed_visits.tolist()):
             stats.pages_read += n_sensed
-        self.ssd.counters.add("channel_bytes", int(moved.sum()) * cw)
-        extra = int(sensed_visits.sum()) - int(n_pages - cached.sum())
-        if extra > 0:
-            self.ssd.counters.add("page_reads", extra)
-            self.ssd.counters.add("page_reads_tlc", extra)
-            self.ssd.ecc.decoded_bytes += extra * page_bytes
-        return ledger
+        return ledgers
 
     def _rerank_batch(
         self,
-        db: DeployedDatabase,
+        runs: Sequence["BatchRun"],
         queries: np.ndarray,
-        shortlists: Sequence[TtlBlock],
-        ks: Sequence[int],
-        stats_list: Sequence[SearchStats],
-    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], PhaseLedger]:
-        """Steps 7-8 for a phase of queries: page-major INT8 rerank.
+        cells: np.ndarray,
+        radrs: np.ndarray,
+        dadrs: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Steps 7-8 for every shard's shortlists: page-major INT8 rerank.
 
-        INT8 twins live in the TLC partition, so each page routes through
-        the controller's ECC engine before the distance kernel runs.  Every
-        query's shortlist RADRs resolve to (page, codeword) in one columnar
-        pass, each phase-unique page is materialized once
-        (:meth:`_materialize_tlc_batch`), the INT8 codes gather into one
-        ``(n_total_short, dim)`` matrix refined by a single einsum, and each
-        query quicksorts its own segment on the embedded core.  Billing is
-        per query (:meth:`_bill_tlc_phase`).  Returns one ``(distances,
-        dadrs, slots)`` tuple per query and the phase's ledger.
+        Row ``i`` is entry ``radrs[i]`` / ``dadrs[i]`` of cell ``cells[i]``
+        = ``shard * n_queries + query`` (ascending; a cell's rows in
+        shortlist order).  INT8 twins live in the TLC partition, so each
+        (shard, page) is materialized once through its shard's ECC engine
+        (:meth:`_materialize_tlc_batch`), the queries INT8-encode once, one
+        einsum refines every row and each cell quicksorts on its shard's
+        core; each shard bills one ``rerank`` ledger
+        (:meth:`_bill_tlc_phase`).  Returns ``(order, refined)``: the rows
+        sorted by (cell, INT8 distance, row), and every row's distance.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        region = db.int8_region
-        dim = db.dim
-        spp = region.slots_per_page
-        counts = np.array([len(block) for block in shortlists], dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        if int(counts.sum()) == 0:
-            return [(empty, empty, empty)] * len(shortlists), PhaseLedger(
-                "rerank", len(shortlists), self.geometry, "tlc", with_compute=False
-            )
-        live = [block for block in shortlists if len(block)]
-        radrs = np.concatenate([block.radrs for block in live])
-        dadrs = np.concatenate([block.dadrs for block in live])
-        if radrs.min() < 0 or radrs.max() >= region.n_slots:
+        n_queries = len(queries)
+        n_cells = len(runs) * n_queries
+        cell_cuts = list(range(0, n_cells + 1, n_queries))
+        stats_list = [stats for run in runs for stats in run.query_stats]
+        if not cells.size:
+            for run in runs:
+                run.ledgers["rerank"] = PhaseLedger(
+                    "rerank", n_queries, self.geometry, "tlc", with_compute=False
+                )
+            return cells, cells
+        regions = [run.db.int8_region for run in runs]
+        dim, spp = runs[0].db.dim, regions[0].slots_per_page
+        shard_of_row = cells // n_queries
+        n_slots = np.array([region.n_slots for region in regions])[shard_of_row]
+        outside = (radrs < 0) | (radrs >= n_slots)
+        if outside.any():
+            region = regions[shard_of_row[outside.argmax()]]
             raise IndexError(f"shortlist RADR outside region {region.name!r}")
         page_offsets, slot_in_page = np.divmod(radrs, spp)
         pages, page_row = self._materialize_tlc_batch(
-            region, page_offsets, "cluster"
+            runs, regions, shard_of_row, page_offsets, "cluster"
         )
-        seg_of_row = np.repeat(np.arange(len(shortlists)), counts)
         cw = self.ssd.ecc.config.codeword_bytes
         starts = slot_in_page * dim
-        ledger = self._bill_tlc_phase(
-            "rerank", seg_of_row, page_row,
-            starts // cw, (starts + dim - 1) // cw, pages, stats_list,
+        ledgers = self._bill_tlc_phase(
+            "rerank", runs, cell_cuts, stats_list, cells, page_row,
+            starts // cw, (starts + dim - 1) // cw, pages,
         )
         # Row gather: each page is a (slots_per_page, dim) table of INT8
         # codes, so a shortlist entry is one row of the stacked view.
@@ -714,84 +780,73 @@ class InStorageAnnsEngine:
         ].view(np.int8)
         # int32 holds dim * 255**2 for any dim below 33,000.
         diff = np.subtract(
-            codes, db.int8_quantizer.encode(queries)[seg_of_row], dtype=np.int32
+            codes, runs[0].db.int8_quantizer.encode(queries)[cells % n_queries],
+            dtype=np.int32,
         )
         refined = np.einsum("ij,ij->i", diff, diff).astype(np.int64)
-
-        core = self.ssd.cores.reis_core
-        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-        outs = []
-        for qi, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if lo == hi:
-                outs.append((empty, empty, empty))
-                continue
-            ledger.core_seconds[qi] += core.int8_distances(hi - lo, dim)
-            top = lo + np.argsort(refined[lo:hi], kind="stable")[: int(ks[qi])]
-            ledger.core_seconds[qi] += core.quicksort(hi - lo)
-            outs.append((refined[top], dadrs[top], radrs[top]))
-        return outs, ledger
+        cores = [run.engine.ssd.cores.reis_core for run in runs]
+        for cell, count in enumerate(np.bincount(cells, minlength=n_cells).tolist()):
+            if count:
+                shard = cell // n_queries
+                ledger, core = ledgers[shard], cores[shard]
+                ledger.core_seconds[cell - shard * n_queries] += core.int8_distances(count, dim)
+                ledger.core_seconds[cell - shard * n_queries] += core.quicksort(count)
+        for run, ledger in zip(runs, ledgers):
+            run.ledgers["rerank"] = ledger
+        # One stable sort by (cell, distance): a cell's ties keep row order.
+        return (cells * (int(refined.max()) + 1) + refined).argsort(kind="stable"), refined
 
     def _fetch_documents_batch(
-        self,
-        db: DeployedDatabase,
-        dadrs_list: Sequence[np.ndarray],
-        stats_list: Sequence[SearchStats],
-    ) -> Tuple[List[Tuple[List[DocumentChunk], float]], PhaseLedger]:
-        """Step 9 for a phase of queries: document identification + transfer.
+        self, runs: Sequence["BatchRun"], cells: np.ndarray, dadrs: np.ndarray
+    ) -> Tuple["_TlcPages", np.ndarray]:
+        """Step 9 for every shard's winners: document identification and
+        transfer.
 
-        Every query's result DADRs resolve in one columnar pass and each
-        phase-unique page materializes once
-        (:meth:`_materialize_tlc_batch`).  Charges are per-query-unique,
-        exactly as the rerank phase treats its shortlist
-        (:meth:`_bill_tlc_phase`): with packed document slots several
-        results routinely share a page and the query pays for it once;
-        cross-query charges are never deduplicated (the energy-counter
-        invariant).  The winners' payload rows decode, and their ids
-        gather, in one pass each (:meth:`DocumentChunk.decode_rows`).
-        Returns one ``(documents, host_transfer_seconds)`` pair per query
-        and the phase's ledger.
+        Row ``i`` is the winner at document slot ``dadrs[i]`` of cell
+        ``cells[i]`` (ascending; every shard of ``runs`` holds some).  Each
+        (shard, page) materializes once and charges are per cell, as the
+        rerank's (:meth:`_bill_tlc_phase`): packed slots share pages a
+        query pays once, cross-query charges are never deduplicated (the
+        energy-counter invariant).  Each shard's ``documents`` ledger names
+        the queries that asked it; their host-transfer seconds add onto its
+        run.  Returns the pages and every row's stack row (the payloads a
+        device decodes its chunks from).
         """
-        region = db.document_region
-        item_bytes = region.item_bytes
-        counts = np.array([len(d) for d in dadrs_list], dtype=np.int64)
-        if int(counts.sum()) == 0:
-            return [([], 0.0)] * len(dadrs_list), PhaseLedger(
-                "documents", len(dadrs_list), self.geometry, "tlc", with_compute=False
+        n_queries = len(runs[0].query_stats)
+        regions = [run.db.document_region for run in runs]
+        shard_of_row = cells // n_queries
+        n_slots, spp, item_bytes = np.array(
+            [(r.n_slots, r.slots_per_page, r.item_bytes) for r in regions]
+        ).T[:, shard_of_row]
+        outside = (dadrs < 0) | (dadrs >= n_slots)
+        if outside.any():
+            bad = outside.argmax()
+            raise IndexError(
+                f"slot {int(dadrs[bad])} outside region "
+                f"{regions[shard_of_row[bad]].name!r}"
             )
-        dadrs = np.concatenate(
-            [np.asarray(d, dtype=np.int64) for d in dadrs_list]
-        )
-        out_of_range = (dadrs < 0) | (dadrs >= region.n_slots)
-        if out_of_range.any():
-            bad = int(dadrs[np.argmax(out_of_range)])
-            raise IndexError(f"slot {bad} outside region {region.name!r}")
-        page_offsets, slot_in_page = np.divmod(dadrs, region.slots_per_page)
+        page_offsets, slot_in_page = np.divmod(dadrs, spp)
         pages, page_row = self._materialize_tlc_batch(
-            region, page_offsets, "document"
+            runs, regions, shard_of_row, page_offsets, "document"
         )
+        asking, cell_of_row = np.unique(cells, return_inverse=True)
+        cell_cuts = asking.searchsorted(np.arange(len(runs) + 1) * n_queries).tolist()
+        asked = asking.tolist()
+        stats_list = [
+            runs[cell // n_queries].query_stats[cell % n_queries] for cell in asked
+        ]
         cw = self.ssd.ecc.config.codeword_bytes
         starts = slot_in_page * item_bytes
-        ledger = self._bill_tlc_phase(
-            "documents", np.repeat(np.arange(len(dadrs_list)), counts), page_row,
-            starts // cw, (starts + max(item_bytes, 1) - 1) // cw,
-            pages, stats_list,
+        ledgers = self._bill_tlc_phase(
+            "documents", runs, cell_cuts, stats_list, cell_of_row, page_row,
+            starts // cw, (starts + np.maximum(item_bytes, 1) - 1) // cw, pages,
         )
-        chunk_ids = db.original_of_dadr(dadrs).tolist()
-        if db.corpus is not None:
-            documents = [db.corpus[chunk_id] for chunk_id in chunk_ids]
-        else:
-            payloads = pages.stack[
-                page_row[:, None], starts[:, None] + np.arange(item_bytes)
-            ]
-            documents = [
-                DocumentChunk(chunk_id=chunk_id, text=text)
-                for chunk_id, text in zip(
-                    chunk_ids, DocumentChunk.decode_rows(payloads)
-                )
-            ]
-        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-        host_bandwidth = self.ssd.spec.host_link_bandwidth_bps
-        return [
-            (documents[lo:hi], float((hi - lo) * item_bytes) / host_bandwidth)
-            for lo, hi in zip(bounds, bounds[1:])
-        ], ledger
+        for shard, (run, ledger) in enumerate(zip(runs, ledgers)):
+            ledger.queries = asking[cell_cuts[shard]:cell_cuts[shard + 1]] - shard * n_queries
+            run.ledgers["documents"] = ledger
+        for cell, count in zip(asked, np.bincount(cell_of_row).tolist()):
+            run, region = runs[cell // n_queries], regions[cell // n_queries]
+            run.host_seconds[cell % n_queries] += float(
+                count * region.item_bytes
+            ) / run.engine.ssd.spec.host_link_bandwidth_bps
+        return pages, page_row

@@ -301,7 +301,7 @@ class MutableIndex:
         self.live[slot_ids] = True
         self.dadr_to_id = np.full(db.document_region.n_slots, -1, dtype=np.int64)
         self.dadr_to_id[: slot_ids.size] = slot_ids
-        self._scanned: Optional[Tuple[np.ndarray, List, List[int]]] = None
+        self._scanned: Optional[Tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------ queries
 
@@ -321,16 +321,24 @@ class MutableIndex:
         order = self.live_ids()
         return _split_by_cluster(order, self.cluster[order], self.n_clusters)
 
-    def slot_ranges(self, clusters: Optional[Sequence[int]]) -> List[Tuple[int, int]]:
-        """Maximal runs of consecutive live embedding slots, scan order."""
-        _order, runs, bounds = self._scan()
+    def slot_ranges(
+        self, clusters: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Maximal runs of consecutive live embedding slots, scan order, as
+        columns ``(owner, first, last)``: run ``i`` covers slots
+        ``first[i]..last[i]`` of cluster ``clusters[owner[i]]`` (of every
+        cluster, owner 0, when ``clusters`` is None)."""
+        _order, firsts, lasts, bounds = self._scan()
         if clusters is None:
-            return list(runs)
-        return [run for c in clusters for run in runs[bounds[c] : bounds[c + 1]]]
+            return np.zeros(firsts.size, dtype=np.int64), firsts, lasts
+        counts = bounds[clusters + 1] - bounds[clusters]
+        owner = np.arange(clusters.size).repeat(counts)
+        at = np.arange(owner.size) + (bounds[clusters] - np.cumsum(counts) + counts)[owner]
+        return owner, firsts[at], lasts[at]
 
-    def _scan(self) -> Tuple[np.ndarray, List[Tuple[int, int]], List[int]]:
-        """``(live ids in scan order, their slot runs, per-cluster run
-        bounds)``, sorted once per commit."""
+    def _scan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(live ids in scan order, their slot runs' first and last slots,
+        per-cluster run bounds)``, sorted once per commit."""
         if self._scanned is None:
             ids = np.flatnonzero(self.live)
             order = ids[np.lexsort((self.eadr[ids], self.cluster[ids]))]
@@ -339,11 +347,8 @@ class MutableIndex:
             head[1:] = (np.diff(slots) != 1) | (np.diff(clusters) != 0)
             starts = np.flatnonzero(head)
             ends = np.flatnonzero(np.roll(head, -1))
-            runs = list(zip(slots[starts].tolist(), slots[ends].tolist()))
-            bounds = np.searchsorted(
-                clusters[starts], np.arange(self.n_clusters + 1)
-            ).tolist()
-            self._scanned = (order, runs, bounds)
+            bounds = np.searchsorted(clusters[starts], np.arange(self.n_clusters + 1))
+            self._scanned = (order, slots[starts], slots[ends], bounds)
         return self._scanned
 
     # ---------------------------------------------------------- mutation

@@ -8,8 +8,9 @@ fetch_documents)`` per batch, so a batch executes **one**
 :class:`QueryPlan`: a frozen record of those parameters, resolved
 against the database (:func:`build_query_plan`), from which the stage
 list is derived (:meth:`QueryPlan.stage_names`).  The batch executor
-(:mod:`repro.core.batch`) runs the phases the record names; per-query
-state lives in a :class:`PlanContext`, and each phase bills one
+(:mod:`repro.core.batch`) runs the phases the record names; each
+device's share of a batch lives in a
+:class:`~repro.core.batch.BatchRun`, and each phase bills one
 :class:`~repro.core.costing.PhaseLedger` whose visit table is what lets
 the batch costing amortize senses across queries while every query keeps
 the solo latency report of an otherwise-idle device
@@ -96,23 +97,6 @@ class ReisQueryResult:
     @property
     def k(self) -> int:
         return int(self.ids.size)
-
-
-@dataclass
-class PlanContext:
-    """Mutable per-query state threaded through the phases of one batch."""
-
-    db: DeployedDatabase
-    query: np.ndarray
-    stats: SearchStats = field(default_factory=SearchStats)
-    query_code: Optional[np.ndarray] = None
-    clusters: Optional[List[int]] = None
-    distances: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    dadrs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    slots: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    documents: List[DocumentChunk] = field(default_factory=list)
-    ibc_seconds: float = 0.0
-    host_seconds: float = 0.0
 
 
 def schedule_order(

@@ -178,8 +178,6 @@ class TombstoneRegistry:
             self._dram.allocate(f"tombstones-{self.db_id}", self.footprint_bytes)
 
 
-
-
 class TtlBlock:
     """A columnar batch of materialized TTL rows.
 
@@ -262,24 +260,25 @@ class TtlBlock:
 
 
 class TemporalTopList:
-    """One scan phase's TTL-C or TTL-E for every query of a run, as a table.
+    """One scan phase's TTL-C or TTL-E lists, one per (shard, query) row --
+    shard ``s``'s query ``q`` is row ``s * n_queries + q`` -- as a table.
 
     Sec. 4.3.1's TTL is a staging list in SSD DRAM that the embedded core
     trims back to the k nearest after every page.  Here a phase's lists are
-    one table whose rows, in arrival order, are columns: ``query``,
-    ``dist`` and a reference into the pages the scan latched (``source``,
-    page rank, slot).  Only the rows :meth:`select` returns are decoded
-    into their RD_TTL payload.
+    one table whose rows, in arrival order, are columns: ``query`` (the
+    list), ``dist`` and a reference into the pages the scan latched
+    (``source``, page rank, slot).  Only the rows :meth:`select` returns
+    are decoded into their RD_TTL payload.  ``k`` is one limit for every
+    list or one per row (a shard keeps the nprobe it owns).
 
     The trimming is accounted, not performed: ``sizes[q]`` is the length
-    query ``q``'s list has when trimmed at every compaction and
-    ``peaks[q]`` its high-water mark.  Under the (distance, arrival) total
-    order, the k nearest of a trimmed list are the k nearest of every row
-    it was fed, so the rows a compaction would drop never need dropping.
-    Every query's list lives in one named DRAM arena sized for the worst
-    peak seen so far (the single embedded core serializes the
-    quickselects, so the arena is reused, not duplicated per query); the
-    arena only grows.
+    list ``q`` has when trimmed at every compaction and ``peaks[q]`` its
+    high-water mark.  Under the (distance, arrival) total order, the k
+    nearest of a trimmed list are the k nearest of every row it was fed.
+    Every shard's lists live in one named arena of its DRAM ``drams[s]``,
+    sized for their worst peak so far (the single embedded core serializes
+    the quickselects, so the arena is reused, not duplicated per query);
+    an arena only grows.
     """
 
     def __init__(
@@ -287,15 +286,18 @@ class TemporalTopList:
         name: str,
         entry_bytes: int,
         n_queries: int,
-        k: int,
-        dram: Optional[InternalDram] = None,
+        k,
+        drams: Sequence[Optional[InternalDram]] = (None,),
     ) -> None:
         self.name = name
         self.entry_bytes = entry_bytes
-        self.k = k
-        self._dram = dram
-        self.sizes = np.zeros(n_queries, dtype=np.int64)
-        self.peaks = np.zeros(n_queries, dtype=np.int64)
+        self.n_queries = n_queries
+        self._drams = drams  # one per shard; None books no arena
+        n_rows = n_queries * len(drams)
+        self._limits = np.zeros(n_rows, dtype=np.int64) + k
+        self.ks: List[int] = self._limits.tolist()
+        self.sizes = np.zeros(n_rows, dtype=np.int64)
+        self.peaks = np.zeros(n_rows, dtype=np.int64)
         self._sources: list = []
         # (query, dist, source, rank, slot), arrival order; None when empty.
         self._columns: Optional[Tuple[np.ndarray, ...]] = None
@@ -330,21 +332,25 @@ class TemporalTopList:
             self._columns = columns if self._columns is None else tuple(
                 np.concatenate(pair) for pair in zip(self._columns, columns)
             )
-        k, limit = self.k, 2 * self.k
+        ks = self.ks
         sizes, peaks, compactions = self.sizes.tolist(), self.peaks.tolist(), []
         for q, count in zip(visits.tolist(), counts.tolist()):
             n = sizes[q] + count
             if n > peaks[q]:
                 peaks[q] = n
-            if n > limit:
+            if n > 2 * ks[q]:
                 compactions.append((q, n))
-                n = k
+                n = ks[q]
             sizes[q] = n
         self.sizes[:], self.peaks[:] = sizes, peaks
-        if self._dram is not None and peaks:
-            region, nbytes = f"ttl-{self.name}", max(peaks) * self.entry_bytes
-            if nbytes > self._dram.region_size(region):
-                self._dram.allocate(region, nbytes)
+        region, lo = f"ttl-{self.name}", 0
+        for dram in self._drams:
+            hi = lo + self.n_queries
+            if dram is not None and hi > lo:
+                nbytes = max(peaks[lo:hi]) * self.entry_bytes
+                if nbytes > dram.region_size(region):
+                    dram.allocate(region, nbytes)
+            lo = hi
         return compactions
 
     def restart(self, queries: Sequence[int]) -> None:
@@ -368,17 +374,18 @@ class TemporalTopList:
         reconstruct exactly the list one device would have selected (see
         :mod:`repro.core.shard`).
         """
-        k, bounds = self.k, np.zeros(self.sizes.size + 1, dtype=np.int64)
+        ks, bounds = self._limits, np.zeros(self.sizes.size + 1, dtype=np.int64)
         if self._columns is None:
             return TtlBlock.empty(), bounds
         query, dist, source, rank, slot = self._columns
         held = np.bincount(query, minlength=self.sizes.size)
-        np.cumsum(np.minimum(held, k), out=bounds[1:])
+        np.cumsum(np.minimum(held, ks), out=bounds[1:])
         if not bounds[-1]:
             return TtlBlock.empty(), bounds
         nearest = np.lexsort((dist, query))  # stable: arrival breaks ties
+        by_query = query[nearest]
         first_row = np.cumsum(held) - held
-        rows = nearest[np.arange(nearest.size) - first_row[query[nearest]] < k]
+        rows = nearest[np.arange(nearest.size) - first_row[by_query] < ks[by_query]]
         if len(self._sources) == 1:
             return self._sources[0].decode(dist[rows], rank[rows], slot[rows]), bounds
         parts, positions, source_of = [], [], source[rows]

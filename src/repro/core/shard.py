@@ -1,12 +1,12 @@
-"""Multi-device sharding: shard router, per-shard plans, distance merges.
+"""Multi-device sharding: shards are plane sets of one batch table.
 
 One REIS drive tops out at its own channels and dies; serving production
 traffic needs horizontal scale-out.  This module shards one logical
 database across N :class:`~repro.core.engine.InStorageAnnsEngine` devices
-and serves one logical batch as N per-shard
-:class:`~repro.core.plan.QueryPlan` executions plus host-side **distance
-merges** -- the shard-and-merge design of SPANN/DiskANN-class distributed
-ANN systems, specialized to the in-storage engine:
+and serves one logical batch as one set of phase kernels over every
+shard's pages plus host-side **distance merges** -- the shard-and-merge
+design of SPANN/DiskANN-class distributed ANN systems, specialized to the
+in-storage engine:
 
 * :func:`plan_placement` partitions an IVF corpus: whole clusters go to
   R owner shards each with greedy size balancing, so centroid scans
@@ -16,46 +16,45 @@ ANN systems, specialized to the in-storage engine:
 * Every shard is deployed with the **same**
   :class:`~repro.core.layout.DeploymentCodecs` -- quantizers and the
   distance-filter threshold fit once on the full corpus -- so all shards
-  measure distances in one code space and per-shard candidates are
-  mergeable by raw distance.
-* :class:`ShardRouter` fans a batch out: each shard runs the page-major
-  batch executor over its own pages (per-shard ``nprobe`` trimmed by the
-  plan to the centroids the shard actually owns), and the router merges at
-  three barriers: centroid candidates -> global probe set, fine shortlists
-  -> global rescoring shortlist, INT8 rerank scores -> global top-k.
-  A barrier is one columnar pass over the shards' stacked rows keyed by
-  query -- one sort, one segment cut -- never a loop over (shard, query).
-  The filter-retry decision is likewise taken on cluster-wide survivor
-  counts, exactly as one device scanning everything would take it.
-  Towards the host the router has the executor shape of
-  :class:`~repro.core.batch.BatchExecutor` -- ``plan`` / ``forming_views``
-  / ``execute`` with the :class:`ShardedDatabase` first -- which is what
-  lets the device surface and the submission queue be written once.
+  measure distances in one code space, a batch encodes once and
+  per-shard candidates are mergeable by raw distance.
+* :class:`ShardRouter` gives each live shard a run of the batch (its plan
+  trims ``nprobe`` to the centroids the shard owns) and runs each phase
+  kernel once per barrier over all of them: the task table is keyed
+  (shard, plane, page) and each phase's TTL rows are (shard, query) pairs
+  (:mod:`repro.core.batch`).  What a drive owns -- its planes, cache,
+  DRAM arena, core and ledgers -- stays per shard inside the kernels.
+  The router merges at three barriers: centroid candidates -> global
+  probe set, fine shortlists -> global rescoring shortlist, INT8 rerank
+  scores -> global top-k, each one columnar pass over the stacked rows
+  keyed by query -- one sort, one segment cut.  The filter-retry decision
+  is taken on cluster-wide survivor counts, exactly as one device
+  scanning everything would take it.  Towards the host the router has
+  the executor shape of :class:`~repro.core.batch.BatchExecutor` --
+  ``plan`` / ``forming_views`` / ``execute`` with the
+  :class:`ShardedDatabase` first.
 
 **Bit identity.**  The merges reconstruct, candidate for candidate, the
 state a single device deploying the whole corpus would have built: the TTL
 selection is a deterministic total order (distance, then scan order --
-:meth:`~repro.core.registry.TemporalTopList.select`), each
-shard's local top list provably contains its members of the global top
-list, and the router merges with the single-device scan-order key
-(coarse: global cluster id; fine: probe rank, then the slot the vector
-would occupy in the canonical single-device layout,
-:func:`~repro.core.layout.deployment_order`).  The property tests in
-``tests/test_core_shard.py`` pin sharded top-k == single-device top-k
-(ids and distances) for arbitrary splits, replication factors, k and
+:meth:`~repro.core.registry.TemporalTopList.select`), each shard's local
+top list provably contains its members of the global top list, and the
+router merges with the single-device scan-order key (coarse: global
+cluster id; fine: probe rank, then the slot the vector would occupy in the
+canonical single-device layout, :func:`~repro.core.layout.deployment_order`).
+The property tests in ``tests/test_core_shard.py`` pin sharded top-k ==
+single-device top-k for arbitrary splits, replication factors, k and
 metadata filters.
 
 **Cost model.**  Shards execute concurrently, each under its own
 die/channel occupancy composition
-(:func:`~repro.core.costing.compose_batch`); the merges are barriers,
-so every phase's wall clock is the slowest shard's, and the ``merge``
-phase adds the host-side work (per-shard shortlist transfer over each
-shard's host link in parallel, then one serial merge kernel) -- wall clock
-is the slowest shard plus merge, and
+(:func:`~repro.core.costing.compose_batch`); the merges are barriers, so
+every phase's wall clock is the slowest shard's, and the ``merge`` phase
+adds the host-side work (per-shard shortlist transfer over each shard's
+host link in parallel, then one serial merge kernel).
 :meth:`~repro.core.api.BatchSearchResult.phase_seconds` still decomposes
-it exactly.
+the wall clock exactly.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
@@ -70,8 +69,12 @@ from repro.core.batch import (
     BatchExecutor,
     BatchRun,
     BatchStats,
+    FineTable,
     _phase_timer,
-    hand_out_clusters,
+    broadcast_queries,
+    coarse_scan,
+    fine_finish,
+    fine_scan,
 )
 from repro.core.costing import BatchPhaseBreakdown, compose_batch
 from repro.core.layout import DeployedDatabase, deployment_order
@@ -392,17 +395,21 @@ class ShardedDatabase:
         """Shards that actually hold a deployed piece of this database."""
         return [s for s, db in enumerate(self.shard_dbs) if db is not None]
 
-    def document_chunk(self, global_id: int) -> DocumentChunk:
-        """The globally-identified chunk for a vector id.
+    def document_chunks(self, global_ids: np.ndarray) -> List[DocumentChunk]:
+        """The globally-identified chunks of vector ids, in one pass.
 
         Shards store chunk payloads under shard-local ids; the router
         restores the global identity here (from the logical corpus, or the
         deployer's synthetic ``chunk-<id>`` text when none was supplied),
         so sharded results carry exactly the chunks a single device would.
         """
+        ids = global_ids.tolist()
         if self.corpus is not None:
-            return self.corpus[global_id]
-        return DocumentChunk(chunk_id=global_id, text=f"chunk-{global_id}")
+            return [self.corpus[global_id] for global_id in ids]
+        return [
+            DocumentChunk(chunk_id=global_id, text=f"chunk-{global_id}")
+            for global_id in ids
+        ]
 
 
 # ------------------------------------------------------------- merge model
@@ -437,20 +444,13 @@ def _no_rows() -> np.ndarray:
 
 @dataclass(eq=False, kw_only=True)
 class _ShardRun(BatchRun):
-    """One shard's in-flight state while the router serves a batch: the
-    executor's :class:`~repro.core.batch.BatchRun` (this shard's plan has
-    ``nprobe`` trimmed to the centroids it owns) plus the router's own.
-
-    A shard can host more than one run per batch: its primary run plus a
-    *failover* run re-executing a dead shard's slice (failover runs always
-    follow the primaries in ``_BatchState.runs``).  ``dead`` marks a run
-    whose output was lost mid-batch (the shard died at a barrier); the run
-    stays in the list -- merged-shortlist provenance indexes into it -- but
-    contributes no further results.
-    """
+    """One shard's :class:`~repro.core.batch.BatchRun` of a batch (its
+    plan trims ``nprobe`` to the centroids it owns).  A shard may also host
+    a *failover* run re-executing a dead shard's slice (failover runs
+    follow the primaries in ``_BatchState.runs``); a ``dead`` run lost its
+    output at a barrier and stays listed only for provenance."""
 
     shard: int
-    executor: BatchExecutor
     failover: bool = False
     dead: bool = False
 
@@ -471,6 +471,8 @@ class _BatchState:
     # Cluster -> serving shard for this batch, -1 where not (yet) elected.
     serving: np.ndarray
     runs: List[_ShardRun] = field(default_factory=list)
+    # The fine phase's tables: the primaries', then a failover's.
+    tables: List[FineTable] = field(default_factory=list)
     # The probe table, stacked query-major in rank order: row i says query
     # ``probe_queries[i]`` probes global cluster ``probe_clusters[i]``.
     probe_queries: np.ndarray = field(default_factory=_no_rows)
@@ -490,13 +492,13 @@ class _BatchState:
             )
         return runs
 
-    def query_of_rows(self, bounds: np.ndarray) -> np.ndarray:
-        """The query column of a stacked, query-major block."""
-        return np.repeat(np.arange(self.n_queries), np.diff(bounds))
+    def shard_of_runs(self) -> np.ndarray:
+        """The shard of every run, by run index."""
+        return np.array([run.shard for run in self.runs])
 
     def query_bounds(self, query_column: np.ndarray) -> np.ndarray:
         """Segment bounds of a sorted query column (one cut per query)."""
-        return np.searchsorted(query_column, np.arange(self.n_queries + 1))
+        return query_column.searchsorted(np.arange(self.n_queries + 1))
 
     def head_of_each_query(self, query_column: np.ndarray, limit: int) -> np.ndarray:
         """Mask of the first ``limit`` rows of every query's segment."""
@@ -506,32 +508,26 @@ class _BatchState:
 
 @dataclass
 class _MergedShortlist:
-    """The batch's merged global shortlists, stacked with provenance.
-
-    Parallel arrays over the merged candidates, query-major and in global
-    rank order within a query: ``queries`` the query index, ``gids`` the
-    global vector ids, ``run_index`` which :class:`_ShardRun` produced each
-    candidate, and ``rows`` the candidate's row inside that run's stacked
-    shortlist block -- enough to slice each shard's members back out
-    without materializing per-candidate objects.
-    """
+    """The batch's merged global shortlists, query-major in global rank
+    order: query, global id, the index of the :class:`_ShardRun` holding
+    the candidate and its shard-local RADR / DADR there."""
 
     queries: np.ndarray
     gids: np.ndarray
     run_index: np.ndarray
-    rows: np.ndarray
+    radrs: np.ndarray
+    dadrs: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "_MergedShortlist":
+        return _MergedShortlist(*(column[rows] for column in vars(self).values()))
 
 
 @dataclass
 class _RankedWinners:
-    """The batch's global top-k lists, stacked like :class:`_MergedShortlist`.
-
-    Parallel arrays, query-major in rank order: query index, global id,
-    refined INT8 distance, and where the winner's document lives -- the
-    serving ``shards`` entry and its shard-local ``dadrs`` address
-    (rewritten in place when a document fails over to a replica; ids and
-    distances never move).  ``bounds`` cuts the per-query segments.
-    """
+    """The batch's global top-k lists, query-major in rank order: query,
+    global id, INT8 distance and where the document lives (``shards`` /
+    shard-local ``dadrs``, rewritten when a document fails over).
+    ``bounds`` cuts the per-query segments."""
 
     queries: np.ndarray
     gids: np.ndarray
@@ -550,12 +546,12 @@ class ShardRouter:
     :meth:`forming_views`, :meth:`execute`, each taking the database first
     -- so devices and queues are written once over either executor.
 
-    A batch in flight is a table, not a grid of (shard, query) cells: the
-    kernels run once per shard per phase (each device keeps its own
-    counters, cache and senses), and every barrier between them -- probe
-    merge, shortlist merge, rerank merge, report composition -- is one
-    pass over the shards' stacked columns.  Replica election, re-homing
-    and failover billing stay per shard: the modeled clock needs them.
+    A batch in flight is a table, not a grid of (shard, query) cells: each
+    phase kernel runs once per barrier over every live shard's (shard,
+    plane, page) tasks, and every barrier between them is one pass over
+    the stacked columns.  Each drive keeps its own planes, cache, DRAM,
+    core and ledgers; replica election, re-homing and failover billing
+    stay per shard: the modeled clock needs them.
     """
 
     def __init__(
@@ -634,16 +630,20 @@ class ShardRouter:
             return self.load_source()
         return self.shard_busy_s
 
+    def _live_shards(self, sdb: ShardedDatabase) -> List[int]:
+        """The live shards holding a deployed piece of ``sdb``."""
+        return [s for s in sdb.active_shards if s not in self.failed_shards]
+
     def resolve_anchor(self, sdb: ShardedDatabase) -> int:
         """The first *live* shard holding a deployed piece -- the anchor
         host paths (queue forming, codec lookups) resolve through instead
         of hard-coding shard 0, which may be drained or dead."""
-        for shard in sdb.active_shards:
-            if shard not in self.failed_shards:
-                return shard
-        raise ShardUnavailableError(
-            None, f"database {sdb.db_id} has no live deployed shard"
-        )
+        live = self._live_shards(sdb)
+        if not live:
+            raise ShardUnavailableError(
+                None, f"database {sdb.db_id} has no live deployed shard"
+            )
+        return live[0]
 
     def _down_clusters(self, sdb: ShardedDatabase) -> np.ndarray:
         """Clusters with zero live owners (their pages are unreachable)."""
@@ -666,9 +666,7 @@ class ShardRouter:
         live = assignment.live_owners(self.failed_shards)
         serving = live[np.arange(len(live)), np.argmax(live >= 0, axis=1)].tolist()
         views = []
-        for shard in sdb.active_shards:
-            if shard in self.failed_shards:
-                continue
+        for shard in self._live_shards(sdb):
             position = assignment.local_cluster_ids(shard)
             local = [
                 position[cluster]
@@ -690,12 +688,11 @@ class ShardRouter:
     ) -> QueryPlan:
         """The sharded schedule as plan data: per-shard stages + the merge.
 
-        Every shard runs the same stage list, so the plan is built against
-        the first live shard; ``nprobe`` is the *global* probe count every
-        query ends up scanning (a shard's own plan trims it to the
-        centroids it holds) and ``merge_fan_in`` puts a ``merge`` stage
-        between the fine search and the rerank -- where the router really
-        merges shortlists.
+        Built against the first live shard (every shard runs the same
+        stages); ``nprobe`` is the *global* probe count (a shard's own plan
+        trims it to the centroids it holds) and ``merge_fan_in`` -- the
+        live shards holding a piece, each shipping shortlists -- puts a
+        ``merge`` stage between the fine search and the rerank.
         """
         anchor = self.resolve_anchor(sdb)
         plan = build_query_plan(
@@ -705,7 +702,7 @@ class ShardRouter:
         return replace(
             plan,
             nprobe=resolve_nprobe(sdb.n_clusters, nprobe),
-            merge_fan_in=len(sdb.active_shards),
+            merge_fan_in=len(self._live_shards(sdb)),
         )
 
     # ------------------------------------------------------------- execute
@@ -722,17 +719,13 @@ class ShardRouter:
     ) -> BatchExecution:
         """Serve a batch across all shards and merge to the global top-k.
 
-        Shards already in ``failed_shards`` serve nothing; a scheduled
-        mid-batch death (:meth:`schedule_failure`) fires at its barrier and
-        the router re-executes the dead shard's serving slice on surviving
-        replicas.  Either way the batch completes bit-identical to a
-        healthy single device or raises :class:`ShardUnavailableError` --
-        never partial results.
-
-        ``host_profile`` opts into host wall-clock accounting of the
-        router's own steps under the single-device executor's phase names
-        (``fine`` includes the shortlist merge, ``finalize`` is the result
-        composition); the default ``None`` never reads the wall clock.
+        Shards in ``failed_shards`` serve nothing; a scheduled mid-batch
+        death (:meth:`schedule_failure`) fires at its barrier and the dead
+        shard's serving slice re-executes on surviving replicas.  The batch
+        completes bit-identical to a healthy single device or raises
+        :class:`ShardUnavailableError` -- never partial results.
+        ``host_profile`` times the router's steps under the device
+        executor's phase names (``fine`` includes the shortlist merge).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         n_queries = queries.shape[0]
@@ -742,7 +735,6 @@ class ShardRouter:
             return BatchExecution(
                 results=[], report=LatencyReport(), stats=BatchStats()
             )
-        self.resolve_anchor(sdb)  # raises when no deployed shard is live
         with _phase_timer(host_profile, "prepare"):
             state = _BatchState(
                 sdb=sdb, queries=queries, k=k,
@@ -756,12 +748,10 @@ class ShardRouter:
                 ),
                 serving=np.full(sdb.n_clusters, -1, dtype=np.int64),
             )
-            for shard in sdb.active_shards:
-                if shard not in self.failed_shards:
-                    state.runs.append(self._make_run(state, shard))
+            self.resolve_anchor(sdb)  # raises when no deployed shard is live
+            state.runs = [self._make_run(state, s) for s in self._live_shards(sdb)]
         with _phase_timer(host_profile, "ibc"):
-            for run in state.runs:
-                run.executor.run_ibc(run.ctxs)
+            broadcast_queries(state.runs)
         with _phase_timer(host_profile, "coarse"):
             self._coarse_barrier(state)
         with _phase_timer(host_profile, "fine"):
@@ -781,15 +771,11 @@ class ShardRouter:
     def _make_run(
         self, state: _BatchState, shard: int, failover: bool = False
     ) -> _ShardRun:
-        executor = self.executors[shard]
-        run = executor.prepare(
+        run = self.executors[shard].prepare(
             state.sdb.shard_dbs[shard], state.queries, state.k, state.nprobe,
             state.fetch_documents, state.metadata_filter,
         )
-        return _ShardRun(
-            run.db, run.plan, run.ctxs, run.stats,
-            shard=shard, executor=executor, failover=failover,
-        )
+        return _ShardRun(**vars(run), shard=shard, failover=failover)
 
     def _elect(
         self, state: _BatchState, clusters: Sequence[int]
@@ -823,11 +809,9 @@ class ShardRouter:
         owned = state.sdb.assignment.shard_clusters[run.shard]
         position = np.full(state.sdb.n_clusters, -1, dtype=np.int64)
         position[owned] = np.arange(len(owned))
-        mine = mine & (position[state.probe_clusters] >= 0)
-        hand_out_clusters(
-            run.ctxs, position[state.probe_clusters[mine]],
-            state.query_bounds(state.probe_queries[mine]),
-        )
+        local = position[state.probe_clusters]
+        mine = mine & (local >= 0)
+        run.probes = (state.probe_queries[mine], local[mine])
 
     def _spawn_replacements(
         self,
@@ -835,20 +819,18 @@ class ShardRouter:
         dead: int,
         through: str,
         members: Optional[np.ndarray] = None,
-    ) -> List[_ShardRun]:
+    ) -> Optional[FineTable]:
         """Re-execute the dead shard's serving slice on surviving replicas.
 
-        The slice is every cluster the dead shard was serving, or -- given
-        ``members`` (global vector ids) -- only the clusters holding them.
-        Reassigns each lost cluster to its least-loaded live owner, spawns
-        fresh failover runs on the chosen shards (IBC + filtered fine scan
-        over exactly the lost clusters of each query's probe set), and --
-        for ``through="finish"`` -- replays the batch's recorded filter
-        retry and finishes the local shortlist, so the replacement holds
-        bit-for-bit the candidates the dead shard would have shipped
-        (replicas are whole-cluster copies; determinism does the rest).
-        Raises :class:`ShardUnavailableError` naming the first cluster with
-        zero live owners.
+        The slice is every cluster the dead shard was serving, or only the
+        clusters holding ``members`` (global ids).  Each lost cluster goes
+        to its least-loaded live owner; the chosen shards get failover runs
+        (IBC + one filtered fine table over exactly the lost clusters of
+        each query's probe set) and, ``through="finish"``, the recorded
+        retry and shortlist selection -- bit-for-bit what the dead shard
+        would have shipped.  Returns the table (None when nothing was
+        lost); :class:`ShardUnavailableError` names a cluster with no live
+        owner.
         """
         lost = np.flatnonzero(state.serving == dead)
         if members is not None:
@@ -857,73 +839,67 @@ class ShardRouter:
         # Elected in ascending cluster order: the load key sees the same
         # sequence of assignments every time.
         by_shard = self._elect(state, lost.tolist())
-        new_runs: List[_ShardRun] = []
-        for shard in sorted(by_shard):
-            run = self._make_run(state, shard, failover=True)
-            run.executor.run_ibc(run.ctxs)
+        if not by_shard:
+            return None
+        runs = [self._make_run(state, shard, failover=True) for shard in sorted(by_shard)]
+        broadcast_queries(runs)
+        for run in runs:
             self._hand_out_probes(
-                state, run, np.isin(state.probe_clusters, by_shard[shard])
+                state, run, np.isin(state.probe_clusters, by_shard[run.shard])
             )
-            run.executor._fine_scan(run)
-            if through == "finish":
-                run.executor._fine_finish(run, state.retry_indices)
-            state.runs.append(run)
-            new_runs.append(run)
-        return new_runs
+        state.runs += runs
+        table = fine_scan(runs)
+        if through == "finish":
+            fine_finish(table, state.retry_indices)
+        return table
 
     def _coarse_barrier(self, state: _BatchState) -> None:
-        """Per-shard coarse scans -> merged global probe table, rank order.
+        """One coarse kernel over every shard -> the merged global probe
+        table, rank order.
 
-        Each shard quickselects its local top ``min(nprobe, local nlist)``
-        centroids for all of its queries at once (the plan already trimmed
-        its nprobe); the router stacks every shard's rows and merges with
+        Each (shard, query) row holds its top ``min(nprobe, local nlist)``
+        centroids; the router maps them to global cluster ids, merges with
         one sort by (query, distance, global cluster id) -- the
-        single-device selection key behind the query index -- dedupes
-        replicas (replicated centroids tie exactly, so a first-seen dedupe
-        over the sorted order keeps one of each), cuts every query's
-        segment to ``nprobe``, picks one *serving* replica per probed
-        cluster (least-loaded live owner, elected in first-probed order),
-        and hands each serving shard its local ids of its clusters.
+        single-device selection key -- dedupes replicas (replicated
+        centroids tie exactly: a first-seen dedupe keeps one), cuts every
+        query to ``nprobe``, elects one *serving* replica per probed
+        cluster (least-loaded live owner, in first-probed order) and hands
+        each serving shard its local ids of its clusters.
 
-        Fault paths: a shard dying at this barrier loses its whole coarse
-        block, and clusters whose every owner is down have their centroids
-        on no live shard at all.  The router reconstructs the latter
-        host-side -- the deployed coarse distance is the Hamming distance
-        between the query's and the centroid's binary codes, which the host
-        computes identically from the shared quantizer -- merges them into
-        the candidate set, and raises :class:`ShardUnavailableError` iff a
-        down cluster wins a probe slot, i.e. exactly when results would
-        diverge from a healthy device.
+        A shard dying here loses its whole coarse block.  Clusters whose
+        every owner is down are reconstructed host-side (the coarse
+        distance is the Hamming distance of the shared quantizer's codes)
+        and merged in; :class:`ShardUnavailableError` is raised iff one
+        wins a probe slot, exactly when results would diverge from a
+        healthy device.
         """
-        sdb = state.sdb
-        n_queries = state.n_queries
-        selected = {}
-        for run in state.live_runs():
-            selected[run.shard] = run.executor._coarse_scan(run)
-
-        self._kill_at(state, "coarse")
+        sdb, n_queries = state.sdb, state.n_queries
         runs = state.live_runs()
-        queries, dists, clusters = [], [], []
-        for run in runs:
-            block, bounds = selected[run.shard]
-            state.shipped[run.shard] += len(block)
-            queries.append(state.query_of_rows(bounds))
-            dists.append(block.dists)
-            clusters.append(
-                np.asarray(sdb.assignment.shard_clusters[run.shard], dtype=np.int64)[
-                    block.eadrs
-                ]
-            )
+        block, bounds = coarse_scan(runs)
+        self._kill_at(state, "coarse")
+        shard_of_row, queries = np.divmod(
+            np.arange(len(runs) * n_queries).repeat(bounds[1:] - bounds[:-1]), n_queries
+        )
+        layouts = [sdb.assignment.shard_clusters[run.shard] for run in runs]
+        starts = np.cumsum([0] + [len(layout) for layout in layouts])
+        clusters = np.concatenate(layouts).astype(np.int64)[
+            starts[shard_of_row] + block.eadrs
+        ]
+        kept = np.array([not run.dead for run in runs])[shard_of_row]
+        state.shipped += np.bincount(
+            np.array([run.shard for run in runs])[shard_of_row[kept]],
+            minlength=self.n_shards,
+        )
+        queries, dists, clusters = [queries[kept]], [block.dists[kept]], [clusters[kept]]
 
         # Clusters with zero live owners: reconstruct their coarse
         # candidates host-side so the probe decision stays exact.
         down = self._down_clusters(sdb)
         if down.size:
-            quantizer = sdb.shard_dbs[runs[0].shard].binary_quantizer
-            codes = quantizer.encode(np.asarray(sdb.ivf_model.centroids)[down])
-            query_codes = np.stack([ctx.query_code for ctx in runs[0].ctxs])
+            live = state.live_runs()[0]
+            codes = live.db.binary_quantizer.encode(np.asarray(sdb.ivf_model.centroids)[down])
             queries.append(np.repeat(np.arange(n_queries), down.size))
-            dists.append(hamming_packed(query_codes, codes).ravel())
+            dists.append(hamming_packed(live.codes, codes).ravel())
             clusters.append(np.tile(down, n_queries))
 
         queries = np.concatenate(queries)
@@ -942,79 +918,83 @@ class ShardRouter:
         # One serving replica per probed cluster, batch-wide.
         distinct, first = np.unique(state.probe_clusters, return_index=True)
         self._elect(state, distinct[np.argsort(first)].tolist())
-        for run in runs:
-            self._hand_out_probes(
-                state, run, state.serving[state.probe_clusters] == run.shard
-            )
+        serving = state.serving[state.probe_clusters]
+        for run in state.live_runs():
+            self._hand_out_probes(state, run, serving == run.shard)
 
     def _fine_barrier(self, state: _BatchState) -> None:
-        """Filtered fine scans everywhere, then the cluster-wide retry.
+        """One filtered fine kernel over every shard, then the cluster-wide
+        retry: summed survivor and candidate counts decide, as one device
+        scanning the whole corpus would, and a retry rescans every shard.
 
-        The retry predicate runs on summed survivor and candidate counts:
-        the decision one device scanning the whole corpus would take.  A
-        retry rescans *every* shard unfiltered, as the single device
-        rescans its whole candidate set.
-
-        A shard dying at this barrier loses its fine output before the
-        retry decision; its serving clusters reroute to surviving replicas
-        (whole-cluster copies rescan the same slice bit-identically), so
-        the summed counts -- and therefore the retry decision -- match the
-        healthy device exactly.
+        A shard dying here loses its fine output before the decision; its
+        serving clusters reroute to surviving replicas (whole-cluster
+        copies rescan the same slice bit-identically), so the counts -- and
+        the decision -- match the healthy device exactly.
         """
-        for run in state.live_runs():
-            run.executor._fine_scan(run)
+        table = fine_scan(state.live_runs())
+        state.tables = [table]
         dead = self._kill_at(state, "fine")
         if dead is not None:
-            self._spawn_replacements(state, dead, through="scan")
+            for run in table.runs:
+                if run.dead:
+                    table.drop(run)
+            replacement = self._spawn_replacements(state, dead, through="scan")
+            if replacement is not None:
+                state.tables.append(replacement)
         runs = state.live_runs()
-        state.retry_indices = runs[0].executor.engine.fine_retries(
-            np.sum([run.fine.ttl.sizes for run in runs], axis=0),
-            np.sum(
-                [[ctx.stats.candidates for ctx in run.ctxs] for run in runs], axis=0
-            ),
-            runs[0].fine.threshold, runs[0].plan.shortlist_size,
+        survivors = sum(
+            t.ttl.sizes.reshape(len(t.runs), -1)[t.live].sum(axis=0) for t in state.tables
         )
-        for run in runs:
-            run.executor._fine_finish(run, state.retry_indices)
+        candidates = sum(t.candidates[t.live].sum(axis=0) for t in state.tables)
+        state.retry_indices = runs[0].engine.fine_retries(
+            survivors, candidates, table.threshold, runs[0].plan.shortlist_size
+        )
+        for t in state.tables:
+            fine_finish(t, state.retry_indices)
 
     def _stack_shortlists(
-        self, state: _BatchState, runs: Sequence[Tuple[int, _ShardRun]]
+        self, state: _BatchState, table: Optional[FineTable]
     ) -> Tuple[_MergedShortlist, np.ndarray]:
-        """The finished shortlists of ``runs`` -- (index in ``state.runs``,
-        run) pairs -- as one table with provenance, and its distance column."""
-        assignment = state.sdb.assignment
-        columns = [[_no_rows()] for _ in range(5)]
-        for index, run in runs:
-            block = run.shortlist
-            for column, rows in zip(columns, (
-                state.query_of_rows(run.shortlist_bounds),
-                assignment.global_ids(run.shard, run.db, block.radrs),
-                np.full(len(block), index), np.arange(len(block)), block.dists,
-            )):
-                column.append(rows)
-        *table, dists = map(np.concatenate, columns)
-        return _MergedShortlist(*table), dists
+        """The finished shortlists of ``table`` as one table with
+        provenance (absolute run indices in ``state.runs``), and its
+        distance column."""
+        if table is None:
+            return _MergedShortlist(*[_no_rows()] * 5), _no_rows()
+        n_queries = state.n_queries
+        block, bounds = table.shortlist, table.bounds
+        shard_of_row, queries = np.divmod(
+            np.arange(bounds.size - 1).repeat(bounds[1:] - bounds[:-1]), n_queries
+        )
+        cuts = bounds[::n_queries].tolist()
+        gids = np.concatenate([_no_rows()] + [
+            state.sdb.assignment.global_ids(run.shard, run.db, block.radrs[lo:hi])
+            for run, lo, hi in zip(table.runs, cuts, cuts[1:])
+        ])
+        index = np.array([state.runs.index(run) for run in table.runs])
+        return _MergedShortlist(
+            queries, gids, index[shard_of_row], block.radrs, block.dadrs
+        ), block.dists
 
     def _shortlist_barrier(self, state: _BatchState) -> _MergedShortlist:
-        """Merge per-shard shortlists into the global rescoring shortlists.
-
-        The merge key is (query, Hamming distance, single-device scan
-        order: probe rank, then canonical slot).  Each shard's local top-S
-        contains its members of the global top-S, so the head of every
-        query's segment *is* the single-device shortlist.  The merge is one
-        sort over the stacked shard columns and one segment cut; serving
-        sets are disjoint per cluster (one replica serves each cluster per
-        batch), so slots stay unique within a query, the key is a total
-        order and the sort reproduces the tuple sort exactly.  ``run_index`` is the run's
-        absolute index in ``state.runs`` -- dead runs stay in the list
-        precisely so this provenance survives later failovers.
-        """
+        """Merge every shard's shortlists into the global rescoring
+        shortlists: one sort by (query, Hamming distance, probe rank,
+        canonical slot) and one cut.  Each shard's local top-S contains its
+        members of the global top-S, and serving sets are disjoint per
+        cluster, so the key is a total order and the head of every query
+        *is* the single-device shortlist.  ``run_index`` indexes
+        ``state.runs``, where dead runs stay so provenance survives."""
         sdb = state.sdb
         assignment = sdb.assignment
-        live = [(i, run) for i, run in enumerate(state.runs) if not run.dead]
-        for _index, run in live:
-            state.shipped[run.shard] += len(run.shortlist)
-        table, dists = self._stack_shortlists(state, live)
+        stacks = [self._stack_shortlists(state, table) for table in state.tables]
+        table = _MergedShortlist(*(
+            np.concatenate(column)
+            for column in zip(*[vars(merged).values() for merged, _ in stacks])
+        ))
+        dists = np.concatenate([dists for _, dists in stacks])
+        state.shipped += np.bincount(
+            state.shard_of_runs()[table.run_index], minlength=self.n_shards
+        )
         rank_of = np.full((state.n_queries, sdb.n_clusters), -1, dtype=np.int64)
         rank_of[state.probe_queries, state.probe_clusters] = np.arange(
             state.probe_queries.size
@@ -1025,15 +1005,11 @@ class ShardRouter:
             assignment.global_slot[table.gids],
         )
         # Every shard plans the same unclamped shortlist_factor * k.
-        order = order[
+        return table.take(order[
             state.head_of_each_query(
                 table.queries[order], state.live_runs()[0].plan.shortlist_size
             )
-        ]
-        return _MergedShortlist(
-            table.queries[order], table.gids[order],
-            table.run_index[order], table.rows[order],
-        )
+        ])
 
     def _rehome(
         self,
@@ -1041,28 +1017,20 @@ class ShardRouter:
         dead: int,
         queries: np.ndarray,
         gids: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> _MergedShortlist:
         """Find candidates stranded on a dead shard a new home on a replica.
 
-        ``(queries[i], gids[i])`` is a candidate whose shard-local state
-        (shortlist row, document address) died with ``dead``.  Their
-        clusters are re-executed on surviving replicas (fine scan + the
-        batch's recorded retry + finish), so a replacement's local
-        shortlist holds the exact candidates the dead shard shipped -- a
-        global-top-S member of cluster c is in the local top-S of *any*
-        run scanning a probe subset containing c.  Returns each stranded
-        candidate's new home as parallel ``(run_index, rows)`` arrays: the
-        replacement's absolute index in ``state.runs`` and the candidate's
-        row in its stacked shortlist block (the first match in run order:
-        one stable sort + ``searchsorted`` over the replacements' rows).
+        ``(queries[i], gids[i])`` lost its shard-local state with ``dead``.
+        Their clusters re-execute on surviving replicas (fine scan + the
+        recorded retry + finish): a global-top-S member of cluster c is in
+        the local top-S of *any* run scanning a probe subset containing c.
+        Returns each candidate's row of the replacements' stacked
+        shortlists (first match in run order), with its run index and
+        replica-local addresses.
         """
-        new_runs = (
-            self._spawn_replacements(state, dead, "finish", gids)
-            if gids.size
-            else []
-        )
         homes, _dists = self._stack_shortlists(
-            state, list(enumerate(new_runs, len(state.runs) - len(new_runs)))
+            state,
+            self._spawn_replacements(state, dead, "finish", gids) if gids.size else None,
         )
         span = int(max(homes.gids.max(initial=0), gids.max(initial=0))) + 1
         home_keys = homes.queries * span + homes.gids
@@ -1079,31 +1047,24 @@ class ShardRouter:
                 f"failover lost vector {gid} of cluster {cluster} "
                 "(no replacement rescanned it)",
             )
-        return homes.run_index[by_key[at]], homes.rows[by_key[at]]
+        return homes.take(by_key[at])
 
     def _rerank_barrier(
         self,
         state: _BatchState,
         shortlist: _MergedShortlist,
     ) -> _RankedWinners:
-        """Per-shard INT8 reranks of the global shortlists, merged to top-k.
+        """One INT8 rerank kernel over every shard's members of the global
+        shortlists (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`,
+        cells (shard, query)), merged by (query, INT8 distance, global
+        shortlist position) -- the single device's stable order -- and cut
+        to k.
 
-        Each shard rescores only its members -- routed through the same
-        page-major batch kernel the single-device executor uses
-        (:meth:`~repro.core.engine.InStorageAnnsEngine._rerank_batch`), one
-        call per shard covering every query; the router merges with one
-        ``np.lexsort`` by (query, INT8 distance, global shortlist position)
-        -- the stable order the single device's rerank argsort produces,
-        positions being unique -- and cuts every query's segment to k.
-
-        A shard dying at this barrier loses its rerank output; the
-        shortlist entries whose provenance points at its runs are re-homed
-        (:meth:`_rehome`), their ``run_index``/``rows`` rewritten to the
-        replacement runs, and the replacements rerank alongside the
-        survivors.  INT8 codes are replica-identical and global rank
-        positions never move, so the merge is bit-identical.
+        A shard dying here loses its rerank output: the entries it held
+        are re-homed (:meth:`_rehome`) and rerank on the replacements.
+        INT8 codes are replica-identical and positions never move, so the
+        merge is bit-identical.
         """
-        n_queries = state.n_queries
         dead = self._kill_at(state, "rerank")
         if dead is not None:
             dead_idxs = [
@@ -1111,53 +1072,35 @@ class ShardRouter:
                 if run.dead and run.shard == dead
             ]
             stranded = np.flatnonzero(np.isin(shortlist.run_index, dead_idxs))
-            shortlist.run_index[stranded], shortlist.rows[stranded] = self._rehome(
+            home = self._rehome(
                 state, dead, shortlist.queries[stranded], shortlist.gids[stranded]
             )
-        state.live_runs()  # raises when the kill left nobody to rerank
-        dists, positions, shards, dadrs = [], [], [], []
-        for run_idx, run in enumerate(state.runs):
-            if run.dead:
-                continue
-            # The run's members of every query's shortlist, query-major.
-            sel = np.flatnonzero(shortlist.run_index == run_idx)
-            mine = run.shortlist.take(shortlist.rows[sel])
-            state.shipped[run.shard] += sel.size
-            counts = np.bincount(shortlist.queries[sel], minlength=n_queries)
-            bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-            outs, run.ledgers["rerank"] = run.executor.engine._rerank_batch(
-                run.db, state.queries,
-                [mine.take(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])],
-                counts.tolist(), [ctx.stats for ctx in run.ctxs],
-            )
-            # The rerank returns rows in refined order; map each row back
-            # to its member ((query, RADR) is unique within a run) to
-            # recover its merged-shortlist position.
-            span = run.db.int8_region.n_slots
-            member_keys = shortlist.queries[sel] * span + mine.radrs
-            by_key = np.argsort(member_keys)
-            refined = np.concatenate([out[0] for out in outs])
-            refined_keys = np.repeat(
-                np.arange(n_queries), [out[0].size for out in outs]
-            ) * span + np.concatenate([out[2] for out in outs])
-            dists.append(refined)
-            positions.append(
-                sel[by_key[np.searchsorted(member_keys[by_key], refined_keys)]]
-            )
-            shards.append(np.full(refined.size, run.shard, dtype=np.int64))
-            dadrs.append(np.concatenate([out[1] for out in outs]))
-        dists, positions = np.concatenate(dists), np.concatenate(positions)
+            for name in ("run_index", "radrs", "dadrs"):
+                getattr(shortlist, name)[stranded] = getattr(home, name)
+        runs = state.live_runs()  # raises when the kill left nobody to rerank
+        live = [i for i, run in enumerate(state.runs) if not run.dead]
+        position = np.full(len(state.runs), -1, dtype=np.int64)
+        position[live] = np.arange(len(live))
+        shards = state.shard_of_runs()
+        state.shipped += np.bincount(shards[shortlist.run_index], minlength=self.n_shards)
+        cells = position[shortlist.run_index] * state.n_queries + shortlist.queries
+        by_cell = np.argsort(cells, kind="stable")
+        order, refined = runs[0].engine._rerank_batch(
+            runs, state.queries, cells[by_cell],
+            shortlist.radrs[by_cell], shortlist.dadrs[by_cell],
+        )
+        positions, dists = by_cell[order], refined[order]
         queries = shortlist.queries[positions]
-        order = merge_order(queries, dists, positions)
-        order = order[state.head_of_each_query(queries[order], state.k)]
-        queries = queries[order]
+        merged = merge_order(queries, dists, positions)
+        merged = merged[state.head_of_each_query(queries[merged], state.k)]
+        winners = positions[merged]
         return _RankedWinners(
-            queries=queries,
-            gids=shortlist.gids[positions[order]],
-            dists=dists[order],
-            shards=np.concatenate(shards)[order],
-            dadrs=np.concatenate(dadrs)[order],
-            bounds=state.query_bounds(queries),
+            queries=queries[merged],
+            gids=shortlist.gids[winners],
+            dists=dists[merged],
+            shards=shards[shortlist.run_index[winners]],
+            dadrs=shortlist.dadrs[winners],
+            bounds=state.query_bounds(queries[merged]),
         )
 
     def _document_barrier(
@@ -1165,62 +1108,45 @@ class ShardRouter:
         state: _BatchState,
         ranked: _RankedWinners,
     ) -> List[DocumentChunk]:
-        """Fetch each winner's chunk from its owning shard, rank order kept.
+        """Fetch the winners' documents from their owning shards, one
+        kernel (:meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`):
+        a page several queries share is materialized once per shard while
+        every query is billed its own senses.  The chunks come from the
+        logical database by global id (:meth:`ShardedDatabase.document_chunks`),
+        stacked like ``ranked`` (empty when documents are not fetched).
 
-        Each shard serves every query's winners in one page-major batch call
-        (:meth:`~repro.core.engine.InStorageAnnsEngine._fetch_documents_batch`),
-        so a document page shared by several queries is materialized once per
-        shard while every query is still billed its own senses.  Returns the
-        chunks stacked like ``ranked`` (empty when documents are not fetched).
-
-        A shard dying at this barrier loses its document reads.  A winner's
-        document address on a replica is recoverable without re-running the
-        rerank: the rerank's DADRs originate from the fine shortlist block,
-        so the replacement run :meth:`_rehome` finds for the winner carries
-        the replica-local DADR in its shortlist row.  The winners'
-        ``shards``/``dadrs`` are rewritten in place and the fetch goes to the
-        replicas; document bytes are replica-identical, so the returned
-        chunks match the healthy run.
+        A shard dying here loses its document reads: :meth:`_rehome` finds
+        each winner's replica-local DADR in a replacement's shortlist row,
+        ``shards`` / ``dadrs`` are rewritten in place and the fetch goes to
+        the replicas (document bytes are replica-identical).
         """
-        sdb = state.sdb
         dead = self._kill_at(state, "document")
         if dead is not None and state.fetch_documents:
             stranded = np.flatnonzero(ranked.shards == dead)
-            home_runs, home_rows = self._rehome(
+            home = self._rehome(
                 state, dead, ranked.queries[stranded], ranked.gids[stranded]
             )
-            for run_idx in np.unique(home_runs).tolist():
-                run = state.runs[run_idx]
-                moved = home_runs == run_idx
-                ranked.shards[stranded[moved]] = run.shard
-                ranked.dadrs[stranded[moved]] = run.shortlist.dadrs[home_rows[moved]]
+            ranked.shards[stranded] = state.shard_of_runs()[home.run_index]
+            ranked.dadrs[stranded] = home.dadrs
         runs = state.live_runs()
         if not state.fetch_documents:
             return []
         # A shard can host two runs (primary + failover): the fetch goes
-        # through the shard's first live run.
-        serving_run: Dict[int, _ShardRun] = {}
+        # through the shard's first live run holding winners.
+        serving: Dict[int, _ShardRun] = {}
         for run in runs:
-            serving_run.setdefault(run.shard, run)
-        for shard, run in serving_run.items():
-            mine = np.flatnonzero(ranked.shards == shard)
-            if not mine.size:
-                continue
-            # One group per query with winners here, in query order.
-            asking, starts = np.unique(ranked.queries[mine], return_index=True)
-            starts = starts.tolist() + [mine.size]
-            dadrs = ranked.dadrs[mine]
-            ctxs = [run.ctxs[qi] for qi in asking.tolist()]
-            outs, ledger = run.executor.engine._fetch_documents_batch(
-                run.db,
-                [dadrs[lo:hi] for lo, hi in zip(starts, starts[1:])],
-                [ctx.stats for ctx in ctxs],
+            serving.setdefault(run.shard, run)
+        holding = set(ranked.shards.tolist())
+        fetching = [run for shard, run in serving.items() if shard in holding]
+        position = np.full(self.n_shards, -1, dtype=np.int64)
+        position[[run.shard for run in fetching]] = np.arange(len(fetching))
+        cells = position[ranked.shards] * state.n_queries + ranked.queries
+        by_cell = np.argsort(cells, kind="stable")
+        if fetching:
+            fetching[0].engine._fetch_documents_batch(
+                fetching, cells[by_cell], ranked.dadrs[by_cell]
             )
-            ledger.queries = asking
-            run.ledgers["documents"] = ledger
-            for ctx, (_docs, host_s) in zip(ctxs, outs):
-                ctx.host_seconds += host_s
-        return [sdb.document_chunk(gid) for gid in ranked.gids.tolist()]
+        return state.sdb.document_chunks(ranked.gids)
 
     # -------------------------------------------------------- composition
 
@@ -1257,7 +1183,7 @@ class ShardRouter:
         """
         runs = state.runs
         n_queries = state.n_queries
-        devices = [run.bill(run.executor.engine) for run in runs]
+        devices = [run.bill() for run in runs]
         first_failover = sum(not run.failover for run in runs)
         latencies, report, phases, device_seconds = compose_batch(
             devices[:first_failover], devices[first_failover:],
@@ -1266,7 +1192,7 @@ class ShardRouter:
         retried = np.zeros(n_queries, dtype=np.int64)
         retried[state.retry_indices] = 1
         query_stats = sum_search_stats(
-            [[ctx.stats for ctx in run.ctxs] for run in runs],
+            [run.query_stats for run in runs],
             filter_retries=retried,
             clusters_probed=np.bincount(state.probe_queries, minlength=n_queries),
         )

@@ -127,3 +127,67 @@ def stream_visits(ttl, source, visits):
         source, np.repeat(queries, counts), dists, np.zeros_like(slots), slots,
         queries, counts,
     )
+
+
+def serve_warm_cached_cluster():
+    """A healthy 4-shard, 2-replica batch on warm cost-aware page caches.
+
+    Sixteen queries over 16 clusters after three warming batches: the
+    serving replicas are elected over several owners, every shard serves
+    its centroid page from the DRAM mirror, and the fine and TLC phases mix
+    mirror-served visits with NAND senses.  Returns ``(batch, shards)``.
+    """
+    import dataclasses
+
+    from repro.core.api import ShardedReisDevice
+    from repro.core.cache import CostAwarePolicy
+
+    vectors, _ = make_clustered_embeddings(800, 64, 16, seed="zipf-pin")
+    queries = make_queries(vectors, 24, seed="zipf-pin-q")
+    config = tiny_config("ZPIN")
+    config = dataclasses.replace(
+        config, geometry=dataclasses.replace(config.geometry, blocks_per_plane=64)
+    )
+    device = ShardedReisDevice(4, config, replication_factor=2)
+    db_id = device.ivf_deploy("pin", vectors, nlist=16, seed=0)
+    device.enable_page_cache(115_000, policy_factory=CostAwarePolicy)
+    for lo in (0, 8, 16):
+        device.ivf_search(db_id, queries[lo:lo + 8], k=4, nprobe=4)
+    hits = [shard.ssd.counters.as_dict()["dram_cache_hits"] for shard in device.shards]
+    batch = device.ivf_search(db_id, queries[4:20], k=4, nprobe=4)
+    served = [
+        shard.ssd.counters.as_dict()["dram_cache_hits"] - before
+        for shard, before in zip(device.shards, hits)
+    ]
+    assert all(n > 0 for n in served)
+    assert sum(n > len(batch) for n in served) >= 2  # fine hits on 2+ owners
+    return batch, device.shards
+
+
+def one_run(device, db, n_queries, codes=None):
+    """A device's share of an ``n_queries`` batch as the phase kernels take
+    it: fresh per-query stats and the given binary query ``codes`` (the
+    float queries are zeros; no kernel reads them but the rerank)."""
+    from repro.core.batch import BatchExecutor
+
+    run = BatchExecutor(device.engine).prepare(
+        db, np.zeros((n_queries, db.dim), dtype=np.float32)
+    )
+    run.codes = codes
+    return run
+
+
+def fetch_documents(device, db, dadrs_per_query):
+    """Fetch and decode each query's document slots through the device's
+    document phase: ``(documents per query, the run)``; the run carries
+    the per-query stats and host-transfer seconds the kernel billed."""
+    from repro.core.batch import BatchExecutor
+
+    counts = [len(dadrs) for dadrs in dadrs_per_query]
+    dadrs = np.concatenate([np.asarray(d, dtype=np.int64) for d in dadrs_per_query])
+    run = one_run(device, db, len(counts))
+    documents = BatchExecutor(device.engine)._fetch_documents(
+        run, np.arange(len(counts)).repeat(counts), dadrs
+    )
+    cuts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    return [documents[lo:hi] for lo, hi in zip(cuts, cuts[1:])], run

@@ -13,13 +13,17 @@ it bit-identical, so this module pins, for
   schedules), and
 * one 2-shard, 2-replica batch on warm DRAM page caches that loses a
   shard at the fine barrier (primary and failover devices in one
-  composition, mirror-served visits in the ledgers),
+  composition, mirror-served visits in the ledgers), and
+* one healthy 4-shard, 2-replica batch on warm cost-aware caches
+  (:func:`tests.conftest.serve_warm_cached_cluster`: replicas elected over
+  several owners, mirror-served visits on every shard),
 
 every query's ``repr(latency.total_s)`` and phase dict, the batch report,
 ``BatchStats.phases`` and ``ssd.counters.as_dict()`` per device.  Floats
 are compared exactly (JSON keeps a float's ``repr``).  The values in
 ``compose_pin.json`` were recorded before the TLC phases billed their
-executed senses and before the composer reduced all ledgers in one pass.
+executed senses and before the composer reduced all ledgers in one pass;
+the 4-shard values before the phase kernels served every shard at once.
 """
 
 import dataclasses
@@ -29,6 +33,7 @@ from pathlib import Path
 from repro.core.api import ReisDevice, ShardedReisDevice
 from repro.core.config import tiny_config
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
+from tests.conftest import serve_warm_cached_cluster
 
 PINNED_FILE = Path(__file__).with_name("compose_pin.json")
 
@@ -95,6 +100,10 @@ def observe_cached_shard_failover():
     return _observe(batch, device.shards)
 
 
+def observe_warm_cached_cluster():
+    return _observe(*serve_warm_cached_cluster())
+
+
 def test_filter_retry_composition_is_pinned():
     pinned = json.loads(PINNED_FILE.read_text())["filter_retry"]
     assert observe_filter_retry() == pinned
@@ -105,8 +114,14 @@ def test_cached_shard_failover_composition_is_pinned():
     assert observe_cached_shard_failover() == pinned
 
 
+def test_warm_cached_cluster_composition_is_pinned():
+    pinned = json.loads(PINNED_FILE.read_text())["warm_cached_cluster"]
+    assert observe_warm_cached_cluster() == pinned
+
+
 if __name__ == "__main__":  # re-record: python tests/test_compose_pin.py
     PINNED_FILE.write_text(json.dumps({
         "filter_retry": observe_filter_retry(),
         "shard_failover": observe_cached_shard_failover(),
+        "warm_cached_cluster": observe_warm_cached_cluster(),
     }, indent=1, sort_keys=True) + "\n")

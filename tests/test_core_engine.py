@@ -17,7 +17,7 @@ from repro.core.config import NO_OPT, OptFlags, tiny_config
 from repro.core.costing import PhaseLedger
 from repro.core.engine import InStorageAnnsEngine
 
-from tests.conftest import SMALL_DIM, SMALL_N, SMALL_NLIST
+from tests.conftest import SMALL_DIM, SMALL_N, SMALL_NLIST, one_run
 
 
 class TestEngineMatchesHostReference:
@@ -88,6 +88,7 @@ class TestPhaseKernelAgainstBruteForce:
         threshold = int(np.median(dists))
         tasks = tasks_from_ranges(
             region,
+            np.zeros(len(ranges), dtype=np.int64),
             np.array([r[0] for r in ranges]),
             np.array([r[1] for r in ranges]),
             np.array([r[2] for r in ranges]),
@@ -96,10 +97,11 @@ class TestPhaseKernelAgainstBruteForce:
         )
         entry_bytes = device.engine.params.fine_entry_bytes(db.code_bytes)
         ttl = TemporalTopList("e", entry_bytes, len(queries), 1000)
-        stats = [SearchStats() for _ in queries]
+        run = one_run(device, db, len(queries), codes)
+        stats = run.query_stats
         device.engine.scan_page_run(
-            db, tasks, False, codes, ttl,
-            PhaseLedger("fine", len(queries), device.engine.geometry), stats,
+            [run], [PhaseLedger("fine", len(queries), device.engine.geometry)],
+            tasks, False, ttl,
         )
         selection, bounds = ttl.select()
 
@@ -148,19 +150,20 @@ class TestPassFailChecker:
 
         def run(threshold, firsts, lasts):
             """Survivor slots and distances of query 0, plus its stats."""
+            zeros = np.zeros(len(firsts), dtype=np.int64)
             tasks = tasks_from_ranges(
-                db.embedding_region, np.zeros(len(firsts), dtype=np.int64),
+                db.embedding_region, zeros, zeros,
                 np.array(firsts), np.array(lasts), threshold, [None, None],
             )
             ttl = TemporalTopList("e", entry_bytes, 2, 1000)
-            stats = [SearchStats(), SearchStats()]
+            run = one_run(device, db, 2, codes)
             device.engine.scan_page_run(
-                db, tasks, False, codes, ttl,
-                PhaseLedger("fine", 2, device.engine.geometry), stats,
+                [run], [PhaseLedger("fine", 2, device.engine.geometry)],
+                tasks, False, ttl,
             )
             selection, bounds = ttl.select()
             block = selection.take(slice(bounds[0], bounds[1]))
-            return block.eadrs.tolist(), block.dists.tolist(), stats[0]
+            return block.eadrs.tolist(), block.dists.tolist(), run.query_stats[0]
 
         return run, dists[0]
 
@@ -298,8 +301,8 @@ class TestPhaseKernelAgainstLatchWalk:
             (2, 0, self.N - 1),
         ]
         tasks = tasks_from_ranges(
-            region, *(np.array(column) for column in zip(*ranges)),
-            threshold, [None] * 3,
+            region, np.zeros(len(ranges), dtype=np.int64),
+            *(np.array(column) for column in zip(*ranges)), threshold, [None] * 3,
         )
         rows = list(zip(*(
             column.tolist()
@@ -333,9 +336,9 @@ class TestPhaseKernelAgainstLatchWalk:
         entry_bytes = device.engine.params.fine_entry_bytes(db.code_bytes)
         ttl = TemporalTopList("e", entry_bytes, len(codes), 10**6)
         device.engine.scan_page_run(
-            db, tasks, False, codes, ttl,
-            PhaseLedger("fine", len(codes), device.engine.geometry),
-            [SearchStats() for _ in codes],
+            [one_run(device, db, len(codes), codes)],
+            [PhaseLedger("fine", len(codes), device.engine.geometry)],
+            tasks, False, ttl,
         )
 
         # Every query received its in-window survivors, nearest first with
@@ -662,7 +665,7 @@ class TestMetadataFiltering:
 def _reference_select_cluster_block(engine, ttl_c, cost):
     """A query's coarse selection from its own one-query table."""
     cost.core_seconds += engine.ssd.cores.reis_core.quickselect(
-        int(ttl_c.sizes[0]), ttl_c.k
+        int(ttl_c.sizes[0]), ttl_c.ks[0]
     )
     return ttl_c.select()[0]
 
@@ -679,7 +682,7 @@ def _reference_resolve_cluster_block(db, block, stats):
 
 def _reference_select_shortlist(engine, ttl_e, cost):
     core = engine.ssd.cores.reis_core
-    cost.core_seconds += core.quickselect(int(ttl_e.sizes[0]), ttl_e.k)
+    cost.core_seconds += core.quickselect(int(ttl_e.sizes[0]), ttl_e.ks[0])
     return ttl_e.select()[0]
 
 
@@ -765,10 +768,11 @@ class TestBatchedSelectAgainstPerTtl:
 
         ledger = PhaseLedger("phase", self.N_QUERIES, engine.geometry)
         ttl = self._table(blocks, k)
+        run = one_run(device, db, self.N_QUERIES)
         if coarse:
-            block, bounds = engine.select_clusters(db, ttl, ledger)
+            block, bounds = engine.select_clusters([run], [ledger], ttl)
         else:
-            block, bounds = engine.select_nearest(ttl, ledger)
+            block, bounds = engine.select_nearest([run], [ledger], ttl)
         assert core.busy_seconds == reference_busy
         assert ledger.core_seconds == expected_costs
         assert [
@@ -783,5 +787,6 @@ class TestBatchedSelectAgainstPerTtl:
         )
         with pytest.raises(RuntimeError, match="cluster tag mismatch"):
             engine.select_clusters(
-                db, ttl, PhaseLedger("coarse", self.N_QUERIES, engine.geometry)
+                [one_run(device, db, self.N_QUERIES)],
+                [PhaseLedger("coarse", self.N_QUERIES, engine.geometry)], ttl,
             )

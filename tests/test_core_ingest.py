@@ -617,6 +617,14 @@ class TestTailPagesSitAtTranslate:
         self._assert_pages_hold(device, db, index, by_id, live.tolist())
 
 
+def _ranges(index, clusters):
+    """``index.slot_ranges`` as ``(first, last)`` pairs, in scan order."""
+    _owner, firsts, lasts = index.slot_ranges(
+        None if clusters is None else np.asarray(clusters, dtype=np.int64)
+    )
+    return list(zip(firsts.tolist(), lasts.tolist()))
+
+
 class TestMutableIndex:
     @pytest.fixture()
     def manager(self):
@@ -628,7 +636,7 @@ class TestMutableIndex:
         return device.ingest_manager(db_id)
 
     def test_deploy_time_ranges_are_contiguous_per_cluster(self, manager):
-        ranges = manager.index.slot_ranges(list(range(NLIST)))
+        ranges = _ranges(manager.index, list(range(NLIST)))
         assert len(ranges) == NLIST
         covered = sorted(ranges)
         assert covered[0][0] == 0
@@ -642,9 +650,9 @@ class TestMutableIndex:
         victims = members[victim_cluster]
         middle_id = int(victims[victims.size // 2])
         middle_slot = int(manager.index.eadr[middle_id])
-        n_before = len(manager.index.slot_ranges([victim_cluster]))
+        n_before = len(_ranges(manager.index, [victim_cluster]))
         manager.apply([MutationRequest(op="delete", entry_id=middle_id)])
-        ranges = manager.index.slot_ranges([victim_cluster])
+        ranges = _ranges(manager.index, [victim_cluster])
         assert len(ranges) == n_before + 1
         assert all(
             not (start <= middle_slot <= end) for start, end in ranges
@@ -803,7 +811,7 @@ class TestSlotRangesMatchTheWalk:
                     assert appended <= free
                     walk.replay(commit, manager.index)
             for clusters in subsets:
-                assert manager.index.slot_ranges(clusters) == walk.slot_ranges(
+                assert _ranges(manager.index, clusters) == walk.slot_ranges(
                     clusters
                 )
             assert manager.index.live_ids().tolist() == [

@@ -178,7 +178,7 @@ class TestTemporalTopList:
     @staticmethod
     def _table(dists_by_query, k, dram=None):
         """One page visit per query that has rows, as one kernel call."""
-        ttl = TemporalTopList("t", 10, len(dists_by_query), k, dram)
+        ttl = TemporalTopList("t", 10, len(dists_by_query), k, [dram])
         pages = [[dists] if dists else [] for dists in dists_by_query]
         return ttl, _feed(ttl, _number([pages])[0])
 
@@ -287,7 +287,7 @@ class TestTtlTableAgainstStreamingReference:
             [v[s:] for v, s in zip(query_visits, splits)],
         ])
         dram = InternalDram(10**6)
-        ttl = TemporalTopList("t", 4, len(query_visits), k, dram)
+        ttl = TemporalTopList("t", 4, len(query_visits), k, [dram])
         got = [_feed(ttl, visits) for visits in calls]
 
         expected_calls, sizes, peaks, selections = [[], []], [], [], []

@@ -332,6 +332,16 @@ class TestLogicalPlan:
         # The global probe count, not one shard's trimmed share of it.
         assert plan.nprobe == 4
 
+    def test_merge_fan_in_counts_only_live_shards(self):
+        # A dead shard ships no shortlist: the fan-in is the live shards
+        # holding a piece, not every deployed one.
+        vectors, _ = make_clustered_embeddings(400, 32, 8, seed="fan-in")
+        cluster = ShardedReisDevice(4, tiny_config("FAN-IN"), replication_factor=2)
+        db_id = cluster.ivf_deploy("fan-in", vectors, nlist=8, seed=0)
+        cluster.kill_shard(1)
+        plan = cluster.router.plan(cluster.database(db_id), k=5, nprobe=4)
+        assert plan.merge_fan_in == 3
+
     def test_single_device_plan_has_no_merge(self, sharded_pair):
         # The merge is host-side plan data: only the router's logical
         # plan carries it, never a plan a device executes.
@@ -546,18 +556,20 @@ def _reference_compose_phase(cost, timing, flags, ecc_decode_seconds_per_byte=0.
     return total, components
 
 
-def _reference_solo_report(engine, ctx, ledgers, qi):
-    """Query ``qi``'s solo report from its context and the phase ledgers of
-    the device that served it, read per query (``query_cost``)."""
+def _reference_solo_report(run, qi):
+    """Query ``qi``'s solo report from the run of the device that served
+    it: its IBC and host seconds and the phase ledgers, read per query
+    (``query_cost``)."""
     from repro.sim.latency import LatencyReport
     from tests.cost_reference import query_cost
 
+    engine, host_seconds = run.engine, float(run.host_seconds[qi])
     ecc_rate = engine.ssd.ecc.decode_time(1)
     report = LatencyReport()
-    report.add_component("ibc", ctx.ibc_seconds)
-    report.add_phase("ibc", ctx.ibc_seconds)
-    report.total_s += ctx.ibc_seconds
-    for name, ledger in ledgers.items():
+    report.add_component("ibc", run.ibc_seconds)
+    report.add_phase("ibc", run.ibc_seconds)
+    report.total_s += run.ibc_seconds
+    for name, ledger in run.ledgers.items():
         cost = query_cost(ledger, qi)
         if cost is None:  # the query did not run this phase
             continue
@@ -568,25 +580,26 @@ def _reference_solo_report(engine, ctx, ledgers, qi):
         report.add_phase(name, total)
         for component, seconds in components.items():
             report.add_component(component, seconds)
-    if ctx.host_seconds:
-        report.add_component("host_transfer", ctx.host_seconds)
-        report.add_phase("host", ctx.host_seconds)
-        report.total_s += ctx.host_seconds
+    if host_seconds:
+        report.add_component("host_transfer", host_seconds)
+        report.add_phase("host", host_seconds)
+        report.total_s += host_seconds
     return report
 
 
-def _reference_batch_report(engine, ctxs, stats, ledgers, scheduled_senses):
+def _reference_batch_report(run, stats, scheduled_senses):
     from repro.sim.latency import LatencyReport
     from tests.cost_reference import _reference_compose_batch_phase, replay
 
+    engine = run.engine
     ibc_seconds = 0.0
     host_seconds = 0.0
-    for ctx in ctxs:
-        ibc_seconds += ctx.ibc_seconds
-        host_seconds += ctx.host_seconds
-        stats.cache_hits += ctx.stats.cache_hits
+    for query_stats, query_host_seconds in zip(run.query_stats, run.host_seconds.tolist()):
+        ibc_seconds += run.ibc_seconds
+        host_seconds += query_host_seconds
+        stats.cache_hits += query_stats.cache_hits
     # The per-query objects the parent's kernels filled, one visit at a time.
-    phase_costs = {name: replay(ledger) for name, ledger in ledgers.items()}
+    phase_costs = {name: replay(ledger) for name, ledger in run.ledgers.items()}
     ecc_rate = engine.ssd.ecc.decode_time(1)
     report = LatencyReport()
     report.add_component("ibc", ibc_seconds)
@@ -666,18 +679,11 @@ def _reference_compose(state, merge_breakdown):
     reports = []
     for qi in range(n_queries):
         report = _reference_merge_reports(
-            [_reference_solo_report(
-                run.executor.engine, run.ctxs[qi], run.ledgers, qi
-            ) for run in primary],
+            [_reference_solo_report(run, qi) for run in primary],
             per_query_merge,
         )
         if failover:
-            fo = max(
-                _reference_solo_report(
-                    run.executor.engine, run.ctxs[qi], run.ledgers, qi
-                ).total_s
-                for run in failover
-            )
+            fo = max(_reference_solo_report(run, qi).total_s for run in failover)
             report.add_phase("failover", fo)
             report.add_component("failover_recovery", fo)
             report.total_s += fo
@@ -688,7 +694,7 @@ def _reference_compose(state, merge_breakdown):
     failover_total = 0.0
     for run, stats in zip(runs, run_stats):
         report = _reference_batch_report(
-            run.executor.engine, run.ctxs, stats, run.ledgers,
+            run, stats,
             {name: scheduled_senses(ledger) for name, ledger in run.ledgers.items()},
         )
         if run.failover:
@@ -850,27 +856,24 @@ class TestComposeAgainstPerCellReference:
             prepared.append(prepare(executor, *args, **kwargs))
             return prepared[-1]
 
-        def spy_scan(engine, db, tasks, coarse, *rest):
-            senses_of = scan(engine, db, tasks, coarse, *rest)
+        def spy_scan(engine, runs, ledgers, tasks, coarse, ttl):
+            senses_of = scan(engine, runs, ledgers, tasks, coarse, ttl)
             acc = senses.setdefault("coarse" if coarse else "fine", {})
-            for plane in senses_of.nonzero()[0].tolist():
-                acc[plane] = acc.get(plane, 0) + int(senses_of[plane])
+            [mine] = senses_of
+            for plane in mine.nonzero()[0].tolist():
+                acc[plane] = acc.get(plane, 0) + int(mine[plane])
             return senses_of
 
         monkeypatch.setattr(BatchExecutor, "prepare", spy_prepare)
         monkeypatch.setattr(InStorageAnnsEngine, "scan_page_run", spy_scan)
         batch = device.ivf_search(db_id, queries, k=self.K, nprobe=self.NPROBE)
         monkeypatch.undo()
-        ctxs, ledgers = prepared[-1].ctxs, prepared[-1].ledgers
-        for qi, (result, ctx) in enumerate(zip(batch, ctxs)):
-            _assert_reports_equal(
-                result.latency,
-                _reference_solo_report(device.engine, ctx, ledgers, qi),
-            )
-        stats = BatchStats(n_queries=len(ctxs))
+        run = prepared[-1]
+        for qi, result in enumerate(batch):
+            _assert_reports_equal(result.latency, _reference_solo_report(run, qi))
+        stats = BatchStats(n_queries=len(run.query_stats))
         _assert_reports_equal(
-            batch.batch_report,
-            _reference_batch_report(device.engine, ctxs, stats, ledgers, senses),
+            batch.batch_report, _reference_batch_report(run, stats, senses)
         )
         assert batch.batch_stats.phases == stats.phases
         assert batch.batch_stats.cache_hits == stats.cache_hits

@@ -4,6 +4,8 @@ These pin the monotonicity and bounding properties every timing layer
 must satisfy, independent of calibration constants.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,6 +243,7 @@ def tlc_visit_tables(draw):
         hit_nbytes=np.array(draw(st.lists(
             st.sampled_from([0, 0, 18592]), min_size=n_pages, max_size=n_pages
         ))),
+        cuts=[0, n_pages],
     )
     return n_queries, query, page_row, first_cw, last_cw, pages
 
@@ -260,9 +263,10 @@ class TestTlcKernelSchedule:
     @settings(max_examples=300, deadline=None)
     def test_derived_senses_equal_the_recorded_schedule(self, table):
         n_queries, query, page_row, first_cw, last_cw, pages = table
-        ledger = TLC_DEVICE.engine._bill_tlc_phase(
-            "rerank", query, page_row, first_cw, last_cw, pages,
+        [ledger] = TLC_DEVICE.engine._bill_tlc_phase(
+            "rerank", [SimpleNamespace(engine=TLC_DEVICE.engine)], [0, n_queries],
             [SearchStats() for _ in range(n_queries)],
+            query, page_row, first_cw, last_cw, pages,
         )
         assert ledger.senses.tolist() == derived_senses(ledger, *ledger.nand).tolist()
         assert int(ledger.senses.sum()) == int((pages.hit_nbytes == 0).sum())

@@ -22,9 +22,10 @@ from repro.core.api import ReisDevice
 from repro.core.config import EngineParams, tiny_config
 from repro.core.ingest import MutationRequest
 from repro.core.layout import DatabaseDeployer
-from repro.core.plan import SearchStats
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.rag.embeddings import make_clustered_embeddings
+
+from tests.conftest import fetch_documents
 
 SETTINGS = settings(
     max_examples=10,
@@ -107,9 +108,7 @@ class TestPackedRoundtrip:
         # Decode through the flash payloads, not the corpus shortcut.
         db.corpus = None
         dadrs = np.arange(n, dtype=np.int64)
-        [(documents, _host_s)], _ledger = device.engine._fetch_documents_batch(
-            db, [dadrs], [SearchStats()]
-        )
+        [documents], _run = fetch_documents(device, db, [dadrs])
         by_id = {doc.chunk_id: doc.text for doc in documents}
         for chunk in corpus:
             assert by_id[chunk.chunk_id] == chunk.text
@@ -121,9 +120,7 @@ class TestPackedRoundtrip:
         db = device.database(db_id)
         # 32-byte synthetic blobs pack at the 64B floor.
         assert db.document_region.item_bytes == 64
-        [(documents, _host_s)], _ledger = device.engine._fetch_documents_batch(
-            db, [np.arange(30, dtype=np.int64)], [SearchStats()]
-        )
+        [documents], _run = fetch_documents(device, db, [np.arange(30)])
         assert sorted(doc.text for doc in documents) == sorted(
             f"chunk-{i}" for i in range(30)
         )

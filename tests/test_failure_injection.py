@@ -10,10 +10,11 @@ import pytest
 
 from repro.core.api import ReisDevice
 from repro.core.config import tiny_config
-from repro.core.plan import SearchStats
 from repro.nand.cell import CellMode, RELIABILITY, ReliabilityProfile
 from repro.nand.ecc import EccConfig, EccEngine, UncorrectableReadError
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
+
+from tests.conftest import fetch_documents
 
 
 class TestEccBeyondCapability:
@@ -105,9 +106,7 @@ class TestUncorrectableTlcRead:
         device, db_id, _ = self._worn_out_device(monkeypatch, small_vectors)
         db = device.database(db_id)
         with pytest.raises(UncorrectableReadError) as excinfo:
-            device.engine._fetch_documents_batch(
-                db, [np.arange(3)], [SearchStats()]
-            )
+            fetch_documents(device, db, [np.arange(3)])
         assert excinfo.value.region == db.document_region.name
         assert excinfo.value.page_offset == 0
 

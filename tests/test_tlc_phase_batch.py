@@ -23,6 +23,8 @@ The two TLC phases run as phase kernels -- the solo path is a phase of one
   rerank/documents phase entry per batch.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -32,7 +34,6 @@ from repro.core.batch import BatchExecutor
 from repro.core.config import tiny_config
 from repro.core.engine import _TlcPages
 from repro.core.plan import SearchStats
-from repro.core.registry import TtlBlock
 from repro.host.profile import HostProfile
 from repro.nand.cell import CellMode
 from repro.nand.ecc import EccEngine
@@ -41,7 +42,7 @@ from repro.nand.plane import Plane
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
-from tests.conftest import sense_one
+from tests.conftest import fetch_documents, one_run, sense_one
 from tests.cost_reference import replay
 from tests.ecc_reference import PageByPageEcc
 
@@ -284,22 +285,25 @@ class TestCorrectBatchEquivalence:
 
 
 def _pages(plane_of, channel_of, page_id_of, cached):
-    """Hand-built billing columns (the page bytes are not billing's business)."""
+    """Hand-built billing columns of one device (the page bytes are not
+    billing's business)."""
     return _TlcPages(
         np.empty((len(plane_of), 0), dtype=np.uint8),
         np.asarray(plane_of), np.asarray(channel_of), np.asarray(page_id_of),
-        np.where(cached, 16384 + 2208, 0),
+        np.where(cached, 16384 + 2208, 0), [0, len(plane_of)],
     )
 
 
 def _bill(engine, rows, pages, n_queries):
-    """Run `_bill_tlc_phase` over (query, page row, first cw, last cw) rows."""
+    """Run `_bill_tlc_phase` over (query, page row, first cw, last cw) rows
+    of one device (a run, as the biller reads it, is its engine)."""
     seg, page_row, first_cw, last_cw = (
         np.array(col, dtype=np.int64) for col in zip(*rows)
     )
     stats = [SearchStats() for _ in range(n_queries)]
-    ledger = engine._bill_tlc_phase(
-        "probe", seg, page_row, first_cw, last_cw, pages, stats
+    [ledger] = engine._bill_tlc_phase(
+        "probe", [SimpleNamespace(engine=engine)], [0, n_queries], stats,
+        seg, page_row, first_cw, last_cw, pages,
     )
     # Per-query costs, read back through ``query_cost(ledger, q)`` and the
     # visit columns replayed one ``add_page`` / ``add_dram_stream`` at a time.
@@ -537,7 +541,10 @@ class TestTlcKernelsAgainstBruteForce:
             """Leave only page 0 of `region` resident: the rest will miss."""
             if warm_cache:
                 device.enable_page_cache(2 * (16384 + 2208))
-                engine._materialize_tlc_batch(region, np.zeros(1, np.int64), kind)
+                zero = np.zeros(1, np.int64)
+                engine._materialize_tlc_batch(
+                    [one_run(device, db, 1)], [region], zero, zero, kind
+                )
                 assert len(device.page_cache) == 1
 
         # Host mirror in slot order (a fresh deploy has RADR == DADR == slot).
@@ -547,38 +554,30 @@ class TestTlcKernelsAgainstBruteForce:
         sizes = rng.integers(0, 50, n_queries)
         sizes[0] = 50
         slots = [rng.choice(self.N, size, replace=False) for size in sizes]
-        shortlists = [
-            TtlBlock(
-                np.zeros(len(s), dtype=np.int64),
-                np.zeros((len(s), db.code_bytes), dtype=np.uint8),
-                radrs=s, dadrs=s,
-            )
-            for s in slots
-        ]
         mirror_page_zero(db.int8_region, "cluster")
-        rerank_stats = [SearchStats() for _ in range(n_queries)]
-        outs, _ledger = engine._rerank_batch(
-            db, queries, shortlists, [self.K] * n_queries, rerank_stats
-        )
+        run = one_run(device, db, n_queries)
+        cells = np.arange(n_queries).repeat(sizes)
+        radrs = np.concatenate(slots)
+        order, refined = engine._rerank_batch([run], queries, cells, radrs, radrs)
         winners = []
-        for qi, (distances, dadrs, radrs) in enumerate(outs):
+        for qi in range(n_queries):
+            mine = order[cells[order] == qi][: self.K]
             diff = slot_codes[slots[qi]].astype(np.int64) - query_codes[qi]
             exact = (diff * diff).sum(axis=1)
             top = np.argsort(exact, kind="stable")[: self.K]
-            assert distances.tolist() == exact[top].tolist()
-            assert radrs.tolist() == dadrs.tolist() == slots[qi][top].tolist()
-            winners.append(dadrs)
+            assert refined[mine].tolist() == exact[top].tolist()
+            assert radrs[mine].tolist() == slots[qi][top].tolist()
+            winners.append(radrs[mine])
 
         # Decode through the flash payloads, not the corpus shortcut.
         db.corpus = None
         mirror_page_zero(db.document_region, "document")
-        document_stats = [SearchStats() for _ in range(n_queries)]
-        fetched, _ledger = engine._fetch_documents_batch(db, winners, document_stats)
-        for dadrs, (documents, host_s) in zip(winners, fetched):
+        fetched, fetch_run = fetch_documents(device, db, winners)
+        for dadrs, documents, host_s in zip(winners, fetched, fetch_run.host_seconds):
             ids = db.slot_to_original[dadrs].tolist()
             assert [doc.chunk_id for doc in documents] == ids
             assert [doc.text for doc in documents] == [corpus[i].text for i in ids]
             assert (host_s > 0) == bool(len(dadrs))
-        for stats in (rerank_stats, document_stats):
+        for stats in (run.query_stats, fetch_run.query_stats):
             assert sum(s.pages_read for s in stats) > 0
             assert (sum(s.cache_hits for s in stats) > 0) == warm_cache
