@@ -10,13 +10,17 @@ serving hot path (a reintroduced per-query Python loop) costs well over
 
 A second, machine-speed-independent gate caps the *share* of host wall
 spent in the TLC phases (``host_rerank`` + ``host_documents``) at that
-point: the phase kernels (one sense run per plane into the page stack,
-in-place ECC, one columnar billing pass) hold it near 0.58 of a batch
-whose other phases bill through the cost ledger (0.45 of the slower batch
-that filled a cost object per page visit; 0.60 of that batch while every
-page was copied six times and billed through per-query loops), so a
-reintroduced per-query TLC walk trips it regardless of how fast the CI
-machine is.
+point: the phase kernels (one array read per shard into the page stack
+with one raw-bit-error draw, ECC from that read's flip column, one
+columnar billing pass) hold it near 0.59 of a batch whose other phases
+bill through the cost ledger.  At 10^4 entries a batch of 64 senses only
+80 TLC pages for 17,502 rerank and document rows, so the rows carry the
+share, not the senses: drawing the errors once per read instead of once
+per page moved it from 0.61-0.62 to 0.58-0.60 (0.58 with the per-page
+draws on a quieter box; 0.45 of the slower batch that filled a cost
+object per page visit; 0.60 of that batch while every page was copied
+six times and billed through per-query loops), so a reintroduced
+per-query TLC walk trips it regardless of how fast the CI machine is.
 
 A third, also machine-independent, caps the share of host wall the fine
 scan may take at that point: the per-plane phase kernel holds it near
@@ -117,37 +121,44 @@ TLC_SHARE_CEILING = 0.70
 # Measured host_fine / host_wall is 0.19-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 13,884 (python 3.11, numpy 2.4; 15,908 before a device batch
+# entries: 6,596 (python 3.11, numpy 2.4; 13,884 while every sensed TLC
+# page drew its own raw bit errors, 15,908 before a device batch
 # became the one-shard case of the cluster's phase kernels, 16,678 while
 # each phase ledger was reduced on its own and the TLC phases derived their
 # senses, 18,396 with one TTL object per query, 36,694 while every page
 # visit filled a per-query cost object, 60,230 while every query's
 # shortlist and report were also selected and composed one by one); x1.05.
 EVENTS_N_ENTRIES = 100_000
-SEARCH_EVENTS_CEILING = 14_579
-# Measured events of the batch-of-one search that follows it: 2,862
-# (python 3.11, numpy 2.4; 2,933 before the one-shard kernels, 3,128 with
-# per-ledger reductions, 3,194 with one TTL object per query); x1.05.
+SEARCH_EVENTS_CEILING = 6_926
+# Measured events of the batch-of-one search that follows it: 2,476
+# (python 3.11, numpy 2.4; 2,862 with per-page error draws, 2,933 before
+# the one-shard kernels, 3,128 with per-ledger reductions, 3,194 with one
+# TTL object per query); x1.05.
 # A batch of one pays every per-batch pass for one query, so fixed
 # per-batch work that batch 64 amortizes shows here first.
-SOLO_EVENTS_CEILING = 3_006
+SOLO_EVENTS_CEILING = 2_600
 # Measured tracemalloc peak of that point's ivf_deploy: 44.26 MB in a fresh
 # process, +-3 KB run to run, 43.2 MB after the gates above (python 3.11,
 # numpy 2.4; 206.19 MB with the whole-matrix build); x1.10.
 DEPLOY_PEAK_BYTES_CEILING = 48_690_000
-# Measured events of the fifth batch on the cached 4 x 2 cluster: 6,785
-# (python 3.11, numpy 2.4; 10,618-10,678 while every shard ran its own
-# phase kernels, 10,928 while replica election and the down-cluster check
-# asked each cluster's owners one call at a time, 11,960 with per-ledger
+# Measured events of the fifth batch on the cached 4 x 2 cluster: 6,234
+# (python 3.11, numpy 2.4; 6,785 with per-page error draws, 10,618-10,678
+# while every shard ran its own phase kernels, 10,928 while replica
+# election and the down-cluster check asked each cluster's owners one call
+# at a time, 11,960 with per-ledger
 # reductions, 13,421 with one TTL object per (shard, query), 14,353 while
 # the cache was driven one page at a time, 18,973 before the cost
 # ledger); x1.05.
 SHARD_WARM_BATCHES = 4
-SHARD_EVENTS_CEILING = 7_125
+SHARD_EVENTS_CEILING = 6_546
 # Measured events(8 shards) / events(1 shard) on the shard_scaling batch:
-# 12,367 / 4,749 = 2.60 with each phase kernel run once per barrier over
-# every shard's (shard, plane, page) table; x1.10.  Before it, with one
-# kernel call per shard: 25,772 / 6,448 = 4.00 (gated at 4.05, x1.10 of
+# 11,455 / 4,108 = 2.79 with one raw-bit-error draw and one ECC call per
+# shard's TLC read (the gate stays at 2.87, not raised: the one-shard count
+# fell by 641, the eight-shard one by 912, so the ratio rose); 12,367 /
+# 4,749 = 2.60 with per-page error draws, the first count with each phase
+# kernel run once per barrier over every shard's (shard, plane, page)
+# table; x1.10.  Before it, with one kernel call per shard: 25,772 /
+# 6,448 = 4.00 (gated at 4.05, x1.10 of
 # 28,120 / 7,634 = 3.68 read with per-ledger reductions); 26,099 / 6,768
 # = 3.86 before the owner-table election; 34,429 / 8,530 = 4.04 with one
 # TTL object per (shard, query); 34,453 / 8,533 = 4.04 with the per-page

@@ -28,11 +28,11 @@ used by the paper-scale analytic model, letting tests cross-validate the
 two layers.
 
 The list is what the hardware does per (query, page); the simulator runs
-it at the coarsest grain that leaves results, traces, counters, latch
-contents and error streams as that walk would: steps 2-4 per *plane* (one
-sense run, one stacked XOR + popcount -- ESP-SLC's raw BER of 0 makes a
-sensed page its stored bytes), steps 5-9 per *phase*, and only the TLC
-error draws per page, because they pin each plane's RNG stream.
+it at the coarsest grain that leaves results, traces, counters and latch
+contents as that walk would: steps 2-4 per *plane* (one sense run, one
+stacked XOR + popcount -- ESP-SLC's raw BER of 0 makes a sensed page its
+stored bytes) and steps 5-9 per *phase*, the TLC pages' raw bit errors
+included (one draw per array read, from the device's one error stream).
 
 The phase kernels here serve every shard of a batch at once (one
 drive is the one-shard case); the drivers that string them into a
@@ -581,8 +581,8 @@ class InStorageAnnsEngine:
         ``regions[shard_of_row[i]]``.  Per shard, each distinct page is
         looked up in its DRAM mirror once (ascending page order); misses
         are sensed *straight into their stack rows* in first-touch order
-        (one run per plane: the order pins its error-injection RNG stream),
-        ECC-corrected there by one :meth:`EccEngine.correct_batch` call and
+        (one :meth:`FlashArray.read_pages`: a run per plane, one error
+        draw), ECC-corrected there from the read's flip column and
         admitted, and hits copy the mirror's golden bytes after them.  A
         codeword past the correction capability raises
         :class:`UncorrectableReadError` before its shard admits anything.
@@ -614,24 +614,20 @@ class InStorageAnnsEngine:
                 region.region.translate_columns(offsets, self.geometry)
             )
             out = stack[lo:hi]
-            sensed = ssd.array.read_pages(
-                plane_of[:n_sensed].tolist(), block_of[:n_sensed].tolist(),
-                page_of[:n_sensed].tolist(), out=out[:n_sensed],
-            )
-            uncorrectable = ssd.ecc.uncorrectable_codewords
-            ssd.ecc.correct_batch(out[:n_sensed], sensed.golden, sensed.flipped)
-            if ssd.ecc.uncorrectable_codewords != uncorrectable:
-                bad = next(
-                    row for row, golden in enumerate(sensed.golden)
-                    if not np.array_equal(out[row], golden)
+            if n_sensed:
+                sensed = ssd.array.read_pages(
+                    plane_of[:n_sensed].tolist(), block_of[:n_sensed].tolist(),
+                    page_of[:n_sensed].tolist(), out=out[:n_sensed],
                 )
-                raise UncorrectableReadError(region.name, int(offsets[bad]))
+                bad = ssd.ecc.correct_batch(sensed.data, sensed.flips)
+                if bad.size:
+                    raise UncorrectableReadError(region.name, int(offsets[bad[0]]))
             if n_sensed < hi - lo:  # mirror-served rows: one gather
                 hits, _oob = cache.gather(rows_u[order[n_sensed:]])
                 out[n_sensed:] = hits[:, : out.shape[1]]
-            if cache is not None:
+            if n_sensed and cache is not None:
                 # Freshly-sensed pages are now golden (ECC-corrected): mirror them.
-                cache.admit_pages(region, offsets[:n_sensed], kind, out[:n_sensed], sensed.oob)
+                cache.admit_pages(region, offsets[:n_sensed], kind, sensed.data, sensed.oob)
             row_of[lo + order] = np.arange(lo, hi)
             columns[:, lo:hi] = plane_of, channel_of, page_id_of, nbytes_u[order]
         return _TlcPages(stack, *columns, cuts), row_of[inverse]

@@ -449,12 +449,11 @@ class IngestManager:
         g = self.geometry
         page_offsets, slot_in_page = np.divmod(slots, region.slots_per_page)
         touched, row_of = np.unique(page_offsets, return_inverse=True)
+        addresses = np.array(region.region.translate_columns(touched, g)[:3]).T
+        planes = self.ssd.array.planes
         pages = np.empty((touched.size, g.page_bytes), dtype=np.uint8)
-        for row, page_offset in enumerate(touched.tolist()):
-            ppa = region.region.translate(page_offset, g)
-            pages[row], _ = self.ssd.array.plane(ppa).golden_view(
-                ppa.block, ppa.page
-            )
+        for row, (plane, block, page) in enumerate(addresses.tolist()):
+            pages[row], _ = planes[plane].golden_view(block, page)
         items = pages[:, : region.slots_per_page * region.item_bytes].reshape(
             touched.size, region.slots_per_page, region.item_bytes
         )

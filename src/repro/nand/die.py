@@ -15,7 +15,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.nand.errors import BitErrorModel
 from repro.nand.plane import Plane
 from repro.sim.stats import CounterSet
 
@@ -42,7 +41,6 @@ class Die:
                 pages_per_block=pages_per_block,
                 page_bytes=page_bytes,
                 oob_bytes=oob_bytes,
-                error_model=BitErrorModel(seed=(die_id, i)),
                 counters=self.counters,
             )
             for i in range(planes_per_die)

@@ -11,9 +11,13 @@ by the timing layer (and by the REIS-ASIC comparison point of Sec. 6.3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+
+from repro.nand.errors import Flips
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS.setflags(write=False)
 
 
 class UncorrectableReadError(RuntimeError):
@@ -32,28 +36,6 @@ class UncorrectableReadError(RuntimeError):
         self.page_offset = page_offset
 
 
-def _diff_bytes(raw: np.ndarray, golden: np.ndarray) -> np.ndarray:
-    """Indices of bytes where ``raw`` and ``golden`` differ, ascending.
-
-    Compares word-at-a-time when the layout allows it (a page compare is
-    8x fewer elements that way), falling back to the byte compare for odd
-    sizes or non-contiguous inputs.
-    """
-    if (
-        raw.ndim == 1
-        and raw.size % 8 == 0
-        and raw.size > 0
-        and raw.flags.c_contiguous
-        and golden.flags.c_contiguous
-    ):
-        words = np.flatnonzero(raw.view(np.uint64) != golden.view(np.uint64))
-        if words.size == 0:
-            return words
-        spread = (words[:, None] * 8 + np.arange(8)).ravel()
-        return spread[raw[spread] != golden[spread]]
-    return np.flatnonzero(raw != golden)
-
-
 @dataclass(frozen=True)
 class EccConfig:
     """Parameters of the controller ECC engine."""
@@ -67,13 +49,14 @@ class EccConfig:
 
 
 class EccEngine:
-    """Corrects raw page data against its golden copy, within capability.
+    """Corrects sensed pages from the flips the read injected, within
+    capability.
 
-    The functional simulator knows the originally-programmed ("golden") data,
-    so correction is modeled as: for each codeword, if the number of flipped
-    bits is within the correction capability, restore the golden bytes;
-    otherwise the codeword stays corrupt and is reported as an uncorrectable
-    error.
+    The functional simulator knows every bit error it injected (the read's
+    flip column, :data:`~repro.nand.errors.Flips`), so correction is
+    modeled as: for each codeword, if the number of flipped bits is within
+    the correction capability, undo its flips; otherwise the codeword stays
+    corrupt and is reported as an uncorrectable error.
     """
 
     def __init__(self, config: EccConfig | None = None) -> None:
@@ -82,82 +65,52 @@ class EccEngine:
         self.corrected_bits = 0
         self.uncorrectable_codewords = 0
 
-    def correct_batch(
-        self,
-        raws: np.ndarray,
-        goldens: "Sequence[np.ndarray]",
-        candidate_bytes: "Sequence[np.ndarray | None] | None" = None,
-    ) -> np.ndarray:
-        """Correct a stack of pages in place, in one vectorized pass.
+    def correct_batch(self, raws: np.ndarray, flips: Flips) -> np.ndarray:
+        """Correct a stack of sensed pages in place, in one vectorized pass;
+        return the rows that still hold an uncorrectable codeword
+        (ascending; empty when every codeword was corrected).
 
-        ``raws`` is an ``(n_pages, page_bytes)`` ``uint8`` stack and
-        ``goldens`` one golden page per row (views of the stored pages, or
-        a stack).  ``candidate_bytes`` optionally carries one per-page hint
-        array: a superset of the byte positions where the row differs from
-        golden (the error injector reports where it flipped bits), which
-        skips the full-page comparison; a ``None`` entry, or no hints at
-        all, falls back to that comparison for the page.  Raw errors are
-        sparse, so only the flipped bytes are popcounted, binned per
-        codeword -- never a full-page bit expansion.  A codeword within
-        the correction capability gets its golden bytes restored *inside*
-        ``raws`` (only flipped bytes differ from golden, so restoring them
-        restores the codeword) and its flips added to ``corrected_bits``;
-        one past it stays corrupt and counts one
+        ``raws`` is the ``(n_pages, page_bytes)`` ``uint8`` stack a read
+        sensed and ``flips`` its flip column: flat stack byte positions
+        and one bit mask per injected flip.  The positions are deduped and
+        each byte's error pattern rebuilt as the XOR of its masks (a bit
+        hit twice cancels); the patterns' popcounts are binned per codeword
+        with one ``bincount`` -- codewords never straddle pages, and a
+        page narrower than a codeword multiple ends on a short one.  A
+        codeword within the correction capability gets its patterns XORed
+        back out *inside* ``raws`` and its flips added to
+        ``corrected_bits``; one past it stays corrupt and counts one
         ``uncorrectable_codewords``.  Every row adds its bytes to
-        ``decoded_bytes``.  Returns ``raws``.
+        ``decoded_bytes``.
         """
         if raws.ndim != 2:
             raise ValueError("correct_batch expects (n_pages, page_bytes)")
-        n_pages, page_bytes = raws.shape
-        if len(goldens) != n_pages or any(
-            golden.shape != (page_bytes,) for golden in goldens
-        ):
-            raise ValueError("raw/golden shape mismatch")
         self.decoded_bytes += int(raws.size)
-        # Candidate (page, byte) pairs and the golden byte at each one.
-        rows, cols, wanted = [], [], []
-        for i, golden in enumerate(goldens):
-            hint = None if candidate_bytes is None else candidate_bytes[i]
-            if hint is None:
-                hint = _diff_bytes(raws[i], golden)
-            if hint.size:
-                rows.append(i)
-                cols.append(hint)
-                wanted.append(golden[hint])
-        if not rows:
-            return raws
-        sizes = [hint.size for hint in cols]
-        # A byte the injector hit twice is one candidate: dedupe on the
-        # flat (page, byte) position, golden bytes following along.
-        flat, first = np.unique(
-            np.repeat(np.asarray(rows) * page_bytes, sizes) + np.concatenate(cols),
-            return_index=True,
-        )
-        row, col = np.divmod(flat, page_bytes)
-        golden_bytes = np.concatenate(wanted)[first]
-        diff = np.bitwise_xor(raws[row, col], golden_bytes)
-        flipped = np.flatnonzero(diff)
-        if flipped.size == 0:
-            return raws
-        row, col, golden_bytes = row[flipped], col[flipped], golden_bytes[flipped]
+        positions, masks = flips
+        if positions.size == 0:
+            return _NO_ROWS
+        order = positions.argsort(kind="stable")
+        positions, masks = positions[order], masks[order]
+        head = np.empty(positions.size, dtype=bool)
+        head[0] = True
+        np.not_equal(positions[1:], positions[:-1], out=head[1:])
+        starts = head.nonzero()[0]
+        pattern = np.bitwise_xor.reduceat(masks, starts)
+        row, col = np.divmod(positions[starts], raws.shape[1])
         cw = self.config.codeword_bytes
-        # Codewords never straddle pages: a page narrower than a codeword
-        # multiple ends on a short one.
-        codeword = row * -(-page_bytes // cw) + col // cw
-        errors_per_codeword = np.bincount(
-            codeword, weights=np.bitwise_count(diff[flipped])
-        )
+        codeword = row * -(-raws.shape[1] // cw) + col // cw
+        errors_per_codeword = np.bincount(codeword, weights=np.bitwise_count(pattern))
         correctable = (
             errors_per_codeword <= self.config.correctable_bits_per_codeword
         )
         self.corrected_bits += int(errors_per_codeword[correctable].sum())
         if correctable.all():
-            raws[row, col] = golden_bytes
-        else:
-            self.uncorrectable_codewords += int((~correctable).sum())
-            keep = correctable[codeword]
-            raws[row[keep], col[keep]] = golden_bytes[keep]
-        return raws
+            raws[row, col] ^= pattern
+            return _NO_ROWS
+        self.uncorrectable_codewords += int((~correctable).sum())
+        keep = correctable[codeword]
+        raws[row[keep], col[keep]] ^= pattern[keep]
+        return np.unique(row[~keep])
 
     def decode_time(self, n_bytes: int) -> float:
         """Controller time to ECC-decode ``n_bytes``."""

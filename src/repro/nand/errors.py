@@ -9,59 +9,55 @@ functional simulator really does flip bits unless ECC runs.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.nand.cell import CellMode, reliability
 from repro.sim.rng import make_rng
 
-NO_FLIPS = np.empty(0, dtype=np.int64)
-NO_FLIPS.setflags(write=False)
+# The bit errors one read injected: flat byte positions into its page stack
+# and one single-bit ``uint8`` mask per flip, in draw order.  A position may
+# repeat (two flips in one byte; a bit hit twice cancels).
+Flips = Tuple[np.ndarray, np.ndarray]
+
+NO_FLIPS: Flips = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))
+NO_FLIPS[0].setflags(write=False)
+NO_FLIPS[1].setflags(write=False)
 
 _BIT_MASKS = (np.uint8(1) << np.arange(8, dtype=np.uint8)).astype(np.uint8)
 _BIT_MASKS.setflags(write=False)
 
 
 class BitErrorModel:
-    """Injects raw bit errors into page data according to the cell mode."""
+    """Injects raw bit errors into sensed pages according to their cell
+    mode: one per :class:`~repro.nand.array.FlashArray`, whose reads own
+    its one random stream."""
 
-    def __init__(self, seed: object = 0, enabled: bool = True) -> None:
+    def __init__(self, seed: object = 0) -> None:
         self._rng = make_rng("bit-errors", seed)
-        self.enabled = enabled
 
     def corrupt_traced(
-        self, data: np.ndarray, mode: CellMode, out: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``data`` with bit flips sampled at the mode's raw BER,
-        plus the byte indices where flips were injected.
+        self, stack: np.ndarray, rows: np.ndarray, mode: CellMode
+    ) -> Flips:
+        """Flip bits of rows ``rows`` of the C-contiguous ``(n_pages,
+        page_bytes)`` ``uint8`` ``stack``, in place, at ``mode``'s raw BER,
+        and return the flips.
 
-        ``data`` is a ``uint8`` array and is never modified in place.  The
-        returned index array is a superset of the bytes that actually
-        differ from ``data`` (two draws landing on the same bit cancel), so
-        it can seed a sparse ECC pass without a full-page comparison.  An
-        empty array guarantees the returned page equals ``data``.  The
-        noisy page is written into ``out`` when one is given (the caller's
-        destination row; same draws either way) and freshly allocated
-        otherwise.
+        One draw for the whole call: each row's flip count is
+        ``Binomial(8 * page_bytes, BER)`` (one ``binomial`` of
+        ``len(rows)``), the flipped bits are uniform over the row (one
+        ``integers`` for all of them) and one ``np.bitwise_xor.at`` applies
+        them to the flattened stack.
         """
-        if out is None:
-            corrupted = data.copy()
-        else:
-            corrupted = out
-            np.copyto(corrupted, data)
-        profile = reliability(mode)
-        if not self.enabled or profile.raw_ber <= 0.0:
-            return corrupted, NO_FLIPS
-        n_bits = data.size * 8
-        n_errors = self._rng.binomial(n_bits, profile.raw_ber)
-        if n_errors == 0:
-            return corrupted, NO_FLIPS
-        positions = self._rng.integers(0, n_bits, size=n_errors)
-        byte_idx = positions >> 3
-        np.bitwise_xor.at(corrupted, byte_idx, _BIT_MASKS[positions & 7])
-        return corrupted, byte_idx
-
-    def expected_errors(self, n_bytes: int, mode: CellMode) -> float:
-        """Expected number of raw bit errors in ``n_bytes`` of data."""
-        return n_bytes * 8 * reliability(mode).raw_ber
+        ber = reliability(mode).raw_ber
+        if ber <= 0.0 or rows.size == 0:
+            return NO_FLIPS
+        page_bytes = stack.shape[1]
+        n_bits = page_bytes * 8
+        counts = self._rng.binomial(n_bits, ber, size=rows.size)
+        bits = self._rng.integers(0, n_bits, size=int(counts.sum()))
+        positions = np.repeat(rows * page_bytes, counts) + (bits >> 3)
+        masks = _BIT_MASKS[bits & 7]
+        np.bitwise_xor.at(stack.reshape(-1), positions, masks)
+        return positions, masks

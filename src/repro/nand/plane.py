@@ -7,7 +7,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nand.cell import CellMode, reliability
-from repro.nand.errors import NO_FLIPS, BitErrorModel
 from repro.nand.latches import FailBitCounter, PageBuffer
 from repro.nand.page import FlashBlock, PageState
 from repro.sim.stats import CounterSet
@@ -15,27 +14,22 @@ from repro.sim.stats import CounterSet
 # Per-mode counter keys precomputed once: the read hot path increments one
 # of these for every sense and should not rebuild the string each time.
 _READ_COUNTER_KEYS = {mode: f"page_reads_{mode.timing_key}" for mode in CellMode}
-# Modes whose sensed bytes are the stored bytes (raw BER 0).  A tuple: its
-# ``in`` compares by identity, where hashing an Enum member calls Python.
-_ERROR_FREE_MODES = tuple(
-    mode for mode in CellMode if reliability(mode).raw_ber <= 0.0
-)
 
 
-class SenseRun(NamedTuple):
-    """What one :meth:`Plane.read_pages` run sensed, one item per page."""
+class PlaneRun(NamedTuple):
+    """What one :meth:`Plane.read_pages` run gathered, one item per page."""
 
-    data: List[np.ndarray]  # sensed bytes (raw bit errors included)
+    data: List[np.ndarray]  # the stored bytes, or the ``out`` rows holding them
     oob: List[np.ndarray]
-    golden: List[np.ndarray]  # stored bytes: the simulated ECC's reference
-    flipped: List[np.ndarray]  # byte indices the error model touched
+    modes: List[CellMode]  # each page's cell mode: its raw BER's key
 
 
 class Plane:
     """A plane: blocks of pages, one page buffer, peripheral logic.
 
-    Reads land in the sensing latch; raw bit errors are injected according to
-    the block's cell mode so that skipping ECC is only safe for ESP-SLC data.
+    A sense gathers stored bytes; the raw bit errors of a non-ESP read are
+    drawn over the whole read by the array (:meth:`FlashArray.read_pages`),
+    so skipping ECC is only safe for ESP-SLC data.
     """
 
     def __init__(
@@ -45,7 +39,6 @@ class Plane:
         pages_per_block: int,
         page_bytes: int,
         oob_bytes: int,
-        error_model: Optional[BitErrorModel] = None,
         counters: Optional[CounterSet] = None,
     ) -> None:
         self.plane_id = plane_id
@@ -57,11 +50,7 @@ class Plane:
         ]
         self.buffer = PageBuffer(page_bytes, oob_bytes)
         self.fail_bit_counter = FailBitCounter(self.buffer)
-        self._errors = error_model or BitErrorModel(seed=plane_id)
         self.counters = counters if counters is not None else CounterSet()
-        # Byte indices the error model touched on the most recent sense --
-        # a superset of the actually-flipped bytes, usable as an ECC hint.
-        self.last_flipped_bytes = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------ I/O
 
@@ -70,49 +59,42 @@ class Plane:
         blocks: Sequence[int],
         pages: Sequence[int],
         out: Optional[Sequence[np.ndarray]] = None,
-    ) -> SenseRun:
+    ) -> PlaneRun:
         """Sense a run of pages, in order: a plane's senses of one phase.
 
-        Every page draws its raw bit errors exactly as a sense of its own
-        would -- one ``binomial`` -> ``integers`` pair per noisy page, in
-        run order, which is what pins this plane's error stream -- while
-        everything a later sense overwrites happens once: the sensing
-        latch, the OOB latch and ``last_flipped_bytes`` are loaded with the
-        run's last page and the read counters advance by the run's counts.
-        The sensed data carries raw bit errors for non-ESP modes; callers
-        that need reliability must route it through the controller's ECC
-        (``golden`` is that ECC model's reference).  The OOB area is
-        modeled error-free for simplicity (on real chips the OOB carries
-        its own ECC parity).
-
-        ``out`` is a destination: page-wide ``uint8`` rows, one per page,
-        the sensed data is written into (and returned as).  Without it a
-        noisy page is a fresh array and a page in a raw-BER-0 mode is the
-        stored array itself, read-only -- sensed bytes *are* the stored
-        bytes there.
+        Per page the run only gathers: the page's stored bytes are copied
+        into its ``out`` row (page-wide ``uint8`` rows, one per page; the
+        rows are returned as the data) or, without ``out``, returned as the
+        stored arrays themselves, read-only.  Everything a later sense
+        overwrites happens once: the sensing and OOB latches are loaded
+        with the run's last page and the read counters advance by the
+        run's counts.  Raw bit errors are not this gather's: the array
+        draws them over a whole read, in the caller's rows, and the
+        controller's ECC takes them out (the latch keeps the stored bytes:
+        nothing computes on a latched page of a mode that needs ECC).  The
+        OOB area is modeled error-free (on real chips the OOB carries its
+        own ECC parity).
         """
         n = len(blocks)
-        datas, oobs, goldens = [None] * n, [None] * n, [None] * n
-        flipped, modes = [NO_FLIPS] * n, [None] * n
+        datas, oobs, modes = [None] * n, [None] * n, [None] * n
         for i, (block, page) in enumerate(zip(blocks, pages)):
             flash_block = self.blocks[block]
-            mode = modes[i] = flash_block.mode
+            modes[i] = flash_block.mode
             data, oobs[i] = flash_block.pages[page].raw_view()
-            goldens[i] = data
-            if out is not None or mode not in _ERROR_FREE_MODES:
-                data, flipped[i] = self._errors.corrupt_traced(
-                    data, mode, out=None if out is None else out[i]
-                )
+            if out is not None:
+                row = out[i]
+                row[...] = data
+                data = row
             datas[i] = data
         if n:
             self.buffer.load_sensing(datas[-1], oobs[-1])
-            self.last_flipped_bytes = flipped[-1]
             self.counters.add("page_reads", n)
-            while modes:  # one count per distinct mode of the run
-                mode = modes[0]
-                self.counters.add(_READ_COUNTER_KEYS[mode], modes.count(mode))
-                modes = [other for other in modes if other is not mode]
-        return SenseRun(datas, oobs, goldens, flipped)
+            counted = modes
+            while counted:  # one count per distinct mode of the run
+                mode = counted[0]
+                self.counters.add(_READ_COUNTER_KEYS[mode], counted.count(mode))
+                counted = [other for other in counted if other is not mode]
+        return PlaneRun(datas, oobs, modes)
 
     def golden_page(self, block: int, page: int) -> Tuple[np.ndarray, np.ndarray]:
         """Error-free page contents (for ECC reference and tests)."""

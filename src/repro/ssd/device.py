@@ -73,22 +73,21 @@ class SimulatedSSD:
     def host_read(self, lpa: int) -> np.ndarray:
         """Normal-mode host read: translate, sense, ECC-correct.
 
-        A page with a codeword past the correction capability raises
+        A read of one page through :meth:`FlashArray.read_pages`; a page
+        that needs ECC is corrected from the read's flip column, and one
+        with a codeword past the correction capability raises
         :class:`UncorrectableReadError` (region ``"host"``, page ``lpa``)
         instead of returning bytes that are not the written ones.
         """
         self._require_normal_mode()
         ppa = self.ftl.translate(lpa)
-        plane = self.array.plane(ppa)
-        if not plane.requires_ecc(ppa.block):
-            return plane.read_pages([ppa.block], [ppa.page]).data[0]
-        page = np.empty((1, plane.page_bytes), dtype=np.uint8)
-        sensed = plane.read_pages([ppa.block], [ppa.page], out=page)
-        uncorrectable = self.ecc.uncorrectable_codewords
-        self.ecc.correct_batch(page, sensed.golden, sensed.flipped)
-        if self.ecc.uncorrectable_codewords != uncorrectable:
-            raise UncorrectableReadError("host", lpa)
-        return page[0]
+        sensed = self.array.read_pages(
+            [ppa.plane_linear(self.spec.geometry)], [ppa.block], [ppa.page]
+        )
+        if self.array.plane(ppa).requires_ecc(ppa.block):
+            if self.ecc.correct_batch(sensed.data, sensed.flips).size:
+                raise UncorrectableReadError("host", lpa)
+        return sensed.data[0]
 
     def _require_normal_mode(self) -> None:
         if self.rag_mode:

@@ -63,10 +63,6 @@ class PageLevelFtl:
             self._p2l.pop(old.to_linear(self._array.geometry), None)
         return ppa
 
-    def read(self, lpa: int):
-        """Translate and read a logical page; returns (data, oob)."""
-        return self._array.read(self.translate(lpa))
-
     def lpa_of(self, ppa: PhysicalPageAddress) -> Optional[int]:
         """Reverse lookup used by garbage collection."""
         return self._p2l.get(ppa.to_linear(self._array.geometry))

@@ -1,38 +1,31 @@
-"""The per-page ECC corrector, kept as the test reference.
+"""The golden-page ECC corrector, kept as the test reference.
 
-Every read path corrects a stack of sensed pages with one
-:meth:`repro.nand.ecc.EccEngine.correct_batch` call.  The page-by-page
-corrector it replaced is kept here so the batch kernel can be pinned to it
-with ``==`` -- outputs and the engine's three counters.
+Every read path corrects its page stack with one
+:meth:`repro.nand.ecc.EccEngine.correct_batch` call, from the flips the
+read injected.  This reference corrects one page at a time against its
+golden copy instead -- it knows nothing of the flip column -- so the batch
+kernel can be pinned to it with ``==``: outputs and the engine's three
+counters.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nand.ecc import EccEngine, _diff_bytes
+from repro.nand.ecc import EccEngine
 
 
 class PageByPageEcc(EccEngine):
     """An :class:`EccEngine` that also corrects one page at a time."""
 
-    def correct(
-        self,
-        raw: np.ndarray,
-        golden: np.ndarray,
-        candidate_bytes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Return the corrected copy of ``raw`` (``candidate_bytes`` as in
-        :meth:`EccEngine.correct_batch`)."""
+    def correct(self, raw: np.ndarray, golden: np.ndarray) -> np.ndarray:
+        """Return the corrected copy of ``raw``: every codeword within the
+        capability replaced by its golden copy."""
         if raw.shape != golden.shape:
             raise ValueError("raw/golden shape mismatch")
         cw = self.config.codeword_bytes
         self.decoded_bytes += int(raw.size)
-        if candidate_bytes is None:
-            flipped = _diff_bytes(raw, golden)
-        else:
-            candidates = np.unique(candidate_bytes)
-            flipped = candidates[raw[candidates] != golden[candidates]]
+        flipped = np.flatnonzero(raw != golden)
         out = raw.copy()
         if flipped.size == 0:
             return out
@@ -49,3 +42,17 @@ class PageByPageEcc(EccEngine):
             else:
                 self.uncorrectable_codewords += 1
         return out
+
+
+def flip_column(raws: np.ndarray, bits_per_row) -> tuple:
+    """Flip ``bits_per_row[i]`` (bit indices within row ``i``, repeats
+    allowed) in the stack ``raws``, in place, and return the flip column an
+    injector would report: flat byte positions and bit masks."""
+    page_bytes = raws.shape[1]
+    bits = [np.asarray(b, dtype=np.int64) for b in bits_per_row]
+    counts = [b.size for b in bits]
+    bits = np.concatenate(bits) if bits else np.empty(0, dtype=np.int64)
+    positions = np.repeat(np.arange(len(counts)) * page_bytes, counts) + (bits >> 3)
+    masks = (np.uint8(1) << (bits & 7).astype(np.uint8)).astype(np.uint8)
+    np.bitwise_xor.at(raws.reshape(-1), positions, masks)
+    return positions.astype(np.int64), masks

@@ -324,8 +324,7 @@ class TestPhaseKernelAgainstLatchWalk:
                 )
         planes = [plane for _i, plane in device.ssd.array.iter_planes()]
         before = [
-            (plane.buffer.sensing.copy(), plane.buffer.oob.copy(),
-             plane.last_flipped_bytes)
+            (plane.buffer.sensing.copy(), plane.buffer.oob.copy())
             for plane in planes
         ]
         counters_before = device.ssd.counters.as_dict()
@@ -366,16 +365,13 @@ class TestPhaseKernelAgainstLatchWalk:
         # -- or what it held before, where the mirror served every request.
         for index, plane in enumerate(planes):
             assert plane.fail_bit_counter.invocations == extractions[index]
-            sensing, oob, flipped = before[index]
+            sensing, oob = before[index]
             if index in latched:
                 _page, data, page_oob = latched[index]
                 sensing = np.zeros_like(sensing)
                 sensing[: data.size] = data
                 oob = np.zeros_like(oob)
                 oob[: page_oob.size] = page_oob
-                assert plane.last_flipped_bytes.size == 0  # ESP-SLC: no flips
-            else:
-                assert plane.last_flipped_bytes is flipped
             assert np.array_equal(plane.buffer.sensing, sensing)
             assert np.array_equal(plane.buffer.oob, oob)
         if partly_cached:

@@ -15,16 +15,18 @@ from repro.nand.ecc import EccConfig, EccEngine, UncorrectableReadError
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
 from tests.conftest import fetch_documents
+from tests.ecc_reference import flip_column
 
 
 class TestEccBeyondCapability:
     def test_uncorrectable_errors_are_reported_not_hidden(self):
         engine = EccEngine(EccConfig(codeword_bytes=128, correctable_bits_per_codeword=4))
         golden = np.zeros(256, dtype=np.uint8)
-        raw = golden.copy()
-        raw[:16] = 0xFF  # 128 flips in codeword 0: far beyond capability
-        raw[200] = 0x01  # 1 flip in codeword 1: correctable
-        out = engine.correct_batch(raw[None], [golden])[0]
+        raw = golden.copy()[None]
+        # 128 flips in codeword 0 (far beyond capability), 1 in codeword 1.
+        flips = flip_column(raw, [[*range(128), 8 * 200]])
+        assert engine.correct_batch(raw, flips).tolist() == [0]  # row 0 is bad
+        out = raw[0]
         assert engine.uncorrectable_codewords == 1
         assert engine.corrected_bits == 1
         assert not np.array_equal(out[:128], golden[:128])  # still corrupt
@@ -109,6 +111,18 @@ class TestUncorrectableTlcRead:
             fetch_documents(device, db, [np.arange(3)])
         assert excinfo.value.region == db.document_region.name
         assert excinfo.value.page_offset == 0
+
+    def test_the_first_bad_page_in_read_order_is_named(self, monkeypatch, small_vectors):
+        """Every page of the read is past the capability: the error names
+        the first one the phase sensed (first-touch order), not the lowest
+        offset."""
+        device, db_id, _ = self._worn_out_device(monkeypatch, small_vectors)
+        db = device.database(db_id)
+        spp = db.document_region.slots_per_page
+        assert db.document_region.n_pages >= 3
+        with pytest.raises(UncorrectableReadError) as excinfo:
+            fetch_documents(device, db, [np.array([2 * spp, 0, spp])])
+        assert excinfo.value.page_offset == 2
 
 
 class TestCapacityExhaustion:

@@ -150,34 +150,36 @@ class TestCellModes:
 class TestBitErrorModel:
     def test_esp_reads_are_error_free(self):
         model = BitErrorModel(seed=1)
-        data = _data(size=4096)
-        out, flipped = model.corrupt_traced(data, CellMode.SLC_ESP)
-        assert np.array_equal(out, data) and flipped.size == 0
+        stack = _data(size=4096)[None].copy()
+        positions, masks = model.corrupt_traced(stack, np.array([0]), CellMode.SLC_ESP)
+        assert (stack == 0xAB).all() and positions.size == masks.size == 0
 
     def test_tlc_reads_flip_bits(self):
         model = BitErrorModel(seed=1)
-        data = np.zeros(1 << 16, dtype=np.uint8)
-        out, _flipped = model.corrupt_traced(data, CellMode.TLC)
-        flipped = int(np.unpackbits(out ^ data).sum())
-        expected = model.expected_errors(data.size, CellMode.TLC)
+        stack = np.zeros((1, 1 << 16), dtype=np.uint8)
+        model.corrupt_traced(stack, np.array([0]), CellMode.TLC)
+        flipped = int(np.bitwise_count(stack).sum())
+        expected = stack.size * 8 * reliability(CellMode.TLC).raw_ber
         assert flipped > 0
         assert flipped < 10 * expected
 
-    def test_input_never_modified(self):
+    def test_only_the_given_rows_are_touched(self):
         model = BitErrorModel(seed=2)
-        data = np.zeros(1 << 16, dtype=np.uint8)
-        model.corrupt_traced(data, CellMode.QLC)
-        assert (data == 0).all()
+        stack = np.zeros((3, 1 << 14), dtype=np.uint8)
+        positions, _masks = model.corrupt_traced(stack, np.array([0, 2]), CellMode.QLC)
+        assert not stack[1].any() and stack[0].any() and stack[2].any()
+        assert set((positions // stack.shape[1]).tolist()) == {0, 2}
 
-    def test_disabled_model_is_clean(self):
-        model = BitErrorModel(seed=1, enabled=False)
-        data = np.zeros(1 << 16, dtype=np.uint8)
-        assert np.array_equal(model.corrupt_traced(data, CellMode.QLC)[0], data)
+    @given(st.integers(1, 6), st.integers(0, 2**16))
+    def test_flip_column_reproduces_the_noisy_stack(self, n_rows, seed):
+        """The returned column is exactly what was applied: XORing it into
+        the clean stack gives the noisy one, and the flips per row are the
+        masks' popcount."""
+        model = BitErrorModel(seed=seed)
+        clean = np.random.default_rng(seed).integers(0, 256, (n_rows, 512)).astype(np.uint8)
+        noisy = clean.copy()
+        positions, masks = model.corrupt_traced(noisy, np.arange(n_rows), CellMode.QLC)
+        np.bitwise_xor.at(clean.reshape(-1), positions, masks)
+        assert np.array_equal(clean, noisy)
+        assert (np.bitwise_count(masks) == 1).all()
 
-    @given(st.integers(0, 2**16))
-    def test_expected_errors_scales_linearly(self, n_bytes):
-        model = BitErrorModel()
-        expected = model.expected_errors(n_bytes, CellMode.TLC)
-        assert expected == pytest.approx(
-            n_bytes * 8 * reliability(CellMode.TLC).raw_ber
-        )

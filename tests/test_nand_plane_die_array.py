@@ -4,15 +4,35 @@ import numpy as np
 import pytest
 
 from repro.nand.array import FlashArray
-from repro.nand.cell import CellMode
+from repro.nand.cell import CellMode, reliability
 from repro.nand.ecc import EccConfig, EccEngine
+from repro.nand.errors import NO_FLIPS
 from repro.nand.geometry import FlashGeometry, PhysicalPageAddress
 from repro.nand.plane import Plane
 from repro.nand.timing import NandTiming
 
 from tests.conftest import sense_one
+from tests.ecc_reference import flip_column
 
 GEOMETRY = FlashGeometry(page_bytes=2048, oob_bytes=128, subpage_bytes=512)
+
+
+def _tlc_array():
+    """An array with pages 0-2 of block 0 programmed in TLC (the default
+    mode: noisy reads) on planes 0, 3 and 5, and one ESP-SLC page on
+    plane 1."""
+    array = FlashArray(GEOMETRY)
+    rng = np.random.default_rng(7)
+    for plane_index in (0, 3, 5):
+        for page in range(3):
+            array.planes[plane_index].program_page(
+                0, page, rng.integers(0, 256, GEOMETRY.page_bytes).astype(np.uint8),
+            )
+    array.planes[1].blocks[0].set_mode(CellMode.SLC_ESP)
+    array.planes[1].program_page(
+        0, 0, rng.integers(0, 256, GEOMETRY.page_bytes).astype(np.uint8)
+    )
+    return array
 
 
 def make_plane(**kwargs):
@@ -38,13 +58,13 @@ class TestPlane:
         assert np.array_equal(read, data)  # ESP: zero raw BER
         assert np.array_equal(read_oob, oob)
 
-    def test_tlc_reads_may_be_noisy_but_golden_is_clean(self):
-        plane = make_plane()
-        data = np.zeros(2048, dtype=np.uint8)
-        plane.program_page(0, 0, data)
-        for _ in range(8):
-            sense_one(plane, 0, 0)
-        golden, _ = plane.golden_page(0, 0)
+    def test_tlc_reads_are_noisy_but_golden_is_clean(self):
+        array = FlashArray(GEOMETRY)
+        data = np.zeros(GEOMETRY.page_bytes, dtype=np.uint8)
+        array.planes[0].program_page(0, 0, data)
+        run = array.read_pages([0] * 64, [0] * 64, [0] * 64)
+        assert run.data.any()  # 64 TLC senses of a 2 KiB page: ~105 flips
+        golden, _ = array.planes[0].golden_page(0, 0)
         assert np.array_equal(golden, data)
 
     def test_requires_ecc_follows_mode(self):
@@ -106,7 +126,7 @@ class TestPlane:
         plane.program_page(0, 0, data)
         sense_one(plane, 0, 0)
         run = plane.read_pages([], [])
-        assert run.data == run.oob == run.golden == run.flipped == []
+        assert run.data == run.oob == run.modes == []
         assert np.array_equal(plane.buffer.sensing, data)
         assert plane.counters["page_reads"] == 1
 
@@ -121,7 +141,7 @@ class TestPlane:
         golden, _ = plane.golden_view(0, 0)
         assert np.shares_memory(run.data[0], golden)
         assert not run.data[0].flags.writeable
-        assert run.flipped[0].size == 0
+        assert run.modes == [CellMode.SLC_ESP]
         row = np.zeros(2048, dtype=np.uint8)
         sensed, _ = sense_one(plane, 0, 0, out=row)
         assert np.shares_memory(sensed, row)
@@ -241,8 +261,9 @@ class TestFlashArray:
         plane.blocks[0].set_mode(CellMode.SLC_ESP)
         data = np.full(GEOMETRY.page_bytes, 0x42, dtype=np.uint8)
         array.program(address, data)
-        read, _ = array.read(address)
-        assert np.array_equal(read, data)
+        run = array.read_pages([address.plane_linear(GEOMETRY)], [0], [0])
+        assert np.array_equal(run.data[0], data)
+        assert run.flips[0].size == 0  # ESP-SLC: nothing injected
 
     def test_counters_are_shared_across_planes(self):
         array = FlashArray(GEOMETRY)
@@ -253,77 +274,133 @@ class TestFlashArray:
         assert array.counters["page_programs"] == 2
 
     def test_read_pages_is_one_run_per_plane_in_the_order_given(self):
-        """Pages anywhere in the array, interleaved across planes, == a
-        run of one per page in the same order on a same-seed array: noisy
-        bytes, hints, latches, counters and every plane's error stream."""
-
-        def make_array():
-            array = FlashArray(GEOMETRY)
-            rng = np.random.default_rng(7)
-            for plane_index in (0, 3, 5):
-                for page in range(3):  # TLC (the default mode): noisy reads
-                    array.plane_by_index(plane_index).program_page(
-                        0, page,
-                        rng.integers(0, 256, GEOMETRY.page_bytes).astype(np.uint8),
-                    )
-            return array
-
+        """Pages anywhere in the array, interleaved across planes: each
+        plane gathers its pages as one run in the order given (its latch
+        ends on its last page; the counters equal per-plane runs), and
+        every row is its stored page XOR the read's one flip column."""
         planes = [3, 0, 3, 5, 0, 3, 5, 0]
         pages = [0, 1, 2, 0, 0, 0, 2, 1]
         blocks = [0] * len(planes)
-        single, grouped = make_array(), make_array()
+        single, grouped = _tlc_array(), _tlc_array()
         stack = np.zeros((len(planes), GEOMETRY.page_bytes), dtype=np.uint8)
         run = grouped.read_pages(planes, blocks, pages, out=stack)
-        for row, (plane_index, page) in enumerate(zip(planes, pages)):
-            plane = single.plane_by_index(plane_index)
-            data, oob = sense_one(plane, 0, page)
-            assert np.array_equal(stack[row], data)
-            assert np.shares_memory(run.data[row], stack[row])
-            assert np.array_equal(run.oob[row], oob)
-            assert np.array_equal(run.flipped[row], plane.last_flipped_bytes)
-            assert np.array_equal(run.golden[row], plane.golden_view(0, page)[0])
-        assert any(hint.size for hint in run.flipped)
-        assert grouped.read_pages([], [], []) == ([], [], [], [])  # nothing to sense
+        assert run.data is stack
+        goldens = [grouped.planes[p].golden_view(0, page) for p, page in zip(planes, pages)]
+        expected = np.stack([data for data, _oob in goldens])
+        positions, masks = run.flips
+        assert positions.size > 0
+        np.bitwise_xor.at(expected.reshape(-1), positions, masks)
+        assert np.array_equal(stack, expected)
+        for oob, (_data, golden_oob) in zip(run.oob, goldens):
+            assert np.array_equal(oob, golden_oob)
+        for plane_index in sorted(set(planes)):
+            mine = [page for p, page in zip(planes, pages) if p == plane_index]
+            single.planes[plane_index].read_pages([0] * len(mine), mine)
+            last = grouped.planes[plane_index].golden_view(0, mine[-1])[0]
+            assert np.array_equal(grouped.planes[plane_index].buffer.sensing, last)
         assert grouped.counters.as_dict() == single.counters.as_dict()
-        for (_i, a), (_j, b) in zip(single.iter_planes(), grouped.iter_planes()):
-            assert np.array_equal(a.buffer.sensing, b.buffer.sensing)
-            assert np.array_equal(a.last_flipped_bytes, b.last_flipped_bytes)
-            assert (
-                a._errors._rng.bit_generator.state
-                == b._errors._rng.bit_generator.state
-            )
+        empty = grouped.read_pages([], [], [])  # nothing to sense
+        assert empty.data.shape == (0, GEOMETRY.page_bytes) and empty.oob == []
+        assert empty.flips[0].size == empty.flips[1].size == 0
+        assert grouped.counters.as_dict() == single.counters.as_dict()
 
     def test_channel_transfer_time(self):
         array = FlashArray(GEOMETRY, NandTiming(channel_bandwidth_bps=1e9))
         assert array.channels[0].transfer(1e9) == pytest.approx(1.0)
 
 
+class TestReadErrorInjection:
+    """One error draw per `FlashArray.read_pages` call, from the array's
+    one stream: a different realization of the same per-page model."""
+
+    def test_same_call_sequence_same_flips(self):
+        a, b = _tlc_array(), _tlc_array()
+        calls = [
+            ([3, 0, 1, 5], [0, 0, 0, 0], [1, 2, 0, 0]),
+            ([0] * 5, [0] * 5, [0, 1, 2, 0, 1]),
+            ([1], [0], [0]),
+            ([5, 3, 0, 5, 3, 0], [0] * 6, [2, 2, 2, 1, 1, 1]),
+        ]
+        drawn = 0
+        for planes, blocks, pages in calls:
+            got, want = a.read_pages(planes, blocks, pages), b.read_pages(planes, blocks, pages)
+            assert np.array_equal(got.data, want.data)
+            for mine, theirs in zip(got.flips, want.flips):
+                assert np.array_equal(mine, theirs)
+            drawn += got.flips[0].size
+        assert drawn > 0
+
+    def test_flips_land_only_in_noisy_rows(self):
+        array = _tlc_array()
+        # ESP-SLC rows (plane 1) interleaved with TLC ones, many times over.
+        planes = [1, 0, 1, 3, 5, 1] * 20
+        pages = [0, 1, 0, 2, 0, 0] * 20
+        run = array.read_pages(planes, [0] * len(planes), pages)
+        page_bytes = GEOMETRY.page_bytes
+        noisy_rows = {i for i, p in enumerate(planes) if p != 1}
+        rows = run.flips[0] // page_bytes
+        assert rows.size > 0 and set(rows.tolist()) <= noisy_rows
+        for i, (p, page) in enumerate(zip(planes, pages)):
+            stored = array.planes[p].golden_view(0, page)[0]
+            if i not in noisy_rows:
+                assert np.array_equal(run.data[i], stored)
+        # Every mask is one bit.
+        assert (np.bitwise_count(run.flips[1]) == 1).all()
+
+    def test_a_read_mixing_noisy_modes_injects_and_corrects_each(self):
+        """A read over TLC and QLC pages draws each mode's rows at its own
+        BER into one flip column, and ECC restores every row from it."""
+        array = _tlc_array()
+        array.planes[5].blocks[1].set_mode(CellMode.QLC)
+        qlc = np.random.default_rng(9).integers(0, 256, GEOMETRY.page_bytes).astype(np.uint8)
+        array.planes[5].program_page(1, 0, qlc)
+        planes, blocks, pages = [5, 0, 1] * 30, [1, 0, 0] * 30, [0, 1, 0] * 30
+        run = array.read_pages(planes, blocks, pages)
+        per_row = np.bincount(run.flips[0] // GEOMETRY.page_bytes, minlength=len(planes))
+        qlc_rows, tlc_rows = per_row[0::3], per_row[1::3]
+        assert not per_row[2::3].any()  # ESP-SLC
+        assert qlc_rows.sum() > 5 * tlc_rows.sum() > 0  # BER 1e-3 vs 1e-4
+        ecc = EccEngine()
+        assert ecc.correct_batch(run.data, run.flips).size == 0
+        for row, (p, block, page) in enumerate(zip(planes, blocks, pages)):
+            assert np.array_equal(run.data[row], array.planes[p].golden_view(block, page)[0])
+
+    def test_mean_flips_per_page_is_bits_times_ber(self):
+        array = _tlc_array()
+        n = 4000
+        run = array.read_pages([0] * n, [0] * n, [0] * n)
+        per_page = np.bincount(run.flips[0] // GEOMETRY.page_bytes, minlength=n)
+        bits = 8 * GEOMETRY.page_bytes
+        ber = reliability(CellMode.TLC).raw_ber
+        sigma = np.sqrt(bits * ber * (1 - ber) / n)
+        assert abs(per_page.mean() - bits * ber) < 4 * sigma
+        assert per_page.var() > 0  # a count per page, not a constant
+
+
 class TestEccEngine:
     def test_corrects_within_capability(self):
         engine = EccEngine(EccConfig(codeword_bytes=64, correctable_bits_per_codeword=8))
         golden = np.zeros(128, dtype=np.uint8)
-        raw = golden.copy()
-        raw[0] ^= 0b00000111  # 3 flipped bits in codeword 0
-        out = engine.correct_batch(raw[None], [golden])[0]
-        assert np.array_equal(out, golden)
+        raw = golden.copy()[None]
+        flips = flip_column(raw, [[0, 1, 2]])  # 3 flipped bits in codeword 0
+        assert engine.correct_batch(raw, flips).size == 0
+        assert np.array_equal(raw[0], golden)
         assert engine.corrected_bits == 3
         assert engine.uncorrectable_codewords == 0
 
     def test_uncorrectable_codeword_stays_corrupt(self):
         engine = EccEngine(EccConfig(codeword_bytes=64, correctable_bits_per_codeword=2))
         golden = np.zeros(64, dtype=np.uint8)
-        raw = golden.copy()
-        raw[:8] = 0xFF  # 64 flipped bits >> capability
-        out = engine.correct_batch(raw[None], [golden])[0]
-        assert not np.array_equal(out, golden)
+        raw = golden.copy()[None]
+        flips = flip_column(raw, [range(64)])  # 64 flipped bits >> capability
+        assert engine.correct_batch(raw, flips).tolist() == [0]
+        assert not np.array_equal(raw[0], golden)
         assert engine.uncorrectable_codewords == 1
 
     def test_shape_mismatch_rejected(self):
         engine = EccEngine()
         with pytest.raises(ValueError):
-            engine.correct_batch(
-                np.zeros((1, 4), dtype=np.uint8), [np.zeros(8, dtype=np.uint8)]
-            )
+            engine.correct_batch(np.zeros(8, dtype=np.uint8), NO_FLIPS)
 
     def test_decode_time_linear(self):
         engine = EccEngine()

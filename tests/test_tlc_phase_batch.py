@@ -10,12 +10,14 @@ The two TLC phases run as phase kernels -- the solo path is a phase of one
 * **Billing vs a pure-Python reference** -- `_bill_tlc_phase` charges each
   query its own unique pages and (page, codeword) pairs, straddling
   codewords, cached pages and zero-length reads included;
-* **Sense in place** -- a `Plane.read_pages` run of one into a row draws
-  the same errors, leaves the same latch contents and counters as the
-  allocating run, and a run of N equals N runs of one;
-* **In-place ECC** -- :meth:`EccEngine.correct_batch` equals the per-page
-  loop of ``tests/ecc_reference.py``, outputs and counters, hinted and
-  unhinted, cancelling double flips and uncorrectable codewords included;
+* **Sense in place** -- a `Plane.read_pages` run is a gather: into rows
+  or not, a run of N equals N runs of one (stored bytes, latch contents,
+  counters); an array read into a caller's stack equals the allocating
+  read on a fresh array, flips included;
+* **In-place ECC** -- :meth:`EccEngine.correct_batch` from the flip column
+  equals the golden-page loop of ``tests/ecc_reference.py``, outputs,
+  reported rows and counters, cancelling double flips and uncorrectable
+  codewords included;
 * **Phase of N == N phases of one** -- ids, distances, decoded document
   text and the per-query energy counters (``page_reads_tlc``, ECC decoded
   bytes) do not depend on how queries are grouped;
@@ -35,16 +37,17 @@ from repro.core.config import tiny_config
 from repro.core.engine import _TlcPages
 from repro.core.plan import SearchStats
 from repro.host.profile import HostProfile
+from repro.nand.array import FlashArray
 from repro.nand.cell import CellMode
 from repro.nand.ecc import EccEngine
-from repro.nand.errors import BitErrorModel
+from repro.nand.errors import NO_FLIPS
 from repro.nand.plane import Plane
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
 from tests.conftest import fetch_documents, one_run, sense_one
 from tests.cost_reference import replay
-from tests.ecc_reference import PageByPageEcc
+from tests.ecc_reference import PageByPageEcc, flip_column
 
 SETTINGS = settings(
     max_examples=8,
@@ -156,65 +159,44 @@ class TestTlcBatchBitIdentity:
 
 
 class TestCorrectBatchEquivalence:
-    """`correct_batch` == per-page `correct`, outputs and counters."""
+    """`correct_batch` from the flip column == the golden-page reference,
+    outputs, the rows reported uncorrectable and the three counters."""
 
     @staticmethod
-    def _page_stack(n_pages, page_bytes, flips, seed):
-        """Golden pages plus raws with `flips[i]` flipped bits on page i."""
-        rng = np.random.default_rng(seed)
-        goldens = rng.integers(0, 256, size=(n_pages, page_bytes)).astype(
-            np.uint8
-        )
-        raws = goldens.copy()
-        hints = []
-        for i, n_flips in enumerate(flips):
-            positions = rng.choice(page_bytes, size=n_flips, replace=False)
-            for pos in positions:
-                raws[i, pos] ^= np.uint8(1 << int(rng.integers(0, 8)))
-            # Hints are a superset of the flipped bytes, like the error
-            # injector's report.
-            extra = rng.choice(page_bytes, size=2, replace=False)
-            hints.append(
-                np.unique(np.concatenate([positions, extra])).astype(np.int64)
-            )
-        return raws, goldens, hints
+    def _check(raws, goldens, flips):
+        solo, batch = PageByPageEcc(), EccEngine()
+        expected = [solo.correct(raws[i], goldens[i]) for i in range(len(raws))]
+        bad = batch.correct_batch(raws, flips)
+        for i, row in enumerate(expected):
+            assert np.array_equal(raws[i], row)
+        assert bad.tolist() == [
+            i for i, row in enumerate(expected) if not np.array_equal(row, goldens[i])
+        ]
+        assert batch.decoded_bytes == solo.decoded_bytes
+        assert batch.corrected_bits == solo.corrected_bits
+        assert batch.uncorrectable_codewords == solo.uncorrectable_codewords
+        return batch
 
     @given(
         st.tuples(
             st.integers(1, 6),  # pages
             st.sampled_from([2048, 4096, 8192]),  # page bytes (cw multiple)
-            st.booleans(),  # pass hints
             st.integers(0, 10**6),
         )
     )
     @SETTINGS
     def test_matches_per_page_loop(self, shape):
-        n_pages, page_bytes, hinted, seed = shape
+        n_pages, page_bytes, seed = shape
         rng = np.random.default_rng(seed)
+        goldens = rng.integers(0, 256, size=(n_pages, page_bytes)).astype(np.uint8)
+        raws = goldens.copy()
         # Mix of clean, lightly-corrupted and uncorrectable pages: 100
-        # flipped bytes can exceed the 72-bit capability of one codeword.
-        flips = rng.choice([0, 3, 10, 100], size=n_pages).tolist()
-        raws, goldens, hints = self._page_stack(
-            n_pages, page_bytes, flips, seed
-        )
-
-        solo, batch = PageByPageEcc(), EccEngine()
-        expected = np.stack(
-            [
-                solo.correct(
-                    raws[i], goldens[i],
-                    candidate_bytes=hints[i] if hinted else None,
-                )
-                for i in range(n_pages)
-            ]
-        )
-        got = batch.correct_batch(
-            raws, goldens, candidate_bytes=hints if hinted else None
-        )
-        assert np.array_equal(got, expected)
-        assert batch.decoded_bytes == solo.decoded_bytes
-        assert batch.corrected_bits == solo.corrected_bits
-        assert batch.uncorrectable_codewords == solo.uncorrectable_codewords
+        # flips in codeword 0 exceed the 72-bit capability.
+        bits = [
+            rng.integers(0, 8 * (2048 if n_flips == 100 else page_bytes), n_flips)
+            for n_flips in rng.choice([0, 3, 10, 100], size=n_pages).tolist()
+        ]
+        self._check(raws, goldens, flip_column(raws, bits))
 
     @given(
         st.lists(  # per page: bit positions the injector hits (may repeat)
@@ -229,59 +211,74 @@ class TestCorrectBatchEquivalence:
     )
     @SETTINGS
     def test_in_place_restore_matches_per_page(self, flip_sets, page_bytes, seed):
-        """Injector-shaped flip sets: a bit hit twice cancels (its byte is
-        still hinted), >72 flips in one codeword stay corrupt and are
-        counted, and an empty page list is a no-op."""
+        """Injector-shaped flip columns: a bit hit twice cancels (its
+        position repeats), >72 flips in one codeword stay corrupt and are
+        counted, a 3000-byte page ends on a short codeword, and an empty
+        stack is a no-op."""
         rng = np.random.default_rng(seed)
         n_pages = len(flip_sets)
         goldens = rng.integers(0, 256, size=(n_pages, page_bytes)).astype(np.uint8)
         raws = goldens.copy()
-        hints = []
-        for i, (bits, burst) in enumerate(flip_sets):
-            positions = np.concatenate(
-                [np.array(bits, dtype=np.int64), rng.integers(0, 8 * 2048, burst)]
-            )
-            np.bitwise_xor.at(
-                raws[i], positions >> 3,
-                (np.uint8(1) << (positions & 7).astype(np.uint8)),
-            )
-            hints.append(positions >> 3)
-
-        solo, batch = PageByPageEcc(), EccEngine()
-        expected = [
-            solo.correct(raws[i], goldens[i], candidate_bytes=hints[i])
-            for i in range(n_pages)
+        bits = [
+            np.concatenate([np.array(hits, dtype=np.int64), rng.integers(0, 8 * 2048, burst)])
+            for hits, burst in flip_sets
         ]
-        got = batch.correct_batch(raws, list(goldens), hints)
-        assert got is raws  # corrected in place
-        for i in range(n_pages):
-            assert np.array_equal(raws[i], expected[i])
-        assert batch.decoded_bytes == solo.decoded_bytes
-        assert batch.corrected_bits == solo.corrected_bits
-        assert batch.uncorrectable_codewords == solo.uncorrectable_codewords
+        self._check(raws, goldens, flip_column(raws, bits))
+
+    def test_a_bit_hit_twice_cancels(self):
+        """Bit 3 of byte 10 is hit twice (no error left), byte 10's bit 5
+        and byte 11's bit 0 once each, byte 12's bit 7 three times (one
+        error): the reference sees three flipped bits."""
+        rng = np.random.default_rng(5)
+        goldens = rng.integers(0, 256, size=(2, 4096)).astype(np.uint8)
+        raws = goldens.copy()
+        bits = [[], [83, 85, 83, 88, 103, 103, 103]]
+        batch = self._check(raws, goldens, flip_column(raws, bits))
+        assert batch.corrected_bits == 3
+
+    def test_corrected_bits_are_the_popcount_of_the_injected_pattern(self):
+        """On an array read: every row ECC does not report equals its
+        stored page, and ``corrected_bits`` is the popcount of the
+        injected pattern (the raw stack XOR the stored pages)."""
+        device = ReisDevice(tiny_config("ECC-POP"))
+        array = device.ssd.array
+        rng = np.random.default_rng(11)
+        planes, pages = [], []
+        for plane_index in range(array.geometry.total_planes):
+            for page in range(4):  # TLC (the default mode): noisy reads
+                array.planes[plane_index].program_page(
+                    0, page, rng.integers(0, 256, 16384).astype(np.uint8)
+                )
+                planes.append(plane_index)
+                pages.append(page)
+        order = rng.permutation(len(planes))
+        planes, pages = [planes[i] for i in order], [pages[i] for i in order]
+        run = array.read_pages(planes, [0] * len(planes), pages)
+        goldens = np.stack(
+            [array.planes[p].golden_view(0, page)[0] for p, page in zip(planes, pages)]
+        )
+        injected = int(np.bitwise_count(run.data ^ goldens).sum())
+        assert injected > 0
+        ecc = EccEngine()
+        assert ecc.correct_batch(run.data, run.flips).size == 0
+        assert np.array_equal(run.data, goldens)
+        assert ecc.corrected_bits == injected
+        assert ecc.decoded_bytes == goldens.size
 
     def test_empty_stack_is_a_noop(self):
         ecc = EccEngine()
-        out = ecc.correct_batch(
-            np.empty((0, 4096), dtype=np.uint8),
-            np.empty((0, 4096), dtype=np.uint8),
-        )
-        assert out.shape == (0, 4096)
+        bad = ecc.correct_batch(np.empty((0, 4096), dtype=np.uint8), NO_FLIPS)
+        assert bad.size == 0
         assert ecc.decoded_bytes == 0
 
-    def test_odd_page_width_falls_back_per_page(self):
-        # 3000 bytes is not a codeword multiple: each page ends on a short
-        # codeword, exactly as on the per-page path.
-        raws, goldens, hints = self._page_stack(3, 3000, [0, 5, 90], seed=7)
-        solo, batch = PageByPageEcc(), EccEngine()
-        expected = np.stack(
-            [solo.correct(raws[i], goldens[i]) for i in range(3)]
-        )
-        got = batch.correct_batch(raws, goldens)
-        assert np.array_equal(got, expected)
-        assert batch.decoded_bytes == solo.decoded_bytes
-        assert batch.corrected_bits == solo.corrected_bits
-        assert batch.uncorrectable_codewords == solo.uncorrectable_codewords
+    def test_clean_rows_are_decoded_not_touched(self):
+        ecc = EccEngine()
+        raws = np.arange(3 * 4096, dtype=np.uint64).astype(np.uint8).reshape(3, 4096)
+        before = raws.copy()
+        assert ecc.correct_batch(raws, NO_FLIPS).size == 0
+        assert np.array_equal(raws, before)
+        assert ecc.decoded_bytes == raws.size
+        assert ecc.corrected_bits == ecc.uncorrectable_codewords == 0
 
 
 def _pages(plane_of, channel_of, page_id_of, cached):
@@ -417,20 +414,16 @@ class TestBillTlcPhaseAgainstReference:
 
 
 class TestSenseInPlace:
-    """A run of one into a row is the allocating run written somewhere
-    else, and a run of N is N runs of one with the latch loaded once: the
-    per-plane error stream, latch contents and counters are pinned."""
+    """A plane sense is a gather: a run of N, into rows or not, is N runs
+    of one with the latch loaded once (stored bytes, latch contents and
+    counters are pinned), and an array read into a caller's stack is the
+    allocating read written somewhere else, flips included."""
 
     PAGE_BYTES, OOB_BYTES = 16384, 64
     # Interleaved ESP-SLC (block 0) and TLC (block 1) pages, with repeats.
     SEQUENCE = [(1, 0), (0, 0), (1, 1), (1, 0), (0, 2), (1, 2), (0, 1), (1, 1)]
 
-    def _make_plane(self):
-        plane = Plane(
-            0, blocks_per_plane=2, pages_per_block=3,
-            page_bytes=self.PAGE_BYTES, oob_bytes=self.OOB_BYTES,
-            error_model=BitErrorModel(seed="in-place"),
-        )
+    def _program(self, plane):
         plane.blocks[0].set_mode(CellMode.SLC_ESP)
         rng = np.random.default_rng(3)
         for block in range(2):
@@ -442,78 +435,82 @@ class TestSenseInPlace:
                 )
         return plane
 
-    def test_same_stream_latches_and_counters(self):
-        plain, in_place = self._make_plane(), self._make_plane()
-        stack = np.full((8, self.PAGE_BYTES), 0xAB, dtype=np.uint8)
-        n_flipped = 0
-        for row, (block, page) in enumerate(self.SEQUENCE):
-            data, oob = sense_one(plain, block, page)
-            got, got_oob = sense_one(in_place, block, page, out=stack[row])
-            assert got is not data and np.shares_memory(got, stack[row])
-            assert np.array_equal(stack[row], data)
-            assert np.array_equal(got_oob, oob)
-            assert np.array_equal(
-                in_place.last_flipped_bytes, plain.last_flipped_bytes
-            )
-            assert np.array_equal(in_place.buffer.sensing, plain.buffer.sensing)
-            assert np.array_equal(in_place.buffer.oob, plain.buffer.oob)
-            golden = plain.golden_view(block, page)[0]
-            if block == 0:  # ESP-SLC reads are error-free
-                assert np.array_equal(data, golden)
-            n_flipped += int((data != golden).sum())
-        assert n_flipped > 0  # the TLC reads really were noisy
-        assert in_place.counters.as_dict() == plain.counters.as_dict()
+    def _make_plane(self):
+        return self._program(Plane(
+            0, blocks_per_plane=2, pages_per_block=3,
+            page_bytes=self.PAGE_BYTES, oob_bytes=self.OOB_BYTES,
+        ))
+
+    def _make_array(self):
+        config = tiny_config("SENSE-IN-PLACE")
+        array = FlashArray(config.geometry, config.timing)
+        for plane in array.planes[:2]:
+            self._program(plane)
+        return array
 
     @pytest.mark.parametrize("into_rows", [True, False])
     def test_one_run_is_n_single_reads(self, into_rows):
-        """One `read_pages` over the sequence == a run of one per page on
-        a same-seed plane: bytes including flips, OOB, per-page
-        flipped-byte hints, the latch (the run's last page), counters and
-        the error RNG's state afterwards."""
+        """One `read_pages` over the sequence == a run of one per page:
+        the stored bytes (a plane sense injects no errors), OOB, modes, the
+        latch (the run's last page) and counters."""
         single, run_plane = self._make_plane(), self._make_plane()
         reads = [sense_one(single, block, page) for block, page in self.SEQUENCE]
-        hints = []
-        replay = self._make_plane()  # per-page hints need their own walk
-        for block, page in self.SEQUENCE:
-            sense_one(replay, block, page)
-            hints.append(replay.last_flipped_bytes)
-
         stack = np.full((8, self.PAGE_BYTES), 0xAB, dtype=np.uint8)
         blocks, pages = zip(*self.SEQUENCE)
         run = run_plane.read_pages(
             blocks, pages, out=list(stack) if into_rows else None
         )
-        n_flipped = 0
         for row, ((block, page), (data, oob)) in enumerate(zip(self.SEQUENCE, reads)):
-            golden = single.golden_view(block, page)[0]
-            assert np.array_equal(run.data[row], data)
+            golden, golden_oob = run_plane.golden_view(block, page)
+            assert np.array_equal(run.data[row], golden)
+            assert np.array_equal(data, golden)
             assert np.array_equal(run.oob[row], oob)
-            assert run.golden[row] is run_plane.golden_view(block, page)[0]
-            assert np.array_equal(run.golden[row], golden)
-            assert np.array_equal(run.flipped[row], hints[row])
+            assert np.array_equal(oob, golden_oob)
+            assert run.modes[row] is (CellMode.SLC_ESP if block == 0 else CellMode.TLC)
             if into_rows:
                 assert np.shares_memory(run.data[row], stack[row])
-                assert np.array_equal(stack[row], data)
-            elif block == 0:  # raw BER 0: the stored bytes, not a copy
-                assert run.data[row] is run.golden[row]
+            else:  # the stored bytes, not a copy
+                assert run.data[row] is golden
                 assert not run.data[row].flags.writeable
-            n_flipped += int((data != golden).sum())
-        assert n_flipped > 0
         assert np.array_equal(run_plane.buffer.sensing, single.buffer.sensing)
         assert np.array_equal(run_plane.buffer.oob, single.buffer.oob)
-        assert np.array_equal(run_plane.last_flipped_bytes, single.last_flipped_bytes)
         assert run_plane.counters.as_dict() == single.counters.as_dict()
-        assert (
-            run_plane._errors._rng.bit_generator.state
-            == single._errors._rng.bit_generator.state
-        )
+
+    def test_array_read_into_a_stack_is_the_allocating_read(self):
+        """`out=` is a destination, not a mode: same bytes, same flips,
+        same latches and counters on a fresh array given the same call."""
+        plain, in_place = self._make_array(), self._make_array()
+        planes = [i % 2 for i in range(len(self.SEQUENCE))]
+        blocks, pages = zip(*self.SEQUENCE)
+        stack = np.full((len(planes), self.PAGE_BYTES), 0xAB, dtype=np.uint8)
+        allocated = plain.read_pages(planes, blocks, pages)
+        written = in_place.read_pages(planes, blocks, pages, out=stack)
+        assert written.data is stack
+        assert np.array_equal(allocated.data, stack)
+        for got, want in zip(written.flips, allocated.flips):
+            assert np.array_equal(got, want)
+        assert written.flips[0].size > 0  # the TLC reads really were noisy
+        for got, want in zip(written.oob, allocated.oob):
+            assert np.array_equal(got, want)
+        for a, b in zip(plain.planes, in_place.planes):
+            assert np.array_equal(a.buffer.sensing, b.buffer.sensing)
+            assert np.array_equal(a.buffer.oob, b.buffer.oob)
+        assert plain.counters.as_dict() == in_place.counters.as_dict()
+
+    def test_a_stack_of_the_wrong_shape_is_refused(self):
+        array = self._make_array()
+        with pytest.raises(ValueError):
+            array.read_pages([0, 1], [1, 1], [0, 0], out=np.empty((3, self.PAGE_BYTES), np.uint8))
+        strided = np.empty((2, 2 * self.PAGE_BYTES), np.uint8)[:, ::2]
+        with pytest.raises(ValueError):
+            array.read_pages([0, 1], [1, 1], [0, 0], out=strided)
 
     def test_an_empty_run_touches_nothing(self):
         plane = self._make_plane()
         sense_one(plane, 1, 0)
         latch, counters = plane.buffer.sensing.copy(), plane.counters.as_dict()
         run = plane.read_pages([], [])
-        assert run.data == run.oob == run.golden == run.flipped == []
+        assert run.data == run.oob == run.modes == []
         assert np.array_equal(plane.buffer.sensing, latch)
         assert plane.counters.as_dict() == counters
 
