@@ -24,13 +24,26 @@ are compared exactly (JSON keeps a float's ``repr``).  The values in
 ``compose_pin.json`` were recorded before the TLC phases billed their
 executed senses and before the composer reduced all ledgers in one pass;
 the 4-shard values before the phase kernels served every shard at once.
+
+The ``peripheral`` key pins the array's peripheral state after two
+batches -- the warm 4-shard cluster, and one device serving a batch with
+a metadata filter whose tight threshold starves some queries into the
+retry rescan (tag sweeps and the rescan's senses) -- per device: every
+die's count of each :class:`~repro.core.commands.FlashOp`, a SHA-1 of
+every plane's sensing, cache and OOB latch, every plane's fail-bit
+counter invocations and the array counters.  Those values were recorded
+while each die was still driven once per (shard, plane).
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.api import ReisDevice, ShardedReisDevice
+from repro.core.commands import FlashOp
 from repro.core.config import tiny_config
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 from tests.conftest import serve_warm_cached_cluster
@@ -104,6 +117,46 @@ def observe_warm_cached_cluster():
     return _observe(*serve_warm_cached_cluster())
 
 
+def _peripheral(devices):
+    def sha1(latch):
+        return hashlib.sha1(latch.tobytes()).hexdigest()
+
+    observed = []
+    for device in devices:
+        planes = device.ssd.array.planes
+        observed.append({
+            "commands": {
+                str(die): {op.value: interface.trace[op] for op in FlashOp}
+                for die, interface in device.engine._die_interfaces.items()
+            },
+            "latches": [
+                [sha1(p.buffer.sensing), sha1(p.buffer.cache), sha1(p.buffer.oob)]
+                for p in planes
+            ],
+            "invocations": [p.fail_bit_counter.invocations for p in planes],
+            "counters": device.ssd.counters.as_dict(),
+        })
+    return json.loads(json.dumps(observed))
+
+
+def observe_tagged_retry():
+    vectors, queries = _workload()
+    device = ReisDevice(tiny_config("PPIN"))
+    tags = (np.arange(len(vectors)) % 3).astype(np.uint32)
+    db_id = device.ivf_deploy("pin", vectors, nlist=8, seed=0, metadata_tags=tags)
+    db = device.database(db_id)
+    db.filter_threshold = 12  # starves four of the six queries
+    batch = device.ivf_search(db_id, queries[:6], k=4, nprobe=3, metadata_filter=1)
+    retried = [r.stats.filter_retries for r in batch]
+    assert retried == [1, 1, 0, 0, 1, 1]
+    return _peripheral([device])
+
+
+def observe_peripheral():
+    _batch, shards = serve_warm_cached_cluster()
+    return {"warm_cached_cluster": _peripheral(shards), "tagged_retry": observe_tagged_retry()}
+
+
 def test_filter_retry_composition_is_pinned():
     pinned = json.loads(PINNED_FILE.read_text())["filter_retry"]
     assert observe_filter_retry() == pinned
@@ -119,9 +172,15 @@ def test_warm_cached_cluster_composition_is_pinned():
     assert observe_warm_cached_cluster() == pinned
 
 
+def test_peripheral_state_is_pinned():
+    pinned = json.loads(PINNED_FILE.read_text())["peripheral"]
+    assert observe_peripheral() == pinned
+
+
 if __name__ == "__main__":  # re-record: python tests/test_compose_pin.py
     PINNED_FILE.write_text(json.dumps({
         "filter_retry": observe_filter_retry(),
         "shard_failover": observe_cached_shard_failover(),
         "warm_cached_cluster": observe_warm_cached_cluster(),
+        "peripheral": observe_peripheral(),
     }, indent=1, sort_keys=True) + "\n")
