@@ -41,11 +41,16 @@ where pages outnumber planes by enough to show one: the per-page-run
 chains this gate was set after cost +43% there and +7% at 10^4.
 
 A fifth gate covers the DRAM page cache: the hot-Zipf (s=1.2) stream
-served with a working-set-sized cost-aware cache must beat the same
-stream uncached in host wall (best-of-5 each, same process).  Cache
-hits skip the sense simulation, the ECC decode and the latch kernels,
-so a cached steady state that is *slower* means the hit path grew a
-per-page Python loop or the lookup stopped short-circuiting the sense.
+served on a device behind a working-set-sized cost-aware cache must beat
+the same stream on an identical uncached device in host wall.  The two
+devices serve alternately, best-of-5 each, so both sides share the
+machine's noise (one after the other, the gate failed 3 runs in 7 on a
+shared 2-vCPU box), and the ``call`` + ``c_call`` events of one stream
+on each are printed beside the walls.  Cache hits skip the error draw
+and the ECC decode of TLC pages, so a cached steady state that is
+*slower* means the hit path grew a per-page Python loop or the lookup
+stopped short-circuiting the sense.  The margin is thin since an ESP-SLC
+sense became one copy of the stored bytes, as cheap as a mirror hit.
 
 A sixth, also noise-free, covers the index build: the ``tracemalloc`` peak
 of the ``ivf_deploy`` that sets up the events gate's 10^5-entry point,
@@ -79,9 +84,10 @@ instead of a TTL object per (shard, query) brought it to 3.68, and it
 crept back to 4.00 as the one-device path lost fixed calls faster.  Each
 phase kernel now runs once per barrier over every shard's (shard, plane,
 page) table, with one TTL table whose rows are (shard, query) pairs: 2.60.
-What still grows with shards is each drive's own work -- its per-(shard,
-plane) die commands, its per-(shard, query) stats and quickselect charges,
-its cache, core and ledger.
+With each phase's die work one step per drive over its command, latch and
+counter tables, and the embedded-core charges one column per drive: 2.44.
+What still grows with shards is that per-drive step -- its per-(shard,
+query) stats, its cache, core column and ledger.
 
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
@@ -101,6 +107,7 @@ from test_serving_throughput import (  # noqa: E402
     NPROBE,
     SHARD_SCALE_NPROBE,
     cached_cluster_workload,
+    count_events,
     deploy_shard_scaling_point,
     host_scaling_corpus,
     run_cache_smoke,
@@ -121,7 +128,9 @@ TLC_SHARE_CEILING = 0.70
 # Measured host_fine / host_wall is 0.19-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 6,596 (python 3.11, numpy 2.4; 13,884 while every sensed TLC
+# entries: 3,124 (python 3.11, numpy 2.4; 6,596 while each plane's senses,
+# extractions and comparator sweeps were their own die-command call chain
+# and the embedded-core charges a per-query loop, 13,884 while every sensed TLC
 # page drew its own raw bit errors, 15,908 before a device batch
 # became the one-shard case of the cluster's phase kernels, 16,678 while
 # each phase ledger was reduced on its own and the TLC phases derived their
@@ -129,20 +138,22 @@ FINE_SHARE_CEILING = 0.34
 # visit filled a per-query cost object, 60,230 while every query's
 # shortlist and report were also selected and composed one by one); x1.05.
 EVENTS_N_ENTRIES = 100_000
-SEARCH_EVENTS_CEILING = 6_926
-# Measured events of the batch-of-one search that follows it: 2,476
-# (python 3.11, numpy 2.4; 2,862 with per-page error draws, 2,933 before
+SEARCH_EVENTS_CEILING = 3_281
+# Measured events of the batch-of-one search that follows it: 1,644
+# (python 3.11, numpy 2.4; 2,476 with per-plane die commands, 2,862 with
+# per-page error draws, 2,933 before
 # the one-shard kernels, 3,128 with per-ledger reductions, 3,194 with one
 # TTL object per query); x1.05.
 # A batch of one pays every per-batch pass for one query, so fixed
 # per-batch work that batch 64 amortizes shows here first.
-SOLO_EVENTS_CEILING = 2_600
+SOLO_EVENTS_CEILING = 1_727
 # Measured tracemalloc peak of that point's ivf_deploy: 44.26 MB in a fresh
 # process, +-3 KB run to run, 43.2 MB after the gates above (python 3.11,
 # numpy 2.4; 206.19 MB with the whole-matrix build); x1.10.
 DEPLOY_PEAK_BYTES_CEILING = 48_690_000
-# Measured events of the fifth batch on the cached 4 x 2 cluster: 6,234
-# (python 3.11, numpy 2.4; 6,785 with per-page error draws, 10,618-10,678
+# Measured events of the fifth batch on the cached 4 x 2 cluster: 4,237
+# (python 3.11, numpy 2.4; 6,234 with per-(shard, plane) die commands,
+# 6,785 with per-page error draws, 10,618-10,678
 # while every shard ran its own phase kernels, 10,928 while replica
 # election and the down-cluster check asked each cluster's owners one call
 # at a time, 11,960 with per-ledger
@@ -150,9 +161,12 @@ DEPLOY_PEAK_BYTES_CEILING = 48_690_000
 # the cache was driven one page at a time, 18,973 before the cost
 # ledger); x1.05.
 SHARD_WARM_BATCHES = 4
-SHARD_EVENTS_CEILING = 6_546
+SHARD_EVENTS_CEILING = 4_449
 # Measured events(8 shards) / events(1 shard) on the shard_scaling batch:
-# 11,455 / 4,108 = 2.79 with one raw-bit-error draw and one ECC call per
+# 7,789 / 3,197 = 2.44 with each phase's die work one step per device
+# (command, latch and counter tables) and the embedded-core charges one
+# column per device; x1.10.  Before it: 11,455 / 4,108 = 2.79 with one
+# raw-bit-error draw and one ECC call per
 # shard's TLC read (the gate stays at 2.87, not raised: the one-shard count
 # fell by 641, the eight-shard one by 912, so the ratio rose); 12,367 /
 # 4,749 = 2.60 with per-page error draws, the first count with each phase
@@ -163,7 +177,7 @@ SHARD_EVENTS_CEILING = 6_546
 # = 3.86 before the owner-table election; 34,429 / 8,530 = 4.04 with one
 # TTL object per (shard, query); 34,453 / 8,533 = 4.04 with the per-page
 # cache; 50,570 / 15,847 = 3.19 and 124,118 / 38,029 = 3.26 before that.
-SHARD_SCALING_EVENTS_RATIO = 2.87
+SHARD_SCALING_EVENTS_RATIO = 2.68
 
 
 def tlc_share(point) -> float:
@@ -171,22 +185,6 @@ def tlc_share(point) -> float:
     phases = point["host_phase_seconds"]
     tlc = phases.get("host_rerank", 0.0) + phases.get("host_documents", 0.0)
     return tlc / max(point["host_wall_seconds"], 1e-12)
-
-
-def count_events(serve) -> int:
-    """Python ``call`` + ``c_call`` events of one ``serve()``."""
-    events = 0
-
-    def count(_frame, event, _arg):
-        nonlocal events
-        events += event in ("call", "c_call")
-
-    sys.setprofile(count)
-    try:
-        serve()
-    finally:
-        sys.setprofile(None)
-    return events
 
 
 def count_cluster_events() -> tuple:
@@ -355,8 +353,10 @@ def main() -> int:
         f"perf-smoke: hot-Zipf cache gate: cached "
         f"{cache['cached_host_wall_seconds'] * 1e3:.1f}ms vs uncached "
         f"{cache['uncached_host_wall_seconds'] * 1e3:.1f}ms "
-        f"(best of {REPEATS}, hit rate {cache['hit_rate']:.1%}, "
-        f"budget {cache['budget_bytes']:,}B)"
+        f"(alternating, best of {REPEATS} each, hit rate "
+        f"{cache['hit_rate']:.1%}, budget {cache['budget_bytes']:,}B); "
+        f"{cache['cached_events']:,} vs {cache['uncached_events']:,} call + "
+        f"c_call events per stream"
     )
     if cache["cached_host_wall_seconds"] >= cache["uncached_host_wall_seconds"]:
         print(

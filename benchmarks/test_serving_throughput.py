@@ -62,6 +62,7 @@ bit-identical by construction.
 import json
 import os
 import platform
+import sys
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -1212,39 +1213,57 @@ def test_cached_cluster_cache_state_is_pinned():
     assert state == CACHED_CLUSTER_STATE
 
 
+def count_events(serve) -> int:
+    """Python ``call`` + ``c_call`` events of one ``serve()``: exact for a
+    given interpreter and numpy, whatever the machine's load."""
+    events = 0
+
+    def count(_frame, event, _arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        serve()
+    finally:
+        sys.setprofile(None)
+    return events
+
+
 def run_cache_smoke(repeats=5):
-    """The CI cache gate: the hot-Zipf stream (s=1.2) served with a
-    working-set-sized cost-aware cache vs uncached, best-of-``repeats``
-    host wall each.  Cache hits skip the sense simulation (error
-    injection), the ECC decode and the latch kernels, so the cached
+    """The CI cache gate: the hot-Zipf stream (s=1.2) served on two
+    identical devices, one behind a working-set-sized cost-aware cache and
+    one uncached, alternately, best-of-``repeats`` host wall each, so both
+    sides share the machine's noise.  Cache hits skip the sense simulation
+    (error injection), the ECC decode and the latch kernels, so the cached
     steady state must also be cheaper in *simulator* time.  (Sub-1x
     budgets trade that win for admission copies and eviction scans at
     this workload size, which is why the gate runs at the 1x point --
     the modeled QPS/energy wins at 1/2x are asserted by the benchmark
-    sweep instead.)"""
+    sweep instead.)  Also returns the ``call`` + ``c_call`` events of one
+    more stream on each device."""
     from repro.core.cache import CostAwarePolicy
 
-    device, did, pool = _cache_workload()
     ranks = zipf_ranks(CACHE_POOL, 1.2, CACHE_STREAM, "cache-serving")
-    working_set = _probe_working_set(device, did, pool, ranks)
-    uncached = min(
-        _serve_cache_stream(device, did, pool, ranks)[1]
-        for _ in range(repeats)
-    )
-    device.enable_page_cache(working_set, policy=CostAwarePolicy())
-    _serve_cache_stream(device, did, pool, ranks)  # warm the mirror
-    cached = min(
-        _serve_cache_stream(device, did, pool, ranks)[1]
-        for _ in range(repeats)
-    )
-    hit_rate = device.page_cache.stats.hit_rate
-    device.disable_page_cache()
+    uncached, cached = [_cache_workload() for _ in range(2)]  # (device, did, pool)
+    working_set = _probe_working_set(*cached, ranks)
+    cached[0].enable_page_cache(working_set, policy=CostAwarePolicy())
+    walls = [[], []]
+    for _ in range(repeats + 1):  # the first round warms the mirror
+        for workload, times in zip((uncached, cached), walls):
+            times.append(_serve_cache_stream(*workload, ranks)[1])
+    events = [
+        count_events(lambda: _serve_cache_stream(*workload, ranks))
+        for workload in (uncached, cached)
+    ]
     return {
         "working_set_bytes": working_set,
         "budget_bytes": working_set,
-        "uncached_host_wall_seconds": uncached,
-        "cached_host_wall_seconds": cached,
-        "hit_rate": hit_rate,
+        "uncached_host_wall_seconds": min(walls[0][1:]),
+        "cached_host_wall_seconds": min(walls[1][1:]),
+        "uncached_events": events[0],
+        "cached_events": events[1],
+        "hit_rate": cached[0].page_cache.stats.hit_rate,
     }
 
 

@@ -593,7 +593,4 @@ class BatchExecutor:
         payloads = pages.stack[
             page_row[:, None], starts[:, None] + np.arange(region.item_bytes)
         ]
-        return [
-            DocumentChunk(chunk_id=chunk_id, text=text)
-            for chunk_id, text in zip(chunk_ids, DocumentChunk.decode_rows(payloads))
-        ]
+        return DocumentChunk.decoded(chunk_ids, DocumentChunk.decode_rows(payloads))

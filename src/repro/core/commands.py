@@ -17,20 +17,20 @@ RD_TTL    EADR           Move a TTL entry (DIST/EMB/links) to the SSD DRAM
 program-verify comparator, reused for distance filtering) complete the set
 the engine needs.
 
-The engine drives a die once per *plane* per scan phase -- a sense run, a
-stack of extractions, the comparator sweeps and channel moves -- and the
-trace advances by counts: it holds the command stream a per-page walk
-would have issued.
+The engine drives every die of a device at once, a phase at a time: the
+latches live in the array's :class:`~repro.nand.latches.LatchTable` and the
+issued commands in one (die, :class:`FlashOp`) count table, which advances
+by counts -- it holds the command stream a per-page walk would have issued.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List
+from typing import Dict, NamedTuple
 
 import numpy as np
 
+from repro.nand.array import FlashArray
 from repro.nand.die import Die
 
 
@@ -43,80 +43,75 @@ class FlashOp(Enum):
     RD_TTL = "rd_ttl"
 
 
-@dataclass
+# Column of each op in a command count table.
+OP_COLUMN: Dict[FlashOp, int] = {op: column for column, op in enumerate(FlashOp)}
+_IBC = OP_COLUMN[FlashOp.IBC]
+
+
 class CommandTrace:
-    """Issued-command log (used by tests and the energy model)."""
+    """One die's issued-command log (used by tests and the energy model):
+    a view of its row of the device's command count table."""
 
-    counts: Dict[FlashOp, int]
+    def __init__(self, row: np.ndarray) -> None:
+        self.row = row
 
-    def record_many(self, op: FlashOp, n: int) -> None:
-        if n > 0:
-            self.counts[op] = self.counts.get(op, 0) + n
+    @property
+    def counts(self) -> Dict[FlashOp, int]:
+        """The ops issued at least once, with their counts."""
+        return {op: n for op, n in zip(FlashOp, self.row.tolist()) if n}
 
     def __getitem__(self, op: FlashOp) -> int:
-        return self.counts.get(op, 0)
+        return int(self.row[OP_COLUMN[op]])
 
 
-class DieCommandInterface:
-    """The FSM in one die's control logic, driving its peripheral circuits."""
+class DieCommandInterface(NamedTuple):
+    """The FSM in one die's control logic: the die and its command trace."""
 
-    def __init__(self, die: Die) -> None:
-        self.die = die
-        self.trace = CommandTrace(counts={})
+    die: Die
+    trace: CommandTrace
 
-    # Each method implements one Table-2 command.
 
-    def ibc_many(self, query_codes: np.ndarray, multi_plane: bool) -> int:
-        """IBC Q_EMB, once per row of a back-to-back batch of queries:
-        broadcast the query into every plane's cache latch.
+class DeviceCommandInterface:
+    """The FSMs of every die of one device, as one command count table.
 
-        The command trace and counters carry one IBC per row; the latch
-        end state is the last row's broadcast.
+    ``counts`` has a row per global die and a column per :class:`FlashOp`
+    (:data:`OP_COLUMN`); a phase adds its (die, op) counts onto it.
+    ``dies`` maps each die index to its :class:`DieCommandInterface`, whose
+    trace is a view of its row.
+    """
+
+    def __init__(self, array: FlashArray) -> None:
+        self.array = array
+        self.planes_per_die = array.geometry.planes_per_die
+        self.counts = np.zeros((array.geometry.total_dies, len(OP_COLUMN)), dtype=np.int64)
+        self.dies: Dict[int, DieCommandInterface] = {
+            die: DieCommandInterface(
+                array.die_of_plane(die * self.planes_per_die), CommandTrace(row)
+            )
+            for die, row in enumerate(self.counts)
+        }
+
+    def broadcast(self, query_codes: np.ndarray, multi_plane: bool) -> int:
+        """IBC Q_EMB into every die, once per row of a back-to-back batch of
+        queries.
+
+        The cache latch is overwrite-only, so broadcasting queries back to
+        back leaves only the last row latched; earlier rows are never
+        observable.  The last row is therefore validated and tiled once for
+        the device and loaded into every plane's cache latch, while every
+        broadcast is accounted: one IBC per (row, die) and one
+        ``ibc_broadcasts`` per (row, plane).  With MPIBC every plane of a
+        die latches the same transfer (one per row), without it each plane
+        needs its own (``planes_per_die`` per row); the functional effect
+        is identical and the cost difference drives the Fig. 9 ablation.
+        Returns the total page-sized transfers consumed.
         """
-        self.trace.record_many(FlashOp.IBC, len(query_codes))
-        return self.die.broadcast_queries(query_codes, multi_plane)
-
-    def sense_run(self, plane: int, blocks: List[int], pages: List[int]) -> None:
-        """READ_PAGE for each page of one plane's senses of a phase, in
-        service order (:meth:`~repro.nand.plane.Plane.read_pages`)."""
-        self.trace.record_many(FlashOp.READ_PAGE, len(pages))
-        self.die.planes[plane].read_pages(blocks, pages)
-
-    def gen_dist_run(
-        self,
-        plane: int,
-        query_codes: np.ndarray,
-        code_bytes: int,
-        n_segments: int,
-        pages: np.ndarray,
-        page_of: np.ndarray,
-    ) -> np.ndarray:
-        """XOR + GEN_DIST for every extraction one plane owes in a phase.
-
-        A page is sensed once; for each query that wants it the cache latch
-        is reloaded and the XOR + fail-bit-count pair runs again ("one
-        sense, N distance extractions"): one XOR and one GEN_DIST per
-        (page, query) extraction.  Extraction ``i`` pairs ``query_codes[i]``
-        with row ``page_of[i]`` of ``pages``, the bytes of the pages the
-        plane latched.  Returns a ``(len(query_codes), n_segments)`` matrix.
-        """
-        n_extractions = len(query_codes)
-        self.trace.record_many(FlashOp.XOR, n_extractions)
-        self.trace.record_many(FlashOp.GEN_DIST, n_extractions)
-        return self.die.planes[plane].multi_query_distances(
-            query_codes, code_bytes, n_segments, pages, page_of
-        )
-
-    def record_extraction(self, plane: int, n_sweeps: int, n_moved: int) -> None:
-        """PASS_FAIL sweeps and RD_TTL moves of one plane, for a whole phase.
-
-        The scan kernel evaluates the comparator masks (distance threshold,
-        Sec. 7.1 metadata tag) and counts the surviving entries for a whole
-        phase at once; the command stream still carries one PASS_FAIL per
-        comparator sweep and one RD_TTL per entry that crossed the channel.
-        Entries a comparator dropped never get an RD_TTL.
-        """
-        self.trace.record_many(FlashOp.PASS_FAIL, n_sweeps)
-        self.trace.record_many(FlashOp.RD_TTL, n_moved)
-        if n_sweeps:
-            self.die.planes[plane].note_pass_fail_sweeps(n_sweeps)
+        n, n_dies = len(query_codes), len(self.counts)
+        if n == 0:
+            return 0
+        self.array.latches.broadcast(query_codes[-1])
+        self.counts[:, _IBC] += n
+        self.array.counters.add("ibc_broadcasts", n * n_dies * self.planes_per_die)
+        transfers = (1 if multi_plane else self.planes_per_die) * n * n_dies
+        self.array.counters.add("ibc_page_transfers", transfers)
+        return transfers

@@ -163,7 +163,7 @@ class PhaseLedger:
     arrays: ``nand`` visits ``(row, plane, page_id)``, ``dram``-served
     visits ``(row, page_id, seconds, nbytes)``, the ``(row, channel)``
     matrix ``channel_bytes``, per-row ``core_seconds`` / ``ecc_bytes``
-    (charged query by query: the core model keeps its own clock) and
+    (embedded-core columns added with ``np.add.at`` in execution order) and
     ``senses``, the per-plane senses of the schedules the phase executed
     (``None``: none served it).  Row ``r`` is batch query ``queries[r]``
     -- the phase driver says which ran -- billed what it would pay alone,
@@ -181,7 +181,7 @@ class PhaseLedger:
         self.n_planes = geometry.total_planes
         self.queries = np.arange(n_queries)
         self.channel_bytes = np.zeros((n_queries, geometry.channels))
-        self.core_seconds: List[float] = [0.0] * n_queries
+        self.core_seconds = np.zeros(n_queries)
         self.ecc_bytes = np.zeros(n_queries)
         self.senses: Optional[np.ndarray] = None
         no_rows = np.empty(0, dtype=np.int64)

@@ -29,10 +29,12 @@ two layers.
 
 The list is what the hardware does per (query, page); the simulator runs
 it at the coarsest grain that leaves results, traces, counters and latch
-contents as that walk would: steps 2-4 per *plane* (one sense run, one
-stacked XOR + popcount -- ESP-SLC's raw BER of 0 makes a sensed page its
-stored bytes) and steps 5-9 per *phase*, the TLC pages' raw bit errors
-included (one draw per array read, from the device's one error stream).
+contents as that walk would: every step per *phase*, over every plane of
+every device at once -- one stacked XOR + popcount for steps 2-4
+(ESP-SLC's raw BER of 0 makes a sensed page its stored bytes), the
+latches, command counts and counters as columns of the array's tables,
+and the TLC pages' raw bit errors in one draw per array read, from the
+device's one error stream.
 
 The phase kernels here serve every shard of a batch at once (one
 drive is the one-shard case); the drivers that string them into a
@@ -41,13 +43,13 @@ drive is the one-shard case); the drivers that string them into a
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.batch import BatchRun, ScanTasks
 from repro.core.cache import PageCache
-from repro.core.commands import DieCommandInterface
+from repro.core.commands import OP_COLUMN, DeviceCommandInterface
 from repro.core.config import OptFlags, ReisConfig
 from repro.core.costing import PhaseLedger, ibc_time
 from repro.core.layout import DeployedDatabase, RegionInfo
@@ -71,11 +73,13 @@ __all__ = [
 
 
 class _LatchedPages:
-    """Code + OOB bytes of the pages one scan phase latched, by page rank.
+    """The pages one scan phase computes on, by page rank: full page and
+    OOB stacks plus code / OOB-record views of them.
 
     The phase kernel snapshots each unique page once, from its stored bytes
     (what a raw-BER-0 sense returns) or the DRAM mirror, so that the stacked
-    distance pass reads one table and TTL rows stay ``(page, slot)`` references:
+    distance pass reads one table, each plane's latch can take the last
+    page it sensed from it, and TTL rows stay ``(page, slot)`` references:
     :meth:`decode` -- the TTL table's row source -- assembles the RD_TTL
     payload (the embedding code and the OOB linkage words) only for the
     rows a selection asks for.
@@ -84,7 +88,8 @@ class _LatchedPages:
     def __init__(
         self,
         page_offsets: np.ndarray,
-        views: Sequence[Tuple[np.ndarray, np.ndarray]],
+        data: np.ndarray,
+        oob: np.ndarray,
         slots_per_page: int,
         code_bytes: int,
         record_bytes: int,
@@ -95,12 +100,8 @@ class _LatchedPages:
         self.coarse = coarse
         shape = (page_offsets.size, slots_per_page)
         n_code, n_record = slots_per_page * code_bytes, slots_per_page * record_bytes
-        self.codes = np.concatenate(
-            [data[:n_code] for data, _oob in views]
-        ).reshape(*shape, code_bytes)
-        self.records = np.concatenate(
-            [oob[:n_record] for _data, oob in views]
-        ).reshape(*shape, record_bytes)
+        self.codes = data[:, :n_code].reshape(*shape, code_bytes)
+        self.records = oob[:, :n_record].reshape(*shape, record_bytes)
 
     def words(self, ranks: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """The little-endian 32-bit OOB linkage words of the given rows."""
@@ -150,12 +151,10 @@ class InStorageAnnsEngine:
         self.geometry = ssd.spec.geometry
         self.timing = ssd.spec.timing
         self.params = config.engine
-        # One command FSM per die, indexed by global die index.
-        planes_per_die = self.geometry.planes_per_die
-        self._die_interfaces: Dict[int, DieCommandInterface] = {
-            first // planes_per_die: DieCommandInterface(ssd.array.die_of_plane(first))
-            for first in range(0, self.geometry.total_planes, planes_per_die)
-        }
+        # Every die's command FSM as one (die, op) table; the per-die views
+        # are indexed by global die index.
+        self.commands = DeviceCommandInterface(ssd.array)
+        self._die_interfaces = self.commands.dies
 
     # ------------------------------------------------------ DRAM page cache
 
@@ -212,7 +211,8 @@ class InStorageAnnsEngine:
         self, query_codes: np.ndarray, stats_list: Sequence[SearchStats]
     ) -> float:
         """Step 1: broadcast every query's code into every die's cache
-        latches, back to back.
+        latches, back to back: one device-wide IBC
+        (:meth:`DeviceCommandInterface.broadcast`).
 
         Cache latches are overwrite-only, so only the last row survives,
         while commands, counters and per-query transfer stats reflect the
@@ -222,12 +222,9 @@ class InStorageAnnsEngine:
         n = len(query_codes)
         if n == 0:
             return 0.0
-        total = 0
-        for interface in self._die_interfaces.values():
-            total += interface.ibc_many(
-                query_codes, multi_plane=self.flags.multi_plane_ibc
-            )
-        per_query = total // n
+        per_query = self.commands.broadcast(
+            query_codes, multi_plane=self.flags.multi_plane_ibc
+        ) // n
         for stats in stats_list:
             stats.ibc_transfers += per_query
         return ibc_time(
@@ -258,17 +255,19 @@ class InStorageAnnsEngine:
         **Per phase**, once over the table: the unique (shard, page) pass,
         the service order and sense marks keyed by (shard, plane)
         (:func:`~repro.core.plan.schedule_order` /
-        :func:`~repro.core.plan.schedule_senses`), the window + threshold
-        mask, the in-die metadata-tag comparison, the survivors in arrival
-        order, stats by ``bincount`` and one TTL stream.  **Per shard**: its
-        address translation, one cache lookup, one code + OOB snapshot per
-        unique page (:class:`_LatchedPages`), one admission of the freshly
-        sensed ones, its counters, core and ledger.  **Per (shard, plane)**,
-        through the die command interface: one sense run over the requests
-        whose page is not latched and one stacked ``XOR`` + ``GEN_DIST``
-        pass over its (page, query) extractions; mirror-served pages are
-        neither sensed nor latched.  See ``docs/architecture.md``,
-        "Batched execution is page-major".
+        :func:`~repro.core.plan.schedule_senses`), one stacked ``XOR`` +
+        ``GEN_DIST`` pass over every (page, query) extraction, NAND- and
+        mirror-served alike, the window + threshold mask, the in-die
+        metadata-tag comparison, the survivors in arrival order, the
+        (shard, die) command counts and (shard, plane) fail-bit counts by
+        ``bincount``, stats and one TTL stream.  **Per shard** -- once per
+        device, never per plane: its address translation, one cache lookup,
+        one page + OOB snapshot per unique page (:class:`_LatchedPages`),
+        one admission of the freshly sensed ones, one step that advances its
+        command table, invocation column, latches (each plane keeps the last
+        page it sensed; mirror-served pages are neither sensed nor latched)
+        and counters, and its core and ledger.  See
+        ``docs/architecture.md``, "Batched execution is page-major".
 
         **The bill**, per shard as columns: the task table *is* the visit
         table (:meth:`_bill_visits`), plus the ``(query, channel)`` RD_TTL
@@ -310,7 +309,9 @@ class InStorageAnnsEngine:
         shard_u, pages_u = np.divmod(uniq, stride)
         cuts = shard_u.searchsorted(np.arange(n_runs + 1)).tolist()
         columns = np.empty((6, uniq.size), dtype=np.int64)
-        views: list = []
+        page_bytes, oob_bytes = self.geometry.page_bytes, self.geometry.oob_bytes
+        data_u = np.empty((uniq.size, page_bytes), dtype=np.uint8)
+        oob_u = np.empty((uniq.size, oob_bytes), dtype=np.uint8)
         for run, region, lo, hi in zip(runs, regions, cuts, cuts[1:]):
             if lo == hi:
                 continue
@@ -319,23 +320,26 @@ class InStorageAnnsEngine:
             cache = run.engine.page_cache
             rows, columns[5, lo:hi] = self._mirror_lookup(cache, region, pages)
             cached = columns[5, lo:hi] > 0
-            planes = run.engine.ssd.array.planes
-            hits = None if cache is None else zip(*cache.gather(rows[cached]))
-            snapshots = [
-                next(hits) if hit else planes[plane].golden_view(block, page)
-                for hit, plane, block, page in zip(cached.tolist(), *columns[:3, lo:hi].tolist())
-            ]
-            if cache is not None:
-                # Mirror the golden bytes of every freshly-sensed page (copied).
-                fresh = (~cached).nonzero()[0].tolist()
+            fresh = (~cached).nonzero()[0]
+            at = lo + fresh
+            run.engine.ssd.array.gather(*columns[:3, at].tolist(), at.tolist(), data_u, oob_u)
+            if cache is None:
+                continue
+            if cached.any():
+                hit_data, hit_oob = cache.gather(rows[cached])
+                hits = lo + cached.nonzero()[0]
+                data_u[hits] = hit_data[:, :page_bytes]
+                oob_u[hits] = hit_oob[:, :oob_bytes]
+            if fresh.size:  # mirror every freshly-sensed page's golden bytes
                 cache.admit_pages(
                     region, pages[fresh], "centroid" if coarse else "cluster",
-                    [snapshots[i][0] for i in fresh], [snapshots[i][1] for i in fresh],
+                    data_u[at], oob_u[at],
                 )
-            views += snapshots
-        plane_u, block_u, page_u, channel_u, page_id_u, nbytes_u = columns
+        plane_u, _block_u, _page_u, channel_u, page_id_u, nbytes_u = columns
         cached_u = nbytes_u > 0
-        latched = _LatchedPages(pages_u, views, spp, code_bytes, record_bytes, coarse)
+        latched = _LatchedPages(
+            pages_u, data_u, oob_u, spp, code_bytes, record_bytes, coarse
+        )
 
         # ---- the schedule: service order, fresh senses, keyed by (shard, plane)
         lane_u = shard_u * n_planes + plane_u
@@ -344,36 +348,15 @@ class InStorageAnnsEngine:
         )
         rank_o = rank_of[order]
         lane_o = lane_u[rank_o]
-        cached_o = cached_u[rank_o]
-        sensed = schedule_senses(rank_o, lane_o, cached_o)
+        sensed = schedule_senses(rank_o, lane_o, cached_u[rank_o])
 
-        # ---- per (shard, plane): one sense run over its fresh senses
-        # (service order) and one stacked XOR + popcount over every (page,
-        # query) extraction it owes; owner ``controller`` is every shard's
-        # controller, over mirror bytes.
-        controller = n_runs * n_planes
-        owner = np.where(cached_o, controller, lane_o)
-        table = latched.codes.reshape(uniq.size, -1)
-        code_rows = runs[0].codes
-        planes_per_die = self.geometry.planes_per_die
-        dist = np.empty((n_tasks, spp), dtype=np.min_scalar_type(8 * code_bytes))
-        for index in np.bincount(owner).nonzero()[0].tolist():
-            served = (owner == index).nonzero()[0]
-            rows = order[served]
-            codes, ranks = code_rows[q_of[rows]], rank_of[rows]
-            if index == controller:
-                dist[rows] = xor_popcount_segments(table, codes, code_bytes, spp, ranks)
-                continue
-            shard = index // n_planes
-            plane = index - shard * n_planes
-            interface = runs[shard].engine._die_interfaces[plane // planes_per_die]
-            fresh = ranks[sensed[served]]
-            interface.sense_run(
-                plane % planes_per_die, block_u[fresh].tolist(), page_u[fresh].tolist()
-            )
-            dist[rows] = interface.gen_dist_run(
-                plane % planes_per_die, codes, code_bytes, spp, table, ranks
-            )
+        # ---- one stacked XOR + popcount over every (page, query)
+        # extraction of the phase: the planes' latch circuits over the pages
+        # they sensed and the controller over mirror bytes compute the same
+        # arithmetic (a latched ESP-SLC page is its stored bytes).
+        dist = xor_popcount_segments(
+            data_u, runs[0].codes[q_of], code_bytes, spp, rank_of
+        )
 
         # ---- per phase: window + threshold mask, metadata tag, survivors
         lane_t = lane_u[rank_of]
@@ -412,15 +395,21 @@ class InStorageAnnsEngine:
         # Only NAND-served rows are RD_TTL moves over a flash channel.
         moved = np.where(from_nand, n_kept, 0)
 
-        # ---- commands, per (shard, plane)
-        sweeps_of = np.bincount(lane_t, weights=sweeps, minlength=controller)
-        moved_of = np.bincount(lane_t, weights=moved, minlength=controller)
-        for index in (sweeps_of + moved_of).nonzero()[0].tolist():
-            shard = index // n_planes
-            plane = index - shard * n_planes
-            runs[shard].engine._die_interfaces[plane // planes_per_die].record_extraction(
-                plane % planes_per_die, int(sweeps_of[index]), int(moved_of[index])
-            )
+        # ---- every device's commands, latches and counters, as columns: a
+        # (shard, die) count per op (in FlashOp order), a (shard, plane)
+        # fail-bit invocation per NAND-served extraction, and each plane's
+        # last sensed page.
+        controller, planes_per_die = n_runs * n_planes, self.geometry.planes_per_die
+        senses, rank_s = lane_o[sensed], rank_o[sensed]
+        die_s, die_t = senses // planes_per_die, lane_t // planes_per_die
+        n_keys = controller // planes_per_die
+        ops = np.stack([
+            np.bincount(die_s, minlength=n_keys), np.zeros(n_keys),  # READ_PAGE, IBC
+            *(np.bincount(die_t, weights=w, minlength=n_keys)  # XOR, GEN_DIST, ...
+              for w in (from_nand, from_nand, sweeps, moved)),  # PASS_FAIL, RD_TTL
+        ], axis=1).astype(np.int64).reshape(n_runs, -1, len(OP_COLUMN))
+        invocations = np.bincount(lane_t, weights=from_nand, minlength=controller)
+        invocations = invocations.astype(np.int64).reshape(n_runs, n_planes)
 
         # ---- the bill, per shard: the task table is the visit table
         n_rows, n_channels = n_runs * n_queries, self.geometry.channels
@@ -428,7 +417,7 @@ class InStorageAnnsEngine:
             row_t * n_channels + channel_u[rank_of], weights=moved * entry_bytes,
             minlength=n_rows * n_channels,
         ).reshape(n_runs, n_queries, n_channels)
-        senses_of = np.bincount(lane_o[sensed], minlength=controller).reshape(
+        senses_of = np.bincount(senses, minlength=controller).reshape(
             n_runs, n_planes
         )
         moved_by_shard = np.bincount(shard_t, weights=moved, minlength=n_runs).tolist()
@@ -439,18 +428,33 @@ class InStorageAnnsEngine:
             if first == end:
                 continue
             mine = slice(first, end)
-            run.engine._bill_visits(
+            engine, array = run.engine, run.engine.ssd.array
+            engine.commands.counts += ops[shard]
+            array.latches.invocations += invocations[shard]
+            # The shard's totals per op, in FlashOp order.
+            n_senses, _ibc, n_xors, n_counts, n_sweeps, _moves = ops[shard].sum(axis=0).tolist()
+            if n_senses:
+                own = senses // n_planes == shard
+                array.latches.latch_senses(
+                    senses[own] - shard * n_planes, data_u, oob_u, rank_s[own]
+                )
+                array.count_reads(regions[shard].mode, n_senses)
+            for name, n in (("latch_xors", n_xors), ("bit_counts", n_counts),
+                            ("pass_fail_checks", n_sweeps)):
+                if n:
+                    array.counters.add(name, n)
+            engine._bill_visits(
                 ledger, stats_list[shard * n_queries:(shard + 1) * n_queries],
                 q_of[mine], plane_t[mine], page_id_t[mine], hit_t[mine],
             )
             ledger.channel_bytes += channel_bytes[shard]
             ledger.add_schedule(senses_of[shard])
             if moved_by_shard[shard]:
-                run.engine.ssd.counters.add(
+                array.counters.add(
                     "channel_bytes", int(moved_by_shard[shard]) * entry_bytes
                 )
             run.stats.scan_requests += end - first
-            run.stats.scan_senses += int(senses_of[shard].sum())
+            run.stats.scan_senses += n_senses
 
         # ---- per (shard, query): stats; the TTL table takes every survivor
         # at once.
@@ -469,16 +473,13 @@ class InStorageAnnsEngine:
         # embedded core trims the TTL back to the running top list,
         # bounding its DRAM footprint.  With pipelining this overlaps the
         # next page read (handled by overlap_stages).
-        cores = [run.engine.ssd.cores.reis_core for run in runs]
-        ks = ttl.ks
-        for row, processed in ttl.stream(
+        compactions = ttl.stream(
             latched, row_t[t_idx], dist[t_idx, s_idx], rank_of[t_idx], s_idx,
             row_t, n_kept,
-        ):
-            shard = row // n_queries
-            ledgers[shard].core_seconds[row - shard * n_queries] += cores[
-                shard
-            ].quickselect(processed, ks[row])
+        )
+        if compactions:
+            rows, processed = np.array(compactions, dtype=np.int64).T
+            self._charge_quickselects(runs, ledgers, ttl, rows, processed)
         return senses_of
 
     # --------------------------------------------------------- search steps
@@ -493,15 +494,21 @@ class InStorageAnnsEngine:
         TTL table -- a scan phase's final selection -- in one
         :meth:`TemporalTopList.select`: rows stacked nearest first per
         list, with the row bounds.  Each shard's embedded core is charged
-        per query, onto its ledger."""
-        cores = [run.engine.ssd.cores.reis_core for run in runs]
-        n_queries, ks = ttl.n_queries, ttl.ks
-        for row, size in enumerate(ttl.sizes.tolist()):
-            shard = row // n_queries
-            ledgers[shard].core_seconds[row - shard * n_queries] += cores[
-                shard
-            ].quickselect(size, ks[row])
+        one quickselect per row, as one column onto its ledger."""
+        self._charge_quickselects(runs, ledgers, ttl, np.arange(ttl.sizes.size), ttl.sizes)
         return ttl.select()
+
+    @staticmethod
+    def _charge_quickselects(runs, ledgers, ttl, rows, n_elements) -> None:
+        """Charge ``ttl`` row ``rows[i]`` (ascending) a quickselect of its k
+        from ``n_elements[i]`` entries: one core column per shard, in row
+        order, onto its ledger."""
+        n_queries, ks = ttl.n_queries, np.asarray(ttl.ks)[rows]
+        cuts = (rows // n_queries).searchsorted(np.arange(len(runs) + 1)).tolist()
+        for shard, (run, ledger, lo, hi) in enumerate(zip(runs, ledgers, cuts, cuts[1:])):
+            if lo < hi:
+                seconds = run.engine.ssd.cores.reis_core.quickselects(n_elements[lo:hi], ks[lo:hi])
+                np.add.at(ledger.core_seconds, rows[lo:hi] - shard * n_queries, seconds)
 
     def select_clusters(
         self,
@@ -780,14 +787,14 @@ class InStorageAnnsEngine:
             dtype=np.int32,
         )
         refined = np.einsum("ij,ij->i", diff, diff).astype(np.int64)
-        cores = [run.engine.ssd.cores.reis_core for run in runs]
-        for cell, count in enumerate(np.bincount(cells, minlength=n_cells).tolist()):
-            if count:
-                shard = cell // n_queries
-                ledger, core = ledgers[shard], cores[shard]
-                ledger.core_seconds[cell - shard * n_queries] += core.int8_distances(count, dim)
-                ledger.core_seconds[cell - shard * n_queries] += core.quicksort(count)
-        for run, ledger in zip(runs, ledgers):
+        # Each cell recomputes its rows' INT8 distances, then quicksorts them,
+        # on its shard's core: one column of charges per shard.
+        counts = np.bincount(cells, minlength=n_cells).reshape(len(runs), n_queries)
+        for run, ledger, mine in zip(runs, ledgers, counts):
+            asked = mine.nonzero()[0]
+            if asked.size:
+                seconds = run.engine.ssd.cores.reis_core.reranks(mine[asked], dim)
+                np.add.at(ledger.core_seconds, asked.repeat(2), seconds.ravel())
             run.ledgers["rerank"] = ledger
         # One stable sort by (cell, distance): a cell's ties keep row order.
         return (cells * (int(refined.max()) + 1) + refined).argsort(kind="stable"), refined

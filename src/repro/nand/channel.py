@@ -6,6 +6,7 @@ from typing import List, Optional
 
 from repro.nand.chip import FlashChip
 from repro.nand.geometry import FlashGeometry
+from repro.nand.latches import LatchTable
 from repro.nand.timing import NandTiming
 from repro.sim.stats import CounterSet
 
@@ -24,6 +25,7 @@ class Channel:
         geometry: FlashGeometry,
         timing: NandTiming,
         counters: Optional[CounterSet] = None,
+        latches: Optional[LatchTable] = None,
     ) -> None:
         self.channel_id = channel_id
         self.timing = timing
@@ -35,6 +37,7 @@ class Channel:
                 geometry=geometry,
                 first_die_id=first_die + i * geometry.dies_per_chip,
                 counters=self.counters,
+                latches=latches,
             )
             for i in range(geometry.chips_per_channel)
         ]

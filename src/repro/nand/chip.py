@@ -6,6 +6,7 @@ from typing import List, Optional
 
 from repro.nand.die import Die
 from repro.nand.geometry import FlashGeometry
+from repro.nand.latches import LatchTable
 from repro.sim.stats import CounterSet
 
 
@@ -18,6 +19,7 @@ class FlashChip:
         geometry: FlashGeometry,
         first_die_id: int,
         counters: Optional[CounterSet] = None,
+        latches: Optional[LatchTable] = None,
     ) -> None:
         self.chip_id = chip_id
         self.counters = counters if counters is not None else CounterSet()
@@ -30,6 +32,7 @@ class FlashChip:
                 page_bytes=geometry.page_bytes,
                 oob_bytes=geometry.oob_bytes,
                 counters=self.counters,
+                latches=latches,
             )
             for i in range(geometry.dies_per_chip)
         ]

@@ -1,26 +1,33 @@
 """Flash dies: independent units that contain planes.
 
-A die senses its planes in parallel (one :meth:`Plane.read_pages` run per
-plane per phase) and supports Multi-Plane Input Broadcasting (MPIBC):
-raising the select signal of all planes so they latch the broadcast query
-simultaneously.  REIS's pipelining overlaps a plane's next sense with the
-current page's latch work and channel transfer (Sec. 4.3.4,
-Read-Page-Cache-Sequential); that overlap is a property of the modeled
-clock (:mod:`repro.core.costing`), not of any latch state here.
+A die senses its planes in parallel and supports Multi-Plane Input
+Broadcasting (MPIBC): raising the select signal of all planes so they latch
+the broadcast query simultaneously.  Its planes' latches are rows of the
+array's :class:`~repro.nand.latches.LatchTable`, so the controller drives a
+phase's senses, extractions and broadcasts over every die of a device at
+once (:mod:`repro.core.commands`) rather than die by die.  REIS's
+pipelining overlaps a plane's next sense with the current page's latch work
+and channel transfer (Sec. 4.3.4, Read-Page-Cache-Sequential); that overlap
+is a property of the modeled clock (:mod:`repro.core.costing`), not of any
+latch state here.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
+from repro.nand.latches import LatchTable
 from repro.nand.plane import Plane
 from repro.sim.stats import CounterSet
 
 
 class Die:
-    """One flash die and its planes."""
+    """One flash die and its planes.
+
+    Plane ``i`` latches in row ``die_id * planes_per_die + i`` of
+    ``latches`` -- its global plane index -- or in row ``i`` of a table of
+    the die's own when none is given.
+    """
 
     def __init__(
         self,
@@ -31,9 +38,13 @@ class Die:
         page_bytes: int,
         oob_bytes: int,
         counters: Optional[CounterSet] = None,
+        latches: Optional[LatchTable] = None,
     ) -> None:
         self.die_id = die_id
         self.counters = counters if counters is not None else CounterSet()
+        first_row = die_id * planes_per_die
+        if latches is None:
+            latches, first_row = LatchTable(planes_per_die, page_bytes, oob_bytes), 0
         self.planes: List[Plane] = [
             Plane(
                 plane_id=die_id * planes_per_die + i,
@@ -42,6 +53,7 @@ class Die:
                 page_bytes=page_bytes,
                 oob_bytes=oob_bytes,
                 counters=self.counters,
+                buffer=latches.buffer(first_row + i),
             )
             for i in range(planes_per_die)
         ]
@@ -49,28 +61,3 @@ class Die:
     @property
     def planes_per_die(self) -> int:
         return len(self.planes)
-
-    def broadcast_queries(self, patterns: np.ndarray, multi_plane: bool) -> int:
-        """IBC of several queries back to back (one per row of ``patterns``).
-
-        The cache latch is overwrite-only, so broadcasting queries
-        back-to-back leaves only the last pattern latched; earlier patterns
-        are never observable.  This method therefore validates and tiles
-        only the final row, once for the die, and loads that image into
-        every plane's cache latch, while accounting every broadcast and
-        transfer: one ``ibc_broadcasts`` per (row, plane).  With MPIBC
-        every plane latches the same transfer (one per row), without it
-        each plane needs its own (``planes_per_die`` per row); the
-        functional effect is identical and the cost difference drives the
-        Fig. 9 ablation.  Returns the total page-sized transfers consumed.
-        """
-        n = len(patterns)
-        if n == 0:
-            return 0
-        image = self.planes[0].broadcast_image(patterns[-1])
-        for plane in self.planes:
-            plane.buffer.load_cache(image)
-        self.counters.add("ibc_broadcasts", n * self.planes_per_die)
-        transfers = (1 if multi_plane else self.planes_per_die) * n
-        self.counters.add("ibc_page_transfers", transfers)
-        return transfers

@@ -5,7 +5,9 @@ cache latch (CL) (Sec. 2.3).  The peripheral circuitry provides XOR between
 latches (used on real chips for data randomization), an on-chip fail-bit
 counter and a pass/fail checker (used to guide ISPP programming).  REIS
 computes Hamming distances with exactly these circuits; the step list lives
-with the kernel that runs them, :meth:`repro.nand.plane.Plane.multi_query_distances`.
+with the scan kernel that drives them,
+:meth:`repro.core.engine.InStorageAnnsEngine.scan_page_run`.  The latches of
+every plane of an array are one :class:`LatchTable`.
 
 No multiply-accumulate hardware exists anywhere in this module -- that is the
 paper's "no hardware modification" constraint, enforced by construction.
@@ -68,20 +70,75 @@ def xor_popcount_segments(
     return out
 
 
+class LatchTable:
+    """The peripheral state of every plane of an array, one table per kind.
+
+    ``sensing`` and ``cache`` hold a page-wide row per plane, ``oob`` an
+    OOB-wide one, and ``invocations`` each plane's fail-bit-counter count
+    (one column).  A plane's :class:`PageBuffer` and
+    :class:`FailBitCounter` are views of its row, so a phase kernel
+    advances a whole device with a few array operations while per-plane
+    readers keep their API.
+    """
+
+    def __init__(self, n_planes: int, page_bytes: int, oob_bytes: int) -> None:
+        self.page_bytes = page_bytes
+        self.oob_bytes = oob_bytes
+        self.sensing = np.zeros((n_planes, page_bytes), dtype=np.uint8)
+        self.cache = np.zeros((n_planes, page_bytes), dtype=np.uint8)
+        self.oob = np.zeros((n_planes, oob_bytes), dtype=np.uint8)
+        self.invocations = np.zeros(n_planes, dtype=np.int64)
+
+    def buffer(self, row: int) -> "PageBuffer":
+        """Plane ``row``'s page buffer: views of its latch rows."""
+        return PageBuffer(self, row)
+
+    def latch_senses(
+        self,
+        planes: np.ndarray,
+        data: np.ndarray,
+        oob: np.ndarray,
+        rows: Optional[np.ndarray] = None,
+    ) -> None:
+        """Senses by ``planes[i]``, in order, of page-wide row ``rows[i]``
+        (``i`` when omitted) of the ``data`` stack and OOB-wide row of
+        ``oob``: each plane named keeps its last page in its sensing and OOB
+        latches."""
+        planes = np.asarray(planes)
+        targets, last = np.unique(planes[::-1], return_index=True)
+        last = planes.size - 1 - last
+        if rows is not None:
+            last = rows[last]
+        self.sensing[targets] = data[last]
+        self.oob[targets] = oob[last]
+
+    def broadcast(self, pattern: np.ndarray) -> None:
+        """An IBC of ``pattern``: every plane's cache latch holds as many
+        whole copies as fit in a page, zero-padded (:class:`ValueError`
+        unless one does)."""
+        if pattern.size == 0 or pattern.size > self.page_bytes:
+            raise ValueError("broadcast pattern must fit within a page")
+        image = np.tile(pattern.astype(np.uint8), self.page_bytes // pattern.size)
+        self.cache[:, : image.size] = image
+        self.cache[:, image.size :] = 0
+
+
 class PageBuffer:
-    """The latches of one plane a sense or a broadcast loads, one page wide.
+    """The latches of one plane, one page wide: row ``row`` of a
+    :class:`LatchTable`.
 
     DL, the XOR destination, is not held: its contents are the XOR
     temporary of :func:`xor_popcount_segments`, consumed by the fail-bit
     count in the same pass.
     """
 
-    def __init__(self, page_bytes: int, oob_bytes: int) -> None:
-        self.page_bytes = page_bytes
-        self.oob_bytes = oob_bytes
-        self.sensing = np.zeros(page_bytes, dtype=np.uint8)
-        self.cache = np.zeros(page_bytes, dtype=np.uint8)
-        self.oob = np.zeros(oob_bytes, dtype=np.uint8)
+    def __init__(self, table: LatchTable, row: int) -> None:
+        self.table = table
+        self.row = row
+        self.page_bytes = table.page_bytes
+        self.sensing = table.sensing[row]
+        self.cache = table.cache[row]
+        self.oob = table.oob[row]
 
     def load_sensing(self, data: np.ndarray, oob: np.ndarray) -> None:
         """Model a page sense: page data + OOB land in the sensing latch."""
@@ -90,25 +147,22 @@ class PageBuffer:
         self.oob[: oob.size] = oob
         self.oob[oob.size :] = 0
 
-    def load_cache(self, data: np.ndarray) -> None:
-        """Load externally-supplied data (e.g. an IBC broadcast) into CL."""
-        if data.size > self.page_bytes:
-            raise ValueError("cache load exceeds page size")
-        self.cache[:] = 0
-        self.cache[: data.size] = data
-
 
 class FailBitCounter:
     """On-chip digital bit counter (counts ones in a latch).
 
     Real counters report the number of "failing" cells after a program-verify
     step.  REIS segments the count at mini-page (embedding) granularity; the
-    counter walks the data latch once and emits one count per segment.
+    counter walks the data latch once and emits one count per segment.  Its
+    invocation count is its plane's entry of the :class:`LatchTable` column.
     """
 
     def __init__(self, buffer: PageBuffer) -> None:
         self._buffer = buffer
-        self.invocations = 0
+
+    @property
+    def invocations(self) -> int:
+        return int(self._buffer.table.invocations[self._buffer.row])
 
     def count_xor_segments(
         self,
@@ -142,7 +196,7 @@ class FailBitCounter:
             raise ValueError("segment_bytes and n_segments must be positive")
         if segment_bytes * n_segments > self._buffer.page_bytes:
             raise ValueError("segments exceed page size")
-        self.invocations += len(patterns)
+        self._buffer.table.invocations[self._buffer.row] += len(patterns)
         if pages is None:
             pages = self._buffer.sensing
         return xor_popcount_segments(

@@ -8,19 +8,29 @@ results can be checked end-to-end (query -> embedding -> document text).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from itertools import repeat
+from typing import Iterator, List, NamedTuple, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class DocumentChunk:
-    """One retrievable unit of text."""
-
+class _ChunkFields(NamedTuple):
     chunk_id: int
     text: str
     source: str = ""
+
+
+class DocumentChunk(_ChunkFields):
+    """One retrievable unit of text: an immutable, hashable record whose
+    ``repr`` and equality are its fields'."""
+
+    __slots__ = ()
+
+    @classmethod
+    def decoded(cls, chunk_ids: Sequence[int], texts: Sequence[str]) -> List["DocumentChunk"]:
+        """Chunks of ``(chunk_ids[i], texts[i])`` with no source, built by
+        ``tuple.__new__`` from C: no Python call per chunk."""
+        return list(map(tuple.__new__, repeat(cls), zip(chunk_ids, texts, repeat(""))))
 
     def encode_bytes(self, target_size: int | None = None) -> np.ndarray:
         """UTF-8 bytes, optionally padded/truncated to ``target_size``."""

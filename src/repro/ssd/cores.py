@@ -8,13 +8,17 @@ duties.
 
 The cost model charges cycles per element for the kernels the paper runs on
 the cores: quickselect (average O(n)), quicksort (O(n log n)), INT8 distance
-recomputation for reranking, and generic byte-moving work.
+recomputation for reranking, and generic byte-moving work.  Phase kernels
+charge a column at once (:meth:`EmbeddedCore.quickselects`,
+:meth:`EmbeddedCore.reranks`), bit-identical to scalar calls in row order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,35 @@ class EmbeddedCore:
         if n_vectors <= 0:
             return 0.0
         return self._charge(n_vectors * dim * self.spec.cycles_per_int8_mac)
+
+    def _charge_column(self, seconds: np.ndarray) -> np.ndarray:
+        """Charge ``seconds`` in order: the busy clock sums them one by one."""
+        self.busy_seconds = float(
+            np.add.accumulate(np.concatenate(([self.busy_seconds], seconds)))[-1]
+        )
+        return seconds
+
+    def quickselects(self, n_elements: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """:meth:`quickselect` of every row, back to back: seconds column."""
+        cycles = np.maximum(n_elements, ks) * self.spec.cycles_per_select_element
+        return self._charge_column(
+            np.where(n_elements > 0, cycles / self.spec.frequency_hz, 0.0)
+        )
+
+    def reranks(self, n_vectors: np.ndarray, dim: int) -> np.ndarray:
+        """:meth:`int8_distances` then :meth:`quicksort` of every row's
+        vectors, back to back: an ``(n_rows, 2)`` seconds matrix (the
+        logarithms are ``math.log2`` of each distinct count, as scalar)."""
+        spec, counts, at = self.spec, *np.unique(n_vectors, return_inverse=True)
+        log2 = np.array([math.log2(max(n, 1)) for n in counts.tolist()])[at.ravel()]
+        sort = n_vectors * log2 * spec.cycles_per_sort_element / spec.frequency_hz
+        seconds = np.stack([
+            np.where(n_vectors > 0, n_vectors * dim * spec.cycles_per_int8_mac
+                     / spec.frequency_hz, 0.0),
+            np.where(n_vectors > 1, sort, 0.0),
+        ], axis=1)
+        self._charge_column(seconds.ravel())
+        return seconds
 
     def move_bytes(self, n_bytes: float) -> float:
         """Generic data shuffling (TTL maintenance, entry unpacking)."""

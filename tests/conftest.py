@@ -24,9 +24,10 @@ SMALL_NLIST = 12
 N_QUERIES = 12
 
 
-def sense_one(plane, block, page, out=None):
-    """A `Plane.read_pages` run of one: the page's (data, oob)."""
-    run = plane.read_pages([block], [page], None if out is None else [out])
+def sense_one(array, plane, block, page, out=None):
+    """A `FlashArray.read_pages` of one page of global plane ``plane``: its
+    (data, oob) rows (``out``, a page-wide row, receives the data)."""
+    run = array.read_pages([plane], [block], [page], None if out is None else out[None])
     return run.data[0], run.oob[0]
 
 

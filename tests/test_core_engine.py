@@ -770,7 +770,7 @@ class TestBatchedSelectAgainstPerTtl:
         else:
             block, bounds = engine.select_nearest([run], [ledger], ttl)
         assert core.busy_seconds == reference_busy
-        assert ledger.core_seconds == expected_costs
+        assert ledger.core_seconds.tolist() == expected_costs
         assert [
             self._columns(block.take(slice(lo, hi))) for lo, hi in zip(bounds[:-1], bounds[1:])
         ] == expected

@@ -16,6 +16,7 @@ Pinned here:
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.api import ReisDevice
@@ -200,3 +201,22 @@ class TestDecodeRowsAgainstDecodeBytes:
         assert decoded == [DocumentChunk.decode_bytes(row) for row in rows]
         assert decoded[1] == "a\x00b" and decoded[3] == "12345678"
         assert decoded[4].endswith("�")
+
+
+class TestDecodedChunks:
+    """Chunks built from decoded slots (``DocumentChunk.decoded``) are the
+    chunks the constructor makes: equal, same hash, same ``repr``,
+    immutable."""
+
+    def test_decoded_equals_constructed(self):
+        ids, texts = [7, 3], ["seven", "three"]
+        built = [DocumentChunk(chunk_id=i, text=t) for i, t in zip(ids, texts)]
+        decoded = DocumentChunk.decoded(ids, texts)
+        assert decoded == built
+        assert all(type(chunk) is DocumentChunk for chunk in decoded)
+        assert [hash(c) for c in decoded] == [hash(c) for c in built]
+        assert repr(decoded[0]) == "DocumentChunk(chunk_id=7, text='seven', source='')"
+        assert decoded[1].source == "" and decoded[1].chunk_id == 3
+        with pytest.raises(AttributeError):
+            decoded[0].text = "changed"
+        assert {decoded[0]: 1}[built[0]] == 1

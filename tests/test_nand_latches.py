@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nand.latches import FailBitCounter, PageBuffer, xor_popcount_segments
+from repro.nand.latches import FailBitCounter, LatchTable, xor_popcount_segments
 
 PAGE = 512
 OOB = 64
@@ -18,7 +18,7 @@ OOB = 64
 
 @pytest.fixture()
 def buffer():
-    return PageBuffer(PAGE, OOB)
+    return LatchTable(1, PAGE, OOB).buffer(0)
 
 
 bytes_arrays = st.binary(min_size=1, max_size=PAGE).map(
@@ -63,7 +63,18 @@ class TestPageBuffer:
 
     def test_load_cache_rejects_oversize(self, buffer):
         with pytest.raises(ValueError):
-            buffer.load_cache(np.zeros(PAGE + 1, dtype=np.uint8))
+            buffer.table.broadcast(np.zeros(PAGE + 1, dtype=np.uint8))
+
+    def test_buffers_are_rows_of_one_table(self):
+        table = LatchTable(3, PAGE, OOB)
+        data = np.arange(2 * PAGE, dtype=np.uint8).reshape(2, PAGE)
+        oob = np.arange(2 * OOB, dtype=np.uint8).reshape(2, OOB)
+        # Plane 2 senses row 1 then row 0, plane 0 row 1: each keeps its last.
+        table.latch_senses(np.array([2, 0, 2]), data, oob, np.array([1, 1, 0]))
+        assert np.array_equal(table.buffer(2).sensing, data[0])
+        assert np.array_equal(table.buffer(2).oob, oob[0])
+        assert np.array_equal(table.buffer(0).sensing, data[1])
+        assert not table.buffer(1).sensing.any() and not table.oob[1].any()
 
 
 class TestFailBitCounter:
@@ -114,7 +125,7 @@ class TestFailBitCounter:
         payload = np.frombuffer(
             data.draw(st.binary(min_size=PAGE, max_size=PAGE)), dtype=np.uint8
         ).copy()
-        buffer = PageBuffer(PAGE, OOB)
+        buffer = LatchTable(1, PAGE, OOB).buffer(0)
         buffer.load_sensing(payload, np.zeros(OOB, dtype=np.uint8))
         zeros = np.zeros((1, seg_bytes), dtype=np.uint8)
         counts = FailBitCounter(buffer).count_xor_segments(zeros, seg_bytes, n_segments)
@@ -150,7 +161,7 @@ class TestCountXorSegments:
             ),
             dtype=np.uint8,
         ).reshape(n_patterns, seg_bytes)
-        buffer = PageBuffer(PAGE, OOB)
+        buffer = LatchTable(1, PAGE, OOB).buffer(0)
         buffer.load_sensing(payload, np.zeros(OOB, dtype=np.uint8))
         counter = FailBitCounter(buffer)
         matrix = counter.count_xor_segments(patterns, seg_bytes, n_segments)

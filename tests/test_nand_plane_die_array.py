@@ -8,6 +8,7 @@ from repro.nand.cell import CellMode, reliability
 from repro.nand.ecc import EccConfig, EccEngine
 from repro.nand.errors import NO_FLIPS
 from repro.nand.geometry import FlashGeometry, PhysicalPageAddress
+from repro.nand.latches import LatchTable
 from repro.nand.plane import Plane
 from repro.nand.timing import NandTiming
 
@@ -47,14 +48,20 @@ def make_plane(**kwargs):
     return Plane(**defaults)
 
 
+def esp_array():
+    """An array whose plane 0 has block 0 in ESP-SLC (raw BER 0)."""
+    array = FlashArray(GEOMETRY)
+    array.planes[0].blocks[0].set_mode(CellMode.SLC_ESP)
+    return array, array.planes[0]
+
+
 class TestPlane:
     def test_program_read_roundtrip_on_esp(self):
-        plane = make_plane()
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        array, plane = esp_array()
         data = np.arange(2048, dtype=np.uint8) % 251
         oob = np.arange(128, dtype=np.uint8)
         plane.program_page(0, 0, data, oob)
-        read, read_oob = sense_one(plane, 0, 0)
+        read, read_oob = sense_one(array, 0, 0, 0)
         assert np.array_equal(read, data)  # ESP: zero raw BER
         assert np.array_equal(read_oob, oob)
 
@@ -74,117 +81,116 @@ class TestPlane:
         assert not plane.requires_ecc(1)
 
     def test_read_fills_sensing_latch_and_oob(self):
-        plane = make_plane()
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        array, plane = esp_array()
         data = np.full(2048, 0x5A, dtype=np.uint8)
         oob = np.full(128, 0x11, dtype=np.uint8)
         plane.program_page(0, 0, data, oob)
-        sense_one(plane, 0, 0)
+        sense_one(array, 0, 0, 0)
         assert np.array_equal(plane.buffer.sensing, data)
         assert np.array_equal(plane.buffer.oob, oob)
+        # The plane's buffer is its row of the array's latch table.
+        assert np.shares_memory(plane.buffer.sensing, array.latches.sensing)
+        assert not array.latches.sensing[1:].any()
 
     def test_in_plane_hamming_distance(self):
         """The REIS compute primitive: read + XOR + fail-bit count."""
-        plane = make_plane()
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        array, plane = esp_array()
         code_bytes = 16
         embeddings = np.zeros(2048, dtype=np.uint8)
         embeddings[0:16] = 0xFF  # embedding 0: all ones
         embeddings[16:32] = 0x0F  # embedding 1: half ones
         plane.program_page(0, 0, embeddings)
         query = np.zeros(code_bytes, dtype=np.uint8)  # all-zero query
-        sense_one(plane, 0, 0)
-        distances = plane.multi_query_distances(query, code_bytes, 4)[0]
+        sense_one(array, 0, 0, 0)
+        distances = plane.fail_bit_counter.count_xor_segments(query, code_bytes, 4)[0]
         assert distances[0] == 128  # 16 bytes of difference
         assert distances[1] == 64
         assert distances[2] == 0
 
     def test_counters_track_operations(self):
-        plane = make_plane()
+        array, plane = esp_array()
         plane.program_page(0, 0, np.zeros(8, dtype=np.uint8))
-        sense_one(plane, 0, 0)
+        sense_one(array, 0, 0, 0)
         plane.erase_block(0)
         assert plane.counters["page_programs"] == 1
         assert plane.counters["page_reads"] == 1
         assert plane.counters["block_erases"] == 1
 
     def test_read_counters_split_by_mode(self):
-        plane = make_plane()
+        array = FlashArray(GEOMETRY)
+        plane = array.planes[0]
         plane.blocks[1].set_mode(CellMode.SLC_ESP)
         for block in (0, 1):
             plane.program_page(block, 0, np.zeros(8, dtype=np.uint8))
             plane.program_page(block, 1, np.zeros(8, dtype=np.uint8))
-        plane.read_pages([0, 1, 0, 1, 1], [0, 0, 1, 1, 0])
+        array.read_pages([0] * 5, [0, 1, 0, 1, 1], [0, 0, 1, 1, 0])
         assert plane.counters["page_reads"] == 5
         assert plane.counters[f"page_reads_{CellMode.TLC.timing_key}"] == 2
         assert plane.counters[f"page_reads_{CellMode.SLC_ESP.timing_key}"] == 3
 
     def test_empty_read_run_leaves_latches_and_counters(self):
-        plane = make_plane()
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        array, plane = esp_array()
         data = np.full(2048, 0x5A, dtype=np.uint8)
         plane.program_page(0, 0, data)
-        sense_one(plane, 0, 0)
-        run = plane.read_pages([], [])
-        assert run.data == run.oob == run.modes == []
+        sense_one(array, 0, 0, 0)
+        run = array.read_pages([], [], [])
+        assert run.data.shape == (0, 2048) and run.oob.shape == (0, 128)
         assert np.array_equal(plane.buffer.sensing, data)
         assert plane.counters["page_reads"] == 1
 
     def test_error_free_run_returns_the_stored_bytes(self):
-        """Without a destination, a raw-BER-0 sense is the stored array
-        itself, read-only; with one, the bytes are copied into it."""
-        plane = make_plane()
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        """A raw-BER-0 read is the stored bytes with no flips drawn: copied
+        into a fresh stack, or into the caller's row when given one."""
+        array, plane = esp_array()
         data = np.arange(2048, dtype=np.uint8) % 13
         plane.program_page(0, 0, data)
-        run = plane.read_pages([0], [0])
+        run = array.read_pages([0], [0], [0])
         golden, _ = plane.golden_view(0, 0)
-        assert np.shares_memory(run.data[0], golden)
-        assert not run.data[0].flags.writeable
-        assert run.modes == [CellMode.SLC_ESP]
+        assert not np.shares_memory(run.data, golden)
+        assert np.array_equal(run.data[0], golden)
+        assert run.flips[0].size == 0
         row = np.zeros(2048, dtype=np.uint8)
-        sensed, _ = sense_one(plane, 0, 0, out=row)
+        sensed, _ = sense_one(array, 0, 0, 0, out=row)
         assert np.shares_memory(sensed, row)
         assert np.array_equal(row, data)
 
     def test_latch_holds_the_last_page_of_a_run(self):
-        plane = make_plane()
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        array, plane = esp_array()
         for page in range(3):
             plane.program_page(
                 0, page, np.full(2048, page + 1, dtype=np.uint8),
                 np.full(128, page + 7, dtype=np.uint8),
             )
-        plane.read_pages([0, 0, 0], [2, 0, 1])
+        array.read_pages([0, 0, 0], [0, 0, 0], [2, 0, 1])
         assert (plane.buffer.sensing == 2).all()
         assert (plane.buffer.oob == 8).all()
 
     def test_broadcast_image_tiles_whole_copies(self):
-        plane = make_plane()
+        table = LatchTable(2, 2048, 128)
+        table.cache[:] = 0xEE  # stale bytes past the copies are cleared
         pattern = np.arange(24, dtype=np.uint8)
-        image = plane.broadcast_image(pattern)
-        assert image.size == (2048 // 24) * 24
-        assert np.array_equal(image.reshape(-1, 24), np.tile(pattern, (2048 // 24, 1)))
+        table.broadcast(pattern)
+        n = (2048 // 24) * 24
+        for image in table.cache:
+            assert np.array_equal(image[:n].reshape(-1, 24), np.tile(pattern, (2048 // 24, 1)))
+            assert not image[n:].any()
 
     def test_broadcast_image_rejects_empty_and_oversize(self):
-        plane = make_plane()
+        table = LatchTable(2, 2048, 128)
         with pytest.raises(ValueError):
-            plane.broadcast_image(np.zeros(0, dtype=np.uint8))
+            table.broadcast(np.zeros(0, dtype=np.uint8))
         with pytest.raises(ValueError):
-            plane.broadcast_image(np.zeros(2049, dtype=np.uint8))
+            table.broadcast(np.zeros(2049, dtype=np.uint8))
 
     def test_distance_counters_count_every_query(self):
-        """Each query row of a stacked extraction is one XOR and one
-        fail-bit count; a pass/fail sweep is billed only as counted."""
-        plane = make_plane()
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        """Each query row of a stacked extraction is one fail-bit count,
+        kept in the plane's entry of the array's invocation column."""
+        array, plane = esp_array()
         plane.program_page(0, 0, np.zeros(2048, dtype=np.uint8))
-        sense_one(plane, 0, 0)
-        plane.multi_query_distances(np.zeros((3, 16), dtype=np.uint8), 16, 4)
-        plane.note_pass_fail_sweeps(2)
-        assert plane.counters["latch_xors"] == plane.counters["bit_counts"] == 3
+        sense_one(array, 0, 0, 0)
+        plane.fail_bit_counter.count_xor_segments(np.zeros((3, 16), dtype=np.uint8), 16, 4)
         assert plane.fail_bit_counter.invocations == 3
-        assert plane.counters["pass_fail_checks"] == 2
+        assert array.latches.invocations.tolist() == [3] + [0] * (GEOMETRY.total_planes - 1)
 
 
 class TestDie:
@@ -200,49 +206,62 @@ class TestDie:
             oob_bytes=128,
         )
 
+    def _commands(self):
+        from repro.core.commands import DeviceCommandInterface
+
+        return DeviceCommandInterface(FlashArray(GEOMETRY))
+
     def test_broadcast_reaches_every_plane(self):
-        die = self._die()
+        commands = self._commands()
         pattern = np.full(16, 0xAA, dtype=np.uint8)
-        transfers = die.broadcast_queries(pattern[None], multi_plane=True)
-        assert transfers == 1
-        for plane in die.planes:
+        transfers = commands.broadcast(pattern[None], multi_plane=True)
+        assert transfers == GEOMETRY.total_dies  # one per die
+        for plane in commands.array.planes:
             assert (plane.buffer.cache[:16] == 0xAA).all()
 
     def test_broadcast_without_mpibc_costs_one_transfer_per_plane(self):
-        die = self._die()
+        commands = self._commands()
         pattern = np.full(16, 0xAA, dtype=np.uint8)
-        assert die.broadcast_queries(pattern[None], multi_plane=False) == 2
+        assert commands.broadcast(pattern[None], multi_plane=False) == GEOMETRY.total_planes
 
     def test_broadcast_latches_only_the_last_row(self):
         """The cache latch is overwrite-only: back-to-back broadcasts leave
         the last query latched, and every row is still billed."""
-        die = self._die()
+        commands = self._commands()
         patterns = np.stack([np.full(16, value, dtype=np.uint8) for value in (1, 2, 3)])
-        assert die.broadcast_queries(patterns, multi_plane=False) == 3 * 2
-        for plane in die.planes:
+        n_planes = GEOMETRY.total_planes
+        assert commands.broadcast(patterns, multi_plane=False) == 3 * n_planes
+        for plane in commands.array.planes:
             assert (plane.buffer.cache == 3).all()
-        assert die.counters["ibc_broadcasts"] == 3 * 2
-        assert die.counters["ibc_page_transfers"] == 3 * 2
+        counters = commands.array.counters
+        assert counters["ibc_broadcasts"] == 3 * n_planes
+        assert counters["ibc_page_transfers"] == 3 * n_planes
 
     def test_empty_broadcast_is_free(self):
-        die = self._die()
-        assert die.broadcast_queries(np.zeros((0, 16), dtype=np.uint8), True) == 0
-        assert die.counters["ibc_broadcasts"] == 0
-        for plane in die.planes:
-            assert not plane.buffer.cache.any()
+        commands = self._commands()
+        assert commands.broadcast(np.zeros((0, 16), dtype=np.uint8), True) == 0
+        assert commands.array.counters["ibc_broadcasts"] == 0
+        assert not commands.array.latches.cache.any()
 
     def test_multi_plane_read_parallel_planes(self):
-        """Each plane of a die senses its own run into its own latch; the
+        """Each plane of a die senses its own page into its own latch; the
         die's counters see both."""
-        die = self._die()
+        array = FlashArray(GEOMETRY)
+        die = array.die_of_plane(0)
         for index, plane in enumerate(die.planes):
             plane.blocks[0].set_mode(CellMode.SLC_ESP)
             plane.program_page(0, 0, np.full(2048, index + 1, dtype=np.uint8))
-        runs = [plane.read_pages([0], [0]) for plane in die.planes]
-        for index, (plane, run) in enumerate(zip(die.planes, runs)):
-            assert (run.data[0] == index + 1).all()
+        run = array.read_pages([0, 1], [0, 0], [0, 0])
+        for index, plane in enumerate(die.planes):
+            assert (run.data[index] == index + 1).all()
             assert (plane.buffer.sensing == index + 1).all()
         assert die.counters["page_reads"] == 2
+
+    def test_a_die_built_alone_has_latches_of_its_own(self):
+        die = self._die()
+        die.planes[1].buffer.cache[:] = 5
+        assert not die.planes[0].buffer.cache.any()
+        assert die.planes[1].buffer.table is die.planes[0].buffer.table
 
 
 class TestFlashArray:
@@ -275,9 +294,9 @@ class TestFlashArray:
 
     def test_read_pages_is_one_run_per_plane_in_the_order_given(self):
         """Pages anywhere in the array, interleaved across planes: each
-        plane gathers its pages as one run in the order given (its latch
-        ends on its last page; the counters equal per-plane runs), and
-        every row is its stored page XOR the read's one flip column."""
+        plane's latch ends on its last page in the order given, the
+        counters equal reads of one page at a time, and every row is its
+        stored page XOR the read's one flip column."""
         planes = [3, 0, 3, 5, 0, 3, 5, 0]
         pages = [0, 1, 2, 0, 0, 0, 2, 1]
         blocks = [0] * len(planes)
@@ -293,14 +312,17 @@ class TestFlashArray:
         assert np.array_equal(stack, expected)
         for oob, (_data, golden_oob) in zip(run.oob, goldens):
             assert np.array_equal(oob, golden_oob)
+        for plane_index, page in zip(planes, pages):
+            sense_one(single, plane_index, 0, page)
         for plane_index in sorted(set(planes)):
             mine = [page for p, page in zip(planes, pages) if p == plane_index]
-            single.planes[plane_index].read_pages([0] * len(mine), mine)
             last = grouped.planes[plane_index].golden_view(0, mine[-1])[0]
             assert np.array_equal(grouped.planes[plane_index].buffer.sensing, last)
+        assert np.array_equal(grouped.latches.sensing, single.latches.sensing)
         assert grouped.counters.as_dict() == single.counters.as_dict()
         empty = grouped.read_pages([], [], [])  # nothing to sense
-        assert empty.data.shape == (0, GEOMETRY.page_bytes) and empty.oob == []
+        assert empty.data.shape == (0, GEOMETRY.page_bytes)
+        assert empty.oob.shape == (0, GEOMETRY.oob_bytes)
         assert empty.flips[0].size == empty.flips[1].size == 0
         assert grouped.counters.as_dict() == single.counters.as_dict()
 

@@ -240,6 +240,25 @@ class TestEmbeddedCores:
         core.quicksort(1000)
         assert core.busy_seconds > 0
 
+    def test_columns_equal_scalar_calls_back_to_back(self):
+        """A column of charges is the scalar calls made row by row: the
+        same seconds and, to the bit, the same busy clock."""
+        rng = np.random.default_rng(5)
+        n = rng.integers(0, 400, 64)
+        n[:4] = (0, 1, 2, 0)
+        ks = rng.integers(1, 50, 64)
+        column, scalar = EmbeddedCore(0), EmbeddedCore(1)
+        column.busy_seconds = scalar.busy_seconds = 0.1
+        selects = column.quickselects(n, ks)
+        reranks = column.reranks(n, 96)
+        assert selects.tolist() == [
+            scalar.quickselect(a, k) for a, k in zip(n.tolist(), ks.tolist())
+        ]
+        assert reranks.tolist() == [
+            [scalar.int8_distances(a, 96), scalar.quicksort(a)] for a in n.tolist()
+        ]
+        assert column.busy_seconds == scalar.busy_seconds
+
     def test_core_complex_reserves_one_reis_core(self):
         complex_ = CoreComplex(n_cores=4)
         assert len(complex_.ftl_cores) == 3

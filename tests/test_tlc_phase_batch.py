@@ -10,10 +10,10 @@ The two TLC phases run as phase kernels -- the solo path is a phase of one
 * **Billing vs a pure-Python reference** -- `_bill_tlc_phase` charges each
   query its own unique pages and (page, codeword) pairs, straddling
   codewords, cached pages and zero-length reads included;
-* **Sense in place** -- a `Plane.read_pages` run is a gather: into rows
-  or not, a run of N equals N runs of one (stored bytes, latch contents,
-  counters); an array read into a caller's stack equals the allocating
-  read on a fresh array, flips included;
+* **Sense in place** -- an array read is a gather: into a stack or not,
+  a read of N equals N reads of one (stored bytes under the flips, latch
+  contents, counters); an array read into a caller's stack equals the
+  allocating read on a fresh array, flips included;
 * **In-place ECC** -- :meth:`EccEngine.correct_batch` from the flip column
   equals the golden-page loop of ``tests/ecc_reference.py``, outputs,
   reported rows and counters, cancelling double flips and uncorrectable
@@ -41,7 +41,6 @@ from repro.nand.array import FlashArray
 from repro.nand.cell import CellMode
 from repro.nand.ecc import EccEngine
 from repro.nand.errors import NO_FLIPS
-from repro.nand.plane import Plane
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
@@ -414,10 +413,10 @@ class TestBillTlcPhaseAgainstReference:
 
 
 class TestSenseInPlace:
-    """A plane sense is a gather: a run of N, into rows or not, is N runs
-    of one with the latch loaded once (stored bytes, latch contents and
-    counters are pinned), and an array read into a caller's stack is the
-    allocating read written somewhere else, flips included."""
+    """An array read is a gather: a read of N, into a stack or not, is N
+    reads of one with the latches loaded once (stored bytes, latch contents
+    and counters are pinned), and an array read into a caller's stack is
+    the allocating read written somewhere else, flips included."""
 
     PAGE_BYTES, OOB_BYTES = 16384, 64
     # Interleaved ESP-SLC (block 0) and TLC (block 1) pages, with repeats.
@@ -435,12 +434,6 @@ class TestSenseInPlace:
                 )
         return plane
 
-    def _make_plane(self):
-        return self._program(Plane(
-            0, blocks_per_plane=2, pages_per_block=3,
-            page_bytes=self.PAGE_BYTES, oob_bytes=self.OOB_BYTES,
-        ))
-
     def _make_array(self):
         config = tiny_config("SENSE-IN-PLACE")
         array = FlashArray(config.geometry, config.timing)
@@ -450,31 +443,34 @@ class TestSenseInPlace:
 
     @pytest.mark.parametrize("into_rows", [True, False])
     def test_one_run_is_n_single_reads(self, into_rows):
-        """One `read_pages` over the sequence == a run of one per page:
-        the stored bytes (a plane sense injects no errors), OOB, modes, the
-        latch (the run's last page) and counters."""
-        single, run_plane = self._make_plane(), self._make_plane()
-        reads = [sense_one(single, block, page) for block, page in self.SEQUENCE]
+        """One `read_pages` of the sequence on one plane == a read of one
+        per page: every row is its stored bytes under the read's flips
+        (none on the ESP-SLC rows), the OOB is stored, and the latch (the
+        sequence's last page) and counters are the same."""
+        single, batched = self._make_array(), self._make_array()
+        for block, page in self.SEQUENCE:
+            sense_one(single, 0, block, page)
         stack = np.full((8, self.PAGE_BYTES), 0xAB, dtype=np.uint8)
         blocks, pages = zip(*self.SEQUENCE)
-        run = run_plane.read_pages(
-            blocks, pages, out=list(stack) if into_rows else None
+        run = batched.read_pages(
+            [0] * len(blocks), blocks, pages, out=stack if into_rows else None
         )
-        for row, ((block, page), (data, oob)) in enumerate(zip(self.SEQUENCE, reads)):
-            golden, golden_oob = run_plane.golden_view(block, page)
-            assert np.array_equal(run.data[row], golden)
-            assert np.array_equal(data, golden)
-            assert np.array_equal(run.oob[row], oob)
-            assert np.array_equal(oob, golden_oob)
-            assert run.modes[row] is (CellMode.SLC_ESP if block == 0 else CellMode.TLC)
-            if into_rows:
-                assert np.shares_memory(run.data[row], stack[row])
-            else:  # the stored bytes, not a copy
-                assert run.data[row] is golden
-                assert not run.data[row].flags.writeable
-        assert np.array_equal(run_plane.buffer.sensing, single.buffer.sensing)
-        assert np.array_equal(run_plane.buffer.oob, single.buffer.oob)
-        assert run_plane.counters.as_dict() == single.counters.as_dict()
+        assert (run.data is stack) == into_rows
+        goldens = [batched.planes[0].golden_view(b, p) for b, p in self.SEQUENCE]
+        expected = np.stack([data for data, _oob in goldens])
+        positions, masks = run.flips
+        assert positions.size > 0
+        noisy_rows = np.unique(positions // self.PAGE_BYTES).tolist()
+        assert noisy_rows == [row for row, (b, _p) in enumerate(self.SEQUENCE) if b == 1]
+        np.bitwise_xor.at(expected.reshape(-1), positions, masks)
+        assert np.array_equal(run.data, expected)
+        for row, (_data, golden_oob) in enumerate(goldens):
+            assert np.array_equal(run.oob[row], golden_oob)
+        for a, b in zip(single.planes, batched.planes):
+            assert np.array_equal(a.buffer.sensing, b.buffer.sensing)
+            assert np.array_equal(a.buffer.oob, b.buffer.oob)
+        assert np.array_equal(batched.planes[0].buffer.sensing, goldens[-1][0])
+        assert batched.counters.as_dict() == single.counters.as_dict()
 
     def test_array_read_into_a_stack_is_the_allocating_read(self):
         """`out=` is a destination, not a mode: same bytes, same flips,
@@ -506,13 +502,14 @@ class TestSenseInPlace:
             array.read_pages([0, 1], [1, 1], [0, 0], out=strided)
 
     def test_an_empty_run_touches_nothing(self):
-        plane = self._make_plane()
-        sense_one(plane, 1, 0)
-        latch, counters = plane.buffer.sensing.copy(), plane.counters.as_dict()
-        run = plane.read_pages([], [])
-        assert run.data == run.oob == run.modes == []
-        assert np.array_equal(plane.buffer.sensing, latch)
-        assert plane.counters.as_dict() == counters
+        array = self._make_array()
+        sense_one(array, 0, 1, 0)
+        latch, counters = array.latches.sensing.copy(), array.counters.as_dict()
+        run = array.read_pages([], [], [])
+        assert run.data.shape == (0, self.PAGE_BYTES)
+        assert run.oob.shape == (0, array.geometry.oob_bytes)
+        assert np.array_equal(array.latches.sensing, latch)
+        assert array.counters.as_dict() == counters
 
 
 class TestTlcKernelsAgainstBruteForce:
