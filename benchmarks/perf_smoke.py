@@ -89,6 +89,14 @@ counter tables, and the embedded-core charges one column per drive: 2.44.
 What still grows with shards is that per-drive step -- its per-(shard,
 query) stats, its cache, core column and ledger.
 
+A ninth, noise-free too, covers open-loop forming: the ``call`` +
+``c_call`` events per query of a fixed Poisson slice served through a
+tiny device's submission queue (the ``queue_poisson`` policy, batches of
+a few queries), x1.05 of the reading with forming folding each arrival
+into a running occupancy estimate.  An estimate that rebuilds every
+pending candidate's schedule per arrival, a per-block finiteness check of
+a single query, or a pending set re-sorted per event trips it.
+
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
 
@@ -99,11 +107,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import numpy as np  # noqa: E402
+
+from repro.core import QueuePolicy, ReisDevice, tiny_config  # noqa: E402
+from repro.rag.embeddings import make_clustered_embeddings, make_queries  # noqa: E402
+from repro.sim.rng import make_rng  # noqa: E402
 from test_serving_throughput import (  # noqa: E402
     BENCH_PATH,
     CACHE_NPROBE,
+    DIM,
     HOST_SCALE_POINTS,
     K,
+    N_ENTRIES,
+    NLIST,
     NPROBE,
     SHARD_SCALE_NPROBE,
     cached_cluster_workload,
@@ -128,7 +144,9 @@ TLC_SHARE_CEILING = 0.70
 # Measured host_fine / host_wall is 0.19-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 3,124 (python 3.11, numpy 2.4; 6,596 while each plane's senses,
+# entries: 3,057 (python 3.11, numpy 2.4; 3,124 while every geometry size
+# was a chained property and queries were checked for finiteness in row
+# blocks, 6,596 while each plane's senses,
 # extractions and comparator sweeps were their own die-command call chain
 # and the embedded-core charges a per-query loop, 13,884 while every sensed TLC
 # page drew its own raw bit errors, 15,908 before a device batch
@@ -138,21 +156,25 @@ FINE_SHARE_CEILING = 0.34
 # visit filled a per-query cost object, 60,230 while every query's
 # shortlist and report were also selected and composed one by one); x1.05.
 EVENTS_N_ENTRIES = 100_000
-SEARCH_EVENTS_CEILING = 3_281
-# Measured events of the batch-of-one search that follows it: 1,644
-# (python 3.11, numpy 2.4; 2,476 with per-plane die commands, 2,862 with
+SEARCH_EVENTS_CEILING = 3_210
+# Measured events of the batch-of-one search that follows it: 1,581
+# (python 3.11, numpy 2.4; 1,644 with chained geometry properties and a
+# per-query finiteness check in row blocks, 2,476 with per-plane die
+# commands, 2,862 with
 # per-page error draws, 2,933 before
 # the one-shard kernels, 3,128 with per-ledger reductions, 3,194 with one
 # TTL object per query); x1.05.
 # A batch of one pays every per-batch pass for one query, so fixed
 # per-batch work that batch 64 amortizes shows here first.
-SOLO_EVENTS_CEILING = 1_727
+SOLO_EVENTS_CEILING = 1_661
 # Measured tracemalloc peak of that point's ivf_deploy: 44.26 MB in a fresh
 # process, +-3 KB run to run, 43.2 MB after the gates above (python 3.11,
 # numpy 2.4; 206.19 MB with the whole-matrix build); x1.10.
 DEPLOY_PEAK_BYTES_CEILING = 48_690_000
-# Measured events of the fifth batch on the cached 4 x 2 cluster: 4,237
-# (python 3.11, numpy 2.4; 6,234 with per-(shard, plane) die commands,
+# Measured events of the fifth batch on the cached 4 x 2 cluster: 3,580
+# (python 3.11, numpy 2.4; 4,237 while every winner's chunk went through
+# the NamedTuple constructor and replica election was a Python min per
+# probed cluster, 6,234 with per-(shard, plane) die commands,
 # 6,785 with per-page error draws, 10,618-10,678
 # while every shard ran its own phase kernels, 10,928 while replica
 # election and the down-cluster check asked each cluster's owners one call
@@ -161,9 +183,14 @@ DEPLOY_PEAK_BYTES_CEILING = 48_690_000
 # the cache was driven one page at a time, 18,973 before the cost
 # ledger); x1.05.
 SHARD_WARM_BATCHES = 4
-SHARD_EVENTS_CEILING = 4_449
+SHARD_EVENTS_CEILING = 3_759
 # Measured events(8 shards) / events(1 shard) on the shard_scaling batch:
-# 7,789 / 3,197 = 2.44 with each phase's die work one step per device
+# 6,138 / 2,336 = 2.63 with the chunks, the election and the geometry
+# sizes off the per-query path (both counts fell; the per-query cuts alone
+# read 6,532 / 2,332 = 2.80, over the gate, until the rerank's log2 per
+# distinct count and the TLC counter sums were taken once per batch
+# instead of once per shard; the gate stays at 2.68).  Before it: 7,789 / 3,197 = 2.44 with each
+# phase's die work one step per device
 # (command, latch and counter tables) and the embedded-core charges one
 # column per device; x1.10.  Before it: 11,455 / 4,108 = 2.79 with one
 # raw-bit-error draw and one ECC call per
@@ -178,6 +205,13 @@ SHARD_EVENTS_CEILING = 4_449
 # TTL object per (shard, query); 34,453 / 8,533 = 4.04 with the per-page
 # cache; 50,570 / 15,847 = 3.19 and 124,118 / 38,029 = 3.26 before that.
 SHARD_SCALING_EVENTS_RATIO = 2.68
+# Measured call + c_call events per query of the forming slice (an
+# open-loop Poisson stream through a tiny-device submission queue): 301.0
+# with a running occupancy estimate (python 3.11, numpy 2.4; 350.3 while
+# every estimate rebuilt each candidate's schedule); x1.05.
+FORMING_ARRIVALS = 512
+FORMING_RATE_QPS = 16_000.0
+FORMING_EVENTS_CEILING = 316.1
 
 
 def tlc_share(point) -> float:
@@ -203,6 +237,38 @@ def count_cluster_events() -> tuple:
             lambda: device.ivf_search(did, queries, k=K, nprobe=SHARD_SCALE_NPROBE)
         ))
     return (warm, *scale)
+
+
+def count_forming_events() -> float:
+    """Python call + c_call events per query of a fixed open-loop slice:
+    :data:`FORMING_ARRIVALS` Poisson arrivals at :data:`FORMING_RATE_QPS`
+    (uniform instants over the window, two tenants 3:1) served through a
+    tiny device's submission queue under the ``queue_poisson`` policy.
+    Batches of a few queries each: admission, the occupancy estimate and
+    the queue's bookkeeping weigh here as they do on that workload."""
+    vectors, _ = make_clustered_embeddings(N_ENTRIES, DIM, NLIST, seed="forming")
+    device = ReisDevice(tiny_config("FORMING"))
+    db_id = device.ivf_deploy("forming", vectors, nlist=NLIST, seed=0)
+    queries = make_queries(vectors, FORMING_ARRIVALS, seed="forming-q")
+    rng = make_rng("forming-arrivals")
+    arrivals = np.sort(
+        rng.uniform(0.0, FORMING_ARRIVALS / FORMING_RATE_QPS, FORMING_ARRIVALS)
+    ).tolist()
+    tenants = ["a" if i % 4 else "b" for i in range(FORMING_ARRIVALS)]
+    queue = device.submission_queue(
+        db_id, k=K, nprobe=NPROBE,
+        policy=QueuePolicy(
+            max_batch=32, min_batch=4, batching_timeout_s=1e-3,
+            collision_target=0.5, tenant_weights={"a": 3, "b": 1},
+        ),
+    )
+
+    def serve():
+        for query, tenant, at in zip(queries, tenants, arrivals):
+            queue.submit(query, tenant=tenant, deadline_s=at + 8e-3, at_s=at)
+        queue.drain()
+
+    return count_events(serve) / FORMING_ARRIVALS
 
 
 def count_build_and_search() -> tuple:
@@ -320,6 +386,19 @@ def main() -> int:
         print(
             "perf-smoke: FAIL -- batch-of-one Python call count regressed "
             "(fixed per-batch work grew?)"
+        )
+        return 1
+
+    forming = count_forming_events()
+    print(
+        f"perf-smoke: open-loop forming slice of {FORMING_ARRIVALS} arrivals: "
+        f"{forming:,.1f} call + c_call events per query, ceiling "
+        f"{FORMING_EVENTS_CEILING:,.1f}"
+    )
+    if forming > FORMING_EVENTS_CEILING:
+        print(
+            "perf-smoke: FAIL -- open-loop Python call count regressed "
+            "(forming re-deriving the pending set per arrival?)"
         )
         return 1
 

@@ -168,13 +168,15 @@ class PageCache:
         self._dram = dram
 
     def _region_arrays(self, region: RegionInfo, pages) -> Tuple[int, np.ndarray, np.ndarray]:
-        """``region``'s id (its CoarseRegion, hashed once per call) and its
-        arrays by page offset, grown to cover ``pages``: each page's row
-        (-1: absent) and ghost frequency (touches while absent: misses,
-        uses of evicted rows; restored on admission)."""
-        region_id = self._region_ids.get(region.region)
+        """``region``'s id (keyed by its CoarseRegion's bounds, a tuple of
+        ints hashed in C) and its arrays by page offset, grown to cover
+        ``pages``: each page's row (-1: absent) and ghost frequency
+        (touches while absent: misses, uses of evicted rows; restored on
+        admission)."""
+        key = (region.region.start_page_in_plane, region.region.end_page_in_plane)
+        region_id = self._region_ids.get(key)
         if region_id is None:
-            region_id = self._region_ids[region.region] = len(self._slots)
+            region_id = self._region_ids[key] = len(self._slots)
             self._slots += [np.full(0, -1, dtype=np.int64)]
             self._ghosts += [np.zeros(0, dtype=np.int64)]
         slots, ghost = self._slots[region_id], self._ghosts[region_id]
@@ -196,10 +198,20 @@ class PageCache:
         kind, uses, nbytes = self._cols[[_KIND, _USES, _NBYTES], row].tolist()
         return CachedPage(self._kind_names[kind], uses, nbytes, row)
 
-    def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Copies of the mirrored ``(data, oob)`` of ``rows`` (padded to the
-        widest page admitted)."""
-        return self._data[rows], self._oob[rows]
+    def gather(
+        self, rows: np.ndarray, at: np.ndarray, data: np.ndarray,
+        oob: Optional[np.ndarray] = None,
+    ) -> None:
+        """Copy the mirrored bytes of ``rows`` straight into rows ``at`` of
+        ``data`` (and the OOB bytes into ``oob``), each cut to the
+        destination's width: one copy per hit, no temporary."""
+        width = data.shape[1]
+        for row, dst in zip(rows.tolist(), at.tolist()):
+            data[dst] = self._data[row, :width]
+        if oob is not None:
+            width = oob.shape[1]
+            for row, dst in zip(rows.tolist(), at.tolist()):
+                oob[dst] = self._oob[row, :width]
 
     def lookup_pages(self, region: RegionInfo, pages) -> Tuple[np.ndarray, np.ndarray]:
         """Look up distinct pages of one region: each one's mirror row and
@@ -338,7 +350,7 @@ class PageCache:
         return n
 
     def _reset(self) -> None:
-        self._region_ids: Dict[object, int] = {}
+        self._region_ids: Dict[Tuple[int, int], int] = {}
         self._slots: List[np.ndarray] = []
         self._ghosts: List[np.ndarray] = []
         self._cols = np.full((6, 8), -1, dtype=np.int64)

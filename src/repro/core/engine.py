@@ -63,6 +63,7 @@ from repro.core.registry import TemporalTopList, TtlBlock
 from repro.nand.cell import reliability
 from repro.nand.ecc import UncorrectableReadError
 from repro.nand.latches import xor_popcount_segments
+from repro.ssd.cores import log2_counts
 from repro.ssd.device import SimulatedSSD
 
 __all__ = [
@@ -121,6 +122,12 @@ class _LatchedPages:
             dists, embs, eadrs=eadrs, dadrs=words[:, 0], radrs=words[:, 1],
             metas=words[:, 2] if words.shape[1] >= 3 else None,
         )
+
+
+def _cut_sums(column: np.ndarray, cuts: Sequence[int]) -> List[int]:
+    """``column[cuts[s]:cuts[s + 1]].sum()`` for every ``s``, as ints."""
+    prefix = np.concatenate(([0], column.cumsum()))
+    return (prefix[cuts[1:]] - prefix[cuts[:-1]]).tolist()
 
 
 class _TlcPages(NamedTuple):
@@ -326,10 +333,7 @@ class InStorageAnnsEngine:
             if cache is None:
                 continue
             if cached.any():
-                hit_data, hit_oob = cache.gather(rows[cached])
-                hits = lo + cached.nonzero()[0]
-                data_u[hits] = hit_data[:, :page_bytes]
-                oob_u[hits] = hit_oob[:, :oob_bytes]
+                cache.gather(rows[cached], lo + cached.nonzero()[0], data_u, oob_u)
             if fresh.size:  # mirror every freshly-sensed page's golden bytes
                 cache.admit_pages(
                     region, pages[fresh], "centroid" if coarse else "cluster",
@@ -630,8 +634,9 @@ class InStorageAnnsEngine:
                 if bad.size:
                     raise UncorrectableReadError(region.name, int(offsets[bad[0]]))
             if n_sensed < hi - lo:  # mirror-served rows: one gather
-                hits, _oob = cache.gather(rows_u[order[n_sensed:]])
-                out[n_sensed:] = hits[:, : out.shape[1]]
+                cache.gather(
+                    rows_u[order[n_sensed:]], np.arange(n_sensed, hi - lo), out
+                )
             if n_sensed and cache is not None:
                 # Freshly-sensed pages are now golden (ECC-corrected): mirror them.
                 cache.admit_pages(region, offsets[:n_sensed], kind, sensed.data, sensed.oob)
@@ -696,6 +701,10 @@ class InStorageAnnsEngine:
         ).reshape(n_cells, n_channels)
         codewords_of_cell = codewords_of.sum(axis=1)
         visit_cuts = visit_cell.searchsorted(cell_cuts).tolist()
+        # Per shard: its cells' codewords and sensed visits, its uncached rows.
+        shard_codewords = _cut_sums(codewords_of_cell, cell_cuts)
+        shard_sensed = _cut_sums(sensed_visits, cell_cuts)
+        shard_uncached = _cut_sums(~cached, pages.cuts)
         for shard, (run, ledger) in enumerate(zip(runs, ledgers)):
             lo, hi = visit_cuts[shard], visit_cuts[shard + 1]
             if lo == hi:
@@ -714,15 +723,12 @@ class InStorageAnnsEngine:
             ledger.channel_bytes += codewords_of[first_cell:last_cell] * cw
             ledger.ecc_bytes += codewords_of_cell[first_cell:last_cell] * cw
             ssd = run.engine.ssd
-            ssd.counters.add(
-                "channel_bytes", int(codewords_of_cell[first_cell:last_cell].sum()) * cw
-            )
-            extra = int(sensed_visits[first_cell:last_cell].sum()) - int(
-                np.count_nonzero(~cached[mine])
-            )
+            counters = ssd.array.counters
+            counters.add("channel_bytes", shard_codewords[shard] * cw)
+            extra = shard_sensed[shard] - shard_uncached[shard]
             if extra > 0:
-                ssd.counters.add("page_reads", extra)
-                ssd.counters.add("page_reads_tlc", extra)
+                counters.add("page_reads", extra)
+                counters.add("page_reads_tlc", extra)
                 ssd.ecc.decoded_bytes += extra * page_bytes
         for stats, n_sensed in zip(stats_list, sensed_visits.tolist()):
             stats.pages_read += n_sensed
@@ -790,10 +796,13 @@ class InStorageAnnsEngine:
         # Each cell recomputes its rows' INT8 distances, then quicksorts them,
         # on its shard's core: one column of charges per shard.
         counts = np.bincount(cells, minlength=n_cells).reshape(len(runs), n_queries)
-        for run, ledger, mine in zip(runs, ledgers, counts):
+        log2 = log2_counts(counts)
+        for run, ledger, mine, mine_log2 in zip(runs, ledgers, counts, log2):
             asked = mine.nonzero()[0]
             if asked.size:
-                seconds = run.engine.ssd.cores.reis_core.reranks(mine[asked], dim)
+                seconds = run.engine.ssd.cores.reis_core.reranks(
+                    mine[asked], mine_log2[asked], dim
+                )
                 np.add.at(ledger.core_seconds, asked.repeat(2), seconds.ravel())
             run.ledgers["rerank"] = ledger
         # One stable sort by (cell, distance): a cell's ties keep row order.

@@ -857,6 +857,7 @@ class IngestQueue(SubmissionQueue):
     def _requeue(self, members: Sequence[Submission]) -> None:
         # Mutations that committed before the batch failed keep their acks
         # and must not be applied twice: only the rest goes back.
+        self.former.release([s for s in members if s.sub_id in self.mutation_acks])
         super()._requeue(
             [s for s in members if s.sub_id not in self.mutation_acks]
         )

@@ -198,18 +198,6 @@ def validate_search_params(k: int, nprobe: Optional[int] = None) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _finite_matrix(
-    name: str, array: np.ndarray, shape_ok: bool, expected: str
-) -> np.ndarray:
-    """Shape + finiteness check shared by queries and corpora (finiteness in
-    row blocks: a corpus costs no ``n x dim`` boolean temporary)."""
-    if not shape_ok:
-        raise ValueError(f"{name} must have shape {expected}, got {array.shape}")
-    if not all([np.isfinite(array[lo:hi]).all() for lo, hi in row_blocks(len(array))]):
-        raise ValueError(f"{name} contain NaN or inf components")
-    return array
-
-
 def validate_queries(
     db, queries: np.ndarray, k: int, nprobe: Optional[int] = None
 ) -> np.ndarray:
@@ -223,14 +211,22 @@ def validate_queries(
     code) and ``nprobe == 0`` (which probes nothing), not at all.
     """
     validate_search_params(k, nprobe)
-    return validate_query_rows(db, queries)
+    queries = validate_query_rows(db, queries)
+    return queries if queries.ndim == 2 else queries.reshape(1, -1)
 
 
 def validate_query_rows(db, queries: np.ndarray) -> np.ndarray:
-    """:func:`validate_queries` less ``k`` / ``nprobe`` (a queue checks them once)."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-    shape_ok = queries.ndim == 2 and queries.shape[1] == db.dim
-    return _finite_matrix("queries", queries, shape_ok, f"(n, {db.dim})")
+    """:func:`validate_queries` less ``k`` / ``nprobe`` (a queue checks them
+    once), returned as float32 in the shape it came: a flat vector checks as
+    one row and stays flat.  Queries are never corpus-sized, so finiteness
+    is one ``isfinite`` pass."""
+    queries = np.asarray(queries, dtype=np.float32)
+    rows = queries.shape if queries.ndim >= 2 else (1, queries.size)
+    if len(rows) != 2 or rows[1] != db.dim:
+        raise ValueError(f"queries must have shape (n, {db.dim}), got {rows}")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries contain NaN or inf components")
+    return queries
 
 
 def validate_vectors(vectors: np.ndarray) -> np.ndarray:
@@ -241,8 +237,14 @@ def validate_vectors(vectors: np.ndarray) -> np.ndarray:
     as garbage INT8 codes, or die inside numpy's ``choice``).
     """
     vectors = np.asarray(vectors, dtype=np.float32)
-    shape_ok = vectors.ndim == 2 and vectors.shape[0] >= 1
-    return _finite_matrix("vectors", vectors, shape_ok, "(n, dim) with n >= 1")
+    if not (vectors.ndim == 2 and vectors.shape[0] >= 1):
+        raise ValueError(
+            f"vectors must have shape (n, dim) with n >= 1, got {vectors.shape}"
+        )
+    # Finiteness in row blocks: a corpus costs no ``n x dim`` boolean temporary.
+    if not all([np.isfinite(vectors[lo:hi]).all() for lo, hi in row_blocks(len(vectors))]):
+        raise ValueError("vectors contain NaN or inf components")
+    return vectors
 
 
 def validate_metadata_tags(tags, name: str = "metadata_tags") -> np.ndarray:

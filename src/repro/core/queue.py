@@ -15,9 +15,8 @@ behavior is deterministic and tier-1 stays flake-free):
   ``full``       the pending set reaches ``max_batch``;
   ``occupancy``  the estimated scan footprint covers enough of the
                  device (plane coverage and sense-collision targets,
-                 estimated with :func:`~repro.core.plan.schedule_order` /
-                 :func:`~repro.core.plan.schedule_senses` over the
-                 layout's real page->plane map);
+                 estimated by the executor's sense rule over the layout's
+                 real page->plane map, folded in one arrival at a time);
   ``timeout``    the oldest pending submission has waited
                  ``batching_timeout_s``;
   ``deadline``   some pending submission's deadline is within
@@ -53,11 +52,13 @@ query's result does not depend on its batch.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter, is_
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -75,13 +76,7 @@ import numpy as np
 
 from repro.core.batch import BatchExecution, BatchStats
 from repro.core.layout import DeployedDatabase, RegionInfo
-from repro.core.plan import (
-    resolve_nprobe,
-    schedule_order,
-    schedule_senses,
-    validate_query_rows,
-    validate_search_params,
-)
+from repro.core.plan import resolve_nprobe, validate_query_rows, validate_search_params
 from repro.sim.latency import LatencyReport, SimClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,6 +92,8 @@ _EPS = 1e-12
 PLANE_COVERAGE_TARGET = 1.0
 #: Forming-pass batch slots of a tenant absent from ``tenant_weights``.
 DEFAULT_TENANT_WEIGHT = 1
+#: A submission's place in arrival order.
+_ARRIVAL = attrgetter("submit_s", "sub_id")
 
 
 class QueueAdmissionError(RuntimeError):
@@ -220,12 +217,20 @@ class BatchFormer:
     IVF query's coarse phase will pick.  The former substitutes a
     deterministic uniform-popularity surrogate -- submission ``i`` is
     assumed to probe ``nprobe`` clusters striding the cluster list from
-    offset ``i`` -- and feeds the union of those footprints through
-    :func:`~repro.core.plan.schedule_order` /
-    :func:`~repro.core.plan.schedule_senses` with the layout's real
+    offset ``i`` -- and runs the union of those footprints through the
+    executor's sense rule (:func:`~repro.core.plan.schedule_order` /
+    :func:`~repro.core.plan.schedule_senses`) with the layout's real
     page->plane map.  The resulting collision and plane-coverage
     statistics are an *expectation model* of the schedules the executors
     will really build; they steer admission, never results.
+
+    The estimate is a running state (:meth:`_fold`): request and sense
+    counts, each shard's covered planes and each (shard, region)'s latch
+    state -- the pages already seen under ``schedule_optimization`` (a
+    page senses once), else each plane's latched page.  :meth:`estimate`
+    folds in only the candidates beyond the list the state covers; any
+    other list (a batch formed, a requeue, a new head of a pending set
+    over ``max_batch``) restarts it from empty, by the same code.
 
     The layout comes in as ``views`` (:data:`FormingViews`), asked afresh
     per footprint so it reflects the deployment as it stands.  A single
@@ -235,7 +240,9 @@ class BatchFormer:
     per live shard, each expected to scan the guessed clusters the router
     would have it *serve*, and planes count as ``(shard, plane)`` pairs --
     one shard's planes alone saturate long before (balanced splits) or
-    after (skewed splits) the cluster's do.
+    after (skewed splits) the cluster's do.  A footprint is kept from a
+    submission's first estimate until it forms into a batch
+    (:meth:`release`); a requeued member keeps its own.
     """
 
     def __init__(
@@ -248,13 +255,38 @@ class BatchFormer:
         self.views = views
         self.n_clusters = n_clusters
         self.nprobe = resolve_nprobe(n_clusters, nprobe)
+        if self.nprobe is not None:
+            # Submission ``i`` guesses clusters ``i + j * stride`` (mod nlist).
+            stride = max(1, n_clusters // self.nprobe)
+            self._probe_strides = np.arange(self.nprobe) * stride
         self.policy = policy
         self._footprints: Dict[int, List[Tuple]] = {}
-        self._estimates: Dict[Tuple[int, ...], FormingEstimate] = {}
-        # Computed on first estimate(): counting the planes the database
-        # spans translates every region page, which synchronous callers
-        # (whose batches close on the ``full`` trigger) never need.
-        self._n_planes: Optional[int] = None
+        # (shard, region name) -> (the region, its page offsets, their planes).
+        self._columns: Dict[Tuple[int, str], Tuple] = {}
+        self._n_planes: Optional[int] = None  # on first estimate()
+        self._restart()
+
+    def _restart(self) -> None:
+        """Empty the running estimate."""
+        self._folded: List[Submission] = []
+        self._latches: Dict[Tuple[int, str], Tuple] = {}  # see _fold
+        self._covered: Dict[int, np.ndarray] = {}
+        self._n_requests = self._n_senses = 0
+        self._estimate: Optional[FormingEstimate] = None
+
+    def _region_columns(
+        self, shard: int, engine: "InStorageAnnsEngine", region: RegionInfo
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every page offset of ``shard``'s ``region`` (read-only) and its
+        global plane: forming's one address translation per region."""
+        key = (shard, region.name)
+        cached = self._columns.get(key)
+        if cached is None or cached[0] is not region:
+            pages = np.arange(region.n_pages)
+            pages.flags.writeable = False
+            planes = region.region.translate_columns(pages, engine.geometry)[0]
+            cached = self._columns[key] = (region, pages, planes)
+        return cached[1:]
 
     def _count_planes(self) -> int:
         if self._n_planes is None:
@@ -265,9 +297,7 @@ class BatchFormer:
                     for region in (db.centroid_region, db.embedding_region)
                     if region is not None
                     for plane in np.unique(
-                        region.region.translate_columns(
-                            np.arange(region.n_pages), engine.geometry
-                        )[0]
+                        self._region_columns(shard, engine, region)[1]
                     ).tolist()
                 }
             )
@@ -279,84 +309,123 @@ class BatchFormer:
         """Uniform-popularity surrogate for a submission's probed clusters."""
         if self.nprobe is None:
             return []
-        stride = max(1, self.n_clusters // self.nprobe)
-        return [
-            (sub_id + j * stride) % self.n_clusters for j in range(self.nprobe)
-        ]
+        return ((sub_id + self._probe_strides) % self.n_clusters).tolist()
 
     def footprint(
         self, submission: Submission
     ) -> List[Tuple[int, "InStorageAnnsEngine", RegionInfo, np.ndarray]]:
         """``(shard, engine, region, page offsets)`` scans the submission
-        is expected to cause, pages in demand order."""
+        is expected to cause, distinct pages in demand order."""
         cached = self._footprints.get(submission.sub_id)
         if cached is not None:
             return cached
         scans: List[Tuple] = []
         guessed = self._guessed_clusters(submission.sub_id)
         for shard, engine, db, clusters in self.views(guessed):
-            embedding = db.embedding_region
-            if db.is_ivf:
-                centroid = db.centroid_region
-                scans.append((shard, engine, centroid, np.arange(centroid.n_pages)))
+            embedding, centroid = db.embedding_region, db.centroid_region
+            if centroid is not None:  # IVF
+                scans.append(
+                    (shard, engine, centroid,
+                     self._region_columns(shard, engine, centroid)[0])
+                )
                 # The guessed clusters' pages (R-IVF columns) in demand
                 # order; a page two of them share is one demand.
                 spp = embedding.slots_per_page
-                pages = np.array(list(dict.fromkeys([
+                pages = np.fromiter(dict.fromkeys([
                     page
                     for first, last in zip(
                         db.r_ivf.firsts[clusters].tolist(),
                         db.r_ivf.lasts[clusters].tolist(),
                     ) if last >= first
                     for page in range(first // spp, last // spp + 1)
-                ])), dtype=np.int64)
+                ]), dtype=np.int64)
             else:
-                pages = np.arange(embedding.n_pages)
+                pages = self._region_columns(shard, engine, embedding)[0]
             scans.append((shard, engine, embedding, pages))
         self._footprints[submission.sub_id] = scans
         return scans
+
+    def release(self, members: Sequence[Submission]) -> None:
+        """Forget the footprints of submissions that left the queue."""
+        for submission in members:
+            self._footprints.pop(submission.sub_id, None)
+
+    def _fold(
+        self,
+        shard: int,
+        engine: "InStorageAnnsEngine",
+        region: RegionInfo,
+        pages: np.ndarray,
+    ) -> None:
+        """Add one candidate's distinct page demands on ``shard``'s
+        ``region`` to the running estimate.
+
+        Under ``schedule_optimization`` a page's requests are served
+        together, so only pages not seen before sense.  In query order a
+        request senses unless the last request on its plane latched the
+        same page: the demands are walked against each plane's latched
+        page, in order (one stable sort by plane).  A plane is covered
+        once any of its pages is asked for: its first request senses.
+        """
+        if not pages.size:
+            return
+        state = self._latches.get((shard, region.name))
+        if state is None:
+            optimize = engine.flags.schedule_optimization
+            plane_of = self._region_columns(shard, engine, region)[1]
+            n_planes = engine.geometry.total_planes
+            covered = self._covered.setdefault(shard, np.zeros(n_planes, dtype=bool))
+            latch = (  # the pages seen, or each plane's latched page
+                np.zeros(plane_of.size, dtype=bool) if optimize
+                else np.full(n_planes, -1, dtype=np.int64)
+            )
+            state = self._latches[shard, region.name] = (optimize, plane_of, latch, covered)
+        optimize, plane_of, latch, covered = state
+        if optimize:
+            fresh = pages[~latch[pages]]
+            latch[fresh] = True
+            n_sensed = fresh.size
+        else:
+            order = plane_of[pages].argsort(kind="stable")
+            by_plane = pages[order]
+            planes = plane_of[by_plane]
+            head = np.concatenate(([True], planes[1:] != planes[:-1]))
+            previous = np.concatenate(([-1], by_plane[:-1]))
+            previous[head] = latch[planes[head]]
+            tail = np.concatenate((head[1:], [True]))
+            latch[planes[tail]] = by_plane[tail]
+            n_sensed = int(np.add.reduce(by_plane != previous))
+        covered[plane_of[pages]] = True
+        self._n_requests += pages.size
+        self._n_senses += n_sensed
 
     def estimate(self, candidates: Sequence[Submission]) -> FormingEstimate:
         """Occupancy statistics of the candidate batch's expected schedules.
 
         One schedule per scanned (shard, region) -- coarse and fine execute
-        as separate page-major schedules on every device -- built with the
-        same ``schedule_optimization`` flag the executor will use, so the
+        as separate page-major schedules on every device -- under the same
+        ``schedule_optimization`` flag the executor will use, so the
         estimate and the execution share one collision model.
         """
-        key = tuple([s.sub_id for s in candidates])
-        cached = self._estimates.get(key)
-        if cached is not None:
-            return cached
-        demands: Dict[Tuple[int, str], Tuple] = {}
-        for submission in candidates:
-            for shard, engine, region, pages in self.footprint(submission):
-                demands.setdefault(
-                    (shard, region.name), (engine, region, [])
-                )[2].append(pages)
-        n_requests = 0
-        n_senses = 0
-        covered: set = set()
-        for (shard, _name), (engine, region, parts) in demands.items():
-            pages = np.concatenate(parts)
-            planes = region.region.translate_columns(pages, engine.geometry)[0]
-            order = schedule_order(pages, engine.flags.schedule_optimization)
-            pages, planes = pages[order], planes[order]
-            sensed = schedule_senses(pages, planes)
-            n_requests += pages.size
-            n_senses += int(sensed.sum())
-            covered.update([
-                (shard, plane)
-                for plane in np.bincount(planes[sensed]).nonzero()[0].tolist()
-            ])
-        estimate = FormingEstimate(
-            n_requests=n_requests,
-            n_senses=n_senses,
-            planes_covered=len(covered),
-            n_planes=self._count_planes(),
-        )
-        self._estimates = {key: estimate}  # keep only the latest pending set
-        return estimate
+        folded = self._folded
+        if len(candidates) < len(folded) or not all(map(is_, folded, candidates)):
+            self._restart()
+            folded = self._folded
+        if self._estimate is None or len(candidates) > len(folded):
+            arrived = candidates[len(folded):]
+            for submission in arrived:
+                for scan in self.footprint(submission):
+                    self._fold(*scan)
+            folded.extend(arrived)
+            self._estimate = FormingEstimate(
+                n_requests=self._n_requests,
+                n_senses=self._n_senses,
+                planes_covered=sum(
+                    [int(np.count_nonzero(mask)) for mask in self._covered.values()]
+                ),
+                n_planes=self._count_planes(),
+            )
+        return self._estimate
 
     # ------------------------------------------------------------- triggers
 
@@ -366,7 +435,8 @@ class BatchFormer:
         now_s: float,
         flushing: bool,
     ) -> Optional[str]:
-        """The first fired trigger's name, or None to keep forming."""
+        """The first fired trigger's name, or None to keep forming.
+        ``pending`` is in arrival order, oldest first."""
         if not pending:
             return None
         policy = self.policy
@@ -379,8 +449,7 @@ class BatchFormer:
                 and estimate.collision_ratio >= policy.collision_target - _EPS
             ):
                 return "occupancy"
-        oldest = min([s.submit_s for s in pending])
-        if now_s >= oldest + policy.batching_timeout_s - _EPS:
+        if now_s >= pending[0].submit_s + policy.batching_timeout_s - _EPS:
             return "timeout"
         nearest = min([s.deadline_s for s in pending])
         if math.isfinite(nearest) and now_s >= nearest - policy.deadline_slack_s - _EPS:
@@ -390,11 +459,11 @@ class BatchFormer:
         return None
 
     def next_trigger_s(self, pending: Sequence[Submission]) -> float:
-        """Earliest future instant a time-based trigger can fire."""
+        """Earliest future instant a time-based trigger can fire
+        (``pending`` in arrival order)."""
         if not pending:
             return math.inf
-        oldest = min([s.submit_s for s in pending])
-        instant = oldest + self.policy.batching_timeout_s
+        instant = pending[0].submit_s + self.policy.batching_timeout_s
         nearest = min([s.deadline_s for s in pending])
         if math.isfinite(nearest):
             instant = min(instant, nearest - self.policy.deadline_slack_s)
@@ -592,7 +661,11 @@ class SubmissionQueue:
         self._arrivals: List[Tuple[float, int, Submission]] = []
         # Held arrivals per tenant (the admission bound counts them).
         self._future: Dict[str, int] = defaultdict(int)
+        # Admitted submissions: per-tenant FIFOs, each tenant's weight
+        # (resolved once), and all of them in arrival order.
         self._tenants: Dict[str, Deque[Submission]] = {}
+        self._weights: Dict[str, int] = {}
+        self._pending: List[Submission] = []
         self._rr_offset = 0
         self._next_sub_id = 0
         self.served: Dict[int, ServedQuery] = {}
@@ -631,7 +704,7 @@ class SubmissionQueue:
         if query.ndim != 1:
             raise ValueError("submit takes one flat query vector")
         # ``k`` / ``nprobe`` were checked when the queue was built.
-        query = validate_query_rows(self.db, query)[0]
+        query = validate_query_rows(self.db, query)
         submission = Submission(
             sub_id=self._next_sub_id,
             tenant=tenant,
@@ -673,21 +746,26 @@ class SubmissionQueue:
     @property
     def pending_count(self) -> int:
         """Admitted-but-unserved submissions (excludes future arrivals)."""
-        return sum([len(q) for q in self._tenants.values()])
+        return len(self._pending)
 
     # ------------------------------------------------------------ admission
 
     def _admit_due(self) -> None:
+        pending = self._pending
         while self._arrivals and self._arrivals[0][0] <= self.clock.now_s + _EPS:
             _, _, submission = heapq.heappop(self._arrivals)
-            self._future[submission.tenant] -= 1
-            self._tenants.setdefault(submission.tenant, deque()).append(submission)
-
-    def _pending_snapshot(self) -> List[Submission]:
-        """Admitted submissions in arrival order (for the forming triggers)."""
-        pending = [s for q in self._tenants.values() for s in q]
-        pending.sort(key=lambda s: (s.submit_s, s.sub_id))
-        return pending
+            tenant = submission.tenant
+            self._future[tenant] -= 1
+            backlog = self._tenants.get(tenant)
+            if backlog is None:
+                backlog = self._tenants[tenant] = deque()
+                self._weights[tenant] = self.policy.weight(tenant)
+            backlog.append(submission)
+            if pending and _ARRIVAL(submission) < _ARRIVAL(pending[-1]):
+                # Admitted within _EPS of the clock, behind a later arrival.
+                bisect.insort(pending, submission, key=_ARRIVAL)
+            else:
+                pending.append(submission)
 
     def _form_batch(self) -> List[Submission]:
         """Drain up to ``max_batch`` submissions, weighted round-robin.
@@ -697,31 +775,33 @@ class SubmissionQueue:
         any two tenants both have work their batch shares follow their
         weights regardless of queue depths -- the no-starvation bound.
         """
-        policy = self.policy
         order = [t for t, q in self._tenants.items() if q]
         picked: List[Submission] = []
         if not order:
             return picked
         start = self._rr_offset % len(order)
         self._rr_offset += 1
-        while len(picked) < policy.max_batch:
-            progressed = False
-            for i in range(len(order)):
-                tenant = order[(start + i) % len(order)]
-                backlog = self._tenants[tenant]
-                take = min(
-                    policy.weight(tenant),
-                    len(backlog),
-                    policy.max_batch - len(picked),
-                )
-                for _ in range(take):
-                    picked.append(backlog.popleft())
-                if take:
-                    progressed = True
-                if len(picked) >= policy.max_batch:
+        visits = [
+            (self._tenants[tenant], self._weights[tenant])
+            for tenant in order[start:] + order[:start]
+        ]
+        room = self.policy.max_batch
+        while room and visits:
+            waiting = []  # the visited tenants with work left, in order
+            for backlog, weight in visits:
+                take = min(weight, len(backlog), room)
+                picked += [backlog.popleft() for _ in range(take)]
+                room -= take
+                if backlog:
+                    waiting.append((backlog, weight))
+                if not room:
                     break
-            if not progressed:
-                break
+            visits = waiting
+        if len(picked) == len(self._pending):
+            self._pending = []
+        else:
+            taken = {s.sub_id for s in picked}
+            self._pending = [s for s in self._pending if s.sub_id not in taken]
         return picked
 
     # ------------------------------------------------------------- serving
@@ -744,7 +824,7 @@ class SubmissionQueue:
         self.clock.advance(service_seconds)
         finish_s = self.clock.now_s
 
-        forming = start_s - min(s.submit_s for s in members)
+        forming = start_s - min([s.submit_s for s in members])
         execution.stats.queue_seconds = forming
         if forming > 0:
             execution.report.add_phase("queue", forming)
@@ -769,7 +849,7 @@ class SubmissionQueue:
                 start_s=start_s,
                 finish_s=finish_s,
             )
-            if query.deadline_missed:
+            if finish_s > submission.deadline_s + _EPS:  # ServedQuery.deadline_missed
                 misses += 1
             self.served[submission.sub_id] = query
         execution.deadline_misses = misses
@@ -778,9 +858,10 @@ class SubmissionQueue:
 
     def _requeue(self, members: Sequence[Submission]) -> None:
         """Put a failed batch's members back at the head of their tenant
-        FIFOs, in their original order."""
+        FIFOs and into the pending list, in their original order."""
         for submission in reversed(members):
             self._tenants[submission.tenant].appendleft(submission)
+        self._pending = sorted([*self._pending, *members], key=_ARRIVAL)
 
     def step(self) -> Optional[QueuedBatch]:
         """Advance the event loop until one batch is served (or nothing is
@@ -789,20 +870,22 @@ class SubmissionQueue:
         When the batch's execution raises, the error propagates with the
         queue as it was before the batch formed: nothing is dropped.
         """
-        while self._arrivals or self.pending_count:
+        while self._arrivals or self._pending:
             self._admit_due()
-            pending = self._pending_snapshot()
+            pending = self._pending
             flushing = not self._arrivals
             reason = self.former.should_close(pending, self.clock.now_s, flushing)
             if reason is not None:
                 rr_offset = self._rr_offset
                 members = self._form_batch()
                 try:
-                    return self._serve_batch(members, reason)
+                    batch = self._serve_batch(members, reason)
                 except Exception:
                     self._rr_offset = rr_offset
                     self._requeue(members)
                     raise
+                self.former.release(members)
+                return batch
             instants = []
             if self._arrivals:
                 instants.append(self._arrivals[0][0])

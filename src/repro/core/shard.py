@@ -57,6 +57,7 @@ the wall clock exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -406,10 +407,7 @@ class ShardedDatabase:
         ids = global_ids.tolist()
         if self.corpus is not None:
             return [self.corpus[global_id] for global_id in ids]
-        return [
-            DocumentChunk(chunk_id=global_id, text=f"chunk-{global_id}")
-            for global_id in ids
-        ]
+        return DocumentChunk.decoded(ids, list(map("chunk-{}".format, ids)))
 
 
 # ------------------------------------------------------------- merge model
@@ -777,28 +775,38 @@ class ShardRouter:
         )
         return _ShardRun(**vars(run), shard=shard, failover=failover)
 
-    def _elect(
-        self, state: _BatchState, clusters: Sequence[int]
-    ) -> Dict[int, List[int]]:
+    def _elect(self, state: _BatchState, clusters: np.ndarray) -> np.ndarray:
         """Pick each of ``clusters``' serving replica, in the order given,
-        into ``state.serving``: the least-loaded live owner (cumulative busy
-        seconds, then vectors already assigned in this round, then shard
-        id).  Returns the clusters each picked shard now serves.  Disjoint
-        serving sets keep the downstream merge keys a total order, so
-        replica choice never changes results."""
-        rows = state.sdb.assignment.live_owners(self.failed_shards)[clusters]
-        load, assigned = self._shard_loads(), [0] * self.n_shards
-        sizes = state.cluster_sizes[clusters].tolist()
-        by_shard: Dict[int, List[int]] = {}
-        for cluster, owners, size in zip(clusters, rows.tolist(), sizes):
-            owners = [s for s in owners if s >= 0]
-            if not owners:
-                raise ShardUnavailableError(cluster)
-            pick = min(owners, key=lambda s: (load[s], assigned[s], s))
-            assigned[pick] += size
-            state.serving[cluster] = pick
-            by_shard.setdefault(pick, []).append(cluster)
-        return by_shard
+        into ``state.serving``, and return the picks: the least-loaded live
+        owner (cumulative busy seconds, then vectors already assigned in
+        this round, then shard id).  The load decides most clusters in one
+        vectorized pick; only clusters whose live owners tie on the least
+        load are walked, in order, against the vectors every earlier pick
+        assigned.  Disjoint serving sets keep the downstream merge keys a
+        total order, so replica choice never changes results."""
+        owners = state.sdb.assignment.live_owners(self.failed_shards)[clusters]
+        # A -1 slot indexes the trailing +inf: a dead owner never wins.
+        owner_load = np.array([*self._shard_loads(), math.inf])[owners]
+        least_load = np.minimum.reduce(owner_load, axis=1, keepdims=True)
+        down = least_load[:, 0] == math.inf
+        if down.any():  # elect up to the first cluster with no live owner
+            first = int(down.argmax())
+            self._elect(state, clusters[:first])
+            raise ShardUnavailableError(int(clusters[first]))
+        least = owner_load == least_load
+        picks = owners[np.arange(len(owners)), least.argmax(axis=1)]
+        tied = (np.add.reduce(least, axis=1) > 1).nonzero()[0].tolist()
+        if tied:
+            sizes = state.cluster_sizes[clusters]
+            assigned = np.zeros(self.n_shards, dtype=np.int64)
+            done = 0
+            for i in tied:
+                np.add.at(assigned, picks[done:i], sizes[done:i])
+                candidates = owners[i][least[i]]
+                picks[i] = min(zip(assigned[candidates].tolist(), candidates.tolist()))[1]
+                done = i
+        state.serving[clusters] = picks
+        return picks
 
     def _hand_out_probes(
         self, state: _BatchState, run: _ShardRun, mine: np.ndarray
@@ -838,14 +846,17 @@ class ShardRouter:
             lost = lost[np.isin(lost, holding)]
         # Elected in ascending cluster order: the load key sees the same
         # sequence of assignments every time.
-        by_shard = self._elect(state, lost.tolist())
-        if not by_shard:
+        picks = self._elect(state, lost)
+        if not picks.size:
             return None
-        runs = [self._make_run(state, shard, failover=True) for shard in sorted(by_shard)]
+        runs = [
+            self._make_run(state, shard, failover=True)
+            for shard in np.unique(picks).tolist()
+        ]
         broadcast_queries(runs)
         for run in runs:
             self._hand_out_probes(
-                state, run, np.isin(state.probe_clusters, by_shard[run.shard])
+                state, run, np.isin(state.probe_clusters, lost[picks == run.shard])
             )
         state.runs += runs
         table = fine_scan(runs)
@@ -917,7 +928,7 @@ class ShardRouter:
 
         # One serving replica per probed cluster, batch-wide.
         distinct, first = np.unique(state.probe_clusters, return_index=True)
-        self._elect(state, distinct[np.argsort(first)].tolist())
+        self._elect(state, distinct[np.argsort(first)])
         serving = state.serving[state.probe_clusters]
         for run in state.live_runs():
             self._hand_out_probes(state, run, serving == run.shard)

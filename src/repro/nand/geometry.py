@@ -10,6 +10,7 @@ re-purposes for the embedding-document linkage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -18,7 +19,9 @@ class FlashGeometry:
 
     Defaults describe a small array for functional tests; the evaluated
     REIS-SSD1/REIS-SSD2 configurations (Table 3) are built in
-    :mod:`repro.core.config`.
+    :mod:`repro.core.config`.  The derived sizes are computed on first read
+    and then kept (``cached_property``: an instance attribute, outside
+    eq/hash/repr), since every batch reads them.
     """
 
     channels: int = 2
@@ -45,32 +48,32 @@ class FlashGeometry:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
+    @cached_property
     def dies_per_channel(self) -> int:
         return self.chips_per_channel * self.dies_per_chip
 
-    @property
+    @cached_property
     def total_dies(self) -> int:
         return self.channels * self.dies_per_channel
 
-    @property
+    @cached_property
     def total_planes(self) -> int:
         return self.total_dies * self.planes_per_die
 
-    @property
+    @cached_property
     def pages_per_plane(self) -> int:
         return self.blocks_per_plane * self.pages_per_block
 
-    @property
+    @cached_property
     def total_pages(self) -> int:
         return self.total_planes * self.pages_per_plane
 
-    @property
+    @cached_property
     def capacity_bytes(self) -> int:
         """User-data capacity with every page in its native (e.g. TLC) mode."""
         return self.total_pages * self.page_bytes
 
-    @property
+    @cached_property
     def subpages_per_page(self) -> int:
         return self.page_bytes // self.subpage_bytes
 

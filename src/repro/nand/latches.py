@@ -140,21 +140,16 @@ class PageBuffer:
         self.cache = table.cache[row]
         self.oob = table.oob[row]
 
-    def load_sensing(self, data: np.ndarray, oob: np.ndarray) -> None:
-        """Model a page sense: page data + OOB land in the sensing latch."""
-        self.sensing[: data.size] = data
-        self.sensing[data.size :] = 0
-        self.oob[: oob.size] = oob
-        self.oob[oob.size :] = 0
-
 
 class FailBitCounter:
     """On-chip digital bit counter (counts ones in a latch).
 
     Real counters report the number of "failing" cells after a program-verify
     step.  REIS segments the count at mini-page (embedding) granularity; the
-    counter walks the data latch once and emits one count per segment.  Its
-    invocation count is its plane's entry of the :class:`LatchTable` column.
+    counter walks the data latch once and emits one count per segment (the
+    arithmetic is :func:`xor_popcount_segments`, which the scan kernel runs
+    over a whole phase's extractions at once).  Its invocation count is its
+    plane's entry of the :class:`LatchTable` column.
     """
 
     def __init__(self, buffer: PageBuffer) -> None:
@@ -163,42 +158,3 @@ class FailBitCounter:
     @property
     def invocations(self) -> int:
         return int(self._buffer.table.invocations[self._buffer.row])
-
-    def count_xor_segments(
-        self,
-        patterns: np.ndarray,
-        segment_bytes: int,
-        n_segments: int,
-        pages: Optional[np.ndarray] = None,
-        page_of: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Popcount of ``page XOR pattern`` per segment, for many patterns.
-
-        This is the "one sense, N distance extractions" primitive: a page
-        stays in the sensing latch while the cache latch is reloaded with
-        each query code in turn (CL reload -> XOR -> count).  ``patterns``
-        is a ``(Q, segment_bytes)`` uint8 array; the result is a
-        ``(Q, n_segments)`` matrix (:func:`xor_popcount_segments`), row
-        ``q`` being the segment popcounts of the latched page XOR-ed with
-        pattern ``q`` broadcast across it.
-
-        By default that page is the one the sensing latch holds now.  A
-        plane that latched several pages over a phase passes them as the
-        rows of ``pages`` with ``page_of[q]`` naming the one pattern ``q``
-        was extracted from: the whole phase's extractions in one stacked
-        pass, which is only sound where a latched page is its stored bytes
-        (raw BER 0, i.e. ECC-free data).
-        """
-        patterns = np.atleast_2d(np.asarray(patterns, dtype=np.uint8))
-        if patterns.shape[1] != segment_bytes:
-            raise ValueError("pattern width must equal segment_bytes")
-        if segment_bytes <= 0 or n_segments <= 0:
-            raise ValueError("segment_bytes and n_segments must be positive")
-        if segment_bytes * n_segments > self._buffer.page_bytes:
-            raise ValueError("segments exceed page size")
-        self._buffer.table.invocations[self._buffer.row] += len(patterns)
-        if pages is None:
-            pages = self._buffer.sensing
-        return xor_popcount_segments(
-            pages, patterns, segment_bytes, n_segments, page_of
-        )

@@ -81,12 +81,12 @@ class EmbeddedCore:
             np.where(n_elements > 0, cycles / self.spec.frequency_hz, 0.0)
         )
 
-    def reranks(self, n_vectors: np.ndarray, dim: int) -> np.ndarray:
+    def reranks(self, n_vectors: np.ndarray, log2: np.ndarray, dim: int) -> np.ndarray:
         """:meth:`int8_distances` then :meth:`quicksort` of every row's
-        vectors, back to back: an ``(n_rows, 2)`` seconds matrix (the
-        logarithms are ``math.log2`` of each distinct count, as scalar)."""
-        spec, counts, at = self.spec, *np.unique(n_vectors, return_inverse=True)
-        log2 = np.array([math.log2(max(n, 1)) for n in counts.tolist()])[at.ravel()]
+        vectors, back to back: an ``(n_rows, 2)`` seconds matrix.  ``log2``
+        is :func:`log2_counts` of ``n_vectors`` (a caller charging many
+        cores takes it once for all of them)."""
+        spec = self.spec
         sort = n_vectors * log2 * spec.cycles_per_sort_element / spec.frequency_hz
         seconds = np.stack([
             np.where(n_vectors > 0, n_vectors * dim * spec.cycles_per_int8_mac
@@ -101,6 +101,14 @@ class EmbeddedCore:
         if n_bytes <= 0:
             return 0.0
         return self._charge(n_bytes * self.spec.cycles_per_byte_moved)
+
+
+def log2_counts(n_vectors: np.ndarray) -> np.ndarray:
+    """``math.log2(max(n, 1))`` of every count in ``n_vectors`` (any shape),
+    as scalar: one ``math.log2`` per distinct count."""
+    counts, at = np.unique(n_vectors, return_inverse=True)
+    log2 = np.array([math.log2(max(n, 1)) for n in counts.tolist()])
+    return log2[at.ravel()].reshape(np.shape(n_vectors))
 
 
 @dataclass

@@ -26,6 +26,7 @@ from repro.core.config import (
 from repro.core.ingest import MutationRequest
 from repro.core.layout import CapacityError
 from repro.sim.rng import zipf_ranks, zipf_weights
+from repro.ssd.coarse import CoarseRegion
 from repro.ssd.dram import InternalDram
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
@@ -52,10 +53,11 @@ def deep_config(name):
 
 
 class _Region:
-    """Minimal stand-in for RegionInfo: the cache keys on ``.region``."""
+    """Minimal stand-in for RegionInfo: the cache keys on the bounds of
+    ``.region``, a one-page-per-plane window at in-plane page ``tag``."""
 
     def __init__(self, tag):
-        self.region = ("region", tag)
+        self.region = CoarseRegion(tag, tag + 1)
 
 
 def _entry_arrays(n_data=100, n_oob=10, fill=0):
@@ -102,9 +104,11 @@ class TestPageCacheUnit:
         rows, nbytes = cache.lookup_pages(region, np.array([3, 4]))
         assert rows[0] >= 0 and rows[1] == -1
         assert nbytes.tolist() == [110, 0]
-        mirror_data, mirror_oob = cache.gather(rows[:1])
-        assert mirror_data.shape == (1, 100) and np.all(mirror_data == 7)
-        assert mirror_oob.shape == (1, 10) and np.all(mirror_oob == 7)
+        mirror_data = np.zeros((2, 100), dtype=np.uint8)
+        mirror_oob = np.zeros((2, 10), dtype=np.uint8)
+        cache.gather(rows[:1], np.array([1]), mirror_data, mirror_oob)
+        assert np.all(mirror_data[1] == 7) and np.all(mirror_data[0] == 0)
+        assert np.all(mirror_oob[1] == 7) and np.all(mirror_oob[0] == 0)
         entry = cache.peek(region, 3)
         assert (entry.kind, entry.nbytes, entry.row) == ("cluster", 110, rows[0])
         assert cache.used_bytes == 110
@@ -208,7 +212,7 @@ class TestPageCacheUnit:
 
     def test_invalidation_page_region_clear(self):
         cache, _ = self._cache(budget=660)
-        a, b = _Region("a"), _Region("b")
+        a, b = _Region(0), _Region(1)
         data, oob = _entry_arrays()
         for page in range(2):
             _admit(cache, a, page, "cluster", data, oob)
@@ -909,6 +913,8 @@ class TestEvictionOrderAgainstFullScan:
                         twin.uses, twin.kind, twin.nbytes
                     )
                     fill, n_data, n_oob = fills[(r.region, page)]
-                    data, oob = cache.gather(np.array([entry.row]))
-                    assert np.all(data[0, :n_data] == fill)
-                    assert np.all(oob[0, :n_oob] == fill)
+                    data = np.empty((1, n_data), dtype=np.uint8)
+                    oob = np.empty((1, n_oob), dtype=np.uint8)
+                    cache.gather(np.array([entry.row]), np.array([0]), data, oob)
+                    assert np.all(data == fill)
+                    assert np.all(oob == fill)

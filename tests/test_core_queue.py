@@ -219,7 +219,9 @@ class TestFormerEstimateAgainstLatchWalk:
     """``BatchFormer.estimate`` pinned, count for count, to a pure-Python
     reference: per-(shard, region, page) demands walked against a
     ``latched[plane]`` dict, the plane of a page taken from the scalar
-    address translation."""
+    address translation.  The estimate is a running state, so it is pinned
+    along every way a pending list changes: restarts onto unrelated lists,
+    prefix extensions (one fold per arrival), a formed batch and a requeue."""
 
     N, DIM, NLIST, NPROBE, SUBS = 8000, 256, 16, 5, 9
 
@@ -230,24 +232,26 @@ class TestFormerEstimateAgainstLatchWalk:
     def _vectors(self):
         return make_clustered_embeddings(self.N, self.DIM, self.NLIST, seed="pin")[0]
 
-    def _single(self, optimize, ivf):
+    def _single(self, optimize, ivf, policy=None):
         device = ReisDevice(tiny_config(f"PIN-1-{ivf}"), flags=self._flags(optimize))
         if ivf:
             db_id = device.ivf_deploy("p", self._vectors(), nlist=self.NLIST, seed=0)
         else:
             db_id = device.db_deploy("p", self._vectors(), seed=0)
         db = device.database(db_id)
-        queue = device.submission_queue(db_id, nprobe=self.NPROBE if ivf else None)
+        queue = device.submission_queue(
+            db_id, nprobe=self.NPROBE if ivf else None, policy=policy
+        )
         return queue, [(0, device.engine, db, None)], db.n_clusters, None
 
-    def _sharded(self, optimize, n_shards, replicas, dead):
+    def _sharded(self, optimize, n_shards, replicas, dead, policy=None):
         device = ShardedReisDevice(
             n_shards, tiny_config(f"PIN-{n_shards}"), flags=self._flags(optimize),
             replication_factor=replicas,
         )
         db_id = device.ivf_deploy("p", self._vectors(), nlist=self.NLIST, seed=0)
         sdb = device.database(db_id)
-        queue = device.submission_queue(db_id, nprobe=self.NPROBE)
+        queue = device.submission_queue(db_id, nprobe=self.NPROBE, policy=policy)
         # The former sees liveness when it estimates, not when it was built.
         for shard in dead:
             device.kill_shard(shard)
@@ -337,31 +341,65 @@ class TestFormerEstimateAgainstLatchWalk:
         return n_requests, n_senses, len(covered), len(spanned)
 
     DEPLOYMENTS = {
-        "single-ivf": lambda self, opt: self._single(opt, ivf=True),
-        "single-flat": lambda self, opt: self._single(opt, ivf=False),
-        "unreplicated-3": lambda self, opt: self._sharded(opt, 3, 1, ()),
-        "replicated-4x2-one-dead": lambda self, opt: self._sharded(opt, 4, 2, (1,)),
+        "single-ivf": lambda self, opt, **kw: self._single(opt, ivf=True, **kw),
+        "single-flat": lambda self, opt, **kw: self._single(opt, ivf=False, **kw),
+        "unreplicated-3": lambda self, opt, **kw: self._sharded(opt, 3, 1, (), **kw),
+        "replicated-4x2-one-dead": (
+            lambda self, opt, **kw: self._sharded(opt, 4, 2, (1,), **kw)
+        ),
     }
+
+    def _assert_pinned(self, queue, views, n_clusters, serving, optimize, pending):
+        estimate = queue.former.estimate(pending)
+        expected = self._reference(
+            views, n_clusters, serving, optimize, [s.sub_id for s in pending]
+        )
+        assert (
+            estimate.n_requests, estimate.n_senses,
+            estimate.planes_covered, estimate.n_planes,
+        ) == expected
+        return estimate
 
     @pytest.mark.parametrize("optimize", [True, False], ids=["optimized", "query-order"])
     @pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
     def test_estimate_matches_the_reference_walk(self, deployment, optimize):
-        queue, views, n_clusters, serving = self.DEPLOYMENTS[deployment](self, optimize)
+        queue, *layout = self.DEPLOYMENTS[deployment](self, optimize)
         query = np.zeros(self.DIM, dtype=np.float32)  # forming never reads it
         subs = [
             Submission(sub_id=i, tenant="t", query=query, submit_s=0.0)
             for i in range(self.SUBS)
         ]
-        for pending in (subs[:1], subs[2:5], subs):
-            estimate = queue.former.estimate(pending)
-            expected = self._reference(
-                views, n_clusters, serving, optimize, [s.sub_id for s in pending]
-            )
-            assert (
-                estimate.n_requests, estimate.n_senses,
-                estimate.planes_covered, estimate.n_planes,
-            ) == expected
+        # Unrelated lists (each one restarts the running state), then
+        # prefix extensions of one list (each one folds the new arrivals),
+        # then a list the state already covers.
+        for pending in (
+            subs[:1], subs[2:5], subs, subs[:1], subs[:3], subs, subs,
+        ):
+            estimate = self._assert_pinned(queue, *layout, optimize, pending)
         assert 0 < estimate.n_senses <= estimate.n_requests
+
+    @pytest.mark.parametrize("optimize", [True, False], ids=["optimized", "query-order"])
+    @pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
+    def test_estimate_restarts_after_a_formed_batch_and_a_requeue(
+        self, deployment, optimize
+    ):
+        """Through the queue's own pending list: arrivals fold in one at a
+        time, a formed batch and its requeue each restart the state."""
+        queue, *layout = self.DEPLOYMENTS[deployment](
+            self, optimize, policy=QueuePolicy(max_batch=4)
+        )
+        query = np.zeros(self.DIM, dtype=np.float32)
+        for i in range(self.SUBS):
+            queue.submit(query, tenant="ab"[i % 2], at_s=i * 1e-6)
+            queue.clock.advance_to(i * 1e-6)
+            queue._admit_due()
+            self._assert_pinned(queue, *layout, optimize, queue._pending)
+        members = queue._form_batch()
+        assert len(members) == 4 and queue.pending_count == self.SUBS - 4
+        self._assert_pinned(queue, *layout, optimize, queue._pending)
+        queue._requeue(members)
+        assert [s.sub_id for s in queue._pending] == list(range(self.SUBS))
+        self._assert_pinned(queue, *layout, optimize, queue._pending)
 
 
 class TestSubmissionAdmission:
@@ -372,6 +410,23 @@ class TestSubmissionAdmission:
         db_id = device.ivf_deploy("a", vectors, nlist=12, seed=0)
         queries = make_queries(vectors, 24, seed="admit-q")
         return device, db_id, queries
+
+    def test_pending_list_keeps_arrival_order(self, deployed):
+        """The pending list is kept in (arrival instant, submission id)
+        order, also for an arrival admitted a hair ahead of the clock and
+        followed by an earlier one."""
+        device, db_id, queries = deployed
+        queue = _make_queue(device, db_id)
+        queue.submit(queries[0], at_s=0.5e-12)  # due within the clock's epsilon
+        queue._admit_due()
+        queue.submit(queries[1])  # arrives now, before it
+        queue.submit(queries[2], at_s=1e-3)
+        queue._admit_due()
+        assert [s.sub_id for s in queue._pending] == [1, 0]
+        queue.clock.advance_to(1e-3)
+        queue._admit_due()
+        assert [s.sub_id for s in queue._pending] == [1, 0, 2]
+        assert queue.pending_count == 3
 
     def test_past_arrival_rejected(self, deployed):
         device, db_id, queries = deployed
@@ -473,9 +528,12 @@ class TestFailedBatchIsRequeued:
             queue.drain()
         assert queue.pending_count == len(queries)
         assert queue.served == {} and queue.batches == []
+        # The requeued members keep the footprints forming gave them.
+        assert sorted(queue.former._footprints) == list(range(len(queries)))
         device.revive_shard(1)
         report = queue.drain()
         assert report.n_queries == len(queries)
+        assert queue.former._footprints == {}  # a drained queue holds none
         # The retried batch is the one the failure interrupted: same
         # members, same weighted-round-robin order, same results.
         assert [
@@ -497,8 +555,10 @@ class TestFailedBatchIsRequeued:
         # and must never be applied a second time; the reads wait.
         assert queue.mutation_acks[insert].applied
         assert queue.pending_count == len(reads)
+        assert sorted(queue.former._footprints) == reads  # the insert left
         device.revive_shard(1)
         report = queue.drain()
+        assert queue.former._footprints == {}
         assert sorted(q.submission.sub_id for q in report.served) == reads
         assert len(queue.manager.commits) == 1
         assert all(q.result.ids.size == self.K for q in report.served)

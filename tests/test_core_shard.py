@@ -16,6 +16,8 @@ The central contracts:
   cluster-level ``merge`` utilization bucket.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -879,3 +881,87 @@ class TestComposeAgainstPerCellReference:
         assert batch.batch_stats.cache_hits == stats.cache_hits
         assert (stats.cache_hits > 0) == cached
         assert all(r.stats.filter_retries == int(retry) for r in batch)
+
+
+def _reference_elect(owner_rows, loads, sizes, clusters, n_shards):
+    """The per-cluster election loop the router's vectorized pick replaced:
+    each cluster, in order, to the live owner least by (load, vectors
+    already assigned this round, shard id).  Returns the picks; raises
+    :class:`ShardUnavailableError` at the first cluster with no live owner,
+    after the picks before it (returned through ``picks`` of the error)."""
+    assigned, picks = [0] * n_shards, []
+    for cluster, owners, size in zip(clusters, owner_rows, sizes):
+        owners = [s for s in owners if s >= 0]
+        if not owners:
+            error = ShardUnavailableError(cluster)
+            error.picks = picks
+            raise error
+        pick = min(owners, key=lambda s: (loads[s], assigned[s], s))
+        assigned[pick] += size
+        picks.append(pick)
+    return picks
+
+
+class TestReplicaElection:
+    """``ShardRouter._elect`` against the loop it replaced, on tie-heavy
+    loads (fresh devices: every load 0.0), warm loads with no ties, mixed
+    ties, and with owners dead."""
+
+    N_SHARDS, REPLICAS, NLIST = 4, 3, 24
+
+    @pytest.fixture(scope="class")
+    def deployed(self):
+        vectors, _ = make_clustered_embeddings(1200, 64, self.NLIST, seed="elect")
+        device = ShardedReisDevice(
+            self.N_SHARDS, tiny_config("ELECT"), replication_factor=self.REPLICAS
+        )
+        db_id = device.ivf_deploy("e", vectors, nlist=self.NLIST, seed=0)
+        return device, db_id
+
+    LOADS = {
+        "fresh": [0.0, 0.0, 0.0, 0.0],
+        "warm": [3e-3, 1e-3, 2e-3, 4e-3],
+        "mixed-ties": [1e-3, 1e-3, 2e-3, 1e-3],
+    }
+
+    @pytest.mark.parametrize("dead", [(), (1,), (0, 2, 3)], ids=["all-live", "one-dead", "three-dead"])
+    @pytest.mark.parametrize("loads", sorted(LOADS))
+    def test_vectorized_pick_equals_the_loop(self, deployed, loads, dead):
+        device, db_id = deployed
+        router, sdb = device.router, device.database(db_id)
+        loads = self.LOADS[loads]
+        sizes = np.bincount(sdb.assignment.cluster_of_vector, minlength=self.NLIST)
+        rng = np.random.default_rng(7)
+        for clusters in (
+            np.arange(self.NLIST),
+            rng.permutation(self.NLIST),
+            rng.permutation(self.NLIST)[:7],
+        ):
+            state = SimpleNamespace(
+                sdb=sdb, cluster_sizes=sizes,
+                serving=np.full(self.NLIST, -1, dtype=np.int64),
+            )
+            expected = np.full(self.NLIST, -1, dtype=np.int64)
+            rows = sdb.assignment.live_owners(dead)[clusters].tolist()
+            router.load_source = lambda: loads
+            for shard in dead:
+                router.fail_shard(shard)
+            try:
+                try:
+                    picks = _reference_elect(
+                        rows, loads, sizes[clusters].tolist(), clusters.tolist(),
+                        self.N_SHARDS,
+                    )
+                except ShardUnavailableError as error:
+                    expected[clusters[: len(error.picks)]] = error.picks
+                    with pytest.raises(ShardUnavailableError) as raised:
+                        router._elect(state, clusters)
+                    assert raised.value.args == error.args
+                else:
+                    expected[clusters] = picks
+                    assert router._elect(state, clusters).tolist() == picks
+            finally:
+                router.load_source = None
+                for shard in dead:
+                    router.revive_shard(shard)
+            assert state.serving.tolist() == expected.tolist()

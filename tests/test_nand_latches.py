@@ -49,18 +49,6 @@ class TestPopcount:
 
 
 class TestPageBuffer:
-    def test_load_sensing_keeps_oob(self, buffer):
-        data = np.arange(PAGE, dtype=np.uint8)
-        oob = np.arange(OOB, dtype=np.uint8)
-        buffer.load_sensing(data, oob)
-        assert np.array_equal(buffer.sensing, data)
-        assert np.array_equal(buffer.oob, oob)
-
-    def test_load_sensing_clears_stale_bytes(self, buffer):
-        buffer.load_sensing(np.full(PAGE, 7, dtype=np.uint8), np.zeros(OOB, np.uint8))
-        buffer.load_sensing(np.full(10, 9, dtype=np.uint8), np.zeros(OOB, np.uint8))
-        assert (buffer.sensing[10:] == 0).all()
-
     def test_load_cache_rejects_oversize(self, buffer):
         with pytest.raises(ValueError):
             buffer.table.broadcast(np.zeros(PAGE + 1, dtype=np.uint8))
@@ -78,44 +66,34 @@ class TestPageBuffer:
 
 
 class TestFailBitCounter:
-    def test_segment_counts_equal_hamming(self, buffer):
+    """Segmented fail-bit counts of the latched page XOR a pattern: the
+    arithmetic the scan kernel runs, on one sensed page."""
+
+    def _latched(self, payload):
+        table = LatchTable(1, PAGE, OOB)
+        table.latch_senses(np.array([0]), payload[None], np.zeros((1, OOB), np.uint8))
+        return table.buffer(0).sensing
+
+    def test_segment_counts_equal_hamming(self):
         # 4 segments of 8 bytes with known popcounts, XOR-ed with zeros.
         segments = np.zeros(PAGE, dtype=np.uint8)
         segments[0:8] = 0xFF  # 64 ones
         segments[8:16] = 0x01  # 8 ones
-        buffer.load_sensing(segments, np.zeros(OOB, dtype=np.uint8))
-        counter = FailBitCounter(buffer)
-        counts = counter.count_xor_segments(np.zeros((1, 8), np.uint8), 8, 4)
+        counts = xor_popcount_segments(
+            self._latched(segments), np.zeros((1, 8), np.uint8), 8, 4
+        )
         assert counts.tolist() == [[64, 8, 0, 0]]
 
-    def test_count_all(self, buffer):
+    def test_count_all(self):
         # One page-wide segment XOR-ed with zeros: every one in the latch.
-        buffer.load_sensing(np.full(PAGE, 0x0F, dtype=np.uint8), np.zeros(OOB, np.uint8))
-        counter = FailBitCounter(buffer)
-        counts = counter.count_xor_segments(np.zeros((1, PAGE), np.uint8), PAGE, 1)
+        page = self._latched(np.full(PAGE, 0x0F, dtype=np.uint8))
+        counts = xor_popcount_segments(page, np.zeros((1, PAGE), np.uint8), PAGE, 1)
         assert counts.tolist() == [[PAGE * 4]]
 
-    def test_rejects_segments_beyond_page(self, buffer):
-        # Too many segments of a width that fits is refused as well.
-        counter = FailBitCounter(buffer)
-        with pytest.raises(ValueError):
-            counter.count_xor_segments(np.zeros((1, 8), np.uint8), 8, PAGE // 8 + 1)
-
-    def test_rejects_nonpositive(self, buffer):
-        counter = FailBitCounter(buffer)
-        with pytest.raises(ValueError):
-            counter.count_xor_segments(np.zeros((1, 0), np.uint8), 0, 1)
-        with pytest.raises(ValueError):
-            counter.count_xor_segments(np.zeros((1, 8), np.uint8), 8, 0)
-
-    def test_tracks_invocations(self, buffer):
-        # The count accumulates over calls; a refused call adds nothing.
-        counter = FailBitCounter(buffer)
-        counter.count_xor_segments(np.zeros((2, 8), np.uint8), 8, 2)
-        counter.count_xor_segments(np.zeros((1, PAGE), np.uint8), PAGE, 1)
-        with pytest.raises(ValueError):
-            counter.count_xor_segments(np.zeros((4, 8), np.uint8), 8, 0)
-        assert counter.invocations == 3
+    def test_invocations_are_the_planes_table_entry(self):
+        table = LatchTable(2, PAGE, OOB)
+        table.invocations += [3, 5]
+        assert FailBitCounter(table.buffer(1)).invocations == 5
 
     @given(st.integers(1, 16), st.integers(1, 16), st.data())
     @settings(max_examples=25)
@@ -125,10 +103,10 @@ class TestFailBitCounter:
         payload = np.frombuffer(
             data.draw(st.binary(min_size=PAGE, max_size=PAGE)), dtype=np.uint8
         ).copy()
-        buffer = LatchTable(1, PAGE, OOB).buffer(0)
-        buffer.load_sensing(payload, np.zeros(OOB, dtype=np.uint8))
         zeros = np.zeros((1, seg_bytes), dtype=np.uint8)
-        counts = FailBitCounter(buffer).count_xor_segments(zeros, seg_bytes, n_segments)
+        counts = xor_popcount_segments(
+            self._latched(payload), zeros, seg_bytes, n_segments
+        )
         view = payload[: seg_bytes * n_segments].reshape(n_segments, seg_bytes)
         expected = [int(np.unpackbits(row).sum()) for row in view]
         assert counts[0].tolist() == expected
@@ -161,10 +139,7 @@ class TestCountXorSegments:
             ),
             dtype=np.uint8,
         ).reshape(n_patterns, seg_bytes)
-        buffer = LatchTable(1, PAGE, OOB).buffer(0)
-        buffer.load_sensing(payload, np.zeros(OOB, dtype=np.uint8))
-        counter = FailBitCounter(buffer)
-        matrix = counter.count_xor_segments(patterns, seg_bytes, n_segments)
+        matrix = xor_popcount_segments(payload, patterns, seg_bytes, n_segments)
         assert matrix.shape == (n_patterns, n_segments)
         # Row q is the popcount per segment of the page XOR pattern q
         # broadcast across it.
@@ -174,32 +149,13 @@ class TestCountXorSegments:
             diff = (payload[:width] ^ tiled).reshape(n_segments, seg_bytes)
             assert matrix[q].tolist() == np.bitwise_count(diff).sum(axis=1).tolist()
 
-    def test_rejects_mismatched_pattern_width(self, buffer):
-        counter = FailBitCounter(buffer)
-        with pytest.raises(ValueError):
-            counter.count_xor_segments(
-                np.zeros((2, 4), dtype=np.uint8), 8, 2
-            )
-
-    def test_rejects_segments_beyond_page(self, buffer):
-        counter = FailBitCounter(buffer)
-        with pytest.raises(ValueError):
-            counter.count_xor_segments(
-                np.zeros((1, PAGE), dtype=np.uint8), PAGE, 2
-            )
-
-    def test_counts_one_invocation_per_pattern(self, buffer):
-        counter = FailBitCounter(buffer)
-        counter.count_xor_segments(np.zeros((3, 8), dtype=np.uint8), 8, 2)
-        assert counter.invocations == 3
-
     @pytest.mark.parametrize("seg_bytes", [3, 8, 40])  # bytewise, uint64, uint16 sums
     @pytest.mark.parametrize("block_bytes", [1, 700, 1 << 20])
     def test_stacked_extractions_match_one_page_at_a_time(
-        self, buffer, monkeypatch, seg_bytes, block_bytes
+        self, monkeypatch, seg_bytes, block_bytes
     ):
         """A stack of (page, pattern) extractions over a page table, in
-        blocks of any size, == latching each page and extracting alone."""
+        blocks of any size, == extracting from each page alone."""
         import repro.nand.latches as latches
 
         monkeypatch.setattr(latches, "XOR_BLOCK_BYTES", block_bytes)
@@ -208,15 +164,14 @@ class TestCountXorSegments:
         table = rng.integers(0, 256, (4, PAGE), dtype=np.uint8)
         page_of = np.array([2, 0, 0, 3, 2, 1, 3])
         patterns = rng.integers(0, 256, (page_of.size, seg_bytes), dtype=np.uint8)
-        counter = FailBitCounter(buffer)
-        stacked = counter.count_xor_segments(
-            patterns, seg_bytes, n_segments, pages=table, page_of=page_of
+        stacked = xor_popcount_segments(
+            table, patterns, seg_bytes, n_segments, page_of
         )
         assert stacked.shape == (page_of.size, n_segments)
-        assert counter.invocations == page_of.size
         for i, page in enumerate(page_of.tolist()):
-            buffer.load_sensing(table[page], np.zeros(OOB, dtype=np.uint8))
-            alone = counter.count_xor_segments(patterns[i], seg_bytes, n_segments)
+            alone = xor_popcount_segments(
+                table[page], patterns[i : i + 1], seg_bytes, n_segments
+            )
             assert stacked[i].tolist() == alone[0].tolist()
             bits = np.unpackbits(
                 table[page, : seg_bytes * n_segments].reshape(n_segments, seg_bytes)

@@ -8,7 +8,7 @@ from repro.nand.cell import CellMode, reliability
 from repro.nand.ecc import EccConfig, EccEngine
 from repro.nand.errors import NO_FLIPS
 from repro.nand.geometry import FlashGeometry, PhysicalPageAddress
-from repro.nand.latches import LatchTable
+from repro.nand.latches import LatchTable, xor_popcount_segments
 from repro.nand.plane import Plane
 from repro.nand.timing import NandTiming
 
@@ -102,7 +102,9 @@ class TestPlane:
         plane.program_page(0, 0, embeddings)
         query = np.zeros(code_bytes, dtype=np.uint8)  # all-zero query
         sense_one(array, 0, 0, 0)
-        distances = plane.fail_bit_counter.count_xor_segments(query, code_bytes, 4)[0]
+        distances = xor_popcount_segments(
+            plane.buffer.sensing, query[None], code_bytes, 4
+        )[0]
         assert distances[0] == 128  # 16 bytes of difference
         assert distances[1] == 64
         assert distances[2] == 0
@@ -182,15 +184,13 @@ class TestPlane:
         with pytest.raises(ValueError):
             table.broadcast(np.zeros(2049, dtype=np.uint8))
 
-    def test_distance_counters_count_every_query(self):
-        """Each query row of a stacked extraction is one fail-bit count,
-        kept in the plane's entry of the array's invocation column."""
+    def test_distance_counters_are_the_arrays_invocation_column(self):
+        """A plane's fail-bit count is its entry of the array's invocation
+        column, which a scan phase advances for every plane at once."""
         array, plane = esp_array()
-        plane.program_page(0, 0, np.zeros(2048, dtype=np.uint8))
-        sense_one(array, 0, 0, 0)
-        plane.fail_bit_counter.count_xor_segments(np.zeros((3, 16), dtype=np.uint8), 16, 4)
+        array.latches.invocations[0] += 3
         assert plane.fail_bit_counter.invocations == 3
-        assert array.latches.invocations.tolist() == [3] + [0] * (GEOMETRY.total_planes - 1)
+        assert array.planes[1].fail_bit_counter.invocations == 0
 
 
 class TestDie:

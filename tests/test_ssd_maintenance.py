@@ -8,7 +8,7 @@ from repro.nand.cell import CellMode
 from repro.nand.geometry import FlashGeometry
 from repro.sim.stats import CounterSet
 from repro.ssd.allocation import ParallelismFirstAllocator, SequentialAllocator
-from repro.ssd.cores import CoreComplex, CoreSpec, EmbeddedCore
+from repro.ssd.cores import CoreComplex, CoreSpec, EmbeddedCore, log2_counts
 from repro.ssd.dram import InternalDram
 from repro.ssd.ftl import PageLevelFtl
 from repro.ssd.gc import GarbageCollector
@@ -250,7 +250,7 @@ class TestEmbeddedCores:
         column, scalar = EmbeddedCore(0), EmbeddedCore(1)
         column.busy_seconds = scalar.busy_seconds = 0.1
         selects = column.quickselects(n, ks)
-        reranks = column.reranks(n, 96)
+        reranks = column.reranks(n, log2_counts(n), 96)
         assert selects.tolist() == [
             scalar.quickselect(a, k) for a, k in zip(n.tolist(), ks.tolist())
         ]
