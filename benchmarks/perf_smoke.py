@@ -50,7 +50,12 @@ on each are printed beside the walls.  Cache hits skip the error draw
 and the ECC decode of TLC pages, so a cached steady state that is
 *slower* means the hit path grew a per-page Python loop or the lookup
 stopped short-circuiting the sense.  The margin is thin since an ESP-SLC
-sense became one copy of the stored bytes, as cheap as a mirror hit.
+sense became one copy of the stored bytes, as cheap as a mirror hit, and
+thinner since a sense gathers its pages from the page table in one copy.
+Next to it, noise-free: once the mirror is warm, one more stream on the
+cached device misses nothing and adds no page read, no ECC-decoded byte
+and no draw from the raw-bit-error stream, while the same stream on the
+uncached device reads pages and draws errors.
 
 A sixth, also noise-free, covers the index build: the ``tracemalloc`` peak
 of the ``ivf_deploy`` that sets up the events gate's 10^5-entry point,
@@ -89,6 +94,13 @@ counter tables, and the embedded-core charges one column per drive: 2.44.
 What still grows with shards is that per-drive step -- its per-(shard,
 query) stats, its cache, core column and ledger.
 
+Beside the ratio, the *difference* of the two counts (8-shard minus
+1-shard events) is capped at x1.05 of its reading: a cut to fixed
+per-query work lowers both counts alike and leaves the difference where it
+was, while it moves the ratio up (the cut that took ~640 chunk
+constructions off both batches read 2.44 -> 2.80 with no shard glue
+added), so the difference is what measures per-shard glue.
+
 A ninth, noise-free too, covers open-loop forming: the ``call`` +
 ``c_call`` events per query of a fixed Poisson slice served through a
 tiny device's submission queue (the ``queue_poisson`` policy, batches of
@@ -96,6 +108,12 @@ a few queries), x1.05 of the reading with forming folding each arrival
 into a running occupancy estimate.  An estimate that rebuilds every
 pending candidate's schedule per arrival, a per-block finiteness check of
 a single query, or a pending set re-sorted per event trips it.
+
+A tenth, noise-free, covers building a device: the ``call`` + ``c_call``
+events of constructing one 64-blocks-per-plane
+:class:`~repro.nand.array.FlashArray` (8 planes, 32,768 pages), x1.05.
+Its pages are rows of one table, so the build costs a few calls per plane;
+a Python object per page or block creeping back costs tens of thousands.
 
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
@@ -110,6 +128,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import numpy as np  # noqa: E402
 
 from repro.core import QueuePolicy, ReisDevice, tiny_config  # noqa: E402
+from repro.nand.array import FlashArray  # noqa: E402
 from repro.rag.embeddings import make_clustered_embeddings, make_queries  # noqa: E402
 from repro.sim.rng import make_rng  # noqa: E402
 from test_serving_throughput import (  # noqa: E402
@@ -125,6 +144,7 @@ from test_serving_throughput import (  # noqa: E402
     cached_cluster_workload,
     count_events,
     deploy_shard_scaling_point,
+    host_scale_config,
     host_scaling_corpus,
     run_cache_smoke,
     run_host_scaling_point,
@@ -144,7 +164,9 @@ TLC_SHARE_CEILING = 0.70
 # Measured host_fine / host_wall is 0.19-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 3,057 (python 3.11, numpy 2.4; 3,124 while every geometry size
+# entries: 2,291 with every sense gathering its pages from the array's page
+# table in one copy (python 3.11, numpy 2.4; 3,057 while every gathered page
+# was a call to its page object, 3,124 while every geometry size
 # was a chained property and queries were checked for finiteness in row
 # blocks, 6,596 while each plane's senses,
 # extractions and comparator sweeps were their own die-command call chain
@@ -156,9 +178,10 @@ FINE_SHARE_CEILING = 0.34
 # visit filled a per-query cost object, 60,230 while every query's
 # shortlist and report were also selected and composed one by one); x1.05.
 EVENTS_N_ENTRIES = 100_000
-SEARCH_EVENTS_CEILING = 3_210
-# Measured events of the batch-of-one search that follows it: 1,581
-# (python 3.11, numpy 2.4; 1,644 with chained geometry properties and a
+SEARCH_EVENTS_CEILING = 2_406
+# Measured events of the batch-of-one search that follows it: 1,529 with
+# the page table (python 3.11, numpy 2.4; 1,581 with page objects, 1,644
+# with chained geometry properties and a
 # per-query finiteness check in row blocks, 2,476 with per-plane die
 # commands, 2,862 with
 # per-page error draws, 2,933 before
@@ -166,13 +189,17 @@ SEARCH_EVENTS_CEILING = 3_210
 # TTL object per query); x1.05.
 # A batch of one pays every per-batch pass for one query, so fixed
 # per-batch work that batch 64 amortizes shows here first.
-SOLO_EVENTS_CEILING = 1_661
-# Measured tracemalloc peak of that point's ivf_deploy: 44.26 MB in a fresh
-# process, +-3 KB run to run, 43.2 MB after the gates above (python 3.11,
-# numpy 2.4; 206.19 MB with the whole-matrix build); x1.10.
-DEPLOY_PEAK_BYTES_CEILING = 48_690_000
-# Measured events of the fifth batch on the cached 4 x 2 cluster: 3,580
-# (python 3.11, numpy 2.4; 4,237 while every winner's chunk went through
+SOLO_EVENTS_CEILING = 1_606
+# Measured tracemalloc peak of that point's ivf_deploy: 30.03 MB in a fresh
+# process, 28.9 MB after the gates above, with programming writing into the
+# page table's preallocated rows (python 3.11, numpy 2.4; 44.26 MB while
+# every programmed page allocated a padded copy of its own, 206.19 MB with
+# the whole-matrix build); x1.10.
+DEPLOY_PEAK_BYTES_CEILING = 33_040_000
+# Measured events of the fifth batch on the cached 4 x 2 cluster: 3,410
+# with the page table and one-copy cache hits (python 3.11, numpy 2.4;
+# 3,580 with a call per gathered page and a per-row hit copy, 4,237 while
+# every winner's chunk went through
 # the NamedTuple constructor and replica election was a Python min per
 # probed cluster, 6,234 with per-(shard, plane) die commands,
 # 6,785 with per-page error draws, 10,618-10,678
@@ -183,9 +210,10 @@ DEPLOY_PEAK_BYTES_CEILING = 48_690_000
 # the cache was driven one page at a time, 18,973 before the cost
 # ledger); x1.05.
 SHARD_WARM_BATCHES = 4
-SHARD_EVENTS_CEILING = 3_759
+SHARD_EVENTS_CEILING = 3_581
 # Measured events(8 shards) / events(1 shard) on the shard_scaling batch:
-# 6,138 / 2,336 = 2.63 with the chunks, the election and the geometry
+# 6,002 / 2,278 = 2.63 with the page table (the gate stays at 2.68).
+# Before it: 6,138 / 2,336 = 2.63 with the chunks, the election and the geometry
 # sizes off the per-query path (both counts fell; the per-query cuts alone
 # read 6,532 / 2,332 = 2.80, over the gate, until the rerank's log2 per
 # distinct count and the TLC counter sums were taken once per batch
@@ -205,6 +233,9 @@ SHARD_EVENTS_CEILING = 3_759
 # TTL object per (shard, query); 34,453 / 8,533 = 4.04 with the per-page
 # cache; 50,570 / 15,847 = 3.19 and 124,118 / 38,029 = 3.26 before that.
 SHARD_SCALING_EVENTS_RATIO = 2.68
+# Measured events(8 shards) - events(1 shard) on that batch: 3,724 with the
+# page table (python 3.11, numpy 2.4; 3,802 with page objects); x1.05.
+SHARD_SCALING_EVENTS_DIFF_CEILING = 3_911
 # Measured call + c_call events per query of the forming slice (an
 # open-loop Poisson stream through a tiny-device submission queue): 301.0
 # with a running occupancy estimate (python 3.11, numpy 2.4; 350.3 while
@@ -212,6 +243,12 @@ SHARD_SCALING_EVENTS_RATIO = 2.68
 FORMING_ARRIVALS = 512
 FORMING_RATE_QPS = 16_000.0
 FORMING_EVENTS_CEILING = 316.1
+# Measured call + c_call events of constructing one 64-blocks-per-plane
+# FlashArray: 172 with the pages as rows of one table (python 3.11, numpy
+# 2.4; 33,949 with a FlashPage object per page and a FlashBlock per block);
+# x1.05.
+BUILD_BLOCKS_PER_PLANE = 64
+BUILD_EVENTS_CEILING = 181
 
 
 def tlc_share(point) -> float:
@@ -389,6 +426,20 @@ def main() -> int:
         )
         return 1
 
+    geometry = host_scale_config("BUILD", BUILD_BLOCKS_PER_PLANE).geometry
+    build = count_events(lambda: FlashArray(geometry))
+    print(
+        f"perf-smoke: building a {BUILD_BLOCKS_PER_PLANE}-blocks-per-plane "
+        f"FlashArray ({geometry.total_pages:,} pages): {build:,} call + c_call "
+        f"events, ceiling {BUILD_EVENTS_CEILING:,}"
+    )
+    if build > BUILD_EVENTS_CEILING:
+        print(
+            "perf-smoke: FAIL -- device build Python call count regressed "
+            "(an object per page or block back in nand/?)"
+        )
+        return 1
+
     forming = count_forming_events()
     print(
         f"perf-smoke: open-loop forming slice of {FORMING_ARRIVALS} arrivals: "
@@ -426,6 +477,17 @@ def main() -> int:
             "one-shard batch (work back on the (shard, query) cell?)"
         )
         return 1
+    diff = eight_shards - one_shard
+    print(
+        f"perf-smoke: shard_scaling batch-32 per-shard glue: 8 shards - 1 "
+        f"shard = {diff:,} events, ceiling {SHARD_SCALING_EVENTS_DIFF_CEILING:,}"
+    )
+    if diff > SHARD_SCALING_EVENTS_DIFF_CEILING:
+        print(
+            "perf-smoke: FAIL -- per-shard Python glue grew (work back on "
+            "the (shard, query) cell?)"
+        )
+        return 1
 
     cache = run_cache_smoke(repeats=REPEATS)
     print(
@@ -441,6 +503,25 @@ def main() -> int:
         print(
             "perf-smoke: FAIL -- cached hot-Zipf serving is not faster "
             "than uncached (cache hit path stopped skipping the sense?)"
+        )
+        return 1
+    cached, uncached = cache["cached_sensed"], cache["uncached_sensed"]
+    print(
+        f"perf-smoke: steady hot-Zipf stream senses: cached "
+        f"{cached['page_reads']:,.0f} page reads, {cached['decoded_bytes']:,} "
+        f"ECC bytes, {cached['misses']} misses, error draw "
+        f"{'yes' if cached['drew_errors'] else 'no'}; uncached "
+        f"{uncached['page_reads']:,.0f} page reads, "
+        f"{uncached['decoded_bytes']:,} ECC bytes"
+    )
+    if not uncached["page_reads"] or not uncached["drew_errors"]:
+        print("perf-smoke: FAIL -- the uncached stream sensed nothing (vacuous gate)")
+        return 1
+    if (cached["misses"] or cached["page_reads"] or cached["decoded_bytes"]
+            or cached["drew_errors"]):
+        print(
+            "perf-smoke: FAIL -- a steady-state cache hit sensed, decoded or "
+            "drew raw bit errors (hit path no longer skips the sense?)"
         )
         return 1
     print("perf-smoke: OK")

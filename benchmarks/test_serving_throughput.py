@@ -1241,7 +1241,9 @@ def run_cache_smoke(repeats=5):
     this workload size, which is why the gate runs at the 1x point --
     the modeled QPS/energy wins at 1/2x are asserted by the benchmark
     sweep instead.)  Also returns the ``call`` + ``c_call`` events of one
-    more stream on each device."""
+    more stream on each device, and what that stream sensed on each: its
+    page reads, its ECC-decoded bytes, its cache misses and whether it drew
+    from the device's raw-bit-error stream."""
     from repro.core.cache import CostAwarePolicy
 
     ranks = zipf_ranks(CACHE_POOL, 1.2, CACHE_STREAM, "cache-serving")
@@ -1252,10 +1254,17 @@ def run_cache_smoke(repeats=5):
     for _ in range(repeats + 1):  # the first round warms the mirror
         for workload, times in zip((uncached, cached), walls):
             times.append(_serve_cache_stream(*workload, ranks)[1])
-    events = [
-        count_events(lambda: _serve_cache_stream(*workload, ranks))
-        for workload in (uncached, cached)
-    ]
+    events, sensed = [], []
+    for workload in (uncached, cached):
+        before = _sense_activity(workload[0])
+        events.append(count_events(lambda: _serve_cache_stream(*workload, ranks)))
+        after = _sense_activity(workload[0])
+        sensed.append({
+            "page_reads": after[0] - before[0],
+            "decoded_bytes": after[1] - before[1],
+            "misses": after[2] - before[2],
+            "drew_errors": after[3] != before[3],
+        })
     return {
         "working_set_bytes": working_set,
         "budget_bytes": working_set,
@@ -1263,8 +1272,22 @@ def run_cache_smoke(repeats=5):
         "cached_host_wall_seconds": min(walls[1][1:]),
         "uncached_events": events[0],
         "cached_events": events[1],
+        "uncached_sensed": sensed[0],
+        "cached_sensed": sensed[1],
         "hit_rate": cached[0].page_cache.stats.hit_rate,
     }
+
+
+def _sense_activity(device):
+    """``(page reads, ECC-decoded bytes, cache misses, raw-bit-error stream
+    state)`` of a device so far."""
+    ssd, cache = device.ssd, device.page_cache
+    return (
+        ssd.counters["page_reads"],
+        ssd.ecc.decoded_bytes,
+        cache.stats.misses if cache is not None else 0,
+        ssd.array.errors._rng.bit_generator.state,
+    )
 
 
 @pytest.mark.figure("serving")

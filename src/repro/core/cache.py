@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core.layout import CapacityError, RegionInfo
+from repro.nand.page import take_rows
 from repro.ssd.dram import InternalDram
 
 __all__ = [
@@ -202,16 +203,14 @@ class PageCache:
         self, rows: np.ndarray, at: np.ndarray, data: np.ndarray,
         oob: Optional[np.ndarray] = None,
     ) -> None:
-        """Copy the mirrored bytes of ``rows`` straight into rows ``at`` of
-        ``data`` (and the OOB bytes into ``oob``), each cut to the
-        destination's width: one copy per hit, no temporary."""
-        width = data.shape[1]
-        for row, dst in zip(rows.tolist(), at.tolist()):
-            data[dst] = self._data[row, :width]
-        if oob is not None:
-            width = oob.shape[1]
-            for row, dst in zip(rows.tolist(), at.tolist()):
-                oob[dst] = self._oob[row, :width]
+        """Copy the mirrored bytes of ``rows`` into rows ``at`` (an index
+        array or a slice) of ``data`` (and the OOB bytes into ``oob``), each
+        cut to the destination's width: one copy per table
+        (:func:`~repro.nand.page.take_rows`)."""
+        if oob is None:
+            take_rows(rows, at, (self._data, data))
+        else:
+            take_rows(rows, at, (self._data, data), (self._oob, oob))
 
     def lookup_pages(self, region: RegionInfo, pages) -> Tuple[np.ndarray, np.ndarray]:
         """Look up distinct pages of one region: each one's mirror row and

@@ -130,21 +130,15 @@ def _runs(ranked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(starts, lengths)`` of the runs of equal values in a sorted,
     non-empty column."""
     starts = np.concatenate(([True], ranked[1:] != ranked[:-1])).nonzero()[0]
-    return starts, np.diff(starts, append=ranked.size)
+    return starts, np.concatenate((starts[1:], [ranked.size])) - starts
 
 
 def _sums_in_row_order(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
-    """Every group's ``values`` added left to right in row order (the
-    :func:`_running_total` idiom over a zero-padded ``(group, position)``
-    matrix: the trailing ``+ 0.0`` of a shorter group changes nothing)."""
-    order = group.argsort(kind="stable")
-    ranked = group[order]
-    counts = np.bincount(group, minlength=n_groups)
-    padded = np.zeros((n_groups, int(counts.max())))
-    padded[ranked, np.arange(ranked.size) - (counts.cumsum() - counts)[ranked]] = (
-        values[order]
-    )
-    return _running_total(padded)
+    """Every group's ``values`` added left to right in row order: a
+    weighted ``np.bincount`` adds its weights one by one in index order,
+    from 0.0 (the running total of a zero-padded ``(group, position)``
+    matrix, to the bit, for the non-negative seconds billed here)."""
+    return np.bincount(group, values, n_groups)
 
 
 def _appended(columns: tuple, more: tuple) -> tuple:

@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.nand.geometry import PhysicalPageAddress, page_address
-from repro.nand.page import PageState
+from repro.nand.page import PROGRAMMED
 from repro.ssd.coarse import CoarseRegion
 from repro.ssd.device import SimulatedSSD
 
@@ -53,18 +55,14 @@ class Defragmenter:
     def _victims(
         self, start_page: int, end_page: int
     ) -> List[Tuple[int, int, int]]:
-        """(plane_index, block, page) of valid mapped pages in the window."""
+        """(plane_index, block, page) of valid mapped pages in the window,
+        in (plane, block, page) order."""
         g = self.ssd.spec.geometry
         first_block = start_page // g.pages_per_block
         last_block = (max(end_page - 1, start_page)) // g.pages_per_block
-        victims = []
-        for plane_index, plane in self.ssd.array.iter_planes():
-            for block_index in range(first_block, last_block + 1):
-                block = plane.blocks[block_index]
-                for page_index, page in enumerate(block.pages):
-                    if page.state is PageState.PROGRAMMED:
-                        victims.append((plane_index, block_index, page_index))
-        return victims
+        window = self.ssd.array.pages.state[:, first_block : last_block + 1]
+        planes, blocks, pages = (window == PROGRAMMED).nonzero()
+        return list(zip(planes.tolist(), (blocks + first_block).tolist(), pages.tolist()))
 
     # ------------------------------------------------------------ clearing
 
@@ -89,7 +87,7 @@ class Defragmenter:
             ppa = page_address(g, plane_index, block_index, page_index)
             lpa = self.ssd.ftl.lpa_of(ppa)
             plane = self.ssd.array.plane_by_index(plane_index)
-            data, oob = plane.blocks[block_index].pages[page_index].raw()
+            data, oob = plane.golden_page(block_index, page_index)
             if lpa is None:
                 # Unmapped-but-programmed data (no owner): drop it.
                 continue
@@ -115,13 +113,13 @@ class Defragmenter:
 
         erased = 0
         first_block = start_page // ppb
-        last_block = end_page // ppb
-        for plane_index, plane in self.ssd.array.iter_planes():
-            for block_index in range(first_block, last_block):
-                if plane.blocks[block_index].next_program_page > 0:
-                    plane.erase_block(block_index)
-                    seconds += timing.t_erase_s
-                    erased += 1
+        used = self.ssd.array.pages.next_page[:, first_block : end_page // ppb] > 0
+        for plane_index, block_index in np.argwhere(used).tolist():
+            self.ssd.array.plane_by_index(plane_index).erase_block(
+                first_block + block_index
+            )
+            seconds += timing.t_erase_s
+            erased += 1
         return DefragResult(
             region=CoarseRegion(start_page, end_page),
             relocated_pages=relocated,

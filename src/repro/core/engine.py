@@ -60,7 +60,7 @@ from repro.core.plan import (
     schedule_senses,
 )
 from repro.core.registry import TemporalTopList, TtlBlock
-from repro.nand.cell import reliability
+from repro.nand.cell import RELIABILITY
 from repro.nand.ecc import UncorrectableReadError
 from repro.nand.latches import xor_popcount_segments
 from repro.ssd.cores import log2_counts
@@ -122,6 +122,12 @@ class _LatchedPages:
             dists, embs, eadrs=eadrs, dadrs=words[:, 0], radrs=words[:, 1],
             metas=words[:, 2] if words.shape[1] >= 3 else None,
         )
+
+
+def _stack_rows(lo: int, hi: int, picked: np.ndarray):
+    """Rows ``lo + picked`` of a page stack: the slice ``lo:hi`` when
+    ``picked`` is every one of them, so a gather copies straight in."""
+    return slice(lo, hi) if picked.size == hi - lo else lo + picked
 
 
 def _cut_sums(column: np.ndarray, cuts: Sequence[int]) -> List[int]:
@@ -289,7 +295,7 @@ class InStorageAnnsEngine:
         kind = "centroid_region" if coarse else "embedding_region"
         regions = [getattr(run.db, kind) for run in runs]
         for region in regions:
-            if reliability(region.mode).requires_ecc:
+            if RELIABILITY[region.mode.code].requires_ecc:
                 raise ValueError(
                     f"region {region.name!r} is in cell mode {region.mode.value!r}: "
                     "in-plane distances are only defined on ECC-free data"
@@ -328,12 +334,14 @@ class InStorageAnnsEngine:
             rows, columns[5, lo:hi] = self._mirror_lookup(cache, region, pages)
             cached = columns[5, lo:hi] > 0
             fresh = (~cached).nonzero()[0]
-            at = lo + fresh
-            run.engine.ssd.array.gather(*columns[:3, at].tolist(), at.tolist(), data_u, oob_u)
+            at = _stack_rows(lo, hi, fresh)
+            if fresh.size:
+                run.engine.ssd.array.gather(*columns[:3, at], at, data_u, oob_u)
             if cache is None:
                 continue
-            if cached.any():
-                cache.gather(rows[cached], lo + cached.nonzero()[0], data_u, oob_u)
+            hits = cached.nonzero()[0]
+            if hits.size:
+                cache.gather(rows[hits], _stack_rows(lo, hi, hits), data_u, oob_u)
             if fresh.size:  # mirror every freshly-sensed page's golden bytes
                 cache.admit_pages(
                     region, pages[fresh], "centroid" if coarse else "cluster",
@@ -442,7 +450,7 @@ class InStorageAnnsEngine:
                 array.latches.latch_senses(
                     senses[own] - shard * n_planes, data_u, oob_u, rank_s[own]
                 )
-                array.count_reads(regions[shard].mode, n_senses)
+                array.count_reads(regions[shard].mode.code, n_senses)
             for name, n in (("latch_xors", n_xors), ("bit_counts", n_counts),
                             ("pass_fail_checks", n_sweeps)):
                 if n:
@@ -627,16 +635,14 @@ class InStorageAnnsEngine:
             out = stack[lo:hi]
             if n_sensed:
                 sensed = ssd.array.read_pages(
-                    plane_of[:n_sensed].tolist(), block_of[:n_sensed].tolist(),
-                    page_of[:n_sensed].tolist(), out=out[:n_sensed],
+                    plane_of[:n_sensed], block_of[:n_sensed], page_of[:n_sensed],
+                    out=out[:n_sensed],
                 )
                 bad = ssd.ecc.correct_batch(sensed.data, sensed.flips)
                 if bad.size:
                     raise UncorrectableReadError(region.name, int(offsets[bad[0]]))
             if n_sensed < hi - lo:  # mirror-served rows: one gather
-                cache.gather(
-                    rows_u[order[n_sensed:]], np.arange(n_sensed, hi - lo), out
-                )
+                cache.gather(rows_u[order[n_sensed:]], slice(n_sensed, hi - lo), out)
             if n_sensed and cache is not None:
                 # Freshly-sensed pages are now golden (ECC-corrected): mirror them.
                 cache.admit_pages(region, offsets[:n_sensed], kind, sensed.data, sensed.oob)

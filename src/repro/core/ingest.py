@@ -449,11 +449,10 @@ class IngestManager:
         g = self.geometry
         page_offsets, slot_in_page = np.divmod(slots, region.slots_per_page)
         touched, row_of = np.unique(page_offsets, return_inverse=True)
-        addresses = np.array(region.region.translate_columns(touched, g)[:3]).T
-        planes = self.ssd.array.planes
+        planes, blocks, in_block = region.region.translate_columns(touched, g)[:3]
         pages = np.empty((touched.size, g.page_bytes), dtype=np.uint8)
-        for row, (plane, block, page) in enumerate(addresses.tolist()):
-            pages[row], _ = planes[plane].golden_view(block, page)
+        oob = np.empty((touched.size, g.oob_bytes), dtype=np.uint8)
+        self.ssd.array.gather(planes, blocks, in_block, slice(None), pages, oob)
         items = pages[:, : region.slots_per_page * region.item_bytes].reshape(
             touched.size, region.slots_per_page, region.item_bytes
         )

@@ -267,11 +267,11 @@ class DatabaseDeployer:
         ppb = g.pages_per_block
         first_block = checkpoint // ppb
         last_block = (self._next_page_in_plane - 1) // ppb if self._next_page_in_plane else -1
-        for plane_index in range(g.total_planes):
-            plane = self.ssd.array.plane_by_index(plane_index)
-            for block_index in range(first_block, last_block + 1):
-                if plane.blocks[block_index].next_program_page > 0:
-                    plane.erase_block(block_index)
+        used = self.ssd.array.pages.next_page[:, first_block : last_block + 1] > 0
+        for plane_index, block_index in np.argwhere(used).tolist():
+            self.ssd.array.plane_by_index(plane_index).erase_block(
+                first_block + block_index
+            )
         self._next_page_in_plane = checkpoint
 
     def _deploy(

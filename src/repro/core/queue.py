@@ -66,6 +66,7 @@ from typing import (
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -100,9 +101,9 @@ class QueueAdmissionError(RuntimeError):
     """A submission was rejected by the per-tenant admission bound."""
 
 
-@dataclass(frozen=True)
-class Submission:
-    """One tenant query waiting (or having waited) for service."""
+class Submission(NamedTuple):
+    """One tenant query waiting (or having waited) for service (the queue
+    records are immutable tuples: no per-field ``__setattr__`` call)."""
 
     sub_id: int
     tenant: str
@@ -111,8 +112,7 @@ class Submission:
     deadline_s: float = math.inf
 
 
-@dataclass(frozen=True)
-class ServedQuery:
+class ServedQuery(NamedTuple):
     """A submission after service: result plus its queueing history."""
 
     submission: Submission

@@ -9,7 +9,7 @@ from repro.nand.ecc import EccConfig, EccEngine, UncorrectableReadError
 from repro.nand.errors import BitErrorModel
 from repro.nand.geometry import FlashGeometry, PhysicalPageAddress, ppa_from_linear
 from repro.nand.latches import FailBitCounter, PageBuffer
-from repro.nand.page import FlashBlock, FlashPage, PageState
+from repro.nand.page import PageTable
 from repro.nand.plane import Plane
 from repro.nand.timing import NandTiming
 
@@ -25,9 +25,7 @@ __all__ = [
     "EccEngine",
     "EccConfig",
     "UncorrectableReadError",
-    "FlashPage",
-    "FlashBlock",
-    "PageState",
+    "PageTable",
     "PageBuffer",
     "FailBitCounter",
     "Plane",

@@ -2,26 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.nand.cell import CellMode, reliability
+from repro.nand.cell import MODES, reliability
 from repro.nand.channel import Channel
 from repro.nand.errors import NO_FLIPS, BitErrorModel, Flips
 from repro.nand.geometry import FlashGeometry, PhysicalPageAddress, page_address
 from repro.nand.latches import LatchTable
+from repro.nand.page import PageTable
 from repro.nand.plane import Plane
 from repro.nand.timing import NandTiming
 from repro.sim.stats import CounterSet
 
-# Modes whose sensed bytes are the stored bytes (raw BER 0).  A tuple: its
-# ``in`` compares by identity, where hashing an Enum member calls Python.
-_ERROR_FREE_MODES = tuple(
-    mode for mode in CellMode if reliability(mode).raw_ber <= 0.0
-)
-# Per-mode read counter keys, built once: every sense count names one.
-_READ_COUNTER_KEYS = {mode: f"page_reads_{mode.timing_key}" for mode in CellMode}
+# Per-mode tables, indexed by ``CellMode.code``: whether a mode's sensed
+# bytes are the stored bytes (raw BER 0), and the read counter every sense
+# in it advances.
+_ERROR_FREE = tuple(reliability(mode).raw_ber <= 0.0 for mode in MODES)
+_READ_COUNTER_KEYS = tuple(f"page_reads_{mode.timing_key}" for mode in MODES)
 
 
 class SenseRun(NamedTuple):
@@ -39,8 +38,10 @@ class FlashArray:
     by global plane index (:meth:`read_pages`) and iterates over planes in
     global-plane order, which is the order REIS's parallelism-first
     allocation stripes embeddings in.  Its one :class:`BitErrorModel` owns
-    the device's raw-bit-error stream, and its one :class:`LatchTable` the
-    latches and fail-bit counts of every plane (row = global plane index).
+    the device's raw-bit-error stream, its one :class:`PageTable` the bytes,
+    states and block columns of every page, and its one :class:`LatchTable`
+    the latches and fail-bit counts of every plane (row = global plane
+    index in both tables).
     """
 
     def __init__(
@@ -53,10 +54,14 @@ class FlashArray:
         self.latches = LatchTable(
             geometry.total_planes, geometry.page_bytes, geometry.oob_bytes
         )
+        self.pages = PageTable(
+            geometry.total_planes, geometry.blocks_per_plane,
+            geometry.pages_per_block, geometry.page_bytes, geometry.oob_bytes,
+        )
         self.channels: List[Channel] = [
             Channel(
                 cid, geometry, self.timing, counters=self.counters,
-                latches=self.latches,
+                latches=self.latches, pages=self.pages,
             )
             for cid in range(geometry.channels)
         ]
@@ -84,27 +89,20 @@ class FlashArray:
         a = page_address(self.geometry, plane_index, 0, 0)
         return self.channels[a.channel].chips[a.chip].dies[a.die]
 
-    def iter_planes(self) -> Iterator[Tuple[int, Plane]]:
-        yield from enumerate(self.planes)
-
     # ----------------------------------------------------------------- I/O
 
-    def gather(self, planes, blocks, pages, rows, out, oob) -> List[CellMode]:
+    def gather(self, planes, blocks, pages, rows, out, oob) -> np.ndarray:
         """Copy the stored bytes of pages anywhere in the array -- what a
         raw-BER-0 sense returns -- into rows ``rows`` of the page stack
         ``out`` and the OOB stack ``oob``, latching and counting nothing.
-        Returns each page's cell mode."""
-        modes = []
-        for plane, block, page, row in zip(planes, blocks, pages, rows):
-            flash_block = self.planes[plane].blocks[block]
-            modes += [flash_block.mode]
-            out[row], oob[row] = flash_block.pages[page].raw_view()
-        return modes
+        Returns each page's cell-mode code (:meth:`PageTable.gather`)."""
+        return self.pages.gather(planes, blocks, pages, rows, out, oob)
 
-    def count_reads(self, mode: CellMode, n: int) -> None:
-        """Advance the read counters by ``n`` senses in cell mode ``mode``."""
+    def count_reads(self, code: int, n: int) -> None:
+        """Advance the read counters by ``n`` senses in the cell mode of
+        code ``code``."""
         self.counters.add("page_reads", n)
-        self.counters.add(_READ_COUNTER_KEYS[mode], n)
+        self.counters.add(_READ_COUNTER_KEYS[code], n)
 
     def read_pages(
         self,
@@ -118,16 +116,17 @@ class FlashArray:
 
         ``planes`` are global plane indices; row ``i`` of the stack (``out``
         when given: a C-contiguous ``(len(planes), page_bytes)`` ``uint8``
-        array; freshly allocated otherwise) receives page ``i``.  One pass
-        gathers the stored bytes (:meth:`gather`); each plane's sensing and
-        OOB latches then hold the last page it sensed (stored bytes: nothing
-        computes on a latched page of a mode that needs ECC) and the read
-        counters advance once per cell mode.  The array's error model then
-        injects the flips of all noisy rows, one
-        :meth:`BitErrorModel.corrupt_traced` per distinct noisy cell mode
-        (ESP-SLC rows stay the stored bytes): the same call sequence on a
-        fresh array draws the same flips.  The OOB area is error-free (on
-        real chips it carries its own ECC parity).
+        array; freshly allocated otherwise) receives page ``i``.  One
+        gather copies the stored bytes (:meth:`gather`; the table is never
+        written by a read); each plane's sensing and OOB latches then hold
+        the last page it sensed (stored bytes: nothing computes on a
+        latched page of a mode that needs ECC).  Then, per distinct cell
+        mode in order of first appearance, the read counters advance and,
+        for a noisy mode, the array's error model injects the flips of its
+        rows in read order, one :meth:`BitErrorModel.corrupt_traced` (ESP-SLC
+        rows stay the stored bytes): the same call sequence on a fresh
+        array draws the same flips.  The OOB area is error-free (on real
+        chips it carries its own ECC parity).
         """
         n = len(planes)
         if out is None:
@@ -135,21 +134,19 @@ class FlashArray:
         elif out.shape != (n, self.geometry.page_bytes) or not out.flags.c_contiguous:
             raise ValueError("out must be a C-contiguous (n_pages, page_bytes) stack")
         oob = np.empty((n, self.geometry.oob_bytes), dtype=np.uint8)
-        modes = self.gather(planes, blocks, pages, range(n), out, oob)
-        if n:
-            self.latches.latch_senses(planes, out, oob)
-        counted = modes
-        while counted:  # one count per distinct mode of the read
-            mode = counted[0]
-            self.count_reads(mode, counted.count(mode))
-            counted = [other for other in counted if other is not mode]
+        if not n:
+            return SenseRun(out, oob, NO_FLIPS)
+        codes = self.pages.gather(planes, blocks, pages, slice(None), out, oob)
+        self.latches.latch_senses(planes, out, oob)
+        tally = codes.tolist()
         flips = NO_FLIPS
-        noisy = [i for i, mode in enumerate(modes) if mode not in _ERROR_FREE_MODES]
-        while noisy:  # one injection per distinct noisy mode of the read
-            mode = modes[noisy[0]]
-            rows = [i for i in noisy if modes[i] is mode]
-            noisy = [i for i in noisy if modes[i] is not mode]
-            drawn = self.errors.corrupt_traced(out, np.array(rows), mode)
+        for code in dict.fromkeys(tally):
+            self.count_reads(code, tally.count(code))
+            if _ERROR_FREE[code]:
+                continue
+            drawn = self.errors.corrupt_traced(
+                out, (codes == code).nonzero()[0], MODES[code]
+            )
             if flips is not NO_FLIPS:
                 drawn = tuple(map(np.concatenate, zip(flips, drawn)))
             flips = drawn

@@ -16,7 +16,9 @@ from enum import Enum
 
 
 class CellMode(Enum):
-    """Programming mode of a flash block."""
+    """Programming mode of a flash block.  ``code`` (its :data:`MODES`
+    index) is what the page table stores and per-mode tables are keyed by:
+    an int hashes in C, an Enum member through a Python ``__hash__``."""
 
     SLC_ESP = "slc_esp"
     SLC = "slc"
@@ -53,17 +55,24 @@ class ReliabilityProfile:
     requires_ecc: bool
 
 
+#: Cell modes by code: ``MODES[mode.code] is mode``, in definition order.
+MODES = tuple(CellMode)
+for _code, _mode in enumerate(MODES):
+    _mode.code = _code
+del _code, _mode
+
+# Keyed by ``CellMode.code``.
 RELIABILITY = {
     # ESP achieves 0 BER even at 1-year retention / 10K P/E cycles
     # (Flash-Cosmos, cited as [225] in the paper).
-    CellMode.SLC_ESP: ReliabilityProfile(0.0, 100_000, requires_ecc=False),
-    CellMode.SLC: ReliabilityProfile(1e-8, 100_000, requires_ecc=True),
-    CellMode.MLC: ReliabilityProfile(1e-6, 10_000, requires_ecc=True),
-    CellMode.TLC: ReliabilityProfile(1e-4, 3_000, requires_ecc=True),
-    CellMode.QLC: ReliabilityProfile(1e-3, 1_000, requires_ecc=True),
+    CellMode.SLC_ESP.code: ReliabilityProfile(0.0, 100_000, requires_ecc=False),
+    CellMode.SLC.code: ReliabilityProfile(1e-8, 100_000, requires_ecc=True),
+    CellMode.MLC.code: ReliabilityProfile(1e-6, 10_000, requires_ecc=True),
+    CellMode.TLC.code: ReliabilityProfile(1e-4, 3_000, requires_ecc=True),
+    CellMode.QLC.code: ReliabilityProfile(1e-3, 1_000, requires_ecc=True),
 }
 
 
 def reliability(mode: CellMode) -> ReliabilityProfile:
     """Reliability profile for ``mode``."""
-    return RELIABILITY[mode]
+    return RELIABILITY[mode.code]

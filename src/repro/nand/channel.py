@@ -7,6 +7,7 @@ from typing import List, Optional
 from repro.nand.chip import FlashChip
 from repro.nand.geometry import FlashGeometry
 from repro.nand.latches import LatchTable
+from repro.nand.page import PageTable
 from repro.nand.timing import NandTiming
 from repro.sim.stats import CounterSet
 
@@ -26,6 +27,7 @@ class Channel:
         timing: NandTiming,
         counters: Optional[CounterSet] = None,
         latches: Optional[LatchTable] = None,
+        pages: Optional[PageTable] = None,
     ) -> None:
         self.channel_id = channel_id
         self.timing = timing
@@ -38,6 +40,7 @@ class Channel:
                 first_die_id=first_die + i * geometry.dies_per_chip,
                 counters=self.counters,
                 latches=latches,
+                pages=pages,
             )
             for i in range(geometry.chips_per_channel)
         ]

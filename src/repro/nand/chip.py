@@ -7,6 +7,7 @@ from typing import List, Optional
 from repro.nand.die import Die
 from repro.nand.geometry import FlashGeometry
 from repro.nand.latches import LatchTable
+from repro.nand.page import PageTable
 from repro.sim.stats import CounterSet
 
 
@@ -20,6 +21,7 @@ class FlashChip:
         first_die_id: int,
         counters: Optional[CounterSet] = None,
         latches: Optional[LatchTable] = None,
+        pages: Optional[PageTable] = None,
     ) -> None:
         self.chip_id = chip_id
         self.counters = counters if counters is not None else CounterSet()
@@ -33,6 +35,7 @@ class FlashChip:
                 oob_bytes=geometry.oob_bytes,
                 counters=self.counters,
                 latches=latches,
+                pages=pages,
             )
             for i in range(geometry.dies_per_chip)
         ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.nand.latches import LatchTable
+from repro.nand.page import PageTable
 from repro.nand.plane import Plane
 from repro.sim.stats import CounterSet
 
@@ -25,8 +26,9 @@ class Die:
     """One flash die and its planes.
 
     Plane ``i`` latches in row ``die_id * planes_per_die + i`` of
-    ``latches`` -- its global plane index -- or in row ``i`` of a table of
-    the die's own when none is given.
+    ``latches`` and stores its pages in that row of ``pages`` -- its global
+    plane index -- or, built alone, in a latch table of the die's own
+    (each plane then keeps a page table of its own).
     """
 
     def __init__(
@@ -39,6 +41,7 @@ class Die:
         oob_bytes: int,
         counters: Optional[CounterSet] = None,
         latches: Optional[LatchTable] = None,
+        pages: Optional[PageTable] = None,
     ) -> None:
         self.die_id = die_id
         self.counters = counters if counters is not None else CounterSet()
@@ -54,6 +57,8 @@ class Die:
                 oob_bytes=oob_bytes,
                 counters=self.counters,
                 buffer=latches.buffer(first_row + i),
+                pages=pages,
+                row=first_row + i,
             )
             for i in range(planes_per_die)
         ]

@@ -58,9 +58,9 @@ class PageLevelFtl:
         self._l2p[lpa] = ppa
         self._p2l[ppa.to_linear(self._array.geometry)] = lpa
         if old is not None:
-            plane = self._array.plane(old)
-            plane.blocks[old.block].pages[old.page].invalidate()
-            self._p2l.pop(old.to_linear(self._array.geometry), None)
+            g = self._array.geometry
+            self._array.pages.invalidate(old.plane_linear(g), old.block, old.page)
+            self._p2l.pop(old.to_linear(g), None)
         return ppa
 
     def lpa_of(self, ppa: PhysicalPageAddress) -> Optional[int]:

@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.nand.array import FlashArray
 from repro.nand.geometry import page_address
-from repro.nand.page import PageState
+from repro.nand.page import INVALID, PROGRAMMED
 from repro.ssd.ftl import PageLevelFtl
 
 
@@ -46,28 +48,27 @@ class GarbageCollector:
         self._reserved.add((plane_index, block_index))
 
     def _victims(self) -> List[Tuple[int, int, int]]:
-        """(invalid_count, plane, block) candidates, most garbage first."""
-        victims = []
-        for plane_index, plane in self._array.iter_planes():
-            for block_index, block in enumerate(plane.blocks):
-                if (plane_index, block_index) in self._reserved:
-                    continue
-                invalid = block.invalid_page_count()
-                if invalid > 0 and block.is_full:
-                    victims.append((invalid, plane_index, block_index))
-        victims.sort(reverse=True)
-        return victims
+        """(invalid_count, plane, block) candidates, most garbage first:
+        full blocks holding an invalid page, read off the page table."""
+        table = self._array.pages
+        invalid = np.count_nonzero(table.state == INVALID, axis=2)
+        candidate = (invalid > 0) & (table.next_page >= table.pages_per_block)
+        for plane_index, block_index in self._reserved:
+            candidate[plane_index, block_index] = False
+        planes, blocks = candidate.nonzero()
+        return sorted(
+            zip(invalid[planes, blocks].tolist(), planes.tolist(), blocks.tolist()),
+            reverse=True,
+        )
 
     def collect(self, max_blocks: int = 1) -> GcResult:
         """Reclaim up to ``max_blocks`` victim blocks."""
         result = GcResult()
         for _, plane_index, block_index in self._victims()[:max_blocks]:
             plane = self._array.plane_by_index(plane_index)
-            block = plane.blocks[block_index]
-            for page_index, page in enumerate(block.pages):
-                if page.state is not PageState.PROGRAMMED:
-                    continue
-                data, oob = page.raw()
+            programmed = self._array.pages.state[plane_index, block_index] == PROGRAMMED
+            for page_index in programmed.nonzero()[0].tolist():
+                data, oob = plane.golden_page(block_index, page_index)
                 lpa = self._ftl.lpa_of(page_address(
                     self._array.geometry, plane_index, block_index, page_index
                 ))

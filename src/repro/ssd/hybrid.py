@@ -10,7 +10,8 @@ stores one bit per cell, costing 3x the TLC capacity per byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+
+import numpy as np
 
 from repro.nand.array import FlashArray
 from repro.nand.cell import CellMode
@@ -32,16 +33,13 @@ class HybridPartitioner:
 
     def __init__(self, array: FlashArray) -> None:
         self._array = array
-        self._modes: Dict[Tuple[int, int], CellMode] = {}
 
     def set_block_mode(self, plane_index: int, block_index: int, mode: CellMode) -> None:
         """Program a block's mode (block must be erased)."""
-        plane = self._array.plane_by_index(plane_index)
-        plane.blocks[block_index].set_mode(mode)
-        self._modes[(plane_index, block_index)] = mode
+        self._array.plane_by_index(plane_index).set_mode(block_index, mode)
 
     def mode_of(self, plane_index: int, block_index: int) -> CellMode:
-        return self._modes.get((plane_index, block_index), CellMode.TLC)
+        return self._array.plane_by_index(plane_index).block_mode(block_index)
 
     def convert_region(
         self,
@@ -65,16 +63,15 @@ class HybridPartitioner:
 
     def stats(self) -> PartitionStats:
         g = self._array.geometry
-        stats = PartitionStats()
+        modes = self._array.pages.mode
         block_bytes = g.pages_per_block * g.page_bytes
-        for plane_index, plane in self._array.iter_planes():
-            for block in plane.blocks:
-                if block.mode in (CellMode.SLC, CellMode.SLC_ESP):
-                    stats.slc_blocks += 1
-                    stats.slc_user_bytes += block_bytes
-                    # A TLC block would have held 3x the data.
-                    stats.capacity_cost_bytes += 2 * block_bytes
-                else:
-                    stats.tlc_blocks += 1
-                    stats.tlc_user_bytes += block_bytes
-        return stats
+        slc = int(np.isin(modes, (CellMode.SLC.code, CellMode.SLC_ESP.code)).sum())
+        tlc = modes.size - slc
+        return PartitionStats(
+            slc_blocks=slc,
+            tlc_blocks=tlc,
+            slc_user_bytes=slc * block_bytes,
+            tlc_user_bytes=tlc * block_bytes,
+            # A TLC block would have held 3x the data.
+            capacity_cost_bytes=2 * slc * block_bytes,
+        )

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.nand.array import FlashArray
-from repro.nand.cell import CellMode
-from repro.nand.page import PageState
+from repro.nand.cell import MODES, CellMode
+from repro.nand.page import PROGRAMMED
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -77,12 +77,14 @@ class RefreshManager:
 
     def due_blocks(self) -> List[Tuple[int, int]]:
         """(plane, block) pairs whose age exceeds their mode's budget."""
+        table = self._array.pages
+        holds_data = (table.state == PROGRAMMED).any(axis=2)
         due = []
         for (plane_index, block_index), age in sorted(self._age_days.items()):
-            block = self._array.plane_by_index(plane_index).blocks[block_index]
-            if block.valid_page_count() == 0:
+            if not holds_data[plane_index, block_index]:
                 continue
-            if age > self.policy.budget_days(block.mode):
+            mode = MODES[table.mode[plane_index, block_index]]
+            if age > self.policy.budget_days(mode):
                 due.append((plane_index, block_index))
         return due
 
@@ -100,19 +102,15 @@ class RefreshManager:
         result.blocks_scanned = len(self._age_days)
         for plane_index, block_index in due:
             plane = self._array.plane_by_index(plane_index)
-            block = plane.blocks[block_index]
-            contents = []
-            for page_index, page in enumerate(block.pages):
-                if page.state is PageState.PROGRAMMED:
-                    contents.append((page_index, *page.raw()))
-            mode = block.mode
-            plane.erase_block(block_index)
-            block.set_mode(mode)
-            cursor = 0
-            for page_index, data, oob in contents:
+            programmed = self._array.pages.state[plane_index, block_index] == PROGRAMMED
+            contents = [
+                plane.golden_page(block_index, page_index)
+                for page_index in programmed.nonzero()[0].tolist()
+            ]
+            plane.erase_block(block_index)  # the block keeps its cell mode
+            for cursor, (data, oob) in enumerate(contents):
                 # In-order reprogramming: valid pages compact to the front.
                 plane.program_page(block_index, cursor, data, oob)
-                cursor += 1
                 result.pages_rewritten += 1
             self._age_days[(plane_index, block_index)] = 0.0
             result.blocks_refreshed += 1

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.nand.array import FlashArray
 from repro.nand.geometry import page_address
 from repro.nand.cell import reliability
-from repro.nand.page import PageState
+from repro.nand.page import PROGRAMMED
 
 
 class WearLeveler:
@@ -33,14 +35,16 @@ class WearLeveler:
         self._reserved.add((plane_index, block_index))
 
     def pe_cycle_map(self) -> List[Tuple[int, int, int]]:
-        """(pe_cycles, plane_index, block_index) for every movable block."""
-        entries = []
-        for plane_index, plane in self._array.iter_planes():
-            for block_index, block in enumerate(plane.blocks):
-                if (plane_index, block_index) in self._reserved:
-                    continue
-                entries.append((block.pe_cycles, plane_index, block_index))
-        return entries
+        """(pe_cycles, plane_index, block_index) for every movable block, in
+        (plane, block) order."""
+        pe_cycles = self._array.pages.pe_cycles
+        movable = np.ones(pe_cycles.shape, dtype=bool)
+        for plane_index, block_index in self._reserved:
+            movable[plane_index, block_index] = False
+        planes, blocks = movable.nonzero()
+        return list(zip(
+            pe_cycles[planes, blocks].tolist(), planes.tolist(), blocks.tolist()
+        ))
 
     def max_imbalance(self) -> int:
         cycles = [c for c, _, _ in self.pe_cycle_map()]
@@ -60,10 +64,9 @@ class WearLeveler:
 
     def remaining_lifetime_fraction(self, plane_index: int, block_index: int) -> float:
         """Remaining endurance of a block given its mode and P/E count."""
-        plane = self._array.plane_by_index(plane_index)
-        block = plane.blocks[block_index]
-        endurance = reliability(block.mode).pe_cycle_endurance
-        return max(0.0, 1.0 - block.pe_cycles / endurance)
+        mode = self._array.plane_by_index(plane_index).block_mode(block_index)
+        pe_cycles = int(self._array.pages.pe_cycles[plane_index, block_index])
+        return max(0.0, 1.0 - pe_cycles / reliability(mode).pe_cycle_endurance)
 
     def level(self, ftl: Optional["PageLevelFtl"] = None) -> "WearLevelResult":
         """Execute one static wear-leveling swap if imbalance demands it.
@@ -77,29 +80,23 @@ class WearLeveler:
         if not self.needs_leveling():
             return result
         (hot_plane, hot_block), (cold_plane, cold_block) = self.swap_candidates()
-        hot = self._array.plane_by_index(hot_plane).blocks[hot_block]
-        cold_plane_obj = self._array.plane_by_index(cold_plane)
-        cold = cold_plane_obj.blocks[cold_block]
-        if hot.valid_page_count() > 0:
+        table = self._array.pages
+        if (table.state[hot_plane, hot_block] == PROGRAMMED).any():
             return result  # the hot block is busy; try again later
-        mode = cold.mode
-        hot.set_mode(mode)
-        cursor = 0
-        for page_index, page in enumerate(cold.pages):
-            if page.state is not PageState.PROGRAMMED:
-                continue
-            data, oob = page.raw()
-            self._array.plane_by_index(hot_plane).program_page(
-                hot_block, cursor, data, oob
-            )
+        hot = self._array.plane_by_index(hot_plane)
+        cold = self._array.plane_by_index(cold_plane)
+        hot.set_mode(hot_block, cold.block_mode(cold_block))
+        programmed = table.state[cold_plane, cold_block] == PROGRAMMED
+        for cursor, page_index in enumerate(programmed.nonzero()[0].tolist()):
+            data, oob = cold.golden_page(cold_block, page_index)
+            hot.program_page(hot_block, cursor, data, oob)
             if ftl is not None:
                 g = self._array.geometry
                 lpa = ftl.lpa_of(page_address(g, cold_plane, cold_block, page_index))
                 if lpa is not None:
                     ftl.remap(lpa, page_address(g, hot_plane, hot_block, cursor))
-            cursor += 1
             result.pages_moved += 1
-        cold_plane_obj.erase_block(cold_block)
+        cold.erase_block(cold_block)
         result.swapped = True
         result.hot = (hot_plane, hot_block)
         result.cold = (cold_plane, cold_block)

@@ -566,11 +566,11 @@ class TestBlockedBuildPasses:
 
 def _programmed_pages(device):
     """``(plane, block, page) -> (data, oob)`` of every programmed page."""
+    planes = device.ssd.array.planes
     return {
-        (p, b, page): plane.golden_view(b, page)
-        for p, plane in enumerate(device.ssd.array.planes)
-        for b, block in enumerate(plane.blocks)
-        for page in range(block.next_program_page)
+        (p, b, page): planes[p].golden_view(b, page)
+        for (p, b), n_programmed in np.ndenumerate(device.ssd.array.pages.next_page)
+        for page in range(n_programmed)
     }
 
 

@@ -24,7 +24,7 @@ GEOMETRY = FlashGeometry(
 def make_interface():
     array = FlashArray(GEOMETRY)
     for plane in array.planes:
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        plane.set_mode(0, CellMode.SLC_ESP)
     return DeviceCommandInterface(array)
 
 
@@ -56,7 +56,7 @@ class TestDieCommandInterface:
         oob = np.empty((3, GEOMETRY.oob_bytes), dtype=np.uint8)
         array.gather([1] * 3, [0] * 3, pages, range(3), stack, oob)
         array.latches.latch_senses(np.array([1, 1, 1]), stack, oob)
-        array.count_reads(CellMode.SLC_ESP, 3)
+        array.count_reads(CellMode.SLC_ESP.code, 3)
         interface.counts += issued(FlashOp.READ_PAGE, [3, 0])
         assert interface.dies[0].trace[FlashOp.READ_PAGE] == 3
         assert interface.dies[1].trace[FlashOp.READ_PAGE] == 0

@@ -322,7 +322,7 @@ class TestPhaseKernelAgainstLatchWalk:
                 cache.admit_pages(
                     region, np.array([page]), "cluster", data[None], oob[None]
                 )
-        planes = [plane for _i, plane in device.ssd.array.iter_planes()]
+        planes = device.ssd.array.planes
         before = [
             (plane.buffer.sensing.copy(), plane.buffer.oob.copy())
             for plane in planes

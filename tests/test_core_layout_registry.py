@@ -493,3 +493,55 @@ class TestEngineParams:
         assert params.coarse_entry_bytes(16) == 2 + 16 + 4 + 1
         # Fine: DIST(2) + EMB(code) + RADR(4) + DADR(4).
         assert params.fine_entry_bytes(16) == 2 + 16 + 8
+
+
+class TestDeployedPagesGatherBack:
+    """The page table is an oracle of the deploy: every page an
+    ``ivf_deploy`` programmed gathers back to the bytes ``program_slots``
+    handed the array (zero-padded), and a page no region touched gathers
+    all-ones."""
+
+    def test_every_programmed_page_gathers_its_written_bytes(self, small_vectors, small_corpus):
+        from repro.core.api import ReisDevice
+
+        vectors, _ = small_vectors
+        device = ReisDevice(tiny_config("ORACLE"))
+        array, g = device.ssd.array, device.config.geometry
+        written = []
+        program = array.program
+
+        def recording(address, data, oob=None):
+            written.append((address, data.copy(), None if oob is None else oob.copy()))
+            program(address, data, oob)
+
+        array.program = recording
+        device.ivf_deploy("oracle", vectors, nlist=8, corpus=small_corpus, seed=0)
+        del array.program
+        db = device.database(0)
+        regions = [db.embedding_region, db.centroid_region, db.int8_region, db.document_region]
+        assert len(written) == sum(region.n_pages for region in regions)
+        planes = [a.plane_linear(g) for a, _data, _oob in written]
+        blocks = [a.block for a, _data, _oob in written]
+        pages = [a.page for a, _data, _oob in written]
+        data = np.zeros((len(written), g.page_bytes), dtype=np.uint8)
+        oob = np.zeros((len(written), g.oob_bytes), dtype=np.uint8)
+        codes = array.gather(planes, blocks, pages, slice(None), data, oob)
+        for row, (address, want, want_oob) in enumerate(written):
+            assert np.array_equal(data[row, : want.size], want)
+            assert not data[row, want.size :].any()
+            n_oob = 0 if want_oob is None else want_oob.size
+            assert n_oob == 0 or np.array_equal(oob[row, :n_oob], want_oob)
+            assert not oob[row, n_oob:].any()
+        modes = {CellMode.SLC_ESP.code, CellMode.TLC.code}
+        assert set(codes.tolist()) == modes
+        # The last block of every plane lies past every region: erased.
+        last = g.blocks_per_plane - 1
+        assert not array.pages.next_page[:, last].any()
+        blank = np.zeros((g.total_planes, g.page_bytes), dtype=np.uint8)
+        blank_oob = np.zeros((g.total_planes, g.oob_bytes), dtype=np.uint8)
+        array.gather(
+            np.arange(g.total_planes), np.full(g.total_planes, last),
+            np.zeros(g.total_planes, dtype=np.int64), np.arange(g.total_planes),
+            blank, blank_oob,
+        )
+        assert (blank == 0xFF).all() and (blank_oob == 0xFF).all()

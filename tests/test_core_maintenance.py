@@ -20,7 +20,7 @@ class TestRefreshManager:
 
     def _program_block(self, ssd, plane_index=0, block_index=0, mode=CellMode.TLC):
         plane = ssd.array.plane_by_index(plane_index)
-        plane.blocks[block_index].set_mode(mode)
+        plane.set_mode(block_index, mode)
         for page in range(3):
             plane.program_page(
                 block_index, page, np.full(64, page, dtype=np.uint8)
@@ -53,7 +53,7 @@ class TestRefreshManager:
         assert result.blocks_refreshed == 1
         assert result.pages_rewritten == 3
         # Data is intact, at the same page indices, same cell mode.
-        assert plane.blocks[0].mode is CellMode.SLC_ESP
+        assert plane.block_mode(0) is CellMode.SLC_ESP
         for page in range(3):
             golden, _ = plane.golden_page(0, page)
             assert (golden[:64] == page).all()

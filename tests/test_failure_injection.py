@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.api import ReisDevice
 from repro.core.config import tiny_config
-from repro.nand.cell import CellMode, RELIABILITY, ReliabilityProfile
+from repro.nand.cell import MODES, CellMode, RELIABILITY, ReliabilityProfile
 from repro.nand.ecc import EccConfig, EccEngine, UncorrectableReadError
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
@@ -50,7 +50,7 @@ class TestEccBeyondCapability:
         data = np.arange(ssd.spec.geometry.page_bytes, dtype=np.uint64) % 256
         ssd.host_write(0, data.astype(np.uint8))
         monkeypatch.setitem(
-            RELIABILITY, CellMode.TLC, ReliabilityProfile(2e-2, 3_000, True)
+            RELIABILITY, CellMode.TLC.code, ReliabilityProfile(2e-2, 3_000, True)
         )
         with pytest.raises(UncorrectableReadError) as excinfo:
             ssd.host_read(0)
@@ -65,7 +65,7 @@ class TestEccBeyondCapability:
         ssd.host_write(0, data)
         with monkeypatch.context() as patch:
             patch.setitem(
-                RELIABILITY, CellMode.TLC, ReliabilityProfile(2e-2, 3_000, True)
+                RELIABILITY, CellMode.TLC.code, ReliabilityProfile(2e-2, 3_000, True)
             )
             with pytest.raises(UncorrectableReadError):
                 ssd.host_read(0)
@@ -83,7 +83,7 @@ class TestUncorrectableTlcRead:
         device.enable_page_cache(2 * (16384 + 2208))
         # ~330 raw flips per 2KB codeword against a capability of 72.
         monkeypatch.setitem(
-            RELIABILITY, CellMode.TLC, ReliabilityProfile(2e-2, 3_000, True)
+            RELIABILITY, CellMode.TLC.code, ReliabilityProfile(2e-2, 3_000, True)
         )
         return device, db_id, make_queries(vectors, 4, seed="worn-q")
 
@@ -217,7 +217,7 @@ class TestReliabilityContract:
                 assert not plane.requires_ecc(ppa.block)
 
     def test_esp_profile_is_the_only_zero_ber_mode(self):
-        zero_ber = [m for m, p in RELIABILITY.items() if p.raw_ber == 0.0]
+        zero_ber = [MODES[code] for code, p in RELIABILITY.items() if p.raw_ber == 0.0]
         assert zero_ber == [CellMode.SLC_ESP]
 
     def test_search_is_deterministic_despite_tlc_noise(self, small_vectors):

@@ -54,10 +54,9 @@ class TestSchedulerWearIntegration:
         device = ReisDevice(tiny_config("WEARSCHED"))
         db_id = device.ivf_deploy("w", vectors, nlist=8, corpus=small_corpus, seed=0)
         # Manufacture wear imbalance in the free (non-deployed) blocks.
-        plane = device.ssd.array.plane_by_index(0)
         free_block = device.config.geometry.blocks_per_plane - 1
         for _ in range(200):
-            plane.blocks[free_block].erase()
+            device.ssd.array.pages.erase(0, free_block)
         scheduler = DeviceScheduler(device)
         scheduler.run_maintenance(wear_level=True)
         assert scheduler.accounting.maintenance_seconds >= 0

@@ -1,12 +1,12 @@
-"""Unit tests for flash pages, blocks, cell modes and bit-error injection."""
+"""Unit tests for the page table, cell modes and bit-error injection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.nand.cell import CellMode, reliability
+from repro.nand.cell import MODES, CellMode, reliability
 from repro.nand.errors import BitErrorModel
-from repro.nand.page import FlashBlock, FlashPage, PageState
+from repro.nand.page import ERASED, INVALID, PROGRAMMED, PageTable
 
 PAGE = 256
 OOB = 32
@@ -16,105 +16,167 @@ def _data(value=0xAB, size=PAGE):
     return np.full(size, value, dtype=np.uint8)
 
 
-class TestFlashPage:
+def _table(pages_per_block=4, blocks_per_plane=2, n_planes=2):
+    return PageTable(n_planes, blocks_per_plane, pages_per_block, PAGE, OOB)
+
+
+def _read(table, plane, block, page):
+    """One page's (data, OOB) through a one-row gather."""
+    out = np.zeros((1, PAGE), dtype=np.uint8)
+    oob = np.zeros((1, OOB), dtype=np.uint8)
+    table.gather([plane], [block], [page], slice(None), out, oob)
+    return out[0], oob[0]
+
+
+def _counts(table, plane, block):
+    """(valid, invalid) pages of a block, read off the state column."""
+    state = table.state[plane, block]
+    return int((state == PROGRAMMED).sum()), int((state == INVALID).sum())
+
+
+class TestPageRows:
     def test_starts_erased_reads_ones(self):
-        page = FlashPage(PAGE, OOB)
-        assert page.state is PageState.ERASED
-        data, oob = page.raw()
-        assert (data == 0xFF).all()
-        assert (oob == 0xFF).all()
+        table = _table()
+        assert (table.state == ERASED).all()
+        for read in (_read(table, 1, 1, 3), table.view(1, 1, 3)):
+            data, oob = read
+            assert (data == 0xFF).all()
+            assert (oob == 0xFF).all()
+        # The ones come from the state column; the stored bytes stay zero.
+        assert not table.data.any()
 
     def test_program_and_read(self):
-        page = FlashPage(PAGE, OOB)
-        page.program(_data(), np.arange(OOB, dtype=np.uint8))
-        data, oob = page.raw()
+        table = _table()
+        table.program(0, 0, 0, _data(), np.arange(OOB, dtype=np.uint8))
+        data, oob = _read(table, 0, 0, 0)
         assert (data == 0xAB).all()
         assert (oob == np.arange(OOB)).all()
-        assert page.state is PageState.PROGRAMMED
+        assert table.state[0, 0, 0] == PROGRAMMED
 
     def test_short_data_is_zero_padded(self):
-        page = FlashPage(PAGE, OOB)
-        page.program(_data(size=10))
-        data, _ = page.raw()
+        table = _table()
+        table.program(0, 0, 0, _data(size=10))
+        data, oob = _read(table, 0, 0, 0)
         assert (data[:10] == 0xAB).all()
         assert (data[10:] == 0).all()
+        assert not oob.any()
+
+    def test_reprogrammed_row_is_zero_padded_after_erase(self):
+        """Rows are reused after an erase: a short program clears the tail
+        a full one left there."""
+        table = _table()
+        table.program(1, 1, 0, _data(0x77), np.full(OOB, 0x66, dtype=np.uint8))
+        table.erase(1, 1)
+        assert (_read(table, 1, 1, 0)[0] == 0xFF).all()
+        table.program(1, 1, 0, _data(size=10), np.full(3, 5, dtype=np.uint8))
+        data, oob = _read(table, 1, 1, 0)
+        assert (data[:10] == 0xAB).all() and not data[10:].any()
+        assert (oob[:3] == 5).all() and not oob[3:].any()
 
     def test_program_requires_erased(self):
-        page = FlashPage(PAGE, OOB)
-        page.program(_data())
-        with pytest.raises(RuntimeError):
-            page.program(_data())
+        table = _table()
+        table.program(0, 0, 0, _data())
+        with pytest.raises(RuntimeError, match="erase first"):
+            table.program(0, 0, 0, _data())
 
     def test_program_rejects_oversized_data(self):
-        page = FlashPage(PAGE, OOB)
+        table = _table()
         with pytest.raises(ValueError):
-            page.program(_data(size=PAGE + 1))
+            table.program(0, 0, 0, _data(size=PAGE + 1))
 
     def test_program_rejects_oversized_oob(self):
-        page = FlashPage(PAGE, OOB)
+        table = _table()
         with pytest.raises(ValueError):
-            page.program(_data(), np.zeros(OOB + 1, dtype=np.uint8))
+            table.program(0, 0, 0, _data(), np.zeros(OOB + 1, dtype=np.uint8))
 
     def test_program_rejects_wrong_dtype(self):
-        page = FlashPage(PAGE, OOB)
+        table = _table()
         with pytest.raises(TypeError):
-            page.program(np.zeros(8, dtype=np.float32))
+            table.program(0, 0, 0, np.zeros(8, dtype=np.float32))
+        assert table.state[0, 0, 0] == ERASED and table.next_page[0, 0] == 0
 
     def test_invalidate_then_erase(self):
-        page = FlashPage(PAGE, OOB)
-        page.program(_data())
-        page.invalidate()
-        assert page.state is PageState.INVALID
-        page.erase()
-        assert page.state is PageState.ERASED
+        table = _table()
+        table.program(0, 1, 0, _data())
+        table.invalidate(0, 1, 0)
+        assert table.state[0, 1, 0] == INVALID
+        table.erase(0, 1)
+        assert table.state[0, 1, 0] == ERASED
 
     def test_invalidate_erased_page_is_noop(self):
-        page = FlashPage(PAGE, OOB)
-        page.invalidate()
-        assert page.state is PageState.ERASED
+        table = _table()
+        table.invalidate(0, 0, 0)
+        assert table.state[0, 0, 0] == ERASED
+
+    def test_views_are_read_only_and_reads_leave_the_table(self):
+        table = _table()
+        table.program(0, 0, 0, _data())
+        data, oob = table.view(0, 0, 0)
+        with pytest.raises(ValueError):
+            data[0] = 1
+        with pytest.raises(ValueError):
+            oob[0] = 1
+        out, _ = _read(table, 0, 0, 0)
+        out[:] = 0
+        assert (table.view(0, 0, 0)[0] == 0xAB).all()
 
 
-class TestFlashBlock:
+class TestBlockColumns:
     def test_in_order_programming_enforced(self):
-        block = FlashBlock(4, PAGE, OOB)
-        block.program_page(0, _data())
-        with pytest.raises(RuntimeError):
-            block.program_page(2, _data())
-        block.program_page(1, _data())
-        assert block.next_program_page == 2
+        table = _table()
+        table.program(0, 0, 0, _data())
+        with pytest.raises(RuntimeError, match="out-of-order"):
+            table.program(0, 0, 2, _data())
+        table.program(0, 0, 1, _data())
+        assert table.next_page[0, 0] == 2
 
     def test_fullness(self):
-        block = FlashBlock(2, PAGE, OOB)
-        assert not block.is_full
-        block.program_page(0, _data())
-        block.program_page(1, _data())
-        assert block.is_full
+        table = _table(pages_per_block=2)
+        assert not table.next_page[0, 0] >= table.pages_per_block
+        table.program(0, 0, 0, _data())
+        table.program(0, 0, 1, _data())
+        assert table.next_page[0, 0] >= table.pages_per_block
 
     def test_erase_resets_and_counts_pe(self):
-        block = FlashBlock(2, PAGE, OOB)
-        block.program_page(0, _data())
-        block.erase()
-        assert block.pe_cycles == 1
-        assert block.next_program_page == 0
-        assert block.pages[0].state is PageState.ERASED
+        table = _table(pages_per_block=2)
+        table.program(0, 0, 0, _data())
+        table.erase(0, 0)
+        assert table.pe_cycles[0, 0] == 1
+        assert table.next_page[0, 0] == 0
+        assert table.state[0, 0, 0] == ERASED
+        assert table.pe_cycles.sum() == 1  # no other block aged
 
     def test_valid_invalid_counts(self):
-        block = FlashBlock(3, PAGE, OOB)
-        block.program_page(0, _data())
-        block.program_page(1, _data())
-        block.pages[0].invalidate()
-        assert block.valid_page_count() == 1
-        assert block.invalid_page_count() == 1
+        table = _table(pages_per_block=3)
+        table.program(0, 0, 0, _data())
+        table.program(0, 0, 1, _data())
+        table.invalidate(0, 0, 0)
+        assert _counts(table, 0, 0) == (1, 1)
+        assert _counts(table, 1, 0) == (0, 0)
 
     def test_mode_change_requires_erased(self):
-        block = FlashBlock(2, PAGE, OOB)
-        block.set_mode(CellMode.SLC_ESP)
-        assert block.mode is CellMode.SLC_ESP
-        block.program_page(0, _data())
+        table = _table(pages_per_block=2)
+        assert MODES[table.mode[0, 0]] is CellMode.TLC
+        table.set_mode(0, 0, CellMode.SLC_ESP)
+        assert MODES[table.mode[0, 0]] is CellMode.SLC_ESP
+        table.program(0, 0, 0, _data())
         with pytest.raises(RuntimeError):
-            block.set_mode(CellMode.TLC)
-        block.erase()
-        block.set_mode(CellMode.TLC)
+            table.set_mode(0, 0, CellMode.TLC)
+        table.erase(0, 0)
+        table.set_mode(0, 0, CellMode.TLC)
+
+    def test_gather_returns_mode_codes_and_fills_erased_rows(self):
+        table = _table()
+        table.set_mode(1, 0, CellMode.SLC_ESP)
+        table.program(1, 0, 0, _data(0x11))
+        table.program(0, 1, 0, _data(0x22))
+        out = np.zeros((4, PAGE), dtype=np.uint8)
+        oob = np.zeros((4, OOB), dtype=np.uint8)
+        codes = table.gather([0, 1, 0], [1, 0, 0], [0, 0, 3], np.array([3, 0, 1]), out, oob)
+        assert codes.tolist() == [CellMode.TLC.code, CellMode.SLC_ESP.code, CellMode.TLC.code]
+        assert (out[3] == 0x22).all() and (out[0] == 0x11).all()
+        assert (out[1] == 0xFF).all() and (oob[1] == 0xFF).all()  # erased
+        assert not out[2].any()  # a row the gather did not name
 
 
 class TestCellModes:
@@ -123,6 +185,10 @@ class TestCellModes:
         assert CellMode.MLC.bits_per_cell == 2
         assert CellMode.TLC.bits_per_cell == 3
         assert CellMode.QLC.bits_per_cell == 4
+
+    def test_modes_are_indexed_by_code(self):
+        assert [mode.code for mode in MODES] == list(range(len(CellMode)))
+        assert all(MODES[mode.code] is mode for mode in CellMode)
 
     def test_esp_is_single_bit(self):
         assert CellMode.SLC_ESP.bits_per_cell == 1

@@ -29,7 +29,7 @@ def _tlc_array():
             array.planes[plane_index].program_page(
                 0, page, rng.integers(0, 256, GEOMETRY.page_bytes).astype(np.uint8),
             )
-    array.planes[1].blocks[0].set_mode(CellMode.SLC_ESP)
+    array.planes[1].set_mode(0, CellMode.SLC_ESP)
     array.planes[1].program_page(
         0, 0, rng.integers(0, 256, GEOMETRY.page_bytes).astype(np.uint8)
     )
@@ -51,7 +51,7 @@ def make_plane(**kwargs):
 def esp_array():
     """An array whose plane 0 has block 0 in ESP-SLC (raw BER 0)."""
     array = FlashArray(GEOMETRY)
-    array.planes[0].blocks[0].set_mode(CellMode.SLC_ESP)
+    array.planes[0].set_mode(0, CellMode.SLC_ESP)
     return array, array.planes[0]
 
 
@@ -77,7 +77,7 @@ class TestPlane:
     def test_requires_ecc_follows_mode(self):
         plane = make_plane()
         assert plane.requires_ecc(0)  # default TLC
-        plane.blocks[1].set_mode(CellMode.SLC_ESP)
+        plane.set_mode(1, CellMode.SLC_ESP)
         assert not plane.requires_ecc(1)
 
     def test_read_fills_sensing_latch_and_oob(self):
@@ -121,7 +121,7 @@ class TestPlane:
     def test_read_counters_split_by_mode(self):
         array = FlashArray(GEOMETRY)
         plane = array.planes[0]
-        plane.blocks[1].set_mode(CellMode.SLC_ESP)
+        plane.set_mode(1, CellMode.SLC_ESP)
         for block in (0, 1):
             plane.program_page(block, 0, np.zeros(8, dtype=np.uint8))
             plane.program_page(block, 1, np.zeros(8, dtype=np.uint8))
@@ -249,7 +249,7 @@ class TestDie:
         array = FlashArray(GEOMETRY)
         die = array.die_of_plane(0)
         for index, plane in enumerate(die.planes):
-            plane.blocks[0].set_mode(CellMode.SLC_ESP)
+            plane.set_mode(0, CellMode.SLC_ESP)
             plane.program_page(0, 0, np.full(2048, index + 1, dtype=np.uint8))
         run = array.read_pages([0, 1], [0, 0], [0, 0])
         for index, plane in enumerate(die.planes):
@@ -277,7 +277,7 @@ class TestFlashArray:
         array = FlashArray(GEOMETRY)
         address = PhysicalPageAddress(1, 0, 1, 1, 0, 0)
         plane = array.plane(address)
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        plane.set_mode(0, CellMode.SLC_ESP)
         data = np.full(GEOMETRY.page_bytes, 0x42, dtype=np.uint8)
         array.program(address, data)
         run = array.read_pages([address.plane_linear(GEOMETRY)], [0], [0])
@@ -373,7 +373,7 @@ class TestReadErrorInjection:
         """A read over TLC and QLC pages draws each mode's rows at its own
         BER into one flip column, and ECC restores every row from it."""
         array = _tlc_array()
-        array.planes[5].blocks[1].set_mode(CellMode.QLC)
+        array.planes[5].set_mode(1, CellMode.QLC)
         qlc = np.random.default_rng(9).integers(0, 256, GEOMETRY.page_bytes).astype(np.uint8)
         array.planes[5].program_page(1, 0, qlc)
         planes, blocks, pages = [5, 0, 1] * 30, [1, 0, 0] * 30, [0, 1, 0] * 30

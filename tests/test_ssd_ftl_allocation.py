@@ -92,10 +92,10 @@ class TestPageLevelFtl:
         first = ftl.write(1, np.zeros(8, dtype=np.uint8))
         second = ftl.write(1, np.ones(8, dtype=np.uint8))
         assert first != second
-        from repro.nand.page import PageState
+        from repro.nand.page import INVALID
 
-        old_page = array.plane(first).blocks[first.block].pages[first.page]
-        assert old_page.state is PageState.INVALID
+        old_state = array.pages.state[first.plane_linear(GEOMETRY), first.block, first.page]
+        assert old_state == INVALID
 
     def test_translate_unmapped_raises(self):
         _, ftl = make_ftl()

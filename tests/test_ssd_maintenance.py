@@ -132,9 +132,8 @@ class TestWearLeveler:
         array = FlashArray(GEOMETRY)
         leveler = WearLeveler(array, imbalance_threshold=2)
         assert not leveler.needs_leveling()
-        plane = array.plane_by_index(0)
         for _ in range(5):
-            plane.blocks[0].erase()
+            array.pages.erase(0, 0)
         assert leveler.max_imbalance() == 5
         assert leveler.needs_leveling()
         hottest, coldest = leveler.swap_candidates()
@@ -144,10 +143,10 @@ class TestWearLeveler:
     def test_lifetime_fraction_depends_on_mode(self):
         array = FlashArray(GEOMETRY)
         plane = array.plane_by_index(0)
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        plane.set_mode(0, CellMode.SLC_ESP)
         for _ in range(1000):
-            plane.blocks[0].erase()
-            plane.blocks[1].erase()
+            array.pages.erase(0, 0)
+            array.pages.erase(0, 1)
         leveler = WearLeveler(array)
         slc_life = leveler.remaining_lifetime_fraction(0, 0)
         tlc_life = leveler.remaining_lifetime_fraction(0, 1)

@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.nand.array import FlashArray
 from repro.nand.geometry import FlashGeometry
+from repro.nand.page import PROGRAMMED
 from repro.ssd.allocation import SequentialAllocator
 from repro.ssd.ftl import PageLevelFtl
 from repro.ssd.wear import WearLeveler
@@ -29,9 +30,8 @@ class TestWearLevelingExecution:
         for lpa in range(3):
             ftl.write(lpa, np.full(16, lpa + 1, dtype=np.uint8))
         # Wear out block 1 of plane 1 (empty, hot).
-        hot_plane = array.plane_by_index(1)
         for _ in range(200):
-            hot_plane.blocks[1].erase()
+            array.pages.erase(1, 1)
         return array, ftl
 
     def test_level_swaps_cold_into_hot(self):
@@ -48,7 +48,7 @@ class TestWearLevelingExecution:
             assert (golden[:16] == lpa + 1).all()
         # The cold block was erased (its wear can now advance).
         cold_plane, cold_block = result.cold
-        assert array.plane_by_index(cold_plane).blocks[cold_block].valid_page_count() == 0
+        assert not (array.pages.state[cold_plane, cold_block] == PROGRAMMED).any()
 
     def test_level_noop_when_balanced(self):
         array, ftl = self._worn_array()
@@ -63,5 +63,5 @@ class TestWearLevelingExecution:
         result = leveler.level()
         assert result.swapped
         hot_plane, hot_block = result.hot
-        moved = array.plane_by_index(hot_plane).blocks[hot_block]
-        assert moved.valid_page_count() == result.pages_moved
+        moved = array.pages.state[hot_plane, hot_block] == PROGRAMMED
+        assert moved.sum() == result.pages_moved

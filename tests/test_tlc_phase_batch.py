@@ -423,7 +423,7 @@ class TestSenseInPlace:
     SEQUENCE = [(1, 0), (0, 0), (1, 1), (1, 0), (0, 2), (1, 2), (0, 1), (1, 1)]
 
     def _program(self, plane):
-        plane.blocks[0].set_mode(CellMode.SLC_ESP)
+        plane.set_mode(0, CellMode.SLC_ESP)
         rng = np.random.default_rng(3)
         for block in range(2):
             for page in range(3):
