@@ -22,11 +22,11 @@ ERASED, PROGRAMMED, INVALID = 0, 1, 2
 
 
 def _demand_zero(shape: Tuple[int, ...]) -> np.ndarray:
-    """A zeroed ``uint8`` table on fresh anonymous pages: the kernel
-    zero-fills a page when it is first written, so an untouched row costs
-    no resident memory.  (``np.zeros`` is ``calloc``, which may carve the
-    table out of freed heap memory and ``memset`` it.)"""
-    pages = mmap.mmap(-1, max(1, math.prod(shape)))
+    """A zeroed ``uint8`` table on private anonymous pages: a page costs
+    resident memory only once written (a read maps the kernel's zero page;
+    a shared mapping would allocate it).  ``np.zeros`` is ``calloc``, which
+    may carve the table out of freed heap memory and ``memset`` it."""
+    pages = mmap.mmap(-1, max(1, math.prod(shape)), flags=mmap.MAP_PRIVATE)
     return np.frombuffer(pages, dtype=np.uint8, count=math.prod(shape)).reshape(shape)
 
 
