@@ -115,10 +115,22 @@ events of constructing one 64-blocks-per-plane
 Its pages are rows of one table, so the build costs a few calls per plane;
 a Python object per page or block creeping back costs tens of thousands.
 
+An eleventh, noise-free, covers how the serving path calls numpy: the
+``call`` events whose code lives under numpy's package directory during
+the batch-of-one search above, x1.05.  The phase kernels call numpy
+through its C entry points -- ufuncs and their ``reduce`` / ``accumulate``
+methods, ndarray methods, the one sort-based unique of
+:mod:`repro.sim.unique` -- so what is left there is the dispatchers of
+``bincount``, ``concatenate`` and ``where`` and what numpy's random
+generator calls itself.  A Python-level wrapper (``np.unique``,
+``np.stack``, ``.sum()``, ``np.full``) back in a kernel adds its frames
+here first.
+
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
 
 import json
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -164,8 +176,10 @@ TLC_SHARE_CEILING = 0.70
 # Measured host_fine / host_wall is 0.19-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 2,291 with every sense gathering its pages from the array's page
-# table in one copy (python 3.11, numpy 2.4; 3,057 while every gathered page
+# entries: 1,430 with every serving-path kernel calling numpy through its C
+# entry points (python 3.11, numpy 2.4; 2,291 with np.unique, np.stack,
+# np.full and the reduction methods, with every sense gathering its pages
+# from the array's page table in one copy; 3,057 while every gathered page
 # was a call to its page object, 3,124 while every geometry size
 # was a chained property and queries were checked for finiteness in row
 # blocks, 6,596 while each plane's senses,
@@ -178,9 +192,11 @@ FINE_SHARE_CEILING = 0.34
 # visit filled a per-query cost object, 60,230 while every query's
 # shortlist and report were also selected and composed one by one); x1.05.
 EVENTS_N_ENTRIES = 100_000
-SEARCH_EVENTS_CEILING = 2_406
-# Measured events of the batch-of-one search that follows it: 1,529 with
-# the page table (python 3.11, numpy 2.4; 1,581 with page objects, 1,644
+SEARCH_EVENTS_CEILING = 1_502
+# Measured events of the batch-of-one search that follows it: 1,001 with
+# numpy called through its C entry points (python 3.11, numpy 2.4; 1,529
+# with its Python-level wrappers and the page table, 1,581 with page
+# objects, 1,644
 # with chained geometry properties and a
 # per-query finiteness check in row blocks, 2,476 with per-plane die
 # commands, 2,862 with
@@ -189,16 +205,17 @@ SEARCH_EVENTS_CEILING = 2_406
 # TTL object per query); x1.05.
 # A batch of one pays every per-batch pass for one query, so fixed
 # per-batch work that batch 64 amortizes shows here first.
-SOLO_EVENTS_CEILING = 1_606
+SOLO_EVENTS_CEILING = 1_051
 # Measured tracemalloc peak of that point's ivf_deploy: 30.03 MB in a fresh
 # process, 28.9 MB after the gates above, with programming writing into the
 # page table's preallocated rows (python 3.11, numpy 2.4; 44.26 MB while
 # every programmed page allocated a padded copy of its own, 206.19 MB with
 # the whole-matrix build); x1.10.
 DEPLOY_PEAK_BYTES_CEILING = 33_040_000
-# Measured events of the fifth batch on the cached 4 x 2 cluster: 3,410
-# with the page table and one-copy cache hits (python 3.11, numpy 2.4;
-# 3,580 with a call per gathered page and a per-row hit copy, 4,237 while
+# Measured events of the fifth batch on the cached 4 x 2 cluster: 2,386
+# with numpy called through its C entry points and one counter add per
+# device and phase (python 3.11, numpy 2.4; 3,410 with numpy's wrappers,
+# the page table and one-copy cache hits, 3,580 with a call per gathered page and a per-row hit copy, 4,237 while
 # every winner's chunk went through
 # the NamedTuple constructor and replica election was a Python min per
 # probed cluster, 6,234 with per-(shard, plane) die commands,
@@ -210,9 +227,16 @@ DEPLOY_PEAK_BYTES_CEILING = 33_040_000
 # the cache was driven one page at a time, 18,973 before the cost
 # ledger); x1.05.
 SHARD_WARM_BATCHES = 4
-SHARD_EVENTS_CEILING = 3_581
+SHARD_EVENTS_CEILING = 2_505
 # Measured events(8 shards) / events(1 shard) on the shard_scaling batch:
-# 6,002 / 2,278 = 2.63 with the page table (the gate stays at 2.68).
+# 3,948 / 1,497 = 2.64 with numpy called through its C entry points (the
+# gate stays at 2.68).  Fixed work fell faster than per-shard work: with
+# the wrappers gone and the phase's counter adds one call per device the
+# ratio read 2.74 (4,165 / 1,519) until the per-shard cuts (the ledgers'
+# visit columns built once per batch, the cache read as an SSD attribute,
+# the core's REIS core an attribute, latch_senses taking arrays) brought
+# it back under the gate.  Before it: 6,002 / 2,278 = 2.63 with the page
+# table.
 # Before it: 6,138 / 2,336 = 2.63 with the chunks, the election and the geometry
 # sizes off the per-query path (both counts fell; the per-query cuts alone
 # read 6,532 / 2,332 = 2.80, over the gate, until the rerank's log2 per
@@ -233,22 +257,53 @@ SHARD_EVENTS_CEILING = 3_581
 # TTL object per (shard, query); 34,453 / 8,533 = 4.04 with the per-page
 # cache; 50,570 / 15,847 = 3.19 and 124,118 / 38,029 = 3.26 before that.
 SHARD_SCALING_EVENTS_RATIO = 2.68
-# Measured events(8 shards) - events(1 shard) on that batch: 3,724 with the
-# page table (python 3.11, numpy 2.4; 3,802 with page objects); x1.05.
-SHARD_SCALING_EVENTS_DIFF_CEILING = 3_911
+# Measured events(8 shards) - events(1 shard) on that batch: 2,451 with
+# numpy called through its C entry points (python 3.11, numpy 2.4; 3,724
+# with its wrappers and the page table, 3,802 with page objects); x1.05.
+SHARD_SCALING_EVENTS_DIFF_CEILING = 2_574
 # Measured call + c_call events per query of the forming slice (an
-# open-loop Poisson stream through a tiny-device submission queue): 301.0
-# with a running occupancy estimate (python 3.11, numpy 2.4; 350.3 while
+# open-loop Poisson stream through a tiny-device submission queue): 204.7
+# with numpy called through its C entry points (python 3.11, numpy 2.4;
+# 301.0 with its wrappers and a running occupancy estimate, 350.3 while
 # every estimate rebuilt each candidate's schedule); x1.05.
 FORMING_ARRIVALS = 512
 FORMING_RATE_QPS = 16_000.0
-FORMING_EVENTS_CEILING = 316.1
+FORMING_EVENTS_CEILING = 214.9
 # Measured call + c_call events of constructing one 64-blocks-per-plane
 # FlashArray: 172 with the pages as rows of one table (python 3.11, numpy
 # 2.4; 33,949 with a FlashPage object per page and a FlashBlock per block);
 # x1.05.
 BUILD_BLOCKS_PER_PLANE = 64
 BUILD_EVENTS_CEILING = 181
+
+
+# Measured call events of code under numpy's package directory during that
+# batch-of-one search: 105 with every serving-path kernel calling numpy
+# through its C entry points (python 3.11, numpy 2.4; 372 with np.unique,
+# np.stack, np.full and the reduction methods); x1.05.
+SOLO_NUMPY_EVENTS_CEILING = 110
+NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
+
+
+def count_numpy_events(serve) -> tuple:
+    """``(call + c_call events, call events of code under numpy's package
+    directory)`` of one ``serve()``."""
+    events = numpy_events = 0
+
+    def count(frame, event, _arg):
+        nonlocal events, numpy_events
+        if event == "call":
+            events += 1
+            numpy_events += frame.f_code.co_filename.startswith(NUMPY_DIR)
+        elif event == "c_call":
+            events += 1
+
+    sys.setprofile(count)
+    try:
+        serve()
+    finally:
+        sys.setprofile(None)
+    return events, numpy_events
 
 
 def tlc_share(point) -> float:
@@ -312,7 +367,8 @@ def count_build_and_search() -> tuple:
     """The :data:`EVENTS_N_ENTRIES` host-scaling point on a fresh device:
     ``(tracemalloc peak bytes of its ivf_deploy, Python call + c_call
     events of the first batch-64 search, events of the batch-of-one search
-    of its first query that follows)``."""
+    of its first query that follows, and that search's call events of code
+    under numpy's package directory)``."""
     n_entries, nlist, blocks_per_plane = next(
         p for p in HOST_SCALE_POINTS if p[0] == EVENTS_N_ENTRIES
     )
@@ -328,10 +384,10 @@ def count_build_and_search() -> tuple:
     events = count_events(
         lambda: device.ivf_search(db_id, queries, k=K, nprobe=NPROBE)
     )
-    solo_events = count_events(
+    solo_events, solo_numpy = count_numpy_events(
         lambda: device.ivf_search(db_id, queries[:1], k=K, nprobe=NPROBE)
     )
-    return deploy_peak, events, solo_events
+    return deploy_peak, events, solo_events, solo_numpy
 
 
 def main() -> int:
@@ -392,7 +448,7 @@ def main() -> int:
         )
         return 1
 
-    deploy_peak, events, solo_events = count_build_and_search()
+    deploy_peak, events, solo_events, solo_numpy = count_build_and_search()
     print(
         f"perf-smoke: ivf_deploy of {EVENTS_N_ENTRIES:,} entries: tracemalloc "
         f"peak {deploy_peak / 2**20:.1f} MiB, ceiling "
@@ -423,6 +479,17 @@ def main() -> int:
         print(
             "perf-smoke: FAIL -- batch-of-one Python call count regressed "
             "(fixed per-batch work grew?)"
+        )
+        return 1
+    print(
+        f"perf-smoke: batch-1 search at {EVENTS_N_ENTRIES:,} entries: "
+        f"{solo_numpy:,} call events in numpy's own code, ceiling "
+        f"{SOLO_NUMPY_EVENTS_CEILING:,}"
+    )
+    if solo_numpy > SOLO_NUMPY_EVENTS_CEILING:
+        print(
+            "perf-smoke: FAIL -- numpy's Python-level code back on the "
+            "serving path (np.unique, np.stack, .sum() in a kernel?)"
         )
         return 1
 

@@ -11,7 +11,15 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 ROW_BLOCK = 4096
+
+
+def float32_rows(vectors) -> np.ndarray:
+    """``np.atleast_2d(np.asarray(vectors, dtype=np.float32))``, from C."""
+    rows = np.asarray(vectors, dtype=np.float32)
+    return rows if rows.ndim >= 2 else rows.reshape(1, -1)
 
 
 def row_blocks(n: int) -> List[Tuple[int, int]]:

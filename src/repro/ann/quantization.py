@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ann.blocks import row_blocks
+from repro.ann.blocks import float32_rows, row_blocks
 
 
 @dataclass
@@ -39,7 +39,7 @@ class BinaryQuantizer:
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
         """FP32 (n, d) -> packed codes (n, d/8) uint8.  ``d`` must be /8."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
+        vectors = float32_rows(vectors)
         dim = vectors.shape[1]
         if dim % 8 != 0:
             raise ValueError("dimension must be a multiple of 8 for packing")
@@ -81,13 +81,13 @@ class Int8Quantizer:
     def encode(self, vectors: np.ndarray) -> np.ndarray:
         """FP32 (n, d) -> INT8 codes (n, d): round((x - offset) / scale),
         clipped to +-127."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
+        vectors = float32_rows(vectors)
         offset = self.offset if self.offset is not None else 0.0
         codes = np.empty(vectors.shape, dtype=np.int8)
         for lo, hi in row_blocks(vectors.shape[0]):
             scaled = vectors[lo:hi] - offset
             scaled /= self.scale
-            np.round(scaled, out=scaled)
+            np.rint(scaled, out=scaled)  # np.round's half-to-even, as a ufunc
             np.clip(scaled, -127, 127, out=scaled)
             codes[lo:hi] = scaled
         return codes

@@ -454,7 +454,7 @@ class ReisDevice(_HostSurface):
     @property
     def page_cache(self) -> Optional["PageCache"]:
         """The device's DRAM page cache (``None`` when disabled)."""
-        return getattr(self.ssd, "page_cache", None)
+        return self.ssd.page_cache
 
     def enable_page_cache(
         self,

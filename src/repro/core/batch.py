@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ann.blocks import float32_rows
 from repro.core.costing import BatchPhaseBreakdown, PhaseLedger, compose_batch
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
@@ -292,7 +293,7 @@ def tasks_from_ranges(
     reps = np.arange(f.size).repeat(n_pages)
     # Position of each row within its range: row index minus the range's
     # starting row (exclusive prefix sum of the page counts).
-    within = np.arange(reps.size) - (np.cumsum(n_pages) - n_pages).repeat(n_pages)
+    within = np.arange(reps.size) - (n_pages.cumsum() - n_pages).repeat(n_pages)
     pages = first_page[reps] + within
     page_first = pages * spp
     return ScanTasks(
@@ -381,15 +382,16 @@ def fine_scan(runs: Sequence[BatchRun]) -> FineTable:
         if run.probes is None:
             owner, firsts, lasts = engine._slot_ranges(run.db, None)
             queries = np.arange(n_queries).repeat(owner.size)
-            firsts, lasts = np.tile(firsts, n_queries), np.tile(lasts, n_queries)
+            every = np.zeros((n_queries, 1), dtype=np.int64)  # one row per query
+            firsts, lasts = (every + firsts).ravel(), (every + lasts).ravel()
             probed.append(np.zeros(n_queries, dtype=np.int64))
         else:
             probe_queries, clusters = run.probes
             owner, firsts, lasts = engine._slot_ranges(run.db, clusters)
             queries = probe_queries[owner]
             probed.append(np.bincount(probe_queries, minlength=n_queries))
-        spans.append((np.full(queries.size, shard), queries, firsts, lasts))
-    shard, queries, firsts, lasts = (np.concatenate(column) for column in zip(*spans))
+        spans.append((np.zeros(queries.size, dtype=np.int64) + shard, queries, firsts, lasts))
+    shard, queries, firsts, lasts = map(np.concatenate, zip(*spans))
     candidates = np.bincount(
         shard * n_queries + queries, weights=lasts - firsts + 1,
         minlength=len(runs) * n_queries,
@@ -413,9 +415,9 @@ def fine_scan(runs: Sequence[BatchRun]) -> FineTable:
         ),
         spans=(shard, queries, firsts, lasts),
         candidates=candidates.reshape(len(runs), n_queries),
-        live=np.ones(len(runs), dtype=bool),
+        live=~np.zeros(len(runs), dtype=bool),
     )
-    _serve_fine_spans(table, np.ones(shard.size, dtype=bool), table.threshold)
+    _serve_fine_spans(table, slice(None), table.threshold)
     return table
 
 
@@ -449,7 +451,9 @@ def fine_finish(table: FineTable, retries: Sequence[int]) -> None:
                 query_stats[query].filter_retries += 1
         table.ttl.restart((live[:, None] * n_queries + retries).ravel())
         shard, queries = table.spans[:2]
-        _serve_fine_spans(table, table.live[shard] & np.isin(queries, retries), None)
+        retried = np.zeros(n_queries, dtype=bool)
+        retried[retries] = True
+        _serve_fine_spans(table, table.live[shard] & retried[queries], None)
     # Only a finished fine phase is billed (a shard may die between scan and here).
     for shard in live.tolist():
         table.runs[shard].ledgers["fine"] = table.ledgers[shard]
@@ -495,7 +499,7 @@ class BatchExecutor:
     ) -> BatchRun:
         """Build the batch's one plan and this device's run of it."""
         plan = self.plan(db, k, nprobe, fetch_documents, metadata_filter)
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        queries = float32_rows(queries)
         n_queries = len(queries)
         return BatchRun(
             self.engine, db, plan, queries,
@@ -552,7 +556,7 @@ class BatchExecutor:
                     runs, run.queries, cells, shortlist.radrs, shortlist.dadrs
                 )
                 top = order[np.arange(order.size) - cut[cells[order]] < plan.k]
-                np.cumsum(np.minimum(cut[1:] - cut[:-1], plan.k), out=bounds[1:])
+                np.minimum(cut[1:] - cut[:-1], plan.k).cumsum(out=bounds[1:])
                 slots, distances = shortlist.radrs[top], refined[top]
             if plan.fetch_documents:
                 with _phase_timer(host_profile, "documents"):

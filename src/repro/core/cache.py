@@ -181,7 +181,7 @@ class PageCache:
             self._slots += [np.full(0, -1, dtype=np.int64)]
             self._ghosts += [np.zeros(0, dtype=np.int64)]
         slots, ghost = self._slots[region_id], self._ghosts[region_id]
-        top = int(pages.max()) + 1 if pages.size else 0
+        top = int(np.maximum.reduce(pages)) + 1 if pages.size else 0
         if top > slots.size:
             top = max(top, 2 * slots.size)
             slots = self._slots[region_id] = _grown(slots, (top,))
@@ -226,7 +226,7 @@ class PageCache:
         ghost[pages[rows < 0]] += 1
         self.stats.hits += hit_rows.size
         self.stats.misses += pages.size - hit_rows.size
-        self.stats.hit_bytes += int(nbytes.sum())
+        self.stats.hit_bytes += int(np.add.reduce(nbytes))
         return rows, nbytes
 
     def admit_pages(self, region: RegionInfo, pages, kind: str, data, oob) -> bool:
@@ -258,7 +258,7 @@ class PageCache:
         ghost[pages] = 0
         ghost[pages[evicted_new]] = new[_USES, evicted_new]
         slots[pages[evicted_new]] = -1
-        kept = np.ones(n, dtype=bool)
+        kept = ~np.zeros(n, dtype=bool)
         kept[evicted_new] = False
         free = (self._cols[_REGION] < 0).nonzero()[0]
         (n_rows, data_width), oob_width = self._data.shape, self._oob.shape[1]

@@ -111,7 +111,7 @@ class DeviceCommandInterface:
             return 0
         self.array.latches.broadcast(query_codes[-1])
         self.counts[:, _IBC] += n
-        self.array.counters.add("ibc_broadcasts", n * n_dies * self.planes_per_die)
         transfers = (1 if multi_plane else self.planes_per_die) * n * n_dies
-        self.array.counters.add("ibc_page_transfers", transfers)
+        self.array.counters.add_all({"ibc_broadcasts": n * n_dies * self.planes_per_die,
+                                     "ibc_page_transfers": transfers})
         return transfers

@@ -28,6 +28,7 @@ batch -- all devices, all phases -- in one stacked pass
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from itertools import compress, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,9 +37,11 @@ from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
 from repro.core.config import OptFlags
 from repro.sim.latency import LatencyReport
+from repro.sim.unique import sorted_unique
 
 
 _PARTS = ("read", "transfer", "core", "dram")
+_NO_ROWS = np.empty(0, dtype=np.int64)  # an empty visit column (appends copy)
 
 
 def page_iteration_time(
@@ -126,13 +129,6 @@ def _running_total(seconds: np.ndarray) -> np.ndarray:
     return np.add.accumulate(seconds, axis=-1)[..., -1]
 
 
-def _runs(ranked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(starts, lengths)`` of the runs of equal values in a sorted,
-    non-empty column."""
-    starts = np.concatenate(([True], ranked[1:] != ranked[:-1])).nonzero()[0]
-    return starts, np.concatenate((starts[1:], [ranked.size])) - starts
-
-
 def _sums_in_row_order(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
     """Every group's ``values`` added left to right in row order: a
     weighted ``np.bincount`` adds its weights one by one in index order,
@@ -174,13 +170,13 @@ class PhaseLedger:
     def __post_init__(self, n_queries: int, geometry: FlashGeometry) -> None:
         self.n_planes = geometry.total_planes
         self.queries = np.arange(n_queries)
-        self.channel_bytes = np.zeros((n_queries, geometry.channels))
-        self.core_seconds = np.zeros(n_queries)
-        self.ecc_bytes = np.zeros(n_queries)
+        # The per-row columns share one zeroed block: channels, core, ECC.
+        per_row = np.zeros((n_queries, geometry.channels + 2))
+        self.channel_bytes = per_row[:, :-2]
+        self.core_seconds, self.ecc_bytes = per_row[:, -2], per_row[:, -1]
         self.senses: Optional[np.ndarray] = None
-        no_rows = np.empty(0, dtype=np.int64)
-        self.nand = (no_rows,) * 3
-        self.dram = (no_rows,) * 4
+        self.nand = (_NO_ROWS,) * 3
+        self.dram = (_NO_ROWS,) * 4
 
     def add_nand_visits(self, rows, planes, page_ids) -> None:
         """Page visits served by a sense (columns; page ids are global)."""
@@ -212,21 +208,17 @@ def _dram_stages(rows, page_ids, seconds, n_ledgers: int, n_rows: int):
     """
     n_cells = n_ledgers * n_rows
     solo = _sums_in_row_order(rows, seconds, n_cells)
-    pair = page_ids * n_cells + rows
-    order = pair.argsort(kind="stable")
-    starts, visits = _runs(pair[order])
-    first = order[starts]  # a (page, row) stream's first visit
-    need = visits * seconds[first]
+    _pairs, first, stream = sorted_unique(page_ids * n_cells + rows)
+    need = np.bincount(stream) * seconds[first]  # first: a stream's first visit
     # Streams row by row, each row's in its own first-visit order.
-    by_row = np.lexsort((first, rows[first]))
-    stream_row, need = rows[first][by_row], need[by_row]
-    residue = solo - _sums_in_row_order(stream_row, need, n_cells)
-    page = page_ids[first][by_row]
-    by_page = page.argsort(kind="stable")
-    page_starts, _lengths = _runs(page[by_page])
-    shared = np.maximum.reduceat(need[by_page], page_starts)
-    first_seen = by_page[page_starts].argsort()
-    ledger_of_page = page[by_page[page_starts]][first_seen] % n_ledgers
+    by_row = (rows[first] * rows.size + first).argsort(kind="stable")
+    first, need = first[by_row], need[by_row]
+    residue = solo - _sums_in_row_order(rows[first], need, n_cells)
+    pages, page_first, page_of = sorted_unique(page_ids[first])
+    shared = np.zeros(pages.size)  # the largest need of each page (need >= 0)
+    np.maximum.at(shared, page_of, need)
+    first_seen = page_first.argsort()
+    ledger_of_page = pages[first_seen] % n_ledgers
     return solo, (
         _running_total(residue.reshape(n_ledgers, n_rows))
         + _sums_in_row_order(ledger_of_page, shared[first_seen], n_ledgers)
@@ -256,9 +248,8 @@ def reduce_ledgers(bills: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
     ran = np.zeros((n_ledgers, n_rows), dtype=bool)
     senses = np.zeros((n_ledgers, n_planes), dtype=np.int64)
     rates = np.empty((5, n_ledgers))  # iteration, sense, compute s, bandwidth, ECC
-    nand, dram = [], []
     for i, (ledger, timing, ecc_rate) in enumerate(bills):
-        n, (rows, planes, _page_ids) = ledger.queries.size, ledger.nand
+        n, (rows, _planes, _page_ids) = ledger.queries.size, ledger.nand
         channel_bytes[i, :n, : ledger.channel_bytes.shape[1]] = ledger.channel_bytes
         core[i, :n], ecc_bytes[i, :n] = ledger.core_seconds, ledger.ecc_bytes
         ran[i, :n] = True
@@ -280,8 +271,11 @@ def reduce_ledgers(bills: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
             raise ValueError(
                 f"phase {ledger.name!r} billed NAND visits without an executed schedule"
             )
-        nand.append((rows + i * n_rows) * n_planes + planes)
-        dram.append(ledger.dram)
+    nand = [
+        (ledger.nand[0] + i * n_rows) * n_planes + ledger.nand[1]
+        for i, (ledger, _timing, _rate) in enumerate(bills)
+    ]
+    dram = [ledger.dram for ledger, _timing, _rate in bills]
     iteration_s, sense_s, compute_s, bandwidth, ecc_rate = rates[:, :, None]
     visits = np.bincount(
         np.concatenate(nand), minlength=n_ledgers * n_rows * n_planes
@@ -316,13 +310,14 @@ def reduce_ledgers(bills: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
 # ------------------------------------------------------------ batch composer
 
 
-def _ran(names: Sequence[str], values: Sequence[float], billed_only) -> Dict[str, float]:
-    """The named values to show: not NaN (NaN marks what did not run) and,
-    for the names in ``billed_only``, not zero."""
-    return {
-        name: value for name, value in zip(names, values)
-        if value == value and (value or name not in billed_only)
-    }
+def _shown(names: Sequence[str], table: np.ndarray, billed_only) -> List[Dict[str, float]]:
+    """Every row of ``table`` as its named values to show: not NaN (NaN
+    marks what did not run) and, for the names in ``billed_only``, not zero
+    -- one mask over the whole table, one dict per row built from C."""
+    billed = np.array([name in billed_only for name in names], dtype=bool)
+    shown = (table == table) & ((table != 0) | ~billed)
+    rows = map(zip, repeat(names), table.tolist())
+    return list(map(dict, map(compress, rows, shown.tolist())))
 
 
 def compose_batch(
@@ -364,16 +359,20 @@ def compose_batch(
     n_primary, n_queries = len(primary), len(devices[0][3])
     names = list(dict.fromkeys([name for *_, ledgers in devices for name in ledgers]))
     slot_of = {name: slot for slot, name in enumerate(names, 1)}
-    bills, cells = [], []  # every ledger of every device, and its (device, slot)
-    for d, (timing, _pipelining, ecc_rate, _ibc, _host, ledgers) in enumerate(devices):
-        for name, ledger in ledgers.items():
-            bills.append((ledger, timing, ecc_rate))
-            cells.append((d, slot_of[name]))
+    # Every ledger of every device, and its (device, slot).
+    bills = [
+        (ledger, timing, ecc_rate)
+        for timing, _pipelining, ecc_rate, _ibc, _host, ledgers in devices
+        for ledger in ledgers.values()
+    ]
+    cells = [
+        (d, slot_of[name]) for d, (*_, ledgers) in enumerate(devices) for name in ledgers
+    ]
 
     # ---- compose every cell: what did not run costs 0.0 and shows NaN parts
     shape = (len(devices), n_queries + 1, len(names) + 2)
     seconds = np.zeros(shape)
-    parts = np.full((*shape, len(_PARTS)), np.nan)
+    parts = np.zeros((*shape, len(_PARTS))) + np.nan
     # IBC and host are one-stage slots (``overlap_stages(x, 0, 0, 0, 0)``
     # is ``x``); their batch column adds the queries' up in order.
     fixed = np.zeros((len(devices), 2, n_queries + 1))
@@ -389,7 +388,7 @@ def compose_batch(
         queries = [ledger.queries for ledger, _timing, _rate in bills]
         at = (
             np.concatenate([device.repeat(sizes), device]),
-            np.concatenate([*queries, np.full(len(bills), n_queries)]),
+            np.concatenate([*queries, np.zeros(len(bills), dtype=np.int64) + n_queries]),
             np.concatenate([slot.repeat(sizes), slot]),
         )
         stages = np.concatenate([solo, batch[:5]], axis=1)
@@ -408,7 +407,7 @@ def compose_batch(
     columns, slots = np.arange(shape[1])[:, None], np.arange(shape[2])
     best = seconds[winner, columns, slots]
     total = _running_total(best)
-    best[np.isnan(parts[:n_primary, :, :, 0]).all(axis=0)] = np.nan
+    best[np.logical_and.reduce(np.isnan(parts[:n_primary, :, :, 0]), axis=0)] = np.nan
     won_parts = parts[winner, columns, slots].reshape(shape[1], -1)
     merges = recovery = None
     if merge is not None:
@@ -420,7 +419,7 @@ def compose_batch(
         merges = [share] * n_queries + [(merge.seconds, merge.components)]
         total = total + [seconds for seconds, _components in merges]
     if failover:
-        recovery = _running_total(seconds[n_primary:]).max(axis=0)
+        recovery = np.maximum.reduce(_running_total(seconds[n_primary:]), axis=0)
         total = total + recovery
     # IBC and host are one-stage phases; the host transfer and a DRAM
     # service show only when billed.
@@ -428,28 +427,23 @@ def compose_batch(
     part_names = [f"{name}_{part}" for name in slot_names for part in _PARTS]
     part_names[:4], part_names[-4:] = ["ibc", "", "", ""], ["host_transfer", "", "", ""]
     billed_only = {"", "host", "host_transfer", *[f"{name}_dram" for name in names]}
-    reports, part_rows = [], won_parts.tolist()
-    for column, (total_s, slot_row, part_row) in enumerate(
-        zip(total.tolist(), best.tolist(), part_rows)
-    ):
-        phases = _ran(slot_names, slot_row, billed_only)
-        components = _ran(part_names, part_row, billed_only)
-        if merges is not None:
-            phases["merge"] = merges[column][0]
-            components.update(merges[column][1])
-        if recovery is not None:
-            phases["failover"] = components["failover_recovery"] = float(
-                recovery[column]
-            )
-        reports.append(LatencyReport(total_s, components, phases))
+    phase_rows = _shown(slot_names, best, billed_only)
+    part_rows = _shown(part_names, won_parts, billed_only)
+    for phases, components, (merged_s, merged_parts) in zip(phase_rows, part_rows, merges or ()):
+        phases["merge"] = merged_s
+        components.update(merged_parts)
+    recovered = [] if recovery is None else recovery.tolist()
+    for phases, components, recovered_s in zip(phase_rows, part_rows, recovered):
+        phases["failover"] = components["failover_recovery"] = recovered_s
+    reports = list(map(LatencyReport, total.tolist(), part_rows, phase_rows))
     report = reports.pop()
 
     batch_phases: Dict[str, BatchPhaseBreakdown] = {}
     for slot, name in enumerate(names, 1):
         ran, unique, total = counted[:, slot].tolist()
         if ran:
-            mine = slice(4 * slot, 4 * slot + 4)
-            shown = _ran(part_names[mine], part_rows[-1][mine], billed_only)
+            mine, won = part_names[4 * slot:4 * slot + 4], report.components
+            shown = {part: won[part] for part in mine if part in won}
             batch_phases[name] = BatchPhaseBreakdown(
                 name, report.phases[name], shown, unique, total
             )
@@ -458,7 +452,7 @@ def compose_batch(
     if failover:
         # The scan phases' senses: what the replacement runs re-did.
         redone = sum([
-            int(ledger.senses.sum())
+            int(np.add.reduce(ledger.senses))
             for *_, ledgers in failover
             for ledger in ledgers.values()
             if ledger.senses is not None and ledger.read_mode != "tlc"

@@ -60,11 +60,13 @@ from repro.core.plan import (
     schedule_senses,
 )
 from repro.core.registry import TemporalTopList, TtlBlock
+from repro.nand.array import READ_COUNTER_KEYS
 from repro.nand.cell import RELIABILITY
 from repro.nand.ecc import UncorrectableReadError
 from repro.nand.latches import xor_popcount_segments
 from repro.ssd.cores import log2_counts
 from repro.ssd.device import SimulatedSSD
+from repro.sim.unique import sorted_unique
 
 __all__ = [
     "InStorageAnnsEngine",
@@ -174,7 +176,7 @@ class InStorageAnnsEngine:
     @property
     def page_cache(self) -> Optional[PageCache]:
         """The device's DRAM page cache (attached to the SSD; default off)."""
-        return getattr(self.ssd, "page_cache", None)
+        return self.ssd.page_cache
 
     @staticmethod
     def _mirror_lookup(cache: Optional[PageCache], region: RegionInfo, pages):
@@ -190,7 +192,7 @@ class InStorageAnnsEngine:
         stats_list: Sequence[SearchStats],
         queries: np.ndarray, planes: np.ndarray, page_ids: np.ndarray,
         hit_nbytes: np.ndarray,
-    ) -> None:
+    ) -> Tuple[int, int]:
         """Append a kernel's page visits to the phase ledger, as columns
         (query-major, each query's in its own visit order).
 
@@ -198,25 +200,26 @@ class InStorageAnnsEngine:
         served visit ``i``, else 0.  A hit skips
         the sense, the latch work and the channel crossing: the controller
         streams the mirrored bytes out of the internal DRAM, so the visit
-        bills :meth:`InternalDram.access_time` and the ``dram_cache_*``
-        counters advance by the hit counts (billed work = unique NAND
-        senses + DRAM hit bytes); its page identity lets a batch share the
-        stream across the queries that drain it.
+        bills :meth:`InternalDram.access_time`; its page identity lets a
+        batch share the stream across the queries that drain it.  Returns
+        the ``(dram_cache_hits, dram_cache_bytes)`` the device's counters
+        advance by (billed work = unique NAND senses + DRAM hit bytes), for
+        the caller's one add of the phase.
         """
         hit = hit_nbytes > 0
-        if hit.any():
-            nbytes = hit_nbytes[hit]
-            ledger.add_dram_visits(
-                queries[hit], page_ids[hit],
-                self.ssd.dram.access_time(nbytes), nbytes,
-            )
-            self.ssd.counters.add("dram_cache_hits", int(nbytes.size))
-            self.ssd.counters.add("dram_cache_bytes", int(nbytes.sum()))
-            hits_of = np.bincount(queries[hit], minlength=len(stats_list))
-            for stats, hits in zip(stats_list, hits_of.tolist()):
-                stats.cache_hits += hits
-            queries, planes, page_ids = queries[~hit], planes[~hit], page_ids[~hit]
-        ledger.add_nand_visits(queries, planes, page_ids)
+        if not np.logical_or.reduce(hit):
+            ledger.add_nand_visits(queries, planes, page_ids)
+            return 0, 0
+        nbytes = hit_nbytes[hit]
+        ledger.add_dram_visits(
+            queries[hit], page_ids[hit], self.ssd.dram.access_time(nbytes), nbytes,
+        )
+        hits_of = np.bincount(queries[hit], minlength=len(stats_list))
+        for stats, hits in zip(stats_list, hits_of.tolist()):
+            stats.cache_hits += hits
+        miss = ~hit
+        ledger.add_nand_visits(queries[miss], planes[miss], page_ids[miss])
+        return nbytes.size, int(np.add.reduce(nbytes))
 
     # ----------------------------------------------------------------- IBC
 
@@ -315,10 +318,8 @@ class InStorageAnnsEngine:
         # it: the schedule partition is fixed, like the sense/latch plan),
         # the bytes the phase computes on -- the mirror's, or the stored
         # ones (raw BER 0: what any sense returns) -- and one admission.
-        stride = int(tasks.pages.max()) + 1
-        uniq, first_index, rank_of = np.unique(
-            shard_t * stride + tasks.pages, return_index=True, return_inverse=True
-        )
+        stride = int(np.maximum.reduce(tasks.pages)) + 1
+        uniq, first_index, rank_of = sorted_unique(shard_t * stride + tasks.pages)
         shard_u, pages_u = np.divmod(uniq, stride)
         cuts = shard_u.searchsorted(np.arange(n_runs + 1)).tolist()
         columns = np.empty((6, uniq.size), dtype=np.int64)
@@ -330,7 +331,7 @@ class InStorageAnnsEngine:
                 continue
             pages = pages_u[lo:hi]
             columns[:5, lo:hi] = region.region.translate_columns(pages, self.geometry)
-            cache = run.engine.page_cache
+            cache = run.engine.ssd.page_cache
             rows, columns[5, lo:hi] = self._mirror_lookup(cache, region, pages)
             cached = columns[5, lo:hi] > 0
             fresh = (~cached).nonzero()[0]
@@ -389,8 +390,8 @@ class InStorageAnnsEngine:
             mask &= dist < threshold
             sweeps += from_nand & (n_valid > 0)
         t_idx, s_idx = mask.nonzero()
-        has_filter = np.array([f is not None for f in tasks.filters])
-        if has_filter.any():
+        if tasks.filters.count(None) < len(tasks.filters):
+            has_filter = np.array([f is not None for f in tasks.filters])
             wanted = np.array(
                 [0 if f is None else f for f in tasks.filters], dtype=np.int64
             )
@@ -400,7 +401,7 @@ class InStorageAnnsEngine:
             )
             check = tagged[t_idx]
             metas = latched.words(rank_of[t_idx[check]], s_idx[check])[:, 2]
-            keep = np.ones(t_idx.size, dtype=bool)
+            keep = ~check
             keep[check] = metas == wanted[q_of[t_idx[check]]]
             t_idx, s_idx = t_idx[keep], s_idx[keep]
         n_kept = np.bincount(t_idx, minlength=n_tasks)
@@ -415,11 +416,11 @@ class InStorageAnnsEngine:
         senses, rank_s = lane_o[sensed], rank_o[sensed]
         die_s, die_t = senses // planes_per_die, lane_t // planes_per_die
         n_keys = controller // planes_per_die
-        ops = np.stack([
-            np.bincount(die_s, minlength=n_keys), np.zeros(n_keys),  # READ_PAGE, IBC
-            *(np.bincount(die_t, weights=w, minlength=n_keys)  # XOR, GEN_DIST, ...
-              for w in (from_nand, from_nand, sweeps, moved)),  # PASS_FAIL, RD_TTL
-        ], axis=1).astype(np.int64).reshape(n_runs, -1, len(OP_COLUMN))
+        ops = np.zeros((n_keys, len(OP_COLUMN)), dtype=np.int64)  # IBC stays 0
+        ops[:, 0] = np.bincount(die_s, minlength=n_keys)  # READ_PAGE
+        for column, weights in enumerate((from_nand, from_nand, sweeps, moved), 2):
+            ops[:, column] = np.bincount(die_t, weights, n_keys)  # XOR .. RD_TTL
+        ops = ops.reshape(n_runs, -1, len(OP_COLUMN))
         invocations = np.bincount(lane_t, weights=from_nand, minlength=controller)
         invocations = invocations.astype(np.int64).reshape(n_runs, n_planes)
 
@@ -444,36 +445,32 @@ class InStorageAnnsEngine:
             engine.commands.counts += ops[shard]
             array.latches.invocations += invocations[shard]
             # The shard's totals per op, in FlashOp order.
-            n_senses, _ibc, n_xors, n_counts, n_sweeps, _moves = ops[shard].sum(axis=0).tolist()
+            n_senses, _ibc, n_xors, n_counts, n_sweeps, _moves = np.add.reduce(ops[shard]).tolist()
             if n_senses:
                 own = senses // n_planes == shard
                 array.latches.latch_senses(
                     senses[own] - shard * n_planes, data_u, oob_u, rank_s[own]
                 )
-                array.count_reads(regions[shard].mode.code, n_senses)
-            for name, n in (("latch_xors", n_xors), ("bit_counts", n_counts),
-                            ("pass_fail_checks", n_sweeps)):
-                if n:
-                    array.counters.add(name, n)
-            engine._bill_visits(
+            hits, hit_bytes = engine._bill_visits(
                 ledger, stats_list[shard * n_queries:(shard + 1) * n_queries],
                 q_of[mine], plane_t[mine], page_id_t[mine], hit_t[mine],
             )
+            array.counters.add_all({
+                "page_reads": n_senses, READ_COUNTER_KEYS[regions[shard].mode.code]: n_senses,
+                "latch_xors": n_xors, "bit_counts": n_counts, "pass_fail_checks": n_sweeps,
+                "dram_cache_hits": hits, "dram_cache_bytes": hit_bytes,
+                "channel_bytes": int(moved_by_shard[shard]) * entry_bytes})
             ledger.channel_bytes += channel_bytes[shard]
             ledger.add_schedule(senses_of[shard])
-            if moved_by_shard[shard]:
-                array.counters.add(
-                    "channel_bytes", int(moved_by_shard[shard]) * entry_bytes
-                )
             run.stats.scan_requests += end - first
             run.stats.scan_senses += n_senses
 
         # ---- per (shard, query): stats; the TTL table takes every survivor
         # at once.
-        scanned, kept, visits = (
-            np.bincount(row_t, weights=w, minlength=n_rows).astype(np.int64).tolist()
-            for w in (n_valid, n_kept, from_nand)
-        )
+        scanned, kept, visits = [
+            np.bincount(row_t, weights, n_rows).astype(np.int64).tolist()
+            for weights in (n_valid, n_kept, from_nand)
+        ]
         for stats, n_visits, n_scanned, n_transferred in zip(
             stats_list, visits, scanned, kept
         ):
@@ -515,7 +512,7 @@ class InStorageAnnsEngine:
         """Charge ``ttl`` row ``rows[i]`` (ascending) a quickselect of its k
         from ``n_elements[i]`` entries: one core column per shard, in row
         order, onto its ledger."""
-        n_queries, ks = ttl.n_queries, np.asarray(ttl.ks)[rows]
+        n_queries, ks = ttl.n_queries, ttl.limits[rows]
         cuts = (rows // n_queries).searchsorted(np.arange(len(runs) + 1)).tolist()
         for shard, (run, ledger, lo, hi) in enumerate(zip(runs, ledgers, cuts, cuts[1:])):
             if lo < hi:
@@ -537,7 +534,7 @@ class InStorageAnnsEngine:
         cuts = bounds[:: ttl.n_queries].tolist()
         for run, lo, hi in zip(runs, cuts, cuts[1:]):
             mismatch = run.db.r_ivf.tags[block.eadrs[lo:hi]] != block.tags[lo:hi]
-            if mismatch.any():
+            if np.logical_or.reduce(mismatch):
                 bad = int(block.eadrs[lo + mismatch.argmax()])
                 raise RuntimeError(f"cluster tag mismatch for centroid {bad}")
         return block, bounds
@@ -561,7 +558,7 @@ class InStorageAnnsEngine:
             return []
         k = max(1, shortlist_size // self.params.shortlist_factor)
         starved = np.asarray(survivors) < np.minimum(k, candidates)
-        return np.flatnonzero(starved).tolist()
+        return starved.nonzero()[0].tolist()
 
     def _slot_ranges(
         self, db: DeployedDatabase, clusters: Optional[np.ndarray]
@@ -608,11 +605,8 @@ class InStorageAnnsEngine:
         Returns the stack with its billing columns and every row's stack
         row; billing is :meth:`_bill_tlc_phase`'s.
         """
-        stride = int(page_offsets.max()) + 1
-        uniq, first_rows, inverse = np.unique(
-            shard_of_row * stride + page_offsets, return_index=True,
-            return_inverse=True,
-        )
+        stride = int(np.maximum.reduce(page_offsets)) + 1
+        uniq, first_rows, inverse = sorted_unique(shard_of_row * stride + page_offsets)
         shard_u, offset_u = np.divmod(uniq, stride)
         n_pages = uniq.size
         cuts = shard_u.searchsorted(np.arange(len(runs) + 1)).tolist()
@@ -622,12 +616,12 @@ class InStorageAnnsEngine:
         for run, region, lo, hi in zip(runs, regions, cuts, cuts[1:]):
             if lo == hi:
                 continue
-            ssd, cache = run.engine.ssd, run.engine.page_cache
+            ssd, cache = run.engine.ssd, run.engine.ssd.page_cache
             rows_u, nbytes_u = self._mirror_lookup(cache, region, offset_u[lo:hi])
             cached = nbytes_u > 0
             # Stack order: sensed pages by first touch, then mirror-served ones.
-            order = np.lexsort((first_rows[lo:hi], cached))
-            n_sensed = hi - lo - int(np.count_nonzero(cached))
+            order = (first_rows[lo:hi] + cached * page_offsets.size).argsort(kind="stable")
+            n_sensed = int(np.add.reduce(~cached))
             offsets = offset_u[lo:hi][order]
             plane_of, block_of, page_of, channel_of, page_id_of = (
                 region.region.translate_columns(offsets, self.geometry)
@@ -686,8 +680,8 @@ class InStorageAnnsEngine:
         n_pages, n_cells = plane_of.size, len(stats_list)
         visit_of_row = cell_of_row * n_pages + page_row
         # (cell, page) visits, cell-major in each query's first-touch order.
-        visits, first = np.unique(visit_of_row, return_index=True)
-        visits = visits[np.argsort(first, kind="stable")]
+        visits, first, _ = sorted_unique(visit_of_row)
+        visits = visits[first.argsort(kind="stable")]
         visit_cell, visit_row = np.divmod(visits, n_pages)
         sensed_visits = np.bincount(visit_cell[~cached[visit_row]], minlength=n_cells)
         # (cell, page, codeword) dedupe over each row's codeword range.
@@ -695,9 +689,9 @@ class InStorageAnnsEngine:
         page_bytes = self.geometry.page_bytes
         cw_per_page = -(-page_bytes // cw)
         counts = last_cw - first_cw + 1
-        within = np.arange(counts.max(initial=0))
+        within = np.arange(np.maximum.reduce(counts, initial=0))
         keys = (visit_of_row * cw_per_page + first_cw)[:, None] + within
-        keys = np.unique(keys[within < counts[:, None]])
+        keys = sorted_unique(keys[within < counts[:, None]])[0]
         key_cell, key_row = np.divmod(keys // cw_per_page, n_pages)
         moved = ~cached[key_row]
         n_channels = self.geometry.channels
@@ -705,7 +699,7 @@ class InStorageAnnsEngine:
             key_cell[moved] * n_channels + channel_of[key_row[moved]],
             minlength=n_cells * n_channels,
         ).reshape(n_cells, n_channels)
-        codewords_of_cell = codewords_of.sum(axis=1)
+        codewords_of_cell = np.add.reduce(codewords_of, axis=1)
         visit_cuts = visit_cell.searchsorted(cell_cuts).tolist()
         # Per shard: its cells' codewords and sensed visits, its uncached rows.
         shard_codewords = _cut_sums(codewords_of_cell, cell_cuts)
@@ -718,7 +712,7 @@ class InStorageAnnsEngine:
             first_cell, last_cell = cell_cuts[shard], cell_cuts[shard + 1]
             mine = slice(pages.cuts[shard], pages.cuts[shard + 1])
             rows = visit_row[lo:hi]
-            run.engine._bill_visits(
+            hits, hit_bytes = run.engine._bill_visits(
                 ledger, stats_list[first_cell:last_cell],
                 visit_cell[lo:hi] - first_cell, plane_of[rows],
                 pages.page_id_of[rows], hit_nbytes[rows],
@@ -729,13 +723,13 @@ class InStorageAnnsEngine:
             ledger.channel_bytes += codewords_of[first_cell:last_cell] * cw
             ledger.ecc_bytes += codewords_of_cell[first_cell:last_cell] * cw
             ssd = run.engine.ssd
-            counters = ssd.array.counters
-            counters.add("channel_bytes", shard_codewords[shard] * cw)
-            extra = shard_sensed[shard] - shard_uncached[shard]
-            if extra > 0:
-                counters.add("page_reads", extra)
-                counters.add("page_reads_tlc", extra)
-                ssd.ecc.decoded_bytes += extra * page_bytes
+            extra = max(shard_sensed[shard] - shard_uncached[shard], 0)
+            ssd.array.counters.add_all({
+                "dram_cache_hits": hits, "dram_cache_bytes": hit_bytes,
+                "channel_bytes": shard_codewords[shard] * cw,
+                "page_reads": extra, "page_reads_tlc": extra,
+            })
+            ssd.ecc.decoded_bytes += extra * page_bytes
         for stats, n_sensed in zip(stats_list, sensed_visits.tolist()):
             stats.pages_read += n_sensed
         return ledgers
@@ -775,7 +769,7 @@ class InStorageAnnsEngine:
         shard_of_row = cells // n_queries
         n_slots = np.array([region.n_slots for region in regions])[shard_of_row]
         outside = (radrs < 0) | (radrs >= n_slots)
-        if outside.any():
+        if np.logical_or.reduce(outside):
             region = regions[shard_of_row[outside.argmax()]]
             raise IndexError(f"shortlist RADR outside region {region.name!r}")
         page_offsets, slot_in_page = np.divmod(radrs, spp)
@@ -812,7 +806,8 @@ class InStorageAnnsEngine:
                 np.add.at(ledger.core_seconds, asked.repeat(2), seconds.ravel())
             run.ledgers["rerank"] = ledger
         # One stable sort by (cell, distance): a cell's ties keep row order.
-        return (cells * (int(refined.max()) + 1) + refined).argsort(kind="stable"), refined
+        top = int(np.maximum.reduce(refined)) + 1
+        return (cells * top + refined).argsort(kind="stable"), refined
 
     def _fetch_documents_batch(
         self, runs: Sequence["BatchRun"], cells: np.ndarray, dadrs: np.ndarray
@@ -837,7 +832,7 @@ class InStorageAnnsEngine:
             [(r.n_slots, r.slots_per_page, r.item_bytes) for r in regions]
         ).T[:, shard_of_row]
         outside = (dadrs < 0) | (dadrs >= n_slots)
-        if outside.any():
+        if np.logical_or.reduce(outside):
             bad = outside.argmax()
             raise IndexError(
                 f"slot {int(dadrs[bad])} outside region "
@@ -847,7 +842,7 @@ class InStorageAnnsEngine:
         pages, page_row = self._materialize_tlc_batch(
             runs, regions, shard_of_row, page_offsets, "document"
         )
-        asking, cell_of_row = np.unique(cells, return_inverse=True)
+        asking, _first, cell_of_row = sorted_unique(cells)
         cell_cuts = asking.searchsorted(np.arange(len(runs) + 1) * n_queries).tolist()
         asked = asking.tolist()
         stats_list = [

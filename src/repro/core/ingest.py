@@ -76,6 +76,7 @@ from repro.core.registry import R_IVF_ENTRY_BYTES, RIvf, TombstoneRegistry
 from repro.core.shard import ShardUnavailableError, scan_order
 from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport, SimClock
+from repro.sim.unique import sorted_unique
 from repro.ssd.device import SimulatedSSD
 
 MUTATION_OPS = ("insert", "delete", "update")
@@ -197,7 +198,7 @@ def _validate_group(
         vector = np.asarray(request.vector, dtype=np.float32)
         if vector.shape != (dim,):
             raise ValueError(f"{request.op} vector must have dim {dim}")
-        if not np.isfinite(vector).all():
+        if not np.logical_and.reduce(np.isfinite(vector)):
             raise ValueError(f"{request.op} vector must be finite")
         if request.metadata_tag is not None:
             validate_metadata_tags(request.metadata_tag, "metadata_tag")
@@ -333,21 +334,22 @@ class MutableIndex:
             return np.zeros(firsts.size, dtype=np.int64), firsts, lasts
         counts = bounds[clusters + 1] - bounds[clusters]
         owner = np.arange(clusters.size).repeat(counts)
-        at = np.arange(owner.size) + (bounds[clusters] - np.cumsum(counts) + counts)[owner]
+        at = np.arange(owner.size) + (bounds[clusters] - counts.cumsum() + counts)[owner]
         return owner, firsts[at], lasts[at]
 
     def _scan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(live ids in scan order, their slot runs' first and last slots,
         per-cluster run bounds)``, sorted once per commit."""
         if self._scanned is None:
-            ids = np.flatnonzero(self.live)
+            ids = self.live.nonzero()[0]
             order = ids[np.lexsort((self.eadr[ids], self.cluster[ids]))]
             slots, clusters = self.eadr[order], self.cluster[order]
-            head = np.ones(order.size, dtype=bool)
-            head[1:] = (np.diff(slots) != 1) | (np.diff(clusters) != 0)
-            starts = np.flatnonzero(head)
-            ends = np.flatnonzero(np.roll(head, -1))
-            bounds = np.searchsorted(clusters[starts], np.arange(self.n_clusters + 1))
+            # A run of consecutive slots of one cluster: its head and its tail.
+            head = np.empty(order.size + 1, dtype=bool)
+            head[:1] = head[-1:] = True
+            head[1:-1] = (slots[1:] - slots[:-1] != 1) | (clusters[1:] != clusters[:-1])
+            starts, ends = head[:-1].nonzero()[0], head[1:].nonzero()[0]
+            bounds = clusters[starts].searchsorted(np.arange(self.n_clusters + 1))
             self._scanned = (order, slots[starts], slots[ends], bounds)
         return self._scanned
 
@@ -448,7 +450,7 @@ class IngestManager:
         stores golden bytes)."""
         g = self.geometry
         page_offsets, slot_in_page = np.divmod(slots, region.slots_per_page)
-        touched, row_of = np.unique(page_offsets, return_inverse=True)
+        touched, _first, row_of = sorted_unique(page_offsets)
         planes, blocks, in_block = region.region.translate_columns(touched, g)[:3]
         pages = np.empty((touched.size, g.page_bytes), dtype=np.uint8)
         oob = np.empty((touched.size, g.oob_bytes), dtype=np.uint8)
@@ -596,7 +598,7 @@ class IngestManager:
             n_pages = program_slots(self.ssd, region, *staged[key], first_page)
             # Authority barrier: the tail pages just programmed supersede
             # any DRAM-mirrored copy of those page offsets.
-            cache = getattr(self.ssd, "page_cache", None)
+            cache = self.ssd.page_cache
             if cache is not None:
                 cache.invalidate_pages(region, first_page + np.arange(n_pages))
             program_s = self.timing.program_time(region.mode.timing_key)
@@ -639,7 +641,7 @@ class IngestManager:
         index = self.index
         # Compaction rewrites whole region windows, so every mirrored page
         # of this device is suspect: clear the DRAM cache at the barrier.
-        device_cache = getattr(self.ssd, "page_cache", None)
+        device_cache = self.ssd.page_cache
         if device_cache is not None:
             device_cache.clear()
         order = index.live_ids()

@@ -33,6 +33,7 @@ import numpy as np
 from repro.ann.blocks import row_blocks
 from repro.rag.documents import DocumentChunk
 from repro.sim.latency import LatencyReport
+from repro.sim.unique import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (both import us)
     from repro.core.engine import InStorageAnnsEngine
@@ -75,10 +76,10 @@ def sum_search_stats(
     cluster decides once for all its shards (the filter retry, the probed
     cluster count) come in as ``decided`` per-query columns instead.
     """
-    total = np.array(
+    total = np.add.reduce(np.array(
         [[_read_stats(stats) for stats in device] for device in per_device],
         dtype=np.int64,
-    ).sum(axis=0)
+    ))
     for name, column in decided.items():
         total[:, _STAT_FIELDS.index(name)] = column
     return [SearchStats(*row) for row in total.tolist()]
@@ -108,18 +109,18 @@ def schedule_order(
 
     The optimized order groups requests stably by page, pages in
     first-demand order -- identical to sorting by a first-seen dict rank,
-    computed here with one ``unique`` + two stable argsorts
-    (``first_demand`` = that ``unique``'s ``(first_index, inverse)``, from
+    computed here with one :func:`~repro.sim.unique.sorted_unique` + two
+    stable argsorts (``first_demand`` = its ``(first_index, inverse)``, from
     a caller that already has it).
     """
     if not optimize or pages.size == 0:
         return np.arange(pages.size)
     if first_demand is None:
-        first_demand = np.unique(pages, return_index=True, return_inverse=True)[1:]
+        first_demand = sorted_unique(pages)[1:]
     first_index, inverse = first_demand
     rank = np.empty(first_index.size, dtype=np.int64)
-    rank[np.argsort(first_index, kind="stable")] = np.arange(first_index.size)
-    return np.argsort(rank[inverse], kind="stable")
+    rank[first_index.argsort(kind="stable")] = np.arange(first_index.size)
+    return rank[inverse].argsort(kind="stable")
 
 
 def schedule_senses(
@@ -138,11 +139,12 @@ def schedule_senses(
     so the walk runs over the to-sense subsequence only.
     """
     sensed = np.zeros(pages.size, dtype=bool)
-    live = np.arange(pages.size) if cached is None else np.flatnonzero(~cached)
-    by_plane = live[np.argsort(planes[live], kind="stable")]
+    live = np.arange(pages.size) if cached is None else (~cached).nonzero()[0]
+    by_plane = live[planes[live].argsort(kind="stable")]
     pg = pages[by_plane]
     pl = planes[by_plane]
-    fresh = np.ones(by_plane.size, dtype=bool)
+    fresh = np.empty(by_plane.size, dtype=bool)
+    fresh[:1] = True
     fresh[1:] = (pl[1:] != pl[:-1]) | (pg[1:] != pg[:-1])
     sensed[by_plane] = fresh
     return sensed
@@ -224,7 +226,7 @@ def validate_query_rows(db, queries: np.ndarray) -> np.ndarray:
     rows = queries.shape if queries.ndim >= 2 else (1, queries.size)
     if len(rows) != 2 or rows[1] != db.dim:
         raise ValueError(f"queries must have shape (n, {db.dim}), got {rows}")
-    if not np.isfinite(queries).all():
+    if not np.logical_and.reduce(np.isfinite(queries), axis=None):
         raise ValueError("queries contain NaN or inf components")
     return queries
 
@@ -263,7 +265,7 @@ def validate_metadata_tags(tags, name: str = "metadata_tags") -> np.ndarray:
     ):
         raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
     outside = (array < 0) | (array >= 2**32)
-    if outside.any():
+    if np.logical_or.reduce(outside, axis=None):
         raise ValueError(f"{name} must be in [0, 2**32), got {array[outside].flat[0]}")
     return array.astype(np.uint32, copy=False)
 

@@ -79,6 +79,7 @@ from repro.core.batch import BatchExecution, BatchStats
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import resolve_nprobe, validate_query_rows, validate_search_params
 from repro.sim.latency import LatencyReport, SimClock
+from repro.sim.unique import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.api import BatchSearchResult
@@ -296,9 +297,9 @@ class BatchFormer:
                     for shard, engine, db, _clusters in self.views(())
                     for region in (db.centroid_region, db.embedding_region)
                     if region is not None
-                    for plane in np.unique(
+                    for plane in sorted_unique(
                         self._region_columns(shard, engine, region)[1]
-                    ).tolist()
+                    )[0].tolist()
                 }
             )
         return self._n_planes
@@ -377,7 +378,7 @@ class BatchFormer:
             covered = self._covered.setdefault(shard, np.zeros(n_planes, dtype=bool))
             latch = (  # the pages seen, or each plane's latched page
                 np.zeros(plane_of.size, dtype=bool) if optimize
-                else np.full(n_planes, -1, dtype=np.int64)
+                else np.zeros(n_planes, dtype=np.int64) - 1
             )
             state = self._latches[shard, region.name] = (optimize, plane_of, latch, covered)
         optimize, plane_of, latch, covered = state
@@ -421,7 +422,7 @@ class BatchFormer:
                 n_requests=self._n_requests,
                 n_senses=self._n_senses,
                 planes_covered=sum(
-                    [int(np.count_nonzero(mask)) for mask in self._covered.values()]
+                    [int(np.add.reduce(mask)) for mask in self._covered.values()]
                 ),
                 n_planes=self._count_planes(),
             )
@@ -810,7 +811,7 @@ class SubmissionQueue:
         """Run one formed batch: one result per member, in member order."""
         return self.executor.execute(
             self.db,
-            np.stack([s.query for s in members]),
+            np.array([s.query for s in members]),
             k=self.k,
             nprobe=self.nprobe,
             fetch_documents=self.fetch_documents,

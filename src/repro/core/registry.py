@@ -201,24 +201,15 @@ class TtlBlock:
         dadrs: Optional[np.ndarray] = None,
         metas: Optional[np.ndarray] = None,
     ) -> None:
-        n = dists.size
-        minus_ones = None
-
-        def col(values: Optional[np.ndarray]) -> np.ndarray:
-            nonlocal minus_ones
-            if values is not None:
-                return np.asarray(values, dtype=np.int64)
-            if minus_ones is None:
-                minus_ones = np.full(n, -1, dtype=np.int64)
-            return minus_ones
-
         self.dists = np.asarray(dists, dtype=np.int64)
-        self.embs = np.atleast_2d(np.asarray(embs, dtype=np.uint8))
-        self.eadrs = col(eadrs)
-        self.tags = col(tags)
-        self.radrs = col(radrs)
-        self.dadrs = col(dadrs)
-        self.metas = col(metas)
+        embs = np.asarray(embs, dtype=np.uint8)
+        self.embs = embs if embs.ndim >= 2 else embs.reshape(1, -1)
+        columns, absent = [], None  # every absent column is one -1 column
+        for values in (eadrs, tags, radrs, dadrs, metas):
+            if values is None and absent is None:
+                absent = np.zeros(self.dists.size, dtype=np.int64) - 1
+            columns.append(absent if values is None else np.asarray(values, dtype=np.int64))
+        self.eadrs, self.tags, self.radrs, self.dadrs, self.metas = columns
 
     def __len__(self) -> int:
         return int(self.dists.size)
@@ -294,8 +285,8 @@ class TemporalTopList:
         self.n_queries = n_queries
         self._drams = drams  # one per shard; None books no arena
         n_rows = n_queries * len(drams)
-        self._limits = np.zeros(n_rows, dtype=np.int64) + k
-        self.ks: List[int] = self._limits.tolist()
+        self.limits = np.zeros(n_rows, dtype=np.int64) + k
+        self.ks: List[int] = self.limits.tolist()
         self.sizes = np.zeros(n_rows, dtype=np.int64)
         self.peaks = np.zeros(n_rows, dtype=np.int64)
         self._sources: list = []
@@ -325,12 +316,11 @@ class TemporalTopList:
         arrival order, for the caller to charge the embedded core.
         """
         if dist.size:
-            columns = (
-                query, dist, np.full(dist.size, len(self._sources)), rank, slot
-            )
+            source_of = np.zeros(dist.size, dtype=np.int64) + len(self._sources)
+            columns = (query, dist, source_of, rank, slot)
             self._sources.append(source)
             self._columns = columns if self._columns is None else tuple(
-                np.concatenate(pair) for pair in zip(self._columns, columns)
+                map(np.concatenate, zip(self._columns, columns))
             )
         ks = self.ks
         sizes, peaks, compactions = self.sizes.tolist(), self.peaks.tolist(), []
@@ -358,7 +348,9 @@ class TemporalTopList:
         their peaks stay, since the arena has already grown."""
         self.sizes[queries] = 0
         if self._columns is not None:
-            keep = ~np.isin(self._columns[0], queries)
+            dropped = np.zeros(self.sizes.size, dtype=bool)
+            dropped[queries] = True
+            keep = ~dropped[self._columns[0]]
             self._columns = tuple(column[keep] for column in self._columns)
 
     def select(self) -> Tuple[TtlBlock, np.ndarray]:
@@ -372,27 +364,31 @@ class TemporalTopList:
         makes it reproducible across *any* partitioning of the scan:
         per-shard shortlists merged by the same (distance, scan-order) key
         reconstruct exactly the list one device would have selected (see
-        :mod:`repro.core.shard`).
+        :mod:`repro.core.shard`).  The key packs ``(query, dist)`` into the
+        smallest unsigned integer that holds it (a radix sort up to 16 bits).
         """
-        ks, bounds = self._limits, np.zeros(self.sizes.size + 1, dtype=np.int64)
+        ks, bounds = self.limits, np.zeros(self.sizes.size + 1, dtype=np.int64)
         if self._columns is None:
             return TtlBlock.empty(), bounds
         query, dist, source, rank, slot = self._columns
         held = np.bincount(query, minlength=self.sizes.size)
-        np.cumsum(np.minimum(held, ks), out=bounds[1:])
+        np.minimum(held, ks).cumsum(out=bounds[1:])
         if not bounds[-1]:
             return TtlBlock.empty(), bounds
-        nearest = np.lexsort((dist, query))  # stable: arrival breaks ties
+        span = int(np.maximum.reduce(dist)) + 1
+        key = query * span + dist
+        key = key.astype(np.min_scalar_type(self.sizes.size * span - 1))
+        nearest = key.argsort(kind="stable")  # stable: arrival breaks ties
         by_query = query[nearest]
-        first_row = np.cumsum(held) - held
+        first_row = held.cumsum() - held
         rows = nearest[np.arange(nearest.size) - first_row[by_query] < ks[by_query]]
         if len(self._sources) == 1:
             return self._sources[0].decode(dist[rows], rank[rows], slot[rows]), bounds
         parts, positions, source_of = [], [], source[rows]
         for index, latched in enumerate(self._sources):
-            mine = np.flatnonzero(source_of == index)
+            mine = (source_of == index).nonzero()[0]
             picked = rows[mine]
             parts.append(latched.decode(dist[picked], rank[picked], slot[picked]))
             positions.append(mine)
-        back = np.argsort(np.concatenate(positions))
+        back = np.concatenate(positions).argsort()
         return TtlBlock.concatenate(parts).take(back), bounds

@@ -63,6 +63,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ann.blocks import float32_rows
 from repro.ann.distances import hamming_packed
 from repro.ann.ivf import IvfModel
 from repro.core.batch import (
@@ -88,6 +89,7 @@ from repro.core.plan import (
 )
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.sim.latency import LatencyReport
+from repro.sim.unique import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import InStorageAnnsEngine
@@ -185,7 +187,7 @@ class ShardAssignment:
 
     def live_owners(self, failed: Sequence[int]) -> np.ndarray:
         """The owner table with every ``failed`` shard's slot -1."""
-        alive = np.ones(self.n_shards + 1, dtype=bool)
+        alive = ~np.zeros(self.n_shards + 1, dtype=bool)
         alive[list(failed)] = False
         alive[-1] = False  # what a -1 slot indexes
         return np.where(alive[self.cluster_owners], self.cluster_owners, -1)
@@ -646,7 +648,7 @@ class ShardRouter:
     def _down_clusters(self, sdb: ShardedDatabase) -> np.ndarray:
         """Clusters with zero live owners (their pages are unreachable)."""
         live = sdb.assignment.live_owners(self.failed_shards)
-        return np.flatnonzero((live < 0).all(axis=1))
+        return np.logical_and.reduce(live < 0, axis=1).nonzero()[0]
 
     # ------------------------------------------------------------ plumbing
 
@@ -725,7 +727,7 @@ class ShardRouter:
         ``host_profile`` times the router's steps under the device
         executor's phase names (``fine`` includes the shortlist merge).
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        queries = float32_rows(queries)
         n_queries = queries.shape[0]
         if not sdb.active_shards:
             raise ValueError("database has no deployed shards")
@@ -815,7 +817,7 @@ class ShardRouter:
         ``mine``: every query's clusters, as the shard's local ids in
         global rank order."""
         owned = state.sdb.assignment.shard_clusters[run.shard]
-        position = np.full(state.sdb.n_clusters, -1, dtype=np.int64)
+        position = np.zeros(state.sdb.n_clusters, dtype=np.int64) - 1
         position[owned] = np.arange(len(owned))
         local = position[state.probe_clusters]
         mine = mine & (local >= 0)
@@ -892,7 +894,7 @@ class ShardRouter:
             np.arange(len(runs) * n_queries).repeat(bounds[1:] - bounds[:-1]), n_queries
         )
         layouts = [sdb.assignment.shard_clusters[run.shard] for run in runs]
-        starts = np.cumsum([0] + [len(layout) for layout in layouts])
+        starts = np.array([0] + [len(layout) for layout in layouts]).cumsum()
         clusters = np.concatenate(layouts).astype(np.int64)[
             starts[shard_of_row] + block.eadrs
         ]
@@ -917,18 +919,18 @@ class ShardRouter:
         clusters = np.concatenate(clusters)
         order = merge_order(queries, np.concatenate(dists), clusters)
         queries, clusters = queries[order], clusters[order]
-        _, first = np.unique(queries * sdb.n_clusters + clusters, return_index=True)
+        first = sorted_unique(queries * sdb.n_clusters + clusters)[1]
         first.sort()
         queries, clusters = queries[first], clusters[first]
         probed = state.head_of_each_query(queries, state.nprobe)
         state.probe_queries, state.probe_clusters = queries[probed], clusters[probed]
-        lost = np.isin(state.probe_clusters, down)
-        if lost.any():
-            raise ShardUnavailableError(int(state.probe_clusters[np.argmax(lost)]))
+        lost = np.isin(state.probe_clusters, down) if down.size else [False]
+        if np.logical_or.reduce(lost):
+            raise ShardUnavailableError(int(state.probe_clusters[lost.argmax()]))
 
         # One serving replica per probed cluster, batch-wide.
-        distinct, first = np.unique(state.probe_clusters, return_index=True)
-        self._elect(state, distinct[np.argsort(first)])
+        distinct, first, _ = sorted_unique(state.probe_clusters)
+        self._elect(state, distinct[first.argsort()])
         serving = state.serving[state.probe_clusters]
         for run in state.live_runs():
             self._hand_out_probes(state, run, serving == run.shard)
@@ -1095,7 +1097,7 @@ class ShardRouter:
         shards = state.shard_of_runs()
         state.shipped += np.bincount(shards[shortlist.run_index], minlength=self.n_shards)
         cells = position[shortlist.run_index] * state.n_queries + shortlist.queries
-        by_cell = np.argsort(cells, kind="stable")
+        by_cell = cells.argsort(kind="stable")
         order, refined = runs[0].engine._rerank_batch(
             runs, state.queries, cells[by_cell],
             shortlist.radrs[by_cell], shortlist.dadrs[by_cell],
@@ -1152,7 +1154,7 @@ class ShardRouter:
         position = np.full(self.n_shards, -1, dtype=np.int64)
         position[[run.shard for run in fetching]] = np.arange(len(fetching))
         cells = position[ranked.shards] * state.n_queries + ranked.queries
-        by_cell = np.argsort(cells, kind="stable")
+        by_cell = cells.argsort(kind="stable")
         if fetching:
             fetching[0].engine._fetch_documents_batch(
                 fetching, cells[by_cell], ranked.dadrs[by_cell]

@@ -20,7 +20,7 @@ from repro.sim.stats import CounterSet
 # bytes are the stored bytes (raw BER 0), and the read counter every sense
 # in it advances.
 _ERROR_FREE = tuple(reliability(mode).raw_ber <= 0.0 for mode in MODES)
-_READ_COUNTER_KEYS = tuple(f"page_reads_{mode.timing_key}" for mode in MODES)
+READ_COUNTER_KEYS = tuple(f"page_reads_{mode.timing_key}" for mode in MODES)
 
 
 class SenseRun(NamedTuple):
@@ -101,8 +101,7 @@ class FlashArray:
     def count_reads(self, code: int, n: int) -> None:
         """Advance the read counters by ``n`` senses in the cell mode of
         code ``code``."""
-        self.counters.add("page_reads", n)
-        self.counters.add(_READ_COUNTER_KEYS[code], n)
+        self.counters.add_all({"page_reads": n, READ_COUNTER_KEYS[code]: n})
 
     def read_pages(
         self,
@@ -136,6 +135,7 @@ class FlashArray:
         oob = np.empty((n, self.geometry.oob_bytes), dtype=np.uint8)
         if not n:
             return SenseRun(out, oob, NO_FLIPS)
+        planes = np.asarray(planes)
         codes = self.pages.gather(planes, blocks, pages, slice(None), out, oob)
         self.latches.latch_senses(planes, out, oob)
         tally = codes.tolist()

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nand.errors import Flips
+from repro.sim.unique import sorted_unique
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
 _NO_ROWS.setflags(write=False)
@@ -103,14 +104,14 @@ class EccEngine:
         correctable = (
             errors_per_codeword <= self.config.correctable_bits_per_codeword
         )
-        self.corrected_bits += int(errors_per_codeword[correctable].sum())
-        if correctable.all():
+        self.corrected_bits += int(np.add.reduce(errors_per_codeword[correctable]))
+        if np.logical_and.reduce(correctable):
             raws[row, col] ^= pattern
             return _NO_ROWS
-        self.uncorrectable_codewords += int((~correctable).sum())
+        self.uncorrectable_codewords += int(np.add.reduce(~correctable))
         keep = correctable[codeword]
         raws[row[keep], col[keep]] ^= pattern[keep]
-        return np.unique(row[~keep])
+        return sorted_unique(row[~keep])[0]
 
     def decode_time(self, n_bytes: int) -> float:
         """Controller time to ECC-decode ``n_bytes``."""

@@ -56,8 +56,8 @@ class BitErrorModel:
         page_bytes = stack.shape[1]
         n_bits = page_bytes * 8
         counts = self._rng.binomial(n_bits, ber, size=rows.size)
-        bits = self._rng.integers(0, n_bits, size=int(counts.sum()))
-        positions = np.repeat(rows * page_bytes, counts) + (bits >> 3)
+        bits = self._rng.integers(0, n_bits, size=int(np.add.reduce(counts)))
+        positions = (rows * page_bytes).repeat(counts) + (bits >> 3)
         masks = _BIT_MASKS[bits & 7]
         np.bitwise_xor.at(stack.reshape(-1), positions, masks)
         return positions, masks

@@ -19,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.sim.unique import sorted_unique
+
 
 # Bytes of XOR temporary one block of a stacked extraction may hold: the
 # pass walks its rows in blocks of this size so the intermediate stays
@@ -48,7 +50,7 @@ def xor_popcount_segments(
     controller to the DRAM mirror of some.
     """
     width = segment_bytes * n_segments
-    pages = np.atleast_2d(pages)[:, :width]
+    pages = (pages if pages.ndim == 2 else pages.reshape(1, -1))[:, :width]
     patterns = np.ascontiguousarray(patterns, dtype=np.uint8)
     if segment_bytes % 8 == 0:
         pages, patterns = pages.view(np.uint64), patterns.view(np.uint64)
@@ -66,7 +68,7 @@ def xor_popcount_segments(
         else:
             diff = pages[page_of[block]]  # the gather is the temporary
             np.bitwise_xor(diff, patterns[block], out=diff)
-        np.bitwise_count(diff).sum(axis=2, dtype=out.dtype, out=out[block])
+        np.add.reduce(np.bitwise_count(diff), axis=2, dtype=out.dtype, out=out[block])
     return out
 
 
@@ -104,8 +106,7 @@ class LatchTable:
         (``i`` when omitted) of the ``data`` stack and OOB-wide row of
         ``oob``: each plane named keeps its last page in its sensing and OOB
         latches."""
-        planes = np.asarray(planes)
-        targets, last = np.unique(planes[::-1], return_index=True)
+        targets, last, _ = sorted_unique(planes[::-1])
         last = planes.size - 1 - last
         if rows is not None:
             last = rows[last]
@@ -118,8 +119,9 @@ class LatchTable:
         unless one does)."""
         if pattern.size == 0 or pattern.size > self.page_bytes:
             raise ValueError("broadcast pattern must fit within a page")
-        image = np.tile(pattern.astype(np.uint8), self.page_bytes // pattern.size)
-        self.cache[:, : image.size] = image
+        image = np.empty((self.page_bytes // pattern.size, pattern.size), dtype=np.uint8)
+        image[:] = pattern  # whole copies, row by row
+        self.cache[:, : image.size] = image.reshape(-1)
         self.cache[:, image.size :] = 0
 
 

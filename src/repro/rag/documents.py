@@ -53,10 +53,10 @@ class DocumentChunk(_ChunkFields):
         """:meth:`decode_bytes` of every row of a ``(n, slot_bytes)`` uint8
         matrix, in one pass: the rows viewed as fixed-width byte strings
         (numpy drops a bytes element's trailing NULs, which is exactly the
-        padding strip) and decoded by one vectorized call."""
+        padding strip) and decoded by ``bytes.decode`` mapped from C."""
         rows = np.ascontiguousarray(rows)
-        packed = rows.view(f"S{rows.shape[1]}").ravel()
-        return np.strings.decode(packed, "utf-8", "replace").tolist()
+        packed = rows.view(f"S{rows.shape[1]}").ravel().tolist()
+        return list(map(bytes.decode, packed, repeat("utf-8"), repeat("replace")))
 
 
 def chunk_text(text: str, chunk_chars: int, overlap_chars: int = 0) -> List[str]:

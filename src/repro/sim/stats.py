@@ -9,7 +9,7 @@ separated from "how long it took / how much energy it used" (models).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 
 class CounterSet:
@@ -30,6 +30,13 @@ class CounterSet:
     def add(self, name: str, amount: float = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
         self._counts[name] += amount
+
+    def add_all(self, amounts: Mapping[str, float]) -> None:
+        """Increment every counter of ``amounts`` by its nonzero amount, in
+        order: a phase's adds to one device in one call."""
+        for name, amount in amounts.items():
+            if amount:
+                self._counts[name] += amount
 
     def __getitem__(self, name: str) -> float:
         return self._counts.get(name, 0)

@@ -73,7 +73,8 @@ class CoarseRegion:
         """:meth:`translate` for an array of offsets, as columns:
         ``(global plane index, block, page, channel, linear page index)``."""
         if offsets.size and not (
-            0 <= offsets.min() and offsets.max() < self.total_pages(geometry)
+            0 <= np.minimum.reduce(offsets)
+            and np.maximum.reduce(offsets) < self.total_pages(geometry)
         ):
             raise IndexError("offset outside the coarse region")
         stripe, lane = np.divmod(offsets, geometry.total_planes)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sim.unique import sorted_unique
+
 
 @dataclass(frozen=True)
 class CoreSpec:
@@ -88,11 +90,10 @@ class EmbeddedCore:
         cores takes it once for all of them)."""
         spec = self.spec
         sort = n_vectors * log2 * spec.cycles_per_sort_element / spec.frequency_hz
-        seconds = np.stack([
-            np.where(n_vectors > 0, n_vectors * dim * spec.cycles_per_int8_mac
-                     / spec.frequency_hz, 0.0),
-            np.where(n_vectors > 1, sort, 0.0),
-        ], axis=1)
+        mac = n_vectors * dim * spec.cycles_per_int8_mac / spec.frequency_hz
+        seconds = np.empty((n_vectors.size, 2))
+        seconds[:, 0] = np.where(n_vectors > 0, mac, 0.0)
+        seconds[:, 1] = np.where(n_vectors > 1, sort, 0.0)
         self._charge_column(seconds.ravel())
         return seconds
 
@@ -104,11 +105,11 @@ class EmbeddedCore:
 
 
 def log2_counts(n_vectors: np.ndarray) -> np.ndarray:
-    """``math.log2(max(n, 1))`` of every count in ``n_vectors`` (any shape),
-    as scalar: one ``math.log2`` per distinct count."""
-    counts, at = np.unique(n_vectors, return_inverse=True)
-    log2 = np.array([math.log2(max(n, 1)) for n in counts.tolist()])
-    return log2[at.ravel()].reshape(np.shape(n_vectors))
+    """``math.log2(max(n, 1))`` of every count in the array ``n_vectors``
+    (any shape), as scalar: one ``math.log2`` per distinct count."""
+    counts, _first, at = sorted_unique(n_vectors.ravel())
+    log2 = np.array(list(map(math.log2, np.maximum(counts, 1).tolist())))
+    return log2[at].reshape(n_vectors.shape)
 
 
 @dataclass
@@ -126,11 +127,8 @@ class CoreComplex:
         if self.n_cores < 2:
             raise ValueError("need at least one FTL core and one REIS core")
         self.cores = [EmbeddedCore(i, self.spec) for i in range(self.n_cores)]
-
-    @property
-    def reis_core(self) -> EmbeddedCore:
-        """The single core REIS is confined to."""
-        return self.cores[-1]
+        # The single core REIS is confined to.
+        self.reis_core: EmbeddedCore = self.cores[-1]
 
     @property
     def ftl_cores(self):

@@ -50,6 +50,7 @@ class SimulatedSSD:
         self.spec = spec
         self.array = FlashArray(spec.geometry, spec.timing)
         self.dram = InternalDram.for_flash_capacity(spec.geometry.capacity_bytes)
+        self.page_cache = None  # the DRAM page cache core/ attaches (off by default)
         self.cores = CoreComplex(n_cores=spec.n_cores, spec=spec.core_spec)
         self.allocator = ParallelismFirstAllocator(spec.geometry)
         self.ftl = PageLevelFtl(self.array, self.allocator, dram=self.dram)

@@ -35,7 +35,6 @@ from repro.core.costing import (
     _PARTS,
     BatchPhaseBreakdown,
     PhaseLedger,
-    _runs,
     compose_batch,
     overlap_stages,
 )
@@ -339,6 +338,13 @@ def replay(ledger: PhaseLedger) -> List[ReferencePhaseCost]:
         costs[row].add_dram_stream(page_id, visit_s)
         costs[row].dram_bytes += visit_bytes
     return costs
+
+
+def _runs(ranked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, lengths)`` of the runs of equal values in a sorted,
+    non-empty column."""
+    starts = np.concatenate(([True], ranked[1:] != ranked[:-1])).nonzero()[0]
+    return starts, np.concatenate((starts[1:], [ranked.size])) - starts
 
 
 def derived_senses(ledger: PhaseLedger, rows, planes, page_ids) -> np.ndarray:

@@ -223,6 +223,48 @@ class TestTemporalTopList:
         assert len(block) == 0 and bounds.tolist() == [0, 0, 0, 0]
 
 
+class TestSelectSortKey:
+    """``select`` sorts one packed ``(query, dist)`` key; its order must be
+    ``np.lexsort((dist, query))``'s -- query, distance, then arrival --
+    whether the key fits the 16-bit radix sort or not."""
+
+    @staticmethod
+    def _lexsort_selection(query_rows, k):
+        """Reference: every row's ``(dist, id)``, one lexsort, k per query."""
+        rows = [(q, d, i) for q, (d, i) in query_rows]
+        query = np.array([q for q, _, _ in rows], dtype=np.int64)
+        dist = np.array([d for _, d, _ in rows], dtype=np.int64)
+        order = np.lexsort((dist, query)).tolist()
+        picked = [[] for _ in range(int(query.max()) + 1)]
+        for r in order:
+            q, d, i = rows[r]
+            if len(picked[q]) < k:
+                picked[q].append((d, i))
+        return picked
+
+    @given(
+        st.lists(st.lists(st.integers(0, 3), max_size=12), min_size=1, max_size=5),
+        st.sampled_from([0, 70_000]),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_lexsort_under_ties(self, dists_by_query, offset, k):
+        # Distances in {0..3} tie heavily; the offset pushes the key past 16
+        # bits (70,003 * n_queries) without breaking a single tie.
+        dists_by_query = [[offset + d for d in dists] for dists in dists_by_query]
+        ttl = TemporalTopList("t", 10, len(dists_by_query), k)
+        visits = _number([[[dists] if dists else [] for dists in dists_by_query]])[0]
+        _feed(ttl, visits)
+        selected, _bounds = _selected(ttl)
+        query_rows = [(q, row) for q, page in visits for row in page]
+        if not query_rows:
+            assert selected == [[] for _ in dists_by_query]
+            return
+        expected = self._lexsort_selection(query_rows, k)
+        expected += [[]] * (len(dists_by_query) - len(expected))
+        assert selected == expected
+
+
 def _streaming_ttl(visits, k):
     """Pure-Python reference: a TTL that really trims above 2k.
 

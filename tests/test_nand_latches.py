@@ -65,6 +65,29 @@ class TestPageBuffer:
         assert not table.buffer(1).sensing.any() and not table.oob[1].any()
 
 
+class TestLatchSenses:
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=20), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_each_plane_keeps_its_last_sense(self, planes, with_rows):
+        # Senses in order: a plane named twice keeps the later page, a plane
+        # never named keeps its zeros.
+        n = len(planes)
+        data = np.arange(n * 8, dtype=np.uint8).reshape(n, 8)
+        oob = (np.arange(n * 4, dtype=np.uint8) + 100).reshape(n, 4)
+        rows = np.arange(n)[::-1].copy() if with_rows else None
+        table = LatchTable(4, 8, 4)
+        table.latch_senses(np.array(planes), data, oob, rows)
+        expected = {}
+        for i, plane in enumerate(planes):
+            expected[plane] = i if rows is None else int(rows[i])
+        for plane in range(4):
+            row = expected.get(plane)
+            want = np.zeros(8, np.uint8) if row is None else data[row]
+            want_oob = np.zeros(4, np.uint8) if row is None else oob[row]
+            assert np.array_equal(table.sensing[plane], want)
+            assert np.array_equal(table.oob[plane], want_oob)
+
+
 class TestFailBitCounter:
     """Segmented fail-bit counts of the latched page XOR a pattern: the
     arithmetic the scan kernel runs, on one sensed page."""

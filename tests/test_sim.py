@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from repro.sim.latency import LatencyReport, overlap, pipeline_time, serial
 from repro.sim.rng import make_rng
 from repro.sim.stats import CounterSet
+from repro.sim.unique import sorted_unique
 
 
 class TestCounterSet:
@@ -129,3 +130,39 @@ class TestMakeRng:
     def test_accepts_heterogeneous_parts(self):
         rng = make_rng("a", 1, 2.5, ("tuple", 3))
         assert 0 <= rng.random() < 1
+
+
+_INT64 = np.iinfo(np.int64)
+_KEYS = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=40),  # ties, negatives
+    st.lists(st.sampled_from([_INT64.min, -1, 0, 1, _INT64.max]), max_size=12),
+    st.lists(st.integers(_INT64.min, _INT64.max), max_size=40),
+)
+
+
+class TestSortedUnique:
+    """The sort-based unique is ``np.unique`` with index and inverse."""
+
+    @given(_KEYS)
+    def test_equals_numpy_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        expected = np.unique(keys, return_index=True, return_inverse=True)
+        for got, want in zip(sorted_unique(keys), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("keys", [[], [7], [5, 5, 5, 5]])
+    def test_edge_cases(self, keys):
+        uniq, first, inverse = sorted_unique(np.array(keys, dtype=np.int64))
+        assert uniq.tolist() == sorted(set(keys))
+        assert first.tolist() == ([0] if keys else [])
+        assert inverse.tolist() == [0] * len(keys)
+
+
+class TestCounterSetAddAll:
+    def test_adds_in_order_and_skips_zeros(self):
+        counters = CounterSet()
+        counters.add("a", 1)
+        counters.add_all({"b": 0, "a": 2.5, "c": 0, "d": 2})
+        assert counters.as_dict() == {"a": 3.5, "d": 2}
+        assert "b" not in counters and "c" not in counters
