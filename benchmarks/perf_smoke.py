@@ -262,13 +262,15 @@ SHARD_SCALING_EVENTS_RATIO = 2.68
 # with its wrappers and the page table, 3,802 with page objects); x1.05.
 SHARD_SCALING_EVENTS_DIFF_CEILING = 2_574
 # Measured call + c_call events per query of the forming slice (an
-# open-loop Poisson stream through a tiny-device submission queue): 204.7
-# with numpy called through its C entry points (python 3.11, numpy 2.4;
-# 301.0 with its wrappers and a running occupancy estimate, 350.3 while
+# open-loop Poisson stream through a tiny-device submission queue): 175.2
+# with submissions as rows of one table and each estimate folding its block
+# of arrivals in one pass (python 3.11, numpy 2.4; 204.7 with an arrival
+# heap, a footprint and a fold per arrival and records built in Python,
+# 301.0 with numpy's wrappers and a running occupancy estimate, 350.3 while
 # every estimate rebuilt each candidate's schedule); x1.05.
 FORMING_ARRIVALS = 512
 FORMING_RATE_QPS = 16_000.0
-FORMING_EVENTS_CEILING = 214.9
+FORMING_EVENTS_CEILING = 184.0
 # Measured call + c_call events of constructing one 64-blocks-per-plane
 # FlashArray: 172 with the pages as rows of one table (python 3.11, numpy
 # 2.4; 33,949 with a FlashPage object per page and a FlashBlock per block);

@@ -27,10 +27,15 @@ class FlatIndex:
         return self._vectors
 
     def add(self, vectors: np.ndarray) -> None:
+        """Append rows.  The index keeps the first add's float32 C-contiguous
+        rows as a read-only view, not a copy: do not write to them later."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         if vectors.shape[1] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {vectors.shape[1]}")
-        self._vectors = np.vstack([self._vectors, vectors])
+        if len(self):
+            vectors = np.concatenate((self._vectors, vectors))
+        self._vectors = np.ascontiguousarray(vectors).view()
+        self._vectors.flags.writeable = False
 
     def search(self, query: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return (distances, indices) of the ``k`` nearest vectors."""

@@ -483,9 +483,9 @@ class BatchExecutor:
             self.engine, db, k, nprobe, fetch_documents, metadata_filter
         )
 
-    def forming_views(self, db: DeployedDatabase, clusters: Sequence[int]):
+    def forming_views(self, db: DeployedDatabase, clusters: np.ndarray):
         """``db`` as a :class:`~repro.core.queue.BatchFormer` sees it: one
-        device, expected to scan every guessed cluster."""
+        device, expected to scan every guessed cluster (an int array)."""
         return [(0, self.engine, db, clusters)]
 
     def prepare(

@@ -71,7 +71,7 @@ from repro.core.layout import (
     program_slots,
 )
 from repro.core.plan import SearchStats, validate_metadata_tags
-from repro.core.queue import QueuePolicy, Submission, SubmissionQueue
+from repro.core.queue import QueuePolicy, SubmissionQueue
 from repro.core.registry import R_IVF_ENTRY_BYTES, RIvf, TombstoneRegistry
 from repro.core.shard import ShardUnavailableError, scan_order
 from repro.rag.documents import DocumentChunk
@@ -731,6 +731,10 @@ class IngestQueue(SubmissionQueue):
     reads' service time does.
     """
 
+    # The submission table gains a column: each row's mutation request (0
+    # for a read), so one truth mask splits a batch.
+    _COLUMNS = SubmissionQueue._COLUMNS + ("_requests",)
+
     def __init__(
         self,
         executor,
@@ -749,8 +753,8 @@ class IngestQueue(SubmissionQueue):
             metadata_filter=metadata_filter, policy=policy, clock=clock,
         )
         self.manager = manager
-        self._mutations: Dict[int, MutationRequest] = {}
         self.mutation_acks: Dict[int, MutationAck] = {}
+        self._requests = np.zeros(0, dtype=object)
 
     # ---------------------------------------------------------- submission
 
@@ -811,37 +815,32 @@ class IngestQueue(SubmissionQueue):
                 )
             elif self.db.has_metadata:
                 raise ValueError(_MISSING_TAG)
+        request = MutationRequest(**fields)
         sub_id = self.submit(query, tenant=tenant, deadline_s=deadline_s, at_s=at_s)
-        self._mutations[sub_id] = MutationRequest(**fields)
+        self._requests[sub_id] = request
         return sub_id
 
     # ------------------------------------------------------------- serving
 
-    def _execute(self, members: Sequence[Submission]) -> BatchExecution:
+    def _execute(self, rows: np.ndarray, queries: np.ndarray) -> BatchExecution:
         """Commit the batch's mutations, then run its reads against the
-        mutated database; acks and results come back in member order."""
-        writes = [
-            (i, s) for i, s in enumerate(members) if s.sub_id in self._mutations
-        ]
-        reads = [
-            (i, s) for i, s in enumerate(members) if s.sub_id not in self._mutations
-        ]
-        results: List[object] = [None] * len(members)
+        mutated database; acks and results come back in row order."""
+        requests = self._requests[rows]
+        writes = requests.astype(bool)
+        results: List[object] = [None] * rows.size
         commit: Optional[CommitResult] = None
-        if writes:
-            # A refused group (CapacityError) changes nothing: its requests
-            # stay registered, so the re-queued members are still mutations.
-            commit = self.manager.apply(
-                [self._mutations[s.sub_id] for _i, s in writes]
-            )
-            for (i, submission), ack in zip(writes, commit.acks):
-                del self._mutations[submission.sub_id]
+        if np.logical_or.reduce(writes):
+            # A refused group (CapacityError) changes nothing: re-queued rows
+            # keep their requests.  A committed one is acked, never re-queued.
+            commit = self.manager.apply(requests[writes].tolist())
+            for i, ack in zip(writes.nonzero()[0].tolist(), commit.acks):
                 ack.latency.add_phase("ingest", commit.seconds)
                 ack.latency.total_s = commit.seconds
-                self.mutation_acks[submission.sub_id] = ack
+                self.mutation_acks[int(rows[i])] = ack
                 results[i] = ack
-        if reads:
-            execution = super()._execute([s for _i, s in reads])
+        reads = ~writes
+        if np.logical_or.reduce(reads):
+            execution = super()._execute(rows[reads], queries[reads])
         else:
             execution = BatchExecution(
                 results=[], report=LatencyReport(), stats=BatchStats()
@@ -850,18 +849,18 @@ class IngestQueue(SubmissionQueue):
             execution.report.add_phase("ingest", commit.seconds)
             execution.report.add_component("ingest_commit", commit.seconds)
             execution.report.total_s += commit.seconds
-        for (i, _submission), result in zip(reads, execution.results):
+        for i, result in zip(reads.nonzero()[0].tolist(), execution.results):
             results[i] = result
         execution.results = results
         return execution
 
-    def _requeue(self, members: Sequence[Submission]) -> None:
+    def _requeue(self, rows: np.ndarray) -> None:
         # Mutations that committed before the batch failed keep their acks
         # and must not be applied twice: only the rest goes back.
-        self.former.release([s for s in members if s.sub_id in self.mutation_acks])
-        super()._requeue(
-            [s for s in members if s.sub_id not in self.mutation_acks]
-        )
+        ids = rows.tolist()
+        acked = np.fromiter(map(self.mutation_acks.__contains__, ids), bool, len(ids))
+        self.former.release(rows[acked])
+        super()._requeue(rows[~acked])
 
 
 # -------------------------------------------------------------- sharding

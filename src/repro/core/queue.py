@@ -16,7 +16,7 @@ behavior is deterministic and tier-1 stays flake-free):
   ``occupancy``  the estimated scan footprint covers enough of the
                  device (plane coverage and sense-collision targets,
                  estimated by the executor's sense rule over the layout's
-                 real page->plane map, folded in one arrival at a time);
+                 real page->plane map);
   ``timeout``    the oldest pending submission has waited
                  ``batching_timeout_s``;
   ``deadline``   some pending submission's deadline is within
@@ -37,6 +37,10 @@ behavior is deterministic and tier-1 stays flake-free):
   :class:`~repro.core.shard.ShardRouter` -- and derives its plan and its
   former from that pair; nothing else is wired in.
 
+A submission is a **row** of the queue's table and what the queue keeps
+about waiting ones are columns of row ids: a step costs a few numpy calls
+however many arrivals it covers, and records are built per served batch.
+
 Submissions are **never dropped**.  Deadline-missed queries are served,
 returned, and counted (:attr:`~repro.core.batch.BatchExecution.
 deadline_misses`, :class:`QueueServeReport`), because retrieval results
@@ -52,17 +56,13 @@ query's result does not depend on its batch.
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter, is_
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Deque,
     Dict,
     List,
     Mapping,
@@ -77,9 +77,8 @@ import numpy as np
 
 from repro.core.batch import BatchExecution, BatchStats
 from repro.core.layout import DeployedDatabase, RegionInfo
-from repro.core.plan import resolve_nprobe, validate_query_rows, validate_search_params
+from repro.core.plan import resolve_nprobe, validate_search_params
 from repro.sim.latency import LatencyReport, SimClock
-from repro.sim.unique import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.api import BatchSearchResult
@@ -94,8 +93,9 @@ _EPS = 1e-12
 PLANE_COVERAGE_TARGET = 1.0
 #: Forming-pass batch slots of a tenant absent from ``tenant_weights``.
 DEFAULT_TENANT_WEIGHT = 1
-#: A submission's place in arrival order.
-_ARRIVAL = attrgetter("submit_s", "sub_id")
+#: An empty column of submission ids.
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
 
 
 class QueueAdmissionError(RuntimeError):
@@ -175,8 +175,7 @@ class QueuePolicy:
         return max(1, int(self.tenant_weights.get(tenant, DEFAULT_TENANT_WEIGHT)))
 
 
-@dataclass(frozen=True)
-class FormingEstimate:
+class FormingEstimate(NamedTuple):
     """Occupancy estimate of a candidate batch's scan footprint."""
 
     n_requests: int
@@ -199,13 +198,34 @@ class FormingEstimate:
         return 1.0 - self.n_senses / self.n_requests
 
 
-# ``views(clusters)``: every device that would serve a batch right now, as
-# ``(shard, engine, deployed piece, local ids of the given global clusters
-# the device is expected to scan)``.
+# ``views(clusters)``: every device that would serve a batch now, as
+# ``(shard, engine, deployed piece, local ids)``: the int array of global
+# ``clusters`` in local ids, -1 where the device is not expected to scan.
 FormingViews = Callable[
-    [Sequence[int]],
-    List[Tuple[int, "InStorageAnnsEngine", DeployedDatabase, Sequence[int]]],
+    [np.ndarray],
+    List[Tuple[int, "InStorageAnnsEngine", DeployedDatabase, np.ndarray]],
 ]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    ends = np.add.accumulate(counts)
+    return (starts - ends + counts).repeat(counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _senses(optimize: bool, plane_of: np.ndarray, pages: np.ndarray) -> int:
+    """Senses of one (shard, region) schedule of ``pages`` (demand order,
+    latches empty): each distinct page once under ``schedule_optimization``,
+    else each request whose plane's last request latched another page (the
+    planes' requests walked in order: one stable sort by plane)."""
+    if optimize:
+        seen = np.zeros(plane_of.size, dtype=bool)
+        seen[pages] = True
+        return int(np.add.reduce(seen))
+    by_plane = pages[plane_of[pages].argsort(kind="stable")]
+    planes = plane_of[by_plane]
+    changed = (planes[1:] != planes[:-1]) | (by_plane[1:] != by_plane[:-1])
+    return 1 + int(np.add.reduce(changed))
 
 
 class BatchFormer:
@@ -225,249 +245,178 @@ class BatchFormer:
     statistics are an *expectation model* of the schedules the executors
     will really build; they steer admission, never results.
 
-    The estimate is a running state (:meth:`_fold`): request and sense
-    counts, each shard's covered planes and each (shard, region)'s latch
-    state -- the pages already seen under ``schedule_optimization`` (a
-    page senses once), else each plane's latched page.  :meth:`estimate`
-    folds in only the candidates beyond the list the state covers; any
-    other list (a batch formed, a requeue, a new head of a pending set
-    over ``max_batch``) restarts it from empty, by the same code.
+    Footprints are rows ``(submission, scan, page)`` of the **demand
+    table**, by submission, each one's pages in demand order.  An estimate
+    computes the candidates' missing footprints in one pass over the layout
+    as it stands, then folds all their rows in one pass per scanned (shard,
+    region), counting what folding them one at a time would.  A footprint
+    stays until its submission forms (:meth:`release`): a requeued member
+    keeps its own; an ingest commit or a dead shard does not move it.
 
-    The layout comes in as ``views`` (:data:`FormingViews`), asked afresh
-    per footprint so it reflects the deployment as it stands.  A single
+    The layout comes in as ``views`` (:data:`FormingViews`).  A single
     device (:meth:`~repro.core.batch.BatchExecutor.forming_views`) is the
     one-view case; a sharded deployment
     (:meth:`~repro.core.shard.ShardRouter.forming_views`) yields one view
     per live shard, each expected to scan the guessed clusters the router
     would have it *serve*, and planes count as ``(shard, plane)`` pairs --
     one shard's planes alone saturate long before (balanced splits) or
-    after (skewed splits) the cluster's do.  A footprint is kept from a
-    submission's first estimate until it forms into a batch
-    (:meth:`release`); a requeued member keeps its own.
+    after (skewed splits) the cluster's do.
     """
 
     def __init__(
-        self,
-        views: FormingViews,
-        n_clusters: int,
-        nprobe: Optional[int],
+        self, views: FormingViews, n_clusters: int, nprobe: Optional[int],
         policy: QueuePolicy,
     ) -> None:
         self.views = views
         self.n_clusters = n_clusters
         self.nprobe = resolve_nprobe(n_clusters, nprobe)
-        if self.nprobe is not None:
-            # Submission ``i`` guesses clusters ``i + j * stride`` (mod nlist).
-            stride = max(1, n_clusters // self.nprobe)
-            self._probe_strides = np.arange(self.nprobe) * stride
+        # Submission ``i`` guesses clusters ``i + j * stride`` (mod nlist).
+        n_guesses = self.nprobe or 0
+        stride = max(1, n_clusters // max(1, n_guesses))
+        self._probe_strides = np.arange(n_guesses) * stride
         self.policy = policy
-        self._footprints: Dict[int, List[Tuple]] = {}
-        # (shard, region name) -> (the region, its page offsets, their planes).
-        self._columns: Dict[Tuple[int, str], Tuple] = {}
+        # Scanned regions ``(shard, engine, region, each page's plane)``,
+        # one per region object, the latest per (shard, region name).
+        # Scan 0 is every submission's mark row: its footprint is computed.
+        self._scans: List[Optional[Tuple]] = [None]
+        self._scan_of: Dict[Tuple[int, str], int] = {}
+        self._demands = np.empty((3, 0), dtype=np.intp)  # (submission, scan, page) rows
         self._n_planes: Optional[int] = None  # on first estimate()
-        self._restart()
 
-    def _restart(self) -> None:
-        """Empty the running estimate."""
-        self._folded: List[Submission] = []
-        self._latches: Dict[Tuple[int, str], Tuple] = {}  # see _fold
-        self._covered: Dict[int, np.ndarray] = {}
-        self._n_requests = self._n_senses = 0
-        self._estimate: Optional[FormingEstimate] = None
-
-    def _region_columns(
-        self, shard: int, engine: "InStorageAnnsEngine", region: RegionInfo
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Every page offset of ``shard``'s ``region`` (read-only) and its
-        global plane: forming's one address translation per region."""
-        key = (shard, region.name)
-        cached = self._columns.get(key)
-        if cached is None or cached[0] is not region:
+    def _scan(self, shard: int, engine: "InStorageAnnsEngine", region: RegionInfo) -> int:
+        """``shard``'s ``region`` in the scan table (one translation each)."""
+        index = self._scan_of.get((shard, region.name), 0)
+        if not index or self._scans[index][2] is not region:
             pages = np.arange(region.n_pages)
-            pages.flags.writeable = False
             planes = region.region.translate_columns(pages, engine.geometry)[0]
-            cached = self._columns[key] = (region, pages, planes)
-        return cached[1:]
+            index = self._scan_of[shard, region.name] = len(self._scans)
+            self._scans.append((shard, engine, region, planes))
+        return index
 
     def _count_planes(self) -> int:
         if self._n_planes is None:
-            self._n_planes = len(
-                {
-                    (shard, plane)
-                    for shard, engine, db, _clusters in self.views(())
-                    for region in (db.centroid_region, db.embedding_region)
-                    if region is not None
-                    for plane in sorted_unique(
-                        self._region_columns(shard, engine, region)[1]
-                    )[0].tolist()
-                }
-            )
+            self._n_planes = len({
+                (shard, plane)
+                for shard, engine, db, _clusters in self.views(_NO_ROWS)
+                for region in (db.centroid_region, db.embedding_region) if region is not None
+                for plane in self._scans[self._scan(shard, engine, region)][3].tolist()
+            })
         return self._n_planes
 
-    # ------------------------------------------------------------ footprint
-
-    def _guessed_clusters(self, sub_id: int) -> List[int]:
-        """Uniform-popularity surrogate for a submission's probed clusters."""
-        if self.nprobe is None:
-            return []
-        return ((sub_id + self._probe_strides) % self.n_clusters).tolist()
-
-    def footprint(
-        self, submission: Submission
-    ) -> List[Tuple[int, "InStorageAnnsEngine", RegionInfo, np.ndarray]]:
-        """``(shard, engine, region, page offsets)`` scans the submission
-        is expected to cause, distinct pages in demand order."""
-        cached = self._footprints.get(submission.sub_id)
-        if cached is not None:
-            return cached
-        scans: List[Tuple] = []
-        guessed = self._guessed_clusters(submission.sub_id)
+    def _add_demands(self, subs: np.ndarray) -> None:
+        """Enter the footprints of ``subs``: on every device that would serve
+        them now, the whole centroid (IVF) or embedding (flat) region and the
+        guessed clusters' pages, R-IVF ``first // spp .. last // spp``, in
+        demand order (a page two of them share is one demand)."""
+        n, n_guesses = subs.size, self._probe_strides.size
+        marks = subs * 0
+        parts = [self._demands, np.array((subs, marks, marks))]
+        guessed = ((subs[:, None] + self._probe_strides) % self.n_clusters).ravel()
         for shard, engine, db, clusters in self.views(guessed):
             embedding, centroid = db.embedding_region, db.centroid_region
-            if centroid is not None:  # IVF
-                scans.append(
-                    (shard, engine, centroid,
-                     self._region_columns(shard, engine, centroid)[0])
-                )
-                # The guessed clusters' pages (R-IVF columns) in demand
-                # order; a page two of them share is one demand.
-                spp = embedding.slots_per_page
-                pages = np.fromiter(dict.fromkeys([
-                    page
-                    for first, last in zip(
-                        db.r_ivf.firsts[clusters].tolist(),
-                        db.r_ivf.lasts[clusters].tolist(),
-                    ) if last >= first
-                    for page in range(first // spp, last // spp + 1)
-                ]), dtype=np.int64)
-            else:
-                pages = self._region_columns(shard, engine, embedding)[0]
-            scans.append((shard, engine, embedding, pages))
-        self._footprints[submission.sub_id] = scans
-        return scans
+            whole = self._scan(shard, engine, embedding if centroid is None else centroid)
+            n_pages = self._scans[whole][3].size
+            every = np.arange(n * n_pages)
+            owner = every // n_pages
+            parts += [np.array((subs[owner], marks[owner] + whole, every % n_pages))]
+            if centroid is None:
+                continue
+            scan = self._scan(shard, engine, embedding)
+            spp = embedding.slots_per_page
+            served = clusters >= 0
+            firsts = db.r_ivf.firsts[clusters * served]
+            lasts = db.r_ivf.lasts[clusters * served]
+            lo = firsts // spp
+            counts = (lasts // spp + 1 - lo) * (served & (lasts >= firsts))
+            pages = _ranges(lo, counts)
+            owner = np.arange(counts.size).repeat(counts) // n_guesses
+            # The first demand of each (submission, page), in demand order.
+            key = owner * self._scans[scan][3].size + pages
+            order = key.argsort(kind="stable")
+            first = np.empty(key.size, dtype=bool)
+            first[order[:1]] = True
+            first[order[1:]] = key[order[1:]] != key[order[:-1]]
+            owner = owner[first]
+            parts += [np.array((subs[owner], marks[owner] + scan, pages[first]))]
+        demands = np.concatenate(parts, axis=1)
+        self._demands = demands[:, demands[0].argsort(kind="stable")]
 
-    def release(self, members: Sequence[Submission]) -> None:
-        """Forget the footprints of submissions that left the queue."""
-        for submission in members:
-            self._footprints.pop(submission.sub_id, None)
+    def release(self, subs: np.ndarray) -> None:
+        """Drop the demand rows of submissions that left the queue."""
+        if subs.size:
+            gone, table = subs[subs.argsort()], self._demands[0]
+            self._demands = self._demands[
+                :, gone[np.minimum(gone.searchsorted(table), gone.size - 1)] != table
+            ]
 
-    def _fold(
-        self,
-        shard: int,
-        engine: "InStorageAnnsEngine",
-        region: RegionInfo,
-        pages: np.ndarray,
-    ) -> None:
-        """Add one candidate's distinct page demands on ``shard``'s
-        ``region`` to the running estimate.
-
-        Under ``schedule_optimization`` a page's requests are served
-        together, so only pages not seen before sense.  In query order a
-        request senses unless the last request on its plane latched the
-        same page: the demands are walked against each plane's latched
-        page, in order (one stable sort by plane).  A plane is covered
-        once any of its pages is asked for: its first request senses.
-        """
-        if not pages.size:
-            return
-        state = self._latches.get((shard, region.name))
-        if state is None:
-            optimize = engine.flags.schedule_optimization
-            plane_of = self._region_columns(shard, engine, region)[1]
-            n_planes = engine.geometry.total_planes
-            covered = self._covered.setdefault(shard, np.zeros(n_planes, dtype=bool))
-            latch = (  # the pages seen, or each plane's latched page
-                np.zeros(plane_of.size, dtype=bool) if optimize
-                else np.zeros(n_planes, dtype=np.int64) - 1
-            )
-            state = self._latches[shard, region.name] = (optimize, plane_of, latch, covered)
-        optimize, plane_of, latch, covered = state
-        if optimize:
-            fresh = pages[~latch[pages]]
-            latch[fresh] = True
-            n_sensed = fresh.size
-        else:
-            order = plane_of[pages].argsort(kind="stable")
-            by_plane = pages[order]
-            planes = plane_of[by_plane]
-            head = np.concatenate(([True], planes[1:] != planes[:-1]))
-            previous = np.concatenate(([-1], by_plane[:-1]))
-            previous[head] = latch[planes[head]]
-            tail = np.concatenate((head[1:], [True]))
-            latch[planes[tail]] = by_plane[tail]
-            n_sensed = int(np.add.reduce(by_plane != previous))
-        covered[plane_of[pages]] = True
-        self._n_requests += pages.size
-        self._n_senses += n_sensed
-
-    def estimate(self, candidates: Sequence[Submission]) -> FormingEstimate:
+    def estimate(self, candidates: np.ndarray) -> FormingEstimate:
         """Occupancy statistics of the candidate batch's expected schedules.
 
-        One schedule per scanned (shard, region) -- coarse and fine execute
-        as separate page-major schedules on every device -- under the same
+        ``candidates`` is a column of submission ids in arrival order.  One
+        schedule per scanned (shard, region) -- coarse and fine execute as
+        separate page-major schedules on every device -- under the same
         ``schedule_optimization`` flag the executor will use, so the
         estimate and the execution share one collision model.
         """
-        folded = self._folded
-        if len(candidates) < len(folded) or not all(map(is_, folded, candidates)):
-            self._restart()
-            folded = self._folded
-        if self._estimate is None or len(candidates) > len(folded):
-            arrived = candidates[len(folded):]
-            for submission in arrived:
-                for scan in self.footprint(submission):
-                    self._fold(*scan)
-            folded.extend(arrived)
-            self._estimate = FormingEstimate(
-                n_requests=self._n_requests,
-                n_senses=self._n_senses,
-                planes_covered=sum(
-                    [int(np.add.reduce(mask)) for mask in self._covered.values()]
-                ),
-                n_planes=self._count_planes(),
-            )
-        return self._estimate
+        table = self._demands[0]
+        lo, hi = table.searchsorted(candidates), table.searchsorted(candidates, "right")
+        if not np.logical_and.reduce(hi > lo):
+            self._add_demands(candidates[hi == lo])
+            table = self._demands[0]
+            lo, hi = table.searchsorted(candidates), table.searchsorted(candidates, "right")
+        _sub, scans, pages = self._demands[:, _ranges(lo, hi - lo)]
+        scans, pages = scans[scans > 0], pages[scans > 0]
+        order = scans.argsort(kind="stable")
+        scans, pages = scans[order], pages[order]
+        cuts = ((scans[1:] != scans[:-1]).nonzero()[0] + 1).tolist()
+        n_senses, covered = 0, set()  # and the (shard, plane) pairs asked
+        for start, end in zip([0, *cuts], [*cuts, scans.size]) if scans.size else ():
+            shard, engine, _region, plane_of = self._scans[scans[start]]
+            run = pages[start:end]
+            n_senses += _senses(engine.flags.schedule_optimization, plane_of, run)
+            covered.update(zip(repeat(shard), plane_of[run].tolist()))
+        return tuple.__new__(FormingEstimate, (
+            pages.size, n_senses, len(covered),
+            self._n_planes if self._n_planes is not None else self._count_planes(),
+        ))
 
     # ------------------------------------------------------------- triggers
 
     def should_close(
-        self,
-        pending: Sequence[Submission],
-        now_s: float,
-        flushing: bool,
+        self, pending: np.ndarray, oldest_s: float, nearest_deadline_s: float,
+        now_s: float, flushing: bool,
     ) -> Optional[str]:
-        """The first fired trigger's name, or None to keep forming.
-        ``pending`` is in arrival order, oldest first."""
-        if not pending:
+        """The first fired trigger's name, or None to keep forming, for the
+        ``pending`` ids (arrival order) arrived first at ``oldest_s``."""
+        if not pending.size:
             return None
         policy = self.policy
-        if len(pending) >= policy.max_batch:
+        if pending.size >= policy.max_batch:
             return "full"
-        if len(pending) >= policy.min_batch:
+        if pending.size >= policy.min_batch:
             estimate = self.estimate(pending[: policy.max_batch])
             if (
                 estimate.plane_coverage >= PLANE_COVERAGE_TARGET - _EPS
                 and estimate.collision_ratio >= policy.collision_target - _EPS
             ):
                 return "occupancy"
-        if now_s >= pending[0].submit_s + policy.batching_timeout_s - _EPS:
+        if now_s >= oldest_s + policy.batching_timeout_s - _EPS:
             return "timeout"
-        nearest = min([s.deadline_s for s in pending])
-        if math.isfinite(nearest) and now_s >= nearest - policy.deadline_slack_s - _EPS:
+        if (
+            -math.inf < nearest_deadline_s < math.inf
+            and now_s >= nearest_deadline_s - policy.deadline_slack_s - _EPS
+        ):
             return "deadline"
         if flushing and policy.close_on_flush:
             return "flush"
         return None
 
-    def next_trigger_s(self, pending: Sequence[Submission]) -> float:
-        """Earliest future instant a time-based trigger can fire
-        (``pending`` in arrival order)."""
-        if not pending:
-            return math.inf
-        instant = pending[0].submit_s + self.policy.batching_timeout_s
-        nearest = min([s.deadline_s for s in pending])
-        if math.isfinite(nearest):
-            instant = min(instant, nearest - self.policy.deadline_slack_s)
+    def next_trigger_s(self, oldest_s: float, nearest_deadline_s: float) -> float:
+        """Earliest future instant a time-based trigger can fire for a
+        pending set first arrived at ``oldest_s``."""
+        instant = oldest_s + self.policy.batching_timeout_s
+        if -math.inf < nearest_deadline_s < math.inf:
+            instant = min(instant, nearest_deadline_s - self.policy.deadline_slack_s)
         return instant
 
 
@@ -496,7 +445,7 @@ class QueuedBatch:
 class QueueServeReport:
     """Everything a drained queue knows about how serving went."""
 
-    served: List[ServedQuery]
+    served: List[ServedQuery]  # in submission-id order
     batches: List[QueuedBatch]
     started_s: float
     finished_s: float
@@ -599,9 +548,8 @@ class QueueServeReport:
             report.add_phase("queue", queue_wait)
             report.add_component("queue_wait", queue_wait)
             report.total_s += queue_wait
-        ordered = sorted(self.served, key=lambda query: query.submission.sub_id)
         return BatchSearchResult(
-            results=[query.result for query in ordered],
+            results=[query.result for query in self.served],
             batch_report=report,
             batch_stats=stats,
             deadline_misses=misses,
@@ -633,6 +581,9 @@ class SubmissionQueue:
     :class:`~repro.core.shard.ShardedDatabase`).
     """
 
+    # The submission table's columns (row ``i``: submission ``i``).
+    _COLUMNS = ("_at", "_deadline", "_tenant", "_queries")
+
     def __init__(
         self,
         executor: Union["BatchExecutor", "ShardRouter"],
@@ -659,19 +610,27 @@ class SubmissionQueue:
         self.former = BatchFormer(
             partial(executor.forming_views, db), db.n_clusters, nprobe, self.policy
         )
-        self._arrivals: List[Tuple[float, int, Submission]] = []
-        # Held arrivals per tenant (the admission bound counts them).
-        self._future: Dict[str, int] = defaultdict(int)
-        # Admitted submissions: per-tenant FIFOs, each tenant's weight
-        # (resolved once), and all of them in arrival order.
-        self._tenants: Dict[str, Deque[Submission]] = {}
-        self._weights: Dict[str, int] = {}
-        self._pending: List[Submission] = []
-        self._rr_offset = 0
+        self._at, self._deadline = np.empty(0), np.empty(0)
+        self._tenant = _NO_ROWS
+        self._queries = np.empty(0, dtype=object)  # the validated arrays, uncopied
         self._next_sub_id = 0
+        # Tenants by code: name, weight, first-admission rank (-1: none yet).
+        self._codes: Dict[str, int] = {}
+        self._tenant_names: List[str] = []
+        self._weights = self._tenant_rank = _NO_ROWS
+        self._n_ranked = 0
+        # Rows in admission order (``_seq``: a row's place): ``_head`` as the
+        # clock reached them, the rest by (arrival, sub id).  A tenant's FIFO
+        # is its pending rows in it: a requeued member is back at its head.
+        self._order = self._seq = _NO_ROWS
+        self._order_at = np.empty(0)
+        self._n_ordered = self._head = 0
+        # Admitted, unformed rows by (arrival, sub id); their nearest deadline.
+        self._pending = _NO_ROWS
+        self._nearest = math.inf
+        self._rr_offset = 0
         self.served: Dict[int, ServedQuery] = {}
         self.batches: List[QueuedBatch] = []
-        self._first_submit_s: Optional[float] = None
 
     # ----------------------------------------------------------- submission
 
@@ -695,30 +654,47 @@ class SubmissionQueue:
                 f"arrival at {at!r}s is in the past (now {self.clock.now_s!r}s)"
             )
         bound = self.policy.max_pending_per_tenant
-        if bound is not None and (
-            len(self._tenants.get(tenant, ())) + self._future[tenant] >= bound
-        ):
-            raise QueueAdmissionError(
-                f"tenant {tenant!r} already has {bound} pending submissions"
-            )
+        if bound is not None and tenant in self._codes:
+            unserved = np.concatenate((  # pending or not yet admitted
+                self._pending, self._order[self._head:],
+                np.arange(self._n_ordered, self._next_sub_id),
+            ))
+            if np.add.reduce(self._tenant[unserved] == self._codes[tenant]) >= bound:
+                raise QueueAdmissionError(
+                    f"tenant {tenant!r} already has {bound} pending submissions"
+                )
         query = np.asarray(query, dtype=np.float32)
         if query.ndim != 1:
             raise ValueError("submit takes one flat query vector")
-        # ``k`` / ``nprobe`` were checked when the queue was built.
-        query = validate_query_rows(self.db, query)
-        submission = Submission(
-            sub_id=self._next_sub_id,
-            tenant=tenant,
-            query=query,
-            submit_s=at,
-            deadline_s=float(deadline_s),
-        )
-        self._next_sub_id += 1
-        heapq.heappush(self._arrivals, (at, submission.sub_id, submission))
-        self._future[tenant] += 1
-        if self._first_submit_s is None or at < self._first_submit_s:
-            self._first_submit_s = at
-        return submission.sub_id
+        # validate_query_rows' checks inline, once per query (k, nprobe: once).
+        if query.size != self.db.dim:
+            raise ValueError(
+                f"queries must have shape (n, {self.db.dim}), got (1, {query.size})"
+            )
+        if not np.logical_and.reduce(np.isfinite(query)):
+            raise ValueError("queries contain NaN or inf components")
+        deadline_s = float(deadline_s)
+        sub_id = self._next_sub_id
+        if sub_id == self._at.size:
+            self._grow(max(64, 2 * sub_id))
+        self._at[sub_id], self._deadline[sub_id] = at, deadline_s
+        self._queries[sub_id] = query
+        if tenant not in self._codes:
+            self._codes[tenant] = len(self._tenant_names)
+            self._tenant_names.append(tenant)
+            self._weights = np.concatenate((self._weights, [self.policy.weight(tenant)]))
+            self._tenant_rank = np.concatenate((self._tenant_rank, [-1]))
+        self._tenant[sub_id] = self._codes[tenant]
+        self._next_sub_id = sub_id + 1
+        return sub_id
+
+    def _grow(self, size: int) -> None:
+        """Room for ``size`` rows in every column, the new rows zero."""
+        for name in self._COLUMNS:
+            column = getattr(self, name)
+            grown = np.zeros((size, *column.shape[1:]), dtype=column.dtype)
+            grown[: len(column)] = column
+            setattr(self, name, grown)
 
     def submit_many(
         self,
@@ -747,91 +723,113 @@ class SubmissionQueue:
     @property
     def pending_count(self) -> int:
         """Admitted-but-unserved submissions (excludes future arrivals)."""
-        return len(self._pending)
+        return self._pending.size
 
     # ------------------------------------------------------------ admission
 
-    def _admit_due(self) -> None:
-        pending = self._pending
-        while self._arrivals and self._arrivals[0][0] <= self.clock.now_s + _EPS:
-            _, _, submission = heapq.heappop(self._arrivals)
-            tenant = submission.tenant
-            self._future[tenant] -= 1
-            backlog = self._tenants.get(tenant)
-            if backlog is None:
-                backlog = self._tenants[tenant] = deque()
-                self._weights[tenant] = self.policy.weight(tenant)
-            backlog.append(submission)
-            if pending and _ARRIVAL(submission) < _ARRIVAL(pending[-1]):
-                # Admitted within _EPS of the clock, behind a later arrival.
-                bisect.insort(pending, submission, key=_ARRIVAL)
-            else:
-                pending.append(submission)
+    def _arrival_sorted(self, rows: np.ndarray) -> np.ndarray:
+        return rows[np.lexsort((rows, self._at[rows]))]
 
-    def _form_batch(self) -> List[Submission]:
-        """Drain up to ``max_batch`` submissions, weighted round-robin.
+    def _admit_due(self) -> None:
+        """Admit every row the clock has reached; rows submitted since the
+        last admission join the waiting ones in (arrival, sub id) order."""
+        head, n = self._head, self._next_sub_id
+        if self._n_ordered < n:
+            waiting = np.concatenate((self._order[head:], np.arange(self._n_ordered, n)))
+            self._order = np.concatenate((self._order[:head], self._arrival_sorted(waiting)))
+            self._order_at = self._at[self._order]
+            self._seq = np.empty(n, dtype=np.intp)
+            self._seq[self._order] = np.arange(n)
+            self._n_ordered = n
+        cut = head + self._order_at[head:].searchsorted(self.clock.now_s + _EPS, "right")
+        if cut == head:
+            return
+        admitted = self._order[head:cut]
+        self._head = cut
+        codes = self._tenant[admitted]
+        unranked = codes[self._tenant_rank[codes] < 0]
+        for code in dict.fromkeys(unranked.tolist()) if unranked.size else ():
+            self._tenant_rank[code] = self._n_ranked
+            self._n_ranked += 1
+        self._nearest = float(
+            np.minimum.reduce(self._deadline[admitted], initial=self._nearest)
+        )
+        pending, first = self._pending, admitted[0]
+        # A row admitted within _EPS of the clock can precede the last one.
+        last = pending[-1] if pending.size else first
+        pending = np.concatenate((pending, admitted))
+        behind = (self._at[first], first) < (self._at[last], last)
+        self._pending = self._arrival_sorted(pending) if behind else pending
+
+    def _set_pending(self, pending: np.ndarray) -> None:
+        self._pending = pending
+        self._nearest = float(np.minimum.reduce(self._deadline[pending], initial=math.inf))
+
+    def _form_batch(self) -> np.ndarray:
+        """Take up to ``max_batch`` pending rows, weighted round-robin.
 
         Tenants are visited cyclically (rotation advanced each batch) and
         each visit takes at most ``weight(tenant)`` submissions, so while
         any two tenants both have work their batch shares follow their
-        weights regardless of queue depths -- the no-starvation bound.
+        weights regardless of queue depths -- the no-starvation bound.  The
+        batch is the first ``max_batch`` rows by (pass, visit, FIFO place).
         """
-        order = [t for t, q in self._tenants.items() if q]
-        picked: List[Submission] = []
-        if not order:
-            return picked
-        start = self._rr_offset % len(order)
+        pending = self._pending
+        fifo = self._seq[pending].argsort()
+        codes = self._tenant[pending[fifo]]
+        by_tenant = codes.argsort(kind="stable")
+        grouped = codes[by_tenant]
+        position = np.empty(codes.size, dtype=np.intp)
+        position[by_tenant] = np.arange(codes.size) - grouped.searchsorted(grouped)
+        # Tenants with work by first admission, rotated: each one's visit.
+        ranks = self._tenant_rank[codes]
+        working = np.zeros(self._n_ranked, dtype=np.intp)
+        working[ranks] = 1
+        working = np.add.accumulate(working)
+        visit = (working[ranks] - 1 - self._rr_offset) % working[-1]
         self._rr_offset += 1
-        visits = [
-            (self._tenants[tenant], self._weights[tenant])
-            for tenant in order[start:] + order[:start]
-        ]
-        room = self.policy.max_batch
-        while room and visits:
-            waiting = []  # the visited tenants with work left, in order
-            for backlog, weight in visits:
-                take = min(weight, len(backlog), room)
-                picked += [backlog.popleft() for _ in range(take)]
-                room -= take
-                if backlog:
-                    waiting.append((backlog, weight))
-                if not room:
-                    break
-            visits = waiting
-        if len(picked) == len(self._pending):
-            self._pending = []
-        else:
-            taken = {s.sub_id for s in picked}
-            self._pending = [s for s in self._pending if s.sub_id not in taken]
-        return picked
+        key = position // self._weights[codes] * working[-1] + visit
+        picked = fifo[key.argsort(kind="stable")[: self.policy.max_batch]]
+        taken = np.zeros(pending.size, dtype=bool)
+        taken[picked] = True
+        self._set_pending(pending[~taken])
+        return pending[picked]
 
     # ------------------------------------------------------------- serving
 
-    def _execute(self, members: Sequence[Submission]) -> BatchExecution:
-        """Run one formed batch: one result per member, in member order."""
+    def _execute(self, rows: np.ndarray, queries: np.ndarray) -> BatchExecution:
+        """Run one formed batch: one result per row, in row order."""
         return self.executor.execute(
             self.db,
-            np.array([s.query for s in members]),
+            queries,
             k=self.k,
             nprobe=self.nprobe,
             fetch_documents=self.fetch_documents,
             metadata_filter=self.metadata_filter,
         )
 
-    def _serve_batch(self, members: List[Submission], reason: str) -> QueuedBatch:
+    def _serve_batch(self, rows: np.ndarray, reason: str) -> QueuedBatch:
         start_s = self.clock.now_s
-        execution = self._execute(members)
+        held = self._queries[rows]
+        queries = np.fromiter(held, dtype=(np.float32, self.db.dim), count=rows.size)
+        execution = self._execute(rows, queries)
         service_seconds = execution.batch_seconds
         self.clock.advance(service_seconds)
         finish_s = self.clock.now_s
 
-        forming = start_s - min([s.submit_s for s in members])
+        arrivals, deadlines = self._at[rows], self._deadline[rows]
+        forming = start_s - float(np.minimum.reduce(arrivals))
         execution.stats.queue_seconds = forming
         if forming > 0:
             execution.report.add_phase("queue", forming)
             execution.report.add_component("queue_wait", forming)
             execution.report.total_s += forming
 
+        ids = rows.tolist()
+        tenants = map(self._tenant_names.__getitem__, self._tenant[rows].tolist())
+        members = list(map(tuple.__new__, repeat(Submission), zip(
+            ids, tenants, held, arrivals.tolist(), deadlines.tolist()
+        )))
         batch = QueuedBatch(
             index=len(self.batches),
             submissions=members,
@@ -841,28 +839,20 @@ class SubmissionQueue:
             finish_s=finish_s,
             service_seconds=service_seconds,
         )
-        misses = 0
-        for submission, result in zip(members, execution.results):
-            query = ServedQuery(
-                submission=submission,
-                result=result,
-                batch_index=batch.index,
-                start_s=start_s,
-                finish_s=finish_s,
-            )
-            if finish_s > submission.deadline_s + _EPS:  # ServedQuery.deadline_missed
-                misses += 1
-            self.served[submission.sub_id] = query
-        execution.deadline_misses = misses
+        self.served.update(zip(ids, map(tuple.__new__, repeat(ServedQuery), zip(
+            members, execution.results, repeat(batch.index), repeat(start_s),
+            repeat(finish_s),
+        ))))
+        # ServedQuery.deadline_missed, over the batch.
+        execution.deadline_misses = int(np.add.reduce(finish_s > deadlines + _EPS))
         self.batches.append(batch)
         return batch
 
-    def _requeue(self, members: Sequence[Submission]) -> None:
-        """Put a failed batch's members back at the head of their tenant
-        FIFOs and into the pending list, in their original order."""
-        for submission in reversed(members):
-            self._tenants[submission.tenant].appendleft(submission)
-        self._pending = sorted([*self._pending, *members], key=_ARRIVAL)
+    def _requeue(self, rows: np.ndarray) -> None:
+        """Put a failed batch's rows back: pending in arrival order, and --
+        admitted before the rest of their tenants' backlogs -- at the head
+        of their tenant FIFOs, in their original order."""
+        self._set_pending(self._arrival_sorted(np.concatenate((self._pending, rows))))
 
     def step(self) -> Optional[QueuedBatch]:
         """Advance the event loop until one batch is served (or nothing is
@@ -871,37 +861,43 @@ class SubmissionQueue:
         When the batch's execution raises, the error propagates with the
         queue as it was before the batch formed: nothing is dropped.
         """
-        while self._arrivals or self._pending:
-            self._admit_due()
+        clock, former = self.clock, self.former
+        while True:
+            head = self._head
+            if self._n_ordered < self._next_sub_id or (
+                head < self._n_ordered and self._order_at[head] <= clock.now_s + _EPS
+            ):
+                self._admit_due()
             pending = self._pending
-            flushing = not self._arrivals
-            reason = self.former.should_close(pending, self.clock.now_s, flushing)
+            waiting = self._head < self._next_sub_id
+            if not (waiting or pending.size):
+                return None
+            oldest = float(self._at[pending[0]]) if pending.size else math.inf
+            reason = former.should_close(
+                pending, oldest, self._nearest, clock.now_s, not waiting
+            )
             if reason is not None:
                 rr_offset = self._rr_offset
-                members = self._form_batch()
+                rows = self._form_batch()
                 try:
-                    batch = self._serve_batch(members, reason)
+                    batch = self._serve_batch(rows, reason)
                 except Exception:
                     self._rr_offset = rr_offset
-                    self._requeue(members)
+                    self._requeue(rows)
                     raise
-                self.former.release(members)
+                former.release(rows)
                 return batch
-            instants = []
-            if self._arrivals:
-                instants.append(self._arrivals[0][0])
-            if pending:
-                instants.append(self.former.next_trigger_s(pending))
-            next_s = min(instants)
-            if not math.isfinite(next_s):
+            next_s = former.next_trigger_s(oldest, self._nearest)  # inf if none pending
+            if waiting and self._order_at[self._head] < next_s:
+                next_s = float(self._order_at[self._head])
+            if not next_s < math.inf:
                 # Pending work, no trigger can ever fire (close_on_flush
                 # off, infinite timeout/deadlines): refuse to spin.
                 raise RuntimeError(
                     "submission queue is stuck: no batch-forming trigger "
                     "can fire for the pending set"
                 )
-            self.clock.advance_to(next_s)
-        return None
+            clock.advance_to(next_s)
 
     def drain(self) -> QueueServeReport:
         """Serve until every submission (present and future) completes."""
@@ -923,14 +919,12 @@ class SubmissionQueue:
     # ------------------------------------------------------------ reporting
 
     def report(self) -> QueueServeReport:
-        served = sorted(self.served.values(), key=lambda q: q.submission.sub_id)
-        started = self._first_submit_s if self._first_submit_s is not None else 0.0
-        finished = max(
-            (batch.finish_s for batch in self.batches), default=started
-        )
+        n = self._next_sub_id
+        started = float(np.minimum.reduce(self._at[:n])) if n else 0.0
         return QueueServeReport(
-            served=served,
+            served=list(map(self.served.__getitem__, sorted(self.served))),
             batches=list(self.batches),
             started_s=started,
-            finished_s=finished,
+            # The clock only advances: the last batch finished last.
+            finished_s=self.batches[-1].finish_s if self.batches else started,
         )

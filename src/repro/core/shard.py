@@ -653,26 +653,26 @@ class ShardRouter:
     # ------------------------------------------------------------ plumbing
 
     def forming_views(
-        self, sdb: ShardedDatabase, clusters: Sequence[int]
-    ) -> List[Tuple[int, "InStorageAnnsEngine", DeployedDatabase, List[int]]]:
+        self, sdb: ShardedDatabase, clusters: np.ndarray
+    ) -> List[Tuple[int, "InStorageAnnsEngine", DeployedDatabase, np.ndarray]]:
         """The deployment as a :class:`~repro.core.queue.BatchFormer` sees it.
 
         One ``(shard, engine, local db, local cluster ids)`` view per live
-        shard holding a piece.  Of the given global ``clusters`` a shard is
-        expected to scan the ones the router would have it *serve*: those
-        it is the first live owner of.
+        shard holding a piece; the local ids have the shape of the global
+        ``clusters`` array.  Of those a shard is expected to scan the ones
+        the router would have it *serve* -- those it is the first live
+        owner of -- and its entry is -1 for the rest.
         """
         assignment = sdb.assignment
         live = assignment.live_owners(self.failed_shards)
-        serving = live[np.arange(len(live)), np.argmax(live >= 0, axis=1)].tolist()
+        serving = live[np.arange(len(live)), np.argmax(live >= 0, axis=1)]
+        clusters = np.asarray(clusters, dtype=np.intp)
         views = []
         for shard in self._live_shards(sdb):
-            position = assignment.local_cluster_ids(shard)
-            local = [
-                position[cluster]
-                for cluster in clusters
-                if cluster in position and serving[cluster] == shard
-            ]
+            position = np.full(sdb.n_clusters, -1, dtype=np.intp)
+            mine = assignment.shard_clusters[shard]
+            position[mine] = np.arange(len(mine))
+            local = np.where(serving[clusters] == shard, position[clusters], -1)
             views.append(
                 (shard, self.engines[shard], sdb.shard_dbs[shard], local)
             )

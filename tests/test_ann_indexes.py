@@ -54,6 +54,39 @@ class TestFlatIndex:
         index.add(vectors[100:])
         assert len(index) == N
 
+    def test_first_add_keeps_a_read_only_view(self, data):
+        vectors, queries, _ = data
+        index = FlatIndex(DIM)
+        index.add(vectors)
+        assert np.shares_memory(index.vectors, vectors)
+        assert not index.vectors.flags.writeable
+        copied = FlatIndex(DIM)
+        copied.add(vectors.astype(np.float64))  # dtype conversion
+        strided = FlatIndex(DIM)
+        strided.add(np.asfortranarray(vectors))  # layout conversion
+        for other in (copied, strided):
+            assert not np.shares_memory(other.vectors, vectors)
+            assert other.vectors.flags.c_contiguous
+            assert np.array_equal(other.vectors, vectors)
+            for query in queries[:4]:
+                expect, got = index.search(query, 10), other.search(query, 10)
+                assert np.array_equal(expect[0], got[0])
+                assert np.array_equal(expect[1], got[1])
+
+    def test_second_add_concatenates_into_a_copy(self, data):
+        vectors, queries, _ = data
+        whole = FlatIndex(DIM)
+        whole.add(vectors.copy())
+        index = FlatIndex(DIM)
+        index.add(vectors[:100])
+        index.add(vectors[100:])
+        assert not np.shares_memory(index.vectors, vectors)
+        assert np.array_equal(index.vectors, vectors)
+        for query in queries[:4]:
+            expect, got = whole.search(query, 10), index.search(query, 10)
+            assert np.array_equal(expect[0], got[0])
+            assert np.array_equal(expect[1], got[1])
+
     def test_binary_flat(self, data):
         vectors, queries, _ = data
         from repro.ann.quantization import BinaryQuantizer

@@ -40,13 +40,18 @@ from repro.core import (
     SubmissionQueue,
     tiny_config,
 )
-from repro.core.queue import Submission
+from repro.core.queue import BatchFormer
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 from repro.sim.latency import SimClock
 
 
 def _make_queue(device, db_id, **kwargs):
     return device.submission_queue(db_id, **kwargs)
+
+
+def _held(former):
+    """Submissions whose footprints the former's demand table holds."""
+    return sorted(set(former._demands[0].tolist()))
 
 
 class TestSimClock:
@@ -145,57 +150,54 @@ class TestBatchFormer:
         policy = QueuePolicy(**policy_kwargs)
         return device.submission_queue(db_id, nprobe=3, policy=policy).former
 
-    def _subs(self, deployed, n, submit_s=0.0, deadline_s=math.inf):
-        _, _, queries = deployed
-        return [
-            Submission(
-                sub_id=i, tenant="t", query=queries[i],
-                submit_s=submit_s, deadline_s=deadline_s,
-            )
-            for i in range(n)
-        ]
+    @staticmethod
+    def _pending(n, submit_s=0.0, deadline_s=math.inf):
+        """``should_close``'s view of ``n`` pending submissions arrived at
+        ``submit_s``: their ids, oldest arrival and nearest deadline."""
+        return np.arange(n), submit_s, deadline_s
 
     def test_empty_pending_never_closes(self, deployed):
         former = self._former(deployed)
-        assert former.should_close([], now_s=10.0, flushing=True) is None
+        empty = self._pending(0, submit_s=math.inf)
+        assert former.should_close(*empty, now_s=10.0, flushing=True) is None
 
     def test_full_trigger(self, deployed):
         former = self._former(deployed, max_batch=4, min_batch=4)
-        subs = self._subs(deployed, 4)
-        assert former.should_close(subs, now_s=0.0, flushing=False) == "full"
+        subs = self._pending(4)
+        assert former.should_close(*subs, now_s=0.0, flushing=False) == "full"
 
     def test_timeout_trigger_fires_at_the_deadline_instant(self, deployed):
         former = self._former(
             deployed, max_batch=32, min_batch=32, batching_timeout_s=1e-3
         )
-        subs = self._subs(deployed, 2, submit_s=0.0)
-        assert former.should_close(subs, now_s=0.5e-3, flushing=False) is None
-        assert former.should_close(subs, now_s=1e-3, flushing=False) == "timeout"
-        assert former.next_trigger_s(subs) == pytest.approx(1e-3)
+        subs = self._pending(2, submit_s=0.0)
+        assert former.should_close(*subs, now_s=0.5e-3, flushing=False) is None
+        assert former.should_close(*subs, now_s=1e-3, flushing=False) == "timeout"
+        assert former.next_trigger_s(*subs[1:]) == pytest.approx(1e-3)
 
     def test_deadline_trigger_preempts_waiting(self, deployed):
         former = self._former(
             deployed, max_batch=32, min_batch=32,
             batching_timeout_s=1.0, deadline_slack_s=1e-4,
         )
-        subs = self._subs(deployed, 2, submit_s=0.0, deadline_s=2e-3)
-        assert former.should_close(subs, now_s=1e-3, flushing=False) is None
+        subs = self._pending(2, submit_s=0.0, deadline_s=2e-3)
+        assert former.should_close(*subs, now_s=1e-3, flushing=False) is None
         assert (
-            former.should_close(subs, now_s=1.9e-3, flushing=False) == "deadline"
+            former.should_close(*subs, now_s=1.9e-3, flushing=False) == "deadline"
         )
-        assert former.next_trigger_s(subs) == pytest.approx(1.9e-3)
+        assert former.next_trigger_s(*subs[1:]) == pytest.approx(1.9e-3)
 
     def test_flush_trigger_only_when_stream_drained(self, deployed):
         former = self._former(
             deployed, max_batch=32, min_batch=32, batching_timeout_s=1.0
         )
-        subs = self._subs(deployed, 2)
-        assert former.should_close(subs, now_s=0.0, flushing=False) is None
-        assert former.should_close(subs, now_s=0.0, flushing=True) == "flush"
+        subs = self._pending(2)
+        assert former.should_close(*subs, now_s=0.0, flushing=False) is None
+        assert former.should_close(*subs, now_s=0.0, flushing=True) == "flush"
 
     def test_occupancy_estimate_grows_with_the_batch(self, deployed):
         former = self._former(deployed, max_batch=64)
-        subs = self._subs(deployed, 8)
+        subs = np.arange(8)
         small = former.estimate(subs[:1])
         large = former.estimate(subs)
         assert large.n_requests > small.n_requests
@@ -209,19 +211,20 @@ class TestBatchFormer:
         former = self._former(
             deployed, max_batch=32, min_batch=6, batching_timeout_s=1.0
         )
-        subs = self._subs(deployed, 3)
+        subs = self._pending(3)
         # Below min_batch the occupancy trigger must stay silent even if
         # the footprint already covers the device.
-        assert former.should_close(subs, now_s=0.0, flushing=False) is None
+        assert former.should_close(*subs, now_s=0.0, flushing=False) is None
 
 
 class TestFormerEstimateAgainstLatchWalk:
     """``BatchFormer.estimate`` pinned, count for count, to a pure-Python
     reference: per-(shard, region, page) demands walked against a
     ``latched[plane]`` dict, the plane of a page taken from the scalar
-    address translation.  The estimate is a running state, so it is pinned
-    along every way a pending list changes: restarts onto unrelated lists,
-    prefix extensions (one fold per arrival), a formed batch and a requeue."""
+    address translation.  Footprints are computed once and kept, so the
+    estimate is pinned along every way a pending list changes: unrelated
+    lists, prefix extensions (one arrival or a block of them at a time), a
+    formed batch and a requeue."""
 
     N, DIM, NLIST, NPROBE, SUBS = 8000, 256, 16, 5, 9
 
@@ -351,9 +354,7 @@ class TestFormerEstimateAgainstLatchWalk:
 
     def _assert_pinned(self, queue, views, n_clusters, serving, optimize, pending):
         estimate = queue.former.estimate(pending)
-        expected = self._reference(
-            views, n_clusters, serving, optimize, [s.sub_id for s in pending]
-        )
+        expected = self._reference(views, n_clusters, serving, optimize, pending.tolist())
         assert (
             estimate.n_requests, estimate.n_senses,
             estimate.planes_covered, estimate.n_planes,
@@ -364,14 +365,9 @@ class TestFormerEstimateAgainstLatchWalk:
     @pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
     def test_estimate_matches_the_reference_walk(self, deployment, optimize):
         queue, *layout = self.DEPLOYMENTS[deployment](self, optimize)
-        query = np.zeros(self.DIM, dtype=np.float32)  # forming never reads it
-        subs = [
-            Submission(sub_id=i, tenant="t", query=query, submit_s=0.0)
-            for i in range(self.SUBS)
-        ]
-        # Unrelated lists (each one restarts the running state), then
-        # prefix extensions of one list (each one folds the new arrivals),
-        # then a list the state already covers.
+        subs = np.arange(self.SUBS)
+        # Unrelated lists, then prefix extensions of one list (each adds the
+        # new arrivals' footprints), then a list whose footprints are kept.
         for pending in (
             subs[:1], subs[2:5], subs, subs[:1], subs[:3], subs, subs,
         ):
@@ -383,8 +379,8 @@ class TestFormerEstimateAgainstLatchWalk:
     def test_estimate_restarts_after_a_formed_batch_and_a_requeue(
         self, deployment, optimize
     ):
-        """Through the queue's own pending list: arrivals fold in one at a
-        time, a formed batch and its requeue each restart the state."""
+        """Through the queue's own pending list: arrivals admitted one at a
+        time, then a formed batch and its requeue."""
         queue, *layout = self.DEPLOYMENTS[deployment](
             self, optimize, policy=QueuePolicy(max_batch=4)
         )
@@ -398,8 +394,29 @@ class TestFormerEstimateAgainstLatchWalk:
         assert len(members) == 4 and queue.pending_count == self.SUBS - 4
         self._assert_pinned(queue, *layout, optimize, queue._pending)
         queue._requeue(members)
-        assert [s.sub_id for s in queue._pending] == list(range(self.SUBS))
+        assert queue._pending.tolist() == list(range(self.SUBS))
         self._assert_pinned(queue, *layout, optimize, queue._pending)
+
+    @pytest.mark.parametrize("optimize", [True, False], ids=["optimized", "query-order"])
+    @pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
+    def test_one_block_fold_counts_what_single_arrivals_count(
+        self, deployment, optimize
+    ):
+        """An estimate that computes a block of arrivals' footprints in one
+        pass and folds them in one pass counts exactly what computing and
+        folding the same arrivals one at a time counts, with no footprint
+        kept and with a prefix's kept."""
+        queue, *layout = self.DEPLOYMENTS[deployment](self, optimize)
+        former = queue.former
+        subs = np.arange(self.SUBS)
+        for n in range(1, self.SUBS + 1):
+            one_at_a_time = former.estimate(subs[:n])
+        for prefix in (0, 2):
+            twin = BatchFormer(former.views, former.n_clusters, former.nprobe, former.policy)
+            if prefix:
+                twin.estimate(subs[:prefix])
+            assert twin.estimate(subs) == one_at_a_time
+        assert one_at_a_time == self._reference(*layout, optimize, subs.tolist())
 
 
 class TestSubmissionAdmission:
@@ -422,10 +439,10 @@ class TestSubmissionAdmission:
         queue.submit(queries[1])  # arrives now, before it
         queue.submit(queries[2], at_s=1e-3)
         queue._admit_due()
-        assert [s.sub_id for s in queue._pending] == [1, 0]
+        assert queue._pending.tolist() == [1, 0]
         queue.clock.advance_to(1e-3)
         queue._admit_due()
-        assert [s.sub_id for s in queue._pending] == [1, 0, 2]
+        assert queue._pending.tolist() == [1, 0, 2]
         assert queue.pending_count == 3
 
     def test_past_arrival_rejected(self, deployed):
@@ -529,11 +546,11 @@ class TestFailedBatchIsRequeued:
         assert queue.pending_count == len(queries)
         assert queue.served == {} and queue.batches == []
         # The requeued members keep the footprints forming gave them.
-        assert sorted(queue.former._footprints) == list(range(len(queries)))
+        assert _held(queue.former) == list(range(len(queries)))
         device.revive_shard(1)
         report = queue.drain()
         assert report.n_queries == len(queries)
-        assert queue.former._footprints == {}  # a drained queue holds none
+        assert _held(queue.former) == []  # a drained queue holds none
         # The retried batch is the one the failure interrupted: same
         # members, same weighted-round-robin order, same results.
         assert [
@@ -555,10 +572,10 @@ class TestFailedBatchIsRequeued:
         # and must never be applied a second time; the reads wait.
         assert queue.mutation_acks[insert].applied
         assert queue.pending_count == len(reads)
-        assert sorted(queue.former._footprints) == reads  # the insert left
+        assert _held(queue.former) == reads  # the insert left
         device.revive_shard(1)
         report = queue.drain()
-        assert queue.former._footprints == {}
+        assert _held(queue.former) == []
         assert sorted(q.submission.sub_id for q in report.served) == reads
         assert len(queue.manager.commits) == 1
         assert all(q.result.ids.size == self.K for q in report.served)

@@ -561,14 +561,7 @@ class TestShardedBatchForming:
             sdb.shard_db_ids[anchor], k=K, policy=queue.policy
         ).former
         assert total_planes > base._count_planes()
-        from repro.core.queue import Submission
-
-        pending = [
-            Submission(
-                sub_id=0, tenant="t", query=queries[0], submit_s=0.0
-            )
-        ]
-        estimate = former.estimate(pending)
+        estimate = former.estimate(np.arange(1))
         assert estimate.n_requests > 0
         assert estimate.n_senses > 0
         assert estimate.n_planes == total_planes
