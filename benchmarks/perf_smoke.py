@@ -176,10 +176,11 @@ TLC_SHARE_CEILING = 0.70
 # Measured host_fine / host_wall is 0.19-0.24; +0.10 margin.
 FINE_SHARE_CEILING = 0.34
 # Measured call + c_call events of the first batch-64 search at 10^5
-# entries: 1,430 with every serving-path kernel calling numpy through its C
-# entry points (python 3.11, numpy 2.4; 2,291 with np.unique, np.stack,
-# np.full and the reduction methods, with every sense gathering its pages
-# from the array's page table in one copy; 3,057 while every gathered page
+# entries: 1,361 with each run's per-query stats one count table that the
+# kernels add columns to (python 3.11, numpy 2.4; 1,430 with one
+# SearchStats object per query, incremented in per-query loops, 2,291
+# with np.unique, np.stack, np.full and the reduction methods, with every
+# sense gathering its pages from the array's page table in one copy; 3,057 while every gathered page
 # was a call to its page object, 3,124 while every geometry size
 # was a chained property and queries were checked for finiteness in row
 # blocks, 6,596 while each plane's senses,
@@ -192,10 +193,11 @@ FINE_SHARE_CEILING = 0.34
 # visit filled a per-query cost object, 60,230 while every query's
 # shortlist and report were also selected and composed one by one); x1.05.
 EVENTS_N_ENTRIES = 100_000
-SEARCH_EVENTS_CEILING = 1_502
-# Measured events of the batch-of-one search that follows it: 1,001 with
-# numpy called through its C entry points (python 3.11, numpy 2.4; 1,529
-# with its Python-level wrappers and the page table, 1,581 with page
+SEARCH_EVENTS_CEILING = 1_429
+# Measured events of the batch-of-one search that follows it: 995 with
+# the per-query stats one count table per run (python 3.11, numpy 2.4;
+# 1,001 with a SearchStats object per query, 1,529
+# with numpy's Python-level wrappers and the page table, 1,581 with page
 # objects, 1,644
 # with chained geometry properties and a
 # per-query finiteness check in row blocks, 2,476 with per-plane die
@@ -205,16 +207,17 @@ SEARCH_EVENTS_CEILING = 1_502
 # TTL object per query); x1.05.
 # A batch of one pays every per-batch pass for one query, so fixed
 # per-batch work that batch 64 amortizes shows here first.
-SOLO_EVENTS_CEILING = 1_051
+SOLO_EVENTS_CEILING = 1_045
 # Measured tracemalloc peak of that point's ivf_deploy: 30.03 MB in a fresh
 # process, 28.9 MB after the gates above, with programming writing into the
 # page table's preallocated rows (python 3.11, numpy 2.4; 44.26 MB while
 # every programmed page allocated a padded copy of its own, 206.19 MB with
 # the whole-matrix build); x1.10.
 DEPLOY_PEAK_BYTES_CEILING = 33_040_000
-# Measured events of the fifth batch on the cached 4 x 2 cluster: 2,386
-# with numpy called through its C entry points and one counter add per
-# device and phase (python 3.11, numpy 2.4; 3,410 with numpy's wrappers,
+# Measured events of the fifth batch on the cached 4 x 2 cluster: 2,268
+# with one count table per run summed once per batch (python 3.11, numpy
+# 2.4; 2,386 with a SearchStats object per (shard, query), summed again by
+# the router, 3,410 with numpy's wrappers,
 # the page table and one-copy cache hits, 3,580 with a call per gathered page and a per-row hit copy, 4,237 while
 # every winner's chunk went through
 # the NamedTuple constructor and replica election was a Python min per
@@ -227,10 +230,12 @@ DEPLOY_PEAK_BYTES_CEILING = 33_040_000
 # the cache was driven one page at a time, 18,973 before the cost
 # ledger); x1.05.
 SHARD_WARM_BATCHES = 4
-SHARD_EVENTS_CEILING = 2_505
+SHARD_EVENTS_CEILING = 2_381
 # Measured events(8 shards) / events(1 shard) on the shard_scaling batch:
-# 3,948 / 1,497 = 2.64 with numpy called through its C entry points (the
-# gate stays at 2.68).  Fixed work fell faster than per-shard work: with
+# 3,625 / 1,386 = 2.62 with one count table per run instead of a
+# SearchStats object per (shard, query) (the gate stays at 2.68).  Before
+# it: 3,948 / 1,497 = 2.64 with numpy called through its C entry points.
+# Fixed work fell faster than per-shard work: with
 # the wrappers gone and the phase's counter adds one call per device the
 # ratio read 2.74 (4,165 / 1,519) until the per-shard cuts (the ledgers'
 # visit columns built once per batch, the cache read as an SSD attribute,
@@ -257,10 +262,11 @@ SHARD_EVENTS_CEILING = 2_505
 # TTL object per (shard, query); 34,453 / 8,533 = 4.04 with the per-page
 # cache; 50,570 / 15,847 = 3.19 and 124,118 / 38,029 = 3.26 before that.
 SHARD_SCALING_EVENTS_RATIO = 2.68
-# Measured events(8 shards) - events(1 shard) on that batch: 2,451 with
-# numpy called through its C entry points (python 3.11, numpy 2.4; 3,724
+# Measured events(8 shards) - events(1 shard) on that batch: 2,239 with
+# one count table per run (python 3.11, numpy 2.4; 2,451 with a
+# SearchStats object per (shard, query), 3,724
 # with its wrappers and the page table, 3,802 with page objects); x1.05.
-SHARD_SCALING_EVENTS_DIFF_CEILING = 2_574
+SHARD_SCALING_EVENTS_DIFF_CEILING = 2_351
 # Measured call + c_call events per query of the forming slice (an
 # open-loop Poisson stream through a tiny-device submission queue): 175.2
 # with submissions as rows of one table and each estimate folding its block

@@ -48,10 +48,12 @@ from repro.ann.blocks import float32_rows
 from repro.core.costing import BatchPhaseBreakdown, PhaseLedger, compose_batch
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
+    STAT_ROW,
     QueryPlan,
     ReisQueryResult,
-    SearchStats,
     build_query_plan,
+    count_table,
+    search_stats,
 )
 from repro.core.registry import TemporalTopList, TtlBlock
 from repro.rag.documents import DocumentChunk
@@ -204,14 +206,16 @@ class ScanTasks:
 @dataclass(eq=False)
 class BatchRun:
     """One device's share of a batch in flight: the state every phase
-    driver reads and writes.  ``query_stats`` are its (shard, query)
-    contexts, one :class:`SearchStats` per query of the batch."""
+    driver reads and writes.  ``counts`` is its count table
+    (:func:`~repro.core.plan.count_table`): each query's
+    :class:`~repro.core.plan.SearchStats` on this device, one column per
+    query, which the kernels add their per-query columns to."""
 
     engine: "InStorageAnnsEngine"
     db: DeployedDatabase
     plan: QueryPlan
     queries: np.ndarray  # (n_queries, dim) float32
-    query_stats: List[SearchStats]
+    counts: np.ndarray  # (n_fields, n_queries) int64
     stats: BatchStats
     host_seconds: np.ndarray  # per query: the documents' host transfer
     ibc_seconds: float = 0.0  # per query
@@ -228,7 +232,7 @@ class BatchRun:
         engine = self.engine
         return (
             engine.timing, engine.flags.pipelining, engine.ssd.ecc.decode_time(1),
-            [self.ibc_seconds] * len(self.query_stats),
+            [self.ibc_seconds] * len(self.queries),
             self.host_seconds.tolist(), self.ledgers,
         )
 
@@ -324,12 +328,13 @@ def broadcast_queries(runs: Sequence[BatchRun]) -> None:
     the full sequence.
     """
     first = runs[0]
-    if not first.query_stats:
+    if not len(first.queries):
         return
     codes = first.db.binary_quantizer.encode(first.queries)
     for run in runs:
         run.codes = codes
-        run.ibc_seconds = run.engine._broadcast_batch(codes, run.query_stats)
+        run.ibc_seconds, transfers = run.engine._broadcast_batch(codes)
+        run.counts[STAT_ROW.ibc_transfers] += transfers
 
 
 def coarse_scan(runs: Sequence[BatchRun]) -> Tuple[TtlBlock, np.ndarray]:
@@ -343,7 +348,7 @@ def coarse_scan(runs: Sequence[BatchRun]) -> Tuple[TtlBlock, np.ndarray]:
     table's on a cluster.
     """
     first = runs[0]
-    engine, n_queries = first.engine, len(first.query_stats)
+    engine, n_queries = first.engine, len(first.queries)
     for run in runs:
         run.ledgers["coarse"] = PhaseLedger("coarse", n_queries, engine.geometry)
     ttl = TemporalTopList(
@@ -375,7 +380,7 @@ def fine_scan(runs: Sequence[BatchRun]) -> FineTable:
     """
     first = runs[0]
     engine, db, plan = first.engine, first.db, first.plan
-    n_queries = len(first.query_stats)
+    n_queries = len(first.queries)
     filtering = engine.flags.distance_filtering
     spans, probed = [], []
     for shard, run in enumerate(runs):
@@ -395,13 +400,10 @@ def fine_scan(runs: Sequence[BatchRun]) -> FineTable:
     candidates = np.bincount(
         shard * n_queries + queries, weights=lasts - firsts + 1,
         minlength=len(runs) * n_queries,
-    ).astype(np.int64)
-    for stats, n_candidates, n_probed in zip(
-        [stats for run in runs for stats in run.query_stats],
-        candidates.tolist(), np.concatenate(probed).tolist(),
-    ):
-        stats.candidates += n_candidates
-        stats.clusters_probed = n_probed
+    ).astype(np.int64).reshape(len(runs), n_queries)
+    for run, mine, n_probed in zip(runs, candidates, probed):
+        run.counts[STAT_ROW.candidates] += mine
+        run.counts[STAT_ROW.clusters_probed] = n_probed
     table = FineTable(
         runs=list(runs),
         threshold=db.filter_threshold if filtering else None,
@@ -414,7 +416,7 @@ def fine_scan(runs: Sequence[BatchRun]) -> FineTable:
             plan.shortlist_size, [run.engine.ssd.dram for run in runs],
         ),
         spans=(shard, queries, firsts, lasts),
-        candidates=candidates.reshape(len(runs), n_queries),
+        candidates=candidates,
         live=~np.zeros(len(runs), dtype=bool),
     )
     _serve_fine_spans(table, slice(None), table.threshold)
@@ -446,9 +448,7 @@ def fine_finish(table: FineTable, retries: Sequence[int]) -> None:
     if retries:
         n_queries = table.ttl.n_queries
         for shard in live.tolist():
-            query_stats = table.runs[shard].query_stats
-            for query in retries:
-                query_stats[query].filter_retries += 1
+            table.runs[shard].counts[STAT_ROW.filter_retries, retries] += 1
         table.ttl.restart((live[:, None] * n_queries + retries).ravel())
         shard, queries = table.spans[:2]
         retried = np.zeros(n_queries, dtype=bool)
@@ -502,8 +502,7 @@ class BatchExecutor:
         queries = float32_rows(queries)
         n_queries = len(queries)
         return BatchRun(
-            self.engine, db, plan, queries,
-            [SearchStats() for _ in range(n_queries)],
+            self.engine, db, plan, queries, count_table(n_queries),
             BatchStats(n_queries=n_queries), np.zeros(n_queries),
         )
 
@@ -528,7 +527,7 @@ class BatchExecutor:
                 db, queries, k, nprobe, fetch_documents, metadata_filter
             )
         run.stats.host_profile = host_profile
-        runs, plan, n_queries = [run], run.plan, len(run.query_stats)
+        runs, plan, n_queries = [run], run.plan, len(run.queries)
         with _phase_timer(host_profile, "ibc"):
             broadcast_queries(runs)
         # Every query's winners, query-major in rank order, cut by ``bounds``.
@@ -565,7 +564,7 @@ class BatchExecutor:
         with _phase_timer(host_profile, "finalize"):
             stats = run.stats
             latencies, report, stats.phases, _seconds = compose_batch([run.bill()])
-            stats.cache_hits = sum([query.cache_hits for query in run.query_stats])
+            stats.cache_hits = int(np.add.reduce(run.counts[STAT_ROW.cache_hits]))
             cuts = bounds.tolist()
             ids = np.asarray(db.slot_to_original[slots], dtype=np.int64)
             results = [
@@ -574,7 +573,7 @@ class BatchExecutor:
                     documents=documents[lo:hi], latency=latency, stats=query,
                 )
                 for lo, hi, latency, query in zip(
-                    cuts, cuts[1:], latencies, run.query_stats
+                    cuts, cuts[1:], latencies, search_stats(run.counts)
                 )
             ]
         return BatchExecution(results=results, report=report, stats=stats)

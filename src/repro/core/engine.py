@@ -54,6 +54,7 @@ from repro.core.config import OptFlags, ReisConfig
 from repro.core.costing import PhaseLedger, ibc_time
 from repro.core.layout import DeployedDatabase, RegionInfo
 from repro.core.plan import (
+    STAT_ROW,
     ReisQueryResult,
     SearchStats,
     schedule_order,
@@ -73,6 +74,12 @@ __all__ = [
     "ReisQueryResult",
     "SearchStats",
 ]
+
+# The count-table rows a scan phase adds, in the order it stacks them.
+_SCAN_ROWS = np.array([
+    STAT_ROW.pages_read, STAT_ROW.entries_scanned,
+    STAT_ROW.entries_transferred, STAT_ROW.entries_filtered,
+])
 
 
 class _LatchedPages:
@@ -189,12 +196,14 @@ class InStorageAnnsEngine:
     def _bill_visits(
         self,
         ledger: PhaseLedger,
-        stats_list: Sequence[SearchStats],
+        cache_hits: np.ndarray,
         queries: np.ndarray, planes: np.ndarray, page_ids: np.ndarray,
         hit_nbytes: np.ndarray,
     ) -> Tuple[int, int]:
         """Append a kernel's page visits to the phase ledger, as columns
-        (query-major, each query's in its own visit order).
+        (query-major, each query's in its own visit order), and each
+        ledger row's DRAM-served visits to ``cache_hits`` (one count per
+        row, added in place).
 
         ``hit_nbytes[i]`` is the mirror entry's size when the DRAM cache
         served visit ``i``, else 0.  A hit skips
@@ -214,18 +223,14 @@ class InStorageAnnsEngine:
         ledger.add_dram_visits(
             queries[hit], page_ids[hit], self.ssd.dram.access_time(nbytes), nbytes,
         )
-        hits_of = np.bincount(queries[hit], minlength=len(stats_list))
-        for stats, hits in zip(stats_list, hits_of.tolist()):
-            stats.cache_hits += hits
+        cache_hits += np.bincount(queries[hit], minlength=cache_hits.size)
         miss = ~hit
         ledger.add_nand_visits(queries[miss], planes[miss], page_ids[miss])
         return nbytes.size, int(np.add.reduce(nbytes))
 
     # ----------------------------------------------------------------- IBC
 
-    def _broadcast_batch(
-        self, query_codes: np.ndarray, stats_list: Sequence[SearchStats]
-    ) -> float:
+    def _broadcast_batch(self, query_codes: np.ndarray) -> Tuple[float, int]:
         """Step 1: broadcast every query's code into every die's cache
         latches, back to back: one device-wide IBC
         (:meth:`DeviceCommandInterface.broadcast`).
@@ -233,19 +238,17 @@ class InStorageAnnsEngine:
         Cache latches are overwrite-only, so only the last row survives,
         while commands, counters and per-query transfer stats reflect the
         full broadcast sequence.  Returns the per-query IBC time (all
-        codes in a batch share one width).
+        codes in a batch share one width) and IBC transfers.
         """
         n = len(query_codes)
         if n == 0:
-            return 0.0
+            return 0.0, 0
         per_query = self.commands.broadcast(
             query_codes, multi_plane=self.flags.multi_plane_ibc
         ) // n
-        for stats in stats_list:
-            stats.ibc_transfers += per_query
         return ibc_time(
             self.geometry, self.timing, query_codes.shape[1], self.flags
-        )
+        ), per_query
 
     # ------------------------------------------------------------ scan core
 
@@ -435,7 +438,6 @@ class InStorageAnnsEngine:
         )
         moved_by_shard = np.bincount(shard_t, weights=moved, minlength=n_runs).tolist()
         plane_t, page_id_t, hit_t = plane_u[rank_of], page_id_u[rank_of], nbytes_u[rank_of]
-        stats_list = [stats for run in runs for stats in run.query_stats]
         cuts = shard_t.searchsorted(np.arange(n_runs + 1)).tolist()
         for shard, (run, ledger, first, end) in enumerate(zip(runs, ledgers, cuts, cuts[1:])):
             if first == end:
@@ -452,7 +454,7 @@ class InStorageAnnsEngine:
                     senses[own] - shard * n_planes, data_u, oob_u, rank_s[own]
                 )
             hits, hit_bytes = engine._bill_visits(
-                ledger, stats_list[shard * n_queries:(shard + 1) * n_queries],
+                ledger, run.counts[STAT_ROW.cache_hits],
                 q_of[mine], plane_t[mine], page_id_t[mine], hit_t[mine],
             )
             array.counters.add_all({
@@ -465,19 +467,14 @@ class InStorageAnnsEngine:
             run.stats.scan_requests += end - first
             run.stats.scan_senses += n_senses
 
-        # ---- per (shard, query): stats; the TTL table takes every survivor
-        # at once.
-        scanned, kept, visits = [
-            np.bincount(row_t, weights, n_rows).astype(np.int64).tolist()
-            for weights in (n_valid, n_kept, from_nand)
+        # ---- per (shard, query): the scan's count rows, one block per
+        # run; the TTL table takes every survivor at once.
+        visits, scanned, kept = [
+            np.bincount(row_t, weights, n_rows).astype(np.int64).reshape(n_runs, n_queries)
+            for weights in (from_nand, n_valid, n_kept)
         ]
-        for stats, n_visits, n_scanned, n_transferred in zip(
-            stats_list, visits, scanned, kept
-        ):
-            stats.pages_read += n_visits
-            stats.entries_scanned += n_scanned
-            stats.entries_filtered += n_scanned - n_transferred
-            stats.entries_transferred += n_transferred
+        for run, *block in zip(runs, visits, scanned, kept, scanned - kept):
+            run.counts[_SCAN_ROWS] += block
         # Per-iteration quickselect (Sec. 4.3.1): after each page the
         # embedded core trims the TTL back to the running top list,
         # bounding its DRAM footprint.  With pipelining this overlaps the
@@ -649,7 +646,7 @@ class InStorageAnnsEngine:
         name: str,
         runs: Sequence["BatchRun"],
         cell_cuts: Sequence[int],
-        stats_list: Sequence[SearchStats],
+        cell_query: np.ndarray,
         cell_of_row: np.ndarray,
         page_row: np.ndarray,
         first_cw: np.ndarray,
@@ -657,7 +654,8 @@ class InStorageAnnsEngine:
         pages: _TlcPages,
     ) -> List[PhaseLedger]:
         """Every (shard, query) cell's TLC charges for one phase: one ledger
-        per shard, whose rows are its cells ``cell_cuts[s]:cell_cuts[s+1]``.
+        per shard, whose rows are its cells ``cell_cuts[s]:cell_cuts[s+1]``;
+        cell ``c`` is column ``cell_query[c]`` of its shard's count table.
 
         Row ``i`` (cell-major) of cell ``cell_of_row[i]`` reads ECC
         codewords ``first_cw[i]..last_cw[i]`` (none when ``last_cw <
@@ -677,7 +675,7 @@ class InStorageAnnsEngine:
         ]
         plane_of, channel_of, hit_nbytes = pages.plane_of, pages.channel_of, pages.hit_nbytes
         cached = hit_nbytes > 0
-        n_pages, n_cells = plane_of.size, len(stats_list)
+        n_pages, n_cells = plane_of.size, cell_query.size
         visit_of_row = cell_of_row * n_pages + page_row
         # (cell, page) visits, cell-major in each query's first-touch order.
         visits, first, _ = sorted_unique(visit_of_row)
@@ -705,23 +703,24 @@ class InStorageAnnsEngine:
         shard_codewords = _cut_sums(codewords_of_cell, cell_cuts)
         shard_sensed = _cut_sums(sensed_visits, cell_cuts)
         shard_uncached = _cut_sums(~cached, pages.cuts)
+        hits_of = np.zeros(n_cells, dtype=np.int64)
         for shard, (run, ledger) in enumerate(zip(runs, ledgers)):
             lo, hi = visit_cuts[shard], visit_cuts[shard + 1]
             if lo == hi:
                 continue
             first_cell, last_cell = cell_cuts[shard], cell_cuts[shard + 1]
+            cells = slice(first_cell, last_cell)
             mine = slice(pages.cuts[shard], pages.cuts[shard + 1])
             rows = visit_row[lo:hi]
             hits, hit_bytes = run.engine._bill_visits(
-                ledger, stats_list[first_cell:last_cell],
-                visit_cell[lo:hi] - first_cell, plane_of[rows],
-                pages.page_id_of[rows], hit_nbytes[rows],
+                ledger, hits_of[cells], visit_cell[lo:hi] - first_cell,
+                plane_of[rows], pages.page_id_of[rows], hit_nbytes[rows],
             )
             ledger.add_schedule(np.bincount(
                 plane_of[mine][~cached[mine]], minlength=self.geometry.total_planes
             ))
-            ledger.channel_bytes += codewords_of[first_cell:last_cell] * cw
-            ledger.ecc_bytes += codewords_of_cell[first_cell:last_cell] * cw
+            ledger.channel_bytes += codewords_of[cells] * cw
+            ledger.ecc_bytes += codewords_of_cell[cells] * cw
             ssd = run.engine.ssd
             extra = max(shard_sensed[shard] - shard_uncached[shard], 0)
             ssd.array.counters.add_all({
@@ -730,8 +729,9 @@ class InStorageAnnsEngine:
                 "page_reads": extra, "page_reads_tlc": extra,
             })
             ssd.ecc.decoded_bytes += extra * page_bytes
-        for stats, n_sensed in zip(stats_list, sensed_visits.tolist()):
-            stats.pages_read += n_sensed
+            columns = cell_query[cells]
+            run.counts[STAT_ROW.pages_read, columns] += sensed_visits[cells]
+            run.counts[STAT_ROW.cache_hits, columns] += hits_of[cells]
         return ledgers
 
     def _rerank_batch(
@@ -757,7 +757,6 @@ class InStorageAnnsEngine:
         n_queries = len(queries)
         n_cells = len(runs) * n_queries
         cell_cuts = list(range(0, n_cells + 1, n_queries))
-        stats_list = [stats for run in runs for stats in run.query_stats]
         if not cells.size:
             for run in runs:
                 run.ledgers["rerank"] = PhaseLedger(
@@ -779,8 +778,8 @@ class InStorageAnnsEngine:
         cw = self.ssd.ecc.config.codeword_bytes
         starts = slot_in_page * dim
         ledgers = self._bill_tlc_phase(
-            "rerank", runs, cell_cuts, stats_list, cells, page_row,
-            starts // cw, (starts + dim - 1) // cw, pages,
+            "rerank", runs, cell_cuts, np.arange(n_cells) % n_queries, cells,
+            page_row, starts // cw, (starts + dim - 1) // cw, pages,
         )
         # Row gather: each page is a (slots_per_page, dim) table of INT8
         # codes, so a shortlist entry is one row of the stacked view.
@@ -825,7 +824,7 @@ class InStorageAnnsEngine:
         run.  Returns the pages and every row's stack row (the payloads a
         device decodes its chunks from).
         """
-        n_queries = len(runs[0].query_stats)
+        n_queries = len(runs[0].queries)
         regions = [run.db.document_region for run in runs]
         shard_of_row = cells // n_queries
         n_slots, spp, item_bytes = np.array(
@@ -845,14 +844,12 @@ class InStorageAnnsEngine:
         asking, _first, cell_of_row = sorted_unique(cells)
         cell_cuts = asking.searchsorted(np.arange(len(runs) + 1) * n_queries).tolist()
         asked = asking.tolist()
-        stats_list = [
-            runs[cell // n_queries].query_stats[cell % n_queries] for cell in asked
-        ]
         cw = self.ssd.ecc.config.codeword_bytes
         starts = slot_in_page * item_bytes
         ledgers = self._bill_tlc_phase(
-            "documents", runs, cell_cuts, stats_list, cell_of_row, page_row,
-            starts // cw, (starts + np.maximum(item_bytes, 1) - 1) // cw, pages,
+            "documents", runs, cell_cuts, asking % n_queries, cell_of_row,
+            page_row, starts // cw,
+            (starts + np.maximum(item_bytes, 1) - 1) // cw, pages,
         )
         for shard, (run, ledger) in enumerate(zip(runs, ledgers)):
             ledger.queries = asking[cell_cuts[shard]:cell_cuts[shard + 1]] - shard * n_queries

@@ -130,7 +130,7 @@ class MutationAck:
     distances: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     documents: List[DocumentChunk] = field(default_factory=list)
     latency: LatencyReport = field(default_factory=LatencyReport)
-    stats: SearchStats = field(default_factory=SearchStats)
+    stats: SearchStats = SearchStats()  # immutable: every ack shares it
 
 
 @dataclass

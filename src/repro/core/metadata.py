@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.api import BatchSearchResult, ReisDevice
-from repro.core.engine import ReisQueryResult
+from repro.core.engine import ReisQueryResult, SearchStats
 from repro.rag.documents import Corpus
 
 TIMESTAMP_ENTRY_BYTES = 13  # db signature (4B) + window start/end (2 x 4B) + flags
@@ -158,14 +158,15 @@ class TimePartitionedStore:
 
         Returns ``(winners, merged)`` where ``winners`` is a list of
         (db_id, original id) pairs in merged distance order and ``merged``
-        aggregates documents/latency across the searched sub-databases.
+        aggregates documents, latency and stats (summed field by field)
+        across the searched sub-databases.
         """
         db_ids = self.databases_for(requested)
         if not db_ids:
             raise LookupError(f"no snapshot covers {requested}")
         candidates = []  # (distance, db_id, original_id, document)
         total_latency = None
-        stats = None
+        stats = []
         for db_id in db_ids:
             db = self.device.database(db_id)
             if db.is_ivf:
@@ -182,9 +183,9 @@ class TimePartitionedStore:
                         result.documents[rank] if result.documents else None,
                     )
                 )
+            stats.append(result.stats)
             if total_latency is None:
                 total_latency = result.latency
-                stats = result.stats
             else:
                 total_latency.merge(result.latency)
         top = heapq.nsmallest(k, candidates, key=lambda c: (c[0], c[1], c[2]))
@@ -194,6 +195,6 @@ class TimePartitionedStore:
             distances=np.array([c[0] for c in top], dtype=np.int64),
             documents=[c[3] for c in top if c[3] is not None],
             latency=total_latency,
-            stats=stats,
+            stats=SearchStats(*map(sum, zip(*stats))),
         )
         return winners, merged

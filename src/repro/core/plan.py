@@ -23,10 +23,10 @@ The page-service schedule of a scan phase is array data too:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+from itertools import repeat
 from numbers import Integral
-from operator import attrgetter
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,9 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (both import us)
     from repro.core.layout import DeployedDatabase
 
 
-@dataclass
-class SearchStats:
-    """Operational statistics for one query (drives tests and ablations)."""
+class SearchStats(NamedTuple):
+    """Operational statistics for one query (drives tests and ablations).
+
+    While a batch runs, every query's record is one column of its run's
+    count table (:func:`count_table`, row ``STAT_ROW.<field>``); the
+    records are built from the finished table (:func:`search_stats`).
+    """
 
     pages_read: int = 0
     entries_scanned: int = 0
@@ -63,26 +67,20 @@ class SearchStats:
         return self.entries_transferred / self.entries_scanned
 
 
-_STAT_FIELDS = tuple(f.name for f in fields(SearchStats))
-_read_stats = attrgetter(*_STAT_FIELDS)
+#: The row of each :class:`SearchStats` field in a count table.
+STAT_ROW = SearchStats(*range(len(SearchStats._fields)))
 
 
-def sum_search_stats(
-    per_device: Sequence[Sequence[SearchStats]], **decided: Sequence[int]
-) -> List[SearchStats]:
-    """Each query's stats summed over the devices that served it.
+def count_table(n_queries: int) -> np.ndarray:
+    """An empty count table: one ``int64`` row per :class:`SearchStats`
+    field, in field order, and one column per query.  Every field is a
+    count of work done, so tables of the devices that served a batch add."""
+    return np.zeros((len(STAT_ROW), n_queries), dtype=np.int64)
 
-    Every field is a count of work done, so every field adds; the ones a
-    cluster decides once for all its shards (the filter retry, the probed
-    cluster count) come in as ``decided`` per-query columns instead.
-    """
-    total = np.add.reduce(np.array(
-        [[_read_stats(stats) for stats in device] for device in per_device],
-        dtype=np.int64,
-    ))
-    for name, column in decided.items():
-        total[:, _STAT_FIELDS.index(name)] = column
-    return [SearchStats(*row) for row in total.tolist()]
+
+def search_stats(table: np.ndarray) -> List[SearchStats]:
+    """Every column of a count table as its query's record, built in C."""
+    return list(map(tuple.__new__, repeat(SearchStats), table.T.tolist()))
 
 
 @dataclass
@@ -93,7 +91,7 @@ class ReisQueryResult:
     distances: np.ndarray  # INT8-refined distances
     documents: List[DocumentChunk]
     latency: LatencyReport
-    stats: SearchStats = field(default_factory=SearchStats)
+    stats: SearchStats = SearchStats()
 
     @property
     def k(self) -> int:

@@ -81,11 +81,12 @@ from repro.core.batch import (
 from repro.core.costing import BatchPhaseBreakdown, compose_batch
 from repro.core.layout import DeployedDatabase, deployment_order
 from repro.core.plan import (
+    STAT_ROW,
     QueryPlan,
     ReisQueryResult,
     build_query_plan,
     resolve_nprobe,
-    sum_search_stats,
+    search_stats,
 )
 from repro.rag.documents import Corpus, DocumentChunk
 from repro.sim.latency import LatencyReport
@@ -1202,12 +1203,12 @@ class ShardRouter:
             devices[:first_failover], devices[first_failover:],
             self._merge_breakdown(state.shipped),
         )
-        retried = np.zeros(n_queries, dtype=np.int64)
-        retried[state.retry_indices] = 1
-        query_stats = sum_search_stats(
-            [run.query_stats for run in runs],
-            filter_retries=retried,
-            clusters_probed=np.bincount(state.probe_queries, minlength=n_queries),
+        # The retry and the probed clusters are decided once per cluster.
+        counts = np.add.reduce([run.counts for run in runs])
+        counts[STAT_ROW.filter_retries] = 0
+        counts[STAT_ROW.filter_retries, state.retry_indices] = 1
+        counts[STAT_ROW.clusters_probed] = np.bincount(
+            state.probe_queries, minlength=n_queries
         )
         bounds = ranked.bounds.tolist()
         cuts = list(zip(bounds, bounds[1:]))
@@ -1216,7 +1217,7 @@ class ShardRouter:
                 ids=ranked.gids[lo:hi], distances=ranked.dists[lo:hi],
                 documents=documents[lo:hi], latency=latency, stats=stats,
             )
-            for (lo, hi), latency, stats in zip(cuts, latencies, query_stats)
+            for (lo, hi), latency, stats in zip(cuts, latencies, search_stats(counts))
         ]
         shard_seconds = [0.0] * self.n_shards
         for run, seconds in zip(runs, device_seconds):
@@ -1231,7 +1232,7 @@ class ShardRouter:
                 phases=phases,
                 scan_requests=sum(run.stats.scan_requests for run in runs),
                 scan_senses=sum(run.stats.scan_senses for run in runs),
-                cache_hits=sum(stats.cache_hits for stats in query_stats),
+                cache_hits=int(np.add.reduce(counts[STAT_ROW.cache_hits])),
             ),
             shard_seconds=shard_seconds,
         )

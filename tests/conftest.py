@@ -167,7 +167,7 @@ def serve_warm_cached_cluster():
 
 def one_run(device, db, n_queries, codes=None):
     """A device's share of an ``n_queries`` batch as the phase kernels take
-    it: fresh per-query stats and the given binary query ``codes`` (the
+    it: an empty count table and the given binary query ``codes`` (the
     float queries are zeros; no kernel reads them but the rerank)."""
     from repro.core.batch import BatchExecutor
 
@@ -181,7 +181,7 @@ def one_run(device, db, n_queries, codes=None):
 def fetch_documents(device, db, dadrs_per_query):
     """Fetch and decode each query's document slots through the device's
     document phase: ``(documents per query, the run)``; the run carries
-    the per-query stats and host-transfer seconds the kernel billed."""
+    the count table and host-transfer seconds the kernel billed."""
     from repro.core.batch import BatchExecutor
 
     counts = [len(dadrs) for dadrs in dadrs_per_query]

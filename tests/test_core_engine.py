@@ -61,7 +61,7 @@ class TestPhaseKernelAgainstBruteForce:
 
     def test_threshold_filter_and_clamped_windows(self):
         from repro.core.batch import tasks_from_ranges
-        from repro.core.plan import SearchStats
+        from repro.core.plan import search_stats
         from repro.core.registry import TemporalTopList
         from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
@@ -98,11 +98,11 @@ class TestPhaseKernelAgainstBruteForce:
         entry_bytes = device.engine.params.fine_entry_bytes(db.code_bytes)
         ttl = TemporalTopList("e", entry_bytes, len(queries), 1000)
         run = one_run(device, db, len(queries), codes)
-        stats = run.query_stats
         device.engine.scan_page_run(
             [run], [PhaseLedger("fine", len(queries), device.engine.geometry)],
             tasks, False, ttl,
         )
+        stats = search_stats(run.counts)
         selection, bounds = ttl.select()
 
         for qi in range(3):
@@ -136,7 +136,7 @@ class TestPassFailChecker:
     @pytest.fixture(scope="class")
     def scan(self):
         from repro.core.batch import tasks_from_ranges
-        from repro.core.plan import SearchStats
+        from repro.core.plan import search_stats
         from repro.core.registry import TemporalTopList
         from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
@@ -163,7 +163,7 @@ class TestPassFailChecker:
             )
             selection, bounds = ttl.select()
             block = selection.take(slice(bounds[0], bounds[1]))
-            return block.eadrs.tolist(), block.dists.tolist(), run.query_stats[0]
+            return block.eadrs.tolist(), block.dists.tolist(), search_stats(run.counts)[0]
 
         return run, dists[0]
 
@@ -278,7 +278,6 @@ class TestPhaseKernelAgainstLatchWalk:
     ):
         from repro.core.batch import tasks_from_ranges
         from repro.core.commands import FlashOp
-        from repro.core.plan import SearchStats
         from repro.core.registry import TemporalTopList
         from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
@@ -666,13 +665,12 @@ def _reference_select_cluster_block(engine, ttl_c, cost):
     return ttl_c.select()[0]
 
 
-def _reference_resolve_cluster_block(db, block, stats):
+def _reference_resolve_cluster_block(db, block):
     cluster_ids = block.eadrs
     mismatch = db.r_ivf.tags[cluster_ids] != block.tags
     if np.any(mismatch):
         bad = int(cluster_ids[np.argmax(mismatch)])
         raise RuntimeError(f"cluster tag mismatch for centroid {bad}")
-    stats.clusters_probed = len(block)
     return cluster_ids
 
 
@@ -737,7 +735,6 @@ class TestBatchedSelectAgainstPerTtl:
     @pytest.mark.parametrize("coarse", [True, False])
     def test_stacked_selection_equals_per_ttl(self, deployed_device, coarse, k):
         from tests.cost_reference import PhaseCost
-        from repro.core.plan import SearchStats
 
         device, db_id = deployed_device
         db, engine = device.database(db_id), device.engine
@@ -753,9 +750,8 @@ class TestBatchedSelectAgainstPerTtl:
             cost = PhaseCost(name="phase")
             if coarse:
                 selected = _reference_select_cluster_block(engine, ttl, cost)
-                stats = SearchStats()
-                _reference_resolve_cluster_block(db, selected, stats)
-                assert stats.clusters_probed == len(selected)
+                clusters = _reference_resolve_cluster_block(db, selected)
+                assert len(clusters) == len(selected)
             else:
                 selected = _reference_select_shortlist(engine, ttl, cost)
             expected.append(self._columns(selected))

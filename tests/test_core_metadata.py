@@ -76,6 +76,16 @@ class TestTimePartitionedStore:
         db_ids = {db_id for db_id, _ in winners}
         assert db_ids <= set(store.windows())
 
+    def test_merged_stats_sum_every_searched_snapshot(self, store, small_queries):
+        query = small_queries[0]
+        _, merged = store.search(query, TimeWindow(0, 200), k=8, nprobe=4)
+        alone = [
+            store.search(query, window, k=8, nprobe=4)[1].stats
+            for window in (TimeWindow(0, 100), TimeWindow(100, 200))
+        ]
+        assert merged.stats.pages_read == sum(s.pages_read for s in alone) > 0
+        assert tuple(merged.stats) == tuple(map(sum, zip(*alone)))
+
     def test_search_single_window_stays_local(self, store, small_queries):
         winners, _ = store.search(small_queries[0], TimeWindow(120, 130), k=5, nprobe=4)
         only_db = store.databases_for(TimeWindow(120, 130))[0]

@@ -37,6 +37,7 @@ from repro.core import (
     shard_ivf_model,
     tiny_config,
 )
+from repro.core.plan import search_stats
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
 
 from tests.test_core_cache import deep_config
@@ -596,7 +597,9 @@ def _reference_batch_report(run, stats, scheduled_senses):
     engine = run.engine
     ibc_seconds = 0.0
     host_seconds = 0.0
-    for query_stats, query_host_seconds in zip(run.query_stats, run.host_seconds.tolist()):
+    for query_stats, query_host_seconds in zip(
+        search_stats(run.counts), run.host_seconds.tolist()
+    ):
         ibc_seconds += run.ibc_seconds
         host_seconds += query_host_seconds
         stats.cache_hits += query_stats.cache_hits
@@ -873,7 +876,7 @@ class TestComposeAgainstPerCellReference:
         run = prepared[-1]
         for qi, result in enumerate(batch):
             _assert_reports_equal(result.latency, _reference_solo_report(run, qi))
-        stats = BatchStats(n_queries=len(run.query_stats))
+        stats = BatchStats(n_queries=len(run.queries))
         _assert_reports_equal(
             batch.batch_report, _reference_batch_report(run, stats, senses)
         )
@@ -965,3 +968,95 @@ class TestReplicaElection:
                 for shard in dead:
                     router.revive_shard(shard)
             assert state.serving.tolist() == expected.tolist()
+
+
+def _ledger_visits(runs, n_queries):
+    """Each query's NAND and DRAM visit rows over every ledger ``runs``
+    billed, rows mapped to batch queries through ``ledger.queries``."""
+    nand, dram = np.zeros((2, n_queries), dtype=np.int64)
+    for run in runs:
+        for ledger in run.ledgers.values():
+            np.add.at(nand, ledger.queries[ledger.nand[0]], 1)
+            np.add.at(dram, ledger.queries[ledger.dram[0]], 1)
+    return nand.tolist(), dram.tolist()
+
+
+class TestCountsAgreeWithLedgers:
+    """On a healthy batch a query's ``pages_read`` is its NAND visits and
+    its ``cache_hits`` its DRAM-served visits, summed over every ledger its
+    runs billed: the count table and the cost ledgers tell one story."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The runs of the last batch served while the patch is on (a
+        cluster's from its composition, a device's from ``prepare``)."""
+        from repro.core.batch import BatchExecutor
+        from repro.core.shard import ShardRouter
+
+        seen = SimpleNamespace(runs=[], states=[])
+        prepare, compose = BatchExecutor.prepare, ShardRouter._compose
+
+        def spy_prepare(executor, *args, **kwargs):
+            seen.runs = [prepare(executor, *args, **kwargs)]
+            return seen.runs[0]
+
+        def spy_compose(router, state, *rest):
+            seen.runs = state.runs
+            seen.states.append(state)
+            return compose(router, state, *rest)
+
+        monkeypatch.setattr(BatchExecutor, "prepare", spy_prepare)
+        monkeypatch.setattr(ShardRouter, "_compose", spy_compose)
+        return seen
+
+    @staticmethod
+    def _assert_agree(batch, runs):
+        nand, dram = _ledger_visits(runs, len(batch))
+        assert [r.stats.pages_read for r in batch] == nand
+        assert [r.stats.cache_hits for r in batch] == dram
+        return sum(nand), sum(dram)
+
+    def test_one_cached_device(self, monkeypatch):
+        vectors, _ = make_clustered_embeddings(400, 64, 8, seed="agree")
+        queries = make_queries(vectors, 8, seed="agree-q")
+        device = ReisDevice(deep_config("AGREE"))
+        db_id = device.ivf_deploy("agree", vectors, nlist=8, seed=0)
+        device.enable_page_cache(120_000)  # mirrors part of the working set
+        device.ivf_search(db_id, queries[:4], k=4, nprobe=3)
+        seen = self._spy(monkeypatch)
+        batch = device.ivf_search(db_id, queries, k=4, nprobe=3)
+        assert self._assert_agree(batch, seen.runs) == (36, 21)
+
+    def test_warm_cached_cluster(self, monkeypatch):
+        from tests.conftest import serve_warm_cached_cluster
+
+        seen = self._spy(monkeypatch)
+        batch, _shards = serve_warm_cached_cluster()
+        assert self._assert_agree(batch, seen.runs) == (41, 177)
+
+    def test_a_fine_kill_counts_the_dead_runs_unbilled_scan(self, monkeypatch):
+        from tests.test_ttl_pin import _workload
+
+        vectors, queries = _workload()
+        device = ShardedReisDevice(2, tiny_config("AGREE-SH"), replication_factor=2)
+        db_id = device.ivf_deploy("agree", vectors, nlist=8, seed=0)
+        device.schedule_shard_failure(1, "fine")
+        seen = self._spy(monkeypatch)
+        batch = device.ivf_search(db_id, queries, k=4, nprobe=3)
+        pages = [r.stats.pages_read for r in batch]
+        nand, _dram = _ledger_visits(seen.runs, len(batch))
+        # deviation: the run killed at the fine barrier keeps its fine
+        # scan's senses in ``pages_read`` (work the drive did), while only
+        # finished phases are billed, so its fine ledger never reaches the
+        # cost model.  The gap is exactly that ledger's NAND visits.
+        # Whether the count or the bill should move is an open question
+        # (ROADMAP item 4); the semantics stay as they are.
+        [table] = seen.states[-1].tables[:1]
+        dead = [
+            ledger for run, ledger in zip(table.runs, table.ledgers) if run.dead
+        ]
+        unbilled, _dram = _ledger_visits(
+            [SimpleNamespace(ledgers={"fine": ledger}) for ledger in dead], len(batch)
+        )
+        assert (sum(pages), sum(nand)) == (65, 54)
+        assert pages == [a + b for a, b in zip(nand, unbilled)]

@@ -24,7 +24,7 @@ from repro.nand.timing import NandTiming
 from repro.core.api import ReisDevice
 from repro.core.config import tiny_config
 from repro.core.engine import _TlcPages
-from repro.core.plan import SearchStats
+from repro.core.plan import count_table
 
 from tests.cost_reference import (
     _reference_batch_phase_stages,
@@ -263,10 +263,9 @@ class TestTlcKernelSchedule:
     @settings(max_examples=300, deadline=None)
     def test_derived_senses_equal_the_recorded_schedule(self, table):
         n_queries, query, page_row, first_cw, last_cw, pages = table
+        run = SimpleNamespace(engine=TLC_DEVICE.engine, counts=count_table(n_queries))
         [ledger] = TLC_DEVICE.engine._bill_tlc_phase(
-            "rerank", [SimpleNamespace(engine=TLC_DEVICE.engine)], [0, n_queries],
-            [SearchStats() for _ in range(n_queries)],
-            query, page_row, first_cw, last_cw, pages,
+            "rerank", [run], [0, n_queries], np.arange(n_queries), query, page_row, first_cw, last_cw, pages,
         )
         assert ledger.senses.tolist() == derived_senses(ledger, *ledger.nand).tolist()
         assert int(ledger.senses.sum()) == int((pages.hit_nbytes == 0).sum())

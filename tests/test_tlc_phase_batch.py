@@ -35,7 +35,7 @@ from repro.core.api import ReisDevice
 from repro.core.batch import BatchExecutor
 from repro.core.config import tiny_config
 from repro.core.engine import _TlcPages
-from repro.core.plan import SearchStats
+from repro.core.plan import count_table, search_stats
 from repro.host.profile import HostProfile
 from repro.nand.array import FlashArray
 from repro.nand.cell import CellMode
@@ -296,14 +296,14 @@ def _bill(engine, rows, pages, n_queries):
     seg, page_row, first_cw, last_cw = (
         np.array(col, dtype=np.int64) for col in zip(*rows)
     )
-    stats = [SearchStats() for _ in range(n_queries)]
+    run = SimpleNamespace(engine=engine, counts=count_table(n_queries))
     [ledger] = engine._bill_tlc_phase(
-        "probe", [SimpleNamespace(engine=engine)], [0, n_queries], stats,
+        "probe", [run], [0, n_queries], np.arange(n_queries),
         seg, page_row, first_cw, last_cw, pages,
     )
     # Per-query costs, read back through ``query_cost(ledger, q)`` and the
     # visit columns replayed one ``add_page`` / ``add_dram_stream`` at a time.
-    return replay(ledger), stats
+    return replay(ledger), search_stats(run.counts)
 
 
 class TestZeroLengthReadBilling:
@@ -572,6 +572,6 @@ class TestTlcKernelsAgainstBruteForce:
             assert [doc.chunk_id for doc in documents] == ids
             assert [doc.text for doc in documents] == [corpus[i].text for i in ids]
             assert (host_s > 0) == bool(len(dadrs))
-        for stats in (run.query_stats, fetch_run.query_stats):
+        for stats in map(search_stats, (run.counts, fetch_run.counts)):
             assert sum(s.pages_read for s in stats) > 0
             assert (sum(s.cache_hits for s in stats) > 0) == warm_cache

@@ -19,8 +19,6 @@ per scan phase; the 4-shard values before one TTL table served every
 shard of a phase.
 """
 
-import dataclasses
-
 from repro.core.api import ReisDevice, ShardedReisDevice
 from repro.core.config import tiny_config
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
@@ -31,7 +29,7 @@ def _observe(batch, devices):
     return {
         "ids": [r.ids.tolist() for r in batch],
         "distances": [r.distances.tolist() for r in batch],
-        "stats": [dataclasses.astuple(r.stats) for r in batch],
+        "stats": [tuple(r.stats) for r in batch],
         "busy": [repr(d.ssd.cores.reis_core.busy_seconds) for d in devices],
         "ttl_bytes": [
             (d.ssd.dram.region_size("ttl-c"), d.ssd.dram.region_size("ttl-e"))
