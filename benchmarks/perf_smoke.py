@@ -126,6 +126,13 @@ generator calls itself.  A Python-level wrapper (``np.unique``,
 ``np.stack``, ``.sum()``, ``np.full``) back in a kernel adds its frames
 here first.
 
+A twelfth, noise-free, covers the NAND write path: the ``call`` +
+``c_call`` events of one append commit plus one ``compact()`` on the tiny
+ingest device of :func:`tests.conftest.tiny_ingest_device`, x1.05.  Deploy,
+appends and compaction program and erase the page table by column (one
+``PageTable.program`` per region write, one erase per cleared window), so
+a write that goes back to one page or block per call chain trips it.
+
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
 
@@ -136,6 +143,7 @@ import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import numpy as np  # noqa: E402
 
@@ -162,6 +170,7 @@ from test_serving_throughput import (  # noqa: E402
     run_host_scaling_point,
     shard_scaling_corpus,
 )
+from tests.conftest import tiny_ingest_device  # noqa: E402
 
 GATE_N_ENTRIES = 10_000
 REGRESSION_FACTOR = 2.0
@@ -283,6 +292,12 @@ FORMING_EVENTS_CEILING = 184.0
 # x1.05.
 BUILD_BLOCKS_PER_PLANE = 64
 BUILD_EVENTS_CEILING = 181
+# Measured call + c_call events of the first append commit plus one
+# compact() on the tiny ingest device: 7,831 with program, erase and mode
+# change writing page-table columns in one call per region or window
+# (python 3.11, numpy 2.4; 10,781 with one call chain per page or block);
+# x1.05.
+INGEST_WRITE_EVENTS_CEILING = 8_223
 
 
 # Measured call events of code under numpy's package directory during that
@@ -369,6 +384,18 @@ def count_forming_events() -> float:
         queue.drain()
 
     return count_events(serve) / FORMING_ARRIVALS
+
+
+def count_ingest_write_events() -> int:
+    """Python call + c_call events of the first mutation epoch's commit
+    plus one compaction on a fresh tiny ingest device."""
+    _device, manager, epochs = tiny_ingest_device()
+
+    def serve():
+        manager.apply(epochs[0])
+        manager.compact()
+
+    return count_events(serve)
 
 
 def count_build_and_search() -> tuple:
@@ -512,6 +539,18 @@ def main() -> int:
         print(
             "perf-smoke: FAIL -- device build Python call count regressed "
             "(an object per page or block back in nand/?)"
+        )
+        return 1
+
+    writes = count_ingest_write_events()
+    print(
+        f"perf-smoke: append commit + compact() on the tiny ingest device: "
+        f"{writes:,} call + c_call events, ceiling {INGEST_WRITE_EVENTS_CEILING:,}"
+    )
+    if writes > INGEST_WRITE_EVENTS_CEILING:
+        print(
+            "perf-smoke: FAIL -- NAND write Python call count regressed "
+            "(a program or erase back to one page or block per call?)"
         )
         return 1
 

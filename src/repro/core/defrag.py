@@ -16,11 +16,11 @@ page-level FTL), then erasing the window's blocks.  The returned
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.nand.geometry import PhysicalPageAddress, page_address
+from repro.nand.geometry import PhysicalPageAddress
 from repro.nand.page import PROGRAMMED
 from repro.ssd.coarse import CoarseRegion
 from repro.ssd.device import SimulatedSSD
@@ -50,19 +50,19 @@ class Defragmenter:
 
     def window_occupancy(self, start_page: int, end_page: int) -> int:
         """Valid mapped pages currently inside the in-plane window."""
-        return len(self._victims(start_page, end_page))
+        return self._victims(start_page, end_page)[0].size
 
     def _victims(
         self, start_page: int, end_page: int
-    ) -> List[Tuple[int, int, int]]:
-        """(plane_index, block, page) of valid mapped pages in the window,
-        in (plane, block, page) order."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(plane_index, block, page) columns of the programmed pages in the
+        window, in (plane, block, page) order."""
         g = self.ssd.spec.geometry
         first_block = start_page // g.pages_per_block
         last_block = (max(end_page - 1, start_page)) // g.pages_per_block
         window = self.ssd.array.pages.state[:, first_block : last_block + 1]
         planes, blocks, pages = (window == PROGRAMMED).nonzero()
-        return list(zip(planes.tolist(), (blocks + first_block).tolist(), pages.tolist()))
+        return planes, blocks + first_block, pages
 
     # ------------------------------------------------------------ clearing
 
@@ -71,7 +71,8 @@ class Defragmenter:
 
         ``start_page``/``end_page`` are in-plane page indices and must be
         block-aligned (a block has a single cell mode, so regions cannot
-        share blocks with foreign data).
+        share blocks with foreign data).  Programmed pages no logical page
+        maps to have no owner and are dropped uncopied.
         """
         g = self.ssd.spec.geometry
         ppb = g.pages_per_block
@@ -83,16 +84,18 @@ class Defragmenter:
         timing = self.ssd.spec.timing
         seconds = 0.0
         relocated = 0
-        for plane_index, block_index, page_index in self._victims(start_page, end_page):
-            ppa = page_address(g, plane_index, block_index, page_index)
-            lpa = self.ssd.ftl.lpa_of(ppa)
-            plane = self.ssd.array.plane_by_index(plane_index)
-            data, oob = plane.golden_page(block_index, page_index)
+        array, ftl = self.ssd.array, self.ssd.ftl
+        victims = self._victims(start_page, end_page)
+        linear = np.ravel_multi_index(victims, array.pages.state.shape)
+        for i, lpa in enumerate(map(ftl._p2l.get, linear.tolist())):
             if lpa is None:
-                # Unmapped-but-programmed data (no owner): drop it.
                 continue
+            plane_index, block_index, page_index = (int(c[i]) for c in victims)
+            data, oob = array.plane_by_index(plane_index).golden_page(
+                block_index, page_index
+            )
             try:
-                new_ppa = self.ssd.ftl._allocator.allocate()
+                new_ppa = ftl._allocator.allocate()
             except RuntimeError as exc:
                 raise DefragmentationError(
                     "no free pages outside the window to relocate into"
@@ -101,29 +104,26 @@ class Defragmenter:
                 # The allocator may hand back a page inside the window;
                 # skip forward until it leaves (those pages stay erased).
                 for _ in range(g.total_pages):
-                    new_ppa = self.ssd.ftl._allocator.allocate()
+                    new_ppa = ftl._allocator.allocate()
                     if not self._inside_window(new_ppa, start_page, end_page):
                         break
                 else:
                     raise DefragmentationError("window cannot be escaped")
-            self.ssd.array.program(new_ppa, data, oob)
-            self.ssd.ftl.remap(lpa, new_ppa)
+            array.program(new_ppa, data, oob)
+            ftl.remap(lpa, new_ppa)
             seconds += timing.read_time("tlc") + timing.program_time("tlc")
             relocated += 1
 
-        erased = 0
         first_block = start_page // ppb
-        used = self.ssd.array.pages.next_page[:, first_block : end_page // ppb] > 0
-        for plane_index, block_index in np.argwhere(used).tolist():
-            self.ssd.array.plane_by_index(plane_index).erase_block(
-                first_block + block_index
-            )
+        used = array.pages.next_page[:, first_block : end_page // ppb] > 0
+        planes, blocks = used.nonzero()
+        array.erase_blocks(planes, blocks + first_block)
+        for _ in range(planes.size):
             seconds += timing.t_erase_s
-            erased += 1
         return DefragResult(
             region=CoarseRegion(start_page, end_page),
             relocated_pages=relocated,
-            erased_blocks=erased,
+            erased_blocks=planes.size,
             seconds=seconds,
         )
 

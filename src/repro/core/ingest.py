@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,6 +80,8 @@ from repro.sim.unique import sorted_unique
 from repro.ssd.device import SimulatedSSD
 
 MUTATION_OPS = ("insert", "delete", "update")
+_NO_RESULTS = np.empty(0, dtype=np.int64)
+_NO_RESULTS.setflags(write=False)
 _MISSING_TAG = "this database carries metadata tags; inserts must supply one"
 
 
@@ -126,8 +128,8 @@ class MutationAck:
     applied: bool
     replaced_id: Optional[int] = None  # updates: the retired id
     note: str = ""
-    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    distances: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    ids: ClassVar[np.ndarray] = _NO_RESULTS  # read-only: every ack shares it
+    distances: ClassVar[np.ndarray] = _NO_RESULTS
     documents: List[DocumentChunk] = field(default_factory=list)
     latency: LatencyReport = field(default_factory=LatencyReport)
     stats: SearchStats = SearchStats()  # immutable: every ack shares it

@@ -268,10 +268,8 @@ class DatabaseDeployer:
         first_block = checkpoint // ppb
         last_block = (self._next_page_in_plane - 1) // ppb if self._next_page_in_plane else -1
         used = self.ssd.array.pages.next_page[:, first_block : last_block + 1] > 0
-        for plane_index, block_index in np.argwhere(used).tolist():
-            self.ssd.array.plane_by_index(plane_index).erase_block(
-                first_block + block_index
-            )
+        planes, blocks = used.nonzero()
+        self.ssd.array.erase_blocks(planes, blocks + first_block)
         self._next_page_in_plane = checkpoint
 
     def _deploy(
@@ -441,22 +439,20 @@ def program_slots(
     wide) is slot ``i % slots_per_page`` of the ``i // slots_per_page``-th
     page, and row ``i`` of ``records`` that slot's OOB record.  Short rows
     and a last page's empty slots read as zeros.  Region page ``o`` is
-    programmed at ``region.region.translate(o)``.  Returns the number of
-    pages programmed.
+    programmed at ``region.region.translate(o)``, every page in one
+    :meth:`~repro.nand.array.FlashArray.program_pages`.  Returns the number
+    of pages programmed.
     """
-    g = ssd.spec.geometry
     spp = region.slots_per_page
     n_pages = -(-len(payloads) // spp)
     data = _page_rows(payloads, n_pages, spp, region.item_bytes)
     oob = None if records is None else _page_rows(
         records, n_pages, spp, records.shape[1]
     )
-    for i in range(n_pages):
-        ssd.array.program(
-            region.region.translate(first_page + i, g),
-            data[i],
-            None if oob is None else oob[i],
-        )
+    planes, blocks, pages = region.region.translate_columns(
+        np.arange(first_page, first_page + n_pages), ssd.spec.geometry
+    )[:3]
+    ssd.array.program_pages(planes, blocks, pages, data, oob)
     return n_pages
 
 

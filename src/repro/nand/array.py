@@ -159,3 +159,13 @@ class FlashArray:
         oob: Optional[np.ndarray] = None,
     ) -> None:
         self.plane(address).program_page(address.block, address.page, data, oob)
+
+    def program_pages(self, planes, blocks, pages, data, oob=None) -> None:
+        """One :meth:`PageTable.program` (global plane indices), counted once."""
+        self.pages.program(planes, blocks, pages, data, oob)
+        self.counters.add_all({"page_programs": len(data)})
+
+    def erase_blocks(self, planes, blocks) -> None:
+        """One :meth:`PageTable.erase`, counted once."""
+        self.pages.erase(planes, blocks)
+        self.counters.add_all({"block_erases": len(planes)})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import mmap
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -79,6 +79,7 @@ class PageTable:
         self._oob_rows = self.oob.reshape(-1, oob_bytes)
         self._state_rows = self.state.reshape(-1)
         self._mode_rows = self.mode.reshape(-1)
+        self._next_rows = self.next_page.reshape(-1)
 
     # ----------------------------------------------------------------- reads
 
@@ -112,51 +113,66 @@ class PageTable:
 
     # ---------------------------------------------------------------- writes
 
-    def program(
-        self, plane: int, block: int, page: int, data: np.ndarray,
-        oob: Optional[np.ndarray] = None,
-    ) -> None:
-        """Program data (and optionally OOB) into the block's next page,
-        zero-padding both rows: pages in a block are programmed in order,
-        so the pages before it hold data and the ones from it on are
-        erased."""
-        expected = self.next_page[plane, block]
-        if page < expected:
-            raise RuntimeError("program on a non-erased page (erase first)")
-        if page != expected:
-            raise RuntimeError(
-                f"out-of-order program: expected page {expected}, got {page}"
-            )
+    def program(self, planes, blocks, pages, data: np.ndarray, oob=None) -> None:
+        """Program row ``i`` of ``data`` (and of ``oob``) into page
+        ``(planes[i], blocks[i], pages[i])``, zero-padding both rows.  Every
+        rule is checked before anything is written, so a refused call writes
+        nothing: in-range pages, ``uint8`` rows no wider than a page or the
+        OOB area, one row per page, and each block's pages in column order
+        from its next page on (the pages before it hold data)."""
+        at = np.ravel_multi_index((planes, blocks, pages), self.state.shape)
+        keys, in_block = np.divmod(at, self.pages_per_block)
+        # A page's expected place: its block's next page plus the call's
+        # earlier pages in that block (its rank in a stable sort by block).
+        order = keys.argsort(kind="stable")
+        ordered = keys[order]
+        head = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        step = np.arange(at.size)
+        expected = np.empty_like(at)
+        rank = step - np.maximum.accumulate(step * head)
+        expected[order] = self._next_rows[ordered] + rank
+        wrong = (expected != in_block).nonzero()[0]
+        if wrong.size:
+            want, got = expected[wrong[0]], in_block[wrong[0]]
+            if got < want:
+                raise RuntimeError("program on a non-erased page (erase first)")
+            raise RuntimeError(f"out-of-order program: expected page {want}, got {got}")
         if data.dtype != np.uint8:
             raise TypeError("page data must be uint8")
-        if data.size > self.page_bytes:
-            raise ValueError(f"data ({data.size}B) exceeds page size ({self.page_bytes}B)")
-        n_oob = 0 if oob is None else oob.size
+        width = data.shape[1]
+        if width > self.page_bytes:
+            raise ValueError(f"data ({width}B) exceeds page size ({self.page_bytes}B)")
+        n_oob = 0 if oob is None else oob.shape[1]
         if n_oob > self.oob_bytes:
             raise ValueError("OOB data exceeds the OOB area")
-        row, oob_row = self.data[plane, block, page], self.oob[plane, block, page]
-        row[: data.size] = data
-        row[data.size :] = 0
-        if n_oob:
-            oob_row[:n_oob] = oob
-        oob_row[n_oob:] = 0
-        self.state[plane, block, page] = PROGRAMMED
-        self.next_page[plane, block] += 1
+        if len(data) != at.size or (oob is not None and len(oob) != at.size):
+            raise ValueError("program takes one data (and OOB) row per page")
+        self._data_rows[at, :width] = data
+        self._data_rows[at, width:] = 0
+        if oob is not None:
+            self._oob_rows[at, :n_oob] = oob
+        self._oob_rows[at, n_oob:] = 0
+        self._state_rows[at] = PROGRAMMED
+        np.add.at(self._next_rows, keys, 1)
 
     def invalidate(self, plane: int, block: int, page: int) -> None:
         """Mark a programmed page's contents stale (FTL out-of-place update)."""
         if self.state[plane, block, page] == PROGRAMMED:
             self.state[plane, block, page] = INVALID
 
-    def erase(self, plane: int, block: int) -> None:
-        """Erase a block: its pages read all-ones, its P/E count advances."""
-        self.state[plane, block] = ERASED
-        self.pe_cycles[plane, block] += 1
-        self.next_page[plane, block] = 0
+    def erase(self, planes, blocks) -> None:
+        """Erase blocks ``(planes[i], blocks[i])``: their pages read
+        all-ones, their P/E counts advance (once per time a block is
+        named)."""
+        self.state[planes, blocks] = ERASED
+        np.add.at(self.pe_cycles, (planes, blocks), 1)
+        self.next_page[planes, blocks] = 0
 
-    def set_mode(self, plane: int, block: int, mode: CellMode) -> None:
-        """Switch a block's cell mode (hybrid SSD soft partitioning): only
-        while the block is erased, as on real drives."""
-        if self.next_page[plane, block] != 0:
+    def set_mode(self, planes, blocks, mode: CellMode) -> None:
+        """Switch the cell mode of blocks ``(planes, blocks)`` (index
+        columns, scalars or slices; hybrid SSD soft partitioning): only
+        while every one of them is erased, as on real drives, so a refused
+        call switches none."""
+        if self.next_page[planes, blocks].any():
             raise RuntimeError("cell mode can only change on an erased block")
-        self.mode[plane, block] = mode.code
+        self.mode[planes, blocks] = mode.code

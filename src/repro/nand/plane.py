@@ -64,7 +64,9 @@ class Plane:
     def program_page(
         self, block: int, page: int, data: np.ndarray, oob: Optional[np.ndarray] = None
     ) -> None:
-        self.pages.program(self.row, block, page, data, oob)
+        """One row of :meth:`PageTable.program`."""
+        rows = (data.reshape(1, -1), None if oob is None else oob.reshape(1, -1))
+        self.pages.program((self.row,), (block,), (page,), *rows)
         self.counters.add("page_programs")
 
     def erase_block(self, block: int) -> None:

@@ -47,19 +47,18 @@ class HybridPartitioner:
         end_page_in_plane: int,
         mode: CellMode,
     ) -> int:
-        """Set ``mode`` on every block overlapping the in-plane page window.
+        """Set ``mode`` on every block overlapping the in-plane page window
+        of every plane, in one mode write: a window holding a programmed
+        block is refused whole.
 
         Returns the number of blocks converted across all planes.
         """
         g = self._array.geometry
         first_block = start_page_in_plane // g.pages_per_block
         last_block = (max(end_page_in_plane - 1, start_page_in_plane)) // g.pages_per_block
-        converted = 0
-        for plane_index in range(g.total_planes):
-            for block_index in range(first_block, last_block + 1):
-                self.set_block_mode(plane_index, block_index, mode)
-                converted += 1
-        return converted
+        blocks = range(first_block, last_block + 1)
+        self._array.pages.set_mode(slice(None), blocks, mode)
+        return g.total_planes * len(blocks)
 
     def stats(self) -> PartitionStats:
         g = self._array.geometry

@@ -192,3 +192,29 @@ def fetch_documents(device, db, dadrs_per_query):
     )
     cuts = np.concatenate([[0], np.cumsum(counts)]).tolist()
     return [documents[lo:hi] for lo, hi in zip(cuts, cuts[1:])], run
+
+
+def tiny_ingest_device():
+    """A tiny device holding a 1,200-entry IVF database with growth headroom,
+    and two mutation epochs for it (inserts, deletes and updates; the
+    second targets ids the first inserted).  Returns ``(device, manager,
+    epochs)``; nothing is applied yet."""
+    from repro.core.ingest import MutationRequest
+
+    vectors, _ = make_clustered_embeddings(1200, 64, 12, seed="nand-write")
+    device = ReisDevice(tiny_config("NWRITE"))
+    db_id = device.ivf_deploy("db", vectors, nlist=12, seed=0, growth_entries=4096)
+    rng = np.random.default_rng(7)
+
+    def near(i):
+        return (vectors[i % 1200] + rng.normal(0, 0.05, 64)).astype(np.float32)
+
+    epochs = [
+        [MutationRequest(op="insert", vector=near(i)) for i in range(0, 1200, 4)]
+        + [MutationRequest(op="delete", entry_id=i) for i in range(1, 1200, 5)]
+        + [MutationRequest(op="update", entry_id=i, vector=near(i)) for i in (2, 500, 999)],
+        [MutationRequest(op="insert", vector=near(i)) for i in range(3, 1200, 6)]
+        + [MutationRequest(op="delete", entry_id=i) for i in (1200, 1205, 1250, 63)]
+        + [MutationRequest(op="update", entry_id=i, vector=near(i)) for i in (1201, 730)],
+    ]
+    return device, device.ingest_manager(db_id), epochs

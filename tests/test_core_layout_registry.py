@@ -550,21 +550,22 @@ class TestDeployedPagesGatherBack:
         device = ReisDevice(tiny_config("ORACLE"))
         array, g = device.ssd.array, device.config.geometry
         written = []
-        program = array.program
+        program_pages = array.program_pages
 
-        def recording(address, data, oob=None):
-            written.append((address, data.copy(), None if oob is None else oob.copy()))
-            program(address, data, oob)
+        def recording(planes, blocks, pages, data, oob=None):
+            for i, address in enumerate(zip(planes, blocks, pages)):
+                written.append(
+                    (address, data[i].copy(), None if oob is None else oob[i].copy())
+                )
+            program_pages(planes, blocks, pages, data, oob)
 
-        array.program = recording
+        array.program_pages = recording
         device.ivf_deploy("oracle", vectors, nlist=8, corpus=small_corpus, seed=0)
-        del array.program
+        del array.program_pages
         db = device.database(0)
         regions = [db.embedding_region, db.centroid_region, db.int8_region, db.document_region]
         assert len(written) == sum(region.n_pages for region in regions)
-        planes = [a.plane_linear(g) for a, _data, _oob in written]
-        blocks = [a.block for a, _data, _oob in written]
-        pages = [a.page for a, _data, _oob in written]
+        planes, blocks, pages = np.array([a for a, _data, _oob in written]).T
         data = np.zeros((len(written), g.page_bytes), dtype=np.uint8)
         oob = np.zeros((len(written), g.oob_bytes), dtype=np.uint8)
         codes = array.gather(planes, blocks, pages, slice(None), data, oob)

@@ -173,6 +173,21 @@ class TestHybridPartitioner:
         block_bytes = GEOMETRY.pages_per_block * GEOMETRY.page_bytes
         assert stats.capacity_cost_bytes == 2 * block_bytes
 
+    def test_refused_convert_region_changes_no_mode(self):
+        """A window holding one programmed block is refused whole: no block
+        of it, before or after the programmed one, takes the new mode."""
+        geometry = FlashGeometry(
+            channels=2, chips_per_channel=1, dies_per_chip=2, planes_per_die=2,
+            blocks_per_plane=4, pages_per_block=4, page_bytes=1024,
+            oob_bytes=64, subpage_bytes=256,
+        )
+        array = FlashArray(geometry)
+        array.plane_by_index(3).program_page(1, 0, np.zeros(8, dtype=np.uint8))
+        modes = array.pages.mode.copy()
+        with pytest.raises(RuntimeError, match="erased block"):
+            HybridPartitioner(array).convert_region(0, 8, CellMode.SLC_ESP)
+        assert np.array_equal(array.pages.mode, modes)
+
     def test_mode_change_on_programmed_block_fails(self):
         array = FlashArray(GEOMETRY)
         partitioner = HybridPartitioner(array)
