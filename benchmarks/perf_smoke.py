@@ -287,16 +287,18 @@ FORMING_ARRIVALS = 512
 FORMING_RATE_QPS = 16_000.0
 FORMING_EVENTS_CEILING = 184.0
 # Measured call + c_call events of constructing one 64-blocks-per-plane
-# FlashArray: 172 with the pages as rows of one table (python 3.11, numpy
-# 2.4; 33,949 with a FlashPage object per page and a FlashBlock per block);
-# x1.05.
+# FlashArray: 67 with the planes as rows of the page and latch tables and
+# no channel / chip / die / plane objects (python 3.11, numpy 2.4; 173 with
+# that object tree over the tables, 33,949 with a FlashPage object per page
+# and a FlashBlock per block); x1.05.
 BUILD_BLOCKS_PER_PLANE = 64
-BUILD_EVENTS_CEILING = 181
+BUILD_EVENTS_CEILING = 71
 # Measured call + c_call events of the first append commit plus one
 # compact() on the tiny ingest device: 7,831 with program, erase and mode
 # change writing page-table columns in one call per region or window
-# (python 3.11, numpy 2.4; 10,781 with one call chain per page or block);
-# x1.05.
+# (python 3.11, numpy 2.4; 10,781 with one call chain per page or block;
+# 7,829 with compaction's window clears on the FTL's relocation body);
+# x1.05 of 7,831.
 INGEST_WRITE_EVENTS_CEILING = 8_223
 
 

@@ -21,17 +21,25 @@ The engine drives every die of a device at once, a phase at a time: the
 latches live in the array's :class:`~repro.nand.latches.LatchTable` and the
 issued commands in one (die, :class:`FlashOp`) count table, which advances
 by counts -- it holds the command stream a per-page walk would have issued.
+
+A die senses its planes in parallel and supports Multi-Plane Input
+Broadcasting (MPIBC): raising the select signal of all its planes so they
+latch one broadcast query at once (:meth:`DeviceCommandInterface.broadcast`
+bills one transfer per die instead of one per plane).  REIS's pipelining
+overlaps a plane's next sense with the current page's latch work and
+channel transfer (Sec. 4.3.4, Read-Page-Cache-Sequential); that overlap is
+a property of the modeled clock (:mod:`repro.core.costing`), not of any
+latch state here.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, NamedTuple
+from typing import Dict
 
 import numpy as np
 
 from repro.nand.array import FlashArray
-from repro.nand.die import Die
 
 
 class FlashOp(Enum):
@@ -64,32 +72,22 @@ class CommandTrace:
         return int(self.row[OP_COLUMN[op]])
 
 
-class DieCommandInterface(NamedTuple):
-    """The FSM in one die's control logic: the die and its command trace."""
-
-    die: Die
-    trace: CommandTrace
-
-
 class DeviceCommandInterface:
     """The FSMs of every die of one device, as one command count table.
 
     ``counts`` has a row per global die and a column per :class:`FlashOp`
     (:data:`OP_COLUMN`); a phase adds its (die, op) counts onto it.
-    ``dies`` maps each die index to its :class:`DieCommandInterface`, whose
-    trace is a view of its row.
+    ``dies`` maps each die index to its :class:`CommandTrace`, a view of
+    its row.
     """
 
     def __init__(self, array: FlashArray) -> None:
         self.array = array
         self.planes_per_die = array.geometry.planes_per_die
         self.counts = np.zeros((array.geometry.total_dies, len(OP_COLUMN)), dtype=np.int64)
-        self.dies: Dict[int, DieCommandInterface] = {
-            die: DieCommandInterface(
-                array.die_of_plane(die * self.planes_per_die), CommandTrace(row)
-            )
-            for die, row in enumerate(self.counts)
-        }
+        self.dies: Dict[int, CommandTrace] = dict(
+            enumerate(map(CommandTrace, self.counts))
+        )
 
     def broadcast(self, query_codes: np.ndarray, multi_plane: bool) -> int:
         """IBC Q_EMB into every die, once per row of a back-to-back batch of

@@ -667,9 +667,10 @@ class IngestManager:
             for _ in range(n_read):
                 result.seconds += read_s
 
+        defrag = Defragmenter(self.ssd)
         for key, region in self._regions.items():
             window = region.region
-            cleared = Defragmenter(self.ssd).clear_window(
+            cleared = defrag.clear_window(
                 window.start_page_in_plane, window.end_page_in_plane
             )
             result.seconds += cleared.seconds

@@ -204,11 +204,7 @@ class DatabaseDeployer:
         allocator._next_page = [
             max(cursor, boundary) for cursor in allocator._next_page
         ]
-        last_block = (boundary - 1) // g.pages_per_block if boundary else -1
-        for plane_index in range(g.total_planes):
-            for block_index in range(last_block + 1):
-                self.ssd.gc.reserve_block(plane_index, block_index)
-                self.ssd.wear.reserve_block(plane_index, block_index)
+        self.ssd.reserved[:, : -(-boundary // g.pages_per_block)] = True
 
     # ---------------------------------------------------------- deployment
 

@@ -2,15 +2,10 @@
 
 from repro.nand.array import FlashArray
 from repro.nand.cell import CellMode, reliability
-from repro.nand.channel import Channel
-from repro.nand.chip import FlashChip
-from repro.nand.die import Die
 from repro.nand.ecc import EccConfig, EccEngine, UncorrectableReadError
 from repro.nand.errors import BitErrorModel
 from repro.nand.geometry import FlashGeometry, PhysicalPageAddress, ppa_from_linear
-from repro.nand.latches import FailBitCounter, PageBuffer
 from repro.nand.page import PageTable
-from repro.nand.plane import Plane
 from repro.nand.timing import NandTiming
 
 __all__ = [
@@ -26,10 +21,4 @@ __all__ = [
     "EccConfig",
     "UncorrectableReadError",
     "PageTable",
-    "PageBuffer",
-    "FailBitCounter",
-    "Plane",
-    "Die",
-    "FlashChip",
-    "Channel",
 ]

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nand.cell import MODES, reliability
-from repro.nand.channel import Channel
 from repro.nand.errors import NO_FLIPS, BitErrorModel, Flips
-from repro.nand.geometry import FlashGeometry, PhysicalPageAddress, page_address
+from repro.nand.geometry import FlashGeometry
 from repro.nand.latches import LatchTable
 from repro.nand.page import PageTable
-from repro.nand.plane import Plane
 from repro.nand.timing import NandTiming
 from repro.sim.stats import CounterSet
 
@@ -32,16 +30,18 @@ class SenseRun(NamedTuple):
 
 
 class FlashArray:
-    """Channels -> chips -> dies -> planes -> blocks -> pages.
+    """Channels -> chips -> dies -> planes -> blocks -> pages, as tables.
 
-    The array programs pages by :class:`PhysicalPageAddress`, senses them
-    by global plane index (:meth:`read_pages`) and iterates over planes in
-    global-plane order, which is the order REIS's parallelism-first
-    allocation stripes embeddings in.  Its one :class:`BitErrorModel` owns
-    the device's raw-bit-error stream, its one :class:`PageTable` the bytes,
+    Every plane of the array is a row of its tables, numbered by global
+    plane index (channel, then chip, die and plane;
+    :func:`~repro.nand.geometry.page_address` maps a row back to its
+    address), which is the order REIS's parallelism-first allocation
+    stripes embeddings in.  Its one :class:`BitErrorModel` owns the
+    device's raw-bit-error stream, its one :class:`PageTable` the bytes,
     states and block columns of every page, and its one :class:`LatchTable`
-    the latches and fail-bit counts of every plane (row = global plane
-    index in both tables).
+    the latches and fail-bit counts of every plane.  Senses
+    (:meth:`read_pages`), programs (:meth:`program_pages`) and erases
+    (:meth:`erase_blocks`) take (plane, block, page) columns.
     """
 
     def __init__(
@@ -58,36 +58,6 @@ class FlashArray:
             geometry.total_planes, geometry.blocks_per_plane,
             geometry.pages_per_block, geometry.page_bytes, geometry.oob_bytes,
         )
-        self.channels: List[Channel] = [
-            Channel(
-                cid, geometry, self.timing, counters=self.counters,
-                latches=self.latches, pages=self.pages,
-            )
-            for cid in range(geometry.channels)
-        ]
-        self.planes: List[Plane] = [
-            self.plane(page_address(geometry, index, 0, 0))
-            for index in range(geometry.total_planes)
-        ]
-
-    # ----------------------------------------------------------- accessors
-
-    def plane(self, address: PhysicalPageAddress) -> Plane:
-        address.validate(self.geometry)
-        channel = self.channels[address.channel]
-        chip = channel.chips[address.chip]
-        die = chip.dies[address.die]
-        return die.planes[address.plane]
-
-    def plane_by_index(self, plane_index: int) -> Plane:
-        """Plane by global index (0 .. total_planes-1)."""
-        if not 0 <= plane_index < len(self.planes):
-            raise ValueError(f"plane index {plane_index} out of range")
-        return self.planes[plane_index]
-
-    def die_of_plane(self, plane_index: int):
-        a = page_address(self.geometry, plane_index, 0, 0)
-        return self.channels[a.channel].chips[a.chip].dies[a.die]
 
     # ----------------------------------------------------------------- I/O
 
@@ -97,6 +67,15 @@ class FlashArray:
         ``out`` and the OOB stack ``oob``, latching and counting nothing.
         Returns each page's cell-mode code (:meth:`PageTable.gather`)."""
         return self.pages.gather(planes, blocks, pages, rows, out, oob)
+
+    def stored(self, planes, blocks, pages) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of the stored (data, OOB) rows of pages anywhere in the
+        array (:meth:`gather` into fresh stacks)."""
+        n = len(pages)
+        data = np.empty((n, self.geometry.page_bytes), dtype=np.uint8)
+        oob = np.empty((n, self.geometry.oob_bytes), dtype=np.uint8)
+        self.pages.gather(planes, blocks, pages, slice(None), data, oob)
+        return data, oob
 
     def count_reads(self, code: int, n: int) -> None:
         """Advance the read counters by ``n`` senses in the cell mode of
@@ -151,14 +130,6 @@ class FlashArray:
                 drawn = tuple(map(np.concatenate, zip(flips, drawn)))
             flips = drawn
         return SenseRun(out, oob, flips)
-
-    def program(
-        self,
-        address: PhysicalPageAddress,
-        data: np.ndarray,
-        oob: Optional[np.ndarray] = None,
-    ) -> None:
-        self.plane(address).program_page(address.block, address.page, data, oob)
 
     def program_pages(self, planes, blocks, pages, data, oob=None) -> None:
         """One :meth:`PageTable.program` (global plane indices), counted once."""

@@ -77,10 +77,11 @@ class LatchTable:
 
     ``sensing`` and ``cache`` hold a page-wide row per plane, ``oob`` an
     OOB-wide one, and ``invocations`` each plane's fail-bit-counter count
-    (one column).  A plane's :class:`PageBuffer` and
-    :class:`FailBitCounter` are views of its row, so a phase kernel
-    advances a whole device with a few array operations while per-plane
-    readers keep their API.
+    (one column), so a phase kernel advances a whole device with a few
+    array operations.  DL, the XOR destination, is not held: its contents
+    are the XOR temporary of :func:`xor_popcount_segments`, consumed by the
+    fail-bit count in the same pass, which REIS segments at mini-page
+    (embedding) granularity.
     """
 
     def __init__(self, n_planes: int, page_bytes: int, oob_bytes: int) -> None:
@@ -90,10 +91,6 @@ class LatchTable:
         self.cache = np.zeros((n_planes, page_bytes), dtype=np.uint8)
         self.oob = np.zeros((n_planes, oob_bytes), dtype=np.uint8)
         self.invocations = np.zeros(n_planes, dtype=np.int64)
-
-    def buffer(self, row: int) -> "PageBuffer":
-        """Plane ``row``'s page buffer: views of its latch rows."""
-        return PageBuffer(self, row)
 
     def latch_senses(
         self,
@@ -123,40 +120,3 @@ class LatchTable:
         image[:] = pattern  # whole copies, row by row
         self.cache[:, : image.size] = image.reshape(-1)
         self.cache[:, image.size :] = 0
-
-
-class PageBuffer:
-    """The latches of one plane, one page wide: row ``row`` of a
-    :class:`LatchTable`.
-
-    DL, the XOR destination, is not held: its contents are the XOR
-    temporary of :func:`xor_popcount_segments`, consumed by the fail-bit
-    count in the same pass.
-    """
-
-    def __init__(self, table: LatchTable, row: int) -> None:
-        self.table = table
-        self.row = row
-        self.page_bytes = table.page_bytes
-        self.sensing = table.sensing[row]
-        self.cache = table.cache[row]
-        self.oob = table.oob[row]
-
-
-class FailBitCounter:
-    """On-chip digital bit counter (counts ones in a latch).
-
-    Real counters report the number of "failing" cells after a program-verify
-    step.  REIS segments the count at mini-page (embedding) granularity; the
-    counter walks the data latch once and emits one count per segment (the
-    arithmetic is :func:`xor_popcount_segments`, which the scan kernel runs
-    over a whole phase's extractions at once).  Its invocation count is its
-    plane's entry of the :class:`LatchTable` column.
-    """
-
-    def __init__(self, buffer: PageBuffer) -> None:
-        self._buffer = buffer
-
-    @property
-    def invocations(self) -> int:
-        return int(self._buffer.table.invocations[self._buffer.row])

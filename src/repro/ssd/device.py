@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nand.array import FlashArray
+from repro.nand.cell import RELIABILITY
 from repro.nand.ecc import EccEngine, UncorrectableReadError
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import NandTiming
@@ -54,8 +55,10 @@ class SimulatedSSD:
         self.cores = CoreComplex(n_cores=spec.n_cores, spec=spec.core_spec)
         self.allocator = ParallelismFirstAllocator(spec.geometry)
         self.ftl = PageLevelFtl(self.array, self.allocator, dram=self.dram)
-        self.gc = GarbageCollector(self.array, self.ftl)
-        self.wear = WearLeveler(self.array)
+        # Blocks GC and wear leveling must not touch (deployed REIS regions).
+        self.reserved = np.zeros(self.array.pages.mode.shape, dtype=bool)
+        self.gc = GarbageCollector(self.array, self.ftl, self.reserved)
+        self.wear = WearLeveler(self.array, reserved=self.reserved)
         self.hybrid = HybridPartitioner(self.array)
         self.ecc = EccEngine()
         self.nvme = NvmeInterface()
@@ -82,10 +85,9 @@ class SimulatedSSD:
         """
         self._require_normal_mode()
         ppa = self.ftl.translate(lpa)
-        sensed = self.array.read_pages(
-            [ppa.plane_linear(self.spec.geometry)], [ppa.block], [ppa.page]
-        )
-        if self.array.plane(ppa).requires_ecc(ppa.block):
+        plane = ppa.plane_linear(self.spec.geometry)
+        sensed = self.array.read_pages([plane], [ppa.block], [ppa.page])
+        if RELIABILITY[self.array.pages.mode[plane, ppa.block]].requires_ecc:
             if self.ecc.correct_batch(sensed.data, sensed.flips).size:
                 raise UncorrectableReadError("host", lpa)
         return sensed.data[0]

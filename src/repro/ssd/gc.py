@@ -9,13 +9,12 @@ general-purpose remainder of the drive (Sec. 7.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.nand.array import FlashArray
-from repro.nand.geometry import page_address
-from repro.nand.page import INVALID, PROGRAMMED
+from repro.nand.page import INVALID
 from repro.ssd.ftl import PageLevelFtl
 
 
@@ -31,55 +30,41 @@ class GcResult:
 
 
 class GarbageCollector:
-    """Greedy cost-benefit GC over the non-reserved blocks."""
+    """Greedy cost-benefit GC over the non-reserved blocks.
+
+    ``reserved`` is the (plane, block) mask of blocks GC must not touch
+    (REIS regions); the SSD shares its one mask with wear leveling.
+    """
 
     def __init__(
-        self,
-        array: FlashArray,
-        ftl: PageLevelFtl,
-        reserved_planes_pages: Optional[Set[Tuple[int, int]]] = None,
+        self, array: FlashArray, ftl: PageLevelFtl, reserved: Optional[np.ndarray] = None
     ) -> None:
         self._array = array
         self._ftl = ftl
-        # (plane_index, block_index) pairs GC must not touch (REIS regions).
-        self._reserved = reserved_planes_pages or set()
-
-    def reserve_block(self, plane_index: int, block_index: int) -> None:
-        self._reserved.add((plane_index, block_index))
+        self.reserved = (
+            reserved if reserved is not None
+            else np.zeros(array.pages.mode.shape, dtype=bool)
+        )
 
     def _victims(self) -> List[Tuple[int, int, int]]:
         """(invalid_count, plane, block) candidates, most garbage first:
-        full blocks holding an invalid page, read off the page table."""
+        full, unreserved blocks holding an invalid page, read off the page
+        table."""
         table = self._array.pages
         invalid = np.count_nonzero(table.state == INVALID, axis=2)
         candidate = (invalid > 0) & (table.next_page >= table.pages_per_block)
-        for plane_index, block_index in self._reserved:
-            candidate[plane_index, block_index] = False
-        planes, blocks = candidate.nonzero()
+        planes, blocks = (candidate & ~self.reserved).nonzero()
         return sorted(
             zip(invalid[planes, blocks].tolist(), planes.tolist(), blocks.tolist()),
             reverse=True,
         )
 
     def collect(self, max_blocks: int = 1) -> GcResult:
-        """Reclaim up to ``max_blocks`` victim blocks."""
-        result = GcResult()
-        for _, plane_index, block_index in self._victims()[:max_blocks]:
-            plane = self._array.plane_by_index(plane_index)
-            programmed = self._array.pages.state[plane_index, block_index] == PROGRAMMED
-            for page_index in programmed.nonzero()[0].tolist():
-                data, oob = plane.golden_page(block_index, page_index)
-                lpa = self._ftl.lpa_of(page_address(
-                    self._array.geometry, plane_index, block_index, page_index
-                ))
-                if lpa is None:
-                    continue
-                new_ppa = self._ftl._allocator.allocate()
-                self._array.program(new_ppa, data, oob)
-                self._ftl.remap(lpa, new_ppa)
-                result.relocated_pages += 1
-            plane.erase_block(block_index)
-            result.erased_blocks += 1
-            result.victim_blocks.append((plane_index, block_index))
-        return result
-
+        """Reclaim up to ``max_blocks`` victim blocks: their mapped pages
+        move to freshly allocated ones (:meth:`PageLevelFtl.relocate`)."""
+        victims = [(p, b) for _, p, b in self._victims()[:max_blocks]]
+        if not victims:
+            return GcResult()
+        planes, blocks = np.array(victims).T
+        moved = self._ftl.relocate(planes, blocks, self._ftl._allocator.allocate)
+        return GcResult(erased_blocks=len(victims), relocated_pages=moved, victim_blocks=victims)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nand.array import FlashArray
-from repro.nand.cell import CellMode
+from repro.nand.cell import MODES, CellMode
 
 
 @dataclass
@@ -35,11 +35,12 @@ class HybridPartitioner:
         self._array = array
 
     def set_block_mode(self, plane_index: int, block_index: int, mode: CellMode) -> None:
-        """Program a block's mode (block must be erased)."""
-        self._array.plane_by_index(plane_index).set_mode(block_index, mode)
+        """Program a block's mode (block must be erased and in range)."""
+        np.ravel_multi_index((plane_index, block_index), self._array.pages.mode.shape)
+        self._array.pages.set_mode(plane_index, block_index, mode)
 
     def mode_of(self, plane_index: int, block_index: int) -> CellMode:
-        return self._array.plane_by_index(plane_index).block_mode(block_index)
+        return MODES[self._array.pages.mode[plane_index, block_index]]
 
     def convert_region(
         self,

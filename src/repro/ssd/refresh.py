@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.nand.array import FlashArray
 from repro.nand.cell import MODES, CellMode
 from repro.nand.page import PROGRAMMED
@@ -89,29 +91,29 @@ class RefreshManager:
         return due
 
     def refresh(self, max_blocks: int | None = None) -> RefreshResult:
-        """Rewrite due blocks in place (read golden -> erase -> reprogram).
+        """Rewrite due blocks in place: one gather of their programmed
+        pages, one erase, one program.
 
         In-place refresh models the maintenance path for REIS's reserved
         coarse regions, where data must stay at its physical address so
         the R-DB entries remain valid.
         """
-        result = RefreshResult()
         due = self.due_blocks()
         if max_blocks is not None:
             due = due[:max_blocks]
-        result.blocks_scanned = len(self._age_days)
-        for plane_index, block_index in due:
-            plane = self._array.plane_by_index(plane_index)
-            programmed = self._array.pages.state[plane_index, block_index] == PROGRAMMED
-            contents = [
-                plane.golden_page(block_index, page_index)
-                for page_index in programmed.nonzero()[0].tolist()
-            ]
-            plane.erase_block(block_index)  # the block keeps its cell mode
-            for cursor, (data, oob) in enumerate(contents):
-                # In-order reprogramming: valid pages compact to the front.
-                plane.program_page(block_index, cursor, data, oob)
-                result.pages_rewritten += 1
-            self._age_days[(plane_index, block_index)] = 0.0
-            result.blocks_refreshed += 1
+        result = RefreshResult(blocks_scanned=len(self._age_days))
+        if not due:
+            return result
+        planes, blocks = map(np.array, zip(*due))
+        programmed = self._array.pages.state[planes, blocks] == PROGRAMMED
+        rows, pages = programmed.nonzero()
+        contents = self._array.stored(planes[rows], blocks[rows], pages)
+        self._array.erase_blocks(planes, blocks)  # the blocks keep their cell modes
+        # In-order reprogramming: each block's valid pages compact to its front.
+        cursors = programmed.cumsum(axis=1)[rows, pages] - 1
+        self._array.program_pages(planes[rows], blocks[rows], cursors, *contents)
+        for key in due:
+            self._age_days[key] = 0.0
+        result.blocks_refreshed = len(due)
+        result.pages_rewritten = len(pages)
         return result

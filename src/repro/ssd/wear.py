@@ -16,32 +16,35 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.nand.array import FlashArray
+from repro.nand.cell import MODES, reliability
 from repro.nand.geometry import page_address
-from repro.nand.cell import reliability
 from repro.nand.page import PROGRAMMED
 
 
 class WearLeveler:
     """Monitors block wear and recommends static wear-leveling swaps."""
 
-    def __init__(self, array: FlashArray, imbalance_threshold: int = 100) -> None:
+    def __init__(
+        self,
+        array: FlashArray,
+        imbalance_threshold: int = 100,
+        reserved: Optional[np.ndarray] = None,
+    ) -> None:
         self._array = array
         self.imbalance_threshold = imbalance_threshold
-        # Blocks wear leveling must not move (REIS coarse regions: their
-        # data is addressed by physical location, Sec. 4.1.4).
-        self._reserved: set = set()
-
-    def reserve_block(self, plane_index: int, block_index: int) -> None:
-        self._reserved.add((plane_index, block_index))
+        # The (plane, block) mask of blocks wear leveling must not move
+        # (REIS coarse regions: their data is addressed by physical
+        # location, Sec. 4.1.4); the SSD shares its one mask with GC.
+        self.reserved = (
+            reserved if reserved is not None
+            else np.zeros(array.pages.mode.shape, dtype=bool)
+        )
 
     def pe_cycle_map(self) -> List[Tuple[int, int, int]]:
         """(pe_cycles, plane_index, block_index) for every movable block, in
         (plane, block) order."""
         pe_cycles = self._array.pages.pe_cycles
-        movable = np.ones(pe_cycles.shape, dtype=bool)
-        for plane_index, block_index in self._reserved:
-            movable[plane_index, block_index] = False
-        planes, blocks = movable.nonzero()
+        planes, blocks = (~self.reserved).nonzero()
         return list(zip(
             pe_cycles[planes, blocks].tolist(), planes.tolist(), blocks.tolist()
         ))
@@ -64,7 +67,7 @@ class WearLeveler:
 
     def remaining_lifetime_fraction(self, plane_index: int, block_index: int) -> float:
         """Remaining endurance of a block given its mode and P/E count."""
-        mode = self._array.plane_by_index(plane_index).block_mode(block_index)
+        mode = MODES[self._array.pages.mode[plane_index, block_index]]
         pe_cycles = int(self._array.pages.pe_cycles[plane_index, block_index])
         return max(0.0, 1.0 - pe_cycles / reliability(mode).pe_cycle_endurance)
 
@@ -83,20 +86,21 @@ class WearLeveler:
         table = self._array.pages
         if (table.state[hot_plane, hot_block] == PROGRAMMED).any():
             return result  # the hot block is busy; try again later
-        hot = self._array.plane_by_index(hot_plane)
-        cold = self._array.plane_by_index(cold_plane)
-        hot.set_mode(hot_block, cold.block_mode(cold_block))
-        programmed = table.state[cold_plane, cold_block] == PROGRAMMED
-        for cursor, page_index in enumerate(programmed.nonzero()[0].tolist()):
-            data, oob = cold.golden_page(cold_block, page_index)
-            hot.program_page(hot_block, cursor, data, oob)
-            if ftl is not None:
-                g = self._array.geometry
+        table.set_mode(hot_plane, hot_block, MODES[table.mode[cold_plane, cold_block]])
+        pages = (table.state[cold_plane, cold_block] == PROGRAMMED).nonzero()[0]
+        n = len(pages)
+        self._array.program_pages(
+            np.full(n, hot_plane), np.full(n, hot_block), np.arange(n),
+            *self._array.stored(np.full(n, cold_plane), np.full(n, cold_block), pages),
+        )
+        if ftl is not None:
+            g = self._array.geometry
+            for cursor, page_index in enumerate(pages.tolist()):
                 lpa = ftl.lpa_of(page_address(g, cold_plane, cold_block, page_index))
                 if lpa is not None:
                     ftl.remap(lpa, page_address(g, hot_plane, hot_block, cursor))
-            result.pages_moved += 1
-        cold.erase_block(cold_block)
+        result.pages_moved = n
+        self._array.erase_blocks((cold_plane,), (cold_block,))
         result.swapped = True
         result.hot = (hot_plane, hot_block)
         result.cold = (cold_plane, cold_block)

@@ -31,6 +31,12 @@ def sense_one(array, plane, block, page, out=None):
     return run.data[0], run.oob[0]
 
 
+def stored_page(array, ppa):
+    """The stored (data, oob) of the page at address ``ppa``: read-only
+    views of its page-table row (:meth:`PageTable.view`)."""
+    return array.pages.view(ppa.plane_linear(array.geometry), ppa.block, ppa.page)
+
+
 @pytest.fixture(scope="session")
 def small_vectors():
     vectors, labels = make_clustered_embeddings(

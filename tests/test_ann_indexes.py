@@ -599,9 +599,8 @@ class TestBlockedBuildPasses:
 
 def _programmed_pages(device):
     """``(plane, block, page) -> (data, oob)`` of every programmed page."""
-    planes = device.ssd.array.planes
     return {
-        (p, b, page): planes[p].golden_view(b, page)
+        (p, b, page): device.ssd.array.pages.view(p, b, page)
         for (p, b), n_programmed in np.ndenumerate(device.ssd.array.pages.next_page)
         for page in range(n_programmed)
     }

@@ -123,17 +123,17 @@ def _peripheral(devices):
 
     observed = []
     for device in devices:
-        planes = device.ssd.array.planes
+        latches = device.ssd.array.latches
         observed.append({
             "commands": {
-                str(die): {op.value: interface.trace[op] for op in FlashOp}
-                for die, interface in device.engine._die_interfaces.items()
+                str(die): {op.value: die_trace[op] for op in FlashOp}
+                for die, die_trace in device.engine._die_interfaces.items()
             },
             "latches": [
-                [sha1(p.buffer.sensing), sha1(p.buffer.cache), sha1(p.buffer.oob)]
-                for p in planes
+                list(map(sha1, rows))
+                for rows in zip(latches.sensing, latches.cache, latches.oob)
             ],
-            "invocations": [p.fail_bit_counter.invocations for p in planes],
+            "invocations": latches.invocations.tolist(),
             "counters": device.ssd.counters.as_dict(),
         })
     return json.loads(json.dumps(observed))

@@ -23,8 +23,7 @@ GEOMETRY = FlashGeometry(
 
 def make_interface():
     array = FlashArray(GEOMETRY)
-    for plane in array.planes:
-        plane.set_mode(0, CellMode.SLC_ESP)
+    array.pages.set_mode(slice(None), 0, CellMode.SLC_ESP)
     return DeviceCommandInterface(array)
 
 
@@ -40,17 +39,15 @@ class TestDieCommandInterface:
         interface = make_interface()
         codes = np.stack([np.full(16, value, dtype=np.uint8) for value in (4, 9)])
         assert interface.broadcast(codes, multi_plane=True) == 2 * GEOMETRY.total_dies
-        for die in interface.dies.values():
-            assert die.trace[FlashOp.IBC] == 2
-            for plane in die.die.planes:
-                assert (plane.buffer.cache == 9).all()
+        for trace in interface.dies.values():
+            assert trace[FlashOp.IBC] == 2
+        assert (interface.array.latches.cache == 9).all()
 
     def test_sense_run_logs_one_read_page_per_page(self):
         interface = make_interface()
         array = interface.array
-        plane = array.planes[1]
-        for page in range(3):
-            plane.program_page(0, page, np.full(PAGE, page + 1, dtype=np.uint8))
+        data = np.arange(1, 4, dtype=np.uint8)[:, None].repeat(PAGE, axis=1)
+        array.program_pages([1] * 3, [0] * 3, range(3), data)
         pages = [0, 2, 1]
         stack = np.empty((3, PAGE), dtype=np.uint8)
         oob = np.empty((3, GEOMETRY.oob_bytes), dtype=np.uint8)
@@ -58,11 +55,11 @@ class TestDieCommandInterface:
         array.latches.latch_senses(np.array([1, 1, 1]), stack, oob)
         array.count_reads(CellMode.SLC_ESP.code, 3)
         interface.counts += issued(FlashOp.READ_PAGE, [3, 0])
-        assert interface.dies[0].trace[FlashOp.READ_PAGE] == 3
-        assert interface.dies[1].trace[FlashOp.READ_PAGE] == 0
-        assert plane.counters["page_reads"] == 3
-        assert (plane.buffer.sensing == 2).all()  # the run's last page
-        assert not array.planes[0].buffer.sensing.any()
+        assert interface.dies[0][FlashOp.READ_PAGE] == 3
+        assert interface.dies[1][FlashOp.READ_PAGE] == 0
+        assert array.counters["page_reads"] == 3
+        assert (array.latches.sensing[1] == 2).all()  # the run's last page
+        assert not array.latches.sensing[0].any()
 
     def test_gen_dist_run_is_one_xor_and_gen_dist_per_extraction(self):
         interface = make_interface()
@@ -73,8 +70,8 @@ class TestDieCommandInterface:
         dist = xor_popcount_segments(pages, codes, 8, 4, page_of)
         for op in (FlashOp.XOR, FlashOp.GEN_DIST):
             interface.counts += issued(op, [3, 0])
-        assert interface.dies[0].trace[FlashOp.XOR] == 3
-        assert interface.dies[0].trace[FlashOp.GEN_DIST] == 3
+        assert interface.dies[0][FlashOp.XOR] == 3
+        assert interface.dies[0][FlashOp.GEN_DIST] == 3
         for row, page in enumerate(page_of.tolist()):
             diff = pages[page, :32].reshape(4, 8) ^ codes[row]
             assert dist[row].tolist() == np.bitwise_count(diff).sum(axis=1).tolist()
@@ -83,7 +80,7 @@ class TestDieCommandInterface:
         interface = make_interface()
         interface.counts += issued(FlashOp.PASS_FAIL, [0, 4])
         interface.counts += issued(FlashOp.RD_TTL, [0, 7])
-        trace = interface.dies[1].trace
+        trace = interface.dies[1]
         assert trace[FlashOp.PASS_FAIL] == 4
         assert trace[FlashOp.RD_TTL] == 7
         assert trace.counts == {FlashOp.PASS_FAIL: 4, FlashOp.RD_TTL: 7}
@@ -94,8 +91,8 @@ class TestDieCommandInterface:
         interface = make_interface()
         interface.counts += issued(FlashOp.PASS_FAIL, [0, 0])
         interface.broadcast(np.zeros((0, 16), dtype=np.uint8), multi_plane=True)
-        for die in interface.dies.values():
-            assert die.trace.counts == {}
+        for trace in interface.dies.values():
+            assert trace.counts == {}
         counters = interface.array.counters
         assert counters["ibc_broadcasts"] == 0
         assert counters.as_dict() == {}

@@ -17,7 +17,7 @@ from repro.core.config import NO_OPT, OptFlags, tiny_config
 from repro.core.costing import PhaseLedger
 from repro.core.engine import InStorageAnnsEngine
 
-from tests.conftest import SMALL_DIM, SMALL_N, SMALL_NLIST, one_run
+from tests.conftest import SMALL_DIM, SMALL_N, SMALL_NLIST, one_run, stored_page
 
 
 class TestEngineMatchesHostReference:
@@ -239,9 +239,7 @@ class TestPhaseKernelAgainstLatchWalk:
             ppa = region.region.translate(page, geometry)
             plane = ppa.plane_linear(geometry)
             die = plane // geometry.planes_per_die
-            data, oob = device.ssd.array.plane_by_index(plane).golden_page(
-                ppa.block, ppa.page
-            )
+            data, oob = device.ssd.array.pages.view(plane, ppa.block, ppa.page)
             on_nand = page not in cached
             if on_nand:
                 if plane not in latched or latched[plane][0] != page:
@@ -315,17 +313,12 @@ class TestPhaseKernelAgainstLatchWalk:
             cached = {3, 8}
             for page in sorted(cached):
                 ppa = region.region.translate(page, device.engine.geometry)
-                data, oob = device.ssd.array.plane(ppa).golden_page(
-                    ppa.block, ppa.page
-                )
+                data, oob = stored_page(device.ssd.array, ppa)
                 cache.admit_pages(
                     region, np.array([page]), "cluster", data[None], oob[None]
                 )
-        planes = device.ssd.array.planes
-        before = [
-            (plane.buffer.sensing.copy(), plane.buffer.oob.copy())
-            for plane in planes
-        ]
+        latches = device.ssd.array.latches
+        before = list(zip(latches.sensing.copy(), latches.oob.copy()))
         counters_before = device.ssd.counters.as_dict()
         trace, counters, extractions, latched, survivors = self._walk(
             device, db, rows, codes, threshold, optimize, cached
@@ -352,9 +345,9 @@ class TestPhaseKernelAgainstLatchWalk:
             got = list(zip(block.eadrs.tolist(), block.dists.tolist()))
             assert got == expected and len(expected) > 0
         # The commands each die saw.
-        for die, interface in device.engine._die_interfaces.items():
+        for die, die_trace in device.engine._die_interfaces.items():
             for op in FlashOp:
-                assert interface.trace[op] == trace.get((die, op.value), 0), (die, op)
+                assert die_trace[op] == trace.get((die, op.value), 0), (die, op)
         # The NAND counters.
         after = device.ssd.counters.as_dict()
         for name, expected in counters.items():
@@ -362,8 +355,8 @@ class TestPhaseKernelAgainstLatchWalk:
         # Each plane: one fail-bit-counter invocation per extraction, and
         # the page buffer holds the last page the plane sensed, zero-padded
         # -- or what it held before, where the mirror served every request.
-        for index, plane in enumerate(planes):
-            assert plane.fail_bit_counter.invocations == extractions[index]
+        for index in range(len(before)):
+            assert latches.invocations[index] == extractions[index]
             sensing, oob = before[index]
             if index in latched:
                 _page, data, page_oob = latched[index]
@@ -371,10 +364,10 @@ class TestPhaseKernelAgainstLatchWalk:
                 sensing[: data.size] = data
                 oob = np.zeros_like(oob)
                 oob[: page_oob.size] = page_oob
-            assert np.array_equal(plane.buffer.sensing, sensing)
-            assert np.array_equal(plane.buffer.oob, oob)
+            assert np.array_equal(latches.sensing[index], sensing)
+            assert np.array_equal(latches.oob[index], oob)
         if partly_cached:
-            assert sorted(latched) != list(range(len(planes)))  # page 3's plane
+            assert sorted(latched) != list(range(len(before)))  # page 3's plane
 
 
 class TestScanNeedsEccFreeData:
@@ -572,8 +565,8 @@ class TestNoHardwareModificationConstraint:
         device, db_id = deployed_device
         device.ivf_search(db_id, small_queries[0][None], k=5, nprobe=2)
         seen = set()
-        for interface in device.engine._die_interfaces.values():
-            seen.update(interface.trace.counts)
+        for die_trace in device.engine._die_interfaces.values():
+            seen.update(die_trace.counts)
         allowed = {
             FlashOp.READ_PAGE,
             FlashOp.IBC,

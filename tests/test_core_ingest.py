@@ -26,6 +26,7 @@ from repro.core.layout import CapacityError, DeploymentCodecs, oob_records
 from repro.core.scheduler import DeviceScheduler, ShardedScheduler
 from repro.rag.documents import Corpus, DocumentChunk, synthetic_chunk
 from repro.rag.embeddings import make_clustered_embeddings, make_queries
+from tests.conftest import stored_page
 
 DIM = 16
 NLIST = 5
@@ -539,8 +540,8 @@ class TestCompactionLayout:
             for offset in range(ref.n_pages):
                 a = mine.region.translate(offset, g)
                 b = ref.region.translate(offset, g)
-                got = device.ssd.array.plane(a).golden_page(a.block, a.page)
-                want = snapshot.ssd.array.plane(b).golden_page(b.block, b.page)
+                got = stored_page(device.ssd.array, a)
+                want = stored_page(snapshot.ssd.array, b)
                 assert np.array_equal(got[0], want[0]), (name, offset)
                 assert np.array_equal(got[1], want[1]), (name, offset)
 
@@ -556,7 +557,7 @@ class TestTailPagesSitAtTranslate:
         g = device.ssd.spec.geometry
         page, i = divmod(int(slot), region.slots_per_page)
         ppa = region.region.translate(page, g)
-        data, oob = device.ssd.array.plane(ppa).golden_view(ppa.block, ppa.page)
+        data, oob = stored_page(device.ssd.array, ppa)
         width = region.item_bytes
         record = oob[i * record_bytes : (i + 1) * record_bytes]
         return data[i * width : (i + 1) * width], record

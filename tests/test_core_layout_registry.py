@@ -20,7 +20,7 @@ from repro.nand.cell import CellMode
 from repro.ssd.coarse import COARSE_ENTRY_BYTES, CoarseRegion
 from repro.ssd.dram import InternalDram
 
-from tests.conftest import BlockRows, stream_visits
+from tests.conftest import BlockRows, stored_page, stream_visits
 
 
 class TestRDb:
@@ -420,13 +420,13 @@ class TestDatabaseDeployer:
         ssd, _, db, _ = self._deploy()
         geometry = ssd.spec.geometry
         ppa = db.embedding_region.region.translate(0, geometry)
-        assert ssd.array.plane(ppa).block_mode(ppa.block) is CellMode.SLC_ESP
+        assert ssd.array.pages.mode[ppa.plane_linear(geometry), ppa.block] == CellMode.SLC_ESP.code
 
     def test_document_region_is_tlc(self):
         ssd, _, db, _ = self._deploy()
         geometry = ssd.spec.geometry
         ppa = db.document_region.region.translate(0, geometry)
-        assert ssd.array.plane(ppa).block_mode(ppa.block) is CellMode.TLC
+        assert ssd.array.pages.mode[ppa.plane_linear(geometry), ppa.block] == CellMode.TLC.code
 
     def test_embeddings_stored_in_cluster_order(self):
         _, _, db, vectors = self._deploy(nlist=8)
@@ -456,7 +456,7 @@ class TestDatabaseDeployer:
         geometry = ssd.spec.geometry
         region = db.embedding_region
         ppa = region.region.translate(0, geometry)
-        _, oob = ssd.array.plane(ppa).golden_page(ppa.block, ppa.page)
+        _, oob = stored_page(ssd.array, ppa)
         record = np.frombuffer(oob[: db.oob_record_bytes].tobytes(), dtype="<u4")
         assert record[0] == 0  # DADR of slot 0
         assert record[1] == 0  # RADR of slot 0
@@ -468,7 +468,7 @@ class TestDatabaseDeployer:
         assert db.oob_record_bytes == 12
         geometry = ssd.spec.geometry
         ppa = db.embedding_region.region.translate(0, geometry)
-        _, oob = ssd.array.plane(ppa).golden_page(ppa.block, ppa.page)
+        _, oob = stored_page(ssd.array, ppa)
         record = np.frombuffer(oob[:12].tobytes(), dtype="<u4")
         original = int(db.slot_to_original[0])
         assert record[2] == tags[original]

@@ -10,6 +10,7 @@ from repro.core.defrag import DefragmentationError, Defragmenter
 from repro.core.scheduler import DeviceScheduler
 from repro.nand.cell import CellMode
 from repro.ssd.refresh import RefreshManager, RetentionPolicy
+from tests.conftest import stored_page, tiny_ingest_device
 
 
 class TestRefreshManager:
@@ -19,13 +20,11 @@ class TestRefreshManager:
         return ssd, manager
 
     def _program_block(self, ssd, plane_index=0, block_index=0, mode=CellMode.TLC):
-        plane = ssd.array.plane_by_index(plane_index)
-        plane.set_mode(block_index, mode)
-        for page in range(3):
-            plane.program_page(
-                block_index, page, np.full(64, page, dtype=np.uint8)
-            )
-        return plane
+        ssd.array.pages.set_mode(plane_index, block_index, mode)
+        ssd.array.program_pages(
+            [plane_index] * 3, [block_index] * 3, range(3),
+            np.arange(3, dtype=np.uint8)[:, None].repeat(64, axis=1),
+        )
 
     def test_fresh_blocks_are_not_due(self):
         ssd, manager = self._system()
@@ -46,16 +45,16 @@ class TestRefreshManager:
 
     def test_refresh_rewrites_and_preserves_data(self):
         ssd, manager = self._system()
-        plane = self._program_block(ssd, mode=CellMode.SLC_ESP)
+        self._program_block(ssd, mode=CellMode.SLC_ESP)
         manager.note_programmed(0, 0)
         manager.advance_days(400)
         result = manager.refresh()
         assert result.blocks_refreshed == 1
         assert result.pages_rewritten == 3
         # Data is intact, at the same page indices, same cell mode.
-        assert plane.block_mode(0) is CellMode.SLC_ESP
+        assert ssd.array.pages.mode[0, 0] == CellMode.SLC_ESP.code
         for page in range(3):
-            golden, _ = plane.golden_page(0, page)
+            golden, _ = ssd.array.pages.view(0, 0, page)
             assert (golden[:64] == page).all()
         # The block's age is reset.
         assert manager.age_of(0, 0) == 0.0
@@ -121,6 +120,18 @@ class TestDeviceScheduler:
         assert not scheduler.device.ssd.rag_mode
         assert len(scheduler.accounting.gc_results) == 1
         assert len(scheduler.accounting.refresh_results) == 1
+
+    def test_maintenance_includes_wear_leveling(self, scheduler, small_queries):
+        device = scheduler.device
+        # Manufacture wear imbalance in the free (non-deployed) blocks.
+        free_block = device.config.geometry.blocks_per_plane - 1
+        for _ in range(200):
+            device.ssd.array.pages.erase(0, free_block)
+        scheduler.run_maintenance(wear_level=True)
+        assert scheduler.accounting.maintenance_seconds >= 0
+        # Search still works after maintenance touched the drive.
+        batch = scheduler.serve_queries(self.db_id, small_queries[:2], k=5, nprobe=4)
+        assert all(r.k == 5 for r in batch)
 
     def test_utilization_sums_to_one(self, scheduler, small_queries):
         scheduler.serve_queries(self.db_id, small_queries[:2], k=5, nprobe=3)
@@ -220,12 +231,26 @@ class TestDefragmenter:
         assert result.seconds > 0
         assert defrag.window_occupancy(*window) == 0
 
+    def test_occupancy_counts_the_pages_clear_window_moves(self):
+        """Only FTL-mapped pages are relocated, so only they occupy a window:
+        a deployed region's pages have no logical owner."""
+        ssd, g = self._fragmented_ssd()
+        defrag = Defragmenter(ssd)
+        occupied = defrag.window_occupancy(0, g.pages_per_block)
+        assert occupied == defrag.clear_window(0, g.pages_per_block).relocated_pages
+        device, _, _ = tiny_ingest_device()
+        window = device.database(0).embedding_region.region
+        defrag = Defragmenter(device.ssd)
+        bounds = (window.start_page_in_plane, window.end_page_in_plane)
+        occupied = defrag.window_occupancy(*bounds)
+        assert occupied == defrag.clear_window(*bounds).relocated_pages == 0
+
     def test_host_data_survives_defragmentation(self):
         ssd, g = self._fragmented_ssd()
         Defragmenter(ssd).clear_window(0, g.pages_per_block)
         for lpa in range(g.total_planes * 6):
             ppa = ssd.ftl.translate(lpa)
-            golden, _ = ssd.array.plane(ppa).golden_page(ppa.block, ppa.page)
+            golden, _ = stored_page(ssd.array, ppa)
             assert (golden[:32] == lpa % 251).all()
 
     def test_relocations_leave_the_window(self):

@@ -39,10 +39,7 @@ from tests.cost_reference import compose_ledger, compose_solo, query_cost
 
 def _trace_count(device, op):
     """Total occurrences of ``op`` across every die's command trace."""
-    return sum(
-        interface.trace[op]
-        for interface in device.engine._die_interfaces.values()
-    )
+    return sum(die_trace[op] for die_trace in device.engine._die_interfaces.values())
 
 
 class TestPlanConstruction:

@@ -212,9 +212,9 @@ class TestReliabilityContract:
         for region in (db.embedding_region, db.centroid_region):
             for offset in range(min(region.n_pages, 4)):
                 ppa = region.region.translate(offset, geometry)
-                plane = device.ssd.array.plane(ppa)
-                assert plane.block_mode(ppa.block) is CellMode.SLC_ESP
-                assert not plane.requires_ecc(ppa.block)
+                code = device.ssd.array.pages.mode[ppa.plane_linear(geometry), ppa.block]
+                assert MODES[code] is CellMode.SLC_ESP
+                assert not RELIABILITY[code].requires_ecc
 
     def test_esp_profile_is_the_only_zero_ber_mode(self):
         zero_ber = [MODES[code] for code, p in RELIABILITY.items() if p.raw_ber == 0.0]

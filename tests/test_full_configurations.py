@@ -72,8 +72,8 @@ class TestFullTopologies:
 
         active_dies = sum(
             1
-            for interface in device.engine._die_interfaces.values()
-            if interface.trace[FlashOp.READ_PAGE] > 0
+            for die_trace in device.engine._die_interfaces.values()
+            if die_trace[FlashOp.READ_PAGE] > 0
         )
         geometry = device.config.geometry
         db = device.database(db_id)

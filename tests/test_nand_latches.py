@@ -10,15 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nand.latches import FailBitCounter, LatchTable, xor_popcount_segments
+from repro.nand.latches import LatchTable, xor_popcount_segments
 
 PAGE = 512
 OOB = 64
-
-
-@pytest.fixture()
-def buffer():
-    return LatchTable(1, PAGE, OOB).buffer(0)
 
 
 bytes_arrays = st.binary(min_size=1, max_size=PAGE).map(
@@ -48,21 +43,21 @@ class TestPopcount:
         assert counts.tolist() == [[80]]
 
 
-class TestPageBuffer:
-    def test_load_cache_rejects_oversize(self, buffer):
+class TestLatchRows:
+    def test_load_cache_rejects_oversize(self):
         with pytest.raises(ValueError):
-            buffer.table.broadcast(np.zeros(PAGE + 1, dtype=np.uint8))
+            LatchTable(1, PAGE, OOB).broadcast(np.zeros(PAGE + 1, dtype=np.uint8))
 
-    def test_buffers_are_rows_of_one_table(self):
+    def test_planes_are_rows_of_one_table(self):
         table = LatchTable(3, PAGE, OOB)
         data = np.arange(2 * PAGE, dtype=np.uint8).reshape(2, PAGE)
         oob = np.arange(2 * OOB, dtype=np.uint8).reshape(2, OOB)
         # Plane 2 senses row 1 then row 0, plane 0 row 1: each keeps its last.
         table.latch_senses(np.array([2, 0, 2]), data, oob, np.array([1, 1, 0]))
-        assert np.array_equal(table.buffer(2).sensing, data[0])
-        assert np.array_equal(table.buffer(2).oob, oob[0])
-        assert np.array_equal(table.buffer(0).sensing, data[1])
-        assert not table.buffer(1).sensing.any() and not table.oob[1].any()
+        assert np.array_equal(table.sensing[2], data[0])
+        assert np.array_equal(table.oob[2], oob[0])
+        assert np.array_equal(table.sensing[0], data[1])
+        assert not table.sensing[1].any() and not table.oob[1].any()
 
 
 class TestLatchSenses:
@@ -95,7 +90,7 @@ class TestFailBitCounter:
     def _latched(self, payload):
         table = LatchTable(1, PAGE, OOB)
         table.latch_senses(np.array([0]), payload[None], np.zeros((1, OOB), np.uint8))
-        return table.buffer(0).sensing
+        return table.sensing[0]
 
     def test_segment_counts_equal_hamming(self):
         # 4 segments of 8 bytes with known popcounts, XOR-ed with zeros.
@@ -112,11 +107,6 @@ class TestFailBitCounter:
         page = self._latched(np.full(PAGE, 0x0F, dtype=np.uint8))
         counts = xor_popcount_segments(page, np.zeros((1, PAGE), np.uint8), PAGE, 1)
         assert counts.tolist() == [[PAGE * 4]]
-
-    def test_invocations_are_the_planes_table_entry(self):
-        table = LatchTable(2, PAGE, OOB)
-        table.invocations += [3, 5]
-        assert FailBitCounter(table.buffer(1)).invocations == 5
 
     @given(st.integers(1, 16), st.integers(1, 16), st.data())
     @settings(max_examples=25)

@@ -14,6 +14,7 @@ from repro.ssd.allocation import (
 from repro.ssd.coarse import COARSE_ENTRY_BYTES, CoarseRegion
 from repro.ssd.dram import InternalDram
 from repro.ssd.ftl import PageLevelFtl
+from tests.conftest import stored_page
 
 GEOMETRY = FlashGeometry(
     channels=2,
@@ -84,7 +85,7 @@ class TestPageLevelFtl:
         # is the written page XOR the read's flips.
         np.bitwise_xor.at(run.data.reshape(-1), *run.flips)
         assert np.array_equal(run.data[0], data)
-        golden, _ = array.plane(ppa).golden_page(ppa.block, ppa.page)
+        golden, _ = stored_page(array, ppa)
         assert np.array_equal(golden, data)
 
     def test_out_of_place_update_invalidates_old_page(self):

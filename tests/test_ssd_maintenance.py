@@ -15,6 +15,7 @@ from repro.ssd.gc import GarbageCollector
 from repro.ssd.hybrid import HybridPartitioner
 from repro.ssd.power import SsdPowerModel, SsdPowerParams
 from repro.ssd.wear import WearLeveler
+from tests.conftest import stored_page
 
 GEOMETRY = FlashGeometry(
     channels=1,
@@ -48,7 +49,7 @@ class TestGarbageCollection:
         # All data is still reachable after relocation.
         for lpa in range(4):
             ppa = ftl.translate(lpa)
-            golden, _ = array.plane(ppa).golden_page(ppa.block, ppa.page)
+            golden, _ = stored_page(array, ppa)
             assert golden is not None
 
     def test_no_victims_no_work(self):
@@ -62,7 +63,7 @@ class TestGarbageCollection:
             ftl.write(lpa, np.zeros(8, dtype=np.uint8))
         for lpa in range(4):
             ftl.write(lpa, np.zeros(8, dtype=np.uint8))
-        gc.reserve_block(0, 0)
+        gc.reserved[0, 0] = True
         result = gc.collect()
         assert (0, 0) not in result.victim_blocks
 
@@ -105,7 +106,7 @@ class TestGarbageCollectionMultiBlock:
         assert {plane for plane, _ in result.victim_blocks} == {0, 1}
         for lpa in range(8):  # every live page still reachable afterwards
             ppa = ftl.translate(lpa)
-            golden, _ = array.plane(ppa).golden_page(ppa.block, ppa.page)
+            golden, _ = stored_page(array, ppa)
             assert golden is not None
 
     def test_max_blocks_caps_the_erase_count(self):
@@ -120,8 +121,7 @@ class TestGarbageCollectionMultiBlock:
     def test_reserved_blocks_never_become_victims(self):
         _, ftl, gc = self._system()
         self._fill_and_invalidate(ftl)
-        gc.reserve_block(0, 0)
-        gc.reserve_block(1, 0)
+        gc.reserved[:, 0] = True
         result = gc.collect(max_blocks=4)
         assert result.erased_blocks == 0
         assert result.victim_blocks == []
@@ -142,8 +142,7 @@ class TestWearLeveler:
 
     def test_lifetime_fraction_depends_on_mode(self):
         array = FlashArray(GEOMETRY)
-        plane = array.plane_by_index(0)
-        plane.set_mode(0, CellMode.SLC_ESP)
+        array.pages.set_mode(0, 0, CellMode.SLC_ESP)
         for _ in range(1000):
             array.pages.erase(0, 0)
             array.pages.erase(0, 1)
@@ -182,7 +181,7 @@ class TestHybridPartitioner:
             oob_bytes=64, subpage_bytes=256,
         )
         array = FlashArray(geometry)
-        array.plane_by_index(3).program_page(1, 0, np.zeros(8, dtype=np.uint8))
+        array.program_pages([3], [1], [0], np.zeros((1, 8), dtype=np.uint8))
         modes = array.pages.mode.copy()
         with pytest.raises(RuntimeError, match="erased block"):
             HybridPartitioner(array).convert_region(0, 8, CellMode.SLC_ESP)
@@ -191,10 +190,11 @@ class TestHybridPartitioner:
     def test_mode_change_on_programmed_block_fails(self):
         array = FlashArray(GEOMETRY)
         partitioner = HybridPartitioner(array)
-        plane = array.plane_by_index(0)
-        plane.program_page(0, 0, np.zeros(8, dtype=np.uint8))
+        array.program_pages([0], [0], [0], np.zeros((1, 8), dtype=np.uint8))
         with pytest.raises(RuntimeError):
             partitioner.set_block_mode(0, 0, CellMode.SLC_ESP)
+        with pytest.raises(ValueError):  # out of range: refused, not wrapped
+            partitioner.set_block_mode(-1, 1, CellMode.SLC_ESP)
 
 
 class TestInternalDram:

@@ -8,6 +8,7 @@ from repro.nand.page import PROGRAMMED
 from repro.ssd.allocation import SequentialAllocator
 from repro.ssd.ftl import PageLevelFtl
 from repro.ssd.wear import WearLeveler
+from tests.conftest import stored_page
 
 GEOMETRY = FlashGeometry(
     channels=1,
@@ -44,7 +45,7 @@ class TestWearLevelingExecution:
         # Data is still reachable through the FTL at its new location.
         for lpa in range(3):
             new_ppa = ftl.translate(lpa)
-            golden, _ = array.plane(new_ppa).golden_page(new_ppa.block, new_ppa.page)
+            golden, _ = stored_page(array, new_ppa)
             assert (golden[:16] == lpa + 1).all()
         # The cold block was erased (its wear can now advance).
         cold_plane, cold_block = result.cold

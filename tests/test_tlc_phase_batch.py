@@ -245,16 +245,15 @@ class TestCorrectBatchEquivalence:
         planes, pages = [], []
         for plane_index in range(array.geometry.total_planes):
             for page in range(4):  # TLC (the default mode): noisy reads
-                array.planes[plane_index].program_page(
-                    0, page, rng.integers(0, 256, 16384).astype(np.uint8)
-                )
+                data = rng.integers(0, 256, (1, 16384)).astype(np.uint8)
+                array.program_pages([plane_index], [0], [page], data)
                 planes.append(plane_index)
                 pages.append(page)
         order = rng.permutation(len(planes))
         planes, pages = [planes[i] for i in order], [pages[i] for i in order]
         run = array.read_pages(planes, [0] * len(planes), pages)
         goldens = np.stack(
-            [array.planes[p].golden_view(0, page)[0] for p, page in zip(planes, pages)]
+            [array.pages.view(p, 0, page)[0] for p, page in zip(planes, pages)]
         )
         injected = int(np.bitwise_count(run.data ^ goldens).sum())
         assert injected > 0
@@ -422,23 +421,19 @@ class TestSenseInPlace:
     # Interleaved ESP-SLC (block 0) and TLC (block 1) pages, with repeats.
     SEQUENCE = [(1, 0), (0, 0), (1, 1), (1, 0), (0, 2), (1, 2), (0, 1), (1, 1)]
 
-    def _program(self, plane):
-        plane.set_mode(0, CellMode.SLC_ESP)
-        rng = np.random.default_rng(3)
-        for block in range(2):
-            for page in range(3):
-                plane.program_page(
-                    block, page,
-                    rng.integers(0, 256, self.PAGE_BYTES - 100 * page).astype(np.uint8),
-                    rng.integers(0, 256, self.OOB_BYTES // 2).astype(np.uint8),
-                )
-        return plane
-
     def _make_array(self):
         config = tiny_config("SENSE-IN-PLACE")
         array = FlashArray(config.geometry, config.timing)
-        for plane in array.planes[:2]:
-            self._program(plane)
+        array.pages.set_mode([0, 1], 0, CellMode.SLC_ESP)
+        for plane in range(2):
+            rng = np.random.default_rng(3)
+            for block in range(2):
+                for page in range(3):
+                    width = self.PAGE_BYTES - 100 * page
+                    data = np.zeros((1, self.PAGE_BYTES), dtype=np.uint8)
+                    data[0, :width] = rng.integers(0, 256, width)
+                    oob = rng.integers(0, 256, (1, self.OOB_BYTES // 2)).astype(np.uint8)
+                    array.program_pages([plane], [block], [page], data, oob)
         return array
 
     @pytest.mark.parametrize("into_rows", [True, False])
@@ -456,7 +451,7 @@ class TestSenseInPlace:
             [0] * len(blocks), blocks, pages, out=stack if into_rows else None
         )
         assert (run.data is stack) == into_rows
-        goldens = [batched.planes[0].golden_view(b, p) for b, p in self.SEQUENCE]
+        goldens = [batched.pages.view(0, b, p) for b, p in self.SEQUENCE]
         expected = np.stack([data for data, _oob in goldens])
         positions, masks = run.flips
         assert positions.size > 0
@@ -466,10 +461,9 @@ class TestSenseInPlace:
         assert np.array_equal(run.data, expected)
         for row, (_data, golden_oob) in enumerate(goldens):
             assert np.array_equal(run.oob[row], golden_oob)
-        for a, b in zip(single.planes, batched.planes):
-            assert np.array_equal(a.buffer.sensing, b.buffer.sensing)
-            assert np.array_equal(a.buffer.oob, b.buffer.oob)
-        assert np.array_equal(batched.planes[0].buffer.sensing, goldens[-1][0])
+        assert np.array_equal(single.latches.sensing, batched.latches.sensing)
+        assert np.array_equal(single.latches.oob, batched.latches.oob)
+        assert np.array_equal(batched.latches.sensing[0], goldens[-1][0])
         assert batched.counters.as_dict() == single.counters.as_dict()
 
     def test_array_read_into_a_stack_is_the_allocating_read(self):
@@ -488,9 +482,8 @@ class TestSenseInPlace:
         assert written.flips[0].size > 0  # the TLC reads really were noisy
         for got, want in zip(written.oob, allocated.oob):
             assert np.array_equal(got, want)
-        for a, b in zip(plain.planes, in_place.planes):
-            assert np.array_equal(a.buffer.sensing, b.buffer.sensing)
-            assert np.array_equal(a.buffer.oob, b.buffer.oob)
+        assert np.array_equal(plain.latches.sensing, in_place.latches.sensing)
+        assert np.array_equal(plain.latches.oob, in_place.latches.oob)
         assert plain.counters.as_dict() == in_place.counters.as_dict()
 
     def test_a_stack_of_the_wrong_shape_is_refused(self):
