@@ -121,18 +121,6 @@ class TestDeviceScheduler:
         assert len(scheduler.accounting.gc_results) == 1
         assert len(scheduler.accounting.refresh_results) == 1
 
-    def test_maintenance_includes_wear_leveling(self, scheduler, small_queries):
-        device = scheduler.device
-        # Manufacture wear imbalance in the free (non-deployed) blocks.
-        free_block = device.config.geometry.blocks_per_plane - 1
-        for _ in range(200):
-            device.ssd.array.pages.erase(0, free_block)
-        scheduler.run_maintenance(wear_level=True)
-        assert scheduler.accounting.maintenance_seconds >= 0
-        # Search still works after maintenance touched the drive.
-        batch = scheduler.serve_queries(self.db_id, small_queries[:2], k=5, nprobe=4)
-        assert all(r.k == 5 for r in batch)
-
     def test_utilization_sums_to_one(self, scheduler, small_queries):
         scheduler.serve_queries(self.db_id, small_queries[:2], k=5, nprobe=3)
         scheduler.run_maintenance()

@@ -11,7 +11,6 @@ from repro.experiments.fig07_08 import (
     run_fig07_08,
     summarize_speedups,
 )
-from repro.experiments.fig05 import run_fig05
 from repro.experiments.fig09 import df_contribution, mpibc_contribution, run_fig09
 from repro.experiments.fig10 import run_fig10, summarize_fig10
 from repro.experiments.fig11 import run_fig11, summarize_fig11
@@ -75,16 +74,6 @@ class TestFig02_03:
     def test_fractions_sum_to_one(self):
         (row,) = run_fig03(datasets=("hotpotqa",))
         assert sum(row.fractions.values()) == pytest.approx(1.0)
-
-
-class TestFig05Runner:
-    def test_small_run_produces_all_curves(self):
-        points = run_fig05(functional_entries=400, n_queries=6, nlist=8)
-        algorithms = {p.algorithm for p in points}
-        assert algorithms == {"IVF", "BQ IVF", "PQ IVF", "HNSW", "BQ HNSW", "LSH"}
-        for point in points:
-            assert 0.0 <= point.recall <= 1.0
-            assert point.normalized_qps > 0
 
 
 class TestFig07_08:

@@ -1,35 +1,54 @@
-"""Tests for the channel/chip organization and fig05's runner internals."""
+"""Tests for the channel/chip organization and fig05's runner internals.
 
-import numpy as np
+Channels, chips and dies are no objects of their own: they are ranges of
+the array's global plane index (:func:`~repro.nand.geometry.page_address`).
+"""
+
 import pytest
 
-from repro.nand.channel import Channel
-from repro.nand.chip import FlashChip
-from repro.nand.geometry import FlashGeometry
+from repro.nand.geometry import FlashGeometry, page_address
 from repro.nand.timing import NandTiming
-from repro.sim.stats import CounterSet
+from repro.ssd.device import SsdSpec
 
-GEOMETRY = FlashGeometry()
+GEOMETRY = FlashGeometry(channels=2, chips_per_channel=2, dies_per_chip=2)
+
+
+def addresses(geometry):
+    return [page_address(geometry, i, 0, 0) for i in range(geometry.total_planes)]
 
 
 class TestChannelOrganization:
     def test_channel_holds_its_chips_and_dies(self):
-        channel = Channel(0, GEOMETRY, NandTiming(), counters=CounterSet())
-        assert len(channel.chips) == GEOMETRY.chips_per_channel
-        dies = list(channel.dies)
-        assert len(dies) == GEOMETRY.dies_per_channel
+        # A channel's planes are one contiguous run of rows, spanning its
+        # chips and their dies.
+        channel_of = [a.channel for a in addresses(GEOMETRY)]
+        per_channel = GEOMETRY.dies_per_channel * GEOMETRY.planes_per_die
+        assert channel_of == sorted(channel_of)
+        assert channel_of.count(0) == per_channel
+        mine = [a for a in addresses(GEOMETRY) if a.channel == 0]
+        assert len({a.chip for a in mine}) == GEOMETRY.chips_per_channel
+        assert len({(a.chip, a.die) for a in mine}) == GEOMETRY.dies_per_channel
 
     def test_transfer_time_and_counter(self):
-        counters = CounterSet()
-        channel = Channel(0, GEOMETRY, NandTiming(channel_bandwidth_bps=1e9), counters=counters)
-        assert channel.transfer(5e8) == pytest.approx(0.5)
-        assert counters["channel_bytes"] == 5e8
+        timing = NandTiming(channel_bandwidth_bps=1e9)
+        assert timing.transfer_time(5e8) == pytest.approx(0.5)
+        # The channels move bytes in parallel: the device's internal
+        # bandwidth is their sum.
+        spec = SsdSpec(geometry=GEOMETRY, timing=timing)
+        assert spec.internal_bandwidth_bps == pytest.approx(GEOMETRY.channels * 1e9)
 
     def test_chip_die_count_and_ids(self):
-        chip = FlashChip(chip_id=0, geometry=GEOMETRY, first_die_id=4)
-        assert len(chip.dies) == GEOMETRY.dies_per_chip
-        assert chip.dies[0].die_id == 4
-        assert chip.dies[-1].die_id == 4 + GEOMETRY.dies_per_chip - 1
+        # Global die ids run channel, then chip, then die: chip 1 of
+        # channel 0 holds dies dies_per_chip .. 2 * dies_per_chip - 1.
+        die_of = {}
+        for plane_index, a in enumerate(addresses(GEOMETRY)):
+            die_of.setdefault((a.channel, a.chip), set()).add(
+                plane_index // GEOMETRY.planes_per_die
+            )
+        assert len(die_of) == GEOMETRY.channels * GEOMETRY.chips_per_channel
+        assert all(len(dies) == GEOMETRY.dies_per_chip for dies in die_of.values())
+        first = GEOMETRY.dies_per_chip
+        assert sorted(die_of[(0, 1)]) == list(range(first, first + GEOMETRY.dies_per_chip))
 
 
 class TestFig05Runner:

@@ -43,12 +43,12 @@ class TestPopcount:
         assert counts.tolist() == [[80]]
 
 
-class TestLatchRows:
+class TestPageBuffer:
     def test_load_cache_rejects_oversize(self):
         with pytest.raises(ValueError):
             LatchTable(1, PAGE, OOB).broadcast(np.zeros(PAGE + 1, dtype=np.uint8))
 
-    def test_planes_are_rows_of_one_table(self):
+    def test_buffers_are_rows_of_one_table(self):
         table = LatchTable(3, PAGE, OOB)
         data = np.arange(2 * PAGE, dtype=np.uint8).reshape(2, PAGE)
         oob = np.arange(2 * OOB, dtype=np.uint8).reshape(2, OOB)
@@ -107,6 +107,17 @@ class TestFailBitCounter:
         page = self._latched(np.full(PAGE, 0x0F, dtype=np.uint8))
         counts = xor_popcount_segments(page, np.zeros((1, PAGE), np.uint8), PAGE, 1)
         assert counts.tolist() == [[PAGE * 4]]
+
+    def test_invocations_are_the_planes_table_entry(self):
+        # One count per plane, advanced by the scan kernel alone: sensing
+        # into a plane's latches and broadcasting a pattern count nothing.
+        table = LatchTable(2, PAGE, OOB)
+        assert table.invocations.shape == (2,) and not table.invocations.any()
+        table.latch_senses(np.array([1]), np.ones((1, PAGE), np.uint8), np.ones((1, OOB), np.uint8))
+        table.broadcast(np.ones(8, dtype=np.uint8))
+        assert not table.invocations.any()
+        table.invocations += [3, 5]
+        assert table.invocations.tolist() == [3, 5]
 
     @given(st.integers(1, 16), st.integers(1, 16), st.data())
     @settings(max_examples=25)

@@ -8,8 +8,11 @@ from repro.nand.array import FlashArray
 from repro.nand.cell import RELIABILITY, CellMode, reliability
 from repro.nand.ecc import EccConfig, EccEngine
 from repro.nand.errors import NO_FLIPS
-from repro.nand.geometry import FlashGeometry, PhysicalPageAddress
+from repro.nand.geometry import (
+    FlashGeometry, PhysicalPageAddress, page_address, ppa_from_linear,
+)
 from repro.nand.latches import LatchTable, xor_popcount_segments
+from repro.nand.timing import NandTiming
 
 from tests.conftest import sense_one
 from tests.ecc_reference import flip_column
@@ -169,6 +172,26 @@ class TestPlane:
         with pytest.raises(ValueError):
             table.broadcast(np.zeros(2049, dtype=np.uint8))
 
+    def test_distance_counters_are_the_arrays_invocation_column(
+        self, small_vectors, small_queries
+    ):
+        """A plane's fail-bit count is its entry of the array's invocation
+        column, which a scan phase advances for every plane at once: one
+        count per latch XOR, on the planes the search sensed."""
+        from repro.core.api import ReisDevice
+        from repro.core.config import tiny_config
+
+        vectors, _ = small_vectors
+        device = ReisDevice(tiny_config("INVOKE"))
+        db_id = device.ivf_deploy("inv", vectors, nlist=8, seed=0)
+        array = device.ssd.array
+        assert not array.latches.invocations.any()
+        device.ivf_search(db_id, small_queries[:2], k=5, nprobe=4)
+        invocations = array.latches.invocations
+        assert invocations.shape == (array.geometry.total_planes,)
+        assert int(invocations.sum()) == array.counters["latch_xors"] > 0
+        assert array.counters["bit_counts"] == array.counters["latch_xors"]
+
 
 class TestDie:
     def _commands(self):
@@ -218,8 +241,38 @@ class TestDie:
             assert (array.latches.sensing[index] == index + 1).all()
         assert array.counters["page_reads"] == 2
 
+    def test_a_die_built_alone_has_latches_of_its_own(self):
+        """The planes of a die are rows of one latch table, yet a write to
+        one plane's latch leaves its neighbour's untouched."""
+        array = FlashArray(GEOMETRY)
+        assert array.latches.cache.shape == (GEOMETRY.total_planes, GEOMETRY.page_bytes)
+        array.latches.cache[1] = 5
+        assert not array.latches.cache[0].any()
+        array.pages.set_mode(0, 0, CellMode.SLC_ESP)
+        program(array, 0, 0, 0, np.full(GEOMETRY.page_bytes, 9, dtype=np.uint8))
+        sense_one(array, 0, 0, 0)
+        assert (array.latches.sensing[0] == 9).all()
+        assert not array.latches.sensing[1].any()
+        assert (array.latches.cache[1] == 5).all()
+
 
 class TestFlashArray:
+    def test_ppa_addressing_consistent_with_plane_index(self):
+        """Global plane index and (channel, chip, die, plane) address are
+        one bijection, in parallelism-first order."""
+        seen = set()
+        for plane_index in range(GEOMETRY.total_planes):
+            address = page_address(GEOMETRY, plane_index, 1, 2)
+            address.validate(GEOMETRY)
+            assert address.plane_linear(GEOMETRY) == plane_index
+            assert ppa_from_linear(address.to_linear(GEOMETRY), GEOMETRY) == address
+            seen.add((address.channel, address.chip, address.die, address.plane))
+        assert len(seen) == GEOMETRY.total_planes
+        with pytest.raises(ValueError):
+            ppa_from_linear(GEOMETRY.total_pages, GEOMETRY)
+        with pytest.raises(ValueError):
+            page_address(GEOMETRY, GEOMETRY.total_planes, 0, 0).validate(GEOMETRY)
+
     def test_plane_index_out_of_range_is_refused(self):
         array = FlashArray(GEOMETRY)
         page = np.zeros((1, 8), dtype=np.uint8)
@@ -280,6 +333,12 @@ class TestFlashArray:
         assert empty.oob.shape == (0, GEOMETRY.oob_bytes)
         assert empty.flips[0].size == empty.flips[1].size == 0
         assert grouped.counters.as_dict() == single.counters.as_dict()
+
+    def test_channel_transfer_time(self):
+        array = FlashArray(GEOMETRY, NandTiming(channel_bandwidth_bps=1e9))
+        assert array.timing.transfer_time(1e9) == pytest.approx(1.0)
+        with pytest.raises(ValueError):
+            array.timing.transfer_time(-1)
 
 
 class TestReadErrorInjection:
